@@ -235,11 +235,17 @@ def bfs_batch(
 
     # Every rank in a row group holds the identical row-window state
     # after each exchange, so frontier lists are computed once by the
-    # group's first rank and aliased to the rest.
+    # group's first rank and aliased to the rest.  The window sits at
+    # each member's own ``row_offset`` in its LID space (Type 2 maps,
+    # i.e. R < C grids, differ within a group), so a member whose
+    # offset differs from the leader's gets the LIDs shifted.
     row_leader = [0] * grid.n_ranks
+    row_shift = [0] * grid.n_ranks
     for _id_r, _ranks in engine.row_groups():
+        lead_offset = engine.ctx(_ranks[0]).localmap.row_offset
         for _r in _ranks:
             row_leader[_r] = _ranks[0]
+            row_shift[_r] = engine.ctx(_r).localmap.row_offset - lead_offset
 
     def _loop_state():
         return {
@@ -495,7 +501,12 @@ def bfs_batch(
             return np.concatenate(out_l), np.concatenate(out_n)
 
         leader_frontier = engine.map_ranks(fresh_levels)
-        new_frontier = [leader_frontier[row_leader[r]] for r in range(grid.n_ranks)]
+        new_frontier = []
+        for r in range(grid.n_ranks):
+            lids, lanes_f = leader_frontier[row_leader[r]]
+            new_frontier.append(
+                (lids + row_shift[r], lanes_f) if row_shift[r] else (lids, lanes_f)
+            )
         if flags_handle is not None:
             engine.comm.wait(flags_handle)
         m_new = np.zeros(k)

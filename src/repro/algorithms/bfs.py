@@ -48,8 +48,6 @@ def bfs(
     beta: float = BETA,
     hybrid: bool = True,
     resume: bool = False,
-    elastic=None,
-    certify: bool = False,
 ) -> AlgorithmResult:
     """BFS from ``root`` (original vertex id).
 
@@ -58,33 +56,9 @@ def bfs(
     ``hybrid=False`` forces pure top-down (for ablations).
     ``resume=True`` continues from the engine's latest attached
     checkpoint instead of starting over (falling back to a fresh run
-    when there is none); see ``docs/ROBUSTNESS.md``.  ``elastic=``
-    additionally survives permanent rank loss by regridding onto the
-    surviving GPUs (an :class:`~repro.faults.elastic.ElasticRecovery`,
-    a grid-policy spec string, or ``True`` for the default policy).
-    ``certify=True`` runs the distributed result certifier
-    (:func:`~repro.faults.integrity.certify_bfs`) on the final answer,
-    charging its modeled cost to the ``certify`` clock lane and
-    raising :class:`~repro.faults.integrity.IntegrityFailure` if the
-    parent tree violates BFS invariants.
+    when there is none); recovery drivers and result certification
+    wrap this call from outside — see ``docs/ROBUSTNESS.md``.
     """
-    if elastic:
-        from ..faults.elastic import drive_elastic
-
-        return drive_elastic(
-            lambda e, r: bfs(
-                e,
-                root,
-                alpha=alpha,
-                beta=beta,
-                hybrid=hybrid,
-                resume=r,
-                certify=certify,
-            ),
-            engine,
-            elastic,
-            resume=resume,
-        )
     part, grid = engine.partition, engine.grid
     n = part.n_vertices
     if not 0 <= root < n:
@@ -293,23 +267,16 @@ def bfs(
     parents = np.full(n, -1, dtype=np.int64)
     parents[reached] = parent_state[reached].astype(np.int64)
     out_levels = np.where(np.isfinite(levels), levels, -1).astype(np.int64)
-    extra = {
-        "levels": out_levels,
-        "n_visited": int(n_visited),
-        "directions": direction_log,
-    }
-    if certify:
-        from ..faults.integrity import certify_bfs
-
-        extra["certification"] = certify_bfs(
-            engine, parents, out_levels, root
-        ).as_dict()
     return AlgorithmResult(
         values=parents,
         timings=engine.timing_report(),
         iterations=depth,
         counters=engine.counters.summary(),
-        extra=extra,
+        extra={
+            "levels": out_levels,
+            "n_visited": int(n_visited),
+            "directions": direction_log,
+        },
     )
 
 

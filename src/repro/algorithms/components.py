@@ -113,8 +113,6 @@ def connected_components(
     max_iterations: Optional[int] = None,
     switch_threshold_factor: float = 1.0,
     resume: bool = False,
-    elastic=None,
-    certify: bool = False,
 ) -> AlgorithmResult:
     """Run color-propagation CC to convergence.
 
@@ -138,33 +136,10 @@ def connected_components(
         none); see ``docs/ROBUSTNESS.md``.
 
     Returns component labels (original GIDs of the winning
-    representatives) in original vertex order.  ``elastic=`` survives
-    permanent rank loss by regridding onto the surviving GPUs (see
-    ``docs/ROBUSTNESS.md``).  ``certify=True`` runs
-    :func:`~repro.faults.integrity.certify_cc` (label agreement across
-    every edge) on the final labels, charging the ``certify`` clock
-    lane.
+    representatives) in original vertex order.
     """
     if direction not in ("push", "pull"):
         raise ValueError(f"direction must be 'push' or 'pull', got {direction!r}")
-    if elastic:
-        from ..faults.elastic import drive_elastic
-
-        return drive_elastic(
-            lambda e, r: connected_components(
-                e,
-                direction=direction,
-                mode=mode,
-                use_queue=use_queue,
-                max_iterations=max_iterations,
-                switch_threshold_factor=switch_threshold_factor,
-                resume=r,
-                certify=certify,
-            ),
-            engine,
-            elastic,
-            resume=resume,
-        )
     part, grid = engine.partition, engine.grid
     all_rows = [ctx.row_lids() for ctx in engine]
 
@@ -267,15 +242,10 @@ def connected_components(
         )
 
     values = engine.gather(_STATE).astype(np.int64)
-    extra = {"n_components": int(np.unique(values).size)}
-    if certify:
-        from ..faults.integrity import certify_cc
-
-        extra["certification"] = certify_cc(engine, values).as_dict()
     return AlgorithmResult(
         values=values,
         timings=engine.timing_report(),
         iterations=iteration,
         counters=engine.counters.summary(),
-        extra=extra,
+        extra={"n_components": int(np.unique(values).size)},
     )

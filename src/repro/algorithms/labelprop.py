@@ -73,27 +73,14 @@ def label_propagation(
     iterations: int = 20,
     use_queue: bool = True,
     resume: bool = False,
-    elastic=None,
 ) -> AlgorithmResult:
     """Run up to ``iterations`` synchronous LP steps (paper: 20).
 
     Stops early once no label changes.  Returns labels in original
     vertex order, identical to the serial reference.  ``resume=True``
-    continues from the engine's latest attached checkpoint;
-    ``elastic=`` also survives permanent rank loss by regridding (see
+    continues from the engine's latest attached checkpoint (see
     ``docs/ROBUSTNESS.md``).
     """
-    if elastic:
-        from ..faults.elastic import drive_elastic
-
-        return drive_elastic(
-            lambda e, r: label_propagation(
-                e, iterations=iterations, use_queue=use_queue, resume=r
-            ),
-            engine,
-            elastic,
-            resume=resume,
-        )
     part, grid = engine.partition, engine.grid
     all_rows = [ctx.row_lids() for ctx in engine]
 

@@ -76,8 +76,6 @@ def pagerank(
     weighted: bool = False,
     tol: Optional[float] = None,
     resume: bool = False,
-    elastic=None,
-    certify: bool = False,
 ) -> AlgorithmResult:
     """Run synchronous PageRank (paper default: 20 fixed iterations).
 
@@ -99,37 +97,12 @@ def pagerank(
         none); see ``docs/ROBUSTNESS.md``.
 
     Returns the PageRank vector in original vertex order; it matches
-    the serial reference to floating-point roundoff.
-
-    ``elastic=`` survives permanent rank loss by regridding onto the
-    surviving GPUs.  Note that PageRank's floating-point sum reductions
-    are sensitive to the operand grouping a different grid induces:
-    values after a shrink-regrid agree with the fault-free run to
-    within ~1 ulp rather than bit-exactly (spare-pool recoveries, which
-    keep the grid, stay bit-exact); see ``docs/ROBUSTNESS.md``.
-    ``certify=True`` runs
-    :func:`~repro.faults.integrity.certify_pagerank` (mass
-    conservation + residual bound) on the final vector, charging the
-    ``certify`` clock lane.
+    the serial reference to floating-point roundoff.  PageRank's
+    floating-point sum reductions are sensitive to the operand grouping
+    a grid induces: a run resumed on a *different* grid (an elastic
+    shrink) agrees with the fault-free run to within ~1 ulp rather
+    than bit-exactly; see ``docs/ROBUSTNESS.md``.
     """
-    if elastic:
-        from ..faults.elastic import drive_elastic
-
-        return drive_elastic(
-            lambda e, r: pagerank(
-                e,
-                iterations=iterations,
-                damping=damping,
-                personalization=personalization,
-                weighted=weighted,
-                tol=tol,
-                resume=r,
-                certify=certify,
-            ),
-            engine,
-            elastic,
-            resume=resume,
-        )
     n = engine.partition.n_vertices
     grid = engine.grid
     all_ranks = list(range(grid.n_ranks))
@@ -251,24 +224,10 @@ def pagerank(
             "pagerank", {"iterations_run": iterations_run, "done": done}
         )
 
-    values = engine.gather("pr")
-    extra = {"damping": damping}
-    if certify:
-        from ..faults.integrity import certify_pagerank
-
-        # The residual bound models the uniform-spread update; weighted
-        # runs certify mass conservation and non-negativity only.
-        extra["certification"] = certify_pagerank(
-            engine,
-            values,
-            damping=damping,
-            personalization=personalization,
-            resid_tol=None if weighted else 1e-2,
-        ).as_dict()
     return AlgorithmResult(
-        values=values,
+        values=engine.gather("pr"),
         timings=engine.timing_report(),
         iterations=iterations_run,
         counters=engine.counters.summary(),
-        extra=extra,
+        extra={"damping": damping},
     )

@@ -64,27 +64,14 @@ def pointer_jumping(
     engine: Engine,
     max_iterations: int | None = None,
     resume: bool = False,
-    elastic=None,
 ) -> AlgorithmResult:
     """Find the forest root of every vertex.
 
     Returns roots in original vertex order, equal to serially chasing
     :func:`initial_parents` on the input graph.  ``resume=True``
-    continues from the engine's latest attached checkpoint;
-    ``elastic=`` also survives permanent rank loss by regridding (see
+    continues from the engine's latest attached checkpoint (see
     ``docs/ROBUSTNESS.md``).
     """
-    if elastic:
-        from ..faults.elastic import drive_elastic
-
-        return drive_elastic(
-            lambda e, r: pointer_jumping(
-                e, max_iterations=max_iterations, resume=r
-            ),
-            engine,
-            elastic,
-            resume=resume,
-        )
     part, grid = engine.partition, engine.grid
     n = part.n_vertices
     all_ranks = list(range(grid.n_ranks))

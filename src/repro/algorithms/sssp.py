@@ -29,36 +29,15 @@ def sssp(
     root: int,
     max_iterations: int | None = None,
     resume: bool = False,
-    elastic=None,
-    certify: bool = False,
 ) -> AlgorithmResult:
     """Shortest path distance from ``root`` to every vertex.
 
     Requires non-negative edge weights.  Returns distances in original
     vertex order (``inf`` for unreachable vertices), exactly equal to a
     serial Bellman-Ford / Dijkstra result.  ``resume=True`` continues
-    from the engine's latest attached checkpoint; ``elastic=`` also
-    survives permanent rank loss by regridding (see
-    ``docs/ROBUSTNESS.md``).  ``certify=True`` runs
-    :func:`~repro.faults.integrity.certify_sssp` (relaxation slack
-    >= 0 on every edge) on the final distances, charging the
-    ``certify`` clock lane.
+    from the engine's latest attached checkpoint (see
+    ``docs/ROBUSTNESS.md``).
     """
-    if elastic:
-        from ..faults.elastic import drive_elastic
-
-        return drive_elastic(
-            lambda e, r: sssp(
-                e,
-                root,
-                max_iterations=max_iterations,
-                resume=r,
-                certify=certify,
-            ),
-            engine,
-            elastic,
-            resume=resume,
-        )
     part, grid = engine.partition, engine.grid
     if not part.weighted:
         raise ValueError("sssp needs an edge-weighted graph")
@@ -120,15 +99,10 @@ def sssp(
 
     values = engine.gather("dist")
     reached = np.isfinite(values)
-    extra = {"n_reached": int(np.count_nonzero(reached))}
-    if certify:
-        from ..faults.integrity import certify_sssp
-
-        extra["certification"] = certify_sssp(engine, values, root).as_dict()
     return AlgorithmResult(
         values=values,
         timings=engine.timing_report(),
         iterations=iterations,
         counters=engine.counters.summary(),
-        extra=extra,
+        extra={"n_reached": int(np.count_nonzero(reached))},
     )

@@ -213,266 +213,138 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     return 0
 
 
+#: How ``faults`` prints each campaign kind: default grid size, table
+#: header, row format (over the report row's keys plus the derived
+#: cells ``values``/``grids``/``dgh``), and the summary line's tail.
+#: Elastic campaigns need headroom to shrink: 12 ranks, so a 4x3 layout
+#: can lose ranks and still factor usefully.  The others take 4: the
+#: autoscale demote-then-grow-back round trip is 2x2 -> 1x3 -> 2x2
+#: (back to the original grid), and the integrity ledger needs
+#: replicated windows on both grid axes (R >= 2 and C >= 2).
+_FAULT_TABLES = {
+    "campaign": (
+        4,
+        f"{'scenario':>18} {'algo':>5} {'status':>12} {'values':>7} "
+        f"{'clocks':>7} {'events':>7} {'recovery[s]':>12}",
+        "{scenario:>18} {algo:>5} {status:>12} {values_equal!s:>7} "
+        "{clocks_equal!s:>7} {n_fault_events:>7} {recovery_s:>12.3e}",
+        "({unrecovered} unrecovered)",
+    ),
+    "elastic": (
+        12,
+        f"{'scenario':>24} {'algo':>5} {'status':>12} {'values':>7} "
+        f"{'regrids':>8} {'grids':>20} {'regrid[s]':>11} {'frac':>6}",
+        "{scenario:>24} {algo:>5} {status:>12} {values:>7} {n_regrids:>8} "
+        "{grids:>20} {regrid_s:>11.3e} {regrid_fraction:>6.1%}",
+        "({unrecovered} unrecovered, {diverged} diverged), {regrids} regrids",
+    ),
+    "autoscale": (
+        4,
+        f"{'scenario':>26} {'algo':>5} {'status':>10} {'values':>7} "
+        f"{'regrids':>8} {'dem/grow/hold':>13} {'grids':>20} "
+        f"{'regrid[s]':>11}",
+        "{scenario:>26} {algo:>5} {status:>10} {values:>7} {n_regrids:>8} "
+        "{dgh:>13} {grids:>20} {regrid_s:>11.3e}",
+        "({unrecovered} unrecovered, {diverged} diverged), "
+        "{demotions} demotions, {grows} grows, {holds} holds",
+    ),
+    "sdc": (
+        4,
+        f"{'scenario':>18} {'algo':>5} {'status':>10} {'detected':>9} "
+        f"{'values':>7} {'clocks':>7} {'repairs':>8} {'certify[s]':>11}",
+        "{scenario:>18} {algo:>5} {status:>10} {detected!s:>9} "
+        "{values_equal!s:>7} {clocks_equal!s:>7} {repairs:>8} "
+        "{certify_s:>11.3e}",
+        "({undetected} undetected, {unrepaired} unrepaired), "
+        "{repairs} repairs",
+    ),
+}
+
+
 def _cmd_faults(args: argparse.Namespace) -> int:
     import json
 
-    from .faults.scenarios import (
-        AUTOSCALE_SCENARIOS,
-        DEFAULT_AUTOSCALE_SCENARIOS,
-        DEFAULT_ELASTIC_SCENARIOS,
-        DEFAULT_SCENARIOS,
-        DEFAULT_SDC_SCENARIOS,
-        ELASTIC_RUNNERS,
-        ELASTIC_SCENARIOS,
-        RUNNERS,
-        SCENARIOS,
-        SDC_RUNNERS,
-        SDC_SCENARIOS,
-        WEIGHTED_ALGOS,
-        run_autoscale_campaign,
-        run_campaign,
-        run_elastic_campaign,
-        run_sdc_campaign,
-    )
+    from .faults.scenarios import CAMPAIGNS, WEIGHTED_ALGOS, run_campaign
 
-    # --elastic / --autoscale / --sdc conflicts are rejected by the
-    # parser's mutually-exclusive group (argparse exits 2 with usage).
-    if args.sdc:
-        runners = SDC_RUNNERS
-    elif args.elastic or args.autoscale:
-        runners = ELASTIC_RUNNERS
-    else:
-        runners = RUNNERS
+    # --elastic / --autoscale / --sdc set args.kind; conflicts are
+    # rejected by the parser's mutually-exclusive group (exit 2).
+    camp = CAMPAIGNS[args.kind]
+    default_ranks, header, row_format, summary = _FAULT_TABLES[args.kind]
     algos = (
         [a.strip().upper() for a in args.algos.split(",")]
         if args.algos
-        else sorted(runners)
+        else sorted(camp.algos)
     )
     for algo in algos:
-        if algo not in runners:
-            print(f"unknown algorithm {algo!r}; choose from {sorted(runners)}")
-            return 2
-    if args.sdc:
-        known = SDC_SCENARIOS
-        defaults = DEFAULT_SDC_SCENARIOS
-    elif args.autoscale:
-        known = AUTOSCALE_SCENARIOS
-        defaults = DEFAULT_AUTOSCALE_SCENARIOS
-    elif args.elastic:
-        known = ELASTIC_SCENARIOS
-        defaults = DEFAULT_ELASTIC_SCENARIOS
-    else:
-        known = SCENARIOS
-        defaults = DEFAULT_SCENARIOS
-    if args.scenario != "all" and args.scenario not in known:
-        mode = (
-            "--sdc"
-            if args.sdc
-            else (
-                "--autoscale"
-                if args.autoscale
-                else ("--elastic" if args.elastic else "non-elastic")
+        if algo not in camp.algos:
+            print(
+                f"unknown algorithm {algo!r}; choose from {sorted(camp.algos)}"
             )
-        )
+            return 2
+    if args.scenario != "all" and args.scenario not in camp.scenarios:
+        mode = "non-elastic" if args.kind == "campaign" else f"--{args.kind}"
         print(
             f"scenario {args.scenario!r} is not a {mode} scenario; "
-            f"choose from {sorted(known)}"
+            f"choose from {sorted(camp.scenarios)}"
         )
         return 2
-    scenarios = list(defaults) if args.scenario == "all" else [args.scenario]
-    # Elastic campaigns need headroom to shrink: default to a 12-rank
-    # grid so a 4x3 layout can lose ranks and still factor usefully.
-    # Autoscale campaigns default to 4 so the demote-then-grow-back
-    # round trip is 2x2 -> 1x3 -> 2x2 (back to the original grid).
-    # SDC campaigns also default to 4: the integrity ledger needs
-    # replicated windows on both grid axes (R >= 2 and C >= 2).
-    if args.ranks is not None:
-        ranks = args.ranks
-    elif args.elastic:
-        ranks = 12
-    else:
-        ranks = 4
+    ranks = default_ranks if args.ranks is None else args.ranks
     ds = load(args.dataset, target_edges=args.target_edges, seed=args.seed)
     print(ds.note)
 
-    def fresh_engine():
-        return make_engine(
-            ds,
+    def engine_factory(dataset):
+        return lambda: make_engine(
+            dataset,
             ranks,
             cluster=_CLUSTERS[args.cluster],
             executor=args.executor,
         )
 
-    if args.sdc:
-        weighted_engine = None
-        if any(a in WEIGHTED_ALGOS for a in algos):
-            dsw = load(
+    weighted_engine = None
+    if any(a in WEIGHTED_ALGOS for a in algos):
+        weighted_engine = engine_factory(
+            load(
                 args.dataset,
                 target_edges=args.target_edges,
                 seed=args.seed,
                 weighted=True,
             )
-
-            def weighted_engine():
-                return make_engine(
-                    dsw,
-                    ranks,
-                    cluster=_CLUSTERS[args.cluster],
-                    executor=args.executor,
-                )
-
-        report = run_sdc_campaign(
-            fresh_engine,
-            algos=algos,
-            scenarios=scenarios,
-            max_retries=args.max_retries,
-            make_weighted_engine=weighted_engine,
         )
-        header = (
-            f"{'scenario':>18} {'algo':>5} {'status':>10} {'detected':>9} "
-            f"{'values':>7} {'clocks':>7} {'repairs':>8} {'certify[s]':>11}"
-        )
-        print(header)
-        print("-" * len(header))
-        for c in report["cases"]:
-            print(
-                f"{c['scenario']:>18} {c['algo']:>5} {c['status']:>10} "
-                f"{str(c['detected']):>9} {str(c['values_equal']):>7} "
-                f"{str(c['clocks_equal']):>7} {c['repairs']:>8} "
-                f"{c['certify_s']:>11.3e}"
-            )
-        print()
-        print(
-            f"{report['total']} cases: "
-            f"{report['total'] - report['failed']} ok, "
-            f"{report['failed']} failed "
-            f"({report['undetected']} undetected, "
-            f"{report['unrepaired']} unrepaired), "
-            f"{report['repairs']} repairs"
-        )
-        if report["skipped"]:
-            skipped = ", ".join(
-                f"{s['algo']}@{s['scenario']}" for s in report["skipped"]
-            )
-            print(f"skipped (no weighted graph): {skipped}")
-        if args.out:
-            out = pathlib.Path(args.out)
-            out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_text(json.dumps(report, indent=2))
-            print(f"wrote {out}")
-        return 1 if report["failed"] else 0
-
-    if args.autoscale:
-        report = run_autoscale_campaign(
-            fresh_engine,
-            algos=algos,
-            scenarios=scenarios,
-            checkpoint_interval=args.checkpoint_interval,
-            max_retries=args.max_retries,
-        )
-        header = (
-            f"{'scenario':>26} {'algo':>5} {'status':>10} {'values':>7} "
-            f"{'regrids':>8} {'dem/grow/hold':>13} {'grids':>20} "
-            f"{'regrid[s]':>11}"
-        )
-        print(header)
-        print("-" * len(header))
-        for c in report["cases"]:
-            values = (
-                "exact"
-                if c["values_equal"]
-                else ("~ulp" if c["values_close"] else "DIFF")
-            )
-            trail = "->".join(f"{r}x{cc}" for r, cc in c["grid_trail"])
-            dgh = f"{c['n_demotions']}/{c['n_grows']}/{c['n_holds']}"
-            print(
-                f"{c['scenario']:>26} {c['algo']:>5} {c['status']:>10} "
-                f"{values:>7} {c['n_regrids']:>8} {dgh:>13} {trail:>20} "
-                f"{c['regrid_s']:>11.3e}"
-            )
-        print()
-        print(
-            f"{report['total']} cases: "
-            f"{report['total'] - report['failed']} ok, "
-            f"{report['failed']} failed "
-            f"({report['unrecovered']} unrecovered, "
-            f"{report['diverged']} diverged), "
-            f"{report['demotions']} demotions, {report['grows']} grows, "
-            f"{report['holds']} holds"
-        )
-        if args.out:
-            out = pathlib.Path(args.out)
-            out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_text(json.dumps(report, indent=2))
-            print(f"wrote {out}")
-        return 1 if report["failed"] else 0
-
-    if args.elastic:
-        report = run_elastic_campaign(
-            fresh_engine,
-            algos=algos,
-            scenarios=scenarios,
-            checkpoint_interval=args.checkpoint_interval,
-            max_retries=args.max_retries,
-        )
-        header = (
-            f"{'scenario':>24} {'algo':>5} {'status':>12} {'values':>7} "
-            f"{'regrids':>8} {'grids':>20} {'regrid[s]':>11} {'frac':>6}"
-        )
-        print(header)
-        print("-" * len(header))
-        for c in report["cases"]:
-            values = (
-                "exact"
-                if c["values_equal"]
-                else ("~ulp" if c["values_close"] else "DIFF")
-            )
-            trail = "->".join(f"{r}x{cc}" for r, cc in c["grid_trail"])
-            print(
-                f"{c['scenario']:>24} {c['algo']:>5} {c['status']:>12} "
-                f"{values:>7} {c['n_regrids']:>8} {trail:>20} "
-                f"{c['regrid_s']:>11.3e} {c['regrid_fraction']:>6.1%}"
-            )
-        print()
-        print(
-            f"{report['total']} cases: "
-            f"{report['total'] - report['failed']} ok, "
-            f"{report['failed']} failed "
-            f"({report['unrecovered']} unrecovered, "
-            f"{report['diverged']} diverged), "
-            f"{report['regrids']} regrids"
-        )
-        if args.out:
-            out = pathlib.Path(args.out)
-            out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_text(json.dumps(report, indent=2))
-            print(f"wrote {out}")
-        return 1 if report["failed"] else 0
-
     report = run_campaign(
-        fresh_engine,
+        args.kind,
+        engine_factory(ds),
         algos=algos,
-        scenarios=scenarios,
+        scenarios=None if args.scenario == "all" else [args.scenario],
         checkpoint_interval=args.checkpoint_interval,
         max_retries=args.max_retries,
+        make_weighted_engine=weighted_engine,
     )
-    header = (
-        f"{'scenario':>18} {'algo':>5} {'status':>12} {'values':>7} "
-        f"{'clocks':>7} {'events':>7} {'recovery[s]':>12}"
-    )
+
     print(header)
     print("-" * len(header))
     for c in report["cases"]:
+        close = c.get("values_close")
         print(
-            f"{c['scenario']:>18} {c['algo']:>5} {c['status']:>12} "
-            f"{str(c['values_equal']):>7} {str(c['clocks_equal']):>7} "
-            f"{c['n_fault_events']:>7} {c['recovery_s']:>12.3e}"
+            row_format.format(
+                values="exact" if c["values_equal"] else "~ulp" if close else "DIFF",
+                grids="->".join(f"{r}x{cc}" for r, cc in c.get("grid_trail", ())),
+                dgh="/".join(
+                    str(c.get(k)) for k in ("n_demotions", "n_grows", "n_holds")
+                ),
+                **c,
+            )
         )
     print()
     print(
-        f"{report['total']} cases: {report['total'] - report['failed']} ok, "
-        f"{report['failed']} failed ({report['unrecovered']} unrecovered)"
+        ("{total} cases: {ok} ok, {failed} failed " + summary).format(
+            ok=report["total"] - report["failed"], **report
+        )
     )
+    if report.get("skipped"):
+        skipped = ", ".join(
+            f"{s['algo']}@{s['scenario']}" for s in report["skipped"]
+        )
+        print(f"skipped (no weighted graph): {skipped}")
     if args.out:
         out = pathlib.Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -594,30 +466,26 @@ def build_parser() -> argparse.ArgumentParser:
     faults = sub.add_parser(
         "faults", help="fault-injection scenario campaign with recovery checks"
     )
-    from .faults.scenarios import AUTOSCALE_SCENARIOS as _AUTOSCALE_SCENARIOS
-    from .faults.scenarios import ELASTIC_SCENARIOS as _ELASTIC_SCENARIOS
-    from .faults.scenarios import RUNNERS as _FAULT_RUNNERS
-    from .faults.scenarios import SCENARIOS as _FAULT_SCENARIOS
-    from .faults.scenarios import SDC_RUNNERS as _SDC_RUNNERS
-    from .faults.scenarios import SDC_SCENARIOS as _SDC_SCENARIOS
+    from .faults.scenarios import CAMPAIGNS
 
     # The campaigns are alternatives: exactly one (or none, for the
     # plain crash/retry campaign) may be selected.  argparse enforces
     # the conflict and exits 2 with a usage message.
     campaign = faults.add_mutually_exclusive_group()
+    faults.set_defaults(kind="campaign")
     campaign.add_argument(
-        "--elastic", action="store_true",
+        "--elastic", dest="kind", action="store_const", const="elastic",
         help="run the elastic (permanent-rank-loss) campaign: crashes "
              "regrid onto the surviving GPUs instead of resuming in place",
     )
     campaign.add_argument(
-        "--autoscale", action="store_true",
+        "--autoscale", dest="kind", action="store_const", const="autoscale",
         help="run the autoscale campaign: the health watchdog demotes "
              "chronic stragglers and the grid grows back onto arriving "
              "spare ranks",
     )
     campaign.add_argument(
-        "--sdc", action="store_true",
+        "--sdc", dest="kind", action="store_const", const="sdc",
         help="run the silent-data-corruption campaign: memory bit-flips "
              "in per-rank state arrays, detected by the integrity "
              "ledger and repaired by checkpoint rollback (graded "
@@ -626,10 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument(
         "--scenario", default="all",
         choices=["all"]
-        + sorted(_FAULT_SCENARIOS)
-        + sorted(_ELASTIC_SCENARIOS)
-        + sorted(_AUTOSCALE_SCENARIOS)
-        + sorted(_SDC_SCENARIOS),
+        + [s for camp in CAMPAIGNS.values() for s in sorted(camp.scenarios)],
         help="one scenario, or 'all' for the default campaign "
              "(excludes the deliberately-failing crash-unrecovered); "
              "with --elastic/--autoscale/--sdc, one of that campaign's "
@@ -639,9 +504,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--algos", default=None,
         help="comma-separated algorithms (default: every algorithm the "
              "selected campaign supports; resume-capable: "
-             + ", ".join(sorted(_FAULT_RUNNERS))
+             + ", ".join(sorted(CAMPAIGNS["campaign"].algos))
              + "; --sdc adds " + ", ".join(
-                 sorted(set(_SDC_RUNNERS) - set(_FAULT_RUNNERS))) + ")",
+                 sorted(set(CAMPAIGNS["sdc"].algos)
+                        - set(CAMPAIGNS["campaign"].algos))) + ")",
     )
     faults.add_argument("--dataset", default="FR")
     faults.add_argument(

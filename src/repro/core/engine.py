@@ -22,6 +22,7 @@ Typical usage::
 
 from __future__ import annotations
 
+import copy
 import os
 from typing import Iterator, Optional, Sequence
 
@@ -40,6 +41,7 @@ from ..graph.csr import Graph
 from ..graph.partition.twod import TwoDPartition, partition_2d
 from ..queueing.manhattan import manhattan_schedule, vertex_per_thread_balance
 from .context import RankContext
+from .hooks import BOUNDARY_PHASES, Boundary, BoundaryHook
 from .result import TimingReport
 
 __all__ = ["Engine", "OVERLAP_ENV_VAR"]
@@ -172,22 +174,15 @@ class Engine:
         self.counters = CommCounters()
         self.clocks = VirtualClocks(grid.n_ranks, counters=self.counters)
         self.comm = Communicator(self.costmodel, self.clocks, self.counters)
-        # Robustness hooks (see repro.faults): the bare communicator is
-        # kept so attach/detach_faults can wrap and unwrap self.comm.
-        self._base_comm = self.comm
-        self._injector = None
-        self._last_injector = None
-        self._checkpoints = None
-        # Rank-health watchdog hooks (see repro.faults.health): the
-        # monitor samples per-rank clock lanes at superstep boundaries;
-        # the autoscaler turns its classifications (and planned spare
-        # arrivals) into demote/grow decisions.
-        self._health = None
-        self._autoscaler = None
-        # State-integrity ledger (see repro.faults.integrity): verifies
-        # replicated-window digests at superstep boundaries, before the
-        # boundary's checkpoint is saved.
-        self._integrity = None
+        # Superstep-boundary hooks (see repro.core.hooks; the hook
+        # classes live in repro.faults), keyed by slot in attach order,
+        # and the phase-ordered firing plan derived from them.  The bare
+        # communicator is kept so the fault injector can wrap (and
+        # detach_faults unwrap) self.comm.
+        self.base_comm = self.comm
+        self._hooks: dict[str, BoundaryHook] = {}
+        self._pipeline: list[tuple[str, BoundaryHook]] = []
+        self._detached_injector = None
         # Spares delivered by consumed ``recover`` specs and not yet
         # adopted by a grow; carried across rebuild_on_grid.
         self.spare_ranks = 0
@@ -413,8 +408,47 @@ class Engine:
         self.clocks.add_compute(rank, t)
 
     # ------------------------------------------------------------------
-    # robustness: fault injection and checkpoint/recovery (repro.faults)
+    # robustness: superstep-boundary hooks (repro.core.hooks, repro.faults)
     # ------------------------------------------------------------------
+    def attach(self, hook: BoundaryHook) -> None:
+        """Attach a boundary hook (replacing any hook in the same slot).
+
+        Hooks fire at every :meth:`superstep_boundary` in
+        :data:`~repro.core.hooks.BOUNDARY_PHASES` order, whatever order
+        they were attached in, and follow the run through
+        :meth:`restore`, :meth:`reset_timers` and
+        :meth:`rebuild_on_grid`.  The named entry points below are this
+        method under the name of what they attach.
+        """
+        self._hooks[hook.slot] = hook
+        self._plan_pipeline()
+        hook.on_attach(self)
+
+    #: Save a checkpoint at every (interval-matching) boundary:
+    #: a :class:`~repro.faults.checkpoint.CheckpointManager`.
+    attach_checkpoints = attach
+    #: Sample per-rank progress at every boundary: a
+    #: :class:`~repro.faults.health.HealthMonitor` (attaching
+    #: (re)baselines it against this engine's current clocks).
+    attach_health = attach
+    #: Decide demote/grow at every boundary, raising
+    #: :class:`~repro.faults.injector.RankDemotion` /
+    #: :class:`~repro.faults.injector.SpareArrival`: an
+    #: :class:`~repro.faults.health.AutoscaleRecovery`.
+    attach_autoscaler = attach
+    #: Verify state-array integrity at boundaries, before the
+    #: boundary's checkpoint is saved: an
+    #: :class:`~repro.faults.integrity.IntegrityLedger`.
+    attach_integrity = attach
+
+    def _plan_pipeline(self) -> None:
+        self._pipeline = [
+            (phase, hook)
+            for phase in BOUNDARY_PHASES
+            for hook in self._hooks.values()
+            if phase in hook.phases
+        ]
+
     def attach_faults(self, faults, max_retries: int = 4):
         """Route all collectives through a fault-injecting
         :class:`~repro.faults.resilient.ResilientCommunicator`.
@@ -425,10 +459,10 @@ class Engine:
         ``repro.faults`` sits above the core in the layer order.
         """
         from ..faults.injector import FaultInjector
-        from ..faults.plan import FaultPlan
-        from ..faults.resilient import ResilientCommunicator
 
-        if isinstance(faults, FaultPlan):
+        if isinstance(faults, FaultInjector):
+            injector = faults
+        else:
             bad = [
                 s
                 for s in faults
@@ -444,82 +478,35 @@ class Engine:
                     f"[0, {self.n_ranks}): {listing}"
                 )
             injector = FaultInjector(faults)
-        else:
-            injector = faults
-        self._injector = injector
-        self._last_injector = injector
-        self.comm = ResilientCommunicator(
-            self._base_comm, injector, max_retries=max_retries
-        )
+        injector.max_retries = max_retries
+        self.attach(injector)
         return injector
 
     def detach_faults(self) -> None:
         """Unwrap the communicator; fault events stay readable via
         :attr:`fault_events` until the next :meth:`attach_faults`."""
-        self.comm = self._base_comm
-        self._injector = None
-
-    def attach_checkpoints(self, manager) -> None:
-        """Save a checkpoint at every (interval-matching) superstep
-        boundary; ``manager`` is a
-        :class:`~repro.faults.checkpoint.CheckpointManager`."""
-        self._checkpoints = manager
-
-    def detach_checkpoints(self) -> None:
-        self._checkpoints = None
+        self.comm = self.base_comm
+        self._detached_injector = self._hooks.pop("faults", None)
+        self._plan_pipeline()
 
     @property
     def checkpoints(self):
-        return self._checkpoints
-
-    def attach_health(self, monitor) -> None:
-        """Sample per-rank progress at every superstep boundary;
-        ``monitor`` is a :class:`~repro.faults.health.HealthMonitor`.
-        Binding (re)baselines it against this engine's current clocks.
-        """
-        self._health = monitor
-        monitor.bind(self)
-
-    def detach_health(self) -> None:
-        self._health = None
+        return self._hooks.get("checkpoints")
 
     @property
     def health(self):
-        return self._health
-
-    def attach_autoscaler(self, controller) -> None:
-        """Give ``controller`` (an object with ``on_boundary(engine,
-        superstep)`` and ``spare_arrived(engine, superstep, count)``,
-        e.g. :class:`~repro.faults.health.AutoscaleRecovery`) the
-        boundary hook where it may raise
-        :class:`~repro.faults.injector.RankDemotion` or
-        :class:`~repro.faults.injector.SpareArrival`."""
-        self._autoscaler = controller
-
-    def detach_autoscaler(self) -> None:
-        self._autoscaler = None
-
-    def attach_integrity(self, ledger) -> None:
-        """Verify state-array integrity at superstep boundaries;
-        ``ledger`` is a
-        :class:`~repro.faults.integrity.IntegrityLedger`.  The ledger
-        runs *after* planned memflips land and *before* the boundary's
-        checkpoint is saved, so saved checkpoints are verified-good."""
-        self._integrity = ledger
-
-    def detach_integrity(self) -> None:
-        self._integrity = None
+        return self._hooks.get("health")
 
     @property
     def integrity(self):
-        return self._integrity
+        return self._hooks.get("integrity")
 
     @property
     def fault_events(self) -> list:
         """Fault events observed by the current (or most recent)
         injector, plus any elastic regrid events, as plain dicts —
         trace rows and reports attach these."""
-        inj = self._injector or self._last_injector
+        inj = self._hooks.get("faults") or self._detached_injector
         events = [e.as_dict() for e in inj.events] if inj is not None else []
         events.extend(self._regrid_events)
         events.sort(key=lambda e: e.get("superstep", 0))
@@ -527,15 +514,11 @@ class Engine:
 
     def record_event(self, event: dict) -> None:
         """Record one robustness event (regrid, health transition,
-        demotion, grow, hold, checkpoint skip, ...); it surfaces
-        through :attr:`fault_events` and therefore on trace rows.
-        Events should carry a ``"superstep"`` key so the trace recorder
-        can attach them to the right iteration row."""
+        demotion, grow, hold, checkpoint skip, ...; build it with
+        :class:`~repro.faults.plan.FaultEvent`); it surfaces through
+        :attr:`fault_events` and therefore on trace rows, which file it
+        under its ``"superstep"``."""
         self._regrid_events.append(event)
-
-    # Backwards-compatible name from the elastic-recovery PR; regrid
-    # events were the only recorded kind before the health subsystem.
-    record_regrid = record_event
 
     def rebuild_on_grid(self, grid: Grid2D) -> "Engine":
         """Build a fresh engine for the same graph on a new grid.
@@ -545,10 +528,11 @@ class Engine:
         configuration, reuses this engine's executor, carries the
         communication counters and virtual clocks forward
         (:meth:`VirtualClocks.align_state` reshapes the per-rank lanes
-        onto the new rank count), and re-attaches the same fault
-        injector and checkpoint manager so remaining planned faults
-        and the checkpoint series follow the run onto the new grid.
-        Regrid-event history is shared, not copied.
+        onto the new rank count), and re-attaches every boundary hook,
+        so remaining planned faults, the checkpoint series, the health
+        ledger (re-baselined: rank identities changed) and the rest
+        follow the run onto the new grid.  Regrid-event history is
+        shared, not copied.
         """
         new = Engine(
             self.graph,
@@ -564,19 +548,8 @@ class Engine:
         new.clocks.load_state(
             VirtualClocks.align_state(self.clocks.state_dict(), grid.n_ranks)
         )
-        if self._injector is not None:
-            max_retries = getattr(self.comm, "max_retries", 4)
-            new.attach_faults(self._injector, max_retries=max_retries)
-        if self._checkpoints is not None:
-            new.attach_checkpoints(self._checkpoints)
-        if self._health is not None:
-            # Re-binding resizes the ledger to the new rank count and
-            # re-baselines scores (rank identities changed anyway).
-            new.attach_health(self._health)
-        if self._autoscaler is not None:
-            new.attach_autoscaler(self._autoscaler)
-        if self._integrity is not None:
-            new.attach_integrity(self._integrity)
+        for hook in self._hooks.values():
+            new.attach(hook)
         new.spare_ranks = self.spare_ranks
         new._regrid_events = self._regrid_events
         return new
@@ -586,83 +559,18 @@ class Engine:
 
         This is the robustness-aware replacement for calling
         ``engine.clocks.mark_iteration()`` directly: it records the
-        iteration mark (returning the phase-time delta, as before),
-        saves a checkpoint when a manager is attached and the algorithm
-        supplied its loop ``state``, delivers planned spare arrivals,
-        advances the fault injector to the next superstep, feeds the
-        health monitor a progress sample, and gives the autoscaler its
-        decision point.  Algorithms call this exactly once per
-        superstep.
-
-        The ordering is deliberate: planned memflips land first
-        (corruption strikes between the compute that produced the
-        state and the hash that should catch it), then the attached
-        :class:`~repro.faults.integrity.IntegrityLedger` verifies —
-        *before* the checkpoint is saved, so corrupt state is never
-        checkpointed — and the checkpoint is saved *before* the
-        autoscaler may raise
-        :class:`~repro.faults.injector.RankDemotion` /
-        :class:`~repro.faults.injector.SpareArrival`, so a demotion or
-        grow drains from the checkpoint of *this* boundary and the
-        resumed run recomputes nothing.
+        iteration mark (returning the phase-time delta, as before) and
+        then fires every attached boundary hook, phase by phase in
+        :data:`~repro.core.hooks.BOUNDARY_PHASES` order — see there for
+        what the order guarantees.  ``state`` is the algorithm's loop
+        state for the checkpoint (``None``: nothing to save).
+        Algorithms call this exactly once per superstep.
         """
         delta = self.clocks.mark_iteration()
-        superstep = len(self.clocks.iteration_marks)
-        if self._injector is not None:
-            flips = self._injector.memflips_for(superstep)
-            if flips:
-                from ..faults.integrity import apply_memflip
-                from ..faults.plan import FaultEvent
-
-                for spec in flips:
-                    # A rank lost to an earlier regrid cannot corrupt
-                    # the survivors' state; the spec is still consumed.
-                    if spec.rank is not None and spec.rank < self.n_ranks:
-                        apply_memflip(self.contexts[spec.rank], spec)
-                    self._injector.record(
-                        FaultEvent(
-                            kind="memflip",
-                            rank=spec.rank,
-                            superstep=superstep,
-                            collective="boundary",
-                            detected=False,
-                        )
-                    )
-        if self._integrity is not None:
-            checkpoint_due = (
-                self._checkpoints is not None
-                and state is not None
-                and superstep % self._checkpoints.interval == 0
-            )
-            self._integrity.on_boundary(
-                self, superstep, checkpoint_due=checkpoint_due
-            )
-        if self._checkpoints is not None and state is not None:
-            self._checkpoints.maybe_save(self, superstep, algo, state)
-        if self._injector is not None:
-            arrivals = self._injector.arrivals_for(superstep)
-            if arrivals:
-                from ..faults.plan import FaultEvent
-
-                for spec in arrivals:
-                    self.spare_ranks += spec.count
-                    self._injector.record(
-                        FaultEvent(
-                            kind="recover",
-                            rank=None,
-                            superstep=superstep,
-                            collective="boundary",
-                        )
-                    )
-                    if self._autoscaler is not None:
-                        self._autoscaler.spare_arrived(
-                            self, superstep, spec.count
-                        )
-            self._injector.begin_superstep(superstep + 1)
-        if self._health is not None:
-            self._health.observe(self, superstep)
-        if self._autoscaler is not None:
-            self._autoscaler.on_boundary(self, superstep)
+        if self._pipeline:
+            boundary = Boundary(len(self.clocks.iteration_marks), algo, state)
+            for phase, hook in self._pipeline:
+                hook.on_phase(phase, self, boundary)
         return delta
 
     def restore(self, ckpt) -> None:
@@ -672,9 +580,7 @@ class Engine:
         Per-rank arrays are reallocated through the normal ``alloc``
         path (so device ledgers stay consistent and array identities
         are fresh), counters and clocks are restored bit-exactly, and
-        an attached injector is fast-forwarded to the checkpoint's
-        superstep so remaining planned faults line up with the resumed
-        run.
+        every attached hook realigns itself with the rewound run.
         """
         for ctx, saved in zip(self.contexts, ckpt.states):
             for name in [n for n in ctx.arrays if n not in saved]:
@@ -689,16 +595,8 @@ class Engine:
                 dest[...] = arr
         self.counters.load_state(ckpt.counters)
         self.clocks.load_state(ckpt.clocks)
-        if self._injector is not None:
-            self._injector.begin_superstep(ckpt.superstep + 1)
-        if self._integrity is not None:
-            # Drop ledger rows from the abandoned attempt; the restored
-            # clocks already erased its transient certify charges.
-            self._integrity.rewind(ckpt.superstep)
-        if self._health is not None:
-            # Clocks just rewound; re-baseline so the next observation
-            # diffs against the restored values, not the pre-crash ones.
-            self._health.bind(self)
+        for hook in self._hooks.values():
+            hook.on_restore(self, ckpt)
 
     def resume_from_checkpoint(self, algo: str) -> Optional[dict]:
         """Restore from the attached manager's latest checkpoint.
@@ -708,11 +606,8 @@ class Engine:
         (no manager attached, or no checkpoint saved yet).  Refuses to
         resume a different algorithm's checkpoint.
         """
-        import copy as _copy
-
-        if self._checkpoints is None:
-            return None
-        ckpt = self._checkpoints.latest()
+        mgr = self.checkpoints
+        ckpt = mgr.latest() if mgr is not None else None
         if ckpt is None:
             return None
         if ckpt.algo != algo:
@@ -721,7 +616,7 @@ class Engine:
                 f"cannot resume {algo!r} from it"
             )
         self.restore(ckpt)
-        return _copy.deepcopy(ckpt.algo_state)
+        return copy.deepcopy(ckpt.algo_state)
 
     # ------------------------------------------------------------------
     # timing
@@ -733,23 +628,16 @@ class Engine:
         and ``engine.comm`` keep their identities, so a
         :class:`~repro.core.trace.TraceRecorder` or any caller holding
         a reference observes the reset instead of silently watching an
-        orphaned object.  Robustness state resets with the run: an
-        attached fault injector re-arms its plan, and stale checkpoints
-        from a previous run are dropped (they describe state this run
-        will overwrite).
+        orphaned object.  Robustness state resets with the run: every
+        attached hook starts over (the fault injector re-arms its plan,
+        stale checkpoints from a previous run are dropped, ...).
         """
         self.counters.reset()
         self.clocks.reset()
         self._regrid_events.clear()
         self.spare_ranks = 0
-        if self._injector is not None:
-            self._injector.reset()
-        if self._checkpoints is not None:
-            self._checkpoints.clear()
-        if self._integrity is not None:
-            self._integrity.reset()
-        if self._health is not None:
-            self._health.bind(self)
+        for hook in self._hooks.values():
+            hook.on_reset(self)
 
     def timing_report(self) -> TimingReport:
         snap = self.clocks.snapshot()

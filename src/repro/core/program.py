@@ -90,7 +90,7 @@ class VertexProgram:
 
 
 def run_vertex_program(
-    engine: Engine, program: VertexProgram, resume: bool = False, elastic=None
+    engine: Engine, program: VertexProgram, resume: bool = False
 ) -> AlgorithmResult:
     """Execute a :class:`VertexProgram` on the 2D engine.
 
@@ -98,17 +98,7 @@ def run_vertex_program(
     ``resume=True`` continues from the engine's latest attached
     checkpoint (see ``docs/ROBUSTNESS.md``); checkpoints are tagged
     ``"program:<name>"`` so different programs never cross-resume.
-    ``elastic=`` also survives permanent rank loss by regridding.
     """
-    if elastic:
-        from ..faults.elastic import drive_elastic
-
-        return drive_elastic(
-            lambda e, r: run_vertex_program(e, program, resume=r),
-            engine,
-            elastic,
-            resume=resume,
-        )
     part, grid = engine.partition, engine.grid
     algo_tag = f"program:{program.name}"
     all_rows = [ctx.row_lids() for ctx in engine]

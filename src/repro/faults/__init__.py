@@ -13,9 +13,10 @@ The robustness layer of the simulator (see ``docs/ROBUSTNESS.md``):
 * :mod:`repro.faults.checkpoint` — superstep checkpoints (in-memory
   and on-disk, sha256-integrity-checked) that make crashed runs
   resumable bit-identically;
-* :mod:`repro.faults.elastic` — degraded-mode recovery from
-  *permanent* rank loss: migrate the latest checkpoint onto a smaller
-  surviving grid (or a hot spare) and resume;
+* :mod:`repro.faults.elastic` — :func:`drive_elastic`, the one
+  recovery driver every resilient run goes through, and degraded-mode
+  recovery from *permanent* rank loss: migrate the latest checkpoint
+  onto a smaller surviving grid (or a hot spare) and resume;
 * :mod:`repro.faults.health` — the rank-health watchdog
   (:class:`HealthMonitor`), chronic-straggler demotion
   (:class:`DemotionPolicy`), and the grow-back autoscaler
@@ -25,9 +26,14 @@ The robustness layer of the simulator (see ``docs/ROBUSTNESS.md``):
   the replicated-window :class:`IntegrityLedger`, per-algorithm
   result certifiers, and checkpoint-rollback repair of detected
   corruption (``memflip`` faults);
-* :mod:`repro.faults.scenarios` — the named scenario campaigns behind
+* :mod:`repro.faults.scenarios` — the campaign table
+  (:data:`CAMPAIGNS`) and the one case/campaign runner behind
   ``python -m repro faults`` (``--elastic``, ``--autoscale``,
   ``--sdc``).
+
+The injector, ledger, checkpoint manager, health monitor and autoscaler
+are :class:`~repro.core.hooks.BoundaryHook` s: the engine fires them at
+each superstep boundary in the declared phase order.
 """
 
 from .checkpoint import (
@@ -43,6 +49,7 @@ from .elastic import (
     GridPolicy,
     KeepRows,
     PreferSquare,
+    Recovery,
     SparePool,
     drive_elastic,
     gather_checkpoint_state,
@@ -70,27 +77,7 @@ from .integrity import (
 )
 from .plan import FAULT_KINDS, FaultEvent, FaultPlan, FaultSpec
 from .resilient import ResilientCommunicator
-from .scenarios import (
-    AUTOSCALE_SCENARIOS,
-    SDC_RUNNERS,
-    SDC_SCENARIOS,
-    SdcCaseResult,
-    run_sdc_campaign,
-    run_sdc_case,
-    ELASTIC_RUNNERS,
-    ELASTIC_SCENARIOS,
-    RUNNERS,
-    SCENARIOS,
-    AutoscaleCaseResult,
-    CaseResult,
-    ElasticCaseResult,
-    run_autoscale_campaign,
-    run_autoscale_case,
-    run_campaign,
-    run_case,
-    run_elastic_campaign,
-    run_elastic_case,
-)
+from .scenarios import CAMPAIGNS, CaseResult, run_campaign, run_case
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
@@ -98,6 +85,7 @@ __all__ = [
     "CheckpointCorruption",
     "CheckpointManager",
     "CheckpointLayout",
+    "Recovery",
     "ElasticRecovery",
     "ElasticUnrecoverable",
     "GridPolicy",
@@ -122,20 +110,10 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "ResilientCommunicator",
-    "RUNNERS",
-    "SCENARIOS",
-    "ELASTIC_RUNNERS",
-    "ELASTIC_SCENARIOS",
-    "AUTOSCALE_SCENARIOS",
+    "CAMPAIGNS",
     "CaseResult",
-    "ElasticCaseResult",
-    "AutoscaleCaseResult",
     "run_campaign",
     "run_case",
-    "run_elastic_campaign",
-    "run_elastic_case",
-    "run_autoscale_campaign",
-    "run_autoscale_case",
     "IntegrityLedger",
     "IntegrityViolation",
     "IntegrityFailure",
@@ -145,9 +123,4 @@ __all__ = [
     "certify_sssp",
     "certify_cc",
     "certify_pagerank",
-    "SDC_SCENARIOS",
-    "SDC_RUNNERS",
-    "SdcCaseResult",
-    "run_sdc_campaign",
-    "run_sdc_case",
 ]

@@ -39,6 +39,9 @@ from typing import Any, Optional
 
 import numpy as np
 
+from ..core.hooks import Boundary, BoundaryHook
+from .plan import FaultEvent
+
 __all__ = [
     "CHECKPOINT_SCHEMA",
     "Checkpoint",
@@ -176,8 +179,13 @@ class _AsyncWriter:
         self._thread.join()
 
 
-class CheckpointManager:
+class CheckpointManager(BoundaryHook):
     """Owns the checkpoint series for one run.
+
+    Attach with ``engine.attach_checkpoints(manager)``; it fires in the
+    ``checkpoint`` boundary phase — after integrity verification, so
+    every kept checkpoint is verified-good, and before any demote/grow
+    decision, so recovery drains from the boundary it was decided at.
 
     Parameters
     ----------
@@ -230,14 +238,31 @@ class CheckpointManager:
             if async_write:
                 self._writer = _AsyncWriter()
 
+    slot = "checkpoints"
+    phases = ("checkpoint",)
+
+    def on_phase(self, phase: str, engine, boundary: Boundary) -> None:
+        if boundary.state is not None:
+            self.maybe_save(
+                engine, boundary.superstep, boundary.algo, boundary.state
+            )
+
+    def on_reset(self, engine) -> None:
+        # Stale checkpoints describe state the new run will overwrite.
+        self.clear()
+
     # ------------------------------------------------------------------
     # saving
     # ------------------------------------------------------------------
+    def due(self, superstep: int) -> bool:
+        """Does ``superstep`` fall on the configured interval?"""
+        return superstep % self.interval == 0
+
     def maybe_save(
         self, engine, superstep: int, algo: str, state: dict[str, Any]
     ) -> Optional[Checkpoint]:
         """Save if ``superstep`` falls on the configured interval."""
-        if superstep % self.interval != 0:
+        if not self.due(superstep):
             return None
         return self.save(engine, superstep, algo, state)
 
@@ -467,20 +492,15 @@ class CheckpointManager:
                     superstep = int(name[len("ckpt_") : -len(".pkl")])
                 except ValueError:
                     superstep = 0
-                event = {
-                    "kind": "checkpoint-skip",
-                    "rank": None,
-                    "superstep": superstep,
-                    "collective": "checkpoint",
-                    "retries": 0,
-                    "recovery_s": 0.0,
-                    "detected": True,
-                    "fatal": False,
-                    "path": path,
-                    "sha256_expected": exc.expected,
-                    "sha256_actual": exc.actual,
-                    "detail": str(exc),
-                }
+                event = FaultEvent(
+                    "checkpoint-skip", None, superstep, "checkpoint",
+                    extra={
+                        "path": path,
+                        "sha256_expected": exc.expected,
+                        "sha256_actual": exc.actual,
+                        "detail": str(exc),
+                    },
+                ).as_dict()
                 if events is not None:
                     events.append(event)
                 if engine is not None:

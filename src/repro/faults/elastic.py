@@ -49,6 +49,7 @@ from ..comm.clocks import VirtualClocks
 from ..comm.grid import Grid2D, squarest_grid
 from .checkpoint import Checkpoint
 from .injector import RankFailure, SpareArrival
+from .plan import FaultEvent
 
 __all__ = [
     "GridPolicy",
@@ -57,6 +58,7 @@ __all__ = [
     "SparePool",
     "resolve_policy",
     "ElasticUnrecoverable",
+    "Recovery",
     "ElasticRecovery",
     "CheckpointLayout",
     "gather_checkpoint_state",
@@ -409,7 +411,63 @@ def migrate_checkpoint(
 # ----------------------------------------------------------------------
 # the recovery driver
 # ----------------------------------------------------------------------
-class ElasticRecovery:
+class Recovery:
+    """What :func:`drive_elastic` does with a failed run; this base
+    resumes **in place**.
+
+    The failed rank is modeled as replaced (fault specs are one-shot):
+    the run re-enters on the same engine from its latest checkpoint —
+    which is also how detected state corruption
+    (:class:`~repro.faults.integrity.IntegrityViolation`) is repaired.
+    A failure with no checkpoint to resume from, or beyond
+    ``max_resumes``, propagates.  Subclasses change *where* the run
+    continues: :class:`ElasticRecovery` regrids onto the survivors,
+    :class:`~repro.faults.health.AutoscaleRecovery` also grows back.
+    """
+
+    name = "in-place"
+
+    def __init__(self, max_resumes: int = 4):
+        if max_resumes < 0:
+            raise ValueError(f"max_resumes must be >= 0, got {max_resumes}")
+        self.max_resumes = max_resumes
+        self.resumes = 0
+        self.regrids = 0
+        self.events: list[dict] = []
+
+    def prepare(self, engine) -> None:
+        """Install per-engine machinery before the first attempt (the
+        health monitor and autoscaler of
+        :class:`~repro.faults.health.AutoscaleRecovery`); nothing for
+        the purely reactive recoveries."""
+
+    def recover(self, engine, failure: RankFailure):
+        """Handle one failure; returns the engine to resume on."""
+        mgr = engine.checkpoints
+        if (
+            mgr is None
+            or mgr.latest() is None
+            or self.resumes >= self.max_resumes
+        ):
+            raise failure
+        self.resumes += 1
+        return engine
+
+    def grow(self, engine, arrival: SpareArrival):
+        """Handle a spare the autoscaler decided to adopt; only
+        :class:`~repro.faults.health.AutoscaleRecovery` can."""
+        raise ElasticUnrecoverable(
+            f"spare arrived at superstep {arrival.superstep} but "
+            f"{type(self).__name__} cannot grow; use AutoscaleRecovery"
+        )
+
+    def _record(self, engine, event: FaultEvent) -> None:
+        row = event.as_dict()
+        engine.record_event(row)
+        self.events.append(row)
+
+
+class ElasticRecovery(Recovery):
     """Policy object turning unrecoverable crashes into regrids.
 
     Parameters
@@ -435,26 +493,14 @@ class ElasticRecovery:
             raise ValueError(f"regrid_bw must be > 0, got {regrid_bw}")
         if max_regrids < 1:
             raise ValueError(f"max_regrids must be >= 1, got {max_regrids}")
+        super().__init__()
         self.policy = resolve_policy(policy)
         self.regrid_bw = regrid_bw
         self.max_regrids = max_regrids
-        self.regrids = 0
-        self.events: list[dict] = []
 
-    def prepare(self, engine) -> None:
-        """Hook for subclasses that install per-engine machinery (the
-        health monitor and autoscaler of
-        :class:`~repro.faults.health.AutoscaleRecovery`).  The base
-        recovery is purely reactive — nothing to install."""
-
-    def grow(self, engine, arrival: SpareArrival):
-        """Hook for the grow direction.  The base recovery only
-        shrinks; spare adoption needs
-        :class:`~repro.faults.health.AutoscaleRecovery`."""
-        raise ElasticUnrecoverable(
-            f"spare arrived at superstep {arrival.superstep} but "
-            f"{type(self).__name__} cannot grow; use AutoscaleRecovery"
-        )
+    @property
+    def name(self) -> str:
+        return self.policy.name
 
     def recover(self, engine, failure: RankFailure):
         """Handle one permanent rank loss; returns the engine to resume
@@ -510,29 +556,32 @@ class ElasticRecovery:
         note_regrid = getattr(self.policy, "note_regrid", None)
         if note_regrid is not None:
             note_regrid(failure.superstep)
-        event = {
-            "kind": "regrid",
-            "rank": failure.rank,
-            "superstep": failure.superstep,
-            "collective": failure.collective,
-            "retries": failure.retries,
-            "recovery_s": cost_s,
-            "detected": True,
-            "fatal": False,
-            "from_grid": (engine.grid.R, engine.grid.C),
-            "to_grid": (new_engine.grid.R, new_engine.grid.C),
-            "policy": self.policy.name,
-            "spare": spare,
-            "reason": getattr(failure, "fault_kind", "crash"),
-        }
-        new_engine.record_regrid(event)
-        self.events.append(event)
+        self._record(
+            new_engine,
+            FaultEvent(
+                "regrid",
+                failure.rank,
+                failure.superstep,
+                failure.collective,
+                retries=failure.retries,
+                recovery_s=cost_s,
+                extra={
+                    "from_grid": (engine.grid.R, engine.grid.C),
+                    "to_grid": (new_engine.grid.R, new_engine.grid.C),
+                    "policy": self.policy.name,
+                    "spare": spare,
+                    "reason": getattr(failure, "fault_kind", "crash"),
+                },
+            ),
+        )
         return new_engine
 
 
-def _as_recovery(elastic) -> ElasticRecovery:
-    if isinstance(elastic, ElasticRecovery):
+def _as_recovery(elastic) -> Recovery:
+    if isinstance(elastic, Recovery):
         return elastic
+    if elastic is None or elastic is False:
+        return Recovery()
     if elastic is True:
         return ElasticRecovery()
     return ElasticRecovery(policy=elastic)
@@ -541,18 +590,29 @@ def _as_recovery(elastic) -> ElasticRecovery:
 def drive_elastic(
     runner: Callable[[Any, bool], Any],
     engine,
-    elastic,
+    elastic=None,
     resume: bool = False,
 ):
-    """Run ``runner(engine, resume)`` under an elastic-recovery loop.
+    """Run ``runner(engine, resume)`` under a recovery loop — the one
+    driver every resilient run goes through.
+
+    ``runner`` is any resume-capable algorithm call, e.g. ``lambda e,
+    r: bfs(e, root=0, resume=r)`` (single-source, batched, or a vertex
+    program alike).  ``elastic`` says what a failure leads to: a
+    :class:`Recovery` instance, ``None`` to resume in place, ``True``
+    for the default :class:`ElasticRecovery`, or a grid-policy spec
+    string for one with that policy.
 
     Every :class:`RankFailure` that escapes the resilient
-    communicator's retry budget becomes a regrid: the latest
-    checkpoint is migrated onto the surviving grid and the runner is
-    re-entered with ``resume=True``.  Returns the runner's result with
-    ``extra["elastic"]`` describing what happened — including the
-    final engine, which holds the post-regrid clocks, counters, and
-    trace state (the original engine is stale after a shrink).
+    communicator's retry budget (a crash, a demotion, detected state
+    corruption) is handed to ``recover``, every :class:`SpareArrival`
+    to ``grow``, and the runner is re-entered with ``resume=True`` on
+    the engine they return — for an elastic recovery, one rebuilt on
+    the surviving grid with the latest checkpoint migrated onto it.
+    Returns the runner's result with ``extra["elastic"]`` describing
+    what happened — including the final engine, which holds the
+    post-regrid clocks, counters, and trace state (the original engine
+    is stale after a shrink).
     """
     recovery = _as_recovery(elastic)
     current = engine
@@ -571,8 +631,9 @@ def drive_elastic(
     result.extra["elastic"] = {
         "engine": current,
         "regrids": recovery.regrids,
+        "resumes": recovery.resumes,
         "events": list(recovery.events),
         "final_grid": (current.grid.R, current.grid.C),
-        "policy": recovery.policy.name,
+        "policy": recovery.name,
     }
     return result

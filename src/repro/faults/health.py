@@ -50,8 +50,10 @@ from typing import Optional, Union
 import numpy as np
 
 from ..comm.grid import Grid2D, squarest_grid
+from ..core.hooks import Boundary, BoundaryHook
 from .elastic import ElasticRecovery, ElasticUnrecoverable, GridPolicy, migrate_checkpoint, resolve_policy
 from .injector import RankDemotion, SpareArrival
+from .plan import FaultEvent
 
 __all__ = [
     "RANK_HEALTH",
@@ -65,8 +67,13 @@ __all__ = [
 RANK_HEALTH = ("healthy", "suspect", "chronic")
 
 
-class HealthMonitor:
+class HealthMonitor(BoundaryHook):
     """Per-rank progress ledger with EWMA deviation scoring.
+
+    Attach with ``engine.attach_health(monitor)``; it fires in the
+    ``observe`` boundary phase and re-baselines (:meth:`bind`) whenever
+    it is attached — which includes every ``rebuild_on_grid``
+    generation — and after every restore and timer reset.
 
     Parameters
     ----------
@@ -121,6 +128,9 @@ class HealthMonitor:
         #: resets the per-rank ledger, not this log).
         self.events: list[dict] = []
 
+    slot = "health"
+    phases = ("observe",)
+
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
@@ -128,16 +138,27 @@ class HealthMonitor:
         """(Re)baseline against ``engine``'s current clocks.
 
         Called on attach, after every ``rebuild_on_grid`` (rank count
-        and identities changed) and after every ``restore`` (clocks
+        and identities changed), after every ``restore`` (clocks
         rewound; diffing against pre-restore samples would go
-        negative).  Scores, streaks, and statuses reset — a new grid
-        starts healthy.
+        negative) and on ``reset_timers``.  Scores, streaks, and
+        statuses reset — a new grid starts healthy.
         """
         self.n_ranks = engine.n_ranks
         self.scores = np.zeros(self.n_ranks)
         self.streaks = np.zeros(self.n_ranks, dtype=np.int64)
         self.statuses = ["healthy"] * self.n_ranks
         self._last = self._sample(engine)
+
+    def on_attach(self, engine) -> None:
+        self.bind(engine)
+
+    def on_restore(self, engine, ckpt) -> None:
+        self.bind(engine)
+
+    on_reset = on_attach
+
+    def on_phase(self, phase: str, engine, boundary: Boundary) -> None:
+        self.observe(engine, boundary.superstep)
 
     @staticmethod
     def _sample(engine) -> dict[str, np.ndarray]:
@@ -186,18 +207,10 @@ class HealthMonitor:
                 self.streaks[rank] = 0
                 status = "healthy"
             if status != self.statuses[rank]:
-                event = {
-                    "kind": "health",
-                    "rank": rank,
-                    "superstep": superstep,
-                    "collective": "boundary",
-                    "retries": 0,
-                    "recovery_s": 0.0,
-                    "detected": True,
-                    "fatal": False,
-                    "status": status,
-                    "score": float(self.scores[rank]),
-                }
+                event = FaultEvent(
+                    "health", rank, superstep, "boundary",
+                    extra={"status": status, "score": float(self.scores[rank])},
+                ).as_dict()
                 transitions.append(event)
                 engine.record_event(event)
                 self.statuses[rank] = status
@@ -371,7 +384,7 @@ class AutoscalePolicy(GridPolicy):
         return self.hold_reason(superstep) is None
 
 
-class AutoscaleRecovery(ElasticRecovery):
+class AutoscaleRecovery(ElasticRecovery, BoundaryHook):
     """Elastic recovery with the health loop closed in both directions.
 
     Extends :class:`~repro.faults.elastic.ElasticRecovery` with
@@ -380,8 +393,9 @@ class AutoscaleRecovery(ElasticRecovery):
       (as the boundary autoscaler) on the engine;
       ``Engine.rebuild_on_grid`` carries both onto every later
       generation automatically.
-    * :meth:`on_boundary` — the decision point
-      ``Engine.superstep_boundary`` calls: first the
+    * :meth:`on_boundary` — the decision point, fired in the
+      ``decide`` boundary phase (after this boundary's checkpoint is
+      saved, so a decision drains from it): first the
       :class:`DemotionPolicy` (a hit raises :class:`RankDemotion`,
       handled by the inherited shrink path), then the grow side (a
       clear :class:`AutoscalePolicy` raises :class:`SpareArrival`; a
@@ -391,6 +405,9 @@ class AutoscaleRecovery(ElasticRecovery):
       latest checkpoint up (cost on the ``regrid`` lane), adopt, and
       resume.
     """
+
+    slot = "autoscaler"
+    phases = ("decide",)
 
     def __init__(
         self,
@@ -420,28 +437,24 @@ class AutoscaleRecovery(ElasticRecovery):
         engine.attach_health(self.monitor)
         engine.attach_autoscaler(self)
 
-    def spare_arrived(self, engine, superstep: int, count: int = 1) -> None:
-        del engine
-        self.policy.spare_arrived(superstep, count)
+    def on_phase(self, phase: str, engine, boundary: Boundary) -> None:
+        if boundary.spares_arrived:
+            self.policy.spare_arrived(
+                boundary.superstep, boundary.spares_arrived
+            )
+        self.on_boundary(engine, boundary.superstep)
 
     def on_boundary(self, engine, superstep: int) -> None:
         rank = self.demotion.consider(engine, self.monitor, superstep)
         if rank is not None:
             score = float(self.monitor.scores[rank])
-            event = {
-                "kind": "demote",
-                "rank": rank,
-                "superstep": superstep,
-                "collective": "boundary",
-                "retries": 0,
-                "recovery_s": 0.0,
-                "detected": True,
-                "fatal": False,
-                "score": score,
-                "policy": self.policy.name,
-            }
-            engine.record_event(event)
-            self.events.append(event)
+            self._record(
+                engine,
+                FaultEvent(
+                    "demote", rank, superstep, "boundary",
+                    extra={"score": score, "policy": self.policy.name},
+                ),
+            )
             raise RankDemotion(rank, superstep, score=score)
         if not self.policy.pending:
             return
@@ -455,21 +468,17 @@ class AutoscaleRecovery(ElasticRecovery):
             # One hold event per arrival batch: the *decision* not to
             # grow is as much a policy output as growing.
             self.policy._held = True
-            event = {
-                "kind": "hold",
-                "rank": None,
-                "superstep": superstep,
-                "collective": "boundary",
-                "retries": 0,
-                "recovery_s": 0.0,
-                "detected": True,
-                "fatal": False,
-                "reason": reason,
-                "pending": len(self.policy.pending),
-                "policy": self.policy.name,
-            }
-            engine.record_event(event)
-            self.events.append(event)
+            self._record(
+                engine,
+                FaultEvent(
+                    "hold", None, superstep, "boundary",
+                    extra={
+                        "reason": reason,
+                        "pending": len(self.policy.pending),
+                        "policy": self.policy.name,
+                    },
+                ),
+            )
 
     # ------------------------------------------------------------------
     # the up direction
@@ -499,20 +508,17 @@ class AutoscaleRecovery(ElasticRecovery):
         self.policy.grows += 1
         self.policy.note_regrid(arrival.superstep)
         new_engine.spare_ranks = max(0, new_engine.spare_ranks - 1)
-        event = {
-            "kind": "grow",
-            "rank": None,
-            "superstep": arrival.superstep,
-            "collective": "boundary",
-            "retries": 0,
-            "recovery_s": cost_s,
-            "detected": True,
-            "fatal": False,
-            "from_grid": (engine.grid.R, engine.grid.C),
-            "to_grid": (new_engine.grid.R, new_engine.grid.C),
-            "policy": self.policy.name,
-            "spare": False,
-        }
-        new_engine.record_event(event)
-        self.events.append(event)
+        self._record(
+            new_engine,
+            FaultEvent(
+                "grow", None, arrival.superstep, "boundary",
+                recovery_s=cost_s,
+                extra={
+                    "from_grid": (engine.grid.R, engine.grid.C),
+                    "to_grid": (new_engine.grid.R, new_engine.grid.C),
+                    "policy": self.policy.name,
+                    "spare": False,
+                },
+            ),
+        )
         return new_engine

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from ..core.hooks import Boundary, BoundaryHook
 from .plan import FaultEvent, FaultPlan, FaultSpec
 
 __all__ = ["FaultInjector", "RankFailure", "RankDemotion", "SpareArrival"]
@@ -105,17 +106,28 @@ class SpareArrival(Exception):
         )
 
 
-class FaultInjector:
+class FaultInjector(BoundaryHook):
     """Executes a :class:`FaultPlan` against a running engine.
 
     The injector is deliberately dumb about *time* — backoff and stall
     charging live in the resilient communicator — and smart about
     *when/where*: it tracks the current superstep, matches specs to
     collectives, and consumes one-shot specs exactly once.
+
+    As a boundary hook it fires twice: planned memflips land in the
+    ``inject`` phase (before anything verifies or saves the state), and
+    planned spares are delivered in the ``arrivals`` phase, after which
+    the run is inside the next superstep.
     """
+
+    slot = "faults"
+    phases = ("inject", "arrivals")
 
     def __init__(self, plan: FaultPlan):
         self.plan = plan
+        #: Retry budget of the communicator wrapped around every engine
+        #: this injector is attached to (``Engine.attach_faults``).
+        self.max_retries = 4
         self.superstep = 1
         self.events: list[FaultEvent] = []
         # crash specs become "armed" at their superstep and stay armed
@@ -141,15 +153,58 @@ class FaultInjector:
         )
 
     # ------------------------------------------------------------------
+    # engine hooks (see repro.core.hooks)
+    # ------------------------------------------------------------------
+    def on_attach(self, engine) -> None:
+        from .resilient import ResilientCommunicator
+
+        engine.comm = ResilientCommunicator(
+            engine.base_comm, self, max_retries=self.max_retries
+        )
+
+    def on_phase(self, phase: str, engine, boundary: Boundary) -> None:
+        superstep = boundary.superstep
+        if phase == "inject":
+            flips = self.memflips_for(superstep)
+            if flips:
+                from .integrity import apply_memflip
+
+                for spec in flips:
+                    # A rank lost to an earlier regrid cannot corrupt
+                    # the survivors' state; the spec is still consumed.
+                    if spec.rank < engine.n_ranks:
+                        apply_memflip(engine.contexts[spec.rank], spec)
+                    self.record(
+                        FaultEvent(
+                            "memflip", spec.rank, superstep, "boundary",
+                            detected=False,
+                        )
+                    )
+        else:
+            for spec in self.arrivals_for(superstep):
+                engine.spare_ranks += spec.count
+                boundary.spares_arrived += spec.count
+                self.record(FaultEvent("recover", None, superstep, "boundary"))
+            self.begin_superstep(superstep + 1)
+
+    def on_restore(self, engine, ckpt) -> None:
+        # Fast-forward so remaining planned faults line up with the
+        # resumed run.
+        self.begin_superstep(ckpt.superstep + 1)
+
+    def on_reset(self, engine) -> None:
+        self.reset()
+
+    # ------------------------------------------------------------------
     # run-position tracking
     # ------------------------------------------------------------------
     def begin_superstep(self, superstep: int) -> None:
-        """Engine callback: the run is now inside ``superstep``."""
+        """The run is now inside ``superstep``."""
         self.superstep = superstep
 
     def reset(self) -> None:
         """Re-arm the full plan for a fresh run (``Engine.reset_timers``
-        calls this so an engine reused across runs replays its plan)."""
+        does, so an engine reused across runs replays its plan)."""
         self.superstep = 1
         self.events.clear()
         self._pending_crashes = [s for s in self.plan if s.kind == "crash"]
@@ -208,8 +263,7 @@ class FaultInjector:
         """Return-and-consume spare-arrival (``recover``) specs due by
         ``superstep``.
 
-        Called by ``Engine.superstep_boundary`` — spares arrive at BSP
-        boundaries, not inside collectives.  ``<=`` rather than ``==``
+        Spares arrive at BSP boundaries, not inside collectives.  ``<=`` rather than ``==``
         so an arrival scheduled for a superstep the run skipped (e.g.
         a restore rewound past it) is delivered at the next boundary
         instead of silently lost.
@@ -223,9 +277,8 @@ class FaultInjector:
         """Return-and-consume memory bit-flip (``memflip``) specs due by
         ``superstep``.
 
-        Called by ``Engine.superstep_boundary`` before integrity
-        verification, so the damage lands between the compute that
-        produced the state and the ledger hash that should catch it.
+        They land before integrity verification, between the compute
+        that produced the state and the ledger hash that should catch it.
         One-shot consumption is what keeps repair deterministic: a
         restore-and-recompute of the suspect window does not re-flip.
         """

@@ -78,7 +78,9 @@ from typing import Optional
 
 import numpy as np
 
+from ..core.hooks import Boundary, BoundaryHook
 from .injector import RankFailure
+from .plan import FaultEvent
 
 __all__ = [
     "IntegrityLedger",
@@ -204,13 +206,13 @@ class LedgerRow:
     suspects: tuple[int, ...] = ()
 
 
-class IntegrityLedger:
+class IntegrityLedger(BoundaryHook):
     """Rolling state-integrity ledger over superstep boundaries.
 
-    Attach with ``engine.attach_integrity(ledger)``; the engine calls
-    :meth:`on_boundary` from ``superstep_boundary`` after planned
-    memflips land and *before* the boundary's checkpoint is saved, so
-    every checkpoint the run keeps is verified-good.
+    Attach with ``engine.attach_integrity(ledger)``; it fires in the
+    ``verify`` boundary phase — after planned memflips land and
+    *before* the boundary's checkpoint is saved, so every checkpoint
+    the run keeps is verified-good.
 
     Parameters
     ----------
@@ -255,6 +257,28 @@ class IntegrityLedger:
         self.repairs = 0
         self._last_good = 0
 
+    slot = "integrity"
+    phases = ("verify",)
+
+    # -- engine hooks (see repro.core.hooks) ----------------------------
+    def on_phase(self, phase: str, engine, boundary: Boundary) -> None:
+        mgr = engine.checkpoints
+        self.on_boundary(
+            engine,
+            boundary.superstep,
+            checkpoint_due=mgr is not None
+            and boundary.state is not None
+            and mgr.due(boundary.superstep),
+        )
+
+    def on_restore(self, engine, ckpt) -> None:
+        # Drop ledger rows from the abandoned attempt; the restored
+        # clocks already erased its transient certify charges.
+        self.rewind(ckpt.superstep)
+
+    def on_reset(self, engine) -> None:
+        self.reset()
+
     # -- lifecycle ------------------------------------------------------
     def reset(self) -> None:
         """Fresh run (``Engine.reset_timers``): clear history and
@@ -280,8 +304,8 @@ class IntegrityLedger:
     def on_boundary(self, engine, superstep: int, checkpoint_due: bool = False):
         """Verify state integrity at a superstep boundary.
 
-        Called by the engine; verifies when the interval matches *or*
-        a checkpoint is about to be saved.  Charges the modeled
+        Verifies when the interval matches *or* a checkpoint is about
+        to be saved.  Charges the modeled
         verification cost, appends a ledger row, and on group
         disagreement records an ``integrity`` event and raises.
         """
@@ -313,19 +337,15 @@ class IntegrityLedger:
         self.repairs += 1
         rank = suspects[0] if len(suspects) == 1 else None
         engine.record_event(
-            {
-                "kind": "integrity",
-                "rank": rank,
-                "superstep": superstep,
-                "collective": "boundary",
-                "retries": 0,
-                "recovery_s": 0.0,
-                "detected": True,
-                "fatal": self.repairs > self.repair_budget,
-                "suspects": [int(s) for s in suspects],
-                "window": [int(window[0]), int(window[1])],
-                "repairs": self.repairs,
-            }
+            FaultEvent(
+                "integrity", rank, superstep, "boundary",
+                fatal=self.repairs > self.repair_budget,
+                extra={
+                    "suspects": [int(s) for s in suspects],
+                    "window": [int(window[0]), int(window[1])],
+                    "repairs": self.repairs,
+                },
+            ).as_dict()
         )
         if self.repairs > self.repair_budget:
             raise IntegrityFailure(

@@ -165,7 +165,10 @@ class FaultEvent:
     :class:`~repro.faults.injector.RankFailure` embeds the fatal one.
     ``recovery_s`` is the virtual time the event cost (stall seconds or
     accumulated retry backoff); ``retries`` counts retransmission
-    attempts; ``fatal`` marks the event that killed the run.
+    attempts; ``fatal`` marks the event that killed the run.  ``extra``
+    holds what only one kind of event has (a health transition's status
+    and score, a regrid's grids, ...), appended to the common fields by
+    :meth:`as_dict`.
     """
 
     kind: str
@@ -176,6 +179,7 @@ class FaultEvent:
     recovery_s: float = 0.0
     detected: bool = True
     fatal: bool = False
+    extra: dict = field(default_factory=dict, hash=False)
 
     def as_dict(self) -> dict:
         return {
@@ -187,6 +191,7 @@ class FaultEvent:
             "recovery_s": self.recovery_s,
             "detected": self.detected,
             "fatal": self.fatal,
+            **self.extra,
         }
 
 

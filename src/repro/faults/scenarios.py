@@ -1,37 +1,44 @@
-"""Fault scenario campaign: named fault plans + recovery validation.
+"""Graded fault campaigns: named fault plans + recovery validation.
 
-Each scenario is a small, fixed :class:`~repro.faults.plan.FaultPlan`
-exercising one failure mode end-to-end.  :func:`run_campaign` runs each
-(scenario, algorithm) pair twice on identically configured engines —
-once fault-free, once faulted — recovers from crashes via the
-checkpoint machinery, and grades the outcome:
+:data:`CAMPAIGNS` declares the four campaign kinds behind ``python -m
+repro faults`` — ``campaign`` (crash / retry / bit-flip / straggler,
+resumed in place), ``elastic`` (permanent rank loss, regrid onto the
+survivors), ``autoscale`` (watchdog demotion and grow-back) and ``sdc``
+(silent memory corruption, ledger-detected and rolled back) — as
+tables of small, fixed scenarios.  :func:`run_case` runs one (scenario,
+algorithm) pair twice on identically configured engines, fault-free
+and faulted under :func:`~repro.faults.elastic.drive_elastic` with the
+campaign's recovery, and grades the outcome:
 
-``recovered``
-    The run crashed, resumed from the latest checkpoint, and finished.
-    For crash scenarios the resumed run must be **bit-identical** to
-    the fault-free reference — same values, same communication
-    counters, same virtual clocks — because a crash aborts a collective
-    *before* it charges anything, and restore rewinds to the previous
-    superstep boundary exactly.
+``recovered`` / ``regridded`` / ``repaired``
+    The run failed, recovered the campaign's way, and finished.  In
+    place, the resumed run must be **bit-identical** to the fault-free
+    reference — values, communication counters, virtual clocks —
+    because a crash aborts a collective *before* it charges anything,
+    a detected flip is raised *before* the boundary's checkpoint is
+    saved, and restore rewinds to the previous boundary exactly.
+    After a regrid, values are bit-identical for the monotone
+    algorithms and within ~1 ulp for PageRank, whose sum reductions
+    are sensitive to the operand grouping a new grid induces (see
+    ``docs/ROBUSTNESS.md``).
 ``completed``
-    The run absorbed its faults (retries, stalls) without crashing.
-    Values must still match the reference bit-for-bit; virtual time is
-    allowed to differ — recovery cost is the measurement, surfaced as
-    ``recovery_s``.
-``unrecovered``
-    The run crashed with no checkpoint to resume from.  This is the
-    failing grade: the campaign (and the ``python -m repro faults``
-    CLI) reports nonzero when any case ends here.
+    The run absorbed its faults (retries, stalls, held spares) without
+    a recovery.  Values must still match; virtual time may differ —
+    recovery cost is the measurement.
+``unrecovered`` / ``unrepaired``
+    Nothing to recover from, or the recovery budget ran out.  The
+    failing grade: the CLI exits nonzero when any case ends here.
 ``diverged``
-    The faulted run finished but produced different values — the fault
+    The faulted run finished with different values — the fault
     machinery corrupted the computation.  Always a bug.
 
-Both runs attach the same :class:`CheckpointManager` configuration so
-checkpoint drain costs cancel out of the comparison.
+Both runs attach the same checkpoint (and ledger) configuration so
+their drain and verification costs cancel out of the comparison.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
@@ -39,780 +46,49 @@ import numpy as np
 
 from ..algorithms import bfs, connected_components, pagerank, sssp
 from .checkpoint import CheckpointManager
-from .elastic import ElasticRecovery, ElasticUnrecoverable
+from .elastic import ElasticRecovery, ElasticUnrecoverable, Recovery, drive_elastic
 from .health import AutoscalePolicy, AutoscaleRecovery, DemotionPolicy, HealthMonitor
 from .injector import RankFailure
+from .integrity import (
+    IntegrityFailure,
+    IntegrityLedger,
+    certify_bfs,
+    certify_cc,
+    certify_pagerank,
+    certify_sssp,
+)
 from .plan import FaultPlan, FaultSpec
 
 __all__ = [
-    "SCENARIOS",
-    "RUNNERS",
+    "ALGOS",
+    "WEIGHTED_ALGOS",
+    "Campaign",
+    "CAMPAIGNS",
     "CaseResult",
     "run_case",
     "run_campaign",
-    "ELASTIC_SCENARIOS",
-    "DEFAULT_ELASTIC_SCENARIOS",
-    "ELASTIC_RUNNERS",
-    "ElasticCaseResult",
-    "run_elastic_case",
-    "run_elastic_campaign",
-    "AUTOSCALE_SCENARIOS",
-    "DEFAULT_AUTOSCALE_SCENARIOS",
-    "AutoscaleCaseResult",
-    "run_autoscale_case",
-    "run_autoscale_campaign",
-    "SDC_SCENARIOS",
-    "DEFAULT_SDC_SCENARIOS",
-    "SDC_RUNNERS",
-    "WEIGHTED_ALGOS",
-    "SdcCaseResult",
-    "run_sdc_case",
-    "run_sdc_campaign",
 ]
 
-#: Named fault plans.  Supersteps are 1-based; ranks assume at least a
-#: 2x2 grid.  ``crash-unrecovered`` is the deliberate-failure scenario
-#: (run without checkpoints) and is therefore *not* part of the default
-#: campaign — select it explicitly to verify the failing exit path.
-SCENARIOS: dict[str, FaultPlan] = {
-    "crash-recover": FaultPlan([FaultSpec("crash", 2, rank=1)]),
-    "transient-retry": FaultPlan([FaultSpec("transient", 1, count=2)]),
-    "bitflip-detect": FaultPlan([FaultSpec("corruption", 2, bit=7)]),
-    "straggler-drag": FaultPlan(
-        [
-            FaultSpec("straggler", 1, rank=0, delay_s=5e-4),
-            FaultSpec("straggler", 2, rank=2, delay_s=1e-3),
-        ]
-    ),
-    "crash-unrecovered": FaultPlan([FaultSpec("crash", 2, rank=0)]),
-}
-
-#: Scenarios included in a default (``--scenario all``) campaign.
-DEFAULT_SCENARIOS = (
-    "crash-recover",
-    "transient-retry",
-    "bitflip-detect",
-    "straggler-drag",
-)
-
-#: Scenarios that run without a checkpoint manager attached.
-UNCHECKPOINTED = {"crash-unrecovered"}
-
-#: Resume-capable runners keyed by the paper's abbreviations.
-RUNNERS: dict[str, Callable[..., Any]] = {
-    "BFS": lambda engine, resume=False: bfs(engine, root=0, resume=resume),
-    "PR": lambda engine, resume=False: pagerank(
-        engine, iterations=10, resume=resume
-    ),
-    "CC": lambda engine, resume=False: connected_components(
-        engine, resume=resume
-    ),
-}
-
-
-@dataclass
-class CaseResult:
-    """Outcome of one (scenario, algorithm) pair."""
-
-    scenario: str
-    algo: str
-    status: str  # recovered | completed | unrecovered | diverged
-    values_equal: Optional[bool] = None
-    counters_equal: Optional[bool] = None
-    clocks_equal: Optional[bool] = None
-    fault_events: list[dict] = field(default_factory=list)
-    recovery_s: float = 0.0
-    error: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.status in ("recovered", "completed") and (
-            self.values_equal is not False
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "algo": self.algo,
-            "status": self.status,
-            "ok": self.ok,
-            "values_equal": self.values_equal,
-            "counters_equal": self.counters_equal,
-            "clocks_equal": self.clocks_equal,
-            "n_fault_events": len(self.fault_events),
-            "fault_events": self.fault_events,
-            "recovery_s": self.recovery_s,
-            "error": self.error,
-        }
-
-
-def _values_of(result) -> Optional[np.ndarray]:
-    return result.values
-
-
-def run_case(
-    make_engine: Callable[[], Any],
-    algo: str,
-    scenario: str,
-    plan: Optional[FaultPlan] = None,
-    checkpoint_interval: int = 1,
-    max_retries: int = 4,
-) -> CaseResult:
-    """Run one (scenario, algorithm) pair and grade the outcome."""
-    if algo not in RUNNERS:
-        raise ValueError(f"unknown algorithm {algo!r}; choose from {sorted(RUNNERS)}")
-    if plan is None:
-        if scenario not in SCENARIOS:
-            raise ValueError(
-                f"unknown scenario {scenario!r}; choose from {sorted(SCENARIOS)}"
-            )
-        plan = SCENARIOS[scenario]
-    runner = RUNNERS[algo]
-    checkpointed = scenario not in UNCHECKPOINTED
-
-    # Fault-free reference, same checkpoint configuration (checkpoint
-    # drain time must appear in both runs for clocks to compare equal).
-    ref_engine = make_engine()
-    if checkpointed:
-        ref_engine.attach_checkpoints(
-            CheckpointManager(interval=checkpoint_interval)
-        )
-    ref = runner(ref_engine)
-
-    # Faulted run.
-    engine = make_engine()
-    if checkpointed:
-        engine.attach_checkpoints(CheckpointManager(interval=checkpoint_interval))
-    engine.attach_faults(plan, max_retries=max_retries)
-
-    crashed = False
-    try:
-        result = runner(engine)
-    except RankFailure as failure:
-        crashed = True
-        mgr = engine.checkpoints
-        if mgr is None or mgr.latest() is None:
-            return CaseResult(
-                scenario=scenario,
-                algo=algo,
-                status="unrecovered",
-                fault_events=engine.fault_events,
-                recovery_s=engine.clocks.recovery_total,
-                error=str(failure),
-            )
-        # The crash consumed its fault spec (the failed rank is modeled
-        # as replaced), so the same injector stays attached and any
-        # remaining planned faults hit the resumed run.
-        result = runner(engine, resume=True)
-
-    ref_values = _values_of(ref)
-    values = _values_of(result)
-    values_equal = (
-        bool(np.array_equal(ref_values, values))
-        if ref_values is not None and values is not None
-        else None
-    )
-    counters_equal = ref_engine.counters.summary() == engine.counters.summary()
-    clocks_equal = (
-        bool(np.array_equal(ref_engine.clocks.clock, engine.clocks.clock))
-        and bool(np.array_equal(ref_engine.clocks.compute, engine.clocks.compute))
-        and bool(np.array_equal(ref_engine.clocks.comm, engine.clocks.comm))
-    )
-    status = (
-        "diverged"
-        if values_equal is False
-        else ("recovered" if crashed else "completed")
-    )
-    return CaseResult(
-        scenario=scenario,
-        algo=algo,
-        status=status,
-        values_equal=values_equal,
-        counters_equal=counters_equal,
-        clocks_equal=clocks_equal,
-        fault_events=engine.fault_events,
-        recovery_s=engine.clocks.recovery_total,
-    )
-
-
-#: Graded elastic scenarios: each names a fault plan, the grid policy
-#: handling it, and how many regrids a healthy recovery performs.
-#: Supersteps are 1-based; ranks assume a grid of at least 4 ranks.
-ELASTIC_SCENARIOS: dict[str, dict] = {
-    # One permanent loss mid-run; all survivors regrid to the most
-    # square factor pair.
-    "crash-shrink": dict(
-        plan=FaultPlan([FaultSpec("crash", 2, rank=1)]),
-        policy="prefer-square",
-        expected_regrids=1,
-    ),
-    # Same loss absorbed by a hot spare: the grid never changes, so
-    # even PageRank stays bit-exact.
-    "crash-spare": dict(
-        plan=FaultPlan([FaultSpec("crash", 2, rank=1)]),
-        policy="spare-pool:1",
-        expected_regrids=1,
-    ),
-    # Two losses in consecutive supersteps: the second crash hits the
-    # already-shrunk grid, exercising regrid-of-a-regridded layout.
-    "double-crash-cascade": dict(
-        plan=FaultPlan(
-            [FaultSpec("crash", 2, rank=1), FaultSpec("crash", 3, rank=2)]
+#: Resume-capable runners ``run(engine, resume)`` and result certifiers
+#: ``certify(engine, result)``, keyed by the paper's abbreviations.
+ALGOS: dict[str, tuple[Callable[..., Any], Callable[..., Any]]] = {
+    "BFS": (
+        lambda engine, resume: bfs(engine, root=0, resume=resume),
+        lambda engine, res: certify_bfs(
+            engine, res.values, res.extra["levels"], 0
         ),
-        policy="prefer-square",
-        expected_regrids=2,
     ),
-    # Loss close to convergence: almost all work is done, so the
-    # regrid cost dominates the remaining compute.
-    "crash-at-convergence-tail": dict(
-        plan=FaultPlan([FaultSpec("crash", 3, rank=2)]),
-        policy="prefer-square",
-        expected_regrids=1,
+    "PR": (
+        lambda engine, resume: pagerank(engine, iterations=10, resume=resume),
+        lambda engine, res: certify_pagerank(engine, res.values),
     ),
-}
-
-DEFAULT_ELASTIC_SCENARIOS = tuple(ELASTIC_SCENARIOS)
-
-#: Elastic-capable runners: ``runner(engine, elastic)`` with
-#: ``elastic=None`` meaning a plain (reference) run.
-ELASTIC_RUNNERS: dict[str, Callable[..., Any]] = {
-    "BFS": lambda engine, elastic: bfs(engine, root=0, elastic=elastic),
-    "PR": lambda engine, elastic: pagerank(
-        engine, iterations=10, elastic=elastic
+    "CC": (
+        lambda engine, resume: connected_components(engine, resume=resume),
+        lambda engine, res: certify_cc(engine, res.values),
     ),
-    "CC": lambda engine, elastic: connected_components(
-        engine, elastic=elastic
-    ),
-}
-
-
-@dataclass
-class ElasticCaseResult:
-    """Outcome of one (elastic scenario, algorithm) pair."""
-
-    scenario: str
-    algo: str
-    status: str  # regridded | completed | unrecovered | diverged
-    values_equal: Optional[bool] = None
-    values_close: Optional[bool] = None
-    n_regrids: int = 0
-    expected_regrids: Optional[int] = None
-    grid_trail: list = field(default_factory=list)
-    policy: str = ""
-    regrid_s: float = 0.0
-    regrid_fraction: float = 0.0
-    fault_events: list[dict] = field(default_factory=list)
-    error: str = ""
-
-    @property
-    def ok(self) -> bool:
-        if self.status not in ("regridded", "completed"):
-            return False
-        if (
-            self.expected_regrids is not None
-            and self.n_regrids != self.expected_regrids
-        ):
-            return False
-        return True
-
-    def as_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "algo": self.algo,
-            "status": self.status,
-            "ok": self.ok,
-            "values_equal": self.values_equal,
-            "values_close": self.values_close,
-            "n_regrids": self.n_regrids,
-            "expected_regrids": self.expected_regrids,
-            "grid_trail": [list(g) for g in self.grid_trail],
-            "policy": self.policy,
-            "regrid_s": self.regrid_s,
-            "regrid_fraction": self.regrid_fraction,
-            "fault_events": self.fault_events,
-            "error": self.error,
-        }
-
-
-def run_elastic_case(
-    make_engine: Callable[[], Any],
-    algo: str,
-    scenario: str,
-    plan: Optional[FaultPlan] = None,
-    policy: Optional[str] = None,
-    checkpoint_interval: int = 1,
-    max_retries: int = 2,
-    expected_regrids: Optional[int] = None,
-) -> ElasticCaseResult:
-    """Run one elastic (scenario, algorithm) pair and grade the outcome.
-
-    The faulted run must survive every planned permanent loss by
-    regridding and finish with values matching the fault-free
-    reference: bit-identical for the monotone algorithms, and for
-    PageRank bit-identical on spare-pool recoveries / within ~1 ulp
-    (``allclose`` at ``rtol=1e-9``) after a shrink — PageRank's sum
-    reductions are sensitive to the operand grouping a new grid
-    induces (see ``docs/ROBUSTNESS.md``).
-    """
-    if algo not in ELASTIC_RUNNERS:
-        raise ValueError(
-            f"unknown algorithm {algo!r}; choose from {sorted(ELASTIC_RUNNERS)}"
-        )
-    if plan is None or policy is None:
-        if scenario not in ELASTIC_SCENARIOS:
-            raise ValueError(
-                f"unknown elastic scenario {scenario!r}; choose from "
-                f"{sorted(ELASTIC_SCENARIOS)}"
-            )
-        spec = ELASTIC_SCENARIOS[scenario]
-        plan = plan if plan is not None else spec["plan"]
-        policy = policy if policy is not None else spec["policy"]
-        if expected_regrids is None:
-            expected_regrids = spec.get("expected_regrids")
-    runner = ELASTIC_RUNNERS[algo]
-
-    ref_engine = make_engine()
-    ref_engine.attach_checkpoints(CheckpointManager(interval=checkpoint_interval))
-    ref = runner(ref_engine, None)
-
-    engine = make_engine()
-    engine.attach_checkpoints(CheckpointManager(interval=checkpoint_interval))
-    engine.attach_faults(plan, max_retries=max_retries)
-    recovery = ElasticRecovery(policy=policy)
-    start_grid = (engine.grid.R, engine.grid.C)
-
-    try:
-        result = runner(engine, recovery)
-    except ElasticUnrecoverable as exc:
-        return ElasticCaseResult(
-            scenario=scenario,
-            algo=algo,
-            status="unrecovered",
-            n_regrids=recovery.regrids,
-            expected_regrids=expected_regrids,
-            grid_trail=[start_grid]
-            + [e["to_grid"] for e in recovery.events],
-            policy=recovery.policy.name,
-            fault_events=list(recovery.events),
-            error=str(exc),
-        )
-
-    info = result.extra.get("elastic", {})
-    final_engine = info.get("engine", engine)
-    n_regrids = int(info.get("regrids", 0))
-    values_equal = bool(np.array_equal(ref.values, result.values))
-    values_close = bool(
-        np.allclose(ref.values, result.values, rtol=1e-9, atol=1e-12)
-    )
-    shrunk = any(not e.get("spare") for e in info.get("events", ()))
-    acceptable = values_equal or (algo == "PR" and shrunk and values_close)
-    status = (
-        "diverged"
-        if not acceptable
-        else ("regridded" if n_regrids else "completed")
-    )
-    return ElasticCaseResult(
-        scenario=scenario,
-        algo=algo,
-        status=status,
-        values_equal=values_equal,
-        values_close=values_close,
-        n_regrids=n_regrids,
-        expected_regrids=expected_regrids,
-        grid_trail=[start_grid] + [e["to_grid"] for e in info.get("events", ())],
-        policy=info.get("policy", recovery.policy.name),
-        regrid_s=float(final_engine.clocks.regrid_total),
-        regrid_fraction=float(result.timings.regrid_fraction),
-        fault_events=final_engine.fault_events,
-    )
-
-
-def run_elastic_campaign(
-    make_engine: Callable[[], Any],
-    algos: Sequence[str] = ("BFS", "PR", "CC"),
-    scenarios: Sequence[str] = DEFAULT_ELASTIC_SCENARIOS,
-    checkpoint_interval: int = 1,
-    max_retries: int = 2,
-) -> dict:
-    """Run the elastic scenario x algorithm grid; return a report dict.
-
-    ``report["failed"]`` counts cases that diverged, failed to recover,
-    or regridded a different number of times than the scenario expects
-    — the ``python -m repro faults --elastic`` CLI turns it into the
-    process exit code.
-    """
-    cases = []
-    for scenario in scenarios:
-        for algo in algos:
-            cases.append(
-                run_elastic_case(
-                    make_engine,
-                    algo,
-                    scenario,
-                    checkpoint_interval=checkpoint_interval,
-                    max_retries=max_retries,
-                )
-            )
-    return {
-        "schema": "repro.faults.elastic.v1",
-        "cases": [c.as_dict() for c in cases],
-        "total": len(cases),
-        "failed": sum(1 for c in cases if not c.ok),
-        "unrecovered": sum(1 for c in cases if c.status == "unrecovered"),
-        "diverged": sum(1 for c in cases if c.status == "diverged"),
-        "regrids": sum(c.n_regrids for c in cases),
-    }
-
-
-#: Graded autoscale scenarios: the health watchdog + bidirectional
-#: elastic loop (demote chronic stragglers, grow back onto spares).
-#: Tuned to the campaign dataset on a 4-rank grid, where BFS — the
-#: shortest run — finishes in 3 supersteps: detection evidence must
-#: accumulate by boundary 2 (two 2 s stalls against ~0.1 s/superstep
-#: natural deltas make the straggler unambiguous at ``chronic_after=2``)
-#: and spares arrive at superstep 3, the last boundary every algorithm
-#: still reaches.
-AUTOSCALE_SCENARIOS: dict[str, dict] = {
-    # A rank stalls 2 s in two consecutive supersteps: suspect at
-    # boundary 1, chronic at boundary 2, demoted (soft failure) and the
-    # run continues on the squarest 3-rank grid.
-    "chronic-straggler-demote": dict(
-        plan=FaultPlan(
-            [
-                FaultSpec("straggler", 1, rank=1, delay_s=2.0),
-                FaultSpec("straggler", 2, rank=1, delay_s=2.0),
-            ]
-        ),
-        monitor=dict(chronic_after=2),
-        expected_regrids=1,
-        expected_rank_delta=-1,
-    ),
-    # A hard crash shrinks the grid; a replacement arrives one
-    # superstep later and the run grows back to full strength.
-    "spare-arrival-grow": dict(
-        plan=FaultPlan(
-            [FaultSpec("crash", 2, rank=1), FaultSpec("recover", 3)]
-        ),
-        expected_regrids=2,
-        expected_rank_delta=0,
-    ),
-    # The full loop: demote a chronic straggler, grow back onto the
-    # arriving spare, and shrug off a *new* straggler on the grown grid
-    # — the demotion budget is spent, so the oscillation guard holds
-    # the grid steady.
-    "demote-then-grow-back": dict(
-        plan=FaultPlan(
-            [
-                FaultSpec("straggler", 1, rank=1, delay_s=2.0),
-                FaultSpec("straggler", 2, rank=1, delay_s=2.0),
-                FaultSpec("recover", 3),
-                FaultSpec("straggler", 3, rank=0, delay_s=2.0),
-            ]
-        ),
-        monitor=dict(chronic_after=2),
-        expected_regrids=2,
-        expected_rank_delta=0,
-    ),
-    # A spare arrives while the run is about to converge: extreme
-    # hysteresis models "the migration would cost more than the
-    # remaining work" — the policy records a hold and never grows.
-    "grow-at-convergence-tail": dict(
-        plan=FaultPlan([FaultSpec("recover", 2)]),
-        autoscale=dict(hysteresis=1000),
-        expected_regrids=0,
-        expected_rank_delta=0,
-    ),
-}
-
-DEFAULT_AUTOSCALE_SCENARIOS = tuple(AUTOSCALE_SCENARIOS)
-
-
-@dataclass
-class AutoscaleCaseResult:
-    """Outcome of one (autoscale scenario, algorithm) pair."""
-
-    scenario: str
-    algo: str
-    status: str  # regridded | completed | unrecovered | diverged
-    values_equal: Optional[bool] = None
-    values_close: Optional[bool] = None
-    n_regrids: int = 0
-    expected_regrids: Optional[int] = None
-    rank_delta: int = 0
-    expected_rank_delta: Optional[int] = None
-    n_demotions: int = 0
-    n_grows: int = 0
-    n_holds: int = 0
-    grid_trail: list = field(default_factory=list)
-    regrid_s: float = 0.0
-    health: dict = field(default_factory=dict)
-    fault_events: list[dict] = field(default_factory=list)
-    error: str = ""
-
-    @property
-    def ok(self) -> bool:
-        if self.status not in ("regridded", "completed"):
-            return False
-        if (
-            self.expected_regrids is not None
-            and self.n_regrids != self.expected_regrids
-        ):
-            return False
-        if (
-            self.expected_rank_delta is not None
-            and self.rank_delta != self.expected_rank_delta
-        ):
-            return False
-        return True
-
-    def as_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "algo": self.algo,
-            "status": self.status,
-            "ok": self.ok,
-            "values_equal": self.values_equal,
-            "values_close": self.values_close,
-            "n_regrids": self.n_regrids,
-            "expected_regrids": self.expected_regrids,
-            "rank_delta": self.rank_delta,
-            "expected_rank_delta": self.expected_rank_delta,
-            "n_demotions": self.n_demotions,
-            "n_grows": self.n_grows,
-            "n_holds": self.n_holds,
-            "grid_trail": [list(g) for g in self.grid_trail],
-            "regrid_s": self.regrid_s,
-            "health": self.health,
-            "fault_events": self.fault_events,
-            "error": self.error,
-        }
-
-
-def run_autoscale_case(
-    make_engine: Callable[[], Any],
-    algo: str,
-    scenario: str,
-    checkpoint_interval: int = 1,
-    max_retries: int = 2,
-) -> AutoscaleCaseResult:
-    """Run one autoscale (scenario, algorithm) pair and grade it.
-
-    The faulted run goes through :class:`AutoscaleRecovery` — health
-    watchdog, demotion, and grow-back all armed — and must finish with
-    values matching the fault-free reference: bit-identical for the
-    monotone algorithms, within ~1 ulp for PageRank once any regrid
-    changed the reduction grouping.  The grade also pins the regrid
-    count *and* the net rank delta, so a scenario that was supposed to
-    return to full strength (or hold) failing to is a failure even
-    when values agree.
-    """
-    if algo not in ELASTIC_RUNNERS:
-        raise ValueError(
-            f"unknown algorithm {algo!r}; choose from {sorted(ELASTIC_RUNNERS)}"
-        )
-    if scenario not in AUTOSCALE_SCENARIOS:
-        raise ValueError(
-            f"unknown autoscale scenario {scenario!r}; choose from "
-            f"{sorted(AUTOSCALE_SCENARIOS)}"
-        )
-    spec = AUTOSCALE_SCENARIOS[scenario]
-    runner = ELASTIC_RUNNERS[algo]
-
-    ref_engine = make_engine()
-    ref_engine.attach_checkpoints(
-        CheckpointManager(interval=checkpoint_interval)
-    )
-    ref = runner(ref_engine, None)
-
-    engine = make_engine()
-    engine.attach_checkpoints(CheckpointManager(interval=checkpoint_interval))
-    engine.attach_faults(spec["plan"], max_retries=max_retries)
-    recovery = AutoscaleRecovery(
-        policy=AutoscalePolicy(**spec.get("autoscale", {})),
-        monitor=HealthMonitor(**spec.get("monitor", {})),
-        demotion=DemotionPolicy(**spec.get("demotion", {})),
-    )
-    start_grid = (engine.grid.R, engine.grid.C)
-    expected_regrids = spec.get("expected_regrids")
-    expected_rank_delta = spec.get("expected_rank_delta")
-
-    try:
-        result = runner(engine, recovery)
-    except ElasticUnrecoverable as exc:
-        return AutoscaleCaseResult(
-            scenario=scenario,
-            algo=algo,
-            status="unrecovered",
-            n_regrids=recovery.regrids,
-            expected_regrids=expected_regrids,
-            expected_rank_delta=expected_rank_delta,
-            grid_trail=[start_grid]
-            + [
-                e["to_grid"] for e in recovery.events if "to_grid" in e
-            ],
-            fault_events=list(recovery.events),
-            error=str(exc),
-        )
-
-    info = result.extra.get("elastic", {})
-    final_engine = info.get("engine", engine)
-    n_regrids = int(info.get("regrids", 0))
-    values_equal = bool(np.array_equal(ref.values, result.values))
-    values_close = bool(
-        np.allclose(ref.values, result.values, rtol=1e-9, atol=1e-12)
-    )
-    acceptable = values_equal or (
-        algo == "PR" and n_regrids > 0 and values_close
-    )
-    status = (
-        "diverged"
-        if not acceptable
-        else ("regridded" if n_regrids else "completed")
-    )
-    events = list(recovery.events)
-    return AutoscaleCaseResult(
-        scenario=scenario,
-        algo=algo,
-        status=status,
-        values_equal=values_equal,
-        values_close=values_close,
-        n_regrids=n_regrids,
-        expected_regrids=expected_regrids,
-        rank_delta=final_engine.n_ranks - (start_grid[0] * start_grid[1]),
-        expected_rank_delta=expected_rank_delta,
-        n_demotions=sum(1 for e in events if e["kind"] == "demote"),
-        n_grows=sum(1 for e in events if e["kind"] == "grow"),
-        n_holds=sum(1 for e in events if e["kind"] == "hold"),
-        grid_trail=[start_grid]
-        + [e["to_grid"] for e in events if "to_grid" in e],
-        regrid_s=float(final_engine.clocks.regrid_total),
-        health=recovery.monitor.report(),
-        fault_events=final_engine.fault_events,
-    )
-
-
-def run_autoscale_campaign(
-    make_engine: Callable[[], Any],
-    algos: Sequence[str] = ("BFS", "PR", "CC"),
-    scenarios: Sequence[str] = DEFAULT_AUTOSCALE_SCENARIOS,
-    checkpoint_interval: int = 1,
-    max_retries: int = 2,
-) -> dict:
-    """Run the autoscale scenario x algorithm grid; return a report.
-
-    ``report["failed"]`` counts cases that diverged, failed to recover,
-    regridded a different number of times than expected, or ended on
-    the wrong rank count — the ``python -m repro faults --autoscale``
-    CLI turns it into the process exit code.
-    """
-    cases = []
-    for scenario in scenarios:
-        for algo in algos:
-            cases.append(
-                run_autoscale_case(
-                    make_engine,
-                    algo,
-                    scenario,
-                    checkpoint_interval=checkpoint_interval,
-                    max_retries=max_retries,
-                )
-            )
-    return {
-        "schema": "repro.faults.autoscale.v1",
-        "cases": [c.as_dict() for c in cases],
-        "total": len(cases),
-        "failed": sum(1 for c in cases if not c.ok),
-        "unrecovered": sum(1 for c in cases if c.status == "unrecovered"),
-        "diverged": sum(1 for c in cases if c.status == "diverged"),
-        "regrids": sum(c.n_regrids for c in cases),
-        "demotions": sum(c.n_demotions for c in cases),
-        "grows": sum(c.n_grows for c in cases),
-        "holds": sum(c.n_holds for c in cases),
-    }
-
-
-def run_campaign(
-    make_engine: Callable[[], Any],
-    algos: Sequence[str] = ("BFS", "PR", "CC"),
-    scenarios: Sequence[str] = DEFAULT_SCENARIOS,
-    checkpoint_interval: int = 1,
-    max_retries: int = 4,
-) -> dict:
-    """Run the full scenario x algorithm grid; return a report dict.
-
-    ``report["failed"]`` counts cases that did not end in a healthy
-    state (unrecovered, diverged, or value-mismatched) — the campaign
-    CLI turns it into the process exit code.
-    """
-    cases = []
-    for scenario in scenarios:
-        for algo in algos:
-            cases.append(
-                run_case(
-                    make_engine,
-                    algo,
-                    scenario,
-                    checkpoint_interval=checkpoint_interval,
-                    max_retries=max_retries,
-                )
-            )
-    return {
-        "schema": "repro.faults.campaign.v1",
-        "cases": [c.as_dict() for c in cases],
-        "total": len(cases),
-        "failed": sum(1 for c in cases if not c.ok),
-        "unrecovered": sum(1 for c in cases if c.status == "unrecovered"),
-    }
-
-
-#: Graded silent-data-corruption scenarios: memory bit-flips landing
-#: in a rank's registered state arrays at superstep boundaries.  All
-#: flips fire at superstep >= 2 with checkpoints at every boundary, so
-#: a verified-good checkpoint always exists to roll back to.  Ranks
-#: assume at least a 2x2 grid (the ledger needs replicated windows on
-#: both axes — see ``repro.faults.integrity``).
-SDC_SCENARIOS: dict[str, dict] = {
-    # One bit in rank 1's state, early in the run.
-    "memflip-single": dict(
-        plan=FaultPlan([FaultSpec("memflip", 2, rank=1, bit=137)]),
-        repair_budget=2,
-    ),
-    # A 3-bit burst late in the run (DRAM row disturbance model).
-    "memflip-burst": dict(
-        plan=FaultPlan([FaultSpec("memflip", 3, rank=2, bit=4099, count=3)]),
-        repair_budget=2,
-    ),
-    # Two independent flips on different ranks at different
-    # supersteps: two detect-restore-recompute round trips.
-    "memflip-double": dict(
-        plan=FaultPlan(
-            [
-                FaultSpec("memflip", 2, rank=1, bit=7),
-                FaultSpec("memflip", 3, rank=2, bit=513),
-            ]
-        ),
-        repair_budget=2,
-    ),
-}
-
-DEFAULT_SDC_SCENARIOS = tuple(SDC_SCENARIOS)
-
-#: Resume- and certify-capable runners for the SDC campaign.  Every
-#: run certifies its final answer (the end-to-end seal on top of the
-#: ledger).  SSSP needs an edge-weighted graph — the campaign skips it
-#: unless a weighted engine factory is supplied.
-SDC_RUNNERS: dict[str, Callable[..., Any]] = {
-    "BFS": lambda engine, resume=False: bfs(
-        engine, root=0, resume=resume, certify=True
-    ),
-    "PR": lambda engine, resume=False: pagerank(
-        engine, iterations=10, resume=resume, certify=True
-    ),
-    "CC": lambda engine, resume=False: connected_components(
-        engine, resume=resume, certify=True
-    ),
-    "SSSP": lambda engine, resume=False: sssp(
-        engine, root=0, resume=resume, certify=True
+    "SSSP": (
+        lambda engine, resume: sssp(engine, root=0, resume=resume),
+        lambda engine, res: certify_sssp(engine, res.values, 0),
     ),
 }
 
@@ -821,194 +97,460 @@ WEIGHTED_ALGOS = ("SSSP",)
 
 
 @dataclass
-class SdcCaseResult:
-    """Outcome of one SDC (scenario, algorithm) pair."""
+class CaseResult:
+    """Outcome of one (scenario, algorithm) pair of any campaign.
 
+    Every campaign fills the same record; ``Campaign.report`` names the
+    fields its report rows carry.
+    """
+
+    kind: str
     scenario: str
     algo: str
-    status: str  # repaired | completed | diverged | unrepaired
-    detected: bool = False
+    #: recovered | regridded | repaired | completed | unrecovered |
+    #: unrepaired | diverged
+    status: str
+    ok: bool = False
     values_equal: Optional[bool] = None
+    values_close: Optional[bool] = None
     counters_equal: Optional[bool] = None
     clocks_equal: Optional[bool] = None
+    #: Every injected memflip was caught by the ledger (``sdc``).
+    detected: bool = False
     repairs: int = 0
+    n_regrids: int = 0
+    expected_regrids: Optional[int] = None
+    rank_delta: int = 0
+    expected_rank_delta: Optional[int] = None
+    n_demotions: int = 0
+    n_grows: int = 0
+    n_holds: int = 0
+    grid_trail: list = field(default_factory=list)
+    policy: str = ""
+    recovery_s: float = 0.0
+    regrid_s: float = 0.0
+    regrid_fraction: float = 0.0
     certify_s: float = 0.0
+    health: dict = field(default_factory=dict)
     fault_events: list[dict] = field(default_factory=list)
     error: str = ""
 
     @property
-    def ok(self) -> bool:
-        """A healthy SDC case: the corruption was *detected* (no
-        silent divergence) and the *repaired* run is bit-identical to
-        the fault-free reference."""
-        return (
-            self.status == "repaired"
-            and self.detected
-            and self.values_equal is True
-            and self.counters_equal is True
-            and self.clocks_equal is True
-        )
+    def n_fault_events(self) -> int:
+        return len(self.fault_events)
 
     def as_dict(self) -> dict:
         return {
-            "scenario": self.scenario,
-            "algo": self.algo,
-            "status": self.status,
-            "ok": self.ok,
-            "detected": self.detected,
-            "values_equal": self.values_equal,
-            "counters_equal": self.counters_equal,
-            "clocks_equal": self.clocks_equal,
-            "repairs": self.repairs,
-            "certify_s": self.certify_s,
-            "n_fault_events": len(self.fault_events),
-            "fault_events": self.fault_events,
-            "error": self.error,
+            name: getattr(self, name) for name in CAMPAIGNS[self.kind].report
         }
 
 
-def run_sdc_case(
+@dataclass(frozen=True)
+class Campaign:
+    """One campaign kind, as data."""
+
+    #: name -> spec: the planned faults (``plan``, a list of
+    #: :class:`FaultSpec`), knobs for ``recovery``, and what a healthy
+    #: recovery shows (``expected_regrids``, ...).
+    scenarios: dict[str, dict]
+    #: The :class:`~repro.faults.elastic.Recovery` a failure goes to.
+    recovery: Callable[[dict], Recovery]
+    #: :class:`CaseResult` fields of a report row, and the report's
+    #: campaign-level counters (see :data:`_TOTALS`), both in order.
+    report: tuple[str, ...]
+    totals: tuple[str, ...]
+    #: Default algorithm order of :func:`run_campaign`.
+    algos: tuple[str, ...] = ("BFS", "PR", "CC")
+    #: Status of a case that recovered at least once / that could not.
+    recovered: str = "regridded"
+    failed: str = "unrecovered"
+    #: Scenarios left out of the default (``all``) campaign.
+    optional: tuple[str, ...] = ()
+    max_retries: int = 4
+    #: State-integrity campaign: both engines carry an every-boundary
+    #: :class:`IntegrityLedger`, every run certifies its final answer
+    #: (the end-to-end seal), and a healthy case must show *detection*
+    #: (an ``integrity`` event per corrupted boundary — no silent
+    #: divergence) and *bit-identical repair* (values, counters, and
+    #: every clock lane equal to the fault-free run).
+    integrity: bool = False
+
+    @property
+    def default_scenarios(self) -> tuple[str, ...]:
+        return tuple(s for s in self.scenarios if s not in self.optional)
+
+
+_ROW_HEAD = ("scenario", "algo", "status", "ok")
+_REGRID_TOTALS = ("unrecovered", "diverged", "regrids")
+
+CAMPAIGNS: dict[str, Campaign] = {
+    # Supersteps are 1-based; ranks assume at least a 2x2 grid.
+    "campaign": Campaign(
+        scenarios={
+            "crash-recover": dict(plan=[FaultSpec("crash", 2, rank=1)]),
+            "transient-retry": dict(plan=[FaultSpec("transient", 1, count=2)]),
+            "bitflip-detect": dict(plan=[FaultSpec("corruption", 2, bit=7)]),
+            "straggler-drag": dict(
+                plan=[
+                    FaultSpec("straggler", 1, rank=0, delay_s=5e-4),
+                    FaultSpec("straggler", 2, rank=2, delay_s=1e-3),
+                ]
+            ),
+            # The deliberate failure (run without checkpoints): select
+            # it explicitly to verify the failing exit path.
+            "crash-unrecovered": dict(
+                plan=[FaultSpec("crash", 2, rank=0)],
+                checkpointed=False,
+            ),
+        },
+        optional=("crash-unrecovered",),
+        recovery=lambda spec: Recovery(max_resumes=1),
+        recovered="recovered",
+        report=_ROW_HEAD
+        + ("values_equal", "counters_equal", "clocks_equal")
+        + ("n_fault_events", "fault_events", "recovery_s", "error"),
+        totals=("unrecovered",),
+    ),
+    # Each scenario names the grid policy handling its losses and how
+    # many regrids a healthy recovery performs.  Ranks assume a grid of
+    # at least 4 ranks.
+    "elastic": Campaign(
+        scenarios={
+            # One permanent loss mid-run; all survivors regrid to the
+            # most square factor pair.
+            "crash-shrink": dict(
+                plan=[FaultSpec("crash", 2, rank=1)],
+                policy="prefer-square",
+                expected_regrids=1,
+            ),
+            # Same loss absorbed by a hot spare: the grid never
+            # changes, so even PageRank stays bit-exact.
+            "crash-spare": dict(
+                plan=[FaultSpec("crash", 2, rank=1)],
+                policy="spare-pool:1",
+                expected_regrids=1,
+            ),
+            # Two losses in consecutive supersteps: the second crash
+            # hits the already-shrunk grid, exercising
+            # regrid-of-a-regridded layout.
+            "double-crash-cascade": dict(
+                plan=[FaultSpec("crash", 2, rank=1), FaultSpec("crash", 3, rank=2)],
+                policy="prefer-square",
+                expected_regrids=2,
+            ),
+            # Loss close to convergence: almost all work is done, so
+            # the regrid cost dominates the remaining compute.
+            "crash-at-convergence-tail": dict(
+                plan=[FaultSpec("crash", 3, rank=2)],
+                policy="prefer-square",
+                expected_regrids=1,
+            ),
+        },
+        recovery=lambda spec: ElasticRecovery(policy=spec["policy"]),
+        report=_ROW_HEAD
+        + ("values_equal", "values_close", "n_regrids", "expected_regrids")
+        + ("grid_trail", "policy", "regrid_s", "regrid_fraction")
+        + ("fault_events", "error"),
+        totals=_REGRID_TOTALS,
+        max_retries=2,
+    ),
+    # The health watchdog + bidirectional elastic loop.  Tuned to the
+    # campaign dataset on a 4-rank grid, where BFS — the shortest run —
+    # finishes in 3 supersteps: detection evidence must accumulate by
+    # boundary 2 (two 2 s stalls against ~0.1 s/superstep natural
+    # deltas make the straggler unambiguous at ``chronic_after=2``) and
+    # spares arrive at superstep 3, the last boundary every algorithm
+    # still reaches.  The grade pins the regrid count *and* the net
+    # rank delta, so a scenario that was supposed to return to full
+    # strength (or hold) failing to is a failure even when values agree.
+    "autoscale": Campaign(
+        scenarios={
+            # A rank stalls 2 s in two consecutive supersteps: suspect
+            # at boundary 1, chronic at boundary 2, demoted (soft
+            # failure) and the run continues on the squarest 3-rank
+            # grid.
+            "chronic-straggler-demote": dict(
+                plan=[
+                    FaultSpec("straggler", 1, rank=1, delay_s=2.0),
+                    FaultSpec("straggler", 2, rank=1, delay_s=2.0),
+                ],
+                monitor=dict(chronic_after=2),
+                expected_regrids=1,
+                expected_rank_delta=-1,
+            ),
+            # A hard crash shrinks the grid; a replacement arrives one
+            # superstep later and the run grows back to full strength.
+            "spare-arrival-grow": dict(
+                plan=[FaultSpec("crash", 2, rank=1), FaultSpec("recover", 3)],
+                expected_regrids=2,
+                expected_rank_delta=0,
+            ),
+            # The full loop: demote a chronic straggler, grow back onto
+            # the arriving spare, and shrug off a *new* straggler on
+            # the grown grid — the demotion budget is spent, so the
+            # oscillation guard holds the grid steady.
+            "demote-then-grow-back": dict(
+                plan=[
+                    FaultSpec("straggler", 1, rank=1, delay_s=2.0),
+                    FaultSpec("straggler", 2, rank=1, delay_s=2.0),
+                    FaultSpec("recover", 3),
+                    FaultSpec("straggler", 3, rank=0, delay_s=2.0),
+                ],
+                monitor=dict(chronic_after=2),
+                expected_regrids=2,
+                expected_rank_delta=0,
+            ),
+            # A spare arrives while the run is about to converge:
+            # extreme hysteresis models "the migration would cost more
+            # than the remaining work" — the policy records a hold and
+            # never grows.
+            "grow-at-convergence-tail": dict(
+                plan=[FaultSpec("recover", 2)],
+                autoscale=dict(hysteresis=1000),
+                expected_regrids=0,
+                expected_rank_delta=0,
+            ),
+        },
+        recovery=lambda spec: AutoscaleRecovery(
+            policy=AutoscalePolicy(**spec.get("autoscale", {})),
+            monitor=HealthMonitor(**spec.get("monitor", {})),
+            demotion=DemotionPolicy(**spec.get("demotion", {})),
+        ),
+        report=_ROW_HEAD
+        + ("values_equal", "values_close", "n_regrids", "expected_regrids")
+        + ("rank_delta", "expected_rank_delta")
+        + ("n_demotions", "n_grows", "n_holds")
+        + ("grid_trail", "regrid_s", "health", "fault_events", "error"),
+        totals=_REGRID_TOTALS + ("demotions", "grows", "holds"),
+        max_retries=2,
+    ),
+    # Memory bit-flips landing in a rank's registered state arrays at
+    # superstep boundaries.  All flips fire at superstep >= 2 with
+    # checkpoints at every boundary, so a verified-good checkpoint
+    # always exists to roll back to.  Ranks assume at least a 2x2 grid
+    # (the ledger needs replicated windows on both axes — see
+    # ``repro.faults.integrity``).
+    "sdc": Campaign(
+        scenarios={
+            # One bit in rank 1's state, early in the run.
+            "memflip-single": dict(
+                plan=[FaultSpec("memflip", 2, rank=1, bit=137)]
+            ),
+            # A 3-bit burst late in the run (DRAM row disturbance).
+            "memflip-burst": dict(
+                plan=[FaultSpec("memflip", 3, rank=2, bit=4099, count=3)]
+            ),
+            # Two independent flips on different ranks at different
+            # supersteps: two detect-restore-recompute round trips.
+            "memflip-double": dict(
+                plan=[
+                    FaultSpec("memflip", 2, rank=1, bit=7),
+                    FaultSpec("memflip", 3, rank=2, bit=513),
+                ]
+            ),
+        },
+        algos=("BFS", "CC", "PR", "SSSP"),
+        # The repair budget bounds the rollback loop from inside the
+        # ledger; the resume cap is a backstop.
+        recovery=lambda spec: Recovery(
+            max_resumes=spec.get("repair_budget", 2) + 2
+        ),
+        recovered="repaired",
+        failed="unrepaired",
+        integrity=True,
+        report=_ROW_HEAD
+        + ("detected", "values_equal", "counters_equal", "clocks_equal")
+        + ("repairs", "certify_s", "n_fault_events", "fault_events", "error"),
+        totals=("undetected", "unrepaired", "repairs"),
+    ),
+}
+
+#: Clock lanes compared for ``clocks_equal``; an integrity campaign
+#: also compares the resilience lanes (a repair must leave no trace).
+_CLOCK_LANES = ("clock", "compute", "comm")
+_RESILIENCE_LANES = ("recovery", "regrid", "certify")
+
+#: Campaign-level report counters.
+_TOTALS: dict[str, Callable[[list[CaseResult]], int]] = {
+    "unrecovered": lambda cs: sum(c.status == "unrecovered" for c in cs),
+    "unrepaired": lambda cs: sum(c.status == "unrepaired" for c in cs),
+    "diverged": lambda cs: sum(c.status == "diverged" for c in cs),
+    "undetected": lambda cs: sum(not c.detected for c in cs),
+    "regrids": lambda cs: sum(c.n_regrids for c in cs),
+    "demotions": lambda cs: sum(c.n_demotions for c in cs),
+    "grows": lambda cs: sum(c.n_grows for c in cs),
+    "holds": lambda cs: sum(c.n_holds for c in cs),
+    "repairs": lambda cs: sum(c.repairs for c in cs),
+}
+
+
+def run_case(
+    kind: str,
     make_engine: Callable[[], Any],
     algo: str,
     scenario: str,
-    plan: Optional[FaultPlan] = None,
-    repair_budget: int = 2,
-    max_retries: int = 4,
-) -> SdcCaseResult:
-    """Run one SDC (scenario, algorithm) pair and grade the outcome.
+    checkpoint_interval: int = 1,
+    max_retries: Optional[int] = None,
+    **overrides,
+) -> CaseResult:
+    """Run one (scenario, algorithm) pair of campaign ``kind`` and
+    grade the outcome.
 
-    Both runs attach an every-boundary :class:`IntegrityLedger` and
-    checkpoint manager (identical configuration, so digest-exchange
-    and checkpoint-drain charges cancel out of the clock comparison)
-    and certify their final answer.  The faulted run additionally
-    carries the scenario's memflip plan; each detected violation rolls
-    back to the last verified checkpoint and recomputes.  The grade
-    requires *detection* (at least one ``integrity`` event, and one
-    per corrupted boundary) and *bit-identical repair* (values,
-    counters, and every clock lane equal to the fault-free run).
+    ``overrides`` replace entries of the scenario's spec; passing
+    ``plan=`` (fault specs, or a :class:`FaultPlan`) runs a plan the
+    scenario table does not name.
     """
-    from .integrity import IntegrityFailure, IntegrityLedger
-
-    if algo not in SDC_RUNNERS:
+    camp = CAMPAIGNS[kind]
+    if algo not in camp.algos:
         raise ValueError(
-            f"unknown algorithm {algo!r}; choose from {sorted(SDC_RUNNERS)}"
+            f"unknown algorithm {algo!r}; choose from {sorted(camp.algos)}"
         )
-    if plan is None:
-        if scenario not in SDC_SCENARIOS:
-            raise ValueError(
-                f"unknown SDC scenario {scenario!r}; choose from "
-                f"{sorted(SDC_SCENARIOS)}"
+    if scenario not in camp.scenarios and "plan" not in overrides:
+        raise ValueError(
+            f"unknown {kind} scenario {scenario!r}; choose from "
+            f"{sorted(camp.scenarios)}"
+        )
+    spec = {**camp.scenarios.get(scenario, {}), **overrides}
+    run, certify = ALGOS[algo]
+
+    def runner(engine, resume):
+        result = run(engine, resume)
+        if camp.integrity:
+            certify(engine, result)
+        return result
+
+    def guarded_engine():
+        engine = make_engine()
+        if camp.integrity:
+            # Verified and checkpointed at *every* boundary, whatever
+            # the requested interval: a verified-good checkpoint must
+            # exist to roll back to.
+            engine.attach_integrity(
+                IntegrityLedger(repair_budget=spec.get("repair_budget", 2))
             )
-        spec = SDC_SCENARIOS[scenario]
-        plan = spec["plan"]
-        repair_budget = spec.get("repair_budget", repair_budget)
-    runner = SDC_RUNNERS[algo]
-
-    ref_engine = make_engine()
-    ref_engine.attach_integrity(IntegrityLedger(repair_budget=repair_budget))
-    ref_engine.attach_checkpoints(CheckpointManager(interval=1))
-    ref = runner(ref_engine)
-
-    engine = make_engine()
-    ledger = IntegrityLedger(repair_budget=repair_budget)
-    engine.attach_integrity(ledger)
-    engine.attach_checkpoints(CheckpointManager(interval=1))
-    engine.attach_faults(plan, max_retries=max_retries)
-
-    result = None
-    attempts = 0
-    error = ""
-    try:
-        while result is None:
-            try:
-                result = (
-                    runner(engine)
-                    if attempts == 0
-                    else runner(engine, resume=True)
+        if spec.get("checkpointed", True):
+            engine.attach_checkpoints(
+                CheckpointManager(
+                    interval=1 if camp.integrity else checkpoint_interval
                 )
-            except RankFailure:
-                # IntegrityViolation (or any boundary failure): the
-                # restore path rewinds to the last verified checkpoint
-                # and the loop recomputes the suspect window.  The
-                # repair budget bounds this loop from inside the
-                # ledger; the attempt cap is a backstop.
-                attempts += 1
-                if attempts > repair_budget + 2:
-                    raise
-    except (IntegrityFailure, RankFailure) as exc:
-        return SdcCaseResult(
-            scenario=scenario,
-            algo=algo,
-            status="unrepaired",
-            detected=any(
-                e["kind"] == "integrity" for e in engine.fault_events
-            ),
-            repairs=ledger.repairs,
-            certify_s=float(engine.clocks.certify_total),
-            fault_events=engine.fault_events,
-            error=str(exc),
-        )
-
-    events = engine.fault_events
-    flip_steps = {e["superstep"] for e in events if e["kind"] == "memflip"}
-    caught_steps = {
-        e["superstep"] for e in events if e["kind"] == "integrity"
-    }
-    detected = bool(flip_steps) and flip_steps <= caught_steps
-    values_equal = bool(np.array_equal(ref.values, result.values))
-    counters_equal = (
-        ref_engine.counters.summary() == engine.counters.summary()
-    )
-    lanes = ("clock", "compute", "comm", "recovery", "regrid", "certify")
-    clocks_equal = all(
-        bool(
-            np.array_equal(
-                getattr(ref_engine.clocks, lane), getattr(engine.clocks, lane)
             )
-        )
-        for lane in lanes
+        return engine
+
+    ref_engine = guarded_engine()
+    ref = runner(ref_engine, False)
+
+    engine = guarded_engine()
+    engine.attach_faults(
+        FaultPlan(list(spec["plan"])),
+        max_retries=camp.max_retries if max_retries is None else max_retries,
     )
-    if not values_equal:
-        status = "diverged"
-    elif attempts > 0:
-        status = "repaired"
-    else:
-        status = "completed"
-    return SdcCaseResult(
+    recovery = camp.recovery(spec)
+    start_ranks = engine.n_ranks
+    case = CaseResult(
+        kind=kind,
         scenario=scenario,
         algo=algo,
-        status=status,
-        detected=detected,
-        values_equal=values_equal,
-        counters_equal=counters_equal,
-        clocks_equal=clocks_equal,
-        repairs=ledger.repairs,
-        certify_s=float(engine.clocks.certify_total),
-        fault_events=events,
-        error=error,
+        status=camp.failed,
+        expected_regrids=spec.get("expected_regrids"),
+        expected_rank_delta=spec.get("expected_rank_delta"),
+        policy=recovery.name,
     )
+    try:
+        result = drive_elastic(runner, engine, recovery)
+    except (RankFailure, ElasticUnrecoverable, IntegrityFailure) as exc:
+        # The first engine still sees every event: the injector and the
+        # recorded-event list are shared across regrid generations.
+        final, events = engine, engine.fault_events
+        case.error = str(exc)
+    else:
+        final = result.extra["elastic"]["engine"]
+        events = final.fault_events
+        case.values_equal = bool(np.array_equal(ref.values, result.values))
+        case.values_close = bool(
+            np.allclose(ref.values, result.values, rtol=1e-9, atol=1e-12)
+        )
+        case.counters_equal = (
+            ref_engine.counters.summary() == final.counters.summary()
+        )
+        lanes = _CLOCK_LANES + (_RESILIENCE_LANES if camp.integrity else ())
+        case.clocks_equal = all(
+            bool(
+                np.array_equal(
+                    getattr(ref_engine.clocks, lane), getattr(final.clocks, lane)
+                )
+            )
+            for lane in lanes
+        )
+        moved = any(
+            e["from_grid"] != e["to_grid"] for e in events if "to_grid" in e
+        )
+        if not (
+            case.values_equal
+            or (algo == "PR" and moved and case.values_close)
+        ):
+            case.status = "diverged"
+        elif recovery.resumes or recovery.regrids:
+            case.status = camp.recovered
+        else:
+            case.status = "completed"
+        case.regrid_fraction = float(result.timings.regrid_fraction)
+        case.rank_delta = final.n_ranks - start_ranks
+    case.n_regrids = recovery.regrids
+    case.grid_trail = [(engine.grid.R, engine.grid.C)] + [
+        e["to_grid"] for e in recovery.events if "to_grid" in e
+    ]
+    decisions = Counter(e["kind"] for e in recovery.events)
+    case.n_demotions = decisions["demote"]
+    case.n_grows = decisions["grow"]
+    case.n_holds = decisions["hold"]
+    flips = {e["superstep"] for e in events if e["kind"] == "memflip"}
+    caught = {e["superstep"] for e in events if e["kind"] == "integrity"}
+    case.detected = bool(flips) and flips <= caught
+    ledger = engine.integrity
+    case.repairs = ledger.repairs if ledger is not None else 0
+    monitor = getattr(recovery, "monitor", None)
+    case.health = monitor.report() if monitor is not None else {}
+    case.recovery_s = final.clocks.recovery_total
+    case.regrid_s = float(final.clocks.regrid_total)
+    case.certify_s = float(final.clocks.certify_total)
+    case.fault_events = list(events)
+    case.ok = (
+        case.status in (camp.recovered, "completed")
+        and case.expected_regrids in (None, case.n_regrids)
+        and case.expected_rank_delta in (None, case.rank_delta)
+        and (
+            not camp.integrity
+            or (case.detected and case.counters_equal and case.clocks_equal)
+        )
+    )
+    return case
 
 
-def run_sdc_campaign(
+def run_campaign(
+    kind: str,
     make_engine: Callable[[], Any],
-    algos: Sequence[str] = ("BFS", "CC", "PR", "SSSP"),
-    scenarios: Sequence[str] = DEFAULT_SDC_SCENARIOS,
-    max_retries: int = 4,
+    algos: Optional[Sequence[str]] = None,
+    scenarios: Optional[Sequence[str]] = None,
+    checkpoint_interval: int = 1,
+    max_retries: Optional[int] = None,
     make_weighted_engine: Optional[Callable[[], Any]] = None,
 ) -> dict:
-    """Run the SDC scenario x algorithm grid; return a report dict.
+    """Run campaign ``kind``'s scenario x algorithm grid; return the
+    ``repro.faults.<kind>.v1`` report dict.
 
-    ``report["failed"]`` counts cases that diverged silently, could
-    not be repaired within budget, or repaired to a non-identical
-    state — ``python -m repro faults --sdc`` turns it into the
-    process exit code.  Weighted algorithms (SSSP) use
-    ``make_weighted_engine`` and are skipped — *loudly*, via the
-    ``skipped`` list — when no weighted factory is given.
+    ``report["failed"]`` counts cases that did not end healthy
+    (unrecovered, unrepaired, diverged, undetected, or off the
+    scenario's expected regrid count / rank delta) — the ``python -m
+    repro faults`` CLI turns it into the process exit code.  Weighted
+    algorithms (SSSP) use ``make_weighted_engine`` and are skipped —
+    *loudly*, via the report's ``skipped`` list — when no weighted
+    factory is given.
     """
-    cases = []
+    camp = CAMPAIGNS[kind]
+    cases: list[CaseResult] = []
     skipped = []
-    for scenario in scenarios:
-        for algo in algos:
+    for scenario in camp.default_scenarios if scenarios is None else scenarios:
+        for algo in camp.algos if algos is None else algos:
             factory = make_engine
             if algo in WEIGHTED_ALGOS:
                 if make_weighted_engine is None:
@@ -1016,20 +558,23 @@ def run_sdc_campaign(
                     continue
                 factory = make_weighted_engine
             cases.append(
-                run_sdc_case(
+                run_case(
+                    kind,
                     factory,
                     algo,
                     scenario,
+                    checkpoint_interval=checkpoint_interval,
                     max_retries=max_retries,
                 )
             )
-    return {
-        "schema": "repro.faults.sdc.v1",
+    report = {
+        "schema": f"repro.faults.{kind}.v1",
         "cases": [c.as_dict() for c in cases],
-        "skipped": skipped,
-        "total": len(cases),
-        "failed": sum(1 for c in cases if not c.ok),
-        "undetected": sum(1 for c in cases if not c.detected),
-        "unrepaired": sum(1 for c in cases if c.status == "unrepaired"),
-        "repairs": sum(c.repairs for c in cases),
     }
+    if set(camp.algos) & set(WEIGHTED_ALGOS):
+        report["skipped"] = skipped
+    report["total"] = len(cases)
+    report["failed"] = sum(1 for c in cases if not c.ok)
+    for name in camp.totals:
+        report[name] = _TOTALS[name](cases)
+    return report

@@ -24,6 +24,7 @@ from repro.algorithms import (
     sssp_batch,
     validate_roots,
 )
+from repro.comm.grid import Grid2D
 from repro.core.engine import Engine
 from repro.exec import SerialExecutor, ThreadedExecutor
 from repro.graph import grid_graph, path_graph, rmat
@@ -53,9 +54,24 @@ KS = {"k1": ROOT1, "k2": ROOTS2, "k8": ROOTS8}
 ROOTS16 = [0, 3, 9, 17, 33, 42, 77, 100, 128, 256, 300, 401, 513, 640, 700, 901]
 
 
-def make_engine(graph, mode: str) -> Engine:
+#: R x C grids beyond the square default.  On R < C grids the members
+#: of a row group sit at different ``row_offset``s (Type 2 local maps),
+#: which the row-leader frontier aliasing of ``bfs_batch`` must
+#: translate; 1x4 and 4x1 are the degenerate single-group layouts.
+GRIDS = {
+    "2x4": Grid2D(R=2, C=4),
+    "3x5": Grid2D(R=3, C=5),
+    "4x8": Grid2D(R=4, C=8),
+    "1x4": Grid2D(R=1, C=4),
+    "4x1": Grid2D(R=4, C=1),
+}
+
+
+def make_engine(graph, mode: str, grid: Grid2D | None = None) -> Engine:
     ex, overlap = MODES[mode]
-    return Engine(graph, RANKS, executor=ex(), overlap=overlap)
+    if grid is None:
+        return Engine(graph, RANKS, executor=ex(), overlap=overlap)
+    return Engine(graph, grid=grid, executor=ex(), overlap=overlap)
 
 
 @pytest.fixture(scope="module")
@@ -96,9 +112,13 @@ class TestBFSEquivalence:
     def test_bit_identical_per_lane(self, graph, bfs_refs, mode, kname):
         roots = KS[kname]
         res = bfs_batch(make_engine(graph, mode), roots)
+        self._assert_lanes_match(graph, res, roots, bfs_refs)
+
+    @staticmethod
+    def _assert_lanes_match(graph, res, roots, singles):
         assert res.values.shape == (graph.n_vertices, len(roots))
         for lane, root in enumerate(roots):
-            single = bfs_refs[root]
+            single = singles[root]
             np.testing.assert_array_equal(
                 res.values[:, lane], single.values, strict=True
             )
@@ -109,6 +129,28 @@ class TestBFSEquivalence:
             )
             assert res.extra["n_visited"][lane] == single.extra["n_visited"]
             assert res.extra["directions"][lane] == single.extra["directions"]
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    @pytest.mark.parametrize("kname", sorted(KS))
+    @pytest.mark.parametrize("gname", sorted(GRIDS))
+    def test_bit_identical_per_lane_on_nonsquare_grids(
+        self, graph, mode, kname, gname
+    ):
+        """The same k x executor x overlap matrix on R != C grids: each
+        lane matches scalar ``bfs`` on the same grid bit for bit, and
+        the serial oracle."""
+        roots, grid = KS[kname], GRIDS[gname]
+        res = bfs_batch(make_engine(graph, mode, grid), roots)
+        singles = {r: bfs(Engine(graph, grid=grid), root=r) for r in roots}
+        self._assert_lanes_match(graph, res, roots, singles)
+        for lane, root in enumerate(roots):
+            np.testing.assert_array_equal(
+                res.extra["levels"][:, lane],
+                ref_serial.bfs_levels(graph, root),
+            )
+            assert ref_serial.bfs_parents_valid(
+                graph, root, res.values[:, lane]
+            )
 
     def test_k1_degenerates_to_single_source(self, graph, bfs_refs):
         """A batch of one IS the single-source run: values, timings and
@@ -305,6 +347,15 @@ class TestPseudoDiameterBatched:
         four = pseudo_diameter(Engine(g, 4), start=20, lanes=4)
         assert one.extra["diameter_lower_bound"] == 5 + 8
         assert four.extra["diameter_lower_bound"] == 5 + 8
+
+    def test_lanes_on_r_less_than_c_grid(self):
+        """``lanes>1`` goes through ``bfs_batch``; R < C grids used to
+        raise IndexError there."""
+        g = grid_graph(6, 9)
+        res = pseudo_diameter(
+            Engine(g, grid=GRIDS["2x4"]), start=20, lanes=4
+        )
+        assert res.extra["diameter_lower_bound"] == 5 + 8
 
     def test_bound_is_realized_depth(self, graph):
         res = pseudo_diameter(Engine(graph, RANKS), start=640, lanes=4)

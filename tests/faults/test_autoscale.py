@@ -7,11 +7,7 @@ import pytest
 from repro import Engine
 from repro.exec import SerialExecutor, ThreadedExecutor
 from repro.cli import main
-from repro.faults import (
-    AUTOSCALE_SCENARIOS,
-    run_autoscale_campaign,
-    run_autoscale_case,
-)
+from repro.faults import CAMPAIGNS, run_campaign, run_case
 from repro.graph import rmat
 
 GRAPH = rmat(7, seed=3)
@@ -28,7 +24,7 @@ def mk(mode="serial"):
 
 class TestScenarioTable:
     def test_expected_scenarios_present(self):
-        assert set(AUTOSCALE_SCENARIOS) == {
+        assert set(CAMPAIGNS["autoscale"].scenarios) == {
             "chronic-straggler-demote",
             "spare-arrival-grow",
             "demote-then-grow-back",
@@ -37,17 +33,17 @@ class TestScenarioTable:
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError, match="unknown autoscale scenario"):
-            run_autoscale_case(mk, "BFS", "meteor-strike")
+            run_case("autoscale", mk, "BFS", "meteor-strike")
 
     def test_unknown_algo_rejected(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
-            run_autoscale_case(mk, "WAT", "chronic-straggler-demote")
+            run_case("autoscale", mk, "WAT", "chronic-straggler-demote")
 
 
 class TestAutoscaleCases:
     @pytest.mark.parametrize("algo", ["BFS", "CC"])
     def test_demote_is_bit_identical_for_monotone(self, algo):
-        case = run_autoscale_case(mk, algo, "chronic-straggler-demote")
+        case = run_case("autoscale", mk, algo, "chronic-straggler-demote")
         assert case.ok, case.error
         assert case.values_equal is True
         assert case.n_regrids == 1
@@ -56,7 +52,7 @@ class TestAutoscaleCases:
         assert case.n_demotions == 1 and case.n_grows == 0
 
     def test_demote_events_show_health_escalation(self):
-        case = run_autoscale_case(mk, "BFS", "chronic-straggler-demote")
+        case = run_case("autoscale", mk, "BFS", "chronic-straggler-demote")
         kinds = [e["kind"] for e in case.fault_events]
         assert "health" in kinds and "demote" in kinds
         statuses = [
@@ -69,7 +65,7 @@ class TestAutoscaleCases:
 
     @pytest.mark.parametrize("algo", ["BFS", "CC"])
     def test_grow_back_round_trips_to_original_grid(self, algo):
-        case = run_autoscale_case(mk, algo, "demote-then-grow-back")
+        case = run_case("autoscale", mk, algo, "demote-then-grow-back")
         assert case.ok, case.error
         assert case.values_equal is True
         assert case.n_regrids == 2
@@ -80,20 +76,20 @@ class TestAutoscaleCases:
     def test_oscillation_guard_blocks_second_demotion(self):
         """The post-grow straggler probe must not trigger a second
         shrink: the demotion budget is the oscillation guard."""
-        case = run_autoscale_case(mk, "PR", "demote-then-grow-back")
+        case = run_case("autoscale", mk, "PR", "demote-then-grow-back")
         assert case.ok, case.error
         assert case.n_demotions == 1
         assert case.n_regrids == 2
 
     def test_spare_arrival_grows_after_crash(self):
-        case = run_autoscale_case(mk, "PR", "spare-arrival-grow")
+        case = run_case("autoscale", mk, "PR", "spare-arrival-grow")
         assert case.ok, case.error
         assert case.n_regrids == 2  # crash-shrink then grow
         assert case.rank_delta == 0
         assert case.n_grows == 1
 
     def test_convergence_tail_spare_is_held(self):
-        case = run_autoscale_case(mk, "BFS", "grow-at-convergence-tail")
+        case = run_case("autoscale", mk, "BFS", "grow-at-convergence-tail")
         assert case.ok, case.error
         assert case.n_regrids == 0
         assert case.n_holds >= 1
@@ -101,7 +97,7 @@ class TestAutoscaleCases:
         assert hold["reason"] == "hysteresis"
 
     def test_pagerank_demote_matches_to_tolerance(self):
-        case = run_autoscale_case(mk, "PR", "chronic-straggler-demote")
+        case = run_case("autoscale", mk, "PR", "chronic-straggler-demote")
         assert case.ok, case.error
         assert case.values_close is True
 
@@ -109,7 +105,7 @@ class TestAutoscaleCases:
 class TestAutoscaleCampaign:
     @pytest.mark.parametrize("mode", sorted(MODES))
     def test_full_campaign_green_on_both_executors(self, mode):
-        report = run_autoscale_campaign(lambda: mk(mode))
+        report = run_campaign("autoscale", lambda: mk(mode))
         assert report["schema"] == "repro.faults.autoscale.v1"
         assert report["total"] == 12  # 4 scenarios x BFS/PR/CC
         assert report["failed"] == 0
@@ -120,8 +116,11 @@ class TestAutoscaleCampaign:
         assert report["holds"] == 3
 
     def test_campaign_subsets(self):
-        report = run_autoscale_campaign(
-            mk, algos=("BFS",), scenarios=("chronic-straggler-demote",)
+        report = run_campaign(
+            "autoscale",
+            mk,
+            algos=("BFS",),
+            scenarios=("chronic-straggler-demote",),
         )
         assert report["total"] == 1
         assert report["cases"][0]["ok"] is True

@@ -23,9 +23,10 @@ from repro.faults import (
     KeepRows,
     PreferSquare,
     SparePool,
+    drive_elastic,
     resolve_policy,
-    run_elastic_campaign,
-    run_elastic_case,
+    run_campaign,
+    run_case,
 )
 from repro.graph import rmat
 
@@ -45,27 +46,31 @@ def _program():
     )
 
 
-#: (name, needs_weights, runner(engine, **kw)) for every elastic-capable
-#: algorithm entry point.
+#: (name, needs_weights, runner(engine, resume)) for every
+#: resume-capable algorithm entry point — the shape ``drive_elastic``
+#: drives.
 ALGOS = {
-    "bfs": (False, lambda e, **kw: algorithms.bfs(e, root=0, **kw)),
+    "bfs": (False, lambda e, r=False: algorithms.bfs(e, root=0, resume=r)),
     "pagerank": (
         False,
-        lambda e, **kw: algorithms.pagerank(e, iterations=8, **kw),
+        lambda e, r=False: algorithms.pagerank(e, iterations=8, resume=r),
     ),
-    "cc": (False, lambda e, **kw: algorithms.connected_components(e, **kw)),
-    "sssp": (True, lambda e, **kw: algorithms.sssp(e, root=0, **kw)),
+    "cc": (
+        False,
+        lambda e, r=False: algorithms.connected_components(e, resume=r),
+    ),
+    "sssp": (True, lambda e, r=False: algorithms.sssp(e, root=0, resume=r)),
     "labelprop": (
         False,
-        lambda e, **kw: algorithms.label_propagation(e, **kw),
+        lambda e, r=False: algorithms.label_propagation(e, resume=r),
     ),
     "pointerjump": (
         False,
-        lambda e, **kw: algorithms.pointer_jumping(e, **kw),
+        lambda e, r=False: algorithms.pointer_jumping(e, resume=r),
     ),
     "program": (
         False,
-        lambda e, **kw: run_vertex_program(e, _program(), **kw),
+        lambda e, r=False: run_vertex_program(e, _program(), resume=r),
     ),
 }
 
@@ -96,7 +101,7 @@ def elastic_run(name, policy="prefer-square", specs=None, executor=None):
     engine = make()
     engine.attach_checkpoints(CheckpointManager(interval=1))
     engine.attach_faults(FaultPlan(list(specs)), max_retries=2)
-    res = runner(engine, elastic=ElasticRecovery(policy=policy))
+    res = drive_elastic(runner, engine, ElasticRecovery(policy=policy))
     return ref, res
 
 
@@ -179,15 +184,58 @@ class TestCascadeAndPolicies:
         assert p.choose(Grid2D(R=1, C=4), 2) == Grid2D(R=1, C=2)
 
     def test_elastic_true_and_string_specs(self):
-        # The algorithm-level `elastic=` accepts True and policy strings.
+        # The driver's `elastic` accepts True and policy strings.
         make, runner = _engines("cc")
         engine = make()
         engine.attach_checkpoints(CheckpointManager(interval=1))
         engine.attach_faults(
             FaultPlan([FaultSpec("crash", 2, rank=5)]), max_retries=2
         )
-        res = runner(engine, elastic="keep-rows")
+        res = drive_elastic(runner, engine, "keep-rows")
         assert res.extra["elastic"]["policy"] == "keep-rows"
+
+    def test_default_recovery_resumes_in_place(self):
+        # No elastic policy: the crashed rank is modeled as replaced and
+        # the run resumes on the same grid, bit-identical and uncharged.
+        make, runner = _engines("cc")
+        ref_engine = make()
+        ref_engine.attach_checkpoints(CheckpointManager(interval=1))
+        ref = runner(ref_engine)
+        engine = make()
+        engine.attach_checkpoints(CheckpointManager(interval=1))
+        engine.attach_faults(
+            FaultPlan([FaultSpec("crash", 2, rank=5)]), max_retries=2
+        )
+        res = drive_elastic(runner, engine)
+        info = res.extra["elastic"]
+        assert info["engine"] is engine
+        assert (info["policy"], info["resumes"], info["regrids"]) == (
+            "in-place",
+            1,
+            0,
+        )
+        assert np.array_equal(ref.values, res.values)
+        assert np.array_equal(ref_engine.clocks.clock, engine.clocks.clock)
+        assert res.timings.regrid == 0.0
+
+    def test_batched_traversals_go_through_the_same_driver(self):
+        # bfs_batch never had an `elastic=` keyword; any resume-capable
+        # call is a runner.
+        roots = [0, 3, 17]
+        g = _graph()
+        ref = algorithms.bfs_batch(Engine(g, grid=GRID), roots)
+        engine = Engine(g, grid=GRID)
+        engine.attach_checkpoints(CheckpointManager(interval=1))
+        engine.attach_faults(
+            FaultPlan([FaultSpec("crash", 2, rank=5)]), max_retries=2
+        )
+        res = drive_elastic(
+            lambda e, r: algorithms.bfs_batch(e, roots, resume=r),
+            engine,
+            "spare-pool:1",
+        )
+        assert res.extra["elastic"]["regrids"] == 1
+        assert np.array_equal(ref.values, res.values)
 
 
 class TestAccounting:
@@ -235,7 +283,7 @@ class TestUnrecoverable:
             FaultPlan([FaultSpec("crash", 2, rank=5)]), max_retries=2
         )
         with pytest.raises(ElasticUnrecoverable, match="no checkpoint"):
-            runner(engine, elastic=True)
+            drive_elastic(runner, engine, True)
 
     def test_regrid_budget_exhausted(self):
         make, runner = _engines("bfs")
@@ -248,7 +296,7 @@ class TestUnrecoverable:
             max_retries=2,
         )
         with pytest.raises(ElasticUnrecoverable, match="budget"):
-            runner(engine, elastic=ElasticRecovery(max_regrids=1))
+            drive_elastic(runner, engine, ElasticRecovery(max_regrids=1))
 
     def test_recovery_config_validated(self):
         with pytest.raises(ValueError, match="regrid_bw"):
@@ -283,7 +331,7 @@ class TestCampaign:
         def make():
             return Engine(_graph(), grid=GRID)
 
-        case = run_elastic_case(make, "CC", "crash-shrink")
+        case = run_case("elastic", make, "CC", "crash-shrink")
         assert case.status == "regridded"
         assert case.ok
         assert case.values_equal is True
@@ -295,7 +343,7 @@ class TestCampaign:
         def make():
             return Engine(_graph(), grid=GRID)
 
-        report = run_elastic_campaign(make, algos=("BFS",))
+        report = run_campaign("elastic", make, algos=("BFS",))
         assert report["schema"] == "repro.faults.elastic.v1"
         assert report["total"] == 4
         assert report["failed"] == 0
@@ -307,6 +355,20 @@ class TestCampaign:
             return Engine(_graph(), grid=GRID)
 
         with pytest.raises(ValueError, match="unknown algorithm"):
-            run_elastic_case(make, "NOPE", "crash-shrink")
+            run_case("elastic", make, "NOPE", "crash-shrink")
         with pytest.raises(ValueError, match="unknown elastic scenario"):
-            run_elastic_case(make, "BFS", "nope")
+            run_case("elastic", make, "BFS", "nope")
+
+    def test_unrecovered_case_is_graded_not_raised(self):
+        # No checkpoint before the crash (interval beyond the run): the
+        # case ends "unrecovered" and still tells the whole story.
+        def make():
+            return Engine(_graph(), grid=GRID)
+
+        case = run_case(
+            "elastic", make, "BFS", "crash-shrink", checkpoint_interval=50
+        )
+        assert case.status == "unrecovered" and not case.ok
+        assert "no checkpoint" in case.error
+        assert case.grid_trail == [(4, 3)]
+        assert [e["kind"] for e in case.fault_events] == ["crash"]

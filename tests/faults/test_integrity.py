@@ -26,7 +26,7 @@ from repro import Engine, algorithms
 from repro.cli import main
 from repro.exec import SerialExecutor, ThreadedExecutor
 from repro.faults import (
-    SDC_SCENARIOS,
+    CAMPAIGNS,
     CheckpointManager,
     FaultPlan,
     FaultSpec,
@@ -38,8 +38,8 @@ from repro.faults import (
     certify_cc,
     certify_pagerank,
     certify_sssp,
-    run_sdc_campaign,
-    run_sdc_case,
+    run_campaign,
+    run_case,
 )
 from repro.graph import rmat
 
@@ -402,25 +402,37 @@ class TestCertifiers:
         with pytest.raises(IntegrityFailure, match="residual|non-negative"):
             certify_pagerank(engine, bad)
 
-    def test_certify_flag_on_algorithms(self):
+    def test_certifying_a_run_charges_the_certify_lane(self):
+        """Certification wraps the algorithm from outside: the run
+        itself charges nothing to the lane, the certifier does."""
         engine = mk()
-        res = algorithms.pagerank(engine, iterations=5, certify=True)
-        cert = res.extra["certification"]
+        res = algorithms.pagerank(engine, iterations=5)
+        assert res.timings.certify == 0.0
+        cert = certify_pagerank(engine, res.values).as_dict()
         assert cert["ok"] is True and cert["algo"] == "pagerank"
         # The certifier charge is visible in the timing report.
-        assert res.timings.certify > 0.0
-        assert 0.0 < res.timings.certify_fraction < 1.0
+        timings = engine.timing_report()
+        assert timings.certify == cert["seconds"] > 0.0
+        assert 0.0 < timings.certify_fraction < 1.0
+
+    def test_sdc_campaign_cases_certify_every_run(self):
+        case = run_case("sdc", mk, "CC", "memflip-single")
+        ledger_only = mk()
+        ledger_only.attach_integrity(IntegrityLedger())
+        ledger_only.attach_checkpoints(CheckpointManager(interval=1))
+        algorithms.connected_components(ledger_only)
+        assert case.certify_s > ledger_only.clocks.certify_total
 
 
 class TestSdcCases:
     def test_unknown_algo_and_scenario_rejected(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
-            run_sdc_case(mk, "WAT", "memflip-single")
-        with pytest.raises(ValueError, match="unknown SDC scenario"):
-            run_sdc_case(mk, "BFS", "meteor-strike")
+            run_case("sdc", mk, "WAT", "memflip-single")
+        with pytest.raises(ValueError, match="unknown sdc scenario"):
+            run_case("sdc", mk, "BFS", "meteor-strike")
 
     def test_expected_scenarios_present(self):
-        assert set(SDC_SCENARIOS) == {
+        assert set(CAMPAIGNS["sdc"].scenarios) == {
             "memflip-single",
             "memflip-burst",
             "memflip-double",
@@ -428,7 +440,7 @@ class TestSdcCases:
 
     @pytest.mark.parametrize("algo", ["BFS", "CC", "PR"])
     def test_single_flip_repairs_bit_identically(self, algo):
-        case = run_sdc_case(mk, algo, "memflip-single")
+        case = run_case("sdc", mk, algo, "memflip-single")
         assert case.ok, case.error
         assert case.status == "repaired"
         assert case.detected
@@ -438,11 +450,11 @@ class TestSdcCases:
         assert "memflip" in kinds and "integrity" in kinds
 
     def test_sssp_repairs_on_weighted_graph(self):
-        case = run_sdc_case(mkw, "SSSP", "memflip-single")
+        case = run_case("sdc", mkw, "SSSP", "memflip-single")
         assert case.ok, case.error
 
     def test_double_flip_needs_two_repairs(self):
-        case = run_sdc_case(mk, "PR", "memflip-double")
+        case = run_case("sdc", mk, "PR", "memflip-double")
         assert case.ok, case.error
         assert case.repairs == 2
 
@@ -455,8 +467,8 @@ class TestSdcCases:
                 for s in (2, 3, 4, 5)
             ]
         )
-        case = run_sdc_case(
-            mk, "PR", "custom", plan=plan, repair_budget=1
+        case = run_case(
+            "sdc", mk, "PR", "custom", plan=plan, repair_budget=1
         )
         assert case.status == "unrepaired"
         assert case.detected  # loud failure, not silent corruption
@@ -467,8 +479,8 @@ class TestSdcCases:
 class TestSdcCampaign:
     @pytest.mark.parametrize("mode", sorted(MODES))
     def test_full_campaign_green_on_both_executors(self, mode):
-        report = run_sdc_campaign(
-            lambda: mk(mode), make_weighted_engine=lambda: mkw(mode)
+        report = run_campaign(
+            "sdc", lambda: mk(mode), make_weighted_engine=lambda: mkw(mode)
         )
         assert report["schema"] == "repro.faults.sdc.v1"
         assert report["total"] == 12  # 3 scenarios x BFS/CC/PR/SSSP
@@ -480,8 +492,8 @@ class TestSdcCampaign:
         assert report["repairs"] == 16
 
     def test_weighted_algos_skip_loudly_without_weighted_factory(self):
-        report = run_sdc_campaign(
-            mk, algos=("BFS", "SSSP"), scenarios=("memflip-single",)
+        report = run_campaign(
+            "sdc", mk, algos=("BFS", "SSSP"), scenarios=("memflip-single",)
         )
         assert report["total"] == 1
         assert report["skipped"] == [

@@ -198,7 +198,10 @@ class TestAcceptanceMatrix:
     def test_crash_recover_bit_identical(self, algo, executor):
         g = rmat(7, seed=3)
         case = run_case(
-            lambda: Engine(g, 4, executor=executor), algo, "crash-recover"
+            "campaign",
+            lambda: Engine(g, 4, executor=executor),
+            algo,
+            "crash-recover",
         )
         assert case.status == "recovered"
         assert case.values_equal is True

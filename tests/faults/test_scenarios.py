@@ -19,14 +19,14 @@ def mk():
 class TestRunCase:
     def test_unknown_algo_rejected(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
-            run_case(mk, "WAT", "crash-recover")
+            run_case("campaign", mk, "WAT", "crash-recover")
 
     def test_unknown_scenario_rejected(self):
-        with pytest.raises(ValueError, match="unknown scenario"):
-            run_case(mk, "BFS", "meteor-strike")
+        with pytest.raises(ValueError, match="unknown campaign scenario"):
+            run_case("campaign", mk, "BFS", "meteor-strike")
 
     def test_transient_completes_with_equal_values(self):
-        case = run_case(mk, "PR", "transient-retry")
+        case = run_case("campaign", mk, "PR", "transient-retry")
         assert case.status == "completed"
         assert case.values_equal is True
         assert case.counters_equal is True
@@ -34,21 +34,21 @@ class TestRunCase:
         assert case.ok
 
     def test_crash_unrecovered_is_a_failing_grade(self):
-        case = run_case(mk, "BFS", "crash-unrecovered")
+        case = run_case("campaign", mk, "BFS", "crash-unrecovered")
         assert case.status == "unrecovered"
         assert not case.ok
         assert "crash failure" in case.error
 
     def test_custom_plan_overrides_scenario_table(self):
         plan = FaultPlan([FaultSpec("straggler", 1, rank=0, delay_s=1e-4)])
-        case = run_case(mk, "CC", "custom", plan=plan)
+        case = run_case("campaign", mk, "CC", "custom", plan=plan)
         assert case.status == "completed" and case.ok
         assert case.fault_events[0]["kind"] == "straggler"
 
 
 class TestRunCampaign:
     def test_default_campaign_report_shape(self):
-        report = run_campaign(mk, algos=("BFS", "PR"))
+        report = run_campaign("campaign", mk, algos=("BFS", "PR"))
         assert report["schema"] == "repro.faults.campaign.v1"
         assert report["total"] == 8  # 4 default scenarios x 2 algos
         assert report["failed"] == 0
@@ -59,7 +59,7 @@ class TestRunCampaign:
 
     def test_campaign_counts_unrecovered(self):
         report = run_campaign(
-            mk, algos=("BFS",), scenarios=("crash-unrecovered",)
+            "campaign", mk, algos=("BFS",), scenarios=("crash-unrecovered",)
         )
         assert report["failed"] == 1
         assert report["unrecovered"] == 1
