@@ -27,7 +27,7 @@ import numpy as np
 
 from ..core.engine import Engine
 from ..core.result import AlgorithmResult, TimingReport
-from ..kernels import scatter_reduce
+from ..kernels import scatter_reduce, unique_bounded
 from ..patterns.dense import dense_pull
 from ..patterns.sparse import sparse_push
 from .pagerank import compute_global_degrees
@@ -39,6 +39,7 @@ ALPHA = 15.0
 BETA = 18.0
 
 INF = np.inf
+_NO_LIDS = np.empty(0, dtype=np.int64)
 
 
 def bfs(
@@ -59,7 +60,7 @@ def bfs(
     when there is none); recovery drivers and result certification
     wrap this call from outside — see ``docs/ROBUSTNESS.md``.
     """
-    part, grid = engine.partition, engine.grid
+    part, grid, fleet = engine.partition, engine.grid, engine.fleet
     n = part.n_vertices
     if not 0 <= root < n:
         raise ValueError(f"root {root} out of range")
@@ -151,24 +152,31 @@ def bfs(
                 bottom_up = False
         direction_log.append("bottom-up" if bottom_up else "top-down")
 
+        parent = fleet.stacked("parent")
+        level = fleet.stacked("level")
         if not bottom_up:
-            # Top-down: expand the frontier, claim unvisited ghosts.
-            def top_down(ctx):
-                parent = ctx.get("parent")
-                rows = frontier[ctx.rank]
-                degs = ctx.local_degrees()[rows - ctx.localmap.row_offset]
-                engine.charge_edges(ctx.rank, degs)
-                src, dst, _ = ctx.expand(rows)
-                if dst.size == 0:
-                    return np.empty(0, dtype=np.int64)
-                unvisited = parent[dst] == INF
-                src, dst = src[unvisited], dst[unvisited]
+            # Top-down: expand the frontier, claim unvisited ghosts —
+            # every rank's frontier in one stacked pass.
+            rows, counts = fleet.stack(frontier)
+            engine.charge_edges(None, fleet.row_degrees(rows), segments=counts)
+            # Claims are judged against the state the superstep began
+            # with: a later slice of the expansion must not see an
+            # earlier slice's claim as "visited" and drop a smaller
+            # candidate for the same ghost.
+            unvisited_before = parent == INF
+            claimed = [_NO_LIDS]
+            for ranks, src, dst, _ in fleet.expand(rows):
+                unvisited = unvisited_before[dst]
+                src, dst, ranks = src[unvisited], dst[unvisited], ranks[unvisited]
                 cand_parent = part.original_gid(
-                    ctx.localmap.row_gid(src)
+                    src + fleet.row_gid_shift[ranks]
                 ).astype(np.float64)
-                return scatter_reduce(parent, dst, cand_parent, "min")
-
-            queues = engine.map_ranks(top_down)
+                claimed.append(scatter_reduce(parent, dst, cand_parent, "min"))
+            # MIN only lowers, so a ghost claimed in any slice of the
+            # expansion did change; two slices may claim the same one.
+            queues = fleet.split(
+                unique_bounded(np.concatenate(claimed), fleet.size)
+            )
             result = sparse_push(engine, "parent", queues, op="min")
         else:
             # Bottom-up: every unvisited owned vertex scans for a
@@ -180,24 +188,16 @@ def bfs(
             # regime where the paper switches to dense communications
             # (§3.3.1), and the dense slice avoids the per-pair
             # duplication a queue exchange would ship.
-            def bottom_up_scan(ctx):
-                parent = ctx.get("parent")
-                level = ctx.get("level")
-                lm = ctx.localmap
-                row_lids = ctx.row_lids()
-                unvisited_rows = row_lids[parent[row_lids] == INF]
-                degs = ctx.local_degrees()[unvisited_rows - lm.row_offset]
-                engine.charge_edges(ctx.rank, degs)
-                src, dst, _ = ctx.expand(unvisited_rows)
-                if dst.size:
-                    in_frontier = level[dst] == depth - 1
-                    src, dst = src[in_frontier], dst[in_frontier]
-                    cand_parent = part.original_gid(
-                        ctx.localmap.col_gid(dst)
-                    ).astype(np.float64)
-                    scatter_reduce(parent, src, cand_parent, "min")
-
-            engine.foreach(bottom_up_scan)
+            rows = np.flatnonzero((parent == INF) & fleet.row_mask)
+            counts = fleet.counts(rows)
+            engine.charge_edges(None, fleet.row_degrees(rows), segments=counts)
+            for ranks, src, dst, _ in fleet.expand(rows):
+                in_frontier = level[dst] == depth - 1
+                src, dst, ranks = src[in_frontier], dst[in_frontier], ranks[in_frontier]
+                cand_parent = part.original_gid(
+                    dst + fleet.col_gid_shift[ranks]
+                ).astype(np.float64)
+                scatter_reduce(parent, src, cand_parent, "min")
             dense_pull(engine, "parent", op="min")
             result = None
 
@@ -237,18 +237,15 @@ def bfs(
         m_frontier_prev = m_frontier
         m_frontier = 0.0
 
-        def fresh_levels(ctx):
-            parent = ctx.get("parent")
-            level = ctx.get("level")
-            fresh = np.flatnonzero((parent != INF) & (level == INF))
-            level[fresh] = depth
-            engine.charge_vertices(ctx.rank, ctx.n_total)
-            if result is not None:
-                return np.asarray(result.active_row[ctx.rank], dtype=np.int64)
-            rs = ctx.row_slice
-            return fresh[(fresh >= rs.start) & (fresh < rs.stop)]
-
-        new_frontier = engine.map_ranks(fresh_levels)
+        fresh = np.flatnonzero((parent != INF) & (level == INF))
+        level[fresh] = depth
+        engine.charge_vertices(None, fleet.n_total)
+        if result is not None:
+            new_frontier = [
+                np.asarray(rows, dtype=np.int64) for rows in result.active_row
+            ]
+        else:
+            new_frontier = fleet.split(fresh[fleet.row_mask[fresh]])
         if flags_handle is not None:
             engine.comm.wait(flags_handle)
         for id_r, ranks in engine.row_groups():

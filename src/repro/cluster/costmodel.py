@@ -25,6 +25,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .config import GPUSpec
 from .topology import GroupProfile, Topology
 
@@ -142,12 +144,21 @@ class CostModel:
             warp divergence from per-vertex thread assignment.
         launches:
             Number of kernel launches charged.
+
+        ``n_vertices``, ``n_edges`` and ``balance`` may be arrays with
+        one entry per rank (the rank-fused supersteps charge a whole
+        fleet at once); every entry then goes through exactly the
+        scalar expression, so the result equals per-rank calls bit for
+        bit.
         """
-        if balance <= 0.0 or balance > 1.0:
+        if isinstance(balance, np.ndarray):
+            if np.any((balance <= 0.0) | (balance > 1.0)):
+                raise ValueError(f"balance must be in (0, 1], got {balance}")
+        elif balance <= 0.0 or balance > 1.0:
             raise ValueError(f"balance must be in (0, 1], got {balance}")
         t = launches * self.gpu.kernel_launch_s
-        t += n_vertices / self.gpu.vertex_rate
-        t += (n_edges * work_per_edge) / (self.gpu.edge_rate * balance)
+        t = t + n_vertices / self.gpu.vertex_rate
+        t = t + (n_edges * work_per_edge) / (self.gpu.edge_rate * balance)
         return t
 
     def spmv_time(self, n_edges: int, n_vertices: int = 0) -> float:

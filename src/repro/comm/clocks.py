@@ -118,6 +118,20 @@ class VirtualClocks:
         self.clock[rank] += seconds
         self.compute[rank] += seconds
 
+    def add_compute_all(self, seconds: np.ndarray) -> None:
+        """:meth:`add_compute` for every rank at once: ``seconds[r]`` of
+        local kernel time on rank ``r`` (the same two float adds per
+        rank, as one vector update)."""
+        if seconds.shape != self.clock.shape:
+            raise ValueError(
+                f"need one compute time per rank ({self.n_ranks}), "
+                f"got shape {seconds.shape}"
+            )
+        if np.any(seconds < 0):
+            raise ValueError(f"negative compute time in {seconds}")
+        self.clock += seconds
+        self.compute += seconds
+
     def sync_group(self, ranks: Sequence[int], seconds: float) -> None:
         """Synchronize a group and charge a collective of ``seconds``.
 

@@ -22,11 +22,22 @@ __all__ = ["RankContext"]
 
 
 class RankContext:
-    """One rank's local world."""
+    """One rank's local world.
 
-    def __init__(self, block: RankBlock, device: VirtualGPU):
+    State arrays of the standard ``N_T`` length are slices of the
+    ``fleet``'s rank-stacked buffers — see :mod:`repro.core.fleet`.
+    """
+
+    def __init__(self, block: RankBlock, device: VirtualGPU, fleet):
         self.block = block
         self.device = device
+        self.fleet = fleet
+        # identity / geometry shortcuts
+        self.rank: int = block.rank
+        self.n_total: int = block.n_total
+        self.localmap = block.localmap
+        self.row_slice: slice = block.localmap.row_slice
+        self.col_slice: slice = block.localmap.col_slice
         self.arrays: dict[str, np.ndarray] = {}
         self._local_degrees: Optional[np.ndarray] = None
         self._expand_all_cache = None
@@ -37,29 +48,6 @@ class RankContext:
         device.charge("graph.indices", block.indices.nbytes)
         if block.weights is not None:
             device.charge("graph.weights", block.weights.nbytes)
-
-    # ------------------------------------------------------------------
-    # identity / geometry shortcuts
-    # ------------------------------------------------------------------
-    @property
-    def rank(self) -> int:
-        return self.block.rank
-
-    @property
-    def localmap(self):
-        return self.block.localmap
-
-    @property
-    def n_total(self) -> int:
-        return self.block.n_total
-
-    @property
-    def row_slice(self) -> slice:
-        return self.block.localmap.row_slice
-
-    @property
-    def col_slice(self) -> slice:
-        return self.block.localmap.col_slice
 
     def local_degrees(self) -> np.ndarray:
         """Local degree of each row vertex (cached)."""
@@ -111,7 +99,11 @@ class RankContext:
             return arr
         if name in self.arrays:
             self.free(name)
-        arr = np.full(shape, fill, dtype=dtype)
+        if n == self.n_total:
+            arr = self.fleet.alloc(self.rank, name, dtype, width)
+            arr[...] = fill
+        else:
+            arr = np.full(shape, fill, dtype=dtype)
         self.device.charge(f"state.{name}", arr.nbytes)
         self.arrays[name] = arr
         return arr
@@ -124,7 +116,10 @@ class RankContext:
         patterns under a state name for a few supersteps.  The array is
         charged against the device ledger like any allocation; call
         :meth:`free` to unregister it (the memory itself stays with the
-        caller, who returns it to its pool).
+        caller, who returns it to its pool).  An adopted array is not
+        a slice of the fleet's stacked buffer: a rank-fused pass over
+        this state (``sparse_push``, ``bfs``) re-stacks it into one,
+        with a warning, and the caller's array is detached from then on.
         """
         if name in self.arrays:
             self.free(name)
@@ -142,9 +137,10 @@ class RankContext:
             ) from None
 
     def free(self, name: str) -> None:
-        if name in self.arrays:
-            del self.arrays[name]
+        arr = self.arrays.pop(name, None)
+        if arr is not None:
             self.device.release(f"state.{name}")
+            self.fleet.release(self.rank, name, arr)
 
     def has(self, name: str) -> bool:
         return name in self.arrays

@@ -41,6 +41,7 @@ from ..graph.csr import Graph
 from ..graph.partition.twod import TwoDPartition, partition_2d
 from ..queueing.manhattan import manhattan_schedule, vertex_per_thread_balance
 from .context import RankContext
+from .fleet import Fleet
 from .hooks import BOUNDARY_PHASES, Boundary, BoundaryHook
 from .result import TimingReport
 
@@ -194,6 +195,8 @@ class Engine:
         # Precomputed eagerly (the cluster and grid are immutable) so a
         # concurrent first call cannot race a half-built memo.
         self._stage_sharing = self._compute_stage_sharing()
+        #: The rank-stacked view the fused supersteps run on.
+        self.fleet = Fleet(self.partition)
         self.contexts: list[RankContext] = [
             RankContext(
                 block,
@@ -203,9 +206,13 @@ class Engine:
                     scale_factor=memory_scale,
                     enforce=enforce_memory,
                 ),
+                self.fleet,
             )
             for block in self.partition.blocks
         ]
+        self.fleet.contexts = self.contexts
+        self._row_groups = [grid.row_group_ranks(i) for i in range(grid.C)]
+        self._col_groups = [grid.col_group_ranks(i) for i in range(grid.R)]
 
     # ------------------------------------------------------------------
     # rank / group access
@@ -222,13 +229,11 @@ class Engine:
 
     def row_groups(self) -> Iterator[tuple[int, list[int]]]:
         """Yield ``(ID_R, ranks)`` for every row group."""
-        for id_r in range(self.grid.C):
-            yield id_r, self.grid.row_group_ranks(id_r)
+        return enumerate(self._row_groups)
 
     def col_groups(self) -> Iterator[tuple[int, list[int]]]:
         """Yield ``(ID_C, ranks)`` for every column group."""
-        for id_c in range(self.grid.R):
-            yield id_c, self.grid.col_group_ranks(id_c)
+        return enumerate(self._col_groups)
 
     # ------------------------------------------------------------------
     # rank execution (see repro.exec)
@@ -349,7 +354,11 @@ class Engine:
     # kernel charging
     # ------------------------------------------------------------------
     def schedule_stats(
-        self, queue_degrees: np.ndarray, cache_key: Optional[str] = None, rank: int = -1
+        self,
+        queue_degrees: np.ndarray,
+        cache_key: Optional[str] = None,
+        rank: int = -1,
+        segments: Optional[np.ndarray] = None,
     ):
         """Run the configured schedule model over a queue's degrees.
 
@@ -360,28 +369,38 @@ class Engine:
         array skip the recomputation entirely.  The caller guarantees
         the degrees for a given key never change (local degrees are
         fixed by the partition).
+
+        With ``segments`` (per-rank queue lengths), ``queue_degrees``
+        is the rank-major concatenation of every rank's queue and the
+        stats carry one array entry per rank, from one segmented pass.
         """
         if cache_key is not None:
             key = self._schedule_scope + (rank, cache_key)
             stats = self._schedule_cache.get(key)
             if stats is not None:
                 return stats
-        if self.load_balance == "manhattan":
-            stats = manhattan_schedule(queue_degrees)
+        schedule = (
+            manhattan_schedule
+            if self.load_balance == "manhattan"
+            else vertex_per_thread_balance
+        )
+        if segments is None:
+            stats = schedule(queue_degrees)
         else:
-            stats = vertex_per_thread_balance(queue_degrees)
+            stats = schedule(queue_degrees, segments=segments)
         if cache_key is not None:
             self._schedule_cache[key] = stats
         return stats
 
     def charge_edges(
         self,
-        rank: int,
+        rank: Optional[int],
         queue_degrees: np.ndarray,
         work_per_edge: float = 1.0,
         extra_vertices: int = 0,
         launches: int = 1,
         cache_key: Optional[str] = None,
+        segments: Optional[np.ndarray] = None,
     ) -> None:
         """Charge an edge-expansion kernel over a vertex queue.
 
@@ -389,23 +408,50 @@ class Engine:
         model (Manhattan collapse vs. naive vertex-per-thread); pass
         ``cache_key`` when the queue is a static full-queue expansion
         (see :meth:`schedule_stats`).
+
+        ``rank=None`` charges every rank at once: ``queue_degrees`` is
+        the rank-major concatenation of the per-rank queues and
+        ``segments`` their lengths.  Each rank is charged exactly what
+        its own call would charge (an empty queue still pays its
+        launch).
         """
-        stats = self.schedule_stats(queue_degrees, cache_key=cache_key, rank=rank)
+        if rank is None:
+            if segments is None:
+                raise ValueError("charging every rank at once needs `segments`")
+            stats = self.schedule_stats(
+                queue_degrees, cache_key=cache_key, segments=segments
+            )
+            n_queue = np.asarray(segments, dtype=np.int64)
+        else:
+            stats = self.schedule_stats(queue_degrees, cache_key=cache_key, rank=rank)
+            n_queue = len(queue_degrees)
         t = self.costmodel.kernel_time(
-            n_vertices=len(queue_degrees) + extra_vertices,
+            n_vertices=n_queue + extra_vertices,
             n_edges=stats.total_edges,
             work_per_edge=work_per_edge,
             balance=stats.balance,
             launches=launches,
         )
-        self.clocks.add_compute(rank, t)
+        self._add_compute(rank, t)
 
-    def charge_vertices(self, rank: int, n_vertices: int, launches: int = 1) -> None:
-        """Charge a per-vertex kernel (queue builds, initialization)."""
+    def charge_vertices(
+        self, rank: Optional[int], n_vertices, launches: int = 1
+    ) -> None:
+        """Charge a per-vertex kernel (queue builds, initialization).
+
+        ``rank=None`` charges every rank at once, ``n_vertices[r]``
+        vertices on rank ``r``.
+        """
         t = self.costmodel.kernel_time(
             n_vertices=n_vertices, launches=launches
         )
-        self.clocks.add_compute(rank, t)
+        self._add_compute(rank, t)
+
+    def _add_compute(self, rank: Optional[int], seconds) -> None:
+        if rank is None:
+            self.clocks.add_compute_all(seconds)
+        else:
+            self.clocks.add_compute(rank, seconds)
 
     # ------------------------------------------------------------------
     # robustness: superstep-boundary hooks (repro.core.hooks, repro.faults)

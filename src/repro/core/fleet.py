@@ -1,0 +1,307 @@
+"""Rank-stacked view of an engine: every rank's state, geometry and
+CSR block as single arrays.
+
+At hundreds of ranks the blocks are tiny, and a superstep written as
+``p`` per-rank closures spends its time on NumPy call overhead, not on
+work.  A :class:`Fleet` lets such a step run as *one* vectorized pass
+over all ranks:
+
+* **state arena** — every named state array is one contiguous buffer
+  (rank ``r`` owns ``buffer[base[r]:base[r + 1]]``) and the per-rank
+  arrays in ``ctx.arrays`` are exactly those slices, so checkpoints,
+  the integrity ledger, fault injection, ``gather`` and ``restore``
+  keep seeing ordinary per-rank arrays;
+* **stacked LIDs** — a local ID ``lid`` of rank ``r`` is addressed as
+  ``base[r] + lid``; per-rank queues are concatenated rank-major
+  (:meth:`stack`) and results are cut back with one ``searchsorted``
+  (:meth:`split`);
+* **stacked CSR** — the partition's blocks are slices of one
+  concatenated CSR, so :meth:`expand` walks any set of rows of any
+  ranks through the ordinary
+  :func:`~repro.queueing.frontier.expand_block`.
+
+A step may be fused only if its per-rank closure touched nothing but
+its own rank's state and clock lane (the :meth:`Engine.map_ranks
+<repro.core.engine.Engine.map_ranks>` contract): ranks own disjoint
+stacked LIDs, so one pass over all of them performs, per rank, the
+same operations in the same order.  See ``docs/PERF.md``.
+"""
+
+from __future__ import annotations
+
+import threading
+import warnings
+from dataclasses import dataclass
+from operator import is_
+from typing import Iterator, Optional, Sequence
+
+import numpy as np
+
+from ..graph.localmap import LocalMap
+from ..graph.partition.twod import RankBlock, TwoDPartition
+from ..queueing.frontier import expand_block
+
+__all__ = ["EXPAND_EDGE_BUDGET", "Fleet"]
+
+#: Most edges one :meth:`Fleet.expand` slice materializes.  A whole-fleet
+#: expansion (bottom-up BFS scans every unvisited row of every rank)
+#: would otherwise allocate graph-sized temporaries where the per-rank
+#: closures it replaces held one block's worth at a time.
+EXPAND_EDGE_BUDGET = 1 << 15
+
+
+@dataclass
+class _Stacked:
+    """One named state: the stacked buffer, the per-rank slices handed
+    out (``None`` where the rank freed it), and how many are out."""
+
+    buffer: np.ndarray
+    views: list
+    live: int = 0
+
+
+class Fleet:
+    """All ranks of one partition, stacked (see module docstring)."""
+
+    def __init__(self, partition: TwoDPartition):
+        self.partition = partition
+        maps = [blk.localmap for blk in partition.blocks]
+        self.n_ranks = len(maps)
+
+        def column(attr: str) -> np.ndarray:
+            return np.array([getattr(lm, attr) for lm in maps], dtype=np.int64)
+
+        #: ``N_T`` of every rank, and where its LID space starts in a
+        #: stacked array (``base[-1]`` is the stacked length).
+        self.n_total = column("n_total")
+        self.base = np.zeros(self.n_ranks + 1, dtype=np.int64)
+        np.cumsum(self.n_total, out=self.base[1:])
+        self.size = int(self.base[-1])
+        self.row_start = column("row_start")
+        self.row_stop = column("row_stop")
+        self.col_start = column("col_start")
+        self.col_stop = column("col_stop")
+        #: Add to a stacked row-window (column-window) LID of rank
+        #: ``r`` to get its relabeled GID; subtract to go back.
+        self.row_gid_shift = self.row_start - column("row_offset") - self.base[:-1]
+        self.col_gid_shift = self.col_start - column("col_offset") - self.base[:-1]
+        self._rank_ids = np.arange(self.n_ranks, dtype=np.int64)
+        #: The engine's rank contexts (set by the engine once built).
+        self.contexts: Sequence = ()
+        self._arena: dict[str, _Stacked] = {}
+        # ``ctx.alloc`` may run inside concurrent per-rank closures.
+        self._lock = threading.Lock()
+        self._row_mask: Optional[np.ndarray] = None
+        self._block: Optional[RankBlock] = None
+
+    # ------------------------------------------------------------------
+    # state arena
+    # ------------------------------------------------------------------
+    def alloc(self, rank: int, name: str, dtype, width: Optional[int]) -> np.ndarray:
+        """Rank ``rank``'s (uninitialized) slice of the stacked buffer
+        for ``name``, creating the buffer on first use.
+
+        A buffer of another dtype or lane width under the same name is
+        superseded; ranks still holding slices of it are re-stacked,
+        loudly, by the next :meth:`stacked` unless they re-allocate too.
+        """
+        dtype = np.dtype(dtype)
+        tail = () if width is None else (int(width),)
+        with self._lock:
+            entry = self._arena.get(name)
+            if (
+                entry is None
+                or entry.buffer.dtype != dtype
+                or entry.buffer.shape[1:] != tail
+            ):
+                entry = self._arena[name] = _Stacked(
+                    np.empty((self.size,) + tail, dtype=dtype),
+                    [None] * self.n_ranks,
+                )
+            if entry.views[rank] is None:
+                entry.live += 1
+            view = entry.buffer[self.base[rank] : self.base[rank + 1]]
+            entry.views[rank] = view
+        return view
+
+    def release(self, rank: int, name: str, arr: np.ndarray) -> None:
+        """Rank ``rank`` freed ``arr``; the buffer goes with its last
+        slice."""
+        with self._lock:
+            entry = self._arena.get(name)
+            if entry is not None and entry.views[rank] is arr:
+                entry.views[rank] = None
+                entry.live -= 1
+                if entry.live == 0:
+                    del self._arena[name]
+
+    def stacked(self, name: str) -> np.ndarray:
+        """The stacked buffer of state ``name``: writing it writes every
+        rank's ``ctx.arrays[name]``.
+
+        Verified on every call — each rank's registered array must be
+        the very slice handed out.  Arrays that got there another way
+        (:meth:`~repro.core.context.RankContext.adopt`, direct
+        assignment, a re-allocation on some ranks only) are copied into
+        a fresh stacked buffer and rebound, with a ``RuntimeWarning``;
+        a state that is missing on a rank or not ``N_T`` long raises.
+        """
+        entry = self._arena.get(name)
+        if (
+            entry is not None
+            and entry.live == self.n_ranks
+            and all(
+                map(is_, (ctx.arrays.get(name) for ctx in self.contexts), entry.views)
+            )
+        ):
+            return entry.buffer
+        return self._restack(name)
+
+    def _restack(self, name: str) -> np.ndarray:
+        arrays = [ctx.arrays.get(name) for ctx in self.contexts]
+        missing = [r for r, arr in enumerate(arrays) if arr is None]
+        if missing:
+            known = sorted({n for ctx in self.contexts for n in ctx.arrays})
+            raise KeyError(
+                f"no state array named {name!r} on rank(s) {missing[:8]}"
+                f"{'...' if len(missing) > 8 else ''}; allocated states: {known}"
+            )
+        dtype, tail = arrays[0].dtype, arrays[0].shape[1:]
+        for rank, arr in enumerate(arrays):
+            if arr.dtype != dtype or arr.shape != (int(self.n_total[rank]),) + tail:
+                raise ValueError(
+                    f"state {name!r} cannot be stacked: rank {rank} holds "
+                    f"shape {arr.shape} dtype {arr.dtype}, expected "
+                    f"({int(self.n_total[rank])},{'' if not tail else ' ...'}) "
+                    f"of {dtype} like rank 0"
+                )
+        warnings.warn(
+            f"state {name!r} is not a slice of one stacked buffer on every "
+            f"rank (adopted, assigned directly, or re-allocated on some "
+            f"ranks only); re-stacking it — arrays registered before are "
+            f"detached",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        with self._lock:
+            self._arena.pop(name, None)
+        for rank, (ctx, arr) in enumerate(zip(self.contexts, arrays)):
+            view = self.alloc(rank, name, dtype, tail[0] if tail else None)
+            view[...] = arr
+            ctx.arrays[name] = view
+        return self._arena[name].buffer
+
+    # ------------------------------------------------------------------
+    # stacked queues
+    # ------------------------------------------------------------------
+    def ranks(self, counts: np.ndarray) -> np.ndarray:
+        """Owning rank of every entry of a rank-major queue holding
+        ``counts[r]`` entries of rank ``r``."""
+        return np.repeat(self._rank_ids, counts)
+
+    def rank_of(self, lids: np.ndarray) -> np.ndarray:
+        """Owning rank of each stacked LID (any order)."""
+        return np.searchsorted(self.base, lids, side="right") - 1
+
+    def stack(self, per_rank: Sequence) -> tuple[np.ndarray, np.ndarray]:
+        """Concatenate per-rank LID queues rank-major into stacked LIDs;
+        returns ``(lids, counts)``."""
+        counts = np.fromiter(
+            (len(q) for q in per_rank), dtype=np.int64, count=self.n_ranks
+        )
+        lids = np.concatenate(per_rank).astype(np.int64, copy=False)
+        return lids + np.repeat(self.base[:-1], counts), counts
+
+    def counts(self, lids: np.ndarray) -> np.ndarray:
+        """Entries per rank of rank-major stacked ``lids``."""
+        return np.diff(np.searchsorted(lids, self.base))
+
+    def split(self, lids: np.ndarray) -> list[np.ndarray]:
+        """Cut rank-major stacked ``lids`` into per-rank *local* LID
+        arrays (views of one array)."""
+        cuts = np.searchsorted(lids, self.base)
+        local = lids - np.repeat(self.base[:-1], np.diff(cuts))
+        cuts = cuts.tolist()
+        return [local[cuts[r] : cuts[r + 1]] for r in range(self.n_ranks)]
+
+    @property
+    def row_mask(self) -> np.ndarray:
+        """Boolean over stacked LIDs: is it in its rank's row window?"""
+        if self._row_mask is None:
+            mask = np.zeros(self.size, dtype=bool)
+            for blk, lo in zip(self.partition.blocks, self.base.tolist()):
+                first = lo + blk.localmap.row_offset
+                mask[first : first + blk.localmap.n_row] = True
+            self._row_mask = mask
+        return self._row_mask
+
+    # ------------------------------------------------------------------
+    # stacked CSR
+    # ------------------------------------------------------------------
+    def _stacked_block(self) -> RankBlock:
+        """The whole fleet as one block for ``expand_block``: rows are
+        stacked LIDs (LIDs outside a row window have no edges) over the
+        partition's concatenated ``indices``/``weights``.  Adjacency
+        entries stay the owning rank's *local* column LIDs —
+        :meth:`expand` rebases them.  Built on first use: one row
+        pointer per stacked LID (half a state array while edge counts
+        fit 32 bits), nothing edge-sized."""
+        if self._block is None:
+            part = self.partition
+            degrees = np.diff(part.indptr)
+            # drop the pseudo-rows between one rank's last pointer and
+            # the next rank's first
+            keep = np.ones(degrees.size, dtype=bool)
+            keep[part.ptr_offsets[1:-1] - 1] = False
+            indptr = np.zeros(
+                self.size + 1,
+                dtype=np.int32 if part.n_edges <= np.iinfo(np.int32).max else np.int64,
+            )
+            indptr[1:][self.row_mask] = degrees[keep]
+            np.cumsum(indptr, out=indptr)
+            self._block = RankBlock(
+                rank=-1,
+                id_r=-1,
+                id_c=-1,
+                localmap=LocalMap(0, self.size, 0, self.size),
+                indptr=indptr,
+                indices=part.indices,
+                weights=part.weights,
+            )
+        return self._block
+
+    def row_degrees(self, rows: np.ndarray) -> np.ndarray:
+        """Local degree of each stacked row LID."""
+        indptr = self._stacked_block().indptr
+        return indptr[rows + 1] - indptr[rows]
+
+    def expand(
+        self, rows: np.ndarray
+    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]]:
+        """Expand a rank-major queue of stacked row LIDs into its edges.
+
+        Yields ``(ranks, src, dst, weights)`` slices: per edge the
+        owning rank and both endpoints as stacked LIDs, in queue order —
+        so each rank's edges appear in the order its own ``ctx.expand``
+        would produce them.  A slice holds at most
+        :data:`EXPAND_EDGE_BUDGET` edges (a single row above the budget
+        travels alone) of at most as many rows, so temporaries stay
+        bounded whatever the queue.
+        """
+        block = self._stacked_block()
+        for first in range(0, rows.size, EXPAND_EDGE_BUDGET):
+            piece = rows[first : first + EXPAND_EDGE_BUDGET]
+            degrees = self.row_degrees(piece)
+            ends = np.cumsum(degrees)
+            owner = self.rank_of(piece)
+            lo, done = 0, 0
+            while lo < piece.size:
+                hi = max(
+                    lo + 1,
+                    int(np.searchsorted(ends, done + EXPAND_EDGE_BUDGET, side="right")),
+                )
+                src, dst, weights = expand_block(block, piece[lo:hi])
+                ranks = np.repeat(owner[lo:hi], degrees[lo:hi])
+                dst += self.base[ranks]
+                yield ranks, src, dst, weights
+                lo, done = hi, int(ends[hi - 1])

@@ -140,14 +140,24 @@ class ThreadedExecutor(RankExecutor):
         return [f.result() for f in futures]
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        """Stop the workers and join them (idempotent)."""
+        self._shutdown(wait=True)
 
-    def __del__(self):  # pragma: no cover - interpreter teardown
+    def _shutdown(self, wait: bool) -> None:
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=wait)
+
+    def __del__(self):
+        # Never join from a finalizer.  The cyclic GC runs it on
+        # whichever thread happens to allocate — one of this pool's own
+        # workers, or a thread that is still starting and holds the
+        # interpreter's thread-registry lock the workers need in order
+        # to exit — and the join then never returns.  Waking the
+        # workers is enough: they exit on their own.
         try:
-            self.close()
-        except Exception:
+            self._shutdown(wait=False)
+        except Exception:  # interpreter teardown: attributes may be gone
             pass
 
 

@@ -26,7 +26,7 @@ or ``C_offset_C``) and length — regardless of row/column overlap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,63 +38,58 @@ class LocalMap:
     """Arithmetic GID<->LID mapping for one rank's row/column ranges.
 
     Parameters are global-ID ranges: rows ``[row_start, row_stop)`` and
-    columns ``[col_start, col_stop)``.
+    columns ``[col_start, col_stop)``.  The Table 1 quantities below
+    are derived once at construction (the map is immutable and the hot
+    loops read them hundreds of thousands of times per run).
     """
 
     row_start: int
     row_stop: int
     col_start: int
     col_stop: int
+    #: ``N_R``: vertices in the rank's row group.
+    n_row: int = field(init=False, repr=False, compare=False)
+    #: ``N_C``: vertices in the rank's column group.
+    n_col: int = field(init=False, repr=False, compare=False)
+    #: The mapping ``Type`` (0, 1 or 2; see module docstring).
+    type: int = field(init=False, repr=False, compare=False)
+    #: ``C_offset_R``: first local ID of the row vertices.
+    row_offset: int = field(init=False, repr=False, compare=False)
+    #: ``C_offset_C``: first local ID of the column vertices.
+    col_offset: int = field(init=False, repr=False, compare=False)
+    #: ``N_T``: unique row+column vertices (size of the LID space).
+    n_total: int = field(init=False, repr=False, compare=False)
+    #: LID slice of the row vertices in a state array.
+    row_slice: slice = field(init=False, repr=False, compare=False)
+    #: LID slice of the column vertices in a state array.
+    col_slice: slice = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.row_stop < self.row_start or self.col_stop < self.col_start:
+        rs, re_, cs, ce = self.row_start, self.row_stop, self.col_start, self.col_stop
+        if re_ < rs or ce < cs:
             raise ValueError("ranges must be non-decreasing")
-
-    # ------------------------------------------------------------------
-    # Table 1 quantities
-    # ------------------------------------------------------------------
-    @property
-    def n_row(self) -> int:
-        """``N_R``: vertices in the rank's row group."""
-        return self.row_stop - self.row_start
-
-    @property
-    def n_col(self) -> int:
-        """``N_C``: vertices in the rank's column group."""
-        return self.col_stop - self.col_start
-
-    @property
-    def type(self) -> int:
-        """The mapping ``Type`` (0, 1 or 2; see module docstring)."""
-        if self.row_stop <= self.col_start or self.col_stop <= self.row_start:
-            return 0
-        return 1 if self.row_start <= self.col_start else 2
-
-    @property
-    def row_offset(self) -> int:
-        """``C_offset_R``: first local ID of the row vertices."""
-        if self.type == 2:
-            return self.row_start - self.col_start
-        return 0
-
-    @property
-    def col_offset(self) -> int:
-        """``C_offset_C``: first local ID of the column vertices."""
-        t = self.type
-        if t == 0:
-            return self.n_row
-        if t == 1:
-            return self.col_start - self.row_start
-        return 0
-
-    @property
-    def n_total(self) -> int:
-        """``N_T``: unique row+column vertices (size of the LID space)."""
-        t = self.type
-        if t == 0:
-            return self.n_row + self.n_col
-        # Overlapping intervals: the union is one interval.
-        return max(self.row_stop, self.col_stop) - min(self.row_start, self.col_start)
+        n_row, n_col = re_ - rs, ce - cs
+        if re_ <= cs or ce <= rs:
+            kind, row_offset, col_offset = 0, 0, n_row
+            n_total = n_row + n_col
+        else:
+            # Overlapping intervals: the union is one interval.
+            n_total = max(re_, ce) - min(rs, cs)
+            if rs <= cs:
+                kind, row_offset, col_offset = 1, 0, cs - rs
+            else:
+                kind, row_offset, col_offset = 2, rs - cs, 0
+        for name, value in (
+            ("n_row", n_row),
+            ("n_col", n_col),
+            ("type", kind),
+            ("row_offset", row_offset),
+            ("col_offset", col_offset),
+            ("n_total", n_total),
+            ("row_slice", slice(row_offset, row_offset + n_row)),
+            ("col_slice", slice(col_offset, col_offset + n_col)),
+        ):
+            object.__setattr__(self, name, value)
 
     # ------------------------------------------------------------------
     # conversions (vectorized; accept scalars or arrays)
@@ -128,13 +123,3 @@ class LocalMap:
         """Boolean mask: is each GID in this rank's column range?"""
         gids = np.asarray(gids)
         return (gids >= self.col_start) & (gids < self.col_stop)
-
-    @property
-    def row_slice(self) -> slice:
-        """LID slice of the row vertices in a state array."""
-        return slice(self.row_offset, self.row_offset + self.n_row)
-
-    @property
-    def col_slice(self) -> slice:
-        """LID slice of the column vertices in a state array."""
-        return slice(self.col_offset, self.col_offset + self.n_col)

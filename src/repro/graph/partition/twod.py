@@ -10,6 +10,12 @@ Pipeline:
    position and whose adjacency entries are *column local IDs* per the
    rank's arithmetic :class:`~repro.graph.localmap.LocalMap`.
 
+The blocks are laid out rank after rank in **one** concatenated CSR
+(:attr:`TwoDPartition.indptr` / ``indices`` / ``weights``); a
+:class:`RankBlock`'s arrays are slices of it, so the rank-stacked
+passes of :mod:`repro.core.fleet` walk every rank's edges in one
+expansion without a second edge-sized copy.
+
 A rank's local degree of a vertex is generally *not* its true degree;
 true degrees are the sum of local degrees across the row group (paper
 §3.2), which :meth:`TwoDPartition.local_row_degrees` + a row-group
@@ -18,7 +24,7 @@ AllReduce recovers (exercised in tests).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -58,15 +64,15 @@ class RankBlock:
     indptr: np.ndarray
     indices: np.ndarray
     weights: Optional[np.ndarray] = None
+    #: ``N_T``: length of this rank's state arrays.
+    n_total: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.n_total = self.localmap.n_total
 
     @property
     def n_local_edges(self) -> int:
         return self.indices.size
-
-    @property
-    def n_total(self) -> int:
-        """``N_T``: length of this rank's state arrays."""
-        return self.localmap.n_total
 
     def local_row_degrees(self) -> np.ndarray:
         """Local degree of each row vertex (row-local order)."""
@@ -99,6 +105,15 @@ class TwoDPartition:
     col_offsets: np.ndarray  # R + 1 boundaries of block-col GID ranges
     perm: np.ndarray
     blocks: list[RankBlock]
+    #: The concatenated CSR the blocks are slices of, in rank order:
+    #: rank ``r`` holds ``indptr[ptr_offsets[r]:ptr_offsets[r + 1]]``
+    #: (its ``N_R + 1`` row pointers, counted from its own first edge)
+    #: and ``indices``/``weights[edge_offsets[r]:edge_offsets[r + 1]]``.
+    indptr: np.ndarray
+    indices: np.ndarray
+    weights: Optional[np.ndarray]
+    ptr_offsets: np.ndarray
+    edge_offsets: np.ndarray
     weighted: bool = False
     distribution: str = "striped"
 
@@ -231,6 +246,20 @@ def partition_2d(
     row_offsets = group_ranges(n, grid.C)
     col_offsets = group_ranges(n, grid.R)
 
+    # One concatenated CSR, filled block by block in rank order (ranks
+    # are numbered row-major, which is the order of this double loop);
+    # the blocks below are views of it.
+    n_ranks = grid.n_ranks
+    ptr_offsets = np.zeros(n_ranks + 1, dtype=np.int64)
+    ptr_offsets[1:] = np.cumsum(np.repeat(np.diff(row_offsets) + 1, grid.R))
+    edge_offsets = np.zeros(n_ranks + 1, dtype=np.int64)
+    indptr = np.empty(int(ptr_offsets[-1]), dtype=np.int64)
+    indices = np.empty(relabeled.n_edges, dtype=np.int64)
+    weights = (
+        np.empty(relabeled.n_edges, dtype=mat.data.dtype)
+        if graph.is_weighted
+        else None
+    )
     blocks: list[RankBlock] = []
     for id_r in range(grid.C):
         rs, re = int(row_offsets[id_r]), int(row_offsets[id_r + 1])
@@ -240,19 +269,26 @@ def partition_2d(
             block = slab[:, cs:ce].tocsr()
             block.sort_indices()
             lm = LocalMap(row_start=rs, row_stop=re, col_start=cs, col_stop=ce)
-            indices = block.indices.astype(np.int64) + lm.col_offset
+            rank = grid.rank_of(id_r, id_c)
+            e0 = int(edge_offsets[rank])
+            e1 = e0 + block.indices.size
+            edge_offsets[rank + 1] = e1
+            ptr = slice(int(ptr_offsets[rank]), int(ptr_offsets[rank + 1]))
+            indptr[ptr] = block.indptr
+            np.add(block.indices, lm.col_offset, out=indices[e0:e1])
+            if weights is not None:
+                weights[e0:e1] = block.data
             blocks.append(
                 RankBlock(
-                    rank=grid.rank_of(id_r, id_c),
+                    rank=rank,
                     id_r=id_r,
                     id_c=id_c,
                     localmap=lm,
-                    indptr=block.indptr.astype(np.int64),
-                    indices=indices,
-                    weights=block.data.copy() if graph.is_weighted else None,
+                    indptr=indptr[ptr],
+                    indices=indices[e0:e1],
+                    weights=weights[e0:e1] if weights is not None else None,
                 )
             )
-    blocks.sort(key=lambda b: b.rank)
     part = TwoDPartition(
         grid=grid,
         n_vertices=n,
@@ -263,6 +299,11 @@ def partition_2d(
         blocks=blocks,
         weighted=graph.is_weighted,
         distribution=distribution,
+        indptr=indptr,
+        indices=indices,
+        weights=weights,
+        ptr_offsets=ptr_offsets,
+        edge_offsets=edge_offsets,
     )
     part.validate()
     return part

@@ -1,8 +1,8 @@
 """Reusable scratch buffers for queue-pair construction.
 
-The sparse exchanges build one ``{gid, val}`` send buffer per rank per
-stage, every iteration — thousands of short-lived structured
-allocations per run.  A :class:`BufferPool` recycles them: ``take(n)``
+The k-lane exchanges build one send (or lane-pack) buffer per rank per
+stage, every iteration — thousands of short-lived allocations per run.
+A :class:`BufferPool` recycles them: ``take(n)``
 hands out a length-``n`` view of a pooled backing array (growing
 geometrically), ``give(buf)`` returns the backing array once the
 collective has copied the payload out.

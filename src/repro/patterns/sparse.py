@@ -21,27 +21,30 @@ locally-updated row vertices are unioned into the second-stage queue
 the CUDA code, but their values still must travel to the rest of the
 row group).
 
-Each stage runs in three phases shaped for the rank executor
-(:mod:`repro.exec`): a **parallel build** of every rank's send buffer
-(row and column groups each partition the rank set, so the per-rank
-builds touch disjoint state and clock lanes), the **sequential
-collectives** over the groups in order (they mutate shared counters
-and synchronize group clocks), and a **parallel apply** of each
-group's received buffer.  This is bit-identical to the historical
-fully-serial interleaving — see docs/PERF.md.
+Each stage of :func:`sparse_push` / :func:`sparse_pull` runs in three
+phases: a **build** of every rank's send buffer, the **collectives**
+over the groups in order (they mutate shared counters and synchronize
+group clocks), and an **apply** of each group's received buffer on
+every member.  Build and apply are *rank-fused*: one vectorized pass
+over the :class:`~repro.core.fleet.Fleet`'s stacked state does what
+``p`` per-rank closures did — one gather, one
+:func:`~repro.kernels.scatter_reduce`, one
+:func:`~repro.kernels.unique_bounded` per phase, with per-rank clock
+charges applied as one vector add — while every group collective is
+issued exactly as before.  Ranks own disjoint stacked LIDs and each
+rank's updates keep their received-buffer order, so state, clocks and
+counters are bit-identical to the per-rank formulation (kept as the
+oracle in ``tests/patterns/test_sparse_fused.py``; see docs/PERF.md).
+The k-lane twin and :func:`propagate_active_pull` still fan per-rank
+closures out through the rank executor (:mod:`repro.exec`).
 
 On an overlapped engine (``Engine(overlap=True)``) each stage's group
 exchanges are *issued* split-phase instead: data and counters
-materialize at issue, the parallel apply runs against the in-flight
-buffers, and the comm-time charge lands at the trailing ``wait`` —
-hiding the apply compute behind each group's own exchange.  Values,
-counters, and the compute/comm lanes stay bit-identical to a blocking
-run; only exposed time shrinks (see docs/MODEL.md).
-
-Send buffers are recycled through each rank's own
-:meth:`~repro.core.context.RankContext.scratch_pool` (takes happen in
-the parallel build, gives in the sequential collective phase, so a
-pool never sees concurrent calls).
+materialize at issue, the apply runs against the in-flight buffers,
+and the comm-time charge lands at the trailing ``wait`` — hiding the
+apply compute behind each group's own exchange.  Values, counters, and
+the compute/comm lanes stay bit-identical to a blocking run; only
+exposed time shrinks (see docs/MODEL.md).
 
 The functions return a :class:`SparseResult` carrying the per-rank
 active row-vertex queues (paper §3.4.1) and the global count of
@@ -94,18 +97,106 @@ class SparseResult:
     n_updated: int  # unique vertices whose state changed globally
 
 
-def _pairs(ctx: RankContext, gids: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """A ``{gid, val}`` send buffer from the rank's own scratch pool."""
-    buf = ctx.scratch_pool(PAIR_DTYPE).take(gids.size)
-    buf["gid"] = gids
-    buf["val"] = vals
-    return buf
+#: Most elements one tiled apply pass materializes (see :func:`_tiles`).
+_TILE_BUDGET = 1 << 18
 
 
-def _give_back(engine: Engine, sbufs_all: list[np.ndarray], ranks: list[int]) -> None:
-    """Return the given ranks' send buffers to their own pools."""
-    for r in ranks:
-        engine.ctx(r).scratch_pool(PAIR_DTYPE).give(sbufs_all[r])
+def _pair_buffers(
+    gids: np.ndarray, vals: np.ndarray, counts: np.ndarray
+) -> list[np.ndarray]:
+    """Every rank's ``{gid, val}`` send buffer — ``counts[r]`` entries
+    of the rank-major ``gids``/``vals`` — as slices of one array."""
+    pairs = np.empty(gids.size, dtype=PAIR_DTYPE)
+    pairs["gid"] = gids
+    pairs["val"] = vals
+    cuts = np.concatenate(([0], np.cumsum(counts))).tolist()
+    return [pairs[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _exchange(engine: Engine, groups, sbufs, nic_sharing: int, handles: list):
+    """One AllGatherv per group, in group order; returns the received
+    buffers (one per group) and each rank's received length."""
+    rbufs = []
+    sizes = np.empty(engine.n_ranks, dtype=np.int64)
+    for _, ranks in groups:
+        rbuf = _group_allgatherv(
+            engine, ranks, [sbufs[r] for r in ranks], nic_sharing, handles
+        )
+        rbufs.append(rbuf)
+        sizes[ranks] = rbuf.size
+    return rbufs, sizes
+
+
+def _tiles(groups, rbufs, gid_shift: np.ndarray):
+    """Received pairs as the members see them, in stacked LIDs.
+
+    Every member of a group applies the group's whole buffer to its own
+    window, so the buffer is tiled once per member (member-major: each
+    rank's updates stay in received-buffer order, which ``sum`` needs).
+    Yields ``(lids, vals)`` batches of whole groups, closed once they
+    pass :data:`_TILE_BUDGET` elements, so temporaries stay bounded
+    when queues are large.
+    """
+    lids, vals, held = [], [], 0
+    for (_, ranks), rbuf in zip(groups, rbufs):
+        if rbuf.size == 0:
+            continue
+        lids.append((rbuf["gid"] - gid_shift[ranks, None]).ravel())
+        vals.append(np.tile(rbuf["val"], len(ranks)))
+        held += lids[-1].size
+        if held >= _TILE_BUDGET:
+            yield np.concatenate(lids), np.concatenate(vals)
+            lids, vals, held = [], [], 0
+    if lids:
+        yield np.concatenate(lids), np.concatenate(vals)
+
+
+def _reduce_received(
+    fleet,
+    state: np.ndarray,
+    groups,
+    rbufs,
+    gid_shift: np.ndarray,
+    op: str,
+    reduce_fn: Optional[ReduceFn],
+) -> np.ndarray:
+    """``ReduceQueue`` on every rank at once: reduce each group's
+    received buffer into every member's window of the stacked
+    ``state``; returns the stacked LIDs whose value changed (any order).
+
+    ``op`` is one of ``"min"``/``"max"``/``"sum"`` (``"sum"`` has delta
+    semantics: callers send deltas, not absolutes).  Change detection is
+    the kernel's exact float compare of the stored value before/after —
+    for ``"sum"`` that means a zero delta, or deltas cancelling exactly,
+    leave the vertex out of the changed set.  A custom ``reduce_fn``
+    sees one rank's state and local LIDs at a time, as it always did.
+    """
+    if reduce_fn is None:
+        changed = [
+            scatter_reduce(state, lids, vals, op)
+            for lids, vals in _tiles(groups, rbufs, gid_shift)
+        ]
+    else:
+        rbuf_of: list = [None] * fleet.n_ranks
+        for (_, ranks), rbuf in zip(groups, rbufs):
+            for r in ranks:
+                rbuf_of[r] = rbuf
+        changed = []
+        base = fleet.base
+        for r, rbuf in enumerate(rbuf_of):
+            lids = rbuf["gid"] - (gid_shift[r] + base[r])
+            local = reduce_fn(state[base[r] : base[r + 1]], lids, rbuf["val"])
+            changed.append(np.asarray(local, dtype=np.int64) + base[r])
+    if len(changed) == 1:
+        return changed[0]
+    return np.concatenate(changed) if changed else _EMPTY_I64
+
+
+def _assign_received(state: np.ndarray, groups, rbufs, gid_shift: np.ndarray) -> None:
+    """Final assignment on every rank at once: write each group's
+    received values into every member's window."""
+    for lids, vals in _tiles(groups, rbufs, gid_shift):
+        state[lids] = vals
 
 
 def _group_allgatherv(
@@ -137,26 +228,6 @@ def _wait_all(engine: Engine, handles: list) -> None:
         engine.comm.wait(h)
 
 
-def _apply_op(
-    state: np.ndarray,
-    lids: np.ndarray,
-    vals: np.ndarray,
-    op: str,
-    reduce_fn: Optional[ReduceFn],
-) -> np.ndarray:
-    """Apply the reduction; return unique LIDs whose value changed.
-
-    ``op`` is one of ``"min"``/``"max"``/``"sum"`` (``"sum"`` has delta
-    semantics: callers send deltas, not absolutes).  Change detection is
-    the kernel's exact float compare of the stored value before/after —
-    for ``"sum"`` that means a zero delta, or deltas cancelling exactly,
-    leave the vertex out of the changed set.
-    """
-    if reduce_fn is not None:
-        return np.asarray(reduce_fn(state, lids, vals), dtype=np.int64)
-    return scatter_reduce(state, lids, vals, op)
-
-
 def sparse_push(
     engine: Engine,
     name: str,
@@ -176,85 +247,59 @@ def sparse_push(
         Reduction applied in ``ReduceQueue``; ``reduce_fn`` overrides
         ``op`` for complex reductions (paper §3.3.3).
     """
-    grid = engine.grid
-    col_share = engine.stage_nic_sharing("col")
-    row_share = engine.stage_nic_sharing("row")
+    fleet = engine.fleet
+    state = fleet.stacked(name)
+    col_groups, row_groups = list(engine.col_groups()), list(engine.row_groups())
+    col_shift, row_shift = fleet.col_gid_shift, fleet.row_gid_shift
 
     # ---- stage 1: AllGatherv + reduce along each column group -------
-    def build_col(ctx: RankContext) -> np.ndarray:
-        q = np.asarray(queues[ctx.rank], dtype=np.int64)
-        engine.charge_vertices(ctx.rank, q.size)  # BuildQueue kernel
-        state = ctx.get(name)
-        return _pairs(ctx, ctx.localmap.col_gid(q), state[q])
-
-    sbufs_all = engine.map_ranks(build_col)
+    q, q_counts = fleet.stack(queues)
+    engine.charge_vertices(None, q_counts)  # BuildQueue kernel
+    q_ranks = fleet.ranks(q_counts)
+    q_gids = q + col_shift[q_ranks]
+    sbufs = _pair_buffers(q_gids, state[q], q_counts)
 
     handles: list = []
-    rbuf_of: list[Optional[np.ndarray]] = [None] * grid.n_ranks
-    for id_c, ranks in engine.col_groups():
-        rbuf = _group_allgatherv(
-            engine, ranks, [sbufs_all[r] for r in ranks], col_share, handles
-        )
-        _give_back(engine, sbufs_all, ranks)
-        for r in ranks:
-            rbuf_of[r] = rbuf
+    rbufs, sizes = _exchange(
+        engine, col_groups, sbufs, engine.stage_nic_sharing("col"), handles
+    )
 
-    def apply_col(ctx: RankContext) -> np.ndarray:
-        lm = ctx.localmap
-        state = ctx.get(name)
-        rbuf = rbuf_of[ctx.rank]
-        lids = lm.col_lid(rbuf["gid"])
-        changed = _apply_op(state, lids, rbuf["val"], op, reduce_fn)
-        engine.charge_vertices(ctx.rank, rbuf.size)  # ReduceQueue kernel
-        # Row-stage queue: changed ghosts plus this rank's own local
-        # updates, restricted to row-owned vertices.
-        cand = np.concatenate(
-            [
-                lm.col_gid(changed),
-                lm.col_gid(np.asarray(queues[ctx.rank], dtype=np.int64)),
-            ]
-        )
-        return np.unique(cand[lm.owns_row_gid(cand)])
-
-    row_queues_gids = engine.map_ranks(apply_col)
+    changed = _reduce_received(fleet, state, col_groups, rbufs, col_shift, op, reduce_fn)
+    engine.charge_vertices(None, sizes)  # ReduceQueue kernel
+    # Row-stage queue: changed ghosts plus each rank's own local
+    # updates, restricted to row-owned vertices — deduplicated on the
+    # stacked row LID, i.e. per rank in GID order.
+    ranks = np.concatenate([fleet.rank_of(changed), q_ranks])
+    gids = np.concatenate([changed + col_shift[ranks[: changed.size]], q_gids])
+    owned = (gids >= fleet.row_start[ranks]) & (gids < fleet.row_stop[ranks])
+    rows = unique_bounded(gids[owned] - row_shift[ranks[owned]], fleet.size)
     _wait_all(engine, handles)
 
     # ---- stage 2: exchange final values along each row group --------
-    def build_row(ctx: RankContext) -> np.ndarray:
-        lm = ctx.localmap
-        gids = row_queues_gids[ctx.rank]
-        engine.charge_vertices(ctx.rank, gids.size)
-        state = ctx.get(name)
-        return _pairs(ctx, gids, state[lm.row_lid(gids)])
-
-    sbufs_all = engine.map_ranks(build_row)
+    row_counts = fleet.counts(rows)
+    engine.charge_vertices(None, row_counts)
+    sbufs = _pair_buffers(
+        rows + row_shift[fleet.ranks(row_counts)], state[rows], row_counts
+    )
 
     handles = []
-    rbuf_of = [None] * grid.n_ranks
-    uniq_of: list[Optional[np.ndarray]] = [None] * grid.n_ranks
+    rbufs, sizes = _exchange(
+        engine, row_groups, sbufs, engine.stage_nic_sharing("row"), handles
+    )
+
+    # Values are final after the column reduction; assignment (each
+    # vertex appears from exactly one root rank).
+    _assign_received(state, row_groups, rbufs, row_shift)
+    engine.charge_vertices(None, sizes)
+    active_row: list = [None] * fleet.n_ranks
     n_updated = 0
-    for id_r, ranks in engine.row_groups():
-        rbuf = _group_allgatherv(
-            engine, ranks, [sbufs_all[r] for r in ranks], row_share, handles
-        )
-        _give_back(engine, sbufs_all, ranks)
-        uniq_gids = np.unique(rbuf["gid"])
+    for (_, members), rbuf in zip(row_groups, rbufs):
+        uniq_gids = unique_bounded(rbuf["gid"], engine.partition.n_vertices)
         n_updated += int(uniq_gids.size)
-        for r in ranks:
-            rbuf_of[r] = rbuf
-            uniq_of[r] = uniq_gids
-
-    def apply_row(ctx: RankContext) -> np.ndarray:
-        lm = ctx.localmap
-        state = ctx.get(name)
-        rbuf = rbuf_of[ctx.rank]
-        # Values are final after the column reduction; assignment
-        # (each vertex appears from exactly one root rank).
-        state[lm.row_lid(rbuf["gid"])] = rbuf["val"]
-        engine.charge_vertices(ctx.rank, rbuf.size)
-        return lm.row_lid(uniq_of[ctx.rank])
-
-    active_row = engine.map_ranks(apply_row)
+        # every member's local row LIDs of the group's updated vertices
+        lids = uniq_gids - (row_shift[members, None] + fleet.base[members, None])
+        for r, row in zip(members, lids):
+            active_row[r] = row
     _wait_all(engine, handles)
     return SparseResult(active_row=active_row, n_updated=n_updated)
 
@@ -428,84 +473,47 @@ def sparse_pull(
     ``queues`` hold per-rank *row-vertex LIDs* updated by the local
     (partial) gather kernel.
     """
-    grid = engine.grid
-    col_share = engine.stage_nic_sharing("col")
-    row_share = engine.stage_nic_sharing("row")
+    fleet = engine.fleet
+    state = fleet.stacked(name)
+    col_groups, row_groups = list(engine.col_groups()), list(engine.row_groups())
+    col_shift, row_shift = fleet.col_gid_shift, fleet.row_gid_shift
 
     # ---- stage 1: AllGatherv + reduce along each row group ----------
-    def build_row(ctx: RankContext) -> np.ndarray:
-        q = np.asarray(queues[ctx.rank], dtype=np.int64)
-        engine.charge_vertices(ctx.rank, q.size)
-        state = ctx.get(name)
-        return _pairs(ctx, ctx.localmap.row_gid(q), state[q])
-
-    sbufs_all = engine.map_ranks(build_row)
+    q, q_counts = fleet.stack(queues)
+    engine.charge_vertices(None, q_counts)
+    sbufs = _pair_buffers(q + row_shift[fleet.ranks(q_counts)], state[q], q_counts)
 
     handles: list = []
-    rbuf_of: list[Optional[np.ndarray]] = [None] * grid.n_ranks
-    for id_r, ranks in engine.row_groups():
-        rbuf = _group_allgatherv(
-            engine, ranks, [sbufs_all[r] for r in ranks], row_share, handles
-        )
-        _give_back(engine, sbufs_all, ranks)
-        for r in ranks:
-            rbuf_of[r] = rbuf
+    rbufs, sizes = _exchange(
+        engine, row_groups, sbufs, engine.stage_nic_sharing("row"), handles
+    )
 
-    def apply_row(ctx: RankContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        lm = ctx.localmap
-        state = ctx.get(name)
-        rbuf = rbuf_of[ctx.rank]
-        lids = lm.row_lid(rbuf["gid"])
-        changed = _apply_op(state, lids, rbuf["val"], op, reduce_fn)
-        engine.charge_vertices(ctx.rank, rbuf.size)
-        cand = np.unique(
-            np.concatenate(
-                [
-                    lm.row_gid(changed),
-                    lm.row_gid(np.asarray(queues[ctx.rank], dtype=np.int64)),
-                ]
-            )
-        )
-        return cand, cand[lm.owns_col_gid(cand)], lm.row_lid(cand)
-
-    applied = engine.map_ranks(apply_row)
+    changed = _reduce_received(fleet, state, row_groups, rbufs, row_shift, op, reduce_fn)
+    engine.charge_vertices(None, sizes)
+    # Updated row vertices: changed by the reduce or by the rank's own
+    # gather; identical on every member of a row group, so each group
+    # contributes its first member's count exactly once.
+    rows = unique_bounded(np.concatenate([changed, q]), fleet.size)
+    row_counts = fleet.counts(rows)
+    active_row = fleet.split(rows)
+    n_updated = int(row_counts[[members[0] for _, members in row_groups]].sum())
     _wait_all(engine, handles)
-    col_queues_gids = [a[1] for a in applied]
-    active_row = [a[2] for a in applied]
-    # ``cand`` is identical on every member of a row group, so each
-    # group contributes its first member's count exactly once.
-    n_updated = 0
-    for id_r, ranks in engine.row_groups():
-        n_updated += int(applied[ranks[0]][0].size)
 
     # ---- stage 2: refresh ghosts along each column group ------------
-    def build_col(ctx: RankContext) -> np.ndarray:
-        lm = ctx.localmap
-        gids = col_queues_gids[ctx.rank]
-        engine.charge_vertices(ctx.rank, gids.size)
-        state = ctx.get(name)
-        return _pairs(ctx, gids, state[lm.row_lid(gids)])
-
-    sbufs_all = engine.map_ranks(build_col)
+    ranks = fleet.ranks(row_counts)
+    gids = rows + row_shift[ranks]
+    owned = (gids >= fleet.col_start[ranks]) & (gids < fleet.col_stop[ranks])
+    col_counts = np.bincount(ranks[owned], minlength=fleet.n_ranks)
+    engine.charge_vertices(None, col_counts)
+    sbufs = _pair_buffers(gids[owned], state[rows[owned]], col_counts)
 
     handles = []
-    rbuf_of = [None] * grid.n_ranks
-    for id_c, ranks in engine.col_groups():
-        rbuf = _group_allgatherv(
-            engine, ranks, [sbufs_all[r] for r in ranks], col_share, handles
-        )
-        _give_back(engine, sbufs_all, ranks)
-        for r in ranks:
-            rbuf_of[r] = rbuf
+    rbufs, sizes = _exchange(
+        engine, col_groups, sbufs, engine.stage_nic_sharing("col"), handles
+    )
 
-    def apply_col(ctx: RankContext) -> None:
-        lm = ctx.localmap
-        state = ctx.get(name)
-        rbuf = rbuf_of[ctx.rank]
-        state[lm.col_lid(rbuf["gid"])] = rbuf["val"]
-        engine.charge_vertices(ctx.rank, rbuf.size)
-
-    engine.foreach(apply_col)
+    _assign_received(state, col_groups, rbufs, col_shift)
+    engine.charge_vertices(None, sizes)
     _wait_all(engine, handles)
     return SparseResult(active_row=active_row, n_updated=n_updated)
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.algorithms import bfs
+from repro.algorithms import bfs, connected_components, sssp
+from repro.comm.grid import Grid2D
 from repro.core.engine import Engine
 from repro.graph import Graph, grid_graph, path_graph, star_graph
 from repro.reference import serial
@@ -66,6 +67,78 @@ class TestCorrectness:
                 res.extra["levels"], serial.bfs_levels(g, root)
             )
             assert serial.bfs_parents_valid(g, root, res.values)
+
+
+#: Grids that leave ranks with nothing to do on a small graph: more
+#: ranks than vertices, 1xp and px1, a prime rank count.
+HOSTILE_GRIDS = [
+    Grid2D(R=1, C=7),
+    Grid2D(R=7, C=1),
+    Grid2D(R=1, C=13),
+    Grid2D(R=5, C=3),
+    Grid2D(R=4, C=6),
+    Grid2D(R=6, C=6),
+]
+
+
+def _hostile_graphs():
+    """(name, graph, root): n < p for most grids above, ranks with no
+    rows or no edges, a root nobody is adjacent to."""
+    yield "isolated-root", Graph.from_edges([1, 2, 3], [2, 3, 4], 9), 0
+    yield "single-edge", Graph.from_edges([0], [1], 2), 1
+    yield "two-vertices-no-edge", Graph.from_edges([], [], 2), 0
+    yield "path", path_graph(11), 5
+    yield "star", star_graph(10), 3
+    # every edge inside one block: all other ranks hold rows but no edges
+    yield "one-block", Graph.from_edges([0, 0, 1], [1, 2, 2], 24), 2
+    yield "duplicates-and-loops", Graph.from_edges(
+        [0, 0, 0, 1, 2, 2, 5], [1, 1, 0, 2, 3, 3, 5], 8
+    ), 0
+
+
+class TestHostileShapes:
+    """The rank-fused passes on shapes where most ranks are empty —
+    every case against ``repro.reference.serial``, hybrid and pure
+    top-down, blocking and overlapped."""
+
+    @pytest.mark.parametrize("overlap", [False, True], ids=["blocking", "overlap"])
+    @pytest.mark.parametrize("hybrid", [True, False], ids=["hybrid", "topdown"])
+    @pytest.mark.parametrize("grid", HOSTILE_GRIDS, ids=lambda g: f"{g.C}x{g.R}")
+    def test_bfs_matches_reference(self, grid, hybrid, overlap):
+        for name, g, root in _hostile_graphs():
+            res = bfs(Engine(g, grid=grid, overlap=overlap), root=root, hybrid=hybrid)
+            assert np.array_equal(res.extra["levels"], serial.bfs_levels(g, root)), name
+            assert serial.bfs_parents_valid(g, root, res.values), name
+
+    @pytest.mark.parametrize("grid", HOSTILE_GRIDS, ids=lambda g: f"{g.C}x{g.R}")
+    def test_sparse_exchanges_match_reference(self, grid):
+        """CC and SSSP drive ``sparse_push`` / ``sparse_pull`` over the
+        same shapes (forced sparse: the switch would go dense)."""
+        for name, g, root in _hostile_graphs():
+            want = serial.canonical_labels(serial.connected_components(g))
+            for direction in ("push", "pull"):
+                res = connected_components(
+                    Engine(g, grid=grid), direction=direction, mode="sparse"
+                )
+                assert np.array_equal(serial.canonical_labels(res.values), want), (
+                    name,
+                    direction,
+                )
+            gw = g.with_random_weights(seed=3)
+            res = sssp(Engine(gw, grid=grid), root=root)
+            assert np.array_equal(res.values, serial.sssp_distances(gw, root)), name
+
+    def test_frontier_empty_on_every_rank(self):
+        """An isolated root: the first superstep's frontier expands to
+        nothing anywhere, the exchange ships empty queues, the run
+        ends with one visited vertex."""
+        g = Graph.from_edges([1, 2], [2, 3], 40)
+        engine = Engine(g, grid=Grid2D(R=4, C=4))
+        res = bfs(engine, root=0)
+        assert res.extra["n_visited"] == 1 and res.iterations == 1
+        assert np.array_equal(res.values, [0] + [-1] * 39)
+        # every rank still paid its (empty) kernels
+        assert engine.clocks.compute.min() > 0.0
 
 
 class TestBehaviour:

@@ -52,6 +52,39 @@ def star20():
     return star_graph(20)
 
 
+def state_is_stacked(engine, name: str) -> bool:
+    """Is state ``name``, on every rank, the rank's slice of the one
+    live rank-stacked buffer?  (Fetching the buffer re-stacks a state
+    that is not, with a ``RuntimeWarning``.)"""
+    buf = engine.fleet.stacked(name)
+    base = engine.fleet.base
+    return all(
+        ctx.arrays[name].base is buf
+        and ctx.arrays[name].shape[0] == ctx.n_total
+        and (
+            ctx.n_total == 0
+            or np.shares_memory(
+                ctx.arrays[name], buf[base[ctx.rank] : base[ctx.rank + 1]]
+            )
+        )
+        for ctx in engine
+    )
+
+
+def assert_state_is_stacked(engine) -> None:
+    """Every state array registered on ``engine`` is stacked (see
+    :func:`state_is_stacked`) — no stale twin, and no re-stacking
+    needed to get there."""
+    import warnings
+
+    names = sorted({name for ctx in engine for name in ctx.arrays})
+    assert names, "engine holds no state"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name in names:
+            assert state_is_stacked(engine, name), name
+
+
 def random_graph(seed: int, n_max: int = 200, density: float = 4.0):
     """Reproducible random test graph (for hand-rolled sweeps)."""
     rng = np.random.default_rng(seed)

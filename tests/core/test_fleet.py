@@ -1,0 +1,441 @@
+"""The rank-stacked view (:mod:`repro.core.fleet`) and the vectorized
+charging it feeds: every fused primitive against the per-rank code it
+replaces, plus the bit-identity pitfalls recorded in PR 14."""
+
+from __future__ import annotations
+
+import sys
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import Engine, algorithms
+from repro.cluster.config import AIMOS
+from repro.comm.grid import Grid2D
+from repro.core import fleet as fleet_mod
+from repro.faults import CheckpointManager
+from repro.graph import Graph, rmat, star_graph
+from repro.kernels import scatter as scatter_mod
+from repro.queueing.manhattan import manhattan_schedule, vertex_per_thread_balance
+
+from ..conftest import GRIDS, state_is_stacked
+
+GRID_IDS = [f"{g.C}x{g.R}" for g in GRIDS]
+
+
+# ----------------------------------------------------------------------
+# layout
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+def test_blocks_are_slices_of_one_concatenated_csr(grid):
+    part = Engine(rmat(7, seed=2).with_random_weights(seed=1), grid=grid).partition
+    for blk in part.blocks:
+        assert blk.indptr.base is part.indptr
+        assert blk.indices.base is part.indices
+        assert blk.weights.base is part.weights
+        assert blk.indptr[0] == 0 and blk.indptr[-1] == blk.indices.size
+    assert part.edge_offsets[-1] == part.n_edges == part.indices.size
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+def test_state_is_allocated_stacked_and_seen_per_rank(grid):
+    engine = Engine(rmat(7, seed=2), grid=grid)
+    engine.alloc("x", np.float64, fill=3.0)
+    assert state_is_stacked(engine, "x")
+    buf = engine.fleet.stacked("x")
+    assert buf.shape == (sum(ctx.n_total for ctx in engine),)
+    buf[:] = np.arange(buf.size)
+    for ctx in engine:
+        lo = engine.fleet.base[ctx.rank]
+        assert np.array_equal(ctx.get("x"), np.arange(lo, lo + ctx.n_total))
+    lanes = engine.alloc("y", np.int32, width=3)
+    assert lanes[0].shape == (engine.ctx(0).n_total, 3)
+    assert engine.fleet.stacked("y").shape == (buf.size, 3)
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+def test_stack_split_and_expand_match_per_rank(grid):
+    graph = rmat(7, seed=4).with_random_weights(seed=2)
+    engine = Engine(graph, grid=grid)
+    fleet = engine.fleet
+    rng = np.random.default_rng(0)
+    queues = [
+        np.sort(rng.choice(ctx.row_lids(), size=rng.integers(0, ctx.localmap.n_row + 1), replace=False))
+        for ctx in engine
+    ]
+    rows, counts = fleet.stack(queues)
+    assert np.array_equal(counts, [q.size for q in queues])
+    for got, want in zip(fleet.split(rows), queues):
+        assert np.array_equal(got, want)
+    assert np.array_equal(fleet.counts(rows), counts)
+    assert np.array_equal(
+        fleet.row_degrees(rows),
+        np.concatenate(
+            [ctx.local_degrees()[q - ctx.localmap.row_offset] for ctx, q in zip(engine, queues)]
+        ),
+    )
+    pieces = list(fleet.expand(rows))
+    ranks, src, dst, w = (np.concatenate(col) for col in zip(*pieces))
+    want = [ctx.expand(q) for ctx, q in zip(engine, queues)]
+    base = fleet.base[:-1]
+    assert np.array_equal(src, np.concatenate([s + b for (s, _, _), b in zip(want, base)]))
+    assert np.array_equal(dst, np.concatenate([d + b for (_, d, _), b in zip(want, base)]))
+    assert np.array_equal(w, np.concatenate([x for _, _, x in want]))
+    assert np.array_equal(ranks, np.repeat(np.arange(grid.n_ranks), [s.size for s, _, _ in want]))
+    # GID shifts agree with the per-rank arithmetic maps
+    for ctx in engine:
+        lm, lo = ctx.localmap, fleet.base[ctx.rank]
+        assert fleet.row_gid_shift[ctx.rank] + lo + lm.row_offset == lm.row_start
+        assert fleet.col_gid_shift[ctx.rank] + lo + lm.col_offset == lm.col_start
+    assert np.array_equal(
+        np.flatnonzero(fleet.row_mask),
+        np.concatenate([ctx.row_lids() + fleet.base[ctx.rank] for ctx in engine]),
+    )
+
+
+# ----------------------------------------------------------------------
+# pitfall (f): bounded expansion temporaries
+# ----------------------------------------------------------------------
+def test_expansion_walks_in_slices_under_the_edge_budget(monkeypatch):
+    graph = star_graph(40)  # one hub row far above a tiny budget
+    engine = Engine(graph, grid=Grid2D(R=2, C=2))
+    fleet = engine.fleet
+    rows = np.flatnonzero(fleet.row_mask)
+    whole = [np.concatenate(col) for col in zip(*[p[:3] for p in fleet.expand(rows)])]
+    monkeypatch.setattr(fleet_mod, "EXPAND_EDGE_BUDGET", 8)
+    pieces = list(fleet.expand(rows))
+    assert len(pieces) > 4
+    for _, src, _, _ in pieces:
+        assert src.size <= 8 or np.unique(src).size == 1  # a hub travels alone
+    sliced = [np.concatenate(col) for col in zip(*[p[:3] for p in pieces])]
+    for a, b in zip(whole, sliced):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("distribution", ["striped", "random"])
+@pytest.mark.parametrize("hybrid", [True, False])
+def test_bfs_is_unchanged_by_the_slice_size(monkeypatch, hybrid, distribution):
+    """Slices are a memory bound, not a semantic: the same elements go
+    through the same reductions.  Under the random distribution a
+    rank's candidate parents are not ascending in queue order, so a
+    slice that treated an earlier slice's claim as "visited" would keep
+    a larger parent (striped hides that: the first claim is the MIN)."""
+    import repro.kernels as kernels_mod
+
+    scattered = []
+    real = kernels_mod.scatter_reduce
+
+    def spy(state, lids, vals, op="min"):
+        scattered.append(np.asarray(lids).size)
+        return real(state, lids, vals, op)
+
+    for module in ("repro.algorithms.bfs", "repro.patterns.sparse"):
+        monkeypatch.setattr(sys.modules[module], "scatter_reduce", spy)
+
+    def run(graph, root):
+        scattered.clear()
+        engine = Engine(graph, grid=Grid2D(R=2, C=3), distribution=distribution, seed=4)
+        return algorithms.bfs(engine, root=root, hybrid=hybrid), sum(scattered)
+
+    for seed in range(4):
+        graph = rmat(8, seed=seed)
+        for root in (1, 9):
+            want, want_elems = run(graph, root)
+            monkeypatch.setattr(fleet_mod, "EXPAND_EDGE_BUDGET", 4)
+            got, got_elems = run(graph, root)
+            monkeypatch.undo()
+            for module in ("repro.algorithms.bfs", "repro.patterns.sparse"):
+                monkeypatch.setattr(sys.modules[module], "scatter_reduce", spy)
+            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got.extra["levels"], want.extra["levels"])
+            assert got.timings == want.timings
+            assert got.counters == want.counters
+            assert got_elems == want_elems
+
+
+# ----------------------------------------------------------------------
+# segmented schedule == the schedule of each segment
+# ----------------------------------------------------------------------
+_sizes = st.sampled_from([0, 0, 1, 2, 31, 32, 33, 255, 256, 257, 511, 512, 513, 700])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sizes=st.lists(_sizes, min_size=1, max_size=7),
+    hub=st.integers(min_value=0, max_value=10**7),
+    seed=st.integers(min_value=0, max_value=2**31),
+    naive=st.booleans(),
+)
+def test_segmented_schedule_equals_per_segment_schedule(sizes, hub, seed, naive):
+    rng = np.random.default_rng(seed)
+    degrees = rng.integers(0, 40, size=sum(sizes))
+    if degrees.size:
+        degrees[rng.integers(0, degrees.size)] = hub
+    schedule = vertex_per_thread_balance if naive else manhattan_schedule
+    stats = schedule(degrees, segments=np.array(sizes))
+    start = 0
+    for i, size in enumerate(sizes):
+        one = schedule(degrees[start : start + size])
+        start += size
+        assert one.total_edges == stats.total_edges[i]
+        assert one.n_blocks == stats.n_blocks[i]
+        assert one.max_thread_edges == stats.max_thread_edges[i]
+        assert one.balance == stats.balance[i]  # exact: same division
+
+
+def test_segmented_schedule_keeps_the_validation():
+    # pitfall (b)
+    with pytest.raises(ValueError, match="negative degree"):
+        manhattan_schedule(np.array([3, -1, 2]), segments=np.array([1, 2]))
+    with pytest.raises(ValueError, match="segments"):
+        manhattan_schedule(np.array([3, 1, 2]), segments=np.array([1, 1]))
+
+
+# ----------------------------------------------------------------------
+# vector kernel_time / charges == scalar
+# ----------------------------------------------------------------------
+@settings(max_examples=150, deadline=None)
+@given(
+    n_vertices=st.lists(st.integers(0, 10**9), min_size=1, max_size=6),
+    seed=st.integers(min_value=0, max_value=2**31),
+    work_per_edge=st.sampled_from([1.0, 4.0, 0.37]),
+    launches=st.integers(1, 3),
+)
+def test_vector_kernel_time_equals_scalar(n_vertices, seed, work_per_edge, launches):
+    engine = Engine(star_graph(4), 1)
+    rng = np.random.default_rng(seed)
+    k = len(n_vertices)
+    n_edges = rng.integers(0, 10**10, size=k)
+    balance = np.maximum(rng.random(k), 1e-6)
+    balance[rng.random(k) < 0.3] = 1.0
+    vec = engine.costmodel.kernel_time(
+        n_vertices=np.array(n_vertices),
+        n_edges=n_edges,
+        work_per_edge=work_per_edge,
+        balance=balance,
+        launches=launches,
+    )
+    for i in range(k):
+        one = engine.costmodel.kernel_time(
+            n_vertices=n_vertices[i],
+            n_edges=int(n_edges[i]),
+            work_per_edge=work_per_edge,
+            balance=float(balance[i]),
+            launches=launches,
+        )
+        assert one == vec[i]
+
+
+def test_vector_kernel_time_keeps_the_balance_check():
+    # pitfall (b)
+    costmodel = Engine(star_graph(4), 1).costmodel
+    for bad in (0.0, -0.5, 1.5):
+        with pytest.raises(ValueError, match="balance"):
+            costmodel.kernel_time(n_edges=np.array([1, 1]), balance=np.array([1.0, bad]))
+
+
+@pytest.mark.parametrize("load_balance", ["manhattan", "vertex"])
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+def test_fleet_charges_equal_per_rank_charges_in_sequence(grid, load_balance):
+    """Pitfalls (a) and (c): several charges per rank per phase land in
+    the same sequence, empty queues still pay their launch, and ranks
+    without a single 256-block get no reduceat start."""
+    graph = rmat(9, seed=3)
+    fused = Engine(graph, grid=grid, load_balance=load_balance)
+    serial = Engine(graph, grid=grid, load_balance=load_balance)
+    rng = np.random.default_rng(1)
+    for step in range(3):
+        queues = []
+        for ctx in fused:
+            n_row = ctx.localmap.n_row
+            take = 0 if rng.random() < 0.4 else int(rng.integers(0, n_row + 1))
+            queues.append(np.sort(rng.choice(ctx.row_lids(), size=take, replace=False)))
+        rows, counts = fused.fleet.stack(queues)
+        fused.charge_edges(
+            None, fused.fleet.row_degrees(rows), work_per_edge=1.5,
+            extra_vertices=step, segments=counts,
+        )
+        fused.charge_vertices(None, counts)
+        fused.charge_vertices(None, fused.fleet.n_total, launches=2)
+        for ctx, q in zip(serial, queues):
+            degs = ctx.local_degrees()[q - ctx.localmap.row_offset]
+            serial.charge_edges(ctx.rank, degs, work_per_edge=1.5, extra_vertices=step)
+            serial.charge_vertices(ctx.rank, q.size)
+            serial.charge_vertices(ctx.rank, ctx.n_total, launches=2)
+        assert np.array_equal(fused.clocks.clock, serial.clocks.clock)
+        assert np.array_equal(fused.clocks.compute, serial.clocks.compute)
+    launch = AIMOS.gpu.kernel_launch_s
+    assert fused.clocks.compute.min() >= 3 * 4 * launch  # nobody skipped a launch
+
+
+def test_add_compute_all_validates():
+    clocks = Engine(star_graph(6), 4).clocks
+    with pytest.raises(ValueError, match="one compute time per rank"):
+        clocks.add_compute_all(np.zeros(3))
+    with pytest.raises(ValueError, match="negative"):
+        clocks.add_compute_all(np.array([0.0, 1.0, -1.0, 0.0]))
+
+
+# ----------------------------------------------------------------------
+# pitfall (d): scatter regime on a p-times-longer state
+# ----------------------------------------------------------------------
+def test_tiny_queue_does_not_copy_the_whole_stacked_state(monkeypatch):
+    """``scatter_reduce`` picks its regime from ``state.shape[0]``; the
+    root step of a BFS on many ranks must stay in the sparse regime (the
+    dense one snapshots the whole stacked state)."""
+    seen = []
+    real = scatter_mod.scatter_reduce
+
+    def spy(state, lids, vals, op="min"):
+        seen.append((np.asarray(lids).size, state.shape[0]))
+        return real(state, lids, vals, op)
+
+    # (`repro.algorithms.bfs` the attribute is the function)
+    for module in ("repro.algorithms.bfs", "repro.patterns.sparse"):
+        monkeypatch.setattr(sys.modules[module], "scatter_reduce", spy)
+    graph = rmat(10, seed=7)
+    root = int(np.argmax(graph.degrees() == 2))
+    engine = Engine(graph, 64)
+    algorithms.bfs(engine, root=root)
+    n_lids, n_state = seen[0]  # the root's own expansion
+    assert n_state == engine.fleet.size
+    assert 0 < n_lids < scatter_mod._DENSE_FRACTION * n_state
+    # and both regimes agree anyway
+    for lids_size in (3, n_state // 2):
+        rng = np.random.default_rng(lids_size)
+        lids = rng.integers(0, n_state, size=lids_size)
+        vals = rng.random(lids_size)
+        a, b = np.full(n_state, 0.5), np.full(n_state, 0.5)
+        assert np.array_equal(
+            real(a, lids, vals, "min"), scatter_mod.scatter_reduce_reference(b, lids, vals, "min")
+        )
+        assert np.array_equal(a, b)
+
+
+# ----------------------------------------------------------------------
+# pitfall (g): the per-rank arrays never drift from the live buffer
+# ----------------------------------------------------------------------
+class TestArraysStayLiveSlices:
+    def _engine(self):
+        return Engine(rmat(7, seed=2), grid=Grid2D(R=2, C=3))
+
+    def test_free_then_alloc_on_one_rank(self):
+        engine = self._engine()
+        engine.alloc("x", fill=1.0)
+        buf = engine.fleet.stacked("x")
+        ctx = engine.ctx(2)
+        ctx.free("x")
+        with pytest.raises(KeyError, match=r"rank\(s\) \[2\]"):
+            engine.fleet.stacked("x")
+        ctx.alloc("x", fill=7.0)
+        assert engine.fleet.stacked("x") is buf and state_is_stacked(engine, "x")
+        assert np.all(ctx.get("x") == 7.0) and np.all(engine.ctx(1).get("x") == 1.0)
+
+    def test_free_everywhere_releases_the_buffer(self):
+        engine = self._engine()
+        engine.alloc("x")
+        buf = engine.fleet.stacked("x")
+        engine.free("x")
+        with pytest.raises(KeyError):
+            engine.fleet.stacked("x")
+        engine.alloc("x")
+        assert engine.fleet.stacked("x") is not buf and state_is_stacked(engine, "x")
+
+    def test_realloc_with_another_dtype_everywhere(self):
+        engine = self._engine()
+        engine.alloc("x", np.float64)
+        engine.alloc("x", np.int64, fill=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert engine.fleet.stacked("x").dtype == np.int64
+        assert state_is_stacked(engine, "x")
+
+    def test_realloc_on_some_ranks_only_restacks_loudly(self):
+        engine = self._engine()
+        engine.alloc("x", np.float64, fill=2.0)
+        engine.ctx(0).alloc("x", np.float32, fill=1.0)
+        with pytest.raises(ValueError, match="cannot be stacked"):
+            engine.fleet.stacked("x")
+        engine.ctx(0).alloc("x", np.float64, fill=1.0)  # back, but a newer buffer
+        with pytest.warns(RuntimeWarning, match="re-stacking"):
+            buf = engine.fleet.stacked("x")
+        assert state_is_stacked(engine, "x")
+        assert buf[0] == 1.0 and np.all(engine.ctx(1).get("x") == 2.0)
+
+    def test_adopted_and_directly_assigned_arrays_restack_loudly(self):
+        engine = self._engine()
+        engine.alloc("x", fill=2.0)
+        mine = np.full(engine.ctx(1).n_total, 9.0)
+        engine.ctx(1).adopt("x", mine)
+        engine.ctx(3).arrays["x"] = np.full(engine.ctx(3).n_total, 5.0)
+        with pytest.warns(RuntimeWarning, match="re-stacking"):
+            buf = engine.fleet.stacked("x")
+        assert state_is_stacked(engine, "x")
+        assert np.all(engine.ctx(1).get("x") == 9.0) and np.all(engine.ctx(3).get("x") == 5.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert engine.fleet.stacked("x") is buf  # settled
+
+    def test_odd_length_state_is_not_stackable(self):
+        engine = self._engine()
+        for ctx in engine:
+            ctx.alloc("q", length=5)
+        assert engine.ctx(0).get("q").base is None  # a plain array
+        with pytest.raises(ValueError, match="cannot be stacked"):
+            engine.fleet.stacked("q")
+
+    def test_restore_after_a_free(self):
+        engine = self._engine()
+        mgr = CheckpointManager(interval=1)
+        engine.attach_checkpoints(mgr)
+        algorithms.bfs(engine, root=1)
+        saved = {n: [ctx.get(n).copy() for ctx in engine] for n in ("parent", "level", "deg")}
+        ckpt = mgr.latest()
+        engine.free("level")
+        engine.ctx(0).free("parent")
+        engine.alloc("scratch")
+        engine.restore(ckpt)
+        assert not any(ctx.has("scratch") for ctx in engine)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name, arrays in saved.items():
+                assert state_is_stacked(engine, name)
+                for ctx, arr in zip(engine, arrays):
+                    assert np.array_equal(ctx.get(name), arr)
+
+    def test_rebuild_on_grid_gets_its_own_arena(self):
+        engine = self._engine()
+        engine.alloc("x", fill=1.0)
+        new = engine.rebuild_on_grid(Grid2D(R=3, C=1))
+        assert new.fleet is not engine.fleet and new.fleet.n_ranks == 3
+        new.alloc("x", fill=2.0)
+        assert state_is_stacked(new, "x") and state_is_stacked(engine, "x")
+        assert np.all(engine.fleet.stacked("x") == 1.0)
+
+    def test_concurrent_allocation_from_rank_closures(self):
+        engine = Engine(rmat(7, seed=2), 16, executor="threads:4")
+        for round_ in range(20):
+            engine.foreach(lambda ctx: ctx.alloc(f"s{round_ % 3}", fill=ctx.rank))
+            name = f"s{round_ % 3}"
+            assert state_is_stacked(engine, name)
+            for ctx in engine:
+                assert np.all(ctx.get(name) == ctx.rank)
+        engine.executor.close()
+
+
+def test_hub_and_empty_ranks_graph_matches_reference():
+    """A frontier that is empty on most ranks, a hub above the 256
+    block size, ranks with no edges: fused BFS against the serial
+    oracle, top-down and hybrid."""
+    from repro.reference import serial
+
+    n = 700
+    hub_edges = (np.zeros(n - 1, dtype=np.int64), np.arange(1, n))
+    graph = Graph.from_edges(*hub_edges, n)
+    for hybrid in (True, False):
+        res = algorithms.bfs(Engine(graph, grid=Grid2D(R=4, C=4)), root=n - 1, hybrid=hybrid)
+        assert np.array_equal(res.extra["levels"], serial.bfs_levels(graph, n - 1))
+        assert serial.bfs_parents_valid(graph, n - 1, res.values)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import threading
 
 import numpy as np
@@ -163,6 +164,58 @@ class TestThreadedExecutor:
         ex.map(lambda x: x, [1, 2])
         ex.close()
         ex.close()
+
+    def test_engine_dropped_in_a_cycle_never_joins_from_the_finalizer(
+        self, rmat_graph, monkeypatch
+    ):
+        """Regression: ``__del__`` used to ``shutdown(wait=True)``.  The
+        cyclic GC runs finalizers on whichever thread allocates next —
+        here, deliberately, one holding the interpreter's
+        thread-registry lock, as a starting thread does — and joining
+        workers that need that lock to exit never returned."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        waits = []
+        real_shutdown = ThreadPoolExecutor.shutdown
+
+        def spy(pool, wait=True, **kwargs):
+            waits.append(wait)
+            return real_shutdown(pool, wait=wait, **kwargs)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "shutdown", spy)
+
+        collected = threading.Event()
+
+        def collect_like_a_starting_thread():
+            lock = getattr(threading, "_active_limbo_lock", None)
+            if lock is None:  # private; gone in some future CPython
+                gc.collect()
+            else:
+                with lock:
+                    gc.collect()
+            collected.set()
+
+        gc.collect()  # flush whatever earlier tests left behind
+        engine = Engine(rmat_graph, 4, executor="threads:4")
+        engine.foreach(lambda ctx: None)  # the pool is live
+        workers = list(engine.executor._pool._threads)
+        engine.cycle = engine
+        del engine
+        waits.clear()
+        helper = threading.Thread(target=collect_like_a_starting_thread, daemon=True)
+        helper.start()
+        assert collected.wait(timeout=20), "finalizer joined the pool and hung"
+        assert waits == [False]
+        for t in workers:  # woken, not joined: they exit on their own
+            t.join(timeout=20)
+            assert not t.is_alive()
+
+    def test_close_joins(self):
+        ex = ThreadedExecutor(max_workers=2)
+        ex.map(lambda x: x, [1, 2])
+        workers = list(ex._pool._threads)
+        ex.close()
+        assert not any(t.is_alive() for t in workers)
 
     def test_is_rank_executor(self):
         assert isinstance(ThreadedExecutor(max_workers=2), RankExecutor)

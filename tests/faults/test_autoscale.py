@@ -2,13 +2,23 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from repro import Engine
+from repro import Engine, algorithms
 from repro.exec import SerialExecutor, ThreadedExecutor
 from repro.cli import main
-from repro.faults import CAMPAIGNS, run_campaign, run_case
+from repro.faults import (
+    CAMPAIGNS,
+    CheckpointManager,
+    FaultPlan,
+    drive_elastic,
+    run_campaign,
+    run_case,
+)
 from repro.graph import rmat
+
+from ..conftest import assert_state_is_stacked
 
 GRAPH = rmat(7, seed=3)
 
@@ -72,6 +82,31 @@ class TestAutoscaleCases:
         assert case.rank_delta == 0
         assert case.grid_trail == [(2, 2), (1, 3), (2, 2)]
         assert case.n_demotions == 1 and case.n_grows == 1
+
+    def test_grow_back_leaves_stacked_state_on_the_regrown_engine(self):
+        """2x2 -> 1x3 -> 2x2 by hand (``run_case`` keeps the engine to
+        itself): values bit-identical to fault-free, and the state the
+        two migrations restored is slices of one buffer per array."""
+        spec = CAMPAIGNS["autoscale"].scenarios["demote-then-grow-back"]
+
+        def runner(engine, resume=False):
+            return algorithms.bfs(engine, root=0, resume=resume)
+
+        def checkpointed():
+            engine = mk()
+            engine.attach_checkpoints(CheckpointManager(interval=1))
+            return engine
+
+        ref = runner(checkpointed())
+        engine = checkpointed()
+        engine.attach_faults(FaultPlan(list(spec["plan"])))
+        res = drive_elastic(runner, engine, CAMPAIGNS["autoscale"].recovery(spec))
+        info = res.extra["elastic"]
+        assert info["regrids"] == 2 and info["final_grid"] == (2, 2)
+        assert info["engine"] is not engine
+        assert np.array_equal(res.values, ref.values)
+        assert np.array_equal(res.extra["levels"], ref.extra["levels"])
+        assert_state_is_stacked(info["engine"])
 
     def test_oscillation_guard_blocks_second_demotion(self):
         """The post-grow straggler probe must not trigger a second

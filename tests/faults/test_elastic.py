@@ -30,6 +30,8 @@ from repro.faults import (
 )
 from repro.graph import rmat
 
+from ..conftest import assert_state_is_stacked
+
 GRID = Grid2D(R=4, C=3)
 
 
@@ -102,6 +104,8 @@ def elastic_run(name, policy="prefer-square", specs=None, executor=None):
     engine.attach_checkpoints(CheckpointManager(interval=1))
     engine.attach_faults(FaultPlan(list(specs)), max_retries=2)
     res = drive_elastic(runner, engine, ElasticRecovery(policy=policy))
+    # the migrated state landed in the final engine's stacked buffers
+    assert_state_is_stacked(res.extra["elastic"]["engine"])
     return ref, res
 
 

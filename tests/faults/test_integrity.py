@@ -38,10 +38,13 @@ from repro.faults import (
     certify_cc,
     certify_pagerank,
     certify_sssp,
+    drive_elastic,
     run_campaign,
     run_case,
 )
 from repro.graph import rmat
+
+from ..conftest import assert_state_is_stacked
 
 GRAPH = rmat(7, seed=3)
 WGRAPH = rmat(7, seed=3).with_random_weights(seed=1)
@@ -448,6 +451,39 @@ class TestSdcCases:
         assert case.repairs == 1
         kinds = [e["kind"] for e in case.fault_events]
         assert "memflip" in kinds and "integrity" in kinds
+
+    def test_flip_in_a_stacked_parent_window_is_caught_and_repaired(self):
+        """BFS's ``parent`` is one rank-stacked buffer now; a flip in
+        rank 1's window of it must still trip the ledger (the CRCs read
+        the per-rank slices), roll back, and finish bit-identical — on
+        stacked state again."""
+        lm = mk().ctx(1).localmap
+        window_bytes = 8 * (lm.n_row + lm.n_col)
+        # windows are hashed in sorted-name order: deg, level, parent
+        spec = FaultSpec("memflip", 2, rank=1, bit=8 * 2 * window_bytes + 13)
+
+        def runner(engine, resume=False):
+            return algorithms.bfs(engine, root=0, resume=resume)
+
+        def guarded():
+            engine = mk()
+            engine.attach_integrity(IntegrityLedger())
+            engine.attach_checkpoints(CheckpointManager(interval=1))
+            return engine
+
+        ref_engine = guarded()
+        ref = runner(ref_engine)
+        engine = guarded()
+        injector = engine.attach_faults(FaultPlan([spec]))
+        res = drive_elastic(runner, engine)
+        flip = next(e for e in injector.events if e.kind == "memflip")
+        assert flip.as_dict()["rank"] == 1
+        assert res.extra["elastic"]["resumes"] == 1
+        assert "integrity" in [e["kind"] for e in engine.fault_events]
+        assert np.array_equal(res.values, ref.values)
+        assert np.array_equal(engine.clocks.clock, ref_engine.clocks.clock)
+        assert engine.counters.summary() == ref_engine.counters.summary()
+        assert_state_is_stacked(engine)
 
     def test_sssp_repairs_on_weighted_graph(self):
         case = run_case("sdc", mkw, "SSSP", "memflip-single")

@@ -22,6 +22,8 @@ from repro.faults import (
 )
 from repro.graph import rmat
 
+from ..conftest import assert_state_is_stacked
+
 
 def crash_and_resume(make_engine, runner, crash_step=2, rank=1):
     """Run fault-free and crashed+resumed; return both (engine, result)."""
@@ -49,6 +51,8 @@ def assert_bit_identical(ref_engine, ref, engine, res):
     assert len(ref_engine.clocks.iteration_marks) == len(
         engine.clocks.iteration_marks
     )
+    # what restore() put back is the stacked state, not per-rank twins
+    assert_state_is_stacked(engine)
 
 
 class TestEveryAlgorithmRecovers:
