@@ -37,7 +37,7 @@ import numpy as np
 
 from ..core.engine import Engine
 from ..core.result import AlgorithmResult
-from ..kernels import scatter_reduce_lanes
+from ..kernels import csr_pull, scatter_reduce_lanes
 from ..patterns.dense import dense_exchange_lanes
 from ..patterns.sparse import sparse_push_lanes
 from .bfs import ALPHA, BETA, bfs
@@ -704,7 +704,7 @@ def pagerank_batch(
     engine's latest attached checkpoint of a run over the same seeds.
     """
     n = engine.partition.n_vertices
-    grid = engine.grid
+    grid, fleet = engine.grid, engine.fleet
     all_ranks = list(range(grid.n_ranks))
     seeds = validate_roots(n, seeds, "seeds")
     k = seeds.size
@@ -738,12 +738,8 @@ def pagerank_batch(
         engine.reset_timers()
         engine.scatter_global("tele", tele_global)
         compute_global_degrees(engine)
-
-        def alloc_state(ctx):
-            ctx.alloc("pr", np.float64, fill=1.0 / n, width=k)
-            ctx.alloc("acc", np.float64, width=k)
-
-        engine.foreach(alloc_state)
+        engine.alloc("pr", np.float64, fill=1.0 / n, width=k)
+        engine.alloc("acc", np.float64, width=k)
         lane_done = np.zeros(k, dtype=bool)
         lane_iters = np.zeros(k, dtype=np.int64)
         iterations_run = 0
@@ -752,10 +748,6 @@ def pagerank_batch(
         lane_done = st["lane_done"]
         lane_iters = st["lane_iters"]
         iterations_run = st["iterations_run"]
-    # Derived per-rank degree cache; rebuilt lazily either way (it is a
-    # pure function of the restored "deg" array, so the resumed run's
-    # contributions are bit-identical).
-    deg_dst: list[Optional[tuple[np.ndarray, np.ndarray]]] = [None] * grid.n_ranks
 
     def _loop_state():
         return {
@@ -765,9 +757,17 @@ def pagerank_batch(
             "iterations_run": iterations_run,
         }
 
+    # As in `pagerank`: everything but the dangling share is one pass
+    # over the rank-stacked (N_T, k) state.
+    pull = fleet.csr()
+    full_queue, rows_per_rank = fleet.full_queue()
     while iterations_run < iterations and not lane_done.all():
         iterations_run += 1
         act = np.flatnonzero(~lane_done)
+        pr = fleet.stacked("pr")
+        deg = fleet.stacked("deg")
+        acc = fleet.stacked("acc")
+        tele = fleet.stacked("tele")
 
         # Dangling mass for every live lane in one (split-phase when
         # overlapped) vector AllReduce; per-lane sums run over exactly
@@ -790,27 +790,14 @@ def pagerank_batch(
             else None
         )
 
-        # Local partial gathers: one edge pass feeds all k columns
-        # (row-vector scatter; per column the 1-D accumulation order).
-        def gather_partials(ctx):
-            pr = ctx.get("pr")
-            deg = ctx.get("deg")
-            acc = ctx.get("acc")
-            acc[...] = 0.0
-            src, dst, w = ctx.expand_all()
-            engine.charge_edges(
-                ctx.rank, ctx.local_degrees(), cache_key="pr.full"
-            )
-            if dst.size:
-                if deg_dst[ctx.rank] is None:
-                    dd = deg[dst]
-                    deg_dst[ctx.rank] = (np.maximum(dd, 1e-300), dd == 0)
-                dd_safe, dd_zero = deg_dst[ctx.rank]
-                contrib = pr[dst] / dd_safe[:, None]
-                contrib[dd_zero] = 0.0
-                scatter_reduce_lanes(acc, src, contrib, "sum")
-
-        engine.foreach(gather_partials)
+        # Local partial gathers: one CSR pull feeds all k columns (per
+        # column the 1-D accumulation order).
+        engine.charge_edges(
+            None, full_queue, segments=rows_per_rank, cache_key="pr.full"
+        )
+        x = pr / np.maximum(deg, 1e-300)[:, None]
+        x[deg == 0] = 0.0
+        acc[...] = csr_pull(pull, x, "sum")
 
         # Complete sums along row groups, refresh ghosts — live lanes
         # only.
@@ -822,28 +809,19 @@ def pagerank_batch(
             engine.comm.allreduce(all_ranks, partials, op="sum")
         dangling = partials[0]
 
-        def damping_update(ctx):
-            pr = ctx.get("pr")
-            acc = ctx.get("acc")
-            tele = ctx.get("tele")
-            t_a = tele[:, act]
-            new = (1.0 - damping) * t_a + damping * (
-                acc[:, act] + dangling[None, :] * t_a
+        t_a = tele[:, act]
+        new = (1.0 - damping) * t_a + damping * (
+            acc[:, act] + dangling[None, :] * t_a
+        )
+        if tol is not None:
+            rows = fleet.row_mask
+            max_delta = np.abs(new[rows] - pr[rows][:, act]).max(
+                axis=0, initial=0.0
             )
-            delta = np.zeros(act.size)
-            if tol is not None:
-                rw = ctx.row_slice
-                delta = np.abs(new[rw] - pr[rw][:, act]).max(
-                    axis=0, initial=0.0
-                )
-            pr[:, act] = new
-            engine.charge_vertices(ctx.rank, ctx.n_total)
-            return delta
-
-        deltas = engine.map_ranks(damping_update)
+        pr[:, act] = new
+        engine.charge_vertices(None, fleet.n_total)
         lane_iters[act] = iterations_run
         if tol is not None:
-            max_delta = np.max(np.stack(deltas), axis=0)
             flags = [max_delta.copy() for _ in all_ranks]
             engine.comm.allreduce(all_ranks, flags, op="max")
             lane_done[act[max_delta < tol]] = True

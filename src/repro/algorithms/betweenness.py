@@ -20,73 +20,55 @@ import numpy as np
 
 from ..core.engine import Engine
 from ..core.result import AlgorithmResult
-from ..kernels import scatter_reduce
+from ..kernels import csr_pull
 from ..patterns.dense import dense_pull
 from .bfs import bfs
 
 __all__ = ["betweenness"]
 
 
-def _forward_sigma(engine: Engine, levels_local: list[np.ndarray], depth_max: int):
-    """Level-synchronous shortest-path counting into state ``sigma``."""
+def _forward_sigma(engine: Engine, level: np.ndarray, depth_max: int):
+    """Level-synchronous shortest-path counting into state ``sigma``.
+
+    ``level`` is the BFS level of every rank-stacked LID.  Each level
+    is one CSR pull over every rank's block: the neighbor mask folds
+    into the operand as zeros, the row mask is applied to the result.
+    """
+    fleet = engine.fleet
+    sigma, acc = fleet.stacked("sigma"), fleet.stacked("acc")
+    pull = fleet.csr()
+    full_queue, rows_per_rank = fleet.full_queue()
     for d in range(1, depth_max + 1):
-
-        def count_paths(ctx):
-            sigma = ctx.get("sigma")
-            level = levels_local[ctx.rank]
-            acc = ctx.get("acc")
-            acc[...] = 0.0
-            src, dst, _ = ctx.expand_all()
-            engine.charge_edges(ctx.rank, ctx.local_degrees(), cache_key="bc.full")
-            if src.size:
-                sel = (level[src] == d) & (level[dst] == d - 1)
-                scatter_reduce(acc, src[sel], sigma[dst[sel]], "sum")
-
-        engine.foreach(count_paths)
+        at_d = level == d
+        engine.charge_edges(
+            None, full_queue, segments=rows_per_rank, cache_key="bc.full"
+        )
+        from_above = np.where(level == d - 1, sigma, 0.0)
+        acc[...] = np.where(at_d, csr_pull(pull, from_above, "sum"), 0.0)
         dense_pull(engine, "acc", op="sum")
-
-        def commit_sigma(ctx):
-            sigma = ctx.get("sigma")
-            acc = ctx.get("acc")
-            level = levels_local[ctx.rank]
-            at_d = level == d
-            sigma[at_d] = acc[at_d]
-            engine.charge_vertices(ctx.rank, ctx.n_total)
-
-        engine.foreach(commit_sigma)
+        sigma[at_d] = acc[at_d]
+        engine.charge_vertices(None, fleet.n_total)
 
 
-def _backward_delta(engine: Engine, levels_local: list[np.ndarray], depth_max: int):
+def _backward_delta(engine: Engine, level: np.ndarray, depth_max: int):
     """Dependency accumulation into state ``delta`` (descending levels)."""
+    fleet = engine.fleet
+    sigma, delta = fleet.stacked("sigma"), fleet.stacked("delta")
+    acc = fleet.stacked("acc")
+    pull = fleet.csr()
+    full_queue, rows_per_rank = fleet.full_queue()
     for d in range(depth_max, 0, -1):
-
-        def accumulate(ctx):
-            sigma = ctx.get("sigma")
-            delta = ctx.get("delta")
-            level = levels_local[ctx.rank]
-            acc = ctx.get("acc")
-            acc[...] = 0.0
-            src, dst, _ = ctx.expand_all()
-            engine.charge_edges(ctx.rank, ctx.local_degrees(), cache_key="bc.full")
-            if src.size:
-                sel = (level[src] == d - 1) & (level[dst] == d)
-                w = dst[sel]
-                contrib = (1.0 + delta[w]) / np.maximum(sigma[w], 1.0)
-                scatter_reduce(acc, src[sel], contrib, "sum")
-
-        engine.foreach(accumulate)
+        at = level == d - 1
+        engine.charge_edges(
+            None, full_queue, segments=rows_per_rank, cache_key="bc.full"
+        )
+        from_below = np.where(
+            level == d, (1.0 + delta) / np.maximum(sigma, 1.0), 0.0
+        )
+        acc[...] = np.where(at, csr_pull(pull, from_below, "sum"), 0.0)
         dense_pull(engine, "acc", op="sum")
-
-        def commit_delta(ctx):
-            sigma = ctx.get("sigma")
-            delta = ctx.get("delta")
-            acc = ctx.get("acc")
-            level = levels_local[ctx.rank]
-            at = level == d - 1
-            delta[at] = sigma[at] * acc[at]
-            engine.charge_vertices(ctx.rank, ctx.n_total)
-
-        engine.foreach(commit_delta)
+        delta[at] = sigma[at] * acc[at]
+        engine.charge_vertices(None, fleet.n_total)
 
 
 def betweenness(
@@ -111,7 +93,7 @@ def betweenness(
         times the pair factor), mapping scores to ``[0, 1]``.
     """
     engine.reset_timers()
-    part = engine.partition
+    part, fleet = engine.partition, engine.fleet
     n = part.n_vertices
     if sources is not None and k_samples is not None:
         raise ValueError("pass either sources or k_samples, not both")
@@ -138,26 +120,18 @@ def betweenness(
         levels_global = res.extra["levels"]
         depth_max = int(levels_global.max(initial=0))
         total_iterations += res.iterations
-        # Distribute levels to the ranks once (BFS already left a
-        # consistent 'level' state behind, but it is in relabeled LID
-        # space and uses inf; rebuild a clean copy locally).
-        levels_local = engine.map_ranks(
-            lambda ctx: np.where(
-                np.isfinite(ctx.get("level")), ctx.get("level"), -1
-            ).astype(np.int64)
-        )
-
-        def init_brandes(ctx):
-            sigma = ctx.alloc("sigma", np.float64)
-            ctx.alloc("delta", np.float64)
-            ctx.alloc("acc", np.float64)
-            sigma[levels_local[ctx.rank] == 0] = 1.0
-            engine.charge_vertices(ctx.rank, ctx.n_total)
-
-        engine.foreach(init_brandes)
+        # BFS left a consistent 'level' state behind on every rank
+        # (inf where unreached); the sweeps below run on its
+        # rank-stacked form.
+        reached = fleet.stacked("level")
+        level = np.where(np.isfinite(reached), reached, -1).astype(np.int64)
+        for name in ("sigma", "delta", "acc"):
+            engine.alloc(name, np.float64)
+        fleet.stacked("sigma")[level == 0] = 1.0
+        engine.charge_vertices(None, fleet.n_total)
         if depth_max > 0:
-            _forward_sigma(engine, levels_local, depth_max)
-            _backward_delta(engine, levels_local, depth_max)
+            _forward_sigma(engine, level, depth_max)
+            _backward_delta(engine, level, depth_max)
         deltas = engine.gather("delta")
         deltas[int(s)] = 0.0
         bc += scale * deltas

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..core.engine import Engine
 from ..core.result import AlgorithmResult
-from ..kernels import scatter_reduce
+from ..kernels import csr_pull
 from ..patterns.complex import (
     build_histogram,
     merge_histograms,
@@ -85,7 +85,7 @@ def greedy_coloring(
     :func:`serial_jones_plassmann`.
     """
     engine.reset_timers()
-    part, grid = engine.partition, engine.grid
+    part, grid, fleet = engine.partition, engine.grid, engine.fleet
     n = part.n_vertices
     prio_global = color_priorities(n, seed)
 
@@ -97,24 +97,23 @@ def greedy_coloring(
         engine.charge_vertices(ctx.rank, ctx.n_total)
 
     engine.foreach(init_state)
+    pull = fleet.csr()
+    full_queue, rows_per_rank = fleet.full_queue()
 
     rounds = 0
     while True:
         rounds += 1
 
         # ---- 1. max uncolored-neighbor priority (dense pull MAX) ------
-        def max_uncolored(ctx):
-            color = ctx.get("color")
-            prio = ctx.get("prio")
-            maxp = ctx.get("maxp")
-            maxp[...] = -np.inf
-            src, dst, _ = ctx.expand_all()
-            engine.charge_edges(ctx.rank, ctx.local_degrees(), cache_key="color.full")
-            if src.size:
-                unc = color[dst] < 0
-                scatter_reduce(maxp, src[unc], prio[dst[unc]], "max")
-
-        engine.foreach(max_uncolored)
+        # One CSR pull over every rank's block; colored neighbors enter
+        # as -inf, the identity of MAX.
+        engine.charge_edges(
+            None, full_queue, segments=rows_per_rank, cache_key="color.full"
+        )
+        uncolored_prio = np.where(
+            fleet.stacked("color") < 0, fleet.stacked("prio"), -np.inf
+        )
+        fleet.stacked("maxp")[...] = csr_pull(pull, uncolored_prio, "max")
         dense_pull(engine, "maxp", op="max")
 
         # ---- 2. winners pick the smallest absent neighborhood color ---

@@ -10,7 +10,8 @@ Every iteration:
 
 1. each rank gathers ``pr[u] / deg[u]`` over its local edges into a
    per-owned-vertex accumulator (partial sums — a vertex's full
-   neighborhood spans its row group);
+   neighborhood spans its row group) — ``acc = A (pr / deg)``, one
+   :func:`~repro.kernels.csr_pull` over every rank's block at once;
 2. a dense pull exchange (row-group AllReduce SUM + column-group
    Broadcasts) completes the sums and refreshes ghosts;
 3. dangling mass is folded in via a one-word AllReduce and the damping
@@ -29,7 +30,7 @@ import numpy as np
 
 from ..core.engine import Engine
 from ..core.result import AlgorithmResult
-from ..kernels import scatter_reduce
+from ..kernels import csr_pull
 from ..patterns.dense import dense_pull
 
 __all__ = ["pagerank", "compute_global_degrees"]
@@ -46,25 +47,15 @@ def compute_global_degrees(
     (paper §3.2: the true degree is the row-group sum of local
     degrees).
     """
-    def local_degrees(ctx):
-        deg = ctx.alloc(name, np.float64)
-        if weighted:
-            blk = ctx.block
-            if blk.weights is None:
-                raise ValueError("weighted degrees need an edge-weighted graph")
-            sums = np.zeros(ctx.localmap.n_row)
-            scatter_reduce(
-                sums,
-                np.repeat(np.arange(ctx.localmap.n_row), ctx.local_degrees()),
-                blk.weights,
-                "sum",
-            )
-            deg[ctx.row_slice] = sums
-        else:
-            deg[ctx.row_slice] = ctx.local_degrees()
-        engine.charge_vertices(ctx.rank, ctx.n_total)
-
-    engine.foreach(local_degrees)
+    fleet = engine.fleet
+    if weighted:
+        # every rank's row sums of edge weights: A_w @ 1
+        local = csr_pull(fleet.csr(weighted=True), np.ones(fleet.size), "sum")
+    else:
+        local = fleet.local_degrees()
+    engine.alloc(name, np.float64)
+    fleet.stacked(name)[...] = local
+    engine.charge_vertices(None, fleet.n_total)
     dense_pull(engine, name, op="sum")
 
 
@@ -104,7 +95,7 @@ def pagerank(
     than bit-exactly; see ``docs/ROBUSTNESS.md``.
     """
     n = engine.partition.n_vertices
-    grid = engine.grid
+    grid, fleet = engine.grid, engine.fleet
     all_ranks = list(range(grid.n_ranks))
 
     if personalization is not None:
@@ -121,26 +112,25 @@ def pagerank(
             teleport_global = personalization / personalization.sum()
             engine.scatter_global("tele", teleport_global)
         compute_global_degrees(engine, weighted=weighted)
-
-        def alloc_state(ctx):
-            ctx.alloc("pr", np.float64, fill=1.0 / n)
-            ctx.alloc("acc", np.float64)
-
-        engine.foreach(alloc_state)
+        engine.alloc("pr", np.float64, fill=1.0 / n)
+        engine.alloc("acc", np.float64)
         iterations_run = 0
         done = False
     else:
         iterations_run = st["iterations_run"]
         done = st["done"]
 
-    # deg is static after compute_global_degrees, so the per-edge degree
-    # gather (and its zero mask) is iteration-invariant — cache it
-    # (per-rank slots; each closure touches only its own).  Rebuilt from
-    # the (restored) deg state on resume, so it never needs
-    # checkpointing.
-    deg_dst: list[Optional[tuple[np.ndarray, np.ndarray]]] = [None] * grid.n_ranks
+    # The gather, the damping update and both charges are single passes
+    # over the rank-stacked state (repro.core.fleet); only the dangling
+    # share stays per rank, because each rank's pairwise float sum
+    # depends on its own window length.
+    pull = fleet.csr(weighted=weighted)
+    full_queue, rows_per_rank = fleet.full_queue()
     while iterations_run < iterations and not done:
         iterations_run += 1
+        pr = fleet.stacked("pr")
+        deg = fleet.stacked("deg")
+        acc = fleet.stacked("acc")
 
         # Dangling mass: each rank contributes its row window's share
         # divided by the row-group size (R ranks share each window).
@@ -163,26 +153,15 @@ def pagerank(
             else None
         )
 
-        # Local partial gathers.
-        def gather_partials(ctx):
-            pr = ctx.get("pr")
-            deg = ctx.get("deg")
-            acc = ctx.get("acc")
-            acc[...] = 0.0
-            src, dst, w = ctx.expand_all()
-            engine.charge_edges(ctx.rank, ctx.local_degrees(), cache_key="pr.full")
-            if dst.size:
-                if deg_dst[ctx.rank] is None:
-                    dd = deg[dst]
-                    deg_dst[ctx.rank] = (np.maximum(dd, 1e-300), dd == 0)
-                dd_safe, dd_zero = deg_dst[ctx.rank]
-                contrib = pr[dst] / dd_safe
-                if weighted:
-                    contrib = contrib * w
-                contrib[dd_zero] = 0.0
-                scatter_reduce(acc, src, contrib, "sum")
-
-        engine.foreach(gather_partials)
+        # Local partial gathers: acc = A @ (pr / deg), every rank's
+        # block in one CSR pull (rows outside a row window are empty,
+        # so this also resets them).
+        engine.charge_edges(
+            None, full_queue, segments=rows_per_rank, cache_key="pr.full"
+        )
+        x = pr / np.maximum(deg, 1e-300)
+        x[deg == 0] = 0.0
+        acc[...] = csr_pull(pull, x, "sum")
 
         # Complete the sums along row groups, refresh ghosts.
         dense_pull(engine, "acc", op="sum")
@@ -196,30 +175,21 @@ def pagerank(
         dangling_total = float(partials[0][0])
 
         # Damping update (acc is consistent on every LID).
-        def damping_update(ctx):
-            pr = ctx.get("pr")
-            acc = ctx.get("acc")
-            if personalization is not None:
-                tele = ctx.get("tele")
-                new = (1.0 - damping) * tele + damping * (
-                    acc + dangling_total * tele
-                )
-            else:
-                new = (1.0 - damping) / n + damping * (acc + dangling_total / n)
-            delta = 0.0
-            if tol is not None:
-                rw = ctx.row_slice
-                delta = float(np.abs(new[rw] - pr[rw]).max(initial=0.0))
-            pr[...] = new
-            engine.charge_vertices(ctx.rank, ctx.n_total)
-            return delta
-
-        max_delta = max(engine.map_ranks(damping_update), default=0.0)
+        if personalization is not None:
+            tele = fleet.stacked("tele")
+            new = (1.0 - damping) * tele + damping * (acc + dangling_total * tele)
+        else:
+            new = (1.0 - damping) / n + damping * (acc + dangling_total / n)
+        if tol is not None:
+            # owned vertices only: a rank's ghosts are another's rows
+            rows = fleet.row_mask
+            max_delta = float(np.abs(new[rows] - pr[rows]).max(initial=0.0))
+        pr[...] = new
+        engine.charge_vertices(None, fleet.n_total)
         if tol is not None:
             flags = [np.array([max_delta]) for _ in all_ranks]
             engine.comm.allreduce(all_ranks, flags, op="max")
-        if tol is not None and max_delta < tol:
-            done = True
+            done = max_delta < tol
         engine.superstep_boundary(
             "pagerank", {"iterations_run": iterations_run, "done": done}
         )

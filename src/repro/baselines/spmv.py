@@ -10,7 +10,9 @@ work every iteration with no sparse frontiers or active-vertex queues.
 
 Faithfully to that design, this backend:
 
-* computes with *real* SciPy block SpMVs over the same 2D partition,
+* computes with *real* SciPy SpMVs over the same 2D partition (the
+  fleet's stacked CSR, :meth:`~repro.core.fleet.Fleet.csr` — the
+  engine's own PageRank reads the same operand),
 * charges the tuned ``spmv_edge_rate`` of the device (faster per edge
   than the general model's ``edge_rate``),
 * never builds queues: every iteration touches the whole matrix
@@ -20,13 +22,12 @@ Faithfully to that design, this backend:
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..cluster.config import ZEPY, ClusterConfig
 from ..core.engine import Engine
 from ..core.result import AlgorithmResult
 from ..graph.csr import Graph
-from ..kernels import scatter_reduce
+from ..kernels import csr_pull, scatter_reduce
 from ..patterns.dense import dense_pull, dense_push
 
 __all__ = ["spmv_engine", "spmv_pagerank", "spmv_cc", "spmv_bfs"]
@@ -37,20 +38,6 @@ def spmv_engine(
 ) -> Engine:
     """An :class:`Engine` placed on the zepy-style workstation."""
     return Engine(graph, n_ranks=n_ranks, cluster=cluster, **kwargs)
-
-
-def _block_matrices(engine: Engine) -> list[sp.csr_matrix]:
-    """SciPy CSR views of each rank's block in LID column space."""
-
-    def build(ctx):
-        blk = ctx.block
-        n_rows = blk.localmap.n_row
-        data = np.ones(blk.indices.size)
-        return sp.csr_matrix(
-            (data, blk.indices, blk.indptr), shape=(n_rows, ctx.n_total)
-        )
-
-    return engine.map_ranks(build)
 
 
 def _charge_spmv(engine: Engine, rank: int, n_edges: int, n_vertices: int) -> None:
@@ -87,8 +74,7 @@ def spmv_pagerank(
     """PageRank as y = A x with tuned SpMV kernels."""
     engine.reset_timers()
     n = engine.partition.n_vertices
-    grid = engine.grid
-    mats = _block_matrices(engine)
+    grid, fleet = engine.grid, engine.fleet
     all_ranks = list(range(grid.n_ranks))
 
     from ..algorithms.pagerank import compute_global_degrees
@@ -100,6 +86,7 @@ def spmv_pagerank(
         ctx.alloc("acc", np.float64)
 
     engine.foreach(alloc_state)
+    pull = fleet.csr()
 
     for _ in range(iterations):
 
@@ -119,17 +106,13 @@ def spmv_pagerank(
             else None
         )
 
-        def spmv_step(ctx):
-            pr, deg, acc = ctx.get("pr"), ctx.get("deg"), ctx.get("acc")
-            x = pr / np.maximum(deg, 1.0)
-            x[deg == 0] = 0.0
-            acc[...] = 0.0
-            acc[ctx.row_slice] = mats[ctx.rank] @ x
-            _charge_spmv(
-                engine, ctx.rank, ctx.block.n_local_edges, ctx.n_total
-            )
-
-        engine.foreach(spmv_step)
+        # y = A x, every rank's block in one product.
+        pr, deg = fleet.stacked("pr"), fleet.stacked("deg")
+        x = pr / np.maximum(deg, 1.0)
+        x[deg == 0] = 0.0
+        fleet.stacked("acc")[...] = csr_pull(pull, x, "sum")
+        for ctx in engine:
+            _charge_spmv(engine, ctx.rank, ctx.block.n_local_edges, ctx.n_total)
         dense_pull(engine, "acc", op="sum")
 
         if dangling_handle is not None:
@@ -157,7 +140,7 @@ def spmv_pagerank(
 def spmv_cc(engine: Engine, max_iterations: int | None = None) -> AlgorithmResult:
     """CC as min-plus label SpMVs: dense full-matrix work per step."""
     engine.reset_timers()
-    part, grid = engine.partition, engine.grid
+    part, grid, fleet = engine.partition, engine.grid, engine.fleet
     all_ranks = list(range(grid.n_ranks))
     def init_labels(ctx):
         lm = ctx.localmap
@@ -166,6 +149,7 @@ def spmv_cc(engine: Engine, max_iterations: int | None = None) -> AlgorithmResul
         lab[lm.col_slice] = np.arange(lm.col_start, lm.col_stop)
 
     engine.foreach(init_labels)
+    pull = fleet.csr()
 
     iterations = 0
     while True:
@@ -175,14 +159,10 @@ def spmv_cc(engine: Engine, max_iterations: int | None = None) -> AlgorithmResul
             for id_r, ranks in engine.row_groups()
         }
         # Min-plus "SpMV": every edge participates, no frontier.
-        def minplus_spmv(ctx):
-            lab = ctx.get("cc")
-            src, dst, _ = ctx.expand_all()
+        lab = fleet.stacked("cc")
+        np.minimum(lab, csr_pull(pull, lab, "min"), out=lab)
+        for ctx in engine:
             _charge_semiring(engine, ctx.rank, ctx.block.n_local_edges, ctx.n_total)
-            if dst.size:
-                scatter_reduce(lab, src, lab[dst], "min")
-
-        engine.foreach(minplus_spmv)
         dense_pull(engine, "cc", op="min")
         n_changed = 0
         for id_r, ranks in engine.row_groups():

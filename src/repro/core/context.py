@@ -159,8 +159,13 @@ class RankContext:
         return expand_block(self.block, row_lids)
 
     def expand_all(self):
-        """Expand every local edge (dense iteration; cached — the CSR
-        is static, so the expansion is, too).
+        """Expand every local edge (cached — the CSR is static, so the
+        expansion is, too).  For sweeps that need the edge *list*: a
+        push-direction pass such as the SpMV comparator's masked
+        frontier product, or a test oracle.  A sweep that reduces
+        neighbors into their row does not — it is a
+        :func:`~repro.kernels.csr_pull` over
+        :meth:`Fleet.csr <repro.core.fleet.Fleet.csr>`.
 
         The cached ``(src, dst, weights)`` arrays are real per-rank
         footprint (two-to-three edge-length columns), so they are

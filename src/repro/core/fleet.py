@@ -18,7 +18,10 @@ over all ranks:
 * **stacked CSR** — the partition's blocks are slices of one
   concatenated CSR, so :meth:`expand` walks any set of rows of any
   ranks through the ordinary
-  :func:`~repro.queueing.frontier.expand_block`.
+  :func:`~repro.queueing.frontier.expand_block`, and :meth:`csr` is
+  the whole fleet as one square operand for
+  :func:`~repro.kernels.csr_pull` (a dense pull sweep of every rank is
+  one product).
 
 A step may be fused only if its per-rank closure touched nothing but
 its own rank's state and clock lane (the :meth:`Engine.map_ranks
@@ -39,6 +42,7 @@ import numpy as np
 
 from ..graph.localmap import LocalMap
 from ..graph.partition.twod import RankBlock, TwoDPartition
+from ..kernels.pull import PullCSR, index_dtype
 from ..queueing.frontier import expand_block
 
 __all__ = ["EXPAND_EDGE_BUDGET", "Fleet"]
@@ -93,6 +97,7 @@ class Fleet:
         self._lock = threading.Lock()
         self._row_mask: Optional[np.ndarray] = None
         self._block: Optional[RankBlock] = None
+        self._csr: dict[bool, PullCSR] = {}
 
     # ------------------------------------------------------------------
     # state arena
@@ -274,6 +279,56 @@ class Fleet:
         """Local degree of each stacked row LID."""
         indptr = self._stacked_block().indptr
         return indptr[rows + 1] - indptr[rows]
+
+    def local_degrees(self) -> np.ndarray:
+        """Local degree of every stacked LID (zero outside a row
+        window)."""
+        return np.diff(self._stacked_block().indptr)
+
+    def full_queue(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every rank's whole row window as one rank-major queue:
+        ``(local degrees, rows per rank)``, what a dense sweep passes to
+        ``charge_edges(None, degrees, segments=...)``."""
+        return self.local_degrees()[self.row_mask], self.row_stop - self.row_start
+
+    def csr(self, weighted: bool = False) -> PullCSR:
+        """The fleet's adjacency as one ``size`` x ``size`` operand of
+        :func:`~repro.kernels.csr_pull`: row ``base[r] + lid`` holds
+        rank ``r``'s local edges of ``lid`` (LIDs outside a row window
+        have none, so a pull over it also zeroes them), columns are
+        stacked LIDs, entries are ``1.0`` or, with ``weighted``, the
+        edge weights.
+
+        Built on first use and kept for the fleet's life: 4 bytes of
+        rebased column index per edge while stacked LIDs fit ``int32``
+        (shared by both forms) plus the unit data.  Like the engine's
+        other stacked passes, products over it run on the calling
+        thread."""
+        with self._lock:
+            view = self._csr.get(weighted)
+            if view is None:
+                part = self.partition
+                if weighted and part.weights is None:
+                    raise ValueError("a weighted pull needs an edge-weighted graph")
+                other = self._csr.get(not weighted)
+                if other is not None:
+                    indices = other.matrix.indices
+                else:
+                    indices = np.empty(
+                        part.n_edges, dtype=index_dtype(self.size, part.n_edges)
+                    )
+                    edge_offsets = part.edge_offsets.tolist()
+                    for blk, lo, e0, e1 in zip(
+                        part.blocks, self.base.tolist(), edge_offsets, edge_offsets[1:]
+                    ):
+                        np.add(blk.indices, lo, out=indices[e0:e1], casting="unsafe")
+                view = self._csr[weighted] = PullCSR(
+                    self._stacked_block().indptr,
+                    indices,
+                    self.size,
+                    part.weights if weighted else None,
+                )
+        return view
 
     def expand(
         self, rows: np.ndarray

@@ -383,9 +383,12 @@ class IntegrityLedger(BoundaryHook):
                 row = arr[ctx.row_slice]
                 col = arr[ctx.col_slice]
                 nbytes += row.nbytes + col.nbytes
+                # Hash the window's own buffer: a window of a
+                # C-contiguous state (1-D or lanes) is contiguous, so
+                # only an adopted strided array is copied.
                 out[name] = (
-                    zlib.crc32(row.tobytes()),
-                    zlib.crc32(col.tobytes()),
+                    zlib.crc32(np.ascontiguousarray(row)),
+                    zlib.crc32(np.ascontiguousarray(col)),
                 )
             return out, nbytes
 

@@ -6,8 +6,10 @@ shared, tuned edge-parallel primitives — the ReduceQueue reduction
 re-implementing scatter loops per algorithm.  This package is the NumPy
 analogue: one fused, sort-based :func:`scatter_reduce` replaces the
 ``np.unique`` → ``copy`` → ``np.ufunc.at`` → compare idiom at every
-call site (algorithms, patterns, baselines), and :func:`segment_reduce`
-exposes the underlying segmented reduction for histogram-style kernels.
+call site (algorithms, patterns, baselines), :func:`segment_reduce`
+exposes the underlying segmented reduction for histogram-style kernels,
+and :func:`csr_pull` runs a whole dense pull sweep (reduce every row's
+neighborhood) straight off the CSR, without an edge list.
 
 Everything here is purely functional: kernels never touch the engine's
 cost model or counters, so routing a call site through this layer is
@@ -16,6 +18,7 @@ changes.
 """
 
 from .buffers import BufferPool
+from .pull import PullCSR, csr_pull
 from .scatter import (
     ScatterError,
     scatter_reduce,
@@ -27,7 +30,9 @@ from .scatter import (
 
 __all__ = [
     "BufferPool",
+    "PullCSR",
     "ScatterError",
+    "csr_pull",
     "scatter_reduce",
     "scatter_reduce_lanes",
     "scatter_reduce_reference",

@@ -207,10 +207,10 @@ def scatter_reduce_lanes(
             # Power-of-two lane count: shift/mask instead of the much
             # slower int64 multiply/divide for the composite index.
             shift = k.bit_length() - 1
-            comp = (lids.astype(np.int64) << shift) | lanes
+            comp = (lids.astype(np.int64, copy=False) << shift) | lanes
             changed = scatter_reduce(flat, comp, vals, op)
             return changed >> shift, changed & (k - 1)
-        comp = lids.astype(np.int64) * k + lanes
+        comp = lids.astype(np.int64, copy=False) * k + lanes
         changed = scatter_reduce(flat, comp, vals, op)
         return changed // k, changed % k
 
@@ -229,7 +229,7 @@ def scatter_reduce_lanes(
         ufunc.at(state, lids, vals)
         ch_lids, ch_lanes = np.nonzero(state != old)
         return ch_lids.astype(np.int64), ch_lanes.astype(np.int64)
-    uniq = np.unique(lids)
+    uniq = unique_bounded(lids, state.shape[0])
     old = state[uniq].copy()
     ufunc.at(state, lids, vals)
     rows, cols = np.nonzero(state[uniq] != old)

@@ -6,6 +6,7 @@ import pytest
 from repro.algorithms import compute_global_degrees, pagerank
 from repro.core.engine import Engine
 from repro.graph import Graph, star_graph
+from repro.patterns.dense import dense_pull
 from repro.reference import serial
 
 from ..conftest import GRIDS, random_graph
@@ -121,3 +122,98 @@ class TestExtensions:
     def test_tolerance_respects_iteration_bound(self, rmat_graph):
         res = pagerank(Engine(rmat_graph, 4), iterations=3, tol=1e-30)
         assert res.iterations == 3
+
+
+def edge_list_pagerank(
+    engine, iterations, damping=0.85, personalization=None, weighted=False, tol=None
+):
+    """The per-rank edge-list PageRank the CSR pull replaced, kept as
+    the oracle: gather ``pr[dst] / deg[dst]`` over the expanded edges,
+    ``np.add.at`` it by ``src``, update and take ``max |delta|`` rank
+    by rank.  Returns ``(values, iterations run)``."""
+    n, grid = engine.partition.n_vertices, engine.grid
+    ranks = list(range(grid.n_ranks))
+    if personalization is not None:
+        engine.scatter_global("tele", personalization / personalization.sum())
+    compute_global_degrees(engine, weighted=weighted)
+    engine.alloc("pr", np.float64, fill=1.0 / n)
+    engine.alloc("acc", np.float64)
+    for it in range(1, iterations + 1):
+        partials = []
+        for ctx in engine:
+            pr, deg, acc = ctx.get("pr"), ctx.get("deg"), ctx.get("acc")
+            rw = ctx.row_slice
+            partials.append(np.array([pr[rw][deg[rw] == 0].sum() / grid.R]))
+            acc[...] = 0.0
+            src, dst, w = ctx.expand_all()
+            contrib = pr[dst] / np.maximum(deg[dst], 1e-300)
+            if weighted:
+                contrib = contrib * w
+            contrib[deg[dst] == 0] = 0.0
+            np.add.at(acc, src, contrib)
+        dense_pull(engine, "acc", op="sum")
+        engine.comm.allreduce(ranks, partials, op="sum")
+        dangling = float(partials[0][0])
+        deltas = []
+        for ctx in engine:
+            pr, acc = ctx.get("pr"), ctx.get("acc")
+            if personalization is not None:
+                tele = ctx.get("tele")
+                new = (1.0 - damping) * tele + damping * (acc + dangling * tele)
+            else:
+                new = (1.0 - damping) / n + damping * (acc + dangling / n)
+            rw = ctx.row_slice
+            deltas.append(float(np.abs(new[rw] - pr[rw]).max(initial=0.0)))
+            pr[...] = new
+        if tol is not None and max(deltas) < tol:
+            break
+    return engine.gather("pr"), it
+
+
+class TestCsrPullEqualsEdgeListGather:
+    """The stacked CSR pull computes, bit for bit, what the per-rank
+    gather + ``np.add.at`` did — every option, every grid."""
+
+    VARIANTS = {
+        "plain": {},
+        "weighted": {"weighted": True},
+        "personalized_tol": {"personalized": True, "tol": 1e-7},
+        "weighted_personalized_tol": {
+            "weighted": True, "personalized": True, "tol": 1e-5,
+        },
+    }
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g.C}x{g.R}")
+    def test_values_and_stopping_iteration(self, rmat_graph, grid, variant):
+        opts = dict(self.VARIANTS[variant])
+        graph = rmat_graph.with_random_weights(seed=3)
+        if opts.pop("personalized", False):
+            v = np.arange(graph.n_vertices)
+            opts["personalization"] = (v % 5 == 1) * (1.0 + v % 4)
+        got = pagerank(Engine(graph, grid=grid), iterations=40, **opts)
+        want, stopped = edge_list_pagerank(Engine(graph, grid=grid), 40, **opts)
+        assert got.values.tobytes() == want.tobytes()
+        assert got.iterations == stopped
+        assert ("tol" in opts) == (stopped < 40)
+
+    def test_weighted_degrees_are_sequential_row_sums(self, rmat_graph):
+        graph = rmat_graph.with_random_weights(seed=3)
+        engine = Engine(graph, grid=GRIDS[6])
+        for ctx in engine:  # oracle first: compute_global_degrees reduces
+            want = np.zeros(ctx.n_total)
+            src, _, w = ctx.expand_all()
+            np.add.at(want, src, w)
+            ctx.arrays["want"] = want
+        dense_pull(engine, "want", op="sum")
+        compute_global_degrees(engine, weighted=True)
+        for ctx in engine:
+            assert ctx.get("deg").tobytes() == ctx.get("want").tobytes()
+
+    def test_no_edge_list_is_cached_by_a_run(self, rmat_graph):
+        engine = Engine(rmat_graph.with_random_weights(seed=3), 4)
+        pagerank(engine, iterations=3)
+        pagerank(engine, iterations=3, weighted=True)
+        for ctx in engine:
+            assert "cache.expand_all" not in ctx.device.ledger
+            assert "graph.indices" in ctx.device.ledger

@@ -18,6 +18,7 @@ from repro.comm.grid import Grid2D
 from repro.core import fleet as fleet_mod
 from repro.faults import CheckpointManager
 from repro.graph import Graph, rmat, star_graph
+from repro.kernels import csr_pull
 from repro.kernels import scatter as scatter_mod
 from repro.queueing.manhattan import manhattan_schedule, vertex_per_thread_balance
 
@@ -94,6 +95,129 @@ def test_stack_split_and_expand_match_per_rank(grid):
         np.flatnonzero(fleet.row_mask),
         np.concatenate([ctx.row_lids() + fleet.base[ctx.rank] for ctx in engine]),
     )
+
+
+# ----------------------------------------------------------------------
+# stacked CSR operand of the pull kernel
+# ----------------------------------------------------------------------
+_PULL_OPS = {"sum": 0.0, "min": np.inf, "max": -np.inf}
+
+
+def _per_rank_edge_list_pull(engine, name, op, weighted):
+    """What the CSR pull replaces, rank by rank: gather the operand over
+    the rank's expanded edge list, ``np.<op>.at`` it into an
+    identity-filled state (per lane)."""
+    out = []
+    for ctx in engine:
+        x = ctx.get(name)
+        src, dst, w = ctx.expand_all()
+        state = np.full(x.shape, _PULL_OPS[op])
+        for lane in np.ndindex(x.shape[1:]):
+            at = (slice(None),) + lane
+            vals = x[at][dst] * w if weighted else x[at][dst]
+            col = state[at].copy()
+            scatter_mod.scatter_reduce_reference(col, src, vals, op)
+            state[at] = col
+        out.append(state)
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("width", [None, 3], ids=["1d", "lanes"])
+@pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+def test_csr_pull_over_the_fleet_equals_per_rank_edge_list_scatter(
+    grid, weighted, width
+):
+    graph = rmat(7, seed=4).with_random_weights(seed=2)
+    engine = Engine(graph, grid=grid)
+    fleet = engine.fleet
+    engine.alloc("x", np.float64, width=width)
+    x = fleet.stacked("x")
+    rng = np.random.default_rng(1)
+    x[...] = rng.standard_normal(x.shape) * 10.0 ** rng.integers(-6, 6, size=x.shape)
+    for op in _PULL_OPS:
+        got = csr_pull(fleet.csr(weighted=weighted), x, op)
+        want = _per_rank_edge_list_pull(engine, "x", op, weighted)
+        assert got.tobytes() == want.tobytes(), op
+        # LIDs outside a row window have no edges: a pull resets them
+        assert np.all(got[~fleet.row_mask] == _PULL_OPS[op])
+
+
+def test_csr_pull_with_fewer_vertices_than_ranks():
+    graph = Graph.from_edges(np.array([0, 1]), np.array([1, 2]), 3)
+    engine = Engine(graph, grid=Grid2D(R=4, C=4))
+    engine.alloc("x", np.float64)
+    x = engine.fleet.stacked("x")
+    x[...] = np.arange(1.0, x.size + 1)
+    for op in _PULL_OPS:
+        assert np.array_equal(
+            csr_pull(engine.fleet.csr(), x, op),
+            _per_rank_edge_list_pull(engine, "x", op, False),
+        )
+    res = algorithms.pagerank(engine, iterations=4)
+    from repro.reference import serial
+
+    assert np.allclose(res.values, serial.pagerank(graph, 4), atol=1e-15)
+
+
+class TestFleetCsrView:
+    def test_built_lazily_once_and_shared_between_forms(self):
+        engine = Engine(rmat(7, seed=2).with_random_weights(seed=1), 4)
+        fleet = engine.fleet
+        algorithms.bfs(engine, root=1)
+        assert fleet._csr == {}  # BFS-only runs never pay for the view
+        unit = fleet.csr()
+        assert fleet.csr() is unit and unit.unit
+        weighted = fleet.csr(weighted=True)
+        assert fleet.csr(weighted=True) is weighted and not weighted.unit
+        assert np.shares_memory(weighted.matrix.indices, unit.matrix.indices)
+        assert unit.matrix.indices.dtype == unit.matrix.indptr.dtype == np.int32
+        assert np.shares_memory(weighted.matrix.data, engine.partition.weights)
+        assert unit.matrix.shape == (fleet.size, fleet.size)
+
+    def test_weighted_view_needs_weights(self):
+        with pytest.raises(ValueError, match="edge-weighted"):
+            Engine(rmat(6, seed=2), 4).fleet.csr(weighted=True)
+
+    def test_first_use_from_many_threads_builds_one_view(self):
+        import threading
+
+        fleet = Engine(rmat(9, seed=2), 16).fleet
+        views, barrier = [], threading.Barrier(8, timeout=10)
+
+        def first_use():
+            barrier.wait()
+            views.append(fleet.csr())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=first_use) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(views) == 8 and all(v is views[0] for v in views)
+
+    def test_rebuild_on_grid_gets_its_own_view(self):
+        engine = Engine(rmat(7, seed=2), grid=Grid2D(R=2, C=2))
+        old = engine.fleet.csr()
+        new = engine.rebuild_on_grid(Grid2D(R=3, C=1))
+        assert new.fleet.csr() is not old
+        assert new.fleet.csr().matrix.shape[0] == new.fleet.size
+        assert new.fleet.csr().matrix.nnz == old.matrix.nnz
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+    def test_full_queue_is_every_rank_row_window(self, grid):
+        engine = Engine(rmat(7, seed=4), grid=grid)
+        degrees, rows_per_rank = engine.fleet.full_queue()
+        assert np.array_equal(
+            degrees, np.concatenate([ctx.local_degrees() for ctx in engine])
+        )
+        assert rows_per_rank.tolist() == [ctx.localmap.n_row for ctx in engine]
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ campaign behind ``python -m repro faults --sdc``:
 """
 
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -230,6 +231,59 @@ class TestLedgerUnit:
         ev = engine.fault_events[-1]
         assert ev["suspects"] == list(exc.suspects)
         assert ev["window"] == [2, 2]
+
+    @pytest.mark.parametrize(
+        "layout", ["1d", "lanes", "int32_lanes", "strided", "strided_lanes"]
+    )
+    def test_digests_are_the_crc_of_each_window_whatever_the_layout(self, layout):
+        """Windows are hashed in place (no ``tobytes`` copy); only a
+        non-contiguous adopted array is copied.  Same CRC words, same
+        fingerprint as hashing a copy of every window."""
+        engine = Engine(GRAPH, 9)  # groups of 3: a minority of one
+        _seed_state(
+            engine,
+            dtype=np.int32 if layout == "int32_lanes" else np.float64,
+            width=3 if "lanes" in layout else None,
+        )
+        if layout.startswith("strided"):
+            for ctx in engine.contexts:
+                arr = ctx.arrays["x"]
+                wide = np.zeros((2 * arr.shape[0],) + arr.shape[1:], arr.dtype)
+                wide[::2] = arr
+                ctx.adopt("x", wide[::2])
+                assert arr.size == 0 or not ctx.arrays["x"].flags.c_contiguous
+        ledger = IntegrityLedger()
+        digests, hashed = ledger._collect_digests(engine)
+        want = [
+            {
+                "x": (
+                    zlib.crc32(ctx.arrays["x"][ctx.row_slice].tobytes()),
+                    zlib.crc32(ctx.arrays["x"][ctx.col_slice].tobytes()),
+                )
+            }
+            for ctx in engine.contexts
+        ]
+        assert digests == want
+        assert hashed == max(
+            ctx.arrays["x"][ctx.row_slice].nbytes
+            + ctx.arrays["x"][ctx.col_slice].nbytes
+            for ctx in engine.contexts
+        )
+        row = ledger.on_boundary(engine, 1)
+        assert row.ok and row.fingerprint == zlib.crc32(
+            b"".join(d.to_bytes(4, "little") for rank in want for d in rank["x"])
+        )
+        # one flipped bit is still pinned on the rank that holds it
+        # (apply_memflip itself only reaches contiguous windows)
+        victim = engine.contexts[4]
+        if layout.startswith("strided"):
+            first = victim.arrays["x"][victim.row_slice][:1]
+            first.view(f"u{first.itemsize}")[...] ^= 32
+        else:
+            apply_memflip(victim, FaultSpec("memflip", 2, rank=4, bit=5))
+        with pytest.raises(IntegrityFailure, match="no verified checkpoint"):
+            ledger.on_boundary(engine, 2)
+        assert engine.fault_events[-1]["suspects"] == [4]
 
     def test_rewind_drops_rows_but_keeps_budget_consumption(self):
         ledger = IntegrityLedger()

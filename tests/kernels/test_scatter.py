@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kernels import ScatterError, scatter_reduce, scatter_reduce_reference
+from repro.kernels import scatter as scatter_mod
 from repro.kernels.scatter import segment_reduce
 
 OPS = ["min", "max", "sum"]
@@ -313,3 +314,46 @@ class TestScatterReduceLanes:
         state = np.zeros((4, 2))
         with pytest.raises(ScatterError, match="row-vector"):
             scatter_reduce_lanes(state, np.array([0, 1]), np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("k", [3, 4], ids=["multiply", "shift"])
+    def test_lids_of_any_integer_width_build_the_same_int64_composite(
+        self, k, monkeypatch
+    ):
+        """``int64`` lids are used as they are (``astype(copy=False)``);
+        narrower ones must still widen before the shift / multiply."""
+        lids64 = np.array([3, 0, 3, 1], dtype=np.int64)
+        lanes = np.array([0, 2, 0, 1], dtype=np.int64)
+        vals = np.array([1.0, 2.0, 0.5, 4.0])
+        seen = []
+        real = scatter_mod.scatter_reduce
+
+        def spy(state, comp, *args):
+            seen.append(comp)
+            return real(state, comp, *args)
+
+        monkeypatch.setattr(scatter_mod, "scatter_reduce", spy)
+        results = []
+        for lids in (lids64, lids64.astype(np.int32)):
+            state = np.full((5, k), 9.0)
+            results.append(
+                (state, *scatter_reduce_lanes(state, lids, vals, "min", lanes=lanes))
+            )
+        assert all(comp.dtype == np.int64 for comp in seen)
+        for a, b in zip(*results):
+            assert np.array_equal(a, b)
+        assert results[0][1].tolist() == [0, 1, 3]
+
+    def test_sparse_row_vector_mode_dedups_without_np_unique(self, monkeypatch):
+        """Like the 1-D kernel's sparse regime: ``unique_bounded``, not
+        the hash/sort pass of ``np.unique``."""
+
+        def boom(*args, **kwargs):
+            raise AssertionError("np.unique called")
+
+        state = np.zeros((64, 2))
+        lids = np.array([7, 7, 40], dtype=np.int64)
+        vals = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 5.0]])
+        monkeypatch.setattr(np, "unique", boom)
+        ch_lids, ch_lanes = scatter_reduce_lanes(state, lids, vals, "sum")
+        assert ch_lids.tolist() == [7, 40] and ch_lanes.tolist() == [0, 1]
+        assert state[7].tolist() == [3.0, 0.0] and state[40].tolist() == [0.0, 5.0]

@@ -1,15 +1,23 @@
 """Golden modeled-clock fixture: the simulator's *modeled* output is a
 fixed point of host-side performance work.
 
-``golden_clocks.json`` was recorded at the commit before the engine's
-supersteps were fused across ranks (PR 14).  Every case pins the
-modeled times (total / compute / comm / overlap, and every
-per-iteration mark), the communication counters and a digest of the
-answer, with floats stored as ``float.hex()`` so equality is exact.
-The suite runs on whichever rank executor ``REPRO_EXECUTOR`` selects
-and on ``threads:4`` explicitly.
+``golden_clocks.json`` holds cases recorded at the commit *before*
+the host-side change they guard: the six traversal / label / PageRank
+cases before the engine's supersteps were fused across ranks (PR 14),
+the PageRank variants, ``pagerank_batch``, betweenness, coloring and
+the SpMV comparator before their edge-list sweeps became CSR pulls
+(PR 15).  Every case pins the modeled times (total / compute / comm /
+overlap, and every per-iteration mark), the communication counters and
+a digest of the answer, with floats stored as ``float.hex()`` so
+equality is exact.  The suite runs on whichever rank executor
+``REPRO_EXECUTOR`` selects and on ``threads:4`` explicitly.
 
-Re-record (only when a PR *means* to change the model)::
+Add cases for code about to change — at the parent commit, before the
+first source edit; recorded cases are left byte-identical::
+
+    PYTHONPATH=src python tests/test_golden_clocks.py --record-missing
+
+Re-record everything (only when a PR *means* to change the model)::
 
     PYTHONPATH=src python tests/test_golden_clocks.py --record
 """
@@ -25,6 +33,8 @@ import numpy as np
 import pytest
 
 from repro import Engine, algorithms
+from repro.algorithms.batch import pagerank_batch
+from repro.baselines.spmv import spmv_cc, spmv_pagerank
 from repro.comm.grid import Grid2D
 from repro.graph import rmat
 
@@ -41,6 +51,19 @@ ALGOS = {
     "sssp": lambda e: algorithms.sssp(e, root=3),
     "lp": lambda e: algorithms.label_propagation(e, iterations=6),
     "pagerank": lambda e: algorithms.pagerank(e, iterations=5),
+    "pagerank_weighted": lambda e: algorithms.pagerank(e, iterations=5, weighted=True),
+    # stops at iteration 12 of 20
+    "pagerank_personalized_tol": lambda e: algorithms.pagerank(
+        e, personalization=_personalization(e), tol=1e-6
+    ),
+    # lane 1 retires one iteration before lanes 0 and 2
+    "pagerank_batch": lambda e: pagerank_batch(
+        e, [3, 17, 200], iterations=12, tol=1e-4
+    ),
+    "betweenness": lambda e: algorithms.betweenness(e, sources=[3, 17]),
+    "greedy_coloring": lambda e: algorithms.greedy_coloring(e, max_rounds=6),
+    "spmv_pagerank": lambda e: spmv_pagerank(e, iterations=5),
+    "spmv_cc": lambda e: spmv_cc(e),
 }
 
 CASES = [
@@ -53,6 +76,11 @@ CASES = [
 
 def _graph():
     return rmat(9, seed=5).with_random_weights(seed=5)
+
+
+def _personalization(engine) -> np.ndarray:
+    v = np.arange(engine.partition.n_vertices)
+    return (v % 7 == 0) * (1.0 + v % 3)
 
 
 def _key(algo, R, C, overlap) -> str:
@@ -111,10 +139,15 @@ def test_fixture_covers_every_case(golden):
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
+    if sys.argv[1:] not in (["--record"], ["--record-missing"]):
         raise SystemExit(__doc__)
+    out = {}
+    if sys.argv[1] == "--record-missing":
+        with open(FIXTURE) as fh:
+            out = json.load(fh)
     g = _graph()
-    out = {_key(*c): run_case(g, *c, executor="serial") for c in CASES}
+    missing = [c for c in CASES if _key(*c) not in out]
+    out.update({_key(*c): run_case(g, *c, executor="serial") for c in missing})
     with open(FIXTURE, "w") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)
-    print(f"recorded {len(out)} cases to {FIXTURE}")
+    print(f"recorded {len(missing)} of {len(out)} cases to {FIXTURE}")
