@@ -24,14 +24,29 @@ Detection
     boundaries each rank hashes its windows (CRC32, modeled at
     ``hash_bw``); the digests are exchanged (one small collective,
     modeled at ``exchange_bw``) and compared per group.  Any
-    single-rank corruption of a replicated window breaks agreement —
-    CRC32 is linear, so two buffers differing in >= 1 bit (and fewer
-    than 2^32) can never collide with themselves shifted by that
-    difference pattern's CRC being zero for a single bit.  The ledger
-    keeps a rolling history of verified boundaries; the *suspect
-    window* after a mismatch is everything since the last verified
-    boundary.  Verification time is charged to the ``certify`` clock
-    lane.
+    single-bit corruption of a replicated window breaks agreement:
+    CRC32 is affine over GF(2), so the digests of two equal-length
+    buffers differ by the plain polynomial remainder of their XOR,
+    and the remainder of a buffer with exactly one set bit is
+    ``x^k mod G`` — never zero, because the generator ``G`` has a
+    nonzero constant term and so divides no power of ``x``.
+    (Multi-bit differences collide with probability about ``2^-32``.)
+    The ledger keeps a rolling history of verified boundaries; the
+    *suspect window* after a mismatch is everything since the last
+    verified boundary.  Verification time is charged to the
+    ``certify`` clock lane.
+
+    That is what the *modeled* machine does and is charged for.  On
+    the host every replica of a window lives in the same address
+    space, so the ledger reaches the same digest table by comparison
+    (:meth:`IntegrityLedger._collect_digests`): per ``(array, axis,
+    group)`` one member's window is hashed and every other member's
+    window is byte-compared against it; byte-equal windows have equal
+    CRCs, so an equal member takes the representative's CRC word and
+    only a member that differs is hashed itself.  Every byte of every
+    window is still read at every verified boundary — an SDC is by
+    definition a change nobody reported, so there is no "clean
+    window" to skip.
 
     Per-algorithm *certifiers* (:func:`certify_bfs`,
     :func:`certify_sssp`, :func:`certify_cc`,
@@ -153,9 +168,9 @@ class IntegrityFailure(RuntimeError):
 # ----------------------------------------------------------------------
 def _owned_segments(ctx) -> list[np.ndarray]:
     """The rank's replicated windows: row- and column-window slices of
-    every registered state array, in sorted-name order.  First-axis
-    slices of C-contiguous arrays, hence contiguous views — both the
-    flip and the hash operate on them byte-wise."""
+    every registered state array, in sorted-name order.  Views of the
+    registered arrays — contiguous unless the array was adopted
+    strided."""
     segments = []
     for name in sorted(ctx.arrays):
         arr = ctx.arrays[name]
@@ -168,11 +183,14 @@ def apply_memflip(ctx, spec) -> int:
     """Flip ``spec.count`` consecutive bits (starting at ``spec.bit``,
     wrapped) in ``ctx``'s owned state windows; returns bits flipped.
 
-    The bit index addresses the concatenated byte stream of the
-    rank's row-window and column-window segments (sorted array-name
-    order) — corruption lands in replicated state, which is what the
-    :class:`IntegrityLedger` covers.  Zero registered state means
-    nothing to flip (returns 0).
+    The bit index addresses the concatenated byte stream (C order) of
+    the rank's row-window and column-window segments (sorted
+    array-name order) — corruption lands in replicated state, which is
+    what the :class:`IntegrityLedger` covers.  Each flip goes through a
+    one-element view of the registered array, so it reaches the real
+    buffer whatever the array's strides (an adopted ``wide[::2]`` or
+    strided lanes included).  Zero registered state means nothing to
+    flip (returns 0).
     """
     segments = _owned_segments(ctx)
     total_bits = sum(s.nbytes for s in segments) * 8
@@ -184,8 +202,12 @@ def apply_memflip(ctx, spec) -> int:
         for seg in segments:
             nbits = seg.nbytes * 8
             if bit < nbits:
-                flat = seg.view(np.uint8).reshape(-1)
-                flat[bit // 8] ^= np.uint8(1 << (bit % 8))
+                elem, byte = divmod(bit // 8, seg.itemsize)
+                # basic slicing: a view; one element is always contiguous
+                cell = seg[
+                    tuple(slice(i, i + 1) for i in np.unravel_index(elem, seg.shape))
+                ]
+                cell.view(np.uint8).reshape(-1)[byte] ^= np.uint8(1 << (bit % 8))
                 flipped += 1
                 break
             bit -= nbits
@@ -195,6 +217,48 @@ def apply_memflip(ctx, spec) -> int:
 # ----------------------------------------------------------------------
 # detection: the ledger
 # ----------------------------------------------------------------------
+_UNSIGNED = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
+
+
+def _window_bits(win: np.ndarray) -> np.ndarray:
+    """``win``'s bytes in C order as unsigned integers (of the
+    element width, ``uint8`` for wider elements) — bits, not values:
+    NaN payloads and ``-0.0`` vs ``0.0`` are differences.  A view of a
+    contiguous window (every window of a C-contiguous 1-D or lane
+    state); only an adopted strided array is copied."""
+    win = np.ascontiguousarray(win)
+    return win.view(_UNSIGNED.get(win.itemsize, np.uint8))
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Do two :func:`_window_bits` views hold the same byte stream?
+    (Same unsigned type and shape is the same layout.)"""
+    return a.dtype == b.dtype and a.shape == b.shape and bool((a == b).all())
+
+
+def _group_windows(engine):
+    """Walk the replicated state, read-only: yield ``(name, members)``
+    for every state array of every row group, then of every column
+    group — ``members`` the ``(rank, window bits)`` of the group's
+    ranks that hold the array, in group order.  All members of a group
+    are replicas of one window; a ``1 x p`` / ``p x 1`` grid has
+    single-member groups on one axis.  Works from ``ctx.arrays``
+    alone, so adopted, strided and odd-length arrays are covered and
+    nothing is re-stacked."""
+    for groups, window in (
+        (engine.row_groups(), "row_slice"),
+        (engine.col_groups(), "col_slice"),
+    ):
+        for _gid, ranks in groups:
+            group = [engine.contexts[r] for r in ranks]
+            for name in sorted({n for ctx in group for n in ctx.arrays}):
+                yield name, [
+                    (ctx.rank, _window_bits(ctx.arrays[name][getattr(ctx, window)]))
+                    for ctx in group
+                    if name in ctx.arrays
+                ]
+
+
 @dataclass
 class LedgerRow:
     """One verified superstep boundary."""
@@ -256,6 +320,13 @@ class IntegrityLedger(BoundaryHook):
         self.rows: list[LedgerRow] = []
         self.repairs = 0
         self._last_good = 0
+        #: Host work since the last :meth:`reset` — exact counts, the
+        #: same on every executor: windows CRC-ed, windows
+        #: byte-compared against their group's representative, bytes
+        #: CRC-ed.
+        self.stats = dict.fromkeys(
+            ("windows_hashed", "windows_compared", "bytes_hashed"), 0
+        )
 
     slot = "integrity"
     phases = ("verify",)
@@ -281,11 +352,13 @@ class IntegrityLedger(BoundaryHook):
 
     # -- lifecycle ------------------------------------------------------
     def reset(self) -> None:
-        """Fresh run (``Engine.reset_timers``): clear history and
-        budget consumption."""
+        """Fresh run (``Engine.reset_timers``): clear history, budget
+        consumption and :attr:`stats`."""
         self.rows.clear()
         self.repairs = 0
         self._last_good = 0
+        for key in self.stats:
+            self.stats[key] = 0
 
     def rewind(self, superstep: int) -> None:
         """Restore rewound the run to ``superstep``
@@ -367,35 +440,40 @@ class IntegrityLedger(BoundaryHook):
 
     # -- internals ------------------------------------------------------
     def _collect_digests(self, engine):
-        """Per-rank CRC32 of each state array's row/col windows.
+        """CRC32 of each state array's row/col window on every rank:
+        ``(digests, hashed_bytes)`` with ``digests[rank][name] ==
+        (row_crc, col_crc)`` and ``hashed_bytes`` the largest per-rank
+        window total (what the modeled machine hashes).
 
-        Runs on the engine's executor; the closure touches only its
-        own rank's arrays and charges nothing (the modeled cost is
-        applied once, globally), so results are bit-identical across
-        executors.
+        Reached by comparison: per group and array the first member's
+        window is hashed; every other member's window is compared
+        against it bit for bit and takes that CRC word when equal
+        (equal bytes have equal CRCs), or is hashed itself when not —
+        so the table is exactly what hashing every window yields.
+        Runs on the calling thread whatever the executor: the compare
+        is cross-rank by nature.
         """
-
-        def rank_digests(ctx):
-            out = {}
-            nbytes = 0
-            for name in sorted(ctx.arrays):
-                arr = ctx.arrays[name]
-                row = arr[ctx.row_slice]
-                col = arr[ctx.col_slice]
-                nbytes += row.nbytes + col.nbytes
-                # Hash the window's own buffer: a window of a
-                # C-contiguous state (1-D or lanes) is contiguous, so
-                # only an adopted strided array is copied.
-                out[name] = (
-                    zlib.crc32(np.ascontiguousarray(row)),
-                    zlib.crc32(np.ascontiguousarray(col)),
-                )
-            return out, nbytes
-
-        results = engine.map_ranks(rank_digests)
-        digests = [r[0] for r in results]
-        hashed_bytes = max((r[1] for r in results), default=0)
-        return digests, hashed_bytes
+        digests: list[dict] = [{} for _ in engine.contexts]
+        nbytes = [0] * len(digests)
+        stats = self.stats
+        for name, members in _group_windows(engine):
+            first = members[0][1]
+            hashed = [first]
+            words = [zlib.crc32(first)]
+            for _rank, win in members[1:]:
+                if _same_bits(win, first):
+                    words.append(words[0])
+                else:
+                    hashed.append(win)
+                    words.append(zlib.crc32(win))
+            stats["windows_hashed"] += len(hashed)
+            stats["windows_compared"] += len(members) - 1
+            stats["bytes_hashed"] += sum(win.nbytes for win in hashed)
+            for (rank, win), word in zip(members, words):
+                nbytes[rank] += win.nbytes
+                # the row pass comes first: (row_crc, col_crc)
+                digests[rank][name] = digests[rank].get(name, ()) + (word,)
+        return digests, max(nbytes, default=0)
 
     def _charge(self, engine, hashed_bytes: int, n_ranks: int) -> None:
         # Hashing is bandwidth-bound on the slowest (largest-window)

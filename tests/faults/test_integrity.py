@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro import Engine, algorithms
 from repro.cli import main
+from repro.comm.grid import Grid2D
 from repro.exec import SerialExecutor, ThreadedExecutor
 from repro.faults import (
     CAMPAIGNS,
@@ -158,6 +159,35 @@ class TestApplyMemflip:
             )
             == 0
         )
+
+    @pytest.mark.parametrize("width", [None, 3], ids=["strided_1d", "strided_lanes"])
+    def test_flip_reaches_the_real_buffer_of_a_strided_array(self, width):
+        """An adopted ``wide[::2]`` is not contiguous: the flip used to
+        raise an untyped ``ValueError`` (1-D) or land in a copy (lanes).
+        It must change exactly one bit of the backing buffer, at the
+        byte the C-order stream of the windows addresses."""
+        engine = mk()
+        _seed_state(engine, dtype=np.int32, width=width)
+        ctx = engine.contexts[1]
+        arr = ctx.arrays["x"]
+        wide = np.zeros((2 * arr.shape[0],) + arr.shape[1:], arr.dtype)
+        wide[::2] = arr
+        ctx.adopt("x", wide[::2])
+        assert not ctx.arrays["x"].flags.c_contiguous
+        before = wide.copy()
+        row = ctx.arrays["x"][ctx.row_slice]
+        bit = 8 * (row.nbytes - 3) + 6  # third-to-last byte of the row window
+        want = row.copy().reshape(-1)
+        want.view(np.uint8)[-3] ^= 1 << 6
+        assert apply_memflip(ctx, FaultSpec("memflip", 1, rank=1, bit=bit)) == 1
+        assert np.array_equal(row.reshape(-1), want)
+        assert np.array_equal(wide[1::2], before[1::2])  # the gaps are untouched
+        changed = wide.view(np.uint8) ^ before.view(np.uint8)
+        assert np.count_nonzero(changed) == 1 and changed.max() == 1 << 6
+        # and the ledger pins it on the rank that holds it
+        with pytest.raises(IntegrityFailure, match="no verified checkpoint"):
+            IntegrityLedger().on_boundary(engine, 1)
+        assert 1 in engine.fault_events[-1]["suspects"]
 
 
 class TestLedgerUnit:
@@ -378,6 +408,235 @@ class TestLedgerProperty:
             runner(engine)
             assert ledger.rows, "ledger never consulted"
             assert all(r.ok for r in ledger.rows)
+
+
+class OracleLedger(IntegrityLedger):
+    """Hash a copy of every window on every rank — what the ledger did
+    before it verified replicas by comparison."""
+
+    def _collect_digests(self, engine):
+        digests, sizes = [], []
+        for ctx in engine.contexts:
+            wins = {
+                name: (arr[ctx.row_slice], arr[ctx.col_slice])
+                for name, arr in ctx.arrays.items()
+            }
+            digests.append(
+                {
+                    name: tuple(zlib.crc32(w.tobytes()) for w in pair)
+                    for name, pair in wins.items()
+                }
+            )
+            sizes.append(sum(w.nbytes for pair in wins.values() for w in pair))
+        return digests, max(sizes, default=0)
+
+
+#: (R-MAT scale, R, C): square, wide, tall, odd, single-member groups on
+#: one axis (no replica there), and fewer vertices than ranks.
+GRIDS = {
+    "2x2": (6, 2, 2),
+    "4x4": (6, 4, 4),
+    "2x4": (6, 4, 2),
+    "3x5": (6, 5, 3),
+    "1x4": (6, 4, 1),
+    "4x1": (6, 1, 4),
+    "4x4_n<p": (3, 4, 4),
+    "3x5_n<p": (3, 5, 3),
+}
+
+_GRID_ENGINES = {}
+
+
+def _grid_engine(grid, with_checkpoint=False):
+    key = (grid, with_checkpoint)
+    if key not in _GRID_ENGINES:
+        scale, R, C = GRIDS[grid]
+        engine = Engine(rmat(scale, seed=5), grid=Grid2D(R=R, C=C))
+        if with_checkpoint:
+            engine.attach_checkpoints(CheckpointManager(interval=1))
+        _GRID_ENGINES[key] = engine
+    return _GRID_ENGINES[key]
+
+
+SPECIALS = np.array(
+    [0.0, -0.0, np.inf, -np.inf, np.nan]
+    + [np.uint64(0x7FF8_0000_0000_0123).view(np.float64)]  # NaN with a payload
+)
+
+
+def _mixed_state(engine, seed):
+    """Five coherent replicated states of every layout the ledger
+    meets: stacked float64 (with NaN / +-0.0 / inf), int32, bool and
+    ``(N_T, 3)`` lanes, plus one adopted strided int64."""
+    rng = np.random.default_rng(seed)
+    n = engine.graph.n_vertices
+    floats = rng.standard_normal(n)
+    special = rng.random(n) < 0.4
+    floats[special] = rng.choice(SPECIALS, int(special.sum()))
+    bases = {
+        "b": rng.random(n) < 0.5,
+        "f": floats,
+        "i": rng.integers(-9, 9, n).astype(np.int32),
+        "lanes": rng.standard_normal((n, 3)),
+        "strided": rng.integers(-9, 9, n),
+    }
+    for ctx in engine.contexts:
+        for name in list(ctx.arrays):
+            ctx.free(name)
+        lm = ctx.localmap
+        row_gids = lm.row_gid(np.arange(lm.row_slice.start, lm.row_slice.stop))
+        col_gids = lm.col_gid(np.arange(lm.col_slice.start, lm.col_slice.stop))
+        for name, base in bases.items():
+            if name == "strided":
+                arr = ctx.adopt(name, np.zeros(2 * lm.n_total, base.dtype)[::2])
+            else:
+                width = base.shape[1] if base.ndim == 2 else None
+                arr = ctx.alloc(name, base.dtype, width=width)
+            arr[lm.row_slice] = base[row_gids]
+            arr[lm.col_slice] = base[col_gids]
+
+
+def _verdict(ledger, engine, with_checkpoint):
+    """One boundary on a fresh run: everything the ledger lets out."""
+    engine.reset_timers()
+    if with_checkpoint:
+        engine.checkpoints.save(engine, 0, "unit", {})
+    digests = ledger._collect_digests(engine)
+    try:
+        ledger.on_boundary(engine, 1)
+        raised = None
+    except (IntegrityViolation, IntegrityFailure) as exc:
+        raised = (type(exc), str(exc), getattr(exc, "suspects", None))
+    events = [e for e in engine.fault_events if e["kind"] == "integrity"]
+    return digests, ledger.rows, raised, events, engine.clocks.certify_total
+
+
+class TestVerifyByComparison:
+    """The ledger hashes one member per group and byte-compares the
+    rest; what it lets out is what hashing every window lets out."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        grid=st.sampled_from(sorted(GRIDS)),
+        seed=st.integers(0, 50),
+        flip=st.booleans(),
+        rank=st.integers(0, 15),
+        bit=st.integers(0, 1 << 22),
+        with_checkpoint=st.booleans(),
+        budget=st.sampled_from([0, 2]),
+    )
+    def test_same_verdict_as_hashing_every_window(
+        self, grid, seed, flip, rank, bit, with_checkpoint, budget
+    ):
+        engine = _grid_engine(grid, with_checkpoint)
+        _mixed_state(engine, seed)
+        rank %= engine.n_ranks
+        flipped = flip and apply_memflip(
+            engine.contexts[rank], FaultSpec("memflip", 1, rank=rank, bit=bit)
+        )
+        want = _verdict(OracleLedger(repair_budget=budget), engine, with_checkpoint)
+        ledger = IntegrityLedger(repair_budget=budget)
+        got = _verdict(ledger, engine, with_checkpoint)
+        assert got == want
+        _, rows, raised, events, _ = got
+        if not flipped:
+            assert rows[-1].ok and raised is None and not events
+        elif min(GRIDS[grid][1:]) >= 2:  # every window has a replica
+            assert rank in rows[-1].suspects and events[-1]["suspects"]
+            assert raised[0] is (
+                IntegrityViolation if with_checkpoint and budget else IntegrityFailure
+            )
+
+    def test_bits_are_compared_not_values(self):
+        """``-0.0 == 0.0`` and ``nan != nan`` as values; as replicas a
+        ``-0.0`` among ``0.0`` is corruption and equal NaNs are clean."""
+        engine = Engine(GRAPH, 9)
+        for ctx in engine.contexts:
+            ctx.alloc("x", fill=0.0)
+            ctx.alloc("y", fill=np.nan)
+        assert IntegrityLedger().on_boundary(engine, 1).ok
+        victim = engine.contexts[4]
+        victim.arrays["x"][victim.row_slice][:1] = -0.0
+        with pytest.raises(IntegrityFailure, match="no verified checkpoint"):
+            IntegrityLedger().on_boundary(engine, 1)
+        assert engine.fault_events[-1]["suspects"] == [4]
+
+    def test_equal_values_of_another_width_are_not_equal_bytes(self):
+        engine = Engine(GRAPH, 9)
+        _seed_state(engine, dtype=np.int32)
+        odd = engine.contexts[4]
+        odd.arrays["x"] = odd.arrays["x"].astype(np.int64)
+        ledger = IntegrityLedger()
+        assert ledger._collect_digests(engine) == OracleLedger()._collect_digests(engine)
+        with pytest.raises(IntegrityFailure):
+            ledger.on_boundary(engine, 1)
+        assert ledger.rows[-1].suspects == (4,)
+
+    @pytest.mark.parametrize("victim", [0, 4, 8], ids=["first", "middle", "last"])
+    def test_flip_localizes_to_the_member_that_holds_it(self, victim):
+        """Rank 0 is the member both of its groups are compared against:
+        flipping *it* makes every other member differ from it, and the
+        vote must still single it out, not them."""
+        engine = Engine(GRAPH, 9)
+        _seed_state(engine)
+        apply_memflip(
+            engine.contexts[victim], FaultSpec("memflip", 1, rank=victim, bit=77)
+        )
+        ledger = IntegrityLedger()
+        with pytest.raises(IntegrityFailure, match="no verified checkpoint"):
+            ledger.on_boundary(engine, 1)
+        assert ledger.rows[-1].suspects == (victim,)
+        assert engine.fault_events[-1]["rank"] == victim
+
+    @pytest.mark.parametrize("grid", ["4x4", "2x4", "3x5", "1x4", "4x1"])
+    def test_stats_count_each_distinct_window_once(self, grid):
+        """R row windows and C column windows are all the distinct data
+        there is: that many CRCs per array and boundary, every other
+        window compared — exact counts, reset with the ledger."""
+        engine = _grid_engine(grid)
+        _mixed_state(engine, seed=1)
+        _, R, C = GRIDS[grid]
+        p, n_arrays = R * C, 5
+        ledger = IntegrityLedger()
+        assert set(ledger.stats.values()) == {0}
+        for boundary in (1, 2, 3):
+            assert ledger.on_boundary(engine, boundary).ok
+            assert ledger.stats["windows_hashed"] == boundary * (R + C) * n_arrays
+            assert ledger.stats["windows_compared"] == (
+                boundary * (2 * p - R - C) * n_arrays
+            )
+        distinct = sum(
+            arr[getattr(ctx, attr)].nbytes
+            for groups, attr in (
+                (engine.row_groups(), "row_slice"),
+                (engine.col_groups(), "col_slice"),
+            )
+            for _gid, ranks in groups
+            for ctx in [engine.ctx(ranks[0])]
+            for arr in ctx.arrays.values()
+        )
+        assert ledger.stats["bytes_hashed"] == 3 * distinct
+        ledger.reset()
+        assert set(ledger.stats.values()) == {0}
+
+    @pytest.mark.parametrize("victim, extra", [(5, 1), (3, 2)])
+    def test_a_flip_costs_only_the_differing_members_of_its_group(self, victim, extra):
+        """On 3x3, rank 5 is last in its row group and rank 3 is first:
+        a flipped row window of rank 5 is one more CRC (its own), of
+        rank 3 two more (the two members that no longer match it);
+        every other group still hashes one window."""
+        engine = Engine(GRAPH, 9)
+        _seed_state(engine)
+        clean = IntegrityLedger()
+        clean.on_boundary(engine, 1)
+        apply_memflip(
+            engine.contexts[victim], FaultSpec("memflip", 1, rank=victim, bit=5)
+        )
+        ledger = IntegrityLedger()
+        with pytest.raises(IntegrityFailure):
+            ledger.on_boundary(engine, 1)
+        assert ledger.stats["windows_hashed"] == clean.stats["windows_hashed"] + extra
+        assert ledger.stats["windows_compared"] == clean.stats["windows_compared"]
 
 
 class TestCertifiers:
