@@ -42,7 +42,7 @@ from ..patterns.dense import dense_exchange_lanes
 from ..patterns.sparse import sparse_push_lanes
 from .bfs import ALPHA, BETA, bfs
 from .pagerank import compute_global_degrees, pagerank
-from .sssp import sssp
+from .sssp import require_sssp_weights, sssp
 
 __all__ = ["bfs_batch", "sssp_batch", "pagerank_batch", "validate_roots"]
 
@@ -573,8 +573,7 @@ def sssp_batch(
     checkpoint of a run over the same sources.
     """
     part, grid = engine.partition, engine.grid
-    if not part.weighted:
-        raise ValueError("sssp_batch needs an edge-weighted graph")
+    require_sssp_weights(engine, "sssp_batch")
     n = part.n_vertices
     sources = validate_roots(n, sources, "sources")
     k = sources.size

@@ -11,8 +11,9 @@ On the 2D engine this composes two of the paper's patterns per round:
 * the local-maximum test is an element-wise MAX reduction over the
   neighborhood — a plain dense pull on a masked priority array;
 * the smallest-absent-color choice needs the *set* of neighbor colors —
-  a complex reduction, handled with the 2.5D histogram machinery like
-  Label Propagation's mode.
+  a complex reduction, :func:`~repro.patterns.complex.complex_reduce`
+  with a smallest-absent owner reduction where Label Propagation
+  selects a mode.
 
 Validated against a serial implementation of the identical rule and
 against the proper-coloring invariant.
@@ -25,14 +26,8 @@ import numpy as np
 from ..core.engine import Engine
 from ..core.result import AlgorithmResult
 from ..kernels import csr_pull
-from ..patterns.complex import (
-    build_histogram,
-    merge_histograms,
-    owner_chunks,
-    owner_of_vertex,
-)
+from ..patterns.complex import build_histogram, complex_reduce
 from ..patterns.dense import dense_pull
-from ..patterns.sparse import PAIR_DTYPE
 
 __all__ = ["greedy_coloring", "color_priorities", "is_proper_coloring"]
 
@@ -85,9 +80,8 @@ def greedy_coloring(
     :func:`serial_jones_plassmann`.
     """
     engine.reset_timers()
-    part, grid, fleet = engine.partition, engine.grid, engine.fleet
-    n = part.n_vertices
-    prio_global = color_priorities(n, seed)
+    fleet = engine.fleet
+    prio_global = color_priorities(engine.partition.n_vertices, seed)
 
     engine.scatter_global("prio", prio_global)
 
@@ -117,11 +111,9 @@ def greedy_coloring(
         dense_pull(engine, "maxp", op="max")
 
         # ---- 2. winners pick the smallest absent neighborhood color ---
-        # Collect neighbor-color histograms for the candidate winners
-        # (2.5D owner exchange, exactly the LP machinery).
-        def build_winner_histograms(ctx):
-            rs, re = part.row_range(ctx.block.id_r)
-            bounds = owner_chunks(rs, re, grid.R)
+        # Neighbor-color histograms of the candidate winners, reduced
+        # by the 2.5D pattern exactly as LP's modes are.
+        def winner_histograms(ctx):
             color = ctx.get("color")
             prio = ctx.get("prio")
             maxp = ctx.get("maxp")
@@ -143,79 +135,13 @@ def greedy_coloring(
             sentinel = build_histogram(
                 ctx.localmap.row_gid(lonely), np.full(lonely.size, -1.0)
             )
-            tri = np.concatenate([tri, sentinel])
-            owners = owner_of_vertex(tri["gid"], bounds)
-            order = np.argsort(owners, kind="stable")
-            tri, owners = tri[order], owners[order]
-            cuts = np.searchsorted(owners, np.arange(grid.R + 1))
-            engine.charge_vertices(ctx.rank, tri.size)
-            return [tri[cuts[k] : cuts[k + 1]] for k in range(grid.R)]
+            return np.concatenate([tri, sentinel])
 
-        sends = engine.map_ranks(build_winner_histograms)
-        received_of: list[np.ndarray | None] = [None] * grid.n_ranks
-        for id_r, ranks in engine.row_groups():
-            received = engine.comm.alltoallv(ranks, [sends[r] for r in ranks])
-            for pos, r in enumerate(ranks):
-                received_of[r] = received[pos]
-
-        def choose_colors(ctx):
-            merged = merge_histograms(received_of[ctx.rank])
-            gids, chosen = _smallest_absent(merged)
-            engine.charge_vertices(ctx.rank, merged.size)
-            buf = np.empty(gids.size, dtype=PAIR_DTYPE)
-            buf["gid"] = gids
-            buf["val"] = chosen
-            return buf
-
-        finals = engine.map_ranks(choose_colors)
-
-        n_colored = 0
-        rbuf_of: list[np.ndarray | None] = [None] * grid.n_ranks
-        for id_r, ranks in engine.row_groups():
-            rbuf = engine.comm.allgatherv(ranks, [finals[r] for r in ranks])
-            for r in ranks:
-                rbuf_of[r] = rbuf
-            if ranks:
-                n_colored += int(np.unique(rbuf["gid"]).size)
-
-        def apply_colors(ctx):
-            lm = ctx.localmap
-            color = ctx.get("color")
-            rbuf = rbuf_of[ctx.rank]
-            lids = lm.row_lid(rbuf["gid"])
-            color[lids] = rbuf["val"]
-            engine.charge_vertices(ctx.rank, rbuf.size)
-            return np.asarray(lids, dtype=np.int64)
-
-        changed_rows = engine.map_ranks(apply_colors)
-
-        # ---- 3. refresh ghost colors along column groups ---------------
-        def build_refresh(ctx):
-            lm = ctx.localmap
-            gids = lm.row_gid(changed_rows[ctx.rank])
-            mine = gids[lm.owns_col_gid(gids)]
-            color = ctx.get("color")
-            buf = np.empty(mine.size, dtype=PAIR_DTYPE)
-            buf["gid"] = mine
-            buf["val"] = color[lm.row_lid(mine)]
-            engine.charge_vertices(ctx.rank, mine.size)
-            return buf
-
-        sbufs = engine.map_ranks(build_refresh)
-        rbuf_of = [None] * grid.n_ranks
-        for id_c, ranks in engine.col_groups():
-            rbuf = engine.comm.allgatherv(ranks, [sbufs[r] for r in ranks])
-            for r in ranks:
-                rbuf_of[r] = rbuf
-
-        def apply_refresh(ctx):
-            lm = ctx.localmap
-            ctx.get("color")[lm.col_lid(rbuf_of[ctx.rank]["gid"])] = rbuf_of[
-                ctx.rank
-            ]["val"]
-            engine.charge_vertices(ctx.rank, rbuf_of[ctx.rank].size)
-
-        engine.foreach(apply_refresh)
+        # Every winner was uncolored (-1) and takes a color >= 0, so
+        # the changed rows are exactly the newly colored vertices.
+        _, n_colored = complex_reduce(
+            engine, "color", engine.map_ranks(winner_histograms), _smallest_absent
+        )
 
         engine.superstep_boundary("coloring")
         if n_colored == 0:

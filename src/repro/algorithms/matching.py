@@ -26,14 +26,13 @@ import numpy as np
 
 from ..core.engine import Engine
 from ..core.result import AlgorithmResult
+from ..patterns.complex import refresh_ghosts
 from ..patterns.sparse import sparse_push
 
 __all__ = ["max_weight_matching"]
 
 #: Candidate entry for the complex reduction: vertex, weight, neighbor.
 CAND_DTYPE = np.dtype([("gid", np.int64), ("w", np.float64), ("nbr", np.int64)])
-#: Pointer refresh entry for the ghost update stage.
-PTR_DTYPE = np.dtype([("gid", np.int64), ("ptr", np.float64), ("dead", np.float64)])
 
 
 def max_weight_matching(
@@ -124,34 +123,7 @@ def max_weight_matching(
         engine.foreach(apply_pointers)
 
         # ---- 3: refresh ghost pointers/death along column groups -----
-        def build_refresh(ctx):
-            lm = ctx.localmap
-            rows = considered[ctx.rank]
-            gids = lm.row_gid(rows)
-            mine = rows[lm.owns_col_gid(gids)]
-            buf = np.empty(mine.size, dtype=PTR_DTYPE)
-            buf["gid"] = lm.row_gid(mine)
-            buf["ptr"] = ctx.get("ptr")[mine]
-            buf["dead"] = ctx.get("dead")[mine]
-            engine.charge_vertices(ctx.rank, mine.size)
-            return buf
-
-        sbufs = engine.map_ranks(build_refresh)
-        rbuf_of: list[np.ndarray | None] = [None] * grid.n_ranks
-        for id_c, ranks in engine.col_groups():
-            rbuf = engine.comm.allgatherv(ranks, [sbufs[r] for r in ranks])
-            for r in ranks:
-                rbuf_of[r] = rbuf
-
-        def apply_refresh(ctx):
-            lm = ctx.localmap
-            rbuf = rbuf_of[ctx.rank]
-            lids = lm.col_lid(rbuf["gid"])
-            ctx.get("ptr")[lids] = rbuf["ptr"]
-            ctx.get("dead")[lids] = rbuf["dead"]
-            engine.charge_vertices(ctx.rank, rbuf.size)
-
-        engine.foreach(apply_refresh)
+        refresh_ghosts(engine, ("ptr", "dead"), considered)
 
         # ---- 4: mutual-pair detection + commit ------------------------
         def mutual_pairs(ctx):

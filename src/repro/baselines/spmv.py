@@ -220,7 +220,7 @@ def spmv_bfs(engine: Engine, root: int) -> AlgorithmResult:
             frontier = ctx.get("front")
             nxt = ctx.alloc("next", np.float64)
             nxt[...] = 0.0
-            src, dst, _ = ctx.expand_all()
+            src, dst, _ = ctx.expand(ctx.row_lids())
             _charge_semiring(engine, ctx.rank, ctx.block.n_local_edges, ctx.n_total)
             if dst.size:
                 hits = frontier[src] > 0

@@ -40,7 +40,6 @@ class RankContext:
         self.col_slice: slice = block.localmap.col_slice
         self.arrays: dict[str, np.ndarray] = {}
         self._local_degrees: Optional[np.ndarray] = None
-        self._expand_all_cache = None
         self._scratch_pools: dict[np.dtype, BufferPool] = {}
         # Charge the static graph structure, as the paper's loader does
         # when moving the CSR to the GPU.
@@ -157,36 +156,6 @@ class RankContext:
     def expand(self, row_lids: np.ndarray):
         """Expand row vertices into (src_lid, dst_lid, weight) edges."""
         return expand_block(self.block, row_lids)
-
-    def expand_all(self):
-        """Expand every local edge (cached — the CSR is static, so the
-        expansion is, too).  For sweeps that need the edge *list*: a
-        push-direction pass such as the SpMV comparator's masked
-        frontier product, or a test oracle.  A sweep that reduces
-        neighbors into their row does not — it is a
-        :func:`~repro.kernels.csr_pull` over
-        :meth:`Fleet.csr <repro.core.fleet.Fleet.csr>`.
-
-        The cached ``(src, dst, weights)`` arrays are real per-rank
-        footprint (two-to-three edge-length columns), so they are
-        charged against the device ledger like any state array; call
-        :meth:`free_expand_cache` to release them under memory
-        pressure.
-        """
-        if self._expand_all_cache is None:
-            src, dst, weights = expand_block(self.block, self.row_lids())
-            nbytes = src.nbytes + dst.nbytes
-            if weights is not None:
-                nbytes += weights.nbytes
-            self.device.charge("cache.expand_all", nbytes)
-            self._expand_all_cache = (src, dst, weights)
-        return self._expand_all_cache
-
-    def free_expand_cache(self) -> None:
-        """Drop the cached full expansion and release its ledger charge."""
-        if self._expand_all_cache is not None:
-            self._expand_all_cache = None
-            self.device.release("cache.expand_all")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -326,12 +326,6 @@ class Engine:
                 f"allocated states: {known}"
             )
 
-    def free_expand_caches(self) -> None:
-        """Release every rank's cached full expansion (see
-        :meth:`RankContext.free_expand_cache`)."""
-        for ctx in self.contexts:
-            ctx.free_expand_cache()
-
     def scatter_global(self, name: str, vec: np.ndarray, dtype=None) -> list[np.ndarray]:
         """Distribute a global per-vertex vector into a named state
         array on every rank (row and column windows filled).  A 2-D

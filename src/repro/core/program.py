@@ -10,16 +10,20 @@ makes that claim executable: a :class:`VertexProgram` supplies only
 * how a value travels across one edge (vectorized), and
 * the reduction combining arriving values (``min``/``max``),
 
-and :func:`run_vertex_program` drives the full stack — push or pull
-kernels, dense/sparse/switching communications, active-vertex queues,
-convergence detection — identically to the hand-written algorithms.
+and :func:`run_vertex_program` is the one label-correcting superstep
+loop: push or pull kernels, dense/sparse/switching communications,
+active-vertex queues, convergence detection, checkpoint/resume.
 
-Connected components is ``VertexProgram(init=identity, along_edge=
-carry, op="min")``; SSSP is ``init=inf-except-root, along_edge=value +
-weight, op="min")``; "minimum reachable label within k hops",
-widest-path, and similar label-correcting computations follow the same
-two lines.  The test suite cross-validates programs against both the
-dedicated implementations and the serial references.
+:func:`~repro.algorithms.connected_components` is
+``VertexProgram(init=identity, along_edge=carry, op="min")`` and
+:func:`~repro.algorithms.sssp` is ``init=inf-except-root,
+along_edge=value + weight, op="min", work_per_edge=1.5`` — thin
+wrappers over this driver (``docs/ALGORITHMS.md`` has the table);
+"minimum reachable label within k hops", widest-path, and similar
+label-correcting computations follow the same two lines.  Direction,
+mode and queue use are a *schedule* kept apart from the algorithm:
+the paper's Fig. 6 ablation (``CC_VARIANTS``) is five settings of
+those three fields.
 """
 
 from __future__ import annotations
@@ -36,7 +40,11 @@ from ..patterns.switching import SwitchPolicy
 from .engine import Engine
 from .result import AlgorithmResult
 
-__all__ = ["VertexProgram", "run_vertex_program"]
+__all__ = ["VertexProgram", "init_vertex_state", "run_vertex_program"]
+
+#: Identity of each supported reduction: a vertex still holding it has
+#: received nothing yet.
+_IDENTITY = {"min": np.inf, "max": -np.inf}
 
 #: Edge function: (source-side values, edge weights or None) -> values
 #: delivered to the other endpoint.  Must be vectorized.
@@ -69,6 +77,9 @@ class VertexProgram:
         Maintain active-vertex queues between iterations.
     max_iterations:
         Bound; ``None`` runs to convergence.
+    work_per_edge:
+        Relative cost of ``along_edge`` + reduce on one edge, as charged
+        to the kernel model (1.0 = a plain carry; SSSP's add is 1.5).
     """
 
     name: str
@@ -79,50 +90,79 @@ class VertexProgram:
     mode: str = "switch"
     use_queue: bool = True
     max_iterations: Optional[int] = None
+    work_per_edge: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.op not in ("min", "max"):
+        if self.op not in _IDENTITY:
             raise ValueError(
                 f"vertex programs support monotone 'min'/'max', got {self.op!r}"
             )
         if self.direction not in ("push", "pull"):
-            raise ValueError(f"bad direction {self.direction!r}")
+            raise ValueError(
+                f"direction must be 'push' or 'pull', got {self.direction!r}"
+            )
+
+
+def init_vertex_state(
+    engine: Engine, name: str, init: Callable[[np.ndarray], np.ndarray]
+) -> None:
+    """Allocate ``name`` on every rank as ``init(original vertex ids)``
+    over the row and column windows.
+
+    Values derive from *original* ids (not relabeled GIDs), so a MIN /
+    MAX / mode fixpoint over them is independent of the partition's
+    relabeling; a run migrated onto a different grid mid-flight replays
+    bit-identically (docs/ROBUSTNESS.md).
+    """
+    part = engine.partition
+
+    def init_state(ctx):
+        lm = ctx.localmap
+        state = ctx.alloc(name, np.float64)
+        state[lm.row_slice] = init(
+            part.original_gid(np.arange(lm.row_start, lm.row_stop))
+        )
+        state[lm.col_slice] = init(
+            part.original_gid(np.arange(lm.col_start, lm.col_stop))
+        )
+        engine.charge_vertices(ctx.rank, ctx.n_total)
+
+    engine.foreach(init_state)
 
 
 def run_vertex_program(
-    engine: Engine, program: VertexProgram, resume: bool = False
+    engine: Engine,
+    program: VertexProgram,
+    resume: bool = False,
+    tag: Optional[str] = None,
 ) -> AlgorithmResult:
     """Execute a :class:`VertexProgram` on the 2D engine.
 
     Returns the converged state in original vertex order.
     ``resume=True`` continues from the engine's latest attached
     checkpoint (see ``docs/ROBUSTNESS.md``); checkpoints are tagged
-    ``"program:<name>"`` so different programs never cross-resume.
+    ``tag`` (default ``"program:<name>"``) so different programs never
+    cross-resume.
     """
     part, grid = engine.partition, engine.grid
-    algo_tag = f"program:{program.name}"
+    name, op, push = program.name, program.op, program.direction == "push"
+    algo_tag = f"program:{name}" if tag is None else tag
+    all_ranks = list(range(grid.n_ranks))
     all_rows = [ctx.row_lids() for ctx in engine]
 
     st = engine.resume_from_checkpoint(algo_tag) if resume else None
     if st is None:
         engine.reset_timers()
-
-        # ---- initialize state over the full LID space -----------------
-        def init_state(ctx):
-            lm = ctx.localmap
-            state = ctx.alloc(program.name, np.float64)
-            state[lm.row_slice] = program.init(
-                part.original_gid(np.arange(lm.row_start, lm.row_stop))
-            )
-            state[lm.col_slice] = program.init(
-                part.original_gid(np.arange(lm.col_start, lm.col_stop))
-            )
-            engine.charge_vertices(ctx.rank, ctx.n_total)
-
-        engine.foreach(init_state)
-
+        init_vertex_state(engine, name, program.init)
         policy = SwitchPolicy(part.n_vertices, grid, mode=program.mode)
-        active = list(all_rows)
+        # A vertex still at the op's identity has nothing to send, so a
+        # push starts from the others (every vertex for CC, the root
+        # for SSSP); a pull cannot know yet whose neighbors hold a
+        # value and starts from every row.
+        active = [
+            rows[ctx.get(name)[rows] != _IDENTITY[op]] if push else rows
+            for ctx, rows in zip(engine, all_rows)
+        ]
         iteration = 0
         done = False
     else:
@@ -136,8 +176,10 @@ def run_vertex_program(
         rows_per_rank = active if program.use_queue else all_rows
         sparse_now = policy.use_sparse
         if not sparse_now:
+            # Snapshot consistent row state before compute so the
+            # update count sees local changes too.
             prev = {
-                id_r: engine.ctx(ranks[0]).get(program.name)[
+                id_r: engine.ctx(ranks[0]).get(name)[
                     engine.ctx(ranks[0]).row_slice
                 ].copy()
                 for id_r, ranks in engine.row_groups()
@@ -145,55 +187,57 @@ def run_vertex_program(
 
         # ---- local compute --------------------------------------------
         def local_compute(ctx):
-            state = ctx.get(program.name)
+            state = ctx.get(name)
             rows = rows_per_rank[ctx.rank]
             degs = ctx.local_degrees()[rows - ctx.localmap.row_offset]
-            engine.charge_edges(ctx.rank, degs)
+            engine.charge_edges(
+                ctx.rank, degs, work_per_edge=program.work_per_edge
+            )
             src, dst, w = ctx.expand(rows)
             if src.size == 0:
                 return np.empty(0, dtype=np.int64)
-            if program.direction == "push":
-                cand = program.along_edge(state[src], w)
-                targets = dst
-            else:
-                cand = program.along_edge(state[dst], w)
-                targets = src
-            return scatter_reduce(state, targets, cand, program.op)
+            if push:
+                return scatter_reduce(
+                    state, dst, program.along_edge(state[src], w), op
+                )
+            return scatter_reduce(state, src, program.along_edge(state[dst], w), op)
 
         queues = engine.map_ranks(local_compute)
 
         # ---- exchange --------------------------------------------------
+        flags_handle = None
         if sparse_now:
-            exchange = sparse_push if program.direction == "push" else sparse_pull
-            result = exchange(engine, program.name, queues, op=program.op)
+            exchange = sparse_push if push else sparse_pull
+            result = exchange(engine, name, queues, op=op)
             n_updated = result.n_updated
-            if program.use_queue:
-                if program.direction == "push":
-                    active = result.active_row
-                else:
-                    active = propagate_active_pull(engine, result.active_row)
+            updated = result.active_row
         else:
-            dense_exchange(engine, program.name, program.direction, op=program.op)
+            dense_exchange(engine, name, program.direction, op=op)
             n_updated = 0
             changed_rows: dict[int, np.ndarray] = {}
             for id_r, ranks in engine.row_groups():
                 ctx0 = engine.ctx(ranks[0])
-                now = ctx0.get(program.name)[ctx0.row_slice]
-                diff = np.flatnonzero(now != prev[id_r])
+                diff = np.flatnonzero(ctx0.get(name)[ctx0.row_slice] != prev[id_r])
                 n_updated += int(diff.size)
                 changed_rows[id_r] = diff
-            flags = [np.array([float(n_updated)]) for _ in range(grid.n_ranks)]
-            engine.comm.allreduce(list(range(grid.n_ranks)), flags, op="max")
-            if program.use_queue:
-                updated = [
-                    engine.ctx(r).localmap.row_offset
-                    + changed_rows[engine.ctx(r).block.id_r]
-                    for r in range(grid.n_ranks)
-                ]
-                if program.direction == "push":
-                    active = updated
-                else:
-                    active = propagate_active_pull(engine, updated)
+            # Convergence check: a 1-word AllReduce over all ranks, as a
+            # dense iteration has no other way to learn the update count.
+            # No rank consumes the reduced value locally, so an
+            # overlapped engine issues it split-phase and hides the
+            # active-queue rebuild below behind it.
+            flags = [np.array([float(n_updated)]) for _ in all_ranks]
+            if engine.overlap:
+                flags_handle = engine.comm.start_allreduce(all_ranks, flags, op="max")
+            else:
+                engine.comm.allreduce(all_ranks, flags, op="max")
+            updated = [
+                ctx.localmap.row_offset + changed_rows[ctx.block.id_r]
+                for ctx in engine
+            ]
+        if program.use_queue:
+            active = updated if push else propagate_active_pull(engine, updated)
+        if flags_handle is not None:
+            engine.comm.wait(flags_handle)
 
         policy.observe(n_updated)
         done = n_updated == 0 or (
@@ -210,11 +254,10 @@ def run_vertex_program(
             },
         )
 
-    values = engine.gather(program.name)
     return AlgorithmResult(
-        values=values,
+        values=engine.gather(name),
         timings=engine.timing_report(),
         iterations=iteration,
         counters=engine.counters.summary(),
-        extra={"program": program.name},
+        extra={"program": name},
     )

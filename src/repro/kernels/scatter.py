@@ -163,22 +163,17 @@ def scatter_reduce_lanes(
     lids: np.ndarray,
     vals,
     op: str = "min",
-    lanes: np.ndarray | None = None,
+    *,
+    lanes: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lane-aware scatter-reduce over a 2-D ``(n, k)`` state array.
 
-    Two entry modes:
-
-    * ``lanes`` given — every update targets one ``(lid, lane)`` cell:
-      the update runs over the flattened state through the composite
-      index ``lid * k + lane``, so each lane's subsequence of the
-      update stream is applied in exactly the order a 1-D
-      :func:`scatter_reduce` on that lane's column would use
-      (bit-identical per lane, including ``sum`` accumulation order).
-    * ``lanes=None`` — ``vals`` is ``(len(lids), k)`` and every update
-      applies a full row vector (the dense multi-lane gather used by
-      batched PageRank); per column this is the identical unbuffered
-      ``np.<op>.at`` sequence of the 1-D kernel.
+    Every update targets one ``(lid, lane)`` cell: the update runs over
+    the flattened state through the composite index ``lid * k + lane``,
+    so each lane's subsequence of the update stream is applied in
+    exactly the order a 1-D :func:`scatter_reduce` on that lane's
+    column would use (bit-identical per lane, including ``sum``
+    accumulation order).
 
     Returns ``(changed_lids, changed_lanes)``: the cells whose stored
     value changed (exact compare), sorted by ``(lid, lane)``.
@@ -195,45 +190,22 @@ def scatter_reduce_lanes(
         return _EMPTY_I64, _EMPTY_I64
     if not np.issubdtype(lids.dtype, np.integer):
         raise ScatterError(f"lids must be integers, got {lids.dtype}")
-
-    if lanes is not None:
-        lanes = np.asarray(lanes)
-        if lanes.shape != lids.shape:
-            raise ScatterError(
-                f"lanes shape {lanes.shape} must match lids shape {lids.shape}"
-            )
-        flat = state.reshape(-1)
-        if k & (k - 1) == 0:
-            # Power-of-two lane count: shift/mask instead of the much
-            # slower int64 multiply/divide for the composite index.
-            shift = k.bit_length() - 1
-            comp = (lids.astype(np.int64, copy=False) << shift) | lanes
-            changed = scatter_reduce(flat, comp, vals, op)
-            return changed >> shift, changed & (k - 1)
-        comp = lids.astype(np.int64, copy=False) * k + lanes
-        changed = scatter_reduce(flat, comp, vals, op)
-        return changed // k, changed % k
-
-    vals = np.asarray(vals)
-    if vals.ndim != 2 or vals.shape != (lids.shape[0], k):
+    lanes = np.asarray(lanes)
+    if lanes.shape != lids.shape:
         raise ScatterError(
-            f"row-vector lane scatter needs vals of shape "
-            f"({lids.shape[0]}, {k}), got {vals.shape}"
+            f"lanes shape {lanes.shape} must match lids shape {lids.shape}"
         )
-    try:
-        ufunc = _UFUNCS[op]
-    except KeyError:
-        raise ScatterError(f"unsupported scatter op {op!r}") from None
-    if lids.size >= _DENSE_FRACTION * state.shape[0]:
-        old = state.copy()
-        ufunc.at(state, lids, vals)
-        ch_lids, ch_lanes = np.nonzero(state != old)
-        return ch_lids.astype(np.int64), ch_lanes.astype(np.int64)
-    uniq = unique_bounded(lids, state.shape[0])
-    old = state[uniq].copy()
-    ufunc.at(state, lids, vals)
-    rows, cols = np.nonzero(state[uniq] != old)
-    return uniq[rows], cols.astype(np.int64)
+    flat = state.reshape(-1)
+    if k & (k - 1) == 0:
+        # Power-of-two lane count: shift/mask instead of the much
+        # slower int64 multiply/divide for the composite index.
+        shift = k.bit_length() - 1
+        comp = (lids.astype(np.int64, copy=False) << shift) | lanes
+        changed = scatter_reduce(flat, comp, vals, op)
+        return changed >> shift, changed & (k - 1)
+    comp = lids.astype(np.int64, copy=False) * k + lanes
+    changed = scatter_reduce(flat, comp, vals, op)
+    return changed // k, changed % k
 
 
 def _scatter_structured(

@@ -17,20 +17,34 @@ The paper's "2.5D" scheme for this:
    broadcast back across the row group (then to column groups in the
    standard fashion).
 
-This module provides the histogram triples, the owner partition, and
-the merge/select kernels.  Three algorithms drive them: Label
-Propagation (mode selection), k-core decomposition (neighborhood
-h-indices), and Jones-Plassmann coloring (smallest absent color).
+:func:`complex_reduce` is that choreography, once: owner routing, the
+row-group ``alltoallv``, the owner-side reduction, the row-group
+``allgatherv`` of the winners, their application with exact
+changed-row detection, and the column-group ghost refresh
+(:func:`refresh_ghosts`).  Three algorithms instantiate it and keep
+only what differs — the histogram each rank builds, the owner-side
+reduction, and how a winner combines with the stored value: Label
+Propagation (:func:`select_mode`, assign), k-core decomposition
+(:func:`h_index_from_histograms`, ``min``), and Jones-Plassmann
+coloring (smallest absent color, assign).  See ``docs/PATTERNS.md``.
 """
 
 from __future__ import annotations
 
+from typing import Callable, Optional, Sequence
+
 import numpy as np
 
+from ..core.engine import Engine
 from ..kernels import segment_reduce
+from .sparse import PAIR_DTYPE
 
 __all__ = [
+    "HASH_WORK_PER_EDGE",
     "TRIPLE_DTYPE",
+    "complex_reduce",
+    "neighbor_histograms",
+    "refresh_ghosts",
     "h_index_from_histograms",
     "build_histogram",
     "merge_histograms",
@@ -43,6 +57,153 @@ __all__ = [
 TRIPLE_DTYPE = np.dtype(
     [("gid", np.int64), ("label", np.float64), ("count", np.int64)]
 )
+
+
+#: Relative cost of a hash-table insert vs. a simple edge op.
+HASH_WORK_PER_EDGE = 4.0
+
+#: Owner-side reduction: merged triples -> ``(gids, winning values)``.
+OwnerReduce = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
+def neighbor_histograms(
+    engine: Engine, name: str, rows_per_rank: Sequence[np.ndarray]
+) -> list[np.ndarray]:
+    """Per-rank histograms of the ``name`` values held by the local
+    neighbors of each rank's ``rows_per_rank`` vertices (phase 1 of
+    the 2.5D scheme, charged as hash-table inserts)."""
+
+    def local_histogram(ctx):
+        rows = rows_per_rank[ctx.rank]
+        degs = ctx.local_degrees()[rows - ctx.localmap.row_offset]
+        engine.charge_edges(ctx.rank, degs, work_per_edge=HASH_WORK_PER_EDGE)
+        src, dst, _ = ctx.expand(rows)
+        return build_histogram(ctx.localmap.row_gid(src), ctx.get(name)[dst])
+
+    return engine.map_ranks(local_histogram)
+
+
+def _allgatherv_groups(engine: Engine, groups, sbufs) -> list[np.ndarray]:
+    """AllGatherv ``sbufs`` inside every group; each rank's received
+    buffer, indexed by rank."""
+    rbuf_of: list[Optional[np.ndarray]] = [None] * engine.grid.n_ranks
+    for _, ranks in groups:
+        rbuf = engine.comm.allgatherv(ranks, [sbufs[r] for r in ranks])
+        for r in ranks:
+            rbuf_of[r] = rbuf
+    return rbuf_of
+
+
+def refresh_ghosts(
+    engine: Engine, names: Sequence[str], rows_per_rank: Sequence[np.ndarray]
+) -> None:
+    """Refresh the column-window (ghost) copies of ``rows_per_rank``.
+
+    After a row-group reduction every rank of a row group agrees on its
+    row window; the ghosts of those vertices live in the column groups.
+    Each rank ships the listed row vertices that fall in its own column
+    range — ``{gid, names...}`` entries, one AllGatherv per column
+    group — and every rank assigns what it receives.
+    """
+    dtype = np.dtype([("gid", np.int64)] + [(n, np.float64) for n in names])
+
+    def build_refresh(ctx):
+        lm = ctx.localmap
+        rows = rows_per_rank[ctx.rank]
+        mine = rows[lm.owns_col_gid(lm.row_gid(rows))]
+        buf = np.empty(mine.size, dtype=dtype)
+        buf["gid"] = lm.row_gid(mine)
+        for n in names:
+            buf[n] = ctx.get(n)[mine]
+        engine.charge_vertices(ctx.rank, mine.size)
+        return buf
+
+    rbuf_of = _allgatherv_groups(
+        engine, engine.col_groups(), engine.map_ranks(build_refresh)
+    )
+
+    def apply_refresh(ctx):
+        rbuf = rbuf_of[ctx.rank]
+        lids = ctx.localmap.col_lid(rbuf["gid"])
+        for n in names:
+            ctx.get(n)[lids] = rbuf[n]
+        engine.charge_vertices(ctx.rank, rbuf.size)
+
+    engine.foreach(apply_refresh)
+
+
+def complex_reduce(
+    engine: Engine,
+    name: str,
+    histograms: Sequence[np.ndarray],
+    owner_reduce: OwnerReduce,
+    combine: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
+) -> tuple[list[np.ndarray], int]:
+    """One 2.5D complex reduction of per-rank ``histograms`` into the
+    state ``name`` (paper §3.3.3; phases 2 and 3 of the module docs).
+
+    ``histograms[rank]`` holds the :data:`TRIPLE_DTYPE` entries rank
+    built over its local edges; ``owner_reduce`` turns an owner's
+    merged histograms into ``(gids, values)`` winners; ``combine(old,
+    winner)`` gives the value to store (default: the winner).  Returns
+    each rank's changed row LIDs (exact compare; the same vertices on
+    every rank of a row group) and the global number of changed
+    vertices.
+    Ghost copies of the changed vertices are refreshed before
+    returning.
+    """
+    part, grid = engine.partition, engine.grid
+
+    # Personalized exchange of histogram triples to owners: routing is
+    # per-rank compute (each rank's owner chunks follow from its own
+    # row group), the exchanges stay sequential per group.
+    def route_to_owners(ctx):
+        rs, re = part.row_range(ctx.block.id_r)
+        bounds = owner_chunks(rs, re, grid.R)
+        tri = histograms[ctx.rank]
+        owners = owner_of_vertex(tri["gid"], bounds)
+        order = np.argsort(owners, kind="stable")
+        tri, owners = tri[order], owners[order]
+        cuts = np.searchsorted(owners, np.arange(grid.R + 1))
+        engine.charge_vertices(ctx.rank, tri.size)
+        return [tri[cuts[k] : cuts[k + 1]] for k in range(grid.R)]
+
+    sends = engine.map_ranks(route_to_owners)
+    received_of: list[Optional[np.ndarray]] = [None] * grid.n_ranks
+    for _, ranks in engine.row_groups():
+        received = engine.comm.alltoallv(ranks, [sends[r] for r in ranks])
+        for pos, r in enumerate(ranks):
+            received_of[r] = received[pos]
+
+    def reduce_owned(ctx):
+        merged = merge_histograms(received_of[ctx.rank])
+        gids, winners = owner_reduce(merged)
+        engine.charge_vertices(ctx.rank, merged.size)
+        buf = np.empty(gids.size, dtype=PAIR_DTYPE)
+        buf["gid"] = gids
+        buf["val"] = winners
+        return buf
+
+    # Broadcast winners back across each row group.
+    rbuf_of = _allgatherv_groups(
+        engine, engine.row_groups(), engine.map_ranks(reduce_owned)
+    )
+
+    def apply_winners(ctx):
+        state = ctx.get(name)
+        rbuf = rbuf_of[ctx.rank]
+        lids = ctx.localmap.row_lid(rbuf["gid"])
+        old = state[lids]
+        state[lids] = rbuf["val"] if combine is None else combine(old, rbuf["val"])
+        engine.charge_vertices(ctx.rank, rbuf.size)
+        return np.asarray(lids[state[lids] != old], dtype=np.int64)
+
+    changed_rows = engine.map_ranks(apply_winners)
+    n_changed = sum(
+        int(changed_rows[ranks[0]].size) for _, ranks in engine.row_groups()
+    )
+    refresh_ghosts(engine, (name,), changed_rows)
+    return changed_rows, n_changed
 
 
 def build_histogram(src_gids: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -338,8 +338,8 @@ def sparse_push_lanes(
     where k sequential runs would pay k.
 
     Per lane the exchange is bit-identical to :func:`sparse_push` on
-    that lane's column: the reduce runs through the composite-index
-    path of :func:`~repro.kernels.scatter_reduce_lanes` (same update
+    that lane's column: the reduce runs through the composite index
+    of :func:`~repro.kernels.scatter_reduce_lanes` (same update
     order per lane as the 1-D kernel), queue dedup is lane-major (so
     within a lane, GIDs sort exactly as the 1-D ``np.unique``), and the
     final row assignment writes values already made final by the column

@@ -145,7 +145,7 @@ def edge_list_pagerank(
             rw = ctx.row_slice
             partials.append(np.array([pr[rw][deg[rw] == 0].sum() / grid.R]))
             acc[...] = 0.0
-            src, dst, w = ctx.expand_all()
+            src, dst, w = ctx.expand(ctx.row_lids())
             contrib = pr[dst] / np.maximum(deg[dst], 1e-300)
             if weighted:
                 contrib = contrib * w
@@ -202,7 +202,7 @@ class TestCsrPullEqualsEdgeListGather:
         engine = Engine(graph, grid=GRIDS[6])
         for ctx in engine:  # oracle first: compute_global_degrees reduces
             want = np.zeros(ctx.n_total)
-            src, _, w = ctx.expand_all()
+            src, _, w = ctx.expand(ctx.row_lids())
             np.add.at(want, src, w)
             ctx.arrays["want"] = want
         dense_pull(engine, "want", op="sum")

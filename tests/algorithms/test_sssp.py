@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import sssp
+from repro.algorithms.batch import sssp_batch
 from repro.core.engine import Engine
 from repro.graph import Graph, path_graph, rmat
 from repro.reference import serial
@@ -80,3 +81,26 @@ class TestBehaviour:
         g = _weighted(path_graph(50), seed=2)
         res = sssp(Engine(g, 4), root=0, max_iterations=3)
         assert res.iterations == 3
+
+
+ENTRY_POINTS = {
+    "sssp": lambda engine: sssp(engine, root=0).values,
+    "sssp_batch": lambda engine: sssp_batch(engine, [0, 2]).values[:, 0],
+}
+
+
+class TestWeightValidation:
+    """On a symmetric graph one negative edge is a negative 2-cycle:
+    label correcting would lower distances forever."""
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_negative_weight_rejected_instead_of_spinning(self, entry):
+        g = Graph.from_edges([0, 1, 2], [1, 2, 3], 5, weights=[0.5, -0.25, 1.0])
+        with pytest.raises(ValueError, match=r"non-negative edge weights.*-0\.25"):
+            ENTRY_POINTS[entry](Engine(g, 4))
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_zero_weights_pass(self, entry):
+        g = Graph.from_edges([0, 1, 2], [1, 2, 3], 5, weights=[0.0, 0.0, 1.5])
+        dist = ENTRY_POINTS[entry](Engine(g, 4))
+        assert dist.tolist() == [0.0, 0.0, 0.0, 1.5, np.inf]

@@ -71,60 +71,20 @@ class TestGraphAccess:
 
     def test_expand_subset_consistent_with_expand_all(self, engine):
         ctx = engine.ctx(4)
-        src_all, dst_all, _ = ctx.expand_all()
+        src_all, dst_all, _ = ctx.expand(ctx.row_lids())
         rows = ctx.row_lids()[:3]
         src, dst, _ = ctx.expand(rows)
         mask = np.isin(src_all, rows)
         assert np.array_equal(np.sort(dst), np.sort(dst_all[mask]))
 
-    def test_expand_all_cached(self, engine):
-        ctx = engine.ctx(5)
-        a = ctx.expand_all()
-        b = ctx.expand_all()
-        assert a[0] is b[0]
-
     def test_weighted_expansion(self):
         g = rmat(7, seed=1).with_random_weights(seed=2)
         engine = Engine(g, 4)
         ctx = engine.ctx(0)
-        _, dst, w = ctx.expand_all()
+        _, dst, w = ctx.expand(ctx.row_lids())
         assert w is not None and w.shape == dst.shape
 
     def test_slices_match_localmap(self, engine):
         ctx = engine.ctx(1)
         assert ctx.row_slice == ctx.localmap.row_slice
         assert ctx.col_slice == ctx.localmap.col_slice
-
-
-class TestExpandCache:
-    def test_expansion_charged_against_ledger(self, engine):
-        ctx = engine.ctx(2)
-        base = ctx.device.allocated_bytes
-        src, dst, w = ctx.expand_all()
-        expect = src.nbytes + dst.nbytes + (w.nbytes if w is not None else 0)
-        assert ctx.device.ledger["cache.expand_all"] == expect
-        assert ctx.device.allocated_bytes == base + expect
-
-    def test_free_releases_charge_and_cache(self, engine):
-        ctx = engine.ctx(2)
-        first = ctx.expand_all()
-        base = ctx.device.allocated_bytes
-        charge = ctx.device.ledger["cache.expand_all"]
-        ctx.free_expand_cache()
-        assert "cache.expand_all" not in ctx.device.ledger
-        assert ctx.device.allocated_bytes == base - charge
-        # freeing twice is a no-op
-        ctx.free_expand_cache()
-        # re-expansion recomputes (and re-charges)
-        again = ctx.expand_all()
-        assert again[0] is not first[0]
-        assert np.array_equal(again[1], first[1])
-        assert "cache.expand_all" in ctx.device.ledger
-
-    def test_engine_frees_every_rank(self, engine):
-        for ctx in engine:
-            ctx.expand_all()
-        engine.free_expand_caches()
-        assert all(
-            "cache.expand_all" not in ctx.device.ledger for ctx in engine
-        )

@@ -110,7 +110,7 @@ def _per_rank_edge_list_pull(engine, name, op, weighted):
     out = []
     for ctx in engine:
         x = ctx.get(name)
-        src, dst, w = ctx.expand_all()
+        src, dst, w = ctx.expand(ctx.row_lids())
         state = np.full(x.shape, _PULL_OPS[op])
         for lane in np.ndindex(x.shape[1:]):
             at = (slice(None),) + lane

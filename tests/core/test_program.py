@@ -1,14 +1,18 @@
 """Generic vertex-program API tests (paper Alg. 1 generalization).
 
 Expresses known algorithms as two-line programs and cross-validates
-them against both the dedicated implementations and the serial
-references — the executable form of the paper's generality claim.
+them against both the dedicated entry points — exactly: values,
+modeled clocks and counters — and the serial references — the
+executable form of the paper's generality claim.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 
 from repro.algorithms import connected_components, sssp
+from repro.comm.grid import Grid2D
 from repro.core.engine import Engine
 from repro.core.program import VertexProgram, run_vertex_program
 from repro.graph import rmat
@@ -37,6 +41,19 @@ def sssp_program(root: int, **kw) -> VertexProgram:
     )
 
 
+def assert_same_run(prog, dedicated):
+    """Same answer, same modeled machine: bit for bit."""
+    assert np.array_equal(prog.values, dedicated.values)
+    assert prog.iterations == dedicated.iterations
+    assert prog.timings == dedicated.timings  # total/compute/comm/overlap/marks
+    assert prog.counters == dedicated.counters
+
+
+#: tall, wide, non-divisible; the single-column grid is where a hidden
+#: convergence flag shows in the exposed time
+SCHEDULE_GRIDS = [Grid2D(R=4, C=1), Grid2D(R=2, C=4), Grid2D(R=3, C=5)]
+
+
 def widest_path_program(root: int) -> VertexProgram:
     """Maximum-bottleneck path capacity from the root (a max-min
     program none of the dedicated algorithms implement)."""
@@ -54,10 +71,24 @@ class TestCCAsProgram:
         prog_res = run_vertex_program(Engine(rmat_graph, grid=grid), cc_program())
         dedicated = connected_components(Engine(rmat_graph, grid=grid))
         # Program labels are min-GID representatives directly.
-        assert np.array_equal(
-            serial.canonical_labels(prog_res.values.astype(np.int64)),
-            serial.canonical_labels(dedicated.values),
-        )
+        assert_same_run(prog_res, dedicated)
+
+    @pytest.mark.parametrize("overlap", [False, True], ids=["blocking", "overlap"])
+    @pytest.mark.parametrize("use_queue", [False, True], ids=["scan", "queue"])
+    @pytest.mark.parametrize("mode", ["dense", "sparse", "switch"])
+    @pytest.mark.parametrize("direction", ["push", "pull"])
+    def test_every_schedule_is_the_dedicated_run(
+        self, rmat_graph, direction, mode, use_queue, overlap
+    ):
+        schedule = dict(direction=direction, mode=mode, use_queue=use_queue)
+        for grid in SCHEDULE_GRIDS:
+            prog = run_vertex_program(
+                Engine(rmat_graph, grid=grid, overlap=overlap), cc_program(**schedule)
+            )
+            dedicated = connected_components(
+                Engine(rmat_graph, grid=grid, overlap=overlap), **schedule
+            )
+            assert_same_run(prog, dedicated)
 
     @pytest.mark.parametrize("direction", ["push", "pull"])
     @pytest.mark.parametrize("mode", ["dense", "sparse", "switch"])
@@ -75,11 +106,27 @@ class TestCCAsProgram:
 class TestSSSPAsProgram:
     def test_matches_dedicated_sssp(self, rmat_graph):
         g = rmat_graph.with_random_weights(seed=2, low=0.1, high=1.0)
-        prog = run_vertex_program(Engine(g, 4), sssp_program(root=0))
-        dedicated = sssp(Engine(g, 4), root=0)
-        both_finite = np.isfinite(prog.values) & np.isfinite(dedicated.values)
-        assert np.array_equal(np.isfinite(prog.values), np.isfinite(dedicated.values))
-        assert np.allclose(prog.values[both_finite], dedicated.values[both_finite])
+        for grid, overlap, root in itertools.product(
+            SCHEDULE_GRIDS, (False, True), (0, 17)
+        ):
+            prog = run_vertex_program(
+                Engine(g, grid=grid, overlap=overlap),
+                sssp_program(root, mode="sparse", work_per_edge=1.5),
+            )
+            dedicated = sssp(Engine(g, grid=grid, overlap=overlap), root=root)
+            assert_same_run(prog, dedicated)
+
+    @pytest.mark.parametrize("direction", ["push", "pull"])
+    @pytest.mark.parametrize("mode", ["dense", "sparse", "switch"])
+    def test_all_configurations(self, direction, mode):
+        """A pull has no frontier to start from: every row pulls."""
+        g = random_graph(7, n_max=60).with_random_weights(seed=1)
+        res = run_vertex_program(
+            Engine(g, 4), sssp_program(root=0, direction=direction, mode=mode)
+        )
+        ref = serial.sssp_distances(g, 0)
+        assert np.array_equal(np.isfinite(res.values), np.isfinite(ref))
+        assert np.allclose(res.values[np.isfinite(ref)], ref[np.isfinite(ref)])
 
     def test_matches_dijkstra(self):
         for seed in range(3):
@@ -128,6 +175,55 @@ class TestNovelPrograms:
         for c in np.unique(comp):
             members = np.flatnonzero(comp == c)
             assert np.all(res.values[members] == members.max())
+
+
+class TestDriver:
+    @pytest.mark.parametrize("grid", SCHEDULE_GRIDS, ids=lambda g: f"{g.C}x{g.R}")
+    def test_push_starts_from_the_vertices_that_hold_a_value(self, grid):
+        """The initial active queue is derived from the initial state:
+        rows still at the op's identity have nothing to send, so the
+        first superstep expands the root's edges only."""
+        g = rmat(7, seed=9).with_random_weights(seed=4)
+        root = 5
+        engine = Engine(g, grid=grid)
+        queued, edges = [], []
+        charge_edges = engine.charge_edges
+
+        def spy(rank, degrees, **kw):
+            queued.append(len(degrees))
+            edges.append(int(np.sum(degrees)))
+            charge_edges(rank, degrees, **kw)
+
+        engine.charge_edges = spy
+        prog = widest_path_program(root)
+        prog.max_iterations = 1
+        run_vertex_program(engine, prog)
+        # the root sits in the row window of each of its row group's R ranks
+        assert sum(queued) == grid.R
+        assert sum(edges) == g.degrees()[root]
+
+    @pytest.mark.parametrize("overlap", [False, True], ids=["blocking", "overlap"])
+    def test_dense_convergence_flag_is_split_phase_on_an_overlapped_engine(
+        self, rmat_graph, overlap
+    ):
+        """No rank consumes the reduced flag locally, so an overlapped
+        engine hides the active-queue rebuild behind it."""
+        engine = Engine(rmat_graph, grid=Grid2D(R=2, C=4), overlap=overlap)
+        issued = {"allreduce": 0, "start_allreduce": 0}
+        for name in issued:
+
+            def counting(ranks, *args, _fn=getattr(engine.comm, name), _n=name, **kw):
+                # the flag is the one reduction over every rank; the
+                # dense exchange reduces inside row / column groups
+                issued[_n] += len(ranks) == engine.n_ranks
+                return _fn(ranks, *args, **kw)
+
+            setattr(engine.comm, name, counting)
+        res = run_vertex_program(
+            engine, cc_program(direction="pull", mode="dense", use_queue=True)
+        )
+        hidden, blocking = (res.iterations, 0) if overlap else (0, res.iterations)
+        assert issued == {"start_allreduce": hidden, "allreduce": blocking}
 
 
 class TestValidation:

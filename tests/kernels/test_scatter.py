@@ -254,6 +254,9 @@ class TestScatterReduceLanes:
     @settings(max_examples=60, deadline=None)
     @given(case=lane_scatter_case())
     def test_row_vector_mode_matches_per_lane_1d(self, case, op):
+        """A full row vector per update (what the removed ``lanes=None``
+        mode took) is the lane mode with every lid repeated ``k``
+        times."""
         state, lids, _, vals1 = case
         k = state.shape[1]
         rng = np.random.default_rng(lids.size)
@@ -261,7 +264,13 @@ class TestScatterReduceLanes:
             vals1 if vals1.size else np.empty(0), np.ones(k)
         ) + rng.integers(0, 3, size=(lids.size, k))
         fused = state.copy()
-        ch_lids, ch_lanes = scatter_reduce_lanes(fused, lids, vals, op)
+        ch_lids, ch_lanes = scatter_reduce_lanes(
+            fused,
+            np.repeat(lids, k),
+            vals.reshape(-1),
+            op,
+            lanes=np.tile(np.arange(k), lids.size),
+        )
         for lane in range(k):
             col = state[:, lane].copy()
             changed = scatter_reduce(col, lids, vals[:, lane].copy(), op)
@@ -310,10 +319,9 @@ class TestScatterReduceLanes:
                 lanes=np.array([0]),
             )
 
-    def test_row_vector_shape_mismatch_rejected(self):
-        state = np.zeros((4, 2))
-        with pytest.raises(ScatterError, match="row-vector"):
-            scatter_reduce_lanes(state, np.array([0, 1]), np.zeros((2, 3)))
+    def test_lanes_are_required(self):
+        with pytest.raises(TypeError, match="lanes"):
+            scatter_reduce_lanes(np.zeros((4, 2)), np.array([0, 1]), np.zeros((2, 2)))
 
     @pytest.mark.parametrize("k", [3, 4], ids=["multiply", "shift"])
     def test_lids_of_any_integer_width_build_the_same_int64_composite(
@@ -342,18 +350,3 @@ class TestScatterReduceLanes:
         for a, b in zip(*results):
             assert np.array_equal(a, b)
         assert results[0][1].tolist() == [0, 1, 3]
-
-    def test_sparse_row_vector_mode_dedups_without_np_unique(self, monkeypatch):
-        """Like the 1-D kernel's sparse regime: ``unique_bounded``, not
-        the hash/sort pass of ``np.unique``."""
-
-        def boom(*args, **kwargs):
-            raise AssertionError("np.unique called")
-
-        state = np.zeros((64, 2))
-        lids = np.array([7, 7, 40], dtype=np.int64)
-        vals = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 5.0]])
-        monkeypatch.setattr(np, "unique", boom)
-        ch_lids, ch_lanes = scatter_reduce_lanes(state, lids, vals, "sum")
-        assert ch_lids.tolist() == [7, 40] and ch_lanes.tolist() == [0, 1]
-        assert state[7].tolist() == [3.0, 0.0] and state[40].tolist() == [0.0, 5.0]

@@ -86,3 +86,116 @@ class TestOwnership:
         assert owners.min() >= 0 and owners.max() < 5
         # contiguous non-decreasing ownership
         assert np.all(np.diff(owners) >= 0)
+
+
+# ---------------------------------------------------------------------
+# The pattern itself: complex_reduce on hostile shapes
+# ---------------------------------------------------------------------
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from repro.algorithms import greedy_coloring  # noqa: E402
+from repro.algorithms.coloring import (  # noqa: E402
+    is_proper_coloring,
+    serial_jones_plassmann,
+)
+from repro.algorithms.pagerank import compute_global_degrees  # noqa: E402
+from repro.comm.grid import Grid2D  # noqa: E402
+from repro.core.engine import Engine  # noqa: E402
+from repro.core.program import init_vertex_state  # noqa: E402
+from repro.graph import Graph  # noqa: E402
+from repro.patterns.complex import (  # noqa: E402
+    complex_reduce,
+    h_index_from_histograms,
+    neighbor_histograms,
+)
+from repro.reference import serial  # noqa: E402
+
+from ..algorithms.test_kcore import nx_core_numbers  # noqa: E402
+
+#: 1 x p, p x 1, non-divisible, and (with n < 16) more ranks than vertices
+HOSTILE_GRIDS = [
+    Grid2D(R=1, C=4),
+    Grid2D(R=4, C=1),
+    Grid2D(R=3, C=5),
+    Grid2D(R=4, C=4),
+]
+
+
+@st.composite
+def small_graph(draw):
+    n = draw(st.integers(min_value=1, max_value=40))
+    m = draw(st.integers(min_value=0, max_value=4 * n))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    src = draw(st.lists(vertex, min_size=m, max_size=m))
+    dst = draw(st.lists(vertex, min_size=m, max_size=m))
+    return Graph.from_edges(
+        np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64), n
+    )
+
+
+def _all_rows(engine):
+    return [ctx.row_lids() for ctx in engine]
+
+
+def _assert_replicas_agree(engine, name, want):
+    """Row windows and ghosts on every rank hold the global state."""
+    for ctx in engine:
+        local = engine.partition.scatter_global(want.astype(np.float64), ctx.rank)
+        assert np.array_equal(ctx.get(name), local), ctx.rank
+
+
+class TestComplexReduce:
+    @settings(max_examples=25, deadline=None)
+    @given(g=small_graph(), grid=st.sampled_from(HOSTILE_GRIDS))
+    def test_mode_selection_is_serial_label_propagation(self, g, grid):
+        engine = Engine(g, grid=grid)
+        init_vertex_state(engine, "label", lambda gids: gids)
+        before = np.arange(g.n_vertices)
+        for step in (1, 2, 3):
+            changed_rows, n_changed = complex_reduce(
+                engine,
+                "label",
+                neighbor_histograms(engine, "label", _all_rows(engine)),
+                select_mode,
+            )
+            want = serial.label_propagation(g, iterations=step)
+            assert np.array_equal(engine.gather("label"), want)
+            _assert_replicas_agree(engine, "label", want)
+            # exact changed-row detection, on every rank of the row group
+            assert n_changed == np.count_nonzero(want != before)
+            rel = engine.partition.to_relabeled_order(want != before)
+            for ctx in engine:
+                lm = ctx.localmap
+                rows = np.flatnonzero(rel[lm.row_start : lm.row_stop])
+                rows += lm.row_offset
+                assert np.array_equal(np.sort(changed_rows[ctx.rank]), rows)
+            before = want
+
+    @settings(max_examples=25, deadline=None)
+    @given(g=small_graph(), grid=st.sampled_from(HOSTILE_GRIDS))
+    def test_h_index_under_min_converges_to_core_numbers(self, g, grid):
+        engine = Engine(g, grid=grid)
+        compute_global_degrees(engine)
+        for ctx in engine:
+            ctx.alloc("core")[...] = ctx.get("deg")
+        n_changed = 1
+        while n_changed:
+            _, n_changed = complex_reduce(
+                engine,
+                "core",
+                neighbor_histograms(engine, "core", _all_rows(engine)),
+                h_index_from_histograms,
+                combine=np.minimum,
+            )
+        want = nx_core_numbers(g)
+        assert np.array_equal(engine.gather("core"), want)
+        _assert_replicas_agree(engine, "core", want)
+
+    @settings(max_examples=25, deadline=None)
+    @given(g=small_graph(), grid=st.sampled_from(HOSTILE_GRIDS))
+    def test_smallest_absent_color_is_a_proper_coloring(self, g, grid):
+        res = greedy_coloring(Engine(g, grid=grid))
+        assert np.array_equal(res.values, serial_jones_plassmann(g))
+        assert is_proper_coloring(g, res.values)

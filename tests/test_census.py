@@ -1,0 +1,67 @@
+"""Ratchet for the ROADMAP's "Fleet everywhere" direction.
+
+Every ``map_ranks(`` / ``foreach(`` call site under ``algorithms/``,
+``patterns/`` and ``core/program.py`` is a per-rank Python fan-out the
+roadmap wants written against the fleet instead.  The ceiling below is
+what the last conversion left; a PR that converts more lowers it, and
+none may raise it.  CI prints the same census (and the source line
+count the ROADMAP quotes) so the numbers are reproducible::
+
+    python tests/test_census.py
+"""
+
+from __future__ import annotations
+
+import os
+import re
+
+SRC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "repro"
+)
+FAN_OUT = re.compile(r"\b(?:map_ranks|foreach)\(")
+FAN_OUT_SCOPE = ("algorithms", "patterns", os.path.join("core", "program.py"))
+
+#: 66 before CC / SSSP became vertex programs and LP / k-core /
+#: coloring / matching instances of the 2.5D pattern (PR 17).
+FAN_OUT_CEILING = 48
+
+
+def _python_files(path: str):
+    if os.path.isfile(path):
+        yield path
+    for root, _, files in os.walk(path):
+        yield from (os.path.join(root, f) for f in sorted(files) if f.endswith(".py"))
+
+
+def _lines(path: str) -> list[str]:
+    with open(path, encoding="utf-8") as fh:
+        return fh.readlines()
+
+
+def fan_out_sites() -> dict[str, int]:
+    """Per-file count of rank fan-out call sites in the ratchet's scope."""
+    sites = {}
+    for scope in FAN_OUT_SCOPE:
+        for path in _python_files(os.path.join(SRC, scope)):
+            n = sum(len(FAN_OUT.findall(line)) for line in _lines(path))
+            if n:
+                sites[os.path.relpath(path, SRC)] = n
+    return sites
+
+
+def source_lines() -> int:
+    return sum(len(_lines(path)) for path in _python_files(SRC))
+
+
+def test_rank_fan_out_sites_only_go_down():
+    sites = fan_out_sites()
+    assert sum(sites.values()) <= FAN_OUT_CEILING, sites
+
+
+if __name__ == "__main__":
+    sites = fan_out_sites()
+    for name, n in sorted(sites.items()):
+        print(f"{n:4d}  {name}")
+    total = sum(sites.values())
+    print(f"{total:4d}  map_ranks( / foreach( sites (ceiling {FAN_OUT_CEILING})")
+    print(f"{source_lines()} lines under src/repro")

@@ -6,7 +6,9 @@ the host-side change they guard: the six traversal / label / PageRank
 cases before the engine's supersteps were fused across ranks (PR 14),
 the PageRank variants, ``pagerank_batch``, betweenness, coloring and
 the SpMV comparator before their edge-list sweeps became CSR pulls
-(PR 15).  Every case pins the modeled times (total / compute / comm /
+(PR 15), k-core, matching, two more CC variants and ``spmv_bfs`` before
+CC / SSSP became vertex programs and LP / k-core / coloring instances
+of ``complex_reduce`` (PR 17).  Every case pins the modeled times (total / compute / comm /
 overlap, and every per-iteration mark), the communication counters and
 a digest of the answer, with floats stored as ``float.hex()`` so
 equality is exact.  The suite runs on whichever rank executor
@@ -34,7 +36,8 @@ import pytest
 
 from repro import Engine, algorithms
 from repro.algorithms.batch import pagerank_batch
-from repro.baselines.spmv import spmv_cc, spmv_pagerank
+from repro.algorithms.components import CC_VARIANTS
+from repro.baselines.spmv import spmv_bfs, spmv_cc, spmv_pagerank
 from repro.comm.grid import Grid2D
 from repro.graph import rmat
 
@@ -64,6 +67,14 @@ ALGOS = {
     "greedy_coloring": lambda e: algorithms.greedy_coloring(e, max_rounds=6),
     "spmv_pagerank": lambda e: spmv_pagerank(e, iterations=5),
     "spmv_cc": lambda e: spmv_cc(e),
+    "kcore": lambda e: algorithms.core_numbers(e),
+    "cc_base": lambda e: algorithms.connected_components(e, **CC_VARIANTS["Base"]),
+    # the variant whose dense convergence flag is hidden under overlap
+    "cc_pull_switch_queue": lambda e: algorithms.connected_components(
+        e, **CC_VARIANTS["+SP+SW+VQ"]
+    ),
+    "spmv_bfs": lambda e: spmv_bfs(e, root=3),
+    "mwm": lambda e: algorithms.max_weight_matching(e),
 }
 
 CASES = [
