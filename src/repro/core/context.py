@@ -26,6 +26,11 @@ class RankContext:
 
     State arrays of the standard ``N_T`` length are slices of the
     ``fleet``'s rank-stacked buffers — see :mod:`repro.core.fleet`.
+
+    ``arrays`` holds every registered state array, whichever run
+    registered it; :attr:`run_arrays` is the subset the *current run*
+    registered (see :meth:`begin_run`) — what the boundary hooks
+    verify, snapshot and inject into.
     """
 
     def __init__(self, block: RankBlock, device: VirtualGPU, fleet):
@@ -39,6 +44,9 @@ class RankContext:
         self.row_slice: slice = block.localmap.row_slice
         self.col_slice: slice = block.localmap.col_slice
         self.arrays: dict[str, np.ndarray] = {}
+        # What the previous run left registered: name -> the array it
+        # left (see begin_run / run_arrays).
+        self._left_over: dict[str, np.ndarray] = {}
         self._local_degrees: Optional[np.ndarray] = None
         self._scratch_pools: dict[np.dtype, BufferPool] = {}
         # Charge the static graph structure, as the paper's loader does
@@ -72,6 +80,26 @@ class RankContext:
     # ------------------------------------------------------------------
     # state arrays
     # ------------------------------------------------------------------
+    def begin_run(self) -> None:
+        """A new run starts (``Engine.reset_timers``): everything
+        registered now is the previous run's.  Left-over arrays stay
+        registered, readable and charged to the device; they leave
+        :attr:`run_arrays` until the run registers the name again."""
+        self._left_over = dict(self.arrays)
+
+    @property
+    def run_arrays(self) -> dict[str, np.ndarray]:
+        """The state arrays the current run registered, by name: every
+        entry of ``arrays`` except those still holding the array the
+        previous run left there.  :meth:`alloc`, :meth:`adopt`,
+        :meth:`free` and a direct ``arrays[name] = ...`` all make the
+        name the run's."""
+        return {
+            name: arr
+            for name, arr in self.arrays.items()
+            if self._left_over.get(name) is not arr
+        }
+
     def alloc(
         self,
         name: str,
@@ -95,6 +123,7 @@ class RankContext:
         ):
             arr = self.arrays[name]
             arr[...] = fill
+            self._left_over.pop(name, None)
             return arr
         if name in self.arrays:
             self.free(name)
@@ -137,6 +166,7 @@ class RankContext:
 
     def free(self, name: str) -> None:
         arr = self.arrays.pop(name, None)
+        self._left_over.pop(name, None)
         if arr is not None:
             self.device.release(f"state.{name}")
             self.fleet.release(self.rank, name, arr)

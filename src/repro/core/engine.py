@@ -621,6 +621,9 @@ class Engine:
         path (so device ledgers stay consistent and array identities
         are fresh), counters and clocks are restored bit-exactly, and
         every attached hook realigns itself with the rewound run.
+        Afterwards each rank holds exactly the checkpoint's arrays, all
+        of them the run's: whatever else was registered — a previous
+        run's left-overs included — is freed.
         """
         for ctx, saved in zip(self.contexts, ckpt.states):
             for name in [n for n in ctx.arrays if n not in saved]:
@@ -671,11 +674,23 @@ class Engine:
         orphaned object.  Robustness state resets with the run: every
         attached hook starts over (the fault injector re-arms its plan,
         stale checkpoints from a previous run are dropped, ...).
+
+        This call is where a *run* begins.  State arrays registered
+        before it are the previous run's: they stay registered and
+        readable (``ctx.get``, :meth:`gather`), but the boundary hooks
+        work on :attr:`RankContext.run_arrays
+        <repro.core.context.RankContext.run_arrays>` — what the run
+        registers from here on — so a run's checkpoints, integrity
+        checks, memflip targets and modeled hook charges do not depend
+        on what ran on this engine before.  Allocate state *after*
+        calling this (every algorithm in :mod:`repro.algorithms` does).
         """
         self.counters.reset()
         self.clocks.reset()
         self._regrid_events.clear()
         self.spare_ranks = 0
+        for ctx in self.contexts:
+            ctx.begin_run()
         for hook in self._hooks.values():
             hook.on_reset(self)
 

@@ -3,7 +3,9 @@
 A checkpoint captures everything a resumed run needs to be
 *bit-identical* to a run that never crashed:
 
-* every named per-rank state array (``RankContext.arrays``),
+* every named per-rank state array of the run
+  (``RankContext.run_arrays``; what a previous run left registered on
+  the engine is not the run's to restore),
 * the exact :class:`~repro.comm.counters.CommCounters` state,
 * the full :class:`~repro.comm.clocks.VirtualClocks` state including
   iteration marks and counter snapshots (so per-iteration traces
@@ -271,7 +273,7 @@ class CheckpointManager(BoundaryHook):
     ) -> Checkpoint:
         """Snapshot the engine at ``superstep`` (unconditionally)."""
         states = [
-            {name: arr.copy() for name, arr in ctx.arrays.items()}
+            {name: arr.copy() for name, arr in ctx.run_arrays.items()}
             for ctx in engine.contexts
         ]
         # Charge the snapshot cost BEFORE capturing the clock state:

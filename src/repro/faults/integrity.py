@@ -11,19 +11,25 @@ module closes that gap with three cooperating layers:
 Injection
     :func:`apply_memflip` executes a ``FaultSpec(kind="memflip")``:
     it flips bits inside the target rank's *owned windows* — the
-    row-window and column-window slices of every registered state
-    array, concatenated in sorted-name order — at a superstep
-    boundary.  Flips land in replicated state by construction, which
-    is exactly the state the run's correctness depends on.
+    row-window and column-window slices of every state array of the
+    run (:attr:`RankContext.run_arrays
+    <repro.core.context.RankContext.run_arrays>`), concatenated in
+    sorted-name order — at a superstep boundary.  Flips land in
+    replicated state by construction, which is exactly the state the
+    run's correctness depends on.
 
 Detection
     :class:`IntegrityLedger` exploits the 2D decomposition's inherent
     redundancy: after every exchange, all ranks of a row group hold
     identical row-window values and all ranks of a column group hold
-    identical column-window values.  At (interval-matching) superstep
-    boundaries each rank hashes its windows (CRC32, modeled at
-    ``hash_bw``); the digests are exchanged (one small collective,
-    modeled at ``exchange_bw``) and compared per group.  Any
+    identical column-window values — of the run's arrays: what an
+    earlier run left registered on the engine is nobody's input any
+    more, need not be replica-consistent (``pointer_jumping`` leaves
+    ``pj`` row-filled only) and is not looked at.  At
+    (interval-matching) superstep boundaries each rank hashes its
+    windows (CRC32, modeled at ``hash_bw``); the digests are exchanged
+    (one small collective, modeled at ``exchange_bw``) and compared
+    per group.  Any
     single-bit corruption of a replicated window breaks agreement:
     CRC32 is affine over GF(2), so the digests of two equal-length
     buffers differ by the plain polynomial remainder of their XOR,
@@ -168,12 +174,11 @@ class IntegrityFailure(RuntimeError):
 # ----------------------------------------------------------------------
 def _owned_segments(ctx) -> list[np.ndarray]:
     """The rank's replicated windows: row- and column-window slices of
-    every registered state array, in sorted-name order.  Views of the
+    every state array of the run, in sorted-name order.  Views of the
     registered arrays — contiguous unless the array was adopted
     strided."""
     segments = []
-    for name in sorted(ctx.arrays):
-        arr = ctx.arrays[name]
+    for _name, arr in sorted(ctx.run_arrays.items()):
         segments.append(arr[ctx.row_slice])
         segments.append(arr[ctx.col_slice])
     return segments
@@ -184,13 +189,13 @@ def apply_memflip(ctx, spec) -> int:
     wrapped) in ``ctx``'s owned state windows; returns bits flipped.
 
     The bit index addresses the concatenated byte stream (C order) of
-    the rank's row-window and column-window segments (sorted
-    array-name order) — corruption lands in replicated state, which is
-    what the :class:`IntegrityLedger` covers.  Each flip goes through a
-    one-element view of the registered array, so it reaches the real
-    buffer whatever the array's strides (an adopted ``wide[::2]`` or
-    strided lanes included).  Zero registered state means nothing to
-    flip (returns 0).
+    the rank's row-window and column-window segments (the run's
+    arrays, sorted by name) — corruption lands in replicated state the
+    run reads, which is what the :class:`IntegrityLedger` covers.
+    Each flip goes through a one-element view of the registered
+    array, so it reaches the real buffer whatever the array's strides
+    (an adopted ``wide[::2]`` or strided lanes included).  No state
+    registered by the run means nothing to flip (returns 0).
     """
     segments = _owned_segments(ctx)
     total_bits = sum(s.nbytes for s in segments) * 8
@@ -237,25 +242,26 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def _group_windows(engine):
-    """Walk the replicated state, read-only: yield ``(name, members)``
-    for every state array of every row group, then of every column
-    group — ``members`` the ``(rank, window bits)`` of the group's
-    ranks that hold the array, in group order.  All members of a group
-    are replicas of one window; a ``1 x p`` / ``p x 1`` grid has
-    single-member groups on one axis.  Works from ``ctx.arrays``
-    alone, so adopted, strided and odd-length arrays are covered and
-    nothing is re-stacked."""
+    """Walk the run's replicated state, read-only: yield ``(name,
+    members)`` for every state array of every row group, then of every
+    column group — ``members`` the ``(rank, window bits)`` of the
+    group's ranks that hold the array, in group order.  All members of
+    a group are replicas of one window; a ``1 x p`` / ``p x 1`` grid
+    has single-member groups on one axis.  Works from each rank's
+    ``run_arrays`` alone, so adopted, strided and odd-length arrays
+    are covered and nothing is re-stacked."""
+    held = [(ctx, ctx.run_arrays) for ctx in engine.contexts]
     for groups, window in (
         (engine.row_groups(), "row_slice"),
         (engine.col_groups(), "col_slice"),
     ):
         for _gid, ranks in groups:
-            group = [engine.contexts[r] for r in ranks]
-            for name in sorted({n for ctx in group for n in ctx.arrays}):
+            group = [held[r] for r in ranks]
+            for name in sorted({n for _ctx, arrays in group for n in arrays}):
                 yield name, [
-                    (ctx.rank, _window_bits(ctx.arrays[name][getattr(ctx, window)]))
-                    for ctx in group
-                    if name in ctx.arrays
+                    (ctx.rank, _window_bits(arrays[name][getattr(ctx, window)]))
+                    for ctx, arrays in group
+                    if name in arrays
                 ]
 
 

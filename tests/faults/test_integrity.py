@@ -496,9 +496,13 @@ def _mixed_state(engine, seed):
             arr[lm.col_slice] = base[col_gids]
 
 
-def _verdict(ledger, engine, with_checkpoint):
-    """One boundary on a fresh run: everything the ledger lets out."""
+def _verdict(ledger, engine, with_checkpoint, build):
+    """One boundary on a fresh run: everything the ledger lets out.
+    ``build()`` registers the state *after* the run began — arrays
+    registered before ``reset_timers()`` are the previous run's, which
+    the ledger leaves alone."""
     engine.reset_timers()
+    built = build()
     if with_checkpoint:
         engine.checkpoints.save(engine, 0, "unit", {})
     digests = ledger._collect_digests(engine)
@@ -508,7 +512,7 @@ def _verdict(ledger, engine, with_checkpoint):
     except (IntegrityViolation, IntegrityFailure) as exc:
         raised = (type(exc), str(exc), getattr(exc, "suspects", None))
     events = [e for e in engine.fault_events if e["kind"] == "integrity"]
-    return digests, ledger.rows, raised, events, engine.clocks.certify_total
+    return built, digests, ledger.rows, raised, events, engine.clocks.certify_total
 
 
 class TestVerifyByComparison:
@@ -529,16 +533,21 @@ class TestVerifyByComparison:
         self, grid, seed, flip, rank, bit, with_checkpoint, budget
     ):
         engine = _grid_engine(grid, with_checkpoint)
-        _mixed_state(engine, seed)
         rank %= engine.n_ranks
-        flipped = flip and apply_memflip(
-            engine.contexts[rank], FaultSpec("memflip", 1, rank=rank, bit=bit)
+
+        def build():
+            _mixed_state(engine, seed)
+            return flip and apply_memflip(
+                engine.contexts[rank], FaultSpec("memflip", 1, rank=rank, bit=bit)
+            )
+
+        want = _verdict(
+            OracleLedger(repair_budget=budget), engine, with_checkpoint, build
         )
-        want = _verdict(OracleLedger(repair_budget=budget), engine, with_checkpoint)
         ledger = IntegrityLedger(repair_budget=budget)
-        got = _verdict(ledger, engine, with_checkpoint)
+        got = _verdict(ledger, engine, with_checkpoint, build)
         assert got == want
-        _, rows, raised, events, _ = got
+        flipped, _, rows, raised, events, _ = got
         if not flipped:
             assert rows[-1].ok and raised is None and not events
         elif min(GRIDS[grid][1:]) >= 2:  # every window has a replica

@@ -1,0 +1,265 @@
+"""Run-scoped boundary state: the hooks work on the run's arrays.
+
+A run starts at ``Engine.reset_timers()``.  What an earlier run left
+registered on a long-lived engine stays readable, but the checkpoint,
+the integrity ledger and memflip injection read
+``RankContext.run_arrays`` — so a guarded run on a reused engine is the
+run a fresh engine would have made: same answer, same modeled time,
+same ledger rows, same checkpoint contents, same memflip targets.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import Engine, algorithms
+from repro.baselines.spmv import spmv_bfs, spmv_cc, spmv_pagerank
+from repro.faults import (
+    CheckpointManager,
+    FaultPlan,
+    FaultSpec,
+    HealthMonitor,
+    IntegrityLedger,
+    apply_memflip,
+    drive_elastic,
+)
+from repro.faults.integrity import _owned_segments
+from repro.graph import rmat
+
+GRAPH = rmat(8, seed=5).with_random_weights(seed=5)
+
+#: Every public entry point, as a first run that leaves its state behind.
+ENTRY_POINTS = {
+    "bfs": lambda e: algorithms.bfs(e, root=3),
+    "pagerank": lambda e: algorithms.pagerank(e, iterations=3),
+    "connected_components": algorithms.connected_components,
+    "sssp": lambda e: algorithms.sssp(e, root=3),
+    "label_propagation": lambda e: algorithms.label_propagation(e, iterations=3),
+    "pointer_jumping": algorithms.pointer_jumping,
+    "max_weight_matching": algorithms.max_weight_matching,
+    "greedy_coloring": algorithms.greedy_coloring,
+    "core_numbers": algorithms.core_numbers,
+    "triangle_count": algorithms.triangle_count,
+    "betweenness": lambda e: algorithms.betweenness(e, sources=[3, 17]),
+    "bfs_batch": lambda e: algorithms.bfs_batch(e, [3, 17]),
+    "sssp_batch": lambda e: algorithms.sssp_batch(e, [3, 17]),
+    "pagerank_batch": lambda e: algorithms.pagerank_batch(e, [3, 17], iterations=3),
+    "spmv_pagerank": lambda e: spmv_pagerank(e, iterations=3),
+    "spmv_cc": spmv_cc,
+    "spmv_bfs": lambda e: spmv_bfs(e, root=3),
+}
+
+
+def guard(engine, health=False):
+    """Verify and checkpoint at every boundary."""
+    engine.attach_integrity(IntegrityLedger(interval=1))
+    engine.attach_checkpoints(CheckpointManager(interval=1))
+    if health:
+        engine.attach_health(HealthMonitor())
+    return engine
+
+
+@pytest.mark.parametrize("first", sorted(ENTRY_POINTS))
+def test_no_left_over_trips_a_later_guarded_run(first):
+    """Whatever ran before — ``pointer_jumping`` leaves ``pj`` filled
+    on its row windows only — a guarded CC on the same engine verifies
+    clean and returns the fresh-engine answer."""
+    engine = Engine(GRAPH, 9)
+    ENTRY_POINTS[first](engine)
+    left_over = {name for ctx in engine.contexts for name in ctx.arrays}
+    res = algorithms.connected_components(guard(engine))
+    want = algorithms.connected_components(Engine(GRAPH, 9))
+    assert np.array_equal(res.values, want.values)
+    assert all(row.ok for row in engine.integrity.rows)
+    # nothing was freed behind the caller's back
+    assert left_over <= {name for ctx in engine.contexts for name in ctx.arrays}
+
+
+# ----------------------------------------------------------------------
+# history independence
+# ----------------------------------------------------------------------
+RUNS = {
+    short: ENTRY_POINTS[name]
+    for short, name in [
+        ("CC", "connected_components"),
+        ("PR", "pagerank"),
+        ("BFS", "bfs"),
+        ("SSSP", "sssp"),
+        ("bfs_batch", "bfs_batch"),
+    ]
+}
+
+
+def observed(engine, res):
+    """Everything a guarded run lets out besides its values."""
+    t = engine.timing_report()
+    return {
+        "timing": (
+            t.total, t.compute, t.comm, t.certify, t.recovery, t.per_iteration,
+        ),
+        "counters": res.counters,
+        "ledger": dict(engine.integrity.stats),
+        "fingerprints": [row.fingerprint for row in engine.integrity.rows],
+        "checkpointed": [
+            sorted(per_rank) for per_rank in engine.checkpoints.latest().states
+        ],
+        "values": np.asarray(res.values).tobytes(),
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def on_a_fresh_engine(run, executor):
+    engine = guard(Engine(GRAPH, 9, executor=executor), health=True)
+    return observed(engine, RUNS[run](engine))
+
+
+@pytest.mark.parametrize("executor", ["serial", "threads:4"])
+@pytest.mark.parametrize("second", sorted(RUNS))
+@pytest.mark.parametrize("first", sorted(RUNS))
+def test_a_run_does_not_depend_on_the_engine_s_history(first, second, executor):
+    engine = guard(Engine(GRAPH, 9, executor=executor), health=True)
+    RUNS[first](engine)
+    got = observed(engine, RUNS[second](engine))
+    want = on_a_fresh_engine(second, executor)
+    for field in want:
+        assert got[field] == want[field], field
+
+
+def test_left_overs_stay_registered_and_readable():
+    engine = guard(Engine(GRAPH, 9))
+    ranks = algorithms.pagerank(engine, iterations=4).values
+    algorithms.bfs(engine, root=3)
+    assert np.array_equal(engine.gather("pr"), ranks)
+    for ctx in engine.contexts:
+        assert {"pr", "acc"} <= set(ctx.arrays)
+        assert sorted(ctx.run_arrays) == ["deg", "level", "parent"]
+        assert ctx.get("pr") is ctx.arrays["pr"]
+        # still on the device ledger
+        assert ctx.device.ledger["state.pr"] == ctx.arrays["pr"].nbytes
+
+
+# ----------------------------------------------------------------------
+# what makes an array the run's
+# ----------------------------------------------------------------------
+class TestRunArrays:
+    def test_everything_is_the_run_s_until_a_run_begins(self):
+        engine = Engine(GRAPH, 4)
+        engine.alloc("x")
+        ctx = engine.ctx(0)
+        assert ctx.run_arrays == ctx.arrays
+        engine.reset_timers()
+        assert ctx.run_arrays == {} and ctx.has("x")
+
+    @pytest.mark.parametrize(
+        "register",
+        [
+            lambda ctx: ctx.alloc("x"),  # same shape: re-initialized in place
+            lambda ctx: ctx.alloc("x", np.int32),
+            lambda ctx: ctx.alloc("x", width=2),
+            lambda ctx: ctx.adopt("x", np.zeros(ctx.n_total)),
+            lambda ctx: ctx.arrays.__setitem__("x", np.zeros(ctx.n_total)),
+        ],
+        ids=["alloc-in-place", "alloc-dtype", "alloc-lanes", "adopt", "direct"],
+    )
+    def test_registering_a_left_over_name_again_makes_it_the_run_s(self, register):
+        engine = Engine(GRAPH, 4)
+        engine.alloc("x")
+        engine.alloc("y")
+        engine.reset_timers()
+        ctx = engine.ctx(1)
+        register(ctx)
+        assert list(ctx.run_arrays) == ["x"]
+        assert ctx.run_arrays["x"] is ctx.arrays["x"]
+        ctx.free("x")
+        assert ctx.run_arrays == {}
+        ctx.arrays["new"] = np.zeros(ctx.n_total)  # by any path
+        assert list(ctx.run_arrays) == ["new"]
+
+    def test_a_rollback_leaves_exactly_the_checkpoint_s_arrays(self):
+        engine = guard(Engine(GRAPH, 9))
+        algorithms.pagerank(engine, iterations=3)
+        algorithms.bfs(engine, root=3)
+        ckpt = engine.checkpoints.latest()
+        engine.restore(ckpt)
+        for ctx, saved in zip(engine.contexts, ckpt.states):
+            assert sorted(ctx.arrays) == sorted(saved) == ["deg", "level", "parent"]
+            assert ctx.run_arrays == ctx.arrays
+
+
+# ----------------------------------------------------------------------
+# injection and recovery on a reused engine
+# ----------------------------------------------------------------------
+def _bfs_state(reused):
+    engine = Engine(GRAPH, 9)
+    if reused:
+        algorithms.pagerank(engine, iterations=3)
+        algorithms.label_propagation(engine, iterations=2)
+    algorithms.bfs(engine, root=3)
+    return engine
+
+
+FRESH, REUSED = _bfs_state(False), _bfs_state(True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rank=st.integers(0, 8), bit=st.integers(0, 1 << 20), count=st.integers(1, 3))
+def test_memflip_addresses_the_run_s_windows_only(rank, bit, count):
+    """The same spec flips the same bits of the same run array as on a
+    fresh engine, and never touches a left-over."""
+    spec = FaultSpec("memflip", 1, rank=rank, bit=bit, count=count)
+    fresh, reused = FRESH.ctx(rank), REUSED.ctx(rank)
+    assert set(reused.arrays) > set(reused.run_arrays) == set(fresh.arrays)
+    assert sum(s.nbytes for s in _owned_segments(reused)) == sum(
+        s.nbytes for s in _owned_segments(fresh)
+    )
+    before = {name: arr.copy() for name, arr in reused.arrays.items()}
+    assert apply_memflip(reused, spec) == apply_memflip(fresh, spec) == count
+    changed = {
+        name
+        for name, arr in reused.arrays.items()
+        if arr.tobytes() != before[name].tobytes()
+    }
+    assert len(changed) >= 1 and changed <= set(reused.run_arrays)
+    for name in changed:
+        assert reused.arrays[name].tobytes() == fresh.arrays[name].tobytes()
+    # XOR is its own inverse: leave both engines as they were
+    apply_memflip(reused, spec), apply_memflip(fresh, spec)
+    assert all(
+        reused.arrays[name].tobytes() == before[name].tobytes() for name in before
+    )
+
+
+def _clock_state(engine):
+    return {
+        lane: value.tobytes() if isinstance(value, np.ndarray) else value
+        for lane, value in engine.clocks.state_dict().items()
+    }
+
+
+def test_memflip_single_is_repaired_on_a_reused_engine():
+    """The campaign's ``memflip-single`` BFS case, on an engine that ran
+    PageRank first: the flip lands in BFS state (sorted-name bit 137 is
+    inside PageRank's left-over ``acc`` when left-overs are addressed),
+    is caught at its boundary, repaired by one rollback, and the run is
+    the fault-free fresh-engine run bit for bit."""
+    fresh = guard(Engine(GRAPH, 9))
+    want = algorithms.bfs(fresh, root=0)
+
+    engine = guard(Engine(GRAPH, 9))
+    algorithms.pagerank(engine, iterations=3)
+    engine.attach_faults(FaultPlan([FaultSpec("memflip", 2, rank=1, bit=137)]))
+    got = drive_elastic(lambda e, r: algorithms.bfs(e, root=0, resume=r), engine)
+
+    assert got.extra["elastic"]["resumes"] == 1 and engine.integrity.repairs == 1
+    kinds = [(e["kind"], e["superstep"]) for e in engine.fault_events]
+    assert kinds == [("memflip", 2), ("integrity", 2)]
+    assert engine.fault_events[1]["suspects"] == [1]
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got.extra["levels"], want.extra["levels"])
+    assert got.counters == want.counters
+    assert _clock_state(engine) == _clock_state(fresh)
+    for ctx in engine.contexts:  # the rollback dropped PageRank's left-overs
+        assert sorted(ctx.arrays) == ["deg", "level", "parent"]

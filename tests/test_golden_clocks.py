@@ -12,7 +12,8 @@ of ``complex_reduce`` (PR 17).  Every case pins the modeled times (total / compu
 overlap, and every per-iteration mark), the communication counters and
 a digest of the answer, with floats stored as ``float.hex()`` so
 equality is exact.  The suite runs on whichever rank executor
-``REPRO_EXECUTOR`` selects and on ``threads:4`` explicitly.
+``REPRO_EXECUTOR`` selects and on ``threads:4`` explicitly (once, where
+the environment already selects a threaded executor).
 
 Add cases for code about to change — at the parent commit, before the
 first source edit; recorded cases are left byte-identical::
@@ -39,6 +40,8 @@ from repro.algorithms.batch import pagerank_batch
 from repro.algorithms.components import CC_VARIANTS
 from repro.baselines.spmv import spmv_bfs, spmv_cc, spmv_pagerank
 from repro.comm.grid import Grid2D
+from repro.exec import ThreadedExecutor, resolve_executor
+from repro.faults import CheckpointManager, HealthMonitor, IntegrityLedger
 from repro.graph import rmat
 
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_clocks.json")
@@ -75,6 +78,7 @@ ALGOS = {
     ),
     "spmv_bfs": lambda e: spmv_bfs(e, root=3),
     "mwm": lambda e: algorithms.max_weight_matching(e),
+    "bfs_guarded": lambda e: algorithms.bfs(_guarded(e), root=3),
 }
 
 CASES = [
@@ -85,6 +89,14 @@ CASES = [
 ]
 
 
+#: ``None`` is whatever ``REPRO_EXECUTOR`` selects.  Where that already
+#: is a threaded executor (CI's threads:4 leg) the explicit id would run
+#: every case a second time on the same executor.
+EXECUTORS = {"env": None, "threads4": "threads:4"}
+if isinstance(resolve_executor(None), ThreadedExecutor):
+    del EXECUTORS["threads4"]
+
+
 def _graph():
     return rmat(9, seed=5).with_random_weights(seed=5)
 
@@ -92,6 +104,15 @@ def _graph():
 def _personalization(engine) -> np.ndarray:
     v = np.arange(engine.partition.n_vertices)
     return (v % 7 == 0) * (1.0 + v % 3)
+
+
+def _guarded(engine):
+    """Attach the three boundary hooks: their certify and checkpoint
+    stall charges are inside ``total`` and every mark."""
+    engine.attach_checkpoints(CheckpointManager(interval=2))
+    engine.attach_integrity(IntegrityLedger(interval=1))
+    engine.attach_health(HealthMonitor())
+    return engine
 
 
 def _key(algo, R, C, overlap) -> str:
@@ -132,7 +153,7 @@ def graph():
     return _graph()
 
 
-@pytest.mark.parametrize("executor", [None, "threads:4"], ids=["env", "threads4"])
+@pytest.mark.parametrize("executor", EXECUTORS.values(), ids=EXECUTORS)
 @pytest.mark.parametrize(
     "algo,R,C,overlap", CASES, ids=[_key(*c) for c in CASES]
 )
