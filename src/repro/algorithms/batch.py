@@ -147,12 +147,8 @@ def bfs_batch(
         engine.reset_timers()
         compute_global_degrees(engine)
         m_total = 0.0
-
-        def alloc_state(ctx):
-            ctx.alloc("parent", np.float64, fill=INF, width=k)
-            ctx.alloc("level", np.float64, fill=INF, width=k)
-
-        engine.foreach(alloc_state)
+        engine.alloc("parent", np.float64, fill=INF, width=k)
+        engine.alloc("level", np.float64, fill=INF, width=k)
         for id_r, ranks in engine.row_groups():
             ctx0 = engine.ctx(ranks[0])
             m_total += float(ctx0.get("deg")[ctx0.row_slice].sum())

@@ -71,12 +71,8 @@ def bfs(
         engine.reset_timers()
         compute_global_degrees(engine)
         m_total = 0.0
-
-        def alloc_state(ctx):
-            ctx.alloc("parent", np.float64, fill=INF)
-            ctx.alloc("level", np.float64, fill=INF)
-
-        engine.foreach(alloc_state)
+        engine.alloc("parent", np.float64, fill=INF)
+        engine.alloc("level", np.float64, fill=INF)
         # Global edge count (sum of global degrees over one row
         # partition).
         for id_r, ranks in engine.row_groups():
@@ -158,14 +154,15 @@ def bfs(
             # Top-down: expand the frontier, claim unvisited ghosts —
             # every rank's frontier in one stacked pass.
             rows, counts = fleet.stack(frontier)
-            engine.charge_edges(None, fleet.row_degrees(rows), segments=counts)
+            degrees = fleet.row_degrees(rows)
+            engine.charge_edges(None, degrees, segments=counts)
             # Claims are judged against the state the superstep began
             # with: a later slice of the expansion must not see an
             # earlier slice's claim as "visited" and drop a smaller
             # candidate for the same ghost.
             unvisited_before = parent == INF
             claimed = [_NO_LIDS]
-            for ranks, src, dst, _ in fleet.expand(rows):
+            for ranks, src, dst, _ in fleet.expand(rows, degrees):
                 unvisited = unvisited_before[dst]
                 src, dst, ranks = src[unvisited], dst[unvisited], ranks[unvisited]
                 cand_parent = part.original_gid(
@@ -190,8 +187,9 @@ def bfs(
             # duplication a queue exchange would ship.
             rows = np.flatnonzero((parent == INF) & fleet.row_mask)
             counts = fleet.counts(rows)
-            engine.charge_edges(None, fleet.row_degrees(rows), segments=counts)
-            for ranks, src, dst, _ in fleet.expand(rows):
+            degrees = fleet.row_degrees(rows)
+            engine.charge_edges(None, degrees, segments=counts)
+            for ranks, src, dst, _ in fleet.expand(rows, degrees):
                 in_frontier = level[dst] == depth - 1
                 src, dst, ranks = src[in_frontier], dst[in_frontier], ranks[in_frontier]
                 cand_parent = part.original_gid(

@@ -69,7 +69,8 @@ class Topology:
         self.n_ranks = int(n_ranks)
         # group_profile is a pure function of (ranks, nic_sharing) for a
         # fixed topology, and the BSP stages ask for the same handful of
-        # row/column groups every iteration — memoize.
+        # row/column groups every iteration — memoize, keyed by the
+        # rank sequence as the caller spelled it.
         self._profile_cache: dict[tuple, GroupProfile] = {}
 
     # ------------------------------------------------------------------
@@ -127,27 +128,33 @@ class Topology:
         group with a member on that node.  Callers pass that count as
         ``nic_sharing`` (see ``Engine.stage_nic_sharing``).
         """
-        ranks = sorted(set(int(r) for r in ranks))
+        # The BSP stages ask for the same few groups, spelled the same
+        # way, thousands of times: look the spelling up before
+        # canonicalizing it.
+        key = (tuple(ranks), nic_sharing)
+        profile = self._profile_cache.get(key)
+        if profile is None:
+            profile = self._profile_cache[key] = self._ring_profile(
+                sorted(set(int(r) for r in key[0])), nic_sharing
+            )
+        return profile
+
+    def _ring_profile(self, ranks: list[int], nic_sharing: int) -> GroupProfile:
+        """:meth:`group_profile` of a sorted, de-duplicated group."""
         if not ranks:
             raise ValueError("empty rank group")
         if nic_sharing < 1:
             raise ValueError(f"nic_sharing must be >= 1, got {nic_sharing}")
-        key = (tuple(ranks), int(nic_sharing))
-        cached = self._profile_cache.get(key)
-        if cached is not None:
-            return cached
         for r in ranks:
             self._check(r)
         if len(ranks) == 1:
             nvl = self.config.node.nvlink
-            profile = GroupProfile(
+            return GroupProfile(
                 size=1,
                 latency_s=nvl.latency_s,
                 bandwidth_Bps=nvl.bandwidth_Bps,
                 crosses_network=False,
             )
-            self._profile_cache[key] = profile
-            return profile
 
         worst_latency = 0.0
         best_case_bw = float("inf")
@@ -164,8 +171,6 @@ class Topology:
         bw = best_case_bw
         if crosses and self.config.node.nic_contention and nic_sharing > 1:
             bw = min(bw, self.config.node.nic.bandwidth_Bps / nic_sharing)
-        profile = GroupProfile(
+        return GroupProfile(
             size=n, latency_s=worst_latency, bandwidth_Bps=bw, crosses_network=crosses
         )
-        self._profile_cache[key] = profile
-        return profile

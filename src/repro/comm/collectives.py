@@ -277,12 +277,21 @@ class Communicator:
         arrays = [np.asarray(b) for b in send_buffers]
         # Preserve the send-buffer dtype even when every buffer is empty
         # (structured consumers index fields like rbuf["gid"], which a
-        # plain float64 np.empty(0) would break).
-        result = (
-            np.concatenate(arrays)
-            if any(a.size for a in arrays)
-            else np.empty(0, dtype=arrays[0].dtype if arrays else np.float64)
-        )
+        # plain float64 np.empty(0) would break).  Filled member by
+        # member: np.concatenate re-promotes a structured dtype field
+        # by field for every operand.
+        if any(a.size for a in arrays):
+            sizes = [len(a) for a in arrays]
+            result = np.empty(
+                (sum(sizes),) + arrays[0].shape[1:], dtype=arrays[0].dtype
+            )
+            lo = 0
+            for a, n in zip(arrays, sizes):
+                if n:
+                    result[lo : lo + n] = a
+                    lo += n
+        else:
+            result = np.empty(0, dtype=arrays[0].dtype if arrays else np.float64)
         total = int(sum(a.nbytes for a in arrays))
         t = self.costmodel.allgather_time(ranks, total, nic_sharing=nic_sharing)
         self.counters.record(

@@ -139,15 +139,15 @@ class RankContext:
     def adopt(self, name: str, arr: np.ndarray) -> np.ndarray:
         """Register an externally-owned array as a named state.
 
-        Used for pooled scratch (e.g. lane-subset pack buffers from
-        :meth:`scratch_pool`) that must be visible to the communication
-        patterns under a state name for a few supersteps.  The array is
-        charged against the device ledger like any allocation; call
-        :meth:`free` to unregister it (the memory itself stays with the
-        caller, who returns it to its pool).  An adopted array is not
-        a slice of the fleet's stacked buffer: a rank-fused pass over
-        this state (``sparse_push``, ``bfs``) re-stacks it into one,
-        with a warning, and the caller's array is detached from then on.
+        Used for scratch (e.g. from :meth:`scratch_pool`) that must be
+        visible to the communication patterns under a state name for a
+        few supersteps.  The array is charged against the device ledger
+        like any allocation; call :meth:`free` to unregister it (the
+        memory itself stays with the caller, who returns it to its
+        pool).  An adopted array is not a slice of the fleet's stacked
+        buffer: a rank-fused pass over this state (``sparse_push``,
+        ``dense_pull``, ``bfs``) re-stacks it into one, with a warning,
+        and the caller's array is detached from then on.
         """
         if name in self.arrays:
             self.free(name)

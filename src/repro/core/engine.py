@@ -299,12 +299,20 @@ class Engine:
         """Allocate a state array on every rank; returns the list.
 
         ``width=k`` allocates ``(N_T, k)`` lane arrays (one column per
-        batched query lane) instead of flat vectors.
+        batched query lane) instead of flat vectors.  Re-initializing a
+        state every rank already holds in this form is one fill of the
+        fleet's stacked buffer instead of ``p`` ``ctx.alloc`` calls.
         """
-        return [
-            ctx.alloc(name, dtype=dtype, fill=fill, width=width)
-            for ctx in self.contexts
-        ]
+        arrays = self.fleet.refill(name, dtype, fill, width)
+        if arrays is None:
+            return [
+                ctx.alloc(name, dtype=dtype, fill=fill, width=width)
+                for ctx in self.contexts
+            ]
+        for ctx in self.contexts:
+            # as in RankContext.alloc: the name is the run's again
+            ctx._left_over.pop(name, None)
+        return arrays
 
     def states(self, name: str) -> list[np.ndarray]:
         self._require_state(name)

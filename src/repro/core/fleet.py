@@ -21,7 +21,9 @@ over all ranks:
   :func:`~repro.queueing.frontier.expand_block`, and :meth:`csr` is
   the whole fleet as one square operand for
   :func:`~repro.kernels.csr_pull` (a dense pull sweep of every rank is
-  one product).
+  one product);
+* **exchange plan** — the dense patterns' windows and overlap segments
+  as stacked-LID slices, derived once (:meth:`exchange_plan`).
 
 A step may be fused only if its per-rank closure touched nothing but
 its own rank's state and clock lane (the :meth:`Engine.map_ranks
@@ -42,10 +44,11 @@ import numpy as np
 
 from ..graph.localmap import LocalMap
 from ..graph.partition.twod import RankBlock, TwoDPartition
+from ..kernels.buffers import BufferPool
 from ..kernels.pull import PullCSR, index_dtype
 from ..queueing.frontier import expand_block
 
-__all__ = ["EXPAND_EDGE_BUDGET", "Fleet"]
+__all__ = ["EXPAND_EDGE_BUDGET", "ExchangePlan", "Fleet"]
 
 #: Most edges one :meth:`Fleet.expand` slice materializes.  A whole-fleet
 #: expansion (bottom-up BFS scans every unvisited row of every rank)
@@ -62,6 +65,28 @@ class _Stacked:
     buffer: np.ndarray
     views: list
     live: int = 0
+
+
+@dataclass(frozen=True)
+class ExchangePlan:
+    """The geometry of the dense patterns (paper §3.3.1, Table 2): which
+    slices of a stacked state array each group's collectives touch.  A
+    function of partition and grid only.
+
+    Both tables are keyed by the axis whose groups communicate
+    (``"row"`` / ``"col"``) and list the groups in
+    ``Engine.row_groups()`` / ``col_groups()`` order.
+    """
+
+    #: ``[(ranks, [member's window, ...]), ...]`` — the AllReduce
+    #: operands: every member's row (column) window.
+    reduce: dict[str, list]
+    #: ``[(ranks, [(source, [destination, ...]), ...]), ...]`` — the
+    #: grouped Broadcasts that refresh the members' row (column)
+    #: windows from the other axis' windows: one per non-empty overlap
+    #: of the group's range with a member's other-axis range, rooted at
+    #: that member (whose own window already shares the LIDs).
+    broadcast: dict[str, list]
 
 
 class Fleet:
@@ -97,7 +122,10 @@ class Fleet:
         self._lock = threading.Lock()
         self._row_mask: Optional[np.ndarray] = None
         self._block: Optional[RankBlock] = None
+        self._degrees: Optional[np.ndarray] = None
         self._csr: dict[bool, PullCSR] = {}
+        self._plan: Optional[ExchangePlan] = None
+        self._scratch_pools: dict[np.dtype, BufferPool] = {}
 
     # ------------------------------------------------------------------
     # state arena
@@ -151,6 +179,12 @@ class Fleet:
         a fresh stacked buffer and rebound, with a ``RuntimeWarning``;
         a state that is missing on a rank or not ``N_T`` long raises.
         """
+        entry = self._intact(name)
+        return entry.buffer if entry is not None else self._restack(name)
+
+    def _intact(self, name: str) -> Optional[_Stacked]:
+        """The arena entry of ``name`` if every rank's registered array
+        is the slice handed out, else ``None``."""
         entry = self._arena.get(name)
         if (
             entry is not None
@@ -159,8 +193,26 @@ class Fleet:
                 map(is_, (ctx.arrays.get(name) for ctx in self.contexts), entry.views)
             )
         ):
-            return entry.buffer
-        return self._restack(name)
+            return entry
+        return None
+
+    def refill(self, name: str, dtype, fill, width: Optional[int]) -> Optional[list]:
+        """Re-initialize state ``name`` on every rank in one pass.
+
+        Returns the per-rank arrays, or ``None`` — nothing touched —
+        unless every rank already holds its slice of one stacked buffer
+        of this ``dtype`` and lane ``width`` (the caller then allocates
+        rank by rank)."""
+        entry = self._intact(name)
+        tail = () if width is None else (int(width),)
+        if (
+            entry is None
+            or entry.buffer.dtype != np.dtype(dtype)
+            or entry.buffer.shape[1:] != tail
+        ):
+            return None
+        entry.buffer[...] = fill
+        return list(entry.views)
 
     def _restack(self, name: str) -> np.ndarray:
         arrays = [ctx.arrays.get(name) for ctx in self.contexts]
@@ -275,15 +327,19 @@ class Fleet:
             )
         return self._block
 
-    def row_degrees(self, rows: np.ndarray) -> np.ndarray:
-        """Local degree of each stacked row LID."""
-        indptr = self._stacked_block().indptr
-        return indptr[rows + 1] - indptr[rows]
-
     def local_degrees(self) -> np.ndarray:
         """Local degree of every stacked LID (zero outside a row
-        window)."""
-        return np.diff(self._stacked_block().indptr)
+        window): one read-only array, built on first use and kept —
+        ``int32`` while edge counts fit 32 bits."""
+        if self._degrees is None:
+            degrees = np.diff(self._stacked_block().indptr)
+            degrees.flags.writeable = False
+            self._degrees = degrees
+        return self._degrees
+
+    def row_degrees(self, rows: np.ndarray) -> np.ndarray:
+        """Local degree of each stacked row LID."""
+        return self.local_degrees()[rows]
 
     def full_queue(self) -> tuple[np.ndarray, np.ndarray]:
         """Every rank's whole row window as one rank-major queue:
@@ -331,7 +387,7 @@ class Fleet:
         return view
 
     def expand(
-        self, rows: np.ndarray
+        self, rows: np.ndarray, degrees: Optional[np.ndarray] = None
     ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]]:
         """Expand a rank-major queue of stacked row LIDs into its edges.
 
@@ -340,14 +396,25 @@ class Fleet:
         so each rank's edges appear in the order its own ``ctx.expand``
         would produce them.  A slice holds at most
         :data:`EXPAND_EDGE_BUDGET` edges (a single row above the budget
-        travels alone) of at most as many rows, so temporaries stay
-        bounded whatever the queue.
+        travels alone) of at most as many queue entries, so temporaries
+        stay bounded whatever the queue.  ``degrees`` are the queue's
+        :meth:`row_degrees`, for a caller that already has them.
+
+        Rows without a local edge are dropped as soon as their degree
+        is known: at hundreds of ranks most rows of a block are empty
+        (two thirds at 16x16 on a scale-14 R-MAT) and they contribute
+        no edge, so every slice holds what it held with them in — and a
+        stretch of the queue without any edge yields nothing.
         """
         block = self._stacked_block()
+        if degrees is None:
+            degrees = self.row_degrees(rows)
         for first in range(0, rows.size, EXPAND_EDGE_BUDGET):
             piece = rows[first : first + EXPAND_EDGE_BUDGET]
-            degrees = self.row_degrees(piece)
-            ends = np.cumsum(degrees)
+            local = degrees[first : first + EXPAND_EDGE_BUDGET]
+            nonempty = np.flatnonzero(local)
+            piece, local = piece[nonempty], local[nonempty]
+            ends = np.cumsum(local)
             owner = self.rank_of(piece)
             lo, done = 0, 0
             while lo < piece.size:
@@ -356,7 +423,59 @@ class Fleet:
                     int(np.searchsorted(ends, done + EXPAND_EDGE_BUDGET, side="right")),
                 )
                 src, dst, weights = expand_block(block, piece[lo:hi])
-                ranks = np.repeat(owner[lo:hi], degrees[lo:hi])
+                ranks = np.repeat(owner[lo:hi], local[lo:hi])
                 dst += self.base[ranks]
                 yield ranks, src, dst, weights
                 lo, done = hi, int(ends[hi - 1])
+
+    # ------------------------------------------------------------------
+    # dense-exchange geometry and scratch
+    # ------------------------------------------------------------------
+    def exchange_plan(self) -> ExchangePlan:
+        """The dense patterns' :class:`ExchangePlan`, built on first
+        use and kept for the fleet's life (an engine rebuilt on another
+        grid has another fleet)."""
+        with self._lock:
+            if self._plan is None:
+                self._plan = self._plan_exchanges()
+        return self._plan
+
+    def _plan_exchanges(self) -> ExchangePlan:
+        part, grid = self.partition, self.partition.grid
+        bounds = {"row": part.row_offsets.tolist(), "col": part.col_offsets.tolist()}
+        # stacked LID of a window's GID ``g`` on rank ``r``: g - shift[r]
+        shift = {"row": self.row_gid_shift.tolist(), "col": self.col_gid_shift.tolist()}
+        groups = {
+            "row": [grid.row_group_ranks(i) for i in range(grid.C)],
+            "col": [grid.col_group_ranks(i) for i in range(grid.R)],
+        }
+        reduce: dict[str, list] = {"row": [], "col": []}
+        broadcast: dict[str, list] = {"row": [], "col": []}
+        for axis, other in (("row", "col"), ("col", "row")):
+            mine, theirs = shift[axis], shift[other]
+            for g, ranks in enumerate(groups[axis]):
+                gs, ge = bounds[axis][g], bounds[axis][g + 1]
+                reduce[axis].append(
+                    (ranks, [slice(gs - mine[r], ge - mine[r]) for r in ranks])
+                )
+                segments = []
+                # member j of a group holds range j of the other axis
+                for j, root in enumerate(ranks):
+                    lo, hi = max(gs, bounds[other][j]), min(ge, bounds[other][j + 1])
+                    if lo < hi:
+                        dests = [
+                            slice(lo - mine[r], hi - mine[r]) for r in ranks if r != root
+                        ]
+                        segments.append(
+                            (slice(lo - theirs[root], hi - theirs[root]), dests)
+                        )
+                broadcast[axis].append((ranks, segments))
+        return ExchangePlan(reduce, broadcast)
+
+    def scratch_pool(self, dtype) -> BufferPool:
+        """The :class:`BufferPool` for fleet-sized ``dtype`` scratch
+        (calling thread only — see :mod:`repro.kernels.buffers`)."""
+        dt = np.dtype(dtype)
+        if dt not in self._scratch_pools:
+            self._scratch_pools[dt] = BufferPool(dt)
+        return self._scratch_pools[dt]

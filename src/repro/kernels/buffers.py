@@ -1,7 +1,8 @@
 """Reusable scratch buffers for queue-pair construction.
 
-The k-lane exchanges build one send (or lane-pack) buffer per rank per
-stage, every iteration — thousands of short-lived allocations per run.
+The k-lane exchanges build one send buffer per rank per stage (and one
+fleet-sized lane-pack buffer per dense exchange), every iteration —
+thousands of short-lived allocations per run.
 A :class:`BufferPool` recycles them: ``take(n)``
 hands out a length-``n`` view of a pooled backing array (growing
 geometrically), ``give(buf)`` returns the backing array once the
@@ -16,9 +17,10 @@ detected and ignored (a double-give would otherwise let two later
 
 A pool instance is **not** thread-safe: under the threaded rank
 executor every exchange draws from its rank's own pool
-(:meth:`repro.core.context.RankContext.scratch_pool`), and gives
-happen in the sequential collective phase — so pools never see
-concurrent calls.
+(:meth:`repro.core.context.RankContext.scratch_pool`), gives happen
+in the sequential collective phase, and the fleet's pool
+(:meth:`repro.core.fleet.Fleet.scratch_pool`) is used by the calling
+thread only — so pools never see concurrent calls.
 """
 
 from __future__ import annotations

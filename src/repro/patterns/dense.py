@@ -14,12 +14,15 @@ whether or not it changed:
 When ``R == C``, the broadcast root in each group is the diagonal rank
 (its row and column GID ranges coincide).  When ``R != C``, a group
 needs several broadcasts — one per overlapping range — which the paper
-aggregates into one NCCL group call; :func:`_overlap_broadcasts`
-computes exactly those overlap segments for any grid shape.
+aggregates into one NCCL group call.
 
 Because local IDs of a group are consecutive (paper Table 2), every
 transfer here is a contiguous state-array slice: the whole exchange
-needs only offsets and lengths, no index buffers.
+needs only offsets and lengths, no index buffers.  They are fixed with
+the 2D structure, so they are derived once per fleet
+(:class:`~repro.core.fleet.ExchangePlan`: every window and overlap
+segment as a slice of the rank-stacked state) and an exchange is "slice
+the stacked array, issue each group's collective".
 """
 
 from __future__ import annotations
@@ -31,124 +34,45 @@ from ..core.engine import Engine
 
 __all__ = ["dense_push", "dense_pull", "dense_exchange", "dense_exchange_lanes"]
 
-
-def _col_views(engine: Engine, ranks, name: str) -> list[np.ndarray]:
-    return [engine.ctx(r).get(name)[engine.ctx(r).col_slice] for r in ranks]
-
-
-def _row_views(engine: Engine, ranks, name: str) -> list[np.ndarray]:
-    return [engine.ctx(r).get(name)[engine.ctx(r).row_slice] for r in ranks]
+#: direction -> (axis whose groups AllReduce, axis whose groups Broadcast)
+_STAGES = {"push": ("col", "row"), "pull": ("row", "col")}
 
 
-def _overlap_broadcasts(
-    engine: Engine, name: str, along: str, group_id: int
-) -> tuple[list[int], list[BroadcastCall]]:
-    """Broadcast calls distributing reduced values across one group.
-
-    ``along="row"``: within row group ``group_id``, each rank holding a
-    column range that overlaps the group's row range roots a broadcast
-    of that overlap into everyone's *row* window (push second phase).
-
-    ``along="col"``: within column group ``group_id``, each rank whose
-    row range overlaps the group's column range roots a broadcast into
-    everyone's *col* window (pull second phase).
-    """
-    part, grid = engine.partition, engine.grid
-    calls: list[BroadcastCall] = []
-    if along == "row":
-        ranks = grid.row_group_ranks(group_id)
-        gs, ge = part.row_range(group_id)
-        for id_c in range(grid.R):
-            cs, ce = part.col_range(id_c)
-            lo, hi = max(gs, cs), min(ge, ce)
-            if lo >= hi:
-                continue
-            root = grid.rank_of(group_id, id_c)
-            lm_root = engine.ctx(root).localmap
-            src = engine.ctx(root).get(name)[
-                lm_root.col_offset + (lo - cs) : lm_root.col_offset + (hi - cs)
-            ]
-            dests = []
-            for r in ranks:
-                if r == root:
-                    # Overlap GIDs share one LID on the root (its map
-                    # Type is 1/2 there), so its row window already
-                    # holds the reduced values.
-                    continue
-                lm = engine.ctx(r).localmap
-                dests.append(
-                    engine.ctx(r).get(name)[
-                        lm.row_offset + (lo - gs) : lm.row_offset + (hi - gs)
-                    ]
-                )
-            calls.append(BroadcastCall(src=src, dests=dests))
-        return ranks, calls
-
-    if along == "col":
-        ranks = grid.col_group_ranks(group_id)
-        gs, ge = part.col_range(group_id)
-        for id_r in range(grid.C):
-            rs, re = part.row_range(id_r)
-            lo, hi = max(gs, rs), min(ge, re)
-            if lo >= hi:
-                continue
-            root = grid.rank_of(id_r, group_id)
-            lm_root = engine.ctx(root).localmap
-            src = engine.ctx(root).get(name)[
-                lm_root.row_offset + (lo - rs) : lm_root.row_offset + (hi - rs)
-            ]
-            dests = []
-            for r in ranks:
-                if r == root:
-                    continue
-                lm = engine.ctx(r).localmap
-                dests.append(
-                    engine.ctx(r).get(name)[
-                        lm.col_offset + (lo - gs) : lm.col_offset + (hi - gs)
-                    ]
-                )
-            calls.append(BroadcastCall(src=src, dests=dests))
-        return ranks, calls
-
-    raise ValueError(f"along must be 'row' or 'col', got {along!r}")
+def _run(engine: Engine, state: np.ndarray, direction: str, op: str) -> None:
+    """One dense exchange of the rank-stacked ``state``: one AllReduce
+    per group of the first axis, then one grouped Broadcast per group
+    of the second."""
+    if direction not in _STAGES:
+        raise ValueError(f"direction must be 'push' or 'pull', got {direction!r}")
+    reduce_axis, broadcast_axis = _STAGES[direction]
+    plan, comm = engine.fleet.exchange_plan(), engine.comm
+    share = engine.stage_nic_sharing(reduce_axis)
+    for ranks, windows in plan.reduce[reduce_axis]:
+        comm.allreduce(ranks, [state[w] for w in windows], op=op, nic_sharing=share)
+    share = engine.stage_nic_sharing(broadcast_axis)
+    for ranks, segments in plan.broadcast[broadcast_axis]:
+        calls = [
+            BroadcastCall(src=state[src], dests=[state[d] for d in dests])
+            for src, dests in segments
+        ]
+        comm.grouped_broadcast(ranks, calls, nic_sharing=share)
 
 
 def dense_push(engine: Engine, name: str, op: str = "min") -> None:
     """Dense push: column-group AllReduce, then row-group Broadcasts."""
-    col_share = engine.stage_nic_sharing("col")
-    row_share = engine.stage_nic_sharing("row")
-    for _, ranks in engine.col_groups():
-        engine.comm.allreduce(
-            ranks, _col_views(engine, ranks, name), op=op, nic_sharing=col_share
-        )
-    for id_r, _ in engine.row_groups():
-        ranks, calls = _overlap_broadcasts(engine, name, "row", id_r)
-        engine.comm.grouped_broadcast(ranks, calls, nic_sharing=row_share)
+    _run(engine, engine.fleet.stacked(name), "push", op)
 
 
 def dense_pull(engine: Engine, name: str, op: str = "sum") -> None:
     """Dense pull: row-group AllReduce, then column-group Broadcasts."""
-    col_share = engine.stage_nic_sharing("col")
-    row_share = engine.stage_nic_sharing("row")
-    for _, ranks in engine.row_groups():
-        engine.comm.allreduce(
-            ranks, _row_views(engine, ranks, name), op=op, nic_sharing=row_share
-        )
-    for id_c, _ in engine.col_groups():
-        ranks, calls = _overlap_broadcasts(engine, name, "col", id_c)
-        engine.comm.grouped_broadcast(ranks, calls, nic_sharing=col_share)
+    _run(engine, engine.fleet.stacked(name), "pull", op)
 
 
 def dense_exchange(
     engine: Engine, name: str, direction: str, op: str
 ) -> None:
-    """Dispatch to :func:`dense_push` or :func:`dense_pull`."""
-    if direction == "push":
-        dense_push(engine, name, op=op)
-    elif direction == "pull":
-        dense_pull(engine, name, op=op)
-    else:
-        raise ValueError(f"direction must be 'push' or 'pull', got {direction!r}")
+    """:func:`dense_push` or :func:`dense_pull`, by ``direction``."""
+    _run(engine, engine.fleet.stacked(name), direction, op)
 
 
 def dense_exchange_lanes(
@@ -161,37 +85,32 @@ def dense_exchange_lanes(
     :func:`dense_exchange` unchanged — one AllReduce per group carries
     all k columns at once (the α amortization of query batching).
     When only some lanes are still live, this wrapper packs the active
-    columns into a pooled ``(N_T, L)`` scratch state, runs the ordinary
-    exchange on it, and unpacks — still one collective per group, sized
-    to the live lanes.
+    columns of every rank into one pooled ``(size, L)`` scratch array,
+    runs the ordinary exchange on it, and unpacks — still one
+    collective per group, sized to the live lanes.  Each rank's device
+    is charged its share of the scratch for the duration.
 
     Per lane the reduction is bit-identical to a 1-D exchange of that
     lane's column: the group AllReduce reduces elementwise over the
     member axis, so each column sees exactly the 1-D combine order.
     """
     lanes = np.asarray(lanes, dtype=np.int64)
-    state0 = engine.ctx(0).get(name)
-    k = state0.shape[1]
-    if lanes.size == k:
+    fleet = engine.fleet
+    state = fleet.stacked(name)
+    if lanes.size == state.shape[1]:
         # All lanes live: exchange the state array directly.
-        dense_exchange(engine, name, direction, op)
+        _run(engine, state, direction, op)
         return
-    tmp = f"{name}#lanes"
-
-    def pack(ctx) -> None:
-        state = ctx.get(name)
-        buf = ctx.scratch_pool(state.dtype).take2d(state.shape[0], lanes.size)
+    label = f"state.{name}#lanes"
+    pool = fleet.scratch_pool(state.dtype)
+    buf = pool.take2d(fleet.size, lanes.size)
+    try:
+        for ctx in engine.contexts:
+            ctx.device.charge(label, ctx.n_total * lanes.size * state.itemsize)
         buf[...] = state[:, lanes]
-        ctx.adopt(tmp, buf)
-
-    engine.foreach(pack)
-    dense_exchange(engine, tmp, direction, op)
-
-    def unpack(ctx) -> None:
-        state = ctx.get(name)
-        buf = ctx.get(tmp)
+        _run(engine, buf, direction, op)
         state[:, lanes] = buf
-        ctx.free(tmp)
-        ctx.scratch_pool(state.dtype).give(buf)
-
-    engine.foreach(unpack)
+    finally:
+        for ctx in engine.contexts:
+            ctx.device.release(label)
+        pool.give(buf)

@@ -201,10 +201,8 @@ class TestCsrPullEqualsEdgeListGather:
         graph = rmat_graph.with_random_weights(seed=3)
         engine = Engine(graph, grid=GRIDS[6])
         for ctx in engine:  # oracle first: compute_global_degrees reduces
-            want = np.zeros(ctx.n_total)
             src, _, w = ctx.expand(ctx.row_lids())
-            np.add.at(want, src, w)
-            ctx.arrays["want"] = want
+            np.add.at(ctx.alloc("want"), src, w)
         dense_pull(engine, "want", op="sum")
         compute_global_degrees(engine, weighted=True)
         for ctx in engine:

@@ -78,14 +78,8 @@ def test_stack_split_and_expand_match_per_rank(grid):
             [ctx.local_degrees()[q - ctx.localmap.row_offset] for ctx, q in zip(engine, queues)]
         ),
     )
-    pieces = list(fleet.expand(rows))
-    ranks, src, dst, w = (np.concatenate(col) for col in zip(*pieces))
-    want = [ctx.expand(q) for ctx, q in zip(engine, queues)]
-    base = fleet.base[:-1]
-    assert np.array_equal(src, np.concatenate([s + b for (s, _, _), b in zip(want, base)]))
-    assert np.array_equal(dst, np.concatenate([d + b for (_, d, _), b in zip(want, base)]))
-    assert np.array_equal(w, np.concatenate([x for _, _, x in want]))
-    assert np.array_equal(ranks, np.repeat(np.arange(grid.n_ranks), [s.size for s, _, _ in want]))
+    for got, want in zip(_expanded(fleet.expand(rows)), _expanded_per_rank(engine, queues)):
+        assert np.array_equal(got, want)
     # GID shifts agree with the per-rank arithmetic maps
     for ctx in engine:
         lm, lo = ctx.localmap, fleet.base[ctx.rank]
@@ -237,6 +231,70 @@ def test_expansion_walks_in_slices_under_the_edge_budget(monkeypatch):
     sliced = [np.concatenate(col) for col in zip(*[p[:3] for p in pieces])]
     for a, b in zip(whole, sliced):
         assert np.array_equal(a, b)
+
+
+def _expanded(pieces):
+    """Concatenated ``(ranks, src, dst, weights)`` of ``Fleet.expand``
+    slices (four empty columns when nothing was yielded)."""
+    pieces = list(pieces)
+    if not pieces:
+        return [np.empty(0, dtype=np.int64)] * 3 + [np.empty(0)]
+    return [np.concatenate(col) for col in zip(*pieces)]
+
+
+def _expanded_per_rank(engine, queues):
+    """The same four columns from every rank's own ``ctx.expand``."""
+    base = engine.fleet.base
+    want = [ctx.expand(q) for ctx, q in zip(engine, queues)]
+    return [
+        np.repeat(np.arange(engine.n_ranks), [s.size for s, _, _ in want]),
+        np.concatenate([s + base[r] for r, (s, _, _) in enumerate(want)]),
+        np.concatenate([d + base[r] for r, (_, d, _) in enumerate(want)]),
+        np.concatenate([w for _, _, w in want]),
+    ]
+
+
+@pytest.mark.parametrize("budget", [None, 16], ids=["one-slice", "crosses-budget"])
+@pytest.mark.parametrize("queue", ["mixed", "all-empty", "no-rows"])
+@pytest.mark.parametrize("given_degrees", [False, True], ids=["lookup", "passed"])
+def test_expand_skips_rows_without_edges(monkeypatch, budget, queue, given_degrees):
+    """Rows without a local edge (a quarter of the rows of these 4x4
+    blocks, two thirds at 16x16 on the benchmark's graph) are dropped
+    before the expansion; nothing a caller sees changes, whether or not
+    it hands its degrees in."""
+    engine = Engine(rmat(7, seed=4).with_random_weights(seed=2), grid=Grid2D(R=4, C=4))
+    fleet = engine.fleet
+    if budget is not None:
+        monkeypatch.setattr(fleet_mod, "EXPAND_EDGE_BUDGET", budget)
+    degrees_of = [ctx.local_degrees() for ctx in engine]
+    queues = {
+        "mixed": [ctx.row_lids() for ctx in engine],
+        "all-empty": [ctx.row_lids()[d == 0] for ctx, d in zip(engine, degrees_of)],
+        "no-rows": [ctx.row_lids()[:0] for ctx in engine],
+    }[queue]
+    rows, _ = fleet.stack(queues)
+    degrees = fleet.row_degrees(rows)
+    if queue == "mixed":
+        assert 0 < np.count_nonzero(degrees) <= 0.8 * degrees.size
+        assert degrees.sum() > 16  # several slices under the small budget
+    elif queue == "all-empty":
+        assert rows.size > 0 and not degrees.any()
+    pieces = list(fleet.expand(rows, degrees if given_degrees else None))
+    if budget is not None:
+        assert all(src.size <= budget or np.unique(src).size == 1 for _, src, _, _ in pieces)
+    for got, want in zip(_expanded(pieces), _expanded_per_rank(engine, queues)):
+        assert np.array_equal(got, want)
+
+
+def test_row_degrees_come_from_one_cached_read_only_array():
+    fleet = Engine(rmat(7, seed=4), grid=Grid2D(R=2, C=4)).fleet
+    degrees = fleet.local_degrees()
+    assert fleet.local_degrees() is degrees and not degrees.flags.writeable
+    assert degrees.dtype == np.int32 and degrees.size == fleet.size
+    assert not degrees[~fleet.row_mask].any()
+    rows = np.flatnonzero(fleet.row_mask)[::3]
+    assert fleet.row_degrees(rows).base is None  # a gather, not a view of the cache
+    assert np.array_equal(fleet.row_degrees(rows), degrees[rows])
 
 
 @pytest.mark.parametrize("distribution", ["striped", "random"])

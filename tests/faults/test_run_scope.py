@@ -17,11 +17,13 @@ from hypothesis import strategies as st
 
 from repro import Engine, algorithms
 from repro.baselines.spmv import spmv_bfs, spmv_cc, spmv_pagerank
+from repro.core.context import RankContext
 from repro.faults import (
     CheckpointManager,
     FaultPlan,
     FaultSpec,
     HealthMonitor,
+    IntegrityFailure,
     IntegrityLedger,
     apply_memflip,
     drive_elastic,
@@ -177,6 +179,34 @@ class TestRunArrays:
         assert ctx.run_arrays == {}
         ctx.arrays["new"] = np.zeros(ctx.n_total)  # by any path
         assert list(ctx.run_arrays) == ["new"]
+
+    def test_engine_alloc_in_one_pass_makes_it_the_run_s(self, monkeypatch):
+        """``Engine.alloc`` of a state every rank already holds fills
+        the fleet's stacked buffer once — no per-rank ``ctx.alloc`` —
+        and the arrays still join the run: checkpointed, verified, and
+        a flipped bit in them caught."""
+        engine = guard(Engine(GRAPH, 9))
+        first = engine.alloc("x", fill=1.0)
+        engine.alloc("y")
+        engine.reset_timers()
+        with monkeypatch.context() as patched:
+            patched.setattr(
+                RankContext, "alloc", lambda *a, **k: pytest.fail("per-rank alloc")
+            )
+            again = engine.alloc("x", fill=2.0)
+        for ctx, a, b in zip(engine.contexts, first, again):
+            assert a is b is ctx.arrays["x"] and (b == 2.0).all()
+            assert list(ctx.run_arrays) == ["x"]
+        engine.superstep_boundary("probe", {})
+        assert engine.integrity.rows[-1].ok
+        assert engine.integrity.stats["windows_hashed"] > 0
+        saved = engine.checkpoints.latest().states
+        assert all(sorted(per_rank) == ["x"] for per_rank in saved)
+        assert all((per_rank["x"] == 2.0).all() for per_rank in saved)
+        assert apply_memflip(engine.ctx(4), FaultSpec("memflip", 2, rank=4, bit=5)) == 1
+        engine.checkpoints.clear()  # nothing to roll back to: the ledger raises
+        with pytest.raises(IntegrityFailure):
+            engine.superstep_boundary("probe", {})
 
     def test_a_rollback_leaves_exactly_the_checkpoint_s_arrays(self):
         engine = guard(Engine(GRAPH, 9))

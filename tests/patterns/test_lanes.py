@@ -176,20 +176,26 @@ class TestDenseExchangeLanes:
             np.testing.assert_array_equal(x[:, 1], before[i], strict=True)
 
     def test_subset_buffer_is_recycled(self, rmat_graph):
-        """The packed lane slice comes from (and returns to) the rank's
+        """The packed lane slice comes from (and returns to) the fleet's
         scratch pool: a second exchange of the same shape is a pool hit."""
         k = 4
         live = np.array([1, 3])
         engine = _setup(rmat_graph, k, seed=9)
         dense_exchange_lanes(engine, "x", "pull", "sum", live)
-        pools = [ctx.scratch_pool(np.float64) for ctx in engine]
-        hits = [p.hits for p in pools]
+        pool = engine.fleet.scratch_pool(np.float64)
+        hits = pool.hits
         dense_exchange_lanes(engine, "x", "pull", "sum", live)
-        assert all(p.hits > h for p, h in zip(pools, hits))
+        assert pool.hits > hits
 
     def test_tmp_state_is_freed(self, rmat_graph):
+        """The pack buffer is charged to every rank's device for the
+        exchange (the peak shows it) and released afterwards."""
         engine = _setup(rmat_graph, 3, seed=10)
+        held = [ctx.device.allocated_bytes for ctx in engine]
         dense_exchange_lanes(engine, "x", "pull", "min", np.array([0, 2]))
-        for ctx in engine:
+        for ctx, before in zip(engine, held):
             with pytest.raises(KeyError):
                 ctx.get("x#lanes")
+            assert "state.x#lanes" not in ctx.device.ledger
+            assert ctx.device.allocated_bytes == before
+            assert ctx.device.peak_bytes >= before + ctx.n_total * 2 * 8
