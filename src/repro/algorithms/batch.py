@@ -291,19 +291,16 @@ def bfs_batch(
                 rows, rlanes = lids[sel], lanes_f[sel]
                 degs = ctx.local_degrees()[rows - ctx.localmap.row_offset]
                 engine.charge_edges(ctx.rank, degs)
-                src, dst, _ = ctx.expand(rows)
-                if dst.size == 0:
+                ex = ctx.expand(rows, degs)
+                if ex.dst.size == 0:
                     return _EMPTY_I64, _EMPTY_I64
-                edge_lanes = np.repeat(rlanes, degs)
-                unvisited = parent[dst, edge_lanes] == INF
-                src = src[unvisited]
-                dst = dst[unvisited]
-                edge_lanes = edge_lanes[unvisited]
-                cand_parent = gid_tab[ctx.rank][0][
-                    src - ctx.row_slice.start
-                ]
+                # Lanes and candidate parents are per queue entry:
+                # gathered by entry, never rebuilt at edge size.
+                unvisited = parent[ex.dst, rlanes[ex.entry]] == INF
+                entry = ex.entry[unvisited]
+                cand = gid_tab[ctx.rank][0][rows - ctx.row_slice.start]
                 return scatter_reduce_lanes(
-                    parent, dst, cand_parent, "min", lanes=edge_lanes
+                    parent, ex.dst[unvisited], cand[entry], "min", lanes=rlanes[entry]
                 )
 
             queues = engine.map_ranks(top_down)
@@ -357,14 +354,14 @@ def bfs_batch(
                 rows = rows_rel + rs.start
                 degs = ctx.local_degrees()[rows - lm.row_offset]
                 engine.charge_edges(ctx.rank, degs)
-                src, dst, _ = ctx.expand(rows)
-                if dst.size:
+                ex = ctx.expand(rows, degs)
+                if ex.dst.size:
                     gtab = gid_tab[ctx.rank][1]
                     pflat = parent.reshape(-1)
-                    src_rel = src - rs.start
-                    dst_rel = dst - cs.start
+                    row_words = row64[rows_rel]  # per queue entry
+                    dst_rel = ex.dst - cs.start
                     for c in range(n_chunks):
-                        eb = row64[src_rel, c] & col64[dst_rel, c]
+                        eb = row_words[ex.entry, c] & col64[dst_rel, c]
                         ne = np.flatnonzero(eb != 0)
                         if not ne.size:
                             continue
@@ -381,7 +378,7 @@ def bfs_batch(
                         hits = np.flatnonzero(eb[ne].view(bool))
                         pe = hits >> 3
                         pl = hits & 7
-                        s_c = src[ne]
+                        s_c = rows[ex.entry[ne]]
                         g_c = gtab[dst_rel[ne]]
                         if L == k:
                             comp = s_c[pe] * k + 8 * c + pl
@@ -647,12 +644,15 @@ def sssp_batch(
             rows, rlanes = lids[sel], lanes_f[sel]
             degs = ctx.local_degrees()[rows - ctx.localmap.row_offset]
             engine.charge_edges(ctx.rank, degs, work_per_edge=1.5)
-            src, dst, w = ctx.expand(rows)
-            if dst.size == 0:
+            ex = ctx.expand(rows, degs)
+            if ex.dst.size == 0:
                 return _EMPTY_I64, _EMPTY_I64
-            edge_lanes = np.repeat(rlanes, degs)
-            cand = dist[src, edge_lanes] + w
-            return scatter_reduce_lanes(dist, dst, cand, "min", lanes=edge_lanes)
+            # The queue's own distances, gathered per edge by entry.
+            cand = dist[rows, rlanes][ex.entry]
+            cand += ex.weights
+            return scatter_reduce_lanes(
+                dist, ex.dst, cand, "min", lanes=rlanes[ex.entry]
+            )
 
         queues = engine.map_ranks(relax)
         result = sparse_push_lanes(engine, "dist", queues, op="min")

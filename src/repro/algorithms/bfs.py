@@ -162,7 +162,7 @@ def bfs(
             # candidate for the same ghost.
             unvisited_before = parent == INF
             claimed = [_NO_LIDS]
-            for ranks, src, dst, _ in fleet.expand(rows, degrees):
+            for ranks, src, dst in fleet.expand(rows, degrees):
                 unvisited = unvisited_before[dst]
                 src, dst, ranks = src[unvisited], dst[unvisited], ranks[unvisited]
                 cand_parent = part.original_gid(
@@ -189,7 +189,7 @@ def bfs(
             counts = fleet.counts(rows)
             degrees = fleet.row_degrees(rows)
             engine.charge_edges(None, degrees, segments=counts)
-            for ranks, src, dst, _ in fleet.expand(rows, degrees):
+            for ranks, src, dst in fleet.expand(rows, degrees):
                 in_frontier = level[dst] == depth - 1
                 src, dst, ranks = src[in_frontier], dst[in_frontier], ranks[in_frontier]
                 cand_parent = part.original_gid(

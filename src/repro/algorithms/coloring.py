@@ -119,10 +119,10 @@ def greedy_coloring(
             maxp = ctx.get("maxp")
             rows = ctx.row_lids()
             winners = rows[(color[rows] < 0) & (prio[rows] >= maxp[rows])]
-            src, dst, _ = ctx.expand(winners)
-            engine.charge_edges(
-                ctx.rank, ctx.local_degrees()[winners - ctx.localmap.row_offset]
-            )
+            degs = ctx.local_degrees()[winners - ctx.localmap.row_offset]
+            ex = ctx.expand(winners, degs)
+            src, dst = ex.src, ex.dst
+            engine.charge_edges(ctx.rank, degs)
             colored = color[dst] >= 0 if dst.size else np.empty(0, dtype=bool)
             tri = build_histogram(
                 ctx.localmap.row_gid(src[colored]), color[dst[colored]]

@@ -5,7 +5,7 @@ edges taking the minimum until a fixed point.  The paper uses this
 algorithm to study its optimizations because its "typical graph
 algorithmic pattern" generalizes — here literally: CC is the
 :class:`~repro.core.program.VertexProgram` ``init=identity,
-along_edge=carry, op="min"`` run by the one label-correcting loop
+op="min"`` (a plain carry) run by the one label-correcting loop
 (:func:`~repro.core.program.run_vertex_program`), and push/pull,
 dense/sparse/switching communications and active-vertex queues are that
 program's schedule fields, matching the configurations of the paper's
@@ -77,7 +77,6 @@ def connected_components(
     program = VertexProgram(
         name="cc",
         init=lambda gids: gids,
-        along_edge=lambda labels, weights: labels,
         op="min",
         direction=direction,
         mode=mode,

@@ -69,7 +69,8 @@ def max_weight_matching(
             rows = rows[(mate[rows] < 0) & (dead[rows] == 0)]
             degs = ctx.local_degrees()[rows - lm.row_offset]
             engine.charge_edges(ctx.rank, degs, work_per_edge=2.0)
-            src, dst, w = ctx.expand(rows)
+            ex = ctx.expand(rows, degs)
+            src, dst, w = ex.src, ex.dst, ex.weights
             if src.size:
                 avail = (mate[dst] < 0) & (dead[dst] == 0)
                 src, dst, w = src[avail], dst[avail], w[avail]
@@ -132,7 +133,8 @@ def max_weight_matching(
             rows = considered[ctx.rank]
             degs = ctx.local_degrees()[rows - lm.row_offset]
             engine.charge_edges(ctx.rank, degs)
-            src, dst, _ = ctx.expand(rows)
+            ex = ctx.expand(rows, degs)
+            src, dst = ex.src, ex.dst
             if src.size == 0:
                 return np.empty(0, dtype=np.int64)
             src_orig = part.original_gid(lm.row_gid(src))

@@ -126,10 +126,17 @@ def pagerank(
     # depends on its own window length.
     pull = fleet.csr(weighted=weighted)
     full_queue, rows_per_rank = fleet.full_queue()
+    # Static degrees: derived operands built once, `x` / `new` per call.
+    deg = fleet.stacked("deg")
+    safe_deg = np.maximum(deg, 1e-300)
+    dangling = np.flatnonzero(deg == 0)
+    dangling_rows = fleet.split(dangling[fleet.row_mask[dangling]])
+    x, new = np.empty(fleet.size), np.empty(fleet.size)
+    if personalization is not None:
+        teleport_share = (1.0 - damping) * fleet.stacked("tele")
     while iterations_run < iterations and not done:
         iterations_run += 1
         pr = fleet.stacked("pr")
-        deg = fleet.stacked("deg")
         acc = fleet.stacked("acc")
 
         # Dangling mass: each rank contributes its row window's share
@@ -140,11 +147,9 @@ def pagerank(
         # completed only where the total is consumed, hiding the whole
         # gather + dense-exchange phase behind it.
         def dangling_share(ctx):
-            pr = ctx.get("pr")
-            deg = ctx.get("deg")
-            rw = ctx.row_slice
             engine.charge_vertices(ctx.rank, ctx.localmap.n_row)
-            return np.array([pr[rw][deg[rw] == 0].sum() / grid.R])
+            share = ctx.get("pr")[dangling_rows[ctx.rank]].sum()
+            return np.array([share / grid.R])
 
         partials = engine.map_ranks(dangling_share)
         dangling_handle = (
@@ -159,8 +164,8 @@ def pagerank(
         engine.charge_edges(
             None, full_queue, segments=rows_per_rank, cache_key="pr.full"
         )
-        x = pr / np.maximum(deg, 1e-300)
-        x[deg == 0] = 0.0
+        np.divide(pr, safe_deg, out=x)
+        x[dangling] = 0.0
         acc[...] = csr_pull(pull, x, "sum")
 
         # Complete the sums along row groups, refresh ghosts.
@@ -176,10 +181,14 @@ def pagerank(
 
         # Damping update (acc is consistent on every LID).
         if personalization is not None:
-            tele = fleet.stacked("tele")
-            new = (1.0 - damping) * tele + damping * (acc + dangling_total * tele)
+            np.multiply(fleet.stacked("tele"), dangling_total, out=new)
+            new += acc
+            new *= damping
+            new += teleport_share
         else:
-            new = (1.0 - damping) / n + damping * (acc + dangling_total / n)
+            np.add(acc, dangling_total / n, out=new)
+            new *= damping
+            new += (1.0 - damping) / n
         if tol is not None:
             # owned vertices only: a rank's ghosts are another's rows
             rows = fleet.row_mask

@@ -96,7 +96,8 @@ def pointer_jumping(
         lm = ctx.localmap
         rows = ctx.row_lids()
         engine.charge_edges(ctx.rank, ctx.local_degrees(), cache_key="pj.full")
-        src, dst, _ = ctx.expand(rows)
+        ex = ctx.expand(rows, ctx.local_degrees())
+        src, dst = ex.src, ex.dst
         buf = np.empty(0, dtype=PAIR_DTYPE)
         if src.size:
             best = np.full(ctx.n_total, np.iinfo(np.int64).max, dtype=np.int64)

@@ -249,9 +249,9 @@ def cc_1d(engine: OneDEngine, max_iterations: int | None = None) -> AlgorithmRes
         for r, part in enumerate(engine.parts):
             state = engine.states[r]["cc"]
             rows = active[r]
-            src, dst, _ = expand_csr(part.indptr, part.indices, rows)
-            engine.charge_edges(r, src.size)
-            changed = scatter_reduce(state, dst, state[src], "min")
+            ex = expand_csr(part.indptr, part.indices, rows)
+            engine.charge_edges(r, ex.dst.size)
+            changed = scatter_reduce(state, ex.dst, state[ex.src], "min")
             updated_ghosts.append(changed[changed >= part.n_own])
             next_active_local.append(changed[changed < part.n_own])
         n_remote, remote_changed = engine.exchange_min(
@@ -309,11 +309,12 @@ def pagerank_1d(
             pr = engine.states[r]["pr"]
             deg = engine.states[r]["deg"]
             rows = np.arange(part.n_own, dtype=np.int64)
-            src, dst, _ = expand_csr(part.indptr, part.indices, rows)
-            engine.charge_edges(r, src.size)
+            ex = expand_csr(part.indptr, part.indices, rows)
+            dst = ex.dst
+            engine.charge_edges(r, dst.size)
             acc = np.zeros(part.n_local)
             if dst.size:
-                scatter_reduce(acc, src, pr[dst] / np.maximum(deg[dst], 1.0), "sum")
+                scatter_reduce(acc, ex.src, pr[dst] / np.maximum(deg[dst], 1.0), "sum")
             own = slice(0, part.n_own)
             dangling += float(pr[own][deg[own] == 0].sum())
             engine.states[r]["acc"] = acc
@@ -392,7 +393,8 @@ def bfs_1d(engine: OneDEngine, root: int) -> AlgorithmResult:
         for r, part in enumerate(engine.parts):
             state = engine.states[r]["parent"]
             rows = frontier[r]
-            src, dst, _ = expand_csr(part.indptr, part.indices, rows)
+            ex = expand_csr(part.indptr, part.indices, rows)
+            src, dst = ex.src, ex.dst
             engine.charge_edges(r, src.size)
             if dst.size:
                 unv = state[dst] == np.inf

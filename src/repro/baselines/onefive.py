@@ -108,9 +108,7 @@ class OneFiveDEngine:
             gids = np.arange(s, e, dtype=np.int64)
             own = gids[~self.is_hub[gids]]
             # CSR over non-hub owned rows
-            src, dst, _ = expand_csr(
-                relabeled.indptr, relabeled.indices, own
-            )
+            dst = expand_csr(relabeled.indptr, relabeled.indices, own).dst
             ghost_mask = ~self.is_hub[dst] & ((dst < s) | (dst >= e))
             ghosts = np.unique(dst[ghost_mask])
             degs = np.diff(relabeled.indptr)[own] if own.size else np.empty(0, dtype=np.int64)
@@ -118,9 +116,8 @@ class OneFiveDEngine:
             np.cumsum(degs, out=indptr[1:])
             # hub-hub edges whose source hub is 1D-owned here
             own_hubs = gids[self.is_hub[gids]]
-            hsrc, hdst, _ = expand_csr(
-                relabeled.indptr, relabeled.indices, own_hubs
-            )
+            hubs = expand_csr(relabeled.indptr, relabeled.indices, own_hubs)
+            hsrc, hdst = hubs.src, hubs.dst
             hub_pairs = np.stack(
                 [
                     self._hub_slot[hsrc[self.is_hub[hdst]]],
@@ -227,7 +224,8 @@ def cc_15d(
             state = engine.states[r]["cc"]
             n_own, n_ghost = share.own_gids.size, share.ghost_gids.size
             rows = np.arange(n_own, dtype=np.int64)
-            src, dst, _ = expand_csr(share.indptr, share.indices, rows)
+            ex = expand_csr(share.indptr, share.indices, rows)
+            src, dst = ex.src, ex.dst
             engine.charge_edges(r, 2 * src.size + 2 * share.hub_edges.shape[0])
             before_own = state[:n_own].copy()
             if src.size:

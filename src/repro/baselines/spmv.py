@@ -220,11 +220,11 @@ def spmv_bfs(engine: Engine, root: int) -> AlgorithmResult:
             frontier = ctx.get("front")
             nxt = ctx.alloc("next", np.float64)
             nxt[...] = 0.0
-            src, dst, _ = ctx.expand(ctx.row_lids())
+            ex = ctx.expand(ctx.row_lids(), ctx.local_degrees())
             _charge_semiring(engine, ctx.rank, ctx.block.n_local_edges, ctx.n_total)
-            if dst.size:
-                hits = frontier[src] > 0
-                scatter_reduce(nxt, dst[hits], 1.0, "max")
+            if ex.dst.size:
+                hits = frontier[ex.src] > 0
+                scatter_reduce(nxt, ex.dst[hits], 1.0, "max")
 
         engine.foreach(masked_spmv)
         dense_push(engine, "next", op="max")

@@ -183,9 +183,11 @@ class RankContext:
     def col_lids(self) -> np.ndarray:
         return self.block.col_lids()
 
-    def expand(self, row_lids: np.ndarray):
-        """Expand row vertices into (src_lid, dst_lid, weight) edges."""
-        return expand_block(self.block, row_lids)
+    def expand(self, row_lids: np.ndarray, degrees: Optional[np.ndarray] = None):
+        """Expand row vertices into their local edges (an
+        :class:`~repro.queueing.frontier.Expansion`); ``degrees`` are
+        their :meth:`local_degrees`, if the caller has them."""
+        return expand_block(self.block, row_lids, degrees)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -388,10 +388,10 @@ class Fleet:
 
     def expand(
         self, rows: np.ndarray, degrees: Optional[np.ndarray] = None
-    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]]:
+    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Expand a rank-major queue of stacked row LIDs into its edges.
 
-        Yields ``(ranks, src, dst, weights)`` slices: per edge the
+        Yields ``(ranks, src, dst)`` slices: per edge the
         owning rank and both endpoints as stacked LIDs, in queue order —
         so each rank's edges appear in the order its own ``ctx.expand``
         would produce them.  A slice holds at most
@@ -422,10 +422,10 @@ class Fleet:
                     lo + 1,
                     int(np.searchsorted(ends, done + EXPAND_EDGE_BUDGET, side="right")),
                 )
-                src, dst, weights = expand_block(block, piece[lo:hi])
-                ranks = np.repeat(owner[lo:hi], local[lo:hi])
-                dst += self.base[ranks]
-                yield ranks, src, dst, weights
+                ex = expand_block(block, piece[lo:hi], local[lo:hi])
+                ranks = owner[lo:hi][ex.entry]
+                np.add(ex.dst, self.base[ranks], out=ex.dst)
+                yield ranks, ex.src, ex.dst
                 lo, done = hi, int(ends[hi - 1])
 
     # ------------------------------------------------------------------

@@ -15,7 +15,7 @@ loop: push or pull kernels, dense/sparse/switching communications,
 active-vertex queues, convergence detection, checkpoint/resume.
 
 :func:`~repro.algorithms.connected_components` is
-``VertexProgram(init=identity, along_edge=carry, op="min")`` and
+``VertexProgram(init=identity, op="min")`` (a plain carry) and
 :func:`~repro.algorithms.sssp` is ``init=inf-except-root,
 along_edge=value + weight, op="min", work_per_edge=1.5`` — thin
 wrappers over this driver (``docs/ALGORITHMS.md`` has the table);
@@ -63,9 +63,9 @@ class VertexProgram:
         Per-vertex initial value as a function of *original* vertex
         ids: ``init(orig_gids) -> values`` (vectorized).
     along_edge:
-        How a value transforms crossing one edge (e.g. identity for
-        label propagation-style carries, ``value + weight`` for path
-        lengths).
+        How a value transforms crossing one edge (e.g. ``value +
+        weight`` for path lengths); ``None`` carries it unchanged, and
+        such a program never gathers the edge weights.
     op:
         Reduction combining arriving values with the current state:
         ``"min"`` or ``"max"`` (the monotone label-correcting class).
@@ -84,7 +84,7 @@ class VertexProgram:
 
     name: str
     init: Callable[[np.ndarray], np.ndarray]
-    along_edge: EdgeFn
+    along_edge: Optional[EdgeFn] = None
     op: str = "min"
     direction: str = "push"
     mode: str = "switch"
@@ -193,14 +193,14 @@ def run_vertex_program(
             engine.charge_edges(
                 ctx.rank, degs, work_per_edge=program.work_per_edge
             )
-            src, dst, w = ctx.expand(rows)
-            if src.size == 0:
+            ex = ctx.expand(rows, degs)
+            if ex.dst.size == 0:
                 return np.empty(0, dtype=np.int64)
-            if push:
-                return scatter_reduce(
-                    state, dst, program.along_edge(state[src], w), op
-                )
-            return scatter_reduce(state, src, program.along_edge(state[dst], w), op)
+            to, frm = (ex.dst, ex.src) if push else (ex.src, ex.dst)
+            vals = state[frm]
+            if program.along_edge is not None:
+                vals = program.along_edge(vals, ex.weights)
+            return scatter_reduce(state, to, vals, op)
 
         queues = engine.map_ranks(local_compute)
 

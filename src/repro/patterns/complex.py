@@ -77,8 +77,8 @@ def neighbor_histograms(
         rows = rows_per_rank[ctx.rank]
         degs = ctx.local_degrees()[rows - ctx.localmap.row_offset]
         engine.charge_edges(ctx.rank, degs, work_per_edge=HASH_WORK_PER_EDGE)
-        src, dst, _ = ctx.expand(rows)
-        return build_histogram(ctx.localmap.row_gid(src), ctx.get(name)[dst])
+        ex = ctx.expand(rows, degs)
+        return build_histogram(ctx.localmap.row_gid(ex.src), ctx.get(name)[ex.dst])
 
     return engine.map_ranks(local_histogram)
 

@@ -310,7 +310,8 @@ class LaneSparseResult:
 
     #: Per-rank ``(row_lids, lanes)`` of updated owned cells,
     #: lane-major sorted (within each lane, LIDs ascend — exactly the
-    #: order the 1-D exchange reports for that lane alone).
+    #: order the 1-D exchange reports for that lane alone).  The ranks
+    #: of a row group share one ``lanes`` array: read it, don't write it.
     active_row: list[tuple[np.ndarray, np.ndarray]]
     #: Per-lane count of unique vertices whose state changed globally.
     n_updated: np.ndarray
@@ -364,6 +365,10 @@ def sparse_push_lanes(
         for r in ranks:
             engine.ctx(r).scratch_pool(LANE_PAIR_DTYPE).give(sbufs_all[r])
 
+    def _columns(rbuf: np.ndarray) -> tuple[np.ndarray, ...]:
+        # contiguous (gid, lane, val), copied once per group, not per member
+        return tuple(np.ascontiguousarray(rbuf[f]) for f in rbuf.dtype.names)
+
     # ---- stage 1: AllGatherv + lane reduce along each column group --
     def build_col(ctx: RankContext) -> np.ndarray:
         lids = np.asarray(queues[ctx.rank][0], dtype=np.int64)
@@ -377,24 +382,24 @@ def sparse_push_lanes(
     sbufs_all = engine.map_ranks(build_col)
 
     handles: list = []
-    rbuf_of: list[Optional[np.ndarray]] = [None] * grid.n_ranks
+    rbuf_of: list[Optional[tuple]] = [None] * grid.n_ranks
     for id_c, ranks in engine.col_groups():
         rbuf = _group_allgatherv(
             engine, ranks, [sbufs_all[r] for r in ranks], col_share, handles
         )
         _give_back_lanes(sbufs_all, ranks)
+        received = _columns(rbuf)
         for r in ranks:
-            rbuf_of[r] = rbuf
+            rbuf_of[r] = received
 
     def apply_col(ctx: RankContext) -> np.ndarray:
         lm = ctx.localmap
         state = ctx.get(name)
-        rbuf = rbuf_of[ctx.rank]
-        lids = lm.col_lid(rbuf["gid"])
+        gids, lanes, vals = rbuf_of[ctx.rank]
         ch_lids, ch_lanes = scatter_reduce_lanes(
-            state, lids, rbuf["val"], op, lanes=rbuf["lane"]
+            state, lm.col_lid(gids), vals, op, lanes=lanes
         )
-        engine.charge_vertices(ctx.rank, rbuf.size)  # ReduceQueue kernel
+        engine.charge_vertices(ctx.rank, gids.size)  # ReduceQueue kernel
         # Row-stage queue: changed ghosts plus this rank's own local
         # updates, restricted to row-owned cells; dedup on a lane-major
         # composite so each lane's GIDs stay in 1-D sorted order.
@@ -429,30 +434,27 @@ def sparse_push_lanes(
 
     handles = []
     rbuf_of = [None] * grid.n_ranks
-    uniq_of: list[Optional[np.ndarray]] = [None] * grid.n_ranks
     n_updated = np.zeros(k, dtype=np.int64)
     for id_r, ranks in engine.row_groups():
         rbuf = _group_allgatherv(
             engine, ranks, [sbufs_all[r] for r in ranks], row_share, handles
         )
         _give_back_lanes(sbufs_all, ranks)
-        uniq_comp = unique_bounded(rbuf["lane"] * n_v + rbuf["gid"], k * n_v)
-        n_updated += np.bincount(
-            (uniq_comp // n_v).astype(np.int64), minlength=k
-        )
+        received = _columns(rbuf)
+        uniq_comp = unique_bounded(received[1] * n_v + received[0], k * n_v)
+        uniq = (uniq_comp % n_v, uniq_comp // n_v)  # updated (gid, lane) cells
+        n_updated += np.bincount(uniq[1], minlength=k)
         for r in ranks:
-            rbuf_of[r] = rbuf
-            uniq_of[r] = uniq_comp
+            rbuf_of[r] = received + uniq
 
     def apply_row(ctx: RankContext) -> tuple[np.ndarray, np.ndarray]:
         lm = ctx.localmap
         state = ctx.get(name)
-        rbuf = rbuf_of[ctx.rank]
+        gids, lanes, vals, uniq_gids, uniq_lanes = rbuf_of[ctx.rank]
         # Values are final after the column reduction; assignment.
-        state[lm.row_lid(rbuf["gid"]), rbuf["lane"]] = rbuf["val"]
-        engine.charge_vertices(ctx.rank, rbuf.size)
-        uniq_comp = uniq_of[ctx.rank]
-        return lm.row_lid(uniq_comp % n_v), uniq_comp // n_v
+        state[lm.row_lid(gids), lanes] = vals
+        engine.charge_vertices(ctx.rank, gids.size)
+        return lm.row_lid(uniq_gids), uniq_lanes
 
     active_row = engine.map_ranks(apply_row)
     _wait_all(engine, handles)
@@ -540,7 +542,7 @@ def propagate_active_pull(
         lids = np.asarray(updated_row[ctx.rank], dtype=np.int64)
         degs = ctx.local_degrees()[lids - ctx.localmap.row_offset]
         engine.charge_edges(ctx.rank, degs)
-        _, dst, _ = ctx.expand(lids)
+        dst = ctx.expand(lids, degs).dst
         return np.unique(ctx.localmap.col_gid(np.unique(dst)))
 
     neighbor_gids = engine.map_ranks(expand_neighbors)

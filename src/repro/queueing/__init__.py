@@ -1,6 +1,6 @@
 """Work queues, frontier expansion, and GPU load-balance models."""
 
-from .frontier import expand_block, expand_csr
+from .frontier import Expansion, expand_block, expand_csr
 from .hashtable import HashTable, histogram_via_hash_table
 from .manhattan import (
     BLOCK_SIZE,
@@ -12,6 +12,7 @@ from .manhattan import (
 from .vertexqueue import LaneVertexQueue, VertexQueue, unique_new
 
 __all__ = [
+    "Expansion",
     "expand_block",
     "expand_csr",
     "HashTable",

@@ -1,58 +1,80 @@
 """Vectorized CSR frontier expansion.
 
 The CUDA code expands a queue of vertices into their edges with the
-Local Manhattan Collapse (paper Alg. 6).  The NumPy equivalent is a
-single gather built from ``repeat`` and ``arange`` — one "edge-parallel"
-pass with no per-vertex Python loop, which is both the performant NumPy
-idiom and a faithful functional model of edge-parallel execution.
+Local Manhattan Collapse (paper Alg. 6): a binary search in the prefix
+sum of the queue's degrees hands every thread its edge — and with it
+its *queue entry*.  The NumPy equivalent is a single gather built from
+``repeat`` and ``arange``, one "edge-parallel" pass with no per-vertex
+Python loop, and it returns that entry: per-edge operands are gathered
+from queue-sized arrays (``operand[ex.entry]``), not rebuilt per edge.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple, Optional
+
 import numpy as np
 
-__all__ = ["expand_csr", "expand_block"]
+__all__ = ["Expansion", "expand_csr", "expand_block"]
+
+_EMPTY_I64 = np.empty(0, dtype=np.int64)
 
 
-def expand_csr(
-    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+class Expansion(NamedTuple):
+    """Edges of an expanded queue, in queue order: per edge its queue
+    position ``entry``, target ``dst`` and position ``edge_index`` in
+    the block's ``indices`` / ``weights``.  ``queue`` (the rows as the
+    caller named them) and ``edge_weights`` (the block's whole weight
+    array, or ``None``) only feed :attr:`src` and :attr:`weights` —
+    one edge-sized gather per read, so bind them once."""
+
+    entry: np.ndarray
+    dst: np.ndarray
+    edge_index: np.ndarray
+    queue: np.ndarray
+    edge_weights: Optional[np.ndarray]
+
+    @property
+    def src(self) -> np.ndarray:
+        return self.queue[self.entry]
+
+    @property
+    def weights(self) -> Optional[np.ndarray]:
+        w = self.edge_weights
+        return None if w is None else w[self.edge_index]
+
+
+def expand_csr(indptr, indices, rows, degrees=None, weights=None) -> Expansion:
     """Expand ``rows`` (row-local positions) into their incident edges.
 
-    Returns ``(edge_src_pos, edge_dst, edge_index)`` where
-    ``edge_src_pos[k]`` is the queue entry's row position repeated per
-    edge, ``edge_dst[k]`` the adjacency target, and ``edge_index[k]``
-    the position in ``indices`` (for weight lookups).
+    ``degrees`` are the rows' degrees, for a caller that already looked
+    them up (to charge the kernel); ``weights`` the edge-weight array
+    aligned with ``indices``, if any.
     """
     rows = np.asarray(rows, dtype=np.int64)
     row_ptr = indptr[rows]
-    degs = indptr[rows + 1] - row_ptr
-    total = int(degs.sum())
+    if degrees is None:
+        degrees = indptr[rows + 1] - row_ptr
+    elif np.shape(degrees) != rows.shape:
+        raise ValueError(f"{np.shape(degrees)} degrees for a queue of {rows.shape}")
+    ends = np.cumsum(degrees)
+    total = int(ends[-1]) if ends.size else 0
     if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy()
-    # One repeat of the queue-entry index; src and the per-edge offset
-    # into `indices` are then plain gathers.  Per entry the run starts
-    # at indptr[row], shifted by the entry's start in the output
-    # (cumsum-offset trick) — fused so the expansion does a single
-    # repeat instead of three.
-    entry = np.repeat(np.arange(rows.size, dtype=np.int64), degs)
-    offsets = row_ptr - (np.cumsum(degs) - degs)
+        return Expansion(_EMPTY_I64, _EMPTY_I64, _EMPTY_I64, rows, weights)
+    # A single repeat, of the queue-entry index: an entry's run starts
+    # at indptr[row], shifted by its start in the output (cumsum-offset
+    # trick), so the offset into `indices` is one more gather.
+    entry = np.repeat(np.arange(rows.size, dtype=np.int64), degrees)
+    offsets = row_ptr - (ends - degrees)
     edge_index = np.arange(total, dtype=np.int64) + offsets[entry]
-    src = rows[entry]
-    dst = indices[edge_index]
-    return src, dst, edge_index
+    return Expansion(entry, indices[edge_index], edge_index, rows, weights)
 
 
-def expand_block(block, row_lids: np.ndarray):
-    """Expand a :class:`~repro.graph.partition.twod.RankBlock` queue.
-
-    ``row_lids`` are row-vertex LIDs; returns ``(src_lids, dst_lids,
-    weights_or_None)`` with both endpoint columns in LID space.
-    """
-    lm = block.localmap
-    rows = np.asarray(row_lids, dtype=np.int64) - lm.row_offset
-    src_pos, dst, edge_index = expand_csr(block.indptr, block.indices, rows)
-    src_lids = src_pos + lm.row_offset
-    weights = block.weights[edge_index] if block.weights is not None else None
-    return src_lids, dst, weights
+def expand_block(block, row_lids, degrees=None) -> Expansion:
+    """Expand a :class:`~repro.graph.partition.twod.RankBlock` queue of
+    row-vertex LIDs; they stay the expansion's ``queue``, so ``src``
+    and ``dst`` are both in LID space."""
+    row_lids = np.asarray(row_lids, dtype=np.int64)
+    rows = row_lids - block.localmap.row_offset
+    ex = expand_csr(block.indptr, block.indices, rows, degrees, block.weights)
+    return ex._replace(queue=row_lids)

@@ -46,7 +46,10 @@ ROOTS2 = [3, 640]
 # retiring lane must not disturb the others.
 ROOTS8 = [0, 3, 17, 42, 100, 256, 513, 640]
 
-KS = {"k1": ROOT1, "k2": ROOTS2, "k8": ROOTS8}
+# k = 3 and k = 5 are not powers of two: the lane scatters' composite
+# index and the pull lanes' (lid, lane) decode take their multiply /
+# divide branches there, the shift / mask ones on every other width.
+KS = {"k1": ROOT1, "k2": ROOTS2, "k3": ROOTS8[1:4], "k5": ROOTS8[:5], "k8": ROOTS8}
 
 # 16 lanes span two 8-lane words in the bottom-up bitmask scan; the
 # second word's chunk offset in the composite scatter index is what

@@ -145,7 +145,8 @@ def edge_list_pagerank(
             rw = ctx.row_slice
             partials.append(np.array([pr[rw][deg[rw] == 0].sum() / grid.R]))
             acc[...] = 0.0
-            src, dst, w = ctx.expand(ctx.row_lids())
+            ex = ctx.expand(ctx.row_lids())
+            src, dst, w = ex.src, ex.dst, ex.weights
             contrib = pr[dst] / np.maximum(deg[dst], 1e-300)
             if weighted:
                 contrib = contrib * w
@@ -197,12 +198,33 @@ class TestCsrPullEqualsEdgeListGather:
         assert got.iterations == stopped
         assert ("tol" in opts) == (stopped < 40)
 
+    @pytest.mark.parametrize("grid", [GRIDS[0], GRIDS[6]], ids=lambda g: f"{g.C}x{g.R}")
+    def test_a_second_call_on_the_same_engine_starts_clean(self, rmat_graph, grid):
+        """The per-call vertex buffers and the hoisted degree-derived
+        operands belong to one call: a run after another — other
+        degrees, other teleport vector, other stopping rule — equals
+        the frozen formula on a fresh engine, byte for byte."""
+        graph = rmat_graph.with_random_weights(seed=3)
+        v = np.arange(graph.n_vertices)
+        calls = [
+            {"weighted": True, "personalization": (v % 5 == 1) * (1.0 + v % 4), "tol": 1e-5},
+            {},
+            {"personalization": (v % 3 == 0) * 1.0},
+            {"weighted": True, "tol": 1e-7},
+        ]
+        engine = Engine(graph, grid=grid)
+        for opts in calls:
+            got = pagerank(engine, iterations=40, **opts)
+            want, stopped = edge_list_pagerank(Engine(graph, grid=grid), 40, **opts)
+            assert got.values.tobytes() == want.tobytes(), sorted(opts)
+            assert got.iterations == stopped
+
     def test_weighted_degrees_are_sequential_row_sums(self, rmat_graph):
         graph = rmat_graph.with_random_weights(seed=3)
         engine = Engine(graph, grid=GRIDS[6])
         for ctx in engine:  # oracle first: compute_global_degrees reduces
-            src, _, w = ctx.expand(ctx.row_lids())
-            np.add.at(ctx.alloc("want"), src, w)
+            ex = ctx.expand(ctx.row_lids())
+            np.add.at(ctx.alloc("want"), ex.src, ex.weights)
         dense_pull(engine, "want", op="sum")
         compute_global_degrees(engine, weighted=True)
         for ctx in engine:

@@ -71,18 +71,19 @@ class TestGraphAccess:
 
     def test_expand_subset_consistent_with_expand_all(self, engine):
         ctx = engine.ctx(4)
-        src_all, dst_all, _ = ctx.expand(ctx.row_lids())
+        everything = ctx.expand(ctx.row_lids())
         rows = ctx.row_lids()[:3]
-        src, dst, _ = ctx.expand(rows)
-        mask = np.isin(src_all, rows)
-        assert np.array_equal(np.sort(dst), np.sort(dst_all[mask]))
+        ex = ctx.expand(rows, ctx.local_degrees()[:3])
+        mask = np.isin(everything.src, rows)
+        assert np.array_equal(np.sort(ex.dst), np.sort(everything.dst[mask]))
+        assert np.array_equal(ex.src, rows[ex.entry])
 
     def test_weighted_expansion(self):
         g = rmat(7, seed=1).with_random_weights(seed=2)
         engine = Engine(g, 4)
         ctx = engine.ctx(0)
-        _, dst, w = ctx.expand(ctx.row_lids())
-        assert w is not None and w.shape == dst.shape
+        ex = ctx.expand(ctx.row_lids())
+        assert ex.weights is not None and ex.weights.shape == ex.dst.shape
 
     def test_slices_match_localmap(self, engine):
         ctx = engine.ctx(1)

@@ -104,7 +104,8 @@ def _per_rank_edge_list_pull(engine, name, op, weighted):
     out = []
     for ctx in engine:
         x = ctx.get(name)
-        src, dst, w = ctx.expand(ctx.row_lids())
+        ex = ctx.expand(ctx.row_lids())
+        src, dst, w = ex.src, ex.dst, ex.weights
         state = np.full(x.shape, _PULL_OPS[op])
         for lane in np.ndindex(x.shape[1:]):
             at = (slice(None),) + lane
@@ -222,35 +223,34 @@ def test_expansion_walks_in_slices_under_the_edge_budget(monkeypatch):
     engine = Engine(graph, grid=Grid2D(R=2, C=2))
     fleet = engine.fleet
     rows = np.flatnonzero(fleet.row_mask)
-    whole = [np.concatenate(col) for col in zip(*[p[:3] for p in fleet.expand(rows)])]
+    whole = [np.concatenate(col) for col in zip(*fleet.expand(rows))]
     monkeypatch.setattr(fleet_mod, "EXPAND_EDGE_BUDGET", 8)
     pieces = list(fleet.expand(rows))
     assert len(pieces) > 4
-    for _, src, _, _ in pieces:
+    for _, src, _ in pieces:
         assert src.size <= 8 or np.unique(src).size == 1  # a hub travels alone
-    sliced = [np.concatenate(col) for col in zip(*[p[:3] for p in pieces])]
+    sliced = [np.concatenate(col) for col in zip(*pieces)]
     for a, b in zip(whole, sliced):
         assert np.array_equal(a, b)
 
 
 def _expanded(pieces):
-    """Concatenated ``(ranks, src, dst, weights)`` of ``Fleet.expand``
-    slices (four empty columns when nothing was yielded)."""
+    """Concatenated ``(ranks, src, dst)`` of ``Fleet.expand`` slices
+    (three empty columns when nothing was yielded)."""
     pieces = list(pieces)
     if not pieces:
-        return [np.empty(0, dtype=np.int64)] * 3 + [np.empty(0)]
+        return [np.empty(0, dtype=np.int64)] * 3
     return [np.concatenate(col) for col in zip(*pieces)]
 
 
 def _expanded_per_rank(engine, queues):
-    """The same four columns from every rank's own ``ctx.expand``."""
+    """The same three columns from every rank's own ``ctx.expand``."""
     base = engine.fleet.base
     want = [ctx.expand(q) for ctx, q in zip(engine, queues)]
     return [
-        np.repeat(np.arange(engine.n_ranks), [s.size for s, _, _ in want]),
-        np.concatenate([s + base[r] for r, (s, _, _) in enumerate(want)]),
-        np.concatenate([d + base[r] for r, (_, d, _) in enumerate(want)]),
-        np.concatenate([w for _, _, w in want]),
+        np.repeat(np.arange(engine.n_ranks), [ex.dst.size for ex in want]),
+        np.concatenate([ex.src + base[r] for r, ex in enumerate(want)]),
+        np.concatenate([ex.dst + base[r] for r, ex in enumerate(want)]),
     ]
 
 
@@ -281,7 +281,8 @@ def test_expand_skips_rows_without_edges(monkeypatch, budget, queue, given_degre
         assert rows.size > 0 and not degrees.any()
     pieces = list(fleet.expand(rows, degrees if given_degrees else None))
     if budget is not None:
-        assert all(src.size <= budget or np.unique(src).size == 1 for _, src, _, _ in pieces)
+        assert all(src.size <= budget or np.unique(src).size == 1 for _, src, _ in pieces)
+        assert len(pieces) > 1 or queue != "mixed"  # the budget boundary is crossed
     for got, want in zip(_expanded(pieces), _expanded_per_rank(engine, queues)):
         assert np.array_equal(got, want)
 

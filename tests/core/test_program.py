@@ -25,7 +25,6 @@ def cc_program(**kw) -> VertexProgram:
     return VertexProgram(
         name="cc_prog",
         init=lambda gids: gids.astype(np.float64),
-        along_edge=lambda vals, w: vals,
         op="min",
         **kw,
     )
@@ -102,6 +101,18 @@ class TestCCAsProgram:
             serial.canonical_labels(serial.connected_components(rmat_graph)),
         )
 
+    @pytest.mark.parametrize("direction", ["push", "pull"])
+    def test_spelled_out_carry_is_the_default(self, rmat_graph, direction):
+        """``along_edge=None`` skips the weight gather; a program that
+        spells the carry out reads the weights and runs the same."""
+        g = rmat_graph.with_random_weights(seed=2, low=0.1, high=1.0)
+        spelled = run_vertex_program(
+            Engine(g, 4),
+            cc_program(direction=direction, along_edge=lambda vals, w: vals),
+        )
+        default = run_vertex_program(Engine(g, 4), cc_program(direction=direction))
+        assert_same_run(spelled, default)
+
 
 class TestSSSPAsProgram:
     def test_matches_dedicated_sssp(self, rmat_graph):
@@ -167,7 +178,6 @@ class TestNovelPrograms:
         prog = VertexProgram(
             name="maxid",
             init=lambda gids: gids.astype(np.float64),
-            along_edge=lambda vals, w: vals,
             op="max",
         )
         res = run_vertex_program(Engine(rmat_graph, 4), prog)
@@ -232,7 +242,6 @@ class TestValidation:
             VertexProgram(
                 name="x",
                 init=lambda g: g,
-                along_edge=lambda v, w: v,
                 op="sum",
             )
 
@@ -241,7 +250,6 @@ class TestValidation:
             VertexProgram(
                 name="x",
                 init=lambda g: g,
-                along_edge=lambda v, w: v,
                 direction="sideways",
             )
 

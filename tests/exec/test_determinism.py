@@ -100,7 +100,6 @@ def _program(e):
     prog = VertexProgram(
         name="mrl",
         init=lambda og: og.astype(np.float64),
-        along_edge=lambda v, w: v,
         op="min",
     )
     return run_vertex_program(e, prog)

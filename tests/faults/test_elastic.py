@@ -43,7 +43,6 @@ def _program():
     return VertexProgram(
         name="minlabel",
         init=lambda ids: ids.astype(np.float64),
-        along_edge=lambda v, w: v,
         op="min",
     )
 

@@ -807,6 +807,43 @@ class TestSdcCases:
         assert engine.counters.summary() == ref_engine.counters.summary()
         assert_state_is_stacked(engine)
 
+    @pytest.mark.parametrize("guarded", [True, False], ids=["ledger", "bare"])
+    def test_flip_in_pagerank_degrees(self, guarded):
+        """PageRank derives its degree operands once per call, so a flip
+        in ``deg`` never reaches the arithmetic: with the ledger on it
+        is caught and repaired like any other window, without one the
+        answer is the fault-free one and the bit stays in the buffer."""
+        lm = mk().ctx(1).localmap
+        window_bytes = 8 * (lm.n_row + lm.n_col)
+        # sorted-name order: acc, deg, pr, row window then column window:
+        # an exponent bit of the first column ghost's degree
+        bit = 8 * (window_bytes + 8 * lm.n_row) + 62
+        spec = FaultSpec("memflip", 2, rank=1, bit=bit)
+
+        def runner(engine, resume=False):
+            return algorithms.pagerank(engine, iterations=6, resume=resume)
+
+        def build():
+            engine = mk()
+            if guarded:
+                engine.attach_integrity(IntegrityLedger())
+                engine.attach_checkpoints(CheckpointManager(interval=1))
+            return engine
+
+        ref_engine = build()
+        ref = runner(ref_engine)
+        engine = build()
+        injector = engine.attach_faults(FaultPlan([spec]))
+        res = drive_elastic(runner, engine)
+        assert [e.kind for e in injector.events].count("memflip") == 1
+        assert res.extra["elastic"]["resumes"] == int(guarded)
+        assert ("integrity" in [e["kind"] for e in engine.fault_events]) == guarded
+        assert res.values.tobytes() == ref.values.tobytes()
+        assert np.array_equal(engine.clocks.clock, ref_engine.clocks.clock)
+        assert engine.counters.summary() == ref_engine.counters.summary()
+        deg, ref_deg = (e.ctx(1).get("deg") for e in (engine, ref_engine))
+        assert np.array_equal(deg, ref_deg) == guarded
+
     def test_sssp_repairs_on_weighted_graph(self):
         case = run_case("sdc", mkw, "SSSP", "memflip-single")
         assert case.ok, case.error

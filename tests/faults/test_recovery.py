@@ -136,7 +136,6 @@ class TestEveryAlgorithmRecovers:
         prog = VertexProgram(
             name="cc_prog",
             init=lambda gids: gids.astype(np.float64),
-            along_edge=lambda vals, w: vals,
             op="min",
         )
         assert_bit_identical(

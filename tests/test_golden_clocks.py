@@ -8,7 +8,8 @@ the PageRank variants, ``pagerank_batch``, betweenness, coloring and
 the SpMV comparator before their edge-list sweeps became CSR pulls
 (PR 15), k-core, matching, two more CC variants and ``spmv_bfs`` before
 CC / SSSP became vertex programs and LP / k-core / coloring instances
-of ``complex_reduce`` (PR 17).  Every case pins the modeled times (total / compute / comm /
+of ``complex_reduce`` (PR 17), ``bfs_batch`` and ``sssp_batch`` before
+their lane kernels took candidates by queue entry (PR 23).  Every case pins the modeled times (total / compute / comm /
 overlap, and every per-iteration mark), the communication counters and
 a digest of the answer, with floats stored as ``float.hex()`` so
 equality is exact.  The suite runs on whichever rank executor
@@ -36,7 +37,7 @@ import numpy as np
 import pytest
 
 from repro import Engine, algorithms
-from repro.algorithms.batch import pagerank_batch
+from repro.algorithms.batch import bfs_batch, pagerank_batch, sssp_batch
 from repro.algorithms.components import CC_VARIANTS
 from repro.baselines.spmv import spmv_bfs, spmv_cc, spmv_pagerank
 from repro.comm.grid import Grid2D
@@ -79,6 +80,10 @@ ALGOS = {
     "spmv_bfs": lambda e: spmv_bfs(e, root=3),
     "mwm": lambda e: algorithms.max_weight_matching(e),
     "bfs_guarded": lambda e: algorithms.bfs(_guarded(e), root=3),
+    # k = 3: the lane scatters' composite index takes its multiply /
+    # divide branch, not the power-of-two shift / mask
+    "bfs_batch": lambda e: bfs_batch(e, [3, 17, 200]),
+    "sssp_batch": lambda e: sssp_batch(e, [3, 17, 200]),
 }
 
 CASES = [
