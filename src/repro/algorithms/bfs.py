@@ -18,7 +18,9 @@ bit-identically; see ``docs/ROBUSTNESS.md``).
 State: ``parent`` holds the parent's original GID (``inf`` =
 unvisited); ``level`` is maintained locally from the iteration at which
 a vertex's parent first appeared (no extra exchange needed, since
-parent updates are made consistent each iteration).
+parent updates are made consistent each iteration).  A top-down
+superstep stamps levels only on the cells its exchange touched, so its
+host work follows the frontier and the exchanged queues.
 """
 
 from __future__ import annotations
@@ -65,45 +67,35 @@ def bfs(
     if not 0 <= root < n:
         raise ValueError(f"root {root} out of range")
     root_rel = int(part.perm[root])
+    # The row groups' first ranks hold every vertex's row cell once:
+    # global counts and sums read their segments of a rank-major queue.
+    # Global degrees are integer-valued float64 far below 2**53, so a
+    # sum of them is exact in any order.
+    first = np.zeros(fleet.n_ranks, dtype=bool)
+    first[[ranks[0] for _, ranks in engine.row_groups()]] = True
 
     st = engine.resume_from_checkpoint("bfs") if resume else None
     if st is None:
         engine.reset_timers()
         compute_global_degrees(engine)
-        m_total = 0.0
         engine.alloc("parent", np.float64, fill=INF)
         engine.alloc("level", np.float64, fill=INF)
-        # Global edge count (sum of global degrees over one row
-        # partition).
-        for id_r, ranks in engine.row_groups():
-            ctx0 = engine.ctx(ranks[0])
-            m_total += float(ctx0.get("deg")[ctx0.row_slice].sum())
+        deg = fleet.stacked("deg")
+        starts = (fleet.row_start - fleet.row_gid_shift)[first]
+        sizes = (fleet.row_stop - fleet.row_start)[first]
+        m_total = float(sum(deg[a : a + k].sum() for a, k in zip(starts, sizes)))
 
-        # Seed the root everywhere it is visible.
-        def seed_root(ctx):
-            lm = ctx.localmap
-            parent = ctx.get("parent")
-            level = ctx.get("level")
-            lids = []
-            if lm.row_start <= root_rel < lm.row_stop:
-                lids.append(lm.row_lid(root_rel))
-            if lm.col_start <= root_rel < lm.col_stop:
-                lids.append(lm.col_lid(root_rel))
-            for lid in lids:
-                parent[lid] = root
-                level[lid] = 0.0
-            deg = float(ctx.get("deg")[lids[0]]) if lids else None
-            entry = (
-                np.array([lm.row_lid(root_rel)], dtype=np.int64)
-                if lm.row_start <= root_rel < lm.row_stop
-                else np.empty(0, dtype=np.int64)
-            )
-            return entry, deg
-
-        seeded = engine.map_ranks(seed_root)
-        frontier: list[np.ndarray] = [entry for entry, _ in seeded]
-        # Every rank seeing the root reads the same global degree.
-        root_deg = next((d for _, d in seeded if d is not None), 0.0)
+        # Seed the root everywhere it is visible: its row cell on every
+        # rank of its row group, its column cell on every rank of its
+        # column group (stacked LID = GID - shift).
+        in_rows = (fleet.row_start <= root_rel) & (root_rel < fleet.row_stop)
+        in_cols = (fleet.col_start <= root_rel) & (root_rel < fleet.col_stop)
+        row_seeds = root_rel - fleet.row_gid_shift[in_rows]
+        seeds = np.concatenate([row_seeds, root_rel - fleet.col_gid_shift[in_cols]])
+        fleet.stacked("parent")[seeds] = root
+        fleet.stacked("level")[seeds] = 0.0
+        frontier: list[np.ndarray] = fleet.split(row_seeds)
+        root_deg = float(deg[row_seeds[0]])
 
         n_visited = 1
         m_frontier = root_deg
@@ -137,6 +129,10 @@ def bfs(
             "direction_log": direction_log,
         }
 
+    # Invariant at every superstep boundary: ``parent == inf`` exactly
+    # where ``level == inf``.  Each superstep stamps the level of every
+    # cell it gave a parent, so "unvisited" is one read of ``level``.
+    rows, counts = fleet.stack(frontier)
     while not done:
         depth += 1
         if hybrid:
@@ -144,26 +140,28 @@ def bfs(
             if not bottom_up and growing and m_frontier > m_unvisited / alpha:
                 # Beamer: switch down only while the frontier grows.
                 bottom_up = True
-            elif bottom_up and (n_visited >= n or _frontier_size(engine, frontier) < n / beta):
+            elif bottom_up and (
+                n_visited >= n or counts[first].sum() < n / beta
+            ):
                 bottom_up = False
         direction_log.append("bottom-up" if bottom_up else "top-down")
 
         parent = fleet.stacked("parent")
         level = fleet.stacked("level")
+        flags_handle = None
         if not bottom_up:
             # Top-down: expand the frontier, claim unvisited ghosts —
             # every rank's frontier in one stacked pass.
-            rows, counts = fleet.stack(frontier)
             degrees = fleet.row_degrees(rows)
             engine.charge_edges(None, degrees, segments=counts)
             # Claims are judged against the state the superstep began
-            # with: a later slice of the expansion must not see an
+            # with (``level`` is not written until the exchange is
+            # over): a later slice of the expansion must not see an
             # earlier slice's claim as "visited" and drop a smaller
             # candidate for the same ghost.
-            unvisited_before = parent == INF
             claimed = [_NO_LIDS]
             for ranks, src, dst in fleet.expand(rows, degrees):
-                unvisited = unvisited_before[dst]
+                unvisited = level[dst] == INF
                 src, dst, ranks = src[unvisited], dst[unvisited], ranks[unvisited]
                 cand_parent = part.original_gid(
                     src + fleet.row_gid_shift[ranks]
@@ -175,6 +173,10 @@ def bfs(
                 unique_bounded(np.concatenate(claimed), fleet.size)
             )
             result = sparse_push(engine, "parent", queues, op="min")
+            n_updated = result.n_updated
+            # the exchange wrote nothing outside what it touched
+            fresh = result.touched
+            fresh = fresh[(level[fresh] == INF) & (parent[fresh] != INF)]
         else:
             # Bottom-up: every unvisited owned vertex scans for a
             # frontier neighbor (level == depth - 1).  Communication is
@@ -185,36 +187,28 @@ def bfs(
             # regime where the paper switches to dense communications
             # (§3.3.1), and the dense slice avoids the per-pair
             # duplication a queue exchange would ship.
-            rows = np.flatnonzero((parent == INF) & fleet.row_mask)
-            counts = fleet.counts(rows)
-            degrees = fleet.row_degrees(rows)
-            engine.charge_edges(None, degrees, segments=counts)
-            for ranks, src, dst in fleet.expand(rows, degrees):
+            result = None
+            open_rows = np.flatnonzero((level == INF) & fleet.row_mask)
+            degrees = fleet.row_degrees(open_rows)
+            engine.charge_edges(None, degrees, segments=fleet.counts(open_rows))
+            for ranks, src, dst in fleet.expand(open_rows, degrees):
                 in_frontier = level[dst] == depth - 1
                 src, dst, ranks = src[in_frontier], dst[in_frontier], ranks[in_frontier]
                 cand_parent = part.original_gid(
                     dst + fleet.col_gid_shift[ranks]
                 ).astype(np.float64)
-                scatter_reduce(parent, src, cand_parent, "min")
+                np.minimum.at(parent, src, cand_parent)
             dense_pull(engine, "parent", op="min")
-            result = None
-
-        flags_handle = None
-        if result is not None:
-            n_updated = result.n_updated
-        else:
-            # Dense path: count freshly visited row vertices (one
-            # representative per row group) and share the verdict with
-            # a one-word AllReduce, as a real dense iteration must.  No
-            # rank consumes the reduced value locally, so an overlapped
-            # engine issues it split-phase and hides the level-update
-            # compute below behind it.
-            n_updated = 0
-            for id_r, ranks in engine.row_groups():
-                ctx0 = engine.ctx(ranks[0])
-                p0 = ctx0.get("parent")[ctx0.row_slice]
-                l0 = ctx0.get("level")[ctx0.row_slice]
-                n_updated += int(np.count_nonzero(np.isfinite(p0) & ~np.isfinite(l0)))
+            # Freshly visited cells and the next frontier; its size on
+            # the row groups' first ranks is shared with a one-word
+            # AllReduce, as a real dense iteration must.  No rank
+            # consumes the reduced value locally, so an overlapped
+            # engine issues it split-phase and hides the level update
+            # below behind it.
+            fresh = np.flatnonzero((parent != INF) & (level == INF))
+            rows = fresh[fleet.row_mask[fresh]]
+            counts = fleet.counts(rows)
+            n_updated = int(counts[first].sum())
             flags = [np.array([float(n_updated)]) for _ in range(grid.n_ranks)]
             if engine.overlap:
                 flags_handle = engine.comm.start_allreduce(
@@ -232,25 +226,17 @@ def bfs(
 
         # Record levels of freshly visited vertices and build the next
         # frontier (newly visited owned vertices, consistent per group).
-        m_frontier_prev = m_frontier
-        m_frontier = 0.0
-
-        fresh = np.flatnonzero((parent != INF) & (level == INF))
         level[fresh] = depth
         engine.charge_vertices(None, fleet.n_total)
         if result is not None:
-            new_frontier = [
-                np.asarray(rows, dtype=np.int64) for rows in result.active_row
-            ]
+            frontier = result.active_row
+            rows, counts = fleet.stack(frontier)
         else:
-            new_frontier = fleet.split(fresh[fleet.row_mask[fresh]])
+            frontier = fleet.split(rows)
         if flags_handle is not None:
             engine.comm.wait(flags_handle)
-        for id_r, ranks in engine.row_groups():
-            ctx0 = engine.ctx(ranks[0])
-            rows = new_frontier[ranks[0]]
-            m_frontier += float(ctx0.get("deg")[rows].sum())
-        frontier = new_frontier
+        m_frontier_prev = m_frontier
+        m_frontier = float(fleet.stacked("deg")[rows[np.repeat(first, counts)]].sum())
         n_visited += n_updated
         m_unvisited -= m_frontier
         done = n_visited >= n
@@ -273,14 +259,6 @@ def bfs(
             "directions": direction_log,
         },
     )
-
-
-def _frontier_size(engine: Engine, frontier: list[np.ndarray]) -> int:
-    """Global frontier cardinality (one representative per row group)."""
-    total = 0
-    for id_r, ranks in engine.row_groups():
-        total += int(np.asarray(frontier[ranks[0]]).size)
-    return total
 
 
 def pseudo_diameter(

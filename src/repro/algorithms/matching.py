@@ -26,7 +26,7 @@ import numpy as np
 
 from ..core.engine import Engine
 from ..core.result import AlgorithmResult
-from ..patterns.complex import refresh_ghosts
+from ..patterns.complex import allgatherv_by_rank, refresh_ghosts
 from ..patterns.sparse import sparse_push
 
 __all__ = ["max_weight_matching"]
@@ -94,8 +94,9 @@ def max_weight_matching(
         # ---- 2: row-group consensus pointers (complex reduction) -----
         winners_of: list[np.ndarray | None] = [None] * grid.n_ranks
         rbuf_size_of: list[int] = [0] * grid.n_ranks
+        rbuf_of = allgatherv_by_rank(engine, engine.row_groups(), candidates)
         for id_r, ranks in engine.row_groups():
-            rbuf = engine.comm.allgatherv(ranks, [candidates[r] for r in ranks])
+            rbuf = rbuf_of[ranks[0]]
             if rbuf.size:
                 order = np.lexsort((rbuf["nbr"], rbuf["w"], rbuf["gid"]))
                 rb = rbuf[order]

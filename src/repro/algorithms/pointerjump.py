@@ -23,6 +23,7 @@ import numpy as np
 from ..core.engine import Engine
 from ..core.result import AlgorithmResult
 from ..kernels import scatter_reduce
+from ..patterns.complex import allgatherv_by_rank
 from ..patterns.packets import packet_swap
 from ..patterns.sparse import PAIR_DTYPE
 
@@ -112,8 +113,9 @@ def pointer_jumping(
 
     # Home-rank authoritative parent stores (relabeled GIDs).
     group_data: list[tuple[np.ndarray, np.ndarray, int] | None] = [None] * grid.n_ranks
+    rbuf_of = allgatherv_by_rank(engine, engine.row_groups(), cand)
     for id_r, ranks in engine.row_groups():
-        rbuf = engine.comm.allgatherv(ranks, [cand[r] for r in ranks])
+        rbuf = rbuf_of[ranks[0]]
         rs, re = part.row_range(id_r)
         best = np.full(re - rs, np.iinfo(np.int64).max, dtype=np.int64)
         if rbuf.size:
@@ -257,11 +259,7 @@ def _pointer_jumping_loop(
         return buf
 
     sbufs = engine.map_ranks(build_final)
-    rbuf_of: list[np.ndarray | None] = [None] * grid.n_ranks
-    for id_r, ranks in engine.row_groups():
-        rbuf = engine.comm.allgatherv(ranks, [sbufs[r] for r in ranks])
-        for r in ranks:
-            rbuf_of[r] = rbuf
+    rbuf_of = allgatherv_by_rank(engine, engine.row_groups(), sbufs)
 
     def apply_final(ctx):
         lm = ctx.localmap

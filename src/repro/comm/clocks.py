@@ -13,14 +13,14 @@ all ranks"), with computation and communication tracked separately
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .counters import CommCounters, CounterSnapshot
 
-__all__ = ["InflightCollective", "PhaseTimes", "VirtualClocks"]
+__all__ = ["InflightCollective", "PhaseTimes", "StageIndex", "VirtualClocks"]
 
 
 @dataclass(frozen=True)
@@ -63,6 +63,28 @@ class InflightCollective:
     issued_at: float
     comm_seconds: float
     completed: bool = False
+
+
+class StageIndex(NamedTuple):
+    """One stage's disjoint groups, concatenated: ``idx[i]`` is a rank
+    of group ``group[i]``, whose ranks start at ``starts[group[i]]``."""
+
+    idx: np.ndarray
+    starts: np.ndarray
+    group: np.ndarray
+
+    @classmethod
+    def of(cls, groups: Sequence[Sequence[int]]) -> "StageIndex":
+        """Raises unless the groups are non-empty and disjoint (a rank
+        repeated *within* a group is one participant, as in sync_group)."""
+        owner: dict[int, int] = {}
+        for g, ranks in enumerate(groups):
+            if not len(ranks) or any(owner.setdefault(r, g) != g for r in ranks):
+                raise ValueError(f"stage groups must be disjoint, none empty: {groups}")
+        sizes = np.array([len(ranks) for ranks in groups], dtype=np.int64)
+        idx = np.array([r for ranks in groups for r in ranks], dtype=np.int64)
+        group = np.repeat(np.arange(sizes.size), sizes)
+        return cls(idx, np.cumsum(sizes) - sizes, group)
 
 
 class VirtualClocks:
@@ -146,6 +168,17 @@ class VirtualClocks:
         t = float(self.clock[idx].max()) + seconds
         self.clock[idx] = t
         self.comm[idx] += seconds
+
+    def sync_stage(self, stage: StageIndex, seconds: Sequence[float]) -> None:
+        """:meth:`sync_group` of each group ``g`` of a stage, charged
+        ``seconds[g]``, at once: the groups are disjoint, so this is the
+        per-group sequence bit for bit (same max, same two float ops)."""
+        if len(seconds) != stage.starts.size or min(seconds, default=0.0) < 0:
+            raise ValueError(f"need one comm time >= 0 per group, got {seconds}")
+        secs = np.array(seconds, dtype=np.float64)
+        t = np.maximum.reduceat(self.clock[stage.idx], stage.starts) + secs
+        self.clock[stage.idx] = t[stage.group]
+        self.comm[stage.idx] += secs[stage.group]
 
     def add_stall(self, rank: int, seconds: float) -> None:
         """Idle one rank for ``seconds`` (an injected straggler delay).

@@ -14,12 +14,13 @@ Supported reduction ops mirror what the paper's patterns need: ``sum``,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ..cluster.costmodel import CostModel
-from .clocks import InflightCollective, VirtualClocks
+from .clocks import InflightCollective, StageIndex, VirtualClocks
 from .counters import CommCounters
 
 __all__ = ["BroadcastCall", "CollectiveHandle", "Communicator", "REDUCE_OPS"]
@@ -70,6 +71,12 @@ class CollectiveHandle:
 class Communicator:
     """Executes collectives with time/counter accounting.
 
+    A ``*_stage`` method runs one collective in each of a BSP stage's
+    disjoint groups: each is validated, moved, costed and counted as
+    its own, in group order; only the clock update is one pass
+    (:meth:`VirtualClocks.sync_stage`).  A per-group call is a
+    one-group stage.
+
     Every blocking collective has a split-phase twin (``start_X`` +
     :meth:`wait`) that separates *issue* from *completion*: the data
     moves and the counters record at issue, but the virtual-time charge
@@ -90,6 +97,7 @@ class Communicator:
         self.costmodel = costmodel
         self.clocks = clocks
         self.counters = counters if counters is not None else CommCounters()
+        self._stages: dict[tuple, StageIndex] = {}
 
     # ------------------------------------------------------------------
     # helpers
@@ -106,7 +114,7 @@ class Communicator:
         (element-wise reductions) additionally requires every buffer to
         share the first buffer's shape and dtype, and names the
         offending ranks when they don't — a shape/dtype skew would
-        otherwise surface as an inscrutable ``np.stack`` error.
+        otherwise surface as an inscrutable ``np.array`` error.
         """
         if len(ranks) != len(buffers):
             raise ValueError(
@@ -149,6 +157,37 @@ class Communicator:
                 f"{ranks[0]} sends {ref} while " + "; ".join(offenders)
             )
 
+    def _stage_index(self, groups: Sequence[Sequence[int]]) -> StageIndex:
+        """``groups``' :class:`StageIndex`, built and checked once."""
+        key = tuple(map(tuple, groups))
+        stage = self._stages.get(key)
+        if stage is None:
+            stage = self._stages[key] = StageIndex.of(key)
+        return stage
+
+    def _stage(self, groups, payloads, move) -> list:
+        """``move(ranks, payload) -> (cost, result)`` — one group's
+        validation, data movement and counters (cost ``None``: nothing
+        to do) — for every group in order, then one clock pass over the
+        groups that moved (even if a later one raised); their results."""
+        if len(groups) != len(payloads):
+            raise ValueError(f"{len(groups)} groups but {len(payloads)} payloads")
+        stage = self._stage_index(groups)
+        moved, costs, results = [], [], []
+        try:
+            for ranks, payload in zip(groups, payloads):
+                cost, result = move(ranks, payload)
+                if cost is not None:
+                    moved.append(ranks)
+                    costs.append(cost)
+                    results.append(result)
+        finally:
+            if costs:
+                if len(moved) < len(groups):
+                    stage = self._stage_index(moved)
+                self.clocks.sync_stage(stage, costs)
+        return results
+
     # ------------------------------------------------------------------
     # collectives
     # ------------------------------------------------------------------
@@ -158,16 +197,16 @@ class Communicator:
         buffers: Sequence[np.ndarray],
         op: str,
         nic_sharing: int,
-    ) -> float:
-        """Validate, move data, record counters; return the comm cost."""
+    ) -> tuple:
+        """Validate, move data, record counters; return (cost, None)."""
         self._check_group(ranks, buffers, uniform=True)
         if op not in REDUCE_OPS:
             raise ValueError(f"unknown op {op!r}; choose from {sorted(REDUCE_OPS)}")
         k = len(ranks)
         nbytes = buffers[0].nbytes if buffers else 0
         if k > 1:
-            stacked = np.stack([np.asarray(b) for b in buffers])
-            result = REDUCE_OPS[op](stacked)
+            # one C-level copy of the (validated, uniform) buffers
+            result = REDUCE_OPS[op](np.array(buffers))
             for b in buffers:
                 b[...] = result
         t = self.costmodel.allreduce_time(ranks, nbytes, nic_sharing=nic_sharing)
@@ -177,7 +216,7 @@ class Communicator:
             transfers=2 * k * (k - 1),
             nbytes=2 * nbytes * (k - 1) if k > 1 else 0,
         )
-        return t
+        return t, None
 
     def allreduce(
         self,
@@ -188,8 +227,13 @@ class Communicator:
     ) -> None:
         """In-place AllReduce: every buffer ends up holding the
         element-wise reduction of all of them."""
-        t = self._allreduce_core(ranks, buffers, op, nic_sharing)
-        self.clocks.sync_group(ranks, t)
+        self.allreduce_stage([ranks], [buffers], op=op, nic_sharing=nic_sharing)
+
+    def allreduce_stage(self, groups, buffers, op: str = "sum", nic_sharing: int = 1):
+        """:meth:`allreduce` in each of a stage's disjoint ``groups``
+        (``buffers[g]`` are group ``g``'s)."""
+        move = partial(self._allreduce_core, op=op, nic_sharing=nic_sharing)
+        self._stage(groups, buffers, move)
 
     def broadcast(
         self,
@@ -224,8 +268,18 @@ class Communicator:
     ) -> None:
         """Multiple broadcasts over one group in a single aggregated
         launch (NCCL group call; paper §3.3.1 for the R != C case)."""
+        self.grouped_broadcast_stage([ranks], [calls], nic_sharing=nic_sharing)
+
+    def grouped_broadcast_stage(self, groups, calls, nic_sharing: int = 1):
+        """:meth:`grouped_broadcast` in each of a stage's disjoint
+        ``groups`` (``calls[g]`` are group ``g``'s; none: skipped)."""
+        move = partial(self._grouped_broadcast_core, nic_sharing=nic_sharing)
+        self._stage(groups, calls, move)
+
+    def _grouped_broadcast_core(self, ranks, calls, nic_sharing: int):
+        """Move data, record counters; return (cost or ``None``, None)."""
         if not calls:
-            return
+            return None, None
         sizes = []
         for call in calls:
             src = np.asarray(call.src)
@@ -233,7 +287,6 @@ class Communicator:
                 dest[...] = src
             sizes.append(src.nbytes)
         t = self.costmodel.grouped_broadcast_time(ranks, sizes, nic_sharing=nic_sharing)
-        self.clocks.sync_group(ranks, t)
         k = len(ranks)
         total_dests = sum(len(c.dests) for c in calls)
         self.counters.record(
@@ -245,6 +298,7 @@ class Communicator:
                 np.asarray(c.src).nbytes * len(c.dests) for c in calls
             ),
         )
+        return t, None
 
     def allgatherv(
         self,
@@ -260,17 +314,21 @@ class Communicator:
         payload.  Returns the concatenated array (identical on every
         rank, so a single shared copy is returned).
         """
-        result, t = self._allgatherv_core(ranks, send_buffers, nic_sharing)
-        self.clocks.sync_group(ranks, t)
-        return result
+        return self.allgatherv_stage([ranks], [send_buffers], nic_sharing)[0]
+
+    def allgatherv_stage(self, groups, send_buffers, nic_sharing: int = 1) -> list:
+        """:meth:`allgatherv` in each of a stage's disjoint ``groups``
+        (``send_buffers[g]`` are group ``g``'s); one result per group."""
+        move = partial(self._allgatherv_core, nic_sharing=nic_sharing)
+        return self._stage(groups, send_buffers, move)
 
     def _allgatherv_core(
         self,
         ranks: Sequence[int],
         send_buffers: Sequence[np.ndarray],
         nic_sharing: int,
-    ) -> tuple[np.ndarray, float]:
-        """Validate, move data, record counters; return (result, cost)."""
+    ) -> tuple:
+        """Validate, move data, record counters; return (cost, result)."""
         self._check_group(ranks, send_buffers)
         self._check_dtypes(ranks, send_buffers)
         k = len(ranks)
@@ -300,7 +358,7 @@ class Communicator:
             transfers=k * (k - 1),
             nbytes=total * (k - 1) if k > 1 else 0,
         )
-        return result, t
+        return t, result
 
     def sendrecv(self, src_rank: int, dst_rank: int, payload: np.ndarray) -> np.ndarray:
         """Point-to-point transfer; returns the received copy."""
@@ -384,7 +442,7 @@ class Communicator:
         simulated data movement); callers must not mutate them until
         the matching ``wait``.
         """
-        t = self._allreduce_core(ranks, buffers, op, nic_sharing)
+        t, _ = self._allreduce_core(ranks, buffers, op, nic_sharing)
         return CollectiveHandle(
             "allreduce", tuple(ranks), self.clocks.issue_collective(ranks, t)
         )
@@ -401,10 +459,19 @@ class Communicator:
         :class:`CollectiveHandle` for the pipelined-consumption
         contract); send buffers may be recycled once this returns.
         """
-        result, t = self._allgatherv_core(ranks, send_buffers, nic_sharing)
+        t, result = self._allgatherv_core(ranks, send_buffers, nic_sharing)
         return CollectiveHandle(
             "allgatherv", tuple(ranks), self.clocks.issue_collective(ranks, t), result
         )
+
+    def start_allgatherv_stage(self, groups, send_buffers, nic_sharing: int = 1):
+        """:meth:`start_allgatherv` in each of a stage's disjoint
+        ``groups``, in group order: one handle per group."""
+        self._stage_index(groups)
+        return [
+            self.start_allgatherv(ranks, bufs, nic_sharing)
+            for ranks, bufs in zip(groups, send_buffers)
+        ]
 
     def start_alltoallv(
         self,

@@ -17,6 +17,7 @@ from ..cluster.device import VirtualGPU
 from ..graph.partition.twod import RankBlock
 from ..kernels.buffers import BufferPool
 from ..queueing.frontier import expand_block
+from .fleet import StateArrays
 
 __all__ = ["RankContext"]
 
@@ -43,7 +44,7 @@ class RankContext:
         self.localmap = block.localmap
         self.row_slice: slice = block.localmap.row_slice
         self.col_slice: slice = block.localmap.col_slice
-        self.arrays: dict[str, np.ndarray] = {}
+        self.arrays: dict[str, np.ndarray] = StateArrays(fleet)
         # What the previous run left registered: name -> the array it
         # left (see begin_run / run_arrays).
         self._left_over: dict[str, np.ndarray] = {}

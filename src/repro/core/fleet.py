@@ -48,7 +48,7 @@ from ..kernels.buffers import BufferPool
 from ..kernels.pull import PullCSR, index_dtype
 from ..queueing.frontier import expand_block
 
-__all__ = ["EXPAND_EDGE_BUDGET", "ExchangePlan", "Fleet"]
+__all__ = ["EXPAND_EDGE_BUDGET", "ExchangePlan", "Fleet", "StateArrays"]
 
 #: Most edges one :meth:`Fleet.expand` slice materializes.  A whole-fleet
 #: expansion (bottom-up BFS scans every unvisited row of every rank)
@@ -60,11 +60,40 @@ EXPAND_EDGE_BUDGET = 1 << 15
 @dataclass
 class _Stacked:
     """One named state: the stacked buffer, the per-rank slices handed
-    out (``None`` where the rank freed it), and how many are out."""
+    out (``None`` where the rank freed it), how many are out, and the
+    arena generation it was last verified at."""
 
     buffer: np.ndarray
     views: list
     live: int = 0
+    verified: int = -1
+
+
+class StateArrays(dict):
+    """A rank's ``name -> array`` registry (``RankContext.arrays``):
+    every mutation moves its fleet's arena generation, so
+    :meth:`Fleet.stacked` re-verifies a state only after something may
+    have changed."""
+
+    __slots__ = ("_fleet",)
+
+    def __init__(self, fleet: "Fleet"):
+        super().__init__()
+        self._fleet = fleet
+
+
+def _moving(method):
+    def mutate(self, *args, **kwargs):
+        out = method(self, *args, **kwargs)
+        self._fleet.moved()
+        return out
+
+    return mutate
+
+
+for _name in ("__setitem__", "__delitem__", "__ior__", "pop", "popitem", "clear",
+              "update", "setdefault"):
+    setattr(StateArrays, _name, _moving(getattr(dict, _name)))
 
 
 @dataclass(frozen=True)
@@ -118,6 +147,8 @@ class Fleet:
         #: The engine's rank contexts (set by the engine once built).
         self.contexts: Sequence = ()
         self._arena: dict[str, _Stacked] = {}
+        #: Grows on every change to the arena or a rank's StateArrays.
+        self.generation = 0
         # ``ctx.alloc`` may run inside concurrent per-rank closures.
         self._lock = threading.Lock()
         self._row_mask: Optional[np.ndarray] = None
@@ -155,6 +186,7 @@ class Fleet:
                 entry.live += 1
             view = entry.buffer[self.base[rank] : self.base[rank + 1]]
             entry.views[rank] = view
+            self.generation += 1
         return view
 
     def release(self, rank: int, name: str, arr: np.ndarray) -> None:
@@ -167,13 +199,20 @@ class Fleet:
                 entry.live -= 1
                 if entry.live == 0:
                     del self._arena[name]
+            self.generation += 1
+
+    def moved(self) -> None:
+        """Some rank's :class:`StateArrays` changed."""
+        with self._lock:
+            self.generation += 1
 
     def stacked(self, name: str) -> np.ndarray:
         """The stacked buffer of state ``name``: writing it writes every
         rank's ``ctx.arrays[name]``.
 
-        Verified on every call — each rank's registered array must be
-        the very slice handed out.  Arrays that got there another way
+        Verified — each rank's registered array must be the very slice
+        handed out — whenever the arena or a ``ctx.arrays`` changed
+        since the last verification.  Arrays that got there another way
         (:meth:`~repro.core.context.RankContext.adopt`, direct
         assignment, a re-allocation on some ranks only) are copied into
         a fresh stacked buffer and rebound, with a ``RuntimeWarning``;
@@ -185,14 +224,14 @@ class Fleet:
     def _intact(self, name: str) -> Optional[_Stacked]:
         """The arena entry of ``name`` if every rank's registered array
         is the slice handed out, else ``None``."""
+        generation = self.generation  # read first: a later change moves it
         entry = self._arena.get(name)
-        if (
-            entry is not None
-            and entry.live == self.n_ranks
-            and all(
-                map(is_, (ctx.arrays.get(name) for ctx in self.contexts), entry.views)
-            )
+        if entry is None or entry.verified == generation:
+            return entry
+        if entry.live == self.n_ranks and all(
+            map(is_, (ctx.arrays.get(name) for ctx in self.contexts), entry.views)
         ):
+            entry.verified = generation
             return entry
         return None
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -101,7 +102,8 @@ class ResilientCommunicator:
 
     Exposes the same collective methods plus passthrough ``costmodel``
     / ``clocks`` / ``counters`` attributes, so it can stand in for the
-    inner communicator anywhere (``Engine.comm`` in particular).
+    inner communicator anywhere (``Engine.comm`` in particular).  A
+    stage call guards each group as its own collective, in group order.
     """
 
     #: per-attempt base backoff, in virtual seconds (doubles each retry)
@@ -226,9 +228,22 @@ class ResilientCommunicator:
     # ------------------------------------------------------------------
     # decorated collectives
     # ------------------------------------------------------------------
+    def _stage(self, kind, groups, payloads, move, checked=None):
+        """The inner stage, each group's ``move`` behind the guard (over
+        ``checked(payload)``) as a call of its own would be."""
+
+        def guarded(ranks, payload):
+            self._guard(kind, ranks, payload if checked is None else checked(payload))
+            return move(ranks, payload)
+
+        return self.inner._stage(groups, payloads, guarded)
+
     def allreduce(self, ranks, buffers, op="sum", nic_sharing=1):
-        self._guard("allreduce", ranks, buffers)
-        return self.inner.allreduce(ranks, buffers, op=op, nic_sharing=nic_sharing)
+        self.allreduce_stage([ranks], [buffers], op=op, nic_sharing=nic_sharing)
+
+    def allreduce_stage(self, groups, buffers, op="sum", nic_sharing=1):
+        move = partial(self.inner._allreduce_core, op=op, nic_sharing=nic_sharing)
+        self._stage("allreduce", groups, buffers, move)
 
     def broadcast(self, ranks, buffers, root_pos, nic_sharing=1):
         self._guard("broadcast", ranks, buffers)
@@ -237,12 +252,20 @@ class ResilientCommunicator:
         )
 
     def grouped_broadcast(self, ranks, calls: Sequence[BroadcastCall], nic_sharing=1):
-        self._guard("grouped_broadcast", ranks, [c.src for c in calls])
-        return self.inner.grouped_broadcast(ranks, calls, nic_sharing=nic_sharing)
+        self.grouped_broadcast_stage([ranks], [calls], nic_sharing=nic_sharing)
+
+    def grouped_broadcast_stage(self, groups, calls, nic_sharing=1):
+        move = partial(self.inner._grouped_broadcast_core, nic_sharing=nic_sharing)
+        self._stage(
+            "grouped_broadcast", groups, calls, move, lambda c: [x.src for x in c]
+        )
 
     def allgatherv(self, ranks, send_buffers, nic_sharing=1):
-        self._guard("allgatherv", ranks, send_buffers)
-        return self.inner.allgatherv(ranks, send_buffers, nic_sharing=nic_sharing)
+        return self.allgatherv_stage([ranks], [send_buffers], nic_sharing)[0]
+
+    def allgatherv_stage(self, groups, send_buffers, nic_sharing=1):
+        move = partial(self.inner._allgatherv_core, nic_sharing=nic_sharing)
+        return self._stage("allgatherv", groups, send_buffers, move)
 
     def sendrecv(self, src_rank, dst_rank, payload):
         self._guard("sendrecv", [src_rank, dst_rank], [np.asarray(payload)])
@@ -264,6 +287,10 @@ class ResilientCommunicator:
     def start_allgatherv(self, ranks, send_buffers, nic_sharing=1):
         h = self.inner.start_allgatherv(ranks, send_buffers, nic_sharing=nic_sharing)
         return GuardedHandle(h, [np.asarray(h.result)])
+
+    def start_allgatherv_stage(self, groups, send_buffers, nic_sharing=1):
+        handles = self.inner.start_allgatherv_stage(groups, send_buffers, nic_sharing)
+        return [GuardedHandle(h, [np.asarray(h.result)]) for h in handles]
 
     def start_alltoallv(self, ranks, send_matrix, nic_sharing=1):
         h = self.inner.start_alltoallv(ranks, send_matrix, nic_sharing=nic_sharing)

@@ -41,6 +41,7 @@ from .sparse import PAIR_DTYPE
 
 __all__ = [
     "HASH_WORK_PER_EDGE",
+    "allgatherv_by_rank",
     "TRIPLE_DTYPE",
     "complex_reduce",
     "neighbor_histograms",
@@ -83,12 +84,16 @@ def neighbor_histograms(
     return engine.map_ranks(local_histogram)
 
 
-def _allgatherv_groups(engine: Engine, groups, sbufs) -> list[np.ndarray]:
-    """AllGatherv ``sbufs`` inside every group; each rank's received
-    buffer, indexed by rank."""
+def allgatherv_by_rank(engine: Engine, groups, sbufs) -> list[np.ndarray]:
+    """AllGatherv ``sbufs`` (by rank) inside every group of ``groups``
+    (``(id, ranks)`` pairs) as one stage call; each rank's received
+    buffer, by rank."""
+    members = [ranks for _, ranks in groups]
+    rbufs = engine.comm.allgatherv_stage(
+        members, [[sbufs[r] for r in ranks] for ranks in members]
+    )
     rbuf_of: list[Optional[np.ndarray]] = [None] * engine.grid.n_ranks
-    for _, ranks in groups:
-        rbuf = engine.comm.allgatherv(ranks, [sbufs[r] for r in ranks])
+    for ranks, rbuf in zip(members, rbufs):
         for r in ranks:
             rbuf_of[r] = rbuf
     return rbuf_of
@@ -118,7 +123,7 @@ def refresh_ghosts(
         engine.charge_vertices(ctx.rank, mine.size)
         return buf
 
-    rbuf_of = _allgatherv_groups(
+    rbuf_of = allgatherv_by_rank(
         engine, engine.col_groups(), engine.map_ranks(build_refresh)
     )
 
@@ -185,7 +190,7 @@ def complex_reduce(
         return buf
 
     # Broadcast winners back across each row group.
-    rbuf_of = _allgatherv_groups(
+    rbuf_of = allgatherv_by_rank(
         engine, engine.row_groups(), engine.map_ranks(reduce_owned)
     )
 

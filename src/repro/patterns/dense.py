@@ -22,7 +22,7 @@ needs only offsets and lengths, no index buffers.  They are fixed with
 the 2D structure, so they are derived once per fleet
 (:class:`~repro.core.fleet.ExchangePlan`: every window and overlap
 segment as a slice of the rank-stacked state) and an exchange is "slice
-the stacked array, issue each group's collective".
+the stacked array, issue each stage's collectives in one call".
 """
 
 from __future__ import annotations
@@ -40,22 +40,27 @@ _STAGES = {"push": ("col", "row"), "pull": ("row", "col")}
 
 def _run(engine: Engine, state: np.ndarray, direction: str, op: str) -> None:
     """One dense exchange of the rank-stacked ``state``: one AllReduce
-    per group of the first axis, then one grouped Broadcast per group
-    of the second."""
+    stage over the groups of the first axis, then one grouped-Broadcast
+    stage over the groups of the second."""
     if direction not in _STAGES:
         raise ValueError(f"direction must be 'push' or 'pull', got {direction!r}")
     reduce_axis, broadcast_axis = _STAGES[direction]
     plan, comm = engine.fleet.exchange_plan(), engine.comm
-    share = engine.stage_nic_sharing(reduce_axis)
-    for ranks, windows in plan.reduce[reduce_axis]:
-        comm.allreduce(ranks, [state[w] for w in windows], op=op, nic_sharing=share)
-    share = engine.stage_nic_sharing(broadcast_axis)
-    for ranks, segments in plan.broadcast[broadcast_axis]:
-        calls = [
-            BroadcastCall(src=state[src], dests=[state[d] for d in dests])
-            for src, dests in segments
-        ]
-        comm.grouped_broadcast(ranks, calls, nic_sharing=share)
+    table = plan.reduce[reduce_axis]
+    comm.allreduce_stage(
+        [ranks for ranks, _ in table],
+        [[state[w] for w in windows] for _, windows in table],
+        op=op,
+        nic_sharing=engine.stage_nic_sharing(reduce_axis),
+    )
+    table = plan.broadcast[broadcast_axis]
+    calls = [
+        [BroadcastCall(state[src], [state[d] for d in dests]) for src, dests in segs]
+        for _, segs in table
+    ]
+    comm.grouped_broadcast_stage(
+        [ranks for ranks, _ in table], calls, engine.stage_nic_sharing(broadcast_axis)
+    )
 
 
 def dense_push(engine: Engine, name: str, op: str = "min") -> None:

@@ -23,15 +23,16 @@ row group).
 
 Each stage of :func:`sparse_push` / :func:`sparse_pull` runs in three
 phases: a **build** of every rank's send buffer, the **collectives**
-over the groups in order (they mutate shared counters and synchronize
-group clocks), and an **apply** of each group's received buffer on
+— one AllGatherv per group, issued as one stage call
+(:meth:`~repro.comm.collectives.Communicator.allgatherv_stage`) —
+and an **apply** of each group's received buffer on
 every member.  Build and apply are *rank-fused*: one vectorized pass
 over the :class:`~repro.core.fleet.Fleet`'s stacked state does what
 ``p`` per-rank closures did — one gather, one
 :func:`~repro.kernels.scatter_reduce`, one
 :func:`~repro.kernels.unique_bounded` per phase, with per-rank clock
 charges applied as one vector add — while every group collective is
-issued exactly as before.  Ranks own disjoint stacked LIDs and each
+validated, costed and counted as its own.  Ranks own disjoint stacked LIDs and each
 rank's updates keep their received-buffer order, so state, clocks and
 counters are bit-identical to the per-rank formulation (kept as the
 oracle in ``tests/patterns/test_sparse_fused.py``; see docs/PERF.md).
@@ -49,7 +50,8 @@ exposed time shrinks (see docs/MODEL.md).
 The functions return a :class:`SparseResult` carrying the per-rank
 active row-vertex queues (paper §3.4.1) and the global count of
 vertices whose state changed — the quantity the dense/sparse switch
-policy consumes.
+policy consumes — and, from :func:`sparse_push`, every stacked LID
+the exchange may have written (``touched``).
 """
 
 from __future__ import annotations
@@ -95,6 +97,10 @@ class SparseResult:
 
     active_row: list[np.ndarray]  # per-rank row-vertex LIDs updated
     n_updated: int  # unique vertices whose state changed globally
+    #: :func:`sparse_push` only: the stacked LIDs of the local queue,
+    #: the column reduce's changed ghosts and every member's assigned
+    #: row cells — a superset of what changed, unsorted, may repeat.
+    touched: Optional[np.ndarray] = None
 
 
 #: Most elements one tiled apply pass materializes (see :func:`_tiles`).
@@ -114,15 +120,21 @@ def _pair_buffers(
 
 
 def _exchange(engine: Engine, groups, sbufs, nic_sharing: int, handles: list):
-    """One AllGatherv per group, in group order; returns the received
-    buffers (one per group) and each rank's received length."""
-    rbufs = []
+    """One AllGatherv per group (``(id, ranks)`` pairs; ``sbufs`` by
+    rank) as one stage call; returns the received buffers (one per
+    group) and each rank's received length.  With ``engine.overlap`` the
+    stage is issued split-phase and its handles appended to ``handles``,
+    for the caller to wait after the apply phase it hides."""
+    members = [ranks for _, ranks in groups]
+    payloads = [[sbufs[r] for r in ranks] for ranks in members]
+    if engine.overlap:
+        issued = engine.comm.start_allgatherv_stage(members, payloads, nic_sharing)
+        handles.extend(issued)
+        rbufs = [h.result for h in issued]
+    else:
+        rbufs = engine.comm.allgatherv_stage(members, payloads, nic_sharing)
     sizes = np.empty(engine.n_ranks, dtype=np.int64)
-    for _, ranks in groups:
-        rbuf = _group_allgatherv(
-            engine, ranks, [sbufs[r] for r in ranks], nic_sharing, handles
-        )
-        rbufs.append(rbuf)
+    for ranks, rbuf in zip(members, rbufs):
         sizes[ranks] = rbuf.size
     return rbufs, sizes
 
@@ -199,29 +211,6 @@ def _assign_received(state: np.ndarray, groups, rbufs, gid_shift: np.ndarray) ->
         state[lids] = vals
 
 
-def _group_allgatherv(
-    engine: Engine,
-    ranks: list[int],
-    sbufs: list[np.ndarray],
-    nic_sharing: int,
-    handles: list,
-) -> np.ndarray:
-    """One group's AllGatherv, blocking or split-phase per the engine.
-
-    With ``engine.overlap`` the exchange is *issued* split-phase — data
-    and counters materialize now, the comm-time charge is deferred — and
-    the handle is appended to ``handles`` for the caller to wait after
-    the apply phase, hiding the apply compute behind the in-flight
-    exchange.  Blocking engines pay the comm charge here, exactly as
-    before; either way the returned buffer is bit-identical.
-    """
-    if engine.overlap:
-        h = engine.comm.start_allgatherv(ranks, sbufs, nic_sharing=nic_sharing)
-        handles.append(h)
-        return h.result
-    return engine.comm.allgatherv(ranks, sbufs, nic_sharing=nic_sharing)
-
-
 def _wait_all(engine: Engine, handles: list) -> None:
     """Complete every in-flight exchange (no-op on blocking runs)."""
     for h in handles:
@@ -292,16 +281,21 @@ def sparse_push(
     _assign_received(state, row_groups, rbufs, row_shift)
     engine.charge_vertices(None, sizes)
     active_row: list = [None] * fleet.n_ranks
+    touched = [q, changed]
     n_updated = 0
     for (_, members), rbuf in zip(row_groups, rbufs):
         uniq_gids = unique_bounded(rbuf["gid"], engine.partition.n_vertices)
         n_updated += int(uniq_gids.size)
-        # every member's local row LIDs of the group's updated vertices
-        lids = uniq_gids - (row_shift[members, None] + fleet.base[members, None])
-        for r, row in zip(members, lids):
+        # every member's stacked, then local, row LIDs of the group's
+        # updated vertices — exactly the cells the assignment wrote
+        stacked = uniq_gids - row_shift[members, None]
+        touched.append(stacked.ravel())
+        for r, row in zip(members, stacked - fleet.base[members, None]):
             active_row[r] = row
     _wait_all(engine, handles)
-    return SparseResult(active_row=active_row, n_updated=n_updated)
+    return SparseResult(
+        active_row=active_row, n_updated=n_updated, touched=np.concatenate(touched)
+    )
 
 
 @dataclass
@@ -383,12 +377,11 @@ def sparse_push_lanes(
 
     handles: list = []
     rbuf_of: list[Optional[tuple]] = [None] * grid.n_ranks
-    for id_c, ranks in engine.col_groups():
-        rbuf = _group_allgatherv(
-            engine, ranks, [sbufs_all[r] for r in ranks], col_share, handles
-        )
+    col_groups = list(engine.col_groups())
+    rbufs, _ = _exchange(engine, col_groups, sbufs_all, col_share, handles)
+    for g, (_, ranks) in enumerate(col_groups):
         _give_back_lanes(sbufs_all, ranks)
-        received = _columns(rbuf)
+        rbufs[g] = received = _columns(rbufs[g])  # drop the structured copy
         for r in ranks:
             rbuf_of[r] = received
 
@@ -435,12 +428,11 @@ def sparse_push_lanes(
     handles = []
     rbuf_of = [None] * grid.n_ranks
     n_updated = np.zeros(k, dtype=np.int64)
-    for id_r, ranks in engine.row_groups():
-        rbuf = _group_allgatherv(
-            engine, ranks, [sbufs_all[r] for r in ranks], row_share, handles
-        )
+    row_groups = list(engine.row_groups())
+    rbufs, _ = _exchange(engine, row_groups, sbufs_all, row_share, handles)
+    for g, (_, ranks) in enumerate(row_groups):
         _give_back_lanes(sbufs_all, ranks)
-        received = _columns(rbuf)
+        rbufs[g] = received = _columns(rbufs[g])
         uniq_comp = unique_bounded(received[1] * n_v + received[0], k * n_v)
         uniq = (uniq_comp % n_v, uniq_comp // n_v)  # updated (gid, lane) cells
         n_updated += np.bincount(uniq[1], minlength=k)
@@ -550,10 +542,9 @@ def propagate_active_pull(
     # Column stage: route neighbor GIDs to their row owners.
     handles: list = []
     rbuf_of: list[Optional[np.ndarray]] = [None] * grid.n_ranks
-    for id_c, ranks in engine.col_groups():
-        rbuf = _group_allgatherv(
-            engine, ranks, [neighbor_gids[r] for r in ranks], col_share, handles
-        )
+    col_groups = list(engine.col_groups())
+    rbufs, _ = _exchange(engine, col_groups, neighbor_gids, col_share, handles)
+    for (_, ranks), rbuf in zip(col_groups, rbufs):
         for r in ranks:
             rbuf_of[r] = rbuf
 
@@ -570,14 +561,13 @@ def propagate_active_pull(
     handles = []
     merged_of: list[Optional[np.ndarray]] = [None] * grid.n_ranks
     rbuf_sizes = [0] * grid.n_ranks
-    for id_r, ranks in engine.row_groups():
-        rbuf = _group_allgatherv(
-            engine, ranks, [partial[r] for r in ranks], row_share, handles
-        )
-        merged = np.unique(rbuf)
+    row_groups = list(engine.row_groups())
+    rbufs, _ = _exchange(engine, row_groups, partial, row_share, handles)
+    for g, (_, ranks) in enumerate(row_groups):
+        size, rbufs[g] = rbufs[g].size, np.unique(rbufs[g])  # keep the union only
         for r in ranks:
-            merged_of[r] = merged
-            rbuf_sizes[r] = rbuf.size
+            merged_of[r] = rbufs[g]
+            rbuf_sizes[r] = size
 
     def to_active(ctx: RankContext) -> np.ndarray:
         engine.charge_vertices(ctx.rank, rbuf_sizes[ctx.rank])

@@ -6,6 +6,7 @@ import pytest
 from repro.algorithms import bfs, connected_components, sssp
 from repro.comm.grid import Grid2D
 from repro.core.engine import Engine
+from repro.core.hooks import BoundaryHook
 from repro.graph import Graph, grid_graph, path_graph, star_graph
 from repro.reference import serial
 
@@ -96,6 +97,23 @@ def _hostile_graphs():
     ), 0
 
 
+class _InvariantProbe(BoundaryHook):
+    """Asserts the BFS state invariant at every superstep boundary."""
+
+    slot = "invariant-probe"
+    phases = ("observe",)
+
+    def __init__(self):
+        self.boundaries = 0
+
+    def on_phase(self, phase, engine, boundary):
+        parent = engine.fleet.stacked("parent")
+        level = engine.fleet.stacked("level")
+        unset = np.flatnonzero((parent == np.inf) != (level == np.inf))
+        assert unset.size == 0, (boundary.superstep, unset[:8])
+        self.boundaries += 1
+
+
 class TestHostileShapes:
     """The rank-fused passes on shapes where most ranks are empty —
     every case against ``repro.reference.serial``, hybrid and pure
@@ -127,6 +145,22 @@ class TestHostileShapes:
             gw = g.with_random_weights(seed=3)
             res = sssp(Engine(gw, grid=grid), root=root)
             assert np.array_equal(res.values, serial.sssp_distances(gw, root)), name
+
+    @pytest.mark.parametrize("overlap", [False, True], ids=["blocking", "overlap"])
+    @pytest.mark.parametrize("grid", HOSTILE_GRIDS, ids=lambda g: f"{g.C}x{g.R}")
+    def test_unvisited_parent_iff_unset_level_at_every_boundary(self, grid, overlap):
+        """Top-down supersteps stamp levels from the cells the exchange
+        touched, not from a full scan: at every boundary, on every
+        stacked cell (row and column windows), ``parent == inf`` exactly
+        where ``level == inf`` — checked from a boundary hook."""
+        graphs = list(_hostile_graphs()) + [("rmat", random_graph(5, n_max=120), 1)]
+        for name, g, root in graphs:
+            probe = _InvariantProbe()
+            engine = Engine(g, grid=grid, overlap=overlap)
+            engine.attach(probe)
+            res = bfs(engine, root=root)
+            assert probe.boundaries == res.iterations, name
+            assert np.array_equal(res.extra["levels"], serial.bfs_levels(g, root)), name
 
     def test_frontier_empty_on_every_rank(self):
         """An isolated root: the first superstep's frontier expands to

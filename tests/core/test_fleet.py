@@ -5,6 +5,7 @@ replaces, plus the bit-identity pitfalls recorded in PR 14."""
 from __future__ import annotations
 
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -561,6 +562,80 @@ class TestArraysStayLiveSlices:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert engine.fleet.stacked("x") is buf  # settled
+
+    @pytest.mark.parametrize("how", ["assign", "adopt", "realloc"])
+    def test_a_change_after_a_verified_call_still_restacks_loudly(self, how):
+        """``stacked`` re-verifies only after something changed — but
+        any change to a rank's registry or the arena is one."""
+        engine = self._engine()
+        engine.alloc("x", fill=2.0)
+        fleet = engine.fleet
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            buf = fleet.stacked("x")
+            generation = fleet.generation
+            assert fleet.stacked("x") is buf and fleet.generation == generation
+        ctx = engine.ctx(1)
+        if how == "assign":
+            ctx.arrays["x"] = np.full(ctx.n_total, 9.0)
+        elif how == "adopt":
+            ctx.adopt("x", np.full(ctx.n_total, 9.0))
+        else:  # a newer buffer on this rank only
+            ctx.alloc("x", np.float32)
+            ctx.alloc("x", np.float64, fill=9.0)
+        assert fleet.generation > generation
+        with pytest.warns(RuntimeWarning, match="re-stacking"):
+            assert fleet.stacked("x") is not buf
+        assert state_is_stacked(engine, "x")
+        assert np.all(ctx.get("x") == 9.0) and np.all(engine.ctx(0).get("x") == 2.0)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda d: d.__setitem__("y", 1),
+            lambda d: d.__delitem__("x"),
+            lambda d: d.pop("x"),
+            lambda d: d.popitem(),
+            lambda d: d.clear(),
+            lambda d: d.update(y=1),
+            lambda d: d.setdefault("y", 1),
+            lambda d: d.__ior__({"y": 1}),
+        ],
+        ids=["set", "del", "pop", "popitem", "clear", "update", "setdefault", "ior"],
+    )
+    def test_every_registry_mutation_moves_the_generation(self, mutate):
+        engine = self._engine()
+        engine.alloc("x")
+        arrays = engine.ctx(0).arrays
+        generation = engine.fleet.generation
+        mutate(arrays)
+        assert engine.fleet.generation > generation
+        assert isinstance(arrays, dict)
+
+    def test_concurrent_registry_mutations_all_move_the_generation(self):
+        """Ranks may register state from concurrent closures: a lost
+        increment could leave ``stacked`` trusting a stale check, so the
+        generation must count every mutation exactly."""
+        engine = self._engine()
+        fleet, per_thread = engine.fleet, 300
+        start = fleet.generation
+
+        def churn(ctx):
+            for i in range(per_thread):
+                ctx.arrays[f"t{i % 3}"] = i
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn, args=(ctx,)) for ctx in engine]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert fleet.generation == start + per_thread * engine.n_ranks
 
     def test_odd_length_state_is_not_stackable(self):
         engine = self._engine()

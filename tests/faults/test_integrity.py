@@ -844,6 +844,56 @@ class TestSdcCases:
         deg, ref_deg = (e.ctx(1).get("deg") for e in (engine, ref_engine))
         assert np.array_equal(deg, ref_deg) == guarded
 
+    @pytest.mark.parametrize(
+        "name,guarded,grade",
+        [
+            ("deg", True, "repaired"),
+            ("tele", True, "repaired"),
+            ("deg", False, "completed"),
+            ("tele", False, "diverged"),
+        ],
+    )
+    def test_pagerank_operand_flip_grades(self, name, guarded, grade):
+        """Pins how the campaigns' grading classifies a planned memflip
+        into a personalized PageRank's static operands (``run_case``'s
+        rule: different values are ``diverged``, else ``repaired`` after
+        a resume, else ``completed``).  With a ledger both are caught and
+        repaired.  Without one a flip in ``deg`` never reaches the
+        arithmetic (everything derived from it is built once per call),
+        but one in ``tele`` does: the dangling share is spread by
+        ``tele`` every iteration, so the answer is silently wrong."""
+        lm = mk().ctx(1).localmap
+        window_bytes = 8 * (lm.n_row + lm.n_col)
+        # sorted-name order: acc, deg, pr, tele; an exponent bit of the
+        # first column ghost of the chosen array
+        before = {"deg": 1, "tele": 3}[name]
+        bit = 8 * (before * window_bytes + 8 * lm.n_row) + 62
+        personalization = np.random.default_rng(5).random(GRAPH.n_vertices)
+
+        def runner(engine, resume=False):
+            return algorithms.pagerank(
+                engine, iterations=6, personalization=personalization, resume=resume
+            )
+
+        def build():
+            engine = mk()
+            if guarded:
+                engine.attach_integrity(IntegrityLedger())
+                engine.attach_checkpoints(CheckpointManager(interval=1))
+            return engine
+
+        ref = runner(build())
+        engine = build()
+        engine.attach_faults(FaultPlan([FaultSpec("memflip", 2, rank=1, bit=bit)]))
+        res = drive_elastic(runner, engine)
+        resumes = res.extra["elastic"]["resumes"]
+        if res.values.tobytes() != ref.values.tobytes():
+            got = "diverged"
+        else:
+            got = "repaired" if resumes else "completed"
+        assert got == grade
+        assert ("integrity" in [e["kind"] for e in engine.fault_events]) == guarded
+
     def test_sssp_repairs_on_weighted_graph(self):
         case = run_case("sdc", mkw, "SSSP", "memflip-single")
         assert case.ok, case.error

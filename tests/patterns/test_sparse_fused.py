@@ -29,8 +29,6 @@ from repro.patterns.sparse import (
     PAIR_DTYPE,
     ReduceFn,
     SparseResult,
-    _group_allgatherv,
-    _wait_all,
     sparse_pull,
     sparse_push,
 )
@@ -434,3 +432,35 @@ def test_sum_keeps_each_ranks_received_buffer_order():
     # and the order did matter for these magnitudes
     ghost = oracle.ctx(0).get("s")[oracle.ctx(0).col_slice.start]
     assert ghost != float(np.sum(np.sort(ORDER_SENSITIVE[:4])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    grid=st.sampled_from(GRIDS),
+    n=st.integers(min_value=2, max_value=48),
+    op=st.sampled_from(["min", "max", "sum"]),
+    overlap=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_push_touched_covers_every_changed_cell(grid, n, op, overlap, seed):
+    """``SparseResult.touched`` names every stacked cell whose bits
+    changed — the local kernel's writes (the queues) included — so a
+    caller can track freshness from it instead of scanning the state."""
+    graph = _graph(np.random.default_rng(seed), n)
+    engine = Engine(graph, grid=grid, overlap=overlap, executor="serial")
+    rng = np.random.default_rng(seed)
+    engine.scatter_global("s", rng.choice(ORDER_SENSITIVE, size=n) * rng.integers(1, 4, size=n))
+    before = engine.fleet.stacked("s").copy()
+    queues = []
+    for ctx in engine:
+        sl = ctx.col_slice
+        k = int(rng.integers(0, sl.stop - sl.start + 1))
+        lids = np.sort(rng.choice(np.arange(sl.start, sl.stop), size=k, replace=False))
+        ctx.get("s")[lids] = rng.choice(ORDER_SENSITIVE, size=k)
+        queues.append(lids.astype(np.int64))
+    got = sparse_push(engine, "s", queues, op=op)
+    after = engine.fleet.stacked("s")
+    changed = np.flatnonzero(before.view(np.int64) != after.view(np.int64))
+    assert np.isin(changed, got.touched).all()
+    assert got.touched.dtype == np.int64
+    assert np.all((got.touched >= 0) & (got.touched < engine.fleet.size))
