@@ -9,6 +9,8 @@ improving less than computation.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.bench import ExperimentRow, comm_split, format_rows, make_engine, run_algorithm
 from repro.graph import load
 
@@ -35,6 +37,11 @@ def _run() -> list[ExperimentRow]:
     return rows
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="CC comp speed-up 1.23 <= 1.3 (100 -> 400 ranks): CC labels by original "
+    "id since PR 5; ROADMAP item 1 (label by relabeled GID) must flip this",
+)
 def test_fig5_wdc_scaling(benchmark, record_results, run_once):
     rows = run_once(benchmark, _run)
     by_key = {(r.algorithm, r.n_ranks): r for r in rows}

@@ -10,6 +10,8 @@ the transposed (R=8, C=32).
 
 from __future__ import annotations
 
+import pytest
+
 from repro.algorithms import connected_components
 from repro.bench import ExperimentRow, make_engine
 from repro.comm.grid import Grid2D
@@ -32,6 +34,11 @@ def _run() -> dict[tuple[str, tuple[int, int]], float]:
     return times
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="GSH CC on (R=32, C=8) 14.99 s >= 1.6 x best 6.72 s: CC labels by original "
+    "id since PR 5; ROADMAP item 1 (label by relabeled GID) must flip this",
+)
 def test_fig7_nonsquare(benchmark, record_results, run_once):
     times = run_once(benchmark, _run)
     lines = ["Fig. 7 — CC on 256 ranks across (R, C) shapes (total seconds)"]

@@ -106,14 +106,16 @@ class Graph:
         weights: Optional[np.ndarray] = None,
         symmetrize: bool = True,
         remove_self_loops: bool = True,
-        dedup: bool = True,
     ) -> "Graph":
         """Build a CSR graph from an edge list.
 
         ``symmetrize=True`` mirrors the paper's treatment of inputs as
-        undirected.  Duplicate edges are merged (keeping the maximum
-        weight, so symmetrization of a weighted digraph stays
+        undirected.  Duplicate edges are always merged, keeping the
+        maximum weight (so symmetrization of a weighted digraph stays
         symmetric).
+
+        Each edge becomes one int64 key ``src * n + dst``; one sort puts
+        the keys in CSR order, so ``n * n`` must stay below ``2**63``.
         """
         src = np.asarray(src, dtype=VERTEX_DTYPE)
         dst = np.asarray(dst, dtype=VERTEX_DTYPE)
@@ -128,50 +130,44 @@ class Graph:
             weights = np.asarray(weights, dtype=WEIGHT_DTYPE)
             if weights.shape != src.shape:
                 raise ValueError("weights must align with edges")
+        n = int(n_vertices)
+        if n * n >= 2**63:
+            raise ValueError(f"{n} vertices overflow the int64 edge key (n^2 >= 2^63)")
 
         if remove_self_loops:
             keep = src != dst
             src, dst = src[keep], dst[keep]
             if weights is not None:
                 weights = weights[keep]
+        m = src.size
+        key = np.empty(2 * m if symmetrize else m, dtype=VERTEX_DTYPE)
+        np.multiply(src, n, out=key[:m])
+        key[:m] += dst
         if symmetrize:
-            src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+            np.multiply(dst, n, out=key[m:])
+            key[m:] += src
             if weights is not None:
                 weights = np.concatenate([weights, weights])
-
-        data = weights if weights is not None else np.ones(src.size, dtype=WEIGHT_DTYPE)
-        mat = sp.coo_matrix(
-            (data, (src, dst)), shape=(n_vertices, n_vertices)
-        )
-        if dedup:
-            # Merge duplicates keeping the max weight: COO->CSR sums, so
-            # dedup by sorting instead when weighted.
-            if weights is not None:
-                order = np.lexsort((dst, src))
-                s, d, w = src[order], dst[order], data[order]
-                if s.size:
-                    # within runs of equal (s, d), keep the max weight
-                    key_change = np.empty(s.size, dtype=bool)
-                    key_change[0] = True
-                    key_change[1:] = (s[1:] != s[:-1]) | (d[1:] != d[:-1])
-                    wmax = np.maximum.reduceat(w, np.flatnonzero(key_change))
-                    s, d = s[key_change], d[key_change]
-                    w = wmax
-                mat = sp.csr_matrix(
-                    (w, (s, d)), shape=(n_vertices, n_vertices)
-                )
-            else:
-                mat = mat.tocsr()
-                mat.sum_duplicates()
-                mat.data[:] = 1.0
+        del src, dst
+        if weights is None:
+            key.sort()
         else:
-            mat = mat.tocsr()
-        mat.sort_indices()
-        return cls(
-            indptr=mat.indptr.astype(VERTEX_DTYPE),
-            indices=mat.indices.astype(VERTEX_DTYPE),
-            weights=mat.data.astype(WEIGHT_DTYPE) if weights is not None else None,
-        )
+            # Stable, so duplicates meet reduceat in input order (which
+            # decides between -0.0 and 0.0).
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            weights = weights[order]
+            del order
+        if key.size:
+            first = np.empty(key.size, dtype=bool)
+            first[0] = True
+            np.not_equal(key[1:], key[:-1], out=first[1:])
+            if weights is not None:
+                weights = np.maximum.reduceat(weights, np.flatnonzero(first))
+            key = key[first]
+        indptr = np.searchsorted(key, np.arange(n + 1, dtype=VERTEX_DTYPE) * n)
+        np.remainder(key, n, out=key)
+        return cls(indptr=indptr, indices=key, weights=weights)
 
     @classmethod
     def from_scipy(cls, mat: sp.spmatrix, weighted: bool = False) -> "Graph":
@@ -226,7 +222,6 @@ class Graph:
             weights=self.weights,
             symmetrize=False,
             remove_self_loops=False,
-            dedup=False,
         )
 
     def with_random_weights(self, seed: int = 0, low: float = 0.0, high: float = 1.0) -> "Graph":

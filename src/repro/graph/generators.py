@@ -68,9 +68,9 @@ def rmat_edges(
         # The dst bit is conditioned on the src bit (Graph500 kernel):
         # given src_bit=0, P(dst=1) = b/(a+b); given src_bit=1,
         # P(dst=1) = d/(c+d).
-        dst_bit = np.where(src_bit, c_bit > c_norm, c_bit > a_norm)
-        src += src_bit
-        dst += dst_bit
+        dst_bit = ((c_bit > c_norm) & src_bit) | ((c_bit > a_norm) & ~src_bit)
+        src |= src_bit
+        dst |= dst_bit
     return src, dst, n
 
 

@@ -10,6 +10,10 @@ Pipeline:
    position and whose adjacency entries are *column local IDs* per the
    rank's arithmetic :class:`~repro.graph.localmap.LocalMap`.
 
+All three steps are one sort: each edge gets one int64 key (rank, local
+row, local column) from two per-vertex tables, so no relabeled graph
+and no per-block slice is ever built.
+
 The blocks are laid out rank after rank in **one** concatenated CSR
 (:attr:`TwoDPartition.indptr` / ``indices`` / ``weights``); a
 :class:`RankBlock`'s arrays are slices of it, so the rank-stacked
@@ -233,66 +237,80 @@ def partition_2d(
             f"choose from {sorted(_DISTRIBUTIONS)}"
         ) from None
     n = graph.n_vertices
+    R, n_ranks = grid.R, grid.n_ranks
+    row_offsets = group_ranges(n, grid.C)
+    col_offsets = group_ranges(n, R)
+    # Widest row / column window (group_ranges puts the extra vertex
+    # first): one block spans m_r * m_c keys.
+    m_r = int(row_offsets[1] - row_offsets[0])
+    m_c = int(col_offsets[1] - col_offsets[0])
+    stride = m_r * m_c
+    if n_ranks * stride >= 2**63:
+        raise ValueError(
+            f"{grid.C}x{R} blocks of {m_r}x{m_c} overflow the int64 edge key"
+        )
     if distribution == "random":
         perm = perm_fn(n, grid.C, seed=seed)
     else:
         perm = perm_fn(n, grid.C)
+    if perm.shape != (n,) or not np.bincount(perm, minlength=n).all():
+        raise ValueError("perm is not a permutation")
 
-    relabeled = graph.permute(perm) if not np.array_equal(
-        perm, np.arange(n)
-    ) else graph
-    mat = relabeled.to_scipy()
+    # One key per edge, rank * stride + local row * m_c + local column:
+    # ranks are row-major, so one sort lays the edges out as every
+    # block's CSR, block after block, without relabeling the graph.
+    row_group = np.searchsorted(row_offsets, perm, side="right") - 1
+    src_part = (row_group * (R * m_r) + perm - row_offsets[row_group]) * m_c
+    col_group = np.searchsorted(col_offsets, perm, side="right") - 1
+    dst_part = col_group * stride + perm - col_offsets[col_group]
+    key = np.repeat(src_part, graph.degrees())
+    key += dst_part[graph.indices]
+    weights = None
+    if graph.is_weighted:
+        order = np.argsort(key)  # keys are unique: no stability needed
+        key = key[order]
+        weights = graph.weights[order]
+        del order
+    else:
+        key.sort()
 
-    row_offsets = group_ranges(n, grid.C)
-    col_offsets = group_ranges(n, grid.R)
-
-    # One concatenated CSR, filled block by block in rank order (ranks
-    # are numbered row-major, which is the order of this double loop);
-    # the blocks below are views of it.
-    n_ranks = grid.n_ranks
+    # The blocks below are views of the one concatenated CSR.
+    edge_offsets = np.searchsorted(key, np.arange(n_ranks + 1) * stride)
+    n_ptrs = np.repeat(np.diff(row_offsets) + 1, R)  # N_R + 1 a rank
     ptr_offsets = np.zeros(n_ranks + 1, dtype=np.int64)
-    ptr_offsets[1:] = np.cumsum(np.repeat(np.diff(row_offsets) + 1, grid.R))
-    edge_offsets = np.zeros(n_ranks + 1, dtype=np.int64)
-    indptr = np.empty(int(ptr_offsets[-1]), dtype=np.int64)
-    indices = np.empty(relabeled.n_edges, dtype=np.int64)
-    weights = (
-        np.empty(relabeled.n_edges, dtype=mat.data.dtype)
-        if graph.is_weighted
-        else None
-    )
+    np.cumsum(n_ptrs, out=ptr_offsets[1:])
+    ptr_rank = np.repeat(np.arange(n_ranks), n_ptrs)
+    row = np.arange(ptr_offsets[-1]) - ptr_offsets[ptr_rank]
+    indptr = np.searchsorted(key, ptr_rank * stride + row * m_c)
+    indptr -= edge_offsets[ptr_rank]
+    indices = key
+    np.remainder(indices, m_c, out=indices)  # local column; + col_offset below
     blocks: list[RankBlock] = []
-    for id_r in range(grid.C):
-        rs, re = int(row_offsets[id_r]), int(row_offsets[id_r + 1])
-        slab = mat[rs:re]
-        for id_c in range(grid.R):
-            cs, ce = int(col_offsets[id_c]), int(col_offsets[id_c + 1])
-            block = slab[:, cs:ce].tocsr()
-            block.sort_indices()
-            lm = LocalMap(row_start=rs, row_stop=re, col_start=cs, col_stop=ce)
-            rank = grid.rank_of(id_r, id_c)
-            e0 = int(edge_offsets[rank])
-            e1 = e0 + block.indices.size
-            edge_offsets[rank + 1] = e1
-            ptr = slice(int(ptr_offsets[rank]), int(ptr_offsets[rank + 1]))
-            indptr[ptr] = block.indptr
-            np.add(block.indices, lm.col_offset, out=indices[e0:e1])
-            if weights is not None:
-                weights[e0:e1] = block.data
-            blocks.append(
-                RankBlock(
-                    rank=rank,
-                    id_r=id_r,
-                    id_c=id_c,
-                    localmap=lm,
-                    indptr=indptr[ptr],
-                    indices=indices[e0:e1],
-                    weights=weights[e0:e1] if weights is not None else None,
-                )
+    for rank in range(n_ranks):
+        id_r, id_c = divmod(rank, R)
+        lm = LocalMap(
+            row_start=int(row_offsets[id_r]),
+            row_stop=int(row_offsets[id_r + 1]),
+            col_start=int(col_offsets[id_c]),
+            col_stop=int(col_offsets[id_c + 1]),
+        )
+        edges = slice(int(edge_offsets[rank]), int(edge_offsets[rank + 1]))
+        indices[edges] += lm.col_offset
+        blocks.append(
+            RankBlock(
+                rank=rank,
+                id_r=id_r,
+                id_c=id_c,
+                localmap=lm,
+                indptr=indptr[ptr_offsets[rank] : ptr_offsets[rank + 1]],
+                indices=indices[edges],
+                weights=weights[edges] if weights is not None else None,
             )
+        )
     part = TwoDPartition(
         grid=grid,
         n_vertices=n,
-        n_edges=relabeled.n_edges,
+        n_edges=graph.n_edges,
         row_offsets=row_offsets,
         col_offsets=col_offsets,
         perm=perm,

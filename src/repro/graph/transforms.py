@@ -50,7 +50,6 @@ def induced_subgraph(
         weights=w,
         symmetrize=False,  # already symmetric; keep both directions
         remove_self_loops=False,
-        dedup=False,
     )
     return sub, keep
 

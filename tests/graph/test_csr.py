@@ -26,7 +26,7 @@ class TestConstruction:
 
     def test_self_loops_kept_when_asked(self):
         g = Graph.from_edges(
-            [0], [0], 1, remove_self_loops=False, symmetrize=False, dedup=False
+            [0], [0], 1, remove_self_loops=False, symmetrize=False
         )
         assert g.n_edges == 1
 
