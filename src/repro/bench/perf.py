@@ -34,7 +34,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..core.engine import Engine
-from ..exec import RankExecutor, SerialExecutor, resolve_executor
 from ..graph.generators import rmat
 from ..kernels import scatter_reduce
 from ..patterns.dense import dense_pull
@@ -133,7 +132,7 @@ def measure_algorithms(engine: Engine, repeats: int = 3) -> dict:
     }
 
 
-def measure_modeled(graph, ranks: int, executor=None) -> dict:
+def measure_modeled(graph, ranks: int) -> dict:
     """Modeled (virtual) clock comparison: blocking vs overlapped.
 
     Unlike the wall-clock sections, these numbers come from the
@@ -159,12 +158,7 @@ def measure_modeled(graph, ranks: int, executor=None) -> dict:
     for name, run in runners.items():
         modes = {}
         for mode, overlap in (("blocking", False), ("overlapped", True)):
-            e = Engine(
-                graph,
-                n_ranks=ranks,
-                executor=resolve_executor(executor),
-                overlap=overlap,
-            )
+            e = Engine(graph, n_ranks=ranks, overlap=overlap)
             t = run(e).timings
             modes[mode] = {
                 "total_s": t.total,
@@ -186,7 +180,6 @@ def measure_batched(
     graph,
     ranks: int,
     ks: tuple = (4, 8, 16),
-    executor=None,
     repeats: int = 3,
 ) -> dict:
     """Batched k-source BFS vs k sequential runs (wall clock).
@@ -213,9 +206,7 @@ def measure_batched(
     for k in ks:
         k = int(min(k, graph.n_vertices))
         roots = [int(v) for v in order[:k]]
-        engine = Engine(
-            graph, n_ranks=ranks, executor=resolve_executor(executor)
-        )
+        engine = Engine(graph, n_ranks=ranks)
         seq_state = {}
 
         def run_seq():
@@ -275,17 +266,11 @@ def run_perf(
     repeats: int = 3,
     label: str = "",
     primitives: bool = True,
-    executor: "RankExecutor | str | None" = None,
     modeled: bool = False,
     batch: bool = False,
     batch_ks: tuple = (4, 8, 16),
 ) -> dict:
     """Run the full protocol; return one trajectory entry.
-
-    ``executor`` selects the rank-execution backend (an instance, a
-    spec string like ``"threads:4"``, or ``None`` for the environment
-    default) and is recorded in the entry's protocol so trajectory
-    entries from different backends stay distinguishable.
 
     ``modeled=True`` adds a ``"modeled"`` section comparing the
     virtual-clock totals blocking vs overlapped (see
@@ -297,8 +282,7 @@ def run_perf(
     ``batch_ks`` (see :func:`measure_batched`).
     """
     graph = rmat(scale, seed=1)
-    ex = resolve_executor(executor)
-    engine = Engine(graph, n_ranks=ranks, executor=ex)
+    engine = Engine(graph, n_ranks=ranks)
     entry = {
         "label": label,
         "recorded": time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -309,8 +293,6 @@ def run_perf(
             "n_edges": graph.n_edges,
             "ranks": ranks,
             "repeats": repeats,
-            "executor": "serial" if isinstance(ex, SerialExecutor) else "threads",
-            "workers": ex.workers,
             "host_cpus": os.cpu_count() or 1,
         },
         "algorithms": measure_algorithms(engine, repeats=repeats),
@@ -320,10 +302,10 @@ def run_perf(
             graph, engine, repeats=max(repeats, 5)
         )
     if modeled:
-        entry["modeled"] = measure_modeled(graph, ranks, executor=executor)
+        entry["modeled"] = measure_modeled(graph, ranks)
     if batch:
         entry["batched"] = measure_batched(
-            graph, ranks, ks=batch_ks, executor=executor, repeats=repeats
+            graph, ranks, ks=batch_ks, repeats=repeats
         )
     return entry
 

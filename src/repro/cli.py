@@ -169,7 +169,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         repeats=args.repeats,
         label=args.label,
         primitives=not args.no_primitives,
-        executor=args.executor,
         modeled=args.overlap,
         batch=args.batch,
         batch_ks=tuple(
@@ -293,12 +292,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     print(ds.note)
 
     def engine_factory(dataset):
-        return lambda: make_engine(
-            dataset,
-            ranks,
-            cluster=_CLUSTERS[args.cluster],
-            executor=args.executor,
-        )
+        return lambda: make_engine(dataset, ranks, cluster=_CLUSTERS[args.cluster])
 
     weighted_engine = None
     if any(a in WEIGHTED_ALGOS for a in algos):
@@ -443,11 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the primitive micro-timings (algorithms only)",
     )
     perf.add_argument(
-        "--executor", default=None, metavar="SPEC",
-        help="rank executor: 'serial', 'threads', or 'threads:N' "
-             "(default: the REPRO_EXECUTOR environment variable, else serial)",
-    )
-    perf.add_argument(
         "--overlap", action="store_true",
         help="also record the modeled (virtual-clock) blocking-vs-"
              "overlapped comparison for BFS/PR/CC/SpMV",
@@ -521,10 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument("--seed", type=int, default=0)
     faults.add_argument("--checkpoint-interval", type=int, default=1)
     faults.add_argument("--max-retries", type=int, default=4)
-    faults.add_argument(
-        "--executor", default=None, metavar="SPEC",
-        help="rank executor: 'serial', 'threads', or 'threads:N'",
-    )
     faults.add_argument(
         "--out", default=None, metavar="PATH",
         help="also write the JSON campaign report here",

@@ -64,14 +64,9 @@ class RankContext:
         return self._local_degrees
 
     def scratch_pool(self, dtype) -> BufferPool:
-        """This rank's :class:`BufferPool` for ``dtype`` scratch buffers.
-
-        Per-rank pools keep buffer recycling race-free under the
-        threaded rank executor: during the parallel build phase each
-        rank's closure takes only from its own pool, and buffers are
-        given back in the sequential collective phase — the pool never
-        sees concurrent calls.
-        """
+        """This rank's :class:`BufferPool` for ``dtype`` scratch buffers
+        (a rank's closure takes only from its own pool, as it touches
+        only its own state)."""
         dt = np.dtype(dtype)
         pool = self._scratch_pools.get(dt)
         if pool is None:

@@ -36,7 +36,6 @@ from ..comm.clocks import VirtualClocks
 from ..comm.collectives import Communicator
 from ..comm.counters import CommCounters
 from ..comm.grid import Grid2D, square_grid
-from ..exec import RankExecutor, resolve_executor
 from ..graph.csr import Graph
 from ..graph.partition.twod import TwoDPartition, partition_2d
 from ..queueing.manhattan import manhattan_schedule, vertex_per_thread_balance
@@ -80,13 +79,6 @@ class Engine:
     enforce_memory:
         Raise :class:`~repro.cluster.device.DeviceMemoryError` on
         over-subscription instead of just recording it.
-    executor:
-        Rank-execution strategy for per-rank superstep closures
-        (see :mod:`repro.exec`): a :class:`~repro.exec.RankExecutor`
-        instance, ``"serial"``, ``"threads"``, ``"threads:N"``, or
-        ``None`` to consult the ``REPRO_EXECUTOR`` environment
-        variable (default serial).  Either way results are
-        deterministic — see :meth:`map_ranks`.
     overlap:
         Run the comm/compute-overlap variants of the block-sweep hot
         loops: patterns issue collectives split-phase
@@ -97,6 +89,9 @@ class Engine:
         consults the ``REPRO_OVERLAP`` environment variable
         (``1``/``true``/``on``/``yes`` enable; default blocking).  See
         docs/MODEL.md.
+    executor:
+        Kept for old callers: ``None`` or ``"serial"``, ignored; any
+        other value raises ``ValueError``.
     """
 
     def __init__(
@@ -111,9 +106,16 @@ class Engine:
         memory_scale: float = 1.0,
         enforce_memory: bool = False,
         seed: int = 0,
-        executor: "RankExecutor | str | None" = None,
         overlap: Optional[bool] = None,
+        *,
+        executor: Optional[str] = None,
     ):
+        if executor not in (None, "serial"):
+            raise ValueError(
+                f"executor={executor!r}: the host runs the ranks one at a "
+                f"time and the executor axis is gone (ROADMAP item 3, "
+                f"docs/PERF.md); pass None or 'serial'"
+            )
         if grid is None:
             if n_ranks is None:
                 raise ValueError("pass n_ranks or an explicit grid")
@@ -138,7 +140,7 @@ class Engine:
         self.cluster = cluster
         self.load_balance = load_balance
         self.overlap = bool(overlap)
-        # Everything (besides graph/grid/executor) a rebuild on a new
+        # Everything (besides graph/grid) a rebuild on a new
         # grid needs to reproduce this engine's configuration — the
         # elastic-recovery seam (see rebuild_on_grid).
         self._rebuild_args = dict(
@@ -191,9 +193,7 @@ class Engine:
         # *shared* across rebuild_on_grid generations so the final
         # engine's fault_events tells the whole run's story.
         self._regrid_events: list[dict] = []
-        self.executor: RankExecutor = resolve_executor(executor)
-        # Precomputed eagerly (the cluster and grid are immutable) so a
-        # concurrent first call cannot race a half-built memo.
+        # The cluster and grid are immutable: computed once, eagerly.
         self._stage_sharing = self._compute_stage_sharing()
         #: The rank-stacked view the fused supersteps run on.
         self.fleet = Fleet(self.partition)
@@ -236,28 +236,27 @@ class Engine:
         return enumerate(self._col_groups)
 
     # ------------------------------------------------------------------
-    # rank execution (see repro.exec)
+    # rank execution
     # ------------------------------------------------------------------
     def map_ranks(self, fn, ranks: Optional[Sequence[int]] = None) -> list:
-        """Run ``fn(ctx)`` for every rank (or a subset) on the
-        configured executor; return the results in rank order.
+        """Run ``fn(ctx)`` for every rank (or a subset), one rank at a
+        time; return the results in rank order.
 
-        This is the superstep fan-out: the closures may run
-        concurrently, so ``fn`` must touch only state owned by its rank
-        — the context's arrays, the rank's own :class:`VirtualClocks`
-        lane (``charge_edges``/``charge_vertices`` with ``ctx.rank``),
-        and per-rank slots of caller-held lists indexed by ``ctx.rank``.
-        Collectives must never run inside ``fn``; the call returns only
-        after every closure finished (the barrier before the
-        collective).  Under that contract the results — state, clocks,
-        and counters — are bit-identical to the serial loop.
+        This is the superstep fan-out.  ``fn`` must touch only state
+        owned by its rank — the context's arrays, the rank's own
+        :class:`VirtualClocks` lane (``charge_edges``/``charge_vertices``
+        with ``ctx.rank``), and per-rank slots of caller-held lists
+        indexed by ``ctx.rank`` — and must never run a collective; the
+        call returns once every closure finished (the barrier before
+        the collective).  The :class:`~repro.core.fleet.Fleet` fuses a
+        step into one pass over all ranks only under this contract.
         """
         contexts = (
             self.contexts
             if ranks is None
             else [self.contexts[r] for r in ranks]
         )
-        return self.executor.map(fn, contexts)
+        return [fn(ctx) for ctx in contexts]
 
     def foreach(self, fn, ranks: Optional[Sequence[int]] = None) -> None:
         """:meth:`map_ranks` for in-place closures (results discarded)."""
@@ -573,8 +572,8 @@ class Engine:
 
         The elastic-recovery seam: the new engine re-partitions the
         graph with the original distribution/seed/cluster/profile
-        configuration, reuses this engine's executor, carries the
-        communication counters and virtual clocks forward
+        configuration, carries the communication counters and virtual
+        clocks forward
         (:meth:`VirtualClocks.align_state` reshapes the per-rank lanes
         onto the new rank count), and re-attaches every boundary hook,
         so remaining planned faults, the checkpoint series, the health
@@ -582,12 +581,7 @@ class Engine:
         follow the run onto the new grid.  Regrid-event history is
         shared, not copied.
         """
-        new = Engine(
-            self.graph,
-            grid=grid,
-            executor=self.executor,
-            **self._rebuild_args,
-        )
+        new = Engine(self.graph, grid=grid, **self._rebuild_args)
         # Share (don't copy) the schedule cache: entries are keyed by
         # grid scope, so a later regrid back onto a previously-used grid
         # starts warm instead of re-deriving every schedule.

@@ -34,7 +34,6 @@ same operations in the same order.  See ``docs/PERF.md``.
 
 from __future__ import annotations
 
-import threading
 import warnings
 from dataclasses import dataclass
 from operator import is_
@@ -149,8 +148,6 @@ class Fleet:
         self._arena: dict[str, _Stacked] = {}
         #: Grows on every change to the arena or a rank's StateArrays.
         self.generation = 0
-        # ``ctx.alloc`` may run inside concurrent per-rank closures.
-        self._lock = threading.Lock()
         self._row_mask: Optional[np.ndarray] = None
         self._block: Optional[RankBlock] = None
         self._degrees: Optional[np.ndarray] = None
@@ -171,40 +168,37 @@ class Fleet:
         """
         dtype = np.dtype(dtype)
         tail = () if width is None else (int(width),)
-        with self._lock:
-            entry = self._arena.get(name)
-            if (
-                entry is None
-                or entry.buffer.dtype != dtype
-                or entry.buffer.shape[1:] != tail
-            ):
-                entry = self._arena[name] = _Stacked(
-                    np.empty((self.size,) + tail, dtype=dtype),
-                    [None] * self.n_ranks,
-                )
-            if entry.views[rank] is None:
-                entry.live += 1
-            view = entry.buffer[self.base[rank] : self.base[rank + 1]]
-            entry.views[rank] = view
-            self.generation += 1
+        entry = self._arena.get(name)
+        if (
+            entry is None
+            or entry.buffer.dtype != dtype
+            or entry.buffer.shape[1:] != tail
+        ):
+            entry = self._arena[name] = _Stacked(
+                np.empty((self.size,) + tail, dtype=dtype),
+                [None] * self.n_ranks,
+            )
+        if entry.views[rank] is None:
+            entry.live += 1
+        view = entry.buffer[self.base[rank] : self.base[rank + 1]]
+        entry.views[rank] = view
+        self.generation += 1
         return view
 
     def release(self, rank: int, name: str, arr: np.ndarray) -> None:
         """Rank ``rank`` freed ``arr``; the buffer goes with its last
         slice."""
-        with self._lock:
-            entry = self._arena.get(name)
-            if entry is not None and entry.views[rank] is arr:
-                entry.views[rank] = None
-                entry.live -= 1
-                if entry.live == 0:
-                    del self._arena[name]
-            self.generation += 1
+        entry = self._arena.get(name)
+        if entry is not None and entry.views[rank] is arr:
+            entry.views[rank] = None
+            entry.live -= 1
+            if entry.live == 0:
+                del self._arena[name]
+        self.generation += 1
 
     def moved(self) -> None:
         """Some rank's :class:`StateArrays` changed."""
-        with self._lock:
-            self.generation += 1
+        self.generation += 1
 
     def stacked(self, name: str) -> np.ndarray:
         """The stacked buffer of state ``name``: writing it writes every
@@ -279,8 +273,7 @@ class Fleet:
             RuntimeWarning,
             stacklevel=3,
         )
-        with self._lock:
-            self._arena.pop(name, None)
+        self._arena.pop(name, None)
         for rank, (ctx, arr) in enumerate(zip(self.contexts, arrays)):
             view = self.alloc(rank, name, dtype, tail[0] if tail else None)
             view[...] = arr
@@ -396,33 +389,30 @@ class Fleet:
 
         Built on first use and kept for the fleet's life: 4 bytes of
         rebased column index per edge while stacked LIDs fit ``int32``
-        (shared by both forms) plus the unit data.  Like the engine's
-        other stacked passes, products over it run on the calling
-        thread."""
-        with self._lock:
-            view = self._csr.get(weighted)
-            if view is None:
-                part = self.partition
-                if weighted and part.weights is None:
-                    raise ValueError("a weighted pull needs an edge-weighted graph")
-                other = self._csr.get(not weighted)
-                if other is not None:
-                    indices = other.matrix.indices
-                else:
-                    indices = np.empty(
-                        part.n_edges, dtype=index_dtype(self.size, part.n_edges)
-                    )
-                    edge_offsets = part.edge_offsets.tolist()
-                    for blk, lo, e0, e1 in zip(
-                        part.blocks, self.base.tolist(), edge_offsets, edge_offsets[1:]
-                    ):
-                        np.add(blk.indices, lo, out=indices[e0:e1], casting="unsafe")
-                view = self._csr[weighted] = PullCSR(
-                    self._stacked_block().indptr,
-                    indices,
-                    self.size,
-                    part.weights if weighted else None,
+        (shared by both forms) plus the unit data."""
+        view = self._csr.get(weighted)
+        if view is None:
+            part = self.partition
+            if weighted and part.weights is None:
+                raise ValueError("a weighted pull needs an edge-weighted graph")
+            other = self._csr.get(not weighted)
+            if other is not None:
+                indices = other.matrix.indices
+            else:
+                indices = np.empty(
+                    part.n_edges, dtype=index_dtype(self.size, part.n_edges)
                 )
+                edge_offsets = part.edge_offsets.tolist()
+                for blk, lo, e0, e1 in zip(
+                    part.blocks, self.base.tolist(), edge_offsets, edge_offsets[1:]
+                ):
+                    np.add(blk.indices, lo, out=indices[e0:e1], casting="unsafe")
+            view = self._csr[weighted] = PullCSR(
+                self._stacked_block().indptr,
+                indices,
+                self.size,
+                part.weights if weighted else None,
+            )
         return view
 
     def expand(
@@ -474,9 +464,8 @@ class Fleet:
         """The dense patterns' :class:`ExchangePlan`, built on first
         use and kept for the fleet's life (an engine rebuilt on another
         grid has another fleet)."""
-        with self._lock:
-            if self._plan is None:
-                self._plan = self._plan_exchanges()
+        if self._plan is None:
+            self._plan = self._plan_exchanges()
         return self._plan
 
     def _plan_exchanges(self) -> ExchangePlan:
@@ -512,8 +501,7 @@ class Fleet:
         return ExchangePlan(reduce, broadcast)
 
     def scratch_pool(self, dtype) -> BufferPool:
-        """The :class:`BufferPool` for fleet-sized ``dtype`` scratch
-        (calling thread only — see :mod:`repro.kernels.buffers`)."""
+        """The :class:`BufferPool` for fleet-sized ``dtype`` scratch."""
         dt = np.dtype(dtype)
         if dt not in self._scratch_pools:
             self._scratch_pools[dt] = BufferPool(dt)

@@ -326,10 +326,9 @@ class IntegrityLedger(BoundaryHook):
         self.rows: list[LedgerRow] = []
         self.repairs = 0
         self._last_good = 0
-        #: Host work since the last :meth:`reset` — exact counts, the
-        #: same on every executor: windows CRC-ed, windows
-        #: byte-compared against their group's representative, bytes
-        #: CRC-ed.
+        #: Host work since the last :meth:`reset` — exact counts:
+        #: windows CRC-ed, windows byte-compared against their group's
+        #: representative, bytes CRC-ed.
         self.stats = dict.fromkeys(
             ("windows_hashed", "windows_compared", "bytes_hashed"), 0
         )
@@ -456,7 +455,7 @@ class IntegrityLedger(BoundaryHook):
         against it bit for bit and takes that CRC word when equal
         (equal bytes have equal CRCs), or is hashed itself when not —
         so the table is exactly what hashing every window yields.
-        Runs on the calling thread whatever the executor: the compare
+        One pass over the groups, not one closure per rank: the compare
         is cross-rank by nature.
         """
         digests: list[dict] = [{} for _ in engine.contexts]

@@ -15,12 +15,10 @@ stop using them afterwards.  Returning the same backing array twice is
 detected and ignored (a double-give would otherwise let two later
 ``take`` calls alias the same memory).
 
-A pool instance is **not** thread-safe: under the threaded rank
-executor every exchange draws from its rank's own pool
-(:meth:`repro.core.context.RankContext.scratch_pool`), gives happen
-in the sequential collective phase, and the fleet's pool
-(:meth:`repro.core.fleet.Fleet.scratch_pool`) is used by the calling
-thread only — so pools never see concurrent calls.
+Each rank's exchanges draw from that rank's own pool
+(:meth:`repro.core.context.RankContext.scratch_pool`), the fused
+fleet-wide passes from the fleet's
+(:meth:`repro.core.fleet.Fleet.scratch_pool`).
 """
 
 from __future__ import annotations

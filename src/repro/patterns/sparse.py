@@ -36,8 +36,9 @@ validated, costed and counted as its own.  Ranks own disjoint stacked LIDs and e
 rank's updates keep their received-buffer order, so state, clocks and
 counters are bit-identical to the per-rank formulation (kept as the
 oracle in ``tests/patterns/test_sparse_fused.py``; see docs/PERF.md).
-The k-lane twin and :func:`propagate_active_pull` still fan per-rank
-closures out through the rank executor (:mod:`repro.exec`).
+The k-lane twin and :func:`propagate_active_pull` still run one
+closure per rank (:meth:`Engine.map_ranks
+<repro.core.engine.Engine.map_ranks>`).
 
 On an overlapped engine (``Engine(overlap=True)``) each stage's group
 exchanges are *issued* split-phase instead: data and counters

@@ -2,11 +2,11 @@
 
 The batch contract is strict: lane ``l`` of ``bfs_batch`` /
 ``sssp_batch`` / ``pagerank_batch`` must reproduce *exactly* the arrays
-of the corresponding single-source run — under the serial and threaded
-executors, with communication overlap on and off.  Single-source runs
-are themselves executor- and overlap-invariant (the determinism suite's
-contract), so each batched configuration is checked against one fixed
-serial blocking reference per root.
+of the corresponding single-source run — with ``map_ranks`` visiting
+the ranks forward and in reverse, with communication overlap on and
+off.  Single-source runs are themselves rank-order- and
+overlap-invariant (the determinism suite's contract), so each batched
+configuration is checked against one fixed blocking reference per root.
 """
 
 from __future__ import annotations
@@ -26,18 +26,20 @@ from repro.algorithms import (
 )
 from repro.comm.grid import Grid2D
 from repro.core.engine import Engine
-from repro.exec import SerialExecutor, ThreadedExecutor
 from repro.graph import grid_graph, path_graph, rmat
 from repro.reference import serial as ref_serial
 
+from ..conftest import rank_order
+
 RANKS = 16
 
-#: (executor factory, overlap) — the full batched execution matrix.
+#: (host rank order, overlap) — the full batched execution matrix (the
+#: reversed legs keep the ids of the thread-pool legs they replaced).
 MODES = {
-    "serial": (SerialExecutor, False),
-    "serial-overlap": (SerialExecutor, True),
-    "threads4": (lambda: ThreadedExecutor(max_workers=4), False),
-    "threads4-overlap": (lambda: ThreadedExecutor(max_workers=4), True),
+    "serial": ("forward", False),
+    "serial-overlap": ("forward", True),
+    "threads4": ("reversed", False),
+    "threads4-overlap": ("reversed", True),
 }
 
 ROOT1 = [17]
@@ -70,11 +72,15 @@ GRIDS = {
 }
 
 
-def make_engine(graph, mode: str, grid: Grid2D | None = None) -> Engine:
-    ex, overlap = MODES[mode]
+def run_mode(mode: str, batch, graph, *args, grid: Grid2D | None = None, **kwargs):
+    """``batch(engine, *args, **kwargs)`` on a fresh engine in ``mode``."""
+    order, overlap = MODES[mode]
     if grid is None:
-        return Engine(graph, RANKS, executor=ex(), overlap=overlap)
-    return Engine(graph, grid=grid, executor=ex(), overlap=overlap)
+        engine = Engine(graph, RANKS, overlap=overlap)
+    else:
+        engine = Engine(graph, grid=grid, overlap=overlap)
+    with rank_order(order):
+        return batch(engine, *args, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +120,7 @@ class TestBFSEquivalence:
     @pytest.mark.parametrize("kname", sorted(KS))
     def test_bit_identical_per_lane(self, graph, bfs_refs, mode, kname):
         roots = KS[kname]
-        res = bfs_batch(make_engine(graph, mode), roots)
+        res = run_mode(mode, bfs_batch, graph, roots)
         self._assert_lanes_match(graph, res, roots, bfs_refs)
 
     @staticmethod
@@ -139,11 +145,11 @@ class TestBFSEquivalence:
     def test_bit_identical_per_lane_on_nonsquare_grids(
         self, graph, mode, kname, gname
     ):
-        """The same k x executor x overlap matrix on R != C grids: each
+        """The same k x rank order x overlap matrix on R != C grids: each
         lane matches scalar ``bfs`` on the same grid bit for bit, and
         the serial oracle."""
         roots, grid = KS[kname], GRIDS[gname]
-        res = bfs_batch(make_engine(graph, mode, grid), roots)
+        res = run_mode(mode, bfs_batch, graph, roots, grid=grid)
         singles = {r: bfs(Engine(graph, grid=grid), root=r) for r in roots}
         self._assert_lanes_match(graph, res, roots, singles)
         for lane, root in enumerate(roots):
@@ -207,7 +213,7 @@ class TestSSSPEquivalence:
     @pytest.mark.parametrize("kname", sorted(KS))
     def test_bit_identical_per_lane(self, wgraph, sssp_refs, mode, kname):
         sources = KS[kname]
-        res = sssp_batch(make_engine(wgraph, mode), sources)
+        res = run_mode(mode, sssp_batch, wgraph, sources)
         assert res.values.shape == (wgraph.n_vertices, len(sources))
         for lane, src in enumerate(sources):
             single = sssp_refs[src]
@@ -234,7 +240,7 @@ class TestPageRankEquivalence:
     @pytest.mark.parametrize("kname", sorted(KS))
     def test_bit_identical_per_lane(self, graph, pr_refs, mode, kname):
         seeds = KS[kname]
-        res = pagerank_batch(make_engine(graph, mode), seeds, iterations=10)
+        res = run_mode(mode, pagerank_batch, graph, seeds, iterations=10)
         assert res.values.shape == (graph.n_vertices, len(seeds))
         for lane, seed in enumerate(seeds):
             np.testing.assert_array_equal(

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from repro.comm.grid import Grid2D
+from repro.core.engine import Engine
 from repro.graph import erdos_renyi_gnm, grid_graph, path_graph, rmat, star_graph
 
 #: Grid shapes exercising square, non-square, tall/wide, and
@@ -50,6 +53,34 @@ def path10():
 @pytest.fixture
 def star20():
     return star_graph(20)
+
+
+def _map_ranks_reversed(self, fn, ranks=None) -> list:
+    """``Engine.map_ranks`` visiting the ranks last to first; the
+    results stay in rank order."""
+    contexts = self.contexts if ranks is None else [self.contexts[r] for r in ranks]
+    return [fn(ctx) for ctx in contexts[::-1]][::-1]
+
+
+@contextlib.contextmanager
+def rank_order(order: str):
+    """Run the block with every engine's ``map_ranks`` visiting the
+    ranks in ``order``: ``"forward"`` (the engine's own loop) or
+    ``"reversed"``.
+
+    A ``map_ranks`` closure touches only its own rank's state — the
+    contract the fleet's fused supersteps rest on — so values, clocks
+    and counters must not depend on the order.  The matrices that ran
+    a thread-pool leg before the host became single-threaded run the
+    reversed leg under that leg's id (``threads4``, ``threads:4``).
+    """
+    assert order in ("forward", "reversed"), order
+    if order == "forward":
+        yield
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Engine, "map_ranks", _map_ranks_reversed)
+        yield
 
 
 def state_is_stacked(engine, name: str) -> bool:

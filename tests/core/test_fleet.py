@@ -5,7 +5,6 @@ replaces, plus the bit-identity pitfalls recorded in PR 14."""
 from __future__ import annotations
 
 import sys
-import threading
 import warnings
 
 import numpy as np
@@ -174,29 +173,6 @@ class TestFleetCsrView:
     def test_weighted_view_needs_weights(self):
         with pytest.raises(ValueError, match="edge-weighted"):
             Engine(rmat(6, seed=2), 4).fleet.csr(weighted=True)
-
-    def test_first_use_from_many_threads_builds_one_view(self):
-        import threading
-
-        fleet = Engine(rmat(9, seed=2), 16).fleet
-        views, barrier = [], threading.Barrier(8, timeout=10)
-
-        def first_use():
-            barrier.wait()
-            views.append(fleet.csr())
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=first_use) for _ in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=10)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert len(views) == 8 and all(v is views[0] for v in views)
 
     def test_rebuild_on_grid_gets_its_own_view(self):
         engine = Engine(rmat(7, seed=2), grid=Grid2D(R=2, C=2))
@@ -612,31 +588,6 @@ class TestArraysStayLiveSlices:
         assert engine.fleet.generation > generation
         assert isinstance(arrays, dict)
 
-    def test_concurrent_registry_mutations_all_move_the_generation(self):
-        """Ranks may register state from concurrent closures: a lost
-        increment could leave ``stacked`` trusting a stale check, so the
-        generation must count every mutation exactly."""
-        engine = self._engine()
-        fleet, per_thread = engine.fleet, 300
-        start = fleet.generation
-
-        def churn(ctx):
-            for i in range(per_thread):
-                ctx.arrays[f"t{i % 3}"] = i
-
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=churn, args=(ctx,)) for ctx in engine]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(old)
-        assert not any(t.is_alive() for t in threads)
-        assert fleet.generation == start + per_thread * engine.n_ranks
-
     def test_odd_length_state_is_not_stackable(self):
         engine = self._engine()
         for ctx in engine:
@@ -672,16 +623,6 @@ class TestArraysStayLiveSlices:
         new.alloc("x", fill=2.0)
         assert state_is_stacked(new, "x") and state_is_stacked(engine, "x")
         assert np.all(engine.fleet.stacked("x") == 1.0)
-
-    def test_concurrent_allocation_from_rank_closures(self):
-        engine = Engine(rmat(7, seed=2), 16, executor="threads:4")
-        for round_ in range(20):
-            engine.foreach(lambda ctx: ctx.alloc(f"s{round_ % 3}", fill=ctx.rank))
-            name = f"s{round_ % 3}"
-            assert state_is_stacked(engine, name)
-            for ctx in engine:
-                assert np.all(ctx.get(name) == ctx.rank)
-        engine.executor.close()
 
 
 def test_hub_and_empty_ranks_graph_matches_reference():

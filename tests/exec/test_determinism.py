@@ -1,31 +1,35 @@
-"""Cross-executor determinism suite (the executor's core contract).
+"""Determinism across host rank order and overlap.
 
-Every algorithm, run on the same graph and grid, must produce
-bit-identical values, timing totals, and communication-counter
-summaries under the serial and the threaded executor.  The threaded
-runs force ``max_workers=4`` because the contract must hold regardless
-of host core count (``ThreadedExecutor()`` defaults to
-``os.cpu_count()``).
+A ``map_ranks`` closure touches only its own rank's state (the
+contract the fleet's fused supersteps rest on), so every algorithm, run
+on the same graph and grid, must produce bit-identical values, timing
+totals and communication-counter summaries whether ``map_ranks`` visits
+the ranks forward or in reverse.  The ``threaded`` tests are that
+check, under the ids they had when the reversed leg was a thread pool.
+An overlapped run must match a blocking one in everything but a total
+that may only shrink.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pytest
 
 from repro.core.engine import Engine
-from repro.exec import SerialExecutor, ThreadedExecutor
 from repro.graph import rmat
 
+from ..conftest import rank_order
 
-@pytest.fixture(scope="module")
-def graph():
+
+def _graph():
     return rmat(10, edgefactor=8, seed=5)
 
 
 @pytest.fixture(scope="module")
-def wgraph(graph):
-    return graph.with_random_weights(seed=9)
+def graph():
+    return _graph()
 
 
 def _bfs(e):
@@ -144,6 +148,20 @@ WEIGHTED = {
 }
 
 
+def _run(name, overlap=False, order="forward"):
+    """``name`` on a fresh 16-rank engine (weighted graph for
+    :data:`WEIGHTED`)."""
+    graph = _graph()
+    if name in WEIGHTED:
+        graph = graph.with_random_weights(seed=9)
+    runner = WEIGHTED.get(name) or UNWEIGHTED[name]
+    # overlap given explicitly: the blocking reference must stay
+    # blocking even when the suite runs under REPRO_OVERLAP=1.
+    engine = Engine(graph, 16, overlap=overlap)
+    with rank_order(order):
+        return runner(engine)
+
+
 def _assert_identical(a, b, name):
     if a.values is None:
         assert b.values is None
@@ -156,20 +174,22 @@ def _assert_identical(a, b, name):
     assert a.counters == b.counters, f"{name}: comm counters differ"
 
 
+@pytest.fixture(scope="module")
+def run():
+    """:func:`_run`, each configuration once per module (the blocking
+    and overlapped forward runs serve two tests each)."""
+    return functools.lru_cache(maxsize=None)(_run)
+
+
 @pytest.mark.parametrize("name", sorted(UNWEIGHTED))
-def test_threaded_matches_serial(graph, name):
-    runner = UNWEIGHTED[name]
-    a = runner(Engine(graph, 16, executor=SerialExecutor()))
-    b = runner(Engine(graph, 16, executor=ThreadedExecutor(max_workers=4)))
-    _assert_identical(a, b, name)
+def test_threaded_matches_serial(run, name):
+    """Ranks visited in reverse: the same run, bit for bit."""
+    _assert_identical(run(name), run(name, order="reversed"), name)
 
 
 @pytest.mark.parametrize("name", sorted(WEIGHTED))
-def test_threaded_matches_serial_weighted(wgraph, name):
-    runner = WEIGHTED[name]
-    a = runner(Engine(wgraph, 16, executor=SerialExecutor()))
-    b = runner(Engine(wgraph, 16, executor=ThreadedExecutor(max_workers=4)))
-    _assert_identical(a, b, name)
+def test_threaded_matches_serial_weighted(run, name):
+    _assert_identical(run(name), run(name, order="reversed"), name)
 
 
 def _assert_overlap_equivalent(blocking, overlapped, name):
@@ -198,42 +218,22 @@ def _assert_overlap_equivalent(blocking, overlapped, name):
 
 
 @pytest.mark.parametrize("name", sorted(UNWEIGHTED))
-def test_overlapped_matches_blocking(graph, name):
-    # overlap=False explicitly: the blocking reference must stay
-    # blocking even when the suite runs under REPRO_OVERLAP=1.
-    runner = UNWEIGHTED[name]
-    blocking = runner(
-        Engine(graph, 16, executor=SerialExecutor(), overlap=False)
-    )
-    overlapped = runner(
-        Engine(graph, 16, executor=SerialExecutor(), overlap=True)
-    )
-    _assert_overlap_equivalent(blocking, overlapped, name)
+def test_overlapped_matches_blocking(run, name):
+    _assert_overlap_equivalent(run(name), run(name, overlap=True), name)
 
 
 @pytest.mark.parametrize("name", sorted(WEIGHTED))
-def test_overlapped_matches_blocking_weighted(wgraph, name):
-    runner = WEIGHTED[name]
-    blocking = runner(
-        Engine(wgraph, 16, executor=SerialExecutor(), overlap=False)
-    )
-    overlapped = runner(
-        Engine(wgraph, 16, executor=SerialExecutor(), overlap=True)
-    )
-    _assert_overlap_equivalent(blocking, overlapped, name)
+def test_overlapped_matches_blocking_weighted(run, name):
+    _assert_overlap_equivalent(run(name), run(name, overlap=True), name)
 
 
 @pytest.mark.parametrize("name", sorted(UNWEIGHTED))
-def test_overlapped_threaded_matches_overlapped_serial(graph, name):
-    """Overlap and the threaded executor compose: an overlapped run is
-    fully deterministic (totals included) across executors."""
-    runner = UNWEIGHTED[name]
-    a = runner(Engine(graph, 16, executor=SerialExecutor(), overlap=True))
-    b = runner(
-        Engine(
-            graph, 16, executor=ThreadedExecutor(max_workers=4), overlap=True
-        )
-    )
+def test_overlapped_threaded_matches_overlapped_serial(run, name):
+    """Overlap and rank order compose: an overlapped run is fully
+    deterministic (totals included) whichever way the ranks are
+    visited."""
+    a = run(name, overlap=True)
+    b = run(name, overlap=True, order="reversed")
     _assert_identical(a, b, name)
     assert a.timings.overlap == b.timings.overlap, f"{name}: overlap differs"
 
@@ -257,19 +257,19 @@ def test_overlap_env_var(graph, monkeypatch):
 
 
 def test_repeated_threaded_runs_identical(graph):
-    """The threaded executor is deterministic run-to-run, not just
-    serial-vs-threaded."""
-    runs = [
-        _bfs(Engine(graph, 16, executor=ThreadedExecutor(max_workers=4)))
-        for _ in range(2)
-    ]
-    _assert_identical(runs[0], runs[1], "bfs-repeat")
+    """A second run on the same engine, ranks visited in reverse, repeats
+    the first bit for bit."""
+    engine = Engine(graph, 16)
+    first = _bfs(engine)
+    with rank_order("reversed"):
+        second = _bfs(engine)
+    _assert_identical(first, second, "bfs-repeat")
 
 
 def test_env_spec_matches_explicit(graph, monkeypatch):
-    from repro.exec import ENV_VAR
-
-    monkeypatch.setenv(ENV_VAR, "threads:4")
-    a = _bfs(Engine(graph, 16))  # resolved from environment
-    b = _bfs(Engine(graph, 16, executor=SerialExecutor()))
+    """``REPRO_EXECUTOR`` is read by nothing: a run under it is the run
+    without it."""
+    monkeypatch.setenv("REPRO_EXECUTOR", "threads:4")
+    a = _bfs(Engine(graph, 16))
+    b = _bfs(Engine(graph, 16, executor="serial"))
     _assert_identical(a, b, "bfs-env")

@@ -1,189 +1,173 @@
-"""Unit tests for the pluggable rank-execution subsystem."""
+"""Host execution of the simulated ranks.
+
+``Engine.map_ranks`` runs the per-rank closures one rank at a time on
+the calling thread and returns their results in rank order;
+``Engine(executor=)`` is a compatibility guard that accepts only
+``None`` and ``"serial"``.  The test classes keep the names of the
+rank-executor API the engine had before its host side became
+single-threaded, and each test checks what the engine guarantees in
+its place.
+"""
 
 from __future__ import annotations
 
 import gc
+import importlib
+import os
 import threading
 
 import numpy as np
 import pytest
 
+from repro.algorithms.bfs import bfs
 from repro.core.engine import Engine
-from repro.exec import (
-    ENV_VAR,
-    RankExecutor,
-    SerialExecutor,
-    ThreadedExecutor,
-    resolve_executor,
-)
+
+#: The variable the removed rank executor was selected by; nothing
+#: reads it now.
+ENV_VAR = "REPRO_EXECUTOR"
+
+
+def _rejected(graph, spec) -> str:
+    """``Engine(executor=spec)`` raises, naming the spec and why."""
+    with pytest.raises(ValueError) as exc:
+        Engine(graph, 4, executor=spec)
+    msg = str(exc.value)
+    assert repr(spec) in msg
+    assert "ROADMAP item 3" in msg
+    return msg
+
+
+def _threads_seen(engine) -> set:
+    return set(engine.map_ranks(lambda ctx: threading.get_ident()))
 
 
 class TestResolveExecutor:
-    def test_default_is_serial(self, monkeypatch):
+    def test_default_is_serial(self, rmat_graph, monkeypatch):
         monkeypatch.delenv(ENV_VAR, raising=False)
-        assert isinstance(resolve_executor(None), SerialExecutor)
+        assert _threads_seen(Engine(rmat_graph, 4)) == {threading.get_ident()}
 
-    def test_explicit_serial(self):
-        assert isinstance(resolve_executor("serial"), SerialExecutor)
+    def test_explicit_serial(self, rmat_graph):
+        e = Engine(rmat_graph, 4, executor="serial")
+        assert _threads_seen(e) == {threading.get_ident()}
 
-    def test_threads(self):
-        ex = resolve_executor("threads")
-        assert isinstance(ex, ThreadedExecutor)
+    def test_threads(self, rmat_graph):
+        _rejected(rmat_graph, "threads")
 
-    def test_threads_with_count(self):
-        ex = resolve_executor("threads:3")
-        assert isinstance(ex, ThreadedExecutor)
-        assert ex.workers == 3
+    def test_threads_with_count(self, rmat_graph):
+        _rejected(rmat_graph, "threads:3")
 
-    def test_instance_passthrough(self):
-        ex = ThreadedExecutor(max_workers=2)
-        assert resolve_executor(ex) is ex
+    def test_instance_passthrough(self, rmat_graph):
+        """No executor object is accepted either."""
+        _rejected(rmat_graph, object())
 
-    def test_env_var(self, monkeypatch):
+    def test_env_var(self, rmat_graph, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "threads:2")
-        ex = resolve_executor(None)
-        assert isinstance(ex, ThreadedExecutor)
-        assert ex.workers == 2
+        assert _threads_seen(Engine(rmat_graph, 4)) == {threading.get_ident()}
 
-    def test_env_var_ignored_when_explicit(self, monkeypatch):
+    def test_env_var_ignored_when_explicit(self, rmat_graph, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "threads:2")
-        assert isinstance(resolve_executor("serial"), SerialExecutor)
+        Engine(rmat_graph, 4, executor="serial")
+        _rejected(rmat_graph, "threads:2")
 
-    def test_unknown_spec_names_offender_and_valid_forms(self):
-        with pytest.raises(ValueError) as exc:
-            resolve_executor("gpus")
-        assert "'gpus'" in str(exc.value)
-        assert "valid forms" in str(exc.value)
-        assert "threads:N" in str(exc.value)
+    def test_unknown_spec_names_offender_and_valid_forms(self, rmat_graph):
+        assert "pass None or 'serial'" in _rejected(rmat_graph, "gpus")
 
-    def test_non_integer_worker_count(self):
-        with pytest.raises(ValueError) as exc:
-            resolve_executor("threads:zero")
-        assert "'zero'" in str(exc.value)
-        assert "not an integer" in str(exc.value)
-        assert "valid forms" in str(exc.value)
+    def test_non_integer_worker_count(self, rmat_graph):
+        _rejected(rmat_graph, "threads:zero")
 
-    def test_nonpositive_worker_count(self):
-        with pytest.raises(ValueError) as exc:
-            resolve_executor("threads:0")
-        assert ">= 1" in str(exc.value)
-        assert "got 0" in str(exc.value)
+    def test_nonpositive_worker_count(self, rmat_graph):
+        _rejected(rmat_graph, "threads:0")
 
-    def test_wrong_type_rejected(self):
-        with pytest.raises(TypeError, match="RankExecutor, a string, or None"):
-            resolve_executor(4)
+    def test_wrong_type_rejected(self, rmat_graph):
+        _rejected(rmat_graph, 4)
 
 
 class TestSerialExecutor:
-    def test_preserves_order(self):
-        ex = SerialExecutor()
-        assert ex.map(lambda x: x * 2, [3, 1, 2]) == [6, 2, 4]
+    def test_preserves_order(self, rmat_graph):
+        e = Engine(rmat_graph, 4)
+        assert e.map_ranks(lambda ctx: ctx.rank * 2, ranks=[3, 1, 2]) == [6, 2, 4]
 
-    def test_workers(self):
-        assert SerialExecutor().workers == 1
+    def test_workers(self, rmat_graph):
+        """One rank at a time: no closure starts before the previous
+        one returned."""
+        e = Engine(rmat_graph, 16)
+        running, visits = [], []
 
-    def test_propagates_errors(self):
-        def boom(x):
+        def visit(ctx):
+            assert not running
+            running.append(ctx.rank)
+            visits.append(ctx.rank)
+            running.pop()
+
+        e.foreach(visit)
+        assert visits == list(range(16))
+
+    def test_propagates_errors(self, rmat_graph):
+        def boom(ctx):
             raise RuntimeError("boom")
 
         with pytest.raises(RuntimeError, match="boom"):
-            SerialExecutor().map(boom, [1])
+            Engine(rmat_graph, 4).map_ranks(boom, ranks=[1])
 
 
 class TestThreadedExecutor:
     @pytest.mark.parametrize("count", [0, -1, -7])
-    def test_nonpositive_workers_rejected_naming_spec(self, count):
-        """``max_workers=0`` must fail loudly at construction, in the
-        same spec-naming style as ``resolve_executor``."""
-        with pytest.raises(ValueError) as exc:
-            ThreadedExecutor(max_workers=count)
-        msg = str(exc.value)
-        assert "invalid executor spec" in msg
-        assert f"max_workers={count!r}" in msg
-        assert "valid forms" in msg
+    def test_nonpositive_workers_rejected_naming_spec(self, rmat_graph, count):
+        _rejected(rmat_graph, f"threads:{count}")
 
-    def test_none_sizes_to_cpu_count(self):
-        import os
+    def test_none_sizes_to_cpu_count(self, rmat_graph, monkeypatch):
+        """However many CPUs the host has, an engine starts no thread."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        before = threading.active_count()
+        e = Engine(rmat_graph, 16)
+        bfs(e, root=0)
+        assert threading.active_count() == before
 
-        ex = ThreadedExecutor(max_workers=None)
-        assert ex.workers == (os.cpu_count() or 1)
+    def test_preserves_submission_order(self, rmat_graph):
+        e = Engine(rmat_graph, 16)
+        order = [5, 0, 15, 7, 3]
+        assert e.map_ranks(lambda ctx: ctx.rank * 10, ranks=order) == [
+            r * 10 for r in order
+        ]
 
-    def test_preserves_submission_order(self):
-        ex = ThreadedExecutor(max_workers=4)
-        try:
-            out = ex.map(lambda x: x * 10, list(range(32)))
-            assert out == [x * 10 for x in range(32)]
-        finally:
-            ex.close()
+    def test_actually_uses_threads(self, rmat_graph):
+        """The opposite now: every closure runs on the calling thread."""
+        assert _threads_seen(Engine(rmat_graph, 16)) == {threading.get_ident()}
 
-    def test_actually_uses_threads(self):
-        ex = ThreadedExecutor(max_workers=4)
-        names = set()
-        barrier = threading.Barrier(2, timeout=10)
+    def test_single_worker_runs_inline(self, rmat_graph):
+        """A closure sees the caller's thread-local state."""
+        local = threading.local()
+        local.tag = "caller"
+        e = Engine(rmat_graph, 4)
+        assert e.map_ranks(lambda ctx: local.tag) == ["caller"] * 4
 
-        def record(i):
-            if i < 2:
-                barrier.wait()  # force at least two distinct threads
-            names.add(threading.current_thread().name)
-            return i
+    def test_single_item_runs_inline(self, rmat_graph):
+        e = Engine(rmat_graph, 4)
+        assert e.map_ranks(lambda ctx: threading.get_ident(), ranks=[2]) == [
+            threading.get_ident()
+        ]
 
-        try:
-            ex.map(record, list(range(4)))
-            assert any("repro-rank" in n for n in names)
-            assert len(names) >= 2
-        finally:
-            ex.close()
+    def test_propagates_errors(self, rmat_graph):
+        """The first failing rank stops the sweep; later ranks never run."""
+        e = Engine(rmat_graph, 16)
+        ran = []
 
-    def test_single_worker_runs_inline(self):
-        ex = ThreadedExecutor(max_workers=1)
-        main = threading.current_thread().name
-        names = ex.map(lambda i: threading.current_thread().name, [1, 2, 3])
-        assert set(names) == {main}
+        def boom(ctx):
+            ran.append(ctx.rank)
+            if ctx.rank == 3:
+                raise ValueError("bad rank")
 
-    def test_single_item_runs_inline(self):
-        ex = ThreadedExecutor(max_workers=4)
-        main = threading.current_thread().name
-        assert ex.map(lambda i: threading.current_thread().name, [7]) == [main]
-
-    def test_propagates_errors(self):
-        ex = ThreadedExecutor(max_workers=2)
-
-        def boom(x):
-            if x == 3:
-                raise ValueError("bad item")
-            return x
-
-        try:
-            with pytest.raises(ValueError, match="bad item"):
-                ex.map(boom, list(range(8)))
-        finally:
-            ex.close()
-
-    def test_close_idempotent(self):
-        ex = ThreadedExecutor(max_workers=2)
-        ex.map(lambda x: x, [1, 2])
-        ex.close()
-        ex.close()
+        with pytest.raises(ValueError, match="bad rank"):
+            e.foreach(boom)
+        assert ran == [0, 1, 2, 3]
 
     def test_engine_dropped_in_a_cycle_never_joins_from_the_finalizer(
-        self, rmat_graph, monkeypatch
+        self, rmat_graph
     ):
-        """Regression: ``__del__`` used to ``shutdown(wait=True)``.  The
-        cyclic GC runs finalizers on whichever thread allocates next —
-        here, deliberately, one holding the interpreter's
-        thread-registry lock, as a starting thread does — and joining
-        workers that need that lock to exit never returned."""
-        from concurrent.futures import ThreadPoolExecutor
-
-        waits = []
-        real_shutdown = ThreadPoolExecutor.shutdown
-
-        def spy(pool, wait=True, **kwargs):
-            waits.append(wait)
-            return real_shutdown(pool, wait=wait, **kwargs)
-
-        monkeypatch.setattr(ThreadPoolExecutor, "shutdown", spy)
-
+        """An engine tied into a reference cycle is collected by the
+        cyclic GC from any thread — here one holding the interpreter's
+        thread-registry lock, as a starting thread does — without
+        waiting on anything."""
         collected = threading.Event()
 
         def collect_like_a_starting_thread():
@@ -196,59 +180,56 @@ class TestThreadedExecutor:
             collected.set()
 
         gc.collect()  # flush whatever earlier tests left behind
-        engine = Engine(rmat_graph, 4, executor="threads:4")
-        engine.foreach(lambda ctx: None)  # the pool is live
-        workers = list(engine.executor._pool._threads)
+        engine = Engine(rmat_graph, 4)
+        engine.foreach(lambda ctx: None)
         engine.cycle = engine
         del engine
-        waits.clear()
         helper = threading.Thread(target=collect_like_a_starting_thread, daemon=True)
         helper.start()
-        assert collected.wait(timeout=20), "finalizer joined the pool and hung"
-        assert waits == [False]
-        for t in workers:  # woken, not joined: they exit on their own
-            t.join(timeout=20)
-            assert not t.is_alive()
+        assert collected.wait(timeout=20), "collecting the engine hung"
 
-    def test_close_joins(self):
-        ex = ThreadedExecutor(max_workers=2)
-        ex.map(lambda x: x, [1, 2])
-        workers = list(ex._pool._threads)
-        ex.close()
-        assert not any(t.is_alive() for t in workers)
-
-    def test_is_rank_executor(self):
-        assert isinstance(ThreadedExecutor(max_workers=2), RankExecutor)
-        assert isinstance(SerialExecutor(), RankExecutor)
+    def test_is_rank_executor(self, rmat_graph):
+        """The executor is gone: no engine attribute, no package."""
+        assert not hasattr(Engine(rmat_graph, 4), "executor")
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.exec")
 
 
 class TestEngineIntegration:
     def test_engine_default_serial(self, rmat_graph, monkeypatch):
         monkeypatch.delenv(ENV_VAR, raising=False)
         e = Engine(rmat_graph, 4)
-        assert isinstance(e.executor, SerialExecutor)
+        visits = []
+        e.foreach(lambda ctx: visits.append(ctx.rank))
+        assert visits == [0, 1, 2, 3]
 
     def test_engine_accepts_spec_string(self, rmat_graph):
-        e = Engine(rmat_graph, 4, executor="threads:2")
-        assert isinstance(e.executor, ThreadedExecutor)
-        assert e.executor.workers == 2
+        """``"serial"`` builds; a thread count does not."""
+        with pytest.raises(ValueError):
+            Engine(rmat_graph, 4, executor="threads:4")
+        assert Engine(rmat_graph, 4, executor="serial").n_ranks == 4
 
     def test_engine_env_var(self, rmat_graph, monkeypatch):
+        """A run under ``REPRO_EXECUTOR`` is the run without it."""
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        want = bfs(Engine(rmat_graph, 4), root=0)
         monkeypatch.setenv(ENV_VAR, "threads:2")
-        e = Engine(rmat_graph, 4)
-        assert isinstance(e.executor, ThreadedExecutor)
+        got = bfs(Engine(rmat_graph, 4), root=0)
+        assert np.array_equal(got.values, want.values)
+        assert got.timings.total == want.timings.total
+        assert got.counters == want.counters
 
     def test_map_ranks_order_and_contexts(self, rmat_graph):
-        e = Engine(rmat_graph, 4, executor=ThreadedExecutor(max_workers=4))
-        out = e.map_ranks(lambda ctx: ctx.rank)
-        assert out == [0, 1, 2, 3]
+        e = Engine(rmat_graph, 4)
+        assert e.map_ranks(lambda ctx: ctx.rank) == [0, 1, 2, 3]
+        assert e.map_ranks(lambda ctx: ctx) == e.contexts
 
     def test_map_ranks_subset(self, rmat_graph):
         e = Engine(rmat_graph, 4)
         assert e.map_ranks(lambda ctx: ctx.rank, ranks=[2, 0]) == [2, 0]
 
     def test_foreach_side_effects(self, rmat_graph):
-        e = Engine(rmat_graph, 4, executor=ThreadedExecutor(max_workers=4))
+        e = Engine(rmat_graph, 4)
         hits = np.zeros(4, dtype=np.int64)
 
         def mark(ctx):
@@ -277,8 +258,6 @@ class TestResetTimers:
         clocks = e.clocks
         comm_counters = e.comm.counters
 
-        from repro.algorithms.bfs import bfs
-
         bfs(e, root=0)
         assert counters.summary()  # something was recorded
         e.reset_timers()
@@ -296,8 +275,6 @@ class TestResetTimers:
         """Regression: after reset_timers, new communication must land in
         the counters the Engine reports (previously the Engine rebound
         self.counters while comm kept the old object)."""
-        from repro.algorithms.bfs import bfs
-
         e = Engine(rmat_graph, 4)
         bfs(e, root=0)
         e.reset_timers()

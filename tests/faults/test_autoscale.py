@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro import Engine, algorithms
-from repro.exec import SerialExecutor, ThreadedExecutor
 from repro.cli import main
 from repro.faults import (
     CAMPAIGNS,
@@ -18,18 +17,17 @@ from repro.faults import (
 )
 from repro.graph import rmat
 
-from ..conftest import assert_state_is_stacked
+from ..conftest import assert_state_is_stacked, rank_order
 
 GRAPH = rmat(7, seed=3)
 
-MODES = {
-    "serial": SerialExecutor,
-    "threads4": lambda: ThreadedExecutor(max_workers=4),
-}
+#: Host rank order by test id (``threads4``: the id of the thread-pool
+#: leg the reversed leg replaced).
+MODES = {"serial": "forward", "threads4": "reversed"}
 
 
-def mk(mode="serial"):
-    return Engine(GRAPH, 4, executor=MODES[mode]())
+def mk():
+    return Engine(GRAPH, 4)
 
 
 class TestScenarioTable:
@@ -140,7 +138,10 @@ class TestAutoscaleCases:
 class TestAutoscaleCampaign:
     @pytest.mark.parametrize("mode", sorted(MODES))
     def test_full_campaign_green_on_both_executors(self, mode):
-        report = run_campaign("autoscale", lambda: mk(mode))
+        """The whole campaign, with ``map_ranks`` visiting the ranks
+        forward and in reverse."""
+        with rank_order(MODES[mode]):
+            report = run_campaign("autoscale", mk)
         assert report["schema"] == "repro.faults.autoscale.v1"
         assert report["total"] == 12  # 4 scenarios x BFS/PR/CC
         assert report["failed"] == 0

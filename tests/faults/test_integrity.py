@@ -7,7 +7,8 @@ campaign behind ``python -m repro faults --sdc``:
 * :class:`IntegrityLedger` detection — including a Hypothesis sweep
   proving every single-bit flip in any replicated window is caught
   (no false negatives) and clean runs never trip it (no false
-  positives), on both executors;
+  positives), with ``map_ranks`` visiting the ranks forward and in
+  reverse;
 * per-algorithm certifiers sealing correct results and naming the
   violated invariant on corrupted ones;
 * detect -> rollback -> recompute repair that is bit-identical to the
@@ -26,7 +27,6 @@ from hypothesis import strategies as st
 from repro import Engine, algorithms
 from repro.cli import main
 from repro.comm.grid import Grid2D
-from repro.exec import SerialExecutor, ThreadedExecutor
 from repro.faults import (
     CAMPAIGNS,
     CheckpointManager,
@@ -46,23 +46,22 @@ from repro.faults import (
 )
 from repro.graph import rmat
 
-from ..conftest import assert_state_is_stacked
+from ..conftest import assert_state_is_stacked, rank_order
 
 GRAPH = rmat(7, seed=3)
 WGRAPH = rmat(7, seed=3).with_random_weights(seed=1)
 
-MODES = {
-    "serial": SerialExecutor,
-    "threads4": lambda: ThreadedExecutor(max_workers=4),
-}
+#: Host rank order by test id (``threads4``: the id of the thread-pool
+#: leg the reversed leg replaced).
+MODES = {"serial": "forward", "threads4": "reversed"}
 
 
-def mk(mode="serial"):
-    return Engine(GRAPH, 4, executor=MODES[mode]())
+def mk():
+    return Engine(GRAPH, 4)
 
 
-def mkw(mode="serial"):
-    return Engine(WGRAPH, 4, executor=MODES[mode]())
+def mkw():
+    return Engine(WGRAPH, 4)
 
 
 def _seed_state(engine, seed=0, dtype=np.float64, width=None):
@@ -337,7 +336,7 @@ _HYP_ENGINES = {}
 
 def _hyp_engine(mode):
     if mode not in _HYP_ENGINES:
-        _HYP_ENGINES[mode] = mk(mode)
+        _HYP_ENGINES[mode] = mk()
     return _HYP_ENGINES[mode]
 
 
@@ -361,16 +360,17 @@ class TestLedgerProperty:
         self, mode, dtype, width, rank, bit, seed
     ):
         engine = _hyp_engine(mode)
-        _seed_state(engine, seed=seed, dtype=dtype, width=width)
-        ledger = IntegrityLedger()
-        assert ledger.on_boundary(engine, 1).ok
-        flipped = apply_memflip(
-            engine.contexts[rank],
-            FaultSpec("memflip", 2, rank=rank, bit=bit),
-        )
-        assert flipped == 1
-        with pytest.raises((IntegrityViolation, IntegrityFailure)):
-            ledger.on_boundary(engine, 2)
+        with rank_order(MODES[mode]):
+            _seed_state(engine, seed=seed, dtype=dtype, width=width)
+            ledger = IntegrityLedger()
+            assert ledger.on_boundary(engine, 1).ok
+            flipped = apply_memflip(
+                engine.contexts[rank],
+                FaultSpec("memflip", 2, rank=rank, bit=bit),
+            )
+            assert flipped == 1
+            with pytest.raises((IntegrityViolation, IntegrityFailure)):
+                ledger.on_boundary(engine, 2)
         assert rank in ledger.rows[-1].suspects
 
     @pytest.mark.parametrize("mode", sorted(MODES))
@@ -386,26 +386,27 @@ class TestLedgerProperty:
     )
     def test_clean_state_never_trips(self, mode, dtype, width, seed):
         engine = _hyp_engine(mode)
-        _seed_state(engine, seed=seed, dtype=dtype, width=width)
-        ledger = IntegrityLedger()
-        for step in (1, 2):
-            row = ledger.on_boundary(engine, step)
-            assert row.ok and row.suspects == ()
+        with rank_order(MODES[mode]):
+            _seed_state(engine, seed=seed, dtype=dtype, width=width)
+            ledger = IntegrityLedger()
+            rows = [ledger.on_boundary(engine, step) for step in (1, 2)]
+        assert all(row.ok and row.suspects == () for row in rows)
 
     @pytest.mark.parametrize("mode", sorted(MODES))
     def test_clean_algorithm_runs_never_trip(self, mode):
         """End-to-end false-positive check: real algorithm state (BFS's
         infs, PR's floats, CC's labels) verifies clean at every
-        boundary on both executors."""
+        boundary, whichever order ``map_ranks`` visits the ranks in."""
         for runner in (
             lambda e: algorithms.bfs(e, root=0),
             lambda e: algorithms.pagerank(e, iterations=5),
             lambda e: algorithms.connected_components(e),
         ):
-            engine = mk(mode)
+            engine = mk()
             ledger = IntegrityLedger()
             engine.attach_integrity(ledger)
-            runner(engine)
+            with rank_order(MODES[mode]):
+                runner(engine)
             assert ledger.rows, "ledger never consulted"
             assert all(r.ok for r in ledger.rows)
 
@@ -924,9 +925,10 @@ class TestSdcCases:
 class TestSdcCampaign:
     @pytest.mark.parametrize("mode", sorted(MODES))
     def test_full_campaign_green_on_both_executors(self, mode):
-        report = run_campaign(
-            "sdc", lambda: mk(mode), make_weighted_engine=lambda: mkw(mode)
-        )
+        """The whole campaign, with ``map_ranks`` visiting the ranks
+        forward and in reverse."""
+        with rank_order(MODES[mode]):
+            report = run_campaign("sdc", mk, make_weighted_engine=mkw)
         assert report["schema"] == "repro.faults.sdc.v1"
         assert report["total"] == 12  # 3 scenarios x BFS/CC/PR/SSSP
         assert report["failed"] == 0

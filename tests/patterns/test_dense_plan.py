@@ -63,7 +63,7 @@ def _run(graph, R, C, form, direction, op):
     """Fill a state with small integers, skew the clocks (so every
     group synchronization has a straggler to wait for), exchange."""
     width, lanes = FORMS[form]
-    engine = Engine(graph, grid=Grid2D(R=R, C=C), executor="serial", overlap=False)
+    engine = Engine(graph, grid=Grid2D(R=R, C=C), overlap=False)
     rng = np.random.default_rng([R, C, len(form)])
     before = []
     for ctx, arr in zip(engine, engine.alloc("x", np.float64, width=width)):

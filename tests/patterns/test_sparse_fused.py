@@ -324,7 +324,7 @@ def _prepare(graph, grid, overlap, seed, window):
     """An engine holding a consistent random state with a few entries of
     each rank's ``window`` overwritten (the local kernel's updates);
     returns the engine and the queues naming them."""
-    engine = Engine(graph, grid=grid, overlap=overlap, executor="serial")
+    engine = Engine(graph, grid=grid, overlap=overlap)
     rng = np.random.default_rng(seed)
     n = graph.n_vertices
     engine.scatter_global("s", rng.choice(ORDER_SENSITIVE, size=n) * rng.integers(1, 4, size=n))
@@ -417,7 +417,7 @@ def test_sum_keeps_each_ranks_received_buffer_order():
     grid = Grid2D(R=2, C=4)  # column groups of four
     engines = []
     for _ in range(2):
-        engine = Engine(graph, grid=grid, executor="serial")
+        engine = Engine(graph, grid=grid)
         engine.scatter_global("s", np.zeros(8))
         queues = []
         for ctx in engine:
@@ -447,7 +447,7 @@ def test_push_touched_covers_every_changed_cell(grid, n, op, overlap, seed):
     changed — the local kernel's writes (the queues) included — so a
     caller can track freshness from it instead of scanning the state."""
     graph = _graph(np.random.default_rng(seed), n)
-    engine = Engine(graph, grid=grid, overlap=overlap, executor="serial")
+    engine = Engine(graph, grid=grid, overlap=overlap)
     rng = np.random.default_rng(seed)
     engine.scatter_global("s", rng.choice(ORDER_SENSITIVE, size=n) * rng.integers(1, 4, size=n))
     before = engine.fleet.stacked("s").copy()

@@ -1,11 +1,20 @@
-"""Ratchet for the ROADMAP's "Fleet everywhere" direction.
+"""Ratchets for the ROADMAP's "Fleet everywhere" direction.
 
 Every ``map_ranks(`` / ``foreach(`` call site under ``algorithms/``,
 ``patterns/`` and ``core/program.py`` is a per-rank Python fan-out the
 roadmap wants written against the fleet instead.  The ceiling below is
 what the last conversion left; a PR that converts more lowers it, and
-none may raise it.  CI prints the same census (and the source line
-count the ROADMAP quotes) so the numbers are reproducible::
+none may raise it.
+
+The host side is single-threaded: the simulated ranks are the
+parallelism, and a fused superstep is one vectorized pass over all of
+them.  No module under ``src/repro`` imports ``threading`` or
+``concurrent.futures`` except the checkpoint writer, whose background
+thread overlaps disk I/O with the run.
+
+CI prints the same census (the fan-out sites, the modules that use
+threads, and the source line count the ROADMAP quotes) so the numbers
+are reproducible::
 
     python tests/test_census.py
 """
@@ -27,6 +36,10 @@ FAN_OUT_SCOPE = ("algorithms", "patterns", os.path.join("core", "program.py"))
 #: per-rank executor (PR 20).
 #: 44 before the BFS root seed became one stacked write.
 FAN_OUT_CEILING = 43
+
+THREADS = re.compile(r"^\s*(?:import|from)\s.*\b(?:threading|concurrent)\b")
+#: The async checkpoint writer (``CheckpointWriter``).
+THREADED_MODULES = {os.path.join("faults", "checkpoint.py")}
 
 
 def _python_files(path: str):
@@ -52,6 +65,15 @@ def fan_out_sites() -> dict[str, int]:
     return sites
 
 
+def threaded_modules() -> list[str]:
+    """Modules under ``src/repro`` that import a threading library."""
+    return sorted(
+        os.path.relpath(path, SRC)
+        for path in _python_files(SRC)
+        if any(THREADS.match(line) for line in _lines(path))
+    )
+
+
 def source_lines() -> int:
     return sum(len(_lines(path)) for path in _python_files(SRC))
 
@@ -61,10 +83,15 @@ def test_rank_fan_out_sites_only_go_down():
     assert sum(sites.values()) <= FAN_OUT_CEILING, sites
 
 
+def test_only_the_checkpoint_writer_uses_threads():
+    assert set(threaded_modules()) <= THREADED_MODULES, threaded_modules()
+
+
 if __name__ == "__main__":
     sites = fan_out_sites()
     for name, n in sorted(sites.items()):
         print(f"{n:4d}  {name}")
     total = sum(sites.values())
     print(f"{total:4d}  map_ranks( / foreach( sites (ceiling {FAN_OUT_CEILING})")
+    print(f"threads imported by: {', '.join(threaded_modules()) or 'none'}")
     print(f"{source_lines()} lines under src/repro")

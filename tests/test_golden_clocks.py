@@ -12,9 +12,11 @@ of ``complex_reduce`` (PR 17), ``bfs_batch`` and ``sssp_batch`` before
 their lane kernels took candidates by queue entry (PR 23).  Every case pins the modeled times (total / compute / comm /
 overlap, and every per-iteration mark), the communication counters and
 a digest of the answer, with floats stored as ``float.hex()`` so
-equality is exact.  The suite runs on whichever rank executor
-``REPRO_EXECUTOR`` selects and on ``threads:4`` explicitly (once, where
-the environment already selects a threaded executor).
+equality is exact.  Every case runs twice against the same entry: with
+``Engine.map_ranks`` visiting the ranks in rank order (id ``env``) and
+in reverse (id ``threads4``, the id of the thread-pool leg it
+replaced) — a per-rank closure that touched another rank's state would
+move the clock on one of the two.
 
 Add cases for code about to change — at the parent commit, before the
 first source edit; recorded cases are left byte-identical::
@@ -41,7 +43,6 @@ from repro.algorithms.batch import bfs_batch, pagerank_batch, sssp_batch
 from repro.algorithms.components import CC_VARIANTS
 from repro.baselines.spmv import spmv_bfs, spmv_cc, spmv_pagerank
 from repro.comm.grid import Grid2D
-from repro.exec import ThreadedExecutor, resolve_executor
 from repro.faults import CheckpointManager, HealthMonitor, IntegrityLedger
 from repro.graph import rmat
 
@@ -93,13 +94,8 @@ CASES = [
     for overlap in (False, True)
 ]
 
-
-#: ``None`` is whatever ``REPRO_EXECUTOR`` selects.  Where that already
-#: is a threaded executor (CI's threads:4 leg) the explicit id would run
-#: every case a second time on the same executor.
-EXECUTORS = {"env": None, "threads4": "threads:4"}
-if isinstance(resolve_executor(None), ThreadedExecutor):
-    del EXECUTORS["threads4"]
+#: Host rank order of each leg, by test id (see the module docstring).
+ORDERS = {"env": "forward", "threads4": "reversed"}
 
 
 def _graph():
@@ -128,8 +124,8 @@ def _phase(p) -> list[str]:
     return [float(x).hex() for x in (p.total, p.compute, p.comm, p.overlap)]
 
 
-def run_case(graph, algo, R, C, overlap, executor) -> dict:
-    engine = Engine(graph, grid=Grid2D(R=R, C=C), executor=executor, overlap=overlap)
+def run_case(graph, algo, R, C, overlap) -> dict:
+    engine = Engine(graph, grid=Grid2D(R=R, C=C), overlap=overlap)
     res = ALGOS[algo](engine)
     t = res.timings
     values = np.ascontiguousarray(res.values)
@@ -158,12 +154,15 @@ def graph():
     return _graph()
 
 
-@pytest.mark.parametrize("executor", EXECUTORS.values(), ids=EXECUTORS)
+@pytest.mark.parametrize("order", ORDERS.values(), ids=ORDERS)
 @pytest.mark.parametrize(
     "algo,R,C,overlap", CASES, ids=[_key(*c) for c in CASES]
 )
-def test_modeled_clock_is_golden(golden, graph, algo, R, C, overlap, executor):
-    got = run_case(graph, algo, R, C, overlap, executor)
+def test_modeled_clock_is_golden(golden, graph, algo, R, C, overlap, order):
+    from .conftest import rank_order  # here: the file also runs as a script
+
+    with rank_order(order):
+        got = run_case(graph, algo, R, C, overlap)
     want = golden[_key(algo, R, C, overlap)]
     # Compare field by field so a failure names what moved.
     for field in want:
@@ -184,7 +183,7 @@ if __name__ == "__main__":
             out = json.load(fh)
     g = _graph()
     missing = [c for c in CASES if _key(*c) not in out]
-    out.update({_key(*c): run_case(g, *c, executor="serial") for c in missing})
+    out.update({_key(*c): run_case(g, *c) for c in missing})
     with open(FIXTURE, "w") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)
     print(f"recorded {len(missing)} of {len(out)} cases to {FIXTURE}")
