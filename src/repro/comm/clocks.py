@@ -397,9 +397,9 @@ class VirtualClocks:
     def state_dict(self) -> dict:
         """Plain-data snapshot of the full clock state.
 
-        Everything is copied and picklable (marks flatten to tuples,
-        counter snapshots to nested dicts), so checkpoints can go to
-        disk; :meth:`load_state` restores bit-identically.
+        Everything is copied (marks flatten to tuples, counter
+        snapshots to nested dicts); :meth:`load_state` restores
+        bit-identically.
         """
         return {
             "clock": self.clock.copy(),
@@ -425,12 +425,9 @@ class VirtualClocks:
         self.compute[:] = state["compute"]
         self.comm[:] = state["comm"]
         self.recovery[:] = state["recovery"]
-        # Older snapshots predate the regrid, overlap, and certify
-        # lanes (and their marks carry 3-tuples, which PhaseTimes
-        # defaults absorb).
-        self.regrid[:] = state.get("regrid", 0.0)
-        self.overlap[:] = state.get("overlap", 0.0)
-        self.certify[:] = state.get("certify", 0.0)
+        self.regrid[:] = state["regrid"]
+        self.overlap[:] = state["overlap"]
+        self.certify[:] = state["certify"]
         self.iteration_marks[:] = [
             PhaseTimes(*t) for t in state["iteration_marks"]
         ]

@@ -58,12 +58,10 @@ class IterationTrace:
     #: empty in fault-free runs.  Beyond injector events this includes
     #: the robustness-layer kinds: ``health`` (watchdog transitions),
     #: ``demote`` / ``grow`` / ``hold`` (autoscaler decisions),
-    #: ``regrid`` (elastic migrations), ``checkpoint-skip``
-    #: (corrupt on-disk checkpoints passed over during recovery),
-    #: ``memflip`` (injected silent in-memory bit flips), and
-    #: ``integrity`` (ledger/certifier detections of such corruption).
-    #: See ``repro.faults``, ``repro.faults.health``, and
-    #: ``repro.faults.integrity``.
+    #: ``regrid`` (elastic migrations), ``memflip`` (injected silent
+    #: in-memory bit flips), and ``integrity`` (ledger/certifier
+    #: detections of such corruption).  See ``repro.faults``,
+    #: ``repro.faults.health``, and ``repro.faults.integrity``.
     faults: tuple = ()
 
     def as_dict(self) -> dict[str, Any]:
@@ -149,10 +147,10 @@ class TraceRecorder:
         # the tail row.
         by_step: dict[int, list[dict]] = {}
         for event in getattr(self.engine, "fault_events", []):
-            # Robustness-layer events (health / demote / grow / hold /
-            # checkpoint-skip) always carry a superstep, but tolerate
-            # hand-built dicts that omit it: attribute them to the
-            # pre-first-mark work that lands in iteration 1.
+            # Robustness-layer events (health / demote / grow / hold)
+            # always carry a superstep, but tolerate hand-built dicts
+            # that omit it: attribute them to the pre-first-mark work
+            # that lands in iteration 1.
             by_step.setdefault(event.get("superstep", 0), []).append(event)
         rows: list[IterationTrace] = []
         prev_t = PhaseTimes(0.0, 0.0, 0.0)

@@ -2,7 +2,7 @@
 
 The robustness layer of the simulator (see ``docs/ROBUSTNESS.md``):
 
-* :mod:`repro.faults.plan` — deterministic, seed-driven fault plans
+* :mod:`repro.faults.plan` — deterministic, hand-written fault plans
   (crash / transient / corruption / straggler specs) and the
   :class:`FaultEvent` records runs emit;
 * :mod:`repro.faults.injector` — the plan-executing state machine and
@@ -10,9 +10,8 @@ The robustness layer of the simulator (see ``docs/ROBUSTNESS.md``):
 * :mod:`repro.faults.resilient` — :class:`ResilientCommunicator`, a
   drop-in decorator over the collectives layer adding checksum
   detection, backoff retries, and failure escalation;
-* :mod:`repro.faults.checkpoint` — superstep checkpoints (in-memory
-  and on-disk, sha256-integrity-checked) that make crashed runs
-  resumable bit-identically;
+* :mod:`repro.faults.checkpoint` — in-memory superstep checkpoints
+  that make crashed runs resumable bit-identically;
 * :mod:`repro.faults.elastic` — :func:`drive_elastic`, the one
   recovery driver every resilient run goes through, and degraded-mode
   recovery from *permanent* rank loss: migrate the latest checkpoint
@@ -36,18 +35,12 @@ are :class:`~repro.core.hooks.BoundaryHook` s: the engine fires them at
 each superstep boundary in the declared phase order.
 """
 
-from .checkpoint import (
-    CHECKPOINT_SCHEMA,
-    Checkpoint,
-    CheckpointCorruption,
-    CheckpointManager,
-)
+from .checkpoint import Checkpoint, CheckpointManager
 from .elastic import (
     CheckpointLayout,
     ElasticRecovery,
     ElasticUnrecoverable,
     GridPolicy,
-    KeepRows,
     PreferSquare,
     Recovery,
     SparePool,
@@ -80,16 +73,13 @@ from .resilient import ResilientCommunicator
 from .scenarios import CAMPAIGNS, CaseResult, run_campaign, run_case
 
 __all__ = [
-    "CHECKPOINT_SCHEMA",
     "Checkpoint",
-    "CheckpointCorruption",
     "CheckpointManager",
     "CheckpointLayout",
     "Recovery",
     "ElasticRecovery",
     "ElasticUnrecoverable",
     "GridPolicy",
-    "KeepRows",
     "PreferSquare",
     "SparePool",
     "drive_elastic",

@@ -54,7 +54,6 @@ from .plan import FaultEvent
 __all__ = [
     "GridPolicy",
     "PreferSquare",
-    "KeepRows",
     "SparePool",
     "resolve_policy",
     "ElasticUnrecoverable",
@@ -95,27 +94,6 @@ class PreferSquare(GridPolicy):
         return squarest_grid(survivors)
 
 
-class KeepRows(GridPolicy):
-    """Preserve the number of block-rows ``C`` (and therefore the
-    row-group vertex ranges), shrinking each row group to
-    ``R' = survivors // C`` ranks.
-
-    Losing one rank never divides evenly (``C`` divides ``p`` so it
-    cannot divide ``p - 1``), so this policy deliberately idles the
-    ``survivors mod C`` leftover ranks — the trade is stable vertex
-    ownership against full utilization.  When fewer than ``C``
-    survivors remain it falls back to :class:`PreferSquare`.
-    """
-
-    name = "keep-rows"
-
-    def choose(self, grid: Grid2D, survivors: int) -> Optional[Grid2D]:
-        R = survivors // grid.C
-        if R >= 1:
-            return Grid2D(R=R, C=grid.C)
-        return squarest_grid(survivors)
-
-
 class SparePool(GridPolicy):
     """Hold ``spares`` hot standby GPUs: while the pool lasts the grid
     is unchanged (the spare adopts the dead rank's checkpointed state);
@@ -139,7 +117,7 @@ class SparePool(GridPolicy):
 
 def resolve_policy(spec: Union[GridPolicy, str]) -> GridPolicy:
     """Resolve a policy spec: a :class:`GridPolicy` instance, or one of
-    ``"prefer-square"``, ``"keep-rows"``, ``"spare-pool"`` /
+    ``"prefer-square"``, ``"spare-pool"`` /
     ``"spare-pool:N"`` (a pool of N spares)."""
     if isinstance(spec, GridPolicy):
         return spec
@@ -151,8 +129,6 @@ def resolve_policy(spec: Union[GridPolicy, str]) -> GridPolicy:
     name, _, arg = spec.partition(":")
     if name == "prefer-square" and not arg:
         return PreferSquare()
-    if name == "keep-rows" and not arg:
-        return KeepRows()
     if name == "spare-pool":
         if not arg:
             return SparePool()
@@ -165,7 +141,7 @@ def resolve_policy(spec: Union[GridPolicy, str]) -> GridPolicy:
         return SparePool(spares=spares)
     raise ValueError(
         f"unknown grid policy {spec!r}; choose from 'prefer-square', "
-        f"'keep-rows', 'spare-pool', 'spare-pool:N'"
+        f"'spare-pool', 'spare-pool:N'"
     )
 
 
@@ -187,12 +163,6 @@ class CheckpointLayout:
     """
 
     def __init__(self, ckpt: Checkpoint):
-        if ckpt.grid is None or ckpt.perm is None or ckpt.localmaps is None:
-            raise ElasticUnrecoverable(
-                "checkpoint predates layout recording (no grid/perm/"
-                "localmaps); elastic recovery needs a layout-bearing "
-                "checkpoint"
-            )
         self.grid = Grid2D(R=ckpt.grid[0], C=ckpt.grid[1])
         self.perm = np.asarray(ckpt.perm)
         self.localmaps = list(ckpt.localmaps)
@@ -577,21 +547,10 @@ class ElasticRecovery(Recovery):
         return new_engine
 
 
-def _as_recovery(elastic) -> Recovery:
-    if isinstance(elastic, Recovery):
-        return elastic
-    if elastic is None or elastic is False:
-        return Recovery()
-    if elastic is True:
-        return ElasticRecovery()
-    return ElasticRecovery(policy=elastic)
-
-
 def drive_elastic(
     runner: Callable[[Any, bool], Any],
     engine,
-    elastic=None,
-    resume: bool = False,
+    elastic: Optional[Recovery] = None,
 ):
     """Run ``runner(engine, resume)`` under a recovery loop — the one
     driver every resilient run goes through.
@@ -599,9 +558,8 @@ def drive_elastic(
     ``runner`` is any resume-capable algorithm call, e.g. ``lambda e,
     r: bfs(e, root=0, resume=r)`` (single-source, batched, or a vertex
     program alike).  ``elastic`` says what a failure leads to: a
-    :class:`Recovery` instance, ``None`` to resume in place, ``True``
-    for the default :class:`ElasticRecovery`, or a grid-policy spec
-    string for one with that policy.
+    :class:`Recovery` instance (:class:`ElasticRecovery` to regrid), or
+    ``None`` to resume in place.
 
     Every :class:`RankFailure` that escapes the resilient
     communicator's retry budget (a crash, a demotion, detected state
@@ -614,9 +572,9 @@ def drive_elastic(
     post-regrid clocks, counters, and trace state (the original engine
     is stale after a shrink).
     """
-    recovery = _as_recovery(elastic)
+    recovery = elastic if elastic is not None else Recovery()
     current = engine
-    use_resume = resume
+    use_resume = False
     recovery.prepare(current)
     while True:
         try:

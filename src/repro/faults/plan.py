@@ -9,11 +9,10 @@ deterministic events.  A :class:`FaultPlan` is a list of
 and *when* (superstep); :class:`~repro.faults.injector.FaultInjector`
 executes the plan against a run.
 
-Determinism is the point: a plan is either hand-written (tests pin
-exact scenarios) or drawn from a seeded generator
-(:meth:`FaultPlan.random`), and the same plan against the same program
-produces the same fault schedule, the same retries, and the same
-failure — which is what makes recovery *testable*.
+Determinism is the point: a plan is a hand-written list of specs
+(every campaign row pins an exact scenario), and the same plan against
+the same program produces the same fault schedule, the same retries,
+and the same failure — which is what makes recovery *testable*.
 
 Fault kinds
 -----------
@@ -52,9 +51,7 @@ Fault kinds
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
-
-import numpy as np
+from typing import Iterator, Optional
 
 __all__ = ["FAULT_KINDS", "FaultSpec", "FaultPlan", "FaultEvent"]
 
@@ -200,7 +197,6 @@ class FaultPlan:
     """An ordered collection of :class:`FaultSpec` entries."""
 
     specs: list[FaultSpec] = field(default_factory=list)
-    seed: Optional[int] = None
 
     def __post_init__(self) -> None:
         self.specs = sorted(
@@ -213,119 +209,7 @@ class FaultPlan:
     def __iter__(self) -> Iterator[FaultSpec]:
         return iter(self.specs)
 
-    @classmethod
-    def random(
-        cls,
-        seed: int,
-        n_supersteps: int,
-        n_ranks: int,
-        crash_rate: float = 0.0,
-        transient_rate: float = 0.1,
-        corruption_rate: float = 0.05,
-        straggler_rate: float = 0.1,
-        straggler_delay_s: float = 1e-3,
-        max_crashes: int = 1,
-        memflip_rate: float = 0.0,
-    ) -> "FaultPlan":
-        """Draw a plan from a seeded generator (same seed, same plan).
-
-        Rates are per-superstep Bernoulli probabilities; each drawn
-        fault picks a uniform random rank (and bit, for corruption and
-        memflip).
-        Crashes are capped at ``max_crashes`` — each one ends a run, so
-        more than a couple makes a scenario unfinishable even with
-        checkpoints at every boundary.
-        """
-        if n_supersteps < 0:
-            raise ValueError(
-                f"n_supersteps must be >= 0, got {n_supersteps}"
-            )
-        if n_ranks < 1:
-            raise ValueError(f"n_ranks must be >= 1, got {n_ranks}")
-        rates = {
-            "crash_rate": crash_rate,
-            "transient_rate": transient_rate,
-            "corruption_rate": corruption_rate,
-            "straggler_rate": straggler_rate,
-            "memflip_rate": memflip_rate,
-        }
-        for name, rate in rates.items():
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(
-                    f"{name} must be a probability in [0, 1], got {rate}"
-                )
-        if straggler_rate > 0 and straggler_delay_s <= 0:
-            raise ValueError(
-                f"straggler_delay_s must be > 0 when straggler_rate > 0, "
-                f"got {straggler_delay_s}"
-            )
-        if max_crashes < 0:
-            raise ValueError(f"max_crashes must be >= 0, got {max_crashes}")
-        rng = np.random.default_rng(seed)
-        specs: list[FaultSpec] = []
-        crashes = 0
-        for step in range(1, n_supersteps + 1):
-            if crashes < max_crashes and rng.random() < crash_rate:
-                specs.append(
-                    FaultSpec("crash", step, rank=int(rng.integers(n_ranks)))
-                )
-                crashes += 1
-            if rng.random() < transient_rate:
-                specs.append(
-                    FaultSpec(
-                        "transient",
-                        step,
-                        count=int(rng.integers(1, 3)),
-                    )
-                )
-            if rng.random() < corruption_rate:
-                specs.append(
-                    FaultSpec(
-                        "corruption",
-                        step,
-                        bit=int(rng.integers(0, 64)),
-                    )
-                )
-            if rng.random() < straggler_rate:
-                specs.append(
-                    FaultSpec(
-                        "straggler",
-                        step,
-                        rank=int(rng.integers(n_ranks)),
-                        delay_s=float(straggler_delay_s * (1 + rng.random())),
-                    )
-                )
-            if rng.random() < memflip_rate:
-                specs.append(
-                    FaultSpec(
-                        "memflip",
-                        step,
-                        rank=int(rng.integers(n_ranks)),
-                        bit=int(rng.integers(0, 4096)),
-                    )
-                )
-        return cls(specs=specs, seed=seed)
-
     def for_superstep(self, superstep: int) -> list[FaultSpec]:
         """Specs scheduled exactly at ``superstep`` (crashes are
         handled separately: they persist from their superstep on)."""
         return [s for s in self.specs if s.superstep == superstep]
-
-    def describe(self) -> str:
-        """Human-readable one-line-per-spec rendering."""
-        if not self.specs:
-            return "(no faults planned)"
-        lines = []
-        for s in self.specs:
-            where = f"rank {s.rank}" if s.rank is not None else "any rank"
-            what = {
-                "crash": "crash",
-                "transient": f"{s.count}x transient failure",
-                "corruption": f"bit {s.bit} flip",
-                "straggler": f"stall {s.delay_s * 1e3:.3f} ms",
-                "recover": f"{s.count} spare rank(s) arrive",
-                "memflip": f"{s.count} state bit(s) flip from bit {s.bit}",
-            }[s.kind]
-            coll = f" on {s.collective}" if s.collective else ""
-            lines.append(f"superstep {s.superstep}: {what} at {where}{coll}")
-        return "\n".join(lines)

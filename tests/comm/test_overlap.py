@@ -147,18 +147,6 @@ class TestClockIssueComplete:
         assert np.array_equal(restored.overlap, clocks.overlap)
         assert restored.overlap_total == clocks.overlap_total
 
-    def test_load_state_before_overlap_lane(self):
-        """Checkpoints written before the overlap lane existed load
-        with a zero lane (backward compatibility)."""
-        clocks = VirtualClocks(2)
-        clocks.sync_group([0, 1], 1.0)
-        state = clocks.state_dict()
-        state.pop("overlap")
-        fresh = VirtualClocks(2)
-        fresh.load_state(state)
-        assert fresh.overlap.sum() == 0.0
-        assert np.array_equal(fresh.comm, clocks.comm)
-
 
 class TestSplitPhaseCommunicator:
     def _fresh(self):

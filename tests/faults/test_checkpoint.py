@@ -1,35 +1,15 @@
-"""CheckpointManager: snapshot, prune, restore, disk round-trip."""
-
-import hashlib
-import os
-import pickle
+"""CheckpointManager: snapshot, prune, restore."""
 
 import numpy as np
 import pytest
 
 from repro import Engine, algorithms
-from repro.faults import (
-    CHECKPOINT_SCHEMA,
-    CheckpointCorruption,
-    CheckpointManager,
-)
+from repro.faults import CheckpointManager
 from repro.graph import rmat
 
 
 def small_engine(n_ranks=4):
     return Engine(rmat(7, seed=3), n_ranks)
-
-
-def _write_envelope(path, obj):
-    """Write ``obj`` in the on-disk integrity-envelope format."""
-    payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    envelope = {
-        "schema": CHECKPOINT_SCHEMA,
-        "sha256": hashlib.sha256(payload).hexdigest(),
-        "payload": payload,
-    }
-    with open(path, "wb") as fh:
-        pickle.dump(envelope, fh, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 class TestManagerConfig:
@@ -66,12 +46,16 @@ class TestSnapshotContents:
         engine.attach_checkpoints(mgr)
         algorithms.pagerank(engine, iterations=3)
         ckpt = mgr.latest()
-        assert ckpt.schema == CHECKPOINT_SCHEMA
         assert ckpt.algo == "pagerank"
         assert len(ckpt.states) == engine.n_ranks
         assert all("pr" in per_rank for per_rank in ckpt.states)
         assert ckpt.nbytes > 0
         assert "iterations_run" in ckpt.algo_state
+        # the layout the states were captured under is the engine's
+        part = engine.partition
+        assert ckpt.grid == (engine.grid.R, engine.grid.C)
+        assert np.array_equal(ckpt.perm, part.perm)
+        assert ckpt.localmaps == [blk.localmap for blk in part.blocks]
 
     def test_snapshot_is_a_copy(self):
         engine = small_engine()
@@ -129,445 +113,3 @@ class TestRestore:
     def test_resume_without_manager_returns_none(self):
         engine = small_engine()
         assert engine.resume_from_checkpoint("bfs") is None
-
-
-class TestDiskRoundTrip:
-    def test_pickle_round_trip(self, tmp_path):
-        engine = small_engine()
-        mgr = CheckpointManager(
-            interval=1, directory=str(tmp_path), checkpoint_bw=None
-        )
-        engine.attach_checkpoints(mgr)
-        algorithms.pagerank(engine, iterations=4)
-        loaded = CheckpointManager.latest_on_disk(str(tmp_path))
-        live = mgr.latest()
-        assert loaded.superstep == live.superstep
-        assert loaded.algo == live.algo
-        assert loaded.counters == live.counters
-        for a, b in zip(loaded.states, live.states):
-            assert sorted(a) == sorted(b)
-            for name in a:
-                assert np.array_equal(a[name], b[name])
-        assert loaded.algo_state == live.algo_state
-
-    def test_disk_prune_tracks_keep(self, tmp_path):
-        engine = small_engine()
-        mgr = CheckpointManager(
-            interval=1, directory=str(tmp_path), keep=2, checkpoint_bw=None
-        )
-        engine.attach_checkpoints(mgr)
-        algorithms.pagerank(engine, iterations=5)
-        files = sorted(os.listdir(tmp_path))
-        assert files == ["ckpt_000004.pkl", "ckpt_000005.pkl"]
-
-    def test_resume_in_fresh_process_equivalent(self, tmp_path):
-        # Simulate a whole-process crash: run to completion once for
-        # reference, then restore a *fresh* engine from disk and finish.
-        g = rmat(7, seed=3)
-        ref = algorithms.pagerank(
-            Engine(g, 4), iterations=6
-        )
-        engine = Engine(g, 4)
-        engine.attach_checkpoints(
-            CheckpointManager(
-                interval=1, directory=str(tmp_path), checkpoint_bw=None
-            )
-        )
-        algorithms.pagerank(engine, iterations=3)  # "crashes" after 3
-
-        fresh = Engine(g, 4)
-        mgr = CheckpointManager(
-            interval=1, directory=str(tmp_path), checkpoint_bw=None
-        )
-        mgr.checkpoints.append(CheckpointManager.latest_on_disk(str(tmp_path)))
-        fresh.attach_checkpoints(mgr)
-        res = algorithms.pagerank(fresh, iterations=6, resume=True)
-        assert np.array_equal(res.values, ref.values)
-
-    def test_load_rejects_wrong_schema(self, tmp_path):
-        from repro.faults.checkpoint import Checkpoint
-
-        bad = Checkpoint(
-            superstep=1, algo="x", states=[], counters={}, clocks={},
-            schema="repro.checkpoint.v999",
-        )
-        path = tmp_path / "ckpt_000001.pkl"
-        _write_envelope(path, bad)
-        with pytest.raises(ValueError, match="schema mismatch"):
-            CheckpointManager.load(str(path))
-
-    def test_load_rejects_non_checkpoint(self, tmp_path):
-        path = tmp_path / "ckpt_000001.pkl"
-        _write_envelope(path, {"not": "a checkpoint"})
-        with pytest.raises(ValueError, match="does not contain"):
-            CheckpointManager.load(str(path))
-
-    def test_latest_on_disk_missing_directory(self, tmp_path):
-        assert CheckpointManager.latest_on_disk(str(tmp_path / "nope")) is None
-
-
-class TestCorruptionDetection:
-    """Integrity-envelope checks: sha256 mismatch, truncation, legacy
-    raw pickles, and the corrupt-skip fallback in latest_on_disk."""
-
-    def _two_checkpoints(self, tmp_path):
-        engine = small_engine()
-        mgr = CheckpointManager(
-            interval=1, directory=str(tmp_path), checkpoint_bw=None
-        )
-        engine.attach_checkpoints(mgr)
-        algorithms.pagerank(engine, iterations=2)
-        files = sorted(os.listdir(tmp_path))
-        assert len(files) == 2
-        return [os.path.join(tmp_path, f) for f in files]
-
-    def test_bit_flip_raises_corruption_with_digests(self, tmp_path):
-        (path, _) = self._two_checkpoints(tmp_path)[:2]
-        with open(path, "rb") as fh:
-            data = bytearray(fh.read())
-        # Flip a byte deep inside the pickled payload bytes.
-        data[len(data) // 2] ^= 0xFF
-        with open(path, "wb") as fh:
-            fh.write(bytes(data))
-        with pytest.raises(CheckpointCorruption, match="sha256 mismatch") as ei:
-            CheckpointManager.load(path)
-        assert ei.value.path == path
-        assert ei.value.expected is not None
-        assert ei.value.actual is not None
-        assert ei.value.expected != ei.value.actual
-
-    def test_truncated_file_raises_corruption(self, tmp_path):
-        (path, _) = self._two_checkpoints(tmp_path)[:2]
-        with open(path, "rb") as fh:
-            data = fh.read()
-        with open(path, "wb") as fh:
-            fh.write(data[: len(data) // 3])
-        with pytest.raises(CheckpointCorruption):
-            CheckpointManager.load(path)
-
-    def test_legacy_raw_pickle_raises_corruption(self, tmp_path):
-        # Pre-envelope files (a bare pickled Checkpoint) are unreadable
-        # as envelopes, not silently accepted.
-        from repro.faults.checkpoint import Checkpoint
-
-        old = Checkpoint(
-            superstep=1, algo="x", states=[], counters={}, clocks={}
-        )
-        path = str(tmp_path / "ckpt_000001.pkl")
-        with open(path, "wb") as fh:
-            pickle.dump(old, fh)
-        with pytest.raises(CheckpointCorruption, match="envelope"):
-            CheckpointManager.load(path)
-
-    def test_latest_on_disk_skips_corrupt_newest(self, tmp_path):
-        older, newer = self._two_checkpoints(tmp_path)
-        with open(newer, "wb") as fh:
-            fh.write(b"garbage")
-        with pytest.warns(UserWarning, match="skipping corrupt checkpoint"):
-            ckpt = CheckpointManager.latest_on_disk(str(tmp_path))
-        assert ckpt is not None
-        assert ckpt.superstep == 1
-
-    def test_latest_on_disk_all_corrupt_returns_none(self, tmp_path):
-        for path in self._two_checkpoints(tmp_path):
-            with open(path, "wb") as fh:
-                fh.write(b"garbage")
-        with pytest.warns(UserWarning):
-            assert CheckpointManager.latest_on_disk(str(tmp_path)) is None
-
-    def test_corrupt_skip_emits_structured_event(self, tmp_path):
-        """Skipping a corrupt checkpoint is not silent: a
-        ``checkpoint-skip`` event names the path and both digests."""
-        older, newer = self._two_checkpoints(tmp_path)
-        with open(newer, "rb") as fh:
-            data = bytearray(fh.read())
-        data[len(data) // 2] ^= 0xFF  # deep bit flip → sha256 mismatch
-        with open(newer, "wb") as fh:
-            fh.write(bytes(data))
-        events = []
-        with pytest.warns(UserWarning, match="skipping corrupt checkpoint"):
-            ckpt = CheckpointManager.latest_on_disk(str(tmp_path), events=events)
-        assert ckpt is not None and ckpt.superstep == 1
-        assert len(events) == 1
-        ev = events[0]
-        assert ev["kind"] == "checkpoint-skip"
-        assert ev["collective"] == "checkpoint"
-        assert ev["superstep"] == 2
-        assert ev["path"] == newer
-        assert ev["detected"] is True and ev["fatal"] is False
-        assert ev["sha256_expected"] != ev["sha256_actual"]
-        assert ev["sha256_expected"] is not None
-
-    def test_skips_chain_of_bad_checkpoints_to_oldest_good(self, tmp_path):
-        """A *chain* of damage — newest sha256-flipped, middle
-        truncated — is walked newest-first, emitting one structured
-        ``checkpoint-skip`` event per skip, and recovery lands on the
-        oldest healthy snapshot."""
-        engine = small_engine()
-        mgr = CheckpointManager(
-            interval=1, directory=str(tmp_path), keep=3, checkpoint_bw=None
-        )
-        engine.attach_checkpoints(mgr)
-        algorithms.pagerank(engine, iterations=3)
-        files = sorted(os.listdir(tmp_path))
-        assert len(files) == 3
-        oldest, middle, newest = (os.path.join(tmp_path, f) for f in files)
-        # Newest: deep bit flip -> sha256 mismatch.
-        with open(newest, "rb") as fh:
-            data = bytearray(fh.read())
-        data[len(data) // 2] ^= 0xFF
-        with open(newest, "wb") as fh:
-            fh.write(bytes(data))
-        # Middle: truncated pickle -> unreadable envelope.
-        with open(middle, "rb") as fh:
-            data = fh.read()
-        with open(middle, "wb") as fh:
-            fh.write(data[: len(data) // 3])
-        events = []
-        with pytest.warns(UserWarning, match="skipping corrupt checkpoint"):
-            ckpt = CheckpointManager.latest_on_disk(
-                str(tmp_path), events=events
-            )
-        assert ckpt is not None
-        assert ckpt.superstep == 1  # the oldest good snapshot
-        # Exactly one structured event per skipped file, newest first.
-        assert [e["kind"] for e in events] == [
-            "checkpoint-skip", "checkpoint-skip",
-        ]
-        assert [e["superstep"] for e in events] == [3, 2]
-        assert [e["path"] for e in events] == [newest, middle]
-        sha_skip, trunc_skip = events
-        assert sha_skip["sha256_expected"] != sha_skip["sha256_actual"]
-        assert sha_skip["sha256_expected"] is not None
-        # Truncation dies before the digest check: no sha pair, but the
-        # detail says why.
-        assert trunc_skip["sha256_expected"] is None
-        assert "unreadable" in trunc_skip["detail"]
-        for e in events:
-            assert e["collective"] == "checkpoint"
-            assert e["detected"] is True and e["fatal"] is False
-
-    def test_corrupt_skip_records_event_on_engine(self, tmp_path):
-        """With an engine passed, the skip lands in ``fault_events`` so
-        traces show recovery passing over a bad checkpoint."""
-        older, newer = self._two_checkpoints(tmp_path)
-        with open(newer, "wb") as fh:
-            fh.write(b"garbage")
-        engine = small_engine()
-        with pytest.warns(UserWarning):
-            CheckpointManager.latest_on_disk(str(tmp_path), engine=engine)
-        kinds = [e["kind"] for e in engine.fault_events]
-        assert "checkpoint-skip" in kinds
-
-
-class TestAtomicWrites:
-    def _crashing_dump(self, monkeypatch, after_bytes=64):
-        """Make the next pickle.dump write a partial prefix, then die —
-        a process crash mid-stream, from the file's point of view."""
-        import repro.faults.checkpoint as ckpt_mod
-
-        real_dumps = pickle.dumps
-
-        def dump_partial(obj, fh, protocol=None):
-            data = real_dumps(obj, protocol or pickle.HIGHEST_PROTOCOL)
-            fh.write(data[:after_bytes])
-            fh.flush()
-            raise OSError("simulated crash mid-write")
-
-        monkeypatch.setattr(ckpt_mod.pickle, "dump", dump_partial)
-
-    def test_crash_mid_write_preserves_previous_checkpoint(
-        self, tmp_path, monkeypatch
-    ):
-        engine = small_engine()
-        mgr = CheckpointManager(
-            interval=1, directory=str(tmp_path), checkpoint_bw=None
-        )
-        engine.attach_checkpoints(mgr)
-        algorithms.pagerank(engine, iterations=2)
-        survivor = CheckpointManager.latest_on_disk(str(tmp_path))
-        assert survivor.superstep == 2
-
-        # The next superstep's save dies mid-stream ...
-        self._crashing_dump(monkeypatch)
-        with pytest.raises(OSError, match="simulated crash"):
-            mgr.save(engine, 3, "pagerank", {"iterations_run": 3, "done": False})
-        monkeypatch.undo()
-
-        # ... and the on-disk series is undamaged: no torn ckpt_3 file,
-        # no temp debris picked up, and the previous checkpoint loads
-        # bit-identically.
-        assert not (tmp_path / "ckpt_000003.pkl").exists()
-        recovered = CheckpointManager.latest_on_disk(str(tmp_path))
-        assert recovered.superstep == survivor.superstep
-        assert recovered.counters == survivor.counters
-        for a, b in zip(recovered.states, survivor.states):
-            assert sorted(a) == sorted(b)
-            for name in a:
-                assert np.array_equal(a[name], b[name])
-
-    def test_crash_rewriting_same_file_preserves_old_contents(
-        self, tmp_path, monkeypatch
-    ):
-        """Overwriting an existing checkpoint path (same superstep, e.g.
-        after adopt or a restarted run) must be all-or-nothing too."""
-        engine = small_engine()
-        mgr = CheckpointManager(
-            interval=1, directory=str(tmp_path), checkpoint_bw=None
-        )
-        first = mgr.save(engine, 1, "x", {"gen": 1})
-        path = tmp_path / "ckpt_000001.pkl"
-        before = path.read_bytes()
-
-        self._crashing_dump(monkeypatch)
-        with pytest.raises(OSError, match="simulated crash"):
-            mgr.save(engine, 1, "x", {"gen": 2})
-        monkeypatch.undo()
-
-        assert path.read_bytes() == before
-        assert CheckpointManager.load(str(path)).algo_state == first.algo_state
-
-    def test_no_temp_debris_after_healthy_writes(self, tmp_path):
-        engine = small_engine()
-        mgr = CheckpointManager(
-            interval=1, directory=str(tmp_path), checkpoint_bw=None
-        )
-        engine.attach_checkpoints(mgr)
-        algorithms.pagerank(engine, iterations=3)
-        assert all(not n.endswith(".tmp") for n in os.listdir(tmp_path))
-
-    def test_restore_after_crash_is_bit_identical(self, tmp_path, monkeypatch):
-        g = rmat(7, seed=3)
-        ref = algorithms.pagerank(Engine(g, 4), iterations=4)
-
-        engine = Engine(g, 4)
-        mgr = CheckpointManager(
-            interval=1, directory=str(tmp_path), checkpoint_bw=None
-        )
-        engine.attach_checkpoints(mgr)
-        algorithms.pagerank(engine, iterations=2)
-        # superstep 3's write dies mid-stream; superstep 2 must carry
-        # the resumed run to the reference result.
-        self._crashing_dump(monkeypatch)
-        with pytest.raises(OSError):
-            mgr.save(engine, 3, "pagerank", {"iterations_run": 3, "done": False})
-        monkeypatch.undo()
-
-        fresh = Engine(g, 4)
-        mgr2 = CheckpointManager(
-            interval=1, directory=str(tmp_path), checkpoint_bw=None
-        )
-        mgr2.checkpoints.append(CheckpointManager.latest_on_disk(str(tmp_path)))
-        fresh.attach_checkpoints(mgr2)
-        res = algorithms.pagerank(fresh, iterations=4, resume=True)
-        assert np.array_equal(res.values, ref.values)
-        assert res.timings.total == ref.timings.total
-
-
-class TestAsyncWrites:
-    def test_async_files_identical_to_sync(self, tmp_path):
-        g = rmat(7, seed=3)
-        sync_dir, async_dir = tmp_path / "sync", tmp_path / "async"
-
-        e1 = Engine(g, 4)
-        e1.attach_checkpoints(
-            CheckpointManager(interval=1, directory=str(sync_dir), checkpoint_bw=None)
-        )
-        algorithms.pagerank(e1, iterations=4)
-
-        e2 = Engine(g, 4)
-        mgr = CheckpointManager(
-            interval=1,
-            directory=str(async_dir),
-            checkpoint_bw=None,
-            async_write=True,
-        )
-        e2.attach_checkpoints(mgr)
-        algorithms.pagerank(e2, iterations=4)
-        mgr.flush()
-
-        assert sorted(os.listdir(sync_dir)) == sorted(os.listdir(async_dir))
-        for name in sorted(os.listdir(sync_dir)):
-            a = CheckpointManager.load(str(sync_dir / name))
-            b = CheckpointManager.load(str(async_dir / name))
-            assert a.superstep == b.superstep
-            assert a.counters == b.counters
-            for sa, sb in zip(a.states, b.states):
-                for key in sa:
-                    assert np.array_equal(sa[key], sb[key])
-
-    def test_async_charges_same_virtual_time_as_sync(self):
-        g = rmat(7, seed=3)
-        e1, e2 = Engine(g, 4), Engine(g, 4)
-        e1.attach_checkpoints(CheckpointManager(interval=1))
-        m2 = CheckpointManager(interval=1, directory=None)
-        e2.attach_checkpoints(m2)
-        r1 = algorithms.pagerank(e1, iterations=3)
-        r2 = algorithms.pagerank(e2, iterations=3)
-        # the copy-out charge is identical whether or not a disk drain
-        # follows (the drain is off the modeled critical path)
-        assert r1.timings.total == r2.timings.total
-        assert r1.timings.recovery == r2.timings.recovery
-
-    def test_prune_never_overtakes_write(self, tmp_path):
-        engine = small_engine()
-        mgr = CheckpointManager(
-            interval=1,
-            directory=str(tmp_path),
-            keep=1,
-            checkpoint_bw=None,
-            async_write=True,
-        )
-        engine.attach_checkpoints(mgr)
-        algorithms.pagerank(engine, iterations=5)
-        mgr.flush()
-        assert sorted(os.listdir(tmp_path)) == ["ckpt_000005.pkl"]
-        assert CheckpointManager.latest_on_disk(str(tmp_path)).superstep == 5
-
-    def test_latest_on_disk_healthy_while_writer_busy(self, tmp_path):
-        """Whatever latest_on_disk observes mid-run must be a complete,
-        healthy checkpoint (atomic publication), even with the writer
-        still draining."""
-        engine = small_engine()
-        mgr = CheckpointManager(
-            interval=1,
-            directory=str(tmp_path),
-            checkpoint_bw=None,
-            async_write=True,
-        )
-        engine.attach_checkpoints(mgr)
-        algorithms.pagerank(engine, iterations=4)
-        seen = CheckpointManager.latest_on_disk(str(tmp_path))
-        assert seen is None or isinstance(seen.superstep, int)
-        mgr.flush()
-        assert CheckpointManager.latest_on_disk(str(tmp_path)).superstep == 4
-
-    def test_background_error_surfaces_on_flush(self, tmp_path, monkeypatch):
-        mgr = CheckpointManager(
-            interval=1,
-            directory=str(tmp_path),
-            checkpoint_bw=None,
-            async_write=True,
-        )
-        monkeypatch.setattr(
-            mgr,
-            "_write_sync",
-            lambda ckpt, path: (_ for _ in ()).throw(OSError("disk full")),
-        )
-        engine = small_engine()
-        mgr.save(engine, 1, "x", {})
-        with pytest.raises(RuntimeError, match="async checkpoint write failed"):
-            mgr.flush()
-
-    def test_close_is_idempotent(self, tmp_path):
-        mgr = CheckpointManager(
-            interval=1,
-            directory=str(tmp_path),
-            checkpoint_bw=None,
-            async_write=True,
-        )
-        engine = small_engine()
-        mgr.save(engine, 1, "x", {})
-        mgr.close()
-        mgr.close()
-        assert CheckpointManager.latest_on_disk(str(tmp_path)).superstep == 1

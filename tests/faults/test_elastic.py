@@ -20,7 +20,6 @@ from repro.faults import (
     ElasticUnrecoverable,
     FaultPlan,
     FaultSpec,
-    KeepRows,
     PreferSquare,
     SparePool,
     drive_elastic,
@@ -148,13 +147,6 @@ class TestCascadeAndPolicies:
         assert [e["to_grid"] for e in info["events"]] == [(1, 11), (2, 5)]
         assert np.array_equal(ref.values, res.values)
 
-    def test_keep_rows_preserves_block_rows(self):
-        ref, res = elastic_run("cc", policy="keep-rows")
-        info = res.extra["elastic"]
-        # 11 survivors, C=3 kept: R' = 11 // 3 = 3, two ranks idle.
-        assert info["final_grid"] == (3, 3)
-        assert np.array_equal(ref.values, res.values)
-
     def test_spare_pool_falls_back_when_exhausted(self):
         specs = [FaultSpec("crash", 2, rank=5), FaultSpec("crash", 3, rank=2)]
         ref, res = elastic_run("cc", policy="spare-pool:1", specs=specs)
@@ -165,7 +157,6 @@ class TestCascadeAndPolicies:
 
     def test_policy_objects_and_specs(self):
         assert isinstance(resolve_policy("prefer-square"), PreferSquare)
-        assert isinstance(resolve_policy("keep-rows"), KeepRows)
         pool = resolve_policy("spare-pool:3")
         assert isinstance(pool, SparePool) and pool.spares == 3
         assert resolve_policy(pool) is pool
@@ -182,20 +173,17 @@ class TestCascadeAndPolicies:
         assert p.choose(GRID, 10) == Grid2D(R=2, C=5)
         assert p.choose(GRID, 9) == Grid2D(R=3, C=3)
 
-    def test_keep_rows_falls_back_below_one_row(self):
-        p = KeepRows()
-        assert p.choose(Grid2D(R=1, C=4), 2) == Grid2D(R=1, C=2)
-
-    def test_elastic_true_and_string_specs(self):
-        # The driver's `elastic` accepts True and policy strings.
+    def test_elastic_recovery_takes_policy_specs(self):
+        # The driver takes a Recovery; its policy may be a string spec.
         make, runner = _engines("cc")
         engine = make()
         engine.attach_checkpoints(CheckpointManager(interval=1))
         engine.attach_faults(
             FaultPlan([FaultSpec("crash", 2, rank=5)]), max_retries=2
         )
-        res = drive_elastic(runner, engine, "keep-rows")
-        assert res.extra["elastic"]["policy"] == "keep-rows"
+        res = drive_elastic(runner, engine, ElasticRecovery("spare-pool:1"))
+        assert res.extra["elastic"]["policy"] == "spare-pool"
+        assert res.extra["elastic"]["final_grid"] == (GRID.R, GRID.C)
 
     def test_default_recovery_resumes_in_place(self):
         # No elastic policy: the crashed rank is modeled as replaced and
@@ -235,7 +223,7 @@ class TestCascadeAndPolicies:
         res = drive_elastic(
             lambda e, r: algorithms.bfs_batch(e, roots, resume=r),
             engine,
-            "spare-pool:1",
+            ElasticRecovery("spare-pool:1"),
         )
         assert res.extra["elastic"]["regrids"] == 1
         assert np.array_equal(ref.values, res.values)
@@ -290,7 +278,7 @@ class TestUnrecoverable:
             FaultPlan([FaultSpec("crash", 2, rank=5)]), max_retries=2
         )
         with pytest.raises(ElasticUnrecoverable, match="no checkpoint"):
-            drive_elastic(runner, engine, True)
+            drive_elastic(runner, engine, ElasticRecovery())
 
     def test_regrid_budget_exhausted(self):
         make, runner = _engines("bfs")

@@ -9,7 +9,8 @@ from repro.faults import (
     AutoscaleRecovery,
     DemotionPolicy,
     HealthMonitor,
-    KeepRows,
+    PreferSquare,
+    SparePool,
 )
 from repro.comm.grid import Grid2D
 
@@ -224,9 +225,13 @@ class TestAutoscalePolicy:
                 AutoscalePolicy(**kwargs)
 
     def test_shrink_delegates_to_wrapped_policy(self):
-        pol = AutoscalePolicy(shrink=KeepRows())
+        # a one-spare pool keeps the grid (None) where the default
+        # prefer-square would shrink onto the survivors
+        pol = AutoscalePolicy(shrink=SparePool(spares=1))
         grid = Grid2D(2, 2)
-        assert pol.choose(grid, 2) == KeepRows().choose(grid, 2)
+        assert AutoscalePolicy().choose(grid, 3) == Grid2D(1, 3)
+        assert pol.choose(grid, 3) is None
+        assert pol.shrink.spares == 0
 
     def test_grow_grid_is_squarest_of_p_plus_one(self):
         pol = AutoscalePolicy()
@@ -263,7 +268,7 @@ class TestAutoscalePolicy:
 class TestAutoscaleRecoveryConfig:
     def test_rejects_plain_grid_policy(self):
         with pytest.raises(ValueError, match="AutoscalePolicy"):
-            AutoscaleRecovery(policy=KeepRows())
+            AutoscaleRecovery(policy=PreferSquare())
 
     def test_defaults_are_installed(self):
         rec = AutoscaleRecovery()

@@ -1,10 +1,10 @@
-"""FaultPlan/FaultSpec: validation and seeded determinism."""
+"""FaultPlan/FaultSpec: validation and superstep ordering."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.faults import FAULT_KINDS, FaultPlan, FaultSpec
+from repro.faults import FaultPlan, FaultSpec
 
 
 class TestFaultSpec:
@@ -113,111 +113,9 @@ class TestFaultPlan:
         )
         assert [s.superstep for s in plan] == [1, 2, 5]
 
-    def test_random_is_seed_deterministic(self):
-        a = FaultPlan.random(seed=7, n_supersteps=50, n_ranks=16,
-                             crash_rate=0.05, transient_rate=0.3,
-                             corruption_rate=0.2, straggler_rate=0.3)
-        b = FaultPlan.random(seed=7, n_supersteps=50, n_ranks=16,
-                             crash_rate=0.05, transient_rate=0.3,
-                             corruption_rate=0.2, straggler_rate=0.3)
-        assert a.specs == b.specs
-        assert len(a) > 0
-
-    def test_random_seeds_differ(self):
-        a = FaultPlan.random(seed=1, n_supersteps=50, n_ranks=16)
-        b = FaultPlan.random(seed=2, n_supersteps=50, n_ranks=16)
-        assert a.specs != b.specs
-
-    def test_random_caps_crashes(self):
-        plan = FaultPlan.random(
-            seed=3, n_supersteps=100, n_ranks=4, crash_rate=1.0, max_crashes=2
-        )
-        assert sum(1 for s in plan if s.kind == "crash") == 2
-
-    def test_random_kinds_valid(self):
-        plan = FaultPlan.random(seed=9, n_supersteps=30, n_ranks=8,
-                                crash_rate=0.1, transient_rate=0.5,
-                                corruption_rate=0.5, straggler_rate=0.5)
-        assert all(s.kind in FAULT_KINDS for s in plan)
-
-    @pytest.mark.parametrize(
-        "field,rate", [
-            ("crash_rate", -0.1),
-            ("crash_rate", 1.5),
-            ("transient_rate", 2.0),
-            ("corruption_rate", -1.0),
-            ("straggler_rate", 1.0001),
-        ],
-    )
-    def test_random_rejects_bad_rates(self, field, rate):
-        # The error names the offending field and its value.
-        with pytest.raises(ValueError, match=f"{field}.*{rate}"):
-            FaultPlan.random(seed=0, n_supersteps=10, n_ranks=4,
-                             **{field: rate})
-
-    def test_random_rejects_negative_supersteps(self):
-        with pytest.raises(ValueError, match="n_supersteps.*-1"):
-            FaultPlan.random(seed=0, n_supersteps=-1, n_ranks=4)
-
-    def test_random_rejects_bad_rank_count(self):
-        with pytest.raises(ValueError, match="n_ranks.*0"):
-            FaultPlan.random(seed=0, n_supersteps=10, n_ranks=0)
-
-    def test_random_rejects_bad_straggler_delay(self):
-        with pytest.raises(ValueError, match="straggler_delay_s"):
-            FaultPlan.random(seed=0, n_supersteps=10, n_ranks=4,
-                             straggler_rate=0.5, straggler_delay_s=0.0)
-
-    def test_random_rejects_negative_max_crashes(self):
-        with pytest.raises(ValueError, match="max_crashes.*-2"):
-            FaultPlan.random(seed=0, n_supersteps=10, n_ranks=4,
-                             max_crashes=-2)
-
-    def test_random_draws_memflips(self):
-        plan = FaultPlan.random(
-            seed=11, n_supersteps=20, n_ranks=4,
-            transient_rate=0.0, corruption_rate=0.0, straggler_rate=0.0,
-            memflip_rate=1.0,
-        )
-        flips = [s for s in plan if s.kind == "memflip"]
-        assert len(flips) == 20
-        assert all(s.rank is not None and 0 <= s.rank < 4 for s in flips)
-        assert all(0 <= s.bit < 4096 for s in flips)
-        again = FaultPlan.random(
-            seed=11, n_supersteps=20, n_ranks=4,
-            transient_rate=0.0, corruption_rate=0.0, straggler_rate=0.0,
-            memflip_rate=1.0,
-        )
-        assert plan.specs == again.specs
-
-    def test_random_rejects_bad_memflip_rate(self):
-        with pytest.raises(ValueError, match="memflip_rate.*1.5"):
-            FaultPlan.random(seed=0, n_supersteps=10, n_ranks=4,
-                             memflip_rate=1.5)
-
     def test_for_superstep_filters(self):
         plan = FaultPlan(
             [FaultSpec("transient", 2), FaultSpec("corruption", 4)]
         )
         assert [s.kind for s in plan.for_superstep(2)] == ["transient"]
         assert plan.for_superstep(3) == []
-
-    def test_describe_mentions_every_spec(self):
-        plan = FaultPlan(
-            [
-                FaultSpec("crash", 2, rank=1),
-                FaultSpec("straggler", 3, rank=0, delay_s=1e-3),
-            ]
-        )
-        text = plan.describe()
-        assert "superstep 2" in text and "crash" in text
-        assert "superstep 3" in text and "stall" in text
-        assert FaultPlan([]).describe() == "(no faults planned)"
-
-    def test_describe_memflip(self):
-        text = FaultPlan(
-            [FaultSpec("memflip", 4, rank=2, bit=137, count=3)]
-        ).describe()
-        assert "superstep 4" in text
-        assert "3 state bit(s) flip from bit 137" in text
-        assert "rank 2" in text

@@ -8,13 +8,15 @@ none may raise it.
 
 The host side is single-threaded: the simulated ranks are the
 parallelism, and a fused superstep is one vectorized pass over all of
-them.  No module under ``src/repro`` imports ``threading`` or
-``concurrent.futures`` except the checkpoint writer, whose background
-thread overlaps disk I/O with the run.
+them.  No module under ``src/repro`` imports ``threading``,
+``concurrent.futures`` or ``queue``.
+
+Every ``except`` clause under ``src/repro`` is a place an error can be
+swallowed or retyped; their count only goes down too.
 
 CI prints the same census (the fan-out sites, the modules that use
-threads, and the source line count the ROADMAP quotes) so the numbers
-are reproducible::
+threads, the ``except`` clauses, and the source line count the ROADMAP
+quotes) so the numbers are reproducible::
 
     python tests/test_census.py
 """
@@ -37,9 +39,13 @@ FAN_OUT_SCOPE = ("algorithms", "patterns", os.path.join("core", "program.py"))
 #: 44 before the BFS root seed became one stacked write.
 FAN_OUT_CEILING = 43
 
-THREADS = re.compile(r"^\s*(?:import|from)\s.*\b(?:threading|concurrent)\b")
-#: The async checkpoint writer (``CheckpointWriter``).
-THREADED_MODULES = {os.path.join("faults", "checkpoint.py")}
+THREADS = re.compile(
+    r"^\s*(?:import|from)\s+(?:threading|concurrent|queue)(?:[\s.]|$)"
+)
+
+EXCEPT = re.compile(r"^\s*except\b")
+#: 17 before the on-disk checkpoint format and its writer thread went.
+EXCEPT_CEILING = 9
 
 
 def _python_files(path: str):
@@ -74,6 +80,16 @@ def threaded_modules() -> list[str]:
     )
 
 
+def except_clauses() -> int:
+    """``except`` clauses under ``src/repro``."""
+    return sum(
+        1
+        for path in _python_files(SRC)
+        for line in _lines(path)
+        if EXCEPT.match(line)
+    )
+
+
 def source_lines() -> int:
     return sum(len(_lines(path)) for path in _python_files(SRC))
 
@@ -83,8 +99,12 @@ def test_rank_fan_out_sites_only_go_down():
     assert sum(sites.values()) <= FAN_OUT_CEILING, sites
 
 
-def test_only_the_checkpoint_writer_uses_threads():
-    assert set(threaded_modules()) <= THREADED_MODULES, threaded_modules()
+def test_no_module_uses_threads():
+    assert threaded_modules() == []
+
+
+def test_except_clauses_only_go_down():
+    assert except_clauses() <= EXCEPT_CEILING
 
 
 if __name__ == "__main__":
@@ -94,4 +114,5 @@ if __name__ == "__main__":
     total = sum(sites.values())
     print(f"{total:4d}  map_ranks( / foreach( sites (ceiling {FAN_OUT_CEILING})")
     print(f"threads imported by: {', '.join(threaded_modules()) or 'none'}")
+    print(f"{except_clauses():4d}  except clauses (ceiling {EXCEPT_CEILING})")
     print(f"{source_lines()} lines under src/repro")
