@@ -82,6 +82,29 @@ def _lane_frontier_sizes(
     return total
 
 
+def _root_cells(fleet, roots_rel: np.ndarray) -> list:
+    """Where each lane's root (relabeled GID ``roots_rel[lane]``) is
+    visible: ``[(stacked LIDs, lanes)]`` of its row cells, then of its
+    column cells, rank-major with lanes ascending within a rank."""
+    cells = []
+    for start, stop, shift in (
+        (fleet.row_start, fleet.row_stop, fleet.row_gid_shift),
+        (fleet.col_start, fleet.col_stop, fleet.col_gid_shift),
+    ):
+        ranks, lanes = np.nonzero(
+            (start[:, None] <= roots_rel) & (roots_rel < stop[:, None])
+        )
+        cells.append((roots_rel[lanes] - shift[ranks], lanes))
+    return cells
+
+
+def _entry_queues(fleet, lids: np.ndarray, lanes: np.ndarray) -> list:
+    """Per-rank ``(local LIDs, lanes)`` entry queues of rank-major
+    stacked row cells."""
+    cuts = np.cumsum(fleet.counts(lids))[:-1]
+    return list(zip(fleet.split(lids), np.split(lanes, cuts)))
+
+
 def _check_resumed_sources(saved, requested, what: str) -> None:
     """A batch resumed onto different sources would silently produce
     lanes answering the wrong queries; refuse instead."""
@@ -115,7 +138,7 @@ def bfs_batch(
     roots) instead of starting over, falling back to a fresh run when
     there is none.
     """
-    part, grid = engine.partition, engine.grid
+    part, grid, fleet = engine.partition, engine.grid, engine.fleet
     n = part.n_vertices
     roots = validate_roots(n, roots)
     k = roots.size
@@ -154,43 +177,16 @@ def bfs_batch(
             m_total += float(ctx0.get("deg")[ctx0.row_slice].sum())
 
         # Seed every root in its lane, everywhere it is visible.
-        def seed_roots(ctx):
-            lm = ctx.localmap
-            parent = ctx.get("parent")
-            level = ctx.get("level")
-            entry_lids, entry_lanes = [], []
-            degs = np.full(k, np.nan)
-            for lane in range(k):
-                rr = int(roots_rel[lane])
-                lids = []
-                if lm.row_start <= rr < lm.row_stop:
-                    lids.append(lm.row_lid(rr))
-                if lm.col_start <= rr < lm.col_stop:
-                    lids.append(lm.col_lid(rr))
-                for lid in lids:
-                    parent[lid, lane] = roots[lane]
-                    level[lid, lane] = 0.0
-                if lids:
-                    degs[lane] = float(ctx.get("deg")[lids[0]])
-                if lm.row_start <= rr < lm.row_stop:
-                    entry_lids.append(lm.row_lid(rr))
-                    entry_lanes.append(lane)
-            return (
-                np.asarray(entry_lids, dtype=np.int64),
-                np.asarray(entry_lanes, dtype=np.int64),
-            ), degs
-
-        seeded = engine.map_ranks(seed_roots)
-        frontier = [entry for entry, _ in seeded]
-        root_deg = np.array(
-            [
-                next(
-                    (d[lane] for _, d in seeded if not np.isnan(d[lane])),
-                    0.0,
-                )
-                for lane in range(k)
-            ]
-        )
+        (row_lids, row_lanes), (col_lids, col_lanes) = _root_cells(fleet, roots_rel)
+        seeds = np.concatenate([row_lids, col_lids])
+        seed_lanes = np.concatenate([row_lanes, col_lanes])
+        fleet.stacked("parent")[seeds, seed_lanes] = roots[seed_lanes]
+        fleet.stacked("level")[seeds, seed_lanes] = 0.0
+        frontier = _entry_queues(fleet, row_lids, row_lanes)
+        # every vertex has a row cell, and its replicas agree on the
+        # (integer-valued) global degree
+        root_deg = np.zeros(k)
+        root_deg[row_lanes] = fleet.stacked("deg")[row_lids]
 
         n_visited = np.ones(k, dtype=np.int64)
         m_frontier = root_deg.copy()
@@ -565,7 +561,7 @@ def sssp_batch(
     ``resume=True`` continues from the engine's latest attached
     checkpoint of a run over the same sources.
     """
-    part, grid = engine.partition, engine.grid
+    part, grid, fleet = engine.partition, engine.grid, engine.fleet
     require_sssp_weights(engine, "sssp_batch")
     n = part.n_vertices
     sources = validate_roots(n, sources, "sources")
@@ -594,26 +590,13 @@ def sssp_batch(
     if st is None:
         engine.reset_timers()
 
-        def seed(ctx):
-            lm = ctx.localmap
-            dist = ctx.alloc("dist", np.float64, fill=INF, width=k)
-            entry_lids, entry_lanes = [], []
-            for lane in range(k):
-                rr = int(roots_rel[lane])
-                if lm.row_start <= rr < lm.row_stop:
-                    dist[lm.row_lid(rr), lane] = 0.0
-                if lm.col_start <= rr < lm.col_stop:
-                    dist[lm.col_lid(rr), lane] = 0.0
-                if lm.row_start <= rr < lm.row_stop:
-                    entry_lids.append(lm.row_lid(rr))
-                    entry_lanes.append(lane)
-            engine.charge_vertices(ctx.rank, ctx.n_total)
-            return (
-                np.asarray(entry_lids, dtype=np.int64),
-                np.asarray(entry_lanes, dtype=np.int64),
-            )
-
-        frontier = engine.map_ranks(seed)
+        engine.alloc("dist", np.float64, fill=INF, width=k)
+        (row_lids, row_lanes), (col_lids, col_lanes) = _root_cells(fleet, roots_rel)
+        dist = fleet.stacked("dist")
+        dist[row_lids, row_lanes] = 0.0
+        dist[col_lids, col_lanes] = 0.0
+        engine.charge_vertices(None, fleet.n_total)
+        frontier = _entry_queues(fleet, row_lids, row_lanes)
         lane_done = np.zeros(k, dtype=bool)
         lane_iters = np.zeros(k, dtype=np.int64)
         iterations = 0

@@ -85,12 +85,9 @@ def greedy_coloring(
 
     engine.scatter_global("prio", prio_global)
 
-    def init_state(ctx):
-        ctx.alloc("color", np.float64, fill=_UNCOLORED)
-        ctx.alloc("maxp", np.float64)
-        engine.charge_vertices(ctx.rank, ctx.n_total)
-
-    engine.foreach(init_state)
+    engine.alloc("color", np.float64, fill=_UNCOLORED)
+    engine.alloc("maxp", np.float64)
+    engine.charge_vertices(None, fleet.n_total)
     pull = fleet.csr()
     full_queue, rows_per_rank = fleet.full_queue()
 

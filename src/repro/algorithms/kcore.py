@@ -45,12 +45,10 @@ def core_numbers(
     # over the local degrees, as in PageRank).
     compute_global_degrees(engine)
 
-    def init_estimates(ctx):
-        est = ctx.alloc(_STATE, np.float64)
-        est[...] = ctx.get("deg")
-        engine.charge_vertices(ctx.rank, ctx.n_total)
-
-    engine.foreach(init_estimates)
+    fleet = engine.fleet
+    engine.alloc(_STATE, np.float64)
+    fleet.stacked(_STATE)[...] = fleet.stacked("deg")
+    engine.charge_vertices(None, fleet.n_total)
 
     active = [ctx.row_lids() for ctx in engine]
     iterations = 0

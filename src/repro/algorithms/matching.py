@@ -48,13 +48,10 @@ def max_weight_matching(
     engine.reset_timers()
     part, grid = engine.partition, engine.grid
 
-    def init_state(ctx):
-        ctx.alloc("mate", np.float64, fill=-1.0)
-        ctx.alloc("dead", np.float64, fill=0.0)
-        ctx.alloc("ptr", np.float64, fill=-1.0)
-        engine.charge_vertices(ctx.rank, ctx.n_total)
-
-    engine.foreach(init_state)
+    engine.alloc("mate", np.float64, fill=-1.0)
+    engine.alloc("dead", np.float64, fill=0.0)
+    engine.alloc("ptr", np.float64, fill=-1.0)
+    engine.charge_vertices(None, engine.fleet.n_total)
 
     rounds = 0
     total_matched = 0

@@ -250,8 +250,9 @@ def _pointer_jumping_loop(
         )
 
     # ---- sync authoritative slices across row groups, then gather ----
+    engine.alloc("pj", np.float64, fill=-1.0)
+
     def build_final(ctx):
-        ctx.alloc("pj", np.float64, fill=-1.0)
         r = ctx.rank
         buf = np.empty(home_gids[r].size, dtype=PAIR_DTYPE)
         buf["gid"] = home_gids[r]

@@ -81,11 +81,8 @@ def spmv_pagerank(
 
     compute_global_degrees(engine)
 
-    def alloc_state(ctx):
-        ctx.alloc("pr", np.float64, fill=1.0 / n)
-        ctx.alloc("acc", np.float64)
-
-    engine.foreach(alloc_state)
+    engine.alloc("pr", np.float64, fill=1.0 / n)
+    engine.alloc("acc", np.float64)
     pull = fleet.csr()
 
     for _ in range(iterations):
@@ -142,9 +139,11 @@ def spmv_cc(engine: Engine, max_iterations: int | None = None) -> AlgorithmResul
     engine.reset_timers()
     part, grid, fleet = engine.partition, engine.grid, engine.fleet
     all_ranks = list(range(grid.n_ranks))
+    engine.alloc("cc", np.float64)
+
     def init_labels(ctx):
         lm = ctx.localmap
-        lab = ctx.alloc("cc", np.float64)
+        lab = ctx.get("cc")
         lab[lm.row_slice] = np.arange(lm.row_start, lm.row_stop)
         lab[lm.col_slice] = np.arange(lm.col_start, lm.col_stop)
 
@@ -198,10 +197,12 @@ def spmv_bfs(engine: Engine, root: int) -> AlgorithmResult:
     all_ranks = list(range(grid.n_ranks))
     root_rel = int(part.perm[root])
 
+    engine.alloc("level", np.float64, fill=np.inf)
+    engine.alloc("front", np.float64)
+
     def seed_root(ctx):
         lm = ctx.localmap
-        lvl = ctx.alloc("level", np.float64, fill=np.inf)
-        frontier = ctx.alloc("front", np.float64)
+        lvl, frontier = ctx.get("level"), ctx.get("front")
         if lm.row_start <= root_rel < lm.row_stop:
             lvl[lm.row_lid(root_rel)] = 0
             frontier[lm.row_lid(root_rel)] = 1.0
@@ -216,10 +217,10 @@ def spmv_bfs(engine: Engine, root: int) -> AlgorithmResult:
         depth += 1
         # next = A x frontier (push across the whole matrix), masked by
         # unvisited; communicated densely.
+        engine.alloc("next", np.float64)
+
         def masked_spmv(ctx):
-            frontier = ctx.get("front")
-            nxt = ctx.alloc("next", np.float64)
-            nxt[...] = 0.0
+            frontier, nxt = ctx.get("front"), ctx.get("next")
             ex = ctx.expand(ctx.row_lids(), ctx.local_degrees())
             _charge_semiring(engine, ctx.rank, ctx.block.n_local_edges, ctx.n_total)
             if ex.dst.size:

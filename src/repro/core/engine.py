@@ -210,7 +210,6 @@ class Engine:
             )
             for block in self.partition.blocks
         ]
-        self.fleet.contexts = self.contexts
         self._row_groups = [grid.row_group_ranks(i) for i in range(grid.C)]
         self._col_groups = [grid.col_group_ranks(i) for i in range(grid.R)]
 
@@ -295,43 +294,35 @@ class Engine:
     def alloc(
         self, name: str, dtype=np.float64, fill=0, width: Optional[int] = None
     ) -> list[np.ndarray]:
-        """Allocate a state array on every rank; returns the list.
+        """Allocate (or re-initialize) state ``name`` on every rank, all
+        of it filled with ``fill``; returns the per-rank arrays.
 
-        ``width=k`` allocates ``(N_T, k)`` lane arrays (one column per
-        batched query lane) instead of flat vectors.  Re-initializing a
-        state every rank already holds in this form is one fill of the
-        fleet's stacked buffer instead of ``p`` ``ctx.alloc`` calls.
+        Each rank's array spans its LID space ``[0, N_T)``, the layout
+        all communication patterns assume; ``width=k`` makes it a
+        C-contiguous ``(N_T, k)`` lane array (one column per batched
+        query lane).  A state every rank already holds in this form is
+        re-filled in place; otherwise a new array is charged to every
+        rank's device as ``state.<name>``.
         """
-        arrays = self.fleet.refill(name, dtype, fill, width)
-        if arrays is None:
-            return [
-                ctx.alloc(name, dtype=dtype, fill=fill, width=width)
-                for ctx in self.contexts
-            ]
-        for ctx in self.contexts:
-            # as in RankContext.alloc: the name is the run's again
-            ctx._left_over.pop(name, None)
-        return arrays
+        if self.fleet.alloc(name, dtype, fill, width):
+            label = f"state.{name}"
+            for ctx in self.contexts:
+                ctx.device.release(label)
+                ctx.device.charge(label, ctx.arrays[name].nbytes)
+        return self.states(name)
 
     def states(self, name: str) -> list[np.ndarray]:
-        self._require_state(name)
-        return [ctx.get(name) for ctx in self.contexts]
+        """Every rank's array of state ``name``; a ``KeyError`` names
+        the allocated states when there is none (a typo'd state name
+        fails loudly, listing what *does* exist)."""
+        self.fleet.stacked(name)
+        return [ctx.arrays[name] for ctx in self.contexts]
 
     def free(self, name: str) -> None:
-        self._require_state(name)
+        self.fleet.stacked(name)  # a KeyError names the allocated states
+        self.fleet.free(name)
         for ctx in self.contexts:
-            ctx.free(name)
-
-    def _require_state(self, name: str) -> None:
-        """Raise a KeyError naming the allocated states when no rank
-        has ``name`` (a typo'd state name should fail loudly, listing
-        what *does* exist, rather than rank-by-rank)."""
-        if not any(ctx.has(name) for ctx in self.contexts):
-            known = sorted({n for ctx in self.contexts for n in ctx.arrays})
-            raise KeyError(
-                f"no state array named {name!r} on any rank; "
-                f"allocated states: {known}"
-            )
+            ctx.device.release(f"state.{name}")
 
     def scatter_global(self, name: str, vec: np.ndarray, dtype=None) -> list[np.ndarray]:
         """Distribute a global per-vertex vector into a named state
@@ -339,12 +330,9 @@ class Engine:
         ``(n, k)`` input distributes each lane column."""
         vec = np.asarray(vec)
         width = vec.shape[1] if vec.ndim == 2 else None
-        out = []
-        for ctx in self.contexts:
-            local = self.partition.scatter_global(vec, ctx.rank)
-            arr = ctx.alloc(name, dtype=dtype or local.dtype, width=width)
-            arr[...] = local
-            out.append(arr)
+        out = self.alloc(name, dtype=dtype or vec.dtype, width=width)
+        for ctx, arr in zip(self.contexts, out):
+            arr[...] = self.partition.scatter_global(vec, ctx.rank)
         return out
 
     def gather(self, name: str) -> np.ndarray:
@@ -619,25 +607,24 @@ class Engine:
         """Restore engine state from a
         :class:`~repro.faults.checkpoint.Checkpoint`, in place.
 
-        Per-rank arrays are reallocated through the normal ``alloc``
-        path (so device ledgers stay consistent and array identities
-        are fresh), counters and clocks are restored bit-exactly, and
-        every attached hook realigns itself with the rewound run.
-        Afterwards each rank holds exactly the checkpoint's arrays, all
-        of them the run's: whatever else was registered — a previous
-        run's left-overs included — is freed.
+        Each saved state is re-allocated through :meth:`alloc` (so
+        device ledgers stay consistent; a state already held in the
+        saved dtype and width keeps its arrays) and every rank's saved
+        slice is copied in; counters and clocks are restored
+        bit-exactly, and every attached hook realigns itself with the
+        rewound run.  Afterwards the engine holds exactly the
+        checkpoint's states, all of them the run's: whatever else was
+        allocated — a previous run's left-overs included — is freed.
         """
-        for ctx, saved in zip(self.contexts, ckpt.states):
-            for name in [n for n in ctx.arrays if n not in saved]:
-                ctx.free(name)
-            for name, arr in saved.items():
-                dest = ctx.alloc(
-                    name,
-                    dtype=arr.dtype,
-                    length=arr.shape[0],
-                    width=arr.shape[1] if arr.ndim == 2 else None,
-                )
-                dest[...] = arr
+        saved = ckpt.states[0]
+        for name in [n for n in self.ctx(0).arrays if n not in saved]:
+            self.free(name)
+        for name, arr in saved.items():
+            views = self.alloc(
+                name, arr.dtype, width=arr.shape[1] if arr.ndim == 2 else None
+            )
+            for view, per_rank in zip(views, ckpt.states):
+                view[...] = per_rank[name]
         self.counters.load_state(ckpt.counters)
         self.clocks.load_state(ckpt.clocks)
         for hook in self._hooks.values():
@@ -677,12 +664,12 @@ class Engine:
         attached hook starts over (the fault injector re-arms its plan,
         stale checkpoints from a previous run are dropped, ...).
 
-        This call is where a *run* begins.  State arrays registered
-        before it are the previous run's: they stay registered and
+        This call is where a *run* begins.  State arrays allocated
+        before it are the previous run's: they stay allocated and
         readable (``ctx.get``, :meth:`gather`), but the boundary hooks
         work on :attr:`RankContext.run_arrays
         <repro.core.context.RankContext.run_arrays>` — what the run
-        registers from here on — so a run's checkpoints, integrity
+        allocates from here on — so a run's checkpoints, integrity
         checks, memflip targets and modeled hook charges do not depend
         on what ran on this engine before.  Allocate state *after*
         calling this (every algorithm in :mod:`repro.algorithms` does).
@@ -691,8 +678,7 @@ class Engine:
         self.clocks.reset()
         self._regrid_events.clear()
         self.spare_ranks = 0
-        for ctx in self.contexts:
-            ctx.begin_run()
+        self.fleet.run_scope.clear()
         for hook in self._hooks.values():
             hook.on_reset(self)
 

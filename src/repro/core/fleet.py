@@ -6,9 +6,10 @@ At hundreds of ranks the blocks are tiny, and a superstep written as
 work.  A :class:`Fleet` lets such a step run as *one* vectorized pass
 over all ranks:
 
-* **state arena** — every named state array is one contiguous buffer
-  (rank ``r`` owns ``buffer[base[r]:base[r + 1]]``) and the per-rank
-  arrays in ``ctx.arrays`` are exactly those slices, so checkpoints,
+* **state arena** — the one owner of every named state array: each is
+  one contiguous buffer allocated for all ranks at once (rank ``r``
+  owns ``buffer[base[r]:base[r + 1]]``) and ``ctx.arrays`` is a
+  read-only map of the rank's slices, so checkpoints,
   the integrity ledger, fault injection, ``gather`` and ``restore``
   keep seeing ordinary per-rank arrays;
 * **stacked LIDs** — a local ID ``lid`` of rank ``r`` is addressed as
@@ -34,9 +35,7 @@ same operations in the same order.  See ``docs/PERF.md``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from operator import is_
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -47,52 +46,13 @@ from ..kernels.buffers import BufferPool
 from ..kernels.pull import PullCSR, index_dtype
 from ..queueing.frontier import expand_block
 
-__all__ = ["EXPAND_EDGE_BUDGET", "ExchangePlan", "Fleet", "StateArrays"]
+__all__ = ["EXPAND_EDGE_BUDGET", "ExchangePlan", "Fleet"]
 
 #: Most edges one :meth:`Fleet.expand` slice materializes.  A whole-fleet
 #: expansion (bottom-up BFS scans every unvisited row of every rank)
 #: would otherwise allocate graph-sized temporaries where the per-rank
 #: closures it replaces held one block's worth at a time.
 EXPAND_EDGE_BUDGET = 1 << 15
-
-
-@dataclass
-class _Stacked:
-    """One named state: the stacked buffer, the per-rank slices handed
-    out (``None`` where the rank freed it), how many are out, and the
-    arena generation it was last verified at."""
-
-    buffer: np.ndarray
-    views: list
-    live: int = 0
-    verified: int = -1
-
-
-class StateArrays(dict):
-    """A rank's ``name -> array`` registry (``RankContext.arrays``):
-    every mutation moves its fleet's arena generation, so
-    :meth:`Fleet.stacked` re-verifies a state only after something may
-    have changed."""
-
-    __slots__ = ("_fleet",)
-
-    def __init__(self, fleet: "Fleet"):
-        super().__init__()
-        self._fleet = fleet
-
-
-def _moving(method):
-    def mutate(self, *args, **kwargs):
-        out = method(self, *args, **kwargs)
-        self._fleet.moved()
-        return out
-
-    return mutate
-
-
-for _name in ("__setitem__", "__delitem__", "__ior__", "pop", "popitem", "clear",
-              "update", "setdefault"):
-    setattr(StateArrays, _name, _moving(getattr(dict, _name)))
 
 
 @dataclass(frozen=True)
@@ -143,11 +103,14 @@ class Fleet:
         self.row_gid_shift = self.row_start - column("row_offset") - self.base[:-1]
         self.col_gid_shift = self.col_start - column("col_offset") - self.base[:-1]
         self._rank_ids = np.arange(self.n_ranks, dtype=np.int64)
-        #: The engine's rank contexts (set by the engine once built).
-        self.contexts: Sequence = ()
-        self._arena: dict[str, _Stacked] = {}
-        #: Grows on every change to the arena or a rank's StateArrays.
-        self.generation = 0
+        #: ``name -> stacked buffer`` of every state array.
+        self._arena: dict[str, np.ndarray] = {}
+        #: Per rank, ``name -> the rank's slice`` of every stacked buffer
+        #: (what ``RankContext.arrays`` shows, read-only).
+        self.views: list[dict[str, np.ndarray]] = [{} for _ in range(self.n_ranks)]
+        #: The states allocated since the run began
+        #: (``Engine.reset_timers``).
+        self.run_scope: set[str] = set()
         self._row_mask: Optional[np.ndarray] = None
         self._block: Optional[RankBlock] = None
         self._degrees: Optional[np.ndarray] = None
@@ -158,127 +121,47 @@ class Fleet:
     # ------------------------------------------------------------------
     # state arena
     # ------------------------------------------------------------------
-    def alloc(self, rank: int, name: str, dtype, width: Optional[int]) -> np.ndarray:
-        """Rank ``rank``'s (uninitialized) slice of the stacked buffer
-        for ``name``, creating the buffer on first use.
+    def alloc(self, name: str, dtype, fill, width: Optional[int]) -> bool:
+        """Fill state ``name`` with ``fill`` on every rank and make it
+        the run's.
 
-        A buffer of another dtype or lane width under the same name is
-        superseded; ranks still holding slices of it are re-stacked,
-        loudly, by the next :meth:`stacked` unless they re-allocate too.
+        The stacked buffer is created on first use and re-filled in
+        place while the name keeps its dtype and lane ``width``; another
+        dtype or width replaces it.  Returns whether a buffer was
+        created (the caller charges the devices for it).
         """
         dtype = np.dtype(dtype)
         tail = () if width is None else (int(width),)
-        entry = self._arena.get(name)
-        if (
-            entry is None
-            or entry.buffer.dtype != dtype
-            or entry.buffer.shape[1:] != tail
-        ):
-            entry = self._arena[name] = _Stacked(
-                np.empty((self.size,) + tail, dtype=dtype),
-                [None] * self.n_ranks,
-            )
-        if entry.views[rank] is None:
-            entry.live += 1
-        view = entry.buffer[self.base[rank] : self.base[rank + 1]]
-        entry.views[rank] = view
-        self.generation += 1
-        return view
+        buf = self._arena.get(name)
+        created = buf is None or buf.dtype != dtype or buf.shape[1:] != tail
+        if created:
+            self.free(name)
+            buf = self._arena[name] = np.empty((self.size,) + tail, dtype=dtype)
+            bounds = self.base.tolist()
+            for views, lo, hi in zip(self.views, bounds, bounds[1:]):
+                views[name] = buf[lo:hi]
+        buf[...] = fill
+        self.run_scope.add(name)
+        return created
 
-    def release(self, rank: int, name: str, arr: np.ndarray) -> None:
-        """Rank ``rank`` freed ``arr``; the buffer goes with its last
-        slice."""
-        entry = self._arena.get(name)
-        if entry is not None and entry.views[rank] is arr:
-            entry.views[rank] = None
-            entry.live -= 1
-            if entry.live == 0:
-                del self._arena[name]
-        self.generation += 1
-
-    def moved(self) -> None:
-        """Some rank's :class:`StateArrays` changed."""
-        self.generation += 1
+    def free(self, name: str) -> None:
+        """Drop state ``name`` from every rank (nothing if it is not
+        allocated)."""
+        if self._arena.pop(name, None) is not None:
+            for views in self.views:
+                del views[name]
+        self.run_scope.discard(name)
 
     def stacked(self, name: str) -> np.ndarray:
         """The stacked buffer of state ``name``: writing it writes every
-        rank's ``ctx.arrays[name]``.
-
-        Verified — each rank's registered array must be the very slice
-        handed out — whenever the arena or a ``ctx.arrays`` changed
-        since the last verification.  Arrays that got there another way
-        (:meth:`~repro.core.context.RankContext.adopt`, direct
-        assignment, a re-allocation on some ranks only) are copied into
-        a fresh stacked buffer and rebound, with a ``RuntimeWarning``;
-        a state that is missing on a rank or not ``N_T`` long raises.
-        """
-        entry = self._intact(name)
-        return entry.buffer if entry is not None else self._restack(name)
-
-    def _intact(self, name: str) -> Optional[_Stacked]:
-        """The arena entry of ``name`` if every rank's registered array
-        is the slice handed out, else ``None``."""
-        generation = self.generation  # read first: a later change moves it
-        entry = self._arena.get(name)
-        if entry is None or entry.verified == generation:
-            return entry
-        if entry.live == self.n_ranks and all(
-            map(is_, (ctx.arrays.get(name) for ctx in self.contexts), entry.views)
-        ):
-            entry.verified = generation
-            return entry
-        return None
-
-    def refill(self, name: str, dtype, fill, width: Optional[int]) -> Optional[list]:
-        """Re-initialize state ``name`` on every rank in one pass.
-
-        Returns the per-rank arrays, or ``None`` — nothing touched —
-        unless every rank already holds its slice of one stacked buffer
-        of this ``dtype`` and lane ``width`` (the caller then allocates
-        rank by rank)."""
-        entry = self._intact(name)
-        tail = () if width is None else (int(width),)
-        if (
-            entry is None
-            or entry.buffer.dtype != np.dtype(dtype)
-            or entry.buffer.shape[1:] != tail
-        ):
-            return None
-        entry.buffer[...] = fill
-        return list(entry.views)
-
-    def _restack(self, name: str) -> np.ndarray:
-        arrays = [ctx.arrays.get(name) for ctx in self.contexts]
-        missing = [r for r, arr in enumerate(arrays) if arr is None]
-        if missing:
-            known = sorted({n for ctx in self.contexts for n in ctx.arrays})
+        rank's ``ctx.arrays[name]``."""
+        buf = self._arena.get(name)
+        if buf is None:
             raise KeyError(
-                f"no state array named {name!r} on rank(s) {missing[:8]}"
-                f"{'...' if len(missing) > 8 else ''}; allocated states: {known}"
+                f"no state array named {name!r}; "
+                f"allocated states: {sorted(self._arena)}"
             )
-        dtype, tail = arrays[0].dtype, arrays[0].shape[1:]
-        for rank, arr in enumerate(arrays):
-            if arr.dtype != dtype or arr.shape != (int(self.n_total[rank]),) + tail:
-                raise ValueError(
-                    f"state {name!r} cannot be stacked: rank {rank} holds "
-                    f"shape {arr.shape} dtype {arr.dtype}, expected "
-                    f"({int(self.n_total[rank])},{'' if not tail else ' ...'}) "
-                    f"of {dtype} like rank 0"
-                )
-        warnings.warn(
-            f"state {name!r} is not a slice of one stacked buffer on every "
-            f"rank (adopted, assigned directly, or re-allocated on some "
-            f"ranks only); re-stacking it — arrays registered before are "
-            f"detached",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        self._arena.pop(name, None)
-        for rank, (ctx, arr) in enumerate(zip(self.contexts, arrays)):
-            view = self.alloc(rank, name, dtype, tail[0] if tail else None)
-            view[...] = arr
-            ctx.arrays[name] = view
-        return self._arena[name].buffer
+        return buf
 
     # ------------------------------------------------------------------
     # stacked queues
@@ -323,6 +206,20 @@ class Fleet:
                 mask[first : first + blk.localmap.n_row] = True
             self._row_mask = mask
         return self._row_mask
+
+    def window_cells(self, axis: str) -> tuple[np.ndarray, np.ndarray]:
+        """Every rank's row (``"row"``) or column (``"col"``) window,
+        rank-major: ``(stacked LIDs, relabeled GIDs)`` of its cells."""
+        if axis == "row":
+            start, stop, shift = self.row_start, self.row_stop, self.row_gid_shift
+        else:
+            start, stop, shift = self.col_start, self.col_stop, self.col_gid_shift
+        sizes = stop - start
+        first = np.zeros(self.n_ranks, dtype=np.int64)
+        np.cumsum(sizes[:-1], out=first[1:])
+        gids = np.arange(int(sizes.sum()), dtype=np.int64)
+        gids += np.repeat(start - first, sizes)
+        return gids - np.repeat(shift, sizes), gids
 
     # ------------------------------------------------------------------
     # stacked CSR

@@ -114,20 +114,13 @@ def init_vertex_state(
     relabeling; a run migrated onto a different grid mid-flight replays
     bit-identically (docs/ROBUSTNESS.md).
     """
-    part = engine.partition
-
-    def init_state(ctx):
-        lm = ctx.localmap
-        state = ctx.alloc(name, np.float64)
-        state[lm.row_slice] = init(
-            part.original_gid(np.arange(lm.row_start, lm.row_stop))
-        )
-        state[lm.col_slice] = init(
-            part.original_gid(np.arange(lm.col_start, lm.col_stop))
-        )
-        engine.charge_vertices(ctx.rank, ctx.n_total)
-
-    engine.foreach(init_state)
+    part, fleet = engine.partition, engine.fleet
+    engine.alloc(name, np.float64)
+    state = fleet.stacked(name)
+    for axis in ("row", "col"):
+        cells, gids = fleet.window_cells(axis)
+        state[cells] = init(part.original_gid(gids))
+    engine.charge_vertices(None, fleet.n_total)
 
 
 def run_vertex_program(

@@ -4,7 +4,7 @@ A checkpoint captures everything a resumed run needs to be
 *bit-identical* to a run that never crashed:
 
 * every named per-rank state array of the run
-  (``RankContext.run_arrays``; what a previous run left registered on
+  (``RankContext.run_arrays``; what a previous run left allocated on
   the engine is not the run's to restore),
 * the exact :class:`~repro.comm.counters.CommCounters` state,
 * the full :class:`~repro.comm.clocks.VirtualClocks` state including

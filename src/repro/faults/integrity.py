@@ -23,7 +23,7 @@ Detection
     redundancy: after every exchange, all ranks of a row group hold
     identical row-window values and all ranks of a column group hold
     identical column-window values — of the run's arrays: what an
-    earlier run left registered on the engine is nobody's input any
+    earlier run left allocated on the engine is nobody's input any
     more, need not be replica-consistent (``pointer_jumping`` leaves
     ``pj`` row-filled only) and is not looked at.  At
     (interval-matching) superstep boundaries each rank hashes its
@@ -174,9 +174,8 @@ class IntegrityFailure(RuntimeError):
 # ----------------------------------------------------------------------
 def _owned_segments(ctx) -> list[np.ndarray]:
     """The rank's replicated windows: row- and column-window slices of
-    every state array of the run, in sorted-name order.  Views of the
-    registered arrays — contiguous unless the array was adopted
-    strided."""
+    every state array of the run, in sorted-name order — contiguous
+    views of the rank's arrays."""
     segments = []
     for _name, arr in sorted(ctx.run_arrays.items()):
         segments.append(arr[ctx.row_slice])
@@ -192,10 +191,9 @@ def apply_memflip(ctx, spec) -> int:
     the rank's row-window and column-window segments (the run's
     arrays, sorted by name) — corruption lands in replicated state the
     run reads, which is what the :class:`IntegrityLedger` covers.
-    Each flip goes through a one-element view of the registered
-    array, so it reaches the real buffer whatever the array's strides
-    (an adopted ``wide[::2]`` or strided lanes included).  No state
-    registered by the run means nothing to flip (returns 0).
+    Each flip goes through a one-element view of the rank's array, so
+    it reaches the stacked buffer.  No state allocated by the run
+    means nothing to flip (returns 0).
     """
     segments = _owned_segments(ctx)
     total_bits = sum(s.nbytes for s in segments) * 8
@@ -228,9 +226,8 @@ _UNSIGNED = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
 def _window_bits(win: np.ndarray) -> np.ndarray:
     """``win``'s bytes in C order as unsigned integers (of the
     element width, ``uint8`` for wider elements) — bits, not values:
-    NaN payloads and ``-0.0`` vs ``0.0`` are differences.  A view of a
-    contiguous window (every window of a C-contiguous 1-D or lane
-    state); only an adopted strided array is copied."""
+    NaN payloads and ``-0.0`` vs ``0.0`` are differences.  A view:
+    every window of a 1-D or lane state is contiguous."""
     win = np.ascontiguousarray(win)
     return win.view(_UNSIGNED.get(win.itemsize, np.uint8))
 
@@ -248,8 +245,7 @@ def _group_windows(engine):
     group's ranks that hold the array, in group order.  All members of
     a group are replicas of one window; a ``1 x p`` / ``p x 1`` grid
     has single-member groups on one axis.  Works from each rank's
-    ``run_arrays`` alone, so adopted, strided and odd-length arrays
-    are covered and nothing is re-stacked."""
+    ``run_arrays``."""
     held = [(ctx, ctx.run_arrays) for ctx in engine.contexts]
     for groups, window in (
         (engine.row_groups(), "row_slice"),

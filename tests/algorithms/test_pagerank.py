@@ -222,9 +222,10 @@ class TestCsrPullEqualsEdgeListGather:
     def test_weighted_degrees_are_sequential_row_sums(self, rmat_graph):
         graph = rmat_graph.with_random_weights(seed=3)
         engine = Engine(graph, grid=GRIDS[6])
-        for ctx in engine:  # oracle first: compute_global_degrees reduces
+        # oracle first: compute_global_degrees reduces
+        for ctx, want in zip(engine, engine.alloc("want")):
             ex = ctx.expand(ctx.row_lids())
-            np.add.at(ctx.alloc("want"), ex.src, ex.weights)
+            np.add.at(want, ex.src, ex.weights)
         dense_pull(engine, "want", op="sum")
         compute_global_degrees(engine, weighted=True)
         for ctx in engine:

@@ -16,37 +16,34 @@ def engine():
 class TestStateArrays:
     def test_alloc_spans_lid_space(self, engine):
         ctx = engine.ctx(0)
-        arr = ctx.alloc("x", np.float64, fill=2.0)
-        assert arr.shape == (ctx.n_total,)
+        arr = engine.alloc("x", np.float64, fill=2.0)[0]
+        assert arr.shape == (ctx.n_total,) and arr is ctx.get("x")
         assert np.all(arr == 2.0)
 
-    def test_alloc_custom_length(self, engine):
-        ctx = engine.ctx(0)
-        arr = ctx.alloc("small", np.int64, length=7)
-        assert arr.shape == (7,)
-
     def test_dtype_change_reallocates(self, engine):
-        ctx = engine.ctx(0)
-        a = ctx.alloc("y", np.float64)
-        b = ctx.alloc("y", np.int64)
+        a = engine.alloc("y", np.float64)[0]
+        b = engine.alloc("y", np.int64)[0]
         assert a is not b
         assert b.dtype == np.int64
 
     def test_has_and_free(self, engine):
         ctx = engine.ctx(1)
-        ctx.alloc("z", np.float64)
+        engine.alloc("z", np.float64)
         assert ctx.has("z")
-        ctx.free("z")
+        engine.free("z")
         assert not ctx.has("z")
-        # freeing again is a no-op
-        ctx.free("z")
+        # freeing again names what is allocated
+        with pytest.raises(KeyError, match=r"allocated states: \[\]"):
+            engine.free("z")
 
     def test_memory_charged_and_released(self, engine):
         ctx = engine.ctx(2)
         base = ctx.device.allocated_bytes
-        ctx.alloc("w", np.float64)
+        engine.alloc("w", np.float64)
         assert ctx.device.allocated_bytes == base + ctx.n_total * 8
-        ctx.free("w")
+        engine.alloc("w", np.int32)  # replaced: the old array's bytes go
+        assert ctx.device.allocated_bytes == base + ctx.n_total * 4
+        engine.free("w")
         assert ctx.device.allocated_bytes == base
 
     def test_graph_structure_charged_on_construction(self, engine):

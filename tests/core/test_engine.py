@@ -85,8 +85,8 @@ class TestState:
 
     def test_realloc_same_shape_reuses(self, rmat_graph):
         e = Engine(rmat_graph, 4)
-        a = e.ctx(0).alloc("w", np.float64, fill=1.0)
-        b = e.ctx(0).alloc("w", np.float64, fill=2.0)
+        a = e.alloc("w", np.float64, fill=1.0)[0]
+        b = e.alloc("w", np.float64, fill=2.0)[0]
         assert a is b
         assert np.all(b == 2.0)
 

@@ -5,7 +5,6 @@ replaces, plus the bit-identity pitfalls recorded in PR 14."""
 from __future__ import annotations
 
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from repro import Engine, algorithms
 from repro.cluster.config import AIMOS
 from repro.comm.grid import Grid2D
 from repro.core import fleet as fleet_mod
+from repro.core.context import RankContext
 from repro.faults import CheckpointManager
 from repro.graph import Graph, rmat, star_graph
 from repro.kernels import csr_pull
@@ -482,18 +482,6 @@ class TestArraysStayLiveSlices:
     def _engine(self):
         return Engine(rmat(7, seed=2), grid=Grid2D(R=2, C=3))
 
-    def test_free_then_alloc_on_one_rank(self):
-        engine = self._engine()
-        engine.alloc("x", fill=1.0)
-        buf = engine.fleet.stacked("x")
-        ctx = engine.ctx(2)
-        ctx.free("x")
-        with pytest.raises(KeyError, match=r"rank\(s\) \[2\]"):
-            engine.fleet.stacked("x")
-        ctx.alloc("x", fill=7.0)
-        assert engine.fleet.stacked("x") is buf and state_is_stacked(engine, "x")
-        assert np.all(ctx.get("x") == 7.0) and np.all(engine.ctx(1).get("x") == 1.0)
-
     def test_free_everywhere_releases_the_buffer(self):
         engine = self._engine()
         engine.alloc("x")
@@ -508,93 +496,8 @@ class TestArraysStayLiveSlices:
         engine = self._engine()
         engine.alloc("x", np.float64)
         engine.alloc("x", np.int64, fill=4)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert engine.fleet.stacked("x").dtype == np.int64
+        assert engine.fleet.stacked("x").dtype == np.int64
         assert state_is_stacked(engine, "x")
-
-    def test_realloc_on_some_ranks_only_restacks_loudly(self):
-        engine = self._engine()
-        engine.alloc("x", np.float64, fill=2.0)
-        engine.ctx(0).alloc("x", np.float32, fill=1.0)
-        with pytest.raises(ValueError, match="cannot be stacked"):
-            engine.fleet.stacked("x")
-        engine.ctx(0).alloc("x", np.float64, fill=1.0)  # back, but a newer buffer
-        with pytest.warns(RuntimeWarning, match="re-stacking"):
-            buf = engine.fleet.stacked("x")
-        assert state_is_stacked(engine, "x")
-        assert buf[0] == 1.0 and np.all(engine.ctx(1).get("x") == 2.0)
-
-    def test_adopted_and_directly_assigned_arrays_restack_loudly(self):
-        engine = self._engine()
-        engine.alloc("x", fill=2.0)
-        mine = np.full(engine.ctx(1).n_total, 9.0)
-        engine.ctx(1).adopt("x", mine)
-        engine.ctx(3).arrays["x"] = np.full(engine.ctx(3).n_total, 5.0)
-        with pytest.warns(RuntimeWarning, match="re-stacking"):
-            buf = engine.fleet.stacked("x")
-        assert state_is_stacked(engine, "x")
-        assert np.all(engine.ctx(1).get("x") == 9.0) and np.all(engine.ctx(3).get("x") == 5.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert engine.fleet.stacked("x") is buf  # settled
-
-    @pytest.mark.parametrize("how", ["assign", "adopt", "realloc"])
-    def test_a_change_after_a_verified_call_still_restacks_loudly(self, how):
-        """``stacked`` re-verifies only after something changed — but
-        any change to a rank's registry or the arena is one."""
-        engine = self._engine()
-        engine.alloc("x", fill=2.0)
-        fleet = engine.fleet
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            buf = fleet.stacked("x")
-            generation = fleet.generation
-            assert fleet.stacked("x") is buf and fleet.generation == generation
-        ctx = engine.ctx(1)
-        if how == "assign":
-            ctx.arrays["x"] = np.full(ctx.n_total, 9.0)
-        elif how == "adopt":
-            ctx.adopt("x", np.full(ctx.n_total, 9.0))
-        else:  # a newer buffer on this rank only
-            ctx.alloc("x", np.float32)
-            ctx.alloc("x", np.float64, fill=9.0)
-        assert fleet.generation > generation
-        with pytest.warns(RuntimeWarning, match="re-stacking"):
-            assert fleet.stacked("x") is not buf
-        assert state_is_stacked(engine, "x")
-        assert np.all(ctx.get("x") == 9.0) and np.all(engine.ctx(0).get("x") == 2.0)
-
-    @pytest.mark.parametrize(
-        "mutate",
-        [
-            lambda d: d.__setitem__("y", 1),
-            lambda d: d.__delitem__("x"),
-            lambda d: d.pop("x"),
-            lambda d: d.popitem(),
-            lambda d: d.clear(),
-            lambda d: d.update(y=1),
-            lambda d: d.setdefault("y", 1),
-            lambda d: d.__ior__({"y": 1}),
-        ],
-        ids=["set", "del", "pop", "popitem", "clear", "update", "setdefault", "ior"],
-    )
-    def test_every_registry_mutation_moves_the_generation(self, mutate):
-        engine = self._engine()
-        engine.alloc("x")
-        arrays = engine.ctx(0).arrays
-        generation = engine.fleet.generation
-        mutate(arrays)
-        assert engine.fleet.generation > generation
-        assert isinstance(arrays, dict)
-
-    def test_odd_length_state_is_not_stackable(self):
-        engine = self._engine()
-        for ctx in engine:
-            ctx.alloc("q", length=5)
-        assert engine.ctx(0).get("q").base is None  # a plain array
-        with pytest.raises(ValueError, match="cannot be stacked"):
-            engine.fleet.stacked("q")
 
     def test_restore_after_a_free(self):
         engine = self._engine()
@@ -604,16 +507,15 @@ class TestArraysStayLiveSlices:
         saved = {n: [ctx.get(n).copy() for ctx in engine] for n in ("parent", "level", "deg")}
         ckpt = mgr.latest()
         engine.free("level")
-        engine.ctx(0).free("parent")
+        engine.alloc("parent", np.float32)
         engine.alloc("scratch")
         engine.restore(ckpt)
         assert not any(ctx.has("scratch") for ctx in engine)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for name, arrays in saved.items():
-                assert state_is_stacked(engine, name)
-                for ctx, arr in zip(engine, arrays):
-                    assert np.array_equal(ctx.get(name), arr)
+        for name, arrays in saved.items():
+            assert state_is_stacked(engine, name)
+            for ctx, arr in zip(engine, arrays):
+                assert np.array_equal(ctx.get(name), arr)
+                assert ctx.get(name).dtype == arr.dtype
 
     def test_rebuild_on_grid_gets_its_own_arena(self):
         engine = self._engine()
@@ -623,6 +525,27 @@ class TestArraysStayLiveSlices:
         new.alloc("x", fill=2.0)
         assert state_is_stacked(new, "x") and state_is_stacked(engine, "x")
         assert np.all(engine.fleet.stacked("x") == 1.0)
+
+
+def test_the_fleet_is_the_only_owner_of_state():
+    """State is allocated for every rank at once and only the fleet
+    holds it: a rank's ``arrays`` cannot be written to, and neither the
+    contexts nor the fleet keep a per-rank registry to re-verify."""
+    engine = Engine(rmat(7, seed=2), grid=Grid2D(R=2, C=3))
+    engine.alloc("x", fill=1.0)
+    ctx = engine.ctx(1)
+    for mutate in (
+        lambda arrays: arrays.__setitem__("x", np.zeros(ctx.n_total)),
+        lambda arrays: arrays.clear(),
+        lambda arrays: arrays.pop("x"),
+    ):
+        with pytest.raises((TypeError, AttributeError)):
+            mutate(ctx.arrays)
+    assert state_is_stacked(engine, "x") and np.all(engine.fleet.stacked("x") == 1.0)
+    for name in ("alloc", "adopt", "free", "begin_run"):
+        assert not hasattr(RankContext, name), name
+    for name in ("generation", "refill", "moved"):
+        assert not hasattr(engine.fleet, name), name
 
 
 def test_hub_and_empty_ranks_graph_matches_reference():

@@ -64,8 +64,14 @@ def mkw():
     return Engine(WGRAPH, 4)
 
 
+def _free_all(engine):
+    for name in list(engine.ctx(0).arrays):
+        engine.free(name)
+
+
 def _seed_state(engine, seed=0, dtype=np.float64, width=None):
-    """Register one coherent replicated state array on every rank.
+    """Make ``x``, one coherent replicated state array, the only state
+    on every rank.
 
     Builds a global per-vertex vector and scatters it into each rank's
     local coordinate space via the localmap, exactly as a real
@@ -79,15 +85,13 @@ def _seed_state(engine, seed=0, dtype=np.float64, width=None):
         base = rng.standard_normal(shape).astype(dtype)
     else:
         base = rng.integers(-1000, 1000, shape).astype(dtype)
-    for ctx in engine.contexts:
+    _free_all(engine)
+    for ctx, arr in zip(engine.contexts, engine.alloc("x", dtype, width=width)):
         lm = ctx.localmap
-        arr = np.zeros((lm.n_total,) + shape[1:], dtype=dtype)
         row_lids = np.arange(lm.row_slice.start, lm.row_slice.stop)
         col_lids = np.arange(lm.col_slice.start, lm.col_slice.stop)
         arr[lm.row_slice] = base[lm.row_gid(row_lids)]
         arr[lm.col_slice] = base[lm.col_gid(col_lids)]
-        ctx.arrays.clear()
-        ctx.arrays["x"] = arr
     return base
 
 
@@ -150,43 +154,12 @@ class TestApplyMemflip:
 
     def test_no_state_flips_nothing(self):
         engine = mk()
-        for ctx in engine.contexts:
-            ctx.arrays.clear()
         assert (
             apply_memflip(
                 engine.contexts[1], FaultSpec("memflip", 1, rank=1)
             )
             == 0
         )
-
-    @pytest.mark.parametrize("width", [None, 3], ids=["strided_1d", "strided_lanes"])
-    def test_flip_reaches_the_real_buffer_of_a_strided_array(self, width):
-        """An adopted ``wide[::2]`` is not contiguous: the flip used to
-        raise an untyped ``ValueError`` (1-D) or land in a copy (lanes).
-        It must change exactly one bit of the backing buffer, at the
-        byte the C-order stream of the windows addresses."""
-        engine = mk()
-        _seed_state(engine, dtype=np.int32, width=width)
-        ctx = engine.contexts[1]
-        arr = ctx.arrays["x"]
-        wide = np.zeros((2 * arr.shape[0],) + arr.shape[1:], arr.dtype)
-        wide[::2] = arr
-        ctx.adopt("x", wide[::2])
-        assert not ctx.arrays["x"].flags.c_contiguous
-        before = wide.copy()
-        row = ctx.arrays["x"][ctx.row_slice]
-        bit = 8 * (row.nbytes - 3) + 6  # third-to-last byte of the row window
-        want = row.copy().reshape(-1)
-        want.view(np.uint8)[-3] ^= 1 << 6
-        assert apply_memflip(ctx, FaultSpec("memflip", 1, rank=1, bit=bit)) == 1
-        assert np.array_equal(row.reshape(-1), want)
-        assert np.array_equal(wide[1::2], before[1::2])  # the gaps are untouched
-        changed = wide.view(np.uint8) ^ before.view(np.uint8)
-        assert np.count_nonzero(changed) == 1 and changed.max() == 1 << 6
-        # and the ledger pins it on the rank that holds it
-        with pytest.raises(IntegrityFailure, match="no verified checkpoint"):
-            IntegrityLedger().on_boundary(engine, 1)
-        assert 1 in engine.fault_events[-1]["suspects"]
 
 
 class TestLedgerUnit:
@@ -261,26 +234,16 @@ class TestLedgerUnit:
         assert ev["suspects"] == list(exc.suspects)
         assert ev["window"] == [2, 2]
 
-    @pytest.mark.parametrize(
-        "layout", ["1d", "lanes", "int32_lanes", "strided", "strided_lanes"]
-    )
+    @pytest.mark.parametrize("layout", ["1d", "lanes", "int32_lanes"])
     def test_digests_are_the_crc_of_each_window_whatever_the_layout(self, layout):
-        """Windows are hashed in place (no ``tobytes`` copy); only a
-        non-contiguous adopted array is copied.  Same CRC words, same
-        fingerprint as hashing a copy of every window."""
+        """Windows are hashed in place (no ``tobytes`` copy).  Same CRC
+        words, same fingerprint as hashing a copy of every window."""
         engine = Engine(GRAPH, 9)  # groups of 3: a minority of one
         _seed_state(
             engine,
             dtype=np.int32 if layout == "int32_lanes" else np.float64,
             width=3 if "lanes" in layout else None,
         )
-        if layout.startswith("strided"):
-            for ctx in engine.contexts:
-                arr = ctx.arrays["x"]
-                wide = np.zeros((2 * arr.shape[0],) + arr.shape[1:], arr.dtype)
-                wide[::2] = arr
-                ctx.adopt("x", wide[::2])
-                assert arr.size == 0 or not ctx.arrays["x"].flags.c_contiguous
         ledger = IntegrityLedger()
         digests, hashed = ledger._collect_digests(engine)
         want = [
@@ -303,13 +266,7 @@ class TestLedgerUnit:
             b"".join(d.to_bytes(4, "little") for rank in want for d in rank["x"])
         )
         # one flipped bit is still pinned on the rank that holds it
-        # (apply_memflip itself only reaches contiguous windows)
-        victim = engine.contexts[4]
-        if layout.startswith("strided"):
-            first = victim.arrays["x"][victim.row_slice][:1]
-            first.view(f"u{first.itemsize}")[...] ^= 32
-        else:
-            apply_memflip(victim, FaultSpec("memflip", 2, rank=4, bit=5))
+        apply_memflip(engine.contexts[4], FaultSpec("memflip", 2, rank=4, bit=5))
         with pytest.raises(IntegrityFailure, match="no verified checkpoint"):
             ledger.on_boundary(engine, 2)
         assert engine.fault_events[-1]["suspects"] == [4]
@@ -467,8 +424,8 @@ SPECIALS = np.array(
 
 def _mixed_state(engine, seed):
     """Five coherent replicated states of every layout the ledger
-    meets: stacked float64 (with NaN / +-0.0 / inf), int32, bool and
-    ``(N_T, 3)`` lanes, plus one adopted strided int64."""
+    meets: float64 (with NaN / +-0.0 / inf), int64, int32, bool and
+    ``(N_T, 3)`` lanes."""
     rng = np.random.default_rng(seed)
     n = engine.graph.n_vertices
     floats = rng.standard_normal(n)
@@ -479,22 +436,18 @@ def _mixed_state(engine, seed):
         "f": floats,
         "i": rng.integers(-9, 9, n).astype(np.int32),
         "lanes": rng.standard_normal((n, 3)),
-        "strided": rng.integers(-9, 9, n),
+        "wide": rng.integers(-9, 9, n),
     }
-    for ctx in engine.contexts:
-        for name in list(ctx.arrays):
-            ctx.free(name)
-        lm = ctx.localmap
-        row_gids = lm.row_gid(np.arange(lm.row_slice.start, lm.row_slice.stop))
-        col_gids = lm.col_gid(np.arange(lm.col_slice.start, lm.col_slice.stop))
-        for name, base in bases.items():
-            if name == "strided":
-                arr = ctx.adopt(name, np.zeros(2 * lm.n_total, base.dtype)[::2])
-            else:
-                width = base.shape[1] if base.ndim == 2 else None
-                arr = ctx.alloc(name, base.dtype, width=width)
-            arr[lm.row_slice] = base[row_gids]
-            arr[lm.col_slice] = base[col_gids]
+    _free_all(engine)
+    for name, base in bases.items():
+        width = base.shape[1] if base.ndim == 2 else None
+        arrays = engine.alloc(name, base.dtype, width=width)
+        for ctx, arr in zip(engine.contexts, arrays):
+            lm = ctx.localmap
+            rows = np.arange(lm.row_slice.start, lm.row_slice.stop)
+            cols = np.arange(lm.col_slice.start, lm.col_slice.stop)
+            arr[lm.row_slice] = base[lm.row_gid(rows)]
+            arr[lm.col_slice] = base[lm.col_gid(cols)]
 
 
 def _verdict(ledger, engine, with_checkpoint, build):
@@ -561,26 +514,14 @@ class TestVerifyByComparison:
         """``-0.0 == 0.0`` and ``nan != nan`` as values; as replicas a
         ``-0.0`` among ``0.0`` is corruption and equal NaNs are clean."""
         engine = Engine(GRAPH, 9)
-        for ctx in engine.contexts:
-            ctx.alloc("x", fill=0.0)
-            ctx.alloc("y", fill=np.nan)
+        engine.alloc("x", fill=0.0)
+        engine.alloc("y", fill=np.nan)
         assert IntegrityLedger().on_boundary(engine, 1).ok
         victim = engine.contexts[4]
         victim.arrays["x"][victim.row_slice][:1] = -0.0
         with pytest.raises(IntegrityFailure, match="no verified checkpoint"):
             IntegrityLedger().on_boundary(engine, 1)
         assert engine.fault_events[-1]["suspects"] == [4]
-
-    def test_equal_values_of_another_width_are_not_equal_bytes(self):
-        engine = Engine(GRAPH, 9)
-        _seed_state(engine, dtype=np.int32)
-        odd = engine.contexts[4]
-        odd.arrays["x"] = odd.arrays["x"].astype(np.int64)
-        ledger = IntegrityLedger()
-        assert ledger._collect_digests(engine) == OracleLedger()._collect_digests(engine)
-        with pytest.raises(IntegrityFailure):
-            ledger.on_boundary(engine, 1)
-        assert ledger.rows[-1].suspects == (4,)
 
     @pytest.mark.parametrize("victim", [0, 4, 8], ids=["first", "middle", "last"])
     def test_flip_localizes_to_the_member_that_holds_it(self, victim):

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro import Engine, algorithms
 from repro.baselines.spmv import spmv_bfs, spmv_cc, spmv_pagerank
-from repro.core.context import RankContext
 from repro.faults import (
     CheckpointManager,
     FaultPlan,
@@ -167,42 +166,38 @@ class TestRunArrays:
     @pytest.mark.parametrize(
         "register",
         [
-            lambda ctx: ctx.alloc("x"),  # same shape: re-initialized in place
-            lambda ctx: ctx.alloc("x", np.int32),
-            lambda ctx: ctx.alloc("x", width=2),
-            lambda ctx: ctx.adopt("x", np.zeros(ctx.n_total)),
-            lambda ctx: ctx.arrays.__setitem__("x", np.zeros(ctx.n_total)),
+            lambda e: e.alloc("x"),  # same shape: re-initialized in place
+            lambda e: e.alloc("x", np.int32),
+            lambda e: e.alloc("x", width=2),
         ],
-        ids=["alloc-in-place", "alloc-dtype", "alloc-lanes", "adopt", "direct"],
+        ids=["alloc-in-place", "alloc-dtype", "alloc-lanes"],
     )
     def test_registering_a_left_over_name_again_makes_it_the_run_s(self, register):
         engine = Engine(GRAPH, 4)
         engine.alloc("x")
         engine.alloc("y")
         engine.reset_timers()
-        ctx = engine.ctx(1)
-        register(ctx)
-        assert list(ctx.run_arrays) == ["x"]
-        assert ctx.run_arrays["x"] is ctx.arrays["x"]
-        ctx.free("x")
-        assert ctx.run_arrays == {}
-        ctx.arrays["new"] = np.zeros(ctx.n_total)  # by any path
-        assert list(ctx.run_arrays) == ["new"]
+        register(engine)
+        for ctx in engine.contexts:
+            assert list(ctx.run_arrays) == ["x"]
+            assert ctx.run_arrays["x"] is ctx.arrays["x"]
+        engine.free("x")
+        assert all(ctx.run_arrays == {} for ctx in engine.contexts)
+        engine.alloc("new")
+        assert list(engine.ctx(1).run_arrays) == ["new"]
 
-    def test_engine_alloc_in_one_pass_makes_it_the_run_s(self, monkeypatch):
+    def test_engine_alloc_in_one_pass_makes_it_the_run_s(self):
         """``Engine.alloc`` of a state every rank already holds fills
-        the fleet's stacked buffer once — no per-rank ``ctx.alloc`` —
-        and the arrays still join the run: checkpointed, verified, and
-        a flipped bit in them caught."""
+        the fleet's stacked buffer in place, and the arrays still join
+        the run: checkpointed, verified, and a flipped bit in them
+        caught."""
         engine = guard(Engine(GRAPH, 9))
         first = engine.alloc("x", fill=1.0)
+        buf = engine.fleet.stacked("x")
         engine.alloc("y")
         engine.reset_timers()
-        with monkeypatch.context() as patched:
-            patched.setattr(
-                RankContext, "alloc", lambda *a, **k: pytest.fail("per-rank alloc")
-            )
-            again = engine.alloc("x", fill=2.0)
+        again = engine.alloc("x", fill=2.0)
+        assert engine.fleet.stacked("x") is buf
         for ctx, a, b in zip(engine.contexts, first, again):
             assert a is b is ctx.arrays["x"] and (b == 2.0).all()
             assert list(ctx.run_arrays) == ["x"]

@@ -178,8 +178,8 @@ class TestComplexReduce:
     def test_h_index_under_min_converges_to_core_numbers(self, g, grid):
         engine = Engine(g, grid=grid)
         compute_global_degrees(engine)
-        for ctx in engine:
-            ctx.alloc("core")[...] = ctx.get("deg")
+        engine.alloc("core")
+        engine.fleet.stacked("core")[...] = engine.fleet.stacked("deg")
         n_changed = 1
         while n_changed:
             _, n_changed = complex_reduce(

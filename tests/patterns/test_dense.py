@@ -12,8 +12,7 @@ from ..conftest import GRIDS
 
 def _fill_random(engine, name, seed):
     rng = np.random.default_rng(seed)
-    for ctx in engine:
-        arr = ctx.alloc(name, np.float64)
+    for arr in engine.alloc(name, np.float64):
         arr[...] = rng.integers(0, 100, size=arr.size).astype(np.float64)
 
 

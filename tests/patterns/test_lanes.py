@@ -30,14 +30,16 @@ def _setup(graph, k: int, seed: int = 0) -> Engine:
     reductions genuinely combine different member contributions.
     """
     engine = Engine(graph, RANKS)
+    engine.alloc("x", np.float64, width=k)
+    for lane in range(k):
+        engine.alloc(f"y{lane}", np.float64)
 
     def fill(ctx):
         rng = np.random.default_rng(1000 * seed + ctx.rank)
-        x = ctx.alloc("x", np.float64, width=k)
+        x = ctx.get("x")
         x[...] = rng.integers(0, 100, size=x.shape).astype(np.float64)
         for lane in range(k):
-            y = ctx.alloc(f"y{lane}", np.float64)
-            y[...] = x[:, lane]
+            ctx.get(f"y{lane}")[...] = x[:, lane]
 
     engine.foreach(fill)
     return engine
@@ -127,12 +129,10 @@ class TestSparsePushLanes:
         k = 2
         blocking = _setup(rmat_graph, k, seed=5)
         overlapped = Engine(rmat_graph, RANKS, overlap=True)
-
-        def copy_from_blocking(ctx):
-            src = blocking.ctx(ctx.rank)
-            ctx.alloc("x", np.float64, width=k)[...] = src.get("x")
-
-        overlapped.foreach(copy_from_blocking)
+        for dst, src in zip(
+            overlapped.alloc("x", np.float64, width=k), blocking.states("x")
+        ):
+            dst[...] = src
         _, fused = _lane_queues(blocking, k, seed=17)
         rb = sparse_push_lanes(blocking, "x", fused, op="min")
         ro = sparse_push_lanes(overlapped, "x", fused, op="min")
