@@ -37,7 +37,7 @@ def _block_csr(engine: Engine, rank: int) -> sp.csr_matrix:
     lm = blk.localmap
     data = np.ones(blk.indices.size)
     return sp.csr_matrix(
-        (data, blk.indices - lm.col_offset, blk.indptr),
+        (data, blk.indices - (blk.lid_base + lm.col_offset), blk.indptr),
         shape=(lm.n_row, lm.n_col),
     )
 

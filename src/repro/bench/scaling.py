@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..cluster.config import ClusterConfig
+from ..cluster.device import INDEX_BYTES as _INDEX_BYTES
 from ..graph.datasets import DatasetMeta
 
 __all__ = [
@@ -30,7 +31,6 @@ __all__ = [
     "fits",
 ]
 
-_INDEX_BYTES = 8  # int64 adjacency entries
 _STATE_BYTES = 8  # float64 state values
 _STATE_ARRAYS = 4  # typical live state arrays during an algorithm
 

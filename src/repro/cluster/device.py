@@ -17,7 +17,11 @@ import numpy as np
 
 from .config import GPUSpec
 
-__all__ = ["DeviceMemoryError", "VirtualGPU"]
+__all__ = ["INDEX_BYTES", "DeviceMemoryError", "VirtualGPU"]
+
+#: Bytes of one modeled adjacency entry (an ``int64`` index): what a
+#: device is charged per stored edge, whatever the host's index dtype.
+INDEX_BYTES = 8
 
 
 class DeviceMemoryError(MemoryError):

@@ -15,7 +15,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from ..cluster.device import VirtualGPU
+from ..cluster.device import INDEX_BYTES, VirtualGPU
 from ..graph.partition.twod import RankBlock
 from ..kernels.buffers import BufferPool
 from ..queueing.frontier import expand_block
@@ -53,9 +53,10 @@ class RankContext:
         self._local_degrees: Optional[np.ndarray] = None
         self._scratch_pools: dict[np.dtype, BufferPool] = {}
         # Charge the static graph structure, as the paper's loader does
-        # when moving the CSR to the GPU.
+        # when moving the CSR to the GPU.  The adjacency is charged at
+        # the modeled entry width, not the host's (narrower) dtype.
         device.charge("graph.indptr", block.indptr.nbytes)
-        device.charge("graph.indices", block.indices.nbytes)
+        device.charge("graph.indices", INDEX_BYTES * block.n_local_edges)
         if block.weights is not None:
             device.charge("graph.weights", block.weights.nbytes)
 

@@ -17,12 +17,12 @@ over all ranks:
   (:meth:`stack`) and results are cut back with one ``searchsorted``
   (:meth:`split`);
 * **stacked CSR** — the partition's blocks are slices of one
-  concatenated CSR, so :meth:`expand` walks any set of rows of any
-  ranks through the ordinary
-  :func:`~repro.queueing.frontier.expand_block`, and :meth:`csr` is
-  the whole fleet as one square operand for
+  concatenated CSR whose targets are already stacked LIDs, so
+  :meth:`expand` walks any set of rows of any ranks through the
+  ordinary :func:`~repro.queueing.frontier.expand_block`, and
+  :meth:`csr` is the whole fleet as one square operand for
   :func:`~repro.kernels.csr_pull` (a dense pull sweep of every rank is
-  one product);
+  one product) — both over the partition's own ``indices``;
 * **exchange plan** — the dense patterns' windows and overlap segments
   as stacked-LID slices, derived once (:meth:`exchange_plan`).
 
@@ -43,7 +43,7 @@ import numpy as np
 from ..graph.localmap import LocalMap
 from ..graph.partition.twod import RankBlock, TwoDPartition
 from ..kernels.buffers import BufferPool
-from ..kernels.pull import PullCSR, index_dtype
+from ..kernels.pull import PullCSR
 from ..queueing.frontier import expand_block
 
 __all__ = ["EXPAND_EDGE_BUDGET", "ExchangePlan", "Fleet"]
@@ -89,10 +89,10 @@ class Fleet:
             return np.array([getattr(lm, attr) for lm in maps], dtype=np.int64)
 
         #: ``N_T`` of every rank, and where its LID space starts in a
-        #: stacked array (``base[-1]`` is the stacked length).
+        #: stacked array (``base[-1]`` is the stacked length): the
+        #: partition's ``lid_offsets``.
         self.n_total = column("n_total")
-        self.base = np.zeros(self.n_ranks + 1, dtype=np.int64)
-        np.cumsum(self.n_total, out=self.base[1:])
+        self.base = partition.lid_offsets
         self.size = int(self.base[-1])
         self.row_start = column("row_start")
         self.row_stop = column("row_stop")
@@ -227,11 +227,10 @@ class Fleet:
     def _stacked_block(self) -> RankBlock:
         """The whole fleet as one block for ``expand_block``: rows are
         stacked LIDs (LIDs outside a row window have no edges) over the
-        partition's concatenated ``indices``/``weights``.  Adjacency
-        entries stay the owning rank's *local* column LIDs —
-        :meth:`expand` rebases them.  Built on first use: one row
-        pointer per stacked LID (half a state array while edge counts
-        fit 32 bits), nothing edge-sized."""
+        partition's concatenated ``indices``/``weights``, whose targets
+        are stacked LIDs already (``lid_base`` 0).  Built on first use:
+        one row pointer per stacked LID (half a state array while edge
+        counts fit 32 bits), nothing edge-sized."""
         if self._block is None:
             part = self.partition
             degrees = np.diff(part.indptr)
@@ -284,29 +283,18 @@ class Fleet:
         stacked LIDs, entries are ``1.0`` or, with ``weighted``, the
         edge weights.
 
-        Built on first use and kept for the fleet's life: 4 bytes of
-        rebased column index per edge while stacked LIDs fit ``int32``
-        (shared by both forms) plus the unit data."""
+        Built on first use and kept for the fleet's life.  Both forms
+        share the partition's ``indices`` (already stacked, in the
+        operand's index dtype), so the only edge-sized array either
+        adds is the unit form's data."""
         view = self._csr.get(weighted)
         if view is None:
             part = self.partition
             if weighted and part.weights is None:
                 raise ValueError("a weighted pull needs an edge-weighted graph")
-            other = self._csr.get(not weighted)
-            if other is not None:
-                indices = other.matrix.indices
-            else:
-                indices = np.empty(
-                    part.n_edges, dtype=index_dtype(self.size, part.n_edges)
-                )
-                edge_offsets = part.edge_offsets.tolist()
-                for blk, lo, e0, e1 in zip(
-                    part.blocks, self.base.tolist(), edge_offsets, edge_offsets[1:]
-                ):
-                    np.add(blk.indices, lo, out=indices[e0:e1], casting="unsafe")
             view = self._csr[weighted] = PullCSR(
                 self._stacked_block().indptr,
-                indices,
+                part.indices,
                 self.size,
                 part.weights if weighted else None,
             )
@@ -349,9 +337,7 @@ class Fleet:
                     int(np.searchsorted(ends, done + EXPAND_EDGE_BUDGET, side="right")),
                 )
                 ex = expand_block(block, piece[lo:hi], local[lo:hi])
-                ranks = owner[lo:hi][ex.entry]
-                np.add(ex.dst, self.base[ranks], out=ex.dst)
-                yield ranks, ex.src, ex.dst
+                yield owner[lo:hi][ex.entry], ex.src, ex.dst
                 lo, done = hi, int(ends[hi - 1])
 
     # ------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Graph data structures, generators, datasets, and partitioners."""
 
-from .csr import Graph
+from .csr import Graph, index_dtype
 from .datasets import REGISTRY, DatasetMeta, LoadedDataset, available, load
 from .generators import (
     chung_lu_powerlaw,
@@ -35,6 +35,7 @@ from .partition.twod import RankBlock, TwoDPartition, partition_2d
 
 __all__ = [
     "Graph",
+    "index_dtype",
     "REGISTRY",
     "DatasetMeta",
     "LoadedDataset",

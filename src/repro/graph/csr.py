@@ -19,10 +19,22 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["Graph"]
+__all__ = ["Graph", "index_dtype"]
 
 VERTEX_DTYPE = np.int64
 WEIGHT_DTYPE = np.float64
+
+
+def index_dtype(n_ids: int, n_entries: int):
+    """Dtype of an index array over ``n_ids`` ids with ``n_entries``
+    entries: ``int32`` while ids and entry offsets fit, else ``int64``.
+
+    The one width rule of every stored adjacency: ``Graph.indices``,
+    the partition's stacked-LID ``indices`` and the pull kernel's CSR
+    operand (SciPy converts wider index arrays on every product).
+    """
+    fits = max(n_ids, n_entries) <= np.iinfo(np.int32).max
+    return np.int32 if fits else np.int64
 
 
 @dataclass
@@ -34,7 +46,9 @@ class Graph:
     indptr:
         Offsets array ``Off`` of length ``N + 1``.
     indices:
-        Adjacency array ``Adj`` of length ``M``.
+        Adjacency array ``Adj`` of length ``M``, in
+        ``index_dtype(N, 0)`` (``int32`` below 2**31 vertices);
+        ``indptr`` is always ``int64``.
     weights:
         Optional per-edge weights, aligned with ``indices``.
     """
@@ -45,24 +59,26 @@ class Graph:
 
     def __post_init__(self) -> None:
         self.indptr = np.ascontiguousarray(self.indptr, dtype=VERTEX_DTYPE)
-        self.indices = np.ascontiguousarray(self.indices, dtype=VERTEX_DTYPE)
+        indices = np.asarray(self.indices)
         if self.weights is not None:
             self.weights = np.ascontiguousarray(self.weights, dtype=WEIGHT_DTYPE)
-            if self.weights.shape != self.indices.shape:
+            if self.weights.shape != indices.shape:
                 raise ValueError(
                     f"weights length {self.weights.shape} does not match "
-                    f"indices length {self.indices.shape}"
+                    f"indices length {indices.shape}"
                 )
         if self.indptr.ndim != 1 or self.indptr.size < 1:
             raise ValueError("indptr must be a 1-D array of length N+1")
-        if self.indptr[0] != 0 or self.indptr[-1] != self.indices.size:
+        if self.indptr[0] != 0 or self.indptr[-1] != indices.size:
             raise ValueError("indptr must start at 0 and end at len(indices)")
         if np.any(np.diff(self.indptr) < 0):
             raise ValueError("indptr must be non-decreasing")
-        if self.indices.size and (
-            self.indices.min() < 0 or self.indices.max() >= self.n_vertices
-        ):
+        # checked before the narrowing cast, so no id can wrap into range
+        if indices.size and (indices.min() < 0 or indices.max() >= self.n_vertices):
             raise ValueError("adjacency targets out of range")
+        self.indices = np.ascontiguousarray(
+            indices, dtype=index_dtype(self.n_vertices, 0)
+        )
 
     # ------------------------------------------------------------------
     # properties
@@ -116,6 +132,8 @@ class Graph:
 
         Each edge becomes one int64 key ``src * n + dst``; one sort puts
         the keys in CSR order, so ``n * n`` must stay below ``2**63``.
+        The targets are narrowed to :func:`index_dtype` once, from the
+        sorted keys.
         """
         src = np.asarray(src, dtype=VERTEX_DTYPE)
         dst = np.asarray(dst, dtype=VERTEX_DTYPE)
@@ -167,7 +185,9 @@ class Graph:
             key = key[first]
         indptr = np.searchsorted(key, np.arange(n + 1, dtype=VERTEX_DTYPE) * n)
         np.remainder(key, n, out=key)
-        return cls(indptr=indptr, indices=key, weights=weights)
+        indices = key.astype(index_dtype(n, 0), copy=False)
+        del key
+        return cls(indptr=indptr, indices=indices, weights=weights)
 
     @classmethod
     def from_scipy(cls, mat: sp.spmatrix, weighted: bool = False) -> "Graph":
@@ -176,7 +196,7 @@ class Graph:
         csr.sort_indices()
         return cls(
             indptr=csr.indptr.astype(VERTEX_DTYPE),
-            indices=csr.indices.astype(VERTEX_DTYPE),
+            indices=csr.indices.astype(index_dtype(csr.shape[0], 0)),
             weights=csr.data.astype(WEIGHT_DTYPE) if weighted else None,
         )
 
@@ -184,8 +204,10 @@ class Graph:
         """Export as a scipy CSR matrix (weights default to 1.0).
 
         The data array is a *copy* so callers may freely mutate the
-        matrix (a common scipy idiom) without corrupting the graph's
-        weights.
+        matrix's values (a common scipy idiom) without corrupting the
+        graph's weights.  ``indices`` is *shared* while SciPy keeps its
+        dtype (up to 2**31 stored edges): do not change the matrix's
+        structure in place.
         """
         data = (
             self.weights.copy()

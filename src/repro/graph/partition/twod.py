@@ -8,7 +8,8 @@ Pipeline:
    block-columns;
 3. store each block as a local CSR whose rows are indexed by row-local
    position and whose adjacency entries are *column local IDs* per the
-   rank's arithmetic :class:`~repro.graph.localmap.LocalMap`.
+   rank's arithmetic :class:`~repro.graph.localmap.LocalMap` — held as
+   *stacked* LIDs, the local LID plus the rank's ``lid_base``.
 
 All three steps are one sort: each edge gets one int64 key (rank, local
 row, local column) from two per-vertex tables, so no relabeled graph
@@ -16,9 +17,13 @@ and no per-block slice is ever built.
 
 The blocks are laid out rank after rank in **one** concatenated CSR
 (:attr:`TwoDPartition.indptr` / ``indices`` / ``weights``); a
-:class:`RankBlock`'s arrays are slices of it, so the rank-stacked
-passes of :mod:`repro.core.fleet` walk every rank's edges in one
-expansion without a second edge-sized copy.
+:class:`RankBlock`'s arrays are slices of it.  Rank ``r``'s LIDs start
+at ``lid_offsets[r]`` in the ranks' concatenated LID space (the
+stacked LIDs of :mod:`repro.core.fleet`), and ``indices`` holds every
+edge's target in that space, in :func:`~repro.graph.index_dtype`
+(``int32`` while it fits).  So the rank-stacked passes expand every
+rank's edges, and the pull kernel multiplies by the whole fleet, over
+this one array: no second edge-sized copy, no rebasing.
 
 A rank's local degree of a vertex is generally *not* its true degree;
 true degrees are the sum of local degrees across the row group (paper
@@ -34,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from ...comm.grid import Grid2D
-from ..csr import Graph
+from ..csr import Graph, index_dtype
 from ..localmap import LocalMap
 from .striped import (
     block_permutation,
@@ -58,7 +63,9 @@ class RankBlock:
 
     ``indptr`` is indexed by *row-local position* (``0..N_R``); add
     ``localmap.row_offset`` to get the row vertex's LID.  ``indices``
-    holds column-vertex LIDs.
+    holds column-vertex LIDs *stacked*: subtract ``lid_base`` for the
+    rank's own LIDs (:func:`~repro.queueing.frontier.expand_block`
+    does).
     """
 
     rank: int
@@ -68,6 +75,9 @@ class RankBlock:
     indptr: np.ndarray
     indices: np.ndarray
     weights: Optional[np.ndarray] = None
+    #: Where the rank's LIDs start in the stacked LID space
+    #: (``TwoDPartition.lid_offsets[rank]``).
+    lid_base: int = 0
     #: ``N_T``: length of this rank's state arrays.
     n_total: int = field(init=False)
 
@@ -113,11 +123,15 @@ class TwoDPartition:
     #: rank ``r`` holds ``indptr[ptr_offsets[r]:ptr_offsets[r + 1]]``
     #: (its ``N_R + 1`` row pointers, counted from its own first edge)
     #: and ``indices``/``weights[edge_offsets[r]:edge_offsets[r + 1]]``.
+    #: ``indices`` are stacked column LIDs.
     indptr: np.ndarray
     indices: np.ndarray
     weights: Optional[np.ndarray]
     ptr_offsets: np.ndarray
     edge_offsets: np.ndarray
+    #: ``p + 1`` exclusive prefix sums of the ranks' ``N_T``: rank
+    #: ``r``'s LID ``lid`` is stacked LID ``lid_offsets[r] + lid``.
+    lid_offsets: np.ndarray
     weighted: bool = False
     distribution: str = "striped"
 
@@ -200,7 +214,8 @@ class TwoDPartition:
     # sanity
     # ------------------------------------------------------------------
     def validate(self) -> None:
-        """Check the blocks partition exactly the relabeled edge set."""
+        """Check the blocks partition exactly the relabeled edge set,
+        each block's targets inside its column window (stacked)."""
         total = sum(b.n_local_edges for b in self.blocks)
         if total != self.n_edges:
             raise AssertionError(
@@ -208,11 +223,14 @@ class TwoDPartition:
             )
         for blk in self.blocks:
             lm = blk.localmap
+            if blk.lid_base != self.lid_offsets[blk.rank]:
+                raise AssertionError(f"rank {blk.rank}: lid_base is not its offset")
             if blk.indptr.size != lm.n_row + 1:
                 raise AssertionError(f"rank {blk.rank}: bad indptr length")
             if blk.indices.size:
                 lo, hi = blk.indices.min(), blk.indices.max()
-                if lo < lm.col_offset or hi >= lm.col_offset + lm.n_col:
+                first = blk.lid_base + lm.col_offset
+                if lo < first or hi >= first + lm.n_col:
                     raise AssertionError(f"rank {blk.rank}: adjacency LID out of range")
 
 
@@ -283,19 +301,28 @@ def partition_2d(
     row = np.arange(ptr_offsets[-1]) - ptr_offsets[ptr_rank]
     indptr = np.searchsorted(key, ptr_rank * stride + row * m_c)
     indptr -= edge_offsets[ptr_rank]
-    indices = key
-    np.remainder(indices, m_c, out=indices)  # local column; + col_offset below
-    blocks: list[RankBlock] = []
-    for rank in range(n_ranks):
-        id_r, id_c = divmod(rank, R)
-        lm = LocalMap(
+    maps = [
+        LocalMap(
             row_start=int(row_offsets[id_r]),
             row_stop=int(row_offsets[id_r + 1]),
             col_start=int(col_offsets[id_c]),
             col_stop=int(col_offsets[id_c + 1]),
         )
+        for id_r in range(grid.C)
+        for id_c in range(R)  # ranks are row-major
+    ]
+    lid_offsets = np.zeros(n_ranks + 1, dtype=np.int64)
+    np.cumsum([lm.n_total for lm in maps], out=lid_offsets[1:])
+    # The local column, shifted to the stacked column LID, written
+    # straight into the narrow array; then the key goes.
+    np.remainder(key, m_c, out=key)
+    indices = np.empty(key.size, dtype=index_dtype(int(lid_offsets[-1]), key.size))
+    blocks: list[RankBlock] = []
+    for rank, lm in enumerate(maps):
         edges = slice(int(edge_offsets[rank]), int(edge_offsets[rank + 1]))
-        indices[edges] += lm.col_offset
+        lid_base = int(lid_offsets[rank])
+        np.add(key[edges], lid_base + lm.col_offset, out=indices[edges], casting="unsafe")
+        id_r, id_c = divmod(rank, R)
         blocks.append(
             RankBlock(
                 rank=rank,
@@ -305,8 +332,10 @@ def partition_2d(
                 indptr=indptr[ptr_offsets[rank] : ptr_offsets[rank + 1]],
                 indices=indices[edges],
                 weights=weights[edges] if weights is not None else None,
+                lid_base=lid_base,
             )
         )
+    del key
     part = TwoDPartition(
         grid=grid,
         n_vertices=n,
@@ -322,6 +351,7 @@ def partition_2d(
         weights=weights,
         ptr_offsets=ptr_offsets,
         edge_offsets=edge_offsets,
+        lid_offsets=lid_offsets,
     )
     part.validate()
     return part

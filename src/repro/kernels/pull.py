@@ -31,20 +31,13 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
+from ..graph.csr import index_dtype
 from .scatter import ScatterError
 
-__all__ = ["PullCSR", "csr_pull", "index_dtype"]
+__all__ = ["PullCSR", "csr_pull"]
 
 #: op -> (ufunc, identity) of the order-free reductions
 _REDUCEAT = {"min": (np.minimum, np.inf), "max": (np.maximum, -np.inf)}
-
-
-def index_dtype(n_cols: int, n_entries: int):
-    """Index dtype a :class:`PullCSR` of this size holds: ``int32``
-    while column ids and entry offsets fit (SciPy would otherwise
-    convert wider index arrays on every product), else ``int64``."""
-    fits = max(n_cols, n_entries) <= np.iinfo(np.int32).max
-    return np.int32 if fits else np.int64
 
 
 class PullCSR:
@@ -53,8 +46,9 @@ class PullCSR:
     ``indptr`` / ``indices`` describe ``len(indptr) - 1`` rows over
     ``n_cols`` columns; ``weights=None`` means every entry is ``1.0``
     (a unit data array is materialized for SciPy).  Index arrays are
-    held in :func:`index_dtype`; arrays that already have it are
-    shared, not copied.
+    held in :func:`~repro.graph.index_dtype` (SciPy would otherwise
+    convert wider ones on every product); arrays that already have it
+    are shared, not copied.
     """
 
     def __init__(

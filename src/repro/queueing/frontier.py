@@ -22,7 +22,8 @@ _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
 class Expansion(NamedTuple):
     """Edges of an expanded queue, in queue order: per edge its queue
-    position ``entry``, target ``dst`` and position ``edge_index`` in
+    position ``entry``, target ``dst`` (``int64`` whatever the index
+    array's dtype) and position ``edge_index`` in
     the block's ``indices`` / ``weights``.  ``queue`` (the rows as the
     caller named them) and ``edge_weights`` (the block's whole weight
     array, or ``None``) only feed :attr:`src` and :attr:`weights` —
@@ -51,6 +52,12 @@ def expand_csr(indptr, indices, rows, degrees=None, weights=None) -> Expansion:
     them up (to charge the kernel); ``weights`` the edge-weight array
     aligned with ``indices``, if any.
     """
+    return _expand(indptr, indices, rows, degrees, weights, 0)
+
+
+def _expand(indptr, indices, rows, degrees, weights, base: int) -> Expansion:
+    """:func:`expand_csr` with ``base`` subtracted from every target,
+    which comes out ``int64`` whatever the dtype of ``indices``."""
     rows = np.asarray(rows, dtype=np.int64)
     row_ptr = indptr[rows]
     if degrees is None:
@@ -67,14 +74,20 @@ def expand_csr(indptr, indices, rows, degrees=None, weights=None) -> Expansion:
     entry = np.repeat(np.arange(rows.size, dtype=np.int64), degrees)
     offsets = row_ptr - (ends - degrees)
     edge_index = np.arange(total, dtype=np.int64) + offsets[entry]
-    return Expansion(entry, indices[edge_index], edge_index, rows, weights)
+    dst = indices[edge_index]
+    if base or dst.dtype != np.int64:
+        dst = np.subtract(dst, base, dtype=np.int64)
+    return Expansion(entry, dst, edge_index, rows, weights)
 
 
 def expand_block(block, row_lids, degrees=None) -> Expansion:
     """Expand a :class:`~repro.graph.partition.twod.RankBlock` queue of
     row-vertex LIDs; they stay the expansion's ``queue``, so ``src``
-    and ``dst`` are both in LID space."""
+    and ``dst`` are both in the block's LID space (its stacked targets
+    less ``block.lid_base``)."""
     row_lids = np.asarray(row_lids, dtype=np.int64)
     rows = row_lids - block.localmap.row_offset
-    ex = expand_csr(block.indptr, block.indices, rows, degrees, block.weights)
+    ex = _expand(
+        block.indptr, block.indices, rows, degrees, block.weights, block.lid_base
+    )
     return ex._replace(queue=row_lids)

@@ -51,6 +51,13 @@ class TestStateArrays:
         assert "graph.indptr" in ctx.device.ledger
         assert "graph.indices" in ctx.device.ledger
 
+    def test_adjacency_charged_at_the_modeled_entry_width(self, engine):
+        """8 bytes per local edge (an int64 device index), not the
+        host's int32: narrowing the host copy moves no device peak."""
+        assert engine.partition.indices.dtype == np.int32
+        for ctx in engine:
+            assert ctx.device.ledger["graph.indices"] == 8 * ctx.block.n_local_edges
+
 
 class TestGraphAccess:
     def test_local_degrees_cached_and_correct(self, engine):

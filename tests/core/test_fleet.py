@@ -155,6 +155,51 @@ def test_csr_pull_with_fewer_vertices_than_ranks():
     assert np.allclose(res.values, serial.pagerank(graph, 4), atol=1e-15)
 
 
+def test_one_adjacency_array_shared_by_graph_layer_expansion_and_pull():
+    """The partition's stacked-LID ``indices`` is the fleet's expansion
+    block and the pull operand, not a rebased copy; a graph's SciPy view
+    shares its ``int32`` ids."""
+    graph = rmat(8, seed=3).with_random_weights(seed=1)
+    engine = Engine(graph, grid=Grid2D(R=2, C=3))
+    fleet, part = engine.fleet, engine.partition
+    assert fleet.base is part.lid_offsets
+    assert fleet._stacked_block().indices is part.indices
+    assert fleet._stacked_block().lid_base == 0
+    for weighted in (False, True):
+        assert np.shares_memory(fleet.csr(weighted).matrix.indices, part.indices)
+    assert np.shares_memory(graph.to_scipy().indices, graph.indices)
+
+
+def test_wide_index_arrays_change_nothing(monkeypatch):
+    """Past 2**31 ids every index array is int64: forced wide on a small
+    graph, answers, clocks and counters equal the narrow run's."""
+    from repro.graph import csr as csr_mod
+    from repro.graph.partition import twod as twod_mod
+    from repro.kernels import pull as pull_mod
+
+    def run():
+        graph = rmat(8, seed=5).with_random_weights(seed=2)
+        engine = Engine(graph, grid=Grid2D(R=2, C=3))
+        results = [
+            algorithms.pagerank(engine, iterations=5),
+            algorithms.bfs(engine, root=3),
+            algorithms.connected_components(engine),
+            algorithms.sssp(engine, root=3),
+        ]
+        return engine, results
+
+    narrow_engine, narrow = run()
+    for module in (csr_mod, twod_mod, pull_mod):
+        monkeypatch.setattr(module, "index_dtype", lambda n_ids, n_entries: np.int64)
+    wide_engine, wide = run()
+    assert narrow_engine.partition.indices.dtype == np.int32
+    assert wide_engine.partition.indices.dtype == np.int64
+    assert wide_engine.graph.indices.dtype == np.int64
+    for got, want in zip(wide, narrow):
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.timings == want.timings and got.counters == want.counters
+
+
 class TestFleetCsrView:
     def test_built_lazily_once_and_shared_between_forms(self):
         engine = Engine(rmat(7, seed=2).with_random_weights(seed=1), 4)

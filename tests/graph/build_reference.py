@@ -4,7 +4,10 @@ These are the bodies :meth:`repro.graph.Graph.from_edges` and
 :func:`repro.graph.partition_2d` had before both became one int64 key
 sort.  They stay here, under ``tests/`` only, as the oracles the sort
 path must reproduce array for array (``test_build_oracle.py``), the way
-``scatter_reduce_reference`` backs the scatter kernel.
+``scatter_reduce_reference`` backs the scatter kernel.  The partition
+oracle holds its adjacency as ``int64`` stacked LIDs (a rank's local
+LID plus its ``lid_offsets`` entry); the library narrows both graph
+and partition ids to ``index_dtype``.
 """
 
 from __future__ import annotations
@@ -101,6 +104,18 @@ def partition_2d_reference(
     row_offsets = group_ranges(n, grid.C)
     col_offsets = group_ranges(n, grid.R)
     n_ranks = grid.n_ranks
+    maps = [
+        LocalMap(
+            row_start=int(row_offsets[id_r]),
+            row_stop=int(row_offsets[id_r + 1]),
+            col_start=int(col_offsets[id_c]),
+            col_stop=int(col_offsets[id_c + 1]),
+        )
+        for id_r in range(grid.C)
+        for id_c in range(grid.R)
+    ]
+    lid_offsets = np.zeros(n_ranks + 1, dtype=np.int64)
+    lid_offsets[1:] = np.cumsum([lm.n_total for lm in maps])
     ptr_offsets = np.zeros(n_ranks + 1, dtype=np.int64)
     ptr_offsets[1:] = np.cumsum(np.repeat(np.diff(row_offsets) + 1, grid.R))
     edge_offsets = np.zeros(n_ranks + 1, dtype=np.int64)
@@ -119,14 +134,15 @@ def partition_2d_reference(
             cs, ce = int(col_offsets[id_c]), int(col_offsets[id_c + 1])
             block = slab[:, cs:ce].tocsr()
             block.sort_indices()
-            lm = LocalMap(row_start=rs, row_stop=re, col_start=cs, col_stop=ce)
             rank = grid.rank_of(id_r, id_c)
+            lm = maps[rank]
+            lid_base = int(lid_offsets[rank])
             e0 = int(edge_offsets[rank])
             e1 = e0 + block.indices.size
             edge_offsets[rank + 1] = e1
             ptr = slice(int(ptr_offsets[rank]), int(ptr_offsets[rank + 1]))
             indptr[ptr] = block.indptr
-            np.add(block.indices, lm.col_offset, out=indices[e0:e1])
+            np.add(block.indices, lid_base + lm.col_offset, out=indices[e0:e1])
             if weights is not None:
                 weights[e0:e1] = block.data
             blocks.append(
@@ -138,6 +154,7 @@ def partition_2d_reference(
                     indptr=indptr[ptr],
                     indices=indices[e0:e1],
                     weights=weights[e0:e1] if weights is not None else None,
+                    lid_base=lid_base,
                 )
             )
     return TwoDPartition(
@@ -155,4 +172,5 @@ def partition_2d_reference(
         weights=weights,
         ptr_offsets=ptr_offsets,
         edge_offsets=edge_offsets,
+        lid_offsets=lid_offsets,
     )

@@ -1,10 +1,12 @@
 """The sort-based graph build and 2D blocking against the scipy oracles.
 
 :meth:`Graph.from_edges` and :func:`partition_2d` must equal the scipy
-COO->CSR bodies in ``build_reference.py`` array for array, bytes and
-dtypes, on hostile inputs: duplicate edges, self-loops, +-0.0 and NaN
-weights, empty graphs, isolated vertices, fewer vertices than ranks,
-and 1xp / px1 / prime-p grids.  Also: the int64 key guards raise.
+COO->CSR bodies in ``build_reference.py`` array for array — bytes and
+dtypes, except that index arrays are compared by value and must be in
+``index_dtype`` — on hostile inputs: duplicate edges, self-loops,
++-0.0 and NaN weights, empty graphs, isolated vertices, fewer vertices
+than ranks, and 1xp / px1 / prime-p grids.  Also: the int64 key guards
+raise.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.comm.grid import Grid2D
-from repro.graph import Graph, partition_2d
+from repro.graph import Graph, index_dtype, partition_2d
 from repro.graph.partition import twod
 
 from .build_reference import from_edges_reference, partition_2d_reference
@@ -37,9 +39,16 @@ def assert_same(a, b) -> None:
     assert a.tobytes() == b.tobytes()
 
 
+def assert_same_ids(got, want, dtype) -> None:
+    """Equal values and shape, ``got`` held in ``dtype``."""
+    assert got.dtype == dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
 def assert_graphs_same(g, h) -> None:
-    for name in ("indptr", "indices", "weights"):
+    for name in ("indptr", "weights"):
         assert_same(getattr(g, name), getattr(h, name))
+    assert_same_ids(g.indices, h.indices, index_dtype(g.n_vertices, 0))
 
 
 @st.composite
@@ -89,17 +98,24 @@ def test_partition_2d_equals_scipy_blocking(edges, shape, dist, seed):
     part = partition_2d(graph, grid, distribution=dist, seed=seed)
     ref = partition_2d_reference(graph, grid, distribution=dist, seed=seed)
     assert part.n_edges == ref.n_edges and part.weighted == ref.weighted
+    assert_same(part.lid_offsets, ref.lid_offsets)
+    ids = index_dtype(int(part.lid_offsets[-1]), part.n_edges)
     for name in PARTITION_ARRAYS:
-        assert_same(getattr(part, name), getattr(ref, name))
+        if name == "indices":
+            assert_same_ids(part.indices, ref.indices, ids)
+        else:
+            assert_same(getattr(part, name), getattr(ref, name))
     for blk, want in zip(part.blocks, ref.blocks, strict=True):
-        assert (blk.rank, blk.id_r, blk.id_c, blk.localmap) == (
+        assert (blk.rank, blk.id_r, blk.id_c, blk.localmap, blk.lid_base) == (
             want.rank,
             want.id_r,
             want.id_c,
             want.localmap,
+            want.lid_base,
         )
-        for name in ("indptr", "indices", "weights"):
+        for name in ("indptr", "weights"):
             assert_same(getattr(blk, name), getattr(want, name))
+        assert_same_ids(blk.indices, want.indices, ids)
 
 
 def test_duplicates_keep_the_max_weight_not_the_sum():

@@ -11,8 +11,11 @@ of every array a :class:`~repro.graph.Graph` or a
 
 The fixture was recorded from the scipy COO->CSR build (now the oracles
 in ``tests/graph/build_reference.py``), so any rewrite of the build
-must reproduce it exactly, dtypes included.  Record (only at a commit
-whose build is trusted)::
+must reproduce it exactly, dtypes included.  Index arrays are hashed in
+the form the fixture was recorded in: ``int64``, and the partition's
+adjacency as each rank's *local* LIDs (the arrays themselves hold
+``index_dtype`` ids, the partition's stacked across ranks — asserted
+separately).  Record (only at a commit whose build is trusted)::
 
     PYTHONPATH=src python tests/graph/test_partition_golden.py --record
 """
@@ -28,7 +31,7 @@ import numpy as np
 import pytest
 
 from repro.comm.grid import Grid2D
-from repro.graph import partition_2d, rmat
+from repro.graph import index_dtype, partition_2d, rmat
 
 FIXTURE = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "partition_golden.json"
@@ -71,12 +74,20 @@ def _digest(arr) -> dict | None:
     }
 
 
+def local_lids(part) -> np.ndarray:
+    """The partition's adjacency as each rank's own LIDs, ``int64``."""
+    shift = np.repeat(part.lid_offsets[:-1], np.diff(part.edge_offsets))
+    return part.indices.astype(np.int64) - shift
+
+
 def _graph_record(g) -> dict:
-    return {name: _digest(getattr(g, name)) for name in ("indptr", "indices", "weights")}
+    arrays = {"indptr": g.indptr, "indices": g.indices.astype("<i8"), "weights": g.weights}
+    return {name: _digest(arr) for name, arr in arrays.items()}
 
 
 def _partition_record(part) -> dict:
     out = {name: _digest(getattr(part, name)) for name in PARTITION_ARRAYS}
+    out["indices"] = _digest(local_lids(part).astype("<i8"))
     out["n_edges"] = int(part.n_edges)
     return out
 
@@ -108,7 +119,9 @@ def graphs():
     "seed,form", GRAPH_CASES, ids=[_graph_key(*c) for c in GRAPH_CASES]
 )
 def test_graph_matches_golden(graphs, golden, seed, form):
-    assert _graph_record(graphs[seed, form]) == golden[_graph_key(seed, form)]
+    g = graphs[seed, form]
+    assert _graph_record(g) == golden[_graph_key(seed, form)]
+    assert g.indices.dtype == np.int32 and g.indptr.dtype == np.int64
 
 
 @pytest.mark.parametrize(
@@ -117,6 +130,11 @@ def test_graph_matches_golden(graphs, golden, seed, form):
 def test_partition_matches_golden(graphs, golden, form, R, C, dist):
     part = _partition(graphs[1, form], R, C, dist)
     assert _partition_record(part) == golden[_partition_key(form, R, C, dist)]
+    assert part.indices.dtype == np.int32
+    assert part.indices.dtype == index_dtype(int(part.lid_offsets[-1]), part.n_edges)
+    n_total = [blk.n_total for blk in part.blocks]
+    assert part.lid_offsets.tolist() == np.concatenate([[0], np.cumsum(n_total)]).tolist()
+    assert [blk.lid_base for blk in part.blocks] == part.lid_offsets[:-1].tolist()
 
 
 def _record() -> None:

@@ -21,7 +21,7 @@ def reconstruct(part) -> sp.csr_matrix:
         degs = np.diff(blk.indptr)
         r_local = np.repeat(np.arange(lm.n_row), degs)
         rows.append(r_local + lm.row_start)
-        cols.append(lm.col_gid(blk.indices))
+        cols.append(lm.col_gid(blk.indices - blk.lid_base))
     rows = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
     cols = np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
     return sp.coo_matrix(

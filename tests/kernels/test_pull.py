@@ -14,7 +14,7 @@ from repro.kernels import (
     csr_pull,
     scatter_reduce_reference,
 )
-from repro.kernels.pull import index_dtype
+from repro.graph import index_dtype
 
 OPS = {"sum": 0.0, "min": np.inf, "max": -np.inf}
 
@@ -117,6 +117,9 @@ class TestIndexArrays:
         assert index_dtype(2**31 - 1, 2**31 - 1) is np.int32
         assert index_dtype(2**31, 10) is np.int64
         assert index_dtype(10, 2**31) is np.int64
+        # ``Graph.indices`` (index_dtype(n_vertices, 0)) at 2**31 vertices
+        assert index_dtype(2**31 - 1, 0) is np.int32
+        assert index_dtype(2**31, 0) is np.int64
 
     def test_wide_arrays_are_narrowed_once_and_fitting_ones_shared(self):
         indptr = np.array([0, 2, 3], dtype=np.int64)

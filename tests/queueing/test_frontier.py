@@ -27,6 +27,7 @@ class TestExpandCSR:
                 manual_dst.append(u)
         assert np.array_equal(src, manual_src)
         assert np.array_equal(dst, manual_dst)
+        assert g.indices.dtype == np.int32 and dst.dtype == np.int64
         assert np.array_equal(g.indices[eidx], dst)
         assert np.array_equal(rows[ex.entry], src)
         assert ex.weights is None
@@ -63,6 +64,7 @@ class TestExpandBlock:
         g = rmat(6, seed=1).with_random_weights(seed=2)
         part = partition_2d(g, Grid2D(R=2, C=2))
         blk = part.blocks[1]
+        assert blk.lid_base > 0  # the block's indices are stacked LIDs
         lids = blk.row_lids()[:5]
         ex = expand_block(blk, lids)
         src, dst, w = ex.src, ex.dst, ex.weights
@@ -99,16 +101,19 @@ def test_property_expansion_counts(seed):
 @st.composite
 def _block_and_queue(draw):
     """A random CSR block (zero-degree rows included) behind a row
-    offset, and a queue over its rows with repeats — or no entry."""
+    offset, its targets stacked behind a ``lid_base`` in a 32- or 64-bit
+    index array, and a queue over its rows with repeats — or no entry.
+    Returns the block's targets as its own LIDs too."""
     n_row = draw(st.integers(1, 12))
     n_col = draw(st.integers(1, 12))
     degrees = draw(st.lists(st.integers(0, 5), min_size=n_row, max_size=n_row))
     indptr = np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64)
     n_edges = int(indptr[-1])
-    indices = np.array(
-        draw(st.lists(st.integers(0, n_col - 1), min_size=n_edges, max_size=n_edges)),
-        dtype=np.int64,
-    )
+    local = draw(st.lists(st.integers(0, n_col - 1), min_size=n_edges, max_size=n_edges))
+    lid_base = draw(st.sampled_from([0, 1, 37, 2**31 - 1 - n_col]))
+    indices = np.array(local, dtype=np.int64) + lid_base
+    if draw(st.booleans()):
+        indices = indices.astype(np.int32)
     weights = (
         np.arange(n_edges, dtype=np.float64) * 0.5 + 1.0
         if draw(st.booleans())
@@ -120,11 +125,12 @@ def _block_and_queue(draw):
         indices=indices,
         weights=weights,
         localmap=SimpleNamespace(row_offset=row_offset),
+        lid_base=lid_base,
     )
     queue = np.array(
         draw(st.lists(st.integers(0, n_row - 1), max_size=2 * n_row)), dtype=np.int64
     )
-    return block, queue + row_offset, draw(st.booleans())
+    return block, local, queue + row_offset, draw(st.booleans())
 
 
 @settings(max_examples=200, deadline=None)
@@ -133,14 +139,15 @@ def test_property_expansion_equals_a_per_row_loop(case):
     """``entry``, ``dst``, ``edge_index``, ``src`` and ``weights`` are
     what a Python loop over the queue produces — with duplicate rows,
     zero-degree rows, an empty queue, and whether the caller hands the
-    queue's degrees in or not."""
-    block, row_lids, pass_degrees = case
+    queue's degrees in or not.  ``dst`` is the block's own LID, ``int64``,
+    whatever the index array's width and ``lid_base``."""
+    block, local, row_lids, pass_degrees = case
     offset = block.localmap.row_offset
     want = {"entry": [], "dst": [], "edge_index": [], "src": []}
     for position, lid in enumerate(row_lids.tolist()):
         for e in range(block.indptr[lid - offset], block.indptr[lid - offset + 1]):
             want["entry"].append(position)
-            want["dst"].append(block.indices[e])
+            want["dst"].append(local[e])
             want["edge_index"].append(e)
             want["src"].append(lid)
     degrees = np.diff(block.indptr)[row_lids - offset] if pass_degrees else None

@@ -14,9 +14,14 @@ them.  No module under ``src/repro`` imports ``threading``,
 Every ``except`` clause under ``src/repro`` is a place an error can be
 swallowed or retyped; their count only goes down too.
 
+The host's copy of the graph structure is what bounds the input a run
+can afford: the index and data bytes it holds per stored edge only go
+down.
+
 CI prints the same census (the fan-out sites, the modules that use
-threads, the ``except`` clauses, and the source line count the ROADMAP
-quotes) so the numbers are reproducible::
+threads, the ``except`` clauses, the index bytes per edge, and the
+source line count the ROADMAP quotes) so the numbers are
+reproducible::
 
     python tests/test_census.py
 """
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import os
 import re
+import sys
 
 SRC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "repro"
@@ -48,6 +54,12 @@ THREADS = re.compile(
 EXCEPT = re.compile(r"^\s*except\b")
 #: 17 before the on-disk checkpoint format and its writer thread went.
 EXCEPT_CEILING = 9
+
+#: Bytes per stored edge of the structure arrays the host holds for
+#: ``rmat(12)`` on 2x2 (see :func:`index_bytes_per_edge`).  28 while the
+#: graph and the partition held ``int64`` ids and ``Fleet.csr`` a rebased
+#: ``int32`` copy: 8 + 8 + 4, plus the unit data's 8.
+INDEX_BYTES_PER_EDGE_CEILING = 16
 
 
 def _python_files(path: str):
@@ -92,6 +104,34 @@ def except_clauses() -> int:
     )
 
 
+def index_bytes_per_edge() -> float:
+    """Index and data bytes per stored edge of ``Graph.indices``,
+    ``TwoDPartition.indices`` and both ``Fleet.csr`` forms (indices, and
+    the unit form's data), each buffer counted once.  The weighted
+    form's data is the partition's edge weights, the graph's payload
+    rather than its structure, and is not counted."""
+    import numpy as np
+
+    from repro import Engine
+    from repro.comm.grid import Grid2D
+    from repro.graph import rmat
+
+    graph = rmat(12, seed=1).with_random_weights(seed=1)
+    fleet = Engine(graph, grid=Grid2D(R=2, C=2)).fleet
+    unit, weighted = fleet.csr(), fleet.csr(weighted=True)
+    held: list = []
+    for arr in (
+        graph.indices,
+        fleet.partition.indices,
+        unit.matrix.indices,
+        unit.matrix.data,
+        weighted.matrix.indices,
+    ):
+        if not any(np.shares_memory(arr, other) for other in held):
+            held.append(arr)
+    return sum(arr.nbytes for arr in held) / graph.n_edges
+
+
 def source_lines() -> int:
     return sum(len(_lines(path)) for path in _python_files(SRC))
 
@@ -109,7 +149,12 @@ def test_except_clauses_only_go_down():
     assert except_clauses() <= EXCEPT_CEILING
 
 
+def test_index_bytes_per_edge_only_go_down():
+    assert index_bytes_per_edge() <= INDEX_BYTES_PER_EDGE_CEILING
+
+
 if __name__ == "__main__":
+    sys.path.insert(0, os.path.dirname(SRC))
     sites = fan_out_sites()
     for name, n in sorted(sites.items()):
         print(f"{n:4d}  {name}")
@@ -117,4 +162,8 @@ if __name__ == "__main__":
     print(f"{total:4d}  map_ranks( / foreach( sites (ceiling {FAN_OUT_CEILING})")
     print(f"threads imported by: {', '.join(threaded_modules()) or 'none'}")
     print(f"{except_clauses():4d}  except clauses (ceiling {EXCEPT_CEILING})")
+    print(
+        f"{index_bytes_per_edge():4g}  host index + data bytes per stored edge "
+        f"(ceiling {INDEX_BYTES_PER_EDGE_CEILING})"
+    )
     print(f"{source_lines()} lines under src/repro")
