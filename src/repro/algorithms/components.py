@@ -1,10 +1,14 @@
 """Connected components by color propagation (paper §4, Fig. 6).
 
-Every vertex starts labeled with its own id; labels propagate along
-edges taking the minimum until a fixed point.  The paper uses this
-algorithm to study its optimizations because its "typical graph
-algorithmic pattern" generalizes — here literally: CC is the
-:class:`~repro.core.program.VertexProgram` ``init=identity,
+Every vertex starts labeled with its own id — the partition's
+relabeled GID, the id space the ranks compute in — and labels
+propagate along edges taking the minimum until a fixed point.  One host
+pass after the fixpoint (:func:`component_answer`, not charged: the
+paper's timed CC ends at the fixpoint) names each component by its
+minimum original id, so the answer does not depend on the grid.  The
+paper uses this algorithm to study its optimizations because its
+"typical graph algorithmic pattern" generalizes — here literally: CC is
+the :class:`~repro.core.program.VertexProgram` ``init=perm,
 op="min"`` (a plain carry) run by the one label-correcting loop
 (:func:`~repro.core.program.run_vertex_program`), and push/pull,
 dense/sparse/switching communications and active-vertex queues are that
@@ -33,7 +37,7 @@ from ..core.engine import Engine
 from ..core.program import VertexProgram, run_vertex_program
 from ..core.result import AlgorithmResult
 
-__all__ = ["connected_components", "CC_VARIANTS"]
+__all__ = ["connected_components", "component_answer", "CC_VARIANTS"]
 
 #: Paper Fig. 6 configurations, in ablation order.
 CC_VARIANTS: dict[str, dict] = {
@@ -71,12 +75,12 @@ def connected_components(
         of starting over (falls back to a fresh run when there is
         none); see ``docs/ROBUSTNESS.md``.
 
-    Returns component labels (original GIDs of the winning
-    representatives) in original vertex order.
+    Returns, in original vertex order, each vertex's component label:
+    the component's minimum original id.
     """
     program = VertexProgram(
         name="cc",
-        init=lambda gids: gids,
+        init=lambda orig: engine.partition.perm[orig],
         op="min",
         direction=direction,
         mode=mode,
@@ -84,9 +88,23 @@ def connected_components(
         max_iterations=max_iterations,
     )
     result = run_vertex_program(engine, program, resume=resume, tag="cc")
-    values = result.values.astype(np.int64)
+    values = component_answer(result.values.astype(np.int64))
     return replace(
         result,
         values=values,
         extra={"n_components": int(np.unique(values).size)},
     )
+
+
+def component_answer(labels: np.ndarray) -> np.ndarray:
+    """Name each label class by its minimum original id.
+
+    ``labels`` is a converged labeling in original vertex order whose
+    values are distinct vertex ids of some id space (relabeled GIDs, or
+    whatever grid's GIDs a regrid carried over); vertices that share a
+    value share a component.  One host pass, not charged.
+    """
+    n = labels.size
+    rep = np.full(n, n, dtype=np.int64)
+    np.minimum.at(rep, labels, np.arange(n, dtype=np.int64))
+    return rep[labels]

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..algorithms.components import component_answer
 from ..cluster.config import ZEPY, ClusterConfig
 from ..core.engine import Engine
 from ..core.result import AlgorithmResult
@@ -137,7 +138,7 @@ def spmv_pagerank(
 def spmv_cc(engine: Engine, max_iterations: int | None = None) -> AlgorithmResult:
     """CC as min-plus label SpMVs: dense full-matrix work per step."""
     engine.reset_timers()
-    part, grid, fleet = engine.partition, engine.grid, engine.fleet
+    grid, fleet = engine.grid, engine.fleet
     all_ranks = list(range(grid.n_ranks))
     engine.alloc("cc", np.float64)
 
@@ -175,7 +176,7 @@ def spmv_cc(engine: Engine, max_iterations: int | None = None) -> AlgorithmResul
         if max_iterations is not None and iterations >= max_iterations:
             break
 
-    labels = part.original_gid(engine.gather("cc").astype(np.int64))
+    labels = component_answer(engine.gather("cc").astype(np.int64))
     return AlgorithmResult(
         values=labels,
         timings=engine.timing_report(),

@@ -14,7 +14,7 @@ from .harness import (
     strong_scaling,
     weak_scaling,
 )
-from .reporting import comm_split, speedup_table, to_csv, to_json, to_markdown
+from .reporting import comm_split, to_csv, to_markdown
 from .scaling import (
     MemoryEstimate,
     estimate_1d_memory,
@@ -38,9 +38,7 @@ __all__ = [
     "strong_scaling",
     "weak_scaling",
     "comm_split",
-    "speedup_table",
     "to_csv",
-    "to_json",
     "to_markdown",
     "MemoryEstimate",
     "estimate_1d_memory",

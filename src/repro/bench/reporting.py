@@ -1,24 +1,23 @@
-"""Result export: aligned text, Markdown, CSV, and JSON writers.
+"""Result export: Markdown and CSV writers, and the measured
+comm / compute split of a row.
 
 The bench harness produces :class:`~repro.bench.harness.ExperimentRow`
-records; this module renders them for humans (Markdown tables in the
-style of EXPERIMENTS.md) and for downstream tooling (CSV, plus a
-structured JSON export carrying the exact per-iteration traces so
-``benchmarks/results/`` comm/comp splits come from measured counter
-deltas, not time-share apportioning).
+records; this module renders them for humans (Markdown tables) and
+for downstream tooling (CSV), and sums a row's exact per-iteration
+trace so comm / compute splits come from measured counter deltas, not
+time-share apportioning.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 from typing import Any, Sequence
 
-from ..core.trace import TRACE_SCHEMA, IterationTrace
+from ..core.trace import IterationTrace
 from .harness import ExperimentRow
 
-__all__ = ["to_markdown", "to_csv", "to_json", "comm_split", "speedup_table"]
+__all__ = ["to_markdown", "to_csv", "comm_split"]
 
 _COLUMNS = [
     ("dataset", lambda r: r.dataset),
@@ -79,61 +78,3 @@ def comm_split(row: ExperimentRow) -> dict[str, Any]:
         "transfers": sum(t.transfers for t in trace),
         "iterations": len(trace),
     }
-
-
-def to_json(rows: Sequence[ExperimentRow], title: str = "") -> str:
-    """Structured export: row metrics plus exact per-iteration traces.
-
-    The shape written next to the CSV/text tables under
-    ``benchmarks/results/``::
-
-        {"schema": ..., "title": ..., "rows": [
-            {"dataset": ..., "algo": ..., ...,
-             "counters": {kind: {calls, serial_messages, transfers, bytes}},
-             "per_iteration": [<IterationTrace.as_dict() rows>]},
-        ]}
-    """
-    payload: dict[str, Any] = {"schema": TRACE_SCHEMA, "title": title, "rows": []}
-    for r in rows:
-        entry: dict[str, Any] = {
-            "experiment": r.experiment,
-            "dataset": r.dataset,
-            "algo": r.algorithm,
-            "ranks": r.n_ranks,
-            "grid": r.grid,
-            "total_s": r.time_total,
-            "compute_s": r.time_compute,
-            "comm_s": r.time_comm,
-            "iterations": r.iterations,
-            "teps": r.teps,
-        }
-        counters = r.extra.get("counters")
-        if counters:
-            entry["counters"] = counters
-        trace: Sequence[IterationTrace] = r.extra.get("trace", ())
-        if trace:
-            entry["per_iteration"] = [t.as_dict() for t in trace]
-        payload["rows"].append(entry)
-    return json.dumps(payload, indent=2)
-
-
-def speedup_table(
-    rows: Sequence[ExperimentRow], baseline_ranks: int
-) -> dict[tuple[str, str], dict[int, float]]:
-    """Speedups relative to each series' ``baseline_ranks`` entry.
-
-    Returns ``{(dataset, algo): {ranks: speedup}}`` — the shape of the
-    paper's Fig. 3 bottom panel.
-    """
-    series: dict[tuple[str, str], dict[int, float]] = {}
-    for r in rows:
-        series.setdefault((r.dataset, r.algorithm), {})[r.n_ranks] = r.time_total
-    out: dict[tuple[str, str], dict[int, float]] = {}
-    for key, times in series.items():
-        if baseline_ranks not in times:
-            raise ValueError(
-                f"series {key} has no entry at {baseline_ranks} ranks"
-            )
-        base = times[baseline_ranks]
-        out[key] = {p: base / t for p, t in sorted(times.items())}
-    return out

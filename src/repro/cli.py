@@ -39,6 +39,12 @@ Commands
 
     Exits nonzero when any scenario ends unrecovered or diverged.
 
+``claims``
+    Run the paper's figure experiments and evaluate every claim row
+    (:mod:`repro.bench.claims`); exits 1 when any row fails::
+
+        python -m repro claims --out tests/claims_golden.json
+
 ``info``
     Show the registered datasets, machines, and algorithms.
 """
@@ -347,6 +353,27 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     return 1 if report["failed"] else 0
 
 
+def _cmd_claims(args: argparse.Namespace) -> int:
+    import json
+
+    from .bench.claims import run_claims
+
+    report = run_claims()
+    for row in report["rows"]:
+        print(f"{row['figure']:<10} {row['id']:<26} {'ok' if row['pass'] else 'FAIL':<4} "
+              f"{row['inequality']}")
+        if row["failing"]:
+            print(f"{'':<42}failing: {', '.join(row['failing'])}")
+    print(f"\n{report['total']} rows: {report['total'] - report['failed']} pass, "
+          f"{report['failed']} fail")
+    if args.out:
+        out = pathlib.Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(json.dumps(report, indent=1) + "\n")
+        print(f"wrote {out}")
+    return 1 if report["failed"] else 0
+
+
 def _cmd_info(args: argparse.Namespace) -> int:
     del args
     from .graph.datasets import REGISTRY
@@ -515,6 +542,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the JSON campaign report here",
     )
     faults.set_defaults(func=_cmd_faults)
+
+    claims = sub.add_parser(
+        "claims", help="evaluate the paper's claims table (exits 1 on a failing row)"
+    )
+    claims.add_argument(
+        "--out", default=None, metavar="PATH", help="also write the JSON report here"
+    )
+    claims.set_defaults(func=_cmd_claims)
 
     info = sub.add_parser("info", help="list datasets, machines, algorithms")
     info.set_defaults(func=_cmd_info)

@@ -15,7 +15,8 @@ loop: push or pull kernels, dense/sparse/switching communications,
 active-vertex queues, convergence detection, checkpoint/resume.
 
 :func:`~repro.algorithms.connected_components` is
-``VertexProgram(init=identity, op="min")`` (a plain carry) and
+``VertexProgram(init=perm, op="min")`` (a plain carry from each
+vertex's relabeled GID) and
 :func:`~repro.algorithms.sssp` is ``init=inf-except-root,
 along_edge=value + weight, op="min", work_per_edge=1.5`` — thin
 wrappers over this driver (``docs/ALGORITHMS.md`` has the table);
@@ -109,10 +110,13 @@ def init_vertex_state(
     """Allocate ``name`` on every rank as ``init(original vertex ids)``
     over the row and column windows.
 
-    Values derive from *original* ids (not relabeled GIDs), so a MIN /
-    MAX / mode fixpoint over them is independent of the partition's
-    relabeling; a run migrated onto a different grid mid-flight replays
-    bit-identically (docs/ROBUSTNESS.md).
+    A MIN / MAX / mode fixpoint over values derived from original ids
+    is independent of the partition's relabeling.  CC instead starts
+    from the relabeled GID (``init`` maps through ``partition.perm``):
+    its labels cross a regrid untranslated, since min-propagation needs
+    only distinct initial labels whose order never changes mid-run, and
+    its answer pass makes the output grid-independent
+    (docs/ROBUSTNESS.md, "Exactness").
     """
     part, fleet = engine.partition, engine.fleet
     engine.alloc(name, np.float64)

@@ -12,8 +12,9 @@ from repro.baselines import (
     spmv_pagerank,
 )
 from repro.cluster import ZEPY
+from repro.comm.grid import Grid2D
 from repro.core.engine import Engine
-from repro.graph import rmat
+from repro.graph import Graph, rmat
 from repro.reference import serial
 
 
@@ -55,6 +56,32 @@ class TestSpmvBaseline:
             serial.canonical_labels(res.values),
             serial.canonical_labels(serial.connected_components(rmat_graph)),
         )
+
+    @pytest.mark.parametrize(
+        "edges,grid,kw",
+        [
+            (([], [], 12), Grid2D(R=2, C=2), {}),
+            (([0, 1, 2, 3, 4, 5], [1, 2, 0, 4, 5, 3], 9), Grid2D(R=2, C=2), {}),
+            (([0, 1], [1, 2], 3), Grid2D(R=4, C=4), {}),
+            (None, Grid2D(R=1, C=4), {}),
+            (None, Grid2D(R=4, C=1), {}),
+            (None, Grid2D(R=1, C=7), {}),
+            (None, Grid2D(R=2, C=3), {"distribution": "striped"}),
+            (None, Grid2D(R=2, C=3), {"distribution": "random", "seed": 5}),
+            (None, Grid2D(R=2, C=3), {"distribution": "block"}),
+        ],
+        ids=["empty", "isolated", "n<p", "1xp", "px1", "prime-p",
+             "striped", "random", "block"],
+    )
+    def test_one_cc_answer(self, rmat_graph, edges, grid, kw):
+        """``spmv_cc`` and ``connected_components`` return the same
+        labels: each component's minimum original id."""
+        g = rmat_graph if edges is None else Graph.from_edges(*edges)
+        ref = serial.canonical_labels(serial.connected_components(g))
+        ours = connected_components(Engine(g, grid=grid, **kw)).values
+        theirs = spmv_cc(Engine(g, grid=grid, **kw)).values
+        assert np.array_equal(ours, ref)
+        assert np.array_equal(theirs, ref)
 
     def test_bfs_levels_exact(self, rmat_graph):
         res = spmv_bfs(spmv_engine(rmat_graph, 4), root=0)

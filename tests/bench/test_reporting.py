@@ -1,17 +1,8 @@
 """Result export tests."""
 
-import json
-
 import pytest
 
-from repro.bench import (
-    ExperimentRow,
-    comm_split,
-    speedup_table,
-    to_csv,
-    to_json,
-    to_markdown,
-)
+from repro.bench import ExperimentRow, comm_split, to_csv, to_markdown
 from repro.core.trace import IterationTrace
 
 
@@ -73,23 +64,6 @@ class TestCsv:
         assert text.strip().splitlines()[1].endswith("e")
 
 
-class TestJson:
-    def test_rows_with_traces(self):
-        row = _row(4, 3.0, extra={"trace": _trace_rows(), "counters": {"allreduce": {"calls": 6, "serial_messages": 12, "transfers": 24, "bytes": 600}}})
-        doc = json.loads(to_json([row], title="t"))
-        assert doc["title"] == "t"
-        entry = doc["rows"][0]
-        assert entry["algo"] == "CC"
-        assert len(entry["per_iteration"]) == 3
-        assert entry["per_iteration"][2]["bytes"] == 300
-        assert entry["counters"]["allreduce"]["bytes"] == 600
-
-    def test_rows_without_traces_still_export(self):
-        doc = json.loads(to_json([_row(4, 3.0)]))
-        assert "per_iteration" not in doc["rows"][0]
-        assert doc["rows"][0]["ranks"] == 4
-
-
 class TestCommSplit:
     def test_sums_trace_columns(self):
         row = _row(4, 3.0, extra={"trace": _trace_rows()})
@@ -119,27 +93,3 @@ class TestCommSplit:
         assert split["compute_s"] == pytest.approx(row.time_compute, rel=1e-12)
         assert split["bytes"] == engine.counters.total_bytes
         assert split["serial_messages"] == engine.counters.total_serial_messages
-
-
-class TestSpeedups:
-    def test_relative_to_baseline(self):
-        rows = [_row(1, 8.0), _row(4, 4.0), _row(16, 2.0)]
-        table = speedup_table(rows, baseline_ranks=1)
-        s = table[("TW", "CC")]
-        assert s[1] == pytest.approx(1.0)
-        assert s[4] == pytest.approx(2.0)
-        assert s[16] == pytest.approx(4.0)
-
-    def test_multiple_series(self):
-        rows = [
-            _row(1, 8.0),
-            _row(4, 4.0),
-            _row(1, 6.0, algo="PR"),
-            _row(4, 2.0, algo="PR"),
-        ]
-        table = speedup_table(rows, baseline_ranks=1)
-        assert table[("TW", "PR")][4] == pytest.approx(3.0)
-
-    def test_missing_baseline_rejected(self):
-        with pytest.raises(ValueError):
-            speedup_table([_row(4, 1.0)], baseline_ranks=1)

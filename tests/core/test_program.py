@@ -7,11 +7,13 @@ executable form of the paper's generality claim.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.algorithms import connected_components, sssp
+from repro.algorithms.components import component_answer
 from repro.comm.grid import Grid2D
 from repro.core.engine import Engine
 from repro.core.program import VertexProgram, run_vertex_program
@@ -21,13 +23,20 @@ from repro.reference import serial
 from ..conftest import GRIDS, random_graph
 
 
-def cc_program(**kw) -> VertexProgram:
+def cc_program(engine, **kw) -> VertexProgram:
+    """CC's key: each vertex starts with its relabeled GID."""
     return VertexProgram(
         name="cc_prog",
-        init=lambda gids: gids.astype(np.float64),
+        init=lambda orig: engine.partition.perm[orig].astype(np.float64),
         op="min",
         **kw,
     )
+
+
+def run_cc_program(engine, **kw):
+    """The program's run with CC's uncharged answer pass applied."""
+    res = run_vertex_program(engine, cc_program(engine, **kw))
+    return replace(res, values=component_answer(res.values.astype(np.int64)))
 
 
 def sssp_program(root: int, **kw) -> VertexProgram:
@@ -67,9 +76,8 @@ def widest_path_program(root: int) -> VertexProgram:
 class TestCCAsProgram:
     @pytest.mark.parametrize("grid", GRIDS[:5], ids=lambda g: f"{g.C}x{g.R}")
     def test_matches_dedicated_cc(self, rmat_graph, grid):
-        prog_res = run_vertex_program(Engine(rmat_graph, grid=grid), cc_program())
+        prog_res = run_cc_program(Engine(rmat_graph, grid=grid))
         dedicated = connected_components(Engine(rmat_graph, grid=grid))
-        # Program labels are min-GID representatives directly.
         assert_same_run(prog_res, dedicated)
 
     @pytest.mark.parametrize("overlap", [False, True], ids=["blocking", "overlap"])
@@ -81,8 +89,8 @@ class TestCCAsProgram:
     ):
         schedule = dict(direction=direction, mode=mode, use_queue=use_queue)
         for grid in SCHEDULE_GRIDS:
-            prog = run_vertex_program(
-                Engine(rmat_graph, grid=grid, overlap=overlap), cc_program(**schedule)
+            prog = run_cc_program(
+                Engine(rmat_graph, grid=grid, overlap=overlap), **schedule
             )
             dedicated = connected_components(
                 Engine(rmat_graph, grid=grid, overlap=overlap), **schedule
@@ -92,10 +100,8 @@ class TestCCAsProgram:
     @pytest.mark.parametrize("direction", ["push", "pull"])
     @pytest.mark.parametrize("mode", ["dense", "sparse", "switch"])
     def test_all_configurations(self, rmat_graph, direction, mode):
-        res = run_vertex_program(
-            Engine(rmat_graph, 4),
-            cc_program(direction=direction, mode=mode),
-        )
+        engine = Engine(rmat_graph, 4)
+        res = run_vertex_program(engine, cc_program(engine, direction=direction, mode=mode))
         assert np.array_equal(
             serial.canonical_labels(res.values.astype(np.int64)),
             serial.canonical_labels(serial.connected_components(rmat_graph)),
@@ -106,11 +112,13 @@ class TestCCAsProgram:
         """``along_edge=None`` skips the weight gather; a program that
         spells the carry out reads the weights and runs the same."""
         g = rmat_graph.with_random_weights(seed=2, low=0.1, high=1.0)
+        engine = Engine(g, 4)
         spelled = run_vertex_program(
-            Engine(g, 4),
-            cc_program(direction=direction, along_edge=lambda vals, w: vals),
+            engine,
+            cc_program(engine, direction=direction, along_edge=lambda vals, w: vals),
         )
-        default = run_vertex_program(Engine(g, 4), cc_program(direction=direction))
+        engine = Engine(g, 4)
+        default = run_vertex_program(engine, cc_program(engine, direction=direction))
         assert_same_run(spelled, default)
 
 
@@ -230,7 +238,7 @@ class TestDriver:
 
             setattr(engine.comm, name, counting)
         res = run_vertex_program(
-            engine, cc_program(direction="pull", mode="dense", use_queue=True)
+            engine, cc_program(engine, direction="pull", mode="dense", use_queue=True)
         )
         hidden, blocking = (res.iterations, 0) if overlap else (0, res.iterations)
         assert issued == {"start_allreduce": hidden, "allreduce": blocking}
@@ -254,7 +262,6 @@ class TestValidation:
             )
 
     def test_max_iterations(self, rmat_graph):
-        res = run_vertex_program(
-            Engine(rmat_graph, 4), cc_program(max_iterations=1)
-        )
+        engine = Engine(rmat_graph, 4)
+        res = run_vertex_program(engine, cc_program(engine, max_iterations=1))
         assert res.iterations == 1

@@ -121,6 +121,27 @@ class TestTraceCommand:
             build_parser().parse_args(["trace"])
 
 
+class TestClaimsCommand:
+    """``repro claims`` over a one-row table: exit 1 iff a row fails."""
+
+    @pytest.mark.parametrize("value,rc", [(0.5, 0), (2.0, 1)], ids=["pass", "fail"])
+    def test_exit_code_and_report(self, capsys, tmp_path, monkeypatch, value, rc):
+        from repro.bench import claims
+
+        monkeypatch.setattr(claims, "EXPERIMENTS", {"tiny": lambda: {"v": value}})
+        monkeypatch.setattr(claims, "CLAIMS", [claims.Claim(
+            "tiny.row", "Fig. 0", "tiny", "one value", "v < 1",
+            lambda d: [("only", {"v": d["v"]}, d["v"] < 1)],
+        )])
+        out = tmp_path / "claims.json"
+        assert main(["claims", "--out", str(out)]) == rc
+        text = capsys.readouterr().out
+        assert "tiny.row" in text and ("failing: only" in text) == bool(rc)
+        doc = json.loads(out.read_text())
+        assert doc["schema"] == "repro.claims.v1" and doc["failed"] == rc
+        assert doc["rows"][0]["values"] == {"only": {"v": value.hex()}}
+
+
 class TestPerf:
     def test_perf_smoke_appends_trajectory(self, capsys, tmp_path):
         out = tmp_path / "traj.json"
