@@ -17,7 +17,6 @@ import numpy as np
 
 from ..cluster.device import INDEX_BYTES, VirtualGPU
 from ..graph.partition.twod import RankBlock
-from ..kernels.buffers import BufferPool
 from ..queueing.frontier import expand_block
 
 __all__ = ["RankContext"]
@@ -27,12 +26,8 @@ class RankContext:
     """One rank's local world.
 
     State arrays are the rank's ``N_T``-long slices of the ``fleet``'s
-    rank-stacked buffers — see :mod:`repro.core.fleet`.
-
-    ``arrays`` holds every allocated state array, whichever run
-    allocated it; :attr:`run_arrays` is the subset the *current run*
-    allocated — what the boundary hooks verify, snapshot and inject
-    into.
+    rank-stacked buffers — see :mod:`repro.core.fleet`.  They belong to
+    the current run: ``Engine.reset_timers`` frees them all.
     """
 
     def __init__(self, block: RankBlock, device: VirtualGPU, fleet):
@@ -51,7 +46,6 @@ class RankContext:
             fleet.views[self.rank]
         )
         self._local_degrees: Optional[np.ndarray] = None
-        self._scratch_pools: dict[np.dtype, BufferPool] = {}
         # Charge the static graph structure, as the paper's loader does
         # when moving the CSR to the GPU.  The adjacency is charged at
         # the modeled entry width, not the host's (narrower) dtype.
@@ -66,26 +60,9 @@ class RankContext:
             self._local_degrees = self.block.local_row_degrees()
         return self._local_degrees
 
-    def scratch_pool(self, dtype) -> BufferPool:
-        """This rank's :class:`BufferPool` for ``dtype`` scratch buffers
-        (a rank's closure takes only from its own pool, as it touches
-        only its own state)."""
-        dt = np.dtype(dtype)
-        pool = self._scratch_pools.get(dt)
-        if pool is None:
-            pool = self._scratch_pools[dt] = BufferPool(dt)
-        return pool
-
     # ------------------------------------------------------------------
     # state arrays
     # ------------------------------------------------------------------
-    @property
-    def run_arrays(self) -> dict[str, np.ndarray]:
-        """The state arrays the current run allocated, by name: every
-        entry of ``arrays`` allocated since ``Engine.reset_timers``."""
-        scope = self.fleet.run_scope
-        return {name: arr for name, arr in self.arrays.items() if name in scope}
-
     def get(self, name: str) -> np.ndarray:
         try:
             return self.arrays[name]

@@ -300,9 +300,10 @@ class Engine:
         Each rank's array spans its LID space ``[0, N_T)``, the layout
         all communication patterns assume; ``width=k`` makes it a
         C-contiguous ``(N_T, k)`` lane array (one column per batched
-        query lane).  A state every rank already holds in this form is
+        query lane).  A state the run already holds in this form is
         re-filled in place; otherwise a new array is charged to every
-        rank's device as ``state.<name>``.
+        rank's device as ``state.<name>``.  The state lives until the
+        run ends: :meth:`free`, or the next :meth:`reset_timers`.
         """
         if self.fleet.alloc(name, dtype, fill, width):
             label = f"state.{name}"
@@ -613,8 +614,7 @@ class Engine:
         slice is copied in; counters and clocks are restored
         bit-exactly, and every attached hook realigns itself with the
         rewound run.  Afterwards the engine holds exactly the
-        checkpoint's states, all of them the run's: whatever else was
-        allocated — a previous run's left-overs included — is freed.
+        checkpoint's states: whatever else the run allocated is freed.
         """
         saved = ckpt.states[0]
         for name in [n for n in self.ctx(0).arrays if n not in saved]:
@@ -664,21 +664,21 @@ class Engine:
         attached hook starts over (the fault injector re-arms its plan,
         stale checkpoints from a previous run are dropped, ...).
 
-        This call is where a *run* begins.  State arrays allocated
-        before it are the previous run's: they stay allocated and
-        readable (``ctx.get``, :meth:`gather`), but the boundary hooks
-        work on :attr:`RankContext.run_arrays
-        <repro.core.context.RankContext.run_arrays>` — what the run
-        allocates from here on — so a run's checkpoints, integrity
-        checks, memflip targets and modeled hook charges do not depend
-        on what ran on this engine before.  Allocate state *after*
-        calling this (every algorithm in :mod:`repro.algorithms` does).
+        This call is where a *run* begins, and the run owns its state:
+        every state array is freed here (and released from the device
+        ledgers), so the fleet holds only what the run allocates from
+        now on, and a run's checkpoints, integrity checks, memflip
+        targets and modeled hook charges do not depend on what ran on
+        this engine before.  Read a run's results (:meth:`gather`)
+        before the next run begins, and allocate state *after* calling
+        this (every algorithm in :mod:`repro.algorithms` does).
         """
         self.counters.reset()
         self.clocks.reset()
         self._regrid_events.clear()
         self.spare_ranks = 0
-        self.fleet.run_scope.clear()
+        for name in list(self.ctx(0).arrays):
+            self.free(name)
         for hook in self._hooks.values():
             hook.on_reset(self)
 

@@ -42,7 +42,6 @@ import numpy as np
 
 from ..graph.localmap import LocalMap
 from ..graph.partition.twod import RankBlock, TwoDPartition
-from ..kernels.buffers import BufferPool
 from ..kernels.pull import PullCSR
 from ..queueing.frontier import expand_block
 
@@ -108,22 +107,17 @@ class Fleet:
         #: Per rank, ``name -> the rank's slice`` of every stacked buffer
         #: (what ``RankContext.arrays`` shows, read-only).
         self.views: list[dict[str, np.ndarray]] = [{} for _ in range(self.n_ranks)]
-        #: The states allocated since the run began
-        #: (``Engine.reset_timers``).
-        self.run_scope: set[str] = set()
         self._row_mask: Optional[np.ndarray] = None
         self._block: Optional[RankBlock] = None
         self._degrees: Optional[np.ndarray] = None
         self._csr: dict[bool, PullCSR] = {}
         self._plan: Optional[ExchangePlan] = None
-        self._scratch_pools: dict[np.dtype, BufferPool] = {}
 
     # ------------------------------------------------------------------
     # state arena
     # ------------------------------------------------------------------
     def alloc(self, name: str, dtype, fill, width: Optional[int]) -> bool:
-        """Fill state ``name`` with ``fill`` on every rank and make it
-        the run's.
+        """Fill state ``name`` with ``fill`` on every rank.
 
         The stacked buffer is created on first use and re-filled in
         place while the name keeps its dtype and lane ``width``; another
@@ -141,7 +135,6 @@ class Fleet:
             for views, lo, hi in zip(self.views, bounds, bounds[1:]):
                 views[name] = buf[lo:hi]
         buf[...] = fill
-        self.run_scope.add(name)
         return created
 
     def free(self, name: str) -> None:
@@ -150,7 +143,6 @@ class Fleet:
         if self._arena.pop(name, None) is not None:
             for views in self.views:
                 del views[name]
-        self.run_scope.discard(name)
 
     def stacked(self, name: str) -> np.ndarray:
         """The stacked buffer of state ``name``: writing it writes every
@@ -158,8 +150,9 @@ class Fleet:
         buf = self._arena.get(name)
         if buf is None:
             raise KeyError(
-                f"no state array named {name!r}; "
-                f"allocated states: {sorted(self._arena)}"
+                f"no state array named {name!r} in this run; allocated "
+                f"states: {sorted(self._arena)} (state is dropped when the "
+                f"next run begins, Engine.reset_timers)"
             )
         return buf
 
@@ -382,10 +375,3 @@ class Fleet:
                         )
                 broadcast[axis].append((ranks, segments))
         return ExchangePlan(reduce, broadcast)
-
-    def scratch_pool(self, dtype) -> BufferPool:
-        """The :class:`BufferPool` for fleet-sized ``dtype`` scratch."""
-        dt = np.dtype(dtype)
-        if dt not in self._scratch_pools:
-            self._scratch_pools[dt] = BufferPool(dt)
-        return self._scratch_pools[dt]

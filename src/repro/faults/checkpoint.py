@@ -3,9 +3,8 @@
 A checkpoint captures everything a resumed run needs to be
 *bit-identical* to a run that never crashed:
 
-* every named per-rank state array of the run
-  (``RankContext.run_arrays``; what a previous run left allocated on
-  the engine is not the run's to restore),
+* every named per-rank state array (``RankContext.arrays``: the run's
+  own, since ``Engine.reset_timers`` frees the previous run's),
 * the exact :class:`~repro.comm.counters.CommCounters` state,
 * the full :class:`~repro.comm.clocks.VirtualClocks` state including
   iteration marks and counter snapshots (so per-iteration traces
@@ -141,7 +140,7 @@ class CheckpointManager(BoundaryHook):
     ) -> Checkpoint:
         """Snapshot the engine at ``superstep`` (unconditionally)."""
         states = [
-            {name: arr.copy() for name, arr in ctx.run_arrays.items()}
+            {name: arr.copy() for name, arr in ctx.arrays.items()}
             for ctx in engine.contexts
         ]
         # Charge the snapshot cost BEFORE capturing the clock state:

@@ -12,9 +12,8 @@ Injection
     :func:`apply_memflip` executes a ``FaultSpec(kind="memflip")``:
     it flips bits inside the target rank's *owned windows* — the
     row-window and column-window slices of every state array of the
-    run (:attr:`RankContext.run_arrays
-    <repro.core.context.RankContext.run_arrays>`), concatenated in
-    sorted-name order — at a superstep boundary.  Flips land in
+    run (``RankContext.arrays``), concatenated in sorted-name order —
+    at a superstep boundary.  Flips land in
     replicated state by construction, which is exactly the state the
     run's correctness depends on.
 
@@ -22,10 +21,8 @@ Detection
     :class:`IntegrityLedger` exploits the 2D decomposition's inherent
     redundancy: after every exchange, all ranks of a row group hold
     identical row-window values and all ranks of a column group hold
-    identical column-window values — of the run's arrays: what an
-    earlier run left allocated on the engine is nobody's input any
-    more, need not be replica-consistent (``pointer_jumping`` leaves
-    ``pj`` row-filled only) and is not looked at.  At
+    identical column-window values (the engine holds only the run's
+    arrays: ``Engine.reset_timers`` frees the previous run's).  At
     (interval-matching) superstep boundaries each rank hashes its
     windows (CRC32, modeled at ``hash_bw``); the digests are exchanged
     (one small collective, modeled at ``exchange_bw``) and compared
@@ -177,7 +174,7 @@ def _owned_segments(ctx) -> list[np.ndarray]:
     every state array of the run, in sorted-name order — contiguous
     views of the rank's arrays."""
     segments = []
-    for _name, arr in sorted(ctx.run_arrays.items()):
+    for _name, arr in sorted(ctx.arrays.items()):
         segments.append(arr[ctx.row_slice])
         segments.append(arr[ctx.col_slice])
     return segments
@@ -242,22 +239,20 @@ def _group_windows(engine):
     """Walk the run's replicated state, read-only: yield ``(name,
     members)`` for every state array of every row group, then of every
     column group — ``members`` the ``(rank, window bits)`` of the
-    group's ranks that hold the array, in group order.  All members of
-    a group are replicas of one window; a ``1 x p`` / ``p x 1`` grid
-    has single-member groups on one axis.  Works from each rank's
-    ``run_arrays``."""
-    held = [(ctx, ctx.run_arrays) for ctx in engine.contexts]
+    group's ranks, in group order (every rank holds every state).  All
+    members of a group are replicas of one window; a ``1 x p`` /
+    ``p x 1`` grid has single-member groups on one axis."""
+    names = sorted(engine.ctx(0).arrays)
     for groups, window in (
         (engine.row_groups(), "row_slice"),
         (engine.col_groups(), "col_slice"),
     ):
         for _gid, ranks in groups:
-            group = [held[r] for r in ranks]
-            for name in sorted({n for _ctx, arrays in group for n in arrays}):
+            group = [engine.ctx(r) for r in ranks]
+            for name in names:
                 yield name, [
-                    (ctx.rank, _window_bits(arrays[name][getattr(ctx, window)]))
-                    for ctx, arrays in group
-                    if name in arrays
+                    (ctx.rank, _window_bits(ctx.arrays[name][getattr(ctx, window)]))
+                    for ctx in group
                 ]
 
 

@@ -17,7 +17,6 @@ observationally pure for the modeled timings — only wall-clock time
 changes.
 """
 
-from .buffers import BufferPool
 from .pull import PullCSR, csr_pull
 from .scatter import (
     ScatterError,
@@ -29,7 +28,6 @@ from .scatter import (
 )
 
 __all__ = [
-    "BufferPool",
     "PullCSR",
     "ScatterError",
     "csr_pull",

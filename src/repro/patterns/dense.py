@@ -90,7 +90,7 @@ def dense_exchange_lanes(
     :func:`dense_exchange` unchanged — one AllReduce per group carries
     all k columns at once (the α amortization of query batching).
     When only some lanes are still live, this wrapper packs the active
-    columns of every rank into one pooled ``(size, L)`` scratch array,
+    columns of every rank into one ``(size, L)`` scratch array,
     runs the ordinary exchange on it, and unpacks — still one
     collective per group, sized to the live lanes.  Each rank's device
     is charged its share of the scratch for the duration.
@@ -107,15 +107,12 @@ def dense_exchange_lanes(
         _run(engine, state, direction, op)
         return
     label = f"state.{name}#lanes"
-    pool = fleet.scratch_pool(state.dtype)
-    buf = pool.take2d(fleet.size, lanes.size)
+    buf = state[:, lanes]
     try:
         for ctx in engine.contexts:
             ctx.device.charge(label, ctx.n_total * lanes.size * state.itemsize)
-        buf[...] = state[:, lanes]
         _run(engine, buf, direction, op)
         state[:, lanes] = buf
     finally:
         for ctx in engine.contexts:
             ctx.device.release(label)
-        pool.give(buf)

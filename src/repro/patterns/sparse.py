@@ -348,17 +348,13 @@ def sparse_push_lanes(
     k = engine.ctx(0).get(name).shape[1]
 
     def _lane_pairs(
-        ctx: RankContext, gids: np.ndarray, lanes: np.ndarray, vals: np.ndarray
+        gids: np.ndarray, lanes: np.ndarray, vals: np.ndarray
     ) -> np.ndarray:
-        buf = ctx.scratch_pool(LANE_PAIR_DTYPE).take(gids.size)
+        buf = np.empty(gids.size, dtype=LANE_PAIR_DTYPE)
         buf["gid"] = gids
         buf["lane"] = lanes
         buf["val"] = vals
         return buf
-
-    def _give_back_lanes(sbufs_all: list[np.ndarray], ranks: list[int]) -> None:
-        for r in ranks:
-            engine.ctx(r).scratch_pool(LANE_PAIR_DTYPE).give(sbufs_all[r])
 
     def _columns(rbuf: np.ndarray) -> tuple[np.ndarray, ...]:
         # contiguous (gid, lane, val), copied once per group, not per member
@@ -370,9 +366,7 @@ def sparse_push_lanes(
         lanes = np.asarray(queues[ctx.rank][1], dtype=np.int64)
         engine.charge_vertices(ctx.rank, lids.size)  # BuildQueue kernel
         state = ctx.get(name)
-        return _lane_pairs(
-            ctx, ctx.localmap.col_gid(lids), lanes, state[lids, lanes]
-        )
+        return _lane_pairs(ctx.localmap.col_gid(lids), lanes, state[lids, lanes])
 
     sbufs_all = engine.map_ranks(build_col)
 
@@ -381,7 +375,6 @@ def sparse_push_lanes(
     col_groups = list(engine.col_groups())
     rbufs, _ = _exchange(engine, col_groups, sbufs_all, col_share, handles)
     for g, (_, ranks) in enumerate(col_groups):
-        _give_back_lanes(sbufs_all, ranks)
         rbufs[g] = received = _columns(rbufs[g])  # drop the structured copy
         for r in ranks:
             rbuf_of[r] = received
@@ -422,7 +415,7 @@ def sparse_push_lanes(
         lanes = comp // n_v
         engine.charge_vertices(ctx.rank, gids.size)
         state = ctx.get(name)
-        return _lane_pairs(ctx, gids, lanes, state[lm.row_lid(gids), lanes])
+        return _lane_pairs(gids, lanes, state[lm.row_lid(gids), lanes])
 
     sbufs_all = engine.map_ranks(build_row)
 
@@ -432,7 +425,6 @@ def sparse_push_lanes(
     row_groups = list(engine.row_groups())
     rbufs, _ = _exchange(engine, row_groups, sbufs_all, row_share, handles)
     for g, (_, ranks) in enumerate(row_groups):
-        _give_back_lanes(sbufs_all, ranks)
         rbufs[g] = received = _columns(rbufs[g])
         uniq_comp = unique_bounded(received[1] * n_v + received[0], k * n_v)
         uniq = (uniq_comp % n_v, uniq_comp // n_v)  # updated (gid, lane) cells

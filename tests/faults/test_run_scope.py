@@ -1,11 +1,12 @@
-"""Run-scoped boundary state: the hooks work on the run's arrays.
+"""Run-owned state: a run begins with an empty arena.
 
-A run starts at ``Engine.reset_timers()``.  What an earlier run left
-registered on a long-lived engine stays readable, but the checkpoint,
-the integrity ledger and memflip injection read
-``RankContext.run_arrays`` — so a guarded run on a reused engine is the
-run a fresh engine would have made: same answer, same modeled time,
-same ledger rows, same checkpoint contents, same memflip targets.
+A run starts at ``Engine.reset_timers()``, which frees every state
+array an earlier run allocated and releases its ``state.*`` entry on
+every device ledger.  The checkpoint, the integrity ledger and memflip
+injection read ``RankContext.arrays`` — so a guarded run on a reused
+engine is the run a fresh engine would have made: same answer, same
+modeled time, same ledger rows, same checkpoint contents, same memflip
+targets, same device ledgers.
 """
 
 import functools
@@ -34,7 +35,7 @@ from ..conftest import rank_order
 
 GRAPH = rmat(8, seed=5).with_random_weights(seed=5)
 
-#: Every public entry point, as a first run that leaves its state behind.
+#: Every public entry point, as a first run before the one under test.
 ENTRY_POINTS = {
     "bfs": lambda e: algorithms.bfs(e, root=3),
     "pagerank": lambda e: algorithms.pagerank(e, iterations=3),
@@ -67,18 +68,19 @@ def guard(engine, health=False):
 
 @pytest.mark.parametrize("first", sorted(ENTRY_POINTS))
 def test_no_left_over_trips_a_later_guarded_run(first):
-    """Whatever ran before — ``pointer_jumping`` leaves ``pj`` filled
-    on its row windows only — a guarded CC on the same engine verifies
-    clean and returns the fresh-engine answer."""
+    """Whatever ran before — ``pointer_jumping`` fills ``pj`` on its row
+    windows only — a guarded CC on the same engine verifies clean,
+    returns the fresh-engine answer and holds only CC's state."""
     engine = Engine(GRAPH, 9)
     ENTRY_POINTS[first](engine)
-    left_over = {name for ctx in engine.contexts for name in ctx.arrays}
     res = algorithms.connected_components(guard(engine))
-    want = algorithms.connected_components(Engine(GRAPH, 9))
+    fresh = Engine(GRAPH, 9)
+    want = algorithms.connected_components(fresh)
     assert np.array_equal(res.values, want.values)
     assert all(row.ok for row in engine.integrity.rows)
-    # nothing was freed behind the caller's back
-    assert left_over <= {name for ctx in engine.contexts for name in ctx.arrays}
+    for ctx, ref in zip(engine.contexts, fresh.contexts):
+        assert sorted(ctx.arrays) == sorted(ref.arrays)
+        assert ctx.device.ledger == ref.device.ledger
 
 
 # ----------------------------------------------------------------------
@@ -138,30 +140,47 @@ def test_a_run_does_not_depend_on_the_engine_s_history(first, second, order):
         assert got[field] == want[field], field
 
 
-def test_left_overs_stay_registered_and_readable():
+def test_a_run_begins_with_an_empty_arena_and_released_state_entries():
     engine = guard(Engine(GRAPH, 9))
-    ranks = algorithms.pagerank(engine, iterations=4).values
+    baseline = [dict(ctx.device.ledger) for ctx in engine.contexts]
+    algorithms.pagerank(engine, iterations=4)
+    assert all(ctx.device.ledger["state.pr"] > 0 for ctx in engine.contexts)
+    engine.reset_timers()
+    for ctx, ledger in zip(engine.contexts, baseline):
+        assert ctx.arrays == {}
+        assert ctx.device.ledger == ledger  # graph structure only
     algorithms.bfs(engine, root=3)
-    assert np.array_equal(engine.gather("pr"), ranks)
     for ctx in engine.contexts:
-        assert {"pr", "acc"} <= set(ctx.arrays)
-        assert sorted(ctx.run_arrays) == ["deg", "level", "parent"]
-        assert ctx.get("pr") is ctx.arrays["pr"]
-        # still on the device ledger
-        assert ctx.device.ledger["state.pr"] == ctx.arrays["pr"].nbytes
+        assert sorted(ctx.arrays) == ["deg", "level", "parent"]
+        assert sorted(k for k in ctx.device.ledger if k.startswith("state.")) == [
+            "state.deg", "state.level", "state.parent",
+        ]
+
+
+def test_a_stale_read_names_the_run_boundary():
+    """Reading a state the current run did not allocate fails loudly,
+    and says why it is gone."""
+    engine = Engine(GRAPH, 4)
+    algorithms.pagerank(engine, iterations=2)
+    algorithms.bfs(engine, root=3)
+    with pytest.raises(KeyError, match=r"'pr'.*dropped.*reset_timers"):
+        engine.gather("pr")
+    with pytest.raises(KeyError, match=r"'acc'.*dropped.*reset_timers"):
+        engine.fleet.stacked("acc")
 
 
 # ----------------------------------------------------------------------
-# what makes an array the run's
+# the run's arrays
 # ----------------------------------------------------------------------
 class TestRunArrays:
     def test_everything_is_the_run_s_until_a_run_begins(self):
         engine = Engine(GRAPH, 4)
         engine.alloc("x")
         ctx = engine.ctx(0)
-        assert ctx.run_arrays == ctx.arrays
+        assert ctx.has("x") and "state.x" in ctx.device.ledger
         engine.reset_timers()
-        assert ctx.run_arrays == {} and ctx.has("x")
+        assert ctx.arrays == {} and not ctx.has("x")
+        assert "state.x" not in ctx.device.ledger
 
     @pytest.mark.parametrize(
         "register",
@@ -176,31 +195,35 @@ class TestRunArrays:
         engine = Engine(GRAPH, 4)
         engine.alloc("x")
         engine.alloc("y")
+        old = engine.fleet.stacked("x")
         engine.reset_timers()
         register(engine)
+        assert engine.fleet.stacked("x") is not old
         for ctx in engine.contexts:
-            assert list(ctx.run_arrays) == ["x"]
-            assert ctx.run_arrays["x"] is ctx.arrays["x"]
+            assert list(ctx.arrays) == ["x"]
+            assert ctx.device.ledger["state.x"] == ctx.arrays["x"].nbytes
+            assert "state.y" not in ctx.device.ledger
         engine.free("x")
-        assert all(ctx.run_arrays == {} for ctx in engine.contexts)
+        assert all(ctx.arrays == {} for ctx in engine.contexts)
         engine.alloc("new")
-        assert list(engine.ctx(1).run_arrays) == ["new"]
+        assert list(engine.ctx(1).arrays) == ["new"]
 
     def test_engine_alloc_in_one_pass_makes_it_the_run_s(self):
-        """``Engine.alloc`` of a state every rank already holds fills
-        the fleet's stacked buffer in place, and the arrays still join
-        the run: checkpointed, verified, and a flipped bit in them
-        caught."""
+        """``Engine.alloc`` of a state the run already holds fills the
+        fleet's stacked buffer in place (a previous run's is gone), and
+        the arrays are the run's: checkpointed, verified, and a flipped
+        bit in them caught."""
         engine = guard(Engine(GRAPH, 9))
-        first = engine.alloc("x", fill=1.0)
-        buf = engine.fleet.stacked("x")
+        engine.alloc("x", fill=1.0)
         engine.alloc("y")
         engine.reset_timers()
+        first = engine.alloc("x", fill=3.0)
+        buf = engine.fleet.stacked("x")
         again = engine.alloc("x", fill=2.0)
         assert engine.fleet.stacked("x") is buf
         for ctx, a, b in zip(engine.contexts, first, again):
             assert a is b is ctx.arrays["x"] and (b == 2.0).all()
-            assert list(ctx.run_arrays) == ["x"]
+            assert list(ctx.arrays) == ["x"]
         engine.superstep_boundary("probe", {})
         assert engine.integrity.rows[-1].ok
         assert engine.integrity.stats["windows_hashed"] > 0
@@ -220,7 +243,6 @@ class TestRunArrays:
         engine.restore(ckpt)
         for ctx, saved in zip(engine.contexts, ckpt.states):
             assert sorted(ctx.arrays) == sorted(saved) == ["deg", "level", "parent"]
-            assert ctx.run_arrays == ctx.arrays
 
 
 # ----------------------------------------------------------------------
@@ -242,10 +264,10 @@ FRESH, REUSED = _bfs_state(False), _bfs_state(True)
 @given(rank=st.integers(0, 8), bit=st.integers(0, 1 << 20), count=st.integers(1, 3))
 def test_memflip_addresses_the_run_s_windows_only(rank, bit, count):
     """The same spec flips the same bits of the same run array as on a
-    fresh engine, and never touches a left-over."""
+    fresh engine: the reused engine holds exactly the run's arrays."""
     spec = FaultSpec("memflip", 1, rank=rank, bit=bit, count=count)
     fresh, reused = FRESH.ctx(rank), REUSED.ctx(rank)
-    assert set(reused.arrays) > set(reused.run_arrays) == set(fresh.arrays)
+    assert set(reused.arrays) == set(fresh.arrays)
     assert sum(s.nbytes for s in _owned_segments(reused)) == sum(
         s.nbytes for s in _owned_segments(fresh)
     )
@@ -256,7 +278,7 @@ def test_memflip_addresses_the_run_s_windows_only(rank, bit, count):
         for name, arr in reused.arrays.items()
         if arr.tobytes() != before[name].tobytes()
     }
-    assert len(changed) >= 1 and changed <= set(reused.run_arrays)
+    assert len(changed) >= 1
     for name in changed:
         assert reused.arrays[name].tobytes() == fresh.arrays[name].tobytes()
     # XOR is its own inverse: leave both engines as they were
@@ -275,9 +297,9 @@ def _clock_state(engine):
 
 def test_memflip_single_is_repaired_on_a_reused_engine():
     """The campaign's ``memflip-single`` BFS case, on an engine that ran
-    PageRank first: the flip lands in BFS state (sorted-name bit 137 is
-    inside PageRank's left-over ``acc`` when left-overs are addressed),
-    is caught at its boundary, repaired by one rollback, and the run is
+    PageRank first: the flip lands in BFS state (sorted-name bit 137
+    would be inside PageRank's ``acc`` if it outlived its run), is
+    caught at its boundary, repaired by one rollback, and the run is
     the fault-free fresh-engine run bit for bit."""
     fresh = guard(Engine(GRAPH, 9))
     want = algorithms.bfs(fresh, root=0)
@@ -295,5 +317,5 @@ def test_memflip_single_is_repaired_on_a_reused_engine():
     assert np.array_equal(got.extra["levels"], want.extra["levels"])
     assert got.counters == want.counters
     assert _clock_state(engine) == _clock_state(fresh)
-    for ctx in engine.contexts:  # the rollback dropped PageRank's left-overs
+    for ctx in engine.contexts:
         assert sorted(ctx.arrays) == ["deg", "level", "parent"]

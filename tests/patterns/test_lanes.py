@@ -175,17 +175,24 @@ class TestDenseExchangeLanes:
             # the retired lane's column must not move
             np.testing.assert_array_equal(x[:, 1], before[i], strict=True)
 
-    def test_subset_buffer_is_recycled(self, rmat_graph):
-        """The packed lane slice comes from (and returns to) the fleet's
-        scratch pool: a second exchange of the same shape is a pool hit."""
-        k = 4
+    def test_lane_scratch_is_charged_during_the_exchange(self, rmat_graph, monkeypatch):
+        """Every rank's device holds ``state.x#lanes`` — its share of the
+        packed live lanes — while the exchange runs, and not after."""
+        from repro.patterns import dense
+
         live = np.array([1, 3])
-        engine = _setup(rmat_graph, k, seed=9)
+        engine = _setup(rmat_graph, 4, seed=9)
+        during = []
+        run = dense._run
+
+        def observed_run(engine, state, direction, op):
+            during.append([ctx.device.ledger.get("state.x#lanes") for ctx in engine])
+            run(engine, state, direction, op)
+
+        monkeypatch.setattr(dense, "_run", observed_run)
         dense_exchange_lanes(engine, "x", "pull", "sum", live)
-        pool = engine.fleet.scratch_pool(np.float64)
-        hits = pool.hits
-        dense_exchange_lanes(engine, "x", "pull", "sum", live)
-        assert pool.hits > hits
+        assert during == [[ctx.n_total * live.size * 8 for ctx in engine]]
+        assert all("state.x#lanes" not in ctx.device.ledger for ctx in engine)
 
     def test_tmp_state_is_freed(self, rmat_graph):
         """The pack buffer is charged to every rank's device for the

@@ -2,9 +2,10 @@
 formulation they replaced.
 
 The oracle below is the implementation as it stood before PR 14 — four
-per-rank closures per stage run through ``Engine.map_ranks``, send
-buffers from per-rank pools — kept verbatim (renamed
-``per_rank_sparse_*``) so the fused passes are held to it bit for bit:
+per-rank closures per stage run through ``Engine.map_ranks`` — kept
+verbatim (renamed ``per_rank_sparse_*``; its send buffers, once drawn
+from per-rank pools, are plain ``np.empty``) so the fused passes are
+held to it bit for bit:
 state on every rank, the active row queues, ``n_updated``, the clock
 lanes and the communication counters, for ``min`` / ``max`` / ``sum``,
 custom ``reduce_fn``, blocking and overlapped engines, and grids
@@ -37,18 +38,12 @@ from repro.patterns.sparse import (
 # ----------------------------------------------------------------------
 # the oracle: per-rank closures, as before the fusion
 # ----------------------------------------------------------------------
-def _pairs(ctx: RankContext, gids: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """A ``{gid, val}`` send buffer from the rank's own scratch pool."""
-    buf = ctx.scratch_pool(PAIR_DTYPE).take(gids.size)
+def _pairs(gids: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """A ``{gid, val}`` send buffer."""
+    buf = np.empty(gids.size, dtype=PAIR_DTYPE)
     buf["gid"] = gids
     buf["val"] = vals
     return buf
-
-
-def _give_back(engine: Engine, sbufs_all: list[np.ndarray], ranks: list[int]) -> None:
-    """Return the given ranks' send buffers to their own pools."""
-    for r in ranks:
-        engine.ctx(r).scratch_pool(PAIR_DTYPE).give(sbufs_all[r])
 
 
 def _group_allgatherv(
@@ -128,7 +123,7 @@ def per_rank_sparse_push(
         q = np.asarray(queues[ctx.rank], dtype=np.int64)
         engine.charge_vertices(ctx.rank, q.size)  # BuildQueue kernel
         state = ctx.get(name)
-        return _pairs(ctx, ctx.localmap.col_gid(q), state[q])
+        return _pairs(ctx.localmap.col_gid(q), state[q])
 
     sbufs_all = engine.map_ranks(build_col)
 
@@ -138,7 +133,6 @@ def per_rank_sparse_push(
         rbuf = _group_allgatherv(
             engine, ranks, [sbufs_all[r] for r in ranks], col_share, handles
         )
-        _give_back(engine, sbufs_all, ranks)
         for r in ranks:
             rbuf_of[r] = rbuf
 
@@ -168,7 +162,7 @@ def per_rank_sparse_push(
         gids = row_queues_gids[ctx.rank]
         engine.charge_vertices(ctx.rank, gids.size)
         state = ctx.get(name)
-        return _pairs(ctx, gids, state[lm.row_lid(gids)])
+        return _pairs(gids, state[lm.row_lid(gids)])
 
     sbufs_all = engine.map_ranks(build_row)
 
@@ -180,7 +174,6 @@ def per_rank_sparse_push(
         rbuf = _group_allgatherv(
             engine, ranks, [sbufs_all[r] for r in ranks], row_share, handles
         )
-        _give_back(engine, sbufs_all, ranks)
         uniq_gids = np.unique(rbuf["gid"])
         n_updated += int(uniq_gids.size)
         for r in ranks:
@@ -223,7 +216,7 @@ def per_rank_sparse_pull(
         q = np.asarray(queues[ctx.rank], dtype=np.int64)
         engine.charge_vertices(ctx.rank, q.size)
         state = ctx.get(name)
-        return _pairs(ctx, ctx.localmap.row_gid(q), state[q])
+        return _pairs(ctx.localmap.row_gid(q), state[q])
 
     sbufs_all = engine.map_ranks(build_row)
 
@@ -233,7 +226,6 @@ def per_rank_sparse_pull(
         rbuf = _group_allgatherv(
             engine, ranks, [sbufs_all[r] for r in ranks], row_share, handles
         )
-        _give_back(engine, sbufs_all, ranks)
         for r in ranks:
             rbuf_of[r] = rbuf
 
@@ -270,7 +262,7 @@ def per_rank_sparse_pull(
         gids = col_queues_gids[ctx.rank]
         engine.charge_vertices(ctx.rank, gids.size)
         state = ctx.get(name)
-        return _pairs(ctx, gids, state[lm.row_lid(gids)])
+        return _pairs(gids, state[lm.row_lid(gids)])
 
     sbufs_all = engine.map_ranks(build_col)
 
@@ -280,7 +272,6 @@ def per_rank_sparse_pull(
         rbuf = _group_allgatherv(
             engine, ranks, [sbufs_all[r] for r in ranks], col_share, handles
         )
-        _give_back(engine, sbufs_all, ranks)
         for r in ranks:
             rbuf_of[r] = rbuf
 
@@ -325,6 +316,7 @@ def _prepare(graph, grid, overlap, seed, window):
     each rank's ``window`` overwritten (the local kernel's updates);
     returns the engine and the queues naming them."""
     engine = Engine(graph, grid=grid, overlap=overlap)
+    engine.reset_timers()  # a run begins: allocate its state after this
     rng = np.random.default_rng(seed)
     n = graph.n_vertices
     engine.scatter_global("s", rng.choice(ORDER_SENSITIVE, size=n) * rng.integers(1, 4, size=n))
@@ -336,7 +328,6 @@ def _prepare(graph, grid, overlap, seed, window):
         lids = np.sort(rng.choice(np.arange(sl.start, sl.stop), size=k, replace=False))
         ctx.get("s")[lids] = rng.choice(ORDER_SENSITIVE, size=k)
         queues.append(lids.astype(np.int64))
-    engine.reset_timers()
     return engine, queues
 
 

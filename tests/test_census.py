@@ -18,10 +18,13 @@ The host's copy of the graph structure is what bounds the input a run
 can afford: the index and data bytes it holds per stored edge only go
 down.
 
+A run owns its state: after one op, the fleet holds the next op's
+arrays and nothing an earlier op allocated.
+
 CI prints the same census (the fan-out sites, the modules that use
-threads, the ``except`` clauses, the index bytes per edge, and the
-source line count the ROADMAP quotes) so the numbers are
-reproducible::
+threads, the ``except`` clauses, the index bytes per edge, the state
+bytes held after two ops, and the source line count the ROADMAP
+quotes) so the numbers are reproducible::
 
     python tests/test_census.py
 """
@@ -60,6 +63,14 @@ EXCEPT_CEILING = 9
 #: graph and the partition held ``int64`` ids and ``Fleet.csr`` a rebased
 #: ``int32`` copy: 8 + 8 + 4, plus the unit data's 8.
 INDEX_BYTES_PER_EDGE_CEILING = 16
+
+#: State bytes the fleet holds after ``bfs_batch(k=4)`` then
+#: ``sssp_batch(k=2)`` on ``rmat(10)``, 2x2 (see
+#: :func:`held_state_bytes`): ``sssp_batch``'s ``dist``, 3,072 stacked
+#: LIDs x 2 lanes x 8 bytes.  270,336 while an engine kept every array
+#: an earlier run allocated (``bfs_batch``'s ``parent``, ``level`` and
+#: ``deg``).
+HELD_STATE_BYTES_CEILING = 49_152
 
 
 def _python_files(path: str):
@@ -132,6 +143,21 @@ def index_bytes_per_edge() -> float:
     return sum(arr.nbytes for arr in held) / graph.n_edges
 
 
+def held_state_bytes() -> int:
+    """Bytes of every state array the fleet holds after a weighted
+    ``rmat(10)`` on 2x2 ran ``bfs_batch`` (4 roots), then ``sssp_batch``
+    (2 roots)."""
+    from repro import Engine, algorithms
+    from repro.comm.grid import Grid2D
+    from repro.graph import rmat
+
+    graph = rmat(10, seed=1).with_random_weights(seed=1)
+    engine = Engine(graph, grid=Grid2D(R=2, C=2))
+    algorithms.bfs_batch(engine, [0, 1, 2, 3])
+    algorithms.sssp_batch(engine, [0, 1])
+    return sum(engine.fleet.stacked(name).nbytes for name in engine.ctx(0).arrays)
+
+
 def source_lines() -> int:
     return sum(len(_lines(path)) for path in _python_files(SRC))
 
@@ -153,6 +179,10 @@ def test_index_bytes_per_edge_only_go_down():
     assert index_bytes_per_edge() <= INDEX_BYTES_PER_EDGE_CEILING
 
 
+def test_held_state_bytes_only_go_down():
+    assert held_state_bytes() <= HELD_STATE_BYTES_CEILING
+
+
 if __name__ == "__main__":
     sys.path.insert(0, os.path.dirname(SRC))
     sites = fan_out_sites()
@@ -165,5 +195,9 @@ if __name__ == "__main__":
     print(
         f"{index_bytes_per_edge():4g}  host index + data bytes per stored edge "
         f"(ceiling {INDEX_BYTES_PER_EDGE_CEILING})"
+    )
+    print(
+        f"{held_state_bytes():4d}  state bytes held after bfs_batch, sssp_batch "
+        f"(ceiling {HELD_STATE_BYTES_CEILING})"
     )
     print(f"{source_lines()} lines under src/repro")
