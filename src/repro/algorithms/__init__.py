@@ -21,7 +21,7 @@ from .kcore import core_numbers
 from .labelprop import label_propagation
 from .matching import max_weight_matching
 from .pagerank import compute_global_degrees, pagerank
-from .pointerjump import initial_parents, pointer_jumping
+from .pointerjump import pointer_jumping
 from .sssp import sssp
 from .triangles import triangle_count
 
@@ -44,7 +44,6 @@ __all__ = [
     "max_weight_matching",
     "compute_global_degrees",
     "pagerank",
-    "initial_parents",
     "pointer_jumping",
     "sssp",
     "triangle_count",

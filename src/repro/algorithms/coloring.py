@@ -49,35 +49,13 @@ def is_proper_coloring(graph, colors: np.ndarray) -> bool:
     return not np.any(colors[src] == colors[graph.indices])
 
 
-def serial_jones_plassmann(graph, seed: int = 0) -> np.ndarray:
-    """Serial reference executing the identical synchronous rule."""
-    n = graph.n_vertices
-    prio = color_priorities(n, seed)
-    colors = np.full(n, -1, dtype=np.int64)
-    indptr, indices = graph.indptr, graph.indices
-    while np.any(colors < 0):
-        new_colors = colors.copy()
-        for v in np.flatnonzero(colors < 0):
-            nbrs = indices[indptr[v] : indptr[v + 1]]
-            unc = nbrs[colors[nbrs] < 0]
-            if unc.size and prio[unc].max() > prio[v]:
-                continue  # a higher-priority uncolored neighbor waits
-            used = set(colors[nbrs][colors[nbrs] >= 0].tolist())
-            c = 0
-            while c in used:
-                c += 1
-            new_colors[v] = c
-        colors = new_colors
-    return colors
-
-
 def greedy_coloring(
     engine: Engine, seed: int = 0, max_rounds: int | None = None
 ) -> AlgorithmResult:
     """Color the graph with Jones-Plassmann on the 2D engine.
 
     Returns colors in original vertex order, identical to
-    :func:`serial_jones_plassmann`.
+    :func:`repro.reference.serial.serial_jones_plassmann`.
     """
     engine.reset_timers()
     fleet = engine.fleet

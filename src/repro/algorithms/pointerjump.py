@@ -27,29 +27,10 @@ from ..patterns.complex import allgatherv_by_rank
 from ..patterns.packets import packet_swap
 from ..patterns.sparse import PAIR_DTYPE
 
-__all__ = ["pointer_jumping", "initial_parents"]
+__all__ = ["pointer_jumping"]
 
 #: Query/response packet: subject vertex, payload vertex, dest rank.
 PJ_DTYPE = np.dtype([("src", np.int64), ("vert", np.int64), ("dest", np.int64)])
-
-
-def initial_parents(graph) -> np.ndarray:
-    """The serial form of the deterministic initial forest.
-
-    ``parent[v] = min(neighbors)`` when that minimum is below ``v``,
-    else ``v`` (a root).  Shared rule between the serial reference and
-    the distributed implementation.
-    """
-    n = graph.n_vertices
-    parents = np.arange(n, dtype=np.int64)
-    degs = np.diff(graph.indptr)
-    src = np.repeat(parents, degs)
-    if src.size:
-        best = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-        scatter_reduce(best, src, graph.indices, "min")
-        take = best < parents
-        parents[take] = best[take]
-    return parents
 
 
 def _home_ranks(engine: Engine, gids: np.ndarray) -> np.ndarray:
@@ -69,9 +50,9 @@ def pointer_jumping(
     """Find the forest root of every vertex.
 
     Returns roots in original vertex order, equal to serially chasing
-    :func:`initial_parents` on the input graph.  ``resume=True``
-    continues from the engine's latest attached checkpoint (see
-    ``docs/ROBUSTNESS.md``).
+    :func:`repro.reference.serial.initial_parents` on the input graph.
+    ``resume=True`` continues from the engine's latest attached
+    checkpoint (see ``docs/ROBUSTNESS.md``).
     """
     part, grid = engine.partition, engine.grid
     n = part.n_vertices

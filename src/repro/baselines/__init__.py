@@ -2,19 +2,15 @@
 
 * :mod:`~repro.baselines.oned_engine` — classic 1D distribution with
   O(p^2)-message all-to-all ghost exchange.
-* :mod:`~repro.baselines.gluon` — Gluon-GPU-like: our 2D layout over a
-  general-purpose comm substrate (Fig. 9 comparison).
 * :mod:`~repro.baselines.spmv` — CuGraph-like linear-algebra backend
   (Fig. 10 comparison).
 """
 
-from .gluon import gluon_engine
 from .oned_engine import OneDEngine, OneDPartition, bfs_1d, cc_1d, pagerank_1d
 from .onefive import OneFiveDEngine, cc_15d, default_hub_threshold
 from .spmv import spmv_bfs, spmv_cc, spmv_engine, spmv_pagerank
 
 __all__ = [
-    "gluon_engine",
     "OneDEngine",
     "OneDPartition",
     "bfs_1d",

@@ -17,7 +17,6 @@ from .harness import (
 from .reporting import comm_split, to_csv, to_markdown
 from .scaling import (
     MemoryEstimate,
-    estimate_1d_memory,
     estimate_2d_memory,
     estimate_generic_substrate_memory,
     estimate_la_backend_memory,
@@ -41,7 +40,6 @@ __all__ = [
     "to_csv",
     "to_markdown",
     "MemoryEstimate",
-    "estimate_1d_memory",
     "estimate_2d_memory",
     "estimate_generic_substrate_memory",
     "estimate_la_backend_memory",

@@ -25,7 +25,6 @@ from ..graph.datasets import DatasetMeta
 __all__ = [
     "MemoryEstimate",
     "estimate_2d_memory",
-    "estimate_1d_memory",
     "estimate_generic_substrate_memory",
     "estimate_la_backend_memory",
     "fits",
@@ -46,11 +45,6 @@ class MemoryEstimate:
     @property
     def fits(self) -> bool:
         return self.bytes_per_rank <= self.capacity
-
-    @property
-    def utilization(self) -> float:
-        return self.bytes_per_rank / self.capacity
-
 
 def estimate_2d_memory(
     meta: DatasetMeta,
@@ -75,27 +69,6 @@ def estimate_2d_memory(
         bytes_per_rank=total,
         capacity=cluster.gpu.memory_bytes,
         layout=f"2D ({overhead_factor:g}x overhead)" if overhead_factor != 1.0 else "2D",
-    )
-
-
-def estimate_1d_memory(
-    meta: DatasetMeta,
-    n_ranks: int,
-    cluster: ClusterConfig,
-    ghost_fraction: float = 0.5,
-) -> MemoryEstimate:
-    """Footprint of a 1D layout: owned rows plus ghost directory.
-
-    At scale, nearly every high-degree neighbor is remote, so ghosts
-    approach ``ghost_fraction * N`` per rank for skewed graphs — the
-    term that makes 1D layouts blow up on wide clusters.
-    """
-    edges = meta.n_edges / n_ranks * _INDEX_BYTES
-    owned = meta.n_vertices / n_ranks * _INDEX_BYTES
-    ghosts = ghost_fraction * meta.n_vertices * (_INDEX_BYTES + _STATE_BYTES * _STATE_ARRAYS)
-    total = int(edges + owned + ghosts)
-    return MemoryEstimate(
-        bytes_per_rank=total, capacity=cluster.gpu.memory_bytes, layout="1D"
     )
 
 

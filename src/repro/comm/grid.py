@@ -50,14 +50,6 @@ class Grid2D:
         return self.R * self.C
 
     @property
-    def n_row_groups(self) -> int:
-        return self.C
-
-    @property
-    def n_col_groups(self) -> int:
-        return self.R
-
-    @property
     def is_square(self) -> bool:
         return self.R == self.C
 

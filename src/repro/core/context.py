@@ -72,9 +72,6 @@ class RankContext:
                 f"allocated: {sorted(self.arrays)}"
             ) from None
 
-    def has(self, name: str) -> bool:
-        return name in self.arrays
-
     # ------------------------------------------------------------------
     # graph access
     # ------------------------------------------------------------------

@@ -180,12 +180,10 @@ class Engine:
         # Superstep-boundary hooks (see repro.core.hooks; the hook
         # classes live in repro.faults), keyed by slot in attach order,
         # and the phase-ordered firing plan derived from them.  The bare
-        # communicator is kept so the fault injector can wrap (and
-        # detach_faults unwrap) self.comm.
+        # communicator is kept so the fault injector can wrap self.comm.
         self.base_comm = self.comm
         self._hooks: dict[str, BoundaryHook] = {}
         self._pipeline: list[tuple[str, BoundaryHook]] = []
-        self._detached_injector = None
         # Spares delivered by consumed ``recover`` specs and not yet
         # adopted by a grow; carried across rebuild_on_grid.
         self.spare_ranks = 0
@@ -518,13 +516,6 @@ class Engine:
         self.attach(injector)
         return injector
 
-    def detach_faults(self) -> None:
-        """Unwrap the communicator; fault events stay readable via
-        :attr:`fault_events` until the next :meth:`attach_faults`."""
-        self.comm = self.base_comm
-        self._detached_injector = self._hooks.pop("faults", None)
-        self._plan_pipeline()
-
     @property
     def checkpoints(self):
         return self._hooks.get("checkpoints")
@@ -539,10 +530,10 @@ class Engine:
 
     @property
     def fault_events(self) -> list:
-        """Fault events observed by the current (or most recent)
-        injector, plus any elastic regrid events, as plain dicts —
-        trace rows and reports attach these."""
-        inj = self._hooks.get("faults") or self._detached_injector
+        """Fault events observed by the attached injector, plus any
+        elastic regrid events, as plain dicts — trace rows and reports
+        attach these."""
+        inj = self._hooks.get("faults")
         events = [e.as_dict() for e in inj.events] if inj is not None else []
         events.extend(self._regrid_events)
         events.sort(key=lambda e: e.get("superstep", 0))

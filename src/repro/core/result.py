@@ -59,35 +59,13 @@ class TimingReport:
         return self.overlap / self.comm if self.comm > 0 else 0.0
 
     @property
-    def recovery_fraction(self) -> float:
-        """Share of total time spent on fault handling."""
-        return self.recovery / self.total if self.total > 0 else 0.0
-
-    @property
     def regrid_fraction(self) -> float:
         """Share of total time spent migrating to a surviving grid."""
         return self.regrid / self.total if self.total > 0 else 0.0
 
-    @property
-    def certify_fraction(self) -> float:
-        """Share of total time spent verifying state integrity."""
-        return self.certify / self.total if self.total > 0 else 0.0
-
     def teps(self, n_edges: int) -> float:
         """Traversed edges per second for an ``n_edges`` input."""
         return n_edges / self.total if self.total > 0 else float("inf")
-
-    @classmethod
-    def from_phase(
-        cls, phase: PhaseTimes, per_iteration: tuple[PhaseTimes, ...] = ()
-    ) -> "TimingReport":
-        return cls(
-            total=phase.total,
-            compute=phase.compute,
-            comm=phase.comm,
-            per_iteration=per_iteration,
-            overlap=phase.overlap,
-        )
 
 
 @dataclass

@@ -174,9 +174,6 @@ class CheckpointLayout:
     def original_gid(self, relabeled) -> np.ndarray:
         return self._inv_perm[np.asarray(relabeled)]
 
-    def relabeled_gid(self, original) -> np.ndarray:
-        return self.perm[np.asarray(original)]
-
 
 def gather_checkpoint_state(ckpt: Checkpoint) -> dict[str, np.ndarray]:
     """Reconstruct every named state as a global original-order vector.

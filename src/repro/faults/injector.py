@@ -312,14 +312,3 @@ class FaultInjector(BoundaryHook):
     # ------------------------------------------------------------------
     def record(self, event: FaultEvent) -> None:
         self.events.append(event)
-
-    @property
-    def exhausted(self) -> bool:
-        """True when every planned fault has fired."""
-        return (
-            not self._pending_crashes
-            and not self._pending_stragglers
-            and not self._pending_recovers
-            and not self._pending_memflips
-            and not any(self._attempts.values())
-        )

@@ -5,11 +5,8 @@ from .datasets import REGISTRY, DatasetMeta, LoadedDataset, available, load
 from .generators import (
     chung_lu_powerlaw,
     erdos_renyi_gnm,
-    grid_graph,
-    path_graph,
     rmat,
     rmat_edges,
-    star_graph,
     web_graph,
 )
 from .io import (
@@ -43,11 +40,8 @@ __all__ = [
     "load",
     "chung_lu_powerlaw",
     "erdos_renyi_gnm",
-    "grid_graph",
-    "path_graph",
     "rmat",
     "rmat_edges",
-    "star_graph",
     "web_graph",
     "read_edge_list",
     "read_matrix_market",

@@ -142,10 +142,6 @@ class TwoDPartition:
         """Relabeled-GID range owned by row group ``id_r``."""
         return int(self.row_offsets[id_r]), int(self.row_offsets[id_r + 1])
 
-    def col_range(self, id_c: int) -> tuple[int, int]:
-        """Relabeled-GID range ghosted by column group ``id_c``."""
-        return int(self.col_offsets[id_c]), int(self.col_offsets[id_c + 1])
-
     def block(self, rank: int) -> RankBlock:
         return self.blocks[rank]
 

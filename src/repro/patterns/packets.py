@@ -19,24 +19,7 @@ import numpy as np
 
 from ..core.engine import Engine
 
-__all__ = ["make_packets", "packet_swap", "PACKET_DTYPE"]
-
-#: Default packet layout: origin vertex, one float payload, dest rank.
-PACKET_DTYPE = np.dtype(
-    [("src", np.int64), ("payload", np.float64), ("dest", np.int64)]
-)
-
-
-def make_packets(
-    src: np.ndarray, payload: np.ndarray, dest: np.ndarray
-) -> np.ndarray:
-    """Assemble a packet buffer from parallel columns."""
-    src = np.asarray(src, dtype=np.int64)
-    out = np.empty(src.size, dtype=PACKET_DTYPE)
-    out["src"] = src
-    out["payload"] = payload
-    out["dest"] = dest
-    return out
+__all__ = ["packet_swap"]
 
 
 def _split_by(packets: np.ndarray, keys: np.ndarray, n_bins: int) -> list[np.ndarray]:

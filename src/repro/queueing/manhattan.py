@@ -55,10 +55,6 @@ class ScheduleStats:
     balance: float  # in (0, 1]: useful work / occupied thread-cycles
     max_thread_edges: int
 
-    @property
-    def effective_slowdown(self) -> float:
-        return 1.0 / self.balance if self.balance > 0 else float("inf")
-
 
 def _segmented_schedule(
     degrees: np.ndarray, segments: np.ndarray, chunk: int, per_thread_cost

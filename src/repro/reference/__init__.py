@@ -1,5 +1,6 @@
-"""Serial reference implementations used for validation."""
+"""Serial reference implementations and small hand-checkable graphs,
+used for validation."""
 
-from . import serial
+from . import graphs, serial
 
-__all__ = ["serial"]
+__all__ = ["graphs", "serial"]

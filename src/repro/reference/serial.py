@@ -13,6 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
+from ..algorithms.coloring import color_priorities
 from ..graph.csr import Graph
 
 __all__ = [
@@ -25,7 +26,9 @@ __all__ = [
     "matching_is_valid",
     "matching_weight",
     "locally_dominant_matching",
+    "initial_parents",
     "pointer_jumping_roots",
+    "serial_jones_plassmann",
     "sssp_distances",
     "triangle_count",
 ]
@@ -281,6 +284,24 @@ def triangle_count(graph: Graph) -> int:
     return int(round((mat @ mat).multiply(mat).sum() / 6.0))
 
 
+def initial_parents(graph: Graph) -> np.ndarray:
+    """The serial form of the deterministic initial forest.
+
+    ``parent[v] = min(neighbors)`` when that minimum is below ``v``,
+    else ``v`` (a root): the rule the distributed pointer jumping
+    applies before its first jump.
+    """
+    n = graph.n_vertices
+    parents = np.arange(n, dtype=np.int64)
+    src = np.repeat(parents, np.diff(graph.indptr))
+    if src.size:
+        best = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
+        np.minimum.at(best, src, graph.indices)
+        take = best < parents
+        parents[take] = best[take]
+    return parents
+
+
 def pointer_jumping_roots(parents: np.ndarray) -> np.ndarray:
     """Root of every vertex in a pointer forest (serial chase).
 
@@ -294,3 +315,27 @@ def pointer_jumping_roots(parents: np.ndarray) -> np.ndarray:
         if np.array_equal(nxt, roots):
             return roots
         roots = nxt
+
+
+def serial_jones_plassmann(graph: Graph, seed: int = 0) -> np.ndarray:
+    """Jones-Plassmann coloring executing the distributed
+    :func:`~repro.algorithms.coloring.greedy_coloring`'s synchronous
+    rule one vertex at a time."""
+    n = graph.n_vertices
+    prio = color_priorities(n, seed)
+    colors = np.full(n, -1, dtype=np.int64)
+    indptr, indices = graph.indptr, graph.indices
+    while np.any(colors < 0):
+        new_colors = colors.copy()
+        for v in np.flatnonzero(colors < 0):
+            nbrs = indices[indptr[v] : indptr[v + 1]]
+            unc = nbrs[colors[nbrs] < 0]
+            if unc.size and prio[unc].max() > prio[v]:
+                continue  # a higher-priority uncolored neighbor waits
+            used = set(colors[nbrs][colors[nbrs] >= 0].tolist())
+            c = 0
+            while c in used:
+                c += 1
+            new_colors[v] = c
+        colors = new_colors
+    return colors

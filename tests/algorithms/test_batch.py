@@ -26,7 +26,8 @@ from repro.algorithms import (
 )
 from repro.comm.grid import Grid2D
 from repro.core.engine import Engine
-from repro.graph import grid_graph, path_graph, rmat
+from repro.graph import rmat
+from repro.reference.graphs import grid_graph, path_graph
 from repro.reference import serial as ref_serial
 
 from ..conftest import rank_order

@@ -6,7 +6,8 @@ import pytest
 
 from repro.algorithms.betweenness import betweenness
 from repro.core.engine import Engine
-from repro.graph import Graph, grid_graph, path_graph, rmat, star_graph
+from repro.graph import Graph, rmat
+from repro.reference.graphs import grid_graph, path_graph, star_graph
 
 from ..conftest import random_graph
 

@@ -7,7 +7,8 @@ from repro.algorithms import bfs, connected_components, sssp
 from repro.comm.grid import Grid2D
 from repro.core.engine import Engine
 from repro.core.hooks import BoundaryHook
-from repro.graph import Graph, grid_graph, path_graph, star_graph
+from repro.graph import Graph
+from repro.reference.graphs import grid_graph, path_graph, star_graph
 from repro.reference import serial
 
 from ..conftest import GRIDS, random_graph

@@ -7,10 +7,11 @@ from repro.algorithms.coloring import (
     color_priorities,
     greedy_coloring,
     is_proper_coloring,
-    serial_jones_plassmann,
 )
 from repro.core.engine import Engine
-from repro.graph import Graph, grid_graph, path_graph, rmat, star_graph
+from repro.graph import Graph, rmat
+from repro.reference.graphs import grid_graph, path_graph, star_graph
+from repro.reference.serial import serial_jones_plassmann
 
 from ..conftest import GRIDS, random_graph
 

@@ -72,7 +72,7 @@ class TestStructures:
             assert ref[res.values[v]] == ref[v]
 
     def test_max_iterations_bounds_work(self):
-        from repro.graph import path_graph
+        from repro.reference.graphs import path_graph
 
         g = path_graph(100)
         engine = Engine(g, 4)

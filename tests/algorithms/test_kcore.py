@@ -6,7 +6,8 @@ import pytest
 
 from repro.algorithms import core_numbers
 from repro.core.engine import Engine
-from repro.graph import Graph, chung_lu_powerlaw, grid_graph, path_graph, star_graph
+from repro.graph import Graph, chung_lu_powerlaw
+from repro.reference.graphs import grid_graph, path_graph, star_graph
 from repro.reference import serial
 
 from ..conftest import GRIDS, random_graph

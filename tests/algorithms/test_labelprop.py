@@ -5,7 +5,8 @@ import pytest
 
 from repro.algorithms import label_propagation
 from repro.core.engine import Engine
-from repro.graph import Graph, grid_graph, star_graph
+from repro.graph import Graph
+from repro.reference.graphs import grid_graph, star_graph
 from repro.reference import serial
 
 from ..conftest import GRIDS, random_graph

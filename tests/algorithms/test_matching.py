@@ -5,7 +5,8 @@ import pytest
 
 from repro.algorithms import max_weight_matching
 from repro.core.engine import Engine
-from repro.graph import Graph, path_graph, rmat
+from repro.graph import Graph, rmat
+from repro.reference.graphs import path_graph
 from repro.reference import serial
 
 from ..conftest import GRIDS, random_graph

@@ -5,7 +5,8 @@ import pytest
 
 from repro.algorithms import compute_global_degrees, pagerank
 from repro.core.engine import Engine
-from repro.graph import Graph, star_graph
+from repro.graph import Graph
+from repro.reference.graphs import star_graph
 from repro.patterns.dense import dense_pull
 from repro.reference import serial
 

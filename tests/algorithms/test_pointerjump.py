@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.algorithms import initial_parents, pointer_jumping
+from repro.algorithms import pointer_jumping
 from repro.core.engine import Engine
-from repro.graph import Graph, grid_graph, path_graph, star_graph
+from repro.graph import Graph
 from repro.reference import serial
+from repro.reference.graphs import grid_graph, path_graph, star_graph
+from repro.reference.serial import initial_parents
 
 from ..conftest import GRIDS, random_graph
 

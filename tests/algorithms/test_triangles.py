@@ -6,7 +6,8 @@ import pytest
 from repro.algorithms import triangle_count
 from repro.comm.grid import Grid2D
 from repro.core.engine import Engine
-from repro.graph import Graph, grid_graph, rmat
+from repro.graph import Graph, rmat
+from repro.reference.graphs import grid_graph
 from repro.reference import serial
 
 from ..conftest import random_graph

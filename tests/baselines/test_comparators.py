@@ -1,17 +1,13 @@
-"""Gluon-like and SpMV (CuGraph-like) comparator tests."""
+"""Gluon-like (``Engine(profile=GENERIC_PROFILE)``) and SpMV
+(CuGraph-like) comparator tests."""
 
 import numpy as np
 import pytest
 
 from repro.algorithms import bfs, connected_components, pagerank
-from repro.baselines import (
-    gluon_engine,
-    spmv_bfs,
-    spmv_cc,
-    spmv_engine,
-    spmv_pagerank,
-)
+from repro.baselines import spmv_bfs, spmv_cc, spmv_engine, spmv_pagerank
 from repro.cluster import ZEPY
+from repro.cluster.costmodel import GENERIC_PROFILE
 from repro.comm.grid import Grid2D
 from repro.core.engine import Engine
 from repro.graph import Graph, rmat
@@ -21,7 +17,7 @@ from repro.reference import serial
 class TestGluonBaseline:
     def test_same_results_as_ours(self, rmat_graph):
         ours = connected_components(Engine(rmat_graph, 4))
-        theirs = connected_components(gluon_engine(rmat_graph, 4))
+        theirs = connected_components(Engine(rmat_graph, 4, profile=GENERIC_PROFILE))
         assert np.array_equal(
             serial.canonical_labels(ours.values),
             serial.canonical_labels(theirs.values),
@@ -30,7 +26,7 @@ class TestGluonBaseline:
     def test_single_rank_parity(self, rmat_graph):
         """Paper Fig. 9: identical compute => parity at one rank."""
         ours = connected_components(Engine(rmat_graph, 1))
-        theirs = connected_components(gluon_engine(rmat_graph, 1))
+        theirs = connected_components(Engine(rmat_graph, 1, profile=GENERIC_PROFILE))
         assert theirs.timings.compute == pytest.approx(ours.timings.compute)
 
     def test_substrate_overhead_grows_with_scale(self, rmat_graph):
@@ -38,7 +34,8 @@ class TestGluonBaseline:
         ratios = {}
         for p in (4, 16):
             ours = connected_components(Engine(rmat_graph, p)).timings.total
-            theirs = connected_components(gluon_engine(rmat_graph, p)).timings.total
+            gluon = Engine(rmat_graph, p, profile=GENERIC_PROFILE)
+            theirs = connected_components(gluon).timings.total
             ratios[p] = theirs / ours
         assert ratios[16] > ratios[4] > 1.0
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.baselines.onefive import OneFiveDEngine, cc_15d, default_hub_threshold
-from repro.graph import chung_lu_powerlaw, path_graph, rmat, star_graph
+from repro.graph import chung_lu_powerlaw, rmat
+from repro.reference.graphs import path_graph, star_graph
 from repro.reference import serial
 
 from ..conftest import random_graph

@@ -10,8 +10,8 @@ class TestGrid2D:
         # Fig. 1: 2 row groups, 4 column groups, 8 ranks.
         grid = Grid2D(R=4, C=2)
         assert grid.n_ranks == 8
-        assert grid.n_row_groups == 2
-        assert grid.n_col_groups == 4
+        assert [grid.row_group_ranks(i) for i in range(2)] == [[0, 1, 2, 3], [4, 5, 6, 7]]
+        assert [grid.col_group_ranks(j) for j in range(4)] == [[0, 4], [1, 5], [2, 6], [3, 7]]
 
     def test_rank_numbering_row_major(self):
         grid = Grid2D(R=3, C=2)

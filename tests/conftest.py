@@ -9,7 +9,8 @@ import pytest
 
 from repro.comm.grid import Grid2D
 from repro.core.engine import Engine
-from repro.graph import erdos_renyi_gnm, grid_graph, path_graph, rmat, star_graph
+from repro.graph import erdos_renyi_gnm, rmat
+from repro.reference.graphs import grid_graph, path_graph, star_graph
 
 #: Grid shapes exercising square, non-square, tall/wide, and
 #: non-divisible vertex counts.

@@ -29,9 +29,9 @@ class TestStateArrays:
     def test_has_and_free(self, engine):
         ctx = engine.ctx(1)
         engine.alloc("z", np.float64)
-        assert ctx.has("z")
+        assert "z" in ctx.arrays
         engine.free("z")
-        assert not ctx.has("z")
+        assert "z" not in ctx.arrays
         # freeing again names what is allocated
         with pytest.raises(KeyError, match=r"allocated states: \[\]"):
             engine.free("z")

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.comm.clocks import PhaseTimes
 from repro.core.result import AlgorithmResult, TimingReport
 
 
@@ -23,12 +22,6 @@ class TestTimingReport:
     def test_teps_zero_time(self):
         t = TimingReport(total=0.0, compute=0.0, comm=0.0)
         assert t.teps(100) == float("inf")
-
-    def test_from_phase(self):
-        phase = PhaseTimes(total=1.0, compute=0.7, comm=0.3)
-        t = TimingReport.from_phase(phase, per_iteration=(phase,))
-        assert t.total == 1.0
-        assert len(t.per_iteration) == 1
 
 
 class TestAlgorithmResult:

@@ -177,9 +177,9 @@ class TestRunArrays:
         engine = Engine(GRAPH, 4)
         engine.alloc("x")
         ctx = engine.ctx(0)
-        assert ctx.has("x") and "state.x" in ctx.device.ledger
+        assert "x" in ctx.arrays and "state.x" in ctx.device.ledger
         engine.reset_timers()
-        assert ctx.arrays == {} and not ctx.has("x")
+        assert ctx.arrays == {}
         assert "state.x" not in ctx.device.ledger
 
     @pytest.mark.parametrize(

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import Graph, path_graph
+from repro.graph import Graph
+from repro.reference.graphs import path_graph
 
 
 class TestConstruction:

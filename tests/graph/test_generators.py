@@ -3,15 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.graph import (
-    chung_lu_powerlaw,
-    erdos_renyi_gnm,
-    grid_graph,
-    path_graph,
-    rmat,
-    rmat_edges,
-    star_graph,
-)
+from repro.graph import chung_lu_powerlaw, erdos_renyi_gnm, rmat, rmat_edges
+from repro.reference.graphs import grid_graph, path_graph, star_graph
 
 
 class TestRMAT:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.graph import Graph, grid_graph, path_graph, rmat, star_graph
+from repro.graph import Graph, rmat
+from repro.reference.graphs import grid_graph, path_graph, star_graph
 from repro.graph.transforms import (
     cap_degrees,
     induced_subgraph,

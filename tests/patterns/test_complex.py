@@ -96,10 +96,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro.algorithms import greedy_coloring  # noqa: E402
-from repro.algorithms.coloring import (  # noqa: E402
-    is_proper_coloring,
-    serial_jones_plassmann,
-)
+from repro.algorithms.coloring import is_proper_coloring  # noqa: E402
 from repro.algorithms.pagerank import compute_global_degrees  # noqa: E402
 from repro.comm.grid import Grid2D  # noqa: E402
 from repro.core.engine import Engine  # noqa: E402
@@ -197,5 +194,5 @@ class TestComplexReduce:
     @given(g=small_graph(), grid=st.sampled_from(HOSTILE_GRIDS))
     def test_smallest_absent_color_is_a_proper_coloring(self, g, grid):
         res = greedy_coloring(Engine(g, grid=grid))
-        assert np.array_equal(res.values, serial_jones_plassmann(g))
+        assert np.array_equal(res.values, serial.serial_jones_plassmann(g))
         assert is_proper_coloring(g, res.values)

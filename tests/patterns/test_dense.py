@@ -29,7 +29,7 @@ def test_dense_push_reduces_col_groups(grid, op):
 
     expected = np.zeros(n) if op == "sum" else np.full(n, np.inf)
     for id_c, ranks in engine.col_groups():
-        cs, ce = part.col_range(id_c)
+        cs, ce = int(part.col_offsets[id_c]), int(part.col_offsets[id_c + 1])
         vals = np.stack(
             [engine.ctx(r).get("s")[engine.ctx(r).col_slice] for r in ranks]
         )

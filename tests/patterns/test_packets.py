@@ -5,9 +5,21 @@ import pytest
 
 from repro.core.engine import Engine
 from repro.graph import rmat
-from repro.patterns.packets import PACKET_DTYPE, make_packets, packet_swap
+from repro.patterns.packets import packet_swap
 
 from ..conftest import GRIDS
+
+#: Packet layout: origin vertex, one float payload, dest rank.
+PACKET_DTYPE = np.dtype(
+    [("src", np.int64), ("payload", np.float64), ("dest", np.int64)]
+)
+
+
+def make_packets(src, payload, dest) -> np.ndarray:
+    """A packet buffer from parallel columns."""
+    out = np.empty(len(src), dtype=PACKET_DTYPE)
+    out["src"], out["payload"], out["dest"] = src, payload, dest
+    return out
 
 
 def _engine(grid):

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.comm.grid import Grid2D
-from repro.graph import partition_2d, path_graph, rmat
+from repro.graph import partition_2d, rmat
+from repro.reference.graphs import path_graph
 from repro.queueing import Expansion, expand_block, expand_csr
 
 from ..conftest import random_graph

@@ -21,23 +21,29 @@ down.
 A run owns its state: after one op, the fleet holds the next op's
 arrays and nothing an earlier op allocated.
 
+Code that only tests call is not part of the system: the top-level
+functions and classes under ``src/repro`` (outside ``reference/``, the
+serial oracles and test graphs) that nothing in the package itself,
+the benchmarks, the examples or CI reaches only go down.
+
 CI prints the same census (the fan-out sites, the modules that use
 threads, the ``except`` clauses, the index bytes per edge, the state
-bytes held after two ops, and the source line count the ROADMAP
-quotes) so the numbers are reproducible::
+bytes held after two ops, the test-only definitions, and the source
+line count the ROADMAP quotes) so the numbers are reproducible::
 
     python tests/test_census.py
 """
 
 from __future__ import annotations
 
+import ast
 import os
 import re
 import sys
+import textwrap
 
-SRC = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "repro"
-)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "repro")
 FAN_OUT = re.compile(r"\b(?:map_ranks|foreach)\(")
 FAN_OUT_SCOPE = ("algorithms", "patterns", os.path.join("core", "program.py"))
 
@@ -71,6 +77,19 @@ INDEX_BYTES_PER_EDGE_CEILING = 16
 #: an earlier run allocated (``bfs_batch``'s ``parent``, ``level`` and
 #: ``deg``).
 HELD_STATE_BYTES_CEILING = 49_152
+
+#: Top-level definitions under ``src/repro`` that nothing outside
+#: ``tests/`` reaches (see :func:`only_tests_reach`).  24 before
+#: ``gluon_engine``, ``make_packets`` and ``estimate_1d_memory`` went
+#: and the serial oracles and test graphs moved into ``reference/``;
+#: the rest (listed by
+#: ``python tests/test_census.py``) are ROADMAP item 13's open list,
+#: kept while the tests that pin them are.
+TEST_ONLY_DEFS_CEILING = 16
+
+#: Where a reach counts from, and the inline scripts of CI's workflows.
+REACH_SCOPES = ("src", "benchmarks", "examples")
+CI_SCRIPT = re.compile(r"<<\s*'EOF'\n(.*?)\n\s*EOF", re.S)
 
 
 def _python_files(path: str):
@@ -158,6 +177,55 @@ def held_state_bytes() -> int:
     return sum(engine.fleet.stacked(name).nbytes for name in engine.ctx(0).arrays)
 
 
+def _reaches(tree: ast.AST):
+    """``(name, line)`` of every ``Name`` / ``Attribute`` in ``tree``,
+    and of the parts of its ``"repro.…"`` dotted strings (how the
+    benchmark names the functions it wraps)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Constant) and str(node.value).startswith("repro."):
+            yield from ((part, node.lineno) for part in node.value.split("."))
+
+
+def only_tests_reach() -> list[str]:
+    """Top-level functions and classes under ``src/repro``, outside
+    ``reference/``, that no ``Name`` or ``Attribute`` in ``src/``,
+    ``benchmarks/``, ``examples/`` or a CI workflow's inline scripts
+    reaches.  A definition's own body does not count, and neither do
+    ``__all__`` lists or ``__init__`` re-exports (strings and imports,
+    not names)."""
+    reach: dict[str, list[tuple[str, int]]] = {}
+    defs = []
+    for scope in REACH_SCOPES:
+        for path in _python_files(os.path.join(ROOT, scope)):
+            tree = ast.parse("".join(_lines(path)))
+            for name, line in _reaches(tree):
+                reach.setdefault(name, []).append((path, line))
+            if path.startswith(SRC) and os.sep + "reference" + os.sep not in path:
+                defs += [
+                    (path, node)
+                    for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                ]
+    for root, _, files in os.walk(os.path.join(ROOT, ".github")):
+        for f in files:
+            text = "".join(_lines(os.path.join(root, f)))
+            for script in CI_SCRIPT.findall(text):
+                for name, _ in _reaches(ast.parse(textwrap.dedent(script))):
+                    reach.setdefault(name, []).append((f, 0))
+    return sorted(
+        f"{os.path.relpath(path, SRC)}::{node.name}"
+        for path, node in defs
+        if not any(
+            where != path or not node.lineno <= line <= node.end_lineno
+            for where, line in reach.get(node.name, ())
+        )
+    )
+
+
 def source_lines() -> int:
     return sum(len(_lines(path)) for path in _python_files(SRC))
 
@@ -183,6 +251,11 @@ def test_held_state_bytes_only_go_down():
     assert held_state_bytes() <= HELD_STATE_BYTES_CEILING
 
 
+def test_definitions_only_tests_reach_only_go_down():
+    defs = only_tests_reach()
+    assert len(defs) <= TEST_ONLY_DEFS_CEILING, defs
+
+
 if __name__ == "__main__":
     sys.path.insert(0, os.path.dirname(SRC))
     sites = fan_out_sites()
@@ -199,5 +272,12 @@ if __name__ == "__main__":
     print(
         f"{held_state_bytes():4d}  state bytes held after bfs_batch, sssp_batch "
         f"(ceiling {HELD_STATE_BYTES_CEILING})"
+    )
+    defs = only_tests_reach()
+    for name in defs:
+        print(f"      {name}")
+    print(
+        f"{len(defs):4d}  top-level definitions only tests reach "
+        f"(ceiling {TEST_ONLY_DEFS_CEILING})"
     )
     print(f"{source_lines()} lines under src/repro")

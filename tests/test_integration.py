@@ -48,7 +48,7 @@ class TestFullSuiteOneEngine:
         )
         assert np.array_equal(
             res_pj.values,
-            serial.pointer_jumping_roots(algorithms.initial_parents(g)),
+            serial.pointer_jumping_roots(serial.initial_parents(g)),
         )
 
     def test_reset_isolates_timings(self, weighted_graph):

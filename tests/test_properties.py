@@ -101,7 +101,7 @@ class TestDistributedEqualsSerial:
     def test_pointer_jumping_property(self, gg):
         g, grid = gg
         res = algorithms.pointer_jumping(Engine(g, grid=grid))
-        ref = serial.pointer_jumping_roots(algorithms.initial_parents(g))
+        ref = serial.pointer_jumping_roots(serial.initial_parents(g))
         assert np.array_equal(res.values, ref)
 
 
