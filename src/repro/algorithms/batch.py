@@ -31,6 +31,7 @@ the result, so a batch of one is the single-source run.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -105,18 +106,6 @@ def _entry_queues(fleet, lids: np.ndarray, lanes: np.ndarray) -> list:
     return list(zip(fleet.split(lids), np.split(lanes, cuts)))
 
 
-def _check_resumed_sources(saved, requested, what: str) -> None:
-    """A batch resumed onto different sources would silently produce
-    lanes answering the wrong queries; refuse instead."""
-    saved = [int(s) for s in saved]
-    requested = [int(r) for r in requested]
-    if saved != requested:
-        raise ValueError(
-            f"checkpoint was taken with {what}={saved}, cannot resume a "
-            f"batch over {what}={requested}"
-        )
-
-
 def bfs_batch(
     engine: Engine,
     roots,
@@ -134,9 +123,8 @@ def bfs_batch(
     with the same Beamer heuristic and retires as soon as its frontier
     empties; live lanes keep sharing one exchange per superstep.
     ``resume=True`` continues from the engine's latest attached
-    checkpoint (taken at a superstep boundary of a run over the *same*
-    roots) instead of starting over, falling back to a fresh run when
-    there is none.
+    checkpoint instead of starting over; the checkpoint tag names the
+    roots, so one taken over other roots is refused.
     """
     part, grid, fleet = engine.partition, engine.grid, engine.fleet
     n = part.n_vertices
@@ -165,8 +153,11 @@ def bfs_batch(
         )
     roots_rel = part.perm[roots].astype(np.int64)
 
-    st = engine.resume_from_checkpoint("bfs_batch") if resume else None
-    if st is None:
+    tag = f"bfs_batch(roots={roots.tolist()})"
+    if resume:
+        s = SimpleNamespace(**engine.resume_from_checkpoint(tag))
+        s.frontier = fleet.decode_queue(s.frontier)
+    else:
         engine.reset_timers()
         compute_global_degrees(engine)
         m_total = 0.0
@@ -182,31 +173,24 @@ def bfs_batch(
         seed_lanes = np.concatenate([row_lanes, col_lanes])
         fleet.stacked("parent")[seeds, seed_lanes] = roots[seed_lanes]
         fleet.stacked("level")[seeds, seed_lanes] = 0.0
-        frontier = _entry_queues(fleet, row_lids, row_lanes)
         # every vertex has a row cell, and its replicas agree on the
         # (integer-valued) global degree
         root_deg = np.zeros(k)
         root_deg[row_lanes] = fleet.stacked("deg")[row_lids]
+        s = SimpleNamespace(
+            frontier=_entry_queues(fleet, row_lids, row_lanes),
+            n_visited=np.ones(k, dtype=np.int64),
+            m_frontier=root_deg.copy(),
+            m_frontier_prev=np.zeros(k),
+            m_unvisited=m_total - root_deg,
+            bottom_up=np.zeros(k, dtype=bool),
+            lane_done=np.zeros(k, dtype=bool),
+            depth=0,
+            direction_log=[[] for _ in range(k)],
+        )
 
-        n_visited = np.ones(k, dtype=np.int64)
-        m_frontier = root_deg.copy()
-        m_frontier_prev = np.zeros(k)
-        m_unvisited = m_total - root_deg
-        bottom_up = np.zeros(k, dtype=bool)
-        lane_done = np.zeros(k, dtype=bool)
-        depth = 0
-        direction_log: list[list[str]] = [[] for _ in range(k)]
-    else:
-        _check_resumed_sources(st["roots"], roots, "roots")
-        frontier = st["frontier"]
-        n_visited = st["n_visited"]
-        m_frontier = st["m_frontier"]
-        m_frontier_prev = st["m_frontier_prev"]
-        m_unvisited = st["m_unvisited"]
-        bottom_up = st["bottom_up"]
-        lane_done = st["lane_done"]
-        depth = st["depth"]
-        direction_log = st["direction_log"]
+    def saved():
+        return {**vars(s), "frontier": fleet.encode_queue(s.frontier)}
 
     # Per-rank GID lookup tables (float64, built once): translating a
     # candidate parent in the edge loops becomes a single gather
@@ -239,41 +223,27 @@ def bfs_batch(
             row_leader[_r] = _ranks[0]
             row_shift[_r] = engine.ctx(_r).localmap.row_offset - lead_offset
 
-    def _loop_state():
-        return {
-            "roots": [int(r) for r in roots],
-            "frontier": frontier,
-            "n_visited": n_visited,
-            "m_frontier": m_frontier,
-            "m_frontier_prev": m_frontier_prev,
-            "m_unvisited": m_unvisited,
-            "bottom_up": bottom_up,
-            "lane_done": lane_done,
-            "depth": depth,
-            "direction_log": direction_log,
-        }
-
-    while not lane_done.all():
-        depth += 1
-        fsize = _lane_frontier_sizes(engine, frontier, k)
-        for lane in np.flatnonzero(~lane_done):
+    while not s.lane_done.all():
+        s.depth += 1
+        fsize = _lane_frontier_sizes(engine, s.frontier, k)
+        for lane in np.flatnonzero(~s.lane_done):
             if hybrid:
-                growing = m_frontier[lane] > m_frontier_prev[lane]
+                growing = s.m_frontier[lane] > s.m_frontier_prev[lane]
                 if (
-                    not bottom_up[lane]
+                    not s.bottom_up[lane]
                     and growing
-                    and m_frontier[lane] > m_unvisited[lane] / alpha
+                    and s.m_frontier[lane] > s.m_unvisited[lane] / alpha
                 ):
-                    bottom_up[lane] = True
-                elif bottom_up[lane] and (
-                    n_visited[lane] >= n or fsize[lane] < n / beta
+                    s.bottom_up[lane] = True
+                elif s.bottom_up[lane] and (
+                    s.n_visited[lane] >= n or fsize[lane] < n / beta
                 ):
-                    bottom_up[lane] = False
-            direction_log[lane].append(
-                "bottom-up" if bottom_up[lane] else "top-down"
+                    s.bottom_up[lane] = False
+            s.direction_log[lane].append(
+                "bottom-up" if s.bottom_up[lane] else "top-down"
             )
-        push_set = ~lane_done & ~bottom_up
-        pull_lanes = np.flatnonzero(~lane_done & bottom_up)
+        push_set = ~s.lane_done & ~s.bottom_up
+        pull_lanes = np.flatnonzero(~s.lane_done & s.bottom_up)
         n_upd = np.zeros(k, dtype=np.int64)
 
         result = None
@@ -282,7 +252,7 @@ def bfs_batch(
             # lane's frontier, one fused sparse exchange.
             def top_down(ctx):
                 parent = ctx.get("parent")
-                lids, lanes_f = frontier[ctx.rank]
+                lids, lanes_f = s.frontier[ctx.rank]
                 sel = push_set[lanes_f]
                 rows, rlanes = lids[sel], lanes_f[sel]
                 degs = ctx.local_degrees()[rows - ctx.localmap.row_offset]
@@ -340,7 +310,7 @@ def bfs_batch(
                 rb = np.zeros((pw.shape[0], Lp), dtype=bool)
                 cb = np.zeros((lw.shape[0], Lp), dtype=bool)
                 np.equal(pw, INF, out=rb[:, :L])
-                np.equal(lw, depth - 1, out=cb[:, :L])
+                np.equal(lw, s.depth - 1, out=cb[:, :L])
                 row64 = rb.view(np.uint64)
                 col64 = cb.view(np.uint64)
                 row_any = row64[:, 0]
@@ -409,12 +379,12 @@ def bfs_batch(
                     list(range(grid.n_ranks)), flags, op="max"
                 )
 
-        cont = ~lane_done & (n_upd > 0)
-        lane_done |= ~lane_done & (n_upd == 0)
+        cont = ~s.lane_done & (n_upd > 0)
+        s.lane_done |= ~s.lane_done & (n_upd == 0)
         if not cont.any():
             if flags_handle is not None:
                 engine.comm.wait(flags_handle)
-            engine.superstep_boundary("bfs_batch", _loop_state())
+            engine.superstep_boundary(tag, saved)
             break
 
         # Record levels of freshly visited cells and build the next
@@ -442,12 +412,12 @@ def bfs_batch(
                 tl = np.concatenate([cl, al])
                 tn = np.concatenate([cn, an])
                 unset = level[tl, tn] == INF
-                level[tl[unset], tn[unset]] = depth
+                level[tl[unset], tn[unset]] = s.depth
             else:
                 pflat = parent.reshape(-1)
                 lflat = level.reshape(-1)
                 mask = (pflat != INF) & (lflat == INF)
-                np.copyto(lflat, depth, where=mask)
+                np.copyto(lflat, s.depth, where=mask)
                 if ctx.rank == row_leader[ctx.rank] and pull_cont.any():
                     fresh = np.flatnonzero(mask)
             engine.charge_vertices(ctx.rank, ctx.n_total)
@@ -519,13 +489,13 @@ def bfs_batch(
                 seg = sl[starts[lane] : ends[lane]]
                 if seg.size:
                     m_new[lane] += float(deg0[seg].sum())
-        frontier = new_frontier
-        m_frontier_prev[cont] = m_frontier[cont]
-        m_frontier[cont] = m_new[cont]
-        n_visited[cont] += n_upd[cont]
-        m_unvisited[cont] -= m_frontier[cont]
-        lane_done |= cont & (n_visited >= n)
-        engine.superstep_boundary("bfs_batch", _loop_state())
+        s.frontier = new_frontier
+        s.m_frontier_prev[cont] = s.m_frontier[cont]
+        s.m_frontier[cont] = m_new[cont]
+        s.n_visited[cont] += n_upd[cont]
+        s.m_unvisited[cont] -= s.m_frontier[cont]
+        s.lane_done |= cont & (s.n_visited >= n)
+        engine.superstep_boundary(tag, saved)
 
     parent_state = engine.gather("parent")
     levels = engine.gather("level")
@@ -536,12 +506,12 @@ def bfs_batch(
     return AlgorithmResult(
         values=parents,
         timings=engine.timing_report(),
-        iterations=depth,
+        iterations=s.depth,
         counters=engine.counters.summary(),
         extra={
             "levels": out_levels,
-            "n_visited": [int(v) for v in n_visited],
-            "directions": [list(d) for d in direction_log],
+            "n_visited": [int(v) for v in s.n_visited],
+            "directions": [list(d) for d in s.direction_log],
             "roots": [int(r) for r in roots],
         },
     )
@@ -586,8 +556,11 @@ def sssp_batch(
         )
     roots_rel = part.perm[sources].astype(np.int64)
 
-    st = engine.resume_from_checkpoint("sssp_batch") if resume else None
-    if st is None:
+    tag = f"sssp_batch(sources={sources.tolist()})"
+    if resume:
+        s = SimpleNamespace(**engine.resume_from_checkpoint(tag))
+        s.frontier = fleet.decode_queue(s.frontier)
+    else:
         engine.reset_timers()
 
         engine.alloc("dist", np.float64, fill=INF, width=k)
@@ -596,33 +569,23 @@ def sssp_batch(
         dist[row_lids, row_lanes] = 0.0
         dist[col_lids, col_lanes] = 0.0
         engine.charge_vertices(None, fleet.n_total)
-        frontier = _entry_queues(fleet, row_lids, row_lanes)
-        lane_done = np.zeros(k, dtype=bool)
-        lane_iters = np.zeros(k, dtype=np.int64)
-        iterations = 0
-    else:
-        _check_resumed_sources(st["sources"], sources, "sources")
-        frontier = st["frontier"]
-        lane_done = st["lane_done"]
-        lane_iters = st["lane_iters"]
-        iterations = st["iterations"]
+        s = SimpleNamespace(
+            frontier=_entry_queues(fleet, row_lids, row_lanes),
+            lane_done=np.zeros(k, dtype=bool),
+            lane_iters=np.zeros(k, dtype=np.int64),
+            iterations=0,
+        )
 
-    def _loop_state():
-        return {
-            "sources": [int(s) for s in sources],
-            "frontier": frontier,
-            "lane_done": lane_done,
-            "lane_iters": lane_iters,
-            "iterations": iterations,
-        }
+    def saved():
+        return {**vars(s), "frontier": fleet.encode_queue(s.frontier)}
 
-    while not lane_done.all():
-        iterations += 1
-        active = ~lane_done
+    while not s.lane_done.all():
+        s.iterations += 1
+        active = ~s.lane_done
 
         def relax(ctx):
             dist = ctx.get("dist")
-            lids, lanes_f = frontier[ctx.rank]
+            lids, lanes_f = s.frontier[ctx.rank]
             sel = active[lanes_f]
             rows, rlanes = lids[sel], lanes_f[sel]
             degs = ctx.local_degrees()[rows - ctx.localmap.row_offset]
@@ -639,25 +602,25 @@ def sssp_batch(
 
         queues = engine.map_ranks(relax)
         result = sparse_push_lanes(engine, "dist", queues, op="min")
-        frontier = result.active_row
-        lane_iters[active] = iterations
-        lane_done |= active & (result.n_updated == 0)
-        if max_iterations is not None and iterations >= max_iterations:
-            lane_done |= active
-        engine.superstep_boundary("sssp_batch", _loop_state())
+        s.frontier = result.active_row
+        s.lane_iters[active] = s.iterations
+        s.lane_done |= active & (result.n_updated == 0)
+        if max_iterations is not None and s.iterations >= max_iterations:
+            s.lane_done |= active
+        engine.superstep_boundary(tag, saved)
 
     values = engine.gather("dist")
     return AlgorithmResult(
         values=values,
         timings=engine.timing_report(),
-        iterations=iterations,
+        iterations=s.iterations,
         counters=engine.counters.summary(),
         extra={
             "n_reached": [
                 int(np.count_nonzero(np.isfinite(values[:, lane])))
                 for lane in range(k)
             ],
-            "iterations": [int(i) for i in lane_iters],
+            "iterations": [int(i) for i in s.lane_iters],
             "sources": [int(s) for s in sources],
         },
     )
@@ -709,8 +672,10 @@ def pagerank_batch(
             },
         )
 
-    st = engine.resume_from_checkpoint("pagerank_batch") if resume else None
-    if st is None:
+    tag = f"pagerank_batch(seeds={seeds.tolist()})"
+    if resume:
+        s = SimpleNamespace(**engine.resume_from_checkpoint(tag))
+    else:
         tele_global = np.zeros((n, k))
         tele_global[seeds, np.arange(k)] = 1.0
         engine.reset_timers()
@@ -718,30 +683,19 @@ def pagerank_batch(
         compute_global_degrees(engine)
         engine.alloc("pr", np.float64, fill=1.0 / n, width=k)
         engine.alloc("acc", np.float64, width=k)
-        lane_done = np.zeros(k, dtype=bool)
-        lane_iters = np.zeros(k, dtype=np.int64)
-        iterations_run = 0
-    else:
-        _check_resumed_sources(st["seeds"], seeds, "seeds")
-        lane_done = st["lane_done"]
-        lane_iters = st["lane_iters"]
-        iterations_run = st["iterations_run"]
-
-    def _loop_state():
-        return {
-            "seeds": [int(s) for s in seeds],
-            "lane_done": lane_done,
-            "lane_iters": lane_iters,
-            "iterations_run": iterations_run,
-        }
+        s = SimpleNamespace(
+            lane_done=np.zeros(k, dtype=bool),
+            lane_iters=np.zeros(k, dtype=np.int64),
+            iterations_run=0,
+        )
 
     # As in `pagerank`: everything but the dangling share is one pass
     # over the rank-stacked (N_T, k) state.
     pull = fleet.csr()
     full_queue, rows_per_rank = fleet.full_queue()
-    while iterations_run < iterations and not lane_done.all():
-        iterations_run += 1
-        act = np.flatnonzero(~lane_done)
+    while s.iterations_run < iterations and not s.lane_done.all():
+        s.iterations_run += 1
+        act = np.flatnonzero(~s.lane_done)
         pr = fleet.stacked("pr")
         deg = fleet.stacked("deg")
         acc = fleet.stacked("acc")
@@ -798,22 +752,22 @@ def pagerank_batch(
             )
         pr[:, act] = new
         engine.charge_vertices(None, fleet.n_total)
-        lane_iters[act] = iterations_run
+        s.lane_iters[act] = s.iterations_run
         if tol is not None:
             flags = [max_delta.copy() for _ in all_ranks]
             engine.comm.allreduce(all_ranks, flags, op="max")
-            lane_done[act[max_delta < tol]] = True
-        engine.superstep_boundary("pagerank_batch", _loop_state())
+            s.lane_done[act[max_delta < tol]] = True
+        engine.superstep_boundary(tag, lambda: vars(s))
 
     values = engine.gather("pr")
     return AlgorithmResult(
         values=values,
         timings=engine.timing_report(),
-        iterations=iterations_run,
+        iterations=s.iterations_run,
         counters=engine.counters.summary(),
         extra={
             "damping": damping,
-            "iterations": [int(i) for i in lane_iters],
+            "iterations": [int(i) for i in s.lane_iters],
             "seeds": [int(s) for s in seeds],
         },
     )

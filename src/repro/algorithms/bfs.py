@@ -25,6 +25,8 @@ host work follows the frontier and the exchanged queues.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from ..core.engine import Engine
@@ -58,9 +60,9 @@ def bfs(
     ``-1`` marks unreachable vertices) plus levels in ``extra``.
     ``hybrid=False`` forces pure top-down (for ablations).
     ``resume=True`` continues from the engine's latest attached
-    checkpoint instead of starting over (falling back to a fresh run
-    when there is none); recovery drivers and result certification
-    wrap this call from outside — see ``docs/ROBUSTNESS.md``.
+    checkpoint instead of starting over (``NoCheckpointError`` when
+    there is none); recovery drivers and result certification wrap
+    this call from outside — see ``docs/ROBUSTNESS.md``.
     """
     part, grid, fleet = engine.partition, engine.grid, engine.fleet
     n = part.n_vertices
@@ -74,8 +76,10 @@ def bfs(
     first = np.zeros(fleet.n_ranks, dtype=bool)
     first[[ranks[0] for _, ranks in engine.row_groups()]] = True
 
-    st = engine.resume_from_checkpoint("bfs") if resume else None
-    if st is None:
+    if resume:
+        s = SimpleNamespace(**engine.resume_from_checkpoint("bfs"))
+        s.frontier = fleet.decode_queue(s.frontier)
+    else:
         engine.reset_timers()
         compute_global_degrees(engine)
         engine.alloc("parent", np.float64, fill=INF)
@@ -94,62 +98,43 @@ def bfs(
         seeds = np.concatenate([row_seeds, root_rel - fleet.col_gid_shift[in_cols]])
         fleet.stacked("parent")[seeds] = root
         fleet.stacked("level")[seeds] = 0.0
-        frontier: list[np.ndarray] = fleet.split(row_seeds)
         root_deg = float(deg[row_seeds[0]])
+        s = SimpleNamespace(
+            frontier=fleet.split(row_seeds),
+            n_visited=1,
+            m_frontier=root_deg,
+            m_frontier_prev=0.0,
+            m_unvisited=m_total - root_deg,
+            depth=0,
+            bottom_up=False,
+            done=False,
+            direction_log=[],
+        )
 
-        n_visited = 1
-        m_frontier = root_deg
-        m_frontier_prev = 0.0
-        m_unvisited = m_total - root_deg
-        depth = 0
-        bottom_up = False
-        done = False
-        direction_log: list[str] = []
-    else:
-        frontier = st["frontier"]
-        n_visited = st["n_visited"]
-        m_frontier = st["m_frontier"]
-        m_frontier_prev = st["m_frontier_prev"]
-        m_unvisited = st["m_unvisited"]
-        depth = st["depth"]
-        bottom_up = st["bottom_up"]
-        done = st["done"]
-        direction_log = st["direction_log"]
-
-    def _loop_state():
-        return {
-            "frontier": frontier,
-            "n_visited": n_visited,
-            "m_frontier": m_frontier,
-            "m_frontier_prev": m_frontier_prev,
-            "m_unvisited": m_unvisited,
-            "depth": depth,
-            "bottom_up": bottom_up,
-            "done": done,
-            "direction_log": direction_log,
-        }
+    def saved():
+        return {**vars(s), "frontier": fleet.encode_queue(s.frontier)}
 
     # Invariant at every superstep boundary: ``parent == inf`` exactly
     # where ``level == inf``.  Each superstep stamps the level of every
     # cell it gave a parent, so "unvisited" is one read of ``level``.
-    rows, counts = fleet.stack(frontier)
-    while not done:
-        depth += 1
+    rows, counts = fleet.stack(s.frontier)
+    while not s.done:
+        s.depth += 1
         if hybrid:
-            growing = m_frontier > m_frontier_prev
-            if not bottom_up and growing and m_frontier > m_unvisited / alpha:
+            growing = s.m_frontier > s.m_frontier_prev
+            if not s.bottom_up and growing and s.m_frontier > s.m_unvisited / alpha:
                 # Beamer: switch down only while the frontier grows.
-                bottom_up = True
-            elif bottom_up and (
-                n_visited >= n or counts[first].sum() < n / beta
+                s.bottom_up = True
+            elif s.bottom_up and (
+                s.n_visited >= n or counts[first].sum() < n / beta
             ):
-                bottom_up = False
-        direction_log.append("bottom-up" if bottom_up else "top-down")
+                s.bottom_up = False
+        s.direction_log.append("bottom-up" if s.bottom_up else "top-down")
 
         parent = fleet.stacked("parent")
         level = fleet.stacked("level")
         flags_handle = None
-        if not bottom_up:
+        if not s.bottom_up:
             # Top-down: expand the frontier, claim unvisited ghosts —
             # every rank's frontier in one stacked pass.
             degrees = fleet.row_degrees(rows)
@@ -192,7 +177,7 @@ def bfs(
             degrees = fleet.row_degrees(open_rows)
             engine.charge_edges(None, degrees, segments=fleet.counts(open_rows))
             for ranks, src, dst in fleet.expand(open_rows, degrees):
-                in_frontier = level[dst] == depth - 1
+                in_frontier = level[dst] == s.depth - 1
                 src, dst, ranks = src[in_frontier], dst[in_frontier], ranks[in_frontier]
                 cand_parent = part.original_gid(
                     dst + fleet.col_gid_shift[ranks]
@@ -220,27 +205,27 @@ def bfs(
         if n_updated == 0:
             if flags_handle is not None:
                 engine.comm.wait(flags_handle)
-            done = True
-            engine.superstep_boundary("bfs", _loop_state())
+            s.done = True
+            engine.superstep_boundary("bfs", saved)
             break
 
         # Record levels of freshly visited vertices and build the next
         # frontier (newly visited owned vertices, consistent per group).
-        level[fresh] = depth
+        level[fresh] = s.depth
         engine.charge_vertices(None, fleet.n_total)
         if result is not None:
-            frontier = result.active_row
-            rows, counts = fleet.stack(frontier)
+            s.frontier = result.active_row
+            rows, counts = fleet.stack(s.frontier)
         else:
-            frontier = fleet.split(rows)
+            s.frontier = fleet.split(rows)
         if flags_handle is not None:
             engine.comm.wait(flags_handle)
-        m_frontier_prev = m_frontier
-        m_frontier = float(fleet.stacked("deg")[rows[np.repeat(first, counts)]].sum())
-        n_visited += n_updated
-        m_unvisited -= m_frontier
-        done = n_visited >= n
-        engine.superstep_boundary("bfs", _loop_state())
+        s.m_frontier_prev = s.m_frontier
+        s.m_frontier = float(fleet.stacked("deg")[rows[np.repeat(first, counts)]].sum())
+        s.n_visited += n_updated
+        s.m_unvisited -= s.m_frontier
+        s.done = s.n_visited >= n
+        engine.superstep_boundary("bfs", saved)
 
     parent_state = engine.gather("parent")
     levels = engine.gather("level")
@@ -251,12 +236,12 @@ def bfs(
     return AlgorithmResult(
         values=parents,
         timings=engine.timing_report(),
-        iterations=depth,
+        iterations=s.depth,
         counters=engine.counters.summary(),
         extra={
             "levels": out_levels,
-            "n_visited": int(n_visited),
-            "directions": direction_log,
+            "n_visited": int(s.n_visited),
+            "directions": s.direction_log,
         },
     )
 

@@ -72,8 +72,8 @@ def connected_components(
         Safety bound; ``None`` runs to convergence (paper setting).
     resume:
         Continue from the engine's latest attached checkpoint instead
-        of starting over (falls back to a fresh run when there is
-        none); see ``docs/ROBUSTNESS.md``.
+        of starting over (``NoCheckpointError`` when there is none);
+        see ``docs/ROBUSTNESS.md``.
 
     Returns, in original vertex order, each vertex's component label:
     the component's minimum original id.

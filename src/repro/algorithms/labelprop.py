@@ -24,6 +24,8 @@ with the serial reference exactly.  Active-vertex queues (paper
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from ..core.engine import Engine
@@ -52,42 +54,38 @@ def label_propagation(
     """
     all_rows = [ctx.row_lids() for ctx in engine]
 
-    st = engine.resume_from_checkpoint("lp") if resume else None
-    if st is None:
+    if resume:
+        s = SimpleNamespace(**engine.resume_from_checkpoint("lp"))
+        s.active = engine.fleet.decode_queue(s.active)
+    else:
         engine.reset_timers()
         init_vertex_state(engine, _STATE, lambda gids: gids)
-        active = list(all_rows)
-        iterations_run = 0
-        done = False
-    else:
-        active = st["active"]
-        iterations_run = st["iterations_run"]
-        done = st["done"]
+        s = SimpleNamespace(active=list(all_rows), iterations_run=0, done=False)
 
-    while iterations_run < iterations and not done:
-        iterations_run += 1
+    def saved():
+        return {**vars(s), "active": engine.fleet.encode_queue(s.active)}
+
+    while s.iterations_run < iterations and not s.done:
+        s.iterations_run += 1
         # Histograms over owned edges -> owners select each vertex's
         # mode -> winners assigned, ghosts refreshed.
         histograms = neighbor_histograms(
-            engine, _STATE, active if use_queue else all_rows
+            engine, _STATE, s.active if use_queue else all_rows
         )
         changed_rows, n_changed = complex_reduce(
             engine, _STATE, histograms, select_mode
         )
         # Next active queue = neighbors of changes.
         if use_queue:
-            active = propagate_active_pull(engine, changed_rows)
-        done = n_changed == 0
-        engine.superstep_boundary(
-            "lp",
-            {"active": active, "iterations_run": iterations_run, "done": done},
-        )
+            s.active = propagate_active_pull(engine, changed_rows)
+        s.done = n_changed == 0
+        engine.superstep_boundary("lp", saved)
 
     values = engine.gather(_STATE).astype(np.int64)
     return AlgorithmResult(
         values=values,
         timings=engine.timing_report(),
-        iterations=iterations_run,
+        iterations=s.iterations_run,
         counters=engine.counters.summary(),
         extra={"n_communities": int(np.unique(values).size)},
     )

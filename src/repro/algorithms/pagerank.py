@@ -24,6 +24,7 @@ degree is the sum of local degrees across the row group).
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -84,8 +85,8 @@ def pagerank(
         remains the hard bound.
     resume:
         Continue from the engine's latest attached checkpoint instead
-        of starting over (falls back to a fresh run when there is
-        none); see ``docs/ROBUSTNESS.md``.
+        of starting over (``NoCheckpointError`` when there is none);
+        see ``docs/ROBUSTNESS.md``.
 
     Returns the PageRank vector in original vertex order; it matches
     the serial reference to floating-point roundoff.  PageRank's
@@ -105,8 +106,9 @@ def pagerank(
         if personalization.min() < 0 or personalization.sum() <= 0:
             raise ValueError("personalization must be non-negative and non-zero")
 
-    st = engine.resume_from_checkpoint("pagerank") if resume else None
-    if st is None:
+    if resume:
+        s = SimpleNamespace(**engine.resume_from_checkpoint("pagerank"))
+    else:
         engine.reset_timers()
         if personalization is not None:
             teleport_global = personalization / personalization.sum()
@@ -114,11 +116,7 @@ def pagerank(
         compute_global_degrees(engine, weighted=weighted)
         engine.alloc("pr", np.float64, fill=1.0 / n)
         engine.alloc("acc", np.float64)
-        iterations_run = 0
-        done = False
-    else:
-        iterations_run = st["iterations_run"]
-        done = st["done"]
+        s = SimpleNamespace(iterations_run=0, done=False)
 
     # The gather, the damping update and both charges are single passes
     # over the rank-stacked state (repro.core.fleet); only the dangling
@@ -134,8 +132,8 @@ def pagerank(
     x, new = np.empty(fleet.size), np.empty(fleet.size)
     if personalization is not None:
         teleport_share = (1.0 - damping) * fleet.stacked("tele")
-    while iterations_run < iterations and not done:
-        iterations_run += 1
+    while s.iterations_run < iterations and not s.done:
+        s.iterations_run += 1
         pr = fleet.stacked("pr")
         acc = fleet.stacked("acc")
 
@@ -198,15 +196,13 @@ def pagerank(
         if tol is not None:
             flags = [np.array([max_delta]) for _ in all_ranks]
             engine.comm.allreduce(all_ranks, flags, op="max")
-            done = max_delta < tol
-        engine.superstep_boundary(
-            "pagerank", {"iterations_run": iterations_run, "done": done}
-        )
+            s.done = max_delta < tol
+        engine.superstep_boundary("pagerank", lambda: vars(s))
 
     return AlgorithmResult(
         values=engine.gather("pr"),
         timings=engine.timing_report(),
-        iterations=iterations_run,
+        iterations=s.iterations_run,
         counters=engine.counters.summary(),
         extra={"damping": damping},
     )

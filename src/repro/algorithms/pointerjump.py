@@ -18,6 +18,8 @@ sends a query packet to the home rank of ``p[v]``, which replies with
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from ..core.engine import Engine
@@ -42,38 +44,15 @@ def _home_ranks(engine: Engine, gids: np.ndarray) -> np.ndarray:
     return id_r * grid.R + id_c
 
 
-def pointer_jumping(
-    engine: Engine,
-    max_iterations: int | None = None,
-    resume: bool = False,
-) -> AlgorithmResult:
-    """Find the forest root of every vertex.
+def _initial_forest(engine: Engine) -> np.ndarray:
+    """Every vertex's initial parent, as original ids: its minimum
+    original-id neighbor if smaller than itself, else itself.
 
-    Returns roots in original vertex order, equal to serially chasing
-    :func:`repro.reference.serial.initial_parents` on the input graph.
-    ``resume=True`` continues from the engine's latest attached
-    checkpoint (see ``docs/ROBUSTNESS.md``).
+    Per-rank local minima of neighbor *original* ids, merged along row
+    groups with the generic sparse machinery (a plain MIN reduction).
     """
     part, grid = engine.partition, engine.grid
-    n = part.n_vertices
-    all_ranks = list(range(grid.n_ranks))
 
-    st = engine.resume_from_checkpoint("pj") if resume else None
-    if st is not None:
-        return _pointer_jumping_loop(
-            engine,
-            max_iterations,
-            home_gids=st["home_gids"],
-            home_parent=st["home_parent"],
-            converged=st["converged"],
-            iterations=st["iterations"],
-            done=st["done"],
-        )
-    engine.reset_timers()
-
-    # ---- build the initial forest (min-neighbor rule, by orig id) ----
-    # Per-rank local minima of neighbor *original* ids, merged along row
-    # groups with the generic sparse machinery (a plain MIN reduction).
     def local_minima(ctx):
         lm = ctx.localmap
         rows = ctx.row_lids()
@@ -91,9 +70,8 @@ def pointer_jumping(
         return buf
 
     cand = engine.map_ranks(local_minima)
-
-    # Home-rank authoritative parent stores (relabeled GIDs).
-    group_data: list[tuple[np.ndarray, np.ndarray, int] | None] = [None] * grid.n_ranks
+    parent = np.empty(part.n_vertices, dtype=np.int64)
+    n_received = np.zeros(grid.n_ranks, dtype=np.int64)
     rbuf_of = allgatherv_by_rank(engine, engine.row_groups(), cand)
     for id_r, ranks in engine.row_groups():
         rbuf = rbuf_of[ranks[0]]
@@ -101,25 +79,78 @@ def pointer_jumping(
         best = np.full(re - rs, np.iinfo(np.int64).max, dtype=np.int64)
         if rbuf.size:
             scatter_reduce(best, rbuf["gid"] - rs, rbuf["val"].astype(np.int64), "min")
-        gids = np.arange(rs, re, dtype=np.int64)
-        orig = part.original_gid(gids)
-        parent_orig = np.where(best < orig, best, orig)
-        parent_rel = part.perm[parent_orig]
-        for r in ranks:
-            group_data[r] = (gids, parent_rel, int(rbuf.size))
+        orig = part.original_gid(np.arange(rs, re, dtype=np.int64))
+        parent[orig] = np.where(best < orig, best, orig)
+        n_received[ranks] = rbuf.size
+    engine.charge_vertices(None, n_received)
+    return parent
 
-    home_parent: dict[int, np.ndarray] = {}
+
+def _home_tables(part, parent: np.ndarray, converged: np.ndarray):
+    """Each rank's home slice — the relabeled GIDs it owns in both its
+    row and its column range — with their parents (relabeled GIDs) and
+    converged flags, from original-order ``parent`` (original ids) and
+    ``converged``."""
     home_gids: dict[int, np.ndarray] = {}
+    home_parent: dict[int, np.ndarray] = {}
+    home_converged: dict[int, np.ndarray] = {}
+    for blk in part.blocks:
+        lm = blk.localmap
+        lo, hi = max(lm.row_start, lm.col_start), min(lm.row_stop, lm.col_stop)
+        gids = np.arange(lo, max(lo, hi), dtype=np.int64)
+        orig = part.original_gid(gids)
+        home_gids[blk.rank] = gids
+        home_parent[blk.rank] = part.perm[parent[orig]]
+        home_converged[blk.rank] = converged[orig]
+    return home_gids, home_parent, home_converged
 
-    def claim_home_slice(ctx):
-        gids, parent_rel, nbuf = group_data[ctx.rank]
-        mine = ctx.localmap.owns_col_gid(gids)
-        engine.charge_vertices(ctx.rank, nbuf)
-        return gids[mine], parent_rel[mine]
 
-    for r, (hg, hp) in enumerate(engine.map_ranks(claim_home_slice)):
-        home_gids[r] = hg
-        home_parent[r] = hp
+def _pointers(part, home_gids, home_parent, converged) -> dict:
+    """The home tables as original-order vectors (the inverse of
+    :func:`_home_tables`): what a checkpoint keeps."""
+    parent = np.empty(part.n_vertices, dtype=np.int64)
+    conv = np.zeros(part.n_vertices, dtype=bool)
+    for rank, gids in home_gids.items():
+        orig = part.original_gid(gids)
+        parent[orig] = part.original_gid(home_parent[rank])
+        conv[orig] = converged[rank]
+    return {"parent": parent, "converged": conv}
+
+
+def pointer_jumping(
+    engine: Engine,
+    max_iterations: int | None = None,
+    resume: bool = False,
+) -> AlgorithmResult:
+    """Find the forest root of every vertex.
+
+    Returns roots in original vertex order, equal to serially chasing
+    :func:`repro.reference.serial.initial_parents` on the input graph.
+    ``resume=True`` continues from the engine's latest attached
+    checkpoint (see ``docs/ROBUSTNESS.md``).
+    """
+    part, grid = engine.partition, engine.grid
+    all_ranks = list(range(grid.n_ranks))
+
+    if resume:
+        st = engine.resume_from_checkpoint("pj")
+    else:
+        engine.reset_timers()
+        parent = _initial_forest(engine)
+        st = {
+            "parent": parent,
+            "converged": parent == np.arange(part.n_vertices),
+            "iterations": 0,
+            "done": False,
+        }
+    # Home-rank authoritative parent stores (relabeled GIDs).
+    home_gids, home_parent, converged = _home_tables(
+        part, st.pop("parent"), st.pop("converged")
+    )
+    s = SimpleNamespace(**st)
+
+    def saved():
+        return {**vars(s), **_pointers(part, home_gids, home_parent, converged)}
 
     # ---- jump until every pointer reaches a root ----------------------
     # Hot targets (roots accumulate pointers geometrically) would make
@@ -129,35 +160,8 @@ def pointer_jumping(
     # target, destination}, matching the paper's owner/state/direction
     # packet layout.  A vertex whose parent answers for itself is at a
     # root and stops participating.
-    converged: dict[int, np.ndarray] = {
-        r: home_gids[r] == home_parent[r] for r in all_ranks
-    }
-    return _pointer_jumping_loop(
-        engine,
-        max_iterations,
-        home_gids=home_gids,
-        home_parent=home_parent,
-        converged=converged,
-        iterations=0,
-        done=False,
-    )
-
-
-def _pointer_jumping_loop(
-    engine: Engine,
-    max_iterations: int | None,
-    home_gids: dict[int, np.ndarray],
-    home_parent: dict[int, np.ndarray],
-    converged: dict[int, np.ndarray],
-    iterations: int,
-    done: bool,
-) -> AlgorithmResult:
-    """The jump loop plus final gather, entered fresh or from a resumed
-    checkpoint (the home-slice dicts are the loop state)."""
-    part, grid = engine.partition, engine.grid
-    all_ranks = list(range(grid.n_ranks))
-    while not done:
-        iterations += 1
+    while not s.done:
+        s.iterations += 1
         def build_queries(ctx):
             r = ctx.rank
             pending = ~converged[r]
@@ -216,19 +220,10 @@ def _pointer_jumping_loop(
         # Global convergence check (one-word AllReduce).
         flags = [np.array([float(n_changed)]) for _ in all_ranks]
         engine.comm.allreduce(all_ranks, flags, op="max")
-        done = n_changed == 0 or (
-            max_iterations is not None and iterations >= max_iterations
+        s.done = n_changed == 0 or (
+            max_iterations is not None and s.iterations >= max_iterations
         )
-        engine.superstep_boundary(
-            "pj",
-            {
-                "home_gids": home_gids,
-                "home_parent": home_parent,
-                "converged": converged,
-                "iterations": iterations,
-                "done": done,
-            },
-        )
+        engine.superstep_boundary("pj", saved)
 
     # ---- sync authoritative slices across row groups, then gather ----
     engine.alloc("pj", np.float64, fill=-1.0)
@@ -256,7 +251,7 @@ def _pointer_jumping_loop(
     return AlgorithmResult(
         values=values,
         timings=engine.timing_report(),
-        iterations=iterations,
+        iterations=s.iterations,
         counters=engine.counters.summary(),
         extra={"n_roots": int(np.unique(values).size)},
     )

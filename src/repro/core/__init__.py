@@ -1,7 +1,7 @@
 """Engine, per-rank contexts, and result containers."""
 
 from .context import RankContext
-from .engine import Engine
+from .engine import Engine, NoCheckpointError
 from .program import VertexProgram, run_vertex_program
 from .result import AlgorithmResult, TimingReport
 from .trace import IterationTrace, TraceRecorder
@@ -9,6 +9,7 @@ from .trace import IterationTrace, TraceRecorder
 __all__ = [
     "RankContext",
     "Engine",
+    "NoCheckpointError",
     "VertexProgram",
     "run_vertex_program",
     "AlgorithmResult",

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import copy
 import os
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -44,10 +44,14 @@ from .fleet import Fleet
 from .hooks import BOUNDARY_PHASES, Boundary, BoundaryHook
 from .result import TimingReport
 
-__all__ = ["Engine", "OVERLAP_ENV_VAR"]
+__all__ = ["Engine", "NoCheckpointError", "OVERLAP_ENV_VAR"]
 
 #: Environment variable consulted when ``Engine(overlap=None)``.
 OVERLAP_ENV_VAR = "REPRO_OVERLAP"
+
+
+class NoCheckpointError(LookupError):
+    """``resume=True`` with no checkpoint to resume from."""
 
 
 class Engine:
@@ -576,7 +580,7 @@ class Engine:
         new._regrid_events = self._regrid_events
         return new
 
-    def superstep_boundary(self, algo: str = "", state: Optional[dict] = None):
+    def superstep_boundary(self, algo: str = "", state: Optional[Callable] = None):
         """Mark the end of a BSP superstep.
 
         This is the robustness-aware replacement for calling
@@ -584,9 +588,11 @@ class Engine:
         iteration mark (returning the phase-time delta, as before) and
         then fires every attached boundary hook, phase by phase in
         :data:`~repro.core.hooks.BOUNDARY_PHASES` order — see there for
-        what the order guarantees.  ``state`` is the algorithm's loop
-        state for the checkpoint (``None``: nothing to save).
-        Algorithms call this exactly once per superstep.
+        what the order guarantees.  ``state`` returns the algorithm's
+        loop state for the checkpoint, grid-independent (scalars, lane
+        vectors, vertex sets by original id); it is called only when a
+        checkpoint is saved (``None``: nothing to save).  Algorithms
+        call this exactly once per superstep.
         """
         delta = self.clocks.mark_iteration()
         if self._pipeline:
@@ -621,18 +627,19 @@ class Engine:
         for hook in self._hooks.values():
             hook.on_restore(self, ckpt)
 
-    def resume_from_checkpoint(self, algo: str) -> Optional[dict]:
+    def resume_from_checkpoint(self, algo: str) -> dict:
         """Restore from the attached manager's latest checkpoint.
 
         Returns a fresh copy of the algorithm loop state saved with the
-        checkpoint, or ``None`` when there is nothing to resume from
-        (no manager attached, or no checkpoint saved yet).  Refuses to
-        resume a different algorithm's checkpoint.
+        checkpoint.  Raises :class:`NoCheckpointError` when there is
+        nothing to resume from (no manager attached, or no checkpoint
+        saved yet) and ``ValueError`` for a checkpoint tagged with
+        another algorithm (a batch's tag names its sources).
         """
         mgr = self.checkpoints
         ckpt = mgr.latest() if mgr is not None else None
         if ckpt is None:
-            return None
+            raise NoCheckpointError(f"no checkpoint to resume {algo!r} from")
         if ckpt.algo != algo:
             raise ValueError(
                 f"latest checkpoint belongs to {ckpt.algo!r}, "

@@ -189,6 +189,47 @@ class Fleet:
         cuts = cuts.tolist()
         return [local[cuts[r] : cuts[r + 1]] for r in range(self.n_ranks)]
 
+    def encode_queue(self, queue: Sequence):
+        """A per-rank queue of row LIDs — ``lids`` or ``(lids, lanes)``
+        per rank, the same cells on every rank of a row group — with
+        the grid taken out, as a checkpoint keeps it: the original ids
+        of the row-group leaders' entries in queue order (and their
+        lanes).  :meth:`decode_queue` is the inverse."""
+        grid = self.partition.grid
+        leaders = [grid.row_group_ranks(i)[0] for i in range(grid.C)]
+        laned = isinstance(queue[0], tuple)
+        lids = [queue[r][0] if laned else queue[r] for r in leaders]
+        shift = (self.base[:-1] + self.row_gid_shift)[leaders]
+        gids = np.concatenate(lids) + np.repeat(shift, [len(q) for q in lids])
+        orig = self.partition.original_gid(gids)
+        return (orig, np.concatenate([queue[r][1] for r in leaders])) if laned else orig
+
+    def decode_queue(self, saved) -> list:
+        """An :meth:`encode_queue` result as a per-rank queue on this
+        fleet's partition: each rank gets exactly the saved cells of its
+        row window, each lane's LIDs ascending (as every queue keeps
+        them) and the lanes interleaved as saved — on the saving
+        layout, the saved queue entry for entry."""
+        laned = isinstance(saved, tuple)
+        orig, lanes = saved if laned else (saved, np.zeros(len(saved), np.int64))
+        part = self.partition
+        gids = part.perm[orig].astype(np.int64)
+        group = np.searchsorted(part.row_offsets, gids, side="right") - 1
+        # a group's slots keep their saved lanes, and a lane's slots
+        # take that lane's cells in ascending order
+        by_group = np.argsort(group, kind="stable")
+        slot_group, pattern = group[by_group], lanes[by_group]
+        cells = np.empty_like(gids)
+        cells[np.lexsort((pattern, slot_group))] = gids[np.lexsort((gids, lanes, group))]
+        cuts = np.searchsorted(slot_group, np.arange(part.row_offsets.size)).tolist()
+        shift = (self.base[:-1] + self.row_gid_shift).tolist()
+        out = []
+        for r in range(self.n_ranks):
+            g = part.grid.coords(r)[0]
+            lids = cells[cuts[g] : cuts[g + 1]] - shift[r]
+            out.append((lids, pattern[cuts[g] : cuts[g + 1]]) if laned else lids)
+        return out
+
     @property
     def row_mask(self) -> np.ndarray:
         """Boolean over stacked LIDs: is it in its rank's row window?"""

@@ -13,7 +13,7 @@ were attached in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 __all__ = ["BOUNDARY_PHASES", "Boundary", "BoundaryHook"]
 
@@ -37,10 +37,12 @@ class Boundary:
 
     #: 1-based superstep that just ended.
     superstep: int
-    #: The algorithm's checkpoint tag and loop state (``None`` when the
-    #: algorithm is not resume-capable: nothing to checkpoint).
+    #: The algorithm's checkpoint tag, and a zero-argument callable
+    #: returning its grid-independent loop state, called only by a
+    #: checkpoint that saves (``None`` when the algorithm is not
+    #: resume-capable: nothing to checkpoint).
     algo: str
-    state: Optional[dict]
+    state: Optional[Callable[[], dict]]
     #: Spare ranks delivered by this boundary's ``arrivals`` phase, for
     #: the ``decide`` phase to act on.
     spares_arrived: int = 0

@@ -30,6 +30,7 @@ those three fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
@@ -147,11 +148,14 @@ def run_vertex_program(
     all_ranks = list(range(grid.n_ranks))
     all_rows = [ctx.row_lids() for ctx in engine]
 
-    st = engine.resume_from_checkpoint(algo_tag) if resume else None
-    if st is None:
+    policy = SwitchPolicy(part.n_vertices, grid, mode=program.mode)
+    if resume:
+        s = SimpleNamespace(**engine.resume_from_checkpoint(algo_tag))
+        s.active = engine.fleet.decode_queue(s.active)
+        policy.use_sparse = vars(s).pop("use_sparse")
+    else:
         engine.reset_timers()
         init_vertex_state(engine, name, program.init)
-        policy = SwitchPolicy(part.n_vertices, grid, mode=program.mode)
         # A vertex still at the op's identity has nothing to send, so a
         # push starts from the others (every vertex for CC, the root
         # for SSSP); a pull cannot know yet whose neighbors hold a
@@ -160,17 +164,15 @@ def run_vertex_program(
             rows[ctx.get(name)[rows] != _IDENTITY[op]] if push else rows
             for ctx, rows in zip(engine, all_rows)
         ]
-        iteration = 0
-        done = False
-    else:
-        policy = st["policy"]
-        active = st["active"]
-        iteration = st["iteration"]
-        done = st["done"]
+        s = SimpleNamespace(active=active, iteration=0, done=False)
 
-    while not done:
-        iteration += 1
-        rows_per_rank = active if program.use_queue else all_rows
+    def saved():
+        active = engine.fleet.encode_queue(s.active)
+        return {**vars(s), "active": active, "use_sparse": policy.use_sparse}
+
+    while not s.done:
+        s.iteration += 1
+        rows_per_rank = s.active if program.use_queue else all_rows
         sparse_now = policy.use_sparse
         if not sparse_now:
             # Snapshot consistent row state before compute so the
@@ -232,29 +234,21 @@ def run_vertex_program(
                 for ctx in engine
             ]
         if program.use_queue:
-            active = updated if push else propagate_active_pull(engine, updated)
+            s.active = updated if push else propagate_active_pull(engine, updated)
         if flags_handle is not None:
             engine.comm.wait(flags_handle)
 
         policy.observe(n_updated)
-        done = n_updated == 0 or (
+        s.done = n_updated == 0 or (
             program.max_iterations is not None
-            and iteration >= program.max_iterations
+            and s.iteration >= program.max_iterations
         )
-        engine.superstep_boundary(
-            algo_tag,
-            {
-                "policy": policy,
-                "active": active,
-                "iteration": iteration,
-                "done": done,
-            },
-        )
+        engine.superstep_boundary(algo_tag, saved)
 
     return AlgorithmResult(
         values=engine.gather(name),
         timings=engine.timing_report(),
-        iterations=iteration,
+        iterations=s.iteration,
         counters=engine.counters.summary(),
         extra={"program": name},
     )

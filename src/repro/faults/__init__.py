@@ -37,7 +37,6 @@ each superstep boundary in the declared phase order.
 
 from .checkpoint import Checkpoint, CheckpointManager
 from .elastic import (
-    CheckpointLayout,
     ElasticRecovery,
     ElasticUnrecoverable,
     GridPolicy,
@@ -75,7 +74,6 @@ from .scenarios import CAMPAIGNS, CaseResult, run_campaign, run_case
 __all__ = [
     "Checkpoint",
     "CheckpointManager",
-    "CheckpointLayout",
     "Recovery",
     "ElasticRecovery",
     "ElasticUnrecoverable",

@@ -9,9 +9,10 @@ A checkpoint captures everything a resumed run needs to be
 * the full :class:`~repro.comm.clocks.VirtualClocks` state including
   iteration marks and counter snapshots (so per-iteration traces
   reconstruct exactly across the crash), and
-* the algorithm's loop state (frontier flags, iteration counters,
-  switch-policy state, ...), supplied by the algorithm at each
-  ``Engine.superstep_boundary`` call.
+* the algorithm's loop state — scalars, lane vectors, vertex sets by
+  original id — from the callable it hands each
+  ``Engine.superstep_boundary``, called only when a checkpoint saves;
+  it never depends on the grid, so every resume decodes it alike.
 
 Checkpoints live in memory: ``CheckpointManager.latest()`` feeds every
 recovery driver.  If persistence is wanted later, it is an exporter
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -45,6 +46,8 @@ class Checkpoint:
     under — elastic recovery migrates a checkpoint onto a different
     surviving grid using *the checkpoint's own* layout, which may
     differ from the engine's current one after a previous regrid.
+    ``algo_state`` needs no layout: it is grid-independent and crosses
+    a regrid as it is.
     """
 
     superstep: int
@@ -128,7 +131,7 @@ class CheckpointManager(BoundaryHook):
         return superstep % self.interval == 0
 
     def maybe_save(
-        self, engine, superstep: int, algo: str, state: dict[str, Any]
+        self, engine, superstep: int, algo: str, state: Callable[[], dict]
     ) -> Optional[Checkpoint]:
         """Save if ``superstep`` falls on the configured interval."""
         if not self.due(superstep):
@@ -136,9 +139,10 @@ class CheckpointManager(BoundaryHook):
         return self.save(engine, superstep, algo, state)
 
     def save(
-        self, engine, superstep: int, algo: str, state: dict[str, Any]
+        self, engine, superstep: int, algo: str, state: Callable[[], dict]
     ) -> Checkpoint:
-        """Snapshot the engine at ``superstep`` (unconditionally)."""
+        """Snapshot the engine at ``superstep`` (unconditionally);
+        ``state()`` is the algorithm's loop state."""
         states = [
             {name: arr.copy() for name, arr in ctx.arrays.items()}
             for ctx in engine.contexts
@@ -160,8 +164,8 @@ class CheckpointManager(BoundaryHook):
             counters=engine.counters.state_dict(),
             clocks=engine.clocks.state_dict(),
             # deepcopy so later loop mutation can't reach into history;
-            # loop state is small (flags, counters, policy objects)
-            algo_state=copy.deepcopy(state),
+            # loop state is small (scalars, lane vectors, vertex sets)
+            algo_state=copy.deepcopy(state()),
             grid=(engine.grid.R, engine.grid.C),
             perm=part.perm.copy(),
             localmaps=[blk.localmap for blk in part.blocks],

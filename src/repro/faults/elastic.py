@@ -18,10 +18,10 @@ ranks**.  This module implements that path:
    counters, clocks, the fault injector, and the checkpoint manager
    onto the new grid;
 4. the global vectors are re-scattered, the algorithm loop state is
-   translated between the two GID relabelings (a bijection — covered
-   by a Hypothesis round-trip property test), and the run resumes
-   from the checkpointed superstep via the ordinary ``resume=True``
-   path.
+   copied as it is (it never names a rank, LID or relabeled GID:
+   vertex sets are saved by original id and decoded onto whatever grid
+   resumes them), and the run resumes from the checkpointed superstep
+   via the ordinary ``resume=True`` path.
 
 The migration is charged to a dedicated ``regrid`` clock lane
 (:meth:`VirtualClocks.charge_regrid`): one checkpoint-sized AllGatherv
@@ -59,7 +59,6 @@ __all__ = [
     "ElasticUnrecoverable",
     "Recovery",
     "ElasticRecovery",
-    "CheckpointLayout",
     "gather_checkpoint_state",
     "migrate_checkpoint",
     "drive_elastic",
@@ -151,30 +150,8 @@ class ElasticUnrecoverable(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# checkpoint layout and state migration
+# state migration
 # ----------------------------------------------------------------------
-class CheckpointLayout:
-    """The 2D layout a checkpoint's states were captured under.
-
-    A thin read-only view over the checkpoint's recorded grid,
-    permutation, and per-rank local maps — deliberately independent of
-    any live engine, because after a previous regrid the engine's
-    layout no longer matches an older checkpoint's.
-    """
-
-    def __init__(self, ckpt: Checkpoint):
-        self.grid = Grid2D(R=ckpt.grid[0], C=ckpt.grid[1])
-        self.perm = np.asarray(ckpt.perm)
-        self.localmaps = list(ckpt.localmaps)
-        self.n_vertices = int(self.perm.shape[0])
-        inv = np.empty(self.n_vertices, dtype=np.int64)
-        inv[self.perm] = np.arange(self.n_vertices, dtype=np.int64)
-        self._inv_perm = inv
-
-    def original_gid(self, relabeled) -> np.ndarray:
-        return self._inv_perm[np.asarray(relabeled)]
-
-
 def gather_checkpoint_state(ckpt: Checkpoint) -> dict[str, np.ndarray]:
     """Reconstruct every named state as a global original-order vector.
 
@@ -184,132 +161,18 @@ def gather_checkpoint_state(ckpt: Checkpoint) -> dict[str, np.ndarray]:
     groups are consistent at a superstep boundary) and undo the GID
     relabeling via the recorded permutation.
     """
-    layout = CheckpointLayout(ckpt)
-    names = sorted({name for per_rank in ckpt.states for name in per_rank})
+    grid = Grid2D(R=ckpt.grid[0], C=ckpt.grid[1])
     out: dict[str, np.ndarray] = {}
-    for name in names:
-        rel: Optional[np.ndarray] = None
-        for id_r in range(layout.grid.C):
-            rank = layout.grid.rank_of(id_r, 0)
-            lm = layout.localmaps[rank]
-            arr = ckpt.states[rank].get(name)
-            if arr is None:
-                raise ValueError(
-                    f"state {name!r} missing on rank {rank} of the "
-                    f"checkpoint; cannot gather a partial state"
-                )
-            if arr.shape[0] != lm.n_total:
-                raise ValueError(
-                    f"state {name!r} on rank {rank} has length "
-                    f"{arr.shape[0]}, expected the layout's N_T="
-                    f"{lm.n_total}; only per-vertex states migrate"
-                )
-            if rel is None:
-                # Trailing dims (e.g. batched k-lane states of shape
-                # (n, k)) ride along: the permutation indexes rows.
-                rel = np.zeros(
-                    (layout.n_vertices,) + arr.shape[1:], dtype=arr.dtype
-                )
-            rel[lm.row_start : lm.row_stop] = arr[lm.row_slice]
-        assert rel is not None
-        out[name] = rel[layout.perm]
-    return out
-
-
-def _queue_to_global_mask(
-    queues: list[np.ndarray], layout: CheckpointLayout
-) -> np.ndarray:
-    """Per-rank row-LID queues -> original-order membership mask."""
-    mask = np.zeros(layout.n_vertices, dtype=bool)
-    for rank, lids in enumerate(queues):
-        lids = np.asarray(lids, dtype=np.int64)
-        if lids.size == 0:
-            continue
-        lm = layout.localmaps[rank]
-        rel = lids - lm.row_offset + lm.row_start
-        mask[layout.original_gid(rel)] = True
-    return mask
-
-
-def _global_mask_to_queues(mask: np.ndarray, part) -> list[np.ndarray]:
-    """Original-order membership mask -> per-rank row-LID queues."""
-    rel = part.to_relabeled_order(mask)
-    out = []
-    for blk in part.blocks:
-        lm = blk.localmap
-        hits = np.nonzero(rel[lm.row_start : lm.row_stop])[0]
-        out.append((hits + lm.row_offset).astype(np.int64))
-    return out
-
-
-def _migrate_policy(policy, new_engine):
-    """Rebuild a SwitchPolicy against the new grid, preserving the
-    one-way dense->sparse switch state."""
-    from ..patterns.switching import SwitchPolicy
-
-    fresh = SwitchPolicy(
-        n_vertices=policy.n_vertices,
-        grid=new_engine.grid,
-        mode=policy.mode,
-        threshold_factor=policy.threshold_factor,
-    )
-    fresh._sparse_now = policy._sparse_now
-    return fresh
-
-
-def _migrate_pointer_jump(
-    state: dict, layout: CheckpointLayout, new_engine
-) -> dict:
-    """Translate the pointer-jumping home tables between relabelings.
-
-    Home sets tile the vertex space (each vertex has exactly one rank
-    owning it in both row and column range), and ``home_parent``
-    entries are GID *values*, so both the positions and the stored
-    pointers must be re-mapped.
-    """
-    n = layout.n_vertices
-    parent_orig = np.empty(n, dtype=np.int64)
-    conv_orig = np.zeros(n, dtype=bool)
-    for rank, gids in state["home_gids"].items():
-        og = layout.original_gid(gids)
-        parent_orig[og] = layout.original_gid(state["home_parent"][rank])
-        conv_orig[og] = state["converged"][rank]
-
-    part = new_engine.partition
-    home_gids: dict[int, np.ndarray] = {}
-    home_parent: dict[int, np.ndarray] = {}
-    converged: dict[int, np.ndarray] = {}
-    for blk in part.blocks:
-        lm = blk.localmap
-        lo = max(lm.row_start, lm.col_start)
-        hi = min(lm.row_stop, lm.col_stop)
-        gids = np.arange(lo, max(lo, hi), dtype=np.int64)
-        og = part.original_gid(gids)
-        home_gids[blk.rank] = gids
-        home_parent[blk.rank] = part.perm[parent_orig[og]]
-        converged[blk.rank] = conv_orig[og].copy()
-    out = dict(state)
-    out["home_gids"] = home_gids
-    out["home_parent"] = home_parent
-    out["converged"] = converged
-    return out
-
-
-def _migrate_algo_state(
-    state: dict[str, Any], layout: CheckpointLayout, new_engine
-) -> dict[str, Any]:
-    """Translate an algorithm's loop state onto the new layout."""
-    if "home_gids" in state:
-        return _migrate_pointer_jump(state, layout, new_engine)
-    out: dict[str, Any] = {}
-    for key, value in state.items():
-        if key in ("frontier", "active") and isinstance(value, list):
-            mask = _queue_to_global_mask(value, layout)
-            out[key] = _global_mask_to_queues(mask, new_engine.partition)
-        elif key == "policy" and value is not None:
-            out[key] = _migrate_policy(value, new_engine)
-        else:
-            out[key] = copy.deepcopy(value)
+    # every rank holds every state (the arena allocates them together)
+    for name in sorted(ckpt.states[0]):
+        first = ckpt.states[0][name]
+        # trailing dims (batched (n, k) lane states) ride along
+        rel = np.zeros(ckpt.perm.shape + first.shape[1:], dtype=first.dtype)
+        for id_r in range(grid.C):
+            rank = grid.rank_of(id_r, 0)
+            lm = ckpt.localmaps[rank]
+            rel[lm.row_start : lm.row_stop] = ckpt.states[rank][name][lm.row_slice]
+        out[name] = rel[ckpt.perm]
     return out
 
 
@@ -329,11 +192,10 @@ def migrate_checkpoint(
     untouched: like retries, migration traffic describes the weather,
     not the algorithm.
     """
-    layout = CheckpointLayout(ckpt)
     part = new_engine.partition
-    if part.n_vertices != layout.n_vertices:
+    if part.n_vertices != ckpt.perm.shape[0]:
         raise ValueError(
-            f"cannot migrate a checkpoint of {layout.n_vertices} vertices "
+            f"cannot migrate a checkpoint of {ckpt.perm.shape[0]} vertices "
             f"onto a partition of {part.n_vertices}"
         )
     global_state = gather_checkpoint_state(ckpt)
@@ -367,7 +229,7 @@ def migrate_checkpoint(
         states=new_states,
         counters=copy.deepcopy(ckpt.counters),
         clocks=clocks.state_dict(),
-        algo_state=_migrate_algo_state(ckpt.algo_state, layout, new_engine),
+        algo_state=copy.deepcopy(ckpt.algo_state),
         grid=(new_engine.grid.R, new_engine.grid.C),
         perm=part.perm.copy(),
         localmaps=[blk.localmap for blk in part.blocks],

@@ -14,7 +14,7 @@ vertices updated in an iteration, which guarantees the sparse volume
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..comm.grid import Grid2D
 
@@ -36,46 +36,31 @@ class SwitchPolicy:
         ``"switch"`` — dense until the update count drops under the
         threshold, then sparse for the rest of the run (updates only
         shrink in the long-tail regime the policy targets).
-    threshold_factor:
-        Scales the ``N / max(R, C)`` cutoff (1.0 = paper setting);
-        exposed for the ablation bench.
+
+    ``use_sparse`` is the policy's whole state: a checkpoint saves the
+    bit, and a resume sets it on a policy built for the resuming grid.
     """
 
     n_vertices: int
     grid: Grid2D
     mode: str = "switch"
-    threshold_factor: float = 1.0
-    _sparse_now: bool = False
+    #: Communication flavour for the *next* exchange.
+    use_sparse: bool = field(init=False)
 
     def __post_init__(self) -> None:
         if self.mode not in ("dense", "sparse", "switch"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.n_vertices <= 0:
             raise ValueError(f"n_vertices must be positive, got {self.n_vertices}")
-        if self.threshold_factor <= 0:
-            raise ValueError(
-                f"threshold_factor must be positive, got {self.threshold_factor}"
-            )
-        self._sparse_now = self.mode == "sparse"
-
-    def reset(self) -> None:
-        """Return to the initial state so one policy instance can be
-        reused across runs (a switched policy otherwise stays sparse
-        forever, poisoning the next run's early dense iterations)."""
-        self._sparse_now = self.mode == "sparse"
+        self.use_sparse = self.mode == "sparse"
 
     @property
     def threshold(self) -> float:
         """Update count below which sparse wins (``N / max(R, C)``)."""
-        return self.threshold_factor * self.n_vertices / max(self.grid.R, self.grid.C)
-
-    @property
-    def use_sparse(self) -> bool:
-        """Communication flavour for the *next* exchange."""
-        return self._sparse_now
+        return self.n_vertices / max(self.grid.R, self.grid.C)
 
     def observe(self, n_updates: int) -> None:
         """Feed the iteration's global update count into the policy."""
-        if self.mode == "switch" and not self._sparse_now:
+        if self.mode == "switch" and not self.use_sparse:
             if n_updates < self.threshold:
-                self._sparse_now = True
+                self.use_sparse = True

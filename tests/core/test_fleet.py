@@ -607,3 +607,67 @@ def test_hub_and_empty_ranks_graph_matches_reference():
         res = algorithms.bfs(Engine(graph, grid=Grid2D(R=4, C=4)), root=n - 1, hybrid=hybrid)
         assert np.array_equal(res.extra["levels"], serial.bfs_levels(graph, n - 1))
         assert serial.bfs_parents_valid(graph, n - 1, res.values)
+
+
+# ----------------------------------------------------------------------
+# grid-independent queues (checkpoint loop state)
+# ----------------------------------------------------------------------
+def _row_group_queue(engine, cells, lanes, seed):
+    """A row-group-consistent per-rank queue holding ``cells`` (original
+    ids) in ``lanes`` (``None``: a plain queue): per row group the lanes
+    interleave in a random order, each lane's LIDs ascending."""
+    part, fleet = engine.partition, engine.fleet
+    rng = np.random.default_rng(seed)
+    gids = part.perm[cells].astype(np.int64)
+    lane_of = np.zeros(cells.size, np.int64) if lanes is None else lanes
+    queue = [None] * engine.n_ranks
+    for id_r, ranks in engine.row_groups():
+        lo, hi = part.row_offsets[id_r], part.row_offsets[id_r + 1]
+        mine = np.flatnonzero((gids >= lo) & (gids < hi))
+        pattern = rng.permutation(lane_of[mine])
+        order = np.lexsort((gids[mine], lane_of[mine]))
+        slots = np.lexsort((np.arange(pattern.size), pattern))
+        group_gids = np.empty(mine.size, np.int64)
+        group_gids[slots] = gids[mine][order]
+        for r in ranks:
+            lids = group_gids - (fleet.base[r] + fleet.row_gid_shift[r])
+            queue[r] = lids if lanes is None else (lids, pattern)
+    return queue
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(GRIDS),
+    st.sampled_from(GRIDS),
+    st.integers(0, 2**31),
+    st.sampled_from([None, 1, 3]),
+)
+def test_queues_cross_a_regrid_by_original_id(grid_a, grid_b, seed, k):
+    """On the saving layout a decoded queue is the saved one, entry for
+    entry; on another layout every rank gets exactly the saved cells of
+    its row window, each lane's LIDs ascending."""
+    graph = rmat(6, seed=4)
+    rng = np.random.default_rng(seed)
+    n = graph.n_vertices
+    cells = np.unique(rng.integers(0, n, size=rng.integers(0, 2 * n)))
+    lanes = None if k is None else rng.integers(0, k, size=cells.size)
+    a, b = Engine(graph, grid=grid_a), Engine(graph, grid=grid_b)
+    queue = _row_group_queue(a, cells, lanes, seed)
+    saved = a.fleet.encode_queue(queue)
+
+    for got, want in zip(a.fleet.decode_queue(saved), queue):
+        for g, w in zip(got, want) if k else [(got, want)]:
+            assert g.dtype == np.int64 and np.array_equal(g, w)
+
+    fleet = b.fleet
+    lane_of = np.zeros(cells.size, np.int64) if lanes is None else lanes
+    for r, entry in enumerate(fleet.decode_queue(saved)):
+        lids, got_lanes = entry if k else (entry, np.zeros(entry.size, np.int64))
+        orig = b.partition.original_gid(lids + fleet.base[r] + fleet.row_gid_shift[r])
+        rel = b.partition.perm[cells]
+        mine = (rel >= fleet.row_start[r]) & (rel < fleet.row_stop[r])
+        assert sorted(zip(orig.tolist(), got_lanes.tolist())) == sorted(
+            zip(cells[mine].tolist(), lane_of[mine].tolist())
+        )
+        for lane in np.unique(got_lanes):
+            assert np.all(np.diff(lids[got_lanes == lane]) > 0)

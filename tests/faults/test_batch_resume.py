@@ -5,6 +5,7 @@ import pytest
 
 from repro import Engine
 from repro.algorithms.batch import bfs_batch, pagerank_batch, sssp_batch
+from repro.core import NoCheckpointError
 from repro.faults import CheckpointManager, FaultPlan, FaultSpec, RankFailure
 from repro.graph import rmat
 
@@ -105,9 +106,11 @@ class TestResumeGuards:
         with pytest.raises(ValueError, match="seeds"):
             pagerank_batch(engine, [3, 0, 17, 42], iterations=8, resume=True)
 
-    def test_resume_without_checkpoint_starts_fresh(self):
-        """resume=True with no checkpoint manager degrades to a normal
-        cold start, matching a fresh run bit-for-bit."""
-        ref = bfs_batch(Engine(GRAPH, 4), ROOTS)
-        out = bfs_batch(Engine(GRAPH, 4), ROOTS, resume=True)
-        assert np.array_equal(ref.values, out.values)
+    def test_resume_without_checkpoint_raises(self):
+        """resume=True with nothing to resume from (no manager, or none
+        saved yet) is an error, not a silent cold start."""
+        for graph, run in CASES.values():
+            with pytest.raises(NoCheckpointError, match="no checkpoint"):
+                run(Engine(graph, 4), True)
+            with pytest.raises(NoCheckpointError):
+                run(_engine(graph), True)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import Engine, algorithms
+from repro.core import NoCheckpointError
 from repro.faults import CheckpointManager
 from repro.graph import rmat
 
@@ -110,6 +111,7 @@ class TestRestore:
         with pytest.raises(ValueError, match="pagerank"):
             engine.resume_from_checkpoint("bfs")
 
-    def test_resume_without_manager_returns_none(self):
+    def test_resume_without_manager_raises(self):
         engine = small_engine()
-        assert engine.resume_from_checkpoint("bfs") is None
+        with pytest.raises(NoCheckpointError, match="'bfs'"):
+            engine.resume_from_checkpoint("bfs")

@@ -209,24 +209,32 @@ class TestCascadeAndPolicies:
         assert np.array_equal(ref_engine.clocks.clock, engine.clocks.clock)
         assert res.timings.regrid == 0.0
 
-    def test_batched_traversals_go_through_the_same_driver(self):
-        # bfs_batch never had an `elastic=` keyword; any resume-capable
-        # call is a runner.
+    @pytest.mark.parametrize("policy", ["spare-pool:1", "prefer-square"])
+    @pytest.mark.parametrize("op", ["bfs_batch", "sssp_batch", "pagerank_batch"])
+    def test_batched_traversals_go_through_the_same_driver(self, op, policy):
+        # Any resume-capable call is a runner, and a batch's (vertex,
+        # lane) frontier crosses a shrink like a single-source one.
         roots = [0, 3, 17]
         g = _graph()
-        ref = algorithms.bfs_batch(Engine(g, grid=GRID), roots)
+        if op == "sssp_batch":
+            g = g.with_random_weights(seed=1, low=0.1, high=1.0)
+        run = getattr(algorithms, op)
+        ref = run(Engine(g, grid=GRID), roots)
         engine = Engine(g, grid=GRID)
         engine.attach_checkpoints(CheckpointManager(interval=1))
         engine.attach_faults(
             FaultPlan([FaultSpec("crash", 2, rank=5)]), max_retries=2
         )
         res = drive_elastic(
-            lambda e, r: algorithms.bfs_batch(e, roots, resume=r),
-            engine,
-            ElasticRecovery("spare-pool:1"),
+            lambda e, r: run(e, roots, resume=r), engine, ElasticRecovery(policy)
         )
-        assert res.extra["elastic"]["regrids"] == 1
-        assert np.array_equal(ref.values, res.values)
+        info = res.extra["elastic"]
+        assert info["regrids"] == 1
+        assert info["final_grid"] == ((1, 11) if policy == "prefer-square" else (GRID.R, GRID.C))
+        if op == "pagerank_batch":
+            assert np.allclose(ref.values, res.values, rtol=1e-9, atol=1e-12)
+        else:
+            assert np.array_equal(ref.values, res.values)
 
 
 class TestAccounting:

@@ -218,7 +218,7 @@ class TestLedgerUnit:
         engine = mk()
         _seed_state(engine)
         engine.attach_checkpoints(CheckpointManager(interval=1))
-        engine.checkpoints.save(engine, 1, "unit", {})
+        engine.checkpoints.save(engine, 1, "unit", dict)
         ledger = IntegrityLedger()
         assert ledger.on_boundary(engine, 1).ok
         apply_memflip(
@@ -458,7 +458,7 @@ def _verdict(ledger, engine, with_checkpoint, build):
     engine.reset_timers()
     built = build()
     if with_checkpoint:
-        engine.checkpoints.save(engine, 0, "unit", {})
+        engine.checkpoints.save(engine, 0, "unit", dict)
     digests = ledger._collect_digests(engine)
     try:
         ledger.on_boundary(engine, 1)

@@ -224,7 +224,7 @@ class TestRunArrays:
         for ctx, a, b in zip(engine.contexts, first, again):
             assert a is b is ctx.arrays["x"] and (b == 2.0).all()
             assert list(ctx.arrays) == ["x"]
-        engine.superstep_boundary("probe", {})
+        engine.superstep_boundary("probe", dict)
         assert engine.integrity.rows[-1].ok
         assert engine.integrity.stats["windows_hashed"] > 0
         saved = engine.checkpoints.latest().states
@@ -233,7 +233,7 @@ class TestRunArrays:
         assert apply_memflip(engine.ctx(4), FaultSpec("memflip", 2, rank=4, bit=5)) == 1
         engine.checkpoints.clear()  # nothing to roll back to: the ledger raises
         with pytest.raises(IntegrityFailure):
-            engine.superstep_boundary("probe", {})
+            engine.superstep_boundary("probe", dict)
 
     def test_a_rollback_leaves_exactly_the_checkpoint_s_arrays(self):
         engine = guard(Engine(GRAPH, 9))

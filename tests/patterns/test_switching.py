@@ -33,10 +33,6 @@ class TestSwitchPolicy:
         p = SwitchPolicy(1000, Grid2D(R=4, C=4), mode="sparse")
         assert p.use_sparse
 
-    def test_threshold_factor_scales(self):
-        p = SwitchPolicy(1000, Grid2D(R=4, C=4), threshold_factor=2.0)
-        assert p.threshold == pytest.approx(500)
-
     def test_exact_threshold_not_yet_sparse(self):
         p = SwitchPolicy(1000, Grid2D(R=4, C=4), mode="switch")
         p.observe(250)  # not strictly under N/max(R,C)
@@ -51,23 +47,3 @@ class TestSwitchPolicy:
             SwitchPolicy(0, Grid2D(R=2, C=2))
         with pytest.raises(ValueError, match="n_vertices"):
             SwitchPolicy(-5, Grid2D(R=2, C=2))
-
-    def test_nonpositive_threshold_factor_rejected(self):
-        with pytest.raises(ValueError, match="threshold_factor"):
-            SwitchPolicy(10, Grid2D(R=2, C=2), threshold_factor=0.0)
-        with pytest.raises(ValueError, match="threshold_factor"):
-            SwitchPolicy(10, Grid2D(R=2, C=2), threshold_factor=-1.0)
-
-    def test_reset_reuses_policy_across_runs(self):
-        p = SwitchPolicy(1000, Grid2D(R=4, C=4), mode="switch")
-        p.observe(10)  # run 1 switches to sparse
-        assert p.use_sparse
-        p.reset()  # run 2 must start dense again
-        assert not p.use_sparse
-        p.observe(900)
-        assert not p.use_sparse
-
-    def test_reset_keeps_sparse_mode_sparse(self):
-        p = SwitchPolicy(1000, Grid2D(R=4, C=4), mode="sparse")
-        p.reset()
-        assert p.use_sparse

@@ -53,8 +53,9 @@ FAN_OUT_SCOPE = ("algorithms", "patterns", os.path.join("core", "program.py"))
 #: per-rank executor (PR 20).
 #: 44 before the BFS root seed became one stacked write; 43 before
 #: state initialization (coloring, matching, k-core, vertex programs)
-#: and the batch root seeds became stacked writes.
-FAN_OUT_CEILING = 37
+#: and the batch root seeds became stacked writes; 37 before pointer
+#: jumping built its home tables from one original-order vector.
+FAN_OUT_CEILING = 36
 
 THREADS = re.compile(
     r"^\s*(?:import|from)\s+(?:threading|concurrent|queue)(?:[\s.]|$)"
