@@ -23,7 +23,16 @@ from ..cluster.costmodel import CostModel
 from .clocks import InflightCollective, StageIndex, VirtualClocks
 from .counters import CommCounters
 
-__all__ = ["BroadcastCall", "CollectiveHandle", "Communicator", "REDUCE_OPS"]
+__all__ = [
+    "BroadcastCall", "COLLECTIVE_KINDS", "CollectiveHandle", "Communicator", "REDUCE_OPS",
+]
+
+#: The kinds a :class:`Communicator` passes its guard, one per
+#: collective (a stage, split-phase or per-group call guards as its
+#: kind); ``FaultSpec.collective`` names one of these.
+COLLECTIVE_KINDS = (
+    "allreduce", "broadcast", "grouped_broadcast", "allgatherv", "sendrecv", "alltoallv",
+)
 
 REDUCE_OPS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "sum": lambda stacked: np.add.reduce(stacked, axis=0),
@@ -59,13 +68,15 @@ class CollectiveHandle:
     pipelined receive-and-apply and must therefore process it in a
     segment-order-independent way (element-wise reductions and
     assignments qualify; see docs/MODEL.md).  Time is charged only at
-    ``wait``.
+    ``wait``, where the guard checks ``payload``: the buffers of an
+    AllReduce, the received data otherwise.
     """
 
     kind: str
     ranks: tuple[int, ...]
     inflight: InflightCollective
     result: object = None
+    payload: Sequence[np.ndarray] = ()
 
 
 class Communicator:
@@ -86,6 +97,16 @@ class Communicator:
     lands in the ``overlap`` lane).  Issuing and waiting immediately is
     bit-identical to the blocking call — values, counters, *and*
     clocks.
+
+    ``guard`` (``None``: no faults) is the fault protocol's seam:
+    ``guard(clocks, kind, ranks, payload)`` runs once per collective
+    before it moves anything — per group in a stage, at :meth:`wait`
+    for a split-phase call — and may charge ``clocks`` (stalls, retry
+    backoff) or raise :class:`~repro.faults.injector.RankFailure`,
+    leaving the groups before it moved and charged.  ``kind`` is one of
+    :data:`COLLECTIVE_KINDS`; ``payload`` is the arrays the collective
+    carries.  :class:`~repro.faults.injector.FaultInjector` sets it on
+    attach.  Counters never see a guard's retries.
     """
 
     def __init__(
@@ -97,6 +118,7 @@ class Communicator:
         self.costmodel = costmodel
         self.clocks = clocks
         self.counters = counters if counters is not None else CommCounters()
+        self.guard: Callable | None = None
         self._stages: dict[tuple, StageIndex] = {}
 
     # ------------------------------------------------------------------
@@ -165,17 +187,21 @@ class Communicator:
             stage = self._stages[key] = StageIndex.of(key)
         return stage
 
-    def _stage(self, groups, payloads, move) -> list:
+    def _stage(self, kind, groups, payloads, move, checked=None) -> list:
         """``move(ranks, payload) -> (cost, result)`` — one group's
         validation, data movement and counters (cost ``None``: nothing
-        to do) — for every group in order, then one clock pass over the
-        groups that moved (even if a later one raised); their results."""
+        to do) — for every group in order, each behind the guard (over
+        ``checked(payload)``), then one clock pass over the groups that
+        moved (even if a later one raised); their results."""
         if len(groups) != len(payloads):
             raise ValueError(f"{len(groups)} groups but {len(payloads)} payloads")
         stage = self._stage_index(groups)
         moved, costs, results = [], [], []
         try:
             for ranks, payload in zip(groups, payloads):
+                if self.guard is not None:
+                    checked_payload = payload if checked is None else checked(payload)
+                    self.guard(self.clocks, kind, ranks, checked_payload)
                 cost, result = move(ranks, payload)
                 if cost is not None:
                     moved.append(ranks)
@@ -233,7 +259,7 @@ class Communicator:
         """:meth:`allreduce` in each of a stage's disjoint ``groups``
         (``buffers[g]`` are group ``g``'s)."""
         move = partial(self._allreduce_core, op=op, nic_sharing=nic_sharing)
-        self._stage(groups, buffers, move)
+        self._stage("allreduce", groups, buffers, move)
 
     def broadcast(
         self,
@@ -243,6 +269,8 @@ class Communicator:
         nic_sharing: int = 1,
     ) -> None:
         """In-place Broadcast from ``buffers[root_pos]`` to the rest."""
+        if self.guard is not None:
+            self.guard(self.clocks, "broadcast", ranks, buffers)
         self._check_group(ranks, buffers)
         k = len(ranks)
         if not 0 <= root_pos < k:
@@ -274,7 +302,9 @@ class Communicator:
         """:meth:`grouped_broadcast` in each of a stage's disjoint
         ``groups`` (``calls[g]`` are group ``g``'s; none: skipped)."""
         move = partial(self._grouped_broadcast_core, nic_sharing=nic_sharing)
-        self._stage(groups, calls, move)
+        self._stage(
+            "grouped_broadcast", groups, calls, move, lambda c: [x.src for x in c]
+        )
 
     def _grouped_broadcast_core(self, ranks, calls, nic_sharing: int):
         """Move data, record counters; return (cost or ``None``, None)."""
@@ -320,7 +350,7 @@ class Communicator:
         """:meth:`allgatherv` in each of a stage's disjoint ``groups``
         (``send_buffers[g]`` are group ``g``'s); one result per group."""
         move = partial(self._allgatherv_core, nic_sharing=nic_sharing)
-        return self._stage(groups, send_buffers, move)
+        return self._stage("allgatherv", groups, send_buffers, move)
 
     def _allgatherv_core(
         self,
@@ -363,6 +393,8 @@ class Communicator:
     def sendrecv(self, src_rank: int, dst_rank: int, payload: np.ndarray) -> np.ndarray:
         """Point-to-point transfer; returns the received copy."""
         payload = np.asarray(payload)
+        if self.guard is not None:
+            self.guard(self.clocks, "sendrecv", [src_rank, dst_rank], [payload])
         t = self.costmodel.sendrecv_time(src_rank, dst_rank, payload.nbytes)
         self.clocks.sync_group([src_rank, dst_rank], t)
         self.counters.record(
@@ -383,6 +415,9 @@ class Communicator:
         everything addressed to it.  Charged with the O(p^2)-message
         model the paper ascribes to 1D distributions.
         """
+        if self.guard is not None:
+            flat = [b for row in send_matrix for b in row]
+            self.guard(self.clocks, "alltoallv", ranks, flat)
         received, t = self._alltoallv_core(ranks, send_matrix, nic_sharing)
         self.clocks.sync_group(ranks, t)
         return received
@@ -443,9 +478,8 @@ class Communicator:
         the matching ``wait``.
         """
         t, _ = self._allreduce_core(ranks, buffers, op, nic_sharing)
-        return CollectiveHandle(
-            "allreduce", tuple(ranks), self.clocks.issue_collective(ranks, t)
-        )
+        inflight = self.clocks.issue_collective(ranks, t)
+        return CollectiveHandle("allreduce", tuple(ranks), inflight, payload=buffers)
 
     def start_allgatherv(
         self,
@@ -460,9 +494,8 @@ class Communicator:
         contract); send buffers may be recycled once this returns.
         """
         t, result = self._allgatherv_core(ranks, send_buffers, nic_sharing)
-        return CollectiveHandle(
-            "allgatherv", tuple(ranks), self.clocks.issue_collective(ranks, t), result
-        )
+        inflight = self.clocks.issue_collective(ranks, t)
+        return CollectiveHandle("allgatherv", tuple(ranks), inflight, result, [result])
 
     def start_allgatherv_stage(self, groups, send_buffers, nic_sharing: int = 1):
         """:meth:`start_allgatherv` in each of a stage's disjoint
@@ -484,9 +517,8 @@ class Communicator:
         ``handle.result`` carries the per-member received buffers.
         """
         received, t = self._alltoallv_core(ranks, send_matrix, nic_sharing)
-        return CollectiveHandle(
-            "alltoallv", tuple(ranks), self.clocks.issue_collective(ranks, t), received
-        )
+        inflight = self.clocks.issue_collective(ranks, t)
+        return CollectiveHandle("alltoallv", tuple(ranks), inflight, received, received)
 
     def wait(self, handle: CollectiveHandle):
         """Complete a split-phase collective; returns its result.
@@ -494,7 +526,12 @@ class Communicator:
         Charges the overlapped window to the participants' clocks (see
         :meth:`VirtualClocks.complete_collective`): the comm lane pays
         the full blocking cost, the total only its exposed remainder.
-        Each handle completes exactly once.
+        Each handle completes exactly once.  The guard runs first:
+        faults in flight surface when the receiver verifies the
+        payload, so a retry's backoff lands before completion, in the
+        overlap window, and not in the collective's own comm charge.
         """
+        if self.guard is not None:
+            self.guard(self.clocks, handle.kind, handle.ranks, handle.payload)
         self.clocks.complete_collective(handle.inflight)
         return handle.result

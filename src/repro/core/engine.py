@@ -183,9 +183,7 @@ class Engine:
         self.comm = Communicator(self.costmodel, self.clocks, self.counters)
         # Superstep-boundary hooks (see repro.core.hooks; the hook
         # classes live in repro.faults), keyed by slot in attach order,
-        # and the phase-ordered firing plan derived from them.  The bare
-        # communicator is kept so the fault injector can wrap self.comm.
-        self.base_comm = self.comm
+        # and the phase-ordered firing plan derived from them.
         self._hooks: dict[str, BoundaryHook] = {}
         self._pipeline: list[tuple[str, BoundaryHook]] = []
         # Spares delivered by consumed ``recover`` specs and not yet
@@ -488,8 +486,11 @@ class Engine:
         ]
 
     def attach_faults(self, faults, max_retries: int = 4):
-        """Route all collectives through a fault-injecting
-        :class:`~repro.faults.resilient.ResilientCommunicator`.
+        """Guard every collective with a fault-injecting
+        :class:`~repro.faults.injector.FaultInjector` (it sets
+        ``engine.comm.guard``; ``engine.comm`` stays a plain
+        :class:`~repro.comm.collectives.Communicator`), retrying a
+        disrupted attempt up to ``max_retries`` times.
 
         ``faults`` is a :class:`~repro.faults.plan.FaultPlan` or an
         already-built :class:`~repro.faults.injector.FaultInjector`.

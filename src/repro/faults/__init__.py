@@ -1,15 +1,14 @@
-"""Fault injection, resilient collectives, and checkpoint/recovery.
+"""Fault injection, guarded collectives, and checkpoint/recovery.
 
 The robustness layer of the simulator (see ``docs/ROBUSTNESS.md``):
 
 * :mod:`repro.faults.plan` — deterministic, hand-written fault plans
   (crash / transient / corruption / straggler specs) and the
   :class:`FaultEvent` records runs emit;
-* :mod:`repro.faults.injector` — the plan-executing state machine and
-  the structured :class:`RankFailure` exception;
-* :mod:`repro.faults.resilient` — :class:`ResilientCommunicator`, a
-  drop-in decorator over the collectives layer adding checksum
-  detection, backoff retries, and failure escalation;
+* :mod:`repro.faults.injector` — the plan-executing state machine,
+  whose :meth:`FaultInjector.guard` is the engine communicator's guard
+  (checksum detection, backoff retries, failure escalation), and the
+  structured :class:`RankFailure` exception;
 * :mod:`repro.faults.checkpoint` — in-memory superstep checkpoints
   that make crashed runs resumable bit-identically;
 * :mod:`repro.faults.elastic` — :func:`drive_elastic`, the one
@@ -68,7 +67,6 @@ from .integrity import (
     certify_sssp,
 )
 from .plan import FAULT_KINDS, FaultEvent, FaultPlan, FaultSpec
-from .resilient import ResilientCommunicator
 from .scenarios import CAMPAIGNS, CaseResult, run_campaign, run_case
 
 __all__ = [
@@ -97,7 +95,6 @@ __all__ = [
     "FaultEvent",
     "FaultPlan",
     "FaultSpec",
-    "ResilientCommunicator",
     "CAMPAIGNS",
     "CaseResult",
     "run_campaign",

@@ -2,9 +2,9 @@
 
 The :class:`FaultInjector` walks a :class:`~repro.faults.plan.FaultPlan`
 alongside the run: the engine advances its superstep counter at every
-BSP boundary (``Engine.superstep_boundary``) and the
-:class:`~repro.faults.resilient.ResilientCommunicator` consults it
-before every collective.  The injector answers three questions —
+BSP boundary (``Engine.superstep_boundary``) and the engine's
+:class:`~repro.comm.collectives.Communicator` calls :meth:`guard`
+before every collective.  The guard asks three questions —
 
 * :meth:`crash_among` — is a crashed rank in this group?  (Crashes
   persist from their superstep onward and fire on the *first*
@@ -16,6 +16,25 @@ before every collective.  The injector answers three questions —
   corruption)?  Each call consumes one planned failure attempt, so a
   ``count=2`` transient fails twice then succeeds.
 
+and runs the fault protocol on the answers:
+
+1. **Crash check.**  A crashed rank in the group raises
+   :class:`RankFailure` immediately (a dead peer cannot participate);
+   the engine's checkpoint/restore machinery is the recovery path.
+2. **Straggler stalls.**  Scheduled stalls advance the straggling
+   rank's clock before the collective, so the whole group waits on it.
+3. **Attempt loop.**  A *transient* disruption simply fails; a
+   *corruption* disruption flips a bit in a scratch copy of the payload
+   and is detected by a CRC32 mismatch — end-to-end payload
+   verification, not oracle knowledge.  Every failed attempt charges
+   exponential-backoff recovery time to the group's clocks; exceeding
+   :attr:`FaultInjector.max_retries` escalates to :class:`RankFailure`.
+
+Retries deliberately do **not** inflate ``CommCounters`` — the counters
+feed the paper's message-complexity claims, which describe the
+algorithm, not the weather; retry cost shows in the clocks'
+``recovery`` lane and in the recorded events.
+
 Everything the injector observes lands in :attr:`events` as
 :class:`~repro.faults.plan.FaultEvent` rows, which the engine exposes
 (``Engine.fault_events``) and the trace recorder attaches to iteration
@@ -24,7 +43,10 @@ rows.
 
 from __future__ import annotations
 
+import zlib
 from typing import Optional, Sequence
+
+import numpy as np
 
 from ..core.hooks import Boundary, BoundaryHook
 from .plan import FaultEvent, FaultPlan, FaultSpec
@@ -106,13 +128,37 @@ class SpareArrival(Exception):
         )
 
 
+def _payload_checksum(arrays: Sequence[np.ndarray]) -> int:
+    """CRC32 over the byte stream of a collective's payload."""
+    crc = 0
+    for a in arrays:
+        crc = zlib.crc32(np.ascontiguousarray(a).tobytes(), crc)
+    return crc
+
+
+def _flip_bit(arrays: Sequence[np.ndarray], bit: int) -> list[np.ndarray]:
+    """Copy the payload and flip one bit (wrapped to the total size)."""
+    copies = [np.ascontiguousarray(a).copy() for a in arrays]
+    total_bits = sum(c.nbytes for c in copies) * 8
+    if total_bits == 0:
+        return copies
+    bit = bit % total_bits
+    for c in copies:
+        nbits = c.nbytes * 8
+        if bit < nbits:
+            flat = c.view(np.uint8).reshape(-1)
+            flat[bit // 8] ^= np.uint8(1 << (bit % 8))
+            break
+        bit -= nbits
+    return copies
+
+
 class FaultInjector(BoundaryHook):
     """Executes a :class:`FaultPlan` against a running engine.
 
-    The injector is deliberately dumb about *time* — backoff and stall
-    charging live in the resilient communicator — and smart about
-    *when/where*: it tracks the current superstep, matches specs to
-    collectives, and consumes one-shot specs exactly once.
+    It tracks the current superstep, matches specs to collectives,
+    consumes one-shot specs exactly once, and runs the fault protocol
+    as the engine communicator's guard (:meth:`guard`).
 
     As a boundary hook it fires twice: planned memflips land in the
     ``inject`` phase (before anything verifies or saves the state), and
@@ -123,44 +169,22 @@ class FaultInjector(BoundaryHook):
     slot = "faults"
     phases = ("inject", "arrivals")
 
+    #: per-attempt base backoff, in virtual seconds (doubles each retry)
+    backoff_base_s = 1e-4
+
     def __init__(self, plan: FaultPlan):
         self.plan = plan
-        #: Retry budget of the communicator wrapped around every engine
-        #: this injector is attached to (``Engine.attach_faults``).
+        #: Retry budget of every collective guarded on the engines this
+        #: injector is attached to (``Engine.attach_faults``).
         self.max_retries = 4
-        self.superstep = 1
         self.events: list[FaultEvent] = []
-        # crash specs become "armed" at their superstep and stay armed
-        # until consumed by the first collective touching their rank
-        self._pending_crashes: list[FaultSpec] = list(
-            s for s in plan if s.kind == "crash"
-        )
-        # remaining failure attempts per transient/corruption spec
-        self._attempts: dict[int, int] = {
-            id(s): s.count for s in plan if s.kind in ("transient", "corruption")
-        }
-        # stragglers fire once, on the first matching collective
-        self._pending_stragglers: list[FaultSpec] = list(
-            s for s in plan if s.kind == "straggler"
-        )
-        # spare arrivals are consumed at superstep boundaries
-        self._pending_recovers: list[FaultSpec] = list(
-            s for s in plan if s.kind == "recover"
-        )
-        # memory bit-flips are consumed at superstep boundaries too
-        self._pending_memflips: list[FaultSpec] = list(
-            s for s in plan if s.kind == "memflip"
-        )
+        self.reset()
 
     # ------------------------------------------------------------------
     # engine hooks (see repro.core.hooks)
     # ------------------------------------------------------------------
     def on_attach(self, engine) -> None:
-        from .resilient import ResilientCommunicator
-
-        engine.comm = ResilientCommunicator(
-            engine.base_comm, self, max_retries=self.max_retries
-        )
+        engine.comm.guard = self.guard
 
     def on_phase(self, phase: str, engine, boundary: Boundary) -> None:
         superstep = boundary.superstep
@@ -207,21 +231,19 @@ class FaultInjector(BoundaryHook):
         does, so an engine reused across runs replays its plan)."""
         self.superstep = 1
         self.events.clear()
+        # crash specs become "armed" at their superstep and stay armed
+        # until consumed by the first collective touching their rank
         self._pending_crashes = [s for s in self.plan if s.kind == "crash"]
+        # remaining failure attempts per transient/corruption spec
         self._attempts = {
-            id(s): s.count
-            for s in self.plan
-            if s.kind in ("transient", "corruption")
+            id(s): s.count for s in self.plan if s.kind in ("transient", "corruption")
         }
-        self._pending_stragglers = [
-            s for s in self.plan if s.kind == "straggler"
-        ]
-        self._pending_recovers = [
-            s for s in self.plan if s.kind == "recover"
-        ]
-        self._pending_memflips = [
-            s for s in self.plan if s.kind == "memflip"
-        ]
+        # stragglers fire once, on the first matching collective
+        self._pending_stragglers = [s for s in self.plan if s.kind == "straggler"]
+        # spare arrivals and memory bit-flips are consumed at superstep
+        # boundaries
+        self._pending_recovers = [s for s in self.plan if s.kind == "recover"]
+        self._pending_memflips = [s for s in self.plan if s.kind == "memflip"]
 
     # ------------------------------------------------------------------
     # matching helpers
@@ -234,8 +256,57 @@ class FaultInjector(BoundaryHook):
         return True
 
     # ------------------------------------------------------------------
-    # queries (called by ResilientCommunicator)
+    # the guard (``Communicator.guard``) and its queries
     # ------------------------------------------------------------------
+    def guard(self, clocks, kind: str, ranks: Sequence[int], payload) -> None:
+        """Run the fault protocol for one collective launch.
+
+        Raises :class:`RankFailure` on a crash or an exhausted retry
+        budget; returns normally when the collective may proceed.
+        """
+        step = self.superstep
+
+        crash = self.crash_among(kind, ranks)
+        if crash is not None:
+            self.record(FaultEvent("crash", crash.rank, step, kind, fatal=True))
+            raise RankFailure(crash.rank, step, kind, fault_kind="crash")
+
+        for spec in self.stragglers_for(kind, ranks):
+            clocks.add_stall(spec.rank, spec.delay_s)
+            self.record(
+                FaultEvent("straggler", spec.rank, step, kind, recovery_s=spec.delay_s)
+            )
+
+        attempt = 0
+        while True:
+            spec = self.next_disruption(kind, ranks)
+            if spec is None:
+                return
+            attempt += 1
+            detected = True
+            if spec.kind == "corruption":
+                # Real detection: flip a bit in a scratch copy of the
+                # payload and compare checksums.  (A flip the checksum
+                # misses would be silent corruption — CRC32 catches
+                # every single-bit flip, so detected is always True
+                # here, but the machinery is honest about *how*.)
+                clean = _payload_checksum(payload)
+                damaged = _payload_checksum(_flip_bit(payload, spec.bit))
+                detected = damaged != clean or not payload
+            backoff = self.backoff_base_s * (2 ** (attempt - 1))
+            clocks.charge_recovery(ranks, backoff)
+            fatal = attempt > self.max_retries
+            self.record(
+                FaultEvent(
+                    spec.kind, spec.rank, step, kind, retries=attempt,
+                    recovery_s=backoff, detected=detected, fatal=fatal,
+                )
+            )
+            if fatal:
+                raise RankFailure(
+                    spec.rank, step, kind, fault_kind=spec.kind, retries=attempt
+                )
+
     def crash_among(self, kind: str, ranks: Sequence[int]) -> Optional[FaultSpec]:
         """Return-and-consume a crash spec whose rank is in ``ranks``
         and whose superstep has arrived; ``None`` if the group is

@@ -1,7 +1,7 @@
 """Silent-data-corruption defense: ledger, certifiers, repair.
 
 The communication path already checks itself (CRC32 + retry in
-:class:`~repro.faults.resilient.ResilientCommunicator`) and rank-level
+:meth:`~repro.faults.injector.FaultInjector.guard`) and rank-level
 failures are loud (crash/straggler -> checkpoint restore or elastic
 regrid).  What neither catches is *compute-side* silent data
 corruption: a bit flipping in a rank's device-resident state array

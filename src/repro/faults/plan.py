@@ -23,7 +23,7 @@ Fault kinds
     crashed rank being replaced before the resumed run).
 ``transient``
     A collective fails ``count`` times before succeeding (link flap,
-    NCCL timeout).  The resilient communicator retries with
+    NCCL timeout).  The communicator's guard retries with
     exponential backoff charged to the virtual clocks.
 ``corruption``
     The payload arrives with ``count`` bit flips' worth of damage —
@@ -52,6 +52,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
+
+from ..comm.collectives import COLLECTIVE_KINDS
 
 __all__ = ["FAULT_KINDS", "FaultSpec", "FaultPlan", "FaultEvent"]
 
@@ -85,8 +87,10 @@ class FaultSpec:
         the superstep triggers it).  Crashes, stragglers, and memflips
         require an explicit rank.
     collective:
-        Restrict to one collective kind (``"allreduce"``,
-        ``"allgatherv"``, ...); ``None`` matches any.  Boundary faults
+        Restrict to one collective kind, one of
+        :data:`~repro.comm.collectives.COLLECTIVE_KINDS`
+        (``"allreduce"``, ``"allgatherv"``, ...); ``None`` matches
+        any.  Boundary faults
         (``recover``, ``memflip``) never match a collective.
     count:
         Failed attempts for ``transient``/``corruption`` (each retried
@@ -148,6 +152,11 @@ class FaultSpec:
                 f"collective: {self.kind} specs fire at the superstep "
                 f"boundary, not inside a collective; collective must be "
                 f"None (boundary kinds: {_doc_order(('recover', 'memflip'))})"
+            )
+        if self.collective is not None and self.collective not in COLLECTIVE_KINDS:
+            raise ValueError(
+                f"collective: unknown collective {self.collective!r}; "
+                f"choose from {', '.join(COLLECTIVE_KINDS)}"
             )
         if self.rank is not None and self.rank < 0:
             raise ValueError(f"rank: must be >= 0, got {self.rank}")

@@ -8,9 +8,9 @@ validate/move/count core followed by its own ``VirtualClocks.sync_group``
 partitions of ``p`` ranks (a stage need not cover every rank), random
 clock states and random payloads — empty ones included — the two must
 agree on the data, every clock lane, the counters by kind and the
-split-phase handles; behind a :class:`ResilientCommunicator` with a
-fault plan, also on every recorded fault event and on what a crash
-leaves behind.
+split-phase handles; with a fault injector as the communicator's
+guard, also on every recorded fault event and on what a crash leaves
+behind.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from repro.cluster import AIMOS, CostModel, Topology
 from repro.comm import BroadcastCall, Communicator, VirtualClocks
 from repro.faults import FaultPlan, FaultSpec, RankFailure
 from repro.faults.injector import FaultInjector
-from repro.faults.resilient import ResilientCommunicator
 
 LANES = ("clock", "compute", "comm", "recovery", "regrid", "overlap", "certify")
 KINDS = ("allreduce", "grouped_broadcast", "allgatherv")
@@ -90,21 +89,20 @@ def _stage(comm, kind: str, groups, payloads):
 
 def _per_group(comm, kind: str, groups, payloads):
     """The oracle: one core + ``sync_group`` per group, in group order
-    (the fault protocol first, behind a resilient communicator)."""
-    inner = getattr(comm, "inner", comm)
+    (the fault protocol first, if the communicator is guarded)."""
     out = []
     for ranks, payload in zip(groups, payloads):
-        if inner is not comm:
+        if comm.guard is not None:
             checked = [c.src for c in payload] if kind == "grouped_broadcast" else payload
-            comm._guard(kind, ranks, checked)
+            comm.guard(comm.clocks, kind, ranks, checked)
         if kind == "allreduce":
-            t, result = inner._allreduce_core(ranks, payload, "sum", 1)
+            t, result = comm._allreduce_core(ranks, payload, "sum", 1)
         elif kind == "allgatherv":
-            t, result = inner._allgatherv_core(ranks, payload, 1)
+            t, result = comm._allgatherv_core(ranks, payload, 1)
         else:
-            t, result = inner._grouped_broadcast_core(ranks, payload, 1)
+            t, result = comm._grouped_broadcast_core(ranks, payload, 1)
         if t is not None:
-            inner.clocks.sync_group(ranks, t)
+            comm.clocks.sync_group(ranks, t)
             out.append(result)
     return out
 
@@ -158,10 +156,12 @@ def test_split_phase_stage_equals_per_group_issue(case):
     _assert_same(staged, oracle)
 
 
-def _resilient(p: int, clock_seed: int, plan: FaultPlan) -> ResilientCommunicator:
+def _resilient(p: int, clock_seed: int, plan: FaultPlan) -> Communicator:
     injector = FaultInjector(plan)
-    injector.begin_superstep(1)
-    return ResilientCommunicator(_comm(p, clock_seed), injector, max_retries=3)
+    injector.max_retries = 3
+    comm = _comm(p, clock_seed)
+    comm.guard = injector.guard
+    return comm
 
 
 @st.composite
@@ -200,7 +200,7 @@ def test_resilient_stage_guards_each_group_as_its_own_call(data, case, kind):
         except RankFailure as exc:
             outcomes.append((exc.rank, exc.fault_kind))
     assert outcomes[0] == outcomes[1]
-    assert staged.injector.events == oracle.injector.events
+    assert staged.guard.__self__.events == oracle.guard.__self__.events
     for x, y in zip(_data(kind, pay_a), _data(kind, pay_b)):
         assert np.array_equal(x, y)
     _assert_same(staged, oracle)

@@ -219,7 +219,7 @@ class TestHooksFollowTheRun:
         assert new.health is hooks["health"]
         assert new.integrity is hooks["integrity"]
         assert hooks["health"].n_ranks == 3  # re-baselined on the new grid
-        assert new.comm.injector is hooks["faults"]
+        assert new.comm.guard.__self__ is hooks["faults"]
         new.superstep_boundary()
         assert hooks["probe"].fired == [(id(new), 1)]
 

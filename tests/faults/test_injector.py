@@ -1,9 +1,13 @@
-"""FaultInjector + ResilientCommunicator: the fault protocol itself."""
+"""FaultInjector and the communicator guard it sets: the fault protocol itself."""
 
 import numpy as np
 import pytest
 
 from repro import Engine, algorithms
+from repro.cluster import AIMOS, CostModel, Topology
+from repro.comm import BroadcastCall, Communicator, VirtualClocks
+from repro.comm.collectives import COLLECTIVE_KINDS
+from repro.comm.grid import Grid2D
 from repro.faults import (
     FaultInjector,
     FaultPlan,
@@ -176,3 +180,72 @@ class TestResilientProtocol:
         assert len(engine.fault_events) == 1
         algorithms.pagerank(engine, iterations=1)  # reset_timers re-arms
         assert len(engine.fault_events) == 1
+
+
+def _comm(plan=None):
+    """A 4-rank communicator, guarded by an injector running ``plan``."""
+    comm = Communicator(CostModel(AIMOS.gpu, Topology(AIMOS, 4)), VirtualClocks(4))
+    if plan is not None:
+        comm.guard = FaultInjector(plan).guard
+    return comm
+
+
+def _call(comm, kind):
+    """One blocking ``kind`` collective; returns its ranks."""
+    ranks = [0, 1, 2, 3]
+    bufs = [np.arange(4.0) + r for r in ranks]
+    if kind == "allreduce":
+        comm.allreduce(ranks, bufs)
+    elif kind == "broadcast":
+        comm.broadcast(ranks, bufs, root_pos=1)
+    elif kind == "grouped_broadcast":
+        comm.grouped_broadcast(ranks, [BroadcastCall(bufs[0], bufs[1:])])
+    elif kind == "allgatherv":
+        comm.allgatherv(ranks, bufs)
+    elif kind == "sendrecv":
+        comm.sendrecv(1, 2, bufs[1])
+        return [1, 2]
+    else:
+        comm.alltoallv(ranks, [[b[:j] for j in range(4)] for b in bufs])
+    return ranks
+
+
+def _same_clocks(a: dict, b: dict) -> bool:
+    return a.keys() == b.keys() and all(
+        np.array_equal(a[k], b[k]) if isinstance(a[k], np.ndarray) else a[k] == b[k]
+        for k in a
+    )
+
+
+class TestGuardAtEveryEntryPoint:
+    """Every blocking collective runs the guard before it moves data."""
+
+    @pytest.mark.parametrize("kind", COLLECTIVE_KINDS)
+    def test_crash_on_a_member_raises_before_charging(self, kind):
+        comm = _comm(FaultPlan([FaultSpec("crash", 1, rank=2, collective=kind)]))
+        clocks, counters = comm.clocks.state_dict(), comm.counters.summary()
+        with pytest.raises(RankFailure) as exc:
+            _call(comm, kind)
+        assert exc.value.collective == kind and exc.value.rank == 2
+        assert _same_clocks(comm.clocks.state_dict(), clocks)
+        assert comm.counters.summary() == counters
+
+    @pytest.mark.parametrize("kind", COLLECTIVE_KINDS)
+    def test_transient_retries_once_without_counting(self, kind):
+        comm = _comm(FaultPlan([FaultSpec("transient", 1, collective=kind, count=1)]))
+        ranks = _call(comm, kind)
+        (event,) = comm.guard.__self__.events
+        assert (event.collective, event.retries, event.fatal) == (kind, 1, False)
+        backoff = FaultInjector.backoff_base_s
+        assert (comm.clocks.recovery[ranks] == backoff).all()
+        clean = _comm()
+        _call(clean, kind)
+        assert comm.counters.summary() == clean.counters.summary()
+
+    def test_engine_comm_stays_one_communicator(self):
+        engine = small_engine()
+        engine.attach_faults(FaultPlan([]))
+        assert type(engine.comm) is Communicator
+        rebuilt = engine.rebuild_on_grid(Grid2D(R=1, C=3))
+        assert type(rebuilt.comm) is Communicator
+        assert rebuilt.comm.guard.__self__ is engine.comm.guard.__self__

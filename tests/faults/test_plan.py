@@ -76,6 +76,10 @@ class TestValidationMessages:
                 "collective",
                 lambda: FaultSpec("recover", 1, collective="bcast"),
             ),
+            (
+                "collective",
+                lambda: FaultSpec("transient", 1, collective="allgather"),
+            ),
         ],
     )
     def test_field_named_first(self, field, ctor):
@@ -89,6 +93,16 @@ class TestValidationMessages:
         msg = str(ei.value)
         assert "unknown fault kind 'meteor'" in msg
         assert self.DOC_ORDER in msg
+
+    def test_unknown_collective_lists_the_collective_kinds(self):
+        with pytest.raises(ValueError) as ei:
+            FaultSpec("transient", 1, collective="allgather", count=99)
+        msg = str(ei.value)
+        assert "unknown collective 'allgather'" in msg
+        assert (
+            "allreduce, broadcast, grouped_broadcast, allgatherv, "
+            "sendrecv, alltoallv" in msg
+        )
 
     def test_ranked_kinds_listed_in_doc_order(self):
         with pytest.raises(ValueError) as ei:

@@ -14,15 +14,16 @@ from repro.cluster import AIMOS, CostModel, Topology
 from repro.comm import Communicator, VirtualClocks
 from repro.faults import FaultPlan, FaultSpec, RankFailure
 from repro.faults.injector import FaultInjector
-from repro.faults.resilient import ResilientCommunicator
 
 
 def _resilient(plan, n_ranks=4, max_retries=4):
+    """A communicator guarded by an injector running ``plan``."""
     topo = Topology(AIMOS, n_ranks)
-    inner = Communicator(CostModel(AIMOS.gpu, topo), VirtualClocks(n_ranks))
+    comm = Communicator(CostModel(AIMOS.gpu, topo), VirtualClocks(n_ranks))
     injector = FaultInjector(plan)
-    injector.begin_superstep(1)
-    return ResilientCommunicator(inner, injector, max_retries=max_retries)
+    injector.max_retries = max_retries
+    comm.guard = injector.guard
+    return comm
 
 
 class TestGuardedAtWait:
@@ -50,7 +51,7 @@ class TestGuardedAtWait:
         assert comm.clocks.recovery_total == 0.0
         comm.wait(h)
         assert comm.clocks.recovery_total > 0.0
-        events = [e.as_dict() for e in comm.injector.events]
+        events = [e.as_dict() for e in comm.guard.__self__.events]
         assert [e["kind"] for e in events] == ["corruption", "corruption"]
         assert all(e["detected"] for e in events)
         assert all(not e["fatal"] for e in events)
