@@ -98,6 +98,15 @@ def pagerank(
     n = engine.partition.n_vertices
     grid, fleet = engine.grid, engine.fleet
     all_ranks = list(range(grid.n_ranks))
+    if n == 0:  # an empty graph: an empty answer, no modeled time
+        engine.reset_timers()
+        return AlgorithmResult(
+            values=np.empty(0),
+            timings=engine.timing_report(),
+            iterations=0,
+            counters=engine.counters.summary(),
+            extra={"damping": damping},
+        )
 
     if personalization is not None:
         personalization = np.asarray(personalization, dtype=np.float64)

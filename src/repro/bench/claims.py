@@ -33,10 +33,7 @@ from ..algorithms import (
     CC_VARIANTS, betweenness, bfs, connected_components, core_numbers,
     greedy_coloring, pagerank, sssp,
 )
-from ..baselines import (
-    OneDEngine, OneFiveDEngine, cc_1d, cc_15d, spmv_bfs, spmv_cc, spmv_engine,
-    spmv_pagerank,
-)
+from ..baselines import cc_1d, cc_15d, spmv_bfs, spmv_cc, spmv_engine, spmv_pagerank
 from ..cluster import AIMOS, GENERIC_PROFILE, ZEPY
 from ..comm.grid import Grid2D
 from ..core.engine import Engine
@@ -223,13 +220,14 @@ def memory() -> dict:
 def messages() -> dict:
     """Serialized messages per exchange round of CC, 1D vs 2D (TW, 2^15 edges)."""
     ds = load("TW", target_edges=1 << 15, seed=10)
+    cluster = AIMOS.scaled(ds.scale_factor)
     out = {}
     for p in (4, 16, 64):
-        e1 = OneDEngine(ds.graph, p, cluster=AIMOS.scaled(ds.scale_factor))
+        e1 = Engine(ds.graph, grid=Grid2D(R=1, C=p), cluster=cluster)
         cc_1d(e1)
         a2a = e1.counters.by_kind["alltoallv"]
         out[("1D", p)] = a2a.serial_messages / a2a.calls
-        e2 = Engine(ds.graph, grid=grid_for(p), cluster=AIMOS.scaled(ds.scale_factor))
+        e2 = Engine(ds.graph, grid=grid_for(p), cluster=cluster)
         connected_components(e2)
         # groups run concurrently: a stage serializes one group's
         # messages, and a round is the two stages of an iteration
@@ -239,25 +237,27 @@ def messages() -> dict:
 
 
 def families() -> dict:
-    """CC through the 1D, 1.5D and 2D engines (TW, 2^15 edges)."""
+    """CC through the 1D, 1.5D and 2D layouts (TW, 2^15 edges)."""
     ds = load("TW", target_edges=1 << 15, seed=13)
     cluster = AIMOS.scaled(ds.scale_factor)
     out = {}
     for p in (4, 16, 64):
-        e1 = OneDEngine(ds.graph, p, cluster=cluster)
-        t1 = cc_1d(e1).timings.total
-        e15 = OneFiveDEngine(ds.graph, p, cluster=cluster)
-        t15 = cc_15d(e15).timings.total
-        e2 = Engine(ds.graph, grid=grid_for(p), cluster=cluster)
-        t2 = connected_components(e2).timings.total
-        for family, engine, t, state in (
-            ("1D", e1, t1, sum(sh.ghost_gids.size for sh in e1.parts)),
-            ("1.5D", e15, t15,
-             sum(sh.ghost_gids.size for sh in e15.shares) + e15.n_hubs * p),
-            ("2D", e2, t2, sum(ctx.localmap.n_col for ctx in e2)),
+        oned = Engine(ds.graph, grid=Grid2D(R=1, C=p), cluster=cluster)
+        twod = Engine(ds.graph, grid=grid_for(p), cluster=cluster)
+        for family, engine, run in (
+            ("1D", oned, cc_1d),
+            ("1.5D", oned, cc_15d),
+            ("2D", twod, connected_components),
         ):
+            res = run(engine)
+            if family == "2D":
+                state = sum(ctx.localmap.n_col for ctx in engine)
+            else:  # the ghost directory, plus every rank's copy of the hubs
+                state = res.extra["n_ghosts"] + res.extra.get("n_hubs", 0) * p
             out[(family, p)] = {
-                "time": t, "msgs": engine.counters.total_serial_messages, "state": state,
+                "time": res.timings.total,
+                "msgs": engine.counters.total_serial_messages,
+                "state": state,
             }
     return out
 

@@ -282,7 +282,7 @@ class CostModel:
     ) -> float:
         """Naive all-to-all: each rank exchanges with every other rank.
 
-        Used by the 1D baseline engine.  The O(p^2) message count is
+        Used by the 1D baselines.  The O(p^2) message count is
         what the paper's 2D method is designed to avoid; each rank
         serializes its ``k-1`` sends over its injection link.
         """

@@ -408,7 +408,7 @@ class Communicator:
         send_matrix: Sequence[Sequence[np.ndarray]],
         nic_sharing: int = 1,
     ) -> list[np.ndarray]:
-        """All-to-all exchange for the 1D baseline engine.
+        """All-to-all exchange for the 1D baselines (:mod:`repro.baselines.oned`).
 
         ``send_matrix[i][j]`` is what group member ``i`` sends to group
         member ``j``.  Returns, per member, the concatenation of

@@ -147,6 +147,15 @@ def run_vertex_program(
     algo_tag = f"program:{name}" if tag is None else tag
     all_ranks = list(range(grid.n_ranks))
     all_rows = [ctx.row_lids() for ctx in engine]
+    if part.n_vertices == 0:  # an empty graph: an empty answer, no modeled time
+        engine.reset_timers()
+        return AlgorithmResult(
+            values=np.empty(0),
+            timings=engine.timing_report(),
+            iterations=0,
+            counters=engine.counters.summary(),
+            extra={"program": name},
+        )
 
     policy = SwitchPolicy(part.n_vertices, grid, mode=program.mode)
     if resume:

@@ -1,50 +1,56 @@
-"""1D baseline engine tests."""
+"""1D baseline tests: CC over the 1D layout of a 1×p engine."""
 
 import numpy as np
 import pytest
 
-from repro.baselines import OneDEngine, bfs_1d, cc_1d, pagerank_1d
+from repro import Engine
+from repro.baselines import cc_1d, layout_1d
+from repro.comm.grid import Grid2D
+from repro.graph import rmat
 from repro.reference import serial
 
 from ..conftest import random_graph
 
 
+def oned(graph, p):
+    return Engine(graph, grid=Grid2D(R=1, C=p))
+
+
 class TestCorrectness:
     @pytest.mark.parametrize("p", [1, 2, 4, 7])
     def test_cc_matches_serial(self, rmat_graph, p):
-        res = cc_1d(OneDEngine(rmat_graph, p))
+        res = cc_1d(oned(rmat_graph, p))
         assert np.array_equal(
             serial.canonical_labels(res.values),
             serial.canonical_labels(serial.connected_components(rmat_graph)),
         )
 
-    @pytest.mark.parametrize("p", [1, 3, 6])
-    def test_pagerank_matches_serial(self, rmat_graph, p):
-        res = pagerank_1d(OneDEngine(rmat_graph, p), iterations=12)
-        ref = serial.pagerank(rmat_graph, iterations=12)
-        assert np.allclose(res.values, ref, atol=1e-12)
-
-    @pytest.mark.parametrize("p", [1, 4, 5])
-    def test_bfs_valid(self, rmat_graph, p):
-        res = bfs_1d(OneDEngine(rmat_graph, p), root=0)
-        assert serial.bfs_parents_valid(rmat_graph, 0, res.values)
-
     def test_random_sweep(self):
         for seed in range(4):
             g = random_graph(seed + 77, n_max=80)
-            res = cc_1d(OneDEngine(g, 3))
+            res = cc_1d(oned(g, 3))
             assert np.array_equal(
                 serial.canonical_labels(res.values),
                 serial.canonical_labels(serial.connected_components(g)),
             )
+
+    def test_rejects_a_2d_grid(self, rmat_graph):
+        with pytest.raises(ValueError, match="1xp grid"):
+            cc_1d(Engine(rmat_graph, grid=Grid2D(R=2, C=2)))
+
+    def test_second_run_equals_the_first(self):
+        engine = oned(rmat(9, seed=2), 4)
+        first, second = cc_1d(engine), cc_1d(engine)
+        assert second.timings.total == first.timings.total
+        assert second.counters == first.counters
 
 
 class TestScalingBehaviour:
     def test_quadratic_message_growth(self, rmat_graph):
         """The 1D all-to-all issues O(p^2) messages (paper §2.1) — the
         quantity the 2D layout reduces to O(p)."""
-        for p in (2, 4, 8):
-            eng = OneDEngine(rmat_graph, p)
+        for p in (2, 4, 7, 8):
+            eng = oned(rmat_graph, p)
             cc_1d(eng)
             per_call = (
                 eng.counters.by_kind["alltoallv"].serial_messages
@@ -53,17 +59,22 @@ class TestScalingBehaviour:
             assert per_call == p * (p - 1)
 
     def test_ghost_directory_consistency(self, rmat_graph):
-        eng = OneDEngine(rmat_graph, 4)
-        for part in eng.parts:
-            gids = part.ghost_gids
-            assert np.all((gids < part.start) | (gids >= part.stop))
-            # lid/gid round trip
-            assert np.array_equal(part.gid(part.lid(gids)), gids)
+        """A rank's ghosts are the distinct targets of its rows outside
+        its row window, as the relabeled graph has them."""
+        eng = oned(rmat_graph, 4)
+        layout = layout_1d(eng)
+        relabeled = rmat_graph.permute(eng.partition.perm).to_scipy()
+        for r, ghosts in enumerate(layout.ghosts):
+            start, stop = layout.offsets[r], layout.offsets[r + 1]
+            assert np.array_equal(layout.rows[r], np.arange(start, stop))
+            targets = relabeled[start:stop].indices
+            expected = np.unique(targets[(targets < start) | (targets >= stop)])
+            assert np.array_equal(ghosts, expected)
 
     def test_subscriptions_cover_ghosts(self, rmat_graph):
-        eng = OneDEngine(rmat_graph, 4)
-        for r, part in enumerate(eng.parts):
-            subscribed = np.concatenate(
-                [eng.subscriptions[o][r] for o in range(eng.n_ranks)]
-            )
-            assert np.array_equal(np.sort(subscribed), part.ghost_gids)
+        layout = layout_1d(oned(rmat_graph, 4))
+        for r, ghosts in enumerate(layout.ghosts):
+            subscribed = [layout.subscriptions[o][r] for o in range(4)]
+            assert np.array_equal(np.concatenate(subscribed), ghosts)
+            for o, gids in enumerate(subscribed):
+                assert layout.owned(o, gids).all()

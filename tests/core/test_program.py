@@ -265,3 +265,19 @@ class TestValidation:
         engine = Engine(rmat_graph, 4)
         res = run_vertex_program(engine, cc_program(engine, max_iterations=1))
         assert res.iterations == 1
+
+
+@pytest.mark.parametrize("algo", ["cc", "pagerank"])
+def test_empty_graph_gives_empty_answer(algo):
+    """No vertices: an empty answer and zero modeled time (the switch
+    policy, which needs a vertex, is never built)."""
+    from repro.algorithms import pagerank
+    from repro.graph import Graph
+
+    engine = Engine(Graph.from_edges([], [], 0), grid=Grid2D(R=2, C=2))
+    run = connected_components if algo == "cc" else pagerank
+    res = run(engine)
+    assert res.values.size == 0
+    assert res.iterations == 0
+    assert res.timings.total == 0.0
+    assert engine.counters.total_serial_messages == 0

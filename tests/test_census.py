@@ -21,6 +21,13 @@ down.
 A run owns its state: after one op, the fleet holds the next op's
 arrays and nothing an earlier op allocated.
 
+There is one engine: only ``core/engine.py`` builds the clocks, the
+communicator and the counters a run is modeled on.  The few other
+modules that build one of them build no engine (a bare communicator's
+default counters, an elastic regrid's arithmetic on a checkpoint's
+clock lanes, betweenness summing its per-source BFS counters), and
+that list only shrinks.
+
 Code that only tests call is not part of the system: the top-level
 functions and classes under ``src/repro`` (outside ``reference/``, the
 serial oracles and test graphs) that nothing in the package itself,
@@ -28,7 +35,8 @@ the benchmarks, the examples or CI reaches only go down.
 
 CI prints the same census (the fan-out sites, the modules that use
 threads, the ``except`` clauses, the index bytes per edge, the state
-bytes held after two ops, the test-only definitions, and the source
+bytes held after two ops, the modules that build clocks, a
+communicator or counters, the test-only definitions, and the source
 line count the ROADMAP quotes) so the numbers are reproducible::
 
     python tests/test_census.py
@@ -79,14 +87,28 @@ INDEX_BYTES_PER_EDGE_CEILING = 16
 #: ``deg``).
 HELD_STATE_BYTES_CEILING = 49_152
 
+#: The classes an engine is built from (see :func:`engine_part_sites`).
+ENGINE_PARTS = ("VirtualClocks", "Communicator", "CommCounters")
+#: The modules allowed to construct one: the engine, and the three that
+#: build one part and no engine.  ``baselines/oned_engine.py`` and
+#: ``baselines/onefive.py`` built all three until the 1D and 1.5D
+#: baselines ran on the engine's 1xp grid.
+ENGINE_PART_BUILDERS = frozenset({
+    os.path.join("core", "engine.py"),
+    os.path.join("comm", "collectives.py"),  # a bare Communicator's counters
+    os.path.join("faults", "elastic.py"),  # a checkpoint's clock lanes
+    os.path.join("algorithms", "betweenness.py"),  # per-source BFS counters
+})
+
 #: Top-level definitions under ``src/repro`` that nothing outside
 #: ``tests/`` reaches (see :func:`only_tests_reach`).  24 before
 #: ``gluon_engine``, ``make_packets`` and ``estimate_1d_memory`` went
 #: and the serial oracles and test graphs moved into ``reference/``;
-#: the rest (listed by
+#: 16 before the 1D baseline's ``bfs_1d`` and ``pagerank_1d`` went with
+#: its engine.  The rest (listed by
 #: ``python tests/test_census.py``) are ROADMAP item 13's open list,
 #: kept while the tests that pin them are.
-TEST_ONLY_DEFS_CEILING = 16
+TEST_ONLY_DEFS_CEILING = 14
 
 #: Where a reach counts from, and the inline scripts of CI's workflows.
 REACH_SCOPES = ("src", "benchmarks", "examples")
@@ -178,6 +200,24 @@ def held_state_bytes() -> int:
     return sum(engine.fleet.stacked(name).nbytes for name in engine.ctx(0).arrays)
 
 
+def engine_part_sites() -> dict[str, int]:
+    """Per module under ``src/repro``: calls constructing one of
+    :data:`ENGINE_PARTS`."""
+    sites = {}
+    for path in _python_files(SRC):
+        tree = ast.parse("".join(_lines(path)))
+        n = sum(
+            1
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            in ENGINE_PARTS
+        )
+        if n:
+            sites[os.path.relpath(path, SRC)] = n
+    return sites
+
+
 def _reaches(tree: ast.AST):
     """``(name, line)`` of every ``Name`` / ``Attribute`` in ``tree``,
     and of the parts of its ``"repro.…"`` dotted strings (how the
@@ -252,6 +292,11 @@ def test_held_state_bytes_only_go_down():
     assert held_state_bytes() <= HELD_STATE_BYTES_CEILING
 
 
+def test_only_the_engine_builds_clocks_communicator_counters():
+    sites = engine_part_sites()
+    assert set(sites) <= ENGINE_PART_BUILDERS, sites
+
+
 def test_definitions_only_tests_reach_only_go_down():
     defs = only_tests_reach()
     assert len(defs) <= TEST_ONLY_DEFS_CEILING, defs
@@ -274,6 +319,11 @@ if __name__ == "__main__":
         f"{held_state_bytes():4d}  state bytes held after bfs_batch, sssp_batch "
         f"(ceiling {HELD_STATE_BYTES_CEILING})"
     )
+    parts = engine_part_sites()
+    for name, n in sorted(parts.items()):
+        flag = "" if name in ENGINE_PART_BUILDERS else "  (not allowed)"
+        print(f"{n:4d}  {name}{flag}")
+    print(f"{len(parts):4d}  modules building {' / '.join(ENGINE_PARTS)}")
     defs = only_tests_reach()
     for name in defs:
         print(f"      {name}")
