@@ -71,34 +71,6 @@ def validate_roots(n: int, roots, what: str = "roots") -> np.ndarray:
     return roots
 
 
-def _lane_frontier_sizes(
-    engine: Engine, frontier: list, k: int
-) -> np.ndarray:
-    """Per-lane global frontier cardinality (one row-group rep each)."""
-    total = np.zeros(k, dtype=np.int64)
-    for id_r, ranks in engine.row_groups():
-        lids, lanes = frontier[ranks[0]]
-        if lanes.size:
-            total += np.bincount(lanes, minlength=k)
-    return total
-
-
-def _root_cells(fleet, roots_rel: np.ndarray) -> list:
-    """Where each lane's root (relabeled GID ``roots_rel[lane]``) is
-    visible: ``[(stacked LIDs, lanes)]`` of its row cells, then of its
-    column cells, rank-major with lanes ascending within a rank."""
-    cells = []
-    for start, stop, shift in (
-        (fleet.row_start, fleet.row_stop, fleet.row_gid_shift),
-        (fleet.col_start, fleet.col_stop, fleet.col_gid_shift),
-    ):
-        ranks, lanes = np.nonzero(
-            (start[:, None] <= roots_rel) & (roots_rel < stop[:, None])
-        )
-        cells.append((roots_rel[lanes] - shift[ranks], lanes))
-    return cells
-
-
 def _entry_queues(fleet, lids: np.ndarray, lanes: np.ndarray) -> list:
     """Per-rank ``(local LIDs, lanes)`` entry queues of rank-major
     stacked row cells."""
@@ -160,15 +132,12 @@ def bfs_batch(
     else:
         engine.reset_timers()
         compute_global_degrees(engine)
-        m_total = 0.0
+        m_total = float(fleet.global_degrees().sum())
         engine.alloc("parent", np.float64, fill=INF, width=k)
         engine.alloc("level", np.float64, fill=INF, width=k)
-        for id_r, ranks in engine.row_groups():
-            ctx0 = engine.ctx(ranks[0])
-            m_total += float(ctx0.get("deg")[ctx0.row_slice].sum())
 
         # Seed every root in its lane, everywhere it is visible.
-        (row_lids, row_lanes), (col_lids, col_lanes) = _root_cells(fleet, roots_rel)
+        (row_lids, row_lanes), (col_lids, col_lanes) = fleet.cells_of(roots_rel)
         seeds = np.concatenate([row_lids, col_lids])
         seed_lanes = np.concatenate([row_lanes, col_lanes])
         fleet.stacked("parent")[seeds, seed_lanes] = roots[seed_lanes]
@@ -225,7 +194,11 @@ def bfs_batch(
 
     while not s.lane_done.all():
         s.depth += 1
-        fsize = _lane_frontier_sizes(engine, s.frontier, k)
+        # per-lane frontier sizes over the row groups' first ranks
+        fsize = sum(
+            np.bincount(s.frontier[ranks[0]][1], minlength=k)
+            for _, ranks in engine.row_groups()
+        )
         for lane in np.flatnonzero(~s.lane_done):
             if hybrid:
                 growing = s.m_frontier[lane] > s.m_frontier_prev[lane]
@@ -273,7 +246,7 @@ def bfs_batch(
             result = sparse_push_lanes(engine, "parent", queues, op="min")
             n_upd += result.n_updated
 
-        flags_handle = None
+        wait = None
         if pull_lanes.size:
             # Bottom-up lanes share one expansion: the lanes' unvisited
             # sets overlap heavily in this regime, so the union of
@@ -354,36 +327,26 @@ def bfs_batch(
 
             engine.foreach(bottom_up_scan)
             dense_exchange_lanes(engine, "parent", "pull", "min", pull_lanes)
+            fresh_per_group = {}
             for id_r, ranks in engine.row_groups():
                 ctx0 = engine.ctx(ranks[0])
-                p0 = ctx0.get("parent")[ctx0.row_slice]
-                l0 = ctx0.get("level")[ctx0.row_slice]
-                if L != k:
-                    p0 = p0[:, pull_lanes]
-                    l0 = l0[:, pull_lanes]
-                n_upd[pull_lanes] += np.count_nonzero(
-                    (p0 != INF) & (l0 == INF), axis=0
+                cells = (ctx0.row_slice, pull_lanes if L != k else slice(None))
+                parent, level = ctx0.get("parent")[cells], ctx0.get("level")[cells]
+                fresh_per_group[id_r] = np.count_nonzero(
+                    (parent != INF) & (level == INF), axis=0
                 )
-            # One fused per-lane verdict AllReduce for all pull lanes
-            # (split-phase on an overlapped engine, exactly as 1-D).
-            flags = [
-                n_upd[pull_lanes].astype(np.float64)
-                for _ in range(grid.n_ranks)
-            ]
-            if engine.overlap:
-                flags_handle = engine.comm.start_allreduce(
-                    list(range(grid.n_ranks)), flags, op="max"
-                )
-            else:
-                engine.comm.allreduce(
-                    list(range(grid.n_ranks)), flags, op="max"
-                )
+            # One fused per-lane reduction of the ranks' row-window
+            # counts for all pull lanes (split-phase on an overlapped
+            # engine, exactly as 1-D).
+            n_upd[pull_lanes], wait = engine.reduce_partials(
+                [fresh_per_group[ctx.block.id_r] for ctx in engine]
+            )
 
         cont = ~s.lane_done & (n_upd > 0)
         s.lane_done |= ~s.lane_done & (n_upd == 0)
         if not cont.any():
-            if flags_handle is not None:
-                engine.comm.wait(flags_handle)
+            if wait is not None:
+                wait()
             engine.superstep_boundary(tag, saved)
             break
 
@@ -466,29 +429,16 @@ def bfs_batch(
             new_frontier.append(
                 (lids + row_shift[r], lanes_f) if row_shift[r] else (lids, lanes_f)
             )
-        if flags_handle is not None:
-            engine.comm.wait(flags_handle)
+        if wait is not None:
+            wait()
+        # Per-lane frontier edge counts over the row groups' first
+        # ranks: sums of integer-valued degrees far below 2**53, exact
+        # in any order, so the switching trajectory is the 1-D one.
         m_new = np.zeros(k)
         for id_r, ranks in engine.row_groups():
-            ctx0 = engine.ctx(ranks[0])
             lids0, lanes0 = new_frontier[ranks[0]]
-            deg0 = ctx0.get("deg")
-            if not lanes0.size:
-                continue
-            # One stable lane sort replaces a boolean mask pass per
-            # lane; each lane's segment keeps the original relative
-            # order, so the per-lane np.sum sees the identical operand
-            # sequence (and the switching trajectory stays
-            # bit-identical to the 1-D runs).
-            ordr = np.argsort(lanes0, kind="stable")
-            sl = lids0[ordr]
-            sn = lanes0[ordr]
-            starts = np.searchsorted(sn, np.arange(k))
-            ends = np.searchsorted(sn, np.arange(k), side="right")
-            for lane in np.flatnonzero(cont):
-                seg = sl[starts[lane] : ends[lane]]
-                if seg.size:
-                    m_new[lane] += float(deg0[seg].sum())
+            deg0 = engine.ctx(ranks[0]).get("deg")[lids0]
+            m_new += np.bincount(lanes0, weights=deg0, minlength=k)
         s.frontier = new_frontier
         s.m_frontier_prev[cont] = s.m_frontier[cont]
         s.m_frontier[cont] = m_new[cont]
@@ -564,7 +514,7 @@ def sssp_batch(
         engine.reset_timers()
 
         engine.alloc("dist", np.float64, fill=INF, width=k)
-        (row_lids, row_lanes), (col_lids, col_lanes) = _root_cells(fleet, roots_rel)
+        (row_lids, row_lanes), (col_lids, col_lanes) = fleet.cells_of(roots_rel)
         dist = fleet.stacked("dist")
         dist[row_lids, row_lanes] = 0.0
         dist[col_lids, col_lanes] = 0.0
@@ -746,16 +696,15 @@ def pagerank_batch(
             acc[:, act] + dangling[None, :] * t_a
         )
         if tol is not None:
+            # each rank's largest change per live lane over its row window
             rows = fleet.row_mask
-            max_delta = np.abs(new[rows] - pr[rows][:, act]).max(
-                axis=0, initial=0.0
-            )
+            rank_delta = fleet.row_window_max(np.abs(new[rows] - pr[rows][:, act]))
         pr[:, act] = new
         engine.charge_vertices(None, fleet.n_total)
         s.lane_iters[act] = s.iterations_run
         if tol is not None:
-            flags = [max_delta.copy() for _ in all_ranks]
-            engine.comm.allreduce(all_ranks, flags, op="max")
+            max_delta, wait = engine.reduce_partials(rank_delta, op="max")
+            wait()
             s.lane_done[act[max_delta < tol]] = True
         engine.superstep_boundary(tag, lambda: vars(s))
 

@@ -64,7 +64,7 @@ def bfs(
     there is none); recovery drivers and result certification wrap
     this call from outside — see ``docs/ROBUSTNESS.md``.
     """
-    part, grid, fleet = engine.partition, engine.grid, engine.fleet
+    part, fleet = engine.partition, engine.fleet
     n = part.n_vertices
     if not 0 <= root < n:
         raise ValueError(f"root {root} out of range")
@@ -84,21 +84,17 @@ def bfs(
         compute_global_degrees(engine)
         engine.alloc("parent", np.float64, fill=INF)
         engine.alloc("level", np.float64, fill=INF)
-        deg = fleet.stacked("deg")
-        starts = (fleet.row_start - fleet.row_gid_shift)[first]
-        sizes = (fleet.row_stop - fleet.row_start)[first]
-        m_total = float(sum(deg[a : a + k].sum() for a, k in zip(starts, sizes)))
+        global_deg = fleet.global_degrees()
+        m_total = float(global_deg.sum())
 
         # Seed the root everywhere it is visible: its row cell on every
         # rank of its row group, its column cell on every rank of its
-        # column group (stacked LID = GID - shift).
-        in_rows = (fleet.row_start <= root_rel) & (root_rel < fleet.row_stop)
-        in_cols = (fleet.col_start <= root_rel) & (root_rel < fleet.col_stop)
-        row_seeds = root_rel - fleet.row_gid_shift[in_rows]
-        seeds = np.concatenate([row_seeds, root_rel - fleet.col_gid_shift[in_cols]])
+        # column group.
+        (row_seeds, _), (col_seeds, _) = fleet.cells_of(np.array([root_rel]))
+        seeds = np.concatenate([row_seeds, col_seeds])
         fleet.stacked("parent")[seeds] = root
         fleet.stacked("level")[seeds] = 0.0
-        root_deg = float(deg[row_seeds[0]])
+        root_deg = float(global_deg[root_rel])
         s = SimpleNamespace(
             frontier=fleet.split(row_seeds),
             n_visited=1,
@@ -133,7 +129,7 @@ def bfs(
 
         parent = fleet.stacked("parent")
         level = fleet.stacked("level")
-        flags_handle = None
+        wait = None
         if not s.bottom_up:
             # Top-down: expand the frontier, claim unvisited ghosts —
             # every rank's frontier in one stacked pass.
@@ -184,27 +180,18 @@ def bfs(
                 ).astype(np.float64)
                 np.minimum.at(parent, src, cand_parent)
             dense_pull(engine, "parent", op="min")
-            # Freshly visited cells and the next frontier; its size on
-            # the row groups' first ranks is shared with a one-word
-            # AllReduce, as a real dense iteration must.  No rank
-            # consumes the reduced value locally, so an overlapped
-            # engine issues it split-phase and hides the level update
-            # below behind it.
+            # Freshly visited cells and the next frontier, whose size is
+            # the ranks' row-window counts reduced (an overlapped engine
+            # hides the level update below behind the reduction).
             fresh = np.flatnonzero((parent != INF) & (level == INF))
             rows = fresh[fleet.row_mask[fresh]]
             counts = fleet.counts(rows)
-            n_updated = int(counts[first].sum())
-            flags = [np.array([float(n_updated)]) for _ in range(grid.n_ranks)]
-            if engine.overlap:
-                flags_handle = engine.comm.start_allreduce(
-                    list(range(grid.n_ranks)), flags, op="max"
-                )
-            else:
-                engine.comm.allreduce(list(range(grid.n_ranks)), flags, op="max")
+            total, wait = engine.reduce_partials(counts)
+            n_updated = int(total)
 
         if n_updated == 0:
-            if flags_handle is not None:
-                engine.comm.wait(flags_handle)
+            if wait is not None:
+                wait()
             s.done = True
             engine.superstep_boundary("bfs", saved)
             break
@@ -218,8 +205,8 @@ def bfs(
             rows, counts = fleet.stack(s.frontier)
         else:
             s.frontier = fleet.split(rows)
-        if flags_handle is not None:
-            engine.comm.wait(flags_handle)
+        if wait is not None:
+            wait()
         s.m_frontier_prev = s.m_frontier
         s.m_frontier = float(fleet.stacked("deg")[rows[np.repeat(first, counts)]].sum())
         s.n_visited += n_updated

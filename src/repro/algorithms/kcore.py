@@ -41,8 +41,8 @@ def core_numbers(
     """Exact core numbers of every vertex, in original vertex order."""
     engine.reset_timers()
 
-    # Estimates start at the global degrees (computed with a dense pull
-    # over the local degrees, as in PageRank).
+    # Estimates start at the global degrees (the fleet's structural
+    # cache, as in PageRank).
     compute_global_degrees(engine)
 
     fleet = engine.fleet

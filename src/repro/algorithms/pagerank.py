@@ -17,9 +17,10 @@ Every iteration:
 3. dangling mass is folded in via a one-word AllReduce and the damping
    update is applied locally.
 
-Vertex degrees are *global* degrees, themselves computed with one
-dense pull exchange over the local degrees (paper §3.2: the true
-degree is the sum of local degrees across the row group).
+Vertex degrees are *global* degrees (paper §3.2: the true degree is
+the sum of local degrees across the row group).  They are graph
+structure, so the fleet derives them once, as a set-up step without a
+modeled charge, and every run only copies them into its ``deg`` state.
 """
 
 from __future__ import annotations
@@ -40,24 +41,14 @@ __all__ = ["pagerank", "compute_global_degrees"]
 def compute_global_degrees(
     engine: Engine, name: str = "deg", weighted: bool = False
 ) -> None:
-    """Compute each vertex's true (possibly weighted) degree into state
-    array ``name``.
-
-    Fills the row window with local degrees and runs a dense pull
-    (SUM) exchange; afterwards both windows hold global degrees
-    (paper §3.2: the true degree is the row-group sum of local
-    degrees).
-    """
+    """Fill state ``name`` on both windows of every rank with each
+    vertex's true (possibly weighted) degree from the fleet's structural
+    cache (:meth:`~repro.core.fleet.Fleet.global_degrees`): the fill
+    kernel is charged, and no collective is issued."""
     fleet = engine.fleet
-    if weighted:
-        # every rank's row sums of edge weights: A_w @ 1
-        local = csr_pull(fleet.csr(weighted=True), np.ones(fleet.size), "sum")
-    else:
-        local = fleet.local_degrees()
     engine.alloc(name, np.float64)
-    fleet.stacked(name)[...] = local
+    fleet.fill_windows(fleet.stacked(name), fleet.global_degrees(weighted))
     engine.charge_vertices(None, fleet.n_total)
-    dense_pull(engine, name, op="sum")
 
 
 def pagerank(
@@ -81,7 +72,8 @@ def pagerank(
         over neighbors.
     tol:
         Optional early stop once ``max |delta pr| < tol`` (checked with
-        a one-word MAX AllReduce each iteration); ``iterations``
+        a one-word MAX reduction each iteration,
+        :meth:`~repro.core.engine.Engine.reduce_partials`); ``iterations``
         remains the hard bound.
     resume:
         Continue from the engine's latest attached checkpoint instead
@@ -197,14 +189,14 @@ def pagerank(
             new *= damping
             new += (1.0 - damping) / n
         if tol is not None:
-            # owned vertices only: a rank's ghosts are another's rows
+            # each rank's largest change over its row window
             rows = fleet.row_mask
-            max_delta = float(np.abs(new[rows] - pr[rows]).max(initial=0.0))
+            rank_delta = fleet.row_window_max(np.abs(new[rows] - pr[rows]))
         pr[...] = new
         engine.charge_vertices(None, fleet.n_total)
         if tol is not None:
-            flags = [np.array([max_delta]) for _ in all_ranks]
-            engine.comm.allreduce(all_ranks, flags, op="max")
+            max_delta, wait = engine.reduce_partials(rank_delta, op="max")
+            wait()
             s.done = max_delta < tol
         engine.superstep_boundary("pagerank", lambda: vars(s))
 

@@ -129,8 +129,7 @@ def pointer_jumping(
     ``resume=True`` continues from the engine's latest attached
     checkpoint (see ``docs/ROBUSTNESS.md``).
     """
-    part, grid = engine.partition, engine.grid
-    all_ranks = list(range(grid.n_ranks))
+    part = engine.partition
 
     if resume:
         st = engine.resume_from_checkpoint("pj")
@@ -215,11 +214,12 @@ def pointer_jumping(
             engine.charge_vertices(r, inbox.size + int(pending.sum()))
             return int(np.count_nonzero(old != new_vals))
 
-        n_changed = sum(engine.map_ranks(apply_jumps))
-
-        # Global convergence check (one-word AllReduce).
-        flags = [np.array([float(n_changed)]) for _ in all_ranks]
-        engine.comm.allreduce(all_ranks, flags, op="max")
+        # Global convergence check: the home slices are disjoint over
+        # all ranks, so the one-word reduction spans them all.
+        n_changed, wait = engine.reduce_partials(
+            engine.map_ranks(apply_jumps), over="ranks"
+        )
+        wait()
         s.done = n_changed == 0 or (
             max_iterations is not None and s.iterations >= max_iterations
         )

@@ -162,11 +162,12 @@ def _share_hubs(engine: Engine, states: list[np.ndarray], hubs: np.ndarray) -> N
         state[hubs] = shared
 
 
-def _any_changed(engine: Engine, n_changed: int) -> bool:
-    """The all-rank flag AllReduce closing an iteration."""
-    flags = [np.array([float(n_changed)]) for _ in range(engine.n_ranks)]
-    engine.comm.allreduce(list(range(engine.n_ranks)), flags, op="max")
-    return flags[0][0] != 0
+def _any_changed(engine: Engine, n_changed) -> bool:
+    """The reduction of the ranks' row-window change counts closing an
+    iteration: on a 1×p grid, the all-rank AllReduce."""
+    total, wait = engine.reduce_partials(n_changed)
+    wait()
+    return total != 0
 
 
 def _result(
@@ -211,11 +212,11 @@ def cc_1d(engine: Engine, max_iterations: Optional[int] = None) -> AlgorithmResu
             send.append(_to_owners(layout, ghosts, state[ghosts]))
             engine.charge_vertices(r, ghosts.size)
         received = engine.comm.alltoallv(ranks, send)
-        n_changed = 0
+        n_changed = np.zeros(engine.n_ranks)
         send = []
         for r, (state, rbuf) in enumerate(zip(states, received)):
             remote = scatter_reduce(state, rbuf["gid"], rbuf["val"], "min")
-            n_changed += remote.size + local[r].size
+            n_changed[r] = remote.size + local[r].size
             engine.charge_vertices(r, rbuf.size)
             # Owners whose value changed (locally or remotely) are
             # active, and their subscribers need the new value.
@@ -258,7 +259,7 @@ def cc_15d(
     iterations = 0
     while True:
         iterations += 1
-        n_changed = 0
+        n_changed = np.zeros(engine.n_ranks)
         hub_before = states[0][hubs]
         for r, (blk, state) in enumerate(zip(engine.partition.blocks, states)):
             own = layout.rows[r]
@@ -273,10 +274,11 @@ def cc_15d(
             scatter_reduce(state, src, state[dst], "min")
             scatter_reduce(state, hub_dst, state[hub_src], "min")
             scatter_reduce(state, hub_src, state[hub_dst], "min")
-            n_changed += int(np.count_nonzero(state[own] < before_own))
+            n_changed[r] = np.count_nonzero(state[own] < before_own)
         if hubs.size:
             _share_hubs(engine, states, hubs)
-            n_changed += int(np.count_nonzero(states[0][hubs] < hub_before))
+            # a changed hub counts on the rank whose window holds it
+            n_changed += np.histogram(hubs[states[0][hubs] < hub_before], layout.offsets)[0]
 
         send = []
         for r, state in enumerate(states):
@@ -285,7 +287,7 @@ def cc_15d(
             engine.charge_vertices(r, ghosts.size)
         received = engine.comm.alltoallv(ranks, send)
         for r, (state, rbuf) in enumerate(zip(states, received)):
-            n_changed += scatter_reduce(state, rbuf["gid"], rbuf["val"], "min").size
+            n_changed[r] += scatter_reduce(state, rbuf["gid"], rbuf["val"], "min").size
             engine.charge_vertices(r, rbuf.size)
         send = [
             [_pairs(subs, state[subs]) for subs in layout.subscriptions[r]]

@@ -481,6 +481,12 @@ class Communicator:
         inflight = self.clocks.issue_collective(ranks, t)
         return CollectiveHandle("allreduce", tuple(ranks), inflight, payload=buffers)
 
+    def start_allreduce_stage(self, groups, buffers, op: str = "sum", nic_sharing: int = 1):
+        """:meth:`start_allreduce` in each of a stage's disjoint
+        ``groups``, in group order: one handle per group."""
+        self._stage_index(groups)
+        return [self.start_allreduce(g, b, op, nic_sharing) for g, b in zip(groups, buffers)]
+
     def start_allgatherv(
         self,
         ranks: Sequence[int],

@@ -212,6 +212,8 @@ class Engine:
         ]
         self._row_groups = [grid.row_group_ranks(i) for i in range(grid.C)]
         self._col_groups = [grid.col_group_ranks(i) for i in range(grid.R)]
+        # (over, payload bytes) -> (groups, NIC sharing) of reduce_partials
+        self._reduction_layouts: dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------------
     # rank / group access
@@ -287,6 +289,49 @@ class Engine:
             sharing["row"] = max(sharing["row"], len({r // R for r in members}))
             sharing["col"] = max(sharing["col"], len({r % R for r in members}))
         return sharing
+
+    # ------------------------------------------------------------------
+    # global values from per-rank partials
+    # ------------------------------------------------------------------
+    def reduce_partials(self, partials, op: str = "sum", over: str = "rows"):
+        """Reduce per-rank partials (``op`` ``"sum"`` / ``"max"``) to the
+        global value the loop reads; returns ``(value, wait)``.
+
+        ``partials[r]``, a scalar or lane vector, covers rank ``r``'s row
+        window (``over="rows"``): the windows of one column group
+        partition the vertices, so a stage of column-group AllReduces
+        (2⌈log₂ C⌉ tree steps, not 2⌈log₂ p⌉) or the all-rank call fed by
+        the first column group, whichever the cost model charges less
+        (once per payload size; a tie keeps the all-rank call), gives
+        the global value.  ``over="ranks"``: sets disjoint across all
+        ranks, always the all-rank call.  ``value`` is final at return;
+        an overlapped engine issues split-phase and ``wait()`` completes.
+        """
+        if op not in ("sum", "max") or over not in ("rows", "ranks"):
+            raise ValueError(f"op {op!r}, over {over!r}: need sum/max, rows/ranks")
+        buf = np.array(partials, dtype=np.float64).reshape(self.n_ranks, -1)
+        key = (over, buf[0].nbytes)
+        if key not in self._reduction_layouts:
+            everyone, cost = list(range(self.n_ranks)), self.costmodel.allreduce_time
+            sharing = self.stage_nic_sharing("col")
+            stage = max(cost(g, key[1], sharing) for g in self._col_groups)
+            self._reduction_layouts[key] = (
+                (self._col_groups, sharing)
+                if over == "rows" and stage < cost(everyone, key[1])
+                else ([everyone], 1)
+            )
+        groups, sharing = self._reduction_layouts[key]
+        if over == "rows" and len(groups) == 1:  # first column group only
+            identity = 0.0 if op == "sum" else -np.inf
+            buf[np.arange(self.n_ranks) % self.grid.R != 0] = identity
+        buffers = [[buf[r] for r in ranks] for ranks in groups]
+        handles = []
+        if self.overlap:
+            handles = self.comm.start_allreduce_stage(groups, buffers, op, sharing)
+        else:
+            self.comm.allreduce_stage(groups, buffers, op, sharing)
+        value = buf[0] if np.ndim(partials) > 1 else float(buf[0, 0])
+        return value, lambda: [self.comm.wait(handle) for handle in handles]
 
     # ------------------------------------------------------------------
     # state helpers

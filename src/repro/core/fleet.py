@@ -40,9 +40,10 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+from ..comm.collectives import REDUCE_OPS
 from ..graph.localmap import LocalMap
 from ..graph.partition.twod import RankBlock, TwoDPartition
-from ..kernels.pull import PullCSR
+from ..kernels.pull import PullCSR, csr_pull
 from ..queueing.frontier import expand_block
 
 __all__ = ["EXPAND_EDGE_BUDGET", "ExchangePlan", "Fleet"]
@@ -101,6 +102,11 @@ class Fleet:
         #: ``r`` to get its relabeled GID; subtract to go back.
         self.row_gid_shift = self.row_start - column("row_offset") - self.base[:-1]
         self.col_gid_shift = self.col_start - column("col_offset") - self.base[:-1]
+        #: ``(start, stop, shift)`` of every rank's row, then column window
+        self._windows = (
+            (self.row_start, self.row_stop, self.row_gid_shift),
+            (self.col_start, self.col_stop, self.col_gid_shift),
+        )
         self._rank_ids = np.arange(self.n_ranks, dtype=np.int64)
         #: ``name -> stacked buffer`` of every state array.
         self._arena: dict[str, np.ndarray] = {}
@@ -110,6 +116,7 @@ class Fleet:
         self._row_mask: Optional[np.ndarray] = None
         self._block: Optional[RankBlock] = None
         self._degrees: Optional[np.ndarray] = None
+        self._global_degrees: dict[bool, np.ndarray] = {}
         self._csr: dict[bool, PullCSR] = {}
         self._plan: Optional[ExchangePlan] = None
 
@@ -230,6 +237,16 @@ class Fleet:
             out.append((lids, pattern[cuts[g] : cuts[g + 1]]) if laned else lids)
         return out
 
+    def row_window_max(self, values: np.ndarray) -> np.ndarray:
+        """Every rank's maximum (along axis 0; ``0`` for an empty window)
+        of ``values`` over the :attr:`row_mask` cells, rank-major."""
+        sizes = self.row_stop - self.row_start
+        out, nonempty = np.zeros((self.n_ranks,) + values.shape[1:]), sizes > 0
+        if nonempty.any():
+            starts = (np.cumsum(sizes) - sizes)[nonempty]
+            out[nonempty] = np.maximum.reduceat(values, starts, axis=0)
+        return out
+
     @property
     def row_mask(self) -> np.ndarray:
         """Boolean over stacked LIDs: is it in its rank's row window?"""
@@ -241,19 +258,23 @@ class Fleet:
             self._row_mask = mask
         return self._row_mask
 
-    def window_cells(self, axis: str) -> tuple[np.ndarray, np.ndarray]:
-        """Every rank's row (``"row"``) or column (``"col"``) window,
-        rank-major: ``(stacked LIDs, relabeled GIDs)`` of its cells."""
-        if axis == "row":
-            start, stop, shift = self.row_start, self.row_stop, self.row_gid_shift
-        else:
-            start, stop, shift = self.col_start, self.col_stop, self.col_gid_shift
-        sizes = stop - start
-        first = np.zeros(self.n_ranks, dtype=np.int64)
-        np.cumsum(sizes[:-1], out=first[1:])
-        gids = np.arange(int(sizes.sum()), dtype=np.int64)
-        gids += np.repeat(start - first, sizes)
-        return gids - np.repeat(shift, sizes), gids
+    def cells_of(self, gids: np.ndarray) -> list:
+        """Where each relabeled GID ``gids[i]`` is visible: ``[(stacked
+        LIDs, i)]`` of its row cells, then of its column cells,
+        rank-major with ``i`` ascending within a rank."""
+        cells = []
+        for start, stop, shift in self._windows:
+            ranks, i = np.nonzero((start[:, None] <= gids) & (gids < stop[:, None]))
+            cells.append((gids[i] - shift[ranks], i))
+        return cells
+
+    def fill_windows(self, state: np.ndarray, values: np.ndarray) -> None:
+        """Write ``values[gid]`` (a vector over relabeled GIDs) into the
+        cell of ``gid`` in every rank's row and column window."""
+        for start, stop, shift in self._windows:
+            # GIDs [a, b) sit at stacked LIDs [a - d, b - d)
+            for a, b, d in zip(start.tolist(), stop.tolist(), shift.tolist()):
+                state[a - d : b - d] = values[a:b]
 
     # ------------------------------------------------------------------
     # stacked CSR
@@ -298,6 +319,26 @@ class Fleet:
             degrees.flags.writeable = False
             self._degrees = degrees
         return self._degrees
+
+    def global_degrees(self, weighted: bool = False) -> np.ndarray:
+        """Every vertex's true degree (``weighted``: edge-weight sum) by
+        relabeled GID, read-only, built on first use and kept: the
+        row-group sum of local degrees (paper §3.2) over the exchange
+        plan's row windows, in a dense pull's operand order, so bit for
+        bit what that exchange delivers."""
+        degrees = self._global_degrees.get(weighted)
+        if degrees is None:
+            if weighted:
+                local = csr_pull(self.csr(weighted=True), np.ones(self.size), "sum")
+            else:
+                local = self.local_degrees()
+            degrees = np.concatenate([
+                REDUCE_OPS["sum"](np.array([local[w] for w in windows], np.float64))
+                for _, windows in self.exchange_plan().reduce["row"]
+            ])
+            degrees.flags.writeable = False
+            self._global_degrees[weighted] = degrees
+        return degrees
 
     def row_degrees(self, rows: np.ndarray) -> np.ndarray:
         """Local degree of each stacked row LID."""

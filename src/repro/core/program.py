@@ -121,10 +121,8 @@ def init_vertex_state(
     """
     part, fleet = engine.partition, engine.fleet
     engine.alloc(name, np.float64)
-    state = fleet.stacked(name)
-    for axis in ("row", "col"):
-        cells, gids = fleet.window_cells(axis)
-        state[cells] = init(part.original_gid(gids))
+    gids = np.arange(part.n_vertices, dtype=np.int64)
+    fleet.fill_windows(fleet.stacked(name), init(part.original_gid(gids)))
     engine.charge_vertices(None, fleet.n_total)
 
 
@@ -142,10 +140,9 @@ def run_vertex_program(
     ``tag`` (default ``"program:<name>"``) so different programs never
     cross-resume.
     """
-    part, grid = engine.partition, engine.grid
+    part, grid, fleet = engine.partition, engine.grid, engine.fleet
     name, op, push = program.name, program.op, program.direction == "push"
     algo_tag = f"program:{name}" if tag is None else tag
-    all_ranks = list(range(grid.n_ranks))
     all_rows = [ctx.row_lids() for ctx in engine]
     if part.n_vertices == 0:  # an empty graph: an empty answer, no modeled time
         engine.reset_timers()
@@ -160,7 +157,7 @@ def run_vertex_program(
     policy = SwitchPolicy(part.n_vertices, grid, mode=program.mode)
     if resume:
         s = SimpleNamespace(**engine.resume_from_checkpoint(algo_tag))
-        s.active = engine.fleet.decode_queue(s.active)
+        s.active = fleet.decode_queue(s.active)
         policy.use_sparse = vars(s).pop("use_sparse")
     else:
         engine.reset_timers()
@@ -176,7 +173,7 @@ def run_vertex_program(
         s = SimpleNamespace(active=active, iteration=0, done=False)
 
     def saved():
-        active = engine.fleet.encode_queue(s.active)
+        active = fleet.encode_queue(s.active)
         return {**vars(s), "active": active, "use_sparse": policy.use_sparse}
 
     while not s.done:
@@ -184,14 +181,9 @@ def run_vertex_program(
         rows_per_rank = s.active if program.use_queue else all_rows
         sparse_now = policy.use_sparse
         if not sparse_now:
-            # Snapshot consistent row state before compute so the
-            # update count sees local changes too.
-            prev = {
-                id_r: engine.ctx(ranks[0]).get(name)[
-                    engine.ctx(ranks[0]).row_slice
-                ].copy()
-                for id_r, ranks in engine.row_groups()
-            }
+            # Snapshot every row window before compute so the update
+            # count sees local changes too.
+            prev = fleet.stacked(name)[fleet.row_mask]
 
         # ---- local compute --------------------------------------------
         def local_compute(ctx):
@@ -213,7 +205,7 @@ def run_vertex_program(
         queues = engine.map_ranks(local_compute)
 
         # ---- exchange --------------------------------------------------
-        flags_handle = None
+        wait = None
         if sparse_now:
             exchange = sparse_push if push else sparse_pull
             result = exchange(engine, name, queues, op=op)
@@ -221,31 +213,17 @@ def run_vertex_program(
             updated = result.active_row
         else:
             dense_exchange(engine, name, program.direction, op=op)
-            n_updated = 0
-            changed_rows: dict[int, np.ndarray] = {}
-            for id_r, ranks in engine.row_groups():
-                ctx0 = engine.ctx(ranks[0])
-                diff = np.flatnonzero(ctx0.get(name)[ctx0.row_slice] != prev[id_r])
-                n_updated += int(diff.size)
-                changed_rows[id_r] = diff
-            # Convergence check: a 1-word AllReduce over all ranks, as a
-            # dense iteration has no other way to learn the update count.
-            # No rank consumes the reduced value locally, so an
-            # overlapped engine issues it split-phase and hides the
-            # active-queue rebuild below behind it.
-            flags = [np.array([float(n_updated)]) for _ in all_ranks]
-            if engine.overlap:
-                flags_handle = engine.comm.start_allreduce(all_ranks, flags, op="max")
-            else:
-                engine.comm.allreduce(all_ranks, flags, op="max")
-            updated = [
-                ctx.localmap.row_offset + changed_rows[ctx.block.id_r]
-                for ctx in engine
-            ]
+            rows = np.flatnonzero(fleet.row_mask)
+            rows = rows[fleet.stacked(name)[fleet.row_mask] != prev]
+            # Convergence check: the ranks' row-window update counts,
+            # reduced (an overlapped engine hides the queue rebuild).
+            total, wait = engine.reduce_partials(fleet.counts(rows))
+            n_updated = int(total)
+            updated = fleet.split(rows)
         if program.use_queue:
             s.active = updated if push else propagate_active_pull(engine, updated)
-        if flags_handle is not None:
-            engine.comm.wait(flags_handle)
+        if wait is not None:
+            wait()
 
         policy.observe(n_updated)
         s.done = n_updated == 0 or (

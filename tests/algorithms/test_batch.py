@@ -30,7 +30,7 @@ from repro.graph import rmat
 from repro.reference.graphs import grid_graph, path_graph
 from repro.reference import serial as ref_serial
 
-from ..conftest import rank_order
+from ..conftest import rank_order, watch_convergence
 
 RANKS = 16
 
@@ -161,6 +161,36 @@ class TestBFSEquivalence:
             assert ref_serial.bfs_parents_valid(
                 graph, root, res.values[:, lane]
             )
+
+    @pytest.mark.parametrize("overlap", [False, True], ids=["blocking", "overlap"])
+    def test_pull_lane_counts_are_split_phase_on_an_overlapped_engine(
+        self, graph, overlap
+    ):
+        """A superstep with bottom-up lanes reduces their per-lane
+        counts in one column-group stage: split-phase on an overlapped
+        engine, blocking otherwise."""
+        roots = [0, 5, 9]
+        engine = Engine(graph, grid=Grid2D(R=2, C=4), overlap=overlap)
+        calls = watch_convergence(engine)
+        res = bfs_batch(engine, roots)
+        depths = max(len(d) for d in res.extra["directions"])
+        pull = [
+            d + 1
+            for d in range(depths)
+            if any(log[d : d + 1] == ["bottom-up"] for log in res.extra["directions"])
+        ]
+        assert pull
+        issued = "start_allreduce_stage" if overlap else "allreduce_stage"
+        columns = [ranks for _, ranks in engine.col_groups()]
+        assert [c["stages"] for c in calls] == [[(issued, columns)]] * len(pull)
+        levels = res.extra["levels"]
+        for call, d in zip(calls, pull):
+            lanes = [
+                j
+                for j, log in enumerate(res.extra["directions"])
+                if log[d - 1 : d] == ["bottom-up"]
+            ]
+            assert list(call["value"]) == [np.sum(levels[:, j] == d) for j in lanes]
 
     def test_k1_degenerates_to_single_source(self, graph, bfs_refs):
         """A batch of one IS the single-source run: values, timings and

@@ -11,7 +11,7 @@ from repro.graph import Graph
 from repro.reference.graphs import grid_graph, path_graph, star_graph
 from repro.reference import serial
 
-from ..conftest import GRIDS, random_graph
+from ..conftest import GRIDS, random_graph, watch_convergence
 
 
 class TestCorrectness:
@@ -185,6 +185,26 @@ class TestBehaviour:
     def test_sparse_comms_used(self, rmat_graph):
         res = bfs(Engine(rmat_graph, 4), root=0)
         assert res.counters["allgatherv"]["calls"] > 0
+
+    @pytest.mark.parametrize("overlap", [False, True], ids=["blocking", "overlap"])
+    def test_bottom_up_count_is_split_phase_on_an_overlapped_engine(
+        self, rmat_graph, overlap
+    ):
+        """A bottom-up superstep reads its fresh-vertex count from one
+        stage of column-group reductions: split-phase on an overlapped
+        engine, which hides the level update behind it, blocking
+        otherwise; top-down supersteps issue none."""
+        engine = Engine(rmat_graph, grid=Grid2D(R=2, C=4), overlap=overlap)
+        calls = watch_convergence(engine)
+        res = bfs(engine, root=0)
+        ways = res.extra["directions"]
+        bottom_up = [d + 1 for d, way in enumerate(ways) if way == "bottom-up"]
+        assert bottom_up
+        issued = "start_allreduce_stage" if overlap else "allreduce_stage"
+        columns = [ranks for _, ranks in engine.col_groups()]
+        assert [c["stages"] for c in calls] == [[(issued, columns)]] * len(bottom_up)
+        levels = res.extra["levels"]
+        assert [c["value"] for c in calls] == [np.sum(levels == d) for d in bottom_up]
 
     def test_iterations_equal_eccentricity_plus_one(self):
         g = path_graph(20)

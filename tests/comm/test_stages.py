@@ -156,6 +156,28 @@ def test_split_phase_stage_equals_per_group_issue(case):
     _assert_same(staged, oracle)
 
 
+@settings(max_examples=60, deadline=None)
+@given(case=stages())
+def test_split_phase_allreduce_stage_waited_at_once_is_the_blocking_stage(case):
+    """``start_allreduce_stage`` moves the data at issue, one handle per
+    group; waiting on every handle right away charges what the blocking
+    stage charges, bit for bit."""
+    p, groups, clock_seed, seed, width = case
+    staged, blocking = _comm(p, clock_seed), _comm(p, clock_seed)
+    pay_a = _payloads("allreduce", groups, seed, width)
+    pay_b = _payloads("allreduce", groups, seed, width)
+    handles = staged.start_allreduce_stage(groups, pay_a, op="max")
+    assert [(h.kind, list(h.ranks)) for h in handles] == [
+        ("allreduce", g) for g in groups
+    ]
+    blocking.allreduce_stage(groups, pay_b, op="max")
+    for x, y in zip(_data("allreduce", pay_a), _data("allreduce", pay_b)):
+        assert np.array_equal(x, y)
+    for handle in handles:
+        staged.wait(handle)
+    _assert_same(staged, blocking)
+
+
 def _resilient(p: int, clock_seed: int, plan: FaultPlan) -> Communicator:
     injector = FaultInjector(plan)
     injector.max_retries = 3

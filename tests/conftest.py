@@ -121,3 +121,33 @@ def random_graph(seed: int, n_max: int = 200, density: float = 4.0):
     from repro.graph import Graph
 
     return Graph.from_edges(src, dst, n)
+
+
+def watch_convergence(engine) -> list[dict]:
+    """Record every :meth:`Engine.reduce_partials` call on ``engine``:
+    its ``value`` and the ``stages`` it issued, as ``(method, groups)``
+    for each ``allreduce_stage`` / ``start_allreduce_stage`` call made
+    inside it."""
+    calls: list[dict] = []
+    reduce, comm = engine.reduce_partials, engine.comm
+
+    def reduce_partials(*args, **kwargs):
+        calls.append({"stages": []})
+        value, wait = reduce(*args, **kwargs)
+        calls[-1]["value"] = value
+        return value, wait
+
+    def watched(name):
+        issue = getattr(comm, name)
+
+        def stage(groups, *args, **kwargs):
+            if calls and "value" not in calls[-1]:
+                calls[-1]["stages"].append((name, [list(g) for g in groups]))
+            return issue(groups, *args, **kwargs)
+
+        return stage
+
+    for name in ("allreduce_stage", "start_allreduce_stage"):
+        setattr(comm, name, watched(name))
+    engine.reduce_partials = reduce_partials
+    return calls

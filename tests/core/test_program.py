@@ -20,7 +20,7 @@ from repro.core.program import VertexProgram, run_vertex_program
 from repro.graph import rmat
 from repro.reference import serial
 
-from ..conftest import GRIDS, random_graph
+from ..conftest import GRIDS, random_graph, watch_convergence
 
 
 def cc_program(engine, **kw) -> VertexProgram:
@@ -224,24 +224,19 @@ class TestDriver:
     def test_dense_convergence_flag_is_split_phase_on_an_overlapped_engine(
         self, rmat_graph, overlap
     ):
-        """No rank consumes the reduced flag locally, so an overlapped
-        engine hides the active-queue rebuild behind it."""
+        """A dense superstep learns its update count from one stage of
+        column-group reductions: split-phase on an overlapped engine,
+        which hides the active-queue rebuild behind it, blocking
+        otherwise."""
         engine = Engine(rmat_graph, grid=Grid2D(R=2, C=4), overlap=overlap)
-        issued = {"allreduce": 0, "start_allreduce": 0}
-        for name in issued:
-
-            def counting(ranks, *args, _fn=getattr(engine.comm, name), _n=name, **kw):
-                # the flag is the one reduction over every rank; the
-                # dense exchange reduces inside row / column groups
-                issued[_n] += len(ranks) == engine.n_ranks
-                return _fn(ranks, *args, **kw)
-
-            setattr(engine.comm, name, counting)
+        calls = watch_convergence(engine)
         res = run_vertex_program(
             engine, cc_program(engine, direction="pull", mode="dense", use_queue=True)
         )
-        hidden, blocking = (res.iterations, 0) if overlap else (0, res.iterations)
-        assert issued == {"start_allreduce": hidden, "allreduce": blocking}
+        issued = "start_allreduce_stage" if overlap else "allreduce_stage"
+        columns = [ranks for _, ranks in engine.col_groups()]
+        assert [c["stages"] for c in calls] == [[(issued, columns)]] * res.iterations
+        assert [c["value"] for c in calls][-1] == 0
 
 
 class TestValidation:

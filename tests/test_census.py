@@ -28,6 +28,12 @@ default counters, an elastic regrid's arithmetic on a checkpoint's
 clock lanes, betweenness summing its per-source BFS counters), and
 that list only shrinks.
 
+A convergence count or flag is reduced through one engine method
+(``Engine.reduce_partials``), which picks the cheaper of a
+column-group stage and the all-rank call.  Any other AllReduce of one
+value replicated on every rank (``[... for _ in ranks]``) is a
+hand-built all-rank flag, and those only go down.
+
 Code that only tests call is not part of the system: the top-level
 functions and classes under ``src/repro`` (outside ``reference/``, the
 serial oracles and test graphs) that nothing in the package itself,
@@ -36,8 +42,9 @@ the benchmarks, the examples or CI reaches only go down.
 CI prints the same census (the fan-out sites, the modules that use
 threads, the ``except`` clauses, the index bytes per edge, the state
 bytes held after two ops, the modules that build clocks, a
-communicator or counters, the test-only definitions, and the source
-line count the ROADMAP quotes) so the numbers are reproducible::
+communicator or counters, the hand-built all-rank flags, the test-only
+definitions, and the source line count the ROADMAP quotes) so the
+numbers are reproducible::
 
     python tests/test_census.py
 """
@@ -98,6 +105,18 @@ ENGINE_PART_BUILDERS = frozenset({
     os.path.join("comm", "collectives.py"),  # a bare Communicator's counters
     os.path.join("faults", "elastic.py"),  # a checkpoint's clock lanes
     os.path.join("algorithms", "betweenness.py"),  # per-source BFS counters
+})
+
+#: AllReduce calls of a replicated one-value buffer (see
+#: :func:`flag_reduction_sites`): the cuGraph model's two in
+#: ``baselines/spmv.py``.  12 before the convergence counts of BFS, the
+#: vertex-program loop, ``bfs_batch``, PageRank's and
+#: ``pagerank_batch``'s ``tol=``, pointer jumping and the 1D baselines
+#: went through ``Engine.reduce_partials`` (the three that forked on
+#: overlap had two calls each).
+FLAG_REDUCTION_CEILING = 2
+ALLREDUCE_CALLS = frozenset({
+    "allreduce", "start_allreduce", "allreduce_stage", "start_allreduce_stage",
 })
 
 #: Top-level definitions under ``src/repro`` that nothing outside
@@ -218,6 +237,49 @@ def engine_part_sites() -> dict[str, int]:
     return sites
 
 
+def _replicated(node: ast.AST) -> bool:
+    """A list comprehension whose element ignores the rank:
+    ``[... for _ in ...]``."""
+    return (
+        isinstance(node, ast.ListComp)
+        and len(node.generators) == 1
+        and getattr(node.generators[0].target, "id", None) == "_"
+    )
+
+
+def flag_reduction_sites() -> dict[str, int]:
+    """Per module under ``src/repro``: AllReduce calls whose buffers are
+    one value replicated on every rank, built in place or bound to a
+    name in the same function."""
+    sites = {}
+    for path in _python_files(SRC):
+        tree = ast.parse("".join(_lines(path)))
+        n = 0
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            replicated = {
+                t.id
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Assign) and _replicated(node.value)
+                for t in node.targets
+                if isinstance(t, ast.Name)
+            }
+            n += sum(
+                1
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) in ALLREDUCE_CALLS
+                and any(
+                    _replicated(arg) or getattr(arg, "id", None) in replicated
+                    for arg in node.args
+                )
+            )
+        if n:
+            sites[os.path.relpath(path, SRC)] = n
+    return sites
+
+
 def _reaches(tree: ast.AST):
     """``(name, line)`` of every ``Name`` / ``Attribute`` in ``tree``,
     and of the parts of its ``"repro.…"`` dotted strings (how the
@@ -297,6 +359,11 @@ def test_only_the_engine_builds_clocks_communicator_counters():
     assert set(sites) <= ENGINE_PART_BUILDERS, sites
 
 
+def test_hand_built_all_rank_flags_only_go_down():
+    sites = flag_reduction_sites()
+    assert sum(sites.values()) <= FLAG_REDUCTION_CEILING, sites
+
+
 def test_definitions_only_tests_reach_only_go_down():
     defs = only_tests_reach()
     assert len(defs) <= TEST_ONLY_DEFS_CEILING, defs
@@ -324,6 +391,13 @@ if __name__ == "__main__":
         flag = "" if name in ENGINE_PART_BUILDERS else "  (not allowed)"
         print(f"{n:4d}  {name}{flag}")
     print(f"{len(parts):4d}  modules building {' / '.join(ENGINE_PARTS)}")
+    flags = flag_reduction_sites()
+    for name, n in sorted(flags.items()):
+        print(f"{n:4d}  {name}")
+    print(
+        f"{sum(flags.values()):4d}  hand-built all-rank flag AllReduces "
+        f"(ceiling {FLAG_REDUCTION_CEILING})"
+    )
     defs = only_tests_reach()
     for name in defs:
         print(f"      {name}")
