@@ -22,13 +22,6 @@ Commands
         python -m repro trace --algo CC --dataset TW --ranks 16
         python -m repro trace --algo PR --dataset RMAT12 --ranks 4 --out pr_trace
 
-``perf``
-    Measure the simulator's own wall-clock performance (the modeled
-    benches report virtual time; this one times the host) and append
-    the result to the persisted trajectory file::
-
-        python -m repro perf --scale 14 --ranks 16 --out BENCH_simulator.json
-
 ``faults``
     Run the fault-injection scenario campaign (crash/recovery,
     transient retries, bit-flip detection, stragglers) and report
@@ -164,58 +157,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     return 0 if exact else 1
-
-
-def _cmd_perf(args: argparse.Namespace) -> int:
-    from .bench.perf import append_entry, run_perf
-
-    entry = run_perf(
-        scale=args.scale,
-        ranks=args.ranks,
-        repeats=args.repeats,
-        label=args.label,
-        primitives=not args.no_primitives,
-        modeled=args.overlap,
-        batch=args.batch,
-        batch_ks=tuple(
-            int(k) for k in args.batch_ks.split(",")
-        ) if args.batch else (4, 8, 16),
-    )
-    for section in ("algorithms", "primitives"):
-        if section not in entry:
-            continue
-        print(f"{section}:")
-        for name, t in entry[section].items():
-            print(
-                f"  {name:>20}: best {t['best_s'] * 1e3:9.3f} ms  "
-                f"mean {t['mean_s'] * 1e3:9.3f} ms  ({t['repeats']} repeats)"
-            )
-    if "modeled" in entry:
-        print("modeled (virtual clock, blocking vs overlapped):")
-        for name, m in entry["modeled"].items():
-            blk, ovl = m["blocking"], m["overlapped"]
-            print(
-                f"  {name:>20}: blocking {blk['total_s']:9.3f}s  "
-                f"overlapped {ovl['total_s']:9.3f}s  "
-                f"(x{m['speedup']:.3f}, hid {ovl['overlap_fraction']:.1%} "
-                f"of comm)"
-            )
-    if "batched" in entry:
-        print("batched k-source BFS (vs k sequential runs):")
-        for name, b in entry["batched"].items():
-            calls = b["allgatherv_calls"]
-            ident = "bit-identical" if b["bit_identical"] else "MISMATCH"
-            print(
-                f"  {name:>20}: seq {b['sequential']['best_s'] * 1e3:9.3f} ms  "
-                f"batch {b['batched']['best_s'] * 1e3:9.3f} ms  "
-                f"(x{b['speedup']:.2f}, allgatherv {calls['sequential']}"
-                f"->{calls['batched']} = x{calls['ratio']:.2f} fewer, "
-                f"{ident})"
-            )
-    if args.out:
-        data = append_entry(args.out, entry)
-        print(f"appended entry {len(data['entries'])} to {args.out}")
-    return 0
 
 
 #: How ``faults`` prints each campaign kind: default grid size, table
@@ -447,37 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write PREFIX.csv and PREFIX.json instead of printing",
     )
     trace.set_defaults(func=_cmd_trace)
-
-    perf = sub.add_parser(
-        "perf", help="wall-clock performance of the simulator itself"
-    )
-    perf.add_argument("--scale", type=int, default=14, help="rmat scale")
-    perf.add_argument("--ranks", type=int, default=16)
-    perf.add_argument("--repeats", type=int, default=3)
-    perf.add_argument("--label", default="", help="entry label in the trajectory")
-    perf.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="append the entry to this trajectory JSON (e.g. BENCH_simulator.json)",
-    )
-    perf.add_argument(
-        "--no-primitives", action="store_true",
-        help="skip the primitive micro-timings (algorithms only)",
-    )
-    perf.add_argument(
-        "--overlap", action="store_true",
-        help="also record the modeled (virtual-clock) blocking-vs-"
-             "overlapped comparison for BFS/PR/CC/SpMV",
-    )
-    perf.add_argument(
-        "--batch", action="store_true",
-        help="also record batched k-source BFS vs k sequential runs "
-             "(wall time, allgatherv call counts, bit-identity)",
-    )
-    perf.add_argument(
-        "--batch-ks", default="4,8,16", metavar="K,K,...",
-        help="comma-separated lane counts for --batch (default 4,8,16)",
-    )
-    perf.set_defaults(func=_cmd_perf)
 
     faults = sub.add_parser(
         "faults", help="fault-injection scenario campaign with recovery checks"

@@ -23,7 +23,6 @@ Typical usage::
 from __future__ import annotations
 
 import copy
-import os
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -44,10 +43,7 @@ from .fleet import Fleet
 from .hooks import BOUNDARY_PHASES, Boundary, BoundaryHook
 from .result import TimingReport
 
-__all__ = ["Engine", "NoCheckpointError", "OVERLAP_ENV_VAR"]
-
-#: Environment variable consulted when ``Engine(overlap=None)``.
-OVERLAP_ENV_VAR = "REPRO_OVERLAP"
+__all__ = ["Engine", "NoCheckpointError"]
 
 
 class NoCheckpointError(LookupError):
@@ -89,9 +85,7 @@ class Engine:
         (``Communicator.start_*``) and hide apply-phase compute behind
         the in-flight exchanges.  Values, counters, and the compute and
         comm lanes stay bit-identical to a blocking run; only the total
-        drops (by the time recorded in the ``overlap`` lane).  ``None``
-        consults the ``REPRO_OVERLAP`` environment variable
-        (``1``/``true``/``on``/``yes`` enable; default blocking).  See
+        drops (by the time recorded in the ``overlap`` lane).  See
         docs/MODEL.md.
     executor:
         Kept for old callers: ``None`` or ``"serial"``, ignored; any
@@ -110,7 +104,7 @@ class Engine:
         memory_scale: float = 1.0,
         enforce_memory: bool = False,
         seed: int = 0,
-        overlap: Optional[bool] = None,
+        overlap: bool = False,
         *,
         executor: Optional[str] = None,
     ):
@@ -130,14 +124,6 @@ class Engine:
             )
         if load_balance not in ("manhattan", "vertex"):
             raise ValueError("load_balance must be 'manhattan' or 'vertex'")
-
-        if overlap is None:
-            overlap = os.environ.get(OVERLAP_ENV_VAR, "").strip().lower() in (
-                "1",
-                "true",
-                "on",
-                "yes",
-            )
 
         self.graph = graph
         self.grid = grid

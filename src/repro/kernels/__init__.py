@@ -22,7 +22,6 @@ from .scatter import (
     ScatterError,
     scatter_reduce,
     scatter_reduce_lanes,
-    scatter_reduce_reference,
     segment_reduce,
     unique_bounded,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "csr_pull",
     "scatter_reduce",
     "scatter_reduce_lanes",
-    "scatter_reduce_reference",
     "segment_reduce",
     "unique_bounded",
 ]

@@ -46,7 +46,6 @@ __all__ = [
     "ScatterError",
     "scatter_reduce",
     "scatter_reduce_lanes",
-    "scatter_reduce_reference",
     "segment_reduce",
     "unique_bounded",
 ]
@@ -250,31 +249,3 @@ def _segment_starts(sorted_lids: np.ndarray) -> np.ndarray:
     boundary[0] = True
     np.not_equal(sorted_lids[1:], sorted_lids[:-1], out=boundary[1:])
     return np.flatnonzero(boundary)
-
-
-def scatter_reduce_reference(
-    state: np.ndarray,
-    lids: np.ndarray,
-    vals,
-    op: str = "min",
-) -> np.ndarray:
-    """The pre-kernel ``np.ufunc.at`` idiom, kept as the test oracle.
-
-    Implements exactly the ``np.unique`` → ``old.copy()`` →
-    ``np.<op>.at`` → compare sequence the call sites used before the
-    fused kernel existed.
-    """
-    lids = np.asarray(lids)
-    if lids.size == 0:
-        return _EMPTY_I64
-    uniq = np.unique(lids)
-    old = state[uniq].copy()
-    if op == "min":
-        np.minimum.at(state, lids, vals)
-    elif op == "max":
-        np.maximum.at(state, lids, vals)
-    elif op == "sum":
-        np.add.at(state, lids, vals)
-    else:
-        raise ScatterError(f"unsupported scatter op {op!r}")
-    return uniq[state[uniq] != old]

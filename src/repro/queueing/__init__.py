@@ -1,6 +1,6 @@
 """Work queues, frontier expansion, and GPU load-balance models."""
 
-from .frontier import Expansion, expand_block, expand_csr
+from .frontier import Expansion, expand_block
 from .hashtable import HashTable, histogram_via_hash_table
 from .manhattan import (
     BLOCK_SIZE,
@@ -14,7 +14,6 @@ from .vertexqueue import LaneVertexQueue, VertexQueue, unique_new
 __all__ = [
     "Expansion",
     "expand_block",
-    "expand_csr",
     "HashTable",
     "histogram_via_hash_table",
     "BLOCK_SIZE",

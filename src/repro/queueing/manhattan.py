@@ -6,7 +6,7 @@ block's total edge work with a binary search per edge — giving each
 thread (almost) the same number of edges regardless of degree skew.
 
 In the simulator the *functional* expansion is done by
-:func:`repro.queueing.frontier.expand_csr`; this module reproduces the
+:func:`repro.queueing.frontier.expand_block`; this module reproduces the
 *schedule* so the cost model can charge realistic kernel times:
 
 * :func:`manhattan_schedule` computes, per thread block, the prefix

@@ -15,6 +15,7 @@ import scipy.sparse.csgraph as csgraph
 
 from ..algorithms.coloring import color_priorities
 from ..graph.csr import Graph
+from ..kernels.scatter import ScatterError
 
 __all__ = [
     "connected_components",
@@ -31,6 +32,7 @@ __all__ = [
     "serial_jones_plassmann",
     "sssp_distances",
     "triangle_count",
+    "scatter_reduce_reference",
 ]
 
 
@@ -339,3 +341,32 @@ def serial_jones_plassmann(graph: Graph, seed: int = 0) -> np.ndarray:
             new_colors[v] = c
         colors = new_colors
     return colors
+
+
+def scatter_reduce_reference(
+    state: np.ndarray,
+    lids: np.ndarray,
+    vals,
+    op: str = "min",
+) -> np.ndarray:
+    """The pre-kernel ``np.ufunc.at`` idiom, the oracle of
+    :func:`repro.kernels.scatter_reduce`.
+
+    Implements exactly the ``np.unique`` → ``old.copy()`` →
+    ``np.<op>.at`` → compare sequence the call sites used before the
+    fused kernel existed.
+    """
+    lids = np.asarray(lids)
+    if lids.size == 0:
+        return np.empty(0, dtype=np.int64)
+    uniq = np.unique(lids)
+    old = state[uniq].copy()
+    if op == "min":
+        np.minimum.at(state, lids, vals)
+    elif op == "max":
+        np.maximum.at(state, lids, vals)
+    elif op == "sum":
+        np.add.at(state, lids, vals)
+    else:
+        raise ScatterError(f"unsupported scatter op {op!r}")
+    return uniq[state[uniq] != old]

@@ -359,6 +359,24 @@ class TestCounterAmortization:
         assert 0 < batch_calls
         assert batch_calls * 2 <= seq_calls
 
+    @pytest.mark.parametrize("k", [2, 4, 8])
+    def test_bfs_hub_roots_amortize_allgatherv_k_fold(self, k):
+        """``rmat(10, seed=1)`` on 4 ranks from the ``k`` highest-degree
+        roots (stable order): the lanes are bit-identical to ``k``
+        sequential runs, and the fused stream cuts their AllGatherv
+        calls by a factor of at least 0.75k (2.0, 4.0 and 6.33 here)."""
+        graph = rmat(10, seed=1)
+        roots = np.argsort(-graph.degrees(), kind="stable")[:k].tolist()
+        seq = [bfs(Engine(graph, 4), root=r) for r in roots]
+        batched = bfs_batch(Engine(graph, 4), roots)
+        for j, res in enumerate(seq):
+            assert np.array_equal(batched.values[:, j], res.values)
+            assert np.array_equal(batched.extra["levels"][:, j], res.extra["levels"])
+        seq_calls = sum(res.counters["allgatherv"]["calls"] for res in seq)
+        batch_calls = batched.counters["allgatherv"]["calls"]
+        assert seq_calls > batch_calls > 0
+        assert seq_calls / batch_calls >= 0.75 * k, (seq_calls, batch_calls)
+
     def test_pagerank_k8_one_allreduce_per_group(self, graph):
         """Batched PR pays the same *number* of AllReduce calls as a
         single run: the k columns ride one collective."""

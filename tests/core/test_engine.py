@@ -228,16 +228,3 @@ class TestOverlapConfig:
         assert e.overlap is True
         new = e.rebuild_on_grid(square_grid(4))
         assert new.overlap is True
-
-    def test_env_var_enables_overlap(self, rmat_graph, monkeypatch):
-        from repro.core.engine import OVERLAP_ENV_VAR
-
-        monkeypatch.setenv(OVERLAP_ENV_VAR, "true")
-        assert Engine(rmat_graph, 4).overlap is True
-        monkeypatch.setenv(OVERLAP_ENV_VAR, "0")
-        assert Engine(rmat_graph, 4).overlap is False
-        monkeypatch.delenv(OVERLAP_ENV_VAR)
-        assert Engine(rmat_graph, 4).overlap is False
-        # an explicit argument wins over the environment
-        monkeypatch.setenv(OVERLAP_ENV_VAR, "1")
-        assert Engine(rmat_graph, 4, overlap=False).overlap is False

@@ -19,6 +19,7 @@ from repro.core.context import RankContext
 from repro.faults import CheckpointManager
 from repro.graph import Graph, rmat
 from repro.reference.graphs import star_graph
+from repro.reference.serial import scatter_reduce_reference
 from repro.kernels import csr_pull
 from repro.kernels import scatter as scatter_mod
 from repro.queueing.manhattan import manhattan_schedule, vertex_per_thread_balance
@@ -112,7 +113,7 @@ def _per_rank_edge_list_pull(engine, name, op, weighted):
             at = (slice(None),) + lane
             vals = x[at][dst] * w if weighted else x[at][dst]
             col = state[at].copy()
-            scatter_mod.scatter_reduce_reference(col, src, vals, op)
+            scatter_reduce_reference(col, src, vals, op)
             state[at] = col
         out.append(state)
     return np.concatenate(out)
@@ -516,7 +517,7 @@ def test_tiny_queue_does_not_copy_the_whole_stacked_state(monkeypatch):
         vals = rng.random(lids_size)
         a, b = np.full(n_state, 0.5), np.full(n_state, 0.5)
         assert np.array_equal(
-            real(a, lids, vals, "min"), scatter_mod.scatter_reduce_reference(b, lids, vals, "min")
+            real(a, lids, vals, "min"), scatter_reduce_reference(b, lids, vals, "min")
         )
         assert np.array_equal(a, b)
 

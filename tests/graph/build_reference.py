@@ -4,10 +4,10 @@ These are the bodies :meth:`repro.graph.Graph.from_edges` and
 :func:`repro.graph.partition_2d` had before both became one int64 key
 sort.  They stay here, under ``tests/`` only, as the oracles the sort
 path must reproduce array for array (``test_build_oracle.py``), the way
-``scatter_reduce_reference`` backs the scatter kernel.  The partition
-oracle holds its adjacency as ``int64`` stacked LIDs (a rank's local
-LID plus its ``lid_offsets`` entry); the library narrows both graph
-and partition ids to ``index_dtype``.
+``repro.reference.serial.scatter_reduce_reference`` backs the scatter
+kernel.  The partition oracle holds its adjacency as ``int64`` stacked
+LIDs (a rank's local LID plus its ``lid_offsets`` entry); the library
+narrows both graph and partition ids to ``index_dtype``.
 """
 
 from __future__ import annotations

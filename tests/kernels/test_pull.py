@@ -8,13 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import (
-    PullCSR,
-    ScatterError,
-    csr_pull,
-    scatter_reduce_reference,
-)
+from repro.kernels import PullCSR, ScatterError, csr_pull
 from repro.graph import index_dtype
+from repro.reference.serial import scatter_reduce_reference
 
 OPS = {"sum": 0.0, "min": np.inf, "max": -np.inf}
 

@@ -2,7 +2,7 @@
 
 The kernel's contract is exact agreement with the pre-kernel
 ``np.unique`` + ``old.copy()`` + ``np.<op>.at`` + compare idiom
-(:func:`repro.kernels.scatter_reduce_reference`): bit-identical state
+(:func:`repro.reference.serial.scatter_reduce_reference`): bit-identical state
 after the update and the identical changed-LID set, across ops, dtypes,
 regimes (sparse queues vs edge-sized dense index arrays), duplicates,
 and non-contiguous views.
@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import ScatterError, scatter_reduce, scatter_reduce_reference
+from repro.kernels import ScatterError, scatter_reduce
 from repro.kernels import scatter as scatter_mod
 from repro.kernels.scatter import segment_reduce
+from repro.reference.serial import scatter_reduce_reference
 
 OPS = ["min", "max", "sum"]
 

@@ -10,16 +10,27 @@ from hypothesis import strategies as st
 from repro.comm.grid import Grid2D
 from repro.graph import partition_2d, rmat
 from repro.reference.graphs import path_graph
-from repro.queueing import Expansion, expand_block, expand_csr
+from repro.queueing import Expansion, expand_block
 
 from ..conftest import random_graph
 
 
+def _whole_graph_block(g):
+    """The one block of a 1x1 grid: the graph's own CSR, rows and
+    targets both at offset 0, so its LIDs are the graph's vertex ids."""
+    blk = partition_2d(g, Grid2D(R=1, C=1)).blocks[0]
+    assert blk.localmap.row_offset == blk.lid_base == 0
+    return blk
+
+
 class TestExpandCSR:
+    """A whole graph's CSR, expanded through its 1x1 block."""
+
     def test_matches_manual_expansion(self):
         g = rmat(6, seed=3)
         rows = np.array([0, 5, 17], dtype=np.int64)
-        ex = expand_csr(g.indptr, g.indices, rows)
+        blk = _whole_graph_block(g)
+        ex = expand_block(blk, rows)
         src, dst, eidx = ex.src, ex.dst, ex.edge_index
         manual_src, manual_dst = [], []
         for r in rows:
@@ -28,26 +39,26 @@ class TestExpandCSR:
                 manual_dst.append(u)
         assert np.array_equal(src, manual_src)
         assert np.array_equal(dst, manual_dst)
-        assert g.indices.dtype == np.int32 and dst.dtype == np.int64
-        assert np.array_equal(g.indices[eidx], dst)
+        assert blk.indices.dtype == np.int32 and dst.dtype == np.int64
+        assert np.array_equal(blk.indices[eidx], dst)
         assert np.array_equal(rows[ex.entry], src)
         assert ex.weights is None
 
     def test_empty_queue(self):
         g = path_graph(5)
-        ex = expand_csr(g.indptr, g.indices, np.empty(0, dtype=np.int64))
+        ex = expand_block(_whole_graph_block(g), np.empty(0, dtype=np.int64))
         assert ex.entry.size == ex.src.size == ex.dst.size == ex.edge_index.size == 0
 
     def test_isolated_vertices(self):
         from repro.graph import Graph
 
         g = Graph.from_edges([0], [1], 4)  # vertices 2, 3 isolated
-        ex = expand_csr(g.indptr, g.indices, np.array([2, 3]))
+        ex = expand_block(_whole_graph_block(g), np.array([2, 3]))
         assert ex.src.size == ex.dst.size == 0
 
     def test_duplicate_queue_entries_expand_twice(self):
         g = path_graph(3)
-        ex = expand_csr(g.indptr, g.indices, np.array([1, 1]))
+        ex = expand_block(_whole_graph_block(g), np.array([1, 1]))
         assert ex.src.size == 4  # degree-2 vertex expanded twice
         assert ex.entry.tolist() == [0, 0, 1, 1]
 
@@ -55,7 +66,7 @@ class TestExpandCSR:
         """The benchmark's span wrapper counts expanded edges as
         ``result[1].size`` from outside the program."""
         g = path_graph(4)
-        ex = expand_csr(g.indptr, g.indices, np.array([1, 2]))
+        ex = expand_block(_whole_graph_block(g), np.array([1, 2]))
         assert isinstance(ex, Expansion) and ex[1] is ex.dst
         assert Expansion._fields[:3] == ("entry", "dst", "edge_index")
 
@@ -91,7 +102,7 @@ def test_property_expansion_counts(seed):
     rng = np.random.default_rng(seed)
     k = int(rng.integers(0, g.n_vertices))
     rows = rng.choice(g.n_vertices, size=k, replace=False).astype(np.int64)
-    ex = expand_csr(g.indptr, g.indices, rows)
+    ex = expand_block(_whole_graph_block(g), rows)
     src, dst = ex.src, ex.dst
     assert src.size == int(g.degrees()[rows].sum())
     # every (src, dst) pair is a real edge
@@ -164,10 +175,8 @@ def test_property_expansion_equals_a_per_row_loop(case):
 
 
 def test_wrong_length_degrees_raise():
-    g = path_graph(5)
-    rows = np.array([1, 2, 3])
+    blk = _whole_graph_block(path_graph(5))
     with pytest.raises(ValueError, match="degrees"):
-        expand_csr(g.indptr, g.indices, rows, np.array([2, 2]))
-    blk = partition_2d(g, Grid2D(R=1, C=1)).blocks[0]
+        expand_block(blk, np.array([1, 2, 3]), np.array([2, 2]))
     with pytest.raises(ValueError, match="degrees"):
         expand_block(blk, blk.row_lids(), np.array([1, 2, 2, 2, 1, 0]))

@@ -74,9 +74,18 @@ class TestCommands:
         assert "|---" in capsys.readouterr().out
 
 
-class TestTraceCommand:
-    ARGS = ["trace", "--algo", "PR", "--dataset", "TW", "--ranks", "4",
+def _trace_args(algo):
+    return ["trace", "--algo", algo, "--dataset", "RMAT12", "--ranks", "4",
             "--target-edges", str(1 << 12)]
+
+
+class TestTraceCommand:
+    """``trace`` exits nonzero unless its per-iteration rows reproduce
+    the run's ``CommCounters`` totals, so every exit code 0 here is an
+    exactness check too."""
+
+    ALGO, ITERATIONS = "PR", 20
+    ARGS = _trace_args(ALGO)
 
     def test_trace_both_formats(self, capsys):
         rc = main(self.ARGS)
@@ -92,17 +101,17 @@ class TestTraceCommand:
         out = capsys.readouterr().out
         assert out.startswith("iteration,")
         assert "schema" not in out
-        # 20 PageRank iterations + header
-        assert len(out.strip().splitlines()) == 21
+        # one row per iteration + header
+        assert len(out.strip().splitlines()) == self.ITERATIONS + 1
 
     def test_trace_json_is_exact(self, capsys):
         rc = main(self.ARGS + ["--format", "json"])
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["meta"]["algo"] == "PR"
+        assert doc["meta"]["algo"] == self.ALGO
         assert doc["meta"]["ranks"] == 4
         rows = doc["iterations"]
-        assert len(rows) == 20
+        assert len(rows) == self.ITERATIONS
         assert sum(r["bytes"] for r in rows) == doc["totals"]["bytes"]
         assert all(r["calls_by_kind"] for r in rows)
 
@@ -113,12 +122,19 @@ class TestTraceCommand:
         csv_text = (tmp_path / "pr_trace.csv").read_text()
         assert csv_text.startswith("iteration,")
         doc = json.loads((tmp_path / "pr_trace.json").read_text())
-        assert doc["schema"] == "repro.trace.v1"
+        assert doc["schema"] == "repro.trace.v1" and doc["iterations"]
         assert "wrote" in capsys.readouterr().out
 
     def test_trace_requires_algo(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["trace"])
+
+
+class TestTraceCommandCC(TestTraceCommand):
+    """The same contract on CC, a run of data-dependent length."""
+
+    ALGO, ITERATIONS = "CC", 5
+    ARGS = _trace_args(ALGO)
 
 
 class TestClaimsCommand:
@@ -140,59 +156,3 @@ class TestClaimsCommand:
         doc = json.loads(out.read_text())
         assert doc["schema"] == "repro.claims.v1" and doc["failed"] == rc
         assert doc["rows"][0]["values"] == {"only": {"v": value.hex()}}
-
-
-class TestPerf:
-    def test_perf_smoke_appends_trajectory(self, capsys, tmp_path):
-        out = tmp_path / "traj.json"
-        rc = main(
-            ["perf", "--scale", "6", "--ranks", "4", "--repeats", "1",
-             "--label", "smoke", "--out", str(out)]
-        )
-        assert rc == 0
-        text = capsys.readouterr().out
-        assert "algorithms:" in text and "primitives:" in text
-        assert "appended entry 1" in text
-        doc = json.loads(out.read_text())
-        assert doc["schema"] == "repro.bench.simulator.v1"
-        assert doc["entries"][0]["label"] == "smoke"
-
-    def test_perf_no_primitives_prints_algorithms_only(self, capsys):
-        rc = main(
-            ["perf", "--scale", "6", "--ranks", "4", "--repeats", "1",
-             "--no-primitives"]
-        )
-        assert rc == 0
-        text = capsys.readouterr().out
-        assert "algorithms:" in text
-        assert "primitives:" not in text
-
-    def test_perf_overlap_prints_modeled_comparison(self, capsys, tmp_path):
-        out = tmp_path / "traj.json"
-        rc = main(
-            ["perf", "--scale", "6", "--ranks", "4", "--repeats", "1",
-             "--no-primitives", "--overlap", "--out", str(out)]
-        )
-        assert rc == 0
-        text = capsys.readouterr().out
-        assert "modeled (virtual clock" in text
-        assert "SpMV" in text
-        doc = json.loads(out.read_text())
-        assert set(doc["entries"][0]["modeled"]) == {"BFS", "PR", "CC", "SpMV"}
-
-
-class TestPerfBatch:
-    def test_perf_batch_prints_section(self, capsys, tmp_path):
-        out = tmp_path / "traj.json"
-        rc = main(
-            ["perf", "--scale", "6", "--ranks", "4", "--repeats", "1",
-             "--no-primitives", "--batch", "--batch-ks", "2",
-             "--out", str(out)]
-        )
-        assert rc == 0
-        text = capsys.readouterr().out
-        assert "batched k-source BFS" in text
-        assert "bit-identical" in text
-        doc = json.loads(out.read_text())
-        entry = doc["entries"][0]["batched"]["k2"]
-        assert entry["bit_identical"] is True
