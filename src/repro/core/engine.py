@@ -500,8 +500,8 @@ class Engine:
     attach_health = attach
     #: Decide demote/grow at every boundary, raising
     #: :class:`~repro.faults.injector.RankDemotion` /
-    #: :class:`~repro.faults.injector.SpareArrival`: an
-    #: :class:`~repro.faults.health.AutoscaleRecovery`.
+    #: :class:`~repro.faults.injector.SpareArrival`: an ``"autoscale"``
+    #: :class:`~repro.faults.elastic.Recovery`.
     attach_autoscaler = attach
     #: Verify state-array integrity at boundaries, before the
     #: boundary's checkpoint is saved: an

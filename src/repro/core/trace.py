@@ -60,7 +60,7 @@ class IterationTrace:
     #: ``demote`` / ``grow`` / ``hold`` (autoscaler decisions),
     #: ``regrid`` (elastic migrations), ``memflip`` (injected silent
     #: in-memory bit flips), and ``integrity`` (ledger/certifier
-    #: detections of such corruption).  See ``repro.faults``,
+    #: detections of such corruption).  See ``repro.faults.elastic``,
     #: ``repro.faults.health``, and ``repro.faults.integrity``.
     faults: tuple = ()
 

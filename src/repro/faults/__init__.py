@@ -12,14 +12,13 @@ The robustness layer of the simulator (see ``docs/ROBUSTNESS.md``):
 * :mod:`repro.faults.checkpoint` — in-memory superstep checkpoints
   that make crashed runs resumable bit-identically;
 * :mod:`repro.faults.elastic` — :func:`drive_elastic`, the one
-  recovery driver every resilient run goes through, and degraded-mode
-  recovery from *permanent* rank loss: migrate the latest checkpoint
-  onto a smaller surviving grid (or a hot spare) and resume;
+  recovery driver every resilient run goes through, and
+  :class:`Recovery`, the one recovery object: its ``policy`` string
+  resumes in place, shrinks onto the survivors, adopts a hot spare, or
+  autoscales (demotes chronic stragglers and grows back onto arriving
+  spares);
 * :mod:`repro.faults.health` — the rank-health watchdog
-  (:class:`HealthMonitor`), chronic-straggler demotion
-  (:class:`DemotionPolicy`), and the grow-back autoscaler
-  (:class:`AutoscalePolicy` / :class:`AutoscaleRecovery`) that close
-  the elastic loop in both directions;
+  (:class:`HealthMonitor`) the autoscaler reads;
 * :mod:`repro.faults.integrity` — silent-data-corruption defense:
   the replicated-window :class:`IntegrityLedger`, per-algorithm
   result certifiers, and checkpoint-rollback repair of detected
@@ -29,31 +28,21 @@ The robustness layer of the simulator (see ``docs/ROBUSTNESS.md``):
   ``python -m repro faults`` (``--elastic``, ``--autoscale``,
   ``--sdc``).
 
-The injector, ledger, checkpoint manager, health monitor and autoscaler
-are :class:`~repro.core.hooks.BoundaryHook` s: the engine fires them at
+The injector, ledger, checkpoint manager, health monitor and an
+autoscaling :class:`Recovery` are
+:class:`~repro.core.hooks.BoundaryHook` s: the engine fires them at
 each superstep boundary in the declared phase order.
 """
 
 from .checkpoint import Checkpoint, CheckpointManager
 from .elastic import (
-    ElasticRecovery,
     ElasticUnrecoverable,
-    GridPolicy,
-    PreferSquare,
     Recovery,
-    SparePool,
     drive_elastic,
     gather_checkpoint_state,
     migrate_checkpoint,
-    resolve_policy,
 )
-from .health import (
-    RANK_HEALTH,
-    AutoscalePolicy,
-    AutoscaleRecovery,
-    DemotionPolicy,
-    HealthMonitor,
-)
+from .health import RANK_HEALTH, HealthMonitor
 from .injector import FaultInjector, RankDemotion, RankFailure, SpareArrival
 from .integrity import (
     CertificationReport,
@@ -73,24 +62,16 @@ __all__ = [
     "Checkpoint",
     "CheckpointManager",
     "Recovery",
-    "ElasticRecovery",
     "ElasticUnrecoverable",
-    "GridPolicy",
-    "PreferSquare",
-    "SparePool",
     "drive_elastic",
     "gather_checkpoint_state",
     "migrate_checkpoint",
-    "resolve_policy",
     "FaultInjector",
     "RankFailure",
     "RankDemotion",
     "SpareArrival",
     "RANK_HEALTH",
     "HealthMonitor",
-    "DemotionPolicy",
-    "AutoscalePolicy",
-    "AutoscaleRecovery",
     "FAULT_KINDS",
     "FaultEvent",
     "FaultPlan",

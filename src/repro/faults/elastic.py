@@ -1,37 +1,42 @@
-"""Elastic degraded-mode recovery: regrid onto the surviving GPUs.
+"""One recovery object: resume in place, shrink, take a spare, grow.
 
-PR 4's recovery machinery resumes a crashed run *on the same grid* —
-the crashed rank is modeled as replaced.  At the paper's scale
-(hundreds of GPUs, multi-hour WDC12 runs) a replacement is not always
-available: the honest degraded mode is to **continue the job on fewer
-ranks**.  This module implements that path:
+At the paper's scale (hundreds of GPUs, multi-hour WDC12 runs) losing a
+rank, carrying a chronic straggler and getting a spare back are routine.
+:func:`drive_elastic` hands every failure of a run to one
+:class:`Recovery`, whose ``policy`` string says where the run continues:
 
-1. the latest :class:`~repro.faults.checkpoint.Checkpoint` is opened
-   under *its own* recorded 2D layout (grid, permutation, local maps)
-   and every per-rank state array is gathered back into a global
-   original-GID-order vector — the checkpoint-time analogue of
-   :meth:`TwoDPartition.gather_row_state`;
-2. a pluggable :class:`GridPolicy` chooses the surviving grid
-   ``R'×C'`` from :func:`~repro.comm.grid.factor_pairs` over the
-   remaining ranks (or keeps the grid, consuming a hot spare);
-3. :meth:`Engine.rebuild_on_grid` re-partitions the graph and carries
-   counters, clocks, the fault injector, and the checkpoint manager
-   onto the new grid;
-4. the global vectors are re-scattered, the algorithm loop state is
-   copied as it is (it never names a rank, LID or relabeled GID:
-   vertex sets are saved by original id and decoded onto whatever grid
-   resumes them), and the run resumes from the checkpointed superstep
-   via the ordinary ``resume=True`` path.
+``"in-place"``
+    the failed rank is modeled as replaced: the run resumes on the same
+    engine from its latest checkpoint;
+``"prefer-square"``
+    the run shrinks onto the most square factor pair of the survivors
+    (square grids minimize the larger of the two group sizes);
+``"spare-pool[:N]"``
+    N hot spares (default 1) keep the grid while they last, each
+    adopting a dead rank's checkpointed state; then prefer-square;
+``"autoscale"``
+    prefer-square, plus a :class:`~repro.faults.health.HealthMonitor`
+    whose chronic stragglers are demoted (a soft failure,
+    :class:`~repro.faults.injector.RankDemotion`) and grow-back onto
+    planned spare arrivals (``FaultSpec("recover")``).
 
-The migration is charged to a dedicated ``regrid`` clock lane
-(:meth:`VirtualClocks.charge_regrid`): one checkpoint-sized AllGatherv
-to reassemble global state, one edge-list movement to re-partition,
-and one scatter of the new per-rank windows, all at ``regrid_bw``.
+Detected state corruption (``fault_kind == "integrity"``) resumes in
+place under every policy: the rank that held the flipped bit is
+healthy.  Shrink, spare and grow are one move: open the latest
+:class:`~repro.faults.checkpoint.Checkpoint` under its own recorded
+layout and gather every state back into original-id order, rebuild the
+engine on the new grid (:meth:`Engine.rebuild_on_grid` carries
+counters, clocks and every boundary hook), re-scatter the state, copy
+the grid-independent loop state as it is, adopt the result and resume
+through the ordinary ``resume=True`` path.  A move is charged to the
+``regrid`` clock lane at :data:`REGRID_BW`: one checkpoint-sized
+AllGatherv, one edge-list movement and one scatter of the new windows
+(a spare: the dead rank's bytes).
 
 Exactness: every monotone (min/max-reducing) algorithm — bfs, cc,
 sssp, label propagation, pointer jumping, and min/max vertex programs
 — finishes with values **bit-identical** to the fault-free run, on any
-surviving grid, because min/max reductions are insensitive to the
+grid trajectory, because min/max reductions are insensitive to the
 operand grouping a new grid induces.  PageRank's floating-point *sum*
 reductions are grouping-sensitive: values are bit-identical on the
 spare-pool (same-grid) path and agree to within ~1 ulp after a shrink
@@ -41,112 +46,39 @@ spare-pool (same-grid) path and agree to within ~1 ulp after a shrink
 from __future__ import annotations
 
 import copy
-from typing import Any, Callable, Optional, Union
+from dataclasses import replace
+from typing import Any, Callable, Optional
 
 import numpy as np
 
 from ..comm.clocks import VirtualClocks
 from ..comm.grid import Grid2D, squarest_grid
+from ..core.hooks import Boundary, BoundaryHook
 from .checkpoint import Checkpoint
-from .injector import RankFailure, SpareArrival
+from .health import HealthMonitor
+from .injector import RankDemotion, RankFailure, SpareArrival
 from .plan import FaultEvent
 
 __all__ = [
-    "GridPolicy",
-    "PreferSquare",
-    "SparePool",
-    "resolve_policy",
+    "POLICIES",
+    "REGRID_BW",
     "ElasticUnrecoverable",
     "Recovery",
-    "ElasticRecovery",
     "gather_checkpoint_state",
     "migrate_checkpoint",
     "drive_elastic",
 ]
 
+#: The ``policy`` strings :class:`Recovery` takes.
+POLICIES = ("in-place", "prefer-square", "spare-pool", "spare-pool:N", "autoscale")
 
-# ----------------------------------------------------------------------
-# grid policies
-# ----------------------------------------------------------------------
-class GridPolicy:
-    """Chooses the post-failure grid.
-
-    ``choose`` receives the failed engine's grid and the number of
-    surviving ranks; it returns the new :class:`Grid2D`, or ``None``
-    to keep the current grid (a hot spare replaces the dead rank).
-    """
-
-    name = "grid-policy"
-
-    def choose(self, grid: Grid2D, survivors: int) -> Optional[Grid2D]:
-        raise NotImplementedError
-
-
-class PreferSquare(GridPolicy):
-    """Use every survivor on the most square factor pair (the paper's
-    default layout preference — square grids minimize the larger of
-    the two group sizes)."""
-
-    name = "prefer-square"
-
-    def choose(self, grid: Grid2D, survivors: int) -> Optional[Grid2D]:
-        return squarest_grid(survivors)
-
-
-class SparePool(GridPolicy):
-    """Hold ``spares`` hot standby GPUs: while the pool lasts the grid
-    is unchanged (the spare adopts the dead rank's checkpointed state);
-    once exhausted, defer to ``fallback`` (default
-    :class:`PreferSquare`)."""
-
-    name = "spare-pool"
-
-    def __init__(self, spares: int = 1, fallback: Optional[GridPolicy] = None):
-        if spares < 0:
-            raise ValueError(f"spares must be >= 0, got {spares}")
-        self.spares = spares
-        self.fallback = fallback if fallback is not None else PreferSquare()
-
-    def choose(self, grid: Grid2D, survivors: int) -> Optional[Grid2D]:
-        if self.spares > 0:
-            self.spares -= 1
-            return None
-        return self.fallback.choose(grid, survivors)
-
-
-def resolve_policy(spec: Union[GridPolicy, str]) -> GridPolicy:
-    """Resolve a policy spec: a :class:`GridPolicy` instance, or one of
-    ``"prefer-square"``, ``"spare-pool"`` /
-    ``"spare-pool:N"`` (a pool of N spares)."""
-    if isinstance(spec, GridPolicy):
-        return spec
-    if not isinstance(spec, str):
-        raise ValueError(
-            f"grid policy must be a GridPolicy or a string spec, "
-            f"got {type(spec).__name__}: {spec!r}"
-        )
-    name, _, arg = spec.partition(":")
-    if name == "prefer-square" and not arg:
-        return PreferSquare()
-    if name == "spare-pool":
-        if not arg:
-            return SparePool()
-        try:
-            spares = int(arg)
-        except ValueError:
-            raise ValueError(
-                f"spare-pool size must be an integer, got {spec!r}"
-            ) from None
-        return SparePool(spares=spares)
-    raise ValueError(
-        f"unknown grid policy {spec!r}; choose from 'prefer-square', "
-        f"'spare-pool', 'spare-pool:N'"
-    )
+#: Modeled migration bandwidth in bytes/s (the checkpoint drain's).
+REGRID_BW = 12e9
 
 
 class ElasticUnrecoverable(RuntimeError):
-    """Elastic recovery cannot continue the run (no checkpoint, no
-    survivors, or the regrid budget is exhausted)."""
+    """A move cannot continue the run (no checkpoint, no survivors, or
+    the recovery budget is spent)."""
 
 
 # ----------------------------------------------------------------------
@@ -176,15 +108,13 @@ def gather_checkpoint_state(ckpt: Checkpoint) -> dict[str, np.ndarray]:
     return out
 
 
-def migrate_checkpoint(
-    ckpt: Checkpoint, new_engine, regrid_bw: float = 12e9
-) -> tuple[Checkpoint, float]:
+def migrate_checkpoint(ckpt: Checkpoint, new_engine) -> tuple[Checkpoint, float]:
     """Re-express a checkpoint on ``new_engine``'s grid.
 
     Returns the migrated checkpoint and the charged migration time.
     The cost model is one checkpoint-sized AllGatherv (global state
     reassembly), one edge-list movement (re-partition), and one
-    scatter of the new per-rank windows, all at ``regrid_bw`` bytes/s.
+    scatter of the new per-rank windows, all at :data:`REGRID_BW`.
     The time is charged into the *migrated checkpoint's* clock state
     (synchronizing all new ranks), so the subsequent
     ``Engine.restore`` keeps it — exactly how checkpoint drains embed
@@ -215,7 +145,7 @@ def migrate_checkpoint(
     scatter_bytes = sum(
         arr.nbytes for per_rank in new_states for arr in per_rank.values()
     )
-    cost_s = (gather_bytes + edge_bytes + scatter_bytes) / regrid_bw
+    cost_s = (gather_bytes + edge_bytes + scatter_bytes) / REGRID_BW
 
     clocks = VirtualClocks(new_engine.n_ranks)
     clocks.load_state(
@@ -240,55 +170,221 @@ def migrate_checkpoint(
 # ----------------------------------------------------------------------
 # the recovery driver
 # ----------------------------------------------------------------------
-class Recovery:
-    """What :func:`drive_elastic` does with a failed run; this base
-    resumes **in place**.
+class Recovery(BoundaryHook):
+    """What :func:`drive_elastic` does with a failed run.
 
-    The failed rank is modeled as replaced (fault specs are one-shot):
-    the run re-enters on the same engine from its latest checkpoint —
-    which is also how detected state corruption
-    (:class:`~repro.faults.integrity.IntegrityViolation`) is repaired.
-    A failure with no checkpoint to resume from, or beyond
-    ``max_resumes``, propagates.  Subclasses change *where* the run
-    continues: :class:`ElasticRecovery` regrids onto the survivors,
-    :class:`~repro.faults.health.AutoscaleRecovery` also grows back.
+    Parameters
+    ----------
+    policy:
+        Where a failed run continues: one of :data:`POLICIES` (see the
+        module docstring).  ``name`` is the policy without its spare
+        count.
+    max_recoveries:
+        Resumes plus moves a run may take; past it a failure propagates
+        (resumed in place) or raises :class:`ElasticUnrecoverable`.
+    hysteresis:
+        Supersteps an arrived spare waits before the autoscaler adopts
+        it (a spare arriving at the convergence tail never pays for its
+        migration).  ``"autoscale"`` only.
+    monitor:
+        The autoscaler's :class:`HealthMonitor` (default: a fresh one).
+        ``"autoscale"`` only.
+
+    With ``"autoscale"`` the recovery is also the engine's ``decide``
+    boundary hook: :meth:`prepare` attaches it and the monitor, and
+    ``Engine.rebuild_on_grid`` carries both onto every later engine.
     """
 
-    name = "in-place"
+    slot = "autoscaler"
+    phases = ("decide",)
 
-    def __init__(self, max_resumes: int = 4):
-        if max_resumes < 0:
-            raise ValueError(f"max_resumes must be >= 0, got {max_resumes}")
-        self.max_resumes = max_resumes
+    def __init__(
+        self,
+        policy: str = "in-place",
+        max_recoveries: int = 4,
+        hysteresis: int = 0,
+        monitor: Optional[HealthMonitor] = None,
+    ):
+        name, colon, spares = str(policy).partition(":")
+        if name not in POLICIES or (
+            colon and (name != "spare-pool" or not spares.isdecimal())
+        ):
+            raise ValueError(
+                f"unknown recovery policy {policy!r}; choose from "
+                f"{', '.join(POLICIES)} (N >= 0)"
+            )
+        if max_recoveries < 0:
+            raise ValueError(f"max_recoveries must be >= 0, got {max_recoveries}")
+        if hysteresis < 0:
+            raise ValueError(f"hysteresis must be >= 0, got {hysteresis}")
+        if name != "autoscale" and (monitor is not None or hysteresis):
+            raise ValueError(
+                f"monitor= and hysteresis= need policy 'autoscale', got {policy!r}"
+            )
+        self.name = name
+        self.spares = int(spares) if colon else int(name == "spare-pool")
+        self.max_recoveries = max_recoveries
+        self.hysteresis = hysteresis
+        self.monitor = None
+        if name == "autoscale":
+            self.monitor = monitor if monitor is not None else HealthMonitor()
         self.resumes = 0
         self.regrids = 0
         self.events: list[dict] = []
+        #: Arrival supersteps of delivered-but-unadopted spares.
+        self.pending: list[int] = []
+        self._held = False
+        self._last_move: Optional[int] = None
 
     def prepare(self, engine) -> None:
-        """Install per-engine machinery before the first attempt (the
-        health monitor and autoscaler of
-        :class:`~repro.faults.health.AutoscaleRecovery`); nothing for
-        the purely reactive recoveries."""
+        """Install the autoscaler before the first attempt; nothing for
+        the reactive policies."""
+        if self.monitor is not None:
+            engine.attach_health(self.monitor)
+            engine.attach_autoscaler(self)
 
+    # ------------------------------------------------------------------
+    # reacting: failures and adopted spares
+    # ------------------------------------------------------------------
     def recover(self, engine, failure: RankFailure):
-        """Handle one failure; returns the engine to resume on."""
-        mgr = engine.checkpoints
-        if (
-            mgr is None
-            or mgr.latest() is None
-            or self.resumes >= self.max_resumes
-        ):
-            raise failure
-        self.resumes += 1
-        return engine
+        """Handle one failure; returns the engine to resume on, whose
+        checkpoint manager holds the checkpoint to resume from."""
+        if self.name == "in-place" or failure.fault_kind == "integrity":
+            mgr = engine.checkpoints
+            if mgr is None or mgr.latest() is None or self._spent():
+                raise failure
+            self.resumes += 1
+            return engine
+        if engine.n_ranks < 2:
+            raise ElasticUnrecoverable("no surviving ranks to regrid onto")
+        spare = self.spares > 0
+        self.spares -= spare
+        return self._move(
+            engine,
+            None if spare else squarest_grid(engine.n_ranks - 1),
+            FaultEvent(
+                "regrid", failure.rank, failure.superstep, failure.collective,
+                retries=failure.retries, extra={"reason": failure.fault_kind},
+            ),
+        )
 
     def grow(self, engine, arrival: SpareArrival):
-        """Handle a spare the autoscaler decided to adopt; only
-        :class:`~repro.faults.health.AutoscaleRecovery` can."""
-        raise ElasticUnrecoverable(
-            f"spare arrived at superstep {arrival.superstep} but "
-            f"{type(self).__name__} cannot grow; use AutoscaleRecovery"
+        """Adopt the oldest pending spare: move onto ``p + 1`` ranks."""
+        new_engine = self._move(
+            engine,
+            squarest_grid(engine.n_ranks + 1),
+            FaultEvent("grow", None, arrival.superstep, "boundary"),
         )
+        self.pending.pop(0)
+        new_engine.spare_ranks = max(0, new_engine.spare_ranks - 1)
+        return new_engine
+
+    def _move(self, engine, new_grid: Optional[Grid2D], event: FaultEvent):
+        """Continue the run on ``new_grid`` (``None``: the same grid, a
+        spare adopting the dead rank's state): checkpoint → rebuild →
+        migrate → adopt → record ``event`` with the grids and the cost."""
+        mgr = engine.checkpoints
+        what = f"{event.kind} at superstep {event.superstep}"
+        if mgr is None or mgr.latest() is None:
+            raise ElasticUnrecoverable(f"{what} with no checkpoint to migrate from")
+        if self._spent():
+            raise ElasticUnrecoverable(
+                f"recovery budget exhausted ({self.max_recoveries}); {what}"
+            )
+        ckpt = mgr.latest()
+        if new_grid is None:
+            # Every rank waits at the BSP boundary while the spare
+            # re-materializes the dead rank's state.
+            dead = ckpt.states[event.rank] if event.rank is not None else {}
+            cost_s = sum(a.nbytes for a in dead.values()) / REGRID_BW
+            migrated = copy.deepcopy(ckpt)
+            clocks = VirtualClocks(engine.n_ranks)
+            clocks.load_state(migrated.clocks)
+            clocks.charge_regrid(range(engine.n_ranks), cost_s)
+            migrated.clocks = clocks.state_dict()
+            new_engine = engine
+        else:
+            new_engine = engine.rebuild_on_grid(new_grid)
+            migrated, cost_s = migrate_checkpoint(ckpt, new_engine)
+        mgr.adopt(migrated)
+        self.regrids += 1
+        self._last_move = event.superstep
+        grids = {
+            "from_grid": (engine.grid.R, engine.grid.C),
+            "to_grid": (new_engine.grid.R, new_engine.grid.C),
+            "policy": self.name,
+            "spare": new_grid is None,
+        }
+        self._record(
+            new_engine,
+            replace(event, recovery_s=cost_s, extra={**grids, **event.extra}),
+        )
+        return new_engine
+
+    def _spent(self) -> bool:
+        return self.resumes + self.regrids >= self.max_recoveries
+
+    # ------------------------------------------------------------------
+    # deciding: the autoscaler's boundary hook
+    # ------------------------------------------------------------------
+    def on_phase(self, phase: str, engine, boundary: Boundary) -> None:
+        """Fired in the ``decide`` phase, after this boundary's
+        checkpoint is saved, so a move drains from it: demote the worst
+        chronic rank (raises :class:`RankDemotion`), else adopt a
+        pending spare (raises :class:`SpareArrival`) or record one
+        ``hold`` event per arrival batch naming why not."""
+        step = boundary.superstep
+        if boundary.spares_arrived:
+            self.pending.extend([step] * boundary.spares_arrived)
+            self._held = False
+        mgr = engine.checkpoints
+        if mgr is None or mgr.latest() is None:
+            return  # nothing to drain from yet; try the next boundary
+        chronic = self.monitor.chronic_ranks()
+        if chronic and engine.n_ranks > 1 and self._hold("demote", step) is None:
+            rank = chronic[0]
+            score = float(self.monitor.scores[rank])
+            self._record(
+                engine,
+                FaultEvent(
+                    "demote", rank, step, "boundary",
+                    extra={"score": score, "policy": self.name},
+                ),
+            )
+            raise RankDemotion(rank, step, score=score)
+        if not self.pending:
+            return
+        reason = self._hold("grow", step, waited=step - self.pending[0])
+        if reason is None:
+            raise SpareArrival(step, pending=len(self.pending))
+        if not self._held:
+            self._held = True
+            self._record(
+                engine,
+                FaultEvent(
+                    "hold", None, step, "boundary",
+                    extra={
+                        "reason": reason,
+                        "pending": len(self.pending),
+                        "policy": self.name,
+                    },
+                ),
+            )
+
+    def _hold(
+        self, kind: str, superstep: int, waited: Optional[int] = None
+    ) -> Optional[str]:
+        """Why a ``demote`` / ``grow`` decision is held at ``superstep``
+        (``None``: go).  Each decision is taken at most once per run (the
+        oscillation guard), a spare must have waited ``hysteresis``
+        supersteps, and nothing moves at the superstep of the last move."""
+        if any(e["kind"] == kind for e in self.events):
+            return "max-grows"
+        if waited is not None and waited < self.hysteresis:
+            return "hysteresis"
+        if self._last_move is not None and superstep <= self._last_move:
+            return "cooldown"
+        return None
 
     def _record(self, engine, event: FaultEvent) -> None:
         row = event.as_dict()
@@ -296,142 +392,29 @@ class Recovery:
         self.events.append(row)
 
 
-class ElasticRecovery(Recovery):
-    """Policy object turning unrecoverable crashes into regrids.
-
-    Parameters
-    ----------
-    policy:
-        A :class:`GridPolicy` or string spec (see
-        :func:`resolve_policy`).
-    regrid_bw:
-        Modeled migration bandwidth in bytes/s (default 12 GB/s,
-        matching the checkpoint drain bandwidth).
-    max_regrids:
-        Give up (raise :class:`ElasticUnrecoverable`) after this many
-        regrids — a cascading-failure brake.
-    """
-
-    def __init__(
-        self,
-        policy: Union[GridPolicy, str] = "prefer-square",
-        regrid_bw: float = 12e9,
-        max_regrids: int = 4,
-    ):
-        if regrid_bw <= 0:
-            raise ValueError(f"regrid_bw must be > 0, got {regrid_bw}")
-        if max_regrids < 1:
-            raise ValueError(f"max_regrids must be >= 1, got {max_regrids}")
-        super().__init__()
-        self.policy = resolve_policy(policy)
-        self.regrid_bw = regrid_bw
-        self.max_regrids = max_regrids
-
-    @property
-    def name(self) -> str:
-        return self.policy.name
-
-    def recover(self, engine, failure: RankFailure):
-        """Handle one permanent rank loss; returns the engine to resume
-        on (a rebuilt engine, or the same one when a spare absorbed the
-        loss).  The engine's checkpoint manager is left holding the
-        migrated checkpoint, ready for ``resume=True``."""
-        mgr = engine.checkpoints
-        if mgr is None or mgr.latest() is None:
-            raise ElasticUnrecoverable(
-                f"rank {failure.rank} lost at superstep {failure.superstep} "
-                f"with no checkpoint to migrate from"
-            ) from failure
-        if self.regrids >= self.max_regrids:
-            raise ElasticUnrecoverable(
-                f"regrid budget exhausted ({self.max_regrids}); rank "
-                f"{failure.rank} lost at superstep {failure.superstep}"
-            ) from failure
-        survivors = engine.n_ranks - 1
-        if survivors < 1:
-            raise ElasticUnrecoverable(
-                "no surviving ranks to regrid onto"
-            ) from failure
-
-        ckpt = mgr.latest()
-        new_grid = self.policy.choose(engine.grid, survivors)
-        if new_grid is None:
-            # Spare path: the grid is unchanged; charge re-materializing
-            # the dead rank's state onto the spare (all ranks wait at
-            # the BSP boundary while it catches up).
-            dead = ckpt.states[failure.rank] if failure.rank is not None else {}
-            cost_s = sum(a.nbytes for a in dead.values()) / self.regrid_bw
-            migrated = copy.deepcopy(ckpt)
-            clocks = VirtualClocks(engine.n_ranks)
-            clocks.load_state(migrated.clocks)
-            clocks.charge_regrid(range(engine.n_ranks), cost_s)
-            migrated.clocks = clocks.state_dict()
-            new_engine = engine
-            spare = True
-        else:
-            if new_grid.n_ranks > survivors:
-                raise ElasticUnrecoverable(
-                    f"policy {self.policy.name!r} chose a "
-                    f"{new_grid.n_ranks}-rank grid with only {survivors} "
-                    f"survivors"
-                ) from failure
-            new_engine = engine.rebuild_on_grid(new_grid)
-            migrated, cost_s = migrate_checkpoint(
-                ckpt, new_engine, regrid_bw=self.regrid_bw
-            )
-            spare = False
-        mgr.adopt(migrated)
-        self.regrids += 1
-        note_regrid = getattr(self.policy, "note_regrid", None)
-        if note_regrid is not None:
-            note_regrid(failure.superstep)
-        self._record(
-            new_engine,
-            FaultEvent(
-                "regrid",
-                failure.rank,
-                failure.superstep,
-                failure.collective,
-                retries=failure.retries,
-                recovery_s=cost_s,
-                extra={
-                    "from_grid": (engine.grid.R, engine.grid.C),
-                    "to_grid": (new_engine.grid.R, new_engine.grid.C),
-                    "policy": self.policy.name,
-                    "spare": spare,
-                    "reason": getattr(failure, "fault_kind", "crash"),
-                },
-            ),
-        )
-        return new_engine
-
-
 def drive_elastic(
     runner: Callable[[Any, bool], Any],
     engine,
-    elastic: Optional[Recovery] = None,
+    recovery: Optional[Recovery] = None,
 ):
     """Run ``runner(engine, resume)`` under a recovery loop — the one
     driver every resilient run goes through.
 
     ``runner`` is any resume-capable algorithm call, e.g. ``lambda e,
     r: bfs(e, root=0, resume=r)`` (single-source, batched, or a vertex
-    program alike).  ``elastic`` says what a failure leads to: a
-    :class:`Recovery` instance (:class:`ElasticRecovery` to regrid), or
-    ``None`` to resume in place.
+    program alike).  ``recovery`` says what a failure leads to
+    (default ``Recovery()``: resume in place).
 
-    Every :class:`RankFailure` that escapes the resilient
-    communicator's retry budget (a crash, a demotion, detected state
-    corruption) is handed to ``recover``, every :class:`SpareArrival`
-    to ``grow``, and the runner is re-entered with ``resume=True`` on
-    the engine they return — for an elastic recovery, one rebuilt on
-    the surviving grid with the latest checkpoint migrated onto it.
-    Returns the runner's result with ``extra["elastic"]`` describing
-    what happened — including the final engine, which holds the
-    post-regrid clocks, counters, and trace state (the original engine
-    is stale after a shrink).
+    Every :class:`RankFailure` that escapes the communicator's retry
+    budget (a crash, a demotion, detected state corruption) is handed
+    to ``recover``, every :class:`SpareArrival` to ``grow``, and the
+    runner is re-entered with ``resume=True`` on the engine they
+    return.  Returns the runner's result with ``extra["elastic"]``
+    describing what happened — including the final engine, which holds
+    the post-move clocks, counters, and trace state (the original
+    engine is stale after a shrink).
     """
-    recovery = elastic if elastic is not None else Recovery()
+    recovery = recovery if recovery is not None else Recovery()
     current = engine
     use_resume = False
     recovery.prepare(current)

@@ -89,13 +89,12 @@ class RankDemotion(RankFailure):
     """A chronic straggler demoted by the health watchdog.
 
     A *soft* failure: the rank is alive but persistently slow, and the
-    :class:`~repro.faults.health.DemotionPolicy` decided draining it
-    beats dragging the whole BSP group.  Subclassing
-    :class:`RankFailure` means every existing recovery path — the
-    elastic drive loop, `ElasticRecovery.recover`, spare adoption —
-    handles a demotion exactly like a crash, except it is raised at a
-    superstep boundary (so the checkpoint saved at that boundary is
-    current: nothing recomputes).
+    autoscaling :class:`~repro.faults.elastic.Recovery` decided draining
+    it beats dragging the whole BSP group.  Subclassing
+    :class:`RankFailure` means :meth:`Recovery.recover` handles a
+    demotion exactly like a crash, except it is raised at a superstep
+    boundary (so the checkpoint saved at that boundary is current:
+    nothing recomputes).
     """
 
     def __init__(self, rank: int, superstep: int, score: float = 0.0):
@@ -111,12 +110,12 @@ class RankDemotion(RankFailure):
 class SpareArrival(Exception):
     """Control-flow signal: grow the grid onto an available spare.
 
-    Raised by the attached autoscaler at a superstep boundary when a
-    planned ``recover`` spec has delivered a spare *and* the
-    :class:`~repro.faults.health.AutoscalePolicy` (hysteresis,
-    cooldown, grow budget) decided adoption beats holding.  Not an
-    error — ``drive_elastic`` catches it and runs
-    ``migrate_checkpoint`` in the up direction.
+    Raised by the attached autoscaler (an ``"autoscale"``
+    :class:`~repro.faults.elastic.Recovery`) at a superstep boundary
+    when a planned ``recover`` spec has delivered a spare *and* its
+    gate (once per run, hysteresis, cooldown) decided adoption beats
+    holding.  Not an error — ``drive_elastic`` catches it and hands it
+    to :meth:`Recovery.grow`.
     """
 
     def __init__(self, superstep: int, pending: int = 1):

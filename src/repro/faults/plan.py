@@ -36,9 +36,9 @@ Fault kinds
     A *replacement* rank becomes available: ``count`` spare GPUs
     arrive at the superstep boundary.  Consumed by
     ``Engine.superstep_boundary`` (not by a collective) and handed to
-    the attached autoscaler — an
-    :class:`~repro.faults.health.AutoscalePolicy` decides whether the
-    run grows back onto ``p+1`` ranks or holds.
+    the attached autoscaler — an ``"autoscale"``
+    :class:`~repro.faults.elastic.Recovery` decides whether the run
+    grows back onto ``p+1`` ranks or holds.
 ``memflip``
     Silent data corruption in *device memory*: ``count`` bits flip in
     the target rank's registered state arrays at the superstep

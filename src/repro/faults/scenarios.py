@@ -46,8 +46,8 @@ import numpy as np
 
 from ..algorithms import bfs, connected_components, pagerank, sssp
 from .checkpoint import CheckpointManager
-from .elastic import ElasticRecovery, ElasticUnrecoverable, Recovery, drive_elastic
-from .health import AutoscalePolicy, AutoscaleRecovery, DemotionPolicy, HealthMonitor
+from .elastic import ElasticUnrecoverable, Recovery, drive_elastic
+from .health import HealthMonitor
 from .injector import RankFailure
 from .integrity import (
     IntegrityFailure,
@@ -204,7 +204,7 @@ CAMPAIGNS: dict[str, Campaign] = {
             ),
         },
         optional=("crash-unrecovered",),
-        recovery=lambda spec: Recovery(max_resumes=1),
+        recovery=lambda spec: Recovery(max_recoveries=1),
         recovered="recovered",
         report=_ROW_HEAD
         + ("values_equal", "counters_equal", "clocks_equal")
@@ -246,7 +246,7 @@ CAMPAIGNS: dict[str, Campaign] = {
                 expected_regrids=1,
             ),
         },
-        recovery=lambda spec: ElasticRecovery(policy=spec["policy"]),
+        recovery=lambda spec: Recovery(spec["policy"]),
         report=_ROW_HEAD
         + ("values_equal", "values_close", "n_regrids", "expected_regrids")
         + ("grid_trail", "policy", "regrid_s", "regrid_fraction")
@@ -306,15 +306,15 @@ CAMPAIGNS: dict[str, Campaign] = {
             # never grows.
             "grow-at-convergence-tail": dict(
                 plan=[FaultSpec("recover", 2)],
-                autoscale=dict(hysteresis=1000),
+                hysteresis=1000,
                 expected_regrids=0,
                 expected_rank_delta=0,
             ),
         },
-        recovery=lambda spec: AutoscaleRecovery(
-            policy=AutoscalePolicy(**spec.get("autoscale", {})),
+        recovery=lambda spec: Recovery(
+            "autoscale",
+            hysteresis=spec.get("hysteresis", 0),
             monitor=HealthMonitor(**spec.get("monitor", {})),
-            demotion=DemotionPolicy(**spec.get("demotion", {})),
         ),
         report=_ROW_HEAD
         + ("values_equal", "values_close", "n_regrids", "expected_regrids")
@@ -353,7 +353,7 @@ CAMPAIGNS: dict[str, Campaign] = {
         # The repair budget bounds the rollback loop from inside the
         # ledger; the resume cap is a backstop.
         recovery=lambda spec: Recovery(
-            max_resumes=spec.get("repair_budget", 2) + 2
+            max_recoveries=spec.get("repair_budget", 2) + 2
         ),
         recovered="repaired",
         failed="unrepaired",
@@ -508,8 +508,7 @@ def run_case(
     case.detected = bool(flips) and flips <= caught
     ledger = engine.integrity
     case.repairs = ledger.repairs if ledger is not None else 0
-    monitor = getattr(recovery, "monitor", None)
-    case.health = monitor.report() if monitor is not None else {}
+    case.health = recovery.monitor.report() if recovery.monitor else {}
     case.recovery_s = final.clocks.recovery_total
     case.regrid_s = float(final.clocks.regrid_total)
     case.certify_s = float(final.clocks.certify_total)

@@ -21,7 +21,6 @@ from repro.faults import (
     gather_checkpoint_state,
     migrate_checkpoint,
 )
-from repro.faults.health import AutoscalePolicy
 from repro.graph import rmat
 
 GRAPH = rmat(6, seed=5)
@@ -104,13 +103,11 @@ def test_demote_grow_back_round_trip_every_grid(grid):
 
 
 def test_grow_grid_inverts_squarest_shrink():
-    """For squarest grids, AutoscalePolicy's grow target is exactly
-    the grid a one-rank demotion shrank away from."""
-    pol = AutoscalePolicy()
+    """For squarest grids, a grow's target ``squarest_grid(p + 1)`` is
+    exactly the grid a one-rank demotion shrank away from."""
     for n in range(2, 17):
-        orig = squarest_grid(n)
         down = squarest_grid(n - 1)
-        assert pol.grow_grid(down) == orig
+        assert squarest_grid(down.n_ranks + 1) == squarest_grid(n)
 
 
 @settings(

@@ -16,8 +16,6 @@ from repro import Engine, algorithms
 from repro.comm.grid import Grid2D
 from repro.core.hooks import BOUNDARY_PHASES, BoundaryHook
 from repro.faults import (
-    AutoscalePolicy,
-    AutoscaleRecovery,
     CheckpointManager,
     FaultInjector,
     FaultPlan,
@@ -25,6 +23,7 @@ from repro.faults import (
     HealthMonitor,
     IntegrityLedger,
     IntegrityViolation,
+    Recovery,
     drive_elastic,
 )
 from repro.graph import rmat
@@ -35,7 +34,7 @@ GRAPH = rmat(7, seed=3)
 def five_hooks(plan=FaultPlan([])):
     """One of each hook class, keyed by slot.  The autoscaler holds
     (extreme hysteresis), so it fires without ever raising."""
-    autoscaler = AutoscaleRecovery(policy=AutoscalePolicy(hysteresis=10**6))
+    autoscaler = Recovery("autoscale", hysteresis=10**6)
     return {
         "faults": FaultInjector(plan),
         "integrity": IntegrityLedger(),
@@ -162,7 +161,9 @@ class TestCheckpointedBeforeDemoted:
             ),
             max_retries=2,
         )
-        recovery = AutoscaleRecovery(monitor=HealthMonitor(chronic_after=2))
+        recovery = Recovery(
+            "autoscale", monitor=HealthMonitor(chronic_after=2)
+        )
         drained_from = []
         recover = recovery.recover
 

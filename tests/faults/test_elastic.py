@@ -5,7 +5,8 @@ the latest checkpoint onto a grid over the *surviving* ranks and
 resumes — and every monotone (min/max-reducing) algorithm still
 finishes bit-identical to the fault-free run.  PageRank's sum
 reductions are grouping-sensitive, so it is bit-exact only on the
-same-grid (spare-pool) path and ~1 ulp after a shrink.
+same-grid (spare-pool) path and ~1 ulp after a shrink.  A detected
+bit-flip is not a rank loss: every policy resumes it in place.
 """
 
 import numpy as np
@@ -16,17 +17,17 @@ from repro.comm.grid import Grid2D
 from repro.core.program import VertexProgram, run_vertex_program
 from repro.faults import (
     CheckpointManager,
-    ElasticRecovery,
     ElasticUnrecoverable,
     FaultPlan,
     FaultSpec,
-    PreferSquare,
-    SparePool,
+    IntegrityLedger,
+    RankFailure,
+    Recovery,
     drive_elastic,
-    resolve_policy,
     run_campaign,
     run_case,
 )
+from repro.faults.elastic import REGRID_BW
 from repro.graph import rmat
 
 from ..conftest import assert_state_is_stacked, rank_order
@@ -101,7 +102,7 @@ def elastic_run(name, policy="prefer-square", specs=None):
     engine = make()
     engine.attach_checkpoints(CheckpointManager(interval=1))
     engine.attach_faults(FaultPlan(list(specs)), max_retries=2)
-    res = drive_elastic(runner, engine, ElasticRecovery(policy=policy))
+    res = drive_elastic(runner, engine, Recovery(policy))
     # the migrated state landed in the final engine's stacked buffers
     assert_state_is_stacked(res.extra["elastic"]["engine"])
     return ref, res
@@ -156,22 +157,35 @@ class TestCascadeAndPolicies:
         assert np.array_equal(ref.values, res.values)
 
     def test_policy_objects_and_specs(self):
-        assert isinstance(resolve_policy("prefer-square"), PreferSquare)
-        pool = resolve_policy("spare-pool:3")
-        assert isinstance(pool, SparePool) and pool.spares == 3
-        assert resolve_policy(pool) is pool
-        with pytest.raises(ValueError, match="unknown grid policy"):
-            resolve_policy("round-robin")
-        with pytest.raises(ValueError, match="integer"):
-            resolve_policy("spare-pool:lots")
-        with pytest.raises(ValueError, match="GridPolicy"):
-            resolve_policy(7)
+        # ``name`` is the policy without its spare count
+        specs = {
+            "in-place": ("in-place", 0),
+            "prefer-square": ("prefer-square", 0),
+            "spare-pool": ("spare-pool", 1),
+            "spare-pool:3": ("spare-pool", 3),
+            "spare-pool:0": ("spare-pool", 0),
+            "autoscale": ("autoscale", 0),
+        }
+        for spec, expected in specs.items():
+            rec = Recovery(spec)
+            assert (rec.name, rec.spares) == expected
+        with pytest.raises(ValueError, match="unknown recovery policy"):
+            Recovery("round-robin")
+        with pytest.raises(ValueError, match="spare-pool:N"):
+            Recovery("spare-pool:lots")
 
     def test_prefer_square_choices(self):
-        p = PreferSquare()
-        assert p.choose(GRID, 11) == Grid2D(R=1, C=11)
-        assert p.choose(GRID, 10) == Grid2D(R=2, C=5)
-        assert p.choose(GRID, 9) == Grid2D(R=3, C=3)
+        # all survivors, on their most square factor pair
+        for grid, shrunk in (
+            (GRID, Grid2D(R=1, C=11)),
+            (Grid2D(R=1, C=11), Grid2D(R=2, C=5)),
+            (Grid2D(R=2, C=5), Grid2D(R=3, C=3)),
+        ):
+            engine = Engine(_graph(), grid=grid)
+            engine.attach_checkpoints(CheckpointManager(interval=1))
+            algorithms.pagerank(engine, iterations=1)
+            crash = RankFailure(0, 2, "allreduce")
+            assert Recovery("prefer-square").recover(engine, crash).grid == shrunk
 
     def test_elastic_recovery_takes_policy_specs(self):
         # The driver takes a Recovery; its policy may be a string spec.
@@ -181,7 +195,7 @@ class TestCascadeAndPolicies:
         engine.attach_faults(
             FaultPlan([FaultSpec("crash", 2, rank=5)]), max_retries=2
         )
-        res = drive_elastic(runner, engine, ElasticRecovery("spare-pool:1"))
+        res = drive_elastic(runner, engine, Recovery("spare-pool:1"))
         assert res.extra["elastic"]["policy"] == "spare-pool"
         assert res.extra["elastic"]["final_grid"] == (GRID.R, GRID.C)
 
@@ -226,7 +240,7 @@ class TestCascadeAndPolicies:
             FaultPlan([FaultSpec("crash", 2, rank=5)]), max_retries=2
         )
         res = drive_elastic(
-            lambda e, r: run(e, roots, resume=r), engine, ElasticRecovery(policy)
+            lambda e, r: run(e, roots, resume=r), engine, Recovery(policy)
         )
         info = res.extra["elastic"]
         assert info["regrids"] == 1
@@ -235,6 +249,39 @@ class TestCascadeAndPolicies:
             assert np.allclose(ref.values, res.values, rtol=1e-9, atol=1e-12)
         else:
             assert np.array_equal(ref.values, res.values)
+
+
+class TestIntegrityResumesInPlace:
+    @pytest.mark.parametrize(
+        "policy", ["in-place", "prefer-square", "spare-pool:1", "autoscale"]
+    )
+    def test_detected_bitflip_keeps_the_grid(self, policy):
+        """A detected memflip names a healthy rank: no policy sheds it,
+        and the in-place resume spends one unit of the budget."""
+        graph = rmat(8, seed=1)
+
+        def make():
+            engine = Engine(graph, grid=Grid2D(R=2, C=2))
+            engine.attach_integrity(IntegrityLedger())
+            engine.attach_checkpoints(CheckpointManager(interval=1))
+            return engine
+
+        ref = algorithms.connected_components(make())
+        engine = make()
+        engine.attach_faults(
+            FaultPlan([FaultSpec("memflip", 2, rank=1, bit=137)])
+        )
+        res = drive_elastic(
+            lambda e, r: algorithms.connected_components(e, resume=r),
+            engine,
+            Recovery(policy),
+        )
+        info = res.extra["elastic"]
+        assert info["final_grid"] == (2, 2)
+        assert (info["regrids"], info["resumes"]) == (0, 1)
+        assert res.timings.regrid == 0.0
+        assert float(info["engine"].clocks.regrid_total) == 0.0
+        assert np.array_equal(ref.values, res.values)
 
 
 class TestAccounting:
@@ -286,7 +333,7 @@ class TestUnrecoverable:
             FaultPlan([FaultSpec("crash", 2, rank=5)]), max_retries=2
         )
         with pytest.raises(ElasticUnrecoverable, match="no checkpoint"):
-            drive_elastic(runner, engine, ElasticRecovery())
+            drive_elastic(runner, engine, Recovery("prefer-square"))
 
     def test_regrid_budget_exhausted(self):
         make, runner = _engines("bfs")
@@ -299,15 +346,25 @@ class TestUnrecoverable:
             max_retries=2,
         )
         with pytest.raises(ElasticUnrecoverable, match="budget"):
-            drive_elastic(runner, engine, ElasticRecovery(max_regrids=1))
+            drive_elastic(
+                runner, engine, Recovery("prefer-square", max_recoveries=1)
+            )
 
     def test_recovery_config_validated(self):
-        with pytest.raises(ValueError, match="regrid_bw"):
-            ElasticRecovery(regrid_bw=0)
-        with pytest.raises(ValueError, match="max_regrids"):
-            ElasticRecovery(max_regrids=0)
-        with pytest.raises(ValueError, match="spares"):
-            SparePool(spares=-1)
+        with pytest.raises(ValueError, match="max_recoveries"):
+            Recovery("prefer-square", max_recoveries=-1)
+        with pytest.raises(ValueError, match="N >= 0"):
+            Recovery("spare-pool:-1")
+        # the migration bandwidth is a constant, not a knob: a spare is
+        # charged the dead rank's checkpointed bytes at REGRID_BW
+        _, res = elastic_run("cc", policy="spare-pool:1")
+        engine = res.extra["elastic"]["engine"]
+        (event,) = res.extra["elastic"]["events"]
+        dead = engine.checkpoints.checkpoints[0].states[event["rank"]]
+        assert REGRID_BW == 12e9
+        assert event["recovery_s"] == sum(
+            a.nbytes for a in dead.values()
+        ) / REGRID_BW
 
 
 class TestEngineSeams:

@@ -1,18 +1,25 @@
-"""HealthMonitor scoring, DemotionPolicy gates, AutoscalePolicy holds."""
+"""HealthMonitor scoring, and the autoscaling Recovery's one gate.
+
+The gate tests drive ``Recovery("autoscale").on_phase("decide", ...)``
+on a :class:`FakeEngine`: a decision either raises (``RankDemotion`` /
+``SpareArrival``), records one ``hold`` event, or does nothing.
+"""
 
 import numpy as np
 import pytest
 
+from repro import Engine, algorithms
+from repro.comm.grid import Grid2D, squarest_grid
+from repro.core.hooks import Boundary
 from repro.faults import (
     RANK_HEALTH,
-    AutoscalePolicy,
-    AutoscaleRecovery,
-    DemotionPolicy,
+    CheckpointManager,
     HealthMonitor,
-    PreferSquare,
-    SparePool,
+    RankDemotion,
+    Recovery,
+    SpareArrival,
 )
-from repro.comm.grid import Grid2D
+from repro.graph import rmat
 
 
 class FakeClocks:
@@ -28,7 +35,7 @@ class FakeClocks:
 
 
 class FakeEngine:
-    """Just enough engine surface for monitor/policy unit tests."""
+    """Just enough engine surface for monitor/gate unit tests."""
 
     def __init__(self, n_ranks=4):
         self.n_ranks = n_ranks
@@ -149,129 +156,161 @@ class TestHealthMonitorScoring:
         assert mon.chronic_ranks() == [2, 1]
 
 
+def decide(rec, engine, superstep, spares=0):
+    """Fire the autoscaler's ``decide`` phase; returns the new events,
+    or the decision it raised."""
+    before = len(rec.events)
+    try:
+        rec.on_phase(
+            "decide", engine,
+            Boundary(superstep, "algo", None, spares_arrived=spares),
+        )
+    except (RankDemotion, SpareArrival) as decision:
+        return decision
+    return rec.events[before:]
+
+
 class TestDemotionPolicy:
     def _chronic_setup(self, n_ranks=4):
         engine = FakeEngine(n_ranks)
         engine.checkpoints = FakeManager()
-        mon = HealthMonitor(alpha=1.0, chronic_after=1)
-        mon.bind(engine)
+        rec = Recovery(
+            "autoscale", monitor=HealthMonitor(alpha=1.0, chronic_after=1)
+        )
+        rec.monitor.bind(engine)
         deltas = np.ones(n_ranks)
         deltas[1] = 11.0
         engine.advance(deltas)
-        mon.observe(engine, 1)
-        assert mon.chronic_ranks() == [1]
-        return engine, mon
+        rec.monitor.observe(engine, 1)
+        assert rec.monitor.chronic_ranks() == [1]
+        return engine, rec
 
     def test_bad_params_rejected(self):
-        for kwargs in (
-            {"warmup": -1},
-            {"cooldown": -1},
-            {"max_demotions": -1},
+        for policy in (
+            "round-robin", "prefer-square:2", "autoscale:1", "spare-pool:",
+            "spare-pool:-1", "spare-pool:lots", "spare-pool:1.5", 7,
         ):
-            with pytest.raises(ValueError):
-                DemotionPolicy(**kwargs)
+            with pytest.raises(ValueError, match="choose from in-place, pref"):
+                Recovery(policy)
 
     def test_demotes_chronic_rank_and_consumes_budget(self):
-        engine, mon = self._chronic_setup()
-        pol = DemotionPolicy(warmup=1, max_demotions=1)
-        assert pol.consider(engine, mon, 1) == 1
-        assert pol.demotions == 1
-        # Budget spent: the same chronic rank is not demoted again.
-        assert pol.consider(engine, mon, 5) is None
-
-    def test_warmup_defers_demotion(self):
-        engine, mon = self._chronic_setup()
-        pol = DemotionPolicy(warmup=3)
-        assert pol.consider(engine, mon, 2) is None
-        assert pol.consider(engine, mon, 3) == 1
+        engine, rec = self._chronic_setup()
+        demotion = decide(rec, engine, 1)
+        assert isinstance(demotion, RankDemotion)
+        assert (demotion.rank, demotion.superstep) == (1, 1)
+        assert [e["kind"] for e in rec.events] == ["demote"]
+        assert rec.events[0]["policy"] == "autoscale"
+        # Once per run: the same chronic rank is not demoted again.
+        assert decide(rec, engine, 5) == []
 
     def test_cooldown_separates_demotions(self):
-        engine, mon = self._chronic_setup()
-        pol = DemotionPolicy(warmup=0, cooldown=3, max_demotions=2)
-        assert pol.consider(engine, mon, 1) == 1
-        assert pol.consider(engine, mon, 2) is None  # 2 - 1 < 3
-        assert pol.consider(engine, mon, 4) == 1
+        """A demotion waits out the superstep of the last move (here a
+        crash's shrink at superstep 2)."""
+        engine, rec = self._chronic_setup()
+        rec._last_move = 2
+        assert decide(rec, engine, 2) == []
+        assert isinstance(decide(rec, engine, 3), RankDemotion)
 
     def test_requires_checkpoint_to_drain_from(self):
-        engine, mon = self._chronic_setup()
+        engine, rec = self._chronic_setup()
         engine.checkpoints = None
-        assert DemotionPolicy().consider(engine, mon, 1) is None
+        assert decide(rec, engine, 1) == []
         engine.checkpoints = FakeManager(ckpt=None)
-        assert DemotionPolicy().consider(engine, mon, 1) is None
+        assert decide(rec, engine, 1) == []
 
     def test_never_demotes_last_rank(self):
-        engine, mon = self._chronic_setup()
+        engine, rec = self._chronic_setup()
         engine.n_ranks = 1
-        assert DemotionPolicy().consider(engine, mon, 1) is None
+        assert decide(rec, engine, 1) == []
 
     def test_healthy_group_yields_none(self):
         engine = FakeEngine(4)
         engine.checkpoints = FakeManager()
-        mon = HealthMonitor()
-        mon.bind(engine)
+        rec = Recovery("autoscale")
+        rec.monitor.bind(engine)
         engine.advance([1.0] * 4)
-        mon.observe(engine, 1)
-        assert DemotionPolicy().consider(engine, mon, 1) is None
+        rec.monitor.observe(engine, 1)
+        assert decide(rec, engine, 1) == []
+
+
+def _grow_ready(hysteresis=0):
+    engine = FakeEngine(4)
+    engine.checkpoints = FakeManager()
+    rec = Recovery("autoscale", hysteresis=hysteresis)
+    rec.monitor.bind(engine)
+    return engine, rec
 
 
 class TestAutoscalePolicy:
     def test_bad_params_rejected(self):
-        for kwargs in (
-            {"hysteresis": -1},
-            {"cooldown": -1},
-            {"max_grows": -1},
-        ):
-            with pytest.raises(ValueError):
-                AutoscalePolicy(**kwargs)
-
-    def test_shrink_delegates_to_wrapped_policy(self):
-        # a one-spare pool keeps the grid (None) where the default
-        # prefer-square would shrink onto the survivors
-        pol = AutoscalePolicy(shrink=SparePool(spares=1))
-        grid = Grid2D(2, 2)
-        assert AutoscalePolicy().choose(grid, 3) == Grid2D(1, 3)
-        assert pol.choose(grid, 3) is None
-        assert pol.shrink.spares == 0
+        for kwargs in ({"hysteresis": -1}, {"max_recoveries": -1}):
+            with pytest.raises(ValueError, match=next(iter(kwargs))):
+                Recovery("autoscale", **kwargs)
 
     def test_grow_grid_is_squarest_of_p_plus_one(self):
-        pol = AutoscalePolicy()
-        assert pol.grow_grid(Grid2D(1, 3)).n_ranks == 4
-        assert pol.grow_grid(Grid2D(1, 3)) == Grid2D(2, 2)
-        assert pol.grow_grid(Grid2D(2, 2)).n_ranks == 5
+        graph = rmat(6, seed=5)
+        for grid, grown in (
+            (Grid2D(1, 3), Grid2D(2, 2)),
+            (Grid2D(2, 2), Grid2D(1, 5)),
+        ):
+            engine = Engine(graph, grid=grid)
+            engine.attach_checkpoints(CheckpointManager(interval=1))
+            algorithms.pagerank(engine, iterations=1)
+            rec = Recovery("autoscale")
+            rec.pending = [1]
+            new = rec.grow(engine, SpareArrival(1))
+            assert new.grid == grown == squarest_grid(grid.n_ranks + 1)
+            assert (rec.regrids, rec.pending) == (1, [])
+            assert rec.events[0]["kind"] == "grow"
 
     def test_hold_reasons_in_gate_order(self):
-        pol = AutoscalePolicy(hysteresis=2, cooldown=2, max_grows=1)
-        assert pol.hold_reason(5) == "no-spare"
-        pol.spare_arrived(5)
-        assert pol.hold_reason(5) == "hysteresis"  # aged 0 < 2
-        assert pol.hold_reason(7) is None  # aged 2, no prior regrid
-        pol.note_regrid(7)
-        assert pol.hold_reason(8) == "cooldown"  # 8 - 7 < 2
-        assert pol.hold_reason(9) is None
-        pol.grows = 1
-        assert pol.hold_reason(9) == "max-grows"
+        engine, rec = _grow_ready(hysteresis=2)
+        assert decide(rec, engine, 5) == []  # no spare: nothing to decide
+        (hold,) = decide(rec, engine, 5, spares=1)
+        assert (hold["kind"], hold["reason"], hold["pending"]) == (
+            "hold", "hysteresis", 1,  # aged 0 < 2
+        )
+        assert isinstance(decide(rec, engine, 7), SpareArrival)  # aged 2
+        rec._last_move = 7
+        assert rec._hold("grow", 7, waited=2) == "cooldown"
+        assert rec._hold("grow", 8, waited=3) is None
+        rec.events.append({"kind": "grow"})
+        assert rec._hold("grow", 9, waited=4) == "max-grows"
+        # the once-per-run check comes first, the cooldown last
+        assert rec._hold("grow", 7, waited=0) == "max-grows"
+        rec.events.clear()
+        assert rec._hold("grow", 7, waited=0) == "hysteresis"
 
     def test_should_grow_mirrors_hold_reason(self):
-        pol = AutoscalePolicy(hysteresis=0, cooldown=0)
-        assert not pol.should_grow(1)
-        pol.spare_arrived(1)
-        assert pol.should_grow(1)
+        engine, rec = _grow_ready(hysteresis=1)
+        rec.pending = [3]
+        for step in (3, 4):
+            grows = isinstance(decide(rec, engine, step), SpareArrival)
+            assert grows == (rec._hold("grow", step, waited=step - 3) is None)
+        assert [e["kind"] for e in rec.events] == ["hold"]
 
     def test_spare_arrival_clears_held_latch(self):
-        pol = AutoscalePolicy()
-        pol._held = True
-        pol.spare_arrived(3, count=2)
-        assert pol._held is False
-        assert pol.pending == [3, 3]
+        """One hold event per arrival batch, however many boundaries
+        the batch is held for."""
+        engine, rec = _grow_ready(hysteresis=100)
+        assert len(decide(rec, engine, 3, spares=2)) == 1
+        assert decide(rec, engine, 4) == []
+        (hold,) = decide(rec, engine, 5, spares=1)
+        assert hold["pending"] == 3
+        assert rec.pending == [3, 3, 5]
 
 
 class TestAutoscaleRecoveryConfig:
     def test_rejects_plain_grid_policy(self):
-        with pytest.raises(ValueError, match="AutoscalePolicy"):
-            AutoscaleRecovery(policy=PreferSquare())
+        """The monitor and hysteresis belong to the autoscaler alone."""
+        for policy in ("in-place", "prefer-square", "spare-pool:1"):
+            with pytest.raises(ValueError, match="'autoscale'"):
+                Recovery(policy, monitor=HealthMonitor())
+            with pytest.raises(ValueError, match="'autoscale'"):
+                Recovery(policy, hysteresis=1)
 
     def test_defaults_are_installed(self):
-        rec = AutoscaleRecovery()
-        assert isinstance(rec.policy, AutoscalePolicy)
+        rec = Recovery("autoscale")
+        assert (rec.name, rec.max_recoveries, rec.hysteresis) == ("autoscale", 4, 0)
         assert isinstance(rec.monitor, HealthMonitor)
-        assert isinstance(rec.demotion, DemotionPolicy)
+        assert Recovery().monitor is None

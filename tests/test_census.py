@@ -329,8 +329,19 @@ def only_tests_reach() -> list[str]:
     )
 
 
+def package_lines() -> dict[str, int]:
+    """Source lines per top-level package under ``src/repro`` (its
+    loose modules counted together)."""
+    out: dict[str, int] = {}
+    for path in _python_files(SRC):
+        top, sep, _ = os.path.relpath(path, SRC).partition(os.sep)
+        name = f"{top}/" if sep else "top-level modules"
+        out[name] = out.get(name, 0) + len(_lines(path))
+    return out
+
+
 def source_lines() -> int:
-    return sum(len(_lines(path)) for path in _python_files(SRC))
+    return sum(package_lines().values())
 
 
 def test_rank_fan_out_sites_only_go_down():
@@ -405,4 +416,6 @@ if __name__ == "__main__":
         f"{len(defs):4d}  top-level definitions only tests reach "
         f"(ceiling {TEST_ONLY_DEFS_CEILING})"
     )
+    for name, n in sorted(package_lines().items(), key=lambda kv: -kv[1]):
+        print(f"{n:6d}  {name}")
     print(f"{source_lines()} lines under src/repro")
