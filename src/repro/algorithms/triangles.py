@@ -12,6 +12,9 @@ a masked SUMMA: for each inner step ``k``,
 * every rank multiplies the pair and accumulates the entries that land
   on the nonzeros of its own local block.
 
+A block travels in a wire form of 12 bytes per entry and 8 per row
+(:func:`_pack`), and each receiver computes on what it decoded.
+
 One final one-word AllReduce combines the per-rank partial counts.
 Requires a square process grid (the inner dimension must align with
 both the row and column partitions, as in the reference 2D algorithms).
@@ -22,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from ..comm.collectives import BroadcastCall
 from ..core.engine import Engine
 from ..core.result import AlgorithmResult
 
@@ -42,9 +46,57 @@ def _block_csr(engine: Engine, rank: int) -> sp.csr_matrix:
     )
 
 
+def _pack(block: sp.csr_matrix) -> np.ndarray:
+    """A block's wire form: float64 values, int64 row ends and int32
+    column ids as one byte buffer."""
+    return np.concatenate([
+        block.data.astype(np.float64).view(np.uint8),
+        block.indptr[1:].astype(np.int64).view(np.uint8),
+        block.indices.astype(np.int32).view(np.uint8),
+    ])
+
+
+def _unpack(wire: np.ndarray, shape: tuple[int, int]) -> sp.csr_matrix:
+    """Invert :func:`_pack` for a block of ``shape``."""
+    nnz = (wire.size - 8 * shape[0]) // 12
+    ends = wire[8 * nnz : 8 * (nnz + shape[0])].view(np.int64)
+    return sp.csr_matrix(
+        (
+            wire[: 8 * nnz].view(np.float64),
+            wire[8 * (nnz + shape[0]) :].view(np.int32),
+            np.concatenate([[0], ends]),
+        ),
+        shape=shape,
+    )
+
+
+def _broadcast(engine, groups, root_of, blocks, wire, nic_sharing) -> dict:
+    """One Broadcast stage: each group's ``root_of(group id)`` sends its
+    block's wire form to the rest of the group.  Returns each member's
+    copy of its root's block."""
+    groups = list(groups)
+    roots = [root_of(gid) for gid, _ in groups]
+    received = {
+        r: np.empty_like(wire[root])
+        for root, (_, ranks) in zip(roots, groups)
+        for r in ranks
+        if r != root
+    }
+    calls = [
+        BroadcastCall(wire[root], [received[r] for r in ranks if r != root])
+        for root, (_, ranks) in zip(roots, groups)
+    ]
+    engine.comm.broadcast_stage([ranks for _, ranks in groups], calls, nic_sharing)
+    return {
+        r: blocks[root] if r == root else _unpack(received[r], blocks[root].shape)
+        for root, (_, ranks) in zip(roots, groups)
+        for r in ranks
+    }
+
+
 def triangle_count(engine: Engine) -> AlgorithmResult:
     """Count triangles with a masked SUMMA over the 2D blocks."""
-    part, grid = engine.partition, engine.grid
+    grid = engine.grid
     if not grid.is_square:
         raise ValueError(
             "triangle counting requires a square grid (inner dimension "
@@ -62,41 +114,20 @@ def triangle_count(engine: Engine) -> AlgorithmResult:
     masks = dict(
         zip(all_ranks, engine.map_ranks(lambda ctx: blocks[ctx.rank].astype(bool)))
     )
+    wire = {r: _pack(block) for r, block in blocks.items()}
     partial = np.zeros(grid.n_ranks)
 
     for k in range(side):
-        # Broadcast A[I,k] along each row group (root at block-col k).
-        left: dict[int, sp.csr_matrix] = {}
-        for id_r, ranks in engine.row_groups():
-            root = grid.rank_of(id_r, k)
-            payload = blocks[root]
-            nbytes = int(payload.nnz * 12 + payload.shape[0] * 8)
-            t = engine.costmodel.broadcast_time(ranks, nbytes, nic_sharing=row_share)
-            engine.clocks.sync_group(ranks, t)
-            engine.counters.record(
-                "broadcast",
-                serial_messages=len(ranks) - 1,
-                transfers=len(ranks) - 1,
-                nbytes=nbytes * (len(ranks) - 1),
-            )
-            for r in ranks:
-                left[r] = payload
-        # Broadcast A[k,J] along each column group (root at block-row k).
-        right: dict[int, sp.csr_matrix] = {}
-        for id_c, ranks in engine.col_groups():
-            root = grid.rank_of(k, id_c)
-            payload = blocks[root]
-            nbytes = int(payload.nnz * 12 + payload.shape[0] * 8)
-            t = engine.costmodel.broadcast_time(ranks, nbytes, nic_sharing=col_share)
-            engine.clocks.sync_group(ranks, t)
-            engine.counters.record(
-                "broadcast",
-                serial_messages=len(ranks) - 1,
-                transfers=len(ranks) - 1,
-                nbytes=nbytes * (len(ranks) - 1),
-            )
-            for r in ranks:
-                right[r] = payload
+        # A[I,k] along each row group (root at block-col k), A[k,J]
+        # along each column group (root at block-row k).
+        left = _broadcast(
+            engine, engine.row_groups(), lambda i: grid.rank_of(i, k),
+            blocks, wire, row_share,
+        )
+        right = _broadcast(
+            engine, engine.col_groups(), lambda j: grid.rank_of(k, j),
+            blocks, wire, col_share,
+        )
 
         # Local masked multiply-accumulate.
         def multiply_accumulate(ctx):

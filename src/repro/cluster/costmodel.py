@@ -268,15 +268,6 @@ class CostModel:
         tree = math.ceil(math.log2(k)) * alpha + vol
         return min(ring, tree) + self._sync_overhead()
 
-    def sendrecv_time(self, src: int, dst: int, nbytes: int) -> float:
-        """One point-to-point transfer."""
-        link = self.topology.link(src, dst)
-        crosses = (
-            self.topology.placement(src).node != self.topology.placement(dst).node
-        )
-        nbytes = nbytes * self.profile.volume_factor
-        return link.transfer_time(nbytes) + self.profile.message_overhead(crosses)
-
     def alltoall_time(
         self, ranks: Sequence[int], nbytes_per_pair: float, nic_sharing: int = 1
     ) -> float:

@@ -2,7 +2,7 @@
 
 from .clocks import InflightCollective, PhaseTimes, VirtualClocks
 from .collectives import REDUCE_OPS, BroadcastCall, CollectiveHandle, Communicator
-from .counters import CommCounters, CounterSnapshot, OpStats
+from .counters import CommCounters, OpStats
 from .grid import Grid2D, factor_pairs, square_grid
 
 __all__ = [
@@ -14,7 +14,6 @@ __all__ = [
     "CollectiveHandle",
     "Communicator",
     "CommCounters",
-    "CounterSnapshot",
     "OpStats",
     "Grid2D",
     "factor_pairs",

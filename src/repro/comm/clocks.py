@@ -18,9 +18,25 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .counters import CommCounters, CounterSnapshot
+    from .counters import CommCounters
 
-__all__ = ["InflightCollective", "PhaseTimes", "StageIndex", "VirtualClocks"]
+__all__ = ["InflightCollective", "LANES", "PhaseTimes", "StageIndex", "VirtualClocks"]
+
+#: The per-rank lanes of :class:`VirtualClocks`, in table-row order.
+#: ``clock`` is each rank's time; ``compute`` and ``comm`` split it.
+#: The other four annotate it and are exactly zero when their feature
+#: is off:
+#:
+#: * ``recovery`` — fault handling: straggler stalls (in ``clock``
+#:   only) and retry backoff (in ``comm`` as well);
+#: * ``regrid`` — elastic migration (checkpoint gather, re-partition,
+#:   scatter onto the new grid), contained in ``comm``;
+#: * ``overlap`` — comm seconds *hidden* behind compute by split-phase
+#:   collectives: contained in ``comm`` but NOT in ``clock``
+#:   (exposed comm = ``comm - overlap``);
+#: * ``certify`` — integrity verification (ledger digest exchanges,
+#:   result certifiers), contained in ``comm``.
+LANES = ("clock", "compute", "comm", "recovery", "regrid", "overlap", "certify")
 
 
 @dataclass(frozen=True)
@@ -28,10 +44,9 @@ class PhaseTimes:
     """A (total, computation, communication) time triple in seconds.
 
     ``overlap`` (optional, default 0) annotates how much communication
-    time was hidden behind computation by split-phase collectives; like
-    the recovery/regrid lanes it is not an additional component of
-    ``total`` — it is the part of ``comm`` that does *not* appear in
-    ``total``.
+    time was hidden behind computation by split-phase collectives: the
+    part of ``comm`` that does *not* appear in ``total`` (see
+    :data:`LANES`).
     """
 
     total: float
@@ -90,11 +105,14 @@ class StageIndex(NamedTuple):
 class VirtualClocks:
     """Virtual time state for ``n_ranks`` simulated ranks.
 
+    The lanes are one ``(len(LANES), n_ranks)`` table, ``lanes``; each
+    lane is also a named row view (``clocks.comm`` is ``lanes[2]``).
+
     When ``counters`` is supplied, every :meth:`mark_iteration`
-    additionally snapshots the counters, so per-iteration traffic can
-    later be reconstructed *exactly* (consecutive-snapshot deltas sum
-    to run totals by construction — the invariant
-    :class:`~repro.core.trace.TraceRecorder` relies on).
+    additionally copies their :meth:`~repro.comm.counters.CommCounters.state_dict`,
+    so per-iteration traffic can later be reconstructed *exactly*
+    (consecutive marks' deltas sum to run totals by construction — the
+    invariant :class:`~repro.core.trace.TraceRecorder` relies on).
     """
 
     def __init__(self, n_ranks: int, counters: Optional["CommCounters"] = None):
@@ -102,33 +120,12 @@ class VirtualClocks:
             raise ValueError("need at least one rank")
         self.n_ranks = n_ranks
         self.counters = counters
-        self.clock = np.zeros(n_ranks)
-        self.compute = np.zeros(n_ranks)
-        self.comm = np.zeros(n_ranks)
-        # Recovery lane: time spent on fault handling (straggler stalls,
-        # retry backoff).  Always a subset annotation — stall seconds
-        # land in the total only, retry seconds in comm as well — so
-        # fault-free runs keep it at exactly zero.
-        self.recovery = np.zeros(n_ranks)
-        # Regrid lane: elastic-recovery migration cost (checkpoint
-        # gather, re-partition, scatter onto the surviving grid).  Like
-        # ``recovery`` it annotates time already contained in the total.
-        self.regrid = np.zeros(n_ranks)
-        # Overlap lane: communication seconds *hidden* behind
-        # computation by split-phase collectives.  The inverse
-        # annotation of recovery/regrid: hidden seconds are contained
-        # in ``comm`` but NOT in the total (`total = compute + exposed
-        # comm + idle`, and `exposed comm = comm - overlap`).  Blocking
-        # runs keep it at exactly zero.
-        self.overlap = np.zeros(n_ranks)
-        # Certify lane: integrity-verification cost (ledger digest
-        # exchanges at superstep boundaries, end-of-run result
-        # certifiers).  Like recovery/regrid it annotates time already
-        # contained in the total; runs without an attached ledger or
-        # certification keep it at exactly zero.
-        self.certify = np.zeros(n_ranks)
+        self.lanes = np.zeros((len(LANES), n_ranks))
+        for name, row in zip(LANES, self.lanes):
+            setattr(self, name, row)
         self.iteration_marks: list[PhaseTimes] = []
-        self.counter_marks: list["CounterSnapshot"] = []
+        #: ``counters.state_dict()`` at each mark; never mutated.
+        self.counter_marks: list[dict] = []
 
     # ------------------------------------------------------------------
     # charging
@@ -193,59 +190,21 @@ class VirtualClocks:
         self.clock[rank] += seconds
         self.recovery[rank] += seconds
 
-    def charge_recovery(self, ranks: Sequence[int], seconds: float) -> None:
-        """Charge fault-recovery time (retry backoff, retransmits) to a
-        group.
+    def charge(self, lane: str, ranks: Sequence[int], seconds: float) -> None:
+        """Charge a group ``seconds`` of overhead that ``lane`` annotates:
+        ``"recovery"`` (retry backoff), ``"regrid"`` (elastic migration)
+        or ``"certify"`` (integrity verification).
 
-        Semantically a failed collective attempt: the group
-        synchronizes, burns ``seconds`` together, and the cost counts
-        as communication time (it occupies the fabric) *and* is
-        mirrored into the ``recovery`` lane so timing reports can show
-        how much of the comm share was recovery overhead.
+        The group synchronizes and burns ``seconds`` together as
+        communication time (:meth:`sync_group`: the overhead occupies
+        the fabric), mirrored into ``lane`` so timing reports can show
+        how much of the comm share it was.
         """
-        if seconds < 0:
-            raise ValueError(f"negative recovery time {seconds}")
+        if lane not in ("recovery", "regrid", "certify"):
+            raise ValueError(f"cannot charge lane {lane!r}")
         idx = np.fromiter(ranks, dtype=np.int64)
-        t = float(self.clock[idx].max()) + seconds
-        self.clock[idx] = t
-        self.comm[idx] += seconds
-        self.recovery[idx] += seconds
-
-    def charge_regrid(self, ranks: Sequence[int], seconds: float) -> None:
-        """Charge elastic-migration time (checkpoint gather, graph
-        re-partition, state scatter) to a group.
-
-        Semantically a barrier followed by a bulk data movement on the
-        surviving ranks: the group synchronizes, burns ``seconds``
-        together, and the cost counts as communication time *and* is
-        mirrored into the ``regrid`` lane so timing reports can show
-        how much of a degraded run went to the migration itself.
-        """
-        if seconds < 0:
-            raise ValueError(f"negative regrid time {seconds}")
-        idx = np.fromiter(ranks, dtype=np.int64)
-        t = float(self.clock[idx].max()) + seconds
-        self.clock[idx] = t
-        self.comm[idx] += seconds
-        self.regrid[idx] += seconds
-
-    def charge_certify(self, ranks: Sequence[int], seconds: float) -> None:
-        """Charge integrity-verification time (ledger digest exchange,
-        result certification) to a group.
-
-        Semantically a small collective: the group synchronizes, burns
-        ``seconds`` together, and the cost counts as communication time
-        (digests and certification invariants cross the fabric) *and*
-        is mirrored into the ``certify`` lane so timing reports can
-        show what the SDC defense cost.
-        """
-        if seconds < 0:
-            raise ValueError(f"negative certify time {seconds}")
-        idx = np.fromiter(ranks, dtype=np.int64)
-        t = float(self.clock[idx].max()) + seconds
-        self.clock[idx] = t
-        self.comm[idx] += seconds
-        self.certify[idx] += seconds
+        self.sync_group(idx, seconds)
+        getattr(self, lane)[idx] += seconds
 
     def issue_collective(
         self, ranks: Sequence[int], comm_seconds: float
@@ -296,13 +255,7 @@ class VirtualClocks:
         In-place so that every holder of this object (``Communicator``,
         ``TraceRecorder``, callers) observes the reset.
         """
-        self.clock[:] = 0.0
-        self.compute[:] = 0.0
-        self.comm[:] = 0.0
-        self.recovery[:] = 0.0
-        self.regrid[:] = 0.0
-        self.overlap[:] = 0.0
-        self.certify[:] = 0.0
+        self.lanes[:] = 0.0
         self.iteration_marks.clear()
         self.counter_marks.clear()
 
@@ -318,20 +271,19 @@ class VirtualClocks:
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
+    def peak(self, lane: str) -> float:
+        """Max-over-ranks value of one lane (the paper's report)."""
+        return float(getattr(self, lane).max())
+
     def snapshot(self) -> PhaseTimes:
         """Current (max-over-ranks) total/compute/comm times."""
-        return PhaseTimes(
-            total=float(self.clock.max()),
-            compute=float(self.compute.max()),
-            comm=float(self.comm.max()),
-            overlap=float(self.overlap.max()),
-        )
+        return PhaseTimes(*map(self.peak, ("clock", "compute", "comm", "overlap")))
 
     def mark_iteration(self) -> PhaseTimes:
         """Record an iteration boundary; returns the delta since the
         previous mark (or since start).
 
-        With counters attached, also snapshots them so the boundary
+        With counters attached, also copies them so the boundary
         carries the exact cumulative traffic at this point.
         """
         now = self.snapshot()
@@ -342,7 +294,7 @@ class VirtualClocks:
         )
         self.iteration_marks.append(now)
         if self.counters is not None:
-            self.counter_marks.append(self.counters.snapshot())
+            self.counter_marks.append(self.counters.state_dict())
         return now - prev
 
     def per_rank_lanes(self) -> dict[str, np.ndarray]:
@@ -354,42 +306,7 @@ class VirtualClocks:
         deltas, from which deviation scores are computed.  Copies, so a
         held sample is immune to subsequent charging.
         """
-        return {
-            "clock": self.clock.copy(),
-            "compute": self.compute.copy(),
-            "comm": self.comm.copy(),
-            "recovery": self.recovery.copy(),
-            "regrid": self.regrid.copy(),
-            "overlap": self.overlap.copy(),
-            "certify": self.certify.copy(),
-        }
-
-    @property
-    def elapsed(self) -> float:
-        return float(self.clock.max())
-
-    @property
-    def recovery_total(self) -> float:
-        """Max-over-ranks recovery time (0.0 in fault-free runs)."""
-        return float(self.recovery.max())
-
-    @property
-    def regrid_total(self) -> float:
-        """Max-over-ranks elastic-migration time (0.0 unless the run
-        regridded onto a surviving grid)."""
-        return float(self.regrid.max())
-
-    @property
-    def overlap_total(self) -> float:
-        """Max-over-ranks hidden communication time (0.0 in blocking
-        runs)."""
-        return float(self.overlap.max())
-
-    @property
-    def certify_total(self) -> float:
-        """Max-over-ranks integrity-verification time (0.0 in runs
-        without a ledger or certification)."""
-        return float(self.certify.max())
+        return dict(zip(LANES, self.lanes.copy()))
 
     # ------------------------------------------------------------------
     # checkpoint support
@@ -397,43 +314,28 @@ class VirtualClocks:
     def state_dict(self) -> dict:
         """Plain-data snapshot of the full clock state.
 
-        Everything is copied (marks flatten to tuples, counter
-        snapshots to nested dicts); :meth:`load_state` restores
-        bit-identically.
+        The lanes are copied and marks flatten to tuples (counter marks
+        are plain dicts that nothing mutates); :meth:`load_state`
+        restores bit-identically.
         """
         return {
-            "clock": self.clock.copy(),
-            "compute": self.compute.copy(),
-            "comm": self.comm.copy(),
-            "recovery": self.recovery.copy(),
-            "regrid": self.regrid.copy(),
-            "overlap": self.overlap.copy(),
-            "certify": self.certify.copy(),
+            **self.per_rank_lanes(),
             "iteration_marks": [
                 (m.total, m.compute, m.comm, m.overlap)
                 for m in self.iteration_marks
             ],
-            "counter_marks": [c.as_state() for c in self.counter_marks],
+            "counter_marks": list(self.counter_marks),
         }
 
     def load_state(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot in place (identity is
         preserved, as in :meth:`reset`)."""
-        from .counters import CounterSnapshot
-
-        self.clock[:] = state["clock"]
-        self.compute[:] = state["compute"]
-        self.comm[:] = state["comm"]
-        self.recovery[:] = state["recovery"]
-        self.regrid[:] = state["regrid"]
-        self.overlap[:] = state["overlap"]
-        self.certify[:] = state["certify"]
+        for row, lane in zip(self.lanes, LANES):
+            row[:] = state[lane]
         self.iteration_marks[:] = [
             PhaseTimes(*t) for t in state["iteration_marks"]
         ]
-        self.counter_marks[:] = [
-            CounterSnapshot.from_state(s) for s in state["counter_marks"]
-        ]
+        self.counter_marks[:] = state["counter_marks"]
 
     @staticmethod
     def align_state(state: dict, n_ranks: int) -> dict:
@@ -444,11 +346,10 @@ class VirtualClocks:
         so each lane collapses to its max-over-ranks value replicated
         across the new rank count (the max is exactly what every
         report and every subsequent ``sync_group`` observes).  Marks
-        and counter snapshots are rank-agnostic and pass through.
+        and counter marks are rank-agnostic and pass through.
         """
         out = dict(state)
-        for lane in ("clock", "compute", "comm", "recovery", "regrid",
-                     "overlap", "certify"):
+        for lane in LANES:
             arr = np.asarray(state.get(lane, [0.0]), dtype=np.float64)
             peak = float(arr.max()) if arr.size else 0.0
             out[lane] = np.full(n_ranks, peak)

@@ -31,7 +31,7 @@ __all__ = [
 #: collective (a stage, split-phase or per-group call guards as its
 #: kind); ``FaultSpec.collective`` names one of these.
 COLLECTIVE_KINDS = (
-    "allreduce", "broadcast", "grouped_broadcast", "allgatherv", "sendrecv", "alltoallv",
+    "allreduce", "broadcast", "grouped_broadcast", "allgatherv", "alltoallv",
 )
 
 REDUCE_OPS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
@@ -46,7 +46,8 @@ REDUCE_OPS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 
 @dataclass
 class BroadcastCall:
-    """One broadcast inside an aggregated NCCL group call.
+    """One broadcast: a stage's per-group call, or one of an aggregated
+    NCCL group call's.
 
     ``src`` is the root's payload; ``dests`` are the destination views
     (one per non-root group member) that receive a copy.
@@ -79,6 +80,11 @@ class CollectiveHandle:
     payload: Sequence[np.ndarray] = ()
 
 
+def _sources(calls: Sequence[BroadcastCall]) -> list[np.ndarray]:
+    """What a broadcast's guard checks: the roots' payloads."""
+    return [c.src for c in calls]
+
+
 class Communicator:
     """Executes collectives with time/counter accounting.
 
@@ -88,13 +94,13 @@ class Communicator:
     (:meth:`VirtualClocks.sync_stage`).  A per-group call is a
     one-group stage.
 
-    Every blocking collective has a split-phase twin (``start_X`` +
-    :meth:`wait`) that separates *issue* from *completion*: the data
-    moves and the counters record at issue, but the virtual-time charge
-    is deferred to ``wait``, where the clocks charge
-    ``max(compute_elapsed, comm_cost)`` for the overlapped window (the
-    comm lane still receives the full blocking cost; the hidden part
-    lands in the ``overlap`` lane).  Issuing and waiting immediately is
+    AllReduce, AllGatherV and AllToAllV have split-phase twins
+    (``start_X`` + :meth:`wait`) that separate *issue* from
+    *completion*: the data moves and the counters record at issue, but
+    the virtual-time charge is deferred to ``wait``, where the clocks
+    charge ``max(compute_elapsed, comm_cost)`` for the overlapped window
+    (the comm lane still receives the full blocking cost; the hidden
+    part lands in the ``overlap`` lane).  Issuing and waiting immediately is
     bit-identical to the blocking call — values, counters, *and*
     clocks.
 
@@ -261,66 +267,44 @@ class Communicator:
         move = partial(self._allreduce_core, op=op, nic_sharing=nic_sharing)
         self._stage("allreduce", groups, buffers, move)
 
-    def broadcast(
-        self,
-        ranks: Sequence[int],
-        buffers: Sequence[np.ndarray],
-        root_pos: int,
-        nic_sharing: int = 1,
-    ) -> None:
-        """In-place Broadcast from ``buffers[root_pos]`` to the rest."""
-        if self.guard is not None:
-            self.guard(self.clocks, "broadcast", ranks, buffers)
-        self._check_group(ranks, buffers)
-        k = len(ranks)
-        if not 0 <= root_pos < k:
-            raise ValueError(f"root position {root_pos} out of range")
-        src = np.asarray(buffers[root_pos])
-        for i, b in enumerate(buffers):
-            if i != root_pos:
-                b[...] = src
-        t = self.costmodel.broadcast_time(ranks, src.nbytes, nic_sharing=nic_sharing)
-        self.clocks.sync_group(ranks, t)
-        self.counters.record(
-            "broadcast",
-            serial_messages=k - 1,
-            transfers=k - 1,
-            nbytes=src.nbytes * (k - 1) if k > 1 else 0,
-        )
-
-    def grouped_broadcast(
-        self,
-        ranks: Sequence[int],
-        calls: Sequence[BroadcastCall],
-        nic_sharing: int = 1,
-    ) -> None:
-        """Multiple broadcasts over one group in a single aggregated
-        launch (NCCL group call; paper §3.3.1 for the R != C case)."""
-        self.grouped_broadcast_stage([ranks], [calls], nic_sharing=nic_sharing)
+    def broadcast_stage(self, groups, calls, nic_sharing: int = 1):
+        """One Broadcast in each of a stage's disjoint ``groups``
+        (``calls[g]`` is group ``g``'s :class:`BroadcastCall`): a
+        one-call group broadcast, guarded and counted as
+        ``"broadcast"``."""
+        move = partial(self._broadcast_core, kind="broadcast", nic_sharing=nic_sharing)
+        self._stage("broadcast", groups, [[c] for c in calls], move, _sources)
 
     def grouped_broadcast_stage(self, groups, calls, nic_sharing: int = 1):
-        """:meth:`grouped_broadcast` in each of a stage's disjoint
-        ``groups`` (``calls[g]`` are group ``g``'s; none: skipped)."""
-        move = partial(self._grouped_broadcast_core, nic_sharing=nic_sharing)
-        self._stage(
-            "grouped_broadcast", groups, calls, move, lambda c: [x.src for x in c]
+        """Multiple broadcasts over each of a stage's disjoint
+        ``groups`` in a single aggregated launch per group (NCCL group
+        call; paper §3.3.1 for the R != C case); ``calls[g]`` are group
+        ``g``'s (none: skipped)."""
+        move = partial(
+            self._broadcast_core, kind="grouped_broadcast", nic_sharing=nic_sharing
         )
+        self._stage("grouped_broadcast", groups, calls, move, _sources)
 
-    def _grouped_broadcast_core(self, ranks, calls, nic_sharing: int):
+    def _broadcast_core(self, ranks, calls, kind: str, nic_sharing: int):
         """Move data, record counters; return (cost or ``None``, None)."""
         if not calls:
             return None, None
+        k = len(ranks)
         sizes = []
         for call in calls:
+            if len(call.dests) >= k:
+                raise ValueError(
+                    f"a broadcast over {k} ranks {list(ranks)} has at most "
+                    f"{k - 1} destinations, got {len(call.dests)}"
+                )
             src = np.asarray(call.src)
             for dest in call.dests:
                 dest[...] = src
             sizes.append(src.nbytes)
         t = self.costmodel.grouped_broadcast_time(ranks, sizes, nic_sharing=nic_sharing)
-        k = len(ranks)
         total_dests = sum(len(c.dests) for c in calls)
         self.counters.record(
-            "grouped_broadcast",
+            kind,
             serial_messages=(k - 1) if self.costmodel.profile.grouped_calls
             else len(calls) * (k - 1),
             transfers=total_dests,
@@ -330,25 +314,17 @@ class Communicator:
         )
         return t, None
 
-    def allgatherv(
-        self,
-        ranks: Sequence[int],
-        send_buffers: Sequence[np.ndarray],
-        nic_sharing: int = 1,
-    ) -> np.ndarray:
-        """Variable-size AllGather: every rank receives the
-        concatenation (in group-rank order) of all send buffers.
+    def allgatherv_stage(self, groups, send_buffers, nic_sharing: int = 1) -> list:
+        """Variable-size AllGather in each of a stage's disjoint
+        ``groups`` (``send_buffers[g]`` are group ``g``'s): every member
+        receives the concatenation, in group-rank order, of its group's
+        send buffers.
 
         Implemented by the paper as an NCCL AllGather plus grouped
         broadcasts; modeled here as one ring allgather over the total
-        payload.  Returns the concatenated array (identical on every
-        rank, so a single shared copy is returned).
+        payload.  One result per group (identical on every member, so a
+        single shared copy).
         """
-        return self.allgatherv_stage([ranks], [send_buffers], nic_sharing)[0]
-
-    def allgatherv_stage(self, groups, send_buffers, nic_sharing: int = 1) -> list:
-        """:meth:`allgatherv` in each of a stage's disjoint ``groups``
-        (``send_buffers[g]`` are group ``g``'s); one result per group."""
         move = partial(self._allgatherv_core, nic_sharing=nic_sharing)
         return self._stage("allgatherv", groups, send_buffers, move)
 
@@ -390,18 +366,6 @@ class Communicator:
         )
         return t, result
 
-    def sendrecv(self, src_rank: int, dst_rank: int, payload: np.ndarray) -> np.ndarray:
-        """Point-to-point transfer; returns the received copy."""
-        payload = np.asarray(payload)
-        if self.guard is not None:
-            self.guard(self.clocks, "sendrecv", [src_rank, dst_rank], [payload])
-        t = self.costmodel.sendrecv_time(src_rank, dst_rank, payload.nbytes)
-        self.clocks.sync_group([src_rank, dst_rank], t)
-        self.counters.record(
-            "sendrecv", serial_messages=1, transfers=1, nbytes=payload.nbytes
-        )
-        return payload.copy()
-
     def alltoallv(
         self,
         ranks: Sequence[int],
@@ -415,20 +379,19 @@ class Communicator:
         everything addressed to it.  Charged with the O(p^2)-message
         model the paper ascribes to 1D distributions.
         """
-        if self.guard is not None:
-            flat = [b for row in send_matrix for b in row]
-            self.guard(self.clocks, "alltoallv", ranks, flat)
-        received, t = self._alltoallv_core(ranks, send_matrix, nic_sharing)
-        self.clocks.sync_group(ranks, t)
-        return received
+        move = partial(self._alltoallv_core, nic_sharing=nic_sharing)
+        return self._stage(
+            "alltoallv", [ranks], [send_matrix], move,
+            lambda matrix: [b for row in matrix for b in row],
+        )[0]
 
     def _alltoallv_core(
         self,
         ranks: Sequence[int],
         send_matrix: Sequence[Sequence[np.ndarray]],
         nic_sharing: int,
-    ) -> tuple[list[np.ndarray], float]:
-        """Validate, move data, record counters; return (result, cost)."""
+    ) -> tuple[float, list[np.ndarray]]:
+        """Validate, move data, record counters; return (cost, result)."""
         k = len(ranks)
         if len(send_matrix) != k or any(len(row) != k for row in send_matrix):
             shape = f"{len(send_matrix)} x {[len(row) for row in send_matrix]}"
@@ -459,11 +422,22 @@ class Communicator:
             transfers=k * (k - 1),
             nbytes=total,
         )
-        return received, t
+        return t, received
 
     # ------------------------------------------------------------------
     # split-phase collectives (issue now, charge time at wait)
     # ------------------------------------------------------------------
+    def _issue(self, kind, ranks, payload, move) -> CollectiveHandle:
+        """One group's ``move(ranks, payload) -> (cost, result)`` now,
+        its time at :meth:`wait`, whose guard checks the received data
+        (an AllReduce's reduced buffers)."""
+        t, result = move(ranks, payload)
+        received = (
+            payload if result is None else result if isinstance(result, list) else [result]
+        )
+        inflight = self.clocks.issue_collective(ranks, t)
+        return CollectiveHandle(kind, tuple(ranks), inflight, result, received)
+
     def start_allreduce(
         self,
         ranks: Sequence[int],
@@ -477,9 +451,8 @@ class Communicator:
         simulated data movement); callers must not mutate them until
         the matching ``wait``.
         """
-        t, _ = self._allreduce_core(ranks, buffers, op, nic_sharing)
-        inflight = self.clocks.issue_collective(ranks, t)
-        return CollectiveHandle("allreduce", tuple(ranks), inflight, payload=buffers)
+        move = partial(self._allreduce_core, op=op, nic_sharing=nic_sharing)
+        return self._issue("allreduce", ranks, buffers, move)
 
     def start_allreduce_stage(self, groups, buffers, op: str = "sum", nic_sharing: int = 1):
         """:meth:`start_allreduce` in each of a stage's disjoint
@@ -499,9 +472,8 @@ class Communicator:
         :class:`CollectiveHandle` for the pipelined-consumption
         contract); send buffers may be recycled once this returns.
         """
-        t, result = self._allgatherv_core(ranks, send_buffers, nic_sharing)
-        inflight = self.clocks.issue_collective(ranks, t)
-        return CollectiveHandle("allgatherv", tuple(ranks), inflight, result, [result])
+        move = partial(self._allgatherv_core, nic_sharing=nic_sharing)
+        return self._issue("allgatherv", ranks, send_buffers, move)
 
     def start_allgatherv_stage(self, groups, send_buffers, nic_sharing: int = 1):
         """:meth:`start_allgatherv` in each of a stage's disjoint
@@ -522,9 +494,8 @@ class Communicator:
 
         ``handle.result`` carries the per-member received buffers.
         """
-        received, t = self._alltoallv_core(ranks, send_matrix, nic_sharing)
-        inflight = self.clocks.issue_collective(ranks, t)
-        return CollectiveHandle("alltoallv", tuple(ranks), inflight, received, received)
+        move = partial(self._alltoallv_core, nic_sharing=nic_sharing)
+        return self._issue("alltoallv", ranks, send_matrix, move)
 
     def wait(self, handle: CollectiveHandle):
         """Complete a split-phase collective; returns its result.

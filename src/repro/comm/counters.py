@@ -20,10 +20,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from types import MappingProxyType
 from typing import Mapping
 
-__all__ = ["OpStats", "CounterSnapshot", "CommCounters"]
+__all__ = ["OpStats", "CommCounters"]
 
 
 @dataclass
@@ -41,104 +40,6 @@ class OpStats:
         self.transfers += transfers
         self.bytes += int(nbytes)
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "calls": self.calls,
-            "serial_messages": self.serial_messages,
-            "transfers": self.transfers,
-            "bytes": self.bytes,
-        }
-
-
-@dataclass(frozen=True)
-class CounterSnapshot:
-    """Immutable point-in-time copy of :class:`CommCounters`.
-
-    Snapshots are taken at iteration boundaries
-    (:meth:`~repro.comm.clocks.VirtualClocks.mark_iteration`) so that
-    per-iteration traffic can be recovered *exactly* by subtracting
-    consecutive snapshots — integer arithmetic, no apportioning.
-    """
-
-    by_kind: Mapping[str, OpStats]
-
-    @classmethod
-    def empty(cls) -> "CounterSnapshot":
-        return cls(by_kind=MappingProxyType({}))
-
-    @classmethod
-    def of(cls, counters: "CommCounters") -> "CounterSnapshot":
-        return cls(
-            by_kind=MappingProxyType(
-                {
-                    kind: OpStats(s.calls, s.serial_messages, s.transfers, s.bytes)
-                    for kind, s in counters.by_kind.items()
-                }
-            )
-        )
-
-    def __sub__(self, prev: "CounterSnapshot") -> "CounterSnapshot":
-        """Exact per-kind delta (kinds with no activity are dropped)."""
-        delta: dict[str, OpStats] = {}
-        for kind, s in self.by_kind.items():
-            p = prev.by_kind.get(kind, OpStats())
-            d = OpStats(
-                calls=s.calls - p.calls,
-                serial_messages=s.serial_messages - p.serial_messages,
-                transfers=s.transfers - p.transfers,
-                bytes=s.bytes - p.bytes,
-            )
-            if d.calls or d.serial_messages or d.transfers or d.bytes:
-                delta[kind] = d
-        return CounterSnapshot(by_kind=MappingProxyType(delta))
-
-    # totals mirror CommCounters so either can feed reports
-    @property
-    def total_serial_messages(self) -> int:
-        return sum(s.serial_messages for s in self.by_kind.values())
-
-    @property
-    def total_transfers(self) -> int:
-        return sum(s.transfers for s in self.by_kind.values())
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(s.bytes for s in self.by_kind.values())
-
-    @property
-    def total_calls(self) -> int:
-        return sum(s.calls for s in self.by_kind.values())
-
-    def __bool__(self) -> bool:
-        return any(
-            s.calls or s.serial_messages or s.transfers or s.bytes
-            for s in self.by_kind.values()
-        )
-
-    def summary(self) -> dict[str, dict[str, int]]:
-        return {kind: s.as_dict() for kind, s in sorted(self.by_kind.items())}
-
-    def calls_by_kind(self) -> dict[str, int]:
-        return {kind: s.calls for kind, s in sorted(self.by_kind.items())}
-
-    # ------------------------------------------------------------------
-    # checkpoint support (plain, picklable data — MappingProxyType is
-    # not picklable, so snapshots flatten to nested dicts on the way to
-    # a checkpoint and rebuild exactly on the way back)
-    # ------------------------------------------------------------------
-    def as_state(self) -> dict[str, dict[str, int]]:
-        """Plain nested-dict form for checkpoints (picklable)."""
-        return {kind: s.as_dict() for kind, s in self.by_kind.items()}
-
-    @classmethod
-    def from_state(cls, state: Mapping[str, Mapping[str, int]]) -> "CounterSnapshot":
-        """Rebuild a snapshot from :meth:`as_state` output."""
-        return cls(
-            by_kind=MappingProxyType(
-                {kind: OpStats(**dict(stats)) for kind, stats in state.items()}
-            )
-        )
-
 
 @dataclass
 class CommCounters:
@@ -150,10 +51,6 @@ class CommCounters:
         self, kind: str, serial_messages: int, transfers: int, nbytes: int
     ) -> None:
         self.by_kind[kind].add(serial_messages, transfers, nbytes)
-
-    def snapshot(self) -> CounterSnapshot:
-        """Immutable copy of the current per-kind statistics."""
-        return CounterSnapshot.of(self)
 
     def reset(self) -> None:
         """Drop all recorded statistics, preserving identity (holders
@@ -183,8 +80,9 @@ class CommCounters:
     # checkpoint support
     # ------------------------------------------------------------------
     def state_dict(self) -> dict[str, dict[str, int]]:
-        """Plain nested-dict copy of the per-kind statistics."""
-        return {kind: s.as_dict() for kind, s in self.by_kind.items()}
+        """Plain nested-dict copy of the per-kind statistics (also what
+        :meth:`~repro.comm.clocks.VirtualClocks.mark_iteration` keeps)."""
+        return {kind: dict(vars(s)) for kind, s in self.by_kind.items()}
 
     def load_state(self, state: Mapping[str, Mapping[str, int]]) -> None:
         """Restore a :meth:`state_dict` snapshot in place (identity is
@@ -203,13 +101,5 @@ class CommCounters:
             agg.bytes += stats.bytes
 
     def summary(self) -> dict[str, dict[str, int]]:
-        """Plain-dict view for reports."""
-        return {
-            kind: {
-                "calls": s.calls,
-                "serial_messages": s.serial_messages,
-                "transfers": s.transfers,
-                "bytes": s.bytes,
-            }
-            for kind, s in sorted(self.by_kind.items())
-        }
+        """Plain-dict view for reports: :meth:`state_dict` by kind name."""
+        return dict(sorted(self.state_dict().items()))

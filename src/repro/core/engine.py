@@ -726,10 +726,10 @@ class Engine:
             compute=snap.compute,
             comm=snap.comm,
             per_iteration=tuple(deltas),
-            recovery=self.clocks.recovery_total,
-            regrid=self.clocks.regrid_total,
-            overlap=self.clocks.overlap_total,
-            certify=self.clocks.certify_total,
+            recovery=self.clocks.peak("recovery"),
+            regrid=self.clocks.peak("regrid"),
+            overlap=self.clocks.peak("overlap"),
+            certify=self.clocks.peak("certify"),
         )
 
     def memory_report(self) -> dict[int, float]:

@@ -4,7 +4,7 @@ The paper's Figs. 3 and 5 decompose run time into computation and
 communication; finer analyses (which collective kind dominates, how
 volume decays over the iteration tail) need per-iteration records.  A
 :class:`TraceRecorder` wraps an engine run and reads the clock and
-counter snapshots taken at every iteration mark, yielding rows that
+counter marks taken at every iteration boundary, yielding rows that
 are *exact*: summing any counter column over the rows reproduces the
 run's :class:`~repro.comm.counters.CommCounters` totals bit-for-bit.
 Rows export to CSV (flat columns), JSON (full per-kind structure), or
@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..comm.clocks import PhaseTimes
-from ..comm.counters import CounterSnapshot
 
 __all__ = ["IterationTrace", "TraceRecorder", "TRACE_SCHEMA"]
 
@@ -34,7 +33,7 @@ class IterationTrace:
     """One BSP iteration's deltas — measured, not apportioned.
 
     ``bytes`` / ``serial_messages`` / ``transfers`` are the exact
-    counter deltas between this iteration's boundary snapshots;
+    counter deltas between this iteration's boundary marks;
     ``by_kind`` breaks all four statistics down per collective kind
     and ``calls_by_kind`` is its calls-only view.  Every row owns its
     dicts (no sharing across rows).
@@ -81,29 +80,37 @@ class IterationTrace:
         }
 
 
-def _row(
-    index: int,
-    dt: PhaseTimes,
-    dc: CounterSnapshot,
-    faults: tuple = (),
-) -> IterationTrace:
+def _delta(now: dict, prev: dict) -> dict[str, dict[str, int]]:
+    """Exact per-kind difference of two counter marks
+    (``CommCounters.state_dict()`` copies), by kind name; kinds with no
+    activity in between are dropped."""
+    out = {}
+    for kind, stats in sorted(now.items()):
+        before = prev.get(kind, {})
+        d = {key: v - before.get(key, 0) for key, v in stats.items()}
+        if any(d.values()):
+            out[kind] = d
+    return out
+
+
+def _row(index: int, dt: PhaseTimes, dc: dict, faults: tuple = ()) -> IterationTrace:
     return IterationTrace(
         iteration=index,
         total_s=dt.total,
         compute_s=dt.compute,
         comm_s=dt.comm,
-        bytes=dc.total_bytes,
-        serial_messages=dc.total_serial_messages,
-        transfers=dc.total_transfers,
+        bytes=sum(s["bytes"] for s in dc.values()),
+        serial_messages=sum(s["serial_messages"] for s in dc.values()),
+        transfers=sum(s["transfers"] for s in dc.values()),
         overlap_s=dt.overlap,
-        calls_by_kind=dc.calls_by_kind(),
-        by_kind=dc.summary(),
+        calls_by_kind={kind: s["calls"] for kind, s in dc.items()},
+        by_kind=dc,
         faults=faults,
     )
 
 
 class TraceRecorder:
-    """Builds exact per-iteration rows from an engine's boundary snapshots.
+    """Builds exact per-iteration rows from an engine's boundary marks.
 
     Usage::
 
@@ -114,9 +121,9 @@ class TraceRecorder:
 
     Works with any algorithm that calls ``clocks.mark_iteration()``
     (all of them do): the engine attaches its ``CommCounters`` to its
-    ``VirtualClocks``, so every mark snapshots the cumulative counter
+    ``VirtualClocks``, so every mark copies the cumulative counter
     state alongside the clock state.  ``collect`` subtracts consecutive
-    snapshots — integer arithmetic on measured values, so rows sum to
+    marks — integer arithmetic on measured values, so rows sum to
     the run totals by construction.  Work before the first mark (e.g.
     degree precomputation) lands in iteration 1; work after the last
     mark, if any, is emitted as one trailing row so nothing is lost.
@@ -126,7 +133,7 @@ class TraceRecorder:
         self.engine = engine
 
     def collect(self, result: Any = None, include_tail: bool = True) -> list[IterationTrace]:
-        """Build per-iteration rows from the completed run's snapshots.
+        """Build per-iteration rows from the completed run's marks.
 
         ``include_tail=False`` drops any activity recorded after the
         final iteration mark (rows then cover marked iterations only
@@ -154,21 +161,21 @@ class TraceRecorder:
             by_step.setdefault(event.get("superstep", 0), []).append(event)
         rows: list[IterationTrace] = []
         prev_t = PhaseTimes(0.0, 0.0, 0.0)
-        prev_c = CounterSnapshot.empty()
+        prev_c: dict = {}
         for i, (m, c) in enumerate(zip(marks, cmarks)):
             rows.append(
-                _row(i + 1, m - prev_t, c - prev_c,
+                _row(i + 1, m - prev_t, _delta(c, prev_c),
                      faults=tuple(by_step.get(i + 1, ())))
             )
             prev_t, prev_c = m, c
         if include_tail:
             end_t = clocks.snapshot()
             end_c = (
-                clocks.counters.snapshot()
+                clocks.counters.state_dict()
                 if clocks.counters is not None
                 else prev_c
             )
-            dt, dc = end_t - prev_t, end_c - prev_c
+            dt, dc = end_t - prev_t, _delta(end_c, prev_c)
             tail_faults = tuple(
                 e for step, events in by_step.items()
                 if step > len(marks) for e in events

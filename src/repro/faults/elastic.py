@@ -151,7 +151,7 @@ def migrate_checkpoint(ckpt: Checkpoint, new_engine) -> tuple[Checkpoint, float]
     clocks.load_state(
         VirtualClocks.align_state(ckpt.clocks, new_engine.n_ranks)
     )
-    clocks.charge_regrid(range(new_engine.n_ranks), cost_s)
+    clocks.charge("regrid", range(new_engine.n_ranks), cost_s)
 
     migrated = Checkpoint(
         superstep=ckpt.superstep,
@@ -300,7 +300,7 @@ class Recovery(BoundaryHook):
             migrated = copy.deepcopy(ckpt)
             clocks = VirtualClocks(engine.n_ranks)
             clocks.load_state(migrated.clocks)
-            clocks.charge_regrid(range(engine.n_ranks), cost_s)
+            clocks.charge("regrid", range(engine.n_ranks), cost_s)
             migrated.clocks = clocks.state_dict()
             new_engine = engine
         else:

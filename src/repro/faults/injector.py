@@ -293,7 +293,7 @@ class FaultInjector(BoundaryHook):
                 damaged = _payload_checksum(_flip_bit(payload, spec.bit))
                 detected = damaged != clean or not payload
             backoff = self.backoff_base_s * (2 ** (attempt - 1))
-            clocks.charge_recovery(ranks, backoff)
+            clocks.charge("recovery", ranks, backoff)
             fatal = attempt > self.max_retries
             self.record(
                 FaultEvent(

@@ -480,7 +480,7 @@ class IntegrityLedger(BoundaryHook):
             + hashed_bytes / self.hash_bw
             + (8.0 * max(1, n_ranks)) / self.exchange_bw
         )
-        engine.clocks.charge_certify(range(engine.n_ranks), seconds)
+        engine.clocks.charge("certify", range(engine.n_ranks), seconds)
 
     def _disagreements(self, engine, digests) -> list[int]:
         """Ranks whose window digests disagree with their groups.
@@ -553,7 +553,7 @@ def _charge_certifier(engine, nbytes: int) -> float:
     """Model one cross-rank exchange of the certified values and
     charge it to every rank's ``certify`` lane."""
     seconds = CERTIFY_LATENCY_S + nbytes / CERTIFY_EXCHANGE_BW
-    engine.clocks.charge_certify(range(engine.n_ranks), seconds)
+    engine.clocks.charge("certify", range(engine.n_ranks), seconds)
     return seconds
 
 

@@ -509,9 +509,9 @@ def run_case(
     ledger = engine.integrity
     case.repairs = ledger.repairs if ledger is not None else 0
     case.health = recovery.monitor.report() if recovery.monitor else {}
-    case.recovery_s = final.clocks.recovery_total
-    case.regrid_s = float(final.clocks.regrid_total)
-    case.certify_s = float(final.clocks.certify_total)
+    case.recovery_s = final.clocks.peak("recovery")
+    case.regrid_s = final.clocks.peak("regrid")
+    case.certify_s = final.clocks.peak("certify")
     case.fault_events = list(events)
     case.ok = (
         case.status in (camp.recovered, "completed")

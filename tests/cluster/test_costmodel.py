@@ -116,8 +116,3 @@ class TestCollectives:
 
     def test_empty_grouped_broadcast(self, model):
         assert model.grouped_broadcast_time([0, 1], []) == 0.0
-
-    def test_sendrecv_uses_link(self, model):
-        nvl = model.sendrecv_time(0, 1, 10**6)
-        net = model.sendrecv_time(0, 6, 10**6)
-        assert net > nvl

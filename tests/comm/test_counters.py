@@ -1,6 +1,7 @@
 """Communication counter tests."""
 
-from repro.comm import CommCounters, CounterSnapshot
+from repro.comm import CommCounters
+from repro.core.trace import _delta
 
 
 class TestCounters:
@@ -51,22 +52,25 @@ class TestCounters:
 
 
 class TestSnapshots:
+    """Counter marks are ``state_dict()`` copies; ``_delta`` subtracts
+    two of them exactly, the way ``TraceRecorder`` does."""
+
     def test_snapshot_is_immutable_copy(self):
         c = CommCounters()
         c.record("allreduce", 2, 4, 100)
-        snap = c.snapshot()
+        snap = c.state_dict()
         c.record("allreduce", 2, 4, 100)
-        assert snap.total_bytes == 100  # unchanged by later records
+        assert snap["allreduce"]["bytes"] == 100  # unchanged by later records
         assert c.total_bytes == 200
 
     def test_delta_is_exact_per_kind(self):
         c = CommCounters()
         c.record("allreduce", 2, 4, 100)
-        before = c.snapshot()
+        before = c.state_dict()
         c.record("allreduce", 2, 4, 50)
         c.record("broadcast", 1, 1, 10)
-        delta = c.snapshot() - before
-        assert delta.summary() == {
+        delta = _delta(c.state_dict(), before)
+        assert delta == {
             "allreduce": {
                 "calls": 1, "serial_messages": 2, "transfers": 4, "bytes": 50,
             },
@@ -74,33 +78,31 @@ class TestSnapshots:
                 "calls": 1, "serial_messages": 1, "transfers": 1, "bytes": 10,
             },
         }
-        assert delta.calls_by_kind() == {"allreduce": 1, "broadcast": 1}
+        assert list(delta) == sorted(delta)
 
     def test_delta_drops_idle_kinds(self):
         c = CommCounters()
         c.record("sendrecv", 1, 1, 8)
-        before = c.snapshot()
+        before = c.state_dict()
         c.record("allgatherv", 3, 6, 64)
-        delta = c.snapshot() - before
-        assert "sendrecv" not in delta.by_kind
-        assert delta.total_bytes == 64
+        delta = _delta(c.state_dict(), before)
+        assert "sendrecv" not in delta
+        assert sum(s["bytes"] for s in delta.values()) == 64
 
     def test_empty_snapshot_and_truthiness(self):
-        empty = CounterSnapshot.empty()
-        assert not empty
         c = CommCounters()
-        assert not c.snapshot()
+        assert not _delta(c.state_dict(), {})
         c.record("x", 1, 1, 1)
-        assert c.snapshot()
-        assert (c.snapshot() - c.snapshot()) == CounterSnapshot.empty() or True
-        assert not (c.snapshot() - c.snapshot())
+        assert _delta(c.state_dict(), {})
+        assert not _delta(c.state_dict(), c.state_dict())
 
     def test_snapshot_minus_empty_equals_totals(self):
         c = CommCounters()
         c.record("x", 1, 2, 3)
         c.record("y", 4, 5, 6)
-        delta = c.snapshot() - CounterSnapshot.empty()
-        assert delta.total_serial_messages == c.total_serial_messages
-        assert delta.total_transfers == c.total_transfers
-        assert delta.total_bytes == c.total_bytes
-        assert delta.total_calls == c.total_calls
+        delta = _delta(c.state_dict(), {})
+        assert delta == c.summary()
+        assert sum(s["serial_messages"] for s in delta.values()) == c.total_serial_messages
+        assert sum(s["transfers"] for s in delta.values()) == c.total_transfers
+        assert sum(s["bytes"] for s in delta.values()) == c.total_bytes
+        assert sum(s["calls"] for s in delta.values()) == c.total_calls

@@ -145,7 +145,7 @@ class TestClockIssueComplete:
         restored = VirtualClocks(3)
         restored.load_state(clocks.state_dict())
         assert np.array_equal(restored.overlap, clocks.overlap)
-        assert restored.overlap_total == clocks.overlap_total
+        assert restored.peak("overlap") == clocks.peak("overlap")
 
 
 class TestSplitPhaseCommunicator:
@@ -163,7 +163,7 @@ class TestSplitPhaseCommunicator:
         # data and counters are already final at issue
         for b, o in zip(b_bufs, o_bufs):
             assert np.array_equal(b, o)
-        assert blk.counters.snapshot() == ovl.counters.snapshot()
+        assert blk.counters.summary() == ovl.counters.summary()
         ovl.wait(h)
         assert np.array_equal(blk.clocks.clock, ovl.clocks.clock)
         assert np.array_equal(blk.clocks.comm, ovl.clocks.comm)
@@ -171,13 +171,13 @@ class TestSplitPhaseCommunicator:
     def test_allgatherv_matches_blocking(self):
         blk, ovl = self._fresh(), self._fresh()
         send = [np.arange(r + 1, dtype=np.float64) for r in range(3)]
-        expect = blk.allgatherv([0, 1, 2], [s.copy() for s in send])
+        [expect] = blk.allgatherv_stage([[0, 1, 2]], [[s.copy() for s in send]])
         h = ovl.start_allgatherv([0, 1, 2], [s.copy() for s in send])
         assert np.array_equal(h.result, expect)
         got = ovl.wait(h)
         assert got is h.result
         assert np.array_equal(blk.clocks.clock, ovl.clocks.clock)
-        assert blk.counters.snapshot() == ovl.counters.snapshot()
+        assert blk.counters.summary() == ovl.counters.summary()
 
     def test_alltoallv_matches_blocking(self):
         blk, ovl = self._fresh(), self._fresh()
@@ -194,7 +194,7 @@ class TestSplitPhaseCommunicator:
             assert np.array_equal(e, g)
         ovl.wait(h)
         assert np.array_equal(blk.clocks.clock, ovl.clocks.clock)
-        assert blk.counters.snapshot() == ovl.counters.snapshot()
+        assert blk.counters.summary() == ovl.counters.summary()
 
     def test_compute_between_issue_and_wait_is_hidden(self, comm):
         bufs = [np.ones(1024) for _ in range(4)]

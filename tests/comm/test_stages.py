@@ -22,11 +22,11 @@ from hypothesis import strategies as st
 
 from repro.cluster import AIMOS, CostModel, Topology
 from repro.comm import BroadcastCall, Communicator, VirtualClocks
+from repro.comm.clocks import LANES
 from repro.faults import FaultPlan, FaultSpec, RankFailure
 from repro.faults.injector import FaultInjector
 
-LANES = ("clock", "compute", "comm", "recovery", "regrid", "overlap", "certify")
-KINDS = ("allreduce", "grouped_broadcast", "allgatherv")
+KINDS = ("allreduce", "broadcast", "grouped_broadcast", "allgatherv")
 
 
 @st.composite
@@ -66,6 +66,10 @@ def _payloads(kind: str, groups, seed: int, width: int):
     calls = []
     for ranks in groups:
         windows = [rng.random(width) for _ in ranks]
+        if kind == "broadcast":  # one call per group, from any member
+            j = int(rng.integers(len(ranks)))
+            calls.append(BroadcastCall(windows[j], windows[:j] + windows[j + 1 :]))
+            continue
         n_calls = int(rng.integers(0, len(ranks) + 1))  # no calls: skipped
         calls.append(
             [
@@ -78,6 +82,8 @@ def _payloads(kind: str, groups, seed: int, width: int):
 
 def _data(kind: str, payloads) -> list:
     """Every array the collective may have written, copied."""
+    if kind == "broadcast":
+        return [d.copy() for c in payloads for d in c.dests]
     if kind == "grouped_broadcast":
         return [d.copy() for calls in payloads for c in calls for d in c.dests]
     return [b.copy() for bufs in payloads for b in bufs]
@@ -89,18 +95,30 @@ def _stage(comm, kind: str, groups, payloads):
 
 def _per_group(comm, kind: str, groups, payloads):
     """The oracle: one core + ``sync_group`` per group, in group order
-    (the fault protocol first, if the communicator is guarded)."""
+    (the fault protocol first, if the communicator is guarded).  A
+    broadcast is charged by hand: ``CostModel.broadcast_time`` and its
+    counters, the way triangle counting charged its own."""
     out = []
     for ranks, payload in zip(groups, payloads):
         if comm.guard is not None:
-            checked = [c.src for c in payload] if kind == "grouped_broadcast" else payload
+            checked = (
+                [payload.src] if kind == "broadcast"
+                else [c.src for c in payload] if kind == "grouped_broadcast"
+                else payload
+            )
             comm.guard(comm.clocks, kind, ranks, checked)
         if kind == "allreduce":
             t, result = comm._allreduce_core(ranks, payload, "sum", 1)
         elif kind == "allgatherv":
             t, result = comm._allgatherv_core(ranks, payload, 1)
+        elif kind == "broadcast":
+            for dest in payload.dests:
+                dest[...] = payload.src
+            k, nbytes = len(ranks), payload.src.nbytes
+            t, result = comm.costmodel.broadcast_time(ranks, nbytes), None
+            comm.counters.record("broadcast", k - 1, k - 1, nbytes * (k - 1))
         else:
-            t, result = comm._grouped_broadcast_core(ranks, payload, 1)
+            t, result = comm._broadcast_core(ranks, payload, "grouped_broadcast", 1)
         if t is not None:
             comm.clocks.sync_group(ranks, t)
             out.append(result)

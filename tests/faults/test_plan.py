@@ -100,8 +100,7 @@ class TestValidationMessages:
         msg = str(ei.value)
         assert "unknown collective 'allgather'" in msg
         assert (
-            "allreduce, broadcast, grouped_broadcast, allgatherv, "
-            "sendrecv, alltoallv" in msg
+            "allreduce, broadcast, grouped_broadcast, allgatherv, alltoallv" in msg
         )
 
     def test_ranked_kinds_listed_in_doc_order(self):

@@ -38,7 +38,7 @@ class TestGuardedAtWait:
         split.wait(h)
         assert np.array_equal(blocking.clocks.clock, split.clocks.clock)
         assert np.array_equal(blocking.clocks.comm, split.clocks.comm)
-        assert blocking.counters.snapshot() == split.counters.snapshot()
+        assert blocking.counters.summary() == split.counters.summary()
 
     def test_corruption_retries_at_wait_charge_recovery(self):
         plan = FaultPlan(
@@ -48,9 +48,9 @@ class TestGuardedAtWait:
         send = [np.arange(r + 1, dtype=np.float64) for r in range(4)]
         h = comm.start_allgatherv([0, 1, 2, 3], send)
         # nothing charged yet: detection happens at completion
-        assert comm.clocks.recovery_total == 0.0
+        assert comm.clocks.peak("recovery") == 0.0
         comm.wait(h)
-        assert comm.clocks.recovery_total > 0.0
+        assert comm.clocks.peak("recovery") > 0.0
         events = [e.as_dict() for e in comm.guard.__self__.events]
         assert [e["kind"] for e in events] == ["corruption", "corruption"]
         assert all(e["detected"] for e in events)
@@ -64,8 +64,8 @@ class TestGuardedAtWait:
         send = [np.ones(8) * r for r in range(4)]
         clean.wait(clean.start_allgatherv([0, 1, 2, 3], [s.copy() for s in send]))
         faulty.wait(faulty.start_allgatherv([0, 1, 2, 3], [s.copy() for s in send]))
-        assert clean.counters.snapshot() == faulty.counters.snapshot()
-        assert faulty.clocks.recovery_total > clean.clocks.recovery_total
+        assert clean.counters.summary() == faulty.counters.summary()
+        assert faulty.clocks.peak("recovery") > clean.clocks.peak("recovery")
 
     def test_crash_surfaces_at_wait(self):
         plan = FaultPlan([FaultSpec("crash", 1, rank=2)])

@@ -77,7 +77,7 @@ class TestDtypePreservation:
         engine = _engine(Grid2D(2, 2))
         ranks = [0, 1]
         sbufs = [np.empty(0, dtype=PAIR_DTYPE) for _ in ranks]
-        rbuf = engine.comm.allgatherv(ranks, sbufs)
+        [rbuf] = engine.comm.allgatherv_stage([ranks], [sbufs])
         assert rbuf.dtype == PAIR_DTYPE
         assert rbuf["gid"].size == 0  # field access must not raise
 

@@ -66,7 +66,7 @@ def _group_allgatherv(
         h = engine.comm.start_allgatherv(ranks, sbufs, nic_sharing=nic_sharing)
         handles.append(h)
         return h.result
-    return engine.comm.allgatherv(ranks, sbufs, nic_sharing=nic_sharing)
+    return engine.comm.allgatherv_stage([ranks], [sbufs], nic_sharing)[0]
 
 
 def _wait_all(engine: Engine, handles: list) -> None:

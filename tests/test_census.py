@@ -28,6 +28,11 @@ default counters, an elastic regrid's arithmetic on a checkpoint's
 clock lanes, betweenness summing its per-source BFS counters), and
 that list only shrinks.
 
+Every modeled communication second goes through the ``Communicator``
+in ``comm/``: a clock sync or a counter record written anywhere else is
+a collective charged by hand, which the fault guard never sees, and
+there are none.
+
 A convergence count or flag is reduced through one engine method
 (``Engine.reduce_partials``), which picks the cheaper of a
 column-group stage and the all-rank call.  Any other AllReduce of one
@@ -42,7 +47,8 @@ the benchmarks, the examples or CI reaches only go down.
 CI prints the same census (the fan-out sites, the modules that use
 threads, the ``except`` clauses, the index bytes per edge, the state
 bytes held after two ops, the modules that build clocks, a
-communicator or counters, the hand-built all-rank flags, the test-only
+communicator or counters, the hand-charged collectives, the hand-built
+all-rank flags, the test-only
 definitions, and the source line count the ROADMAP quotes) so the
 numbers are reproducible::
 
@@ -106,6 +112,12 @@ ENGINE_PART_BUILDERS = frozenset({
     os.path.join("faults", "elastic.py"),  # a checkpoint's clock lanes
     os.path.join("algorithms", "betweenness.py"),  # per-source BFS counters
 })
+
+#: ``clocks.sync_*(`` / ``counters.record(`` calls under ``src/repro``
+#: outside ``comm/`` (see :func:`comm_charge_sites`).  4 while triangle
+#: counting charged its row and column broadcasts by hand.
+COMM_CHARGE = re.compile(r"\b(?:clocks\.sync_\w+|counters\.record)\(")
+COMM_CHARGE_CEILING = 0
 
 #: AllReduce calls of a replicated one-value buffer (see
 #: :func:`flag_reduction_sites`): the cuGraph model's two in
@@ -234,6 +246,20 @@ def engine_part_sites() -> dict[str, int]:
         )
         if n:
             sites[os.path.relpath(path, SRC)] = n
+    return sites
+
+
+def comm_charge_sites() -> dict[str, int]:
+    """Per module under ``src/repro``, outside ``comm/``: calls that
+    sync clocks or record counters by hand."""
+    sites = {}
+    for path in _python_files(SRC):
+        rel = os.path.relpath(path, SRC)
+        if rel.startswith("comm" + os.sep):
+            continue
+        n = sum(len(COMM_CHARGE.findall(line)) for line in _lines(path))
+        if n:
+            sites[rel] = n
     return sites
 
 
@@ -370,6 +396,11 @@ def test_only_the_engine_builds_clocks_communicator_counters():
     assert set(sites) <= ENGINE_PART_BUILDERS, sites
 
 
+def test_comm_is_charged_only_inside_comm():
+    sites = comm_charge_sites()
+    assert sum(sites.values()) <= COMM_CHARGE_CEILING, sites
+
+
 def test_hand_built_all_rank_flags_only_go_down():
     sites = flag_reduction_sites()
     assert sum(sites.values()) <= FLAG_REDUCTION_CEILING, sites
@@ -402,6 +433,13 @@ if __name__ == "__main__":
         flag = "" if name in ENGINE_PART_BUILDERS else "  (not allowed)"
         print(f"{n:4d}  {name}{flag}")
     print(f"{len(parts):4d}  modules building {' / '.join(ENGINE_PARTS)}")
+    charges = comm_charge_sites()
+    for name, n in sorted(charges.items()):
+        print(f"{n:4d}  {name}")
+    print(
+        f"{sum(charges.values()):4d}  clocks.sync_*( / counters.record( calls "
+        f"outside comm/ (ceiling {COMM_CHARGE_CEILING})"
+    )
     flags = flag_reduction_sites()
     for name, n in sorted(flags.items()):
         print(f"{n:4d}  {name}")
