@@ -12,9 +12,9 @@ Pointer jumping (PJ)             :func:`repro.algorithms.pointerjump.pointer_jum
 ==============================  ==========================================
 """
 
-from .batch import bfs_batch, pagerank_batch, sssp_batch, validate_roots
+from .batch import bfs_batch, pagerank_batch, sssp_batch
 from .betweenness import betweenness
-from .bfs import ALPHA, BETA, bfs, pseudo_diameter
+from .bfs import ALPHA, BETA, bfs, pseudo_diameter, validate_roots
 from .coloring import greedy_coloring, is_proper_coloring
 from .components import CC_VARIANTS, connected_components
 from .kcore import core_numbers

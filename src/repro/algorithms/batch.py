@@ -41,34 +41,15 @@ from ..core.result import AlgorithmResult
 from ..kernels import csr_pull, scatter_reduce_lanes
 from ..patterns.dense import dense_exchange_lanes
 from ..patterns.sparse import sparse_push_lanes
-from .bfs import ALPHA, BETA, bfs
+from .bfs import ALPHA, BETA, bfs, check_switching, validate_roots
 from .pagerank import compute_global_degrees, pagerank
 from .sssp import require_sssp_weights, sssp
 
-__all__ = ["bfs_batch", "sssp_batch", "pagerank_batch", "validate_roots"]
+__all__ = ["bfs_batch", "sssp_batch", "pagerank_batch"]
 
 INF = np.inf
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
-
-
-def validate_roots(n: int, roots, what: str = "roots") -> np.ndarray:
-    """Validate a batch's source list: non-empty, in-range, no dupes.
-
-    Duplicate sources are rejected rather than silently fused — two
-    identical lanes would waste a lane's worth of state and bandwidth;
-    the caller should deduplicate and fan the result back out.
-    """
-    roots = np.asarray(roots, dtype=np.int64).ravel()
-    if roots.size == 0:
-        raise ValueError(f"{what} must be non-empty")
-    bad = roots[(roots < 0) | (roots >= n)]
-    if bad.size:
-        raise ValueError(f"{what} out of range [0, {n}): {bad.tolist()}")
-    uniq, counts = np.unique(roots, return_counts=True)
-    if (counts > 1).any():
-        raise ValueError(f"duplicate {what}: {uniq[counts > 1].tolist()}")
-    return roots
 
 
 def _entry_queues(fleet, lids: np.ndarray, lanes: np.ndarray) -> list:
@@ -101,6 +82,7 @@ def bfs_batch(
     part, grid, fleet = engine.partition, engine.grid, engine.fleet
     n = part.n_vertices
     roots = validate_roots(n, roots)
+    check_switching(alpha, beta)
     k = roots.size
     if k == 1:
         res = bfs(

@@ -22,7 +22,7 @@ from ..core.engine import Engine
 from ..core.result import AlgorithmResult
 from ..kernels import csr_pull
 from ..patterns.dense import dense_pull
-from .bfs import bfs
+from .bfs import bfs, validate_roots
 
 __all__ = ["betweenness"]
 
@@ -105,7 +105,7 @@ def betweenness(
         sources = np.arange(n)
         scale = 1.0
     else:
-        sources = np.asarray(sources)
+        sources = validate_roots(n, sources, "sources")
         scale = 1.0
 
     bc = np.zeros(n)

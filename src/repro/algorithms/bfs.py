@@ -36,7 +36,14 @@ from ..patterns.dense import dense_pull
 from ..patterns.sparse import sparse_push
 from .pagerank import compute_global_degrees
 
-__all__ = ["bfs", "pseudo_diameter", "ALPHA", "BETA"]
+__all__ = [
+    "bfs",
+    "pseudo_diameter",
+    "validate_roots",
+    "check_switching",
+    "ALPHA",
+    "BETA",
+]
 
 #: Beamer et al. static switching parameters (as used by the paper).
 ALPHA = 15.0
@@ -44,6 +51,38 @@ BETA = 18.0
 
 INF = np.inf
 _NO_LIDS = np.empty(0, dtype=np.int64)
+
+
+def validate_roots(n: int, roots, what: str = "roots") -> np.ndarray:
+    """Validate a list of start vertices: integer, non-empty, in-range,
+    no dupes.
+
+    Every root, start, source and seed an algorithm takes comes through
+    here; a single one is passed as a one-element list.  A non-integer
+    dtype (float, bool, object) is refused rather than truncated.
+    Duplicate sources are rejected rather than silently fused — two
+    identical lanes would waste a lane's worth of state and bandwidth;
+    the caller should deduplicate and fan the result back out.
+    """
+    roots = np.asarray(roots).ravel()
+    if roots.size == 0:
+        raise ValueError(f"{what} must be non-empty")
+    if roots.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integer vertex ids, not {roots.dtype}")
+    bad = roots[(roots < 0) | (roots >= n)]
+    if bad.size:
+        raise ValueError(f"{what} out of range [0, {n}): {bad.tolist()}")
+    roots = roots.astype(np.int64)
+    uniq, counts = np.unique(roots, return_counts=True)
+    if (counts > 1).any():
+        raise ValueError(f"duplicate {what}: {uniq[counts > 1].tolist()}")
+    return roots
+
+
+def check_switching(alpha: float, beta: float) -> None:
+    """Refuse switching parameters the direction rule divides by."""
+    if not (alpha > 0 and beta > 0):
+        raise ValueError(f"alpha and beta must be positive, got {alpha}, {beta}")
 
 
 def bfs(
@@ -66,8 +105,8 @@ def bfs(
     """
     part, fleet = engine.partition, engine.fleet
     n = part.n_vertices
-    if not 0 <= root < n:
-        raise ValueError(f"root {root} out of range")
+    (root,) = validate_roots(n, [root], "root").tolist()
+    check_switching(alpha, beta)
     root_rel = int(part.perm[root])
     # The row groups' first ranks hold every vertex's row cell once:
     # global counts and sums read their segments of a rank-major queue.
@@ -256,8 +295,7 @@ def pseudo_diameter(
 
     part = engine.partition
     n = part.n_vertices
-    if not 0 <= start < n:
-        raise ValueError(f"start {start} out of range")
+    (start,) = validate_roots(n, [start], "start").tolist()
     lanes = max(1, min(int(lanes), n))
     best = 0
     endpoints = (start, start)

@@ -20,6 +20,7 @@ import numpy as np
 from ..core.engine import Engine
 from ..core.program import VertexProgram, run_vertex_program
 from ..core.result import AlgorithmResult
+from .bfs import validate_roots
 
 __all__ = ["sssp", "require_sssp_weights"]
 
@@ -54,8 +55,7 @@ def sssp(
     attached checkpoint (see ``docs/ROBUSTNESS.md``).
     """
     require_sssp_weights(engine, "sssp")
-    if not 0 <= root < engine.partition.n_vertices:
-        raise ValueError(f"root {root} out of range")
+    (root,) = validate_roots(engine.partition.n_vertices, [root], "root").tolist()
     program = VertexProgram(
         name="dist",
         init=lambda gids: np.where(gids == root, 0.0, INF),

@@ -58,7 +58,7 @@ the exchange may have written (``touched``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -85,9 +85,6 @@ PAIR_DTYPE = np.dtype([("gid", np.int64), ("val", np.float64)])
 LANE_PAIR_DTYPE = np.dtype(
     [("gid", np.int64), ("lane", np.int64), ("val", np.float64)]
 )
-
-#: Custom reduction hook: (state, lids, vals) -> unique changed lids.
-ReduceFn = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
@@ -165,13 +162,7 @@ def _tiles(groups, rbufs, gid_shift: np.ndarray):
 
 
 def _reduce_received(
-    fleet,
-    state: np.ndarray,
-    groups,
-    rbufs,
-    gid_shift: np.ndarray,
-    op: str,
-    reduce_fn: Optional[ReduceFn],
+    state: np.ndarray, groups, rbufs, gid_shift: np.ndarray, op: str
 ) -> np.ndarray:
     """``ReduceQueue`` on every rank at once: reduce each group's
     received buffer into every member's window of the stacked
@@ -181,25 +172,12 @@ def _reduce_received(
     semantics: callers send deltas, not absolutes).  Change detection is
     the kernel's exact float compare of the stored value before/after —
     for ``"sum"`` that means a zero delta, or deltas cancelling exactly,
-    leave the vertex out of the changed set.  A custom ``reduce_fn``
-    sees one rank's state and local LIDs at a time, as it always did.
+    leave the vertex out of the changed set.
     """
-    if reduce_fn is None:
-        changed = [
-            scatter_reduce(state, lids, vals, op)
-            for lids, vals in _tiles(groups, rbufs, gid_shift)
-        ]
-    else:
-        rbuf_of: list = [None] * fleet.n_ranks
-        for (_, ranks), rbuf in zip(groups, rbufs):
-            for r in ranks:
-                rbuf_of[r] = rbuf
-        changed = []
-        base = fleet.base
-        for r, rbuf in enumerate(rbuf_of):
-            lids = rbuf["gid"] - (gid_shift[r] + base[r])
-            local = reduce_fn(state[base[r] : base[r + 1]], lids, rbuf["val"])
-            changed.append(np.asarray(local, dtype=np.int64) + base[r])
+    changed = [
+        scatter_reduce(state, lids, vals, op)
+        for lids, vals in _tiles(groups, rbufs, gid_shift)
+    ]
     if len(changed) == 1:
         return changed[0]
     return np.concatenate(changed) if changed else _EMPTY_I64
@@ -223,7 +201,6 @@ def sparse_push(
     name: str,
     queues: list[np.ndarray],
     op: str = "min",
-    reduce_fn: Optional[ReduceFn] = None,
 ) -> SparseResult:
     """Sparse push exchange.
 
@@ -231,11 +208,10 @@ def sparse_push(
     ----------
     queues:
         Per-rank arrays of *column-vertex LIDs* whose state the local
-        compute kernel updated (deduplicated, as per the ``q_in``
-        convention).
-    op / reduce_fn:
-        Reduction applied in ``ReduceQueue``; ``reduce_fn`` overrides
-        ``op`` for complex reductions (paper §3.3.3).
+        compute kernel updated, deduplicated (the caller's BuildQueue).
+    op:
+        Reduction applied in ``ReduceQueue``: ``"min"``, ``"max"`` or
+        ``"sum"`` (delta semantics).
     """
     fleet = engine.fleet
     state = fleet.stacked(name)
@@ -254,7 +230,7 @@ def sparse_push(
         engine, col_groups, sbufs, engine.stage_nic_sharing("col"), handles
     )
 
-    changed = _reduce_received(fleet, state, col_groups, rbufs, col_shift, op, reduce_fn)
+    changed = _reduce_received(state, col_groups, rbufs, col_shift, op)
     engine.charge_vertices(None, sizes)  # ReduceQueue kernel
     # Row-stage queue: changed ghosts plus each rank's own local
     # updates, restricted to row-owned vertices — deduplicated on the
@@ -453,7 +429,6 @@ def sparse_pull(
     name: str,
     queues: list[np.ndarray],
     op: str = "min",
-    reduce_fn: Optional[ReduceFn] = None,
 ) -> SparseResult:
     """Sparse pull exchange: row-group reduce, column-group refresh.
 
@@ -475,7 +450,7 @@ def sparse_pull(
         engine, row_groups, sbufs, engine.stage_nic_sharing("row"), handles
     )
 
-    changed = _reduce_received(fleet, state, row_groups, rbufs, row_shift, op, reduce_fn)
+    changed = _reduce_received(state, row_groups, rbufs, row_shift, op)
     engine.charge_vertices(None, sizes)
     # Updated row vertices: changed by the reduce or by the rank's own
     # gather; identical on every member of a row group, so each group

@@ -1,7 +1,6 @@
-"""Work queues, frontier expansion, and GPU load-balance models."""
+"""Frontier expansion and GPU load-balance models."""
 
 from .frontier import Expansion, expand_block
-from .hashtable import HashTable, histogram_via_hash_table
 from .manhattan import (
     BLOCK_SIZE,
     WARP_SIZE,
@@ -9,19 +8,13 @@ from .manhattan import (
     manhattan_schedule,
     vertex_per_thread_balance,
 )
-from .vertexqueue import LaneVertexQueue, VertexQueue, unique_new
 
 __all__ = [
     "Expansion",
     "expand_block",
-    "HashTable",
-    "histogram_via_hash_table",
     "BLOCK_SIZE",
     "WARP_SIZE",
     "ScheduleStats",
     "manhattan_schedule",
     "vertex_per_thread_balance",
-    "LaneVertexQueue",
-    "VertexQueue",
-    "unique_new",
 ]

@@ -1,0 +1,117 @@
+"""Every root, start, source and seed goes through ``validate_roots``.
+
+A non-integer id is refused rather than truncated (``1.5`` must not run
+root 1), a bool is not an id, an out-of-range id names the range, and a
+source list may not repeat a vertex.  ``bfs`` / ``bfs_batch`` also
+refuse switching parameters the direction rule would divide by.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.algorithms import (
+    betweenness,
+    bfs,
+    bfs_batch,
+    pagerank_batch,
+    pseudo_diameter,
+    sssp,
+    sssp_batch,
+)
+from repro.core.engine import Engine
+from repro.graph import rmat
+
+N = 64
+
+#: (bad id, what the error says) for a single root.
+BAD_ROOT = [
+    (1.5, "integer"),
+    (np.float64(2.0), "integer"),
+    (True, "integer"),
+    (-1, "out of range"),
+    (N, "out of range"),
+]
+
+#: (bad id list, what the error says) for a source list.
+BAD_LIST = [
+    ([0.5, 1.2], "integer"),
+    ([1.5], "integer"),
+    ([True, False], "integer"),
+    ([0, N], "out of range"),
+    ([3, 3], "duplicate"),
+    ([], "non-empty"),
+]
+
+
+@pytest.fixture(scope="module")
+def graph():
+    return rmat(6, seed=3)
+
+
+@pytest.fixture(scope="module")
+def wgraph(graph):
+    return graph.with_random_weights(seed=9)
+
+
+@pytest.mark.parametrize("root, msg", BAD_ROOT)
+def test_bfs_rejects_bad_root(graph, root, msg):
+    with pytest.raises(ValueError, match=msg):
+        bfs(Engine(graph, 4), root)
+
+
+@pytest.mark.parametrize("root, msg", BAD_ROOT)
+def test_sssp_rejects_bad_root(wgraph, root, msg):
+    with pytest.raises(ValueError, match=msg):
+        sssp(Engine(wgraph, 4), root)
+
+
+@pytest.mark.parametrize("start, msg", BAD_ROOT)
+def test_pseudo_diameter_rejects_bad_start(graph, start, msg):
+    with pytest.raises(ValueError, match=msg):
+        pseudo_diameter(Engine(graph, 4), start=start)
+
+
+@pytest.mark.parametrize("roots, msg", BAD_LIST)
+def test_bfs_batch_rejects_bad_roots(graph, roots, msg):
+    with pytest.raises(ValueError, match=msg):
+        bfs_batch(Engine(graph, 4), roots)
+
+
+@pytest.mark.parametrize("sources, msg", BAD_LIST)
+def test_sssp_batch_rejects_bad_sources(wgraph, sources, msg):
+    with pytest.raises(ValueError, match=msg):
+        sssp_batch(Engine(wgraph, 4), sources)
+
+
+@pytest.mark.parametrize("seeds, msg", BAD_LIST)
+def test_pagerank_batch_rejects_bad_seeds(graph, seeds, msg):
+    with pytest.raises(ValueError, match=msg):
+        pagerank_batch(Engine(graph, 4), seeds, iterations=2)
+
+
+@pytest.mark.parametrize("sources, msg", BAD_LIST)
+def test_betweenness_rejects_bad_sources(graph, sources, msg):
+    with pytest.raises(ValueError, match=msg):
+        betweenness(Engine(graph, 4), sources=sources)
+
+
+def test_integer_ids_of_any_width_are_accepted(graph):
+    want = bfs(Engine(graph, 4), 3).values
+    assert np.array_equal(bfs(Engine(graph, 4), np.int32(3)).values, want)
+    assert np.array_equal(bfs(Engine(graph, 4), np.uint8(3)).values, want)
+    got = betweenness(Engine(graph, 4), sources=np.array([1, 2], dtype=np.uint16))
+    ref = betweenness(Engine(graph, 4), sources=[1, 2])
+    assert np.array_equal(got.values, ref.values)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.0, 18.0), (15.0, 0.0), (-1.0, 18.0)])
+@pytest.mark.parametrize("batched", [False, True], ids=["bfs", "bfs_batch"])
+def test_nonpositive_switching_parameters_rejected(graph, alpha, beta, batched):
+    engine = Engine(graph, 4)
+    with pytest.raises(ValueError, match="alpha and beta must be positive"):
+        if batched:
+            bfs_batch(engine, [0, 1], alpha=alpha, beta=beta)
+        else:
+            bfs(engine, 0, alpha=alpha, beta=beta)

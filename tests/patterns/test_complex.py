@@ -1,7 +1,11 @@
 """2.5D complex-reduction helper tests (paper §3.3.3)."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.patterns.complex import (
     build_histogram,
@@ -35,6 +39,30 @@ class TestHistogram:
 
     def test_merge_empty(self):
         assert merge_histograms(build_histogram(np.empty(0), np.empty(0))).size == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # a small key space, so keys repeat; min_size=0 covers no edges
+        pairs=st.lists(st.tuples(st.integers(0, 12), st.integers(-3, 5)), max_size=80),
+        cut=st.floats(0.0, 1.0),
+    )
+    def test_property_matches_counter(self, pairs, cut):
+        """``build_histogram`` is a ``Counter`` of ``(gid, label)``
+        pairs, one sorted triple per key; ``merge_histograms`` over two
+        halves' histograms, concatenated, gives the same triples."""
+
+        def as_counter(h):
+            keys = list(zip(h["gid"].tolist(), h["label"].tolist()))
+            assert keys == sorted(set(keys))  # one triple per key, in key order
+            return Counter(dict(zip(keys, h["count"].tolist())))
+
+        src = np.array([g for g, _ in pairs], dtype=np.int64)
+        lab = np.array([lab for _, lab in pairs], dtype=np.float64)
+        want = Counter((g, float(lab)) for g, lab in pairs)
+        assert as_counter(build_histogram(src, lab)) == want
+        k = int(cut * len(pairs))
+        halves = [build_histogram(src[:k], lab[:k]), build_histogram(src[k:], lab[k:])]
+        assert as_counter(merge_histograms(np.concatenate(halves))) == want
 
 
 class TestModeSelection:

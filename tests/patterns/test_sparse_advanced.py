@@ -1,4 +1,4 @@
-"""Advanced sparse-pattern paths: custom reductions and delta sums."""
+"""Advanced sparse-pattern paths: delta sums and degenerate grids."""
 
 import numpy as np
 import pytest
@@ -20,75 +20,6 @@ def _consistent_init(engine, name, seed, fill=None):
     )
     engine.scatter_global(name, vec)
     return vec
-
-
-class TestCustomReduceFn:
-    def test_reduce_fn_overrides_op(self):
-        """A custom reduction (clamp-to-even minimum) flows through the
-        ReduceQueue hook (paper §3.3.3, 'Complex Reductions')."""
-        g = rmat(7, seed=3)
-        engine = Engine(g, 4)
-        _consistent_init(engine, "s", 1)
-
-        def clamp_min(state, lids, vals):
-            # like MIN but only accepts even values
-            keep = (vals % 2) == 0
-            lids, vals = lids[keep], vals[keep]
-            if lids.size == 0:
-                return np.empty(0, dtype=np.int64)
-            uniq = np.unique(lids)
-            old = state[uniq].copy()
-            np.minimum.at(state, lids, vals)
-            return uniq[state[uniq] != old]
-
-        ctx = engine.ctx(0)
-        lid = ctx.col_slice.start
-        state = ctx.get("s")
-        state[lid] = 4.0  # even: should propagate
-        queues = [
-            np.array([lid]) if r == 0 else np.empty(0, dtype=np.int64)
-            for r in range(4)
-        ]
-        result = sparse_push(engine, "s", queues, reduce_fn=clamp_min)
-        assert result.n_updated >= 0  # ran through the custom path
-        # the even value reached the other ranks in the column group
-        gid = ctx.localmap.col_gid(lid)
-        for r in engine.grid.col_group_of(0):
-            other = engine.ctx(r)
-            if other.localmap.owns_col_gid(np.array([gid]))[0]:
-                assert other.get("s")[other.localmap.col_lid(gid)] == 4.0
-
-    def test_odd_values_blocked(self):
-        g = rmat(6, seed=3)
-        engine = Engine(g, 4)
-        vec = _consistent_init(engine, "s", 1, fill=50.0)
-
-        def only_even(state, lids, vals):
-            keep = (vals % 2) == 0
-            lids, vals = lids[keep], vals[keep]
-            if lids.size == 0:
-                return np.empty(0, dtype=np.int64)
-            uniq = np.unique(lids)
-            old = state[uniq].copy()
-            np.minimum.at(state, lids, vals)
-            return uniq[state[uniq] != old]
-
-        ctx = engine.ctx(0)
-        lid = ctx.col_slice.start
-        ctx.get("s")[lid] = 3.0  # odd: blocked by the reduction
-        queues = [
-            np.array([lid]) if r == 0 else np.empty(0, dtype=np.int64)
-            for r in range(4)
-        ]
-        sparse_push(engine, "s", queues, reduce_fn=only_even)
-        # other ranks never accepted the odd value
-        gid = ctx.localmap.col_gid(lid)
-        for r in engine.grid.col_group_of(0):
-            if r == 0:
-                continue
-            other = engine.ctx(r)
-            if other.localmap.owns_col_gid(np.array([gid]))[0]:
-                assert other.get("s")[other.localmap.col_lid(gid)] == 50.0
 
 
 class TestDeltaSums:

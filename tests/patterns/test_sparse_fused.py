@@ -8,7 +8,7 @@ from per-rank pools, are plain ``np.empty``) so the fused passes are
 held to it bit for bit:
 state on every rank, the active row queues, ``n_updated``, the clock
 lanes and the communication counters, for ``min`` / ``max`` / ``sum``,
-custom ``reduce_fn``, blocking and overlapped engines, and grids
+blocking and overlapped engines, and grids
 including 1xp, px1, prime p and more ranks than vertices.
 """
 
@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +27,6 @@ from repro.graph import Graph
 from repro.kernels import scatter_reduce
 from repro.patterns.sparse import (
     PAIR_DTYPE,
-    ReduceFn,
     SparseResult,
     sparse_pull,
     sparse_push,
@@ -76,11 +74,7 @@ def _wait_all(engine: Engine, handles: list) -> None:
 
 
 def _apply_op(
-    state: np.ndarray,
-    lids: np.ndarray,
-    vals: np.ndarray,
-    op: str,
-    reduce_fn: Optional[ReduceFn],
+    state: np.ndarray, lids: np.ndarray, vals: np.ndarray, op: str
 ) -> np.ndarray:
     """Apply the reduction; return unique LIDs whose value changed.
 
@@ -90,8 +84,6 @@ def _apply_op(
     for ``"sum"`` that means a zero delta, or deltas cancelling exactly,
     leave the vertex out of the changed set.
     """
-    if reduce_fn is not None:
-        return np.asarray(reduce_fn(state, lids, vals), dtype=np.int64)
     return scatter_reduce(state, lids, vals, op)
 
 
@@ -100,7 +92,6 @@ def per_rank_sparse_push(
     name: str,
     queues: list[np.ndarray],
     op: str = "min",
-    reduce_fn: Optional[ReduceFn] = None,
 ) -> SparseResult:
     """Sparse push exchange.
 
@@ -108,11 +99,9 @@ def per_rank_sparse_push(
     ----------
     queues:
         Per-rank arrays of *column-vertex LIDs* whose state the local
-        compute kernel updated (deduplicated, as per the ``q_in``
-        convention).
-    op / reduce_fn:
-        Reduction applied in ``ReduceQueue``; ``reduce_fn`` overrides
-        ``op`` for complex reductions (paper §3.3.3).
+        compute kernel updated, deduplicated.
+    op:
+        Reduction applied in ``ReduceQueue``.
     """
     grid = engine.grid
     col_share = engine.stage_nic_sharing("col")
@@ -141,7 +130,7 @@ def per_rank_sparse_push(
         state = ctx.get(name)
         rbuf = rbuf_of[ctx.rank]
         lids = lm.col_lid(rbuf["gid"])
-        changed = _apply_op(state, lids, rbuf["val"], op, reduce_fn)
+        changed = _apply_op(state, lids, rbuf["val"], op)
         engine.charge_vertices(ctx.rank, rbuf.size)  # ReduceQueue kernel
         # Row-stage queue: changed ghosts plus this rank's own local
         # updates, restricted to row-owned vertices.
@@ -200,7 +189,6 @@ def per_rank_sparse_pull(
     name: str,
     queues: list[np.ndarray],
     op: str = "min",
-    reduce_fn: Optional[ReduceFn] = None,
 ) -> SparseResult:
     """Sparse pull exchange: row-group reduce, column-group refresh.
 
@@ -234,7 +222,7 @@ def per_rank_sparse_pull(
         state = ctx.get(name)
         rbuf = rbuf_of[ctx.rank]
         lids = lm.row_lid(rbuf["gid"])
-        changed = _apply_op(state, lids, rbuf["val"], op, reduce_fn)
+        changed = _apply_op(state, lids, rbuf["val"], op)
         engine.charge_vertices(ctx.rank, rbuf.size)
         cand = np.unique(
             np.concatenate(
@@ -368,36 +356,6 @@ def test_fused_exchange_equals_per_rank_oracle(grid, n, op, overlap, push, seed)
     # the state the fused pass wrote is the per-rank arrays themselves
     stacked = fused.fleet.stacked("s")
     assert all(ctx.get("s").base is stacked for ctx in fused)
-
-
-@pytest.mark.parametrize("push", [True, False], ids=["push", "pull"])
-@pytest.mark.parametrize("grid", GRIDS[1:], ids=lambda g: f"{g.C}x{g.R}")
-def test_custom_reduce_fn_sees_one_rank_at_a_time(grid, push):
-    """``reduce_fn`` is applied per rank inside the fused function: same
-    arguments (the rank's own state, local LIDs, received values), same
-    rank order, same outcome."""
-    seen: list = []
-
-    def clamp_even_min(state, lids, vals):
-        seen.append((state.shape[0], lids.copy(), vals.copy()))
-        keep = (np.floor(vals) % 2) == 0
-        return scatter_reduce(state, lids[keep], vals[keep], "min")
-
-    graph = _graph(np.random.default_rng(3), 40)
-    window = "col" if push else "row"
-    fused, queues = _prepare(graph, grid, False, 11, window)
-    oracle, queues_b = _prepare(graph, grid, False, 11, window)
-    exchange, reference = (
-        (sparse_push, per_rank_sparse_push) if push else (sparse_pull, per_rank_sparse_pull)
-    )
-    got = exchange(fused, "s", queues, reduce_fn=clamp_even_min)
-    calls_fused, seen[:] = list(seen), []
-    want = reference(oracle, "s", queues_b, reduce_fn=clamp_even_min)
-    _assert_same(fused, oracle, got, want)
-    assert len(calls_fused) == len(seen) == grid.n_ranks
-    for (n_a, lids_a, vals_a), (n_b, lids_b, vals_b) in zip(calls_fused, seen):
-        assert n_a == n_b
-        assert np.array_equal(lids_a, lids_b) and np.array_equal(vals_a, vals_b)
 
 
 def test_sum_keeps_each_ranks_received_buffer_order():
