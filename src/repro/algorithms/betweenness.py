@@ -22,7 +22,7 @@ from ..core.engine import Engine
 from ..core.result import AlgorithmResult
 from ..kernels import csr_pull
 from ..patterns.dense import dense_pull
-from .bfs import bfs, validate_roots
+from .bfs import bfs, check_count, validate_roots
 
 __all__ = ["betweenness"]
 
@@ -86,17 +86,20 @@ def betweenness(
         Explicit source set (original vertex ids).  Default: all
         vertices (exact Brandes) unless ``k_samples`` is given.
     k_samples:
-        Sample this many sources uniformly; contributions are scaled by
+        Sample this many sources uniformly (an integer >= 1; more than
+        ``n`` samples every vertex); contributions are scaled by
         ``n / k`` (Brandes-Pich estimator).
     normalized:
         Divide by ``(n-1)(n-2)`` (the undirected networkx convention
         times the pair factor), mapping scores to ``[0, 1]``.
     """
+    if sources is not None and k_samples is not None:
+        raise ValueError("pass either sources or k_samples, not both")
+    if k_samples is not None:
+        k_samples = check_count(k_samples, "k_samples")
     engine.reset_timers()
     part, fleet = engine.partition, engine.fleet
     n = part.n_vertices
-    if sources is not None and k_samples is not None:
-        raise ValueError("pass either sources or k_samples, not both")
     if k_samples is not None:
         rng = np.random.default_rng(seed)
         sources = rng.choice(n, size=min(k_samples, n), replace=False)

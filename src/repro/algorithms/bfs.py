@@ -40,6 +40,7 @@ __all__ = [
     "bfs",
     "pseudo_diameter",
     "validate_roots",
+    "check_count",
     "check_switching",
     "ALPHA",
     "BETA",
@@ -77,6 +78,16 @@ def validate_roots(n: int, roots, what: str = "roots") -> np.ndarray:
     if (counts > 1).any():
         raise ValueError(f"duplicate {what}: {uniq[counts > 1].tolist()}")
     return roots
+
+
+def check_count(value, what: str) -> int:
+    """Refuse a count that is not an integer >= 1 (a float, a bool, zero
+    or negative) rather than truncating or clamping it."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer >= 1, not {value!r}")
+    if value < 1:
+        raise ValueError(f"{what} must be an integer >= 1, got {value}")
+    return int(value)
 
 
 def check_switching(alpha: float, beta: float) -> None:
@@ -117,7 +128,7 @@ def bfs(
 
     if resume:
         s = SimpleNamespace(**engine.resume_from_checkpoint("bfs"))
-        s.frontier = fleet.decode_queue(s.frontier)
+        s.frontier, _ = fleet.stack(fleet.decode_queue(s.frontier))
     else:
         engine.reset_timers()
         compute_global_degrees(engine)
@@ -135,7 +146,7 @@ def bfs(
         fleet.stacked("level")[seeds] = 0.0
         root_deg = float(global_deg[root_rel])
         s = SimpleNamespace(
-            frontier=fleet.split(row_seeds),
+            frontier=row_seeds,
             n_visited=1,
             m_frontier=root_deg,
             m_frontier_prev=0.0,
@@ -147,12 +158,15 @@ def bfs(
         )
 
     def saved():
-        return {**vars(s), "frontier": fleet.encode_queue(s.frontier)}
+        return {**vars(s), "frontier": fleet.encode_queue(fleet.split(s.frontier))}
 
     # Invariant at every superstep boundary: ``parent == inf`` exactly
     # where ``level == inf``.  Each superstep stamps the level of every
     # cell it gave a parent, so "unvisited" is one read of ``level``.
-    rows, counts = fleet.stack(s.frontier)
+    # The frontier is one rank-major queue of stacked row LIDs,
+    # ascending.
+    rows = s.frontier
+    counts = fleet.counts(rows)
     while not s.done:
         s.depth += 1
         if hybrid:
@@ -189,10 +203,8 @@ def bfs(
                 claimed.append(scatter_reduce(parent, dst, cand_parent, "min"))
             # MIN only lowers, so a ghost claimed in any slice of the
             # expansion did change; two slices may claim the same one.
-            queues = fleet.split(
-                unique_bounded(np.concatenate(claimed), fleet.size)
-            )
-            result = sparse_push(engine, "parent", queues, op="min")
+            queue = unique_bounded(np.concatenate(claimed), fleet.size)
+            result = sparse_push(engine, "parent", queue, op="min")
             n_updated = result.n_updated
             # the exchange wrote nothing outside what it touched
             fresh = result.touched
@@ -240,10 +252,9 @@ def bfs(
         level[fresh] = s.depth
         engine.charge_vertices(None, fleet.n_total)
         if result is not None:
-            s.frontier = result.active_row
-            rows, counts = fleet.stack(s.frontier)
-        else:
-            s.frontier = fleet.split(rows)
+            rows = result.rows
+            counts = fleet.counts(rows)
+        s.frontier = rows
         if wait is not None:
             wait()
         s.m_frontier_prev = s.m_frontier
@@ -290,20 +301,23 @@ def pseudo_diameter(
     implementation (asserted in tests); ``lanes>1`` probes that many
     farthest candidates per sweep in *one* fused traversal, which can
     only tighten the lower bound at a fraction of the sequential cost.
+    ``sweeps`` and ``lanes`` are integers >= 1 (``ValueError``
+    otherwise); ``lanes`` above the vertex count probes every vertex.
     """
     from .batch import bfs_batch
 
     part = engine.partition
     n = part.n_vertices
     (start,) = validate_roots(n, [start], "start").tolist()
-    lanes = max(1, min(int(lanes), n))
+    sweeps = check_count(sweeps, "sweeps")
+    lanes = min(check_count(lanes, "lanes"), n)
     best = 0
     endpoints = (start, start)
     roots = [start]
     total_iterations = 0
     timings = None
     counters = {}
-    for _ in range(max(sweeps, 1)):
+    for _ in range(sweeps):
         res = bfs_batch(engine, roots)
         levels = res.extra["levels"]
         total_iterations += res.iterations

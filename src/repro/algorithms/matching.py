@@ -149,7 +149,7 @@ def max_weight_matching(
             return np.unique(d)
 
         queues = engine.map_ranks(mutual_pairs)
-        result = sparse_push(engine, "mate", queues, op="max")
+        result = sparse_push(engine, "mate", engine.fleet.stack(queues)[0], op="max")
         total_matched += result.n_updated
         engine.superstep_boundary("mwm")
         if result.n_updated == 0:

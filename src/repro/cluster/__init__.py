@@ -7,7 +7,7 @@ substitution rationale.
 
 from .config import AIMOS, DGX, ZEPY, A100, V100, ClusterConfig, GPUSpec, LinkSpec, NodeSpec
 from .costmodel import GENERIC_PROFILE, NCCL_PROFILE, CommProfile, CostModel
-from .device import DeviceMemoryError, VirtualGPU
+from .device import DeviceLedger, DeviceMemoryError, VirtualGPU
 from .topology import GroupProfile, Placement, Topology
 
 __all__ = [
@@ -24,6 +24,7 @@ __all__ = [
     "CostModel",
     "NCCL_PROFILE",
     "GENERIC_PROFILE",
+    "DeviceLedger",
     "DeviceMemoryError",
     "VirtualGPU",
     "GroupProfile",

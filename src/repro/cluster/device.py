@@ -3,7 +3,9 @@
 The paper reports out-of-memory failures as first-class results (Gluon
 could not load GSH or ClueWeb; CuGraph could not fit RMAT28 on zepy).
 To reproduce those, every per-rank allocation in the simulator is
-charged against a :class:`VirtualGPU` with the real device capacity.
+charged against the real device capacity, in one
+:class:`DeviceLedger` table of every rank's allocations (a
+:class:`VirtualGPU` is one rank's view of it).
 The tracked quantities are the *modeled* full-scale sizes, so the
 feasibility answers hold even when the simulation itself runs on a
 scaled-down stand-in graph.
@@ -11,13 +13,13 @@ scaled-down stand-in graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Mapping, Optional
 
 import numpy as np
 
 from .config import GPUSpec
 
-__all__ = ["INDEX_BYTES", "DeviceMemoryError", "VirtualGPU"]
+__all__ = ["INDEX_BYTES", "DeviceLedger", "DeviceMemoryError", "VirtualGPU"]
 
 #: Bytes of one modeled adjacency entry (an ``int64`` index): what a
 #: device is charged per stored edge, whatever the host's index dtype.
@@ -37,17 +39,18 @@ class DeviceMemoryError(MemoryError):
         )
 
 
-@dataclass
-class VirtualGPU:
-    """One simulated GPU rank's memory ledger.
+class DeviceLedger:
+    """Every rank's memory ledger as one ``(labels x ranks)`` table.
 
     Allocations are named so over-subscription reports can say *what*
     did not fit, matching how the paper discusses allocation failures.
+    A charge or release is one table operation for every rank it
+    names; :class:`VirtualGPU` is one rank's view of the table.
 
     Parameters
     ----------
-    rank:
-        Global rank id.
+    n_ranks:
+        Columns of the table.
     spec:
         GPU model (capacity comes from here).
     scale_factor:
@@ -58,24 +61,118 @@ class VirtualGPU:
         (useful for "would this fit?" queries).
     """
 
-    rank: int
-    spec: GPUSpec
-    scale_factor: float = 1.0
-    enforce: bool = True
-    allocated_bytes: int = 0
-    peak_bytes: int = 0
-    ledger: dict[str, int] = field(default_factory=dict)
+    def __init__(
+        self, n_ranks: int, spec: GPUSpec, scale_factor: float = 1.0, enforce: bool = True
+    ):
+        self.spec = spec
+        self.scale_factor = scale_factor
+        self.enforce = enforce
+        #: ``label -> row`` of :attr:`bytes`; a released label keeps its row
+        self.rows: dict[str, int] = {}
+        self.bytes = np.zeros((0, n_ranks), dtype=np.int64)
+        #: which cells hold an entry (a charge of 0 bytes is an entry)
+        self.held = np.zeros((0, n_ranks), dtype=bool)
+        self.allocated = np.zeros(n_ranks, dtype=np.int64)
+        self.peak = np.zeros(n_ranks, dtype=np.int64)
+        #: one view per column, built by :meth:`device`
+        self.devices: list[Optional[VirtualGPU]] = [None] * n_ranks
+
+    def device(self, rank: int) -> "VirtualGPU":
+        """Rank ``rank``'s :class:`VirtualGPU` view (one per rank)."""
+        if self.devices[rank] is None:
+            self.devices[rank] = VirtualGPU(rank, self.spec, ledger=self, column=rank)
+        return self.devices[rank]
+
+    def charge(self, entries: Mapping[str, object], columns=slice(None)) -> None:
+        """Charge ``{label: nbytes}`` on ``columns`` (default every rank),
+        label by label: ``nbytes`` is pre-scale, one per rank of
+        ``columns`` or one for all of them.  Nothing is charged if a
+        rank would go over capacity; the :class:`DeviceMemoryError`
+        names the first rank that would, as charging rank after rank,
+        each label in turn, would."""
+        width = self.allocated[columns].shape
+        scaled = [
+            np.broadcast_to((np.asarray(n) * self.scale_factor).astype(np.int64), width)
+            for n in entries.values()
+        ]
+        for label, step in zip(entries, scaled):
+            if (step < 0).any():
+                raise ValueError(f"negative allocation for {label!r}: {step.min()}")
+        running = self.allocated[columns] + np.cumsum(scaled, axis=0)
+        if self.enforce:
+            over = running > self.spec.memory_bytes
+            ranks = np.flatnonzero(over.any(axis=0))
+            if ranks.size:
+                column = np.arange(self.allocated.size)[columns][ranks[0]]
+                step = int(np.argmax(over[:, ranks[0]]))
+                raise DeviceMemoryError(self.device(int(column)), int(scaled[step][ranks[0]]))
+        for label, step in zip(entries, scaled):
+            row = self._row(label)
+            self.bytes[row, columns] += step
+            self.held[row, columns] = True
+        self.allocated[columns] = running[-1]
+        np.maximum(self.peak, self.allocated, out=self.peak)
+
+    def release(self, label: str, columns=slice(None)) -> None:
+        """Release everything charged under ``label`` on ``columns``
+        (default every rank); an unknown label is a no-op."""
+        row = self.rows.get(label)
+        if row is not None:
+            self.allocated[columns] -= self.bytes[row, columns]
+            self.bytes[row, columns] = 0
+            self.held[row, columns] = False
+
+    def _row(self, label: str) -> int:
+        row = self.rows.setdefault(label, len(self.rows))
+        if row == len(self.bytes):
+            self.bytes = np.vstack([self.bytes, np.zeros_like(self.allocated)])
+            self.held = np.vstack([self.held, np.zeros(self.allocated.shape, bool)])
+        return row
+
+
+class VirtualGPU:
+    """One simulated GPU rank's memory ledger (``rank`` is its global
+    rank id): its column of a :class:`DeviceLedger`, or, built
+    standalone, a one-rank ledger of its own with ``spec``,
+    ``scale_factor`` and ``enforce`` as :class:`DeviceLedger` takes
+    them."""
+
+    def __init__(
+        self,
+        rank: int,
+        spec: GPUSpec,
+        scale_factor: float = 1.0,
+        enforce: bool = True,
+        *,
+        ledger: Optional[DeviceLedger] = None,
+        column: int = 0,
+    ):
+        self.rank = rank
+        if ledger is None:
+            ledger = DeviceLedger(1, spec, scale_factor, enforce)
+            ledger.devices[0] = self
+        self.table, self.column = ledger, column
+        self.spec, self.scale_factor, self.enforce = (
+            ledger.spec, ledger.scale_factor, ledger.enforce
+        )
+
+    @property
+    def allocated_bytes(self) -> int:
+        return int(self.table.allocated[self.column])
+
+    @property
+    def peak_bytes(self) -> int:
+        return int(self.table.peak[self.column])
+
+    @property
+    def ledger(self) -> dict[str, int]:
+        """``label -> bytes`` of every entry this rank holds (a copy)."""
+        t, c = self.table, self.column
+        return {label: int(t.bytes[row, c]) for label, row in t.rows.items() if t.held[row, c]}
 
     def charge(self, label: str, nbytes: int) -> None:
         """Charge ``nbytes`` (pre-scale) against the device."""
-        nbytes = int(nbytes * self.scale_factor)
-        if nbytes < 0:
-            raise ValueError(f"negative allocation for {label!r}: {nbytes}")
-        if self.enforce and self.allocated_bytes + nbytes > self.spec.memory_bytes:
-            raise DeviceMemoryError(self, nbytes)
-        self.ledger[label] = self.ledger.get(label, 0) + nbytes
-        self.allocated_bytes += nbytes
-        self.peak_bytes = max(self.peak_bytes, self.allocated_bytes)
+        self.table.charge({label: nbytes}, [self.column])
 
     def charge_array(self, label: str, array: np.ndarray) -> None:
         """Charge the footprint of a concrete NumPy array."""
@@ -83,8 +180,7 @@ class VirtualGPU:
 
     def release(self, label: str) -> None:
         """Release everything charged under ``label``."""
-        nbytes = self.ledger.pop(label, 0)
-        self.allocated_bytes -= nbytes
+        self.table.release(label, [self.column])
 
     @property
     def free_bytes(self) -> int:

@@ -25,6 +25,7 @@ from .counters import CommCounters
 
 __all__ = [
     "BroadcastCall", "COLLECTIVE_KINDS", "CollectiveHandle", "Communicator", "REDUCE_OPS",
+    "rank_major",
 ]
 
 #: The kinds a :class:`Communicator` passes its guard, one per
@@ -78,6 +79,19 @@ class CollectiveHandle:
     inflight: InflightCollective
     result: object = None
     payload: Sequence[np.ndarray] = ()
+
+
+def rank_major(buffers: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-rank send buffers (``buffers[r]`` is rank ``r``'s) as the
+    rank-major send data and per-rank counts of
+    :meth:`Communicator.allgatherv_stage`; one dtype across them."""
+    Communicator._check_dtypes(range(len(buffers)), buffers)
+    counts = np.fromiter((len(b) for b in buffers), np.int64, len(buffers))
+    # joined as raw bytes: np.concatenate copies a structured dtype
+    # field by field, an order of magnitude slower
+    dtype = np.asarray(buffers[0]).dtype
+    raw = np.dtype((np.void, dtype.itemsize))
+    return np.concatenate([np.asarray(b).view(raw) for b in buffers]).view(dtype), counts
 
 
 def _sources(calls: Sequence[BroadcastCall]) -> list[np.ndarray]:
@@ -314,57 +328,87 @@ class Communicator:
         )
         return t, None
 
-    def allgatherv_stage(self, groups, send_buffers, nic_sharing: int = 1) -> list:
+    def allgatherv_stage(self, groups, send, counts, nic_sharing: int = 1) -> list:
         """Variable-size AllGather in each of a stage's disjoint
-        ``groups`` (``send_buffers[g]`` are group ``g``'s): every member
-        receives the concatenation, in group-rank order, of its group's
-        send buffers.
+        ``groups``: every member receives the concatenation, in
+        group-rank order, of its group's send data.
+
+        ``send`` is every rank's data rank-major — rank ``r`` sends
+        ``counts[r]`` rows, after those of ranks ``< r`` — as one array
+        (:func:`rank_major` builds it from per-rank buffers).  Every
+        group is validated, guarded, costed and counted as its own call
+        (the guard checks the members' send slices); the data of all
+        groups then moves with one gather.  One result per group
+        (identical on every member, so a single shared copy), as
+        slices of one array.
 
         Implemented by the paper as an NCCL AllGather plus grouped
         broadcasts; modeled here as one ring allgather over the total
-        payload.  One result per group (identical on every member, so a
-        single shared copy).
+        payload.
         """
-        move = partial(self._allgatherv_core, nic_sharing=nic_sharing)
-        return self._stage("allgatherv", groups, send_buffers, move)
+        send, counts = np.asarray(send), np.asarray(counts)
+        move, members = self._gather_plan(send, counts, nic_sharing)
+        self._stage("allgatherv", groups, groups, move, members)
+        return self._gather(send, counts, groups)
 
-    def _allgatherv_core(
-        self,
-        ranks: Sequence[int],
-        send_buffers: Sequence[np.ndarray],
-        nic_sharing: int,
-    ) -> tuple:
-        """Validate, move data, record counters; return (cost, result)."""
-        self._check_group(ranks, send_buffers)
-        self._check_dtypes(ranks, send_buffers)
-        k = len(ranks)
-        arrays = [np.asarray(b) for b in send_buffers]
-        # Preserve the send-buffer dtype even when every buffer is empty
-        # (structured consumers index fields like rbuf["gid"], which a
-        # plain float64 np.empty(0) would break).  Filled member by
-        # member: np.concatenate re-promotes a structured dtype field
-        # by field for every operand.
-        if any(a.size for a in arrays):
-            sizes = [len(a) for a in arrays]
-            result = np.empty(
-                (sum(sizes),) + arrays[0].shape[1:], dtype=arrays[0].dtype
+    def _gather_plan(self, send: np.ndarray, counts: np.ndarray, nic_sharing: int):
+        """The per-group halves of an AllGatherv stage over rank-major
+        ``send`` / ``counts``: ``move(ranks, ranks) -> (cost, None)`` —
+        the group's validation, counters and cost — and
+        ``members(ranks)``, the group's send slices a guard checks."""
+        if send.ndim < 1:
+            raise ValueError("allgatherv send data must be an array of rows")
+        if counts.ndim != 1 or counts.dtype.kind not in "iu" or (counts < 0).any():
+            raise ValueError(f"allgatherv counts must be per-rank sizes >= 0: {counts}")
+        if int(counts.sum()) != len(send):
+            raise ValueError(
+                f"allgatherv counts sum to {int(counts.sum())} rows, "
+                f"but the send data has {len(send)}"
             )
-            lo = 0
-            for a, n in zip(arrays, sizes):
-                if n:
-                    result[lo : lo + n] = a
-                    lo += n
-        else:
-            result = np.empty(0, dtype=arrays[0].dtype if arrays else np.float64)
-        total = int(sum(a.nbytes for a in arrays))
-        t = self.costmodel.allgather_time(ranks, total, nic_sharing=nic_sharing)
-        self.counters.record(
-            "allgatherv",
-            serial_messages=k - 1,
-            transfers=k * (k - 1),
-            nbytes=total * (k - 1) if k > 1 else 0,
-        )
-        return t, result
+        row_nbytes = send.dtype.itemsize * int(np.prod(send.shape[1:]))
+        sizes = counts.tolist()
+        offsets = np.concatenate(([0], np.cumsum(counts))).tolist()
+
+        def check(ranks) -> None:
+            if min(ranks) < 0 or max(ranks) >= counts.size:
+                raise ValueError(
+                    f"allgatherv group {list(ranks)} names ranks without a "
+                    f"count (counts cover ranks 0..{counts.size - 1})"
+                )
+
+        def move(ranks, _):
+            check(ranks)
+            k = len(ranks)
+            total = sum(sizes[r] for r in ranks) * row_nbytes
+            t = self.costmodel.allgather_time(ranks, total, nic_sharing=nic_sharing)
+            self.counters.record(
+                "allgatherv",
+                serial_messages=k - 1,
+                transfers=k * (k - 1),
+                nbytes=total * (k - 1) if k > 1 else 0,
+            )
+            return t, None
+
+        def members(ranks) -> list[np.ndarray]:
+            check(ranks)
+            return [send[offsets[r] : offsets[r + 1]] for r in ranks]
+
+        return move, members
+
+    def _gather(self, send: np.ndarray, counts: np.ndarray, groups) -> list[np.ndarray]:
+        """Every group's received data — its members' rank-major
+        segments of ``send``, in group-rank order — moved with one
+        gather; one slice of the gathered array per group."""
+        if not len(groups):
+            return []
+        stage = self._stage_index(groups)
+        lens = counts[stage.idx]
+        ends = np.cumsum(lens)
+        starts = (np.cumsum(counts) - counts)[stage.idx]
+        index = np.repeat(starts - (ends - lens), lens) + np.arange(ends[-1])
+        out = send.take(index, axis=0)  # fancy indexing is slow on 24-byte records
+        cuts = [0] + ends[np.append(stage.starts[1:], lens.size) - 1].tolist()
+        return [out[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
     def alltoallv(
         self,
@@ -466,23 +510,37 @@ class Communicator:
         send_buffers: Sequence[np.ndarray],
         nic_sharing: int = 1,
     ) -> CollectiveHandle:
-        """Issue a variable-size AllGather; complete with :meth:`wait`.
+        """Issue a variable-size AllGather over one group, from one send
+        buffer per member; complete with :meth:`wait`.
 
-        ``handle.result`` carries the concatenated array (see
-        :class:`CollectiveHandle` for the pipelined-consumption
-        contract); send buffers may be recycled once this returns.
+        A one-group :meth:`start_allgatherv_stage`.  ``handle.result``
+        carries the concatenated array (see :class:`CollectiveHandle`
+        for the pipelined-consumption contract); send buffers may be
+        recycled once this returns.
         """
-        move = partial(self._allgatherv_core, nic_sharing=nic_sharing)
-        return self._issue("allgatherv", ranks, send_buffers, move)
+        self._check_group(ranks, send_buffers)
+        self._check_dtypes(ranks, send_buffers)
+        if len(set(ranks)) != len(ranks):
+            raise ValueError(f"allgatherv group {list(ranks)} repeats a rank")
+        arrays = [np.asarray(b) for b in send_buffers]
+        by_rank = [arrays[0][:0]] * (max(ranks) + 1)
+        for r, a in zip(ranks, arrays):
+            by_rank[r] = a
+        (handle,) = self.start_allgatherv_stage([ranks], *rank_major(by_rank), nic_sharing)
+        return handle
 
-    def start_allgatherv_stage(self, groups, send_buffers, nic_sharing: int = 1):
-        """:meth:`start_allgatherv` in each of a stage's disjoint
-        ``groups``, in group order: one handle per group."""
+    def start_allgatherv_stage(self, groups, send, counts, nic_sharing: int = 1):
+        """:meth:`allgatherv_stage` issued split-phase: each group is
+        validated, counted and issued in group order (its guard runs at
+        :meth:`wait`), then the data of all groups moves with one
+        gather; one handle per group."""
+        send, counts = np.asarray(send), np.asarray(counts)
+        move, _ = self._gather_plan(send, counts, nic_sharing)
         self._stage_index(groups)
-        return [
-            self.start_allgatherv(ranks, bufs, nic_sharing)
-            for ranks, bufs in zip(groups, send_buffers)
-        ]
+        handles = [self._issue("allgatherv", ranks, ranks, move) for ranks in groups]
+        for handle, result in zip(handles, self._gather(send, counts, groups)):
+            handle.result, handle.payload = result, [result]
+        return handles
 
     def start_alltoallv(
         self,

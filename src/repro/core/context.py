@@ -1,9 +1,10 @@
 """Per-rank execution context.
 
 A :class:`RankContext` bundles everything one simulated GPU rank owns:
-its graph block, its virtual device (memory ledger), and a read-only
-view of its named state arrays.  State is allocated for every rank at
-once through ``Engine.alloc``, which charges every array against device
+its graph block, its virtual device (its column of the engine's
+:class:`~repro.cluster.device.DeviceLedger`), and a read-only view of
+its named state arrays.  State is allocated for every rank at once
+through ``Engine.alloc``, which charges every array against device
 memory — which is how the simulator reproduces the paper's
 out-of-memory results at full-scale footprints.
 """
@@ -15,7 +16,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from ..cluster.device import INDEX_BYTES, VirtualGPU
+from ..cluster.device import VirtualGPU
 from ..graph.partition.twod import RankBlock
 from ..queueing.frontier import expand_block
 
@@ -27,7 +28,7 @@ class RankContext:
 
     State arrays are the rank's ``N_T``-long slices of the ``fleet``'s
     rank-stacked buffers — see :mod:`repro.core.fleet`.  They belong to
-    the current run: ``Engine.reset_timers`` frees them all.
+    the current run: ``Engine.reset_timers`` takes them all away.
     """
 
     def __init__(self, block: RankBlock, device: VirtualGPU, fleet):
@@ -46,13 +47,6 @@ class RankContext:
             fleet.views[self.rank]
         )
         self._local_degrees: Optional[np.ndarray] = None
-        # Charge the static graph structure, as the paper's loader does
-        # when moving the CSR to the GPU.  The adjacency is charged at
-        # the modeled entry width, not the host's (narrower) dtype.
-        device.charge("graph.indptr", block.indptr.nbytes)
-        device.charge("graph.indices", INDEX_BYTES * block.n_local_edges)
-        if block.weights is not None:
-            device.charge("graph.weights", block.weights.nbytes)
 
     def local_degrees(self) -> np.ndarray:
         """Local degree of each row vertex (cached)."""

@@ -29,7 +29,7 @@ import numpy as np
 
 from ..cluster.config import AIMOS, ClusterConfig
 from ..cluster.costmodel import NCCL_PROFILE, CommProfile, CostModel
-from ..cluster.device import VirtualGPU
+from ..cluster.device import INDEX_BYTES, DeviceLedger
 from ..cluster.topology import Topology
 from ..comm.clocks import VirtualClocks
 from ..comm.collectives import Communicator
@@ -183,18 +183,23 @@ class Engine:
         self._stage_sharing = self._compute_stage_sharing()
         #: The rank-stacked view the fused supersteps run on.
         self.fleet = Fleet(self.partition)
+        #: Every rank's modeled device memory, one table (``ctx.device``
+        #: is a rank's view).  The static graph structure is charged
+        #: first, as the paper's loader does when moving the CSR to the
+        #: GPU; the adjacency at the modeled entry width, not the
+        #: host's (narrower) dtype.
+        self.devices = DeviceLedger(grid.n_ranks, cluster.gpu, memory_scale, enforce_memory)
+        blocks = self.partition.blocks
+        structure = {
+            "graph.indptr": [blk.indptr.nbytes for blk in blocks],
+            "graph.indices": [INDEX_BYTES * blk.n_local_edges for blk in blocks],
+        }
+        if self.partition.weights is not None:
+            structure["graph.weights"] = [blk.weights.nbytes for blk in blocks]
+        self.devices.charge(structure)
         self.contexts: list[RankContext] = [
-            RankContext(
-                block,
-                VirtualGPU(
-                    rank=block.rank,
-                    spec=cluster.gpu,
-                    scale_factor=memory_scale,
-                    enforce=enforce_memory,
-                ),
-                self.fleet,
-            )
-            for block in self.partition.blocks
+            RankContext(block, self.devices.device(block.rank), self.fleet)
+            for block in blocks
         ]
         self._row_groups = [grid.row_group_ranks(i) for i in range(grid.C)]
         self._col_groups = [grid.col_group_ranks(i) for i in range(grid.R)]
@@ -332,15 +337,18 @@ class Engine:
         all communication patterns assume; ``width=k`` makes it a
         C-contiguous ``(N_T, k)`` lane array (one column per batched
         query lane).  A state the run already holds in this form is
-        re-filled in place; otherwise a new array is charged to every
-        rank's device as ``state.<name>``.  The state lives until the
-        run ends: :meth:`free`, or the next :meth:`reset_timers`.
+        re-filled in place; otherwise it is charged to every rank's
+        device as ``state.<name>`` (one ledger operation for all ranks),
+        in a buffer the previous run left under this name, dtype and
+        width if there is one (:meth:`reset_timers`), else a new one.
+        The state lives until the run ends: :meth:`free`, or the next
+        :meth:`reset_timers`.
         """
         if self.fleet.alloc(name, dtype, fill, width):
-            label = f"state.{name}"
-            for ctx in self.contexts:
-                ctx.device.release(label)
-                ctx.device.charge(label, ctx.arrays[name].nbytes)
+            label, buf = f"state.{name}", self.fleet.stacked(name)
+            row_nbytes = buf.itemsize * int(np.prod(buf.shape[1:]))
+            self.devices.release(label)
+            self.devices.charge({label: self.fleet.n_total * row_nbytes})
         return self.states(name)
 
     def states(self, name: str) -> list[np.ndarray]:
@@ -353,8 +361,7 @@ class Engine:
     def free(self, name: str) -> None:
         self.fleet.stacked(name)  # a KeyError names the allocated states
         self.fleet.free(name)
-        for ctx in self.contexts:
-            ctx.device.release(f"state.{name}")
+        self.devices.release(f"state.{name}")
 
     def scatter_global(self, name: str, vec: np.ndarray, dtype=None) -> list[np.ndarray]:
         """Distribute a global per-vertex vector into a named state
@@ -627,6 +634,7 @@ class Engine:
         call this exactly once per superstep.
         """
         delta = self.clocks.mark_iteration()
+        self.fleet.drop_kept()
         if self._pipeline:
             boundary = Boundary(len(self.clocks.iteration_marks), algo, state)
             for phase, hook in self._pipeline:
@@ -695,20 +703,25 @@ class Engine:
         stale checkpoints from a previous run are dropped, ...).
 
         This call is where a *run* begins, and the run owns its state:
-        every state array is freed here (and released from the device
-        ledgers), so the fleet holds only what the run allocates from
-        now on, and a run's checkpoints, integrity checks, memflip
-        targets and modeled hook charges do not depend on what ran on
-        this engine before.  Read a run's results (:meth:`gather`)
-        before the next run begins, and allocate state *after* calling
-        this (every algorithm in :mod:`repro.algorithms` does).
+        every state array is taken off the ranks here and its
+        ``state.*`` device-ledger entry released, so the run sees only
+        what it allocates from now on, and a run's checkpoints,
+        integrity checks, memflip targets and modeled hook charges do
+        not depend on what ran on this engine before.  The host buffers
+        are kept, by name, for the run's own :meth:`alloc` calls to
+        refill (the same name, dtype and width; contents are
+        overwritten); the first alloc of anything else, or the run's
+        first :meth:`superstep_boundary`, drops every buffer still
+        kept.  Read a run's results (:meth:`gather`) before the next run
+        begins, and allocate state *after* calling this (every
+        algorithm in :mod:`repro.algorithms` does).
         """
         self.counters.reset()
         self.clocks.reset()
         self._regrid_events.clear()
         self.spare_ranks = 0
-        for name in list(self.ctx(0).arrays):
-            self.free(name)
+        for name in self.fleet.hide():
+            self.devices.release(f"state.{name}")
         for hook in self._hooks.values():
             hook.on_reset(self)
 
@@ -734,7 +747,8 @@ class Engine:
 
     def memory_report(self) -> dict[int, float]:
         """Peak modeled memory utilization per rank."""
-        return {ctx.rank: ctx.device.utilization() for ctx in self.contexts}
+        peak = self.devices.peak / self.cluster.gpu.memory_bytes
+        return dict(enumerate(peak.tolist()))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -11,11 +11,14 @@ over all ranks:
   owns ``buffer[base[r]:base[r + 1]]``) and ``ctx.arrays`` is a
   read-only map of the rank's slices, so checkpoints,
   the integrity ledger, fault injection, ``gather`` and ``restore``
-  keep seeing ordinary per-rank arrays;
+  keep seeing ordinary per-rank arrays.  When a run ends its buffers
+  are taken off the ranks but kept by name (:meth:`hide`), for the
+  next run to refill instead of faulting fresh pages in;
 * **stacked LIDs** — a local ID ``lid`` of rank ``r`` is addressed as
-  ``base[r] + lid``; per-rank queues are concatenated rank-major
-  (:meth:`stack`) and results are cut back with one ``searchsorted``
-  (:meth:`split`);
+  ``base[r] + lid``, and a queue is one rank-major array of them (what
+  the sparse patterns take and return); a caller that works per rank
+  joins its lists with :meth:`stack` and cuts a queue back with one
+  ``searchsorted`` (:meth:`split`);
 * **stacked CSR** — the partition's blocks are slices of one
   concatenated CSR whose targets are already stacked LIDs, so
   :meth:`expand` walks any set of rows of any ranks through the
@@ -110,6 +113,9 @@ class Fleet:
         self._rank_ids = np.arange(self.n_ranks, dtype=np.int64)
         #: ``name -> stacked buffer`` of every state array.
         self._arena: dict[str, np.ndarray] = {}
+        #: ``name -> (buffer, per-rank views)`` of the previous run's
+        #: states, off the ranks, kept for the next run to refill.
+        self._kept: dict[str, tuple[np.ndarray, list]] = {}
         #: Per rank, ``name -> the rank's slice`` of every stacked buffer
         #: (what ``RankContext.arrays`` shows, read-only).
         self.views: list[dict[str, np.ndarray]] = [{} for _ in range(self.n_ranks)]
@@ -126,23 +132,34 @@ class Fleet:
     def alloc(self, name: str, dtype, fill, width: Optional[int]) -> bool:
         """Fill state ``name`` with ``fill`` on every rank.
 
-        The stacked buffer is created on first use and re-filled in
-        place while the name keeps its dtype and lane ``width``; another
-        dtype or width replaces it.  Returns whether a buffer was
-        created (the caller charges the devices for it).
+        The run's buffer of that name is re-filled in place while it
+        keeps its dtype and lane ``width``; otherwise a buffer :meth:`hide`
+        kept under that name, dtype and width is refilled, and failing
+        both, everything still kept is dropped and a new buffer made.
+        Returns whether the state entered the run (the caller charges
+        the devices for it).
         """
         dtype = np.dtype(dtype)
         tail = () if width is None else (int(width),)
+
+        def fits(buf) -> bool:
+            return buf is not None and buf.dtype == dtype and buf.shape[1:] == tail
+
         buf = self._arena.get(name)
-        created = buf is None or buf.dtype != dtype or buf.shape[1:] != tail
-        if created:
+        entered = not fits(buf)
+        if entered:
             self.free(name)
-            buf = self._arena[name] = np.empty((self.size,) + tail, dtype=dtype)
-            bounds = self.base.tolist()
-            for views, lo, hi in zip(self.views, bounds, bounds[1:]):
-                views[name] = buf[lo:hi]
+            buf, views = self._kept.pop(name, (None, None))
+            if not fits(buf):
+                self._kept.clear()
+                buf = np.empty((self.size,) + tail, dtype=dtype)
+                bounds = self.base.tolist()
+                views = [buf[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+            self._arena[name] = buf
+            for rank_views, view in zip(self.views, views):
+                rank_views[name] = view
         buf[...] = fill
-        return created
+        return entered
 
     def free(self, name: str) -> None:
         """Drop state ``name`` from every rank (nothing if it is not
@@ -150,6 +167,25 @@ class Fleet:
         if self._arena.pop(name, None) is not None:
             for views in self.views:
                 del views[name]
+
+    def hide(self) -> list[str]:
+        """End the run: take every state off the ranks but keep its
+        buffer for :meth:`alloc` to refill (until :meth:`drop_kept`);
+        returns the names."""
+        names = list(self._arena)
+        for name in names:
+            views = [rank_views.pop(name) for rank_views in self.views]
+            self._kept[name] = (self._arena.pop(name), views)
+        return names
+
+    def drop_kept(self) -> None:
+        """Drop every buffer :meth:`hide` kept."""
+        self._kept.clear()
+
+    def buffers(self) -> list[np.ndarray]:
+        """Every stacked buffer held: the run's, and those kept from the
+        previous run."""
+        return list(self._arena.values()) + [buf for buf, _ in self._kept.values()]
 
     def stacked(self, name: str) -> np.ndarray:
         """The stacked buffer of state ``name``: writing it writes every

@@ -208,9 +208,10 @@ def run_vertex_program(
         wait = None
         if sparse_now:
             exchange = sparse_push if push else sparse_pull
-            result = exchange(engine, name, queues, op=op)
+            queue, _ = fleet.stack(queues)
+            result = exchange(engine, name, queue, op=op)
             n_updated = result.n_updated
-            updated = result.active_row
+            rows = result.rows
         else:
             dense_exchange(engine, name, program.direction, op=op)
             rows = np.flatnonzero(fleet.row_mask)
@@ -219,8 +220,8 @@ def run_vertex_program(
             # reduced (an overlapped engine hides the queue rebuild).
             total, wait = engine.reduce_partials(fleet.counts(rows))
             n_updated = int(total)
-            updated = fleet.split(rows)
         if program.use_queue:
+            updated = fleet.split(rows)
             s.active = updated if push else propagate_active_pull(engine, updated)
         if wait is not None:
             wait()

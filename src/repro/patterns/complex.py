@@ -35,6 +35,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from ..comm.collectives import rank_major
 from ..core.engine import Engine
 from ..kernels import segment_reduce
 from .sparse import PAIR_DTYPE
@@ -89,9 +90,7 @@ def allgatherv_by_rank(engine: Engine, groups, sbufs) -> list[np.ndarray]:
     (``(id, ranks)`` pairs) as one stage call; each rank's received
     buffer, by rank."""
     members = [ranks for _, ranks in groups]
-    rbufs = engine.comm.allgatherv_stage(
-        members, [[sbufs[r] for r in ranks] for ranks in members]
-    )
+    rbufs = engine.comm.allgatherv_stage(members, *rank_major(sbufs))
     rbuf_of: list[Optional[np.ndarray]] = [None] * engine.grid.n_ranks
     for ranks, rbuf in zip(members, rbufs):
         for r in ranks:

@@ -93,7 +93,8 @@ def dense_exchange_lanes(
     columns of every rank into one ``(size, L)`` scratch array,
     runs the ordinary exchange on it, and unpacks — still one
     collective per group, sized to the live lanes.  Each rank's device
-    is charged its share of the scratch for the duration.
+    is charged its share of the scratch for the duration (one ledger
+    operation for all ranks).
 
     Per lane the reduction is bit-identical to a 1-D exchange of that
     lane's column: the group AllReduce reduces elementwise over the
@@ -109,10 +110,8 @@ def dense_exchange_lanes(
     label = f"state.{name}#lanes"
     buf = state[:, lanes]
     try:
-        for ctx in engine.contexts:
-            ctx.device.charge(label, ctx.n_total * lanes.size * state.itemsize)
+        engine.devices.charge({label: fleet.n_total * (lanes.size * state.itemsize)})
         _run(engine, buf, direction, op)
         state[:, lanes] = buf
     finally:
-        for ctx in engine.contexts:
-            ctx.device.release(label)
+        engine.devices.release(label)

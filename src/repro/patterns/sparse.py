@@ -21,14 +21,17 @@ locally-updated row vertices are unioned into the second-stage queue
 the CUDA code, but their values still must travel to the rest of the
 row group).
 
-Each stage of :func:`sparse_push` / :func:`sparse_pull` runs in three
-phases: a **build** of every rank's send buffer, the **collectives**
-— one AllGatherv per group, issued as one stage call
-(:meth:`~repro.comm.collectives.Communicator.allgatherv_stage`) —
-and an **apply** of each group's received buffer on
-every member.  Build and apply are *rank-fused*: one vectorized pass
-over the :class:`~repro.core.fleet.Fleet`'s stacked state does what
-``p`` per-rank closures did — one gather, one
+:func:`sparse_push` / :func:`sparse_pull` take their queue as one
+*stacked* array — every rank's LIDs, rank-major, in the
+:class:`~repro.core.fleet.Fleet`'s stacked LID space — and return the
+updated rows the same way.  Each stage runs in three phases: a
+**build** of every rank's send data as one rank-major array, the
+**collectives** — one AllGatherv per group, issued as one stage call
+(:meth:`~repro.comm.collectives.Communicator.allgatherv_stage`, which
+moves every group's data with one gather) — and an **apply** of each
+group's received buffer on every member.  Build and apply are
+*rank-fused*: one vectorized pass over the fleet's stacked state does
+what ``p`` per-rank closures did — one gather, one
 :func:`~repro.kernels.scatter_reduce`, one
 :func:`~repro.kernels.unique_bounded` per phase, with per-rank clock
 charges applied as one vector add — while every group collective is
@@ -38,7 +41,9 @@ counters are bit-identical to the per-rank formulation (kept as the
 oracle in ``tests/patterns/test_sparse_fused.py``; see docs/PERF.md).
 The k-lane twin and :func:`propagate_active_pull` still run one
 closure per rank (:meth:`Engine.map_ranks
-<repro.core.engine.Engine.map_ranks>`).
+<repro.core.engine.Engine.map_ranks>`) and take per-rank queues; they
+hand the stage call their per-rank buffers through
+:func:`~repro.comm.collectives.rank_major`.
 
 On an overlapped engine (``Engine(overlap=True)``) each stage's group
 exchanges are *issued* split-phase instead: data and counters
@@ -48,9 +53,9 @@ apply compute behind each group's own exchange.  Values, counters, and
 the compute/comm lanes stay bit-identical to a blocking run; only
 exposed time shrinks (see docs/MODEL.md).
 
-The functions return a :class:`SparseResult` carrying the per-rank
-active row-vertex queues (paper §3.4.1) and the global count of
-vertices whose state changed — the quantity the dense/sparse switch
+The functions return a :class:`SparseResult` carrying the active
+row-vertex queue (paper §3.4.1) as stacked LIDs and the global count
+of vertices whose state changed — the quantity the dense/sparse switch
 policy consumes — and, from :func:`sparse_push`, every stacked LID
 the exchange may have written (``touched``).
 """
@@ -62,6 +67,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..comm.collectives import rank_major
 from ..core.context import RankContext
 from ..core.engine import Engine
 from ..kernels import scatter_reduce, scatter_reduce_lanes, unique_bounded
@@ -93,7 +99,10 @@ _EMPTY_I64 = np.empty(0, dtype=np.int64)
 class SparseResult:
     """Outcome of one sparse exchange."""
 
-    active_row: list[np.ndarray]  # per-rank row-vertex LIDs updated
+    #: Every rank's updated row vertices as one rank-major queue of
+    #: stacked LIDs, ascending (the same vertices on every rank of a
+    #: row group): the active row queue of paper §3.4.1.
+    rows: np.ndarray
     n_updated: int  # unique vertices whose state changed globally
     #: :func:`sparse_push` only: the stacked LIDs of the local queue,
     #: the column reduce's changed ghosts and every member's assigned
@@ -105,32 +114,43 @@ class SparseResult:
 _TILE_BUDGET = 1 << 18
 
 
-def _pair_buffers(
-    gids: np.ndarray, vals: np.ndarray, counts: np.ndarray
-) -> list[np.ndarray]:
-    """Every rank's ``{gid, val}`` send buffer — ``counts[r]`` entries
-    of the rank-major ``gids``/``vals`` — as slices of one array."""
+def _pairs(gids: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """``{gid, val}`` send data of a rank-major queue."""
     pairs = np.empty(gids.size, dtype=PAIR_DTYPE)
     pairs["gid"] = gids
     pairs["val"] = vals
-    cuts = np.concatenate(([0], np.cumsum(counts))).tolist()
-    return [pairs[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    return pairs
 
 
-def _exchange(engine: Engine, groups, sbufs, nic_sharing: int, handles: list):
-    """One AllGatherv per group (``(id, ranks)`` pairs; ``sbufs`` by
-    rank) as one stage call; returns the received buffers (one per
-    group) and each rank's received length.  With ``engine.overlap`` the
-    stage is issued split-phase and its handles appended to ``handles``,
-    for the caller to wait after the apply phase it hides."""
+def _queue(fleet, queue) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A rank-major queue of stacked LIDs as ``(lids, owning rank of
+    each, entries per rank)``; refuses any other order."""
+    lids = np.asarray(queue, dtype=np.int64)
+    ranks = fleet.rank_of(lids)
+    if ranks.size and (
+        ranks[0] < 0 or ranks[-1] >= fleet.n_ranks or (np.diff(ranks) < 0).any()
+    ):
+        raise ValueError(
+            "a sparse exchange's queue must be rank-major stacked LIDs in "
+            f"[0, {fleet.size})"
+        )
+    return lids, ranks, np.bincount(ranks, minlength=fleet.n_ranks)
+
+
+def _exchange(engine: Engine, groups, send, counts, nic_sharing: int, handles: list):
+    """One AllGatherv per group (``(id, ranks)`` pairs) of the rank-major
+    ``send`` data (``counts[r]`` entries of rank ``r``), as one stage
+    call; returns the received buffers (one per group) and each rank's
+    received length.  With ``engine.overlap`` the stage is issued
+    split-phase and its handles appended to ``handles``, for the caller
+    to wait after the apply phase it hides."""
     members = [ranks for _, ranks in groups]
-    payloads = [[sbufs[r] for r in ranks] for ranks in members]
     if engine.overlap:
-        issued = engine.comm.start_allgatherv_stage(members, payloads, nic_sharing)
+        issued = engine.comm.start_allgatherv_stage(members, send, counts, nic_sharing)
         handles.extend(issued)
         rbufs = [h.result for h in issued]
     else:
-        rbufs = engine.comm.allgatherv_stage(members, payloads, nic_sharing)
+        rbufs = engine.comm.allgatherv_stage(members, send, counts, nic_sharing)
     sizes = np.empty(engine.n_ranks, dtype=np.int64)
     for ranks, rbuf in zip(members, rbufs):
         sizes[ranks] = rbuf.size
@@ -199,16 +219,17 @@ def _wait_all(engine: Engine, handles: list) -> None:
 def sparse_push(
     engine: Engine,
     name: str,
-    queues: list[np.ndarray],
+    queue: np.ndarray,
     op: str = "min",
 ) -> SparseResult:
     """Sparse push exchange.
 
     Parameters
     ----------
-    queues:
-        Per-rank arrays of *column-vertex LIDs* whose state the local
-        compute kernel updated, deduplicated (the caller's BuildQueue).
+    queue:
+        Rank-major stacked *column-vertex LIDs* whose state the local
+        compute kernel updated, deduplicated per rank (the caller's
+        BuildQueue); each rank's entries travel in queue order.
     op:
         Reduction applied in ``ReduceQueue``: ``"min"``, ``"max"`` or
         ``"sum"`` (delta semantics).
@@ -219,15 +240,14 @@ def sparse_push(
     col_shift, row_shift = fleet.col_gid_shift, fleet.row_gid_shift
 
     # ---- stage 1: AllGatherv + reduce along each column group -------
-    q, q_counts = fleet.stack(queues)
+    q, q_ranks, q_counts = _queue(fleet, queue)
     engine.charge_vertices(None, q_counts)  # BuildQueue kernel
-    q_ranks = fleet.ranks(q_counts)
     q_gids = q + col_shift[q_ranks]
-    sbufs = _pair_buffers(q_gids, state[q], q_counts)
 
     handles: list = []
     rbufs, sizes = _exchange(
-        engine, col_groups, sbufs, engine.stage_nic_sharing("col"), handles
+        engine, col_groups, _pairs(q_gids, state[q]), q_counts,
+        engine.stage_nic_sharing("col"), handles,
     )
 
     changed = _reduce_received(state, col_groups, rbufs, col_shift, op)
@@ -244,34 +264,30 @@ def sparse_push(
     # ---- stage 2: exchange final values along each row group --------
     row_counts = fleet.counts(rows)
     engine.charge_vertices(None, row_counts)
-    sbufs = _pair_buffers(
-        rows + row_shift[fleet.ranks(row_counts)], state[rows], row_counts
-    )
+    send = _pairs(rows + row_shift[fleet.ranks(row_counts)], state[rows])
 
     handles = []
     rbufs, sizes = _exchange(
-        engine, row_groups, sbufs, engine.stage_nic_sharing("row"), handles
+        engine, row_groups, send, row_counts, engine.stage_nic_sharing("row"), handles
     )
 
     # Values are final after the column reduction; assignment (each
     # vertex appears from exactly one root rank).
     _assign_received(state, row_groups, rbufs, row_shift)
     engine.charge_vertices(None, sizes)
-    active_row: list = [None] * fleet.n_ranks
-    touched = [q, changed]
-    n_updated = 0
+    # Every member's stacked row LIDs of its group's updated vertices —
+    # exactly the cells the assignment wrote.  Row groups are
+    # consecutive ranks, so group by group, member by member is
+    # rank-major.
+    updated, n_updated = [], 0
     for (_, members), rbuf in zip(row_groups, rbufs):
         uniq_gids = unique_bounded(rbuf["gid"], engine.partition.n_vertices)
         n_updated += int(uniq_gids.size)
-        # every member's stacked, then local, row LIDs of the group's
-        # updated vertices — exactly the cells the assignment wrote
-        stacked = uniq_gids - row_shift[members, None]
-        touched.append(stacked.ravel())
-        for r, row in zip(members, stacked - fleet.base[members, None]):
-            active_row[r] = row
+        updated.append((uniq_gids - row_shift[members, None]).ravel())
+    updated = np.concatenate(updated)
     _wait_all(engine, handles)
     return SparseResult(
-        active_row=active_row, n_updated=n_updated, touched=np.concatenate(touched)
+        rows=updated, n_updated=n_updated, touched=np.concatenate([q, changed, updated])
     )
 
 
@@ -349,7 +365,7 @@ def sparse_push_lanes(
     handles: list = []
     rbuf_of: list[Optional[tuple]] = [None] * grid.n_ranks
     col_groups = list(engine.col_groups())
-    rbufs, _ = _exchange(engine, col_groups, sbufs_all, col_share, handles)
+    rbufs, _ = _exchange(engine, col_groups, *rank_major(sbufs_all), col_share, handles)
     for g, (_, ranks) in enumerate(col_groups):
         rbufs[g] = received = _columns(rbufs[g])  # drop the structured copy
         for r in ranks:
@@ -399,7 +415,7 @@ def sparse_push_lanes(
     rbuf_of = [None] * grid.n_ranks
     n_updated = np.zeros(k, dtype=np.int64)
     row_groups = list(engine.row_groups())
-    rbufs, _ = _exchange(engine, row_groups, sbufs_all, row_share, handles)
+    rbufs, _ = _exchange(engine, row_groups, *rank_major(sbufs_all), row_share, handles)
     for g, (_, ranks) in enumerate(row_groups):
         rbufs[g] = received = _columns(rbufs[g])
         uniq_comp = unique_bounded(received[1] * n_v + received[0], k * n_v)
@@ -427,13 +443,13 @@ def sparse_push_lanes(
 def sparse_pull(
     engine: Engine,
     name: str,
-    queues: list[np.ndarray],
+    queue: np.ndarray,
     op: str = "min",
 ) -> SparseResult:
     """Sparse pull exchange: row-group reduce, column-group refresh.
 
-    ``queues`` hold per-rank *row-vertex LIDs* updated by the local
-    (partial) gather kernel.
+    ``queue`` holds the rank-major stacked *row-vertex LIDs* updated by
+    the local (partial) gather kernel.
     """
     fleet = engine.fleet
     state = fleet.stacked(name)
@@ -441,13 +457,13 @@ def sparse_pull(
     col_shift, row_shift = fleet.col_gid_shift, fleet.row_gid_shift
 
     # ---- stage 1: AllGatherv + reduce along each row group ----------
-    q, q_counts = fleet.stack(queues)
+    q, q_ranks, q_counts = _queue(fleet, queue)
     engine.charge_vertices(None, q_counts)
-    sbufs = _pair_buffers(q + row_shift[fleet.ranks(q_counts)], state[q], q_counts)
 
     handles: list = []
     rbufs, sizes = _exchange(
-        engine, row_groups, sbufs, engine.stage_nic_sharing("row"), handles
+        engine, row_groups, _pairs(q + row_shift[q_ranks], state[q]), q_counts,
+        engine.stage_nic_sharing("row"), handles,
     )
 
     changed = _reduce_received(state, row_groups, rbufs, row_shift, op)
@@ -457,7 +473,6 @@ def sparse_pull(
     # contributes its first member's count exactly once.
     rows = unique_bounded(np.concatenate([changed, q]), fleet.size)
     row_counts = fleet.counts(rows)
-    active_row = fleet.split(rows)
     n_updated = int(row_counts[[members[0] for _, members in row_groups]].sum())
     _wait_all(engine, handles)
 
@@ -467,17 +482,17 @@ def sparse_pull(
     owned = (gids >= fleet.col_start[ranks]) & (gids < fleet.col_stop[ranks])
     col_counts = np.bincount(ranks[owned], minlength=fleet.n_ranks)
     engine.charge_vertices(None, col_counts)
-    sbufs = _pair_buffers(gids[owned], state[rows[owned]], col_counts)
 
     handles = []
     rbufs, sizes = _exchange(
-        engine, col_groups, sbufs, engine.stage_nic_sharing("col"), handles
+        engine, col_groups, _pairs(gids[owned], state[rows[owned]]), col_counts,
+        engine.stage_nic_sharing("col"), handles,
     )
 
     _assign_received(state, col_groups, rbufs, col_shift)
     engine.charge_vertices(None, sizes)
     _wait_all(engine, handles)
-    return SparseResult(active_row=active_row, n_updated=n_updated)
+    return SparseResult(rows=rows, n_updated=n_updated)
 
 
 def propagate_active_pull(
@@ -511,7 +526,7 @@ def propagate_active_pull(
     handles: list = []
     rbuf_of: list[Optional[np.ndarray]] = [None] * grid.n_ranks
     col_groups = list(engine.col_groups())
-    rbufs, _ = _exchange(engine, col_groups, neighbor_gids, col_share, handles)
+    rbufs, _ = _exchange(engine, col_groups, *rank_major(neighbor_gids), col_share, handles)
     for (_, ranks), rbuf in zip(col_groups, rbufs):
         for r in ranks:
             rbuf_of[r] = rbuf
@@ -530,7 +545,7 @@ def propagate_active_pull(
     merged_of: list[Optional[np.ndarray]] = [None] * grid.n_ranks
     rbuf_sizes = [0] * grid.n_ranks
     row_groups = list(engine.row_groups())
-    rbufs, _ = _exchange(engine, row_groups, partial, row_share, handles)
+    rbufs, _ = _exchange(engine, row_groups, *rank_major(partial), row_share, handles)
     for g, (_, ranks) in enumerate(row_groups):
         size, rbufs[g] = rbufs[g].size, np.unique(rbufs[g])  # keep the union only
         for r in ranks:

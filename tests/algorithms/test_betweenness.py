@@ -83,6 +83,22 @@ class TestSampled:
         top_approx = set(np.argsort(approx)[-10:].tolist())
         assert len(top_exact & top_approx) >= 5
 
+    @pytest.mark.parametrize("k", [0, -1, True, 2.0, 2.5, "3"])
+    def test_bad_sample_count_is_refused_at_entry(self, k):
+        """Zero once divided by zero, a negative count reached NumPy's
+        sampler, and a bool or float was taken as a count."""
+        engine = Engine(rmat(6, seed=3), 4)
+        engine.alloc("kept")
+        with pytest.raises(ValueError, match="k_samples"):
+            betweenness(engine, k_samples=k)
+        assert "kept" in engine.ctx(0).arrays  # refused before the run began
+
+    def test_more_samples_than_vertices_sample_every_vertex(self):
+        g = path_graph(6)
+        res = betweenness(Engine(g, 1), k_samples=50)
+        assert res.extra["n_sources"] == 6
+        assert np.allclose(res.values, betweenness(Engine(g, 1)).values)
+
     def test_sources_and_samples_conflict(self):
         g = path_graph(5)
         with pytest.raises(ValueError):

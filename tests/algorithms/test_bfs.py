@@ -243,6 +243,35 @@ class TestPseudoDiameter:
         with pytest.raises(ValueError):
             pseudo_diameter(Engine(rmat_graph, 4), start=-1)
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"lanes": 2.7}, "lanes"),
+            ({"lanes": 0}, "lanes"),
+            ({"lanes": True}, "lanes"),
+            ({"lanes": -3}, "lanes"),
+            ({"sweeps": 0}, "sweeps"),
+            ({"sweeps": 1.0}, "sweeps"),
+            ({"sweeps": False}, "sweeps"),
+        ],
+    )
+    def test_bad_counts_are_refused(self, rmat_graph, kwargs, name):
+        """They used to be truncated or clamped: ``lanes=2.7`` ran 2
+        lanes, ``lanes=0`` / ``True`` and ``sweeps=0`` ran 1."""
+        from repro.algorithms import pseudo_diameter
+
+        with pytest.raises(ValueError, match=name):
+            pseudo_diameter(Engine(rmat_graph, 4), start=0, **kwargs)
+
+    def test_more_lanes_than_vertices_probe_every_vertex(self):
+        from repro.algorithms import pseudo_diameter
+
+        engine = Engine(path_graph(5), 1)
+        capped = pseudo_diameter(engine, start=2, sweeps=2, lanes=50)
+        assert capped.extra["diameter_lower_bound"] == 4
+        exact = pseudo_diameter(engine, start=2, sweeps=2, lanes=5)
+        assert capped.extra == exact.extra
+
     def test_timings_accumulate_across_sweeps(self):
         from repro.algorithms import pseudo_diameter
 

@@ -1,9 +1,11 @@
 """Virtual GPU memory ledger tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.cluster import V100, DeviceMemoryError, VirtualGPU
+from repro.cluster import V100, DeviceLedger, DeviceMemoryError, VirtualGPU
 
 
 class TestCharging:
@@ -71,3 +73,44 @@ class TestOOM:
         dev = VirtualGPU(rank=0, spec=V100)
         dev.charge("x", 2**20)
         assert dev.free_bytes == V100.memory_bytes - 2**20
+
+
+class TestLedgerTable:
+    """Every rank's ledger is one (labels x ranks) table; a charge of
+    several labels is checked as charging rank after rank would."""
+
+    TINY = dataclasses.replace(V100, memory_bytes=100)
+
+    def test_views_read_the_table(self):
+        ledger = DeviceLedger(3, V100)
+        ledger.charge({"a": [1, 2, 3]})
+        ledger.device(1).charge("b", 10)
+        assert [ledger.device(r).ledger for r in range(3)] == [
+            {"a": 1}, {"a": 2, "b": 10}, {"a": 3},
+        ]
+        assert ledger.allocated.tolist() == [1, 12, 3]
+        ledger.release("a")
+        assert ledger.allocated.tolist() == [0, 10, 0]
+        assert ledger.peak.tolist() == [1, 12, 3]
+        assert [ledger.device(r).ledger for r in range(3)] == [{}, {"b": 10}, {}]
+
+    def test_the_first_rank_to_overflow_is_named_and_nothing_is_charged(self):
+        ledger = DeviceLedger(3, self.TINY)
+        # label by label, rank 2 would fail first (on "a"); rank after
+        # rank, rank 0 fails first (on "b")
+        with pytest.raises(DeviceMemoryError) as exc:
+            ledger.charge({"a": [10, 10, 200], "b": [150, 0, 0]})
+        assert exc.value.device is ledger.device(0)
+        assert exc.value.requested == 150
+        assert ledger.allocated.tolist() == [0, 0, 0]
+        assert all(ledger.device(r).ledger == {} for r in range(3))
+
+    def test_an_engine_charges_its_structure_in_one_table(self):
+        from repro import Engine
+        from repro.graph import rmat
+
+        engine = Engine(rmat(7, seed=1), 4)
+        for ctx in engine:
+            assert sorted(ctx.device.ledger) == ["graph.indices", "graph.indptr"]
+            assert ctx.device is engine.devices.device(ctx.rank)
+            assert ctx.device.ledger["graph.indptr"] == ctx.block.indptr.nbytes

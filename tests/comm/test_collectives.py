@@ -5,6 +5,7 @@ import pytest
 
 from repro.cluster import AIMOS, CostModel, Topology
 from repro.comm import BroadcastCall, Communicator, VirtualClocks
+from repro.comm.collectives import rank_major
 
 
 @pytest.fixture
@@ -128,22 +129,21 @@ class TestBroadcast:
 class TestAllGatherv:
     def test_concatenates_in_rank_order(self, comm):
         bufs = [np.array([1.0]), np.array([]), np.array([2.0, 3.0])]
-        [out] = comm.allgatherv_stage([[0, 1, 2]], [bufs])
+        [out] = comm.allgatherv_stage([[0, 1, 2]], *rank_major(bufs))
         assert np.array_equal(out, [1.0, 2.0, 3.0])
 
     def test_structured_dtype(self, comm):
         dt = np.dtype([("gid", np.int64), ("val", np.float64)])
         a = np.array([(1, 0.5)], dtype=dt)
         b = np.array([(2, 0.7), (3, 0.9)], dtype=dt)
-        [out] = comm.allgatherv_stage([[0, 1]], [[a, b]])
+        [out] = comm.allgatherv_stage([[0, 1]], *rank_major([a, b]))
         assert out.size == 3
         assert out["gid"].tolist() == [1, 2, 3]
 
     def test_dtype_skew_rejected_with_offenders(self, comm):
         with pytest.raises(ValueError) as exc:
-            comm.allgatherv_stage(
-                [[2, 4]],
-                [[np.zeros(2, dtype=np.float64), np.zeros(3, dtype=np.float32)]],
+            comm.start_allgatherv(
+                [2, 4], [np.zeros(2, dtype=np.float64), np.zeros(3, dtype=np.float32)]
             )
         msg = str(exc.value)
         assert "one dtype" in msg
@@ -152,7 +152,7 @@ class TestAllGatherv:
 
     def test_counters_volume(self, comm):
         bufs = [np.zeros(10), np.zeros(20)]
-        comm.allgatherv_stage([[0, 1]], [bufs])
+        comm.allgatherv_stage([[0, 1]], *rank_major(bufs))
         assert comm.counters.by_kind["allgatherv"].bytes == 30 * 8  # (k-1)*total
 
 
@@ -199,8 +199,8 @@ class TestSharingAndProfiles:
             CostModel(AIMOS.gpu, topo, GENERIC_PROFILE), VirtualClocks(12)
         )
         ranks = list(range(12))
-        nccl.allgatherv_stage([ranks], [[np.zeros(100) for _ in ranks]])
-        gen.allgatherv_stage([ranks], [[np.zeros(100) for _ in ranks]])
+        nccl.allgatherv_stage([ranks], np.zeros(100 * 12), np.full(12, 100))
+        gen.allgatherv_stage([ranks], np.zeros(100 * 12), np.full(12, 100))
         assert gen.clocks.peak("clock") > nccl.clocks.peak("clock")
 
     def test_data_identical_across_profiles(self):

@@ -16,6 +16,7 @@ import pytest
 
 from repro.cluster import AIMOS, CostModel, Topology
 from repro.comm import Communicator, VirtualClocks
+from repro.comm.collectives import rank_major
 
 
 @pytest.fixture
@@ -171,7 +172,7 @@ class TestSplitPhaseCommunicator:
     def test_allgatherv_matches_blocking(self):
         blk, ovl = self._fresh(), self._fresh()
         send = [np.arange(r + 1, dtype=np.float64) for r in range(3)]
-        [expect] = blk.allgatherv_stage([[0, 1, 2]], [[s.copy() for s in send]])
+        [expect] = blk.allgatherv_stage([[0, 1, 2]], *rank_major([s.copy() for s in send]))
         h = ovl.start_allgatherv([0, 1, 2], [s.copy() for s in send])
         assert np.array_equal(h.result, expect)
         got = ovl.wait(h)

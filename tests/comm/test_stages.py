@@ -4,7 +4,11 @@ A ``*_stage`` call runs one collective in each of a stage's disjoint
 groups.  The oracle below is that stage written as one collective per
 group, the way every pattern issued it before: the group's
 validate/move/count core followed by its own ``VirtualClocks.sync_group``
-(or ``issue_collective`` for split-phase).  Over random disjoint
+(or ``issue_collective`` for split-phase).  The AllGatherv stage takes
+every rank's send data as one rank-major array plus per-rank counts
+and moves all groups' data with one gather; its oracle is the
+per-group core over one buffer per member, as it stood before
+(:func:`allgatherv_core`).  Over random disjoint
 partitions of ``p`` ranks (a stage need not cover every rank), random
 clock states and random payloads — empty ones included — the two must
 agree on the data, every clock lane, the counters by kind and the
@@ -21,8 +25,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import AIMOS, CostModel, Topology
-from repro.comm import BroadcastCall, Communicator, VirtualClocks
+from repro.comm import BroadcastCall, Communicator, Grid2D, VirtualClocks, rank_major
 from repro.comm.clocks import LANES
+from repro.core.engine import Engine
+from repro.graph import rmat
+from repro.patterns.sparse import PAIR_DTYPE
 from repro.faults import FaultPlan, FaultSpec, RankFailure
 from repro.faults.injector import FaultInjector
 
@@ -89,7 +96,49 @@ def _data(kind: str, payloads) -> list:
     return [b.copy() for bufs in payloads for b in bufs]
 
 
+def allgatherv_core(comm, ranks, send_buffers, nic_sharing):
+    """The oracle's AllGatherv of one group, from one send buffer per
+    member: the core every group ran before the stage took rank-major
+    data — validate, concatenate member by member, count; returns
+    ``(cost, result)``."""
+    comm._check_group(ranks, send_buffers)
+    comm._check_dtypes(ranks, send_buffers)
+    k = len(ranks)
+    arrays = [np.asarray(b) for b in send_buffers]
+    if any(a.size for a in arrays):
+        sizes = [len(a) for a in arrays]
+        result = np.empty((sum(sizes),) + arrays[0].shape[1:], dtype=arrays[0].dtype)
+        lo = 0
+        for a, n in zip(arrays, sizes):
+            if n:
+                result[lo : lo + n] = a
+                lo += n
+    else:
+        result = np.empty(0, dtype=arrays[0].dtype if arrays else np.float64)
+    total = int(sum(a.nbytes for a in arrays))
+    t = comm.costmodel.allgather_time(ranks, total, nic_sharing=nic_sharing)
+    comm.counters.record(
+        "allgatherv",
+        serial_messages=k - 1,
+        transfers=k * (k - 1),
+        nbytes=total * (k - 1) if k > 1 else 0,
+    )
+    return t, result
+
+
+def _stacked(comm, groups, payloads):
+    """Per-group member buffers as the stage's rank-major send data and
+    per-rank counts; a rank in no group sends nothing."""
+    by_rank = [payloads[0][0][:0]] * comm.clocks.n_ranks
+    for ranks, bufs in zip(groups, payloads):
+        for r, buf in zip(ranks, bufs):
+            by_rank[r] = buf
+    return rank_major(by_rank)
+
+
 def _stage(comm, kind: str, groups, payloads):
+    if kind == "allgatherv":
+        return comm.allgatherv_stage(groups, *_stacked(comm, groups, payloads))
     return getattr(comm, f"{kind}_stage")(groups, payloads)
 
 
@@ -110,7 +159,7 @@ def _per_group(comm, kind: str, groups, payloads):
         if kind == "allreduce":
             t, result = comm._allreduce_core(ranks, payload, "sum", 1)
         elif kind == "allgatherv":
-            t, result = comm._allgatherv_core(ranks, payload, 1)
+            t, result = allgatherv_core(comm, ranks, payload, 1)
         elif kind == "broadcast":
             for dest in payload.dests:
                 dest[...] = payload.src
@@ -153,7 +202,8 @@ def test_stage_equals_the_per_group_sequence(case, kind):
 def test_split_phase_stage_equals_per_group_issue(case):
     p, groups, clock_seed, seed, width = case
     staged, oracle = _comm(p, clock_seed), _comm(p, clock_seed)
-    got = staged.start_allgatherv_stage(groups, _payloads("allgatherv", groups, seed, width))
+    payloads = _payloads("allgatherv", groups, seed, width)
+    got = staged.start_allgatherv_stage(groups, *_stacked(staged, groups, payloads))
     want = [
         oracle.start_allgatherv(ranks, bufs)
         for ranks, bufs in zip(groups, _payloads("allgatherv", groups, seed, width))
@@ -272,7 +322,16 @@ def test_groups_must_be_disjoint_and_non_empty(groups):
 def test_payloads_must_match_groups():
     comm = _comm(4, 0)
     with pytest.raises(ValueError, match="2 groups but 1 payloads"):
-        comm.allgatherv_stage([[0, 1], [2, 3]], [[np.zeros(1), np.zeros(1)]])
+        comm.allreduce_stage([[0, 1], [2, 3]], [[np.zeros(1), np.zeros(1)]])
+
+
+def test_counts_must_cover_the_send_data():
+    comm = _comm(4, 0)
+    with pytest.raises(ValueError, match="counts sum to 3 rows, but the send data has 4"):
+        comm.allgatherv_stage([[0, 1], [2, 3]], np.zeros(4), np.array([1, 1, 1, 0]))
+    with pytest.raises(ValueError, match="per-rank sizes >= 0"):
+        comm.allgatherv_stage([[0, 1]], np.zeros(1), np.array([2, -1]))
+    assert comm.counters.summary() == {}
 
 
 def test_group_set_is_indexed_once():
@@ -291,4 +350,136 @@ def test_a_group_that_raises_leaves_earlier_groups_charged():
     with pytest.raises(ValueError, match="disagree"):
         staged.allreduce_stage([[0, 1], [2, 3]], [good, bad])
     oracle.allreduce([0, 1], [np.ones(2), np.ones(2)])
+    _assert_same(staged, oracle)
+
+
+# ----------------------------------------------------------------------
+# the stacked AllGatherv stage on engine grids
+# ----------------------------------------------------------------------
+#: 1 x p, p x 1, prime p (5 and 7) and R != C among them.
+ENGINE_GRIDS = [
+    Grid2D(R=1, C=1),
+    Grid2D(R=2, C=2),
+    Grid2D(R=1, C=4),
+    Grid2D(R=4, C=1),
+    Grid2D(R=1, C=5),
+    Grid2D(R=7, C=1),
+    Grid2D(R=3, C=2),
+    Grid2D(R=2, C=4),
+]
+
+GRAPH = rmat(6, seed=3)
+
+
+def _grid_comms(grid: Grid2D, clock_seed: int):
+    """Two engines' communicators on ``grid`` with the same uneven
+    clocks, and the engine's row and column groups."""
+    comms = []
+    for _ in range(2):
+        engine = Engine(GRAPH, grid=grid)
+        rng = np.random.default_rng(clock_seed)
+        engine.clocks.add_compute_all(rng.uniform(0.0, 1e-3, size=grid.n_ranks))
+        comms.append(engine.comm)
+    groups = {
+        "row": [ranks for _, ranks in engine.row_groups()],
+        "col": [ranks for _, ranks in engine.col_groups()],
+    }
+    return comms, groups
+
+
+def _ragged(p: int, seed: int, structured: bool) -> list[np.ndarray]:
+    """One send buffer per rank: empty on about half the ranks, up to
+    six entries on the rest, ``PAIR_DTYPE`` or ``float64``."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(p):
+        n = int(rng.integers(1, 7)) if rng.random() < 0.5 else 0
+        if structured:
+            buf = np.empty(n, dtype=PAIR_DTYPE)
+            buf["gid"] = rng.integers(0, 1000, size=n)
+            buf["val"] = rng.random(n)
+        else:
+            buf = rng.random(n)
+        out.append(buf)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    grid=st.sampled_from(ENGINE_GRIDS),
+    axis=st.sampled_from(["row", "col"]),
+    structured=st.booleans(),
+    split_phase=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+def test_stacked_allgatherv_stage_equals_the_per_group_loop(
+    grid, axis, structured, split_phase, seed
+):
+    """Results, counters and all seven clock lanes equal the per-group
+    loop over member buffers — blocking, and split-phase after every
+    handle is waited."""
+    (staged, oracle), groups = _grid_comms(grid, seed)
+    groups = groups[axis]
+    bufs = _ragged(grid.n_ranks, seed, structured)
+    if split_phase:
+        handles = staged.start_allgatherv_stage(groups, *rank_major(bufs), nic_sharing=2)
+        got = [h.result for h in handles]
+        want, inflight = [], []
+        for ranks in groups:
+            t, result = allgatherv_core(oracle, ranks, [bufs[r] for r in ranks], 2)
+            inflight.append(oracle.clocks.issue_collective(ranks, t))
+            want.append(result)
+        for handle, pending in zip(handles, inflight):
+            assert handle.inflight.issued_at == pending.issued_at
+            assert handle.inflight.comm_seconds == pending.comm_seconds
+            staged.wait(handle)
+            oracle.clocks.complete_collective(pending)
+    else:
+        got = staged.allgatherv_stage(groups, *rank_major(bufs), nic_sharing=2)
+        want = []
+        for ranks in groups:
+            t, result = allgatherv_core(oracle, ranks, [bufs[r] for r in ranks], 2)
+            oracle.clocks.sync_group(ranks, t)
+            want.append(result)
+    assert len(got) == len(want) == len(groups)
+    for x, y in zip(got, want):
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
+    _assert_same(staged, oracle)
+
+
+@pytest.mark.parametrize("split_phase", [False, True], ids=["blocking", "split-phase"])
+@pytest.mark.parametrize("fail_at", [0, 1, 3])
+def test_a_guard_raising_at_group_g_leaves_groups_before_it_moved(fail_at, split_phase):
+    """A guard that raises at group ``g``: the groups before ``g`` moved,
+    were counted and charged (on ``wait`` for split-phase), as one call
+    per group leaves them; ``g`` and the groups after it were not."""
+    (staged, oracle), groups = _grid_comms(Grid2D(R=2, C=4), 11)
+    groups = groups["row"]
+    bufs = _ragged(8, 5, structured=True)
+
+    def guard(clocks, kind, ranks, payload):
+        assert kind == "allgatherv"
+        # the members' send slices (blocking) or the received data
+        # (split-phase, checked at wait): the same bytes
+        assert b"".join(p.tobytes() for p in payload) == b"".join(
+            bufs[r].tobytes() for r in ranks
+        )
+        if list(ranks) == groups[fail_at]:
+            raise RankFailure(ranks[0], 1, kind, fault_kind="crash")
+
+    staged.guard = guard
+    with pytest.raises(RankFailure):
+        if split_phase:
+            for handle in staged.start_allgatherv_stage(groups, *rank_major(bufs)):
+                staged.wait(handle)
+        else:
+            staged.allgatherv_stage(groups, *rank_major(bufs))
+    for ranks in groups[:fail_at]:
+        t, _ = allgatherv_core(oracle, ranks, [bufs[r] for r in ranks], 1)
+        oracle.clocks.sync_group(ranks, t)
+    if split_phase:  # every group was issued and counted before the first wait
+        for ranks in groups[fail_at:]:
+            t, _ = allgatherv_core(oracle, ranks, [bufs[r] for r in ranks], 1)
+            oracle.clocks.issue_collective(ranks, t)
     _assert_same(staged, oracle)

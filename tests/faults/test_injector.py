@@ -6,7 +6,7 @@ import pytest
 from repro import Engine, algorithms
 from repro.cluster import AIMOS, CostModel, Topology
 from repro.comm import BroadcastCall, Communicator, VirtualClocks
-from repro.comm.collectives import COLLECTIVE_KINDS
+from repro.comm.collectives import COLLECTIVE_KINDS, rank_major
 from repro.comm.grid import Grid2D
 from repro.faults import (
     FaultInjector,
@@ -201,7 +201,7 @@ def _call(comm, kind):
     elif kind == "grouped_broadcast":
         comm.grouped_broadcast_stage([ranks], [[BroadcastCall(bufs[0], bufs[1:])]])
     elif kind == "allgatherv":
-        comm.allgatherv_stage([ranks], [bufs])
+        comm.allgatherv_stage([ranks], *rank_major(bufs))
     else:
         comm.alltoallv(ranks, [[b[:j] for j in range(4)] for b in bufs])
     return ranks

@@ -83,7 +83,7 @@ class TestSparsePushLanes:
         per_lane, fused = _lane_queues(engine, k, seed=7)
 
         singles = [
-            sparse_push(engine, f"y{lane}", per_lane[lane], op=op)
+            sparse_push(engine, f"y{lane}", engine.fleet.stack(per_lane[lane])[0], op=op)
             for lane in range(k)
         ]
         result = sparse_push_lanes(engine, "x", fused, op=op)
@@ -96,11 +96,10 @@ class TestSparsePushLanes:
                 )
         for lane in range(k):
             assert result.n_updated[lane] == singles[lane].n_updated
+            single_rows = engine.fleet.split(singles[lane].rows)
             for rank in range(engine.grid.n_ranks):
                 lids, lanes = result.active_row[rank]
-                np.testing.assert_array_equal(
-                    lids[lanes == lane], singles[lane].active_row[rank]
-                )
+                np.testing.assert_array_equal(lids[lanes == lane], single_rows[rank])
 
     def test_active_row_is_lane_major_sorted(self, rmat_graph):
         k = 2
@@ -117,7 +116,7 @@ class TestSparsePushLanes:
         k = 4
         engine = _setup(rmat_graph, k, seed=4)
         per_lane, fused = _lane_queues(engine, k, seed=13)
-        sparse_push(engine, "y0", per_lane[0], op="min")
+        sparse_push(engine, "y0", engine.fleet.stack(per_lane[0])[0], op="min")
         single_calls = engine.counters.summary()["allgatherv"]["calls"]
         sparse_push_lanes(engine, "x", fused, op="min")
         fused_calls = (

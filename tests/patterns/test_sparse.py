@@ -54,7 +54,7 @@ def test_sparse_push_equals_dense_push(grid):
     for a, b in zip(q1, q2):
         assert np.array_equal(a, b)
 
-    sparse_push(e1, "s", q1, op="min")
+    sparse_push(e1, "s", e1.fleet.stack(q1)[0], op="min")
     dense_push(e2, "s", op="min")
     for r in range(grid.n_ranks):
         assert np.array_equal(e1.ctx(r).get("s"), e2.ctx(r).get("s"))
@@ -70,7 +70,7 @@ def test_sparse_pull_equals_dense_pull(grid):
     q1 = _apply_local_updates(e1, "s", 8, "row")
     q2 = _apply_local_updates(e2, "s", 8, "row")
 
-    sparse_pull(e1, "s", q1, op="min")
+    sparse_pull(e1, "s", e1.fleet.stack(q1)[0], op="min")
     dense_pull(e2, "s", op="min")
     for r in range(grid.n_ranks):
         assert np.array_equal(e1.ctx(r).get("s"), e2.ctx(r).get("s"))
@@ -84,11 +84,8 @@ def test_sparse_push_counts_updates():
     ctx = engine.ctx(0)
     lid = ctx.col_slice.start
     ctx.get("s")[lid] = -1.0
-    queues = [
-        np.array([lid]) if r == 0 else np.empty(0, dtype=np.int64)
-        for r in range(4)
-    ]
-    result = sparse_push(engine, "s", queues, op="min")
+    # stacked LIDs: rank 0's start at 0
+    result = sparse_push(engine, "s", np.array([lid]), op="min")
     assert result.n_updated == 1
     out = engine.gather("s")
     gid = ctx.localmap.col_gid(lid)
@@ -101,8 +98,7 @@ def test_sparse_no_updates_is_cheap_and_stable():
     g = rmat(6, seed=2)
     engine = Engine(g, 4)
     vec = _consistent_init(engine, "s", 1)
-    empty = [np.empty(0, dtype=np.int64)] * 4
-    result = sparse_push(engine, "s", empty, op="min")
+    result = sparse_push(engine, "s", np.empty(0, dtype=np.int64), op="min")
     assert result.n_updated == 0
     assert np.array_equal(engine.gather("s"), vec)
 
@@ -118,7 +114,7 @@ def test_sparse_volume_below_dense_volume():
     queues = [np.empty(0, dtype=np.int64)] * 16
     queues[3] = np.array([e_sparse.ctx(3).col_slice.start])
     e_sparse.ctx(3).get("s")[queues[3][0]] = 0.0
-    sparse_push(e_sparse, "s", queues, op="min")
+    sparse_push(e_sparse, "s", e_sparse.fleet.stack(queues)[0], op="min")
     dense_push(e_dense, "s", op="min")
     assert e_sparse.counters.total_bytes < e_dense.counters.total_bytes / 10
 

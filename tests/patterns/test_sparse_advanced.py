@@ -33,11 +33,8 @@ class TestDeltaSums:
         gid = int(ctx.localmap.col_gid(lid))
         # rank 0 contributes a delta of 7 on one ghost
         ctx.get("s")[lid] = 7.0
-        queues = [
-            np.array([lid]) if r == 0 else np.empty(0, dtype=np.int64)
-            for r in range(4)
-        ]
-        sparse_push(engine, "s", queues, op="sum")
+        # stacked LIDs: rank 0's start at 0
+        sparse_push(engine, "s", np.array([lid]), op="sum")
         # every member of the column group holding gid accumulated it...
         for r in engine.grid.col_group_of(0):
             other = engine.ctx(r)
@@ -57,7 +54,6 @@ class TestEmptyGroupPaths:
         g = rmat(7, seed=2)
         engine = Engine(g, grid=grid)
         _consistent_init(engine, "s", 3)
-        queues = [np.empty(0, dtype=np.int64)] * grid.n_ranks
         for fn in (sparse_push, sparse_pull):
-            result = fn(engine, "s", queues, op="min")
+            result = fn(engine, "s", np.empty(0, dtype=np.int64), op="min")
             assert result.n_updated == 0

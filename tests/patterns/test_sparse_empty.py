@@ -35,6 +35,9 @@ def _empty_queues(engine: Engine) -> list[np.ndarray]:
     return [np.empty(0, dtype=np.int64) for _ in range(engine.n_ranks)]
 
 
+_EMPTY_QUEUE = np.empty(0, dtype=np.int64)  # a stacked queue: no rank has entries
+
+
 class TestAllEmptyQueues:
     @pytest.mark.parametrize("grid", GRIDS)
     @pytest.mark.parametrize("exchange", [sparse_push, sparse_pull])
@@ -42,11 +45,11 @@ class TestAllEmptyQueues:
         engine = _engine(grid)
         engine.alloc("x", np.float64, fill=7.0)
         before = [ctx.get("x").copy() for ctx in engine]
-        res = exchange(engine, "x", _empty_queues(engine))
+        res = exchange(engine, "x", _EMPTY_QUEUE)
         assert res.n_updated == 0
         for ctx, prev in zip(engine, before):
             np.testing.assert_array_equal(ctx.get("x"), prev)
-        assert all(q.size == 0 for q in res.active_row)
+        assert res.rows.size == 0
 
     @pytest.mark.parametrize("grid", GRIDS)
     def test_propagate_active_pull_all_empty(self, grid):
@@ -63,7 +66,7 @@ class TestAllEmptyQueues:
         engine.reset_timers()
         engine.alloc("x", np.float64, fill=1.0)
         for _ in range(3):
-            sparse_push(engine, "x", _empty_queues(engine))
+            sparse_push(engine, "x", _EMPTY_QUEUE)
             engine.clocks.mark_iteration()
         rows = TraceRecorder(engine).collect()
         c = engine.counters
@@ -76,8 +79,8 @@ class TestDtypePreservation:
     def test_allgatherv_empty_preserves_structured_dtype(self):
         engine = _engine(Grid2D(2, 2))
         ranks = [0, 1]
-        sbufs = [np.empty(0, dtype=PAIR_DTYPE) for _ in ranks]
-        [rbuf] = engine.comm.allgatherv_stage([ranks], [sbufs])
+        send, counts = np.empty(0, dtype=PAIR_DTYPE), np.zeros(2, dtype=np.int64)
+        [rbuf] = engine.comm.allgatherv_stage([ranks], send, counts)
         assert rbuf.dtype == PAIR_DTYPE
         assert rbuf["gid"].size == 0  # field access must not raise
 

@@ -6,7 +6,8 @@ per-rank closures per stage run through ``Engine.map_ranks`` — kept
 verbatim (renamed ``per_rank_sparse_*``; its send buffers, once drawn
 from per-rank pools, are plain ``np.empty``) so the fused passes are
 held to it bit for bit:
-state on every rank, the active row queues, ``n_updated``, the clock
+state on every rank, the active row queues (the oracle's per-rank
+lists, stacked, are the fused pass's ``rows``), ``n_updated``, the clock
 lanes and the communication counters, for ``min`` / ``max`` / ``sum``,
 blocking and overlapped engines, and grids
 including 1xp, px1, prime p and more ranks than vertices.
@@ -14,12 +15,13 @@ including 1xp, px1, prime p and more ranks than vertices.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.comm.collectives import rank_major
 from repro.comm.grid import Grid2D
 from repro.core.context import RankContext
 from repro.core.engine import Engine
@@ -36,6 +38,13 @@ from repro.patterns.sparse import (
 # ----------------------------------------------------------------------
 # the oracle: per-rank closures, as before the fusion
 # ----------------------------------------------------------------------
+class PerRankResult(NamedTuple):
+    """What the oracle returns: per-rank active row queues."""
+
+    active_row: list[np.ndarray]
+    n_updated: int
+
+
 def _pairs(gids: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """A ``{gid, val}`` send buffer."""
     buf = np.empty(gids.size, dtype=PAIR_DTYPE)
@@ -64,7 +73,10 @@ def _group_allgatherv(
         h = engine.comm.start_allgatherv(ranks, sbufs, nic_sharing=nic_sharing)
         handles.append(h)
         return h.result
-    return engine.comm.allgatherv_stage([ranks], [sbufs], nic_sharing)[0]
+    by_rank = [sbufs[0][:0]] * engine.n_ranks
+    for r, buf in zip(ranks, sbufs):
+        by_rank[r] = buf
+    return engine.comm.allgatherv_stage([ranks], *rank_major(by_rank), nic_sharing)[0]
 
 
 def _wait_all(engine: Engine, handles: list) -> None:
@@ -92,7 +104,7 @@ def per_rank_sparse_push(
     name: str,
     queues: list[np.ndarray],
     op: str = "min",
-) -> SparseResult:
+) -> PerRankResult:
     """Sparse push exchange.
 
     Parameters
@@ -181,7 +193,7 @@ def per_rank_sparse_push(
 
     active_row = engine.map_ranks(apply_row)
     _wait_all(engine, handles)
-    return SparseResult(active_row=active_row, n_updated=n_updated)
+    return PerRankResult(active_row=active_row, n_updated=n_updated)
 
 
 def per_rank_sparse_pull(
@@ -189,7 +201,7 @@ def per_rank_sparse_pull(
     name: str,
     queues: list[np.ndarray],
     op: str = "min",
-) -> SparseResult:
+) -> PerRankResult:
     """Sparse pull exchange: row-group reduce, column-group refresh.
 
     ``queues`` hold per-rank *row-vertex LIDs* updated by the local
@@ -272,7 +284,7 @@ def per_rank_sparse_pull(
 
     engine.foreach(apply_col)
     _wait_all(engine, handles)
-    return SparseResult(active_row=active_row, n_updated=n_updated)
+    return PerRankResult(active_row=active_row, n_updated=n_updated)
 
 
 # ----------------------------------------------------------------------
@@ -319,13 +331,13 @@ def _prepare(graph, grid, overlap, seed, window):
     return engine, queues
 
 
-def _assert_same(fused: Engine, oracle: Engine, got: SparseResult, want: SparseResult):
+def _assert_same(fused: Engine, oracle: Engine, got: SparseResult, want: PerRankResult):
     for a, b in zip(fused, oracle):
         assert np.array_equal(a.get("s"), b.get("s")), a.rank
     assert got.n_updated == want.n_updated
-    assert len(got.active_row) == len(want.active_row)
-    for r, (a, b) in enumerate(zip(got.active_row, want.active_row)):
-        assert a.dtype == b.dtype and np.array_equal(a, b), r
+    assert len(want.active_row) == fused.n_ranks
+    expect, _ = fused.fleet.stack(want.active_row)
+    assert got.rows.dtype == np.int64 and np.array_equal(got.rows, expect)
     for lane in ("clock", "compute", "comm", "overlap"):
         assert np.array_equal(getattr(fused.clocks, lane), getattr(oracle.clocks, lane)), lane
     assert fused.counters.summary() == oracle.counters.summary()
@@ -350,7 +362,7 @@ def test_fused_exchange_equals_per_rank_oracle(grid, n, op, overlap, push, seed)
     exchange, reference = (
         (sparse_push, per_rank_sparse_push) if push else (sparse_pull, per_rank_sparse_pull)
     )
-    got = exchange(fused, "s", queues, op=op)
+    got = exchange(fused, "s", fused.fleet.stack(queues)[0], op=op)
     want = reference(oracle, "s", queues_b, op=op)
     _assert_same(fused, oracle, got, want)
     # the state the fused pass wrote is the per-rank arrays themselves
@@ -375,7 +387,7 @@ def test_sum_keeps_each_ranks_received_buffer_order():
             queues.append(np.array([lid], dtype=np.int64))
         engines.append((engine, queues))
     (fused, q_a), (oracle, q_b) = engines
-    got = sparse_push(fused, "s", q_a, op="sum")
+    got = sparse_push(fused, "s", fused.fleet.stack(q_a)[0], op="sum")
     want = per_rank_sparse_push(oracle, "s", q_b, op="sum")
     _assert_same(fused, oracle, got, want)
     # and the order did matter for these magnitudes
@@ -407,7 +419,7 @@ def test_push_touched_covers_every_changed_cell(grid, n, op, overlap, seed):
         lids = np.sort(rng.choice(np.arange(sl.start, sl.stop), size=k, replace=False))
         ctx.get("s")[lids] = rng.choice(ORDER_SENSITIVE, size=k)
         queues.append(lids.astype(np.int64))
-    got = sparse_push(engine, "s", queues, op=op)
+    got = sparse_push(engine, "s", engine.fleet.stack(queues)[0], op=op)
     after = engine.fleet.stacked("s")
     changed = np.flatnonzero(before.view(np.int64) != after.view(np.int64))
     assert np.isin(changed, got.touched).all()

@@ -11,6 +11,11 @@ parallelism, and a fused superstep is one vectorized pass over all of
 them.  No module under ``src/repro`` imports ``threading``,
 ``concurrent.futures`` or ``queue``.
 
+A queue cut into per-rank lists or joined from them
+(``fleet.split(`` / ``fleet.stack(`` in the same scope) is per-rank
+bookkeeping the stacked patterns no longer need; those conversions only
+go down.
+
 Every ``except`` clause under ``src/repro`` is a place an error can be
 swallowed or retyped; their count only goes down too.
 
@@ -19,7 +24,8 @@ can afford: the index and data bytes it holds per stored edge only go
 down.
 
 A run owns its state: after one op, the fleet holds the next op's
-arrays and nothing an earlier op allocated.
+arrays and nothing an earlier op allocated — neither in the run nor
+among the buffers a run keeps for the next one to refill.
 
 There is one engine: only ``core/engine.py`` builds the clocks, the
 communicator and the counters a run is modeled on.  The few other
@@ -44,8 +50,8 @@ functions and classes under ``src/repro`` (outside ``reference/``, the
 serial oracles and test graphs) that nothing in the package itself,
 the benchmarks, the examples or CI reaches only go down.
 
-CI prints the same census (the fan-out sites, the modules that use
-threads, the ``except`` clauses, the index bytes per edge, the state
+CI prints the same census (the fan-out sites, the per-rank queue
+conversions, the modules that use threads, the ``except`` clauses, the index bytes per edge, the state
 bytes held after two ops, the modules that build clocks, a
 communicator or counters, the hand-charged collectives, the hand-built
 all-rank flags, the test-only
@@ -63,6 +69,8 @@ import re
 import sys
 import textwrap
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "repro")
 FAN_OUT = re.compile(r"\b(?:map_ranks|foreach)\(")
@@ -77,6 +85,13 @@ FAN_OUT_SCOPE = ("algorithms", "patterns", os.path.join("core", "program.py"))
 #: and the batch root seeds became stacked writes; 37 before pointer
 #: jumping built its home tables from one original-order vector.
 FAN_OUT_CEILING = 36
+
+QUEUE_CONVERSION = re.compile(r"\bfleet\.(?:split|stack)\(")
+#: 11 while ``sparse_push`` / ``sparse_pull`` took and returned per-rank
+#: lists and BFS cut its frontier into one every superstep; what is
+#: left converts at a per-rank caller's own edge (the vertex program's
+#: local compute, matching, a checkpoint's queue).
+QUEUE_CONVERSION_CEILING = 7
 
 THREADS = re.compile(
     r"^\s*(?:import|from)\s+(?:threading|concurrent|queue)(?:[\s.]|$)"
@@ -170,6 +185,18 @@ def fan_out_sites() -> dict[str, int]:
     return sites
 
 
+def queue_conversion_sites() -> dict[str, int]:
+    """Per-file count of ``fleet.split(`` / ``fleet.stack(`` calls in the
+    fan-out ratchet's scope."""
+    sites = {}
+    for scope in FAN_OUT_SCOPE:
+        for path in _python_files(os.path.join(SRC, scope)):
+            n = sum(len(QUEUE_CONVERSION.findall(line)) for line in _lines(path))
+            if n:
+                sites[os.path.relpath(path, SRC)] = n
+    return sites
+
+
 def threaded_modules() -> list[str]:
     """Modules under ``src/repro`` that import a threading library."""
     return sorted(
@@ -218,9 +245,9 @@ def index_bytes_per_edge() -> float:
 
 
 def held_state_bytes() -> int:
-    """Bytes of every state array the fleet holds after a weighted
-    ``rmat(10)`` on 2x2 ran ``bfs_batch`` (4 roots), then ``sssp_batch``
-    (2 roots)."""
+    """Bytes of every state buffer the fleet holds — the run's and those
+    kept for the next run — after a weighted ``rmat(10)`` on 2x2 ran
+    ``bfs_batch`` (4 roots), then ``sssp_batch`` (2 roots)."""
     from repro import Engine, algorithms
     from repro.comm.grid import Grid2D
     from repro.graph import rmat
@@ -229,7 +256,7 @@ def held_state_bytes() -> int:
     engine = Engine(graph, grid=Grid2D(R=2, C=2))
     algorithms.bfs_batch(engine, [0, 1, 2, 3])
     algorithms.sssp_batch(engine, [0, 1])
-    return sum(engine.fleet.stacked(name).nbytes for name in engine.ctx(0).arrays)
+    return sum(buf.nbytes for buf in engine.fleet.buffers())
 
 
 def engine_part_sites() -> dict[str, int]:
@@ -376,6 +403,61 @@ def test_rank_fan_out_sites_only_go_down():
     assert sum(sites.values()) <= FAN_OUT_CEILING, sites
 
 
+def test_queue_conversions_only_go_down():
+    sites = queue_conversion_sites()
+    assert sum(sites.values()) <= QUEUE_CONVERSION_CEILING, sites
+
+
+def _scaleout_engine():
+    from repro import Engine
+    from repro.comm.grid import Grid2D
+    from repro.graph import rmat
+
+    return Engine(rmat(9, seed=1), grid=Grid2D(R=16, C=16))
+
+
+def test_a_second_bfs_refills_the_first_one_s_buffers():
+    """A run's state buffers are kept by name for the next run: a second
+    BFS on a 16x16 engine refills the first one's, and answers alike."""
+    from repro import algorithms
+
+    engine = _scaleout_engine()
+    first = algorithms.bfs(engine, root=3)
+    held = {name: engine.fleet.stacked(name) for name in engine.ctx(0).arrays}
+    assert sorted(held) == ["deg", "level", "parent"]
+    again = algorithms.bfs(engine, root=3)
+    for name, buf in held.items():
+        assert engine.fleet.stacked(name) is buf, name
+    assert np.array_equal(first.values, again.values)
+    assert np.array_equal(first.extra["levels"], again.extra["levels"])
+    assert first.timings == again.timings
+
+
+def test_an_op_of_another_kind_holds_nothing_of_the_first():
+    """Nothing a BFS allocated survives a connected-components run's
+    first superstep boundary: neither as the run's state nor as a kept
+    buffer — from then on the fleet holds exactly the run's arrays."""
+    from repro import algorithms
+    from repro.core.hooks import BoundaryHook
+
+    engine = _scaleout_engine()
+    algorithms.bfs(engine, root=3)
+    bfs_buffers = {id(buf) for buf in engine.fleet.buffers()}
+    held = []
+
+    class Probe(BoundaryHook):
+        slot, phases = "probe", ("observe",)
+
+        def on_phase(self, phase, engine, boundary):
+            run = {id(engine.fleet.stacked(name)) for name in engine.ctx(0).arrays}
+            held.append(({id(buf) for buf in engine.fleet.buffers()}, run))
+
+    engine.attach(Probe())
+    algorithms.connected_components(engine)
+    first, run = held[0]
+    assert first == run and not first & bfs_buffers
+
+
 def test_no_module_uses_threads():
     assert threaded_modules() == []
 
@@ -419,6 +501,13 @@ if __name__ == "__main__":
         print(f"{n:4d}  {name}")
     total = sum(sites.values())
     print(f"{total:4d}  map_ranks( / foreach( sites (ceiling {FAN_OUT_CEILING})")
+    conversions = queue_conversion_sites()
+    for name, n in sorted(conversions.items()):
+        print(f"{n:4d}  {name}")
+    print(
+        f"{sum(conversions.values()):4d}  fleet.split( / fleet.stack( sites "
+        f"(ceiling {QUEUE_CONVERSION_CEILING})"
+    )
     print(f"threads imported by: {', '.join(threaded_modules()) or 'none'}")
     print(f"{except_clauses():4d}  except clauses (ceiling {EXCEPT_CEILING})")
     print(
@@ -426,7 +515,8 @@ if __name__ == "__main__":
         f"(ceiling {INDEX_BYTES_PER_EDGE_CEILING})"
     )
     print(
-        f"{held_state_bytes():4d}  state bytes held after bfs_batch, sssp_batch "
+        f"{held_state_bytes():4d}  state bytes held (the run's and kept) after "
+        f"bfs_batch, sssp_batch "
         f"(ceiling {HELD_STATE_BYTES_CEILING})"
     )
     parts = engine_part_sites()
