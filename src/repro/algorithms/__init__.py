@@ -12,7 +12,7 @@ Pointer jumping (PJ)             :func:`repro.algorithms.pointerjump.pointer_jum
 ==============================  ==========================================
 """
 
-from .batch import bfs_batch, pagerank_batch, sssp_batch
+from .batch import bfs_batch, sssp_batch
 from .betweenness import betweenness
 from .bfs import ALPHA, BETA, bfs, pseudo_diameter, validate_roots
 from .coloring import greedy_coloring, is_proper_coloring
@@ -31,7 +31,6 @@ __all__ = [
     "betweenness",
     "bfs",
     "bfs_batch",
-    "pagerank_batch",
     "sssp_batch",
     "validate_roots",
     "pseudo_diameter",

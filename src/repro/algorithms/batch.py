@@ -2,11 +2,12 @@
 
 The paper's cost model is dominated at scale by per-collective α terms,
 so k independent queries run sequentially pay k traversals' worth of
-latency.  These entry points instead run k query *lanes* through one
-BSP superstep stream over ``(N_T, k)`` state arrays: every sparse
-exchange ships one fused ``{gid, lane, val}`` buffer carrying all live
-frontiers (:func:`~repro.patterns.sparse.sparse_push_lanes`), and every
-dense sweep/AllReduce carries a k-column slice
+latency.  :func:`bfs_batch` and :func:`sssp_batch` instead run k query
+*lanes* through one BSP superstep stream over ``(N_T, k)`` state
+arrays: every sparse exchange ships one fused ``{gid, lane, val}``
+buffer carrying all live frontiers
+(:func:`~repro.patterns.sparse.sparse_push_lanes`), and every
+bottom-up BFS sweep carries a k-column slice
 (:func:`~repro.patterns.dense.dense_exchange_lanes`) — one α charge per
 collective where k sequential runs pay k.  Per-lane convergence masks
 retire finished queries mid-stream, shrinking the buffers as lanes
@@ -21,14 +22,12 @@ fused kernel is built so each lane's update subsequence is applied in
 the order the 1-D code would use (see
 :func:`~repro.kernels.scatter_reduce_lanes`), queues stay lane-major so
 within-lane GID order matches the 1-D sorted queues, and per-lane
-scalar reductions (frontier edge counts, dangling mass, deltas) reuse
-the exact 1-D operand sequences.
+frontier edge counts reuse the exact 1-D operand sequences.
 
 ``k == 1`` degenerates to the single-source code path by construction:
 each batch function delegates to its scalar counterpart and reshapes
 the result, so a batch of one is the single-source run.
 """
-
 from __future__ import annotations
 
 from types import SimpleNamespace
@@ -38,14 +37,14 @@ import numpy as np
 
 from ..core.engine import Engine
 from ..core.result import AlgorithmResult
-from ..kernels import csr_pull, scatter_reduce_lanes
+from ..kernels import scatter_reduce_lanes
 from ..patterns.dense import dense_exchange_lanes
 from ..patterns.sparse import sparse_push_lanes
 from .bfs import ALPHA, BETA, bfs, check_switching, validate_roots
-from .pagerank import compute_global_degrees, pagerank
+from .pagerank import compute_global_degrees
 from .sssp import require_sssp_weights, sssp
 
-__all__ = ["bfs_batch", "sssp_batch", "pagerank_batch"]
+__all__ = ["bfs_batch", "sssp_batch"]
 
 INF = np.inf
 
@@ -557,148 +556,3 @@ def sssp_batch(
         },
     )
 
-
-def pagerank_batch(
-    engine: Engine,
-    seeds,
-    iterations: int = 20,
-    damping: float = 0.85,
-    tol: Optional[float] = None,
-    resume: bool = False,
-) -> AlgorithmResult:
-    """Personalized PageRank from ``k`` seed vertices, one lane each.
-
-    Lane ``l`` runs PageRank with a one-hot teleport distribution at
-    ``seeds[l]``; ``values`` column ``l`` is bit-identical to
-    ``pagerank(engine, personalization=one_hot(seeds[l]), ...)``.
-    With ``tol`` set, converged lanes freeze mid-stream and drop out of
-    the dense exchanges; the remaining lanes keep sharing one AllReduce
-    per group per iteration.  ``resume=True`` continues from the
-    engine's latest attached checkpoint of a run over the same seeds.
-    """
-    n = engine.partition.n_vertices
-    grid, fleet = engine.grid, engine.fleet
-    all_ranks = list(range(grid.n_ranks))
-    seeds = validate_roots(n, seeds, "seeds")
-    k = seeds.size
-    if k == 1:
-        pers = np.zeros(n)
-        pers[int(seeds[0])] = 1.0
-        res = pagerank(
-            engine,
-            iterations=iterations,
-            damping=damping,
-            personalization=pers,
-            tol=tol,
-            resume=resume,
-        )
-        return AlgorithmResult(
-            values=res.values.reshape(-1, 1),
-            timings=res.timings,
-            iterations=res.iterations,
-            counters=res.counters,
-            extra={
-                "damping": damping,
-                "iterations": [res.iterations],
-                "seeds": [int(seeds[0])],
-            },
-        )
-
-    tag = f"pagerank_batch(seeds={seeds.tolist()})"
-    if resume:
-        s = SimpleNamespace(**engine.resume_from_checkpoint(tag))
-    else:
-        tele_global = np.zeros((n, k))
-        tele_global[seeds, np.arange(k)] = 1.0
-        engine.reset_timers()
-        engine.scatter_global("tele", tele_global)
-        compute_global_degrees(engine)
-        engine.alloc("pr", np.float64, fill=1.0 / n, width=k)
-        engine.alloc("acc", np.float64, width=k)
-        s = SimpleNamespace(
-            lane_done=np.zeros(k, dtype=bool),
-            lane_iters=np.zeros(k, dtype=np.int64),
-            iterations_run=0,
-        )
-
-    # As in `pagerank`: everything but the dangling share is one pass
-    # over the rank-stacked (N_T, k) state.
-    pull = fleet.csr()
-    full_queue, rows_per_rank = fleet.full_queue()
-    while s.iterations_run < iterations and not s.lane_done.all():
-        s.iterations_run += 1
-        act = np.flatnonzero(~s.lane_done)
-        pr = fleet.stacked("pr")
-        deg = fleet.stacked("deg")
-        acc = fleet.stacked("acc")
-        tele = fleet.stacked("tele")
-
-        # Dangling mass for every live lane in one (split-phase when
-        # overlapped) vector AllReduce; per-lane sums run over exactly
-        # the 1-D operand sequence.
-        def dangling_share(ctx):
-            pr = ctx.get("pr")
-            deg = ctx.get("deg")
-            rw = ctx.row_slice
-            engine.charge_vertices(ctx.rank, ctx.localmap.n_row)
-            masked = pr[rw][deg[rw] == 0]
-            return (
-                np.array([masked[:, lane].copy().sum() for lane in act])
-                / grid.R
-            )
-
-        partials = engine.map_ranks(dangling_share)
-        dangling_handle = (
-            engine.comm.start_allreduce(all_ranks, partials, op="sum")
-            if engine.overlap
-            else None
-        )
-
-        # Local partial gathers: one CSR pull feeds all k columns (per
-        # column the 1-D accumulation order).
-        engine.charge_edges(
-            None, full_queue, segments=rows_per_rank, cache_key="pr.full"
-        )
-        x = pr / np.maximum(deg, 1e-300)[:, None]
-        x[deg == 0] = 0.0
-        acc[...] = csr_pull(pull, x, "sum")
-
-        # Complete sums along row groups, refresh ghosts — live lanes
-        # only.
-        dense_exchange_lanes(engine, "acc", "pull", "sum", act)
-
-        if dangling_handle is not None:
-            engine.comm.wait(dangling_handle)
-        else:
-            engine.comm.allreduce(all_ranks, partials, op="sum")
-        dangling = partials[0]
-
-        t_a = tele[:, act]
-        new = (1.0 - damping) * t_a + damping * (
-            acc[:, act] + dangling[None, :] * t_a
-        )
-        if tol is not None:
-            # each rank's largest change per live lane over its row window
-            rows = fleet.row_mask
-            rank_delta = fleet.row_window_max(np.abs(new[rows] - pr[rows][:, act]))
-        pr[:, act] = new
-        engine.charge_vertices(None, fleet.n_total)
-        s.lane_iters[act] = s.iterations_run
-        if tol is not None:
-            max_delta, wait = engine.reduce_partials(rank_delta, op="max")
-            wait()
-            s.lane_done[act[max_delta < tol]] = True
-        engine.superstep_boundary(tag, lambda: vars(s))
-
-    values = engine.gather("pr")
-    return AlgorithmResult(
-        values=values,
-        timings=engine.timing_report(),
-        iterations=s.iterations_run,
-        counters=engine.counters.summary(),
-        extra={
-            "damping": damping,
-            "iterations": [int(i) for i in s.lane_iters],
-            "seeds": [int(s) for s in seeds],
-        },
-    )

@@ -58,7 +58,7 @@ def validate_roots(n: int, roots, what: str = "roots") -> np.ndarray:
     """Validate a list of start vertices: integer, non-empty, in-range,
     no dupes.
 
-    Every root, start, source and seed an algorithm takes comes through
+    Every root, start and source an algorithm takes comes through
     here; a single one is passed as a one-element list.  A non-integer
     dtype (float, bool, object) is refused rather than truncated.
     Duplicate sources are rejected rather than silently fused — two

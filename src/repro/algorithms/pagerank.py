@@ -64,6 +64,12 @@ def pagerank(
 
     Parameters
     ----------
+    iterations:
+        How many iterations to run, an integer >= 1 (``0``, a float or
+        a bool raises ``ValueError``).
+    damping:
+        The damping factor, in ``[0, 1]`` (outside it raises
+        ``ValueError``).
     personalization:
         Optional teleport distribution in original vertex order
         (normalized internally); dangling mass follows it.
@@ -87,6 +93,11 @@ def pagerank(
     shrink) agrees with the fault-free run to within ~1 ulp rather
     than bit-exactly; see ``docs/ROBUSTNESS.md``.
     """
+    from .bfs import check_count  # here: bfs imports this module
+
+    iterations = check_count(iterations, "iterations")
+    if not 0.0 <= damping <= 1.0:
+        raise ValueError(f"damping must lie in [0, 1], got {damping!r}")
     n = engine.partition.n_vertices
     grid, fleet = engine.grid, engine.fleet
     all_ranks = list(range(grid.n_ranks))

@@ -342,13 +342,17 @@ class Engine:
         in a buffer the previous run left under this name, dtype and
         width if there is one (:meth:`reset_timers`), else a new one.
         The state lives until the run ends: :meth:`free`, or the next
-        :meth:`reset_timers`.
+        :meth:`reset_timers`.  A charge that does not fit raises
+        :class:`~repro.cluster.DeviceMemoryError` before the fleet
+        holds the state, so a refused allocation leaves none behind.
         """
-        if self.fleet.alloc(name, dtype, fill, width):
-            label, buf = f"state.{name}", self.fleet.stacked(name)
-            row_nbytes = buf.itemsize * int(np.prod(buf.shape[1:]))
+        label = f"state.{name}"
+
+        def charge(row_nbytes: int) -> None:
             self.devices.release(label)
             self.devices.charge({label: self.fleet.n_total * row_nbytes})
+
+        self.fleet.alloc(name, dtype, fill, width, charge)
         return self.states(name)
 
     def states(self, name: str) -> list[np.ndarray]:

@@ -129,15 +129,16 @@ class Fleet:
     # ------------------------------------------------------------------
     # state arena
     # ------------------------------------------------------------------
-    def alloc(self, name: str, dtype, fill, width: Optional[int]) -> bool:
+    def alloc(self, name: str, dtype, fill, width: Optional[int], charge) -> None:
         """Fill state ``name`` with ``fill`` on every rank.
 
         The run's buffer of that name is re-filled in place while it
-        keeps its dtype and lane ``width``; otherwise a buffer :meth:`hide`
-        kept under that name, dtype and width is refilled, and failing
-        both, everything still kept is dropped and a new buffer made.
-        Returns whether the state entered the run (the caller charges
-        the devices for it).
+        keeps its dtype and lane ``width``.  Otherwise the state enters
+        the run: ``charge(bytes per LID)`` is called first — if it
+        raises, no state of that name is left and every kept buffer
+        stays — then a buffer :meth:`hide` kept under that name, dtype
+        and width is refilled, and failing that, everything still kept
+        is dropped and a new buffer made.
         """
         dtype = np.dtype(dtype)
         tail = () if width is None else (int(width),)
@@ -146,9 +147,9 @@ class Fleet:
             return buf is not None and buf.dtype == dtype and buf.shape[1:] == tail
 
         buf = self._arena.get(name)
-        entered = not fits(buf)
-        if entered:
+        if not fits(buf):
             self.free(name)
+            charge(dtype.itemsize * int(np.prod(tail)))
             buf, views = self._kept.pop(name, (None, None))
             if not fits(buf):
                 self._kept.clear()
@@ -159,7 +160,6 @@ class Fleet:
             for rank_views, view in zip(self.views, views):
                 rank_views[name] = view
         buf[...] = fill
-        return entered
 
     def free(self, name: str) -> None:
         """Drop state ``name`` from every rank (nothing if it is not

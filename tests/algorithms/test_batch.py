@@ -1,8 +1,8 @@
 """Lane-batched multi-source traversal: the bit-identity suite.
 
 The batch contract is strict: lane ``l`` of ``bfs_batch`` /
-``sssp_batch`` / ``pagerank_batch`` must reproduce *exactly* the arrays
-of the corresponding single-source run — with ``map_ranks`` visiting
+``sssp_batch`` must reproduce *exactly* the arrays of the
+corresponding single-source run — with ``map_ranks`` visiting
 the ranks forward and in reverse, with communication overlap on and
 off.  Single-source runs are themselves rank-order- and
 overlap-invariant (the determinism suite's contract), so each batched
@@ -17,8 +17,6 @@ import pytest
 from repro.algorithms import (
     bfs,
     bfs_batch,
-    pagerank,
-    pagerank_batch,
     pseudo_diameter,
     sssp,
     sssp_batch,
@@ -102,18 +100,6 @@ def bfs_refs(graph):
 @pytest.fixture(scope="module")
 def sssp_refs(wgraph):
     return {r: sssp(Engine(wgraph, RANKS), root=r) for r in ROOTS8}
-
-
-@pytest.fixture(scope="module")
-def pr_refs(graph):
-    out = {}
-    for r in ROOTS8:
-        pers = np.zeros(graph.n_vertices)
-        pers[r] = 1.0
-        out[r] = pagerank(
-            Engine(graph, RANKS), iterations=10, personalization=pers
-        )
-    return out
 
 
 class TestBFSEquivalence:
@@ -266,60 +252,19 @@ class TestSSSPEquivalence:
             np.testing.assert_array_equal(res.values[:, lane], single.values)
 
 
-class TestPageRankEquivalence:
-    @pytest.mark.parametrize("mode", sorted(MODES))
-    @pytest.mark.parametrize("kname", sorted(KS))
-    def test_bit_identical_per_lane(self, graph, pr_refs, mode, kname):
-        seeds = KS[kname]
-        res = run_mode(mode, pagerank_batch, graph, seeds, iterations=10)
-        assert res.values.shape == (graph.n_vertices, len(seeds))
-        for lane, seed in enumerate(seeds):
-            np.testing.assert_array_equal(
-                res.values[:, lane], pr_refs[seed].values, strict=True
-            )
-
-    def test_tol_retires_lanes_at_single_source_iterations(self, graph):
-        """Converged lanes must freeze exactly where the single-source
-        run stops — mid-stream retirement cannot perturb the values."""
-        seeds = ROOTS8[:4]
-        res = pagerank_batch(
-            Engine(graph, RANKS), seeds, iterations=60, tol=1e-6
-        )
-        for lane, seed in enumerate(seeds):
-            pers = np.zeros(graph.n_vertices)
-            pers[seed] = 1.0
-            single = pagerank(
-                Engine(graph, RANKS),
-                iterations=60,
-                personalization=pers,
-                tol=1e-6,
-            )
-            np.testing.assert_array_equal(
-                res.values[:, lane], single.values, strict=True
-            )
-            assert res.extra["iterations"][lane] == single.iterations
-
-    def test_lane_columns_are_distributions(self, graph):
-        res = pagerank_batch(Engine(graph, RANKS), ROOTS2, iterations=10)
-        sums = res.values.sum(axis=0)
-        np.testing.assert_allclose(sums, 1.0, rtol=1e-9)
-
-
 class TestValidation:
     def test_duplicate_roots_rejected(self, graph, wgraph):
         with pytest.raises(ValueError, match="duplicate"):
             bfs_batch(Engine(graph, RANKS), [3, 17, 3])
         with pytest.raises(ValueError, match="duplicate"):
             sssp_batch(Engine(wgraph, RANKS), [5, 5])
-        with pytest.raises(ValueError, match="duplicate"):
-            pagerank_batch(Engine(graph, RANKS), [9, 9])
 
     def test_out_of_range_rejected(self, graph):
         n = graph.n_vertices
         with pytest.raises(ValueError, match="out of range"):
             bfs_batch(Engine(graph, RANKS), [0, n])
         with pytest.raises(ValueError, match="out of range"):
-            pagerank_batch(Engine(graph, RANKS), [-1])
+            bfs_batch(Engine(graph, RANKS), [-1])
 
     def test_empty_rejected(self, graph):
         with pytest.raises(ValueError, match="non-empty"):
@@ -376,20 +321,6 @@ class TestCounterAmortization:
         batch_calls = batched.counters["allgatherv"]["calls"]
         assert seq_calls > batch_calls > 0
         assert seq_calls / batch_calls >= 0.75 * k, (seq_calls, batch_calls)
-
-    def test_pagerank_k8_one_allreduce_per_group(self, graph):
-        """Batched PR pays the same *number* of AllReduce calls as a
-        single run: the k columns ride one collective."""
-        pers = np.zeros(graph.n_vertices)
-        pers[ROOTS8[1]] = 1.0
-        single = pagerank(
-            Engine(graph, RANKS), iterations=10, personalization=pers
-        )
-        batched = pagerank_batch(Engine(graph, RANKS), ROOTS8, iterations=10)
-        assert (
-            batched.counters["allreduce"]["calls"]
-            == single.counters["allreduce"]["calls"]
-        )
 
 
 class TestPseudoDiameterBatched:

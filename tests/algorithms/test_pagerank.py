@@ -5,7 +5,7 @@ import pytest
 
 from repro.algorithms import compute_global_degrees, pagerank
 from repro.core.engine import Engine
-from repro.graph import Graph
+from repro.graph import Graph, rmat
 from repro.reference.graphs import star_graph
 from repro.patterns.dense import dense_pull
 from repro.reference import serial
@@ -47,6 +47,26 @@ class TestCorrectness:
             res = pagerank(Engine(g, 4), iterations=8)
             ref = serial.pagerank(g, iterations=8)
             assert np.allclose(res.values, ref, atol=1e-12)
+
+
+class TestValidation:
+    """A bad iteration count or damping factor is refused, not
+    truncated, clamped or run as given."""
+
+    @pytest.mark.parametrize("iterations", [-1, 0, 2.5, True])
+    def test_bad_iterations_rejected(self, iterations):
+        with pytest.raises(ValueError, match="iterations must be an integer >= 1"):
+            pagerank(Engine(rmat(6), 4), iterations=iterations)
+
+    @pytest.mark.parametrize("damping", [1.5, -1.0, float("nan")])
+    def test_damping_outside_unit_interval_rejected(self, damping):
+        with pytest.raises(ValueError, match="damping"):
+            pagerank(Engine(rmat(6), 4), damping=damping)
+
+    @pytest.mark.parametrize("damping", [0.0, 1.0])
+    def test_damping_end_points_run(self, damping):
+        res = pagerank(Engine(rmat(6), 4), iterations=2, damping=damping)
+        assert res.iterations == 2
 
 
 class TestDegrees:

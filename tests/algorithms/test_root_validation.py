@@ -1,4 +1,4 @@
-"""Every root, start, source and seed goes through ``validate_roots``.
+"""Every root, start and source goes through ``validate_roots``.
 
 A non-integer id is refused rather than truncated (``1.5`` must not run
 root 1), a bool is not an id, an out-of-range id names the range, and a
@@ -15,7 +15,6 @@ from repro.algorithms import (
     betweenness,
     bfs,
     bfs_batch,
-    pagerank_batch,
     pseudo_diameter,
     sssp,
     sssp_batch,
@@ -83,12 +82,6 @@ def test_bfs_batch_rejects_bad_roots(graph, roots, msg):
 def test_sssp_batch_rejects_bad_sources(wgraph, sources, msg):
     with pytest.raises(ValueError, match=msg):
         sssp_batch(Engine(wgraph, 4), sources)
-
-
-@pytest.mark.parametrize("seeds, msg", BAD_LIST)
-def test_pagerank_batch_rejects_bad_seeds(graph, seeds, msg):
-    with pytest.raises(ValueError, match=msg):
-        pagerank_batch(Engine(graph, 4), seeds, iterations=2)
 
 
 @pytest.mark.parametrize("sources, msg", BAD_LIST)

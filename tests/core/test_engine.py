@@ -90,6 +90,23 @@ class TestState:
         assert a is b
         assert np.all(b == 2.0)
 
+    def test_refused_alloc_leaves_no_state_and_keeps_buffers(self):
+        """A device charge that does not fit changes nothing on the
+        host: no state of that name on any rank or in the arena, and
+        the buffer the previous run kept is still there to refill."""
+        e = Engine(rmat(8, seed=1), 4, enforce_memory=True)
+        kept = e.alloc("y", np.int32)[0]
+        e.reset_timers()
+        for ctx in e.contexts:
+            ctx.device.charge("ballast", ctx.device.free_bytes - 4 * ctx.n_total)
+        with pytest.raises(DeviceMemoryError):
+            e.alloc("x")
+        assert not any("x" in ctx.arrays for ctx in e.contexts)
+        assert not any("state.x" in ctx.device.ledger for ctx in e.contexts)
+        with pytest.raises(KeyError):
+            e.fleet.stacked("x")
+        assert e.alloc("y", np.int32)[0] is kept
+
 
 class TestAccounting:
     def test_charges_accumulate_and_reset(self, rmat_graph):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import Engine
-from repro.algorithms.batch import bfs_batch, pagerank_batch, sssp_batch
+from repro.algorithms.batch import bfs_batch, sssp_batch
 from repro.core import NoCheckpointError
 from repro.faults import CheckpointManager, FaultPlan, FaultSpec, RankFailure
 from repro.graph import rmat
@@ -21,10 +21,6 @@ CASES = {
     "sssp_batch": (
         WGRAPH,
         lambda e, r=False: sssp_batch(e, ROOTS, resume=r),
-    ),
-    "pagerank_batch": (
-        GRAPH,
-        lambda e, r=False: pagerank_batch(e, ROOTS, iterations=8, resume=r),
     ),
 }
 
@@ -96,15 +92,6 @@ class TestResumeGuards:
             sssp_batch(engine, ROOTS)
         with pytest.raises(ValueError, match="sources"):
             sssp_batch(engine, [0, 3], resume=True)
-
-    def test_pagerank_resume_rejects_seed_mismatch(self):
-        engine = _engine(
-            GRAPH, plan=FaultPlan([FaultSpec("crash", 2, rank=1)])
-        )
-        with pytest.raises(RankFailure):
-            pagerank_batch(engine, ROOTS, iterations=8)
-        with pytest.raises(ValueError, match="seeds"):
-            pagerank_batch(engine, [3, 0, 17, 42], iterations=8, resume=True)
 
     def test_resume_without_checkpoint_raises(self):
         """resume=True with nothing to resume from (no manager, or none

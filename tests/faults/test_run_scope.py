@@ -50,7 +50,6 @@ ENTRY_POINTS = {
     "betweenness": lambda e: algorithms.betweenness(e, sources=[3, 17]),
     "bfs_batch": lambda e: algorithms.bfs_batch(e, [3, 17]),
     "sssp_batch": lambda e: algorithms.sssp_batch(e, [3, 17]),
-    "pagerank_batch": lambda e: algorithms.pagerank_batch(e, [3, 17], iterations=3),
     "spmv_pagerank": lambda e: spmv_pagerank(e, iterations=3),
     "spmv_cc": spmv_cc,
     "spmv_bfs": lambda e: spmv_bfs(e, root=3),

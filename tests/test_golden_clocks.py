@@ -4,8 +4,8 @@ fixed point of host-side performance work.
 ``golden_clocks.json`` holds cases recorded at the commit *before*
 the host-side change they guard: the six traversal / label / PageRank
 cases before the engine's supersteps were fused across ranks (PR 14),
-the PageRank variants, ``pagerank_batch``, betweenness, coloring and
-the SpMV comparator before their edge-list sweeps became CSR pulls
+the PageRank variants, betweenness, coloring and the SpMV comparator
+before their edge-list sweeps became CSR pulls
 (PR 15), k-core, matching, two more CC variants and ``spmv_bfs`` before
 CC / SSSP became vertex programs and LP / k-core / coloring instances
 of ``complex_reduce`` (PR 17), ``bfs_batch`` and ``sssp_batch`` before
@@ -39,7 +39,7 @@ import numpy as np
 import pytest
 
 from repro import Engine, algorithms
-from repro.algorithms.batch import bfs_batch, pagerank_batch, sssp_batch
+from repro.algorithms.batch import bfs_batch, sssp_batch
 from repro.algorithms.components import CC_VARIANTS
 from repro.baselines.spmv import spmv_bfs, spmv_cc, spmv_pagerank
 from repro.comm.grid import Grid2D
@@ -63,10 +63,6 @@ ALGOS = {
     # stops at iteration 12 of 20
     "pagerank_personalized_tol": lambda e: algorithms.pagerank(
         e, personalization=_personalization(e), tol=1e-6
-    ),
-    # lane 1 retires one iteration before lanes 0 and 2
-    "pagerank_batch": lambda e: pagerank_batch(
-        e, [3, 17, 200], iterations=12, tol=1e-4
     ),
     "betweenness": lambda e: algorithms.betweenness(e, sources=[3, 17]),
     "greedy_coloring": lambda e: algorithms.greedy_coloring(e, max_rounds=6),
