@@ -40,7 +40,7 @@ from ..core.result import AlgorithmResult
 from ..kernels import scatter_reduce_lanes
 from ..patterns.dense import dense_exchange_lanes
 from ..patterns.sparse import sparse_push_lanes
-from .bfs import ALPHA, BETA, bfs, check_switching, validate_roots
+from .bfs import ALPHA, BETA, bfs, check_count, check_switching, validate_roots
 from .pagerank import compute_global_degrees
 from .sssp import require_sssp_weights, sssp
 
@@ -458,12 +458,15 @@ def sssp_batch(
 
     ``values`` is an ``(n, k)`` distance matrix; column ``l`` is
     bit-identical to ``sssp(engine, sources[l]).values``.  Lanes retire
-    individually once their relaxation fixpoints are reached.
-    ``resume=True`` continues from the engine's latest attached
-    checkpoint of a run over the same sources.
+    individually once their relaxation fixpoints are reached, or after
+    ``max_iterations`` supersteps (an integer >= 1, else ``ValueError``;
+    ``None``: no bound).  ``resume=True`` continues from the engine's
+    latest attached checkpoint of a run over the same sources.
     """
     part, grid, fleet = engine.partition, engine.grid, engine.fleet
     require_sssp_weights(engine, "sssp_batch")
+    if max_iterations is not None:
+        max_iterations = check_count(max_iterations, "max_iterations")
     n = part.n_vertices
     sources = validate_roots(n, sources, "sources")
     k = sources.size

@@ -128,7 +128,7 @@ def bfs(
 
     if resume:
         s = SimpleNamespace(**engine.resume_from_checkpoint("bfs"))
-        s.frontier, _ = fleet.stack(fleet.decode_queue(s.frontier))
+        s.frontier = fleet.decode_queue(s.frontier)
     else:
         engine.reset_timers()
         compute_global_degrees(engine)
@@ -158,7 +158,7 @@ def bfs(
         )
 
     def saved():
-        return {**vars(s), "frontier": fleet.encode_queue(fleet.split(s.frontier))}
+        return {**vars(s), "frontier": fleet.encode_queue(s.frontier)}
 
     # Invariant at every superstep boundary: ``parent == inf`` exactly
     # where ``level == inf``.  Each superstep stamps the level of every
@@ -194,13 +194,12 @@ def bfs(
             # earlier slice's claim as "visited" and drop a smaller
             # candidate for the same ghost.
             claimed = [_NO_LIDS]
-            for ranks, src, dst in fleet.expand(rows, degrees):
-                unvisited = level[dst] == INF
-                src, dst, ranks = src[unvisited], dst[unvisited], ranks[unvisited]
-                cand_parent = part.original_gid(
-                    src + fleet.row_gid_shift[ranks]
-                ).astype(np.float64)
-                claimed.append(scatter_reduce(parent, dst, cand_parent, "min"))
+            for owner, ex in fleet.expand(rows, degrees):
+                unvisited = level[ex.dst] == INF
+                # each queue entry's original id, once per entry
+                entry_gid = part.original_gid(ex.queue + fleet.row_gid_shift[owner])
+                cand = entry_gid[ex.entry[unvisited]].astype(np.float64)
+                claimed.append(scatter_reduce(parent, ex.dst[unvisited], cand, "min"))
             # MIN only lowers, so a ghost claimed in any slice of the
             # expansion did change; two slices may claim the same one.
             queue = unique_bounded(np.concatenate(claimed), fleet.size)
@@ -223,13 +222,13 @@ def bfs(
             open_rows = np.flatnonzero((level == INF) & fleet.row_mask)
             degrees = fleet.row_degrees(open_rows)
             engine.charge_edges(None, degrees, segments=fleet.counts(open_rows))
-            for ranks, src, dst in fleet.expand(open_rows, degrees):
-                in_frontier = level[dst] == s.depth - 1
-                src, dst, ranks = src[in_frontier], dst[in_frontier], ranks[in_frontier]
+            for owner, ex in fleet.expand(open_rows, degrees):
+                in_frontier = level[ex.dst] == s.depth - 1
+                entry, dst = ex.entry[in_frontier], ex.dst[in_frontier]
                 cand_parent = part.original_gid(
-                    dst + fleet.col_gid_shift[ranks]
+                    dst + fleet.col_gid_shift[owner[entry]]
                 ).astype(np.float64)
-                np.minimum.at(parent, src, cand_parent)
+                np.minimum.at(parent, ex.queue[entry], cand_parent)
             dense_pull(engine, "parent", op="min")
             # Freshly visited cells and the next frontier, whose size is
             # the ranks' row-window counts reduced (an overlapped engine

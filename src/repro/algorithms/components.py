@@ -36,6 +36,7 @@ import numpy as np
 from ..core.engine import Engine
 from ..core.program import VertexProgram, run_vertex_program
 from ..core.result import AlgorithmResult
+from .bfs import check_count
 
 __all__ = ["connected_components", "component_answer", "CC_VARIANTS"]
 
@@ -69,7 +70,8 @@ def connected_components(
         Maintain active-vertex queues (paper §3.4.1) instead of
         touching every owned vertex each iteration.
     max_iterations:
-        Safety bound; ``None`` runs to convergence (paper setting).
+        Safety bound, an integer >= 1 (anything else raises
+        ``ValueError``); ``None`` runs to convergence (paper setting).
     resume:
         Continue from the engine's latest attached checkpoint instead
         of starting over (``NoCheckpointError`` when there is none);
@@ -78,6 +80,8 @@ def connected_components(
     Returns, in original vertex order, each vertex's component label:
     the component's minimum original id.
     """
+    if max_iterations is not None:
+        max_iterations = check_count(max_iterations, "max_iterations")
     program = VertexProgram(
         name="cc",
         init=lambda orig: engine.partition.perm[orig],

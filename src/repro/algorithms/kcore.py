@@ -50,7 +50,7 @@ def core_numbers(
     fleet.stacked(_STATE)[...] = fleet.stacked("deg")
     engine.charge_vertices(None, fleet.n_total)
 
-    active = [ctx.row_lids() for ctx in engine]
+    active = np.flatnonzero(fleet.row_mask)
     iterations = 0
 
     while True:

@@ -52,7 +52,7 @@ def label_propagation(
     continues from the engine's latest attached checkpoint (see
     ``docs/ROBUSTNESS.md``).
     """
-    all_rows = [ctx.row_lids() for ctx in engine]
+    all_rows = np.flatnonzero(engine.fleet.row_mask)
 
     if resume:
         s = SimpleNamespace(**engine.resume_from_checkpoint("lp"))
@@ -60,7 +60,7 @@ def label_propagation(
     else:
         engine.reset_timers()
         init_vertex_state(engine, _STATE, lambda gids: gids)
-        s = SimpleNamespace(active=list(all_rows), iterations_run=0, done=False)
+        s = SimpleNamespace(active=all_rows, iterations_run=0, done=False)
 
     def saved():
         return {**vars(s), "active": engine.fleet.encode_queue(s.active)}

@@ -20,7 +20,7 @@ import numpy as np
 from ..core.engine import Engine
 from ..core.program import VertexProgram, run_vertex_program
 from ..core.result import AlgorithmResult
-from .bfs import validate_roots
+from .bfs import check_count, validate_roots
 
 __all__ = ["sssp", "require_sssp_weights"]
 
@@ -51,10 +51,14 @@ def sssp(
     Requires non-negative edge weights (``ValueError`` otherwise).
     Returns distances in original vertex order (``inf`` for unreachable
     vertices), exactly equal to a serial Bellman-Ford / Dijkstra
-    result.  ``resume=True`` continues from the engine's latest
-    attached checkpoint (see ``docs/ROBUSTNESS.md``).
+    result.  ``max_iterations`` bounds the supersteps: an integer >= 1,
+    else ``ValueError``; ``None`` runs to convergence.  ``resume=True``
+    continues from the engine's latest attached checkpoint (see
+    ``docs/ROBUSTNESS.md``).
     """
     require_sssp_weights(engine, "sssp")
+    if max_iterations is not None:
+        max_iterations = check_count(max_iterations, "max_iterations")
     (root,) = validate_roots(engine.partition.n_vertices, [root], "root").tolist()
     program = VertexProgram(
         name="dist",

@@ -367,16 +367,16 @@ class Engine:
         self.fleet.free(name)
         self.devices.release(f"state.{name}")
 
-    def scatter_global(self, name: str, vec: np.ndarray, dtype=None) -> list[np.ndarray]:
-        """Distribute a global per-vertex vector into a named state
-        array on every rank (row and column windows filled).  A 2-D
-        ``(n, k)`` input distributes each lane column."""
+    def scatter_global(self, name: str, vec: np.ndarray) -> None:
+        """Fill state ``name`` (``vec``'s dtype) from a global vector in
+        original vertex order: every rank's row and column windows,
+        every other cell zero.  A vector of any other shape raises
+        ``ValueError``."""
         vec = np.asarray(vec)
-        width = vec.shape[1] if vec.ndim == 2 else None
-        out = self.alloc(name, dtype=dtype or vec.dtype, width=width)
-        for ctx, arr in zip(self.contexts, out):
-            arr[...] = self.partition.scatter_global(vec, ctx.rank)
-        return out
+        if vec.shape != (n := self.partition.n_vertices,):
+            raise ValueError(f"global vector has shape {vec.shape}, not ({n},)")
+        self.alloc(name, dtype=vec.dtype)
+        self.fleet.fill_windows(self.fleet.stacked(name), self.partition.to_relabeled_order(vec))
 
     def gather(self, name: str) -> np.ndarray:
         """Collect a named state into a global original-order vector."""

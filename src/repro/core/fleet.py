@@ -16,8 +16,8 @@ over all ranks:
   next run to refill instead of faulting fresh pages in;
 * **stacked LIDs** — a local ID ``lid`` of rank ``r`` is addressed as
   ``base[r] + lid``, and a queue is one rank-major array of them (what
-  the sparse patterns take and return); a caller that works per rank
-  joins its lists with :meth:`stack` and cuts a queue back with one
+  every scalar traversal holds); a caller that works per rank joins
+  its lists with :meth:`stack` and cuts a queue back with one
   ``searchsorted`` (:meth:`split`);
 * **stacked CSR** — the partition's blocks are slices of one
   concatenated CSR whose targets are already stacked LIDs, so
@@ -47,7 +47,7 @@ from ..comm.collectives import REDUCE_OPS
 from ..graph.localmap import LocalMap
 from ..graph.partition.twod import RankBlock, TwoDPartition
 from ..kernels.pull import PullCSR, csr_pull
-from ..queueing.frontier import expand_block
+from ..queueing.frontier import Expansion, expand_block
 
 __all__ = ["EXPAND_EDGE_BUDGET", "ExchangePlan", "Fleet"]
 
@@ -232,27 +232,28 @@ class Fleet:
         cuts = cuts.tolist()
         return [local[cuts[r] : cuts[r + 1]] for r in range(self.n_ranks)]
 
-    def encode_queue(self, queue: Sequence):
-        """A per-rank queue of row LIDs — ``lids`` or ``(lids, lanes)``
-        per rank, the same cells on every rank of a row group — with
-        the grid taken out, as a checkpoint keeps it: the original ids
-        of the row-group leaders' entries in queue order (and their
-        lanes).  :meth:`decode_queue` is the inverse."""
+    def encode_queue(self, queue):
+        """A queue of row LIDs — a rank-major stacked array, or per-rank
+        ``(lids, lanes)`` pairs; the same cells on every rank of a row
+        group — with the grid taken out, as a checkpoint keeps it: the
+        original ids of the row-group leaders' entries in queue order
+        (and their lanes).  :meth:`decode_queue` is the inverse."""
+        laned = not isinstance(queue, np.ndarray)
+        if laned:
+            lanes = np.concatenate([q[1] for q in queue])
+            queue = self.stack([q[0] for q in queue])[0]
         grid = self.partition.grid
-        leaders = [grid.row_group_ranks(i)[0] for i in range(grid.C)]
-        laned = isinstance(queue[0], tuple)
-        lids = [queue[r][0] if laned else queue[r] for r in leaders]
-        shift = (self.base[:-1] + self.row_gid_shift)[leaders]
-        gids = np.concatenate(lids) + np.repeat(shift, [len(q) for q in lids])
-        orig = self.partition.original_gid(gids)
-        return (orig, np.concatenate([queue[r][1] for r in leaders])) if laned else orig
+        ranks = self.rank_of(queue)
+        mine = np.isin(ranks, [grid.row_group_ranks(i)[0] for i in range(grid.C)])
+        orig = self.partition.original_gid(queue[mine] + self.row_gid_shift[ranks[mine]])
+        return (orig, lanes[mine]) if laned else orig
 
-    def decode_queue(self, saved) -> list:
-        """An :meth:`encode_queue` result as a per-rank queue on this
-        fleet's partition: each rank gets exactly the saved cells of its
-        row window, each lane's LIDs ascending (as every queue keeps
-        them) and the lanes interleaved as saved — on the saving
-        layout, the saved queue entry for entry."""
+    def decode_queue(self, saved):
+        """An :meth:`encode_queue` result as a queue on this fleet's
+        partition, in the form it was saved from: each rank gets exactly
+        the saved cells of its row window, each lane's LIDs ascending
+        (as every queue keeps them) and the lanes interleaved as saved —
+        on the saving layout, the saved queue entry for entry."""
         laned = isinstance(saved, tuple)
         orig, lanes = saved if laned else (saved, np.zeros(len(saved), np.int64))
         part = self.partition
@@ -265,13 +266,13 @@ class Fleet:
         cells = np.empty_like(gids)
         cells[np.lexsort((pattern, slot_group))] = gids[np.lexsort((gids, lanes, group))]
         cuts = np.searchsorted(slot_group, np.arange(part.row_offsets.size)).tolist()
-        shift = (self.base[:-1] + self.row_gid_shift).tolist()
+        shift = self.row_gid_shift.tolist()
         out = []
         for r in range(self.n_ranks):
             g = part.grid.coords(r)[0]
             lids = cells[cuts[g] : cuts[g + 1]] - shift[r]
-            out.append((lids, pattern[cuts[g] : cuts[g + 1]]) if laned else lids)
-        return out
+            out.append((lids - self.base[r], pattern[cuts[g] : cuts[g + 1]]) if laned else lids)
+        return out if laned else np.concatenate(out)
 
     def row_window_max(self, values: np.ndarray) -> np.ndarray:
         """Every rank's maximum (along axis 0; ``0`` for an empty window)
@@ -413,17 +414,19 @@ class Fleet:
 
     def expand(
         self, rows: np.ndarray, degrees: Optional[np.ndarray] = None
-    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    ) -> Iterator[tuple[np.ndarray, Expansion]]:
         """Expand a rank-major queue of stacked row LIDs into its edges.
 
-        Yields ``(ranks, src, dst)`` slices: per edge the
-        owning rank and both endpoints as stacked LIDs, in queue order —
-        so each rank's edges appear in the order its own ``ctx.expand``
-        would produce them.  A slice holds at most
-        :data:`EXPAND_EDGE_BUDGET` edges (a single row above the budget
-        travels alone) of at most as many queue entries, so temporaries
-        stay bounded whatever the queue.  ``degrees`` are the queue's
-        :meth:`row_degrees`, for a caller that already has them.
+        Yields ``(owner, ex)`` slices: the slice's :class:`Expansion`
+        over stacked LIDs (``weights`` gathered only when read) and the
+        owning rank of each of its queue entries, in queue order — so
+        each rank's edges appear in the order its own ``ctx.expand``
+        would produce them, possibly across several slices.  A slice
+        holds at most :data:`EXPAND_EDGE_BUDGET` edges (a single row
+        above the budget travels alone) of at most as many queue
+        entries, so temporaries stay bounded whatever the queue.
+        ``degrees`` are the queue's :meth:`row_degrees`, for a caller
+        that already has them.
 
         Rows without a local edge are dropped as soon as their degree
         is known: at hundreds of ranks most rows of a block are empty
@@ -447,8 +450,7 @@ class Fleet:
                     lo + 1,
                     int(np.searchsorted(ends, done + EXPAND_EDGE_BUDGET, side="right")),
                 )
-                ex = expand_block(block, piece[lo:hi], local[lo:hi])
-                yield owner[lo:hi][ex.entry], ex.src, ex.dst
+                yield owner[lo:hi], expand_block(block, piece[lo:hi], local[lo:hi])
                 lo, done = hi, int(ends[hi - 1])
 
     # ------------------------------------------------------------------

@@ -12,7 +12,9 @@ makes that claim executable: a :class:`VertexProgram` supplies only
 
 and :func:`run_vertex_program` is the one label-correcting superstep
 loop: push or pull kernels, dense/sparse/switching communications,
-active-vertex queues, convergence detection, checkpoint/resume.
+active-vertex queues, convergence detection, checkpoint/resume — every
+queue one rank-major array of stacked row LIDs, every rank's local
+compute one pass over ``Fleet.expand``.
 
 :func:`~repro.algorithms.connected_components` is
 ``VertexProgram(init=perm, op="min")`` (a plain carry from each
@@ -35,7 +37,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..kernels import scatter_reduce
 from ..patterns.dense import dense_exchange
 from ..patterns.sparse import propagate_active_pull, sparse_pull, sparse_push
 from ..patterns.switching import SwitchPolicy
@@ -44,9 +45,9 @@ from .result import AlgorithmResult
 
 __all__ = ["VertexProgram", "init_vertex_state", "run_vertex_program"]
 
-#: Identity of each supported reduction: a vertex still holding it has
-#: received nothing yet.
-_IDENTITY = {"min": np.inf, "max": -np.inf}
+#: Each supported reduction's identity (a vertex still holding it has
+#: received nothing yet) and ufunc.
+_OPS = {"min": (np.inf, np.minimum), "max": (-np.inf, np.maximum)}
 
 #: Edge function: (source-side values, edge weights or None) -> values
 #: delivered to the other endpoint.  Must be vectorized.
@@ -95,7 +96,7 @@ class VertexProgram:
     work_per_edge: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.op not in _IDENTITY:
+        if self.op not in _OPS:
             raise ValueError(
                 f"vertex programs support monotone 'min'/'max', got {self.op!r}"
             )
@@ -143,7 +144,6 @@ def run_vertex_program(
     part, grid, fleet = engine.partition, engine.grid, engine.fleet
     name, op, push = program.name, program.op, program.direction == "push"
     algo_tag = f"program:{name}" if tag is None else tag
-    all_rows = [ctx.row_lids() for ctx in engine]
     if part.n_vertices == 0:  # an empty graph: an empty answer, no modeled time
         engine.reset_timers()
         return AlgorithmResult(
@@ -154,6 +154,8 @@ def run_vertex_program(
             extra={"program": name},
         )
 
+    # Every queue is one rank-major array of stacked row LIDs.
+    all_rows = np.flatnonzero(fleet.row_mask)
     policy = SwitchPolicy(part.n_vertices, grid, mode=program.mode)
     if resume:
         s = SimpleNamespace(**engine.resume_from_checkpoint(algo_tag))
@@ -166,11 +168,9 @@ def run_vertex_program(
         # push starts from the others (every vertex for CC, the root
         # for SSSP); a pull cannot know yet whose neighbors hold a
         # value and starts from every row.
-        active = [
-            rows[ctx.get(name)[rows] != _IDENTITY[op]] if push else rows
-            for ctx, rows in zip(engine, all_rows)
-        ]
-        s = SimpleNamespace(active=active, iteration=0, done=False)
+        s = SimpleNamespace(active=all_rows, iteration=0, done=False)
+        if push:
+            s.active = all_rows[fleet.stacked(name)[all_rows] != _OPS[op][0]]
 
     def saved():
         active = fleet.encode_queue(s.active)
@@ -178,51 +178,44 @@ def run_vertex_program(
 
     while not s.done:
         s.iteration += 1
-        rows_per_rank = s.active if program.use_queue else all_rows
-        sparse_now = policy.use_sparse
-        if not sparse_now:
-            # Snapshot every row window before compute so the update
-            # count sees local changes too.
-            prev = fleet.stacked(name)[fleet.row_mask]
+        rows = s.active if program.use_queue else all_rows
 
-        # ---- local compute --------------------------------------------
-        def local_compute(ctx):
-            state = ctx.get(name)
-            rows = rows_per_rank[ctx.rank]
-            degs = ctx.local_degrees()[rows - ctx.localmap.row_offset]
-            engine.charge_edges(
-                ctx.rank, degs, work_per_edge=program.work_per_edge
-            )
-            ex = ctx.expand(rows, degs)
-            if ex.dst.size == 0:
-                return np.empty(0, dtype=np.int64)
+        # ---- local compute: every rank's queue in one stacked pass -----
+        # Each edge reads its source as the superstep began: a rank's
+        # edges span several expansion slices, and on a diagonal block
+        # its row and column windows share LIDs, so an earlier slice
+        # may already have written a later slice's source.
+        state = fleet.stacked(name)
+        before = state.copy()
+        degrees = fleet.row_degrees(rows)
+        engine.charge_edges(
+            None, degrees, work_per_edge=program.work_per_edge,
+            segments=fleet.counts(rows),
+        )
+        for _, ex in fleet.expand(rows, degrees):
             to, frm = (ex.dst, ex.src) if push else (ex.src, ex.dst)
-            vals = state[frm]
+            vals = before[frm]
             if program.along_edge is not None:
                 vals = program.along_edge(vals, ex.weights)
-            return scatter_reduce(state, to, vals, op)
-
-        queues = engine.map_ranks(local_compute)
+            _OPS[op][1].at(state, to, vals)
 
         # ---- exchange --------------------------------------------------
         wait = None
-        if sparse_now:
+        if policy.use_sparse:
             exchange = sparse_push if push else sparse_pull
-            queue, _ = fleet.stack(queues)
-            result = exchange(engine, name, queue, op=op)
+            result = exchange(engine, name, np.flatnonzero(state != before), op=op)
             n_updated = result.n_updated
             rows = result.rows
         else:
             dense_exchange(engine, name, program.direction, op=op)
-            rows = np.flatnonzero(fleet.row_mask)
-            rows = rows[fleet.stacked(name)[fleet.row_mask] != prev]
+            # every row whose value moved this superstep, local or not
+            rows = np.flatnonzero(fleet.row_mask & (fleet.stacked(name) != before))
             # Convergence check: the ranks' row-window update counts,
             # reduced (an overlapped engine hides the queue rebuild).
             total, wait = engine.reduce_partials(fleet.counts(rows))
             n_updated = int(total)
         if program.use_queue:
-            updated = fleet.split(rows)
-            s.active = updated if push else propagate_active_pull(engine, updated)
+            s.active = rows if push else propagate_active_pull(engine, rows)
         if wait is not None:
             wait()
 

@@ -71,17 +71,16 @@ class PullCSR:
 def csr_pull(csr: PullCSR, x: np.ndarray, op: str = "sum") -> np.ndarray:
     """``y[i] = op over row i's entries e of data[e] * x[indices[e]]``.
 
-    ``x`` is ``(n_cols,)`` or a C-contiguous ``(n_cols, k)`` lane array
-    (each column reduced independently); the result is a new float64
-    array with one row per CSR row, empty rows holding the op's
+    ``x`` is an ``(n_cols,)`` operand; the result is a new float64
+    array with one entry per CSR row, empty rows holding the op's
     identity.  Equal, bit for bit, to ``scatter_reduce`` of the same
     operands over the CSR's expanded edge list into an
     identity-initialized state.
     """
     mat = csr.matrix
-    if x.shape[0] != mat.shape[1]:
+    if x.shape != (mat.shape[1],):
         raise ScatterError(
-            f"operand has {x.shape[0]} rows, the CSR has {mat.shape[1]} columns"
+            f"operand has shape {x.shape}, the CSR has {mat.shape[1]} columns"
         )
     if op == "sum":
         return mat @ x
@@ -89,12 +88,12 @@ def csr_pull(csr: PullCSR, x: np.ndarray, op: str = "sum") -> np.ndarray:
         ufunc, identity = _REDUCEAT[op]
     except KeyError:
         raise ScatterError(f"unsupported pull op {op!r}") from None
-    out = np.full((mat.shape[0],) + x.shape[1:], identity)
+    out = np.full(mat.shape[0], identity)
     indptr = mat.indptr
     rows = np.flatnonzero(indptr[1:] != indptr[:-1])
     if rows.size:
         vals = x[mat.indices]
         if not csr.unit:
-            vals *= mat.data if x.ndim == 1 else mat.data[:, None]
+            vals *= mat.data
         out[rows] = ufunc.reduceat(vals, indptr[rows])
     return out

@@ -69,11 +69,12 @@ OwnerReduce = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 def neighbor_histograms(
-    engine: Engine, name: str, rows_per_rank: Sequence[np.ndarray]
+    engine: Engine, name: str, rows: np.ndarray
 ) -> list[np.ndarray]:
     """Per-rank histograms of the ``name`` values held by the local
-    neighbors of each rank's ``rows_per_rank`` vertices (phase 1 of
-    the 2.5D scheme, charged as hash-table inserts)."""
+    neighbors of ``rows`` (a rank-major queue of stacked row LIDs;
+    phase 1 of the 2.5D scheme, charged as hash-table inserts)."""
+    rows_per_rank = engine.fleet.split(rows)
 
     def local_histogram(ctx):
         rows = rows_per_rank[ctx.rank]
@@ -142,7 +143,7 @@ def complex_reduce(
     histograms: Sequence[np.ndarray],
     owner_reduce: OwnerReduce,
     combine: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
-) -> tuple[list[np.ndarray], int]:
+) -> tuple[np.ndarray, int]:
     """One 2.5D complex reduction of per-rank ``histograms`` into the
     state ``name`` (paper §3.3.3; phases 2 and 3 of the module docs).
 
@@ -150,8 +151,9 @@ def complex_reduce(
     built over its local edges; ``owner_reduce`` turns an owner's
     merged histograms into ``(gids, values)`` winners; ``combine(old,
     winner)`` gives the value to store (default: the winner).  Returns
-    each rank's changed row LIDs (exact compare; the same vertices on
-    every rank of a row group) and the global number of changed
+    every rank's changed row LIDs (exact compare; the same vertices on
+    every rank of a row group) as one rank-major queue of stacked LIDs,
+    each rank's in received order, and the global number of changed
     vertices.
     Ghost copies of the changed vertices are refreshed before
     returning.
@@ -203,11 +205,9 @@ def complex_reduce(
         return np.asarray(lids[state[lids] != old], dtype=np.int64)
 
     changed_rows = engine.map_ranks(apply_winners)
-    n_changed = sum(
-        int(changed_rows[ranks[0]].size) for _, ranks in engine.row_groups()
-    )
     refresh_ghosts(engine, (name,), changed_rows)
-    return changed_rows, n_changed
+    rows, counts = engine.fleet.stack(changed_rows)
+    return rows, int(counts[[ranks[0] for _, ranks in engine.row_groups()]].sum())
 
 
 def build_histogram(src_gids: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -21,10 +21,10 @@ locally-updated row vertices are unioned into the second-stage queue
 the CUDA code, but their values still must travel to the rest of the
 row group).
 
-:func:`sparse_push` / :func:`sparse_pull` take their queue as one
-*stacked* array — every rank's LIDs, rank-major, in the
-:class:`~repro.core.fleet.Fleet`'s stacked LID space — and return the
-updated rows the same way.  Each stage runs in three phases: a
+:func:`sparse_push` / :func:`sparse_pull` / :func:`propagate_active_pull`
+take their queue as one *stacked* array — every rank's LIDs, rank-major,
+in the :class:`~repro.core.fleet.Fleet`'s stacked LID space — and
+return the updated rows the same way.  Each stage runs in three phases: a
 **build** of every rank's send data as one rank-major array, the
 **collectives** — one AllGatherv per group, issued as one stage call
 (:meth:`~repro.comm.collectives.Communicator.allgatherv_stage`, which
@@ -37,13 +37,13 @@ what ``p`` per-rank closures did — one gather, one
 charges applied as one vector add — while every group collective is
 validated, costed and counted as its own.  Ranks own disjoint stacked LIDs and each
 rank's updates keep their received-buffer order, so state, clocks and
-counters are bit-identical to the per-rank formulation (kept as the
-oracle in ``tests/patterns/test_sparse_fused.py``; see docs/PERF.md).
-The k-lane twin and :func:`propagate_active_pull` still run one
-closure per rank (:meth:`Engine.map_ranks
-<repro.core.engine.Engine.map_ranks>`) and take per-rank queues; they
-hand the stage call their per-rank buffers through
-:func:`~repro.comm.collectives.rank_major`.
+counters are bit-identical to the per-rank formulation (kept as
+oracles in ``tests/patterns/test_sparse_fused.py`` and
+``tests/core/test_program_fused.py``; see docs/PERF.md).  Only the
+k-lane twin, :func:`sparse_push_lanes`, still runs one closure per rank
+(:meth:`Engine.map_ranks <repro.core.engine.Engine.map_ranks>`) on
+per-rank ``(lids, lanes)`` queues, handing the stage call its buffers
+through :func:`~repro.comm.collectives.rank_major`.
 
 On an overlapped engine (``Engine(overlap=True)``) each stage's group
 exchanges are *issued* split-phase instead: data and counters
@@ -495,67 +495,61 @@ def sparse_pull(
     return SparseResult(rows=rows, n_updated=n_updated)
 
 
-def propagate_active_pull(
-    engine: Engine, updated_row: list[np.ndarray]
-) -> list[np.ndarray]:
+def propagate_active_pull(engine: Engine, rows: np.ndarray) -> np.ndarray:
     """Build the next pull-iteration active queue (paper §3.4.1).
 
     For pull updates the next active vertices are the *neighbors* of
     this iteration's updated vertices, not the updated vertices
-    themselves.  Each rank expands the local adjacency of its updated
-    row vertices into a set of neighbor GIDs, which is then shared
-    push-style: across the column groups (to reach the neighbors'
-    owners) and then across the row groups (to make the queue
-    row-group-consistent).
+    themselves.  ``rows`` — this iteration's updated row vertices, a
+    rank-major queue of stacked LIDs — expand into every rank's set of
+    neighbor GIDs, which is then shared push-style: across the column
+    groups (to reach the neighbors' owners) and then across the row
+    groups (to make the queue row-group-consistent).  Returns the
+    active rows the same way, ascending.
     """
-    grid = engine.grid
-    col_share = engine.stage_nic_sharing("col")
-    row_share = engine.stage_nic_sharing("row")
+    fleet = engine.fleet
+    col_groups, row_groups = list(engine.col_groups()), list(engine.row_groups())
+    row_shift = fleet.row_gid_shift
 
-    # Expand neighbors locally.
-    def expand_neighbors(ctx: RankContext) -> np.ndarray:
-        lids = np.asarray(updated_row[ctx.rank], dtype=np.int64)
-        degs = ctx.local_degrees()[lids - ctx.localmap.row_offset]
-        engine.charge_edges(ctx.rank, degs)
-        dst = ctx.expand(lids, degs).dst
-        return np.unique(ctx.localmap.col_gid(np.unique(dst)))
+    # Expand neighbors locally: each rank's unique neighbor GIDs,
+    # ascending (a rank's column LIDs map to GIDs in order).
+    rows, _, counts = _queue(fleet, rows)
+    degrees = fleet.row_degrees(rows)
+    engine.charge_edges(None, degrees, segments=counts)
+    dst = [ex.dst for _, ex in fleet.expand(rows, degrees)]
+    cols = unique_bounded(np.concatenate(dst) if dst else _EMPTY_I64, fleet.size)
+    col_counts = fleet.counts(cols)
 
-    neighbor_gids = engine.map_ranks(expand_neighbors)
-
-    # Column stage: route neighbor GIDs to their row owners.
+    # Column stage: route neighbor GIDs to their row owners.  The
+    # members of a column group own disjoint row ranges (one per block
+    # row), so every received GID has one owner among them, which keeps
+    # it as a stacked row LID.
     handles: list = []
-    rbuf_of: list[Optional[np.ndarray]] = [None] * grid.n_ranks
-    col_groups = list(engine.col_groups())
-    rbufs, _ = _exchange(engine, col_groups, *rank_major(neighbor_gids), col_share, handles)
-    for (_, ranks), rbuf in zip(col_groups, rbufs):
-        for r in ranks:
-            rbuf_of[r] = rbuf
-
-    def keep_owned(ctx: RankContext) -> np.ndarray:
-        lm = ctx.localmap
-        rbuf = rbuf_of[ctx.rank]
-        engine.charge_vertices(ctx.rank, rbuf.size)
-        return np.unique(rbuf[lm.owns_row_gid(rbuf)])
-
-    partial = engine.map_ranks(keep_owned)
+    rbufs, sizes = _exchange(
+        engine, col_groups, cols + fleet.col_gid_shift[fleet.ranks(col_counts)],
+        col_counts, engine.stage_nic_sharing("col"), handles,
+    )
+    owned = [_EMPTY_I64]
+    for (_, members), rbuf in zip(col_groups, rbufs):
+        owner = np.take(members, np.searchsorted(fleet.row_stop[members], rbuf, "right"))
+        owned.append(rbuf - row_shift[owner])
+    engine.charge_vertices(None, sizes)
+    kept = unique_bounded(np.concatenate(owned), fleet.size)
+    kept_counts = fleet.counts(kept)
     _wait_all(engine, handles)
 
     # Row stage: union into a row-group-consistent active queue.
     handles = []
-    merged_of: list[Optional[np.ndarray]] = [None] * grid.n_ranks
-    rbuf_sizes = [0] * grid.n_ranks
-    row_groups = list(engine.row_groups())
-    rbufs, _ = _exchange(engine, row_groups, *rank_major(partial), row_share, handles)
-    for g, (_, ranks) in enumerate(row_groups):
-        size, rbufs[g] = rbufs[g].size, np.unique(rbufs[g])  # keep the union only
-        for r in ranks:
-            merged_of[r] = rbufs[g]
-            rbuf_sizes[r] = size
-
-    def to_active(ctx: RankContext) -> np.ndarray:
-        engine.charge_vertices(ctx.rank, rbuf_sizes[ctx.rank])
-        return ctx.localmap.row_lid(merged_of[ctx.rank])
-
-    active = engine.map_ranks(to_active)
+    rbufs, sizes = _exchange(
+        engine, row_groups, kept + row_shift[fleet.ranks(kept_counts)], kept_counts,
+        engine.stage_nic_sharing("row"), handles,
+    )
+    engine.charge_vertices(None, sizes)
+    # Row groups are consecutive ranks: group by group, member by
+    # member is rank-major.
+    active = [_EMPTY_I64] + [
+        (unique_bounded(rbuf, engine.partition.n_vertices) - row_shift[members, None]).ravel()
+        for (_, members), rbuf in zip(row_groups, rbufs)
+    ]
     _wait_all(engine, handles)
-    return active
+    return np.concatenate(active)

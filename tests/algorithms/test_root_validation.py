@@ -4,9 +4,14 @@ A non-integer id is refused rather than truncated (``1.5`` must not run
 root 1), a bool is not an id, an out-of-range id names the range, and a
 source list may not repeat a vertex.  ``bfs`` / ``bfs_batch`` also
 refuse switching parameters the direction rule would divide by.
+The superstep bound of ``connected_components`` / ``sssp`` /
+``sssp_batch`` follows the same rule: an integer >= 1 or ``None`` (no
+bound), never a value coerced into a superstep count.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +20,7 @@ from repro.algorithms import (
     betweenness,
     bfs,
     bfs_batch,
+    connected_components,
     pseudo_diameter,
     sssp,
     sssp_batch,
@@ -108,3 +114,37 @@ def test_nonpositive_switching_parameters_rejected(graph, alpha, beta, batched):
             bfs_batch(engine, [0, 1], alpha=alpha, beta=beta)
         else:
             bfs(engine, 0, alpha=alpha, beta=beta)
+
+
+#: (bad bound, what the error says): each once ran a superstep count
+#: of its own (0 and -1 one, 2.5 three, True one).
+BAD_BOUND = [
+    (0, "got 0"),
+    (-1, "got -1"),
+    (2.5, "not 2.5"),
+    (np.float64(2.0), f"not {np.float64(2.0)!r}"),
+    (True, "not True"),
+]
+
+BOUNDED = {
+    "cc": lambda g, w, bound: connected_components(Engine(g, 4), max_iterations=bound),
+    "sssp": lambda g, w, bound: sssp(Engine(w, 4), 0, max_iterations=bound),
+    "sssp_batch": lambda g, w, bound: sssp_batch(Engine(w, 4), [0, 5], max_iterations=bound),
+}
+
+
+@pytest.mark.parametrize("bound, msg", BAD_BOUND)
+@pytest.mark.parametrize("algo", sorted(BOUNDED))
+def test_bad_superstep_bound_is_refused(graph, wgraph, algo, bound, msg):
+    with pytest.raises(ValueError, match=re.escape(f"max_iterations must be an integer >= 1, {msg}")):
+        BOUNDED[algo](graph, wgraph, bound)
+
+
+@pytest.mark.parametrize("algo", sorted(BOUNDED))
+def test_superstep_bound_is_kept_as_given(graph, wgraph, algo):
+    """``None`` runs to convergence, an integer bounds the supersteps —
+    any integer type."""
+    free = BOUNDED[algo](graph, wgraph, None)
+    assert free.iterations > 2
+    for bound in (2, np.int32(2)):
+        assert BOUNDED[algo](graph, wgraph, bound).iterations == 2

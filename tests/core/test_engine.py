@@ -45,6 +45,23 @@ class TestState:
         e.scatter_global("x", vec)
         assert np.allclose(e.gather("x"), vec)
 
+    @pytest.mark.parametrize("grid", [Grid2D(R=1, C=4), Grid2D(R=3, C=5), Grid2D(R=4, C=4)])
+    def test_scatter_global_fills_every_rank_s_windows(self, rmat_graph, grid):
+        e = Engine(rmat_graph, grid=grid)
+        vec = np.random.default_rng(1).integers(0, 9, rmat_graph.n_vertices)
+        e.scatter_global("x", vec)
+        for ctx in e:
+            want = e.partition.scatter_global(vec, ctx.rank)
+            assert ctx.get("x").dtype == vec.dtype
+            assert ctx.get("x").tobytes() == want.tobytes()
+
+    def test_scatter_global_refuses_a_vector_of_another_shape(self, rmat_graph):
+        e = Engine(rmat_graph, 4)
+        n = rmat_graph.n_vertices
+        for bad in (np.zeros(n - 1), np.zeros(n + 1), np.zeros((n, 2))):
+            with pytest.raises(ValueError, match="global vector has shape"):
+                e.scatter_global("x", bad)
+
     def test_alloc_fill(self, rmat_graph):
         e = Engine(rmat_graph, 4)
         for arr in e.alloc("y", np.float64, fill=3.5):

@@ -133,7 +133,11 @@ def test_csr_pull_over_the_fleet_equals_per_rank_edge_list_scatter(
     rng = np.random.default_rng(1)
     x[...] = rng.standard_normal(x.shape) * 10.0 ** rng.integers(-6, 6, size=x.shape)
     for op in _PULL_OPS:
-        got = csr_pull(fleet.csr(weighted=weighted), x, op)
+        # a lane state pulls lane by lane (the kernel takes one column)
+        got = np.stack(
+            [csr_pull(fleet.csr(weighted=weighted), col, op) for col in x.reshape(x.shape[0], -1).T],
+            axis=1,
+        ).reshape(x.shape)
         want = _per_rank_edge_list_pull(engine, "x", op, weighted)
         assert got.tobytes() == want.tobytes(), op
         # LIDs outside a row window have no edges: a pull resets them
@@ -247,35 +251,42 @@ def test_expansion_walks_in_slices_under_the_edge_budget(monkeypatch):
     engine = Engine(graph, grid=Grid2D(R=2, C=2))
     fleet = engine.fleet
     rows = np.flatnonzero(fleet.row_mask)
-    whole = [np.concatenate(col) for col in zip(*fleet.expand(rows))]
+    whole = _expanded(fleet.expand(rows))
     monkeypatch.setattr(fleet_mod, "EXPAND_EDGE_BUDGET", 8)
     pieces = list(fleet.expand(rows))
     assert len(pieces) > 4
-    for _, src, _ in pieces:
-        assert src.size <= 8 or np.unique(src).size == 1  # a hub travels alone
-    sliced = [np.concatenate(col) for col in zip(*pieces)]
+    for _, ex in pieces:
+        assert ex.src.size <= 8 or np.unique(ex.src).size == 1  # a hub travels alone
+    sliced = _expanded(pieces)
     for a, b in zip(whole, sliced):
         assert np.array_equal(a, b)
 
 
+def _columns(ranks, ex):
+    """``(ranks, src, dst, weights)`` of one expansion (no weights on
+    an unweighted graph: an empty column)."""
+    weights = np.empty(0) if ex.weights is None else ex.weights
+    return ranks, ex.src, ex.dst, weights
+
+
 def _expanded(pieces):
-    """Concatenated ``(ranks, src, dst)`` of ``Fleet.expand`` slices
-    (three empty columns when nothing was yielded)."""
-    pieces = list(pieces)
+    """Concatenated ``(ranks, src, dst, weights)`` of ``Fleet.expand``
+    slices (four empty columns when nothing was yielded)."""
+    pieces = [_columns(owner[ex.entry], ex) for owner, ex in pieces]
     if not pieces:
-        return [np.empty(0, dtype=np.int64)] * 3
+        return [np.empty(0, dtype=np.int64)] * 3 + [np.empty(0)]
     return [np.concatenate(col) for col in zip(*pieces)]
 
 
 def _expanded_per_rank(engine, queues):
-    """The same three columns from every rank's own ``ctx.expand``."""
+    """The same four columns from every rank's own ``ctx.expand``."""
     base = engine.fleet.base
     want = [ctx.expand(q) for ctx, q in zip(engine, queues)]
-    return [
-        np.repeat(np.arange(engine.n_ranks), [ex.dst.size for ex in want]),
-        np.concatenate([ex.src + base[r] for r, ex in enumerate(want)]),
-        np.concatenate([ex.dst + base[r] for r, ex in enumerate(want)]),
-    ]
+    cols = []
+    for r, ex in enumerate(want):
+        ranks, src, dst, weights = _columns(np.full(ex.dst.size, r), ex)
+        cols.append((ranks, src + base[r], dst + base[r], weights))
+    return [np.concatenate(col) for col in zip(*cols)]
 
 
 @pytest.mark.parametrize("budget", [None, 16], ids=["one-slice", "crosses-budget"])
@@ -305,7 +316,9 @@ def test_expand_skips_rows_without_edges(monkeypatch, budget, queue, given_degre
         assert rows.size > 0 and not degrees.any()
     pieces = list(fleet.expand(rows, degrees if given_degrees else None))
     if budget is not None:
-        assert all(src.size <= budget or np.unique(src).size == 1 for _, src, _ in pieces)
+        assert all(
+            ex.src.size <= budget or np.unique(ex.src).size == 1 for _, ex in pieces
+        )
         assert len(pieces) > 1 or queue != "mixed"  # the budget boundary is crossed
     for got, want in zip(_expanded(pieces), _expanded_per_rank(engine, queues)):
         assert np.array_equal(got, want)
@@ -614,9 +627,10 @@ def test_hub_and_empty_ranks_graph_matches_reference():
 # grid-independent queues (checkpoint loop state)
 # ----------------------------------------------------------------------
 def _row_group_queue(engine, cells, lanes, seed):
-    """A row-group-consistent per-rank queue holding ``cells`` (original
-    ids) in ``lanes`` (``None``: a plain queue): per row group the lanes
-    interleave in a random order, each lane's LIDs ascending."""
+    """A row-group-consistent queue holding ``cells`` (original ids) in
+    ``lanes`` (``None``: a plain queue, rank-major stacked LIDs, else
+    per-rank ``(lids, lanes)``): per row group the lanes interleave in
+    a random order, each lane's LIDs ascending."""
     part, fleet = engine.partition, engine.fleet
     rng = np.random.default_rng(seed)
     gids = part.perm[cells].astype(np.int64)
@@ -633,7 +647,7 @@ def _row_group_queue(engine, cells, lanes, seed):
         for r in ranks:
             lids = group_gids - (fleet.base[r] + fleet.row_gid_shift[r])
             queue[r] = lids if lanes is None else (lids, pattern)
-    return queue
+    return fleet.stack(queue)[0] if lanes is None else queue
 
 
 @settings(max_examples=25, deadline=None)
@@ -656,13 +670,18 @@ def test_queues_cross_a_regrid_by_original_id(grid_a, grid_b, seed, k):
     queue = _row_group_queue(a, cells, lanes, seed)
     saved = a.fleet.encode_queue(queue)
 
-    for got, want in zip(a.fleet.decode_queue(saved), queue):
+    decoded = a.fleet.decode_queue(saved)
+    for got, want in zip(decoded, queue) if k else [(decoded, queue)]:
         for g, w in zip(got, want) if k else [(got, want)]:
             assert g.dtype == np.int64 and np.array_equal(g, w)
 
     fleet = b.fleet
     lane_of = np.zeros(cells.size, np.int64) if lanes is None else lanes
-    for r, entry in enumerate(fleet.decode_queue(saved)):
+    decoded = fleet.decode_queue(saved)
+    if not k:
+        assert np.all(np.diff(decoded) > 0)  # one ascending stacked queue
+        decoded = fleet.split(decoded)
+    for r, entry in enumerate(decoded):
         lids, got_lanes = entry if k else (entry, np.zeros(entry.size, np.int64))
         orig = b.partition.original_gid(lids + fleet.base[r] + fleet.row_gid_shift[r])
         rel = b.partition.perm[cells]

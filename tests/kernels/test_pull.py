@@ -17,16 +17,12 @@ OPS = {"sum": 0.0, "min": np.inf, "max": -np.inf}
 
 def edge_list_pull(indptr, indices, weights, x, op):
     """The form the kernel replaces: expand the CSR, gather the operand,
-    scatter-reduce into an identity-initialized state (per lane)."""
+    scatter-reduce into an identity-initialized state."""
     src = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
-    out = np.full((indptr.size - 1,) + x.shape[1:], OPS[op])
-    for lane in np.ndindex(x.shape[1:]):
-        col = x[(slice(None),) + lane]
-        vals = col[indices] if weights is None else weights * col[indices]
-        state = np.full(indptr.size - 1, OPS[op])
-        scatter_reduce_reference(state, src, vals, op)
-        out[(slice(None),) + lane] = state
-    return out
+    vals = x[indices] if weights is None else weights * x[indices]
+    state = np.full(indptr.size - 1, OPS[op])
+    scatter_reduce_reference(state, src, vals, op)
+    return state
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -59,8 +55,7 @@ def csr_case(draw):
     def values(shape):
         return rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, size=shape)
 
-    k = draw(st.sampled_from([None, 1, 3]))
-    x = values((n_cols,) if k is None else (n_cols, k))
+    x = values(n_cols)
     weights = values(indices.size) if draw(st.booleans()) else None
     return indptr, indices, n_cols, weights, x
 
@@ -143,3 +138,5 @@ def test_bad_op_and_operand_are_rejected():
         csr_pull(csr, np.zeros(3), "mean")
     with pytest.raises(ScatterError, match="3 columns"):
         csr_pull(csr, np.zeros(2), "min")
+    with pytest.raises(ScatterError, match=r"\(3, 1\)"):  # one column only
+        csr_pull(csr, np.zeros((3, 1)), "sum")

@@ -161,7 +161,7 @@ def small_graph(draw):
 
 
 def _all_rows(engine):
-    return [ctx.row_lids() for ctx in engine]
+    return np.flatnonzero(engine.fleet.row_mask)
 
 
 def _assert_replicas_agree(engine, name, want):
@@ -191,11 +191,11 @@ class TestComplexReduce:
             # exact changed-row detection, on every rank of the row group
             assert n_changed == np.count_nonzero(want != before)
             rel = engine.partition.to_relabeled_order(want != before)
-            for ctx in engine:
+            for ctx, got in zip(engine, engine.fleet.split(changed_rows)):
                 lm = ctx.localmap
                 rows = np.flatnonzero(rel[lm.row_start : lm.row_stop])
                 rows += lm.row_offset
-                assert np.array_equal(np.sort(changed_rows[ctx.rank]), rows)
+                assert np.array_equal(np.sort(got), rows)
             before = want
 
     @settings(max_examples=25, deadline=None)

@@ -135,7 +135,9 @@ def test_propagate_active_pull_marks_neighbors(grid):
         lm = ctx.localmap
         mine = updated_rel[(updated_rel >= lm.row_start) & (updated_rel < lm.row_stop)]
         updated_rows.append(lm.row_lid(np.sort(mine)))
-    active = propagate_active_pull(engine, updated_rows)
+    active = propagate_active_pull(engine, engine.fleet.stack(updated_rows)[0])
+    assert np.all(np.diff(active) > 0)  # one ascending rank-major queue
+    active = engine.fleet.split(active)
 
     # expected: all neighbors (relabeled) of the updated set
     relabeled = g.permute(part.perm)

@@ -31,10 +31,6 @@ def _engine(grid: Grid2D) -> Engine:
     return Engine(rmat(7, seed=5), grid=grid)
 
 
-def _empty_queues(engine: Engine) -> list[np.ndarray]:
-    return [np.empty(0, dtype=np.int64) for _ in range(engine.n_ranks)]
-
-
 _EMPTY_QUEUE = np.empty(0, dtype=np.int64)  # a stacked queue: no rank has entries
 
 
@@ -54,9 +50,8 @@ class TestAllEmptyQueues:
     @pytest.mark.parametrize("grid", GRIDS)
     def test_propagate_active_pull_all_empty(self, grid):
         engine = _engine(grid)
-        active = propagate_active_pull(engine, _empty_queues(engine))
-        assert len(active) == engine.n_ranks
-        assert all(a.size == 0 for a in active)
+        active = propagate_active_pull(engine, _EMPTY_QUEUE)
+        assert active.dtype == np.int64 and active.size == 0
 
     @pytest.mark.parametrize("grid", GRIDS)
     def test_trace_stays_exact_through_empty_exchanges(self, grid):
