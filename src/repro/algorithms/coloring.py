@@ -26,12 +26,15 @@ import numpy as np
 from ..core.engine import Engine
 from ..core.result import AlgorithmResult
 from ..kernels import csr_pull
-from ..patterns.complex import build_histogram, complex_reduce
+from ..patterns.complex import complex_reduce, rank_histograms
 from ..patterns.dense import dense_pull
+from .bfs import check_count
 
 __all__ = ["greedy_coloring", "color_priorities", "is_proper_coloring"]
 
 _UNCOLORED = -1.0
+
+_EMPTY_I64 = np.empty(0, dtype=np.int64)
 
 
 def color_priorities(n: int, seed: int = 0) -> np.ndarray:
@@ -56,7 +59,12 @@ def greedy_coloring(
 
     Returns colors in original vertex order, identical to
     :func:`repro.reference.serial.serial_jones_plassmann`.
+    ``max_rounds`` bounds the rounds: ``None`` (until every vertex is
+    colored) or an integer >= 1 — ``0``, a negative, a float or a bool
+    raises ``ValueError`` (:func:`~repro.algorithms.bfs.check_count`).
     """
+    if max_rounds is not None:
+        max_rounds = check_count(max_rounds, "max_rounds")
     engine.reset_timers()
     fleet = engine.fleet
     prio_global = color_priorities(engine.partition.n_vertices, seed)
@@ -68,6 +76,7 @@ def greedy_coloring(
     engine.charge_vertices(None, fleet.n_total)
     pull = fleet.csr()
     full_queue, rows_per_rank = fleet.full_queue()
+    rows = np.flatnonzero(fleet.row_mask)
 
     rounds = 0
     while True:
@@ -87,35 +96,11 @@ def greedy_coloring(
 
         # ---- 2. winners pick the smallest absent neighborhood color ---
         # Neighbor-color histograms of the candidate winners, reduced
-        # by the 2.5D pattern exactly as LP's modes are.
-        def winner_histograms(ctx):
-            color = ctx.get("color")
-            prio = ctx.get("prio")
-            maxp = ctx.get("maxp")
-            rows = ctx.row_lids()
-            winners = rows[(color[rows] < 0) & (prio[rows] >= maxp[rows])]
-            degs = ctx.local_degrees()[winners - ctx.localmap.row_offset]
-            ex = ctx.expand(winners, degs)
-            src, dst = ex.src, ex.dst
-            engine.charge_edges(ctx.rank, degs)
-            colored = color[dst] >= 0 if dst.size else np.empty(0, dtype=bool)
-            tri = build_histogram(
-                ctx.localmap.row_gid(src[colored]), color[dst[colored]]
-            )
-            # winners with no colored neighbors still need an entry;
-            # emit a sentinel color -1 so owners see them
-            lonely = winners[
-                ~np.isin(winners, src[colored])
-            ] if winners.size else winners
-            sentinel = build_histogram(
-                ctx.localmap.row_gid(lonely), np.full(lonely.size, -1.0)
-            )
-            return np.concatenate([tri, sentinel])
-
-        # Every winner was uncolored (-1) and takes a color >= 0, so
-        # the changed rows are exactly the newly colored vertices.
+        # by the 2.5D pattern exactly as LP's modes are.  Every winner
+        # was uncolored (-1) and takes a color >= 0, so the changed rows
+        # are exactly the newly colored vertices.
         _, n_colored = complex_reduce(
-            engine, "color", engine.map_ranks(winner_histograms), _smallest_absent
+            engine, "color", _winner_histograms(engine, rows), _smallest_absent
         )
 
         engine.superstep_boundary("coloring")
@@ -132,6 +117,36 @@ def greedy_coloring(
         counters=engine.counters.summary(),
         extra={"n_colors": int(values.max(initial=-1)) + 1},
     )
+
+
+def _winner_histograms(
+    engine: Engine, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every rank's neighbor-color histogram of its winners — the
+    uncolored ``rows`` holding the highest uncolored priority around
+    them — as rank-major triples and per-rank counts: each rank's
+    colored-neighbor triples, then a sentinel color ``-1`` for each of
+    its winners without a colored neighbor, so owners see them too."""
+    fleet = engine.fleet
+    color, prio, maxp = (fleet.stacked(n) for n in ("color", "prio", "maxp"))
+    winners = rows[(color[rows] < 0) & (prio[rows] >= maxp[rows])]
+    degrees = fleet.row_degrees(winners)
+    engine.charge_edges(None, degrees, segments=fleet.counts(winners))
+    src, colors = [_EMPTY_I64], [np.empty(0)]
+    for _, ex in fleet.expand(winners, degrees):
+        colored = color[ex.dst] >= 0
+        src.append(ex.src[colored])
+        colors.append(color[ex.dst[colored]])
+    src = np.concatenate(src)
+    tri, tri_counts = rank_histograms(fleet, src, np.concatenate(colors))
+    lonely = winners[~np.isin(winners, src)]
+    sentinel, sentinel_counts = rank_histograms(
+        fleet, lonely, np.full(lonely.size, -1.0)
+    )
+    # each rank's triples, then its sentinels
+    ranks = np.concatenate([fleet.ranks(tri_counts), fleet.ranks(sentinel_counts)])
+    order = np.argsort(ranks, kind="stable")
+    return np.concatenate([tri, sentinel]).take(order), tri_counts + sentinel_counts
 
 
 def _smallest_absent(merged: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -28,6 +28,7 @@ from ..patterns.complex import (
     neighbor_histograms,
 )
 from ..patterns.sparse import propagate_active_pull
+from .bfs import check_count
 from .pagerank import compute_global_degrees
 
 __all__ = ["core_numbers"]
@@ -38,7 +39,14 @@ _STATE = "core"
 def core_numbers(
     engine: Engine, max_iterations: int | None = None
 ) -> AlgorithmResult:
-    """Exact core numbers of every vertex, in original vertex order."""
+    """Exact core numbers of every vertex, in original vertex order.
+
+    ``max_iterations`` bounds the supersteps: ``None`` (to convergence)
+    or an integer >= 1 — ``0``, a negative, a float or a bool raises
+    ``ValueError`` (:func:`~repro.algorithms.bfs.check_count`).
+    """
+    if max_iterations is not None:
+        max_iterations = check_count(max_iterations, "max_iterations")
     engine.reset_timers()
 
     # Estimates start at the global degrees (the fleet's structural

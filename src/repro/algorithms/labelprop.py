@@ -33,6 +33,7 @@ from ..core.program import init_vertex_state
 from ..core.result import AlgorithmResult
 from ..patterns.complex import complex_reduce, neighbor_histograms, select_mode
 from ..patterns.sparse import propagate_active_pull
+from .bfs import check_count
 
 __all__ = ["label_propagation"]
 
@@ -42,25 +43,28 @@ _STATE = "label"
 def label_propagation(
     engine: Engine,
     iterations: int = 20,
-    use_queue: bool = True,
     resume: bool = False,
 ) -> AlgorithmResult:
     """Run up to ``iterations`` synchronous LP steps (paper: 20).
 
-    Stops early once no label changes.  Returns labels in original
-    vertex order, identical to the serial reference.  ``resume=True``
-    continues from the engine's latest attached checkpoint (see
-    ``docs/ROBUSTNESS.md``).
+    Stops early once no label changes.  ``iterations`` is an integer
+    >= 1: ``0``, a negative, a float or a bool raises ``ValueError``
+    (:func:`~repro.algorithms.bfs.check_count`).  Each step expands only
+    the active rows — the neighbors of the previous step's changes.
+    Returns labels in original vertex order, identical to the serial
+    reference.  ``resume=True`` continues from the engine's latest
+    attached checkpoint (see ``docs/ROBUSTNESS.md``).
     """
-    all_rows = np.flatnonzero(engine.fleet.row_mask)
-
+    iterations = check_count(iterations, "iterations")
     if resume:
         s = SimpleNamespace(**engine.resume_from_checkpoint("lp"))
         s.active = engine.fleet.decode_queue(s.active)
     else:
         engine.reset_timers()
         init_vertex_state(engine, _STATE, lambda gids: gids)
-        s = SimpleNamespace(active=all_rows, iterations_run=0, done=False)
+        s = SimpleNamespace(
+            active=np.flatnonzero(engine.fleet.row_mask), iterations_run=0, done=False
+        )
 
     def saved():
         return {**vars(s), "active": engine.fleet.encode_queue(s.active)}
@@ -69,15 +73,11 @@ def label_propagation(
         s.iterations_run += 1
         # Histograms over owned edges -> owners select each vertex's
         # mode -> winners assigned, ghosts refreshed.
-        histograms = neighbor_histograms(
-            engine, _STATE, s.active if use_queue else all_rows
-        )
         changed_rows, n_changed = complex_reduce(
-            engine, _STATE, histograms, select_mode
+            engine, _STATE, neighbor_histograms(engine, _STATE, s.active), select_mode
         )
         # Next active queue = neighbors of changes.
-        if use_queue:
-            s.active = propagate_active_pull(engine, changed_rows)
+        s.active = propagate_active_pull(engine, changed_rows)
         s.done = n_changed == 0
         engine.superstep_boundary("lp", saved)
 

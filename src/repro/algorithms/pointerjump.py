@@ -24,10 +24,11 @@ import numpy as np
 
 from ..core.engine import Engine
 from ..core.result import AlgorithmResult
-from ..kernels import scatter_reduce
-from ..patterns.complex import allgatherv_by_rank
+from ..kernels import csr_pull, scatter_reduce
+from ..patterns.complex import allgatherv_groups
 from ..patterns.packets import packet_swap
 from ..patterns.sparse import PAIR_DTYPE
+from .bfs import check_count
 
 __all__ = ["pointer_jumping"]
 
@@ -48,40 +49,39 @@ def _initial_forest(engine: Engine) -> np.ndarray:
     """Every vertex's initial parent, as original ids: its minimum
     original-id neighbor if smaller than itself, else itself.
 
-    Per-rank local minima of neighbor *original* ids, merged along row
-    groups with the generic sparse machinery (a plain MIN reduction).
+    Every rank's local minima of neighbor *original* ids — one MIN
+    ``csr_pull`` over the fleet — gathered along row groups in one
+    AllGatherv stage and merged per group (a plain MIN reduction).
     """
-    part, grid = engine.partition, engine.grid
+    part, fleet = engine.partition, engine.fleet
+    row_groups = list(engine.row_groups())
+    no_edge = np.iinfo(np.int64).max
 
-    def local_minima(ctx):
-        lm = ctx.localmap
-        rows = ctx.row_lids()
-        engine.charge_edges(ctx.rank, ctx.local_degrees(), cache_key="pj.full")
-        ex = ctx.expand(rows, ctx.local_degrees())
-        src, dst = ex.src, ex.dst
-        buf = np.empty(0, dtype=PAIR_DTYPE)
-        if src.size:
-            best = np.full(ctx.n_total, np.iinfo(np.int64).max, dtype=np.int64)
-            scatter_reduce(best, src, part.original_gid(lm.col_gid(dst)), "min")
-            have = rows[best[rows] < np.iinfo(np.int64).max]
-            buf = np.empty(have.size, dtype=PAIR_DTYPE)
-            buf["gid"] = lm.row_gid(have)
-            buf["val"] = best[have]
-        return buf
+    degrees, rows_per_rank = fleet.full_queue()
+    engine.charge_edges(None, degrees, segments=rows_per_rank, cache_key="pj.full")
+    # One MIN pull over every rank's block of the neighbors' original
+    # ids (exact in float64); a row without a local edge stays inf.
+    orig = np.zeros(fleet.size)
+    fleet.fill_windows(orig, part.original_gid(np.arange(part.n_vertices)).astype(float))
+    best = csr_pull(fleet.csr(), orig, "min")
+    rows = np.flatnonzero(fleet.row_mask)
+    have = rows[best[rows] < np.inf]
+    counts = fleet.counts(have)
+    cand = np.empty(have.size, dtype=PAIR_DTYPE)
+    cand["gid"] = have + fleet.row_gid_shift[fleet.ranks(counts)]
+    cand["val"] = best[have]
 
-    cand = engine.map_ranks(local_minima)
     parent = np.empty(part.n_vertices, dtype=np.int64)
-    n_received = np.zeros(grid.n_ranks, dtype=np.int64)
-    rbuf_of = allgatherv_by_rank(engine, engine.row_groups(), cand)
-    for id_r, ranks in engine.row_groups():
-        rbuf = rbuf_of[ranks[0]]
+    rbufs, n_received = allgatherv_groups(engine, row_groups, cand, counts)
+    for (id_r, _), rbuf in zip(row_groups, rbufs):
         rs, re = part.row_range(id_r)
-        best = np.full(re - rs, np.iinfo(np.int64).max, dtype=np.int64)
+        group_best = np.full(re - rs, no_edge, dtype=np.int64)
         if rbuf.size:
-            scatter_reduce(best, rbuf["gid"] - rs, rbuf["val"].astype(np.int64), "min")
+            scatter_reduce(
+                group_best, rbuf["gid"] - rs, rbuf["val"].astype(np.int64), "min"
+            )
         orig = part.original_gid(np.arange(rs, re, dtype=np.int64))
-        parent[orig] = np.where(best < orig, best, orig)
-        n_received[ranks] = rbuf.size
+        parent[orig] = np.where(group_best < orig, group_best, orig)
     engine.charge_vertices(None, n_received)
     return parent
 
@@ -126,9 +126,14 @@ def pointer_jumping(
 
     Returns roots in original vertex order, equal to serially chasing
     :func:`repro.reference.serial.initial_parents` on the input graph.
+    ``max_iterations`` bounds the jumps: ``None`` (until every pointer
+    reaches its root) or an integer >= 1 — ``0``, a negative, a float or
+    a bool raises ``ValueError`` (:func:`~repro.algorithms.bfs.check_count`).
     ``resume=True`` continues from the engine's latest attached
     checkpoint (see ``docs/ROBUSTNESS.md``).
     """
+    if max_iterations is not None:
+        max_iterations = check_count(max_iterations, "max_iterations")
     part = engine.partition
 
     if resume:
@@ -227,24 +232,20 @@ def pointer_jumping(
 
     # ---- sync authoritative slices across row groups, then gather ----
     engine.alloc("pj", np.float64, fill=-1.0)
-
-    def build_final(ctx):
-        r = ctx.rank
-        buf = np.empty(home_gids[r].size, dtype=PAIR_DTYPE)
-        buf["gid"] = home_gids[r]
-        buf["val"] = home_parent[r]
-        return buf
-
-    sbufs = engine.map_ranks(build_final)
-    rbuf_of = allgatherv_by_rank(engine, engine.row_groups(), sbufs)
-
-    def apply_final(ctx):
-        lm = ctx.localmap
-        rbuf = rbuf_of[ctx.rank]
-        ctx.get("pj")[lm.row_lid(rbuf["gid"])] = rbuf["val"]
-        engine.charge_vertices(ctx.rank, rbuf.size)
-
-    engine.foreach(apply_final)
+    fleet = engine.fleet
+    row_groups = list(engine.row_groups())
+    gids = [home_gids[r] for r in range(engine.n_ranks)]
+    home = np.empty(sum(g.size for g in gids), dtype=PAIR_DTYPE)
+    home["gid"] = np.concatenate(gids)
+    home["val"] = np.concatenate([home_parent[r] for r in range(engine.n_ranks)])
+    counts = np.array([g.size for g in gids], dtype=np.int64)
+    rbufs, sizes = allgatherv_groups(engine, row_groups, home, counts)
+    pj = fleet.stacked("pj")
+    for (_, members), rbuf in zip(row_groups, rbufs):
+        pj[(rbuf["gid"] - fleet.row_gid_shift[members, None]).ravel()] = np.tile(
+            rbuf["val"], len(members)
+        )
+    engine.charge_vertices(None, sizes)
 
     roots_rel = engine.gather("pj").astype(np.int64)
     values = part.original_gid(roots_rel)

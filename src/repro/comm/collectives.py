@@ -87,11 +87,18 @@ def rank_major(buffers: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     :meth:`Communicator.allgatherv_stage`; one dtype across them."""
     Communicator._check_dtypes(range(len(buffers)), buffers)
     counts = np.fromiter((len(b) for b in buffers), np.int64, len(buffers))
-    # joined as raw bytes: np.concatenate copies a structured dtype
-    # field by field, an order of magnitude slower
-    dtype = np.asarray(buffers[0]).dtype
+    return _join([np.asarray(b) for b in buffers]), counts
+
+
+def _join(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """Concatenate arrays of one (checked) dtype as raw bytes:
+    ``np.concatenate`` copies a structured dtype field by field, an
+    order of magnitude slower.  Empty arrays are skipped (all empty:
+    the first one's empty copy)."""
+    dtype = arrays[0].dtype
     raw = np.dtype((np.void, dtype.itemsize))
-    return np.concatenate([np.asarray(b).view(raw) for b in buffers]).view(dtype), counts
+    parts = [a for a in arrays if len(a)] or arrays[:1]
+    return np.concatenate([a.view(raw) for a in parts]).view(dtype)
 
 
 def _sources(calls: Sequence[BroadcastCall]) -> list[np.ndarray]:
@@ -191,7 +198,7 @@ class Communicator:
         offenders = [
             f"rank {r}: dtype {a.dtype}"
             for r, b in zip(ranks, buffers)
-            if (a := np.asarray(b)).dtype != ref
+            if (a := np.asarray(b)).dtype is not ref and a.dtype != ref
         ]
         if offenders:
             raise ValueError(
@@ -443,22 +450,15 @@ class Communicator:
                 f"send_matrix must be {k} x {k} for group {list(ranks)}; "
                 f"got {shape}"
             )
-        for row in send_matrix:
-            self._check_dtypes(ranks, row)
-        received: list[np.ndarray] = []
-        max_pair = 0
-        total = 0
-        for j in range(k):
-            parts = [np.asarray(send_matrix[i][j]) for i in range(k)]
-            # As in allgatherv: an all-empty column keeps its dtype.
-            received.append(
-                np.concatenate(parts)
-                if any(p.size for p in parts)
-                else np.empty(0, dtype=parts[0].dtype if parts else np.float64)
-            )
-            for p in parts:
-                total += p.nbytes
-                max_pair = max(max_pair, p.nbytes)
+        parts = [[np.asarray(b) for b in row] for row in send_matrix]
+        flat = [p for row in parts for p in row]
+        # every part one dtype (an offending part names its sender), so
+        # each member's parts join as raw bytes; an all-empty join keeps
+        # the dtype
+        self._check_dtypes([r for r in ranks for _ in ranks], flat)
+        received = [_join([row[j] for row in parts]) for j in range(k)]
+        nbytes = [p.nbytes for p in flat]
+        total, max_pair = sum(nbytes), max(nbytes, default=0)
         t = self.costmodel.alltoall_time(ranks, max_pair, nic_sharing=nic_sharing)
         self.counters.record(
             "alltoallv",

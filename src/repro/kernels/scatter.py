@@ -14,10 +14,11 @@ compare), and every call site re-implemented the compare by hand.
   index array at all;
 * **sparse** (``lids`` much smaller than ``state``): classic
   ``np.unique`` bookkeeping, where sorting the small queue is cheaper
-  than touching the whole state;
-* **structured dtypes** (``{value, tiebreak}`` pairs): ufuncs cannot
-  reduce structured scalars, so a ``np.lexsort`` + segment pass
-  reduces lexicographically over the fields.
+  than touching the whole state.
+
+A structured state raises :class:`ScatterError`: ufuncs cannot reduce
+structured scalars, and every exchange keeps its state numeric (the
+complex reductions sort their structured records instead).
 
 Equivalence contract (see ``docs/PERF.md``): both numeric regimes
 perform the *identical* ``np.<op>.at`` update as the reference idiom —
@@ -126,9 +127,11 @@ def scatter_reduce(
     reduction.  ``vals`` may be a scalar (broadcast over ``lids``).
     ``sum`` has delta semantics: callers send deltas, not absolutes.
 
-    Supports numeric dtypes for all ops and structured dtypes
-    (lexicographic field order) for ``min``/``max``.
+    Supports numeric dtypes; a structured ``state`` raises
+    :class:`ScatterError`.
     """
+    if state.dtype.names is not None:
+        raise ScatterError(f"no scatter into a structured state ({state.dtype})")
     lids = np.asarray(lids)
     if lids.size == 0:
         return _EMPTY_I64
@@ -137,8 +140,6 @@ def scatter_reduce(
     vals = np.asarray(vals)
     if vals.ndim == 0:
         vals = np.broadcast_to(vals, lids.shape)
-    if state.dtype.names is not None:
-        return _scatter_structured(state, lids, vals, op)
     try:
         ufunc = _UFUNCS[op]
     except KeyError:
@@ -205,47 +206,3 @@ def scatter_reduce_lanes(
     comp = lids.astype(np.int64, copy=False) * k + lanes
     changed = scatter_reduce(flat, comp, vals, op)
     return changed // k, changed % k
-
-
-def _scatter_structured(
-    state: np.ndarray, lids: np.ndarray, vals: np.ndarray, op: str
-) -> np.ndarray:
-    """min/max over structured dtypes (lexicographic field order).
-
-    Ufuncs cannot compare structured scalars, so reduce by sorting:
-    within each lid's segment of a ``(lid, fields...)`` lexsort, the
-    first element is the minimum and the last the maximum.
-    """
-    if op not in ("min", "max"):
-        raise ScatterError(f"structured dtypes support min/max, not {op!r}")
-    if vals.dtype != state.dtype:
-        vals = vals.astype(state.dtype)
-    keys = tuple(vals[f] for f in reversed(vals.dtype.names)) + (lids,)
-    order = np.lexsort(keys)
-    slids = lids[order]
-    starts = _segment_starts(slids)
-    uniq = slids[starts]
-    if op == "min":
-        cand = vals[order[starts]]
-    else:
-        ends = np.empty_like(starts)
-        ends[:-1] = starts[1:]
-        ends[-1] = slids.size
-        cand = vals[order[ends - 1]]
-    old = state[uniq]
-    # Combine candidate with the prior state by sorting each {old, cand}
-    # pair (structured sort is lexicographic over fields).
-    pair = np.empty((uniq.size, 2), dtype=state.dtype)
-    pair[:, 0] = old
-    pair[:, 1] = cand
-    pair.sort(axis=1)
-    new = pair[:, 0] if op == "min" else pair[:, 1]
-    state[uniq] = new
-    return uniq[new != old]
-
-
-def _segment_starts(sorted_lids: np.ndarray) -> np.ndarray:
-    boundary = np.empty(sorted_lids.size, dtype=bool)
-    boundary[0] = True
-    np.not_equal(sorted_lids[1:], sorted_lids[:-1], out=boundary[1:])
-    return np.flatnonzero(boundary)

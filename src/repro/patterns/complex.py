@@ -27,6 +27,14 @@ reduction, and how a winner combines with the stored value: Label
 Propagation (:func:`select_mode`, assign), k-core decomposition
 (:func:`h_index_from_histograms`, ``min``), and Jones-Plassmann
 coloring (smallest absent color, assign).  See ``docs/PATTERNS.md``.
+
+Every phase runs on the :class:`~repro.core.fleet.Fleet` as one
+device: queues are rank-major stacked row LIDs, histograms rank-major
+triples with per-rank counts, each AllGatherv one stage call over
+rank-major send data (:func:`allgatherv_groups`, which matching and
+pointer jumping use too), and per-rank charges one vector each — state,
+clocks and counters equal the per-rank formulation bit for bit
+(``tests/patterns/test_complex_fused.py``).
 """
 
 from __future__ import annotations
@@ -38,14 +46,15 @@ import numpy as np
 from ..comm.collectives import rank_major
 from ..core.engine import Engine
 from ..kernels import segment_reduce
-from .sparse import PAIR_DTYPE
+from .sparse import _pairs, _tiles
 
 __all__ = [
     "HASH_WORK_PER_EDGE",
-    "allgatherv_by_rank",
     "TRIPLE_DTYPE",
+    "allgatherv_groups",
     "complex_reduce",
     "neighbor_histograms",
+    "rank_histograms",
     "refresh_ghosts",
     "h_index_from_histograms",
     "build_histogram",
@@ -67,147 +76,184 @@ HASH_WORK_PER_EDGE = 4.0
 #: Owner-side reduction: merged triples -> ``(gids, winning values)``.
 OwnerReduce = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
+_EMPTY_I64 = np.empty(0, dtype=np.int64)
+_EMPTY_F64 = np.empty(0, dtype=np.float64)
+
+
+def rank_histograms(
+    fleet, rows: np.ndarray, labels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every rank's histogram of ``labels[i]`` observed at the stacked
+    row LID ``rows[i]`` (any order): rank-major :data:`TRIPLE_DTYPE`
+    triples over GIDs — each rank's sorted by ``(gid, label)``, as
+    :func:`build_histogram` sorts them — and the triples per rank.
+
+    One :func:`build_histogram` keyed by stacked LID: a rank's LIDs
+    follow each other in GID order, and ranks in rank order.
+    """
+    tri = build_histogram(rows, labels)
+    ranks = fleet.rank_of(tri["gid"])
+    tri["gid"] += fleet.row_gid_shift[ranks]
+    return tri, np.bincount(ranks, minlength=fleet.n_ranks)
+
 
 def neighbor_histograms(
     engine: Engine, name: str, rows: np.ndarray
-) -> list[np.ndarray]:
-    """Per-rank histograms of the ``name`` values held by the local
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every rank's histogram of the ``name`` values held by the local
     neighbors of ``rows`` (a rank-major queue of stacked row LIDs;
-    phase 1 of the 2.5D scheme, charged as hash-table inserts)."""
-    rows_per_rank = engine.fleet.split(rows)
+    phase 1 of the 2.5D scheme, charged as hash-table inserts): one
+    expansion of the whole queue, as :func:`rank_histograms`."""
+    fleet = engine.fleet
+    state = fleet.stacked(name)
+    degrees = fleet.row_degrees(rows)
+    engine.charge_edges(
+        None, degrees, work_per_edge=HASH_WORK_PER_EDGE, segments=fleet.counts(rows)
+    )
+    src, labels = [_EMPTY_I64], [_EMPTY_F64]
+    for _, ex in fleet.expand(rows, degrees):
+        src.append(ex.src)
+        labels.append(state[ex.dst])
+    return rank_histograms(fleet, np.concatenate(src), np.concatenate(labels))
 
-    def local_histogram(ctx):
-        rows = rows_per_rank[ctx.rank]
-        degs = ctx.local_degrees()[rows - ctx.localmap.row_offset]
-        engine.charge_edges(ctx.rank, degs, work_per_edge=HASH_WORK_PER_EDGE)
-        ex = ctx.expand(rows, degs)
-        return build_histogram(ctx.localmap.row_gid(ex.src), ctx.get(name)[ex.dst])
 
-    return engine.map_ranks(local_histogram)
-
-
-def allgatherv_by_rank(engine: Engine, groups, sbufs) -> list[np.ndarray]:
-    """AllGatherv ``sbufs`` (by rank) inside every group of ``groups``
-    (``(id, ranks)`` pairs) as one stage call; each rank's received
-    buffer, by rank."""
+def allgatherv_groups(
+    engine: Engine, groups, send: np.ndarray, counts: np.ndarray
+) -> tuple[list, np.ndarray]:
+    """AllGatherv inside every group of ``groups`` (``(id, ranks)``
+    pairs) of the rank-major ``send`` data (``counts[r]`` rows of rank
+    ``r``), as one blocking stage call; the received buffers (one per
+    group) and each rank's received length."""
     members = [ranks for _, ranks in groups]
-    rbufs = engine.comm.allgatherv_stage(members, *rank_major(sbufs))
-    rbuf_of: list[Optional[np.ndarray]] = [None] * engine.grid.n_ranks
+    rbufs = engine.comm.allgatherv_stage(members, send, counts)
+    sizes = np.empty(engine.n_ranks, dtype=np.int64)
     for ranks, rbuf in zip(members, rbufs):
-        for r in ranks:
-            rbuf_of[r] = rbuf
-    return rbuf_of
+        sizes[ranks] = rbuf.size
+    return rbufs, sizes
 
 
-def refresh_ghosts(
-    engine: Engine, names: Sequence[str], rows_per_rank: Sequence[np.ndarray]
-) -> None:
-    """Refresh the column-window (ghost) copies of ``rows_per_rank``.
+def refresh_ghosts(engine: Engine, names: Sequence[str], rows: np.ndarray) -> None:
+    """Refresh the column-window (ghost) copies of ``rows`` (a
+    rank-major queue of stacked row LIDs).
 
     After a row-group reduction every rank of a row group agrees on its
     row window; the ghosts of those vertices live in the column groups.
     Each rank ships the listed row vertices that fall in its own column
     range — ``{gid, names...}`` entries, one AllGatherv per column
-    group — and every rank assigns what it receives.
+    group — and every rank assigns what it receives (``sparse_pull``'s
+    second stage, for several states).
     """
+    fleet = engine.fleet
+    col_groups = list(engine.col_groups())
+    ranks = fleet.rank_of(rows)
+    gids = rows + fleet.row_gid_shift[ranks]
+    mine = (gids >= fleet.col_start[ranks]) & (gids < fleet.col_stop[ranks])
+    counts = np.bincount(ranks[mine], minlength=fleet.n_ranks)
+    engine.charge_vertices(None, counts)
     dtype = np.dtype([("gid", np.int64)] + [(n, np.float64) for n in names])
+    send = np.empty(int(counts.sum()), dtype=dtype)
+    send["gid"] = gids[mine]
+    for n in names:
+        send[n] = fleet.stacked(n)[rows[mine]]
 
-    def build_refresh(ctx):
-        lm = ctx.localmap
-        rows = rows_per_rank[ctx.rank]
-        mine = rows[lm.owns_col_gid(lm.row_gid(rows))]
-        buf = np.empty(mine.size, dtype=dtype)
-        buf["gid"] = lm.row_gid(mine)
+    rbufs, sizes = allgatherv_groups(engine, col_groups, send, counts)
+    for (_, members), rbuf in zip(col_groups, rbufs):
+        lids = (rbuf["gid"] - fleet.col_gid_shift[members, None]).ravel()
         for n in names:
-            buf[n] = ctx.get(n)[mine]
-        engine.charge_vertices(ctx.rank, mine.size)
-        return buf
-
-    rbuf_of = allgatherv_by_rank(
-        engine, engine.col_groups(), engine.map_ranks(build_refresh)
-    )
-
-    def apply_refresh(ctx):
-        rbuf = rbuf_of[ctx.rank]
-        lids = ctx.localmap.col_lid(rbuf["gid"])
-        for n in names:
-            ctx.get(n)[lids] = rbuf[n]
-        engine.charge_vertices(ctx.rank, rbuf.size)
-
-    engine.foreach(apply_refresh)
+            fleet.stacked(n)[lids] = np.tile(rbuf[n], len(members))
+    engine.charge_vertices(None, sizes)
 
 
 def complex_reduce(
     engine: Engine,
     name: str,
-    histograms: Sequence[np.ndarray],
+    histograms: tuple[np.ndarray, np.ndarray],
     owner_reduce: OwnerReduce,
     combine: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
 ) -> tuple[np.ndarray, int]:
-    """One 2.5D complex reduction of per-rank ``histograms`` into the
+    """One 2.5D complex reduction of every rank's histogram into the
     state ``name`` (paper §3.3.3; phases 2 and 3 of the module docs).
 
-    ``histograms[rank]`` holds the :data:`TRIPLE_DTYPE` entries rank
-    built over its local edges; ``owner_reduce`` turns an owner's
-    merged histograms into ``(gids, values)`` winners; ``combine(old,
-    winner)`` gives the value to store (default: the winner).  Returns
-    every rank's changed row LIDs (exact compare; the same vertices on
-    every rank of a row group) as one rank-major queue of stacked LIDs,
-    each rank's in received order, and the global number of changed
-    vertices.
-    Ghost copies of the changed vertices are refreshed before
-    returning.
+    ``histograms`` is ``(triples, counts)``: every rank's
+    :data:`TRIPLE_DTYPE` entries over its local edges, rank-major,
+    ``counts[r]`` of them rank ``r``'s (:func:`neighbor_histograms`,
+    :func:`rank_histograms`).  ``owner_reduce`` turns merged histograms
+    into ``(gids, values)`` winners, one per GID in GID order;
+    ``combine(old, winner)`` gives the value to store (default: the
+    winner).  Returns every rank's changed row LIDs (exact compare; the
+    same vertices on every rank of a row group) as one rank-major queue
+    of stacked LIDs, each rank's in received order, and the global
+    number of changed vertices.  Ghost copies of the changed vertices
+    are refreshed before returning.
     """
-    part, grid = engine.partition, engine.grid
+    fleet, part, grid = engine.fleet, engine.partition, engine.grid
+    R, row_groups = grid.R, list(engine.row_groups())
+    triples, counts = histograms
 
-    # Personalized exchange of histogram triples to owners: routing is
-    # per-rank compute (each rank's owner chunks follow from its own
-    # row group), the exchanges stay sequential per group.
-    def route_to_owners(ctx):
-        rs, re = part.row_range(ctx.block.id_r)
-        bounds = owner_chunks(rs, re, grid.R)
-        tri = histograms[ctx.rank]
-        owners = owner_of_vertex(tri["gid"], bounds)
-        order = np.argsort(owners, kind="stable")
-        tri, owners = tri[order], owners[order]
-        cuts = np.searchsorted(owners, np.arange(grid.R + 1))
-        engine.charge_vertices(ctx.rank, tri.size)
-        return [tri[cuts[k] : cuts[k + 1]] for k in range(grid.R)]
+    # Owner k of a row group's k-th chunk of rows is the group's k-th
+    # member, and row groups are consecutive ranks: over every group's
+    # chunk bounds laid end to end, a GID's chunk index is its owner.
+    chunks = [owner_chunks(*part.row_range(g), R)[:-1] for g, _ in row_groups]
+    bounds = np.append(np.concatenate(chunks), part.n_vertices)
 
-    sends = engine.map_ranks(route_to_owners)
-    received_of: list[Optional[np.ndarray]] = [None] * grid.n_ranks
-    for _, ranks in engine.row_groups():
-        received = engine.comm.alltoallv(ranks, [sends[r] for r in ranks])
-        for pos, r in enumerate(ranks):
-            received_of[r] = received[pos]
+    def per_owner(gids: np.ndarray) -> np.ndarray:
+        return np.bincount(owner_of_vertex(gids, bounds), minlength=grid.n_ranks)
 
-    def reduce_owned(ctx):
-        merged = merge_histograms(received_of[ctx.rank])
-        gids, winners = owner_reduce(merged)
-        engine.charge_vertices(ctx.rank, merged.size)
-        buf = np.empty(gids.size, dtype=PAIR_DTYPE)
-        buf["gid"] = gids
-        buf["val"] = winners
-        return buf
+    # Personalized exchange of the triples to their owners: each rank's
+    # triples, stably grouped by owner (run r*R + k holds what rank r
+    # sends its group's k-th member), one alltoallv per row group.
+    runs = fleet.ranks(counts) * R + owner_of_vertex(triples["gid"], bounds) % R
+    order = np.argsort(runs, kind="stable")
+    routed = triples.take(order)
+    cuts = np.searchsorted(runs[order], np.arange(grid.n_ranks * R + 1)).tolist()
+    engine.charge_vertices(None, counts)
+    received = []
+    for _, ranks in row_groups:
+        matrix = [
+            [routed[cuts[j] : cuts[j + 1]] for j in range(r * R, r * R + R)]
+            for r in ranks
+        ]
+        received.extend(engine.comm.alltoallv(ranks, matrix))
 
-    # Broadcast winners back across each row group.
-    rbuf_of = allgatherv_by_rank(
-        engine, engine.row_groups(), engine.map_ranks(reduce_owned)
+    # Owners hold disjoint GIDs, ascending with their rank: one merge
+    # and one owner reduction serve every owner.
+    merged = merge_histograms(rank_major(received)[0])
+    gids, winners = owner_reduce(merged)
+    engine.charge_vertices(None, per_owner(merged["gid"]))
+
+    # Broadcast winners back across each row group and apply them.
+    rbufs, sizes = allgatherv_groups(
+        engine, row_groups, _pairs(gids, winners), per_owner(gids)
     )
-
-    def apply_winners(ctx):
-        state = ctx.get(name)
-        rbuf = rbuf_of[ctx.rank]
-        lids = ctx.localmap.row_lid(rbuf["gid"])
+    state = fleet.stacked(name)
+    changed = [_EMPTY_I64]
+    for lids, vals in _tiles(row_groups, rbufs, fleet.row_gid_shift):
         old = state[lids]
-        state[lids] = rbuf["val"] if combine is None else combine(old, rbuf["val"])
-        engine.charge_vertices(ctx.rank, rbuf.size)
-        return np.asarray(lids[state[lids] != old], dtype=np.int64)
+        state[lids] = vals if combine is None else combine(old, vals)
+        changed.append(lids[state[lids] != old])
+    engine.charge_vertices(None, sizes)
 
-    changed_rows = engine.map_ranks(apply_winners)
-    refresh_ghosts(engine, (name,), changed_rows)
-    rows, counts = engine.fleet.stack(changed_rows)
-    return rows, int(counts[[ranks[0] for _, ranks in engine.row_groups()]].sum())
+    rows = np.concatenate(changed)
+    refresh_ghosts(engine, (name,), rows)
+    per_rank = np.bincount(fleet.rank_of(rows), minlength=grid.n_ranks)
+    return rows, int(per_rank[[ranks[0] for _, ranks in row_groups]].sum())
+
+
+def _pair_order(keys: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """``np.lexsort((labels, keys))``, the stable ascending order of the
+    ``(key, label)`` pairs.  Integral labels that fit (vertex ids,
+    colors, core estimates) make it one stable argsort of an ``int64``
+    composite — the same permutation, several times faster, and
+    faster still on keys that arrive sorted."""
+    if keys.size:
+        lo, hi = labels.min(), labels.max()
+        integral = np.array_equal(labels, np.floor(labels))
+        if np.isfinite(lo) and np.isfinite(hi) and integral:
+            first, span = int(keys.min()), int(hi - lo) + 1
+            if (int(keys.max()) - first + 1) * span < 1 << 62:
+                composite = (keys - first) * span + (labels - lo).astype(np.int64)
+                return np.argsort(composite, kind="stable")
+    return np.lexsort((labels, keys))
 
 
 def build_histogram(src_gids: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -221,7 +267,7 @@ def build_histogram(src_gids: np.ndarray, labels: np.ndarray) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.float64)
     if src_gids.size == 0:
         return np.empty(0, dtype=TRIPLE_DTYPE)
-    order = np.lexsort((labels, src_gids))
+    order = _pair_order(src_gids, labels)
     g, lab = src_gids[order], labels[order]
     new_key = np.empty(g.size, dtype=bool)
     new_key[0] = True
@@ -239,8 +285,7 @@ def merge_histograms(triples: np.ndarray) -> np.ndarray:
     """Sum counts of equal ``(gid, label)`` keys (owner-side merge)."""
     if triples.size == 0:
         return triples
-    order = np.lexsort((triples["label"], triples["gid"]))
-    t = triples[order]
+    t = triples.take(_pair_order(triples["gid"], triples["label"]))
     new_key = np.empty(t.size, dtype=bool)
     new_key[0] = True
     new_key[1:] = (t["gid"][1:] != t["gid"][:-1]) | (
@@ -305,7 +350,7 @@ def h_index_from_histograms(merged: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     # Sort by (gid asc, value desc) so each group's cumulative count at
     # an entry is "number of neighbors with value >= this value".
-    order = np.lexsort((-merged["label"], merged["gid"]))
+    order = _pair_order(merged["gid"], -merged["label"])
     g = merged["gid"][order]
     val = merged["label"][order].astype(np.int64)
     cnt = merged["count"][order]

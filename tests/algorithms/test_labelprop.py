@@ -19,14 +19,6 @@ class TestCorrectness:
         ref = serial.label_propagation(rmat_graph, iterations=20)
         assert np.array_equal(res.values, ref)
 
-    @pytest.mark.parametrize("use_queue", [True, False])
-    def test_queue_variants_agree(self, rmat_graph, use_queue):
-        res = label_propagation(
-            Engine(rmat_graph, 4), iterations=20, use_queue=use_queue
-        )
-        ref = serial.label_propagation(rmat_graph, iterations=20)
-        assert np.array_equal(res.values, ref)
-
     def test_fewer_iterations(self, rmat_graph):
         res = label_propagation(Engine(rmat_graph, 4), iterations=3)
         ref = serial.label_propagation(rmat_graph, iterations=3)

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import max_weight_matching
+from repro.algorithms.matching import _heaviest
 from repro.core.engine import Engine
 from repro.graph import Graph, rmat
 from repro.reference.graphs import path_graph
@@ -96,3 +99,31 @@ class TestBehaviour:
         g = Graph.from_edges([], [], 4, weights=[])
         res = max_weight_matching(Engine(g, 1))
         assert np.all(res.values == -1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    edges=st.lists(
+        st.tuples(
+            st.integers(0, 5),
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 1.0, 0.5, np.inf, -np.inf, np.nan]),
+                st.floats(-2, 2, allow_nan=False),
+            ),
+            st.integers(0, 4),
+        ),
+        max_size=40,
+    )
+)
+def test_heaviest_is_the_last_edge_of_each_row_in_sorted_order(edges):
+    """A row's candidate is the last of its edges in ``np.lexsort((nbr,
+    w, rows))`` order — NaN weighs most, signed zeros tie, equal
+    (weight, neighbor) pairs go to the later edge — for rows that arrive
+    grouped, in their order."""
+    edges.sort(key=lambda e: e[0])  # stable: each row's edges keep their order
+    rows = np.array([e[0] for e in edges], dtype=np.int64)
+    w = np.array([e[1] for e in edges], dtype=np.float64)
+    nbr = np.array([e[2] for e in edges], dtype=np.int64)
+    order = np.lexsort((nbr, w, rows))
+    last = np.r_[rows[order][1:] != rows[order][:-1], True] if rows.size else []
+    assert np.array_equal(_heaviest(rows, w, nbr), order[last])

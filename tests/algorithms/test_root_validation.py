@@ -6,7 +6,9 @@ source list may not repeat a vertex.  ``bfs`` / ``bfs_batch`` also
 refuse switching parameters the direction rule would divide by.
 The superstep bound of ``connected_components`` / ``sssp`` /
 ``sssp_batch`` follows the same rule: an integer >= 1 or ``None`` (no
-bound), never a value coerced into a superstep count.
+bound), never a value coerced into a superstep count; so do the loop
+bounds of the complex reductions and pointer jumping under their own
+names (``label_propagation(iterations=)`` has no ``None``).
 """
 
 from __future__ import annotations
@@ -21,6 +23,11 @@ from repro.algorithms import (
     bfs,
     bfs_batch,
     connected_components,
+    core_numbers,
+    greedy_coloring,
+    label_propagation,
+    max_weight_matching,
+    pointer_jumping,
     pseudo_diameter,
     sssp,
     sssp_batch,
@@ -148,3 +155,42 @@ def test_superstep_bound_is_kept_as_given(graph, wgraph, algo):
     assert free.iterations > 2
     for bound in (2, np.int32(2)):
         assert BOUNDED[algo](graph, wgraph, bound).iterations == 2
+
+
+#: Loop bounds by the name their entry point gives them.
+NAMED_BOUNDS = {
+    "label_propagation": (
+        "iterations", lambda g, w, b: label_propagation(Engine(g, 4), iterations=b)
+    ),
+    "core_numbers": (
+        "max_iterations", lambda g, w, b: core_numbers(Engine(g, 4), max_iterations=b)
+    ),
+    "greedy_coloring": (
+        "max_rounds", lambda g, w, b: greedy_coloring(Engine(g, 4), max_rounds=b)
+    ),
+    "max_weight_matching": (
+        "max_rounds", lambda g, w, b: max_weight_matching(Engine(w, 4), max_rounds=b)
+    ),
+    "pointer_jumping": (
+        "max_iterations", lambda g, w, b: pointer_jumping(Engine(g, 4), max_iterations=b)
+    ),
+}
+
+
+@pytest.mark.parametrize("bound, msg", BAD_BOUND)
+@pytest.mark.parametrize("algo", sorted(NAMED_BOUNDS))
+def test_bad_loop_bound_is_refused(graph, wgraph, algo, bound, msg):
+    name, run = NAMED_BOUNDS[algo]
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer >= 1, {msg}")):
+        run(graph, wgraph, bound)
+
+
+@pytest.mark.parametrize("algo", sorted(NAMED_BOUNDS))
+def test_loop_bound_is_kept_as_given(graph, wgraph, algo):
+    """The default runs more than two steps (``None``: to convergence),
+    an integer bounds them — any integer type."""
+    _, run = NAMED_BOUNDS[algo]
+    free = run(graph, wgraph, 20 if algo == "label_propagation" else None)
+    assert free.iterations > 2
+    for bound in (2, np.int32(2)):
+        assert run(graph, wgraph, bound).iterations == 2

@@ -170,6 +170,25 @@ class TestPointToPoint:
         with pytest.raises(ValueError):
             comm.alltoallv([0, 1], [[np.zeros(1)]])
 
+    def test_alltoallv_joins_structured_parts_as_sent(self, comm):
+        dt = np.dtype([("gid", np.int64), ("val", np.float64)])
+        matrix = [
+            [np.array([(10 * i + j, i + j / 2)] * (i + 1), dtype=dt) for j in range(3)]
+            for i in range(3)
+        ]
+        out = comm.alltoallv([0, 1, 2], matrix)
+        for j in range(3):
+            assert out[j].dtype == dt
+            assert out[j].tobytes() == b"".join(matrix[i][j].tobytes() for i in range(3))
+        assert comm.counters.by_kind["alltoallv"].bytes == 3 * 6 * dt.itemsize
+
+    def test_alltoallv_refuses_senders_of_another_dtype(self, comm):
+        """Rows of one dtype each, but not the same one: refused, naming
+        the sender, rather than promoted in the join."""
+        matrix = [[np.zeros(1), np.zeros(1)], [np.zeros(1, np.int64), np.zeros(1, np.int64)]]
+        with pytest.raises(ValueError, match="one dtype.*rank 1: dtype int64"):
+            comm.alltoallv([0, 1], matrix)
+
     def test_alltoallv_message_count(self, comm):
         k = 4
         matrix = [[np.zeros(1) for _ in range(k)] for _ in range(k)]

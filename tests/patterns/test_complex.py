@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.patterns.complex import (
+    _pair_order,
     build_histogram,
     merge_histograms,
     owner_chunks,
@@ -63,6 +64,30 @@ class TestHistogram:
         k = int(cut * len(pairs))
         halves = [build_histogram(src[:k], lab[:k]), build_histogram(src[k:], lab[k:])]
         assert as_counter(merge_histograms(np.concatenate(halves))) == want
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), integral=st.booleans(), small=st.booleans())
+    def test_pair_order_is_lexsort(self, data, integral, small):
+        """The composite-key order is ``np.lexsort``'s permutation,
+        whatever the labels: integral (the fast path, ``-0.0`` next to
+        ``0.0`` included), fractional, infinite, NaN or too wide — and
+        equal pairs keep their order, as the run-length encoding's first
+        entry of a run must."""
+        label = (
+            st.sampled_from([-2.0, -0.0, 0.0, 1.0, 2.0])
+            if integral
+            else st.one_of(
+                st.integers(-2, 2).map(float),
+                st.sampled_from([0.5, np.inf, -np.inf, np.nan, 2.0**60]),
+            )
+        )
+        key = st.integers(0, 6) if small else st.integers(-(2**40), 2**40)
+        pairs = data.draw(st.lists(st.tuples(key, label), max_size=200))
+        keys = np.array([k for k, _ in pairs], dtype=np.int64)
+        labels = np.array([lab for _, lab in pairs], dtype=np.float64)
+        want = np.lexsort((labels, keys))
+        assert np.array_equal(_pair_order(keys, labels), want)
 
 
 class TestModeSelection:

@@ -85,17 +85,23 @@ FAN_OUT_SCOPE = ("algorithms", "patterns", os.path.join("core", "program.py"))
 #: and the batch root seeds became stacked writes; 37 before pointer
 #: jumping built its home tables from one original-order vector; 36
 #: before ``pagerank_batch`` went; 35 before the vertex program's local
-#: compute and ``propagate_active_pull`` ran on the stacked queue.
-FAN_OUT_CEILING = 31
+#: compute and ``propagate_active_pull`` ran on the stacked queue; 31
+#: before the 2.5D reduction, coloring's winner histograms, matching
+#: and pointer jumping's forest and final sync ran on the fleet (what is
+#: left: the lane twins, PageRank's dangling share, triangle counting,
+#: the packet swaps and pointer jumping's jump loop, which ride
+#: ``alltoallv``).
+FAN_OUT_CEILING = 18
 
 QUEUE_CONVERSION = re.compile(r"\bfleet\.(?:split|stack)\(")
 #: 11 while ``sparse_push`` / ``sparse_pull`` took and returned per-rank
 #: lists and BFS cut its frontier into one every superstep; 7 while the
 #: vertex program converted around its per-rank local compute and BFS
-#: around its checkpoint's queue.  What is left converts at a per-rank
-#: caller's own edge (the 2.5D pattern's histograms and winners,
-#: matching, the lane twins' queues, PageRank's dangling share).
-QUEUE_CONVERSION_CEILING = 5
+#: around its checkpoint's queue; 5 while the 2.5D pattern cut its
+#: histograms' queue and joined its changed rows, and matching joined
+#: its mutual pairs.  What is left converts at a per-rank caller's own
+#: edge (the lane twins' queues, PageRank's dangling share).
+QUEUE_CONVERSION_CEILING = 2
 
 THREADS = re.compile(
     r"^\s*(?:import|from)\s+(?:threading|concurrent|queue)(?:[\s.]|$)"
