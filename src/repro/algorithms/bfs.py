@@ -41,6 +41,8 @@ __all__ = [
     "pseudo_diameter",
     "validate_roots",
     "check_count",
+    "check_positive",
+    "check_fraction",
     "check_switching",
     "ALPHA",
     "BETA",
@@ -80,20 +82,40 @@ def validate_roots(n: int, roots, what: str = "roots") -> np.ndarray:
     return roots
 
 
-def check_count(value, what: str) -> int:
-    """Refuse a count that is not an integer >= 1 (a float, a bool, zero
-    or negative) rather than truncating or clamping it."""
+def check_count(value, what: str, minimum: int = 1) -> int:
+    """Refuse a count that is not an integer >= ``minimum`` (a float, a
+    bool or a smaller integer) rather than truncating or clamping it."""
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{what} must be an integer >= 1, not {value!r}")
-    if value < 1:
-        raise ValueError(f"{what} must be an integer >= 1, got {value}")
+        raise ValueError(f"{what} must be an integer >= {minimum}, not {value!r}")
+    if value < minimum:
+        raise ValueError(f"{what} must be an integer >= {minimum}, got {value}")
     return int(value)
+
+
+def _real(value) -> bool:
+    """A real number, not a bool."""
+    real = isinstance(value, (int, float, np.integer, np.floating))
+    return real and not isinstance(value, (bool, np.bool_))
+
+
+def check_positive(value, what: str) -> None:
+    """Refuse a bound that is not a positive real (a bool, zero, a
+    negative or NaN)."""
+    if not (_real(value) and value > 0):
+        raise ValueError(f"{what} must be a positive real, not {value!r}")
+
+
+def check_fraction(value, what: str) -> None:
+    """Refuse a fraction that is not a real in ``[0, 1]`` (a bool, NaN
+    or a value outside it)."""
+    if not (_real(value) and 0 <= value <= 1):
+        raise ValueError(f"{what} must lie in [0, 1], got {value!r}")
 
 
 def check_switching(alpha: float, beta: float) -> None:
     """Refuse switching parameters the direction rule divides by."""
-    if not (alpha > 0 and beta > 0):
-        raise ValueError(f"alpha and beta must be positive, got {alpha}, {beta}")
+    if not (_real(alpha) and _real(beta) and alpha > 0 and beta > 0):
+        raise ValueError(f"alpha and beta must be positive reals, got {alpha!r}, {beta!r}")
 
 
 def bfs(

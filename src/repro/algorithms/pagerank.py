@@ -68,8 +68,8 @@ def pagerank(
         How many iterations to run, an integer >= 1 (``0``, a float or
         a bool raises ``ValueError``).
     damping:
-        The damping factor, in ``[0, 1]`` (outside it raises
-        ``ValueError``).
+        The damping factor, a real in ``[0, 1]`` (outside it, or a
+        bool, raises ``ValueError``; :func:`~repro.algorithms.bfs.check_fraction`).
     personalization:
         Optional teleport distribution in original vertex order
         (normalized internally); dangling mass follows it.
@@ -80,7 +80,8 @@ def pagerank(
         Optional early stop once ``max |delta pr| < tol`` (checked with
         a one-word MAX reduction each iteration,
         :meth:`~repro.core.engine.Engine.reduce_partials`); ``iterations``
-        remains the hard bound.
+        remains the hard bound.  A positive real: zero, a negative or
+        a bool raises ``ValueError``.
     resume:
         Continue from the engine's latest attached checkpoint instead
         of starting over (``NoCheckpointError`` when there is none);
@@ -93,11 +94,12 @@ def pagerank(
     shrink) agrees with the fault-free run to within ~1 ulp rather
     than bit-exactly; see ``docs/ROBUSTNESS.md``.
     """
-    from .bfs import check_count  # here: bfs imports this module
+    from .bfs import check_count, check_fraction, check_positive  # here: bfs imports it
 
     iterations = check_count(iterations, "iterations")
-    if not 0.0 <= damping <= 1.0:
-        raise ValueError(f"damping must lie in [0, 1], got {damping!r}")
+    check_fraction(damping, "damping")
+    if tol is not None:
+        check_positive(tol, "tol")
     n = engine.partition.n_vertices
     grid, fleet = engine.grid, engine.fleet
     all_ranks = list(range(grid.n_ranks))

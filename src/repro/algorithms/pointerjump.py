@@ -87,33 +87,26 @@ def _initial_forest(engine: Engine) -> np.ndarray:
 
 
 def _home_tables(part, parent: np.ndarray, converged: np.ndarray):
-    """Each rank's home slice — the relabeled GIDs it owns in both its
-    row and its column range — with their parents (relabeled GIDs) and
-    converged flags, from original-order ``parent`` (original ids) and
-    ``converged``."""
-    home_gids: dict[int, np.ndarray] = {}
-    home_parent: dict[int, np.ndarray] = {}
-    home_converged: dict[int, np.ndarray] = {}
-    for blk in part.blocks:
-        lm = blk.localmap
-        lo, hi = max(lm.row_start, lm.col_start), min(lm.row_stop, lm.col_stop)
-        gids = np.arange(lo, max(lo, hi), dtype=np.int64)
-        orig = part.original_gid(gids)
-        home_gids[blk.rank] = gids
-        home_parent[blk.rank] = part.perm[parent[orig]]
-        home_converged[blk.rank] = converged[orig]
-    return home_gids, home_parent, home_converged
+    """Every vertex's home entry — its parent (a relabeled GID) and
+    converged flag — indexed by relabeled GID, from original-order
+    ``parent`` (original ids) and ``converged``.
+
+    A rank's home slice is the GIDs it owns in both its row and its
+    column range; the slices partition the GIDs and follow each other
+    in rank order, so the stacked home tables are the GID order itself.
+    """
+    orig = part.original_gid(np.arange(part.n_vertices, dtype=np.int64))
+    return part.perm[parent[orig]], converged[orig]
 
 
-def _pointers(part, home_gids, home_parent, converged) -> dict:
+def _pointers(part, home_parent: np.ndarray, converged: np.ndarray) -> dict:
     """The home tables as original-order vectors (the inverse of
     :func:`_home_tables`): what a checkpoint keeps."""
+    orig = part.original_gid(np.arange(part.n_vertices, dtype=np.int64))
     parent = np.empty(part.n_vertices, dtype=np.int64)
-    conv = np.zeros(part.n_vertices, dtype=bool)
-    for rank, gids in home_gids.items():
-        orig = part.original_gid(gids)
-        parent[orig] = part.original_gid(home_parent[rank])
-        conv[orig] = converged[rank]
+    conv = np.empty(part.n_vertices, dtype=bool)
+    parent[orig] = part.original_gid(home_parent)
+    conv[orig] = converged
     return {"parent": parent, "converged": conv}
 
 
@@ -147,14 +140,14 @@ def pointer_jumping(
             "iterations": 0,
             "done": False,
         }
-    # Home-rank authoritative parent stores (relabeled GIDs).
-    home_gids, home_parent, converged = _home_tables(
-        part, st.pop("parent"), st.pop("converged")
-    )
+    # Home-rank authoritative parent stores (relabeled GIDs), stacked.
+    home_parent, converged = _home_tables(part, st.pop("parent"), st.pop("converged"))
+    n, p = part.n_vertices, engine.n_ranks
+    home_rank = _home_ranks(engine, np.arange(n, dtype=np.int64))
     s = SimpleNamespace(**st)
 
     def saved():
-        return {**vars(s), **_pointers(part, home_gids, home_parent, converged)}
+        return {**vars(s), **_pointers(part, home_parent, converged)}
 
     # ---- jump until every pointer reaches a root ----------------------
     # Hot targets (roots accumulate pointers geometrically) would make
@@ -163,66 +156,44 @@ def pointer_jumping(
     # all of its local pointers — the packet carries {requesting rank,
     # target, destination}, matching the paper's owner/state/direction
     # packet layout.  A vertex whose parent answers for itself is at a
-    # root and stops participating.
+    # root and stops participating.  A (rank, target) pair is the key
+    # ``rank * n + target``, so one sort serves every rank.
     while not s.done:
         s.iterations += 1
-        def build_queries(ctx):
-            r = ctx.rank
-            pending = ~converged[r]
-            targets = np.unique(home_parent[r][pending])
-            q = np.empty(targets.size, dtype=PJ_DTYPE)
-            q["src"] = r  # requesting rank
-            q["vert"] = targets
-            q["dest"] = _home_ranks(engine, targets)
-            engine.charge_vertices(r, int(pending.sum()) + targets.size)
-            return q
-
-        queries = engine.map_ranks(build_queries)
-        arrived = packet_swap(engine, queries)
+        pending = np.flatnonzero(~converged)
+        n_pending = np.bincount(home_rank[pending], minlength=p)
+        asks = home_rank[pending] * n + home_parent[pending]
+        keys = np.unique(asks)
+        queries = np.empty(keys.size, dtype=PJ_DTYPE)
+        queries["src"], queries["vert"] = np.divmod(keys, n)  # requesting rank, target
+        queries["dest"] = _home_ranks(engine, queries["vert"])
+        counts = np.bincount(queries["src"], minlength=p)
+        engine.charge_vertices(None, n_pending + counts)
+        arrived, counts = packet_swap(engine, queries, counts)
 
         # Responses: look up p[target], reply to the requesting rank.
-        def build_responses(ctx):
-            r = ctx.rank
-            inbox = arrived[r]
-            lookup = np.searchsorted(home_gids[r], inbox["vert"])
-            resp = np.empty(inbox.size, dtype=PJ_DTYPE)
-            resp["src"] = inbox["vert"]  # the queried target
-            resp["vert"] = home_parent[r][lookup]
-            resp["dest"] = inbox["src"]
-            engine.charge_vertices(r, inbox.size)
-            return resp
+        responses = np.empty(arrived.size, dtype=PJ_DTYPE)
+        responses["src"] = arrived["vert"]  # the queried target
+        responses["vert"] = home_parent[arrived["vert"]]
+        responses["dest"] = arrived["src"]
+        engine.charge_vertices(None, counts)
+        delivered, counts = packet_swap(engine, responses, counts)
 
-        responses = engine.map_ranks(build_responses)
-        delivered = packet_swap(engine, responses)
-
-        # Apply jumps; a vertex converges once its parent is a root.
-        def apply_jumps(ctx):
-            r = ctx.rank
-            inbox = delivered[r]
-            if inbox.size == 0:
-                return 0
-            # Sorted arrays of {queried target, its parent}.
-            order = np.argsort(inbox["src"], kind="stable")
-            t_sorted = inbox["src"][order]
-            g_sorted = inbox["vert"][order]
-            pending = ~converged[r]
-            parents = home_parent[r]
-            pos = np.searchsorted(t_sorted, parents[pending])
-            new_vals = g_sorted[pos]
-            is_root_parent = new_vals == parents[pending]
-            old = parents[pending].copy()
-            parents[pending] = new_vals
-            conv = converged[r].copy()
-            conv_idx = np.flatnonzero(pending)
-            conv[conv_idx[is_root_parent]] = True
-            converged[r] = conv
-            engine.charge_vertices(r, inbox.size + int(pending.sum()))
-            return int(np.count_nonzero(old != new_vals))
+        # Apply jumps; a vertex converges once its parent is a root.  A
+        # rank with nothing delivered has nothing pending and launches
+        # no kernel.
+        answered = engine.fleet.ranks(counts) * n + delivered["src"]
+        order = np.argsort(answered)
+        new_vals = delivered["vert"][order][np.searchsorted(answered[order], asks)]
+        old = home_parent[pending]
+        home_parent[pending] = new_vals
+        converged[pending[new_vals == old]] = True
+        engine.charge_vertices(None, counts + n_pending, launches=counts > 0)
 
         # Global convergence check: the home slices are disjoint over
         # all ranks, so the one-word reduction spans them all.
         n_changed, wait = engine.reduce_partials(
-            engine.map_ranks(apply_jumps), over="ranks"
+            np.bincount(home_rank[pending[new_vals != old]], minlength=p), over="ranks"
         )
         wait()
         s.done = n_changed == 0 or (
@@ -234,12 +205,12 @@ def pointer_jumping(
     engine.alloc("pj", np.float64, fill=-1.0)
     fleet = engine.fleet
     row_groups = list(engine.row_groups())
-    gids = [home_gids[r] for r in range(engine.n_ranks)]
-    home = np.empty(sum(g.size for g in gids), dtype=PAIR_DTYPE)
-    home["gid"] = np.concatenate(gids)
-    home["val"] = np.concatenate([home_parent[r] for r in range(engine.n_ranks)])
-    counts = np.array([g.size for g in gids], dtype=np.int64)
-    rbufs, sizes = allgatherv_groups(engine, row_groups, home, counts)
+    home = np.empty(n, dtype=PAIR_DTYPE)
+    home["gid"] = np.arange(n)
+    home["val"] = home_parent
+    rbufs, sizes = allgatherv_groups(
+        engine, row_groups, home, np.bincount(home_rank, minlength=p)
+    )
     pj = fleet.stacked("pj")
     for (_, members), rbuf in zip(row_groups, rbufs):
         pj[(rbuf["gid"] - fleet.row_gid_shift[members, None]).ravel()] = np.tile(

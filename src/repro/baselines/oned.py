@@ -37,11 +37,12 @@ from typing import Optional
 
 import numpy as np
 
+from ..algorithms.bfs import check_count
 from ..core.engine import Engine
 from ..core.result import AlgorithmResult
 from ..graph.csr import Graph
 from ..kernels import scatter_reduce
-from ..patterns.sparse import PAIR_DTYPE
+from ..patterns.sparse import _pairs
 from ..queueing.frontier import expand_block
 
 __all__ = ["OneDLayout", "layout_1d", "cc_1d", "cc_15d", "default_hub_threshold"]
@@ -53,7 +54,9 @@ def default_hub_threshold(graph: Graph, n_ranks: int) -> int:
     Hubs are vertices whose ghost fan-out would touch a large fraction
     of the ranks anyway; sharing starts paying off around a handful of
     times the average degree, scaled up for small rank counts.
+    ``n_ranks`` is an integer >= 1 (``ValueError`` otherwise).
     """
+    n_ranks = check_count(n_ranks, "n_ranks")
     avg = max(graph.n_edges / max(graph.n_vertices, 1), 1.0)
     return int(max(8 * avg, 2 * n_ranks))
 
@@ -85,7 +88,10 @@ class OneDLayout:
 def layout_1d(engine: Engine, hub_threshold: Optional[int] = None) -> OneDLayout:
     """Derive the 1D layout from a 1×p engine's blocks; with a
     ``hub_threshold``, the 1.5D layout whose hubs are the vertices of
-    higher degree (``None``: no hubs)."""
+    higher degree (``None``: no hubs; else an integer >= 0, or
+    ``ValueError``)."""
+    if hub_threshold is not None:
+        hub_threshold = check_count(hub_threshold, "hub_threshold", minimum=0)
     if engine.grid.R != 1:
         raise ValueError(
             f"the 1D layout needs a 1xp grid, Grid2D(R=1, C=p); got "
@@ -124,20 +130,10 @@ def layout_1d(engine: Engine, hub_threshold: Optional[int] = None) -> OneDLayout
 # ----------------------------------------------------------------------
 # helpers shared by both algorithms
 # ----------------------------------------------------------------------
-def _pairs(gids: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    buf = np.empty(gids.size, dtype=PAIR_DTYPE)
-    buf["gid"] = gids
-    buf["val"] = vals
-    return buf
-
-
 def _to_owners(layout: OneDLayout, gids: np.ndarray, vals: np.ndarray) -> list:
     """One all-to-all send row: sorted ``gids`` (and their ``vals``)
     split by owner."""
-    bounds = np.searchsorted(gids, layout.offsets)
-    return [
-        _pairs(gids[a:b], vals[a:b]) for a, b in zip(bounds[:-1], bounds[1:])
-    ]
+    return np.split(_pairs(gids, vals), np.searchsorted(gids, layout.offsets[1:-1]))
 
 
 def _charge_edges(engine: Engine, rank: int, n_edges: int) -> None:
@@ -192,7 +188,11 @@ def cc_1d(engine: Engine, max_iterations: Optional[int] = None) -> AlgorithmResu
     Per iteration: each rank relaxes its active rows, pushes changed
     ghosts to their owners (all-to-all), and the owners MIN-reduce them
     and push every owned change to its subscribers (second all-to-all).
+    ``max_iterations`` bounds the iterations: ``None`` (to convergence)
+    or an integer >= 1 (``ValueError`` otherwise).
     """
+    if max_iterations is not None:
+        max_iterations = check_count(max_iterations, "max_iterations")
     engine.reset_timers()
     layout = layout_1d(engine)
     ranks = list(range(engine.n_ranks))
@@ -221,11 +221,8 @@ def cc_1d(engine: Engine, max_iterations: Optional[int] = None) -> AlgorithmResu
             # Owners whose value changed (locally or remotely) are
             # active, and their subscribers need the new value.
             changed = active[r] = np.union1d(remote, local[r])
-            row = []
-            for subs in layout.subscriptions[r]:
-                gids = changed[np.isin(changed, subs)]
-                row.append(_pairs(gids, state[gids]))
-            send.append(row)
+            gids = [subs[np.isin(subs, changed)] for subs in layout.subscriptions[r]]
+            send.append([_pairs(g, state[g]) for g in gids])
         received = engine.comm.alltoallv(ranks, send)
         for r, (state, rbuf) in enumerate(zip(states, received)):
             state[rbuf["gid"]] = rbuf["val"]
@@ -243,13 +240,16 @@ def cc_15d(
     max_iterations: Optional[int] = None,
 ) -> AlgorithmResult:
     """Color-propagation CC on the 1.5D layout (hubs: degree above
-    ``hub_threshold``, default :func:`default_hub_threshold`).
+    ``hub_threshold``, an integer >= 0, default
+    :func:`default_hub_threshold`; ``max_iterations`` as :func:`cc_1d`).
 
     Per iteration: each rank relaxes its non-hub rows and its hub-hub
     edges both ways, one MIN AllReduce shares the hub cells, and the
     1D exchange (every ghost to its owner, every owned subscription
     back) runs over the hub-free ghost sets.
     """
+    if max_iterations is not None:
+        max_iterations = check_count(max_iterations, "max_iterations")
     engine.reset_timers()
     if hub_threshold is None:
         hub_threshold = default_hub_threshold(engine.graph, engine.n_ranks)
@@ -280,11 +280,8 @@ def cc_15d(
             # a changed hub counts on the rank whose window holds it
             n_changed += np.histogram(hubs[states[0][hubs] < hub_before], layout.offsets)[0]
 
-        send = []
-        for r, state in enumerate(states):
-            ghosts = layout.ghosts[r]
-            send.append(_to_owners(layout, ghosts, state[ghosts]))
-            engine.charge_vertices(r, ghosts.size)
+        engine.charge_vertices(None, np.array([g.size for g in layout.ghosts]))
+        send = [_to_owners(layout, g, state[g]) for state, g in zip(states, layout.ghosts)]
         received = engine.comm.alltoallv(ranks, send)
         for r, (state, rbuf) in enumerate(zip(states, received)):
             n_changed[r] += scatter_reduce(state, rbuf["gid"], rbuf["val"], "min").size

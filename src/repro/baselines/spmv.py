@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..algorithms.bfs import check_count, check_fraction
 from ..algorithms.components import component_answer
+from ..algorithms.pagerank import compute_global_degrees
 from ..cluster.config import ZEPY, ClusterConfig
 from ..core.engine import Engine
 from ..core.result import AlgorithmResult
@@ -37,7 +39,9 @@ __all__ = ["spmv_engine", "spmv_pagerank", "spmv_cc", "spmv_bfs"]
 def spmv_engine(
     graph: Graph, n_ranks: int, cluster: ClusterConfig = ZEPY, **kwargs
 ) -> Engine:
-    """An :class:`Engine` placed on the zepy-style workstation."""
+    """An :class:`Engine` placed on the zepy-style workstation;
+    ``n_ranks`` is an integer >= 1 (``ValueError`` otherwise)."""
+    n_ranks = check_count(n_ranks, "n_ranks")
     return Engine(graph, n_ranks=n_ranks, cluster=cluster, **kwargs)
 
 
@@ -72,13 +76,15 @@ def _charge_semiring(engine: Engine, rank: int, n_edges: int, n_vertices: int) -
 def spmv_pagerank(
     engine: Engine, iterations: int = 20, damping: float = 0.85
 ) -> AlgorithmResult:
-    """PageRank as y = A x with tuned SpMV kernels."""
+    """PageRank as y = A x with tuned SpMV kernels: ``iterations`` an
+    integer >= 1, ``damping`` a real in ``[0, 1]`` (``ValueError``
+    otherwise, as :func:`~repro.algorithms.pagerank.pagerank`)."""
+    iterations = check_count(iterations, "iterations")
+    check_fraction(damping, "damping")
     engine.reset_timers()
     n = engine.partition.n_vertices
     grid, fleet = engine.grid, engine.fleet
     all_ranks = list(range(grid.n_ranks))
-
-    from ..algorithms.pagerank import compute_global_degrees
 
     compute_global_degrees(engine)
 
@@ -136,7 +142,11 @@ def spmv_pagerank(
 
 
 def spmv_cc(engine: Engine, max_iterations: int | None = None) -> AlgorithmResult:
-    """CC as min-plus label SpMVs: dense full-matrix work per step."""
+    """CC as min-plus label SpMVs: dense full-matrix work per step.
+    ``max_iterations`` bounds the steps: ``None`` (to convergence) or an
+    integer >= 1 (``ValueError`` otherwise)."""
+    if max_iterations is not None:
+        max_iterations = check_count(max_iterations, "max_iterations")
     engine.reset_timers()
     grid, fleet = engine.grid, engine.fleet
     all_ranks = list(range(grid.n_ranks))

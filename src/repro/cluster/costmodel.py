@@ -154,9 +154,9 @@ class CostModel:
         launches:
             Number of kernel launches charged.
 
-        ``n_vertices``, ``n_edges`` and ``balance`` may be arrays with
-        one entry per rank (the rank-fused supersteps charge a whole
-        fleet at once); every entry then goes through exactly the
+        ``n_vertices``, ``n_edges``, ``balance`` and ``launches`` may be
+        arrays with one entry per rank (the rank-fused supersteps charge
+        a whole fleet at once); every entry then goes through exactly the
         scalar expression, so the result equals per-rank calls bit for
         bit.
         """

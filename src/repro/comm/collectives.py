@@ -90,6 +90,23 @@ def rank_major(buffers: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return _join([np.asarray(b) for b in buffers]), counts
 
 
+def _by_rank(ranks: Sequence[int], rows) -> tuple[np.ndarray, np.ndarray]:
+    """One group's send parts (``rows[i]`` member ``i``'s, ``k`` each)
+    as stage send data and a ``ranks x k`` count table; one dtype
+    across the parts (an offending part names its sender)."""
+    k = len(rows[0]) if len(rows) else 0
+    if len(rows) != len(ranks) or any(len(row) != k for row in rows):
+        shape = f"{len(rows)} x {[len(row) for row in rows]}"
+        raise ValueError(f"send parts for group {list(ranks)} are {shape}")
+    rows = [[np.asarray(b) for b in row] for row in rows]
+    parts = [b for row in rows for b in row]
+    Communicator._check_dtypes([r for r in ranks for _ in range(k)], parts)
+    counts = np.zeros((max(ranks, default=-1) + 1, k), dtype=np.int64)
+    counts[list(ranks)] = [[len(b) for b in row] for row in rows]
+    order = np.argsort(ranks, kind="stable")
+    return _join([b for i in order for b in rows[i]]), counts
+
+
 def _join(arrays: Sequence[np.ndarray]) -> np.ndarray:
     """Concatenate arrays of one (checked) dtype as raw bytes:
     ``np.concatenate`` copies a structured dtype field by field, an
@@ -353,38 +370,77 @@ class Communicator:
         broadcasts; modeled here as one ring allgather over the total
         payload.
         """
+        move, parts, deliver = self._gather_plan(groups, send, counts, nic_sharing)
+        self._stage("allgatherv", groups, groups, move, parts)
+        return deliver()
+
+    def alltoallv_stage(self, groups, send, counts, nic_sharing: int = 1):
+        """Personalized exchange (AllToAllV) in each of a stage's
+        disjoint ``groups`` of ``k`` ranks: every member receives what
+        each member of its group sends it, senders in group order.
+
+        ``send`` is every rank's rows rank-major, each rank's ordered by
+        destination member: ``counts[r, j]`` rows for its group's
+        ``j``-th member.  Each group is validated, guarded (over its
+        members' send parts, sender-major), costed on its largest pair
+        (the paper's O(k^2)-message model) and counted as its own call;
+        all groups' data then moves with one gather.  Returns every
+        rank's received rows rank-major and their number per rank.
+        """
+        move, parts, deliver = self._exchange_plan(groups, send, counts, nic_sharing)
+        self._stage("alltoallv", groups, groups, move, parts)
+        return deliver()
+
+    def _plan(self, kind: str, groups, send, counts):
+        """A variable-size stage's rank-major ``send`` rows and ``p x k``
+        ``counts`` (rows per rank and destination member; an AllGatherv's
+        ``k`` is 1), validated up front.  Returns the stage index, the
+        flat counts as a list, a row's bytes, ``parts(ranks)`` — a group's
+        send parts, sender-major: what its guard checks — and
+        ``take(runs)``: the rows of the flat parts ``runs`` in that order,
+        moved with one gather, and each run's end."""
         send, counts = np.asarray(send), np.asarray(counts)
-        move, members = self._gather_plan(send, counts, nic_sharing)
-        self._stage("allgatherv", groups, groups, move, members)
-        return self._gather(send, counts, groups)
-
-    def _gather_plan(self, send: np.ndarray, counts: np.ndarray, nic_sharing: int):
-        """The per-group halves of an AllGatherv stage over rank-major
-        ``send`` / ``counts``: ``move(ranks, ranks) -> (cost, None)`` —
-        the group's validation, counters and cost — and
-        ``members(ranks)``, the group's send slices a guard checks."""
-        if send.ndim < 1:
-            raise ValueError("allgatherv send data must be an array of rows")
-        if counts.ndim != 1 or counts.dtype.kind not in "iu" or (counts < 0).any():
-            raise ValueError(f"allgatherv counts must be per-rank sizes >= 0: {counts}")
-        if int(counts.sum()) != len(send):
+        stage = self._stage_index(groups)
+        if counts.ndim != 2 or counts.dtype.kind not in "iu" or (counts < 0).any():
+            raise ValueError(f"{kind} counts must be per-rank sizes >= 0: {counts}")
+        p, k = counts.shape
+        idx = stage.idx  # the groups are disjoint: a repeat is within one
+        if idx.size and (idx.min() < 0 or idx.max() >= p or np.bincount(idx).max() > 1):
             raise ValueError(
-                f"allgatherv counts sum to {int(counts.sum())} rows, "
-                f"but the send data has {len(send)}"
+                f"{kind} groups {[list(g) for g in groups]} need distinct ranks "
+                f"with counts (0..{p - 1})"
             )
-        row_nbytes = send.dtype.itemsize * int(np.prod(send.shape[1:]))
-        sizes = counts.tolist()
-        offsets = np.concatenate(([0], np.cumsum(counts))).tolist()
+        flat = counts.ravel()
+        if send.ndim < 1 or int(flat.sum()) != len(send):
+            have = len(send) if send.ndim else "no rows"
+            raise ValueError(
+                f"{kind} counts sum to {flat.sum()} rows, but the send data has {have}"
+            )
+        offsets = np.concatenate(([0], np.cumsum(flat)))
+        cuts = offsets.tolist()
 
-        def check(ranks) -> None:
-            if min(ranks) < 0 or max(ranks) >= counts.size:
-                raise ValueError(
-                    f"allgatherv group {list(ranks)} names ranks without a "
-                    f"count (counts cover ranks 0..{counts.size - 1})"
-                )
+        def parts(ranks) -> list[np.ndarray]:
+            return [send[cuts[q] : cuts[q + 1]] for r in ranks for q in range(r * k, r * k + k)]
+
+        def take(runs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            lens = flat[runs]
+            ends = np.cumsum(lens)
+            index = np.repeat(offsets[runs] - (ends - lens), lens)
+            index += np.arange(index.size)
+            return send.take(index, axis=0), ends  # fancy indexing is slow on 24-byte records
+
+        row_nbytes = send.dtype.itemsize * int(np.prod(send.shape[1:]))
+        return stage, flat.tolist(), row_nbytes, parts, take
+
+    def _gather_plan(self, groups, send, counts, nic_sharing: int):
+        """An AllGatherv stage's halves: ``move(ranks, ranks) -> (cost,
+        None)`` (one ring allgather over the group's payload, and its
+        counters), the guard's ``parts`` and ``deliver()``, one slice of
+        the gathered rows per group."""
+        counts = np.asarray(counts)[..., None]
+        stage, sizes, row_nbytes, parts, take = self._plan("allgatherv", groups, send, counts)
 
         def move(ranks, _):
-            check(ranks)
             k = len(ranks)
             total = sum(sizes[r] for r in ranks) * row_nbytes
             t = self.costmodel.allgather_time(ranks, total, nic_sharing=nic_sharing)
@@ -396,91 +452,69 @@ class Communicator:
             )
             return t, None
 
-        def members(ranks) -> list[np.ndarray]:
-            check(ranks)
-            return [send[offsets[r] : offsets[r + 1]] for r in ranks]
+        def deliver() -> list[np.ndarray]:
+            out, ends = take(stage.idx)
+            cuts = [0] + ends[stage.starts[1:] - 1].tolist() + ends[-1:].tolist()
+            return [out[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
-        return move, members
+        return move, parts, deliver
 
-    def _gather(self, send: np.ndarray, counts: np.ndarray, groups) -> list[np.ndarray]:
-        """Every group's received data — its members' rank-major
-        segments of ``send``, in group-rank order — moved with one
-        gather; one slice of the gathered array per group."""
-        if not len(groups):
-            return []
-        stage = self._stage_index(groups)
-        lens = counts[stage.idx]
-        ends = np.cumsum(lens)
-        starts = (np.cumsum(counts) - counts)[stage.idx]
-        index = np.repeat(starts - (ends - lens), lens) + np.arange(ends[-1])
-        out = send.take(index, axis=0)  # fancy indexing is slow on 24-byte records
-        cuts = [0] + ends[np.append(stage.starts[1:], lens.size) - 1].tolist()
-        return [out[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-
-    def alltoallv(
-        self,
-        ranks: Sequence[int],
-        send_matrix: Sequence[Sequence[np.ndarray]],
-        nic_sharing: int = 1,
-    ) -> list[np.ndarray]:
-        """All-to-all exchange for the 1D baselines (:mod:`repro.baselines.oned`).
-
-        ``send_matrix[i][j]`` is what group member ``i`` sends to group
-        member ``j``.  Returns, per member, the concatenation of
-        everything addressed to it.  Charged with the O(p^2)-message
-        model the paper ascribes to 1D distributions.
-        """
-        move = partial(self._alltoallv_core, nic_sharing=nic_sharing)
-        return self._stage(
-            "alltoallv", [ranks], [send_matrix], move,
-            lambda matrix: [b for row in matrix for b in row],
-        )[0]
-
-    def _alltoallv_core(
-        self,
-        ranks: Sequence[int],
-        send_matrix: Sequence[Sequence[np.ndarray]],
-        nic_sharing: int,
-    ) -> tuple[float, list[np.ndarray]]:
-        """Validate, move data, record counters; return (cost, result)."""
-        k = len(ranks)
-        if len(send_matrix) != k or any(len(row) != k for row in send_matrix):
-            shape = f"{len(send_matrix)} x {[len(row) for row in send_matrix]}"
+    def _exchange_plan(self, groups, send, counts, nic_sharing: int):
+        """An AllToAllV stage's halves: ``move(ranks, ranks) -> (cost,
+        None)`` (costed on the group's largest pair, and its counters),
+        the guard's ``parts`` and ``deliver()``, every rank's received
+        rows rank-major and their number per rank."""
+        stage, sizes, row_nbytes, parts, take = self._plan("alltoallv", groups, send, counts)
+        p, k = np.shape(counts)
+        if k < 1 or any(len(g) != k for g in groups):
             raise ValueError(
-                f"send_matrix must be {k} x {k} for group {list(ranks)}; "
-                f"got {shape}"
+                f"alltoallv groups {[list(g) for g in groups]} need distinct ranks "
+                f"with counts (0..{p - 1}), {k} each"
             )
-        parts = [[np.asarray(b) for b in row] for row in send_matrix]
-        flat = [p for row in parts for p in row]
-        # every part one dtype (an offending part names its sender), so
-        # each member's parts join as raw bytes; an all-empty join keeps
-        # the dtype
-        self._check_dtypes([r for r in ranks for _ in ranks], flat)
-        received = [_join([row[j] for row in parts]) for j in range(k)]
-        nbytes = [p.nbytes for p in flat]
-        total, max_pair = sum(nbytes), max(nbytes, default=0)
-        t = self.costmodel.alltoall_time(ranks, max_pair, nic_sharing=nic_sharing)
-        self.counters.record(
-            "alltoallv",
-            serial_messages=k * (k - 1),
-            transfers=k * (k - 1),
-            nbytes=total,
-        )
-        return t, received
+
+        def move(ranks, _):
+            block = [sizes[r * k : r * k + k] for r in ranks]
+            pair = max(map(max, block)) * row_nbytes
+            t = self.costmodel.alltoall_time(ranks, pair, nic_sharing=nic_sharing)
+            self.counters.record(
+                "alltoallv",
+                serial_messages=k * (k - 1),
+                transfers=k * (k - 1),
+                nbytes=sum(map(sum, block)) * row_nbytes,
+            )
+            return t, None
+
+        def deliver() -> tuple[np.ndarray, np.ndarray]:
+            # receiver (g, j) takes the parts (members[g, i], j) for i < k,
+            # the flat runs members[g, i] * k + j; receivers in rank order
+            members = stage.idx.reshape(-1, k)
+            runs = (members[:, None, :] * k + np.arange(k)[:, None]).reshape(-1, k)
+            recv, ends = take(runs[np.argsort(stage.idx)].ravel())
+            recv_counts = np.zeros(p, dtype=np.int64)
+            recv_counts[np.sort(stage.idx)] = np.diff(ends[k - 1 :: k], prepend=0)
+            return recv, recv_counts
+
+        return move, parts, deliver
+
+    def alltoallv(self, ranks, send_matrix, nic_sharing: int = 1) -> list[np.ndarray]:
+        """A one-group :meth:`alltoallv_stage` from the 1D baselines'
+        per-member lists: ``send_matrix[i][j]`` is what member ``i`` sends
+        member ``j``, all of one dtype (a sender of another is refused,
+        named); per member, everything addressed to it."""
+        recv, sizes = self.alltoallv_stage([ranks], *_by_rank(ranks, send_matrix), nic_sharing)
+        received = np.split(recv, np.cumsum(sizes)[:-1])
+        return [received[r] for r in ranks]
 
     # ------------------------------------------------------------------
     # split-phase collectives (issue now, charge time at wait)
     # ------------------------------------------------------------------
     def _issue(self, kind, ranks, payload, move) -> CollectiveHandle:
-        """One group's ``move(ranks, payload) -> (cost, result)`` now,
-        its time at :meth:`wait`, whose guard checks the received data
-        (an AllReduce's reduced buffers)."""
-        t, result = move(ranks, payload)
-        received = (
-            payload if result is None else result if isinstance(result, list) else [result]
-        )
-        inflight = self.clocks.issue_collective(ranks, t)
-        return CollectiveHandle(kind, tuple(ranks), inflight, result, received)
+        """One group's ``move(ranks, payload) -> (cost, None)`` now, its
+        time at :meth:`wait`, whose guard checks ``payload``: an
+        AllReduce's reduced buffers (a variable-size stage sets its
+        received data)."""
+        inflight = self.clocks.issue_collective(ranks, move(ranks, payload)[0])
+        return CollectiveHandle(kind, tuple(ranks), inflight, payload=payload)
 
     def start_allreduce(
         self,
@@ -504,12 +538,7 @@ class Communicator:
         self._stage_index(groups)
         return [self.start_allreduce(g, b, op, nic_sharing) for g, b in zip(groups, buffers)]
 
-    def start_allgatherv(
-        self,
-        ranks: Sequence[int],
-        send_buffers: Sequence[np.ndarray],
-        nic_sharing: int = 1,
-    ) -> CollectiveHandle:
+    def start_allgatherv(self, ranks, send_buffers, nic_sharing: int = 1) -> CollectiveHandle:
         """Issue a variable-size AllGather over one group, from one send
         buffer per member; complete with :meth:`wait`.
 
@@ -518,42 +547,42 @@ class Communicator:
         for the pipelined-consumption contract); send buffers may be
         recycled once this returns.
         """
-        self._check_group(ranks, send_buffers)
-        self._check_dtypes(ranks, send_buffers)
-        if len(set(ranks)) != len(ranks):
-            raise ValueError(f"allgatherv group {list(ranks)} repeats a rank")
-        arrays = [np.asarray(b) for b in send_buffers]
-        by_rank = [arrays[0][:0]] * (max(ranks) + 1)
-        for r, a in zip(ranks, arrays):
-            by_rank[r] = a
-        (handle,) = self.start_allgatherv_stage([ranks], *rank_major(by_rank), nic_sharing)
-        return handle
+        send, counts = _by_rank(ranks, [[b] for b in send_buffers])
+        return self.start_allgatherv_stage([ranks], send, counts[:, 0], nic_sharing)[1][0]
 
     def start_allgatherv_stage(self, groups, send, counts, nic_sharing: int = 1):
         """:meth:`allgatherv_stage` issued split-phase: each group is
         validated, counted and issued in group order (its guard runs at
-        :meth:`wait`), then the data of all groups moves with one
-        gather; one handle per group."""
-        send, counts = np.asarray(send), np.asarray(counts)
-        move, _ = self._gather_plan(send, counts, nic_sharing)
-        self._stage_index(groups)
+        :meth:`wait`, over its ``handle.result``), then the data of all
+        groups moves with one gather; ``(results, handles)``, the
+        blocking stage's results and one handle per group."""
+        move, _, deliver = self._gather_plan(groups, send, counts, nic_sharing)
         handles = [self._issue("allgatherv", ranks, ranks, move) for ranks in groups]
-        for handle, result in zip(handles, self._gather(send, counts, groups)):
+        results = deliver()
+        for handle, result in zip(handles, results):
             handle.result, handle.payload = result, [result]
-        return handles
+        return results, handles
 
-    def start_alltoallv(
-        self,
-        ranks: Sequence[int],
-        send_matrix: Sequence[Sequence[np.ndarray]],
-        nic_sharing: int = 1,
-    ) -> CollectiveHandle:
-        """Issue a personalized exchange; complete with :meth:`wait`.
+    def start_alltoallv(self, ranks, send_matrix, nic_sharing: int = 1) -> CollectiveHandle:
+        """:meth:`alltoallv` issued split-phase (complete with
+        :meth:`wait`); ``handle.result`` is the members' received rows."""
+        send, counts = _by_rank(ranks, send_matrix)
+        return self.start_alltoallv_stage([ranks], send, counts, nic_sharing)[1][0]
 
-        ``handle.result`` carries the per-member received buffers.
-        """
-        move = partial(self._alltoallv_core, nic_sharing=nic_sharing)
-        return self._issue("alltoallv", ranks, send_matrix, move)
+    def start_alltoallv_stage(self, groups, send, counts, nic_sharing: int = 1):
+        """:meth:`alltoallv_stage` issued split-phase: each group is
+        validated, counted and issued in group order (its guard runs at
+        :meth:`wait`, over the members' received rows, its
+        ``handle.result``), then the data of all groups moves with one
+        gather; ``((recv, recv_counts), handles)``, the blocking
+        stage's result and one handle per group."""
+        move, _, deliver = self._exchange_plan(groups, send, counts, nic_sharing)
+        handles = [self._issue("alltoallv", ranks, ranks, move) for ranks in groups]
+        recv, recv_counts = deliver()
+        received = np.split(recv, np.cumsum(recv_counts)[:-1])
+        for handle in handles:
+            handle.result = handle.payload = [received[r] for r in handle.ranks]
+        return (recv, recv_counts), handles
 
     def wait(self, handle: CollectiveHandle):
         """Complete a split-phase collective; returns its result.

@@ -472,7 +472,8 @@ class Engine:
         """Charge a per-vertex kernel (queue builds, initialization).
 
         ``rank=None`` charges every rank at once, ``n_vertices[r]``
-        vertices on rank ``r``.
+        vertices on rank ``r`` (and ``launches[r]`` launches, if an
+        array: ``0`` on a rank that runs no kernel).
         """
         t = self.costmodel.kernel_time(
             n_vertices=n_vertices, launches=launches

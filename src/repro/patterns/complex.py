@@ -43,7 +43,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ..comm.collectives import rank_major
 from ..core.engine import Engine
 from ..kernels import segment_reduce
 from .sparse import _pairs, _tiles
@@ -201,23 +200,19 @@ def complex_reduce(
 
     # Personalized exchange of the triples to their owners: each rank's
     # triples, stably grouped by owner (run r*R + k holds what rank r
-    # sends its group's k-th member), one alltoallv per row group.
+    # sends its group's k-th member), one alltoallv stage over the row
+    # groups.
     runs = fleet.ranks(counts) * R + owner_of_vertex(triples["gid"], bounds) % R
     order = np.argsort(runs, kind="stable")
-    routed = triples.take(order)
-    cuts = np.searchsorted(runs[order], np.arange(grid.n_ranks * R + 1)).tolist()
+    sends = np.bincount(runs, minlength=grid.n_ranks * R).reshape(-1, R)
     engine.charge_vertices(None, counts)
-    received = []
-    for _, ranks in row_groups:
-        matrix = [
-            [routed[cuts[j] : cuts[j + 1]] for j in range(r * R, r * R + R)]
-            for r in ranks
-        ]
-        received.extend(engine.comm.alltoallv(ranks, matrix))
+    received, _ = engine.comm.alltoallv_stage(
+        [ranks for _, ranks in row_groups], triples.take(order), sends
+    )
 
     # Owners hold disjoint GIDs, ascending with their rank: one merge
     # and one owner reduction serve every owner.
-    merged = merge_histograms(rank_major(received)[0])
+    merged = merge_histograms(received)
     gids, winners = owner_reduce(merged)
     engine.charge_vertices(None, per_owner(merged["gid"]))
 

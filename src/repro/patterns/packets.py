@@ -22,79 +22,58 @@ from ..core.engine import Engine
 __all__ = ["packet_swap"]
 
 
-def _split_by(packets: np.ndarray, keys: np.ndarray, n_bins: int) -> list[np.ndarray]:
-    """Partition a packet buffer into ``n_bins`` by integer key."""
-    order = np.argsort(keys, kind="stable")
-    sorted_pkts = packets[order]
-    sorted_keys = keys[order]
-    bounds = np.searchsorted(sorted_keys, np.arange(n_bins + 1))
-    return [sorted_pkts[bounds[b] : bounds[b + 1]] for b in range(n_bins)]
+def packet_swap(
+    engine: Engine, packets: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Deliver every rank's packets to their ``dest`` ranks.
 
-
-def packet_swap(engine: Engine, packets: list[np.ndarray]) -> list[np.ndarray]:
-    """Deliver per-rank packet buffers to their ``dest`` ranks.
-
-    ``packets[r]`` is a structured array with (at least) a ``dest``
-    field holding destination rank ids.  Returns the per-rank received
-    buffers.  Routing is row-then-column as described in the module
-    docstring; each hop is a personalized exchange within one group.
+    ``packets`` holds every rank's packets rank-major — ``counts[r]``
+    of rank ``r``, after those of ranks ``< r`` — as one structured
+    array with (at least) a ``dest`` field of destination rank ids.
+    Returns the delivered packets the same way: rank-major, with their
+    number per rank.  Routing is row-then-column as described in the
+    module docstring; each hop is one stable sort of every rank's
+    packets by destination member and one AllToAllV stage over the
+    hop's groups.
     """
-    grid = engine.grid
-    if len(packets) != grid.n_ranks:
-        raise ValueError("need one packet buffer per rank")
-    for r, buf in enumerate(packets):
-        if buf.size and (buf["dest"].min() < 0 or buf["dest"].max() >= grid.n_ranks):
-            raise ValueError(f"rank {r}: packet dest out of range")
-
-    row_share = engine.stage_nic_sharing("row")
-    col_share = engine.stage_nic_sharing("col")
+    grid, fleet = engine.grid, engine.fleet
+    counts = np.asarray(counts)
+    if counts.shape != (grid.n_ranks,) or counts.sum() != len(packets):
+        raise ValueError(
+            f"need one packet count per rank ({grid.n_ranks}) summing to "
+            f"{len(packets)}, got {counts.tolist()}"
+        )
+    bad = (packets["dest"] < 0) | (packets["dest"] >= grid.n_ranks)
+    if bad.any():
+        raise ValueError(f"rank {fleet.ranks(counts)[bad.argmax()]}: packet dest out of range")
 
     # Hop 1: along each row group, move packets to their destination
-    # block-column.  Splits are per-rank compute (parallel); the
-    # personalized exchanges stay sequential per group.
-    def split_cols(ctx) -> list[np.ndarray]:
-        buf = packets[ctx.rank]
-        dest_cols = (buf["dest"] % grid.R).astype(np.int64)
-        engine.charge_vertices(ctx.rank, buf.size)
-        return _split_by(buf, dest_cols, grid.R)
-
-    splits = engine.map_ranks(split_cols)
-    staged: list[np.ndarray] = [None] * grid.n_ranks  # type: ignore[list-item]
-    # On an overlapped engine hop 1 is issued split-phase: the staged
-    # buffers materialize at issue, the hop-2 splits compute against
-    # them while the exchanges are in flight, and the comm charge lands
-    # at the wait below (hiding the split compute).  See docs/MODEL.md.
-    handles = []
-    for id_r, ranks in engine.row_groups():
-        if engine.overlap:
-            h = engine.comm.start_alltoallv(
-                ranks, [splits[r] for r in ranks], nic_sharing=row_share
-            )
-            handles.append(h)
-            received = h.result
-        else:
-            received = engine.comm.alltoallv(
-                ranks, [splits[r] for r in ranks], nic_sharing=row_share
-            )
-        for pos, r in enumerate(ranks):
-            staged[r] = received[pos]
-
+    # block-column.  On an overlapped engine it is issued split-phase:
+    # the staged packets materialize at issue, the hop-2 sort computes
+    # against them while the exchanges are in flight, and the comm
+    # charge lands at the waits below (hiding the sort's compute).  See
+    # docs/MODEL.md.
+    row = _route(engine, packets, counts, packets["dest"] % grid.R, "row")
+    if engine.overlap:
+        (staged, staged_counts), handles = engine.comm.start_alltoallv_stage(*row)
+    else:
+        (staged, staged_counts), handles = engine.comm.alltoallv_stage(*row), []
     # Hop 2: along each column group, move packets to their destination
     # block-row.
-    def split_rows(ctx) -> list[np.ndarray]:
-        buf = staged[ctx.rank]
-        dest_rows = (buf["dest"] // grid.R).astype(np.int64)
-        engine.charge_vertices(ctx.rank, buf.size)
-        return _split_by(buf, dest_rows, grid.C)
+    col = _route(engine, staged, staged_counts, staged["dest"] // grid.R, "col")
+    for handle in handles:
+        engine.comm.wait(handle)
+    return engine.comm.alltoallv_stage(*col)
 
-    splits = engine.map_ranks(split_rows)
-    for h in handles:
-        engine.comm.wait(h)
-    delivered: list[np.ndarray] = [None] * grid.n_ranks  # type: ignore[list-item]
-    for id_c, ranks in engine.col_groups():
-        received = engine.comm.alltoallv(
-            ranks, [splits[r] for r in ranks], nic_sharing=col_share
-        )
-        for pos, r in enumerate(ranks):
-            delivered[r] = received[pos]
-    return delivered
+
+def _route(engine: Engine, packets, counts, member, axis: str) -> tuple:
+    """Every rank's packets stably sorted by the ``member`` of its
+    ``axis`` group they go to (a per-vertex kernel on each rank): the
+    arguments of that hop's AllToAllV stage."""
+    groups = [ranks for _, ranks in (engine.row_groups() if axis == "row" else engine.col_groups())]
+    k = len(groups[0])
+    runs = engine.fleet.ranks(counts) * k + member
+    order = np.argsort(runs, kind="stable")
+    sends = np.bincount(runs, minlength=engine.n_ranks * k).reshape(-1, k)
+    engine.charge_vertices(None, counts)
+    return groups, packets.take(order), sends, engine.stage_nic_sharing(axis)

@@ -146,9 +146,8 @@ def _exchange(engine: Engine, groups, send, counts, nic_sharing: int, handles: l
     to wait after the apply phase it hides."""
     members = [ranks for _, ranks in groups]
     if engine.overlap:
-        issued = engine.comm.start_allgatherv_stage(members, send, counts, nic_sharing)
+        rbufs, issued = engine.comm.start_allgatherv_stage(members, send, counts, nic_sharing)
         handles.extend(issued)
-        rbufs = [h.result for h in issued]
     else:
         rbufs = engine.comm.allgatherv_stage(members, send, counts, nic_sharing)
     sizes = np.empty(engine.n_ranks, dtype=np.int64)

@@ -203,7 +203,7 @@ def test_split_phase_stage_equals_per_group_issue(case):
     p, groups, clock_seed, seed, width = case
     staged, oracle = _comm(p, clock_seed), _comm(p, clock_seed)
     payloads = _payloads("allgatherv", groups, seed, width)
-    got = staged.start_allgatherv_stage(groups, *_stacked(staged, groups, payloads))
+    got = staged.start_allgatherv_stage(groups, *_stacked(staged, groups, payloads))[1]
     want = [
         oracle.start_allgatherv(ranks, bufs)
         for ranks, bufs in zip(groups, _payloads("allgatherv", groups, seed, width))
@@ -334,6 +334,22 @@ def test_counts_must_cover_the_send_data():
     assert comm.counters.summary() == {}
 
 
+def test_alltoallv_counts_must_match_the_groups():
+    """A ranks x members count table, one column per member of every
+    group, covering the send rows: refused before any group moves."""
+    comm = _comm(4, 0)
+    two = np.ones((4, 2), dtype=np.int64)
+    with pytest.raises(ValueError, match="per-rank sizes >= 0"):
+        comm.alltoallv_stage([[0, 1], [2, 3]], np.zeros(4), np.ones(4, dtype=np.int64))
+    with pytest.raises(ValueError, match="need distinct ranks with counts .*, 2 each"):
+        comm.alltoallv_stage([[0, 1], [2]], np.zeros(8), two)
+    with pytest.raises(ValueError, match="need distinct ranks with counts"):
+        comm.alltoallv_stage([[0, 4]], np.zeros(8), two)
+    with pytest.raises(ValueError, match="counts sum to 8 rows, but the send data has 7"):
+        comm.alltoallv_stage([[0, 1], [2, 3]], np.zeros(7), two)
+    assert comm.counters.summary() == {}
+
+
 def test_group_set_is_indexed_once():
     comm = _comm(4, 0)
     for _ in range(3):
@@ -422,8 +438,8 @@ def test_stacked_allgatherv_stage_equals_the_per_group_loop(
     groups = groups[axis]
     bufs = _ragged(grid.n_ranks, seed, structured)
     if split_phase:
-        handles = staged.start_allgatherv_stage(groups, *rank_major(bufs), nic_sharing=2)
-        got = [h.result for h in handles]
+        got, handles = staged.start_allgatherv_stage(groups, *rank_major(bufs), nic_sharing=2)
+        assert all(h.result is result for h, result in zip(handles, got))
         want, inflight = [], []
         for ranks in groups:
             t, result = allgatherv_core(oracle, ranks, [bufs[r] for r in ranks], 2)
@@ -471,7 +487,7 @@ def test_a_guard_raising_at_group_g_leaves_groups_before_it_moved(fail_at, split
     staged.guard = guard
     with pytest.raises(RankFailure):
         if split_phase:
-            for handle in staged.start_allgatherv_stage(groups, *rank_major(bufs)):
+            for handle in staged.start_allgatherv_stage(groups, *rank_major(bufs))[1]:
                 staged.wait(handle)
         else:
             staged.allgatherv_stage(groups, *rank_major(bufs))

@@ -1,18 +1,22 @@
-"""The stacked 2.5D reduction, matching and pointer jumping's gathers
-against the per-rank formulation they replaced.
+"""The stacked 2.5D reduction, matching, packet swapping and pointer
+jumping against the per-rank formulation they replaced.
 
 The oracle below is the implementation as it stood before every
-AllGatherv-based complex pattern ran on the fleet, kept verbatim
-(renamed ``per_rank_*``): ``neighbor_histograms``, ``complex_reduce``
-and ``refresh_ghosts`` as one ``Engine.map_ranks`` closure per rank,
-their gathers through ``allgatherv_by_rank``, coloring's
-``winner_histograms``, matching's four per-rank phases and pointer
-jumping's ``local_minima`` / ``build_final`` / ``apply_final``.  The
-stacked bodies are held to it bit for bit: values, iterations, all
+complex pattern ran on the fleet, kept verbatim (renamed
+``per_rank_*``): ``neighbor_histograms``, ``complex_reduce`` and
+``refresh_ghosts`` as one ``Engine.map_ranks`` closure per rank, their
+gathers through ``allgatherv_by_rank``, coloring's
+``winner_histograms``, matching's four per-rank phases, and pointer
+jumping's ``local_minima`` / ``build_final`` / ``apply_final``, per-rank
+home tables and jump loop.  Its personalized exchanges are the
+per-list AllToAllV of one group at a time (``per_list_alltoallv``:
+the collective's core as it stood, then the group's own clock sync),
+under ``packet_swap``'s per-rank splits (``per_rank_packet_swap``).
+The stacked bodies are held to it bit for bit: values, iterations, all
 seven clock lanes, the communication counters and, for Label
-Propagation, the encoded active queue of every superstep's checkpoint,
-on blocking and overlapped engines over tall, wide, non-divisible and
-256-rank grids.
+Propagation and pointer jumping, what every superstep's checkpoint
+keeps (the encoded active queue; the pointers), on blocking and
+overlapped engines over tall, wide, non-divisible and 256-rank grids.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import (
     core_numbers,
@@ -32,12 +38,8 @@ from repro.algorithms import (
 )
 from repro.algorithms.coloring import _smallest_absent, color_priorities
 from repro.algorithms.pagerank import compute_global_degrees
-from repro.algorithms.pointerjump import (
-    PJ_DTYPE,
-    _home_ranks,
-    _home_tables,
-)
-from repro.comm.collectives import rank_major
+from repro.algorithms.pointerjump import PJ_DTYPE, _home_ranks
+from repro.comm.collectives import CollectiveHandle, _join, rank_major
 from repro.comm.grid import Grid2D
 from repro.core import fleet as fleet_mod
 from repro.core.engine import Engine
@@ -55,11 +57,121 @@ from repro.patterns.complex import (
     owner_of_vertex,
     select_mode,
 )
+from repro.faults import RankFailure
 from repro.patterns.dense import dense_pull
-from repro.patterns.packets import packet_swap
 from repro.patterns.sparse import PAIR_DTYPE, propagate_active_pull, sparse_push
 
 CAND_DTYPE = np.dtype([("gid", np.int64), ("w", np.float64), ("nbr", np.int64)])
+
+
+# ----------------------------------------------------------------------
+# the oracle: the personalized exchange, one group's lists at a time
+# ----------------------------------------------------------------------
+def per_list_alltoallv_core(comm, ranks, send_matrix, nic_sharing):
+    """Validate, move data, record counters; return (cost, result)."""
+    k = len(ranks)
+    if len(send_matrix) != k or any(len(row) != k for row in send_matrix):
+        shape = f"{len(send_matrix)} x {[len(row) for row in send_matrix]}"
+        raise ValueError(
+            f"send_matrix must be {k} x {k} for group {list(ranks)}; "
+            f"got {shape}"
+        )
+    parts = [[np.asarray(b) for b in row] for row in send_matrix]
+    flat = [p for row in parts for p in row]
+    # every part one dtype (an offending part names its sender), so
+    # each member's parts join as raw bytes; an all-empty join keeps
+    # the dtype
+    comm._check_dtypes([r for r in ranks for _ in ranks], flat)
+    received = [_join([row[j] for row in parts]) for j in range(k)]
+    nbytes = [p.nbytes for p in flat]
+    total, max_pair = sum(nbytes), max(nbytes, default=0)
+    t = comm.costmodel.alltoall_time(ranks, max_pair, nic_sharing=nic_sharing)
+    comm.counters.record(
+        "alltoallv",
+        serial_messages=k * (k - 1),
+        transfers=k * (k - 1),
+        nbytes=total,
+    )
+    return t, received
+
+
+def per_list_alltoallv(comm, ranks, send_matrix, nic_sharing=1):
+    """One group's blocking AllToAllV: guard, core, clock sync."""
+    if comm.guard is not None:
+        comm.guard(comm.clocks, "alltoallv", ranks, [b for row in send_matrix for b in row])
+    t, received = per_list_alltoallv_core(comm, ranks, send_matrix, nic_sharing)
+    comm.clocks.sync_group(ranks, t)
+    return received
+
+
+def per_list_start_alltoallv(comm, ranks, send_matrix, nic_sharing=1):
+    """One group's split-phase AllToAllV: core now, time at ``wait``."""
+    t, received = per_list_alltoallv_core(comm, ranks, send_matrix, nic_sharing)
+    inflight = comm.clocks.issue_collective(ranks, t)
+    return CollectiveHandle("alltoallv", tuple(ranks), inflight, received, received)
+
+
+def _split_by(packets: np.ndarray, keys: np.ndarray, n_bins: int) -> list[np.ndarray]:
+    """Partition a packet buffer into ``n_bins`` by integer key."""
+    order = np.argsort(keys, kind="stable")
+    sorted_pkts = packets[order]
+    sorted_keys = keys[order]
+    bounds = np.searchsorted(sorted_keys, np.arange(n_bins + 1))
+    return [sorted_pkts[bounds[b] : bounds[b + 1]] for b in range(n_bins)]
+
+
+def per_rank_packet_swap(engine: Engine, packets: list[np.ndarray]) -> list[np.ndarray]:
+    """Deliver per-rank packet buffers to their ``dest`` ranks."""
+    grid = engine.grid
+    if len(packets) != grid.n_ranks:
+        raise ValueError("need one packet buffer per rank")
+    for r, buf in enumerate(packets):
+        if buf.size and (buf["dest"].min() < 0 or buf["dest"].max() >= grid.n_ranks):
+            raise ValueError(f"rank {r}: packet dest out of range")
+
+    row_share = engine.stage_nic_sharing("row")
+    col_share = engine.stage_nic_sharing("col")
+
+    def split_cols(ctx) -> list[np.ndarray]:
+        buf = packets[ctx.rank]
+        dest_cols = (buf["dest"] % grid.R).astype(np.int64)
+        engine.charge_vertices(ctx.rank, buf.size)
+        return _split_by(buf, dest_cols, grid.R)
+
+    splits = engine.map_ranks(split_cols)
+    staged: list[np.ndarray] = [None] * grid.n_ranks  # type: ignore[list-item]
+    handles = []
+    for id_r, ranks in engine.row_groups():
+        if engine.overlap:
+            h = per_list_start_alltoallv(
+                engine.comm, ranks, [splits[r] for r in ranks], nic_sharing=row_share
+            )
+            handles.append(h)
+            received = h.result
+        else:
+            received = per_list_alltoallv(
+                engine.comm, ranks, [splits[r] for r in ranks], nic_sharing=row_share
+            )
+        for pos, r in enumerate(ranks):
+            staged[r] = received[pos]
+
+    def split_rows(ctx) -> list[np.ndarray]:
+        buf = staged[ctx.rank]
+        dest_rows = (buf["dest"] // grid.R).astype(np.int64)
+        engine.charge_vertices(ctx.rank, buf.size)
+        return _split_by(buf, dest_rows, grid.C)
+
+    splits = engine.map_ranks(split_rows)
+    for h in handles:
+        engine.comm.wait(h)
+    delivered: list[np.ndarray] = [None] * grid.n_ranks  # type: ignore[list-item]
+    for id_c, ranks in engine.col_groups():
+        received = per_list_alltoallv(
+            engine.comm, ranks, [splits[r] for r in ranks], nic_sharing=col_share
+        )
+        for pos, r in enumerate(ranks):
+            delivered[r] = received[pos]
+    return delivered
 
 
 # ----------------------------------------------------------------------
@@ -144,7 +256,7 @@ def per_rank_complex_reduce(engine, name, histograms, owner_reduce, combine=None
     sends = engine.map_ranks(route_to_owners)
     received_of: list[Optional[np.ndarray]] = [None] * grid.n_ranks
     for _, ranks in engine.row_groups():
-        received = engine.comm.alltoallv(ranks, [sends[r] for r in ranks])
+        received = per_list_alltoallv(engine.comm, ranks, [sends[r] for r in ranks])
         for pos, r in enumerate(ranks):
             received_of[r] = received[pos]
 
@@ -411,16 +523,51 @@ def per_rank_initial_forest(engine: Engine) -> np.ndarray:
     return parent
 
 
+def per_rank_home_tables(part, parent: np.ndarray, converged: np.ndarray):
+    """Each rank's home slice — the relabeled GIDs it owns in both its
+    row and its column range — with their parents (relabeled GIDs) and
+    converged flags, from original-order ``parent`` (original ids) and
+    ``converged``."""
+    home_gids: dict[int, np.ndarray] = {}
+    home_parent: dict[int, np.ndarray] = {}
+    home_converged: dict[int, np.ndarray] = {}
+    for blk in part.blocks:
+        lm = blk.localmap
+        lo, hi = max(lm.row_start, lm.col_start), min(lm.row_stop, lm.col_stop)
+        gids = np.arange(lo, max(lo, hi), dtype=np.int64)
+        orig = part.original_gid(gids)
+        home_gids[blk.rank] = gids
+        home_parent[blk.rank] = part.perm[parent[orig]]
+        home_converged[blk.rank] = converged[orig]
+    return home_gids, home_parent, home_converged
+
+
+def per_rank_pointers(part, home_gids, home_parent, converged) -> dict:
+    """The home tables as original-order vectors (the inverse of
+    :func:`per_rank_home_tables`): what a checkpoint keeps."""
+    parent = np.empty(part.n_vertices, dtype=np.int64)
+    conv = np.zeros(part.n_vertices, dtype=bool)
+    for rank, gids in home_gids.items():
+        orig = part.original_gid(gids)
+        parent[orig] = part.original_gid(home_parent[rank])
+        conv[orig] = converged[rank]
+    return {"parent": parent, "converged": conv}
+
+
 def per_rank_pointer_jumping(engine: Engine):
     part = engine.partition
     engine.reset_timers()
     parent = per_rank_initial_forest(engine)
-    home_gids, home_parent, converged = _home_tables(
+    home_gids, home_parent, converged = per_rank_home_tables(
         part, parent, parent == np.arange(part.n_vertices)
     )
-    iterations, done = 0, False
-    while not done:
-        iterations += 1
+    s = SimpleNamespace(iterations=0, done=False)
+
+    def saved():
+        return {**vars(s), **per_rank_pointers(part, home_gids, home_parent, converged)}
+
+    while not s.done:
+        s.iterations += 1
 
         def build_queries(ctx):
             r = ctx.rank
@@ -433,7 +580,7 @@ def per_rank_pointer_jumping(engine: Engine):
             engine.charge_vertices(r, int(pending.sum()) + targets.size)
             return q
 
-        arrived = packet_swap(engine, engine.map_ranks(build_queries))
+        arrived = per_rank_packet_swap(engine, engine.map_ranks(build_queries))
 
         def build_responses(ctx):
             r = ctx.rank
@@ -446,7 +593,7 @@ def per_rank_pointer_jumping(engine: Engine):
             engine.charge_vertices(r, inbox.size)
             return resp
 
-        delivered = packet_swap(engine, engine.map_ranks(build_responses))
+        delivered = per_rank_packet_swap(engine, engine.map_ranks(build_responses))
 
         def apply_jumps(ctx):
             r = ctx.rank
@@ -473,8 +620,8 @@ def per_rank_pointer_jumping(engine: Engine):
             engine.map_ranks(apply_jumps), over="ranks"
         )
         wait()
-        done = n_changed == 0
-        engine.superstep_boundary("pj")
+        s.done = n_changed == 0
+        engine.superstep_boundary("pj", saved)
 
     engine.alloc("pj", np.float64, fill=-1.0)
 
@@ -495,7 +642,7 @@ def per_rank_pointer_jumping(engine: Engine):
         engine.charge_vertices(ctx.rank, rbuf.size)
 
     engine.foreach(apply_final)
-    return part.original_gid(engine.gather("pj").astype(np.int64)), iterations
+    return part.original_gid(engine.gather("pj").astype(np.int64)), s.iterations
 
 
 # ----------------------------------------------------------------------
@@ -526,9 +673,10 @@ ALGORITHMS = {
 
 
 class _Boundaries:
-    """Records the encoded active queue of every Label Propagation
-    superstep's checkpoint (the loop state a checkpoint would keep,
-    called at every boundary)."""
+    """Records what every Label Propagation and pointer jumping
+    superstep's checkpoint keeps (the loop state a checkpoint would
+    keep, called at every boundary): the encoded active queue; the
+    iteration count, the done flag and the pointers."""
 
     def __init__(self, engine: Engine):
         self.queues: list = []
@@ -537,6 +685,12 @@ class _Boundaries:
         def record(tag, state=None):
             if tag == "lp":
                 self.queues.append(state()["active"])
+            if tag == "pj":
+                saved = state()
+                self.queues.extend(
+                    np.asarray(saved[key])
+                    for key in ("iterations", "done", "parent", "converged")
+                )
             return boundary(tag, state)
 
         engine.superstep_boundary = record
@@ -591,3 +745,124 @@ def test_histogram_edges_spanning_slices(monkeypatch, which):
     assert counts.tolist() == [t.size for t in want]
     assert triples.tobytes() == np.concatenate(want).tobytes()
     _assert_same_run(graph, grid, False, which)
+
+
+# ----------------------------------------------------------------------
+# the AllToAllV stage against the per-list calls, group by group
+# ----------------------------------------------------------------------
+def _comms(grid: Grid2D, seed: int):
+    """Two engines' communicators on ``grid`` with the same uneven
+    clocks, and the engine's row and column groups."""
+    comms = []
+    for _ in range(2):
+        engine = Engine(rmat(6, seed=3), grid=grid)
+        rng = np.random.default_rng(seed)
+        engine.clocks.add_compute_all(rng.uniform(0.0, 1e-3, size=grid.n_ranks))
+        comms.append(engine.comm)
+    groups = {
+        "row": [ranks for _, ranks in engine.row_groups()],
+        "col": [ranks for _, ranks in engine.col_groups()],
+    }
+    return comms, groups
+
+
+def _sends(p: int, k: int, seed: int):
+    """Rank-major ``PAIR_DTYPE`` rows and their ``p x k`` counts; about
+    half the ranks send nothing."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, 4, size=(p, k)) * (rng.random((p, 1)) < 0.5)
+    send = np.empty(int(counts.sum()), dtype=PAIR_DTYPE)
+    send["gid"] = rng.integers(0, 1000, size=send.size)
+    send["val"] = rng.random(send.size)
+    return send, counts
+
+
+def _matrix(send, counts, ranks) -> list[list[np.ndarray]]:
+    """A group's send parts as the per-list call took them."""
+    k = counts.shape[1]
+    bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
+    return [[send[bounds[r * k + j] : bounds[r * k + j + 1]] for j in range(k)] for r in ranks]
+
+
+def _same(a, b) -> None:
+    assert a.clocks.lanes.tobytes() == b.clocks.lanes.tobytes()
+    assert a.counters.summary() == b.counters.summary()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    grid=st.sampled_from([Grid2D(R=2, C=2), Grid2D(R=1, C=4), Grid2D(R=4, C=1),
+                          Grid2D(R=3, C=2), Grid2D(R=2, C=4)]),
+    axis=st.sampled_from(["row", "col"]),
+    split_phase=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+def test_alltoallv_stage_equals_the_per_list_calls(grid, axis, split_phase, seed):
+    """Received rows, counters and all seven clock lanes equal one
+    per-list call per group — blocking, and split-phase after every
+    handle is waited."""
+    (staged, oracle), groups = _comms(grid, seed)
+    groups = groups[axis]
+    send, counts = _sends(grid.n_ranks, len(groups[0]), seed)
+    want = [np.empty(0, dtype=PAIR_DTYPE)] * grid.n_ranks
+    if split_phase:
+        (recv, sizes), handles = staged.start_alltoallv_stage(groups, send, counts, 2)
+        issued = [
+            per_list_start_alltoallv(oracle, ranks, _matrix(send, counts, ranks), 2)
+            for ranks in groups
+        ]
+        for handle, pending in zip(handles, issued):
+            assert handle.inflight.issued_at == pending.inflight.issued_at
+            assert handle.inflight.comm_seconds == pending.inflight.comm_seconds
+            got = staged.wait(handle)
+            for r, x, y in zip(pending.ranks, got, oracle.wait(pending)):
+                assert x.tobytes() == y.tobytes()
+                want[r] = y
+    else:
+        recv, sizes = staged.alltoallv_stage(groups, send, counts, 2)
+        for ranks in groups:
+            received = per_list_alltoallv(oracle, ranks, _matrix(send, counts, ranks), 2)
+            for r, buf in zip(ranks, received):
+                want[r] = buf
+    assert sizes.tolist() == [w.size for w in want]
+    assert recv.dtype == PAIR_DTYPE and recv.tobytes() == b"".join(w.tobytes() for w in want)
+    _same(staged, oracle)
+
+
+@pytest.mark.parametrize("split_phase", [False, True], ids=["blocking", "split-phase"])
+@pytest.mark.parametrize("fail_at", [0, 1, 3])
+def test_a_guard_raising_at_group_g_of_an_alltoallv_stage(fail_at, split_phase):
+    """A guard that raises at group ``g``: the groups before ``g`` moved,
+    were counted and charged (on ``wait`` for split-phase), as one
+    per-list call per group leaves them; ``g`` and the groups after it
+    were not charged."""
+    (staged, oracle), groups = _comms(Grid2D(R=2, C=4), 11)
+    groups = groups["row"]
+    send, counts = _sends(8, 2, 5)
+
+    def guard(clocks, kind, ranks, payload):
+        assert kind == "alltoallv"
+        # the members' send parts, sender-major (blocking), or their
+        # received buffers (split-phase, checked at wait)
+        matrix = _matrix(send, counts, ranks)
+        want = (
+            [_join([row[j] for row in matrix]) for j in range(len(ranks))]
+            if split_phase else [b for row in matrix for b in row]
+        )
+        assert [p.tobytes() for p in payload] == [w.tobytes() for w in want]
+        if list(ranks) == groups[fail_at]:
+            raise RankFailure(ranks[0], 1, kind, fault_kind="crash")
+
+    staged.guard = guard
+    with pytest.raises(RankFailure):
+        if split_phase:
+            for handle in staged.start_alltoallv_stage(groups, send, counts)[1]:
+                staged.wait(handle)
+        else:
+            staged.alltoallv_stage(groups, send, counts)
+    for ranks in groups[:fail_at]:
+        per_list_alltoallv(oracle, ranks, _matrix(send, counts, ranks))
+    if split_phase:  # every group was issued and counted before the first wait
+        for ranks in groups[fail_at:]:
+            per_list_start_alltoallv(oracle, ranks, _matrix(send, counts, ranks))
+    _same(staged, oracle)

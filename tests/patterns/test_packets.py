@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.comm.collectives import rank_major
 from repro.core.engine import Engine
 from repro.graph import rmat
 from repro.patterns.packets import packet_swap
@@ -26,6 +27,12 @@ def _engine(grid):
     return Engine(rmat(6, seed=1), grid=grid)
 
 
+def swap(engine, packets: list) -> list:
+    """:func:`packet_swap` of per-rank buffers, delivered per rank."""
+    delivered, counts = packet_swap(engine, *rank_major(packets))
+    return np.split(delivered, np.cumsum(counts)[:-1])
+
+
 @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g.C}x{g.R}")
 def test_all_pairs_delivery(grid):
     """Every rank sends one tagged packet to every rank; everyone must
@@ -42,7 +49,7 @@ def test_all_pairs_delivery(grid):
                 dest=dests,
             )
         )
-    delivered = packet_swap(engine, packets)
+    delivered = swap(engine, packets)
     for r in range(p):
         inbox = delivered[r]
         assert inbox.size == p
@@ -55,7 +62,7 @@ def test_all_pairs_delivery(grid):
 def test_empty_buffers_flow_through():
     engine = _engine(GRIDS[4])  # 2x4
     packets = [np.empty(0, dtype=PACKET_DTYPE) for _ in range(8)]
-    delivered = packet_swap(engine, packets)
+    delivered = swap(engine, packets)
     assert all(d.size == 0 for d in delivered)
 
 
@@ -69,7 +76,7 @@ def test_uneven_fanout():
         payload=np.arange(17, dtype=np.float64),
         dest=np.full(17, 6, dtype=np.int64),
     )
-    delivered = packet_swap(engine, packets)
+    delivered = swap(engine, packets)
     assert delivered[6].size == 17
     assert np.array_equal(np.sort(delivered[6]["payload"]), np.arange(17.0))
     for r in range(p):
@@ -83,14 +90,14 @@ def test_out_of_range_dest_rejected():
     packets[0] = make_packets(
         src=np.array([0]), payload=np.array([1.0]), dest=np.array([9])
     )
-    with pytest.raises(ValueError):
-        packet_swap(engine, packets)
+    with pytest.raises(ValueError, match="rank 0: packet dest out of range"):
+        swap(engine, packets)
 
 
 def test_needs_buffer_per_rank():
     engine = _engine(GRIDS[1])
-    with pytest.raises(ValueError):
-        packet_swap(engine, [np.empty(0, dtype=PACKET_DTYPE)])
+    with pytest.raises(ValueError, match="one packet count per rank"):
+        packet_swap(engine, np.empty(0, dtype=PACKET_DTYPE), np.zeros(1, dtype=np.int64))
 
 
 def test_custom_dtype_supported():
@@ -101,7 +108,7 @@ def test_custom_dtype_supported():
     pkt = np.empty(1, dtype=dt)
     pkt["src"], pkt["a"], pkt["b"], pkt["dest"] = 0, 42, 43, 3
     packets[0] = pkt
-    delivered = packet_swap(engine, packets)
+    delivered = swap(engine, packets)
     assert delivered[3].size == 1
     assert delivered[3]["a"][0] == 42
     assert delivered[3]["b"][0] == 43
@@ -111,6 +118,6 @@ def test_two_hop_message_accounting():
     engine = _engine(GRIDS[7])  # 4x4
     packets = [np.empty(0, dtype=PACKET_DTYPE) for _ in range(16)]
     packets[0] = make_packets(np.array([0]), np.array([1.0]), np.array([15]))
-    packet_swap(engine, packets)
+    swap(engine, packets)
     # one alltoallv per row group + one per column group
     assert engine.counters.by_kind["alltoallv"].calls == 8

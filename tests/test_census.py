@@ -87,11 +87,11 @@ FAN_OUT_SCOPE = ("algorithms", "patterns", os.path.join("core", "program.py"))
 #: before ``pagerank_batch`` went; 35 before the vertex program's local
 #: compute and ``propagate_active_pull`` ran on the stacked queue; 31
 #: before the 2.5D reduction, coloring's winner histograms, matching
-#: and pointer jumping's forest and final sync ran on the fleet (what is
-#: left: the lane twins, PageRank's dangling share, triangle counting,
-#: the packet swaps and pointer jumping's jump loop, which ride
-#: ``alltoallv``).
-FAN_OUT_CEILING = 18
+#: and pointer jumping's forest and final sync ran on the fleet; 18
+#: before ``alltoallv`` got its stage form and the packet swaps and
+#: pointer jumping's jump loop ran on the fleet (what is left: the lane
+#: twins, PageRank's dangling share and triangle counting).
+FAN_OUT_CEILING = 13
 
 QUEUE_CONVERSION = re.compile(r"\bfleet\.(?:split|stack)\(")
 #: 11 while ``sparse_push`` / ``sparse_pull`` took and returned per-rank

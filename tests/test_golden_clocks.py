@@ -18,6 +18,9 @@ in reverse (id ``threads4``, the id of the thread-pool leg it
 replaced) — a per-rank closure that touched another rank's state would
 move the clock on one of the two.
 
+Pointer jumping (``pj``) is pinned from before its packet swaps and
+jump loop left their per-rank closures.
+
 Add cases for code about to change — at the parent commit, before the
 first source edit; recorded cases are left byte-identical::
 
@@ -81,6 +84,7 @@ ALGOS = {
     # divide branch, not the power-of-two shift / mask
     "bfs_batch": lambda e: bfs_batch(e, [3, 17, 200]),
     "sssp_batch": lambda e: sssp_batch(e, [3, 17, 200]),
+    "pj": lambda e: algorithms.pointer_jumping(e),
 }
 
 CASES = [
