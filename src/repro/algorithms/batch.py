@@ -4,8 +4,8 @@ The paper's cost model is dominated at scale by per-collective α terms,
 so k independent queries run sequentially pay k traversals' worth of
 latency.  :func:`bfs_batch` and :func:`sssp_batch` instead run k query
 *lanes* through one BSP superstep stream over ``(N_T, k)`` state
-arrays: every sparse exchange ships one fused ``{gid, lane, val}``
-buffer carrying all live frontiers
+arrays: every sparse exchange ships one fused buffer of
+``{lane·n + gid, val}`` pairs carrying all live frontiers
 (:func:`~repro.patterns.sparse.sparse_push_lanes`), and every
 bottom-up BFS sweep carries a k-column slice
 (:func:`~repro.patterns.dense.dense_exchange_lanes`) — one α charge per

@@ -29,6 +29,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from ..comm.grid import check_count
 from ..core.engine import Engine
 from ..core.result import AlgorithmResult, TimingReport
 from ..kernels import scatter_reduce, unique_bounded
@@ -80,16 +81,6 @@ def validate_roots(n: int, roots, what: str = "roots") -> np.ndarray:
     if (counts > 1).any():
         raise ValueError(f"duplicate {what}: {uniq[counts > 1].tolist()}")
     return roots
-
-
-def check_count(value, what: str, minimum: int = 1) -> int:
-    """Refuse a count that is not an integer >= ``minimum`` (a float, a
-    bool or a smaller integer) rather than truncating or clamping it."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{what} must be an integer >= {minimum}, not {value!r}")
-    if value < minimum:
-        raise ValueError(f"{what} must be an integer >= {minimum}, got {value}")
-    return int(value)
 
 
 def _real(value) -> bool:

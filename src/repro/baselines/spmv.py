@@ -41,7 +41,6 @@ def spmv_engine(
 ) -> Engine:
     """An :class:`Engine` placed on the zepy-style workstation;
     ``n_ranks`` is an integer >= 1 (``ValueError`` otherwise)."""
-    n_ranks = check_count(n_ranks, "n_ranks")
     return Engine(graph, n_ranks=n_ranks, cluster=cluster, **kwargs)
 
 

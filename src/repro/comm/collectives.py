@@ -427,7 +427,7 @@ class Communicator:
             ends = np.cumsum(lens)
             index = np.repeat(offsets[runs] - (ends - lens), lens)
             index += np.arange(index.size)
-            return send.take(index, axis=0), ends  # fancy indexing is slow on 24-byte records
+            return send.take(index, axis=0), ends  # fancy indexing is slow on structured records
 
         row_nbytes = send.dtype.itemsize * int(np.prod(send.shape[1:]))
         return stage, flat.tolist(), row_nbytes, parts, take

@@ -22,7 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["Grid2D", "square_grid", "factor_pairs", "squarest_grid"]
+import numpy as np
+
+__all__ = ["Grid2D", "check_count", "square_grid", "factor_pairs", "squarest_grid"]
 
 
 @dataclass(frozen=True)
@@ -86,8 +88,19 @@ class Grid2D:
         return f"Grid2D(C={self.C} block-rows x R={self.R} block-cols, p={self.n_ranks})"
 
 
+def check_count(value, what: str, minimum: int = 1) -> int:
+    """Refuse a count that is not an integer >= ``minimum`` (a float, a
+    bool or a smaller integer) rather than truncating or clamping it."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer >= {minimum}, not {value!r}")
+    if value < minimum:
+        raise ValueError(f"{what} must be an integer >= {minimum}, got {value}")
+    return int(value)
+
+
 def square_grid(n_ranks: int) -> Grid2D:
     """The square ``sqrt(p) x sqrt(p)`` grid for a perfect-square ``p``."""
+    n_ranks = check_count(n_ranks, "n_ranks")
     side = int(round(n_ranks**0.5))
     if side * side != n_ranks:
         raise ValueError(f"{n_ranks} is not a perfect square; pass an explicit Grid2D")

@@ -34,7 +34,7 @@ from ..cluster.topology import Topology
 from ..comm.clocks import VirtualClocks
 from ..comm.collectives import Communicator
 from ..comm.counters import CommCounters
-from ..comm.grid import Grid2D, square_grid
+from ..comm.grid import Grid2D, check_count, square_grid
 from ..graph.csr import Graph
 from ..graph.partition.twod import TwoDPartition, partition_2d
 from ..queueing.manhattan import manhattan_schedule, vertex_per_thread_balance
@@ -59,7 +59,8 @@ class Engine:
         Input graph (treated as already symmetrized; see
         :meth:`repro.graph.csr.Graph.from_edges`).
     n_ranks:
-        Total GPUs; must be a perfect square unless ``grid`` is given.
+        Total GPUs, an integer >= 1 (a bool or a float raises
+        ``ValueError``); must be a perfect square unless ``grid`` is given.
     grid:
         Explicit ``Grid2D`` for non-square layouts (paper Fig. 7).
     cluster:
@@ -118,7 +119,7 @@ class Engine:
             if n_ranks is None:
                 raise ValueError("pass n_ranks or an explicit grid")
             grid = square_grid(n_ranks)
-        elif n_ranks is not None and n_ranks != grid.n_ranks:
+        elif n_ranks is not None and check_count(n_ranks, "n_ranks") != grid.n_ranks:
             raise ValueError(
                 f"n_ranks={n_ranks} disagrees with grid ({grid.n_ranks} ranks)"
             )

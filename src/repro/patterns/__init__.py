@@ -2,7 +2,6 @@
 
 from .dense import dense_exchange, dense_exchange_lanes, dense_pull, dense_push
 from .sparse import (
-    LANE_PAIR_DTYPE,
     PAIR_DTYPE,
     LaneSparseResult,
     SparseResult,
@@ -18,7 +17,6 @@ __all__ = [
     "dense_exchange_lanes",
     "dense_pull",
     "dense_push",
-    "LANE_PAIR_DTYPE",
     "PAIR_DTYPE",
     "LaneSparseResult",
     "SparseResult",

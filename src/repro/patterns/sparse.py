@@ -73,7 +73,6 @@ from ..core.engine import Engine
 from ..kernels import scatter_reduce, scatter_reduce_lanes, unique_bounded
 
 __all__ = [
-    "LANE_PAIR_DTYPE",
     "PAIR_DTYPE",
     "LaneSparseResult",
     "SparseResult",
@@ -83,14 +82,9 @@ __all__ = [
     "propagate_active_pull",
 ]
 
-#: One queue entry: {vertex GID, state value} (paper Alg. 4 lines 6-7).
+#: One queue entry: {vertex GID, state value} (paper Alg. 4 lines 6-7);
+#: a k-lane exchange keys it ``lane * n + gid`` (:func:`sparse_push_lanes`).
 PAIR_DTYPE = np.dtype([("gid", np.int64), ("val", np.float64)])
-
-#: A lane-tagged queue entry for batched multi-source exchanges: the
-#: same pair plus the query lane the update belongs to.
-LANE_PAIR_DTYPE = np.dtype(
-    [("gid", np.int64), ("lane", np.int64), ("val", np.float64)]
-)
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
@@ -320,36 +314,35 @@ def sparse_push_lanes(
     The lane-batched analogue of :func:`sparse_push` over a 2-D
     ``(N_T, k)`` state: ``queues[rank]`` is a ``(col_lids, lanes)``
     pair naming the cells the local kernel updated, and every group
-    exchange ships **one** ``{gid, lane, val}`` buffer carrying all k
-    frontiers — one collective (one α charge) per group per stage,
-    where k sequential runs would pay k.
+    exchange ships **one** ``{lane·n + gid, val}`` buffer of
+    :data:`PAIR_DTYPE` records carrying all k frontiers — one
+    collective (one α charge) per group per stage, where k sequential
+    runs would pay k, and the scalar exchange's 16 bytes per record
+    (``n`` is the global vertex count; at k = 1 the key *is* the GID).
 
     Per lane the exchange is bit-identical to :func:`sparse_push` on
     that lane's column: the reduce runs through the composite index
     of :func:`~repro.kernels.scatter_reduce_lanes` (same update
-    order per lane as the 1-D kernel), queue dedup is lane-major (so
-    within a lane, GIDs sort exactly as the 1-D ``np.unique``), and the
-    final row assignment writes values already made final by the column
-    reduction.
+    order per lane as the 1-D kernel), queue dedup is on the lane-major
+    key itself (so within a lane, GIDs sort exactly as the 1-D
+    ``np.unique``), and the final row assignment writes values already
+    made final by the column reduction.  Refuses a batch whose ``k·n``
+    keys would overflow ``int64``.
     """
     grid = engine.grid
     col_share = engine.stage_nic_sharing("col")
     row_share = engine.stage_nic_sharing("row")
     n_v = engine.partition.n_vertices
     k = engine.ctx(0).get(name).shape[1]
+    if k * n_v > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"{k} lanes x {n_v} vertices overflow the int64 lane-major key"
+        )
 
-    def _lane_pairs(
-        gids: np.ndarray, lanes: np.ndarray, vals: np.ndarray
-    ) -> np.ndarray:
-        buf = np.empty(gids.size, dtype=LANE_PAIR_DTYPE)
-        buf["gid"] = gids
-        buf["lane"] = lanes
-        buf["val"] = vals
-        return buf
-
-    def _columns(rbuf: np.ndarray) -> tuple[np.ndarray, ...]:
-        # contiguous (gid, lane, val), copied once per group, not per member
-        return tuple(np.ascontiguousarray(rbuf[f]) for f in rbuf.dtype.names)
+    def _decode(rbuf: np.ndarray) -> tuple[np.ndarray, ...]:
+        # (gid, lane, val) columns, decoded once per group, not per member
+        lanes, gids = np.divmod(rbuf["gid"], n_v)
+        return gids, lanes, np.ascontiguousarray(rbuf["val"])
 
     # ---- stage 1: AllGatherv + lane reduce along each column group --
     def build_col(ctx: RankContext) -> np.ndarray:
@@ -357,7 +350,7 @@ def sparse_push_lanes(
         lanes = np.asarray(queues[ctx.rank][1], dtype=np.int64)
         engine.charge_vertices(ctx.rank, lids.size)  # BuildQueue kernel
         state = ctx.get(name)
-        return _lane_pairs(ctx.localmap.col_gid(lids), lanes, state[lids, lanes])
+        return _pairs(lanes * n_v + ctx.localmap.col_gid(lids), state[lids, lanes])
 
     sbufs_all = engine.map_ranks(build_col)
 
@@ -366,7 +359,7 @@ def sparse_push_lanes(
     col_groups = list(engine.col_groups())
     rbufs, _ = _exchange(engine, col_groups, *rank_major(sbufs_all), col_share, handles)
     for g, (_, ranks) in enumerate(col_groups):
-        rbufs[g] = received = _columns(rbufs[g])  # drop the structured copy
+        rbufs[g] = received = _decode(rbufs[g])  # drop the structured copy
         for r in ranks:
             rbuf_of[r] = received
 
@@ -400,13 +393,11 @@ def sparse_push_lanes(
 
     # ---- stage 2: exchange final values along each row group --------
     def build_row(ctx: RankContext) -> np.ndarray:
-        lm = ctx.localmap
         comp = row_queue_comps[ctx.rank]
-        gids = comp % n_v
-        lanes = comp // n_v
-        engine.charge_vertices(ctx.rank, gids.size)
+        lanes, gids = np.divmod(comp, n_v)
+        engine.charge_vertices(ctx.rank, comp.size)
         state = ctx.get(name)
-        return _lane_pairs(gids, lanes, state[lm.row_lid(gids), lanes])
+        return _pairs(comp, state[ctx.localmap.row_lid(gids), lanes])
 
     sbufs_all = engine.map_ranks(build_row)
 
@@ -416,9 +407,9 @@ def sparse_push_lanes(
     row_groups = list(engine.row_groups())
     rbufs, _ = _exchange(engine, row_groups, *rank_major(sbufs_all), row_share, handles)
     for g, (_, ranks) in enumerate(row_groups):
-        rbufs[g] = received = _columns(rbufs[g])
-        uniq_comp = unique_bounded(received[1] * n_v + received[0], k * n_v)
+        uniq_comp = unique_bounded(rbufs[g]["gid"], k * n_v)
         uniq = (uniq_comp % n_v, uniq_comp // n_v)  # updated (gid, lane) cells
+        rbufs[g] = received = _decode(rbufs[g])
         n_updated += np.bincount(uniq[1], minlength=k)
         for r in ranks:
             rbuf_of[r] = received + uniq

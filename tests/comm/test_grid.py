@@ -1,5 +1,8 @@
 """2D grid geometry tests."""
 
+import re
+
+import numpy as np
 import pytest
 
 from repro.comm import Grid2D, factor_pairs, square_grid
@@ -65,6 +68,17 @@ class TestHelpers:
     def test_square_grid_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             square_grid(12)
+
+    @pytest.mark.parametrize(
+        "count", [True, 4.0, 16.0, np.float64(4), 0, -4], ids=repr
+    )
+    def test_square_grid_refuses_a_count_it_would_coerce(self, count):
+        with pytest.raises(ValueError, match=r"n_ranks must be an integer >= 1.*" + re.escape(repr(count))):
+            square_grid(count)
+
+    def test_square_grid_takes_a_numpy_integer(self):
+        g = square_grid(np.int64(16))
+        assert (g.R, g.C) == (4, 4) and type(g.R) is int
 
     def test_factor_pairs_covers_all(self):
         pairs = factor_pairs(256)

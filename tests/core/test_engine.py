@@ -1,5 +1,7 @@
 """Engine API tests."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,22 @@ class TestConstruction:
     def test_conflicting_args(self, rmat_graph):
         with pytest.raises(ValueError):
             Engine(rmat_graph, 8, grid=Grid2D(R=2, C=2))
+
+    @pytest.mark.parametrize(
+        "count", [True, 4.0, 16.0, np.float64(4), 0, -4], ids=repr
+    )
+    def test_n_ranks_is_not_coerced(self, rmat_graph, count):
+        with pytest.raises(ValueError, match=re.escape(repr(count))):
+            Engine(rmat_graph, n_ranks=count)
+
+    def test_n_ranks_beside_a_grid_is_not_coerced(self, rmat_graph):
+        with pytest.raises(ValueError, match="not True"):
+            Engine(rmat_graph, n_ranks=True, grid=Grid2D(R=1, C=1))
+        assert Engine(rmat_graph, n_ranks=np.int64(1), grid=Grid2D(R=1, C=1)).n_ranks == 1
+
+    def test_n_ranks_takes_a_numpy_integer(self, rmat_graph):
+        e = Engine(rmat_graph, n_ranks=np.int64(16))
+        assert (e.grid.R, e.grid.C) == (4, 4)
 
     def test_needs_some_layout(self, rmat_graph):
         with pytest.raises(ValueError):

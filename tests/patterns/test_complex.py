@@ -249,3 +249,46 @@ class TestComplexReduce:
         res = greedy_coloring(Engine(g, grid=grid))
         assert np.array_equal(res.values, serial.serial_jones_plassmann(g))
         assert is_proper_coloring(g, res.values)
+
+
+class TestOwnerRouting:
+    """What each owner receives, not only what the state ends as: one
+    merge serves every owner, so a triple routed to the wrong member of
+    its row group would leave every value, clock and counter as it is."""
+
+    @pytest.mark.parametrize("R,C", [(2, 4), (4, 4), (3, 5)])
+    @pytest.mark.parametrize("algo", ["lp", "kcore", "coloring"])
+    def test_every_owner_receives_only_its_chunk(self, monkeypatch, R, C, algo):
+        from repro.algorithms import core_numbers, label_propagation
+        from repro.comm.collectives import Communicator
+        from repro.graph import rmat
+        from repro.patterns.complex import TRIPLE_DTYPE
+
+        engine = Engine(rmat(9, seed=5), grid=Grid2D(R=R, C=C))
+        stages = []
+        exchange = Communicator.alltoallv_stage
+
+        def recording(self, groups, send, counts, *args, **kwargs):
+            received, sizes = exchange(self, groups, send, counts, *args, **kwargs)
+            if received.dtype == TRIPLE_DTYPE:
+                stages.append((received, np.asarray(sizes)))
+            return received, sizes
+
+        monkeypatch.setattr(Communicator, "alltoallv_stage", recording)
+        {
+            "lp": lambda: label_propagation(engine, iterations=3),
+            "kcore": lambda: core_numbers(engine),
+            "coloring": lambda: greedy_coloring(engine, max_rounds=3),
+        }[algo]()
+
+        part = engine.partition
+        bounds = {
+            rank: owner_chunks(*part.row_range(rank // R), R)[rank % R : rank % R + 2]
+            for rank in range(R * C)
+        }
+        assert stages and sum(int(sizes.sum()) for _, sizes in stages) > 0
+        for received, sizes in stages:
+            ends = np.cumsum(sizes)
+            for rank, (lo, hi) in bounds.items():
+                gids = received["gid"][ends[rank] - sizes[rank] : ends[rank]]
+                assert ((gids >= lo) & (gids < hi)).all(), (rank, lo, hi, gids)

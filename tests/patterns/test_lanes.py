@@ -12,8 +12,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.algorithms.batch import bfs_batch, sssp_batch
+from repro.comm.grid import Grid2D
 from repro.core.engine import Engine
+from repro.graph import erdos_renyi_gnm, rmat
 from repro.patterns import (
+    PAIR_DTYPE,
     dense_exchange,
     dense_exchange_lanes,
     sparse_push,
@@ -23,13 +27,15 @@ from repro.patterns import (
 RANKS = 4
 
 
-def _setup(graph, k: int, seed: int = 0) -> Engine:
-    """Engine with a k-lane state ``x`` and 1-D copies ``y0..y{k-1}``.
+def _setup(graph, k: int, seed: int = 0, **layout) -> Engine:
+    """Engine (``layout``: its ``n_ranks`` / ``grid``, default
+    :data:`RANKS`) with a k-lane state ``x`` and 1-D copies
+    ``y0..y{k-1}``.
 
     Each rank's local window gets its own reproducible values, so group
     reductions genuinely combine different member contributions.
     """
-    engine = Engine(graph, RANKS)
+    engine = Engine(graph, **(layout or {"n_ranks": RANKS}))
     engine.alloc("x", np.float64, width=k)
     for lane in range(k):
         engine.alloc(f"y{lane}", np.float64)
@@ -45,8 +51,10 @@ def _setup(graph, k: int, seed: int = 0) -> Engine:
     return engine
 
 
-def _lane_queues(engine: Engine, k: int, seed: int):
-    """Per-lane 1-D queues plus their lane-major fused counterpart."""
+def _lane_queues(engine: Engine, k: int, seed: int, corner: bool = False):
+    """Per-lane 1-D queues plus their lane-major fused counterpart;
+    ``corner`` puts the largest key's cell, GID ``n - 1`` in lane
+    ``k - 1``, on every rank whose column window holds it."""
     rng = np.random.default_rng(seed)
     per_lane = []  # per_lane[lane][rank] -> sorted col LIDs
     for lane in range(k):
@@ -62,6 +70,11 @@ def _lane_queues(engine: Engine, k: int, seed: int):
                 )
             )
         per_lane.append(qs)
+    last = engine.partition.n_vertices - 1
+    for ctx in engine:
+        lm, q = ctx.localmap, per_lane[k - 1]
+        if corner and lm.owns_col_gid(last):
+            q[ctx.rank] = np.union1d(q[ctx.rank], lm.col_lid(last))
     fused = []
     for rank in range(engine.grid.n_ranks):
         lids = np.concatenate([per_lane[lane][rank] for lane in range(k)])
@@ -140,6 +153,106 @@ class TestSparsePushLanes:
             np.testing.assert_array_equal(
                 blocking.ctx(rank).get("x"), overlapped.ctx(rank).get("x")
             )
+
+
+def _record_payloads(engine: Engine) -> list:
+    """Guard every collective of ``engine``; returns the list it fills
+    with ``(kind, payload array)`` pairs."""
+    seen = []
+
+    def guard(clocks, kind, ranks, payload):
+        parts = payload if isinstance(payload, (list, tuple)) else [payload]
+        seen.extend((kind, np.asarray(part)) for part in parts)
+
+    engine.comm.guard = guard
+    return seen
+
+
+class TestLaneWireFormat:
+    """A lane exchange ships the scalar exchange's 16-byte ``{key, val}``
+    pair, its key the lane-major ``lane * n + gid``."""
+
+    @pytest.mark.parametrize("overlap", [False, True], ids=["blocking", "overlap"])
+    @pytest.mark.parametrize("run", [bfs_batch, sssp_batch])
+    def test_batch_exchanges_ship_pairs(self, run, overlap):
+        graph = rmat(9, seed=5).with_random_weights(seed=5)
+        engine = Engine(graph, grid=Grid2D(R=2, C=4), overlap=overlap)
+        seen = _record_payloads(engine)
+        run(engine, [3, 17, 200])
+        gathered = [part for kind, part in seen if kind == "allgatherv"]
+        assert gathered and sum(part.size for part in gathered) > 0
+        for part in gathered:
+            assert part.dtype == PAIR_DTYPE and part.dtype.itemsize == 16
+        # nothing else a batch sends is wider than a pair either
+        assert max(part.dtype.itemsize for _, part in seen) <= 16
+
+    @pytest.mark.parametrize("overlap", [False, True], ids=["blocking", "overlap"])
+    @pytest.mark.parametrize("op", ["min", "sum"])
+    def test_one_lane_is_the_scalar_exchange(self, rmat_graph, op, overlap):
+        lane = _setup(rmat_graph, 1, seed=8, n_ranks=RANKS, overlap=overlap)
+        scalar = _setup(rmat_graph, 1, seed=8, n_ranks=RANKS, overlap=overlap)
+        per_lane, fused = _lane_queues(lane, 1, seed=9)
+        lanes = _record_payloads(lane)
+        scalars = _record_payloads(scalar)
+
+        got = sparse_push_lanes(lane, "x", fused, op=op)
+        want = sparse_push(scalar, "y0", scalar.fleet.stack(per_lane[0])[0], op=op)
+
+        np.testing.assert_array_equal(
+            lane.fleet.stacked("x")[:, 0], scalar.fleet.stacked("y0"), strict=True
+        )
+        np.testing.assert_array_equal(lane.clocks.lanes, scalar.clocks.lanes, strict=True)
+        assert lane.counters.summary() == scalar.counters.summary()
+        assert got.n_updated.tolist() == [want.n_updated]
+        for (lids, _), rows in zip(got.active_row, scalar.fleet.split(want.rows)):
+            np.testing.assert_array_equal(lids, rows)
+        # the same bytes on the wire, record for record
+        assert [(kind, part.tobytes()) for kind, part in lanes] == [
+            (kind, part.tobytes()) for kind, part in scalars
+        ]
+
+    @pytest.mark.parametrize("grid", [(3, 5), (16, 16)], ids=["3x5", "16x16"])
+    @pytest.mark.parametrize("k", [2, 3, 5, 8])
+    def test_keys_round_trip(self, k, grid):
+        """``n`` = 1000 is no power of two, and k = 3 or 5 would catch a
+        decode that shifts and masks as the power-of-two lane counts may."""
+        graph = erdos_renyi_gnm(1000, 4000, seed=3)
+        engine = _setup(graph, k, seed=6, grid=Grid2D(R=grid[0], C=grid[1]))
+        n = engine.partition.n_vertices
+        per_lane, fused = _lane_queues(engine, k, seed=21, corner=True)
+        seen = _record_payloads(engine)
+
+        singles = [
+            sparse_push(engine, f"y{lane}", engine.fleet.stack(per_lane[lane])[0])
+            for lane in range(k)
+        ]
+        del seen[:]
+        result = sparse_push_lanes(engine, "x", fused)
+
+        keys = np.concatenate([part["gid"] for _, part in seen])
+        assert keys.min() >= 0 and keys.max() == k * n - 1
+        assert set(np.unique(keys // n)) == set(range(k))
+        for lane in range(k):
+            np.testing.assert_array_equal(
+                engine.fleet.stacked("x")[:, lane],
+                engine.fleet.stacked(f"y{lane}"),
+                strict=True,
+            )
+            assert result.n_updated[lane] == singles[lane].n_updated
+            single_rows = engine.fleet.split(singles[lane].rows)
+            for rank in range(engine.n_ranks):
+                lids, lanes = result.active_row[rank]
+                np.testing.assert_array_equal(lids[lanes == lane], single_rows[rank])
+
+    def test_a_key_that_would_overflow_is_refused(self, rmat_graph, monkeypatch):
+        engine = _setup(rmat_graph, 2, seed=1)
+        _, fused = _lane_queues(engine, 2, seed=2)
+        before = engine.fleet.stacked("x").copy()
+        monkeypatch.setattr(engine.partition, "n_vertices", 2**62)
+        with pytest.raises(ValueError, match="overflow"):
+            sparse_push_lanes(engine, "x", fused)
+        np.testing.assert_array_equal(engine.fleet.stacked("x"), before)
+        assert engine.counters.summary() == {}
 
 
 class TestDenseExchangeLanes:
