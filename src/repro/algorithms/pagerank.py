@@ -14,8 +14,9 @@ Every iteration:
    :func:`~repro.kernels.csr_pull` over every rank's block at once;
 2. a dense pull exchange (row-group AllReduce SUM + column-group
    Broadcasts) completes the sums and refreshes ghosts;
-3. dangling mass is folded in via a one-word AllReduce and the damping
-   update is applied locally.
+3. dangling mass is folded in (each rank's partial over its column
+   window rides step 2's AllReduce as one trailing word,
+   :func:`dangling_partials`) and the damping update is applied locally.
 
 Vertex degrees are *global* degrees (paper §3.2: the true degree is
 the sum of local degrees across the row group).  They are graph
@@ -31,11 +32,12 @@ from typing import Optional
 import numpy as np
 
 from ..core.engine import Engine
+from ..core.fleet import Fleet
 from ..core.result import AlgorithmResult
 from ..kernels import csr_pull
 from ..patterns.dense import dense_pull
 
-__all__ = ["pagerank", "compute_global_degrees"]
+__all__ = ["pagerank", "compute_global_degrees", "dangling_partials"]
 
 
 def compute_global_degrees(
@@ -49,6 +51,28 @@ def compute_global_degrees(
     engine.alloc(name, np.float64)
     fleet.fill_windows(fleet.stacked(name), fleet.global_degrees(weighted))
     engine.charge_vertices(None, fleet.n_total)
+
+
+def dangling_partials(fleet: Fleet, dangling: np.ndarray):
+    """``pr -> (p, 1)`` partials, row ``r`` the sum of the stacked ``pr``
+    over the ``dangling`` cells (ascending stacked LIDs) in rank ``r``'s
+    *column* window.  A row group's column windows cover every vertex
+    once, so as the ``tail`` of :func:`~repro.patterns.dense.dense_pull`
+    they come back as the global dangling mass on every rank."""
+    # rank r's column window: stacked LIDs [col_start, col_stop) - shift
+    lo = dangling.searchsorted(fleet.col_start - fleet.col_gid_shift)
+    hi = dangling.searchsorted(fleet.col_stop - fleet.col_gid_shift)
+    cells = np.concatenate([dangling[a:b] for a, b in zip(lo, hi)])
+    held = hi > lo
+    starts = (np.cumsum(hi - lo) - (hi - lo))[held]
+
+    def partials(pr: np.ndarray) -> np.ndarray:
+        out = np.zeros((fleet.n_ranks, 1))
+        if starts.size:  # one numpy sum per window
+            out[held, 0] = np.add.reduceat(pr[cells], starts)
+        return out
+
+    return partials
 
 
 def pagerank(
@@ -101,8 +125,7 @@ def pagerank(
     if tol is not None:
         check_positive(tol, "tol")
     n = engine.partition.n_vertices
-    grid, fleet = engine.grid, engine.fleet
-    all_ranks = list(range(grid.n_ranks))
+    fleet = engine.fleet
     if n == 0:  # an empty graph: an empty answer, no modeled time
         engine.reset_timers()
         return AlgorithmResult(
@@ -132,17 +155,15 @@ def pagerank(
         engine.alloc("acc", np.float64)
         s = SimpleNamespace(iterations_run=0, done=False)
 
-    # The gather, the damping update and both charges are single passes
-    # over the rank-stacked state (repro.core.fleet); only the dangling
-    # share stays per rank, because each rank's pairwise float sum
-    # depends on its own window length.
+    # Every step, charges included, is a single pass over the
+    # rank-stacked state (repro.core.fleet).
     pull = fleet.csr(weighted=weighted)
     full_queue, rows_per_rank = fleet.full_queue()
     # Static degrees: derived operands built once, `x` / `new` per call.
     deg = fleet.stacked("deg")
     safe_deg = np.maximum(deg, 1e-300)
     dangling = np.flatnonzero(deg == 0)
-    dangling_rows = fleet.split(dangling[fleet.row_mask[dangling]])
+    dangling_mass = dangling_partials(fleet, dangling)
     x, new = np.empty(fleet.size), np.empty(fleet.size)
     if personalization is not None:
         teleport_share = (1.0 - damping) * fleet.stacked("tele")
@@ -151,24 +172,10 @@ def pagerank(
         pr = fleet.stacked("pr")
         acc = fleet.stacked("acc")
 
-        # Dangling mass: each rank contributes its row window's share
-        # divided by the row-group size (R ranks share each window).
-        # Depends only on the previous iteration's pr and the static
-        # degrees, so it runs *before* the gather: on an overlapped
-        # engine its one-word AllReduce is issued split-phase here and
-        # completed only where the total is consumed, hiding the whole
-        # gather + dense-exchange phase behind it.
-        def dangling_share(ctx):
-            engine.charge_vertices(ctx.rank, ctx.localmap.n_row)
-            share = ctx.get("pr")[dangling_rows[ctx.rank]].sum()
-            return np.array([share / grid.R])
-
-        partials = engine.map_ranks(dangling_share)
-        dangling_handle = (
-            engine.comm.start_allreduce(all_ranks, partials, op="sum")
-            if engine.overlap
-            else None
-        )
+        # Dangling mass: each rank's partial over its column window,
+        # the tail word of the dense pull's row-group AllReduce below.
+        engine.charge_vertices(None, fleet.col_stop - fleet.col_start)
+        partials = dangling_mass(pr)
 
         # Local partial gathers: acc = A @ (pr / deg), every rank's
         # block in one CSR pull (rows outside a row window are empty,
@@ -180,16 +187,10 @@ def pagerank(
         x[dangling] = 0.0
         acc[...] = csr_pull(pull, x, "sum")
 
-        # Complete the sums along row groups, refresh ghosts.
-        dense_pull(engine, "acc", op="sum")
-
-        # Fold in the dangling total (waiting out the in-flight
-        # AllReduce on an overlapped engine).
-        if dangling_handle is not None:
-            engine.comm.wait(dangling_handle)
-        else:
-            engine.comm.allreduce(all_ranks, partials, op="sum")
-        dangling_total = float(partials[0][0])
+        # Complete the sums along row groups, refresh ghosts; every
+        # rank now holds the dangling total.
+        dense_pull(engine, "acc", "sum", partials)
+        dangling_total = float(partials[0, 0])
 
         # Damping update (acc is consistent on every LID).
         if personalization is not None:

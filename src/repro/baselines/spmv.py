@@ -25,7 +25,7 @@ import numpy as np
 
 from ..algorithms.bfs import check_count, check_fraction
 from ..algorithms.components import component_answer
-from ..algorithms.pagerank import compute_global_degrees
+from ..algorithms.pagerank import compute_global_degrees, dangling_partials
 from ..cluster.config import ZEPY, ClusterConfig
 from ..core.engine import Engine
 from ..core.result import AlgorithmResult
@@ -42,13 +42,6 @@ def spmv_engine(
     """An :class:`Engine` placed on the zepy-style workstation;
     ``n_ranks`` is an integer >= 1 (``ValueError`` otherwise)."""
     return Engine(graph, n_ranks=n_ranks, cluster=cluster, **kwargs)
-
-
-def _charge_spmv(engine: Engine, rank: int, n_edges: int, n_vertices: int) -> None:
-    """Tuned arithmetic (+/x) SpMV — the kernel PageRank maps onto."""
-    engine.clocks.add_compute(
-        rank, engine.costmodel.spmv_time(n_edges=n_edges, n_vertices=n_vertices)
-    )
 
 
 #: Composition overhead of non-arithmetic semirings on an LA backend:
@@ -82,54 +75,35 @@ def spmv_pagerank(
     check_fraction(damping, "damping")
     engine.reset_timers()
     n = engine.partition.n_vertices
-    grid, fleet = engine.grid, engine.fleet
-    all_ranks = list(range(grid.n_ranks))
+    fleet = engine.fleet
 
     compute_global_degrees(engine)
 
     engine.alloc("pr", np.float64, fill=1.0 / n)
     engine.alloc("acc", np.float64)
     pull = fleet.csr()
+    # As in the engine's PageRank, the dangling mass rides the dense
+    # pull's row-group AllReduce: no collective of its own.
+    dangling_mass = dangling_partials(fleet, np.flatnonzero(fleet.stacked("deg") == 0))
+    # every rank's tuned arithmetic (+/x) SpMV, and its damping update
+    edges = np.array([blk.n_local_edges for blk in engine.partition.blocks])
+    spmv_s = engine.costmodel.spmv_time(n_edges=edges, n_vertices=fleet.n_total)
+    update_s = engine.costmodel.spmv_time(n_edges=0, n_vertices=fleet.n_total)
 
     for _ in range(iterations):
-
-        # The dangling share depends only on the previous iteration's
-        # pr and the static degrees, so it runs before the SpMV: an
-        # overlapped engine issues its one-word AllReduce split-phase
-        # here and hides the SpMV + dense-exchange phase behind it.
-        def dangling_partial(ctx):
-            pr, deg = ctx.get("pr"), ctx.get("deg")
-            rw = ctx.row_slice
-            return np.array([pr[rw][deg[rw] == 0].sum() / grid.R])
-
-        partials = engine.map_ranks(dangling_partial)
-        dangling_handle = (
-            engine.comm.start_allreduce(all_ranks, partials, op="sum")
-            if engine.overlap
-            else None
-        )
+        pr, deg, acc = fleet.stacked("pr"), fleet.stacked("deg"), fleet.stacked("acc")
+        partials = dangling_mass(pr)
 
         # y = A x, every rank's block in one product.
-        pr, deg = fleet.stacked("pr"), fleet.stacked("deg")
         x = pr / np.maximum(deg, 1.0)
         x[deg == 0] = 0.0
-        fleet.stacked("acc")[...] = csr_pull(pull, x, "sum")
-        for ctx in engine:
-            _charge_spmv(engine, ctx.rank, ctx.block.n_local_edges, ctx.n_total)
-        dense_pull(engine, "acc", op="sum")
+        acc[...] = csr_pull(pull, x, "sum")
+        engine.clocks.add_compute_all(spmv_s)
+        dense_pull(engine, "acc", "sum", partials)
+        dangling = float(partials[0, 0])
 
-        if dangling_handle is not None:
-            engine.comm.wait(dangling_handle)
-        else:
-            engine.comm.allreduce(all_ranks, partials, op="sum")
-        dangling = float(partials[0][0])
-
-        def damping_update(ctx):
-            pr, acc = ctx.get("pr"), ctx.get("acc")
-            pr[...] = (1.0 - damping) / n + damping * (acc + dangling / n)
-            _charge_spmv(engine, ctx.rank, 0, ctx.n_total)
-
-        engine.foreach(damping_update)
+        pr[...] = (1.0 - damping) / n + damping * (acc + dangling / n)
+        engine.clocks.add_compute_all(update_s)
         engine.superstep_boundary("spmv")
 
     return AlgorithmResult(

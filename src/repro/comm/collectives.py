@@ -123,6 +123,11 @@ def _sources(calls: Sequence[BroadcastCall]) -> list[np.ndarray]:
     return [c.src for c in calls]
 
 
+def _arrays(buffers) -> Sequence[np.ndarray]:
+    """What an AllReduce's guard checks: every member's every part."""
+    return [a for part in buffers for a in part] if isinstance(buffers, tuple) else buffers
+
+
 class Communicator:
     """Executes collectives with time/counter accounting.
 
@@ -268,17 +273,22 @@ class Communicator:
         op: str,
         nic_sharing: int,
     ) -> tuple:
-        """Validate, move data, record counters; return (cost, None)."""
-        self._check_group(ranks, buffers, uniform=True)
+        """Validate, move data, record counters; return (cost, None).
+        ``buffers`` is one array per member, or a tuple of such lists
+        (parts: a window and a tail word, say), each reduced on its own."""
+        parts, nbytes = buffers if isinstance(buffers, tuple) else (buffers,), 0
+        for part in parts:
+            self._check_group(ranks, part, uniform=True)
+            nbytes += part[0].nbytes if part else 0
         if op not in REDUCE_OPS:
             raise ValueError(f"unknown op {op!r}; choose from {sorted(REDUCE_OPS)}")
         k = len(ranks)
-        nbytes = buffers[0].nbytes if buffers else 0
         if k > 1:
-            # one C-level copy of the (validated, uniform) buffers
-            result = REDUCE_OPS[op](np.array(buffers))
-            for b in buffers:
-                b[...] = result
+            for part in parts:
+                # one C-level copy of the (validated, uniform) part
+                result = REDUCE_OPS[op](np.array(part))
+                for b in part:
+                    b[...] = result
         t = self.costmodel.allreduce_time(ranks, nbytes, nic_sharing=nic_sharing)
         self.counters.record(
             "allreduce",
@@ -303,7 +313,7 @@ class Communicator:
         """:meth:`allreduce` in each of a stage's disjoint ``groups``
         (``buffers[g]`` are group ``g``'s)."""
         move = partial(self._allreduce_core, op=op, nic_sharing=nic_sharing)
-        self._stage("allreduce", groups, buffers, move)
+        self._stage("allreduce", groups, buffers, move, _arrays)
 
     def broadcast_stage(self, groups, calls, nic_sharing: int = 1):
         """One Broadcast in each of a stage's disjoint ``groups``

@@ -38,18 +38,22 @@ __all__ = ["dense_push", "dense_pull", "dense_exchange", "dense_exchange_lanes"]
 _STAGES = {"push": ("col", "row"), "pull": ("row", "col")}
 
 
-def _run(engine: Engine, state: np.ndarray, direction: str, op: str) -> None:
+def _run(engine: Engine, state: np.ndarray, direction: str, op: str, tail=None) -> None:
     """One dense exchange of the rank-stacked ``state``: one AllReduce
-    stage over the groups of the first axis, then one grouped-Broadcast
-    stage over the groups of the second."""
+    stage over the groups of the first axis (``tail[r]`` riding behind
+    rank ``r``'s window), then one grouped-Broadcast stage over the
+    groups of the second."""
     if direction not in _STAGES:
         raise ValueError(f"direction must be 'push' or 'pull', got {direction!r}")
     reduce_axis, broadcast_axis = _STAGES[direction]
     plan, comm = engine.fleet.exchange_plan(), engine.comm
     table = plan.reduce[reduce_axis]
+    parts = [[state[w] for w in windows] for _, windows in table]
+    if tail is not None:  # each member's words ride behind its window
+        parts = [(p, [tail[r] for r in ranks]) for p, (ranks, _) in zip(parts, table)]
     comm.allreduce_stage(
         [ranks for ranks, _ in table],
-        [[state[w] for w in windows] for _, windows in table],
+        parts,
         op=op,
         nic_sharing=engine.stage_nic_sharing(reduce_axis),
     )
@@ -68,9 +72,13 @@ def dense_push(engine: Engine, name: str, op: str = "min") -> None:
     _run(engine, engine.fleet.stacked(name), "push", op)
 
 
-def dense_pull(engine: Engine, name: str, op: str = "sum") -> None:
-    """Dense pull: row-group AllReduce, then column-group Broadcasts."""
-    _run(engine, engine.fleet.stacked(name), "pull", op)
+def dense_pull(
+    engine: Engine, name: str, op: str = "sum", tail: np.ndarray | None = None
+) -> None:
+    """Dense pull: row-group AllReduce, then column-group Broadcasts;
+    ``tail`` (``p x t``, row ``r`` rank ``r``'s words) rides the
+    AllReduce behind each window and is reduced in place."""
+    _run(engine, engine.fleet.stacked(name), "pull", op, tail)
 
 
 def dense_exchange(

@@ -1,9 +1,13 @@
 """PageRank tests."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.algorithms import compute_global_degrees, pagerank
+from repro.baselines.spmv import spmv_pagerank
+from repro.comm.grid import Grid2D
 from repro.core.engine import Engine
 from repro.graph import Graph, rmat
 from repro.reference.graphs import star_graph
@@ -99,6 +103,91 @@ class TestAccounting:
         assert res.timings.total > 0
 
 
+def _fold_graph(n: int = 240, seed: int = 4) -> Graph:
+    """About a third of the vertices dangling (no edges at all), drawn
+    at random so that the vertex ranges hold unequal shares: dangling
+    vertices all carry one ``pr`` value, and spread evenly they cannot
+    tell a row window's partial from a column window's on a square
+    grid."""
+    rng = np.random.default_rng(seed)
+    live = np.flatnonzero(rng.random(n) > 0.35)
+    return Graph.from_edges(rng.choice(live, 4 * n), rng.choice(live, 4 * n), n)
+
+
+FOLD_GRAPHS = {
+    "fold": _fold_graph,
+    # fewer vertices than ranks: most windows are empty
+    "tiny": lambda: Graph.from_edges([0, 1], [1, 2], 6),
+}
+#: ``(graph, R, C)``: every grid shape of the golden clocks, and one
+#: graph with n < p.
+FOLD_CASES = [
+    ("fold", 1, 4), ("fold", 4, 1), ("fold", 2, 2), ("fold", 2, 4),
+    ("fold", 3, 5), ("fold", 4, 4), ("fold", 16, 16), ("tiny", 4, 4),
+]
+PAGERANKS = {
+    "pagerank": lambda e: pagerank(e, iterations=6),
+    "pagerank_tol": lambda e: pagerank(e, iterations=30, tol=1e-4),
+    "spmv_pagerank": lambda e: spmv_pagerank(e, iterations=6),
+}
+
+
+class TestDanglingFold:
+    """The dangling mass rides the dense pull's row-group AllReduce as
+    one tail word per member: each member's partial covers its column
+    window, a row group's column windows tile the vertices, so every
+    rank receives the global total and no collective of its own is
+    issued."""
+
+    @pytest.mark.parametrize("case", FOLD_CASES, ids=lambda c: "%s-%dx%d" % c)
+    def test_row_groups_column_windows_tile_the_vertices(self, case):
+        name, R, C = case
+        engine = Engine(FOLD_GRAPHS[name](), grid=Grid2D(R=R, C=C))
+        fleet, n = engine.fleet, engine.partition.n_vertices
+        for ranks, _ in fleet.exchange_plan().reduce["row"]:
+            seen = np.zeros(n, dtype=np.int64)
+            for r in ranks:
+                seen[fleet.col_start[r] : fleet.col_stop[r]] += 1
+            assert (seen == 1).all(), ranks
+
+    @pytest.mark.parametrize("algo", sorted(PAGERANKS))
+    @pytest.mark.parametrize("case", FOLD_CASES, ids=lambda c: "%s-%dx%d" % c)
+    def test_fold_is_the_global_dangling_mass(self, case, algo, monkeypatch):
+        name, R, C = case
+        graph, grid = FOLD_GRAPHS[name](), Grid2D(R=R, C=C)
+        engine = Engine(graph, grid=grid)
+        dangling = graph.degrees() == 0
+        calls, core = [], engine.comm._allreduce_core
+
+        def spy(ranks, buffers, op, nic_sharing):
+            # pr is the previous iteration's until the damping update
+            want = math.fsum(engine.gather("pr")[dangling]) if op == "sum" else None
+            out = core(ranks, buffers, op, nic_sharing)
+            tails = [t.copy() for t in buffers[1]] if isinstance(buffers, tuple) else []
+            calls.append((tuple(ranks), op, tails, want))
+            return out
+
+        monkeypatch.setattr(engine.comm, "_allreduce_core", spy)
+        res = PAGERANKS[algo](engine)
+
+        row_groups = {tuple(grid.row_group_ranks(i)) for i in range(grid.C)}
+        sums = [c for c in calls if c[1] == "sum"]
+        assert len(sums) == res.iterations * grid.C
+        for ranks, _, tails, want in sums:
+            assert ranks in row_groups  # the dense pull's, never all ranks
+            assert len(tails) == len(ranks) and all(t.shape == (1,) for t in tails)
+            for t in tails:
+                assert t[0] == pytest.approx(want, rel=1e-15, abs=0.0)
+        # what else reduces is the tol check's MAX, one stage an iteration
+        others = [c for c in calls if c[1] != "sum"]
+        assert all(op == "max" and not tails for _, op, tails, _ in others)
+        if algo == "pagerank_tol":
+            assert len(others) % res.iterations == 0 and others
+        else:
+            assert not others
+        assert res.counters["allreduce"]["calls"] == len(calls)
+
+
 class TestExtensions:
     def test_personalized_matches_serial(self, rmat_graph):
         rng = np.random.default_rng(1)
@@ -151,9 +240,11 @@ def edge_list_pagerank(
     """The per-rank edge-list PageRank the CSR pull replaced, kept as
     the oracle: gather ``pr[dst] / deg[dst]`` over the expanded edges,
     ``np.add.at`` it by ``src``, update and take ``max |delta|`` rank
-    by rank.  Returns ``(values, iterations run)``."""
+    by rank.  The dangling mass is each rank's sum over the dangling
+    cells of its column window (numpy's reduction of the window, as
+    ``dangling_partials`` takes it), reduced over row group 0's members
+    as the AllReduce reduces a part.  Returns ``(values, iterations run)``."""
     n, grid = engine.partition.n_vertices, engine.grid
-    ranks = list(range(grid.n_ranks))
     if personalization is not None:
         engine.scatter_global("tele", personalization / personalization.sum())
     compute_global_degrees(engine, weighted=weighted)
@@ -163,8 +254,9 @@ def edge_list_pagerank(
         partials = []
         for ctx in engine:
             pr, deg, acc = ctx.get("pr"), ctx.get("deg"), ctx.get("acc")
-            rw = ctx.row_slice
-            partials.append(np.array([pr[rw][deg[rw] == 0].sum() / grid.R]))
+            cw = ctx.localmap.col_slice
+            held = pr[cw][deg[cw] == 0]
+            partials.append(np.add.reduceat(held, [0])[0] if held.size else 0.0)
             acc[...] = 0.0
             ex = ctx.expand(ctx.row_lids())
             src, dst, w = ex.src, ex.dst, ex.weights
@@ -174,8 +266,8 @@ def edge_list_pagerank(
             contrib[deg[dst] == 0] = 0.0
             np.add.at(acc, src, contrib)
         dense_pull(engine, "acc", op="sum")
-        engine.comm.allreduce(ranks, partials, op="sum")
-        dangling = float(partials[0][0])
+        words = np.array([[partials[r]] for r in grid.row_group_ranks(0)])
+        dangling = float(np.add.reduce(words, axis=0)[0])  # as the AllReduce
         deltas = []
         for ctx in engine:
             pr, acc = ctx.get("pr"), ctx.get("acc")

@@ -369,6 +369,43 @@ def test_a_group_that_raises_leaves_earlier_groups_charged():
     _assert_same(staged, oracle)
 
 
+def test_allreduce_of_parts_is_the_allreduce_of_their_concatenation():
+    """A group's buffers given as a tuple of parts (the members'
+    windows, then their tail words, as a dense pull carries them) are
+    reduced, costed and counted as the parts' concatenation, each part
+    gets its share back, and the guard sees every part; a part short of
+    a member or skewed across members is refused, and a part of its own
+    dtype or shape is reduced as it is."""
+    parted, whole = _comm(4, 3), _comm(4, 3)
+    rng = np.random.default_rng(7)
+    parts = [tuple([rng.random(n) for _ in range(2)] for n in (5, 1)) for _ in range(2)]
+    joined = [[np.concatenate(m) for m in zip(*group)] for group in parts]
+    seen = []
+    parted.guard = lambda clocks, kind, ranks, payload: seen.append(len(payload))
+    parted.allreduce_stage([[0, 1], [2, 3]], parts)
+    whole.allreduce_stage([[0, 1], [2, 3]], joined)
+    _assert_same(parted, whole)
+    for group, want in zip(parts, joined):
+        for m, w in zip(zip(*group), want):
+            assert np.concatenate(m).tobytes() == w.tobytes()
+    assert seen == [4, 4]
+    windows = [np.ones(2), np.ones(2)]
+    with pytest.raises(ValueError, match="disagree"):
+        parted.allreduce([0, 1], (windows, [np.ones(1), np.ones(2)]))
+    with pytest.raises(ValueError, match="mismatch"):  # a member short
+        parted.allreduce([0, 1], (windows, [np.ones(1)]))
+    # each part is reduced in its own dtype and shape: nothing is cast
+    big = 2**60 + 1
+    mixed = tuple(
+        [make() for _ in range(2)]
+        for make in (lambda: np.full(2, 0.5), lambda: np.array([big]), lambda: np.ones((1, 2)))
+    )
+    parted.allreduce([0, 1], mixed)
+    for window, tail, wide in zip(*mixed):
+        assert window.tolist() == [1.0, 1.0] and wide.tolist() == [[2.0, 2.0]]
+        assert tail.dtype == np.int64 and tail.tolist() == [2 * big]
+
+
 # ----------------------------------------------------------------------
 # the stacked AllGatherv stage on engine grids
 # ----------------------------------------------------------------------

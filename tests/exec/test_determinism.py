@@ -247,16 +247,37 @@ def _assert_overlap_hides_comm(run, name):
     assert overlapped.timings.total <= blocking.timings.total, name
 
 
-def test_overlap_hides_comm_on_pagerank(run):
-    """PageRank's dangling AllReduce and stage-pipelined exchanges must
-    actually hide time, not just stay correct."""
-    _assert_overlap_hides_comm(run, "pagerank")
+#: What still issues a collective split-phase, with compute to hide it
+#: behind.
+HIDING = ["bfs", "components", "kcore", "labelprop", "matching", "pointerjump", "sssp"]
 
 
-def test_overlap_hides_comm_on_spmv_pagerank(run):
-    """So must the cuGraph model's SpMV PageRank (the baseline the
-    paper's PageRank is compared against)."""
-    _assert_overlap_hides_comm(run, "spmv_pagerank")
+@pytest.mark.parametrize("name", HIDING)
+def test_overlap_hides_comm(run, name):
+    """Overlap must actually hide time, not just stay correct."""
+    _assert_overlap_hides_comm(run, name)
+
+
+def _assert_overlap_changes_nothing(run, name):
+    """A run with no split-phase collective: the overlapped run is the
+    blocking run, totals included."""
+    blocking, overlapped = run(name), run(name, overlap=True)
+    assert np.array_equal(blocking.values, overlapped.values), name
+    assert overlapped.timings.overlap == 0.0, name
+    assert overlapped.timings.total == blocking.timings.total, name
+
+
+def test_overlap_changes_nothing_on_pagerank(run):
+    """PageRank's dangling mass rides the dense pull's row-group
+    AllReduce, which blocks: it has nothing left to hide."""
+    _assert_overlap_changes_nothing(run, "pagerank")
+
+
+def test_overlap_changes_nothing_on_spmv_pagerank(run):
+    """Nor has the cuGraph model's SpMV PageRank (the baseline the
+    paper's PageRank is compared against), which folds it the same
+    way."""
+    _assert_overlap_changes_nothing(run, "spmv_pagerank")
 
 
 def test_repeated_threaded_runs_identical(graph):

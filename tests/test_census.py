@@ -89,9 +89,10 @@ FAN_OUT_SCOPE = ("algorithms", "patterns", os.path.join("core", "program.py"))
 #: before the 2.5D reduction, coloring's winner histograms, matching
 #: and pointer jumping's forest and final sync ran on the fleet; 18
 #: before ``alltoallv`` got its stage form and the packet swaps and
-#: pointer jumping's jump loop ran on the fleet (what is left: the lane
-#: twins, PageRank's dangling share and triangle counting).
-FAN_OUT_CEILING = 13
+#: pointer jumping's jump loop ran on the fleet; 13 before PageRank's
+#: dangling mass rode the dense pull's row-group AllReduce (what is
+#: left: the lane twins and triangle counting).
+FAN_OUT_CEILING = 12
 
 QUEUE_CONVERSION = re.compile(r"\bfleet\.(?:split|stack)\(")
 #: 11 while ``sparse_push`` / ``sparse_pull`` took and returned per-rank
@@ -99,9 +100,10 @@ QUEUE_CONVERSION = re.compile(r"\bfleet\.(?:split|stack)\(")
 #: vertex program converted around its per-rank local compute and BFS
 #: around its checkpoint's queue; 5 while the 2.5D pattern cut its
 #: histograms' queue and joined its changed rows, and matching joined
-#: its mutual pairs.  What is left converts at a per-rank caller's own
-#: edge (the lane twins' queues, PageRank's dangling share).
-QUEUE_CONVERSION_CEILING = 2
+#: its mutual pairs; 2 while PageRank cut its dangling cells per rank.
+#: What is left converts at a per-rank caller's own edge (the lane
+#: twins' queues).
+QUEUE_CONVERSION_CEILING = 1
 
 THREADS = re.compile(
     r"^\s*(?:import|from)\s+(?:threading|concurrent|queue)(?:[\s.]|$)"
