@@ -10,7 +10,9 @@ a masked SUMMA: for each inner step ``k``,
 * block ``A[k,J]`` broadcasts along column group ``J`` (root: the rank
   in block-row ``k``),
 * every rank multiplies the pair and accumulates the entries that land
-  on the nonzeros of its own local block.
+  on the nonzeros of its own local block — all ranks at once, as one
+  product of the block-diagonal matrices of the received pairs, masked
+  by the block-diagonal matrix of the local blocks.
 
 A block travels in a wire form of 12 bytes per entry and 8 per row
 (:func:`_pack`), and each receiver computes on what it decoded.
@@ -28,16 +30,15 @@ import scipy.sparse as sp
 from ..comm.collectives import BroadcastCall
 from ..core.engine import Engine
 from ..core.result import AlgorithmResult
+from ..graph.partition.twod import RankBlock
 
 __all__ = ["triangle_count"]
 
 
-def _block_csr(engine: Engine, rank: int) -> sp.csr_matrix:
+def _block_csr(blk: RankBlock) -> sp.csr_matrix:
     """A rank's block as an (N_R x N_C) scipy matrix in *range-local*
     coordinates (row index within the row range, column within the
     column range)."""
-    ctx = engine.ctx(rank)
-    blk = ctx.block
     lm = blk.localmap
     data = np.ones(blk.indices.size)
     return sp.csr_matrix(
@@ -108,13 +109,11 @@ def triangle_count(engine: Engine) -> AlgorithmResult:
     row_share = engine.stage_nic_sharing("row")
     col_share = engine.stage_nic_sharing("col")
 
-    blocks = dict(
-        zip(all_ranks, engine.map_ranks(lambda ctx: _block_csr(engine, ctx.rank)))
-    )
-    masks = dict(
-        zip(all_ranks, engine.map_ranks(lambda ctx: blocks[ctx.rank].astype(bool)))
-    )
-    wire = {r: _pack(block) for r, block in blocks.items()}
+    blocks = [_block_csr(blk) for blk in engine.partition.blocks]
+    wire = [_pack(block) for block in blocks]
+    # every rank's mask on the diagonal: rank r's rows start at row_cuts[r]
+    mask = sp.block_diag([block.astype(bool) for block in blocks], format="csr")
+    row_cuts = np.concatenate([[0], np.cumsum([block.shape[0] for block in blocks])])
     partial = np.zeros(grid.n_ranks)
 
     for k in range(side):
@@ -129,19 +128,22 @@ def triangle_count(engine: Engine) -> AlgorithmResult:
             blocks, wire, col_share,
         )
 
-        # Local masked multiply-accumulate.
-        def multiply_accumulate(ctx):
-            r = ctx.rank
-            a, b, mask = left[r], right[r], masks[r]
-            prod = (a @ b).multiply(mask)
-            partial[r] += prod.sum()
-            engine.charge_edges(
-                r,
-                np.array([a.nnz + b.nnz + prod.nnz]),
-                work_per_edge=2.0,
-            )
-
-        engine.foreach(multiply_accumulate)
+        # Every rank's masked multiply-accumulate as one block-diagonal
+        # product: block r of the result is rank r's.
+        a = sp.block_diag([left[r] for r in all_ranks], format="csr")
+        b = sp.block_diag([right[r] for r in all_ranks], format="csr")
+        prod = (a @ b).multiply(mask)
+        nnz = np.diff(prod.indptr[row_cuts])
+        # integer-valued entries: every summation order is exact
+        partial += np.bincount(
+            np.repeat(all_ranks, nnz), weights=prod.data, minlength=grid.n_ranks
+        )
+        engine.charge_edges(
+            None,
+            np.array([left[r].nnz + right[r].nnz for r in all_ranks]) + nnz,
+            work_per_edge=2.0,
+            segments=np.ones(grid.n_ranks, dtype=np.int64),
+        )
         engine.superstep_boundary("tc")
 
     # Combine partial counts.

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..algorithms.bfs import check_count, check_fraction
+from ..algorithms.bfs import check_count, check_fraction, validate_roots
 from ..algorithms.components import component_answer
 from ..algorithms.pagerank import compute_global_degrees, dangling_partials
 from ..cluster.config import ZEPY, ClusterConfig
@@ -50,19 +50,31 @@ def spmv_engine(
 SEMIRING_WORK_PER_EDGE = 1.5
 
 
-def _charge_semiring(engine: Engine, rank: int, n_edges: int, n_vertices: int) -> None:
-    """Semiring SpMV (CC's min-plus, BFS's masked Boolean): runs at the
+def _semiring_time(engine: Engine, n_edges) -> np.ndarray:
+    """Every rank's semiring SpMV (CC's min-plus, BFS's masked Boolean)
+    over ``n_edges[r]`` edges and its whole LID space: runs at the
     device's general edge rate with composition overhead, not at the
     tuned arithmetic-SpMV rate.  This asymmetry is why the paper's
     Fig. 10 shows the LA backend winning PageRank but losing CC/BFS."""
-    engine.clocks.add_compute(
-        rank,
-        engine.costmodel.kernel_time(
-            n_edges=n_edges,
-            n_vertices=n_vertices,
-            work_per_edge=SEMIRING_WORK_PER_EDGE,
-        ),
+    return engine.costmodel.kernel_time(
+        n_edges=n_edges,
+        n_vertices=engine.fleet.n_total,
+        work_per_edge=SEMIRING_WORK_PER_EDGE,
     )
+
+
+def _local_edges(engine: Engine) -> np.ndarray:
+    """Every rank's local edge count."""
+    return np.array([blk.n_local_edges for blk in engine.partition.blocks])
+
+
+def _leader_rows(engine: Engine) -> np.ndarray:
+    """Boolean over stacked LIDs: the row cells of each row group's
+    first rank, which hold every vertex exactly once."""
+    fleet = engine.fleet
+    first = np.zeros(fleet.n_ranks, dtype=bool)
+    first[[ranks[0] for _, ranks in engine.row_groups()]] = True
+    return fleet.row_mask & np.repeat(first, np.diff(fleet.base))
 
 
 def spmv_pagerank(
@@ -86,8 +98,7 @@ def spmv_pagerank(
     # pull's row-group AllReduce: no collective of its own.
     dangling_mass = dangling_partials(fleet, np.flatnonzero(fleet.stacked("deg") == 0))
     # every rank's tuned arithmetic (+/x) SpMV, and its damping update
-    edges = np.array([blk.n_local_edges for blk in engine.partition.blocks])
-    spmv_s = engine.costmodel.spmv_time(n_edges=edges, n_vertices=fleet.n_total)
+    spmv_s = engine.costmodel.spmv_time(n_edges=_local_edges(engine), n_vertices=fleet.n_total)
     update_s = engine.costmodel.spmv_time(n_edges=0, n_vertices=fleet.n_total)
 
     for _ in range(iterations):
@@ -121,36 +132,24 @@ def spmv_cc(engine: Engine, max_iterations: int | None = None) -> AlgorithmResul
     if max_iterations is not None:
         max_iterations = check_count(max_iterations, "max_iterations")
     engine.reset_timers()
-    grid, fleet = engine.grid, engine.fleet
-    all_ranks = list(range(grid.n_ranks))
+    fleet = engine.fleet
+    all_ranks = list(range(engine.n_ranks))
     engine.alloc("cc", np.float64)
-
-    def init_labels(ctx):
-        lm = ctx.localmap
-        lab = ctx.get("cc")
-        lab[lm.row_slice] = np.arange(lm.row_start, lm.row_stop)
-        lab[lm.col_slice] = np.arange(lm.col_start, lm.col_stop)
-
-    engine.foreach(init_labels)
+    fleet.fill_windows(fleet.stacked("cc"), np.arange(engine.partition.n_vertices))
     pull = fleet.csr()
+    leaders = _leader_rows(engine)
+    semiring_s = _semiring_time(engine, _local_edges(engine))
 
     iterations = 0
     while True:
         iterations += 1
-        snapshots = {
-            id_r: engine.ctx(ranks[0]).get("cc")[engine.ctx(ranks[0]).row_slice].copy()
-            for id_r, ranks in engine.row_groups()
-        }
-        # Min-plus "SpMV": every edge participates, no frontier.
         lab = fleet.stacked("cc")
+        before = lab[leaders]
+        # Min-plus "SpMV": every edge participates, no frontier.
         np.minimum(lab, csr_pull(pull, lab, "min"), out=lab)
-        for ctx in engine:
-            _charge_semiring(engine, ctx.rank, ctx.block.n_local_edges, ctx.n_total)
+        engine.clocks.add_compute_all(semiring_s)
         dense_pull(engine, "cc", op="min")
-        n_changed = 0
-        for id_r, ranks in engine.row_groups():
-            now = engine.ctx(ranks[0]).get("cc")[engine.ctx(ranks[0]).row_slice]
-            n_changed += int(np.count_nonzero(now != snapshots[id_r]))
+        n_changed = int(np.count_nonzero(lab[leaders] != before))
         flags = [np.array([float(n_changed)]) for _ in all_ranks]
         engine.comm.allreduce(all_ranks, flags, op="max")
         engine.superstep_boundary("spmv")
@@ -175,26 +174,23 @@ def spmv_bfs(engine: Engine, root: int) -> AlgorithmResult:
     is a full dense vector pass, the behaviour that costs the algebraic
     backend its BFS performance in the paper's Fig. 10.
     """
+    part, fleet = engine.partition, engine.fleet
+    (root,) = validate_roots(part.n_vertices, [root], "root").tolist()
     engine.reset_timers()
-    part, grid = engine.partition, engine.grid
-    n = part.n_vertices
-    all_ranks = list(range(grid.n_ranks))
-    root_rel = int(part.perm[root])
+    all_ranks = list(range(engine.n_ranks))
 
     engine.alloc("level", np.float64, fill=np.inf)
     engine.alloc("front", np.float64)
-
-    def seed_root(ctx):
-        lm = ctx.localmap
-        lvl, frontier = ctx.get("level"), ctx.get("front")
-        if lm.row_start <= root_rel < lm.row_stop:
-            lvl[lm.row_lid(root_rel)] = 0
-            frontier[lm.row_lid(root_rel)] = 1.0
-        if lm.col_start <= root_rel < lm.col_stop:
-            lvl[lm.col_lid(root_rel)] = 0
-            frontier[lm.col_lid(root_rel)] = 1.0
-
-    engine.foreach(seed_root)
+    # the root's row and column cells, everywhere it is visible
+    (row_seeds, _), (col_seeds, _) = fleet.cells_of(np.array([part.perm[root]]))
+    seeds = np.concatenate([row_seeds, col_seeds])
+    fleet.stacked("level")[seeds] = 0.0
+    fleet.stacked("front")[seeds] = 1.0
+    rows = np.flatnonzero(fleet.row_mask)
+    degrees = fleet.row_degrees(rows)
+    leaders = _leader_rows(engine)
+    semiring_s = _semiring_time(engine, _local_edges(engine))
+    advance_s = _semiring_time(engine, 0)
 
     depth = 0
     while True:
@@ -202,34 +198,18 @@ def spmv_bfs(engine: Engine, root: int) -> AlgorithmResult:
         # next = A x frontier (push across the whole matrix), masked by
         # unvisited; communicated densely.
         engine.alloc("next", np.float64)
-
-        def masked_spmv(ctx):
-            frontier, nxt = ctx.get("front"), ctx.get("next")
-            ex = ctx.expand(ctx.row_lids(), ctx.local_degrees())
-            _charge_semiring(engine, ctx.rank, ctx.block.n_local_edges, ctx.n_total)
-            if ex.dst.size:
-                hits = frontier[ex.src] > 0
-                scatter_reduce(nxt, ex.dst[hits], 1.0, "max")
-
-        engine.foreach(masked_spmv)
+        level, front, nxt = fleet.stacked("level"), fleet.stacked("front"), fleet.stacked("next")
+        engine.clocks.add_compute_all(semiring_s)
+        for _, ex in fleet.expand(rows, degrees):
+            scatter_reduce(nxt, ex.dst[front[ex.src] > 0], 1.0, "max")
         dense_push(engine, "next", op="max")
-        n_new = 0
 
-        def advance_frontier(ctx):
-            lvl, nxt = ctx.get("level"), ctx.get("next")
-            fresh = (nxt > 0) & ~np.isfinite(lvl)
-            lvl[fresh] = depth
-            frontier = ctx.get("front")
-            frontier[...] = 0.0
-            frontier[fresh] = 1.0
-            _charge_semiring(engine, ctx.rank, 0, ctx.n_total)
-
-        engine.foreach(advance_frontier)
-        for id_r, ranks in engine.row_groups():
-            ctx0 = engine.ctx(ranks[0])
-            n_new += int(
-                np.count_nonzero(ctx0.get("front")[ctx0.row_slice] > 0)
-            )
+        fresh = (nxt > 0) & ~np.isfinite(level)
+        level[fresh] = depth
+        front[...] = 0.0
+        front[fresh] = 1.0
+        engine.clocks.add_compute_all(advance_s)
+        n_new = int(np.count_nonzero(front[leaders] > 0))
         flags = [np.array([float(n_new)]) for _ in all_ranks]
         engine.comm.allreduce(all_ranks, flags, op="max")
         engine.superstep_boundary("spmv")

@@ -251,7 +251,7 @@ def families() -> dict:
         ):
             res = run(engine)
             if family == "2D":
-                state = sum(ctx.localmap.n_col for ctx in engine)
+                state = int((engine.fleet.col_stop - engine.fleet.col_start).sum())
             else:  # the ghost directory, plus every rank's copy of the hubs
                 state = res.extra["n_ghosts"] + res.extra.get("n_hubs", 0) * p
             out[(family, p)] = {

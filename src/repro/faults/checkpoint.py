@@ -3,8 +3,9 @@
 A checkpoint captures everything a resumed run needs to be
 *bit-identical* to a run that never crashed:
 
-* every named per-rank state array (``RankContext.arrays``: the run's
-  own, since ``Engine.reset_timers`` frees the previous run's),
+* every named per-rank state array (each rank's views of the fleet's
+  stacked state, ``Fleet.views``: the run's own, since
+  ``Engine.reset_timers`` frees the previous run's),
 * the exact :class:`~repro.comm.counters.CommCounters` state,
 * the full :class:`~repro.comm.clocks.VirtualClocks` state including
   iteration marks and counter snapshots (so per-iteration traces
@@ -144,8 +145,8 @@ class CheckpointManager(BoundaryHook):
         """Snapshot the engine at ``superstep`` (unconditionally);
         ``state()`` is the algorithm's loop state."""
         states = [
-            {name: arr.copy() for name, arr in ctx.arrays.items()}
-            for ctx in engine.contexts
+            {name: arr.copy() for name, arr in views.items()}
+            for views in engine.fleet.views
         ]
         # Charge the snapshot cost BEFORE capturing the clock state:
         # the checkpoint must embed its own cost, or a restored run

@@ -12,7 +12,8 @@ Injection
     :func:`apply_memflip` executes a ``FaultSpec(kind="memflip")``:
     it flips bits inside the target rank's *owned windows* — the
     row-window and column-window slices of every state array of the
-    run (``RankContext.arrays``), concatenated in sorted-name order —
+    run (the rank's views of the fleet's stacked state,
+    ``Fleet.views``), concatenated in sorted-name order —
     at a superstep boundary.  Flips land in
     replicated state by construction, which is exactly the state the
     run's correctness depends on.
@@ -241,18 +242,18 @@ def _group_windows(engine):
     column group — ``members`` the ``(rank, window bits)`` of the
     group's ranks, in group order (every rank holds every state).  All
     members of a group are replicas of one window; a ``1 x p`` /
-    ``p x 1`` grid has single-member groups on one axis."""
-    names = sorted(engine.ctx(0).arrays)
-    for groups, window in (
-        (engine.row_groups(), "row_slice"),
-        (engine.col_groups(), "col_slice"),
-    ):
-        for _gid, ranks in groups:
-            group = [engine.ctx(r) for r in ranks]
+    ``p x 1`` grid has single-member groups on one axis.  The windows
+    are the dense AllReduce operands of the fleet's exchange plan,
+    slices of its stacked state."""
+    fleet = engine.fleet
+    names = sorted(fleet.views[0])
+    plan = fleet.exchange_plan().reduce
+    for axis in ("row", "col"):
+        for ranks, windows in plan[axis]:
             for name in names:
+                state = fleet.stacked(name)
                 yield name, [
-                    (ctx.rank, _window_bits(ctx.arrays[name][getattr(ctx, window)]))
-                    for ctx in group
+                    (r, _window_bits(state[window])) for r, window in zip(ranks, windows)
                 ]
 
 
@@ -449,7 +450,7 @@ class IntegrityLedger(BoundaryHook):
         One pass over the groups, not one closure per rank: the compare
         is cross-rank by nature.
         """
-        digests: list[dict] = [{} for _ in engine.contexts]
+        digests: list[dict] = [{} for _ in range(engine.n_ranks)]
         nbytes = [0] * len(digests)
         stats = self.stats
         for name, members in _group_windows(engine):

@@ -178,7 +178,7 @@ def scatter_reduce_lanes(
     Returns ``(changed_lids, changed_lanes)``: the cells whose stored
     value changed (exact compare), sorted by ``(lid, lane)``.
     Requires ``state`` to be C-contiguous (the layout
-    :meth:`~repro.core.context.RankContext.alloc` produces).
+    :meth:`~repro.core.engine.Engine.alloc` produces).
     """
     if state.ndim != 2:
         raise ScatterError(f"lane scatter needs a 2-D state, got {state.ndim}-D")

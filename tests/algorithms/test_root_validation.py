@@ -13,11 +13,14 @@ names (``label_propagation(iterations=)`` has no ``None``).
 
 from __future__ import annotations
 
+import inspect
 import re
 
 import numpy as np
 import pytest
 
+import repro.algorithms as algorithms
+import repro.baselines as baselines
 from repro.algorithms import (
     betweenness,
     bfs,
@@ -83,6 +86,39 @@ def test_sssp_rejects_bad_root(wgraph, root, msg):
 def test_pseudo_diameter_rejects_bad_start(graph, start, msg):
     with pytest.raises(ValueError, match=msg):
         pseudo_diameter(Engine(graph, 4), start=start)
+
+
+#: The parameters that take vertex ids, and whether they take a list.
+ID_PARAMS = {"root": False, "start": False, "roots": True, "sources": True}
+
+
+def _id_entry_points():
+    """``(name, fn, id parameter)`` of every function in
+    ``repro.algorithms.__all__`` and ``repro.baselines.__all__`` that
+    takes vertex ids, read from its signature."""
+    for module in (algorithms, baselines):
+        for name in module.__all__:
+            fn = getattr(module, name)
+            if not inspect.isfunction(fn):
+                continue
+            for param in inspect.signature(fn).parameters:
+                if param in ID_PARAMS:
+                    yield name, fn, param
+
+
+@pytest.mark.parametrize("bad", [-1, N, 2.5, True], ids=repr)
+@pytest.mark.parametrize(
+    "fn, param",
+    [pytest.param(fn, param, id=f"{name}-{param}") for name, fn, param in _id_entry_points()],
+)
+def test_every_id_parameter_refuses_a_bad_id(wgraph, fn, param, bad):
+    """No entry point runs from a negative, out-of-range, fractional or
+    boolean vertex id: each raises ``ValueError``."""
+    assert wgraph.n_vertices == N
+    args = {"engine": Engine(wgraph, 4), "n": N}
+    call = {p: args[p] for p in inspect.signature(fn).parameters if p in args}
+    with pytest.raises(ValueError):
+        fn(**call, **{param: [bad] if ID_PARAMS[param] else bad})
 
 
 @pytest.mark.parametrize("roots, msg", BAD_LIST)

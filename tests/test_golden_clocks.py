@@ -19,7 +19,11 @@ replaced) — a per-rank closure that touched another rank's state would
 move the clock on one of the two.
 
 Pointer jumping (``pj``) is pinned from before its packet swaps and
-jump loop left their per-rank closures.
+jump loop left their per-rank closures.  Triangle counting (``tc``,
+square grids only: ``tc|{2x2,4x4,16x16}|{blocking,overlap}``) is
+pinned from before its blocks and its masked SUMMA step left their
+per-rank closures; its answer is ``extra["n_triangles"]`` (``values``
+is ``None``), and that count is what its digest hashes.
 
 Add cases for code about to change — at the parent commit, before the
 first source edit; recorded cases are left byte-identical::
@@ -85,12 +89,17 @@ ALGOS = {
     "bfs_batch": lambda e: bfs_batch(e, [3, 17, 200]),
     "sssp_batch": lambda e: sssp_batch(e, [3, 17, 200]),
     "pj": lambda e: algorithms.pointer_jumping(e),
+    "tc": lambda e: algorithms.triangle_count(e),
 }
+
+#: Algorithms that run on square grids only.
+SQUARE_ONLY = {"tc"}
 
 CASES = [
     (algo, R, C, overlap)
     for algo in ALGOS
     for R, C in GRIDS
+    if R == C or algo not in SQUARE_ONLY
     for overlap in (False, True)
 ]
 
@@ -128,7 +137,8 @@ def run_case(graph, algo, R, C, overlap) -> dict:
     engine = Engine(graph, grid=Grid2D(R=R, C=C), overlap=overlap)
     res = ALGOS[algo](engine)
     t = res.timings
-    values = np.ascontiguousarray(res.values)
+    answer = res.extra["n_triangles"] if res.values is None else res.values
+    values = np.ascontiguousarray(answer)
     return {
         "total": float(t.total).hex(),
         "compute": float(t.compute).hex(),
