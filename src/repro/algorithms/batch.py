@@ -142,22 +142,12 @@ def bfs_batch(
     def saved():
         return {**vars(s), "frontier": fleet.encode_queue(s.frontier)}
 
-    # Per-rank GID lookup tables (float64, built once): translating a
-    # candidate parent in the edge loops becomes a single gather
-    # instead of two GID-arithmetic passes plus a cast per superstep.
-    # Derived and uncharged, so recomputing on a resume is clock-neutral.
-    def gid_tables(ctx):
-        lm = ctx.localmap
-        rs, cs = ctx.row_slice, ctx.col_slice
-        row_tab = part.original_gid(
-            lm.row_gid(np.arange(rs.start, rs.stop, dtype=np.int64))
-        ).astype(np.float64)
-        col_tab = part.original_gid(
-            lm.col_gid(np.arange(cs.start, cs.stop, dtype=np.int64))
-        ).astype(np.float64)
-        return row_tab, col_tab
-
-    gid_tab = engine.map_ranks(gid_tables)
+    # Every cell's original GID as float64 (built once): translating a
+    # candidate parent in the edge loops is a single gather instead of
+    # two GID-arithmetic passes plus a cast per superstep.  Derived and
+    # uncharged, so recomputing on a resume is clock-neutral.
+    gid_of = np.zeros(fleet.size)
+    fleet.fill_windows(gid_of, part.original_gid(np.arange(n)).astype(np.float64))
 
     # Every rank in a row group holds the identical row-window state
     # after each exchange, so frontier lists are computed once by the
@@ -165,13 +155,15 @@ def bfs_batch(
     # each member's own ``row_offset`` in its LID space (Type 2 maps,
     # i.e. R < C grids, differ within a group), so a member whose
     # offset differs from the leader's gets the LIDs shifted.
-    row_leader = [0] * grid.n_ranks
-    row_shift = [0] * grid.n_ranks
-    for _id_r, _ranks in engine.row_groups():
-        lead_offset = engine.ctx(_ranks[0]).localmap.row_offset
-        for _r in _ranks:
-            row_leader[_r] = _ranks[0]
-            row_shift[_r] = engine.ctx(_r).localmap.row_offset - lead_offset
+    row_leader = np.zeros(grid.n_ranks, dtype=np.int64)
+    for _, ranks in engine.row_groups():
+        row_leader[ranks] = ranks[0]
+    row_offset = fleet.row_start - fleet.row_gid_shift - fleet.base[:-1]
+    row_shift = (row_offset - row_offset[row_leader]).tolist()
+    row_leader = row_leader.tolist()
+    leaders = sorted(set(row_leader))
+    # every rank's row window as a stacked-LID range
+    windows = (np.stack([fleet.row_start, fleet.row_stop]) - fleet.row_gid_shift).T.tolist()
 
     while not s.lane_done.all():
         s.depth += 1
@@ -218,7 +210,7 @@ def bfs_batch(
                 # gathered by entry, never rebuilt at edge size.
                 unvisited = parent[ex.dst, rlanes[ex.entry]] == INF
                 entry = ex.entry[unvisited]
-                cand = gid_tab[ctx.rank][0][rows - ctx.row_slice.start]
+                cand = gid_of[rows + fleet.base[ctx.rank]]
                 return scatter_reduce_lanes(
                     parent, ex.dst[unvisited], cand[entry], "min", lanes=rlanes[entry]
                 )
@@ -227,7 +219,6 @@ def bfs_batch(
             result = sparse_push_lanes(engine, "parent", queues, op="min")
             n_upd += result.n_updated
 
-        wait = None
         if pull_lanes.size:
             # Bottom-up lanes share one expansion: the lanes' unvisited
             # sets overlap heavily in this regime, so the union of
@@ -276,7 +267,7 @@ def bfs_batch(
                 engine.charge_edges(ctx.rank, degs)
                 ex = ctx.expand(rows, degs)
                 if ex.dst.size:
-                    gtab = gid_tab[ctx.rank][1]
+                    gtab = gid_of[fleet.base[ctx.rank] + cs.start :]
                     pflat = parent.reshape(-1)
                     row_words = row64[rows_rel]  # per queue entry
                     dst_rel = ex.dst - cs.start
@@ -307,119 +298,81 @@ def bfs_batch(
                         np.minimum.at(pflat, comp, g_c[pe])
 
             engine.foreach(bottom_up_scan)
-            dense_exchange_lanes(engine, "parent", "pull", "min", pull_lanes)
-            fresh_per_group = {}
-            for id_r, ranks in engine.row_groups():
-                ctx0 = engine.ctx(ranks[0])
-                cells = (ctx0.row_slice, pull_lanes if L != k else slice(None))
-                parent, level = ctx0.get("parent")[cells], ctx0.get("level")[cells]
-                fresh_per_group[id_r] = np.count_nonzero(
-                    (parent != INF) & (level == INF), axis=0
-                )
-            # One fused per-lane reduction of the ranks' row-window
-            # counts for all pull lanes (split-phase on an overlapped
-            # engine, exactly as 1-D).
-            n_upd[pull_lanes], wait = engine.reduce_partials(
-                [fresh_per_group[ctx.block.id_r] for ctx in engine]
+            level = fleet.stacked("level")
+            lanes = slice(None) if L == k else pull_lanes
+
+            def fresh_counts(parent):
+                # Every rank's per-lane fresh row-window cells (its row
+                # group's, counted once on the leader), riding the
+                # Broadcasts as one word per live lane.
+                counted = {}
+                for r in leaders:
+                    lo, hi = windows[r]
+                    fresh = (parent[lo:hi] != INF) & (level[lo:hi, lanes] == INF)
+                    counted[r] = np.count_nonzero(fresh, axis=0)
+                return np.array([counted[r] for r in row_leader])
+
+            n_upd[pull_lanes] = dense_exchange_lanes(
+                engine, "parent", "pull", "min", pull_lanes, count=fresh_counts
             )
 
         cont = ~s.lane_done & (n_upd > 0)
         s.lane_done |= ~s.lane_done & (n_upd == 0)
         if not cont.any():
-            if wait is not None:
-                wait()
             engine.superstep_boundary(tag, saved)
             break
 
-        # Record levels of freshly visited cells and build the next
-        # frontier (push lanes: exchange's active rows; pull lanes:
-        # fresh row-window cells), merged lane-major.
-        pull_cont = np.zeros(k, dtype=bool)
-        pull_cont[pull_lanes] = True
-        pull_cont &= cont
-
-        def fresh_levels(ctx):
-            parent = ctx.get("parent")
-            level = ctx.get("level")
-            fresh = None
+        # Build the next frontier, then record the levels of freshly
+        # visited cells.  A row group shares one row window, so its
+        # leader builds the list and the members alias it: push lanes
+        # keep the exchange's active rows (lane-major, unique), then the
+        # pull lanes that go on take the leader's fresh row cells,
+        # lid-major.  Each lane's entries come from exactly one part
+        # (disjoint lane sets) with LIDs ascending within the lane,
+        # which is all downstream consumers need: expansion order only
+        # matters per lane, and per-lane deg sums extract their own
+        # subsequence.
+        pull_cont = cont & np.isin(np.arange(k), pull_lanes)
+        parent, level = fleet.stacked("parent"), fleet.stacked("level")
+        lanes_on, led = np.flatnonzero(pull_cont), {}
+        for r in leaders:
+            al, an = result.active_row[r] if result is not None else (_EMPTY_I64, _EMPTY_I64)
+            lo, hi = windows[r]
+            fresh = (parent[lo:hi, lanes_on] != INF) & (level[lo:hi, lanes_on] == INF)
+            cell, lane = np.nonzero(fresh)
+            keep = cont[an]
+            led[r] = (
+                np.concatenate([al[keep], cell + (lo - int(fleet.base[r]))]),
+                np.concatenate([an[keep], lanes_on[lane]]),
+            )
+        new_frontier = [
+            (lids + shift, lanes_f) if shift else (lids, lanes_f)
+            for (lids, lanes_f), shift in zip((led[lead] for lead in row_leader), row_shift)
+        ]
+        # Stamp rank by rank, each temporary one rank's window.  A pure
+        # push superstep stamps only the cells its exchange names
+        # (changed ghosts, the local update queue and the active owned
+        # rows): every cell with a finite parent and an unset level was
+        # written *this* superstep — earlier supersteps stamped theirs —
+        # so that reaches exactly the set the full scan would.
+        bounds = fleet.base.tolist()
+        for r, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
             if result is not None and not pull_cont.any():
-                # Pure push superstep: the exchange already names every
-                # cell it may have written (changed ghosts, the local
-                # update queue, and the active owned rows).  Every cell
-                # with a finite parent and an unset level was written
-                # *this* superstep — earlier supersteps stamped theirs
-                # — so stamping the touched cells with ``level == INF``
-                # reaches exactly the set the full scan would, without
-                # scanning the whole window.
-                cl, cn = result.active_col[ctx.rank]
-                al, an = result.active_row[ctx.rank]
-                tl = np.concatenate([cl, al])
-                tn = np.concatenate([cn, an])
+                (cl, cn), (al, an) = result.active_col[r], result.active_row[r]
+                tl, tn = np.concatenate([cl, al]) + lo, np.concatenate([cn, an])
                 unset = level[tl, tn] == INF
                 level[tl[unset], tn[unset]] = s.depth
             else:
-                pflat = parent.reshape(-1)
-                lflat = level.reshape(-1)
-                mask = (pflat != INF) & (lflat == INF)
-                np.copyto(lflat, s.depth, where=mask)
-                if ctx.rank == row_leader[ctx.rank] and pull_cont.any():
-                    fresh = np.flatnonzero(mask)
-            engine.charge_vertices(ctx.rank, ctx.n_total)
-            # Next frontier: push lanes keep the exchange's active rows
-            # (lane-major, unique); pull lanes reuse the flat ``fresh``
-            # indices just computed — a divmod (shift/mask when k is a
-            # power of two) recovers (lid, lane) pairs in lid-major
-            # order.  Each lane's entries come from exactly one part
-            # (disjoint lane sets) with LIDs ascending within the lane,
-            # which is all downstream consumers need: expansion order
-            # only matters per lane, and per-lane deg sums extract
-            # their own subsequence.  Only row-group leaders extract —
-            # the group shares one row window, so the main loop aliases
-            # their lists to the other members.
-            if ctx.rank != row_leader[ctx.rank]:
-                return None
-            out_l: list[np.ndarray] = []
-            out_n: list[np.ndarray] = []
-            if result is not None:
-                al, an = result.active_row[ctx.rank]
-                keep = cont[an]
-                out_l.append(al[keep])
-                out_n.append(an[keep])
-            if pull_cont.any():
-                rs = ctx.row_slice
-                if k & (k - 1) == 0:
-                    shift = k.bit_length() - 1
-                    fl = fresh >> shift
-                    fn = fresh & (k - 1)
-                else:
-                    fl = fresh // k
-                    fn = fresh - fl * k
-                sel = pull_cont[fn]
-                if rs.start > 0 or rs.stop < level.shape[0]:
-                    sel &= (fl >= rs.start) & (fl < rs.stop)
-                out_l.append(fl[sel])
-                out_n.append(fn[sel])
-            if not out_l:
-                return _EMPTY_I64, _EMPTY_I64
-            return np.concatenate(out_l), np.concatenate(out_n)
-
-        leader_frontier = engine.map_ranks(fresh_levels)
-        new_frontier = []
-        for r in range(grid.n_ranks):
-            lids, lanes_f = leader_frontier[row_leader[r]]
-            new_frontier.append(
-                (lids + row_shift[r], lanes_f) if row_shift[r] else (lids, lanes_f)
-            )
-        if wait is not None:
-            wait()
+                fresh = (parent[lo:hi] != INF) & (level[lo:hi] == INF)
+                np.copyto(level[lo:hi], s.depth, where=fresh)
+        engine.charge_vertices(None, fleet.n_total)
         # Per-lane frontier edge counts over the row groups' first
         # ranks: sums of integer-valued degrees far below 2**53, exact
         # in any order, so the switching trajectory is the 1-D one.
-        m_new = np.zeros(k)
-        for id_r, ranks in engine.row_groups():
+        m_new, deg = np.zeros(k), fleet.stacked("deg")
+        for _, ranks in engine.row_groups():
             lids0, lanes0 = new_frontier[ranks[0]]
-            deg0 = engine.ctx(ranks[0]).get("deg")[lids0]
-            m_new += np.bincount(lanes0, weights=deg0, minlength=k)
+            m_new += np.bincount(lanes0, weights=deg[lids0 + fleet.base[ranks[0]]], minlength=k)
         s.frontier = new_frontier
         s.m_frontier_prev[cont] = s.m_frontier[cont]
         s.m_frontier[cont] = m_new[cont]

@@ -195,7 +195,6 @@ def bfs(
 
         parent = fleet.stacked("parent")
         level = fleet.stacked("level")
-        wait = None
         if not s.bottom_up:
             # Top-down: expand the frontier, claim unvisited ghosts —
             # every rank's frontier in one stacked pass.
@@ -232,7 +231,9 @@ def bfs(
             # (§3.3.1), and the dense slice avoids the per-pair
             # duplication a queue exchange would ship.
             result = None
-            open_rows = np.flatnonzero((level == INF) & fleet.row_mask)
+            unvisited = level == INF
+            open_cells = unvisited & fleet.row_mask
+            open_rows = np.flatnonzero(open_cells)
             degrees = fleet.row_degrees(open_rows)
             engine.charge_edges(None, degrees, segments=fleet.counts(open_rows))
             for owner, ex in fleet.expand(open_rows, degrees):
@@ -242,19 +243,19 @@ def bfs(
                     dst + fleet.col_gid_shift[owner[entry]]
                 ).astype(np.float64)
                 np.minimum.at(parent, ex.queue[entry], cand_parent)
-            dense_pull(engine, "parent", op="min")
-            # Freshly visited cells and the next frontier, whose size is
-            # the ranks' row-window counts reduced (an overlapped engine
-            # hides the level update below behind the reduction).
-            fresh = np.flatnonzero((parent != INF) & (level == INF))
-            rows = fresh[fleet.row_mask[fresh]]
-            counts = fleet.counts(rows)
-            total, wait = engine.reduce_partials(counts)
-            n_updated = int(total)
+
+            def fresh_rows(parent):
+                # The next frontier, final once the row groups reduced:
+                # its row-window counts ride the column Broadcasts.
+                nonlocal rows, counts
+                rows = np.flatnonzero(open_cells & (parent != INF))
+                counts = fleet.counts(rows)
+                return counts
+
+            n_updated = int(dense_pull(engine, "parent", op="min", count=fresh_rows))
+            fresh = np.flatnonzero(unvisited & (parent != INF))
 
         if n_updated == 0:
-            if wait is not None:
-                wait()
             s.done = True
             engine.superstep_boundary("bfs", saved)
             break
@@ -267,8 +268,6 @@ def bfs(
             rows = result.rows
             counts = fleet.counts(rows)
         s.frontier = rows
-        if wait is not None:
-            wait()
         s.m_frontier_prev = s.m_frontier
         s.m_frontier = float(fleet.stacked("deg")[rows[np.repeat(first, counts)]].sum())
         s.n_visited += n_updated

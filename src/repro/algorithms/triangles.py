@@ -71,6 +71,17 @@ def _unpack(wire: np.ndarray, shape: tuple[int, int]) -> sp.csr_matrix:
     )
 
 
+def _block_diagonal(blocks: list[sp.csr_matrix]) -> sp.csr_matrix:
+    """``sp.block_diag(blocks, format="csr")`` from the blocks' CSR
+    arrays: row ends shifted by the running nnz, column ids by the
+    running width."""
+    (rows, cols), nnz = np.array([b.shape for b in blocks]).T, np.array([b.nnz for b in blocks])
+    ends = np.concatenate([b.indptr[1:] for b in blocks]) + np.repeat(np.cumsum(nnz) - nnz, rows)
+    ids = np.concatenate([b.indices for b in blocks]) + np.repeat(np.cumsum(cols) - cols, nnz)
+    data = np.concatenate([b.data for b in blocks])
+    return sp.csr_matrix((data, ids, np.concatenate([[0], ends])), shape=(rows.sum(), cols.sum()))
+
+
 def _broadcast(engine, groups, root_of, blocks, wire, nic_sharing) -> dict:
     """One Broadcast stage: each group's ``root_of(group id)`` sends its
     block's wire form to the rest of the group.  Returns each member's
@@ -112,7 +123,7 @@ def triangle_count(engine: Engine) -> AlgorithmResult:
     blocks = [_block_csr(blk) for blk in engine.partition.blocks]
     wire = [_pack(block) for block in blocks]
     # every rank's mask on the diagonal: rank r's rows start at row_cuts[r]
-    mask = sp.block_diag([block.astype(bool) for block in blocks], format="csr")
+    mask = _block_diagonal([block.astype(bool) for block in blocks])
     row_cuts = np.concatenate([[0], np.cumsum([block.shape[0] for block in blocks])])
     partial = np.zeros(grid.n_ranks)
 
@@ -130,8 +141,8 @@ def triangle_count(engine: Engine) -> AlgorithmResult:
 
         # Every rank's masked multiply-accumulate as one block-diagonal
         # product: block r of the result is rank r's.
-        a = sp.block_diag([left[r] for r in all_ranks], format="csr")
-        b = sp.block_diag([right[r] for r in all_ranks], format="csr")
+        a = _block_diagonal([left[r] for r in all_ranks])
+        b = _block_diagonal([right[r] for r in all_ranks])
         prod = (a @ b).multiply(mask)
         nnz = np.diff(prod.indptr[row_cuts])
         # integer-valued entries: every summation order is exact

@@ -323,19 +323,38 @@ class Communicator:
         move = partial(self._broadcast_core, kind="broadcast", nic_sharing=nic_sharing)
         self._stage("broadcast", groups, [[c] for c in calls], move, _sources)
 
-    def grouped_broadcast_stage(self, groups, calls, nic_sharing: int = 1):
+    def grouped_broadcast_stage(self, groups, calls, nic_sharing: int = 1, tail=None):
         """Multiple broadcasts over each of a stage's disjoint
         ``groups`` in a single aggregated launch per group (NCCL group
         call; paper §3.3.1 for the R != C case); ``calls[g]`` are group
-        ``g``'s (none: skipped)."""
+        ``g``'s (none, and no tail: skipped).  A ``tail`` (``p x t``,
+        row ``r`` rank ``r``'s words) rides each launch as one more
+        call, an AllGather of the members' words, guarded behind the
+        roots' payloads; returns the ``p x t`` float64 sums of each
+        group's rows in member order (row ``r``: what rank ``r``
+        receives)."""
+        words = None if tail is None else np.array(tail, dtype=np.float64).reshape(len(tail), -1)
+        sums = None if words is None else np.zeros_like(words)
         move = partial(
-            self._broadcast_core, kind="grouped_broadcast", nic_sharing=nic_sharing
+            self._broadcast_core, kind="grouped_broadcast", nic_sharing=nic_sharing,
+            words=words, sums=sums,
         )
-        self._stage("grouped_broadcast", groups, calls, move, _sources)
 
-    def _broadcast_core(self, ranks, calls, kind: str, nic_sharing: int):
-        """Move data, record counters; return (cost or ``None``, None)."""
-        if not calls:
+        def checked(group):  # the roots' payloads, then the members' words
+            return _sources(group[1]) + list(words[group[0]])
+
+        zipped = words is not None and len(calls) == len(groups)  # else refused unmoved
+        payloads = list(zip(groups, calls)) if zipped else calls
+        self._stage("grouped_broadcast", groups, payloads, move, checked if zipped else _sources)
+        return sums
+
+    def _broadcast_core(self, ranks, calls, kind: str, nic_sharing: int, words=None, sums=None):
+        """Move data (and sum the group's ``words`` rows into ``sums``),
+        record counters; return (cost or ``None``, None)."""
+        if words is not None:  # the payload is ``(ranks, calls)``
+            calls, members = calls[1], list(ranks)
+            sums[members] = REDUCE_OPS["sum"](words[members])
+        elif not calls:
             return None, None
         k = len(ranks)
         sizes = []
@@ -349,17 +368,17 @@ class Communicator:
             for dest in call.dests:
                 dest[...] = src
             sizes.append(src.nbytes)
-        t = self.costmodel.grouped_broadcast_time(ranks, sizes, nic_sharing=nic_sharing)
-        total_dests = sum(len(c.dests) for c in calls)
-        self.counters.record(
-            kind,
-            serial_messages=(k - 1) if self.costmodel.profile.grouped_calls
-            else len(calls) * (k - 1),
-            transfers=total_dests,
-            nbytes=sum(
-                np.asarray(c.src).nbytes * len(c.dests) for c in calls
-            ),
-        )
+        cost, grouped = self.costmodel, self.costmodel.profile.grouped_calls
+        t = cost.grouped_broadcast_time(ranks, sizes, nic_sharing=nic_sharing)
+        n_calls, transfers = len(calls), sum(len(c.dests) for c in calls)
+        nbytes = sum(np.asarray(c.src).nbytes * len(c.dests) for c in calls)
+        if words is not None:  # one more call: an AllGather of k x t words
+            gathered = k * words[0].nbytes
+            extra = cost.allgather_time(ranks, gathered, nic_sharing=nic_sharing)
+            t = max(t, extra) if grouped else t + extra
+            n_calls, transfers, nbytes = n_calls + 1, transfers + k * (k - 1), nbytes + gathered * (k - 1)
+        messages = (k - 1) if grouped else n_calls * (k - 1)
+        self.counters.record(kind, serial_messages=messages, transfers=transfers, nbytes=nbytes)
         return t, None
 
     def allgatherv_stage(self, groups, send, counts, nic_sharing: int = 1) -> list:

@@ -287,18 +287,16 @@ class Engine:
     # ------------------------------------------------------------------
     def reduce_partials(self, partials, op: str = "sum", over: str = "rows"):
         """Reduce per-rank partials (``op`` ``"sum"`` / ``"max"``) to the
-        global value the loop reads; returns ``(value, wait)``.
+        global value a loop reads when no dense exchange carries it
+        (docs/MODEL.md, "Convergence counts"); returns ``(value, wait)``.
 
-        ``partials[r]``, a scalar or lane vector, covers rank ``r``'s row
-        window (``over="rows"``): the windows of one column group
-        partition the vertices, so a stage of column-group AllReduces
-        (2⌈log₂ C⌉ tree steps, not 2⌈log₂ p⌉) or the all-rank call fed by
-        the first column group, whichever the cost model charges less
-        (once per payload size; a tie keeps the all-rank call), gives
-        the global value.  ``over="ranks"``: sets disjoint across all
-        ranks, always the all-rank call.  ``value`` is final at return;
-        an overlapped engine issues split-phase and ``wait()`` completes.
-        """
+        ``partials[r]`` (a scalar or lane vector) covers rank ``r``'s row
+        window (``over="rows"``: a column-group stage or the all-rank
+        call fed by the first column group, whichever the cost model
+        charges less per payload size) or a set disjoint across all
+        ranks (``over="ranks"``: the all-rank call).  ``value`` is final
+        at return; an overlapped engine issues split-phase and
+        ``wait()`` completes."""
         if op not in ("sum", "max") or over not in ("rows", "ranks"):
             raise ValueError(f"op {op!r}, over {over!r}: need sum/max, rows/ranks")
         buf = np.array(partials, dtype=np.float64).reshape(self.n_ranks, -1)

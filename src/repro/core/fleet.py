@@ -284,6 +284,13 @@ class Fleet:
             out[nonempty] = np.maximum.reduceat(values, starts, axis=0)
         return out
 
+    def window_counts(self, mask: np.ndarray, axis: str) -> np.ndarray:
+        """Every rank's number of true cells of a stacked ``mask`` in its
+        row (``axis="row"``) or column window, rank-major."""
+        start, stop, shift = self._windows[axis == "col"]
+        cells = np.flatnonzero(mask)
+        return np.searchsorted(cells, stop - shift) - np.searchsorted(cells, start - shift)
+
     @property
     def row_mask(self) -> np.ndarray:
         """Boolean over stacked LIDs: is it in its rank's row window?"""

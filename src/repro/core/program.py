@@ -200,24 +200,29 @@ def run_vertex_program(
             _OPS[op][1].at(state, to, vals)
 
         # ---- exchange --------------------------------------------------
-        wait = None
         if policy.use_sparse:
             exchange = sparse_push if push else sparse_pull
             result = exchange(engine, name, np.flatnonzero(state != before), op=op)
             n_updated = result.n_updated
             rows = result.rows
         else:
-            dense_exchange(engine, name, program.direction, op=op)
-            # every row whose value moved this superstep, local or not
-            rows = np.flatnonzero(fleet.row_mask & (fleet.stacked(name) != before))
-            # Convergence check: the ranks' row-window update counts,
-            # reduced (an overlapped engine hides the queue rebuild).
-            total, wait = engine.reduce_partials(fleet.counts(rows))
-            n_updated = int(total)
+            # Convergence check: the ranks' update counts over the
+            # windows the reduce stage made final (a push's column
+            # windows, a pull's row windows: every row that moved this
+            # superstep, local or not), riding the Broadcasts.
+            def changed(exchanged):
+                nonlocal rows
+                moved = exchanged != before
+                if push:
+                    return fleet.window_counts(moved, "col")
+                rows = np.flatnonzero(fleet.row_mask & moved)
+                return fleet.counts(rows)
+
+            n_updated = int(dense_exchange(engine, name, program.direction, op, changed))
+            if push:  # the row windows are final after the Broadcasts
+                rows = np.flatnonzero(fleet.row_mask & (state != before))
         if program.use_queue:
             s.active = rows if push else propagate_active_pull(engine, rows)
-        if wait is not None:
-            wait()
 
         policy.observe(n_updated)
         s.done = n_updated == 0 or (

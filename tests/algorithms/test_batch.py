@@ -152,9 +152,11 @@ class TestBFSEquivalence:
     def test_pull_lane_counts_are_split_phase_on_an_overlapped_engine(
         self, graph, overlap
     ):
-        """A superstep with bottom-up lanes reduces their per-lane
-        counts in one column-group stage: split-phase on an overlapped
-        engine, blocking otherwise."""
+        """A superstep with bottom-up lanes reads their per-lane counts
+        from the lanes' dense pull, one tail word per live lane on its
+        column-group Broadcast stage, on a blocking and on an
+        overlapped engine alike: no AllReduce stage follows the dense
+        exchange in that superstep."""
         roots = [0, 5, 9]
         engine = Engine(graph, grid=Grid2D(R=2, C=4), overlap=overlap)
         calls = watch_convergence(engine)
@@ -166,9 +168,12 @@ class TestBFSEquivalence:
             if any(log[d : d + 1] == ["bottom-up"] for log in res.extra["directions"])
         ]
         assert pull
-        issued = "start_allreduce_stage" if overlap else "allreduce_stage"
         columns = [ranks for _, ranks in engine.col_groups()]
-        assert [c["stages"] for c in calls] == [[(issued, columns)]] * len(pull)
+        rode = [("grouped_broadcast_stage", columns)]
+        assert [c["stages"] for c in calls] == [rode] * len(pull)
+        assert not any(
+            "allreduce" in stage for c in calls for stage in c["after"]
+        ), [c["after"] for c in calls]
         levels = res.extra["levels"]
         for call, d in zip(calls, pull):
             lanes = [

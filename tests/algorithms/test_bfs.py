@@ -190,19 +190,23 @@ class TestBehaviour:
     def test_bottom_up_count_is_split_phase_on_an_overlapped_engine(
         self, rmat_graph, overlap
     ):
-        """A bottom-up superstep reads its fresh-vertex count from one
-        stage of column-group reductions: split-phase on an overlapped
-        engine, which hides the level update behind it, blocking
-        otherwise; top-down supersteps issue none."""
+        """A bottom-up superstep reads its fresh-vertex count from the
+        dense pull's column-group Broadcast stage, as each member's
+        row-window tail, on a blocking and on an overlapped engine
+        alike: no AllReduce stage follows the dense exchange in that
+        superstep, and top-down supersteps carry no count."""
         engine = Engine(rmat_graph, grid=Grid2D(R=2, C=4), overlap=overlap)
         calls = watch_convergence(engine)
         res = bfs(engine, root=0)
         ways = res.extra["directions"]
         bottom_up = [d + 1 for d, way in enumerate(ways) if way == "bottom-up"]
         assert bottom_up
-        issued = "start_allreduce_stage" if overlap else "allreduce_stage"
         columns = [ranks for _, ranks in engine.col_groups()]
-        assert [c["stages"] for c in calls] == [[(issued, columns)]] * len(bottom_up)
+        rode = [("grouped_broadcast_stage", columns)]
+        assert [c["stages"] for c in calls] == [rode] * len(bottom_up)
+        assert not any(
+            "allreduce" in stage for c in calls for stage in c["after"]
+        ), [c["after"] for c in calls]
         levels = res.extra["levels"]
         assert [c["value"] for c in calls] == [np.sum(levels == d) for d in bottom_up]
 

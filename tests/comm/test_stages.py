@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import AIMOS, CostModel, Topology
+from repro.cluster import AIMOS, GENERIC_PROFILE, CostModel, Topology
 from repro.comm import BroadcastCall, Communicator, Grid2D, VirtualClocks, rank_major
 from repro.comm.clocks import LANES
 from repro.core.engine import Engine
@@ -404,6 +404,58 @@ def test_allreduce_of_parts_is_the_allreduce_of_their_concatenation():
     for window, tail, wide in zip(*mixed):
         assert window.tolist() == [1.0, 1.0] and wide.tolist() == [[2.0, 2.0]]
         assert tail.dtype == np.int64 and tail.tolist() == [2 * big]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=stages(), t=st.integers(1, 3), generic=st.booleans())
+def test_a_tail_rides_the_grouped_broadcast_stage(case, t, generic):
+    """Every member's ``t`` tail words ride its group's grouped
+    Broadcasts as one more call, an AllGather of ``k t`` words: each
+    group's rows arrive summed in member order, bit for bit what an
+    AllReduce of them delivers; the group pays the larger of the
+    Broadcasts and that AllGather (a generic substrate, no group calls:
+    their sum; a group with no Broadcast call: the AllGather alone),
+    and is counted with the AllGather's transfers and bytes; the guard
+    checks the roots' payloads, then the members' words."""
+    p, groups, clock_seed, seed, width = case
+    staged, oracle = _comm(p, clock_seed), _comm(p, clock_seed)
+    if generic:
+        for comm in (staged, oracle):
+            comm.costmodel = CostModel(AIMOS.gpu, Topology(AIMOS, p), GENERIC_PROFILE)
+    pay_a = _payloads("grouped_broadcast", groups, seed, width)
+    pay_b = _payloads("grouped_broadcast", groups, seed, width)
+    tail = np.random.default_rng(seed).integers(0, 2**20, size=(p, t)) * 0.5
+    seen = []
+    staged.guard = lambda clocks, kind, ranks, payload: seen.append(payload)
+    sums = staged.grouped_broadcast_stage(groups, pay_a, tail=tail)
+
+    cost = oracle.costmodel
+    for ranks, calls in zip(groups, pay_b):
+        k, sizes = len(ranks), [c.src.nbytes for c in calls]
+        for c in calls:
+            for dest in c.dests:
+                dest[...] = c.src
+        bcast = cost.grouped_broadcast_time(ranks, sizes)
+        gather = cost.allgather_time(ranks, k * t * 8)
+        oracle.clocks.sync_group(ranks, bcast + gather if generic else max(bcast, gather))
+        oracle.counters.record(
+            "grouped_broadcast",
+            serial_messages=(len(calls) + 1) * (k - 1) if generic else k - 1,
+            transfers=sum(len(c.dests) for c in calls) + k * (k - 1),
+            nbytes=sum(c.src.nbytes * len(c.dests) for c in calls) + k * t * 8 * (k - 1),
+        )
+        words = [tail[r].copy() for r in ranks]
+        Communicator(cost, VirtualClocks(p)).allreduce(ranks, words)
+        for r in ranks:
+            assert sums[r].tobytes() == words[0].tobytes()
+    for x, y in zip(_data("grouped_broadcast", pay_a), _data("grouped_broadcast", pay_b)):
+        assert np.array_equal(x, y)
+    _assert_same(staged, oracle)
+    assert len(seen) == len(groups)
+    for payload, ranks, calls in zip(seen, groups, pay_a):
+        assert len(payload) == len(calls) + len(ranks)
+        assert all(a is c.src for a, c in zip(payload, calls))
+        assert [w.tolist() for w in payload[len(calls) :]] == [tail[r].tolist() for r in ranks]
 
 
 # ----------------------------------------------------------------------

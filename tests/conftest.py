@@ -124,30 +124,54 @@ def random_graph(seed: int, n_max: int = 200, density: float = 4.0):
 
 
 def watch_convergence(engine) -> list[dict]:
-    """Record every :meth:`Engine.reduce_partials` call on ``engine``:
-    its ``value`` and the ``stages`` it issued, as ``(method, groups)``
-    for each ``allreduce_stage`` / ``start_allreduce_stage`` call made
-    inside it."""
+    """Record every global count the loop reads on ``engine``: each
+    :meth:`Engine.reduce_partials` call and each tail a
+    ``grouped_broadcast_stage`` carries (a dense exchange's ``count``).
+
+    Each record holds the count's ``value`` (a float, or a lane
+    vector), the ``stages`` it rode as ``(method, groups)`` — the
+    ``allreduce_stage`` / ``start_allreduce_stage`` calls made inside
+    ``reduce_partials``, or the one Broadcast stage that carried the
+    tail — and ``after``: the method of every collective stage issued
+    after the count and before the superstep's boundary."""
     calls: list[dict] = []
-    reduce, comm = engine.reduce_partials, engine.comm
+    open_: list[dict] = []
+    reduce, comm, boundary = engine.reduce_partials, engine.comm, engine.superstep_boundary
 
     def reduce_partials(*args, **kwargs):
-        calls.append({"stages": []})
+        calls.append({"stages": [], "after": []})
         value, wait = reduce(*args, **kwargs)
         calls[-1]["value"] = value
+        open_.append(calls[-1])
         return value, wait
 
     def watched(name):
         issue = getattr(comm, name)
 
         def stage(groups, *args, **kwargs):
+            for call in open_:
+                call["after"].append(name)
             if calls and "value" not in calls[-1]:
                 calls[-1]["stages"].append((name, [list(g) for g in groups]))
-            return issue(groups, *args, **kwargs)
+            out = issue(groups, *args, **kwargs)
+            tail = kwargs.get("tail", args[2] if len(args) > 2 else None)
+            if name == "grouped_broadcast_stage" and tail is not None:
+                value = out[0] if np.ndim(tail) > 1 else float(out[0, 0])
+                calls.append(
+                    {"stages": [(name, [list(g) for g in groups])], "after": [], "value": value}
+                )
+                open_.append(calls[-1])
+            return out
 
         return stage
 
-    for name in ("allreduce_stage", "start_allreduce_stage"):
-        setattr(comm, name, watched(name))
+    def superstep_boundary(*args, **kwargs):
+        open_.clear()
+        return boundary(*args, **kwargs)
+
+    for name in dir(comm):
+        if name.endswith("_stage") and not name.startswith("_"):
+            setattr(comm, name, watched(name))
     engine.reduce_partials = reduce_partials
+    engine.superstep_boundary = superstep_boundary
     return calls

@@ -16,7 +16,7 @@ from repro.algorithms.pagerank import compute_global_degrees
 from repro.baselines import cc_1d, cc_15d
 from repro.comm.grid import Grid2D
 from repro.graph import Graph, rmat
-from repro.patterns.dense import dense_pull
+from repro.patterns.dense import dense_pull, dense_push
 from repro.reference.graphs import path_graph
 
 from ..conftest import watch_convergence
@@ -179,3 +179,36 @@ def test_global_degrees_equal_the_dense_exchange_bit_for_bit(R, C, weighted):
     dense_pull(engine, "ref", op="sum")
     assert got.tobytes() == fleet.stacked("ref").tobytes()
     assert not fleet.global_degrees(weighted).flags.writeable
+
+
+@pytest.mark.parametrize("R,C", SHAPES, ids=[f"{r}x{c}" for r, c in SHAPES])
+def test_a_push_count_is_taken_over_the_column_windows(R, C):
+    """Between a dense push's stages only the column windows are final,
+    so their changed cells, summed over each row group as the
+    Broadcasts' tail, are the global count; the row windows (a pull's
+    axis) are stale there, and a push that summed their counts would
+    read another number."""
+    engine = Engine(rmat(9, seed=4), grid=Grid2D(R=R, C=C))
+    fleet, n = engine.fleet, engine.partition.n_vertices
+    engine.alloc("x", np.float64, fill=np.inf)
+    rng = np.random.default_rng(R * 100 + C)
+    # every column cell of a third of the vertices receives a candidate
+    (_, _), (cols, i) = fleet.cells_of(np.arange(n))
+    hit = rng.random(n) < 1 / 3
+    pushed = np.full(fleet.size, np.inf)
+    pushed[cols[hit[i]]] = rng.integers(0, 9, size=int(hit[i].sum()))
+    before = np.full(fleet.size, np.inf)
+    got = {}
+    for axis in ("col", "row"):
+        fleet.stacked("x")[...] = pushed
+        got[axis] = dense_push(
+            engine, "x", "min", count=lambda s: fleet.window_counts(s != before, axis)
+        )
+        assert int(np.sum(engine.gather("x") != np.inf)) == hit.sum()
+    assert got["col"] == hit.sum()
+    # on a p x 1 grid every rank's row window spans its column window's
+    # LIDs (one row group covers every vertex), so either axis reads it
+    row_lo, row_hi = fleet.row_start - fleet.row_gid_shift, fleet.row_stop - fleet.row_gid_shift
+    col_lo, col_hi = fleet.col_start - fleet.col_gid_shift, fleet.col_stop - fleet.col_gid_shift
+    spans = bool(np.all((row_lo <= col_lo) & (col_hi <= row_hi)))
+    assert (got["row"] == hit.sum()) == spans == (C == 1)

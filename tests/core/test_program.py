@@ -224,18 +224,22 @@ class TestDriver:
     def test_dense_convergence_flag_is_split_phase_on_an_overlapped_engine(
         self, rmat_graph, overlap
     ):
-        """A dense superstep learns its update count from one stage of
-        column-group reductions: split-phase on an overlapped engine,
-        which hides the active-queue rebuild behind it, blocking
-        otherwise."""
+        """A dense pull superstep learns its update count from the
+        exchange's column-group Broadcast stage, as each member's
+        row-window tail, on a blocking and on an overlapped engine
+        alike: no AllReduce stage follows the dense exchange in that
+        superstep."""
         engine = Engine(rmat_graph, grid=Grid2D(R=2, C=4), overlap=overlap)
         calls = watch_convergence(engine)
         res = run_vertex_program(
             engine, cc_program(engine, direction="pull", mode="dense", use_queue=True)
         )
-        issued = "start_allreduce_stage" if overlap else "allreduce_stage"
         columns = [ranks for _, ranks in engine.col_groups()]
-        assert [c["stages"] for c in calls] == [[(issued, columns)]] * res.iterations
+        rode = [("grouped_broadcast_stage", columns)]
+        assert [c["stages"] for c in calls] == [rode] * res.iterations
+        assert not any(
+            "allreduce" in stage for c in calls for stage in c["after"]
+        ), [c["after"] for c in calls]
         assert [c["value"] for c in calls][-1] == 0
 
 

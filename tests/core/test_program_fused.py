@@ -142,7 +142,7 @@ def per_rank_run_vertex_program(engine: Engine, program: VertexProgram, tag: str
         rows_per_rank = s.active if program.use_queue else all_rows
         sparse_now = policy.use_sparse
         if not sparse_now:
-            prev = fleet.stacked(name)[fleet.row_mask]
+            prev = fleet.stacked(name).copy()
 
         def local_compute(ctx):
             state = ctx.get(name)
@@ -160,7 +160,6 @@ def per_rank_run_vertex_program(engine: Engine, program: VertexProgram, tag: str
 
         queues = engine.map_ranks(local_compute)
 
-        wait = None
         if sparse_now:
             exchange = sparse_push if push else sparse_pull
             queue, _ = fleet.stack(queues)
@@ -168,16 +167,23 @@ def per_rank_run_vertex_program(engine: Engine, program: VertexProgram, tag: str
             n_updated = result.n_updated
             rows = result.rows
         else:
-            dense_exchange(engine, name, program.direction, op=op)
+
+            def changed(state):
+                # each rank's moved cells in the window the reduce stage
+                # made final: a push's column window, a pull's row window
+                out = []
+                for ctx in engine:
+                    window, lo = ctx.col_slice if push else ctx.row_slice, fleet.base[ctx.rank]
+                    cells = slice(lo + window.start, lo + window.stop)
+                    out.append(np.count_nonzero(state[cells] != prev[cells]))
+                return out
+
+            n_updated = int(dense_exchange(engine, name, program.direction, op, changed))
             rows = np.flatnonzero(fleet.row_mask)
-            rows = rows[fleet.stacked(name)[fleet.row_mask] != prev]
-            total, wait = engine.reduce_partials(fleet.counts(rows))
-            n_updated = int(total)
+            rows = rows[fleet.stacked(name)[fleet.row_mask] != prev[fleet.row_mask]]
         if program.use_queue:
             updated = fleet.split(rows)
             s.active = updated if push else per_rank_propagate_active_pull(engine, updated)
-        if wait is not None:
-            wait()
 
         policy.observe(n_updated)
         s.done = n_updated == 0 or (

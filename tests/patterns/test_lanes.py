@@ -297,9 +297,9 @@ class TestDenseExchangeLanes:
         during = []
         run = dense._run
 
-        def observed_run(engine, state, direction, op):
+        def observed_run(engine, state, direction, op, **kwargs):
             during.append([ctx.device.ledger.get("state.x#lanes") for ctx in engine])
-            run(engine, state, direction, op)
+            return run(engine, state, direction, op, **kwargs)
 
         monkeypatch.setattr(dense, "_run", observed_run)
         dense_exchange_lanes(engine, "x", "pull", "sum", live)

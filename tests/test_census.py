@@ -97,16 +97,30 @@ FAN_OUT_HOME = os.path.join("core", "engine.py")
 #: under ``algorithms/``, ``patterns/`` and ``core/program.py`` only
 #: until then; over all of ``src/repro`` it was 16 (the SpMV baselines
 #: held 4 more) before the SpMV baselines and triangle counting ran on
-#: the fleet.  What is left is the lane path:
-#: ``algorithms/batch.py`` and ``patterns/sparse.py::sparse_push_lanes``.
-FAN_OUT_CEILING = 9
+#: the fleet; 9 before ``bfs_batch`` built its GID table and stamped
+#: levels and cut its next frontier on the fleet.  What is left is the
+#: lane path's expansions and exchange: ``algorithms/batch.py`` and
+#: ``patterns/sparse.py::sparse_push_lanes``.
+FAN_OUT_CEILING = 7
 
 CONTEXT_READ = re.compile(r"\bengine\.ctx\(|\.contexts\b|\bfor ctx in engine\b")
 #: 20 before the SpMV baselines, triangle counting, the integrity
 #: ledger, the checkpoint save and the claims bench read the fleet and
-#: the partition instead.  What is left is the lane path's and the
-#: memflip injector's (``apply_memflip(ctx, spec)``).
-CONTEXT_READ_CEILING = 7
+#: the partition instead; 7 before ``bfs_batch`` counted its pull
+#: lanes' fresh cells as one stacked count and read its row offsets and
+#: frontier degrees from the fleet.  What is left is
+#: ``sparse_push_lanes``' and the memflip injector's
+#: (``apply_memflip(ctx, spec)``).
+CONTEXT_READ_CEILING = 2
+
+REDUCE_PARTIALS = re.compile(r"(?<!def )\breduce_partials\(")
+#: ``Engine.reduce_partials(`` call sites under ``src/repro``: the
+#: global reads no dense exchange precedes (pointer jumping, the 1D
+#: baseline, PageRank's ``tol=``).  6 while BFS's bottom-up levels, the
+#: vertex program's dense steps and ``bfs_batch``'s pull lanes reduced
+#: their counts in a stage of their own, not as the dense exchange's
+#: Broadcast tail.
+REDUCE_PARTIALS_CEILING = 3
 
 QUEUE_CONVERSION = re.compile(r"\bfleet\.(?:split|stack)\(")
 #: 11 while ``sparse_push`` / ``sparse_pull`` took and returned per-rank
@@ -222,6 +236,12 @@ def fan_out_sites() -> dict[str, int]:
 def context_read_sites() -> dict[str, int]:
     """Per-file count of per-rank context reads outside ``core/``."""
     return _sites(CONTEXT_READ, lambda rel: rel.startswith("core" + os.sep))
+
+
+def reduce_partials_sites() -> dict[str, int]:
+    """Per-file count of ``reduce_partials(`` calls (not the
+    definition)."""
+    return _sites(REDUCE_PARTIALS)
 
 
 def queue_conversion_sites() -> dict[str, int]:
@@ -440,6 +460,11 @@ def test_per_rank_context_reads_only_go_down():
     assert sum(sites.values()) <= CONTEXT_READ_CEILING, sites
 
 
+def test_reduce_partials_calls_only_go_down():
+    sites = reduce_partials_sites()
+    assert sum(sites.values()) <= REDUCE_PARTIALS_CEILING, sites
+
+
 def test_queue_conversions_only_go_down():
     sites = queue_conversion_sites()
     assert sum(sites.values()) <= QUEUE_CONVERSION_CEILING, sites
@@ -546,6 +571,13 @@ if __name__ == "__main__":
     print(
         f"{sum(reads.values()):4d}  engine.ctx( / .contexts / for ctx in engine "
         f"reads outside core/ (ceiling {CONTEXT_READ_CEILING})"
+    )
+    reductions = reduce_partials_sites()
+    for name, n in sorted(reductions.items()):
+        print(f"{n:4d}  {name}")
+    print(
+        f"{sum(reductions.values()):4d}  reduce_partials( calls "
+        f"(ceiling {REDUCE_PARTIALS_CEILING})"
     )
     conversions = queue_conversion_sites()
     for name, n in sorted(conversions.items()):
