@@ -651,21 +651,21 @@ class Engine:
 
         Each saved state is re-allocated through :meth:`alloc` (so
         device ledgers stay consistent; a state already held in the
-        saved dtype and width keeps its arrays) and every rank's saved
-        slice is copied in; counters and clocks are restored
-        bit-exactly, and every attached hook realigns itself with the
-        rewound run.  Afterwards the engine holds exactly the
-        checkpoint's states: whatever else the run allocated is freed.
+        saved dtype and width keeps its arrays) and its global vector
+        written into every rank's row and column windows — the one
+        restore path, whatever grid the checkpoint was saved on;
+        counters and clocks are restored bit-exactly, and every
+        attached hook realigns itself with the rewound run.
+        Afterwards the engine holds exactly the checkpoint's states:
+        whatever else the run allocated is freed.
         """
-        saved = ckpt.states[0]
-        for name in [n for n in self.ctx(0).arrays if n not in saved]:
+        for name in [n for n in self.fleet.views[0] if n not in ckpt.state]:
             self.free(name)
-        for name, arr in saved.items():
-            views = self.alloc(
-                name, arr.dtype, width=arr.shape[1] if arr.ndim == 2 else None
+        for name, vec in ckpt.state.items():
+            self.alloc(name, vec.dtype, width=vec.shape[1] if vec.ndim == 2 else None)
+            self.fleet.fill_windows(
+                self.fleet.stacked(name), self.partition.to_relabeled_order(vec)
             )
-            for view, per_rank in zip(views, ckpt.states):
-                view[...] = per_rank[name]
         self.counters.load_state(ckpt.counters)
         self.clocks.load_state(ckpt.clocks)
         for hook in self._hooks.values():

@@ -291,6 +291,20 @@ class Fleet:
         cells = np.flatnonzero(mask)
         return np.searchsorted(cells, stop - shift) - np.searchsorted(cells, start - shift)
 
+    def row_shares(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every rank's share of its row window as relabeled GIDs
+        ``[start, stop)``, rank-major: member ``j`` of a row group takes
+        the ``j``-th of ``R`` consecutive slices of the window the group
+        shares, so a group's shares tile it and every vertex lies in
+        exactly one rank's share."""
+        R = self.partition.grid.R
+        j = self._rank_ids % R
+        length = self.row_stop - self.row_start
+        return (
+            self.row_start + length * j // R,
+            self.row_start + length * (j + 1) // R,
+        )
+
     @property
     def row_mask(self) -> np.ndarray:
         """Boolean over stacked LIDs: is it in its rank's row window?"""

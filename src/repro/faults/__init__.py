@@ -39,7 +39,6 @@ from .elastic import (
     ElasticUnrecoverable,
     Recovery,
     drive_elastic,
-    gather_checkpoint_state,
     migrate_checkpoint,
 )
 from .health import RANK_HEALTH, HealthMonitor
@@ -64,7 +63,6 @@ __all__ = [
     "Recovery",
     "ElasticUnrecoverable",
     "drive_elastic",
-    "gather_checkpoint_state",
     "migrate_checkpoint",
     "FaultInjector",
     "RankFailure",

@@ -3,26 +3,35 @@
 A checkpoint captures everything a resumed run needs to be
 *bit-identical* to a run that never crashed:
 
-* every named per-rank state array (each rank's views of the fleet's
-  stacked state, ``Fleet.views``: the run's own, since
-  ``Engine.reset_timers`` frees the previous run's),
+* every named state array of the run (``Engine.reset_timers`` frees
+  the previous run's), once per vertex: a global vector in original
+  vertex order (``Engine.gather``), ``(n,)`` or ``(n, k)`` for a lane
+  state.  At a superstep boundary the R row cells and C column cells
+  of a vertex agree (the integrity ledger checks it just before the
+  save), so the vector is the whole state and no layout is kept,
 * the exact :class:`~repro.comm.counters.CommCounters` state,
 * the full :class:`~repro.comm.clocks.VirtualClocks` state including
   iteration marks and counter snapshots (so per-iteration traces
   reconstruct exactly across the crash), and
 * the algorithm's loop state — scalars, lane vectors, vertex sets by
   original id — from the callable it hands each
-  ``Engine.superstep_boundary``, called only when a checkpoint saves;
-  it never depends on the grid, so every resume decodes it alike.
+  ``Engine.superstep_boundary``, called only when a checkpoint saves.
+
+Nothing in a checkpoint depends on the grid: resume in place, a spare
+and a regrid all restore through ``Engine.restore``, which writes each
+vector into every rank's row and column windows.
 
 Checkpoints live in memory: ``CheckpointManager.latest()`` feeds every
 recovery driver.  If persistence is wanted later, it is an exporter
 (``Checkpoint`` → ``np.savez``), not a hook mode.
 
-The snapshot cost model is honest about scale: ``save`` charges every
-rank's clock with ``bytes / checkpoint_bw`` virtual seconds (device →
-host snapshot at PCIe-ish bandwidth), so checkpoint-interval tradeoffs
-show up in timing reports the way they would on the real cluster.
+The snapshot cost model is honest about scale: the members of a row
+group share its row window, so each drains one of R consecutive slices
+of it (:meth:`~repro.core.fleet.Fleet.row_shares`) and every vertex is
+drained exactly once.  ``save`` charges each rank's clock with its
+slice's bytes over ``checkpoint_bw`` (device → host at PCIe-ish
+bandwidth), so checkpoint-interval tradeoffs show up in timing reports
+the way they would on the real cluster.
 """
 
 from __future__ import annotations
@@ -40,35 +49,28 @@ __all__ = ["Checkpoint", "CheckpointManager"]
 
 @dataclass
 class Checkpoint:
-    """One recoverable snapshot at a superstep boundary.
-
-    The partition-layout fields (``grid``, ``perm``, ``localmaps``)
-    record the exact 2D layout the per-rank ``states`` were captured
-    under — elastic recovery migrates a checkpoint onto a different
-    surviving grid using *the checkpoint's own* layout, which may
-    differ from the engine's current one after a previous regrid.
-    ``algo_state`` needs no layout: it is grid-independent and crosses
-    a regrid as it is.
-    """
+    """One recoverable snapshot at a superstep boundary; grid-independent
+    (see the module docstring), so it restores onto any layout."""
 
     superstep: int
     algo: str
-    states: list[dict[str, np.ndarray]]
+    #: ``name -> (n,) or (n, k)`` global vector in original vertex order.
+    state: dict[str, np.ndarray]
     counters: dict
     clocks: dict
     algo_state: dict[str, Any]
-    #: ``(R, C)`` of the grid the states were captured on.
-    grid: tuple[int, int]
-    #: Original-GID -> relabeled-GID permutation of that layout.
-    perm: np.ndarray
-    #: Per-rank :class:`~repro.graph.localmap.LocalMap` of that layout.
-    localmaps: list
 
     @property
     def nbytes(self) -> int:
-        """Total snapshotted state-array bytes (cost-model input)."""
-        return int(
-            sum(a.nbytes for per_rank in self.states for a in per_rank.values())
+        """Total snapshotted state bytes (cost-model input)."""
+        return int(sum(vec.nbytes for vec in self.state.values()))
+
+    @property
+    def cell_bytes(self) -> int:
+        """Bytes of one vertex's cell of every state (a lane state's
+        ``k`` values)."""
+        return sum(
+            vec.itemsize * int(np.prod(vec.shape[1:])) for vec in self.state.values()
         )
 
 
@@ -144,33 +146,30 @@ class CheckpointManager(BoundaryHook):
     ) -> Checkpoint:
         """Snapshot the engine at ``superstep`` (unconditionally);
         ``state()`` is the algorithm's loop state."""
-        states = [
-            {name: arr.copy() for name, arr in views.items()}
-            for views in engine.fleet.views
-        ]
-        # Charge the snapshot cost BEFORE capturing the clock state:
-        # the checkpoint must embed its own cost, or a restored run
-        # would be missing time the uninterrupted run was charged.
-        # Each rank drains its own state at checkpoint bandwidth; the
-        # time lands in the recovery lane (resilience overhead).
-        if self.checkpoint_bw:
-            for rank, per_rank in enumerate(states):
-                nbytes = sum(a.nbytes for a in per_rank.values())
-                engine.clocks.add_stall(rank, nbytes / self.checkpoint_bw)
-        part = engine.partition
         ckpt = Checkpoint(
             superstep=superstep,
             algo=algo,
-            states=states,
-            counters=engine.counters.state_dict(),
-            clocks=engine.clocks.state_dict(),
+            state={name: engine.gather(name) for name in engine.fleet.views[0]},
+            counters={},
+            clocks={},
             # deepcopy so later loop mutation can't reach into history;
             # loop state is small (scalars, lane vectors, vertex sets)
             algo_state=copy.deepcopy(state()),
-            grid=(engine.grid.R, engine.grid.C),
-            perm=part.perm.copy(),
-            localmaps=[blk.localmap for blk in part.blocks],
         )
+        # Charge the snapshot cost BEFORE capturing the clock state:
+        # the checkpoint must embed its own cost, or a restored run
+        # would be missing time the uninterrupted run was charged.
+        # Each rank drains its share of its row window at checkpoint
+        # bandwidth; the time lands in the recovery lane (resilience
+        # overhead).
+        if self.checkpoint_bw:
+            start, stop = engine.fleet.row_shares()
+            for rank, cells in enumerate((stop - start).tolist()):
+                engine.clocks.add_stall(
+                    rank, cells * ckpt.cell_bytes / self.checkpoint_bw
+                )
+        ckpt.counters = engine.counters.state_dict()
+        ckpt.clocks = engine.clocks.state_dict()
         self.checkpoints.append(ckpt)
         self.saves += 1
         del self.checkpoints[: -self.keep]
@@ -179,9 +178,9 @@ class CheckpointManager(BoundaryHook):
     def adopt(self, ckpt: Checkpoint) -> None:
         """Replace the series with an externally produced checkpoint.
 
-        Elastic recovery migrates the latest checkpoint onto a new
-        grid and hands it back here; older same-run checkpoints
-        describe a layout that no longer exists, so the series resets
+        Elastic recovery charges a move into the latest checkpoint's
+        clocks and hands it back here; older same-run checkpoints carry
+        clocks of a grid that no longer exists, so the series resets
         to exactly this one.
         """
         self.checkpoints = [ckpt]

@@ -22,16 +22,17 @@ rank, carrying a chronic straggler and getting a spare back are routine.
 
 Detected state corruption (``fault_kind == "integrity"``) resumes in
 place under every policy: the rank that held the flipped bit is
-healthy.  Shrink, spare and grow are one move: open the latest
-:class:`~repro.faults.checkpoint.Checkpoint` under its own recorded
-layout and gather every state back into original-id order, rebuild the
-engine on the new grid (:meth:`Engine.rebuild_on_grid` carries
-counters, clocks and every boundary hook), re-scatter the state, copy
-the grid-independent loop state as it is, adopt the result and resume
-through the ordinary ``resume=True`` path.  A move is charged to the
-``regrid`` clock lane at :data:`REGRID_BW`: one checkpoint-sized
-AllGatherv, one edge-list movement and one scatter of the new windows
-(a spare: the dead rank's bytes).
+healthy.  Shrink, spare and grow are one move: rebuild the engine on
+the new grid (:meth:`Engine.rebuild_on_grid` carries counters, clocks
+and every boundary hook; a spare keeps the engine), charge the move
+into the latest :class:`~repro.faults.checkpoint.Checkpoint`'s clocks,
+adopt it and resume through the ordinary ``resume=True`` path.  A
+checkpoint holds each state once as a global vector in original vertex
+order, and its loop state is grid-independent too, so ``Engine.restore``
+writes it onto any grid as it is.  A move is charged to the ``regrid``
+clock lane at :data:`REGRID_BW`: one checkpoint-sized AllGatherv, one
+edge-list movement and one scatter of the new windows (a spare: the
+dead rank's windows).
 
 Exactness: every monotone (min/max-reducing) algorithm — bfs, cc,
 sssp, label propagation, pointer jumping, and min/max vertex programs
@@ -45,11 +46,8 @@ spare-pool (same-grid) path and agree to within ~1 ulp after a shrink
 
 from __future__ import annotations
 
-import copy
 from dataclasses import replace
 from typing import Any, Callable, Optional
-
-import numpy as np
 
 from ..comm.clocks import VirtualClocks
 from ..comm.grid import Grid2D, squarest_grid
@@ -64,7 +62,6 @@ __all__ = [
     "REGRID_BW",
     "ElasticUnrecoverable",
     "Recovery",
-    "gather_checkpoint_state",
     "migrate_checkpoint",
     "drive_elastic",
 ]
@@ -84,87 +81,41 @@ class ElasticUnrecoverable(RuntimeError):
 # ----------------------------------------------------------------------
 # state migration
 # ----------------------------------------------------------------------
-def gather_checkpoint_state(ckpt: Checkpoint) -> dict[str, np.ndarray]:
-    """Reconstruct every named state as a global original-order vector.
-
-    The checkpoint-time analogue of
-    :meth:`~repro.graph.partition.twod.TwoDPartition.gather_row_state`:
-    read the row window of the first rank of each row group (row
-    groups are consistent at a superstep boundary) and undo the GID
-    relabeling via the recorded permutation.
-    """
-    grid = Grid2D(R=ckpt.grid[0], C=ckpt.grid[1])
-    out: dict[str, np.ndarray] = {}
-    # every rank holds every state (the arena allocates them together)
-    for name in sorted(ckpt.states[0]):
-        first = ckpt.states[0][name]
-        # trailing dims (batched (n, k) lane states) ride along
-        rel = np.zeros(ckpt.perm.shape + first.shape[1:], dtype=first.dtype)
-        for id_r in range(grid.C):
-            rank = grid.rank_of(id_r, 0)
-            lm = ckpt.localmaps[rank]
-            rel[lm.row_start : lm.row_stop] = ckpt.states[rank][name][lm.row_slice]
-        out[name] = rel[ckpt.perm]
-    return out
-
-
 def migrate_checkpoint(ckpt: Checkpoint, new_engine) -> tuple[Checkpoint, float]:
-    """Re-express a checkpoint on ``new_engine``'s grid.
+    """Move a checkpoint onto ``new_engine``'s grid.
 
-    Returns the migrated checkpoint and the charged migration time.
-    The cost model is one checkpoint-sized AllGatherv (global state
-    reassembly), one edge-list movement (re-partition), and one
-    scatter of the new per-rank windows, all at :data:`REGRID_BW`.
-    The time is charged into the *migrated checkpoint's* clock state
-    (synchronizing all new ranks), so the subsequent
-    ``Engine.restore`` keeps it — exactly how checkpoint drains embed
-    their own cost.  Communication counters are deliberately left
-    untouched: like retries, migration traffic describes the weather,
-    not the algorithm.
+    Returns the moved checkpoint and the charged migration time.  The
+    state needs no re-expression (it is grid-independent); the clocks
+    rendezvous onto the new rank count.  The cost model is one
+    checkpoint-sized AllGatherv (global state reassembly), one
+    edge-list movement (re-partition), and one scatter of the new
+    per-rank windows, all at :data:`REGRID_BW`.  The time is charged
+    into the *moved checkpoint's* clock state (synchronizing all new
+    ranks), so the subsequent ``Engine.restore`` keeps it — exactly how
+    checkpoint drains embed their own cost.  Communication counters are
+    deliberately left untouched: like retries, migration traffic
+    describes the weather, not the algorithm.
     """
-    part = new_engine.partition
-    if part.n_vertices != ckpt.perm.shape[0]:
-        raise ValueError(
-            f"cannot migrate a checkpoint of {ckpt.perm.shape[0]} vertices "
-            f"onto a partition of {part.n_vertices}"
-        )
-    global_state = gather_checkpoint_state(ckpt)
-
-    new_states: list[dict[str, np.ndarray]] = [
-        {
-            name: part.scatter_global(vec, rank)
-            for name, vec in global_state.items()
-        }
-        for rank in range(new_engine.n_ranks)
-    ]
-
-    gather_bytes = sum(vec.nbytes for vec in global_state.values())
+    n = new_engine.partition.n_vertices
+    if any(len(vec) != n for vec in ckpt.state.values()):
+        raise ValueError(f"cannot migrate a checkpoint onto a partition of {n} vertices")
     edge_bytes = new_engine.graph.n_edges * 16  # two int64 endpoints
-    if part.weighted:
+    if new_engine.partition.weighted:
         edge_bytes += new_engine.graph.n_edges * 8
-    scatter_bytes = sum(
-        arr.nbytes for per_rank in new_states for arr in per_rank.values()
-    )
-    cost_s = (gather_bytes + edge_bytes + scatter_bytes) / REGRID_BW
+    scatter_bytes = int(new_engine.fleet.n_total.sum()) * ckpt.cell_bytes
+    cost_s = (ckpt.nbytes + edge_bytes + scatter_bytes) / REGRID_BW
+    clocks = VirtualClocks.align_state(ckpt.clocks, new_engine.n_ranks)
+    return _charge_regrid(ckpt, clocks, cost_s), cost_s
 
-    clocks = VirtualClocks(new_engine.n_ranks)
-    clocks.load_state(
-        VirtualClocks.align_state(ckpt.clocks, new_engine.n_ranks)
-    )
-    clocks.charge("regrid", range(new_engine.n_ranks), cost_s)
 
-    migrated = Checkpoint(
-        superstep=ckpt.superstep,
-        algo=ckpt.algo,
-        states=new_states,
-        counters=copy.deepcopy(ckpt.counters),
-        clocks=clocks.state_dict(),
-        algo_state=copy.deepcopy(ckpt.algo_state),
-        grid=(new_engine.grid.R, new_engine.grid.C),
-        perm=part.perm.copy(),
-        localmaps=[blk.localmap for blk in part.blocks],
-    )
-    return migrated, cost_s
+def _charge_regrid(ckpt: Checkpoint, clocks: dict, cost_s: float) -> Checkpoint:
+    """``ckpt`` with clock state ``clocks`` and ``cost_s`` charged to
+    every rank's ``regrid`` lane."""
+    n_ranks = len(clocks["clock"])
+    charged = VirtualClocks(n_ranks)
+    charged.load_state(clocks)
+    charged.charge("regrid", range(n_ranks), cost_s)
+    return replace(ckpt, clocks=charged.state_dict())
 
 
 # ----------------------------------------------------------------------
@@ -294,14 +245,10 @@ class Recovery(BoundaryHook):
         ckpt = mgr.latest()
         if new_grid is None:
             # Every rank waits at the BSP boundary while the spare
-            # re-materializes the dead rank's state.
-            dead = ckpt.states[event.rank] if event.rank is not None else {}
-            cost_s = sum(a.nbytes for a in dead.values()) / REGRID_BW
-            migrated = copy.deepcopy(ckpt)
-            clocks = VirtualClocks(engine.n_ranks)
-            clocks.load_state(migrated.clocks)
-            clocks.charge("regrid", range(engine.n_ranks), cost_s)
-            migrated.clocks = clocks.state_dict()
+            # re-materializes the dead rank's windows.
+            cells = 0 if event.rank is None else engine.fleet.n_total[event.rank]
+            cost_s = int(cells) * ckpt.cell_bytes / REGRID_BW
+            migrated = _charge_regrid(ckpt, ckpt.clocks, cost_s)
             new_engine = engine
         else:
             new_engine = engine.rebuild_on_grid(new_grid)

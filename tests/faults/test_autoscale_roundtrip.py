@@ -1,11 +1,12 @@
 """Shrink then grow back to the original grid is the identity.
 
-The autoscale contract behind ``demote-then-grow-back``: migrating a
-checkpoint down onto a survivor grid (a demotion) and then back up
-onto the original grid (a spare adoption) must return every per-rank
-state window bit-identically — same partition, same GID relabeling,
-same payload bytes.  Exhaustively over every ``factor_pairs`` grid of
-2-16 ranks, plus Hypothesis-driven random down-grids and payloads.
+The autoscale contract behind ``demote-then-grow-back``: restoring a
+checkpoint onto a survivor grid (a demotion), checkpointing there, and
+restoring that checkpoint back onto the original grid (a spare
+adoption) must leave every per-rank state window bit-identical to the
+pre-shrink engine's — same partition, same GID relabeling, same
+payload bytes.  Exhaustively over every ``factor_pairs`` grid of 2-16
+ranks, plus Hypothesis-driven random down-grids and payloads.
 """
 
 import numpy as np
@@ -14,13 +15,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Engine
-from repro.comm.clocks import VirtualClocks
 from repro.comm.grid import factor_pairs, squarest_grid
-from repro.faults import (
-    Checkpoint,
-    gather_checkpoint_state,
-    migrate_checkpoint,
-)
+from repro.faults import Checkpoint, CheckpointManager, migrate_checkpoint
 from repro.graph import rmat
 
 GRAPH = rmat(6, seed=5)
@@ -45,50 +41,48 @@ def _vectors(n, seed):
 
 
 def _checkpoint_of(engine, vectors):
-    part = engine.partition
-    states = [
-        {
-            name: part.scatter_global(vec, rank)
-            for name, vec in vectors.items()
-        }
-        for rank in range(engine.n_ranks)
-    ]
     return Checkpoint(
         superstep=1,
         algo="prop",
-        states=states,
-        counters={},
-        clocks=VirtualClocks(engine.n_ranks).state_dict(),
+        state=vectors,
+        counters=engine.counters.state_dict(),
+        clocks=engine.clocks.state_dict(),
         algo_state={},
-        grid=(engine.grid.R, engine.grid.C),
-        perm=part.perm.copy(),
-        localmaps=[blk.localmap for blk in part.blocks],
     )
+
+
+def _windows(engine, names):
+    return {name: [a.copy() for a in engine.states(name)] for name in names}
 
 
 def _assert_down_up_identity(grid, down_grid, seed=0):
     vectors = _vectors(GRAPH.n_vertices, seed)
     eng_orig = Engine(GRAPH, grid=grid)
     eng_down = Engine(GRAPH, grid=down_grid)
-    original = _checkpoint_of(eng_orig, vectors)
+    eng_orig.restore(_checkpoint_of(eng_orig, vectors))
+    before = _windows(eng_orig, vectors)
+    saving = CheckpointManager(checkpoint_bw=None)
+    original = saving.save(eng_orig, 1, "prop", dict)
 
     shrunk, down_s = migrate_checkpoint(original, eng_down)
-    # Grow back onto an engine with the *original* grid: the windows
-    # must be bit-identical to the pre-shrink checkpoint's.
+    eng_down.restore(shrunk)
+    # Grow back onto an engine with the *original* grid from what the
+    # shrunk run checkpoints: the windows must be bit-identical to the
+    # pre-shrink engine's.
     eng_back = Engine(GRAPH, grid=grid)
-    regrown, up_s = migrate_checkpoint(shrunk, eng_back)
+    regrown, up_s = migrate_checkpoint(saving.save(eng_down, 1, "prop", dict), eng_back)
     assert down_s > 0 and up_s > 0
-    assert regrown.grid == original.grid
-    assert np.array_equal(regrown.perm, original.perm)
-    assert len(regrown.states) == len(original.states)
-    for before, after in zip(original.states, regrown.states):
-        assert before.keys() == after.keys()
-        for name in before:
-            assert after[name].dtype == before[name].dtype
-            assert np.array_equal(after[name], before[name]), name
-    regathered = gather_checkpoint_state(regrown)
+    assert np.array_equal(eng_back.partition.perm, eng_orig.partition.perm)
+    eng_back.restore(regrown)
+    after = _windows(eng_back, vectors)
+    assert before.keys() == after.keys()
+    for name in before:
+        for rank, (a, b) in enumerate(zip(before[name], after[name])):
+            assert b.dtype == a.dtype
+            assert np.array_equal(b, a), (name, rank)
     for name, vec in vectors.items():
-        assert np.array_equal(regathered[name], vec)
+        assert np.array_equal(regrown.state[name], vec)
+        assert np.array_equal(eng_back.gather(name), vec)
 
 
 ALL_GRIDS = [g for n in range(2, 17) for g in factor_pairs(n)]

@@ -1,10 +1,13 @@
 """CheckpointManager: snapshot, prune, restore."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro import Engine, algorithms
 from repro.core import NoCheckpointError
+from repro.comm.grid import Grid2D
 from repro.faults import CheckpointManager
 from repro.graph import rmat
 
@@ -48,15 +51,15 @@ class TestSnapshotContents:
         algorithms.pagerank(engine, iterations=3)
         ckpt = mgr.latest()
         assert ckpt.algo == "pagerank"
-        assert len(ckpt.states) == engine.n_ranks
-        assert all("pr" in per_rank for per_rank in ckpt.states)
-        assert ckpt.nbytes > 0
+        # each state once, a global vector in original vertex order
+        assert list(ckpt.state) == list(engine.fleet.views[0])
+        assert ckpt.state["pr"].shape == (engine.partition.n_vertices,)
+        assert ckpt.nbytes == sum(vec.nbytes for vec in ckpt.state.values()) > 0
         assert "iterations_run" in ckpt.algo_state
-        # the layout the states were captured under is the engine's
-        part = engine.partition
-        assert ckpt.grid == (engine.grid.R, engine.grid.C)
-        assert np.array_equal(ckpt.perm, part.perm)
-        assert ckpt.localmaps == [blk.localmap for blk in part.blocks]
+        # nothing in it names the layout the states were captured under
+        assert {f.name for f in dataclasses.fields(ckpt)} == {
+            "superstep", "algo", "state", "counters", "clocks", "algo_state"
+        }
 
     def test_snapshot_is_a_copy(self):
         engine = small_engine()
@@ -66,7 +69,7 @@ class TestSnapshotContents:
         first, last = mgr.checkpoints[0], mgr.checkpoints[-1]
         # PageRank keeps iterating after the first boundary, so a live
         # view would have made these equal
-        assert not np.array_equal(first.states[0]["pr"], last.states[0]["pr"])
+        assert not np.array_equal(first.state["pr"], last.state["pr"])
 
     def test_checkpoint_cost_charged_to_recovery_lane(self):
         free = small_engine()
@@ -87,6 +90,41 @@ class TestSnapshotContents:
         assert engine.clocks.peak("recovery") == 0.0
 
 
+class TestDrain:
+    """Each member of a row group drains one of R consecutive slices of
+    the row window the group shares: every vertex is drained once."""
+
+    BW = 12e9
+
+    @pytest.mark.parametrize("R,C", [(2, 2), (3, 5), (4, 4)])
+    def test_each_rank_drains_its_slice_of_its_row_window(self, R, C):
+        engine = Engine(rmat(8, seed=3), grid=Grid2D(R=R, C=C))
+        n, k = engine.partition.n_vertices, 3
+        engine.alloc("x", np.float64, fill=1.0)
+        engine.alloc("lanes", np.int32, fill=2, width=k)
+        before = engine.clocks.recovery.copy()
+        ckpt = CheckpointManager(checkpoint_bw=self.BW).save(engine, 1, "probe", dict)
+        stall = engine.clocks.recovery - before
+
+        fleet = engine.fleet
+        start, stop = fleet.row_shares()
+        cell_bytes = 8 + 4 * k
+        for rank in range(engine.n_ranks):
+            assert stall[rank] == (stop[rank] - start[rank]) * cell_bytes / self.BW
+        for id_r in range(C):
+            members = engine.grid.row_group_ranks(id_r)
+            lo, hi = engine.partition.row_range(id_r)
+            edges = [lo] + [int(stop[r]) for r in members]
+            assert [int(start[r]) for r in members] == edges[:-1]
+            assert edges[-1] == hi
+        cells = int((stop - start).sum())
+        assert cells == n
+        assert cells * k == ckpt.state["lanes"].size
+        assert ckpt.state["x"].shape == (n,) and ckpt.state["lanes"].shape == (n, k)
+        assert ckpt.nbytes == ckpt.state["x"].nbytes + ckpt.state["lanes"].nbytes
+        assert ckpt.nbytes == n * cell_bytes
+
+
 class TestRestore:
     def test_restore_rewinds_engine_exactly(self):
         engine = small_engine()
@@ -99,8 +137,10 @@ class TestRestore:
         assert not all(
             np.array_equal(a, b) for a, b in zip(engine.states("pr"), final_pr)
         )
+        assert np.array_equal(engine.gather("pr"), mid.state["pr"])
         for rank, arr in enumerate(engine.states("pr")):
-            assert np.array_equal(arr, mid.states[rank]["pr"])
+            want = engine.partition.scatter_global(mid.state["pr"], rank)
+            assert arr.tobytes() == want.tobytes()
         assert engine.counters.state_dict() == mid.counters
         assert len(engine.clocks.iteration_marks) == mid.superstep
 

@@ -353,15 +353,16 @@ class TestUnrecoverable:
         with pytest.raises(ValueError, match="N >= 0"):
             Recovery("spare-pool:-1")
         # the migration bandwidth is a constant, not a knob: a spare is
-        # charged the dead rank's checkpointed bytes at REGRID_BW
+        # charged the dead rank's window bytes at REGRID_BW
         _, res = elastic_run("cc", policy="spare-pool:1")
         engine = res.extra["elastic"]["engine"]
         (event,) = res.extra["elastic"]["events"]
-        dead = engine.checkpoints.checkpoints[0].states[event["rank"]]
+        ckpt = engine.checkpoints.checkpoints[0]
+        dead = engine.fleet.n_total[event["rank"]] * sum(
+            vec.itemsize for vec in ckpt.state.values()
+        )
         assert REGRID_BW == 12e9
-        assert event["recovery_s"] == sum(
-            a.nbytes for a in dead.values()
-        ) / REGRID_BW
+        assert event["recovery_s"] == dead / REGRID_BW
 
 
 class TestEngineSeams:

@@ -1,12 +1,13 @@
-"""Checkpoint migration is a bijection between 2D layouts.
+"""A checkpoint restores onto every 2D layout bit-identically.
 
-The elastic-recovery invariant: gathering a checkpoint's per-rank
-state windows into a global original-order vector, re-partitioning
-onto any other grid, and scattering the new windows round-trips every
-state value bit-identically — for every dtype, under the GID
-relabeling change the new grid induces.  Exhaustively over every
-``factor_pairs`` grid of 2-16 ranks, plus Hypothesis-driven random
-grid pairs and payloads.
+The elastic-recovery invariant: a checkpoint holds each state once, a
+global vector in original vertex order, so a move re-expresses nothing.
+Saving states on one grid, migrating the checkpoint onto any other grid
+and restoring it there writes every rank's row and column windows with
+exactly the saved values — for every dtype, under the GID relabeling
+change the new grid induces.  Exhaustively over every ``factor_pairs``
+grid of 2-16 ranks, plus Hypothesis-driven random grid pairs and
+payloads.
 """
 
 import numpy as np
@@ -15,13 +16,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Engine
-from repro.comm.clocks import VirtualClocks
 from repro.comm.grid import factor_pairs, squarest_grid
-from repro.faults import (
-    Checkpoint,
-    gather_checkpoint_state,
-    migrate_checkpoint,
-)
+from repro.faults import CheckpointManager, migrate_checkpoint
 from repro.graph import rmat
 
 GRAPH = rmat(6, seed=5)
@@ -43,48 +39,34 @@ def _vectors(n, seed):
     return out
 
 
-def _checkpoint_of(engine, vectors):
-    """A synthetic layout-bearing checkpoint holding ``vectors``."""
-    part = engine.partition
-    states = [
-        {
-            name: part.scatter_global(vec, rank)
-            for name, vec in vectors.items()
-        }
-        for rank in range(engine.n_ranks)
-    ]
-    return Checkpoint(
-        superstep=1,
-        algo="prop",
-        states=states,
-        counters={},
-        clocks=VirtualClocks(engine.n_ranks).state_dict(),
-        algo_state={},
-        grid=(engine.grid.R, engine.grid.C),
-        perm=part.perm.copy(),
-        localmaps=[blk.localmap for blk in part.blocks],
-    )
+def _assert_windows_hold(engine, vectors):
+    """Every rank's windows of every state hold ``vectors``' values."""
+    for name, vec in vectors.items():
+        assert np.array_equal(engine.gather(name), vec)
+        for rank, arr in enumerate(engine.states(name)):
+            want = engine.partition.scatter_global(vec, rank)
+            assert arr.dtype == vec.dtype
+            assert arr.tobytes() == want.tobytes(), (name, rank)
 
 
 def _assert_round_trip(grid_a, grid_b, seed=0):
     vectors = _vectors(GRAPH.n_vertices, seed)
     eng_a = Engine(GRAPH, grid=grid_a)
     eng_b = Engine(GRAPH, grid=grid_b)
-    ckpt = _checkpoint_of(eng_a, vectors)
-
-    # The gather alone must already reproduce the global vectors.
-    gathered = gather_checkpoint_state(ckpt)
     for name, vec in vectors.items():
-        assert gathered[name].dtype == vec.dtype
-        assert np.array_equal(gathered[name], vec)
+        eng_a.scatter_global(name, vec)
+
+    # The save alone must already hold the global vectors.
+    ckpt = CheckpointManager(checkpoint_bw=None).save(eng_a, 1, "prop", dict)
+    for name, vec in vectors.items():
+        assert ckpt.state[name].dtype == vec.dtype
+        assert np.array_equal(ckpt.state[name], vec)
 
     migrated, cost_s = migrate_checkpoint(ckpt, eng_b)
     assert cost_s > 0
-    assert migrated.grid == (grid_b.R, grid_b.C)
-    regathered = gather_checkpoint_state(migrated)
-    for name, vec in vectors.items():
-        assert regathered[name].dtype == vec.dtype
-        assert np.array_equal(regathered[name], vec)
+    assert migrated.state is ckpt.state  # nothing is re-expressed
+    eng_b.restore(migrated)
+    _assert_windows_hold(eng_b, vectors)
 
 
 ALL_GRIDS = [g for n in range(2, 17) for g in factor_pairs(n)]

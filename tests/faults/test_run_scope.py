@@ -107,9 +107,7 @@ def observed(engine, res):
         "counters": res.counters,
         "ledger": dict(engine.integrity.stats),
         "fingerprints": [row.fingerprint for row in engine.integrity.rows],
-        "checkpointed": [
-            sorted(per_rank) for per_rank in engine.checkpoints.latest().states
-        ],
+        "checkpointed": sorted(engine.checkpoints.latest().state),
         "values": np.asarray(res.values).tobytes(),
     }
 
@@ -226,9 +224,8 @@ class TestRunArrays:
         engine.superstep_boundary("probe", dict)
         assert engine.integrity.rows[-1].ok
         assert engine.integrity.stats["windows_hashed"] > 0
-        saved = engine.checkpoints.latest().states
-        assert all(sorted(per_rank) == ["x"] for per_rank in saved)
-        assert all((per_rank["x"] == 2.0).all() for per_rank in saved)
+        saved = engine.checkpoints.latest().state
+        assert sorted(saved) == ["x"] and (saved["x"] == 2.0).all()
         assert apply_memflip(engine.ctx(4), FaultSpec("memflip", 2, rank=4, bit=5)) == 1
         engine.checkpoints.clear()  # nothing to roll back to: the ledger raises
         with pytest.raises(IntegrityFailure):
@@ -240,8 +237,9 @@ class TestRunArrays:
         algorithms.bfs(engine, root=3)
         ckpt = engine.checkpoints.latest()
         engine.restore(ckpt)
-        for ctx, saved in zip(engine.contexts, ckpt.states):
-            assert sorted(ctx.arrays) == sorted(saved) == ["deg", "level", "parent"]
+        assert sorted(ckpt.state) == ["deg", "level", "parent"]
+        for ctx in engine.contexts:
+            assert sorted(ctx.arrays) == sorted(ckpt.state)
 
 
 # ----------------------------------------------------------------------
