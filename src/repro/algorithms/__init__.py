@@ -14,7 +14,7 @@ Pointer jumping (PJ)             :func:`repro.algorithms.pointerjump.pointer_jum
 
 from .batch import bfs_batch, sssp_batch
 from .betweenness import betweenness
-from .bfs import ALPHA, BETA, bfs, pseudo_diameter, validate_roots
+from .bfs import ALPHA, BETA, bfs, validate_roots
 from .coloring import greedy_coloring, is_proper_coloring
 from .components import CC_VARIANTS, connected_components
 from .kcore import core_numbers
@@ -33,7 +33,6 @@ __all__ = [
     "bfs_batch",
     "sssp_batch",
     "validate_roots",
-    "pseudo_diameter",
     "greedy_coloring",
     "is_proper_coloring",
     "CC_VARIANTS",

@@ -40,7 +40,7 @@ from ..core.result import AlgorithmResult
 from ..kernels import scatter_reduce_lanes
 from ..patterns.dense import dense_exchange_lanes
 from ..patterns.sparse import sparse_push_lanes
-from .bfs import ALPHA, BETA, bfs, check_count, check_switching, validate_roots
+from .bfs import ALPHA, BETA, bfs, check_count, validate_roots
 from .pagerank import compute_global_degrees
 from .sssp import require_sssp_weights, sssp
 
@@ -58,14 +58,7 @@ def _entry_queues(fleet, lids: np.ndarray, lanes: np.ndarray) -> list:
     return list(zip(fleet.split(lids), np.split(lanes, cuts)))
 
 
-def bfs_batch(
-    engine: Engine,
-    roots,
-    alpha: float = ALPHA,
-    beta: float = BETA,
-    hybrid: bool = True,
-    resume: bool = False,
-) -> AlgorithmResult:
+def bfs_batch(engine: Engine, roots, resume: bool = False) -> AlgorithmResult:
     """Hybrid BFS from ``k`` roots in one fused superstep stream.
 
     ``values`` is an ``(n, k)`` parent matrix (column ``l`` ==
@@ -81,17 +74,9 @@ def bfs_batch(
     part, grid, fleet = engine.partition, engine.grid, engine.fleet
     n = part.n_vertices
     roots = validate_roots(n, roots)
-    check_switching(alpha, beta)
     k = roots.size
     if k == 1:
-        res = bfs(
-            engine,
-            int(roots[0]),
-            alpha=alpha,
-            beta=beta,
-            hybrid=hybrid,
-            resume=resume,
-        )
+        res = bfs(engine, int(roots[0]), resume=resume)
         return AlgorithmResult(
             values=res.values.reshape(-1, 1),
             timings=res.timings,
@@ -173,18 +158,17 @@ def bfs_batch(
             for _, ranks in engine.row_groups()
         )
         for lane in np.flatnonzero(~s.lane_done):
-            if hybrid:
-                growing = s.m_frontier[lane] > s.m_frontier_prev[lane]
-                if (
-                    not s.bottom_up[lane]
-                    and growing
-                    and s.m_frontier[lane] > s.m_unvisited[lane] / alpha
-                ):
-                    s.bottom_up[lane] = True
-                elif s.bottom_up[lane] and (
-                    s.n_visited[lane] >= n or fsize[lane] < n / beta
-                ):
-                    s.bottom_up[lane] = False
+            growing = s.m_frontier[lane] > s.m_frontier_prev[lane]
+            if (
+                not s.bottom_up[lane]
+                and growing
+                and s.m_frontier[lane] > s.m_unvisited[lane] / ALPHA
+            ):
+                s.bottom_up[lane] = True
+            elif s.bottom_up[lane] and (
+                s.n_visited[lane] >= n or fsize[lane] < n / BETA
+            ):
+                s.bottom_up[lane] = False
             s.direction_log[lane].append(
                 "bottom-up" if s.bottom_up[lane] else "top-down"
             )

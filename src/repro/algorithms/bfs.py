@@ -1,10 +1,11 @@
 """Direction-optimizing breadth-first search (paper §4).
 
 A standard hybrid BFS in the style of Beamer et al. with the paper's
-static parameters: top-down (push) expansion while the frontier is
-small, switching to bottom-up (pull) when the frontier's edge count
-exceeds ``m_unvisited / alpha`` (and the frontier is growing), and
-back to top-down when it shrinks below ``N / beta``.  Communication
+static parameters (``ALPHA`` = 15, ``BETA`` = 18): top-down (push)
+expansion while the frontier is small, switching to bottom-up (pull)
+when the frontier's edge count exceeds ``m_unvisited / ALPHA`` (and
+the frontier is growing), and back to top-down when it shrinks below
+``N / BETA``.  Communication
 follows the paper's dense/sparse philosophy: top-down iterations are
 sparse queue exchanges; bottom-up iterations (which only run when the
 frontier covers much of the graph) exchange parent slices densely, the
@@ -31,7 +32,7 @@ import numpy as np
 
 from ..comm.grid import check_count
 from ..core.engine import Engine
-from ..core.result import AlgorithmResult, TimingReport
+from ..core.result import AlgorithmResult
 from ..kernels import scatter_reduce, unique_bounded
 from ..patterns.dense import dense_pull
 from ..patterns.sparse import sparse_push
@@ -39,12 +40,8 @@ from .pagerank import compute_global_degrees
 
 __all__ = [
     "bfs",
-    "pseudo_diameter",
     "validate_roots",
     "check_count",
-    "check_positive",
-    "check_fraction",
-    "check_switching",
     "ALPHA",
     "BETA",
 ]
@@ -83,45 +80,11 @@ def validate_roots(n: int, roots, what: str = "roots") -> np.ndarray:
     return roots
 
 
-def _real(value) -> bool:
-    """A real number, not a bool."""
-    real = isinstance(value, (int, float, np.integer, np.floating))
-    return real and not isinstance(value, (bool, np.bool_))
-
-
-def check_positive(value, what: str) -> None:
-    """Refuse a bound that is not a positive real (a bool, zero, a
-    negative or NaN)."""
-    if not (_real(value) and value > 0):
-        raise ValueError(f"{what} must be a positive real, not {value!r}")
-
-
-def check_fraction(value, what: str) -> None:
-    """Refuse a fraction that is not a real in ``[0, 1]`` (a bool, NaN
-    or a value outside it)."""
-    if not (_real(value) and 0 <= value <= 1):
-        raise ValueError(f"{what} must lie in [0, 1], got {value!r}")
-
-
-def check_switching(alpha: float, beta: float) -> None:
-    """Refuse switching parameters the direction rule divides by."""
-    if not (_real(alpha) and _real(beta) and alpha > 0 and beta > 0):
-        raise ValueError(f"alpha and beta must be positive reals, got {alpha!r}, {beta!r}")
-
-
-def bfs(
-    engine: Engine,
-    root: int,
-    alpha: float = ALPHA,
-    beta: float = BETA,
-    hybrid: bool = True,
-    resume: bool = False,
-) -> AlgorithmResult:
+def bfs(engine: Engine, root: int, resume: bool = False) -> AlgorithmResult:
     """BFS from ``root`` (original vertex id).
 
     Returns a parent array in original ids (root's parent is itself,
     ``-1`` marks unreachable vertices) plus levels in ``extra``.
-    ``hybrid=False`` forces pure top-down (for ablations).
     ``resume=True`` continues from the engine's latest attached
     checkpoint instead of starting over (``NoCheckpointError`` when
     there is none); recovery drivers and result certification wrap
@@ -130,7 +93,6 @@ def bfs(
     part, fleet = engine.partition, engine.fleet
     n = part.n_vertices
     (root,) = validate_roots(n, [root], "root").tolist()
-    check_switching(alpha, beta)
     root_rel = int(part.perm[root])
     # The row groups' first ranks hold every vertex's row cell once:
     # global counts and sums read their segments of a rank-major queue.
@@ -182,15 +144,12 @@ def bfs(
     counts = fleet.counts(rows)
     while not s.done:
         s.depth += 1
-        if hybrid:
-            growing = s.m_frontier > s.m_frontier_prev
-            if not s.bottom_up and growing and s.m_frontier > s.m_unvisited / alpha:
-                # Beamer: switch down only while the frontier grows.
-                s.bottom_up = True
-            elif s.bottom_up and (
-                s.n_visited >= n or counts[first].sum() < n / beta
-            ):
-                s.bottom_up = False
+        growing = s.m_frontier > s.m_frontier_prev
+        if not s.bottom_up and growing and s.m_frontier > s.m_unvisited / ALPHA:
+            # Beamer: switch down only while the frontier grows.
+            s.bottom_up = True
+        elif s.bottom_up and (s.n_visited >= n or counts[first].sum() < n / BETA):
+            s.bottom_up = False
         s.direction_log.append("bottom-up" if s.bottom_up else "top-down")
 
         parent = fleet.stacked("parent")
@@ -291,72 +250,4 @@ def bfs(
             "n_visited": int(s.n_visited),
             "directions": s.direction_log,
         },
-    )
-
-
-def pseudo_diameter(
-    engine: Engine, start: int = 0, sweeps: int = 3, lanes: int = 1
-) -> AlgorithmResult:
-    """Lower-bound the graph diameter with repeated BFS sweeps.
-
-    The classic double-sweep heuristic: BFS from ``start``, jump to the
-    farthest vertex found, repeat.  The bound is monotone over sweeps
-    and exact on trees.  Returns the bound in
-    ``extra["diameter_lower_bound"]`` along with the endpoint pair
-    realizing it.
-
-    Sweeps run through the batched traversal path
-    (:func:`~repro.algorithms.batch.bfs_batch`): with the default
-    ``lanes=1`` each sweep degenerates to the single-source code path
-    and the estimate is identical to the historical sequential
-    implementation (asserted in tests); ``lanes>1`` probes that many
-    farthest candidates per sweep in *one* fused traversal, which can
-    only tighten the lower bound at a fraction of the sequential cost.
-    ``sweeps`` and ``lanes`` are integers >= 1 (``ValueError``
-    otherwise); ``lanes`` above the vertex count probes every vertex.
-    """
-    from .batch import bfs_batch
-
-    part = engine.partition
-    n = part.n_vertices
-    (start,) = validate_roots(n, [start], "start").tolist()
-    sweeps = check_count(sweeps, "sweeps")
-    lanes = min(check_count(lanes, "lanes"), n)
-    best = 0
-    endpoints = (start, start)
-    roots = [start]
-    total_iterations = 0
-    timings = None
-    counters = {}
-    for _ in range(sweeps):
-        res = bfs_batch(engine, roots)
-        levels = res.extra["levels"]
-        total_iterations += res.iterations
-        timings = res.timings if timings is None else TimingReport(
-            total=timings.total + res.timings.total,
-            compute=timings.compute + res.timings.compute,
-            comm=timings.comm + res.timings.comm,
-        )
-        counters = res.counters
-        # Deepest reached vertex across this sweep's lanes.
-        lane_far = [int(np.argmax(levels[:, j])) for j in range(len(roots))]
-        lane_depth = [int(levels[lane_far[j], j]) for j in range(len(roots))]
-        j = int(np.argmax(lane_depth))
-        far, depth = lane_far[j], lane_depth[j]
-        if depth > best:
-            best = depth
-            endpoints = (roots[j], far)
-        if far == roots[j] or depth <= best - 1:
-            break
-        # Next sweep: the `lanes` farthest candidates of the winning
-        # lane (stable order, so lanes=1 reproduces argmax exactly).
-        order = np.argsort(-levels[:, j], kind="stable")[:lanes]
-        roots = [int(v) for v in order]
-    assert timings is not None
-    return AlgorithmResult(
-        values=None,
-        timings=timings,
-        iterations=total_iterations,
-        counters=counters,
-        extra={"diameter_lower_bound": best, "endpoints": endpoints},
     )

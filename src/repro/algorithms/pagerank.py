@@ -31,6 +31,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..comm.grid import check_count, check_fraction, check_positive
 from ..core.engine import Engine
 from ..core.fleet import Fleet
 from ..core.result import AlgorithmResult
@@ -93,7 +94,7 @@ def pagerank(
         a bool raises ``ValueError``).
     damping:
         The damping factor, a real in ``[0, 1]`` (outside it, or a
-        bool, raises ``ValueError``; :func:`~repro.algorithms.bfs.check_fraction`).
+        bool, raises ``ValueError``; :func:`~repro.comm.grid.check_fraction`).
     personalization:
         Optional teleport distribution in original vertex order
         (normalized internally); dangling mass follows it.
@@ -104,8 +105,8 @@ def pagerank(
         Optional early stop once ``max |delta pr| < tol`` (checked with
         a one-word MAX reduction each iteration,
         :meth:`~repro.core.engine.Engine.reduce_partials`); ``iterations``
-        remains the hard bound.  A positive real: zero, a negative or
-        a bool raises ``ValueError``.
+        remains the hard bound.  A finite positive real: zero, a
+        negative, infinity or a bool raises ``ValueError``.
     resume:
         Continue from the engine's latest attached checkpoint instead
         of starting over (``NoCheckpointError`` when there is none);
@@ -118,8 +119,6 @@ def pagerank(
     shrink) agrees with the fault-free run to within ~1 ulp rather
     than bit-exactly; see ``docs/ROBUSTNESS.md``.
     """
-    from .bfs import check_count, check_fraction, check_positive  # here: bfs imports it
-
     iterations = check_count(iterations, "iterations")
     check_fraction(damping, "damping")
     if tol is not None:

@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..algorithms.bfs import check_count, check_fraction, validate_roots
+from ..algorithms.bfs import check_count, validate_roots
 from ..algorithms.components import component_answer
 from ..algorithms.pagerank import compute_global_degrees, dangling_partials
 from ..cluster.config import ZEPY, ClusterConfig
+from ..comm.grid import check_fraction
 from ..core.engine import Engine
 from ..core.result import AlgorithmResult
 from ..graph.csr import Graph

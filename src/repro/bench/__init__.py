@@ -2,8 +2,6 @@
 
 from .harness import (
     ALGORITHMS,
-    harmonic_mean_teps,
-    run_bfs_batch,
     sample_bfs_roots,
     RANK_GRIDS,
     ExperimentRow,
@@ -25,8 +23,6 @@ from .scaling import (
 
 __all__ = [
     "ALGORITHMS",
-    "harmonic_mean_teps",
-    "run_bfs_batch",
     "sample_bfs_roots",
     "RANK_GRIDS",
     "ExperimentRow",

@@ -34,8 +34,6 @@ from ..graph.datasets import LoadedDataset, load
 __all__ = [
     "ALGORITHMS",
     "sample_bfs_roots",
-    "run_bfs_batch",
-    "harmonic_mean_teps",
     "ExperimentRow",
     "run_algorithm",
     "make_engine",
@@ -265,34 +263,3 @@ def sample_bfs_roots(graph, k: int = 64, seed: int = 0) -> "np.ndarray":
     rng = np.random.default_rng(seed)
     k = min(k, candidates.size)
     return np.sort(rng.choice(candidates, size=k, replace=False))
-
-
-def run_bfs_batch(
-    engine: Engine, roots, full_scale_edges: Optional[int] = None
-) -> list[ExperimentRow]:
-    """One BFS per root (the Graph500 measurement protocol).
-
-    Returns a row per search; harmonic-mean TEPS across the batch is
-    the benchmark's reported figure, available via
-    ``harmonic_mean_teps``.
-    """
-    rows = []
-    for root in roots:
-        rows.append(
-            run_algorithm(
-                "BFS",
-                engine,
-                experiment="bfs-batch",
-                dataset="",
-                full_scale_edges=full_scale_edges,
-                root=int(root),
-            )
-        )
-    return rows
-
-
-def harmonic_mean_teps(rows: Sequence[ExperimentRow]) -> float:
-    """The Graph500 summary statistic over a batch of searches."""
-    if not rows:
-        raise ValueError("empty batch")
-    return len(rows) / sum(1.0 / r.teps for r in rows)

@@ -7,7 +7,7 @@ substitution rationale.
 
 from .config import AIMOS, DGX, ZEPY, A100, V100, ClusterConfig, GPUSpec, LinkSpec, NodeSpec
 from .costmodel import GENERIC_PROFILE, NCCL_PROFILE, CommProfile, CostModel
-from .device import DeviceLedger, DeviceMemoryError, VirtualGPU
+from .device import DeviceLedger, DeviceMemoryError
 from .topology import GroupProfile, Placement, Topology
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "GENERIC_PROFILE",
     "DeviceLedger",
     "DeviceMemoryError",
-    "VirtualGPU",
     "GroupProfile",
     "Placement",
     "Topology",

@@ -79,10 +79,6 @@ class LinkSpec:
     latency_s: float
     bandwidth_Bps: float
 
-    def transfer_time(self, nbytes: float) -> float:
-        """Alpha-beta time to move ``nbytes`` across this link once."""
-        return self.latency_s + nbytes / self.bandwidth_Bps
-
 
 @dataclass(frozen=True)
 class NodeSpec:
@@ -119,10 +115,6 @@ class ClusterConfig:
     name: str
     gpu: GPUSpec
     node: NodeSpec
-
-    def with_gpu(self, gpu: GPUSpec) -> "ClusterConfig":
-        """Return a copy of this config using a different GPU model."""
-        return replace(self, gpu=gpu)
 
     def scaled(self, factor: float) -> "ClusterConfig":
         """A machine whose throughputs are divided by ``factor``.

@@ -4,8 +4,7 @@ The paper reports out-of-memory failures as first-class results (Gluon
 could not load GSH or ClueWeb; CuGraph could not fit RMAT28 on zepy).
 To reproduce those, every per-rank allocation in the simulator is
 charged against the real device capacity, in one
-:class:`DeviceLedger` table of every rank's allocations (a
-:class:`VirtualGPU` is one rank's view of it).
+:class:`DeviceLedger` table of every rank's allocations.
 The tracked quantities are the *modeled* full-scale sizes, so the
 feasibility answers hold even when the simulation itself runs on a
 scaled-down stand-in graph.
@@ -13,13 +12,13 @@ scaled-down stand-in graph.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
 from .config import GPUSpec
 
-__all__ = ["INDEX_BYTES", "DeviceLedger", "DeviceMemoryError", "VirtualGPU"]
+__all__ = ["INDEX_BYTES", "DeviceLedger", "DeviceMemoryError"]
 
 #: Bytes of one modeled adjacency entry (an ``int64`` index): what a
 #: device is charged per stored edge, whatever the host's index dtype.
@@ -29,13 +28,13 @@ INDEX_BYTES = 8
 class DeviceMemoryError(MemoryError):
     """Raised when a rank's modeled allocations exceed device memory."""
 
-    def __init__(self, device: "VirtualGPU", requested: int):
-        self.device = device
+    def __init__(self, ledger: "DeviceLedger", rank: int, requested: int):
+        self.rank = rank
         self.requested = int(requested)
         super().__init__(
-            f"rank {device.rank} ({device.spec.name}): allocation of "
+            f"rank {rank} ({ledger.spec.name}): allocation of "
             f"{requested} bytes exceeds capacity "
-            f"({device.allocated_bytes}/{device.spec.memory_bytes} in use)"
+            f"({ledger.allocated[rank]}/{ledger.spec.memory_bytes} in use)"
         )
 
 
@@ -45,7 +44,7 @@ class DeviceLedger:
     Allocations are named so over-subscription reports can say *what*
     did not fit, matching how the paper discusses allocation failures.
     A charge or release is one table operation for every rank it
-    names; :class:`VirtualGPU` is one rank's view of the table.
+    names.
 
     Parameters
     ----------
@@ -74,14 +73,6 @@ class DeviceLedger:
         self.held = np.zeros((0, n_ranks), dtype=bool)
         self.allocated = np.zeros(n_ranks, dtype=np.int64)
         self.peak = np.zeros(n_ranks, dtype=np.int64)
-        #: one view per column, built by :meth:`device`
-        self.devices: list[Optional[VirtualGPU]] = [None] * n_ranks
-
-    def device(self, rank: int) -> "VirtualGPU":
-        """Rank ``rank``'s :class:`VirtualGPU` view (one per rank)."""
-        if self.devices[rank] is None:
-            self.devices[rank] = VirtualGPU(rank, self.spec, ledger=self, column=rank)
-        return self.devices[rank]
 
     def charge(self, entries: Mapping[str, object], columns=slice(None)) -> None:
         """Charge ``{label: nbytes}`` on ``columns`` (default every rank),
@@ -105,7 +96,7 @@ class DeviceLedger:
             if ranks.size:
                 column = np.arange(self.allocated.size)[columns][ranks[0]]
                 step = int(np.argmax(over[:, ranks[0]]))
-                raise DeviceMemoryError(self.device(int(column)), int(scaled[step][ranks[0]]))
+                raise DeviceMemoryError(self, int(column), int(scaled[step][ranks[0]]))
         for label, step in zip(entries, scaled):
             row = self._row(label)
             self.bytes[row, columns] += step
@@ -128,69 +119,3 @@ class DeviceLedger:
             self.bytes = np.vstack([self.bytes, np.zeros_like(self.allocated)])
             self.held = np.vstack([self.held, np.zeros(self.allocated.shape, bool)])
         return row
-
-
-class VirtualGPU:
-    """One simulated GPU rank's memory ledger (``rank`` is its global
-    rank id): its column of a :class:`DeviceLedger`, or, built
-    standalone, a one-rank ledger of its own with ``spec``,
-    ``scale_factor`` and ``enforce`` as :class:`DeviceLedger` takes
-    them."""
-
-    def __init__(
-        self,
-        rank: int,
-        spec: GPUSpec,
-        scale_factor: float = 1.0,
-        enforce: bool = True,
-        *,
-        ledger: Optional[DeviceLedger] = None,
-        column: int = 0,
-    ):
-        self.rank = rank
-        if ledger is None:
-            ledger = DeviceLedger(1, spec, scale_factor, enforce)
-            ledger.devices[0] = self
-        self.table, self.column = ledger, column
-        self.spec, self.scale_factor, self.enforce = (
-            ledger.spec, ledger.scale_factor, ledger.enforce
-        )
-
-    @property
-    def allocated_bytes(self) -> int:
-        return int(self.table.allocated[self.column])
-
-    @property
-    def peak_bytes(self) -> int:
-        return int(self.table.peak[self.column])
-
-    @property
-    def ledger(self) -> dict[str, int]:
-        """``label -> bytes`` of every entry this rank holds (a copy)."""
-        t, c = self.table, self.column
-        return {label: int(t.bytes[row, c]) for label, row in t.rows.items() if t.held[row, c]}
-
-    def charge(self, label: str, nbytes: int) -> None:
-        """Charge ``nbytes`` (pre-scale) against the device."""
-        self.table.charge({label: nbytes}, [self.column])
-
-    def charge_array(self, label: str, array: np.ndarray) -> None:
-        """Charge the footprint of a concrete NumPy array."""
-        self.charge(label, array.nbytes)
-
-    def release(self, label: str) -> None:
-        """Release everything charged under ``label``."""
-        self.table.release(label, [self.column])
-
-    @property
-    def free_bytes(self) -> int:
-        return self.spec.memory_bytes - self.allocated_bytes
-
-    @property
-    def oversubscribed(self) -> bool:
-        return self.peak_bytes > self.spec.memory_bytes
-
-    def utilization(self) -> float:
-        """Peak fraction of device memory used (may exceed 1.0 when
-        ``enforce`` is off)."""
-        return self.peak_bytes / self.spec.memory_bytes

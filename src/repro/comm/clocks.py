@@ -259,15 +259,6 @@ class VirtualClocks:
         self.iteration_marks.clear()
         self.counter_marks.clear()
 
-    def barrier(self, ranks: Sequence[int] | None = None) -> None:
-        """Synchronize without charging time."""
-        idx = (
-            np.arange(self.n_ranks)
-            if ranks is None
-            else np.fromiter(ranks, dtype=np.int64)
-        )
-        self.clock[idx] = self.clock[idx].max()
-
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------

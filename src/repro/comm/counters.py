@@ -50,6 +50,16 @@ class CommCounters:
     def record(
         self, kind: str, serial_messages: int, transfers: int, nbytes: int
     ) -> None:
+        """Count one call of ``kind``.
+
+        ``nbytes`` is the group's total traffic, summed over members.
+        For the ring collectives that is ring traffic: an AllReduce of
+        ``n`` bytes over ``k`` members records ``2 · n · (k − 1)`` (a
+        reduce-scatter and an allgather, each member sending ``k − 1``
+        chunks of ``n / k``), and an AllGather(v) of ``total`` bytes
+        records ``total · (k − 1)`` (each member receives all but its
+        own part).  The counters count the ring also where the cost
+        model charges a tree."""
         self.by_kind[kind].add(serial_messages, transfers, nbytes)
 
     def reset(self) -> None:

@@ -24,7 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Grid2D", "check_count", "square_grid", "factor_pairs", "squarest_grid"]
+__all__ = [
+    "Grid2D",
+    "check_count",
+    "check_positive",
+    "check_fraction",
+    "square_grid",
+    "factor_pairs",
+    "squarest_grid",
+]
 
 
 @dataclass(frozen=True)
@@ -78,14 +86,28 @@ class Grid2D:
         """All ranks in column group ``id_c`` (in Rank_C order)."""
         return [self.rank_of(i, id_c) for i in range(self.C)]
 
-    def row_group_of(self, rank: int) -> list[int]:
-        return self.row_group_ranks(self.coords(rank)[0])
-
-    def col_group_of(self, rank: int) -> list[int]:
-        return self.col_group_ranks(self.coords(rank)[1])
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"Grid2D(C={self.C} block-rows x R={self.R} block-cols, p={self.n_ranks})"
+
+
+def _real(value) -> bool:
+    """A real number, not a bool."""
+    real = isinstance(value, (int, float, np.integer, np.floating))
+    return real and not isinstance(value, (bool, np.bool_))
+
+
+def check_positive(value, what: str) -> None:
+    """Refuse a bound that is not a finite positive real (a bool, zero,
+    a negative, NaN or infinity)."""
+    if not (_real(value) and 0 < value < np.inf):
+        raise ValueError(f"{what} must be a finite positive real, not {value!r}")
+
+
+def check_fraction(value, what: str) -> None:
+    """Refuse a fraction that is not a real in ``[0, 1]`` (a bool, NaN
+    or a value outside it)."""
+    if not (_real(value) and 0 <= value <= 1):
+        raise ValueError(f"{what} must lie in [0, 1], got {value!r}")
 
 
 def check_count(value, what: str, minimum: int = 1) -> int:

@@ -1,12 +1,12 @@
 """Per-rank execution context.
 
 A :class:`RankContext` bundles everything one simulated GPU rank owns:
-its graph block, its virtual device (its column of the engine's
-:class:`~repro.cluster.device.DeviceLedger`), and a read-only view of
-its named state arrays.  State is allocated for every rank at once
-through ``Engine.alloc``, which charges every array against device
-memory — which is how the simulator reproduces the paper's
-out-of-memory results at full-scale footprints.
+its graph block and a read-only view of its named state arrays.  State
+is allocated for every rank at once through ``Engine.alloc``, which
+charges every array against device memory (the engine's
+:class:`~repro.cluster.device.DeviceLedger`, one column per rank) —
+which is how the simulator reproduces the paper's out-of-memory
+results at full-scale footprints.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from ..cluster.device import VirtualGPU
 from ..graph.partition.twod import RankBlock
 from ..queueing.frontier import expand_block
 
@@ -31,9 +30,8 @@ class RankContext:
     the current run: ``Engine.reset_timers`` takes them all away.
     """
 
-    def __init__(self, block: RankBlock, device: VirtualGPU, fleet):
+    def __init__(self, block: RankBlock, fleet):
         self.block = block
-        self.device = device
         self.fleet = fleet
         # identity / geometry shortcuts
         self.rank: int = block.rank

@@ -34,7 +34,7 @@ from ..cluster.topology import Topology
 from ..comm.clocks import VirtualClocks
 from ..comm.collectives import Communicator
 from ..comm.counters import CommCounters
-from ..comm.grid import Grid2D, check_count, square_grid
+from ..comm.grid import Grid2D, check_count, check_positive, square_grid
 from ..graph.csr import Graph
 from ..graph.partition.twod import TwoDPartition, partition_2d
 from ..queueing.manhattan import manhattan_schedule, vertex_per_thread_balance
@@ -76,7 +76,9 @@ class Engine:
         per-thread expansion (used by the Fig. 6 ablation).
     memory_scale:
         Multiplier on modeled allocations, to account full-scale
-        dataset footprints while simulating a scaled stand-in.
+        dataset footprints while simulating a scaled stand-in; a finite
+        positive real (zero, a negative, NaN, infinity or a bool raises
+        ``ValueError``).
     enforce_memory:
         Raise :class:`~repro.cluster.device.DeviceMemoryError` on
         over-subscription instead of just recording it.
@@ -87,7 +89,8 @@ class Engine:
         the in-flight exchanges.  Values, counters, and the compute and
         comm lanes stay bit-identical to a blocking run; only the total
         drops (by the time recorded in the ``overlap`` lane).  See
-        docs/MODEL.md.
+        docs/MODEL.md.  A bool (NumPy's too): anything else raises
+        ``ValueError``.
     executor:
         Kept for old callers: ``None`` or ``"serial"``, ignored; any
         other value raises ``ValueError``.
@@ -125,6 +128,9 @@ class Engine:
             )
         if load_balance not in ("manhattan", "vertex"):
             raise ValueError("load_balance must be 'manhattan' or 'vertex'")
+        if not isinstance(overlap, (bool, np.bool_)):
+            raise ValueError(f"overlap must be a bool, not {overlap!r}")
+        check_positive(memory_scale, "memory_scale")
 
         self.graph = graph
         self.grid = grid
@@ -184,8 +190,8 @@ class Engine:
         self._stage_sharing = self._compute_stage_sharing()
         #: The rank-stacked view the fused supersteps run on.
         self.fleet = Fleet(self.partition)
-        #: Every rank's modeled device memory, one table (``ctx.device``
-        #: is a rank's view).  The static graph structure is charged
+        #: Every rank's modeled device memory, one ``(labels x ranks)``
+        #: table.  The static graph structure is charged
         #: first, as the paper's loader does when moving the CSR to the
         #: GPU; the adjacency at the modeled entry width, not the
         #: host's (narrower) dtype.
@@ -198,10 +204,7 @@ class Engine:
         if self.partition.weights is not None:
             structure["graph.weights"] = [blk.weights.nbytes for blk in blocks]
         self.devices.charge(structure)
-        self.contexts: list[RankContext] = [
-            RankContext(block, self.devices.device(block.rank), self.fleet)
-            for block in blocks
-        ]
+        self.contexts: list[RankContext] = [RankContext(block, self.fleet) for block in blocks]
         self._row_groups = [grid.row_group_ranks(i) for i in range(grid.C)]
         self._col_groups = [grid.col_group_ranks(i) for i in range(grid.R)]
         # (over, payload bytes) -> (groups, NIC sharing) of reduce_partials
@@ -748,11 +751,6 @@ class Engine:
             overlap=self.clocks.peak("overlap"),
             certify=self.clocks.peak("certify"),
         )
-
-    def memory_report(self) -> dict[int, float]:
-        """Peak modeled memory utilization per rank."""
-        peak = self.devices.peak / self.cluster.gpu.memory_bytes
-        return dict(enumerate(peak.tolist()))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

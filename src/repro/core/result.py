@@ -50,15 +50,6 @@ class TimingReport:
         return self.comm / self.total if self.total > 0 else 0.0
 
     @property
-    def overlap_fraction(self) -> float:
-        """Share of communication time hidden behind computation.
-
-        1.0 would mean every modeled comm second ran concurrently with
-        compute; 0.0 is a fully blocking (or comm-free) run.
-        """
-        return self.overlap / self.comm if self.comm > 0 else 0.0
-
-    @property
     def regrid_fraction(self) -> float:
         """Share of total time spent migrating to a surviving grid."""
         return self.regrid / self.total if self.total > 0 else 0.0

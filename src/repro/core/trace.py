@@ -231,8 +231,3 @@ class TraceRecorder:
             "by_kind": dict(sorted(totals_by_kind.items())),
         }
         return json.dumps(payload, indent=2, sort_keys=False)
-
-    @staticmethod
-    def to_jsonl(rows: list[IterationTrace]) -> str:
-        """One JSON object per iteration (streaming-friendly)."""
-        return "\n".join(json.dumps(r.as_dict()) for r in rows) + ("\n" if rows else "")

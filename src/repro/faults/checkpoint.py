@@ -42,6 +42,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
+from ..comm.grid import check_count
 from ..core.hooks import Boundary, BoundaryHook
 
 __all__ = ["Checkpoint", "CheckpointManager"]
@@ -89,7 +90,8 @@ class CheckpointManager(BoundaryHook):
     keep:
         Retain at most this many checkpoints (oldest pruned first) —
         recovery only ever needs the latest, the second-newest guards
-        against a crash *during* a save.
+        against a crash *during* a save.  ``interval`` and ``keep``
+        are integers >= 1: a float or a bool raises ``ValueError``.
     checkpoint_bw:
         Modeled snapshot bandwidth in bytes/s, charged per rank on
         every save (default 12 GB/s, PCIe 3.0 x16-ish).  ``None``
@@ -103,12 +105,8 @@ class CheckpointManager(BoundaryHook):
         keep: int = 2,
         checkpoint_bw: Optional[float] = 12e9,
     ):
-        if interval < 1:
-            raise ValueError(f"interval must be >= 1, got {interval}")
-        if keep < 1:
-            raise ValueError(f"keep must be >= 1, got {keep}")
-        self.interval = interval
-        self.keep = keep
+        self.interval = check_count(interval, "interval")
+        self.keep = check_count(keep, "keep")
         self.checkpoint_bw = checkpoint_bw
         self.checkpoints: list[Checkpoint] = []
         self.saves = 0

@@ -97,6 +97,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..comm.grid import check_count
 from ..core.hooks import Boundary, BoundaryHook
 from .injector import RankFailure
 from .plan import FaultEvent
@@ -288,7 +289,9 @@ class IntegrityLedger(BoundaryHook):
         Detected violations beyond this count raise
         :class:`IntegrityFailure` instead of
         :class:`IntegrityViolation` (a persistently flipping device
-        should be demoted, not endlessly repaired).
+        should be demoted, not endlessly repaired).  ``interval`` is an
+        integer >= 1 and ``repair_budget`` one >= 0: a float or a bool
+        raises ``ValueError``.
     latency_s / hash_bw / exchange_bw:
         Cost model of one verification: ``latency_s +
         max_rank_window_bytes / hash_bw + digest_bytes /
@@ -304,14 +307,8 @@ class IntegrityLedger(BoundaryHook):
         hash_bw: float = CERTIFY_HASH_BW,
         exchange_bw: float = CERTIFY_EXCHANGE_BW,
     ):
-        if interval < 1:
-            raise ValueError(f"interval: must be >= 1, got {interval}")
-        if repair_budget < 0:
-            raise ValueError(
-                f"repair_budget: must be >= 0, got {repair_budget}"
-            )
-        self.interval = interval
-        self.repair_budget = repair_budget
+        self.interval = check_count(interval, "interval")
+        self.repair_budget = check_count(repair_budget, "repair_budget", minimum=0)
         self.latency_s = latency_s
         self.hash_bw = hash_bw
         self.exchange_bw = exchange_bw
@@ -364,11 +361,6 @@ class IntegrityLedger(BoundaryHook):
         per run, not per attempt."""
         self.rows = [r for r in self.rows if r.superstep <= superstep]
         self._last_good = min(self._last_good, superstep)
-
-    @property
-    def last_good(self) -> int:
-        """Most recent superstep that verified clean (0 = none yet)."""
-        return self._last_good
 
     # -- verification ---------------------------------------------------
     def on_boundary(self, engine, superstep: int, checkpoint_due: bool = False):

@@ -217,8 +217,3 @@ class FaultPlan:
 
     def __iter__(self) -> Iterator[FaultSpec]:
         return iter(self.specs)
-
-    def for_superstep(self, superstep: int) -> list[FaultSpec]:
-        """Specs scheduled exactly at ``superstep`` (crashes are
-        handled separately: they persist from their superstep on)."""
-        return [s for s in self.specs if s.superstep == superstep]

@@ -9,19 +9,8 @@ from .generators import (
     rmat_edges,
     web_graph,
 )
-from .io import (
-    read_edge_list,
-    read_matrix_market,
-    write_edge_list,
-    write_matrix_market,
-)
 from .localmap import LocalMap
-from .transforms import (
-    cap_degrees,
-    induced_subgraph,
-    kcore_subgraph,
-    largest_component,
-)
+from .transforms import induced_subgraph, largest_component
 from .partition.striped import (
     block_permutation,
     group_ranges,
@@ -43,18 +32,12 @@ __all__ = [
     "rmat",
     "rmat_edges",
     "web_graph",
-    "read_edge_list",
-    "read_matrix_market",
-    "write_edge_list",
-    "write_matrix_market",
     "LocalMap",
     "block_permutation",
     "group_ranges",
     "random_permutation",
     "striped_permutation",
-    "cap_degrees",
     "induced_subgraph",
-    "kcore_subgraph",
     "largest_component",
     "RankBlock",
     "TwoDPartition",

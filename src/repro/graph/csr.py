@@ -189,17 +189,6 @@ class Graph:
         del key
         return cls(indptr=indptr, indices=indices, weights=weights)
 
-    @classmethod
-    def from_scipy(cls, mat: sp.spmatrix, weighted: bool = False) -> "Graph":
-        """Wrap a scipy sparse matrix (rows are adjacency lists)."""
-        csr = mat.tocsr()
-        csr.sort_indices()
-        return cls(
-            indptr=csr.indptr.astype(VERTEX_DTYPE),
-            indices=csr.indices.astype(index_dtype(csr.shape[0], 0)),
-            weights=csr.data.astype(WEIGHT_DTYPE) if weighted else None,
-        )
-
     def to_scipy(self) -> sp.csr_matrix:
         """Export as a scipy CSR matrix (weights default to 1.0).
 
@@ -216,35 +205,6 @@ class Graph:
         )
         n = self.n_vertices
         return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
-
-    # ------------------------------------------------------------------
-    # transforms
-    # ------------------------------------------------------------------
-    def permute(self, perm: np.ndarray) -> "Graph":
-        """Relabel vertices: vertex ``v`` becomes ``perm[v]``.
-
-        Used to apply the striped distribution permutation before 2D
-        blocking (paper §3.4.2).
-        """
-        perm = np.asarray(perm, dtype=VERTEX_DTYPE)
-        n = self.n_vertices
-        if perm.shape != (n,):
-            raise ValueError(f"perm must have shape ({n},)")
-        check = np.zeros(n, dtype=bool)
-        check[perm] = True
-        if not check.all():
-            raise ValueError("perm is not a permutation")
-        src = np.repeat(np.arange(n, dtype=VERTEX_DTYPE), self.degrees())
-        new_src = perm[src]
-        new_dst = perm[self.indices]
-        return Graph.from_edges(
-            new_src,
-            new_dst,
-            n,
-            weights=self.weights,
-            symmetrize=False,
-            remove_self_loops=False,
-        )
 
     def with_random_weights(self, seed: int = 0, low: float = 0.0, high: float = 1.0) -> "Graph":
         """Attach symmetric random edge weights (for MWM experiments).

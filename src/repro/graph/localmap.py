@@ -104,11 +104,6 @@ class LocalMap:
         gids = np.asarray(gids)
         return gids - self.col_start + self.col_offset
 
-    def row_gid(self, lids):
-        """Global IDs of row-vertex local IDs."""
-        lids = np.asarray(lids)
-        return lids - self.row_offset + self.row_start
-
     def col_gid(self, lids):
         """Global IDs of column-vertex local IDs."""
         lids = np.asarray(lids)
@@ -118,8 +113,3 @@ class LocalMap:
         """Boolean mask: is each GID in this rank's row range?"""
         gids = np.asarray(gids)
         return (gids >= self.row_start) & (gids < self.row_stop)
-
-    def owns_col_gid(self, gids):
-        """Boolean mask: is each GID in this rank's column range?"""
-        gids = np.asarray(gids)
-        return (gids >= self.col_start) & (gids < self.col_stop)

@@ -6,7 +6,6 @@ from .striped import (
     random_permutation,
     striped_permutation,
 )
-from .metrics import PartitionMetrics, evaluate_partition
 from .twod import RankBlock, TwoDPartition, partition_2d
 
 __all__ = [
@@ -14,8 +13,6 @@ __all__ = [
     "group_ranges",
     "random_permutation",
     "striped_permutation",
-    "PartitionMetrics",
-    "evaluate_partition",
     "RankBlock",
     "TwoDPartition",
     "partition_2d",

@@ -146,26 +146,8 @@ class TwoDPartition:
         return self.blocks[rank]
 
     # ------------------------------------------------------------------
-    # distributing / collecting global vectors
+    # collecting global vectors
     # ------------------------------------------------------------------
-    def scatter_global(self, vec: np.ndarray, rank: int) -> np.ndarray:
-        """A rank's local view (length ``N_T``) of a global vector.
-
-        ``vec`` must be in *original* GID order; the result is indexed
-        by the rank's LIDs, with both row and column windows filled.
-        """
-        vec = np.asarray(vec)
-        if vec.shape[0] != self.n_vertices:
-            raise ValueError("global vector has wrong length")
-        relabeled = np.empty_like(vec)
-        relabeled[self.perm] = vec
-        blk = self.blocks[rank]
-        lm = blk.localmap
-        local = np.zeros((lm.n_total,) + vec.shape[1:], dtype=vec.dtype)
-        local[lm.row_slice] = relabeled[lm.row_start : lm.row_stop]
-        local[lm.col_slice] = relabeled[lm.col_start : lm.col_stop]
-        return local
-
     def gather_row_state(self, states: list[np.ndarray]) -> np.ndarray:
         """Assemble the global state vector from per-rank states.
 

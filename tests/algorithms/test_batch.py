@@ -17,7 +17,6 @@ import pytest
 from repro.algorithms import (
     bfs,
     bfs_batch,
-    pseudo_diameter,
     sssp,
     sssp_batch,
     validate_roots,
@@ -25,7 +24,6 @@ from repro.algorithms import (
 from repro.comm.grid import Grid2D
 from repro.core.engine import Engine
 from repro.graph import rmat
-from repro.reference.graphs import grid_graph, path_graph
 from repro.reference import serial as ref_serial
 
 from ..conftest import rank_order, watch_convergence
@@ -193,13 +191,6 @@ class TestBFSEquivalence:
         assert res.timings.total == single.timings.total
         assert res.counters == single.counters
 
-    def test_hybrid_off_stays_top_down(self, graph):
-        res = bfs_batch(Engine(graph, RANKS), ROOTS2, hybrid=False)
-        for lane, root in enumerate(ROOTS2):
-            single = bfs(Engine(graph, RANKS), root=root, hybrid=False)
-            np.testing.assert_array_equal(res.values[:, lane], single.values)
-            assert set(res.extra["directions"][lane]) <= {"top-down"}
-
     def test_k16_multi_chunk_bit_identical(self, graph):
         """k>8 exercises the second uint64 lane word of the bottom-up
         scan; every lane must still match its single-source run."""
@@ -326,32 +317,3 @@ class TestCounterAmortization:
         batch_calls = batched.counters["allgatherv"]["calls"]
         assert seq_calls > batch_calls > 0
         assert seq_calls / batch_calls >= 0.75 * k, (seq_calls, batch_calls)
-
-
-class TestPseudoDiameterBatched:
-    def test_path_exact_with_lanes(self):
-        res = pseudo_diameter(Engine(path_graph(30), 4), start=10, lanes=4)
-        assert res.extra["diameter_lower_bound"] == 29
-        a, b = res.extra["endpoints"]
-        assert {a, b} == {0, 29}
-
-    def test_lattice_lanes_match_single_lane(self):
-        g = grid_graph(6, 9)
-        one = pseudo_diameter(Engine(g, 4), start=20, lanes=1)
-        four = pseudo_diameter(Engine(g, 4), start=20, lanes=4)
-        assert one.extra["diameter_lower_bound"] == 5 + 8
-        assert four.extra["diameter_lower_bound"] == 5 + 8
-
-    def test_lanes_on_r_less_than_c_grid(self):
-        """``lanes>1`` goes through ``bfs_batch``; R < C grids used to
-        raise IndexError there."""
-        g = grid_graph(6, 9)
-        res = pseudo_diameter(
-            Engine(g, grid=GRIDS["2x4"]), start=20, lanes=4
-        )
-        assert res.extra["diameter_lower_bound"] == 5 + 8
-
-    def test_bound_is_realized_depth(self, graph):
-        res = pseudo_diameter(Engine(graph, RANKS), start=640, lanes=4)
-        levels = ref_serial.bfs_levels(graph, res.extra["endpoints"][0])
-        assert levels.max() >= res.extra["diameter_lower_bound"]

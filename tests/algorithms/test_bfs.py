@@ -51,11 +51,6 @@ class TestCorrectness:
         assert "bottom-up" in res.extra["directions"]
         assert np.all(res.extra["levels"][1:] == 1)
 
-    def test_hybrid_off_pure_top_down(self, rmat_graph):
-        res = bfs(Engine(rmat_graph, 4), root=0, hybrid=False)
-        assert set(res.extra["directions"]) == {"top-down"}
-        assert np.array_equal(res.extra["levels"], serial.bfs_levels(rmat_graph, 0))
-
     def test_bad_root(self, rmat_graph):
         with pytest.raises(ValueError):
             bfs(Engine(rmat_graph, 4), root=-1)
@@ -117,15 +112,14 @@ class _InvariantProbe(BoundaryHook):
 
 class TestHostileShapes:
     """The rank-fused passes on shapes where most ranks are empty —
-    every case against ``repro.reference.serial``, hybrid and pure
-    top-down, blocking and overlapped."""
+    every case against ``repro.reference.serial``, blocking and
+    overlapped."""
 
     @pytest.mark.parametrize("overlap", [False, True], ids=["blocking", "overlap"])
-    @pytest.mark.parametrize("hybrid", [True, False], ids=["hybrid", "topdown"])
     @pytest.mark.parametrize("grid", HOSTILE_GRIDS, ids=lambda g: f"{g.C}x{g.R}")
-    def test_bfs_matches_reference(self, grid, hybrid, overlap):
+    def test_bfs_matches_reference(self, grid, overlap):
         for name, g, root in _hostile_graphs():
-            res = bfs(Engine(g, grid=grid, overlap=overlap), root=root, hybrid=hybrid)
+            res = bfs(Engine(g, grid=grid, overlap=overlap), root=root)
             assert np.array_equal(res.extra["levels"], serial.bfs_levels(g, root)), name
             assert serial.bfs_parents_valid(g, root, res.values), name
 
@@ -215,71 +209,3 @@ class TestBehaviour:
         res = bfs(Engine(g, 4), root=0)
         # 19 productive levels; the run stops once all are visited
         assert res.iterations == 19
-
-
-class TestPseudoDiameter:
-    def test_path_exact(self):
-        from repro.algorithms import pseudo_diameter
-
-        res = pseudo_diameter(Engine(path_graph(30), 4), start=10)
-        assert res.extra["diameter_lower_bound"] == 29
-        a, b = res.extra["endpoints"]
-        assert {a, b} == {0, 29}
-
-    def test_lattice_exact(self):
-        from repro.algorithms import pseudo_diameter
-
-        res = pseudo_diameter(Engine(grid_graph(6, 9), 4), start=20)
-        assert res.extra["diameter_lower_bound"] == 5 + 8
-
-    def test_is_lower_bound(self, rmat_graph):
-        from repro.algorithms import pseudo_diameter
-        import numpy as np
-
-        res = pseudo_diameter(Engine(rmat_graph, 4), start=0)
-        # the bound is realized by an actual BFS depth
-        levels = serial.bfs_levels(rmat_graph, res.extra["endpoints"][0])
-        assert levels.max() >= res.extra["diameter_lower_bound"]
-
-    def test_bad_start(self, rmat_graph):
-        from repro.algorithms import pseudo_diameter
-
-        with pytest.raises(ValueError):
-            pseudo_diameter(Engine(rmat_graph, 4), start=-1)
-
-    @pytest.mark.parametrize(
-        "kwargs, name",
-        [
-            ({"lanes": 2.7}, "lanes"),
-            ({"lanes": 0}, "lanes"),
-            ({"lanes": True}, "lanes"),
-            ({"lanes": -3}, "lanes"),
-            ({"sweeps": 0}, "sweeps"),
-            ({"sweeps": 1.0}, "sweeps"),
-            ({"sweeps": False}, "sweeps"),
-        ],
-    )
-    def test_bad_counts_are_refused(self, rmat_graph, kwargs, name):
-        """They used to be truncated or clamped: ``lanes=2.7`` ran 2
-        lanes, ``lanes=0`` / ``True`` and ``sweeps=0`` ran 1."""
-        from repro.algorithms import pseudo_diameter
-
-        with pytest.raises(ValueError, match=name):
-            pseudo_diameter(Engine(rmat_graph, 4), start=0, **kwargs)
-
-    def test_more_lanes_than_vertices_probe_every_vertex(self):
-        from repro.algorithms import pseudo_diameter
-
-        engine = Engine(path_graph(5), 1)
-        capped = pseudo_diameter(engine, start=2, sweeps=2, lanes=50)
-        assert capped.extra["diameter_lower_bound"] == 4
-        exact = pseudo_diameter(engine, start=2, sweeps=2, lanes=5)
-        assert capped.extra == exact.extra
-
-    def test_timings_accumulate_across_sweeps(self):
-        from repro.algorithms import pseudo_diameter
-
-        engine = Engine(path_graph(40), 4)
-        multi = pseudo_diameter(engine, start=20, sweeps=3)
-        single = pseudo_diameter(engine, start=20, sweeps=1)
-        assert multi.timings.total > single.timings.total

@@ -31,7 +31,6 @@ from repro.algorithms import (
     label_propagation,
     max_weight_matching,
     pointer_jumping,
-    pseudo_diameter,
     sssp,
     sssp_batch,
 )
@@ -82,14 +81,8 @@ def test_sssp_rejects_bad_root(wgraph, root, msg):
         sssp(Engine(wgraph, 4), root)
 
 
-@pytest.mark.parametrize("start, msg", BAD_ROOT)
-def test_pseudo_diameter_rejects_bad_start(graph, start, msg):
-    with pytest.raises(ValueError, match=msg):
-        pseudo_diameter(Engine(graph, 4), start=start)
-
-
 #: The parameters that take vertex ids, and whether they take a list.
-ID_PARAMS = {"root": False, "start": False, "roots": True, "sources": True}
+ID_PARAMS = {"root": False, "roots": True, "sources": True}
 
 
 def _id_entry_points():
@@ -146,17 +139,6 @@ def test_integer_ids_of_any_width_are_accepted(graph):
     got = betweenness(Engine(graph, 4), sources=np.array([1, 2], dtype=np.uint16))
     ref = betweenness(Engine(graph, 4), sources=[1, 2])
     assert np.array_equal(got.values, ref.values)
-
-
-@pytest.mark.parametrize("alpha, beta", [(0.0, 18.0), (15.0, 0.0), (-1.0, 18.0)])
-@pytest.mark.parametrize("batched", [False, True], ids=["bfs", "bfs_batch"])
-def test_nonpositive_switching_parameters_rejected(graph, alpha, beta, batched):
-    engine = Engine(graph, 4)
-    with pytest.raises(ValueError, match="alpha and beta must be positive"):
-        if batched:
-            bfs_batch(engine, [0, 1], alpha=alpha, beta=beta)
-        else:
-            bfs(engine, 0, alpha=alpha, beta=beta)
 
 
 #: (bad bound, what the error says): each once ran a superstep count

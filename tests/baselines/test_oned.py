@@ -9,7 +9,7 @@ from repro.comm.grid import Grid2D
 from repro.graph import rmat
 from repro.reference import serial
 
-from ..conftest import random_graph
+from ..conftest import permute, random_graph
 
 
 def oned(graph, p):
@@ -63,7 +63,7 @@ class TestScalingBehaviour:
         its row window, as the relabeled graph has them."""
         eng = oned(rmat_graph, 4)
         layout = layout_1d(eng)
-        relabeled = rmat_graph.permute(eng.partition.perm).to_scipy()
+        relabeled = permute(rmat_graph, eng.partition.perm).to_scipy()
         for r, ghosts in enumerate(layout.ghosts):
             start, stop = layout.offsets[r], layout.offsets[r + 1]
             assert np.array_equal(layout.rows[r], np.arange(start, stop))

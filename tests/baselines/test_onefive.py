@@ -11,7 +11,7 @@ from repro.graph import chung_lu_powerlaw, rmat
 from repro.reference.graphs import path_graph, star_graph
 from repro.reference import serial
 
-from ..conftest import random_graph
+from ..conftest import permute, random_graph
 
 
 def oned(graph, p):
@@ -22,7 +22,7 @@ class TestLayout:
     def test_hubs_selected_by_degree(self, rmat_graph):
         eng = oned(rmat_graph, 4)
         layout = layout_1d(eng, hub_threshold=50)
-        rel = rmat_graph.permute(eng.partition.perm)
+        rel = permute(rmat_graph, eng.partition.perm)
         is_hub = rel.degrees() > 50
         assert np.array_equal(layout.hubs, np.flatnonzero(is_hub))
         # hub-hub edges: every edge between two hubs, kept by the

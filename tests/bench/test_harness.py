@@ -133,24 +133,6 @@ class TestBfsBatch:
         assert np.unique(labels[roots]).size == 1
         assert np.all(g.degrees()[roots] > 0)
 
-    def test_batch_rows_and_harmonic_mean(self):
-        from repro.bench import harmonic_mean_teps, run_bfs_batch, sample_bfs_roots
-        from repro.core.engine import Engine
-
-        g = rmat(8, seed=2)
-        engine = Engine(g, 4)
-        roots = sample_bfs_roots(g, k=4, seed=0)
-        rows = run_bfs_batch(engine, roots)
-        assert len(rows) == 4
-        hm = harmonic_mean_teps(rows)
-        assert min(r.teps for r in rows) <= hm <= max(r.teps for r in rows)
-
-    def test_empty_batch_rejected(self):
-        from repro.bench import harmonic_mean_teps
-
-        with pytest.raises(ValueError):
-            harmonic_mean_teps([])
-
     def test_no_traversable_component(self):
         from repro.bench import sample_bfs_roots
         from repro.graph import Graph

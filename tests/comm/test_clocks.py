@@ -38,13 +38,6 @@ class TestCharging:
         assert clocks.clock[0] == 1.0
         assert clocks.clock[3] == 5.0
 
-    def test_barrier_syncs_without_charge(self):
-        clocks = VirtualClocks(3)
-        clocks.add_compute(2, 2.0)
-        clocks.barrier()
-        assert list(clocks.clock) == [2.0, 2.0, 2.0]
-        assert clocks.comm.sum() == 0.0
-
     def test_negative_time_rejected(self):
         clocks = VirtualClocks(2)
         with pytest.raises(ValueError):

@@ -1,6 +1,10 @@
 """Communication counter tests."""
 
-from repro.comm import CommCounters
+import numpy as np
+
+from repro.cluster import AIMOS, CostModel, Topology
+from repro.comm import CommCounters, Communicator, VirtualClocks
+from repro.comm.collectives import rank_major
 from repro.core.trace import _delta
 
 
@@ -44,6 +48,22 @@ class TestCounters:
                 "bytes": 8,
             }
         }
+
+    def test_ring_collectives_record_the_group_s_total_ring_traffic(self):
+        """On a 4-member group: an AllReduce of one 8-byte word sends
+        2 · (k − 1) chunks of 8 / k bytes from each member, 2 · 8 · 3
+        in all; an AllGatherv of 1 + 2 + 0 + 3 words delivers each
+        member all but its own part, 48 · 3 in all."""
+        ranks = [0, 1, 2, 3]
+        comm = Communicator(CostModel(AIMOS.gpu, Topology(AIMOS, 4)), VirtualClocks(4))
+        comm.allreduce(ranks, [np.ones(1) for _ in ranks])
+        sizes = [1, 2, 0, 3]
+        send, counts = rank_major([np.ones(s) for s in sizes])
+        comm.allgatherv_stage([ranks], send, counts)
+        k, n, total = len(ranks), 8, 8 * sum(sizes)
+        assert comm.counters.by_kind["allreduce"].bytes == 2 * n * (k - 1) == 48
+        received = sum(total - 8 * s for s in sizes)
+        assert comm.counters.by_kind["allgatherv"].bytes == total * (k - 1) == received == 144
 
     def test_empty_totals(self):
         c = CommCounters()

@@ -32,11 +32,6 @@ class TestGrid2D:
         grid = Grid2D(R=4, C=2)
         assert grid.col_group_ranks(1) == [1, 5]
 
-    def test_groups_of_rank(self):
-        grid = Grid2D(R=3, C=3)
-        assert grid.row_group_of(4) == [3, 4, 5]
-        assert grid.col_group_of(4) == [1, 4, 7]
-
     def test_every_rank_in_one_row_and_col_group(self):
         grid = Grid2D(R=3, C=5)
         seen_row, seen_col = set(), set()

@@ -111,6 +111,57 @@ def assert_state_is_stacked(engine) -> None:
         assert state_is_stacked(engine, name), name
 
 
+def permute(graph, perm: np.ndarray):
+    """``graph`` relabeled: vertex ``v`` becomes ``perm[v]`` (the
+    reference a partition's relabeled blocks are checked against)."""
+    from repro.graph import Graph
+
+    perm = np.asarray(perm, dtype=np.int64)
+    src = np.repeat(np.arange(graph.n_vertices, dtype=np.int64), graph.degrees())
+    return Graph.from_edges(
+        perm[src],
+        perm[graph.indices],
+        graph.n_vertices,
+        weights=graph.weights,
+        symmetrize=False,
+        remove_self_loops=False,
+    )
+
+
+def scatter_global(partition, vec: np.ndarray, rank: int) -> np.ndarray:
+    """Rank ``rank``'s local view (``N_T`` long) of ``vec``, a global
+    vector in original vertex order: both windows filled, every other
+    cell zero — what ``Engine.scatter_global`` writes on each rank."""
+    vec = np.asarray(vec)
+    relabeled = partition.to_relabeled_order(vec)
+    lm = partition.blocks[rank].localmap
+    local = np.zeros((lm.n_total,) + vec.shape[1:], dtype=vec.dtype)
+    local[lm.row_slice] = relabeled[lm.row_start : lm.row_stop]
+    local[lm.col_slice] = relabeled[lm.col_start : lm.col_stop]
+    return local
+
+
+def row_gid(localmap, lids):
+    """Relabeled GIDs of a rank's row-window LIDs."""
+    return np.asarray(lids) - localmap.row_offset + localmap.row_start
+
+
+def owns_col_gid(localmap, gids):
+    """Is each relabeled GID in the rank's column window?"""
+    gids = np.asarray(gids)
+    return (gids >= localmap.col_start) & (gids < localmap.col_stop)
+
+
+def ledger_entries(ledger, rank: int) -> dict[str, int]:
+    """``label -> bytes`` of every entry rank ``rank`` holds in a
+    ``DeviceLedger`` (an engine's is ``engine.devices``)."""
+    return {
+        label: int(ledger.bytes[row, rank])
+        for label, row in ledger.rows.items()
+        if ledger.held[row, rank]
+    }
+
+
 def random_graph(seed: int, n_max: int = 200, density: float = 4.0):
     """Reproducible random test graph (for hand-rolled sweeps)."""
     rng = np.random.default_rng(seed)

@@ -7,6 +7,8 @@ from repro.comm.grid import Grid2D
 from repro.core.engine import Engine
 from repro.graph import rmat
 
+from ..conftest import ledger_entries
+
 
 @pytest.fixture
 def engine():
@@ -37,26 +39,27 @@ class TestStateArrays:
             engine.free("z")
 
     def test_memory_charged_and_released(self, engine):
-        ctx = engine.ctx(2)
-        base = ctx.device.allocated_bytes
+        ctx, allocated = engine.ctx(2), engine.devices.allocated
+        base = allocated[2]
         engine.alloc("w", np.float64)
-        assert ctx.device.allocated_bytes == base + ctx.n_total * 8
+        assert allocated[2] == base + ctx.n_total * 8
         engine.alloc("w", np.int32)  # replaced: the old array's bytes go
-        assert ctx.device.allocated_bytes == base + ctx.n_total * 4
+        assert allocated[2] == base + ctx.n_total * 4
         engine.free("w")
-        assert ctx.device.allocated_bytes == base
+        assert allocated[2] == base
 
     def test_graph_structure_charged_on_construction(self, engine):
-        ctx = engine.ctx(0)
-        assert "graph.indptr" in ctx.device.ledger
-        assert "graph.indices" in ctx.device.ledger
+        held = ledger_entries(engine.devices, 0)
+        assert "graph.indptr" in held
+        assert "graph.indices" in held
 
     def test_adjacency_charged_at_the_modeled_entry_width(self, engine):
         """8 bytes per local edge (an int64 device index), not the
         host's int32: narrowing the host copy moves no device peak."""
         assert engine.partition.indices.dtype == np.int32
         for ctx in engine:
-            assert ctx.device.ledger["graph.indices"] == 8 * ctx.block.n_local_edges
+            held = ledger_entries(engine.devices, ctx.rank)
+            assert held["graph.indices"] == 8 * ctx.block.n_local_edges
 
 
 class TestGraphAccess:

@@ -10,6 +10,8 @@ from repro.comm.grid import Grid2D
 from repro.core.engine import Engine
 from repro.graph import rmat
 
+from ..conftest import ledger_entries, scatter_global
+
 
 class TestConstruction:
     def test_square_from_n_ranks(self, rmat_graph):
@@ -69,7 +71,7 @@ class TestState:
         vec = np.random.default_rng(1).integers(0, 9, rmat_graph.n_vertices)
         e.scatter_global("x", vec)
         for ctx in e:
-            want = e.partition.scatter_global(vec, ctx.rank)
+            want = scatter_global(e.partition, vec, ctx.rank)
             assert ctx.get("x").dtype == vec.dtype
             assert ctx.get("x").tobytes() == want.tobytes()
 
@@ -114,9 +116,9 @@ class TestState:
     def test_free_releases_memory(self, rmat_graph):
         e = Engine(rmat_graph, 4)
         e.alloc("z", np.float64)
-        used = e.ctx(0).device.allocated_bytes
+        used = int(e.devices.allocated[0])
         e.free("z")
-        assert e.ctx(0).device.allocated_bytes < used
+        assert e.devices.allocated[0] < used
 
     def test_realloc_same_shape_reuses(self, rmat_graph):
         e = Engine(rmat_graph, 4)
@@ -132,12 +134,12 @@ class TestState:
         e = Engine(rmat(8, seed=1), 4, enforce_memory=True)
         kept = e.alloc("y", np.int32)[0]
         e.reset_timers()
-        for ctx in e.contexts:
-            ctx.device.charge("ballast", ctx.device.free_bytes - 4 * ctx.n_total)
+        free = e.devices.spec.memory_bytes - e.devices.allocated
+        e.devices.charge({"ballast": free - 4 * e.fleet.n_total})
         with pytest.raises(DeviceMemoryError):
             e.alloc("x")
         assert not any("x" in ctx.arrays for ctx in e.contexts)
-        assert not any("state.x" in ctx.device.ledger for ctx in e.contexts)
+        assert not any("state.x" in ledger_entries(e.devices, ctx.rank) for ctx in e.contexts)
         with pytest.raises(KeyError):
             e.fleet.stacked("x")
         assert e.alloc("y", np.int32)[0] is kept
@@ -162,12 +164,6 @@ class TestAccounting:
         e_m.charge_edges(0, q)
         e_v.charge_edges(0, q)
         assert e_v.clocks.peak("clock") > e_m.clocks.peak("clock")
-
-    def test_memory_report(self, rmat_graph):
-        e = Engine(rmat_graph, 4)
-        rep = e.memory_report()
-        assert set(rep) == {0, 1, 2, 3}
-        assert all(0 <= u < 1 for u in rep.values())
 
     def test_memory_scale_and_enforcement(self, rmat_graph):
         # Model a footprint 10^7x bigger than the stand-in: must OOM.

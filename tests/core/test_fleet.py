@@ -336,8 +336,7 @@ def test_row_degrees_come_from_one_cached_read_only_array():
 
 
 @pytest.mark.parametrize("distribution", ["striped", "random"])
-@pytest.mark.parametrize("hybrid", [True, False])
-def test_bfs_is_unchanged_by_the_slice_size(monkeypatch, hybrid, distribution):
+def test_bfs_is_unchanged_by_the_slice_size(monkeypatch, distribution):
     """Slices are a memory bound, not a semantic: the same elements go
     through the same reductions.  Under the random distribution a
     rank's candidate parents are not ascending in queue order, so a
@@ -358,7 +357,7 @@ def test_bfs_is_unchanged_by_the_slice_size(monkeypatch, hybrid, distribution):
     def run(graph, root):
         scattered.clear()
         engine = Engine(graph, grid=Grid2D(R=2, C=3), distribution=distribution, seed=4)
-        return algorithms.bfs(engine, root=root, hybrid=hybrid), sum(scattered)
+        return algorithms.bfs(engine, root=root), sum(scattered)
 
     for seed in range(4):
         graph = rmat(8, seed=seed)
@@ -611,16 +610,15 @@ def test_the_fleet_is_the_only_owner_of_state():
 def test_hub_and_empty_ranks_graph_matches_reference():
     """A frontier that is empty on most ranks, a hub above the 256
     block size, ranks with no edges: fused BFS against the serial
-    oracle, top-down and hybrid."""
+    oracle."""
     from repro.reference import serial
 
     n = 700
     hub_edges = (np.zeros(n - 1, dtype=np.int64), np.arange(1, n))
     graph = Graph.from_edges(*hub_edges, n)
-    for hybrid in (True, False):
-        res = algorithms.bfs(Engine(graph, grid=Grid2D(R=4, C=4)), root=n - 1, hybrid=hybrid)
-        assert np.array_equal(res.extra["levels"], serial.bfs_levels(graph, n - 1))
-        assert serial.bfs_parents_valid(graph, n - 1, res.values)
+    res = algorithms.bfs(Engine(graph, grid=Grid2D(R=4, C=4)), root=n - 1)
+    assert np.array_equal(res.extra["levels"], serial.bfs_levels(graph, n - 1))
+    assert serial.bfs_parents_valid(graph, n - 1, res.values)
 
 
 # ----------------------------------------------------------------------

@@ -84,13 +84,6 @@ class TestTraces:
         by_kind = doc["totals"]["by_kind"]
         assert by_kind == engine.counters.summary()
 
-    def test_jsonl_export(self, traced_run):
-        engine, rec, result = traced_run
-        rows = rec.collect(result)
-        lines = TraceRecorder.to_jsonl(rows).strip().splitlines()
-        assert len(lines) == len(rows)
-        assert json.loads(lines[0])["iteration"] == 1
-
     def test_tail_row_catches_post_mark_comm(self):
         """Comm after the last mark lands in a trailing row, so sums
         stay exact."""

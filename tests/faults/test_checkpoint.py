@@ -11,6 +11,8 @@ from repro.comm.grid import Grid2D
 from repro.faults import CheckpointManager
 from repro.graph import rmat
 
+from ..conftest import scatter_global
+
 
 def small_engine(n_ranks=4):
     return Engine(rmat(7, seed=3), n_ranks)
@@ -139,7 +141,7 @@ class TestRestore:
         )
         assert np.array_equal(engine.gather("pr"), mid.state["pr"])
         for rank, arr in enumerate(engine.states("pr")):
-            want = engine.partition.scatter_global(mid.state["pr"], rank)
+            want = scatter_global(engine.partition, mid.state["pr"], rank)
             assert arr.tobytes() == want.tobytes()
         assert engine.counters.state_dict() == mid.counters
         assert len(engine.clocks.iteration_marks) == mid.superstep

@@ -20,6 +20,8 @@ from repro.comm.grid import factor_pairs, squarest_grid
 from repro.faults import CheckpointManager, migrate_checkpoint
 from repro.graph import rmat
 
+from ..conftest import scatter_global
+
 GRAPH = rmat(6, seed=5)
 
 DTYPES = [np.float64, np.float32, np.int64, np.int32, np.uint16, np.bool_]
@@ -44,7 +46,7 @@ def _assert_windows_hold(engine, vectors):
     for name, vec in vectors.items():
         assert np.array_equal(engine.gather(name), vec)
         for rank, arr in enumerate(engine.states(name)):
-            want = engine.partition.scatter_global(vec, rank)
+            want = scatter_global(engine.partition, vec, rank)
             assert arr.dtype == vec.dtype
             assert arr.tobytes() == want.tobytes(), (name, rank)
 

@@ -30,8 +30,9 @@ class TestMemoryExhaustion:
         g = rmat(9, seed=1)
         engine = Engine(g, 4, enforce_memory=True)
         # shrink remaining capacity artificially
-        for ctx in engine.contexts:
-            ctx.device.charge("ballast", ctx.device.free_bytes - 4 * ctx.n_total)
+        devices = engine.devices
+        free = devices.spec.memory_bytes - devices.allocated
+        devices.charge({"ballast": free - 4 * engine.fleet.n_total})
         with pytest.raises(DeviceMemoryError):
             algorithms.pagerank(engine, iterations=1)
 
@@ -43,7 +44,7 @@ class TestMemoryExhaustion:
             serial.canonical_labels(res.values),
             serial.canonical_labels(serial.connected_components(g)),
         )
-        assert all(ctx.device.oversubscribed for ctx in engine.contexts)
+        assert (engine.devices.peak > engine.devices.spec.memory_bytes).all()
 
 
 class TestCorruptionDetection:
@@ -99,8 +100,8 @@ class TestBadConfigurations:
     def test_wrong_state_vector_length(self):
         g = rmat(6, seed=1)
         engine = Engine(g, 4)
-        with pytest.raises(ValueError, match="wrong length"):
-            engine.partition.scatter_global(np.zeros(5), 0)
+        with pytest.raises(ValueError, match="global vector has shape"):
+            engine.scatter_global("x", np.zeros(5))
 
     def test_algorithms_reject_graphless_requirements(self):
         g = rmat(6, seed=1)  # unweighted

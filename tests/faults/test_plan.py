@@ -125,10 +125,3 @@ class TestFaultPlan:
             ]
         )
         assert [s.superstep for s in plan] == [1, 2, 5]
-
-    def test_for_superstep_filters(self):
-        plan = FaultPlan(
-            [FaultSpec("transient", 2), FaultSpec("corruption", 4)]
-        )
-        assert [s.kind for s in plan.for_superstep(2)] == ["transient"]
-        assert plan.for_superstep(3) == []

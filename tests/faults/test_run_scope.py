@@ -31,7 +31,7 @@ from repro.faults import (
 from repro.faults.integrity import _owned_segments
 from repro.graph import rmat
 
-from ..conftest import rank_order
+from ..conftest import ledger_entries, rank_order
 
 GRAPH = rmat(8, seed=5).with_random_weights(seed=5)
 
@@ -79,7 +79,9 @@ def test_no_left_over_trips_a_later_guarded_run(first):
     assert all(row.ok for row in engine.integrity.rows)
     for ctx, ref in zip(engine.contexts, fresh.contexts):
         assert sorted(ctx.arrays) == sorted(ref.arrays)
-        assert ctx.device.ledger == ref.device.ledger
+        assert ledger_entries(engine.devices, ctx.rank) == ledger_entries(
+            fresh.devices, ref.rank
+        )
 
 
 # ----------------------------------------------------------------------
@@ -139,17 +141,18 @@ def test_a_run_does_not_depend_on_the_engine_s_history(first, second, order):
 
 def test_a_run_begins_with_an_empty_arena_and_released_state_entries():
     engine = guard(Engine(GRAPH, 9))
-    baseline = [dict(ctx.device.ledger) for ctx in engine.contexts]
+    baseline = [ledger_entries(engine.devices, ctx.rank) for ctx in engine.contexts]
     algorithms.pagerank(engine, iterations=4)
-    assert all(ctx.device.ledger["state.pr"] > 0 for ctx in engine.contexts)
+    assert all(engine.devices.bytes[engine.devices.rows["state.pr"]] > 0)
     engine.reset_timers()
     for ctx, ledger in zip(engine.contexts, baseline):
         assert ctx.arrays == {}
-        assert ctx.device.ledger == ledger  # graph structure only
+        assert ledger_entries(engine.devices, ctx.rank) == ledger  # graph structure only
     algorithms.bfs(engine, root=3)
     for ctx in engine.contexts:
         assert sorted(ctx.arrays) == ["deg", "level", "parent"]
-        assert sorted(k for k in ctx.device.ledger if k.startswith("state.")) == [
+        held = ledger_entries(engine.devices, ctx.rank)
+        assert sorted(k for k in held if k.startswith("state.")) == [
             "state.deg", "state.level", "state.parent",
         ]
 
@@ -174,10 +177,10 @@ class TestRunArrays:
         engine = Engine(GRAPH, 4)
         engine.alloc("x")
         ctx = engine.ctx(0)
-        assert "x" in ctx.arrays and "state.x" in ctx.device.ledger
+        assert "x" in ctx.arrays and "state.x" in ledger_entries(engine.devices, ctx.rank)
         engine.reset_timers()
         assert ctx.arrays == {}
-        assert "state.x" not in ctx.device.ledger
+        assert "state.x" not in ledger_entries(engine.devices, ctx.rank)
 
     @pytest.mark.parametrize(
         "register, kept",
@@ -198,8 +201,8 @@ class TestRunArrays:
         assert (engine.fleet.stacked("x") is old) == kept
         for ctx in engine.contexts:
             assert list(ctx.arrays) == ["x"]
-            assert ctx.device.ledger["state.x"] == ctx.arrays["x"].nbytes
-            assert "state.y" not in ctx.device.ledger
+            assert ledger_entries(engine.devices, ctx.rank)["state.x"] == ctx.arrays["x"].nbytes
+            assert "state.y" not in ledger_entries(engine.devices, ctx.rank)
         engine.free("x")
         assert all(ctx.arrays == {} for ctx in engine.contexts)
         engine.alloc("new")

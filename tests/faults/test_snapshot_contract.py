@@ -39,7 +39,6 @@ def _personalization(n):
 #: Every resumable entry point, as ``run(engine, resume)``.
 RESUMABLE = {
     "bfs": lambda e, r=False: algorithms.bfs(e, root=3, resume=r),
-    "bfs_topdown": lambda e, r=False: algorithms.bfs(e, root=3, hybrid=False, resume=r),
     "bfs_batch": lambda e, r=False: bfs_batch(e, ROOTS, resume=r),
     "sssp": lambda e, r=False: algorithms.sssp(e, root=3, resume=r),
     "sssp_batch": lambda e, r=False: sssp_batch(e, ROOTS, resume=r),

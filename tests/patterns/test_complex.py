@@ -163,6 +163,7 @@ from repro.patterns.complex import (  # noqa: E402
 from repro.reference import serial  # noqa: E402
 
 from ..algorithms.test_kcore import nx_core_numbers  # noqa: E402
+from ..conftest import scatter_global  # noqa: E402
 
 #: 1 x p, p x 1, non-divisible, and (with n < 16) more ranks than vertices
 HOSTILE_GRIDS = [
@@ -192,7 +193,7 @@ def _all_rows(engine):
 def _assert_replicas_agree(engine, name, want):
     """Row windows and ghosts on every rank hold the global state."""
     for ctx in engine:
-        local = engine.partition.scatter_global(want.astype(np.float64), ctx.rank)
+        local = scatter_global(engine.partition, want.astype(np.float64), ctx.rank)
         assert np.array_equal(ctx.get(name), local), ctx.rank
 
 

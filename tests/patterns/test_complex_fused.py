@@ -61,6 +61,8 @@ from repro.faults import RankFailure
 from repro.patterns.dense import dense_pull
 from repro.patterns.sparse import PAIR_DTYPE, propagate_active_pull, sparse_push
 
+from ..conftest import owns_col_gid, row_gid
+
 CAND_DTYPE = np.dtype([("gid", np.int64), ("w", np.float64), ("nbr", np.int64)])
 
 
@@ -189,7 +191,7 @@ def per_rank_neighbor_histograms(
         degs = ctx.local_degrees()[rows - ctx.localmap.row_offset]
         engine.charge_edges(ctx.rank, degs, work_per_edge=HASH_WORK_PER_EDGE)
         ex = ctx.expand(rows, degs)
-        return build_histogram(ctx.localmap.row_gid(ex.src), ctx.get(name)[ex.dst])
+        return build_histogram(row_gid(ctx.localmap, ex.src), ctx.get(name)[ex.dst])
 
     return engine.map_ranks(local_histogram)
 
@@ -215,9 +217,9 @@ def per_rank_refresh_ghosts(
     def build_refresh(ctx):
         lm = ctx.localmap
         rows = rows_per_rank[ctx.rank]
-        mine = rows[lm.owns_col_gid(lm.row_gid(rows))]
+        mine = rows[owns_col_gid(lm, row_gid(lm, rows))]
         buf = np.empty(mine.size, dtype=dtype)
-        buf["gid"] = lm.row_gid(mine)
+        buf["gid"] = row_gid(lm, mine)
         for n in names:
             buf[n] = ctx.get(n)[mine]
         engine.charge_vertices(ctx.rank, mine.size)
@@ -371,13 +373,13 @@ def per_rank_greedy_coloring(engine: Engine, seed: int = 0):
             engine.charge_edges(ctx.rank, degs)
             colored = color[dst] >= 0 if dst.size else np.empty(0, dtype=bool)
             tri = build_histogram(
-                ctx.localmap.row_gid(src[colored]), color[dst[colored]]
+                row_gid(ctx.localmap, src[colored]), color[dst[colored]]
             )
             lonely = winners[
                 ~np.isin(winners, src[colored])
             ] if winners.size else winners
             sentinel = build_histogram(
-                ctx.localmap.row_gid(lonely), np.full(lonely.size, -1.0)
+                row_gid(ctx.localmap, lonely), np.full(lonely.size, -1.0)
             )
             return np.concatenate([tri, sentinel])
 
@@ -421,7 +423,7 @@ def per_rank_max_weight_matching(engine: Engine):
             last = np.ones(s.size, dtype=bool)
             last[:-1] = s[1:] != s[:-1]
             buf = np.empty(int(last.sum()), dtype=CAND_DTYPE)
-            buf["gid"] = lm.row_gid(s[last])
+            buf["gid"] = row_gid(lm, s[last])
             buf["w"] = wo[last]
             buf["nbr"] = no[last]
             return rows, buf
@@ -472,7 +474,7 @@ def per_rank_max_weight_matching(engine: Engine):
             src, dst = ex.src, ex.dst
             if src.size == 0:
                 return np.empty(0, dtype=np.int64)
-            src_orig = part.original_gid(lm.row_gid(src))
+            src_orig = part.original_gid(row_gid(lm, src))
             dst_orig = part.original_gid(lm.col_gid(dst))
             mutual = (ptr[src] == dst_orig) & (ptr[dst] == src_orig)
             d = dst[mutual]
@@ -502,7 +504,7 @@ def per_rank_initial_forest(engine: Engine) -> np.ndarray:
             scatter_reduce(best, src, part.original_gid(lm.col_gid(dst)), "min")
             have = rows[best[rows] < np.iinfo(np.int64).max]
             buf = np.empty(have.size, dtype=PAIR_DTYPE)
-            buf["gid"] = lm.row_gid(have)
+            buf["gid"] = row_gid(lm, have)
             buf["val"] = best[have]
         return buf
 

@@ -24,6 +24,8 @@ from repro.patterns import (
     sparse_push_lanes,
 )
 
+from ..conftest import ledger_entries, owns_col_gid
+
 RANKS = 4
 
 
@@ -73,7 +75,7 @@ def _lane_queues(engine: Engine, k: int, seed: int, corner: bool = False):
     last = engine.partition.n_vertices - 1
     for ctx in engine:
         lm, q = ctx.localmap, per_lane[k - 1]
-        if corner and lm.owns_col_gid(last):
+        if corner and owns_col_gid(lm, last):
             q[ctx.rank] = np.union1d(q[ctx.rank], lm.col_lid(last))
     fused = []
     for rank in range(engine.grid.n_ranks):
@@ -298,23 +300,27 @@ class TestDenseExchangeLanes:
         run = dense._run
 
         def observed_run(engine, state, direction, op, **kwargs):
-            during.append([ctx.device.ledger.get("state.x#lanes") for ctx in engine])
+            during.append(
+                [ledger_entries(engine.devices, ctx.rank).get("state.x#lanes") for ctx in engine]
+            )
             return run(engine, state, direction, op, **kwargs)
 
         monkeypatch.setattr(dense, "_run", observed_run)
         dense_exchange_lanes(engine, "x", "pull", "sum", live)
         assert during == [[ctx.n_total * live.size * 8 for ctx in engine]]
-        assert all("state.x#lanes" not in ctx.device.ledger for ctx in engine)
+        assert all(
+            "state.x#lanes" not in ledger_entries(engine.devices, ctx.rank) for ctx in engine
+        )
 
     def test_tmp_state_is_freed(self, rmat_graph):
         """The pack buffer is charged to every rank's device for the
         exchange (the peak shows it) and released afterwards."""
         engine = _setup(rmat_graph, 3, seed=10)
-        held = [ctx.device.allocated_bytes for ctx in engine]
+        held = engine.devices.allocated.copy()
         dense_exchange_lanes(engine, "x", "pull", "min", np.array([0, 2]))
         for ctx, before in zip(engine, held):
             with pytest.raises(KeyError):
                 ctx.get("x#lanes")
-            assert "state.x#lanes" not in ctx.device.ledger
-            assert ctx.device.allocated_bytes == before
-            assert ctx.device.peak_bytes >= before + ctx.n_total * 2 * 8
+            assert "state.x#lanes" not in ledger_entries(engine.devices, ctx.rank)
+            assert engine.devices.allocated[ctx.rank] == before
+            assert engine.devices.peak[ctx.rank] >= before + ctx.n_total * 2 * 8

@@ -13,7 +13,7 @@ from repro.patterns import (
     sparse_push,
 )
 
-from ..conftest import GRIDS
+from ..conftest import GRIDS, permute, row_gid
 
 
 def _consistent_init(engine, name, seed):
@@ -140,12 +140,12 @@ def test_propagate_active_pull_marks_neighbors(grid):
     active = engine.fleet.split(active)
 
     # expected: all neighbors (relabeled) of the updated set
-    relabeled = g.permute(part.perm)
+    relabeled = permute(g, part.perm)
     expect = set()
     for v in updated_rel:
         expect.update(relabeled.neighbors(v).tolist())
     for ctx in engine:
         lm = ctx.localmap
-        got = set(lm.row_gid(active[ctx.rank]).tolist())
+        got = set(row_gid(lm, active[ctx.rank]).tolist())
         mine = {v for v in expect if lm.row_start <= v < lm.row_stop}
         assert got == mine

@@ -7,7 +7,7 @@ from repro.core.engine import Engine
 from repro.graph import rmat
 from repro.patterns import sparse_pull, sparse_push
 
-from ..conftest import GRIDS
+from ..conftest import GRIDS, owns_col_gid
 
 
 def _consistent_init(engine, name, seed, fill=None):
@@ -36,9 +36,9 @@ class TestDeltaSums:
         # stacked LIDs: rank 0's start at 0
         sparse_push(engine, "s", np.array([lid]), op="sum")
         # every member of the column group holding gid accumulated it...
-        for r in engine.grid.col_group_of(0):
+        for r in engine.grid.col_group_ranks(engine.grid.coords(0)[1]):
             other = engine.ctx(r)
-            mask = other.localmap.owns_col_gid(np.array([gid]))
+            mask = owns_col_gid(other.localmap, np.array([gid]))
             if mask[0]:
                 got = other.get("s")[other.localmap.col_lid(gid)]
                 # rank 0's own copy held 7 already and then accumulated

@@ -34,6 +34,8 @@ from repro.patterns.sparse import (
     sparse_push,
 )
 
+from ..conftest import owns_col_gid, row_gid
+
 
 # ----------------------------------------------------------------------
 # the oracle: per-rank closures, as before the fusion
@@ -216,7 +218,7 @@ def per_rank_sparse_pull(
         q = np.asarray(queues[ctx.rank], dtype=np.int64)
         engine.charge_vertices(ctx.rank, q.size)
         state = ctx.get(name)
-        return _pairs(ctx.localmap.row_gid(q), state[q])
+        return _pairs(row_gid(ctx.localmap, q), state[q])
 
     sbufs_all = engine.map_ranks(build_row)
 
@@ -239,12 +241,12 @@ def per_rank_sparse_pull(
         cand = np.unique(
             np.concatenate(
                 [
-                    lm.row_gid(changed),
-                    lm.row_gid(np.asarray(queues[ctx.rank], dtype=np.int64)),
+                    row_gid(lm, changed),
+                    row_gid(lm, np.asarray(queues[ctx.rank], dtype=np.int64)),
                 ]
             )
         )
-        return cand, cand[lm.owns_col_gid(cand)], lm.row_lid(cand)
+        return cand, cand[owns_col_gid(lm, cand)], lm.row_lid(cand)
 
     applied = engine.map_ranks(apply_row)
     _wait_all(engine, handles)

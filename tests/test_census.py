@@ -50,15 +50,17 @@ hand-built all-rank flag, and those only go down.
 Code that only tests call is not part of the system: the top-level
 functions and classes under ``src/repro`` (outside ``reference/``, the
 serial oracles and test graphs) that nothing in the package itself,
-the benchmarks, the examples or CI reaches only go down.
+the benchmarks, the examples or CI reaches only go down, and so do
+the public methods and properties of their classes.  A tool or a
+reference only tests use lives under ``tests/``.
 
 CI prints the same census (the fan-out sites, the per-rank context
-reads, the per-rank queue conversions, the modules that use threads, the ``except`` clauses, the index bytes per edge, the state
-bytes held after two ops, the modules that build clocks, a
-communicator or counters, the hand-charged collectives, the hand-built
-all-rank flags, the test-only
-definitions, and the source line count the ROADMAP quotes) so the
-numbers are reproducible::
+reads, the per-rank queue conversions, the modules that use threads,
+the ``except`` clauses, the index bytes per edge, the state bytes held
+after two ops, the modules that build clocks, a communicator or
+counters, the hand-charged collectives, the hand-built all-rank flags,
+the test-only definitions and methods, and the source line count the
+ROADMAP quotes) so the numbers are reproducible::
 
     python tests/test_census.py
 """
@@ -66,6 +68,7 @@ numbers are reproducible::
 from __future__ import annotations
 
 import ast
+import functools
 import os
 import re
 import sys
@@ -191,10 +194,25 @@ ALLREDUCE_CALLS = frozenset({
 #: and the serial oracles and test graphs moved into ``reference/``;
 #: 16 before the 1D baseline's ``bfs_1d`` and ``pagerank_1d`` went with
 #: its engine; 14 before ``VertexQueue`` and ``HashTable`` went with
-#: their modules; 12 before ``pagerank_batch`` went.  The rest (listed by
-#: ``python tests/test_census.py``) are ROADMAP item 13's open list,
-#: kept while the tests that pin them are.
-TEST_ONLY_DEFS_CEILING = 11
+#: their modules; 12 before ``pagerank_batch`` went; 11 before
+#: ``pseudo_diameter``, ``run_bfs_batch``, ``harmonic_mean_teps``, the
+#: ``graph/io.py`` readers and writers, ``evaluate_partition``,
+#: ``cap_degrees`` and ``kcore_subgraph`` went.  What is left,
+#: ``sample_bfs_roots``, waits for ROADMAP item 20 to make it live.
+TEST_ONLY_DEFS_CEILING = 1
+
+#: Public methods and properties under ``src/repro`` that nothing
+#: outside ``tests/`` reaches (see :func:`methods_only_tests_reach`).
+#: 18 when this ratchet came in: ``Graph.permute`` / ``from_scipy``,
+#: ``VirtualClocks.barrier``, ``TimingReport.overlap_fraction``,
+#: ``LocalMap.row_gid`` / ``owns_col_gid``, ``FaultPlan.for_superstep``,
+#: ``Engine.memory_report``, ``IntegrityLedger.last_good``,
+#: ``TraceRecorder.to_jsonl``, ``LinkSpec.transfer_time``,
+#: ``ClusterConfig.with_gpu``, ``Grid2D.row_group_of`` /
+#: ``col_group_of`` and four members of the per-rank device view
+#: ``VirtualGPU`` (plus ``PartitionMetrics.compute_efficiency``, which
+#: went with its module).
+TEST_ONLY_METHODS_CEILING = 0
 
 #: Source lines under ``src/repro/faults/`` (see :func:`package_lines`),
 #: the largest package.  2,833 while a checkpoint kept every rank's
@@ -205,6 +223,9 @@ FAULTS_LINES_CEILING = 2_777
 #: Where a reach counts from, and the inline scripts of CI's workflows.
 REACH_SCOPES = ("src", "benchmarks", "examples")
 CI_SCRIPT = re.compile(r"<<\s*'EOF'\n(.*?)\n\s*EOF", re.S)
+#: A string constant that names something: an identifier or a dotted
+#: path of them.
+DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
 
 
 def _python_files(path: str):
@@ -392,52 +413,105 @@ def flag_reduction_sites() -> dict[str, int]:
     return sites
 
 
+def _all_strings(tree: ast.AST) -> set[int]:
+    """``id()`` of the string constants in ``__all__`` assignments: a
+    re-export list names what it exports, it does not reach it."""
+    return {
+        id(elt)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        for elt in ast.walk(node.value)
+    }
+
+
 def _reaches(tree: ast.AST):
     """``(name, line)`` of every ``Name`` / ``Attribute`` in ``tree``,
-    and of the parts of its ``"repro.…"`` dotted strings (how the
-    benchmark names the functions it wraps)."""
+    and of the parts of every string constant that is an identifier or
+    a dotted path (outside ``__all__``): a benchmark names the
+    functions it wraps as ``"repro.…"`` paths or builds them from
+    strings, and a report reads its fields by name."""
+    skip = _all_strings(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):
             yield node.attr, node.lineno
-        elif isinstance(node, ast.Constant) and str(node.value).startswith("repro."):
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and DOTTED.fullmatch(node.value)
+            and id(node) not in skip
+        ):
             yield from ((part, node.lineno) for part in node.value.split("."))
 
 
-def only_tests_reach() -> list[str]:
-    """Top-level functions and classes under ``src/repro``, outside
-    ``reference/``, that no ``Name`` or ``Attribute`` in ``src/``,
-    ``benchmarks/``, ``examples/`` or a CI workflow's inline scripts
-    reaches.  A definition's own body does not count, and neither do
-    ``__all__`` lists or ``__init__`` re-exports (strings and imports,
-    not names)."""
+@functools.lru_cache(maxsize=None)
+def _reach_index():
+    """Where each name is reached — ``name -> [(path, line)]`` over
+    ``src/``, ``benchmarks/``, ``examples/`` and a CI workflow's inline
+    scripts (line 0) — and the modules under ``src/repro`` outside
+    ``reference/`` whose definitions the ratchets count, as
+    ``(path, tree)``."""
     reach: dict[str, list[tuple[str, int]]] = {}
-    defs = []
+    modules = []
     for scope in REACH_SCOPES:
         for path in _python_files(os.path.join(ROOT, scope)):
             tree = ast.parse("".join(_lines(path)))
             for name, line in _reaches(tree):
                 reach.setdefault(name, []).append((path, line))
             if path.startswith(SRC) and os.sep + "reference" + os.sep not in path:
-                defs += [
-                    (path, node)
-                    for node in tree.body
-                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                ]
+                modules.append((path, tree))
     for root, _, files in os.walk(os.path.join(ROOT, ".github")):
         for f in files:
             text = "".join(_lines(os.path.join(root, f)))
             for script in CI_SCRIPT.findall(text):
                 for name, _ in _reaches(ast.parse(textwrap.dedent(script))):
                     reach.setdefault(name, []).append((f, 0))
+    return reach, modules
+
+
+def _unreached(path: str, node: ast.AST) -> bool:
+    """Is ``node`` (a definition in ``path``) reached from nowhere but
+    its own body?"""
+    reach, _ = _reach_index()
+    return not any(
+        where != path or not node.lineno <= line <= node.end_lineno
+        for where, line in reach.get(node.name, ())
+    )
+
+
+def only_tests_reach() -> list[str]:
+    """Top-level functions and classes under ``src/repro``, outside
+    ``reference/``, that nothing in ``src/``, ``benchmarks/``,
+    ``examples/`` or a CI workflow's inline scripts reaches (see
+    :func:`_reaches`).  A definition's own body does not count, and
+    neither do ``__all__`` lists or ``__init__`` re-exports."""
+    _, modules = _reach_index()
     return sorted(
         f"{os.path.relpath(path, SRC)}::{node.name}"
-        for path, node in defs
-        if not any(
-            where != path or not node.lineno <= line <= node.end_lineno
-            for where, line in reach.get(node.name, ())
-        )
+        for path, tree in modules
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _unreached(path, node)
+    )
+
+
+def methods_only_tests_reach() -> list[str]:
+    """Public methods and properties of the top-level classes counted by
+    :func:`only_tests_reach` that nothing outside ``tests/`` reaches,
+    by the same rule.  A method shares its name with every other
+    definition of that name: one reached by its namesake's callers is
+    not listed."""
+    _, modules = _reach_index()
+    return sorted(
+        f"{os.path.relpath(path, SRC)}::{cls.name}.{node.name}"
+        for path, tree in modules
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and _unreached(path, node)
     )
 
 
@@ -564,6 +638,11 @@ def test_definitions_only_tests_reach_only_go_down():
     assert len(defs) <= TEST_ONLY_DEFS_CEILING, defs
 
 
+def test_methods_only_tests_reach_only_go_down():
+    methods = methods_only_tests_reach()
+    assert len(methods) <= TEST_ONLY_METHODS_CEILING, methods
+
+
 def test_faults_lines_only_go_down():
     assert package_lines()["faults/"] <= FAULTS_LINES_CEILING
 
@@ -632,6 +711,13 @@ if __name__ == "__main__":
     print(
         f"{len(defs):4d}  top-level definitions only tests reach "
         f"(ceiling {TEST_ONLY_DEFS_CEILING})"
+    )
+    methods = methods_only_tests_reach()
+    for name in methods:
+        print(f"      {name}")
+    print(
+        f"{len(methods):4d}  public methods and properties only tests reach "
+        f"(ceiling {TEST_ONLY_METHODS_CEILING})"
     )
     for name, n in sorted(package_lines().items(), key=lambda kv: -kv[1]):
         ceiling = f" (ceiling {FAULTS_LINES_CEILING})" if name == "faults/" else ""

@@ -5,7 +5,8 @@ The table below names, for every parameter of every function in
 it follows — or why it follows none of them (an id, a seed, a flag).
 The test reads the parameters from ``inspect.signature``, so a new
 parameter without a row fails :func:`test_every_parameter_has_a_rule`
-instead of silently coercing a user's value.
+instead of silently coercing a user's value, and a row no parameter
+takes any more fails :func:`test_every_rule_names_a_parameter`.
 
 Each ruled parameter is fed the candidates ``0``, ``-1``, ``2.5``,
 ``True`` and the out-of-interval fraction ``1.5``; every candidate its
@@ -54,20 +55,15 @@ TABLE = {
     "iterations": "count",
     "max_rounds": "count",
     "k_samples": "count",
-    "sweeps": "count",
-    "lanes": "count",
     "n_ranks": "count",
     "hub_threshold": "count0",
     # fractions and positive reals
     "damping": "fraction",
     "tol": "positive",
-    "alpha": "positive",
-    "beta": "positive",
     # ids and seeds: validate_roots (tests/algorithms/test_root_validation.py)
     "root": (EXEMPT, "a vertex id: validate_roots"),
     "roots": (EXEMPT, "vertex ids: validate_roots"),
     "sources": (EXEMPT, "vertex ids: validate_roots"),
-    "start": (EXEMPT, "a vertex id: validate_roots"),
     "seed": (EXEMPT, "any integer seeds the generator"),
     "n": (EXEMPT, "validate_roots' id range, the graph's vertex count"),
     # inputs, flags, choices and labels
@@ -77,7 +73,6 @@ TABLE = {
     "kwargs": (EXEMPT, "Engine options"),
     "colors": (EXEMPT, "the answer being checked"),
     "personalization": (EXEMPT, "a teleport vector, checked by length"),
-    "hybrid": (EXEMPT, "a flag"),
     "resume": (EXEMPT, "a flag"),
     "normalized": (EXEMPT, "a flag"),
     "weighted": (EXEMPT, "a flag"),
@@ -147,6 +142,11 @@ def test_every_parameter_has_a_rule():
     missing = sorted(f"{name}({p.name})" for name, _, p in _parameters() if p.name not in TABLE)
     assert not missing, f"parameters with no rule in TABLE: {missing}"
     assert set(RULES) >= {r for r in TABLE.values() if isinstance(r, str)}
+
+
+def test_every_rule_names_a_parameter():
+    stale = sorted(set(TABLE) - {p.name for _, _, p in _parameters()})
+    assert not stale, f"rows in TABLE that no entry point takes: {stale}"
 
 
 @pytest.mark.parametrize("fn, param, value", list(_cases()))

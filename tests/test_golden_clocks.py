@@ -61,7 +61,6 @@ GRIDS = [(2, 2), (4, 4), (2, 4), (3, 5), (1, 4), (4, 1), (16, 16)]
 
 ALGOS = {
     "bfs": lambda e: algorithms.bfs(e, root=3),
-    "bfs_topdown": lambda e: algorithms.bfs(e, root=3, hybrid=False),
     "cc": lambda e: algorithms.connected_components(e),
     "sssp": lambda e: algorithms.sssp(e, root=3),
     "lp": lambda e: algorithms.label_propagation(e, iterations=6),

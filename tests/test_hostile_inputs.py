@@ -7,6 +7,14 @@ of the masked SpMV expands nothing), a graph with no edges at all, and
 the 1 x p, p x 1 and 3 x 5 grids whose groups have one member on one
 axis or windows of unequal length.  Triangle counting needs a square
 grid and runs on the square ones only.
+
+The settings of an engine and its boundary hooks are held to their
+types too: a count that is a float or a bool, an ``overlap`` that is
+not a bool and a ``memory_scale`` that is not a finite positive real
+each raise a ``ValueError`` naming the parameter — before, each was
+coerced (``interval=2.5`` saved at supersteps 5, 10, …;
+``overlap="no"`` ran overlapped; ``memory_scale=0`` turned every
+capacity check off).
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from repro.algorithms import triangle_count
 from repro.baselines import spmv_bfs, spmv_cc
 from repro.comm.grid import Grid2D
 from repro.core.engine import Engine
+from repro.faults import CheckpointManager, IntegrityLedger
 from repro.graph import Graph, rmat
 from repro.reference import serial
 
@@ -64,3 +73,47 @@ def test_triangle_count_is_serial(name, R, C):
     graph, _ = GRAPHS[name]
     res = triangle_count(_engine(name, R, C))
     assert res.extra["n_triangles"] == serial.triangle_count(graph)
+
+
+def _engine_with(**settings) -> Engine:
+    return Engine(rmat(4, seed=1), 4, **settings)
+
+
+#: constructor name -> constructor
+MAKERS = {
+    "CheckpointManager": CheckpointManager,
+    "IntegrityLedger": IntegrityLedger,
+    "Engine": _engine_with,
+}
+
+#: (constructor name, parameter, hostile value)
+SETTINGS = [
+    ("CheckpointManager", "interval", 2.5),
+    ("CheckpointManager", "interval", True),
+    ("CheckpointManager", "keep", 1.5),
+    ("CheckpointManager", "keep", True),
+    ("IntegrityLedger", "interval", True),
+    ("IntegrityLedger", "interval", 2.5),
+    ("IntegrityLedger", "repair_budget", 0.5),
+    ("Engine", "overlap", "no"),
+    ("Engine", "overlap", 1),
+    ("Engine", "memory_scale", 0),
+    ("Engine", "memory_scale", -1.0),
+    ("Engine", "memory_scale", np.nan),
+    ("Engine", "memory_scale", np.inf),
+    ("Engine", "memory_scale", True),
+]
+
+
+@pytest.mark.parametrize(
+    "make, param, value",
+    [pytest.param(*case, id=f"{case[0]}-{case[1]}={case[2]!r}") for case in SETTINGS],
+)
+def test_a_hostile_setting_is_refused_naming_it(make, param, value):
+    with pytest.raises(ValueError, match=rf"\b{param}\b"):
+        MAKERS[make](**{param: value})
+
+
+def test_a_numpy_bool_is_an_overlap_flag():
+    assert _engine_with(overlap=np.bool_(True)).overlap is True
+    assert _engine_with(overlap=np.False_).overlap is False
