@@ -132,7 +132,7 @@ def run_algorithm(
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}; choose from {sorted(ALGORITHMS)}")
     result = ALGORITHMS[algo](engine, **kwargs)
-    trace: list[IterationTrace] = TraceRecorder(engine).collect(result)
+    trace: list[IterationTrace] = TraceRecorder(engine).collect()
     edges = full_scale_edges if full_scale_edges else engine.graph.n_edges
     return ExperimentRow(
         experiment=experiment,

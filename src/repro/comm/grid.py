@@ -96,11 +96,12 @@ def _real(value) -> bool:
     return real and not isinstance(value, (bool, np.bool_))
 
 
-def check_positive(value, what: str) -> None:
-    """Refuse a bound that is not a finite positive real (a bool, zero,
-    a negative, NaN or infinity)."""
-    if not (_real(value) and 0 < value < np.inf):
-        raise ValueError(f"{what} must be a finite positive real, not {value!r}")
+def check_positive(value, what: str, zero: bool = False) -> None:
+    """Refuse a bound that is not a finite positive real (a bool, zero
+    unless ``zero``, a negative, NaN or infinity)."""
+    if not (_real(value) and (0 <= value if zero else 0 < value) and value < np.inf):
+        kind = "real >= 0" if zero else "positive real"
+        raise ValueError(f"{what} must be a finite {kind}, not {value!r}")
 
 
 def check_fraction(value, what: str) -> None:

@@ -115,8 +115,8 @@ class TraceRecorder:
     Usage::
 
         rec = TraceRecorder(engine)
-        result = algorithms.connected_components(engine)
-        rows = rec.collect(result)
+        algorithms.connected_components(engine)
+        rows = rec.collect()
         print(rec.to_csv(rows))
 
     Works with any algorithm that calls ``clocks.mark_iteration()``
@@ -132,14 +132,8 @@ class TraceRecorder:
     def __init__(self, engine: Any):
         self.engine = engine
 
-    def collect(self, result: Any = None, include_tail: bool = True) -> list[IterationTrace]:
-        """Build per-iteration rows from the completed run's marks.
-
-        ``include_tail=False`` drops any activity recorded after the
-        final iteration mark (rows then cover marked iterations only
-        and may sum short of the run totals).
-        """
-        del result  # accepted for call-site symmetry; not needed
+    def collect(self) -> list[IterationTrace]:
+        """Build per-iteration rows from the completed run's marks."""
         clocks = self.engine.clocks
         marks = clocks.iteration_marks
         cmarks = clocks.counter_marks
@@ -168,20 +162,19 @@ class TraceRecorder:
                      faults=tuple(by_step.get(i + 1, ())))
             )
             prev_t, prev_c = m, c
-        if include_tail:
-            end_t = clocks.snapshot()
-            end_c = (
-                clocks.counters.state_dict()
-                if clocks.counters is not None
-                else prev_c
-            )
-            dt, dc = end_t - prev_t, _delta(end_c, prev_c)
-            tail_faults = tuple(
-                e for step, events in by_step.items()
-                if step > len(marks) for e in events
-            )
-            if dc or dt.total > 0.0 or tail_faults:
-                rows.append(_row(len(marks) + 1, dt, dc, faults=tail_faults))
+        end_t = clocks.snapshot()
+        end_c = (
+            clocks.counters.state_dict()
+            if clocks.counters is not None
+            else prev_c
+        )
+        dt, dc = end_t - prev_t, _delta(end_c, prev_c)
+        tail_faults = tuple(
+            e for step, events in by_step.items()
+            if step > len(marks) for e in events
+        )
+        if dc or dt.total > 0.0 or tail_faults:
+            rows.append(_row(len(marks) + 1, dt, dc, faults=tail_faults))
         return rows
 
     # ------------------------------------------------------------------

@@ -42,7 +42,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from ..comm.grid import check_count
+from ..comm.grid import check_count, check_positive
 from ..core.hooks import Boundary, BoundaryHook
 
 __all__ = ["Checkpoint", "CheckpointManager"]
@@ -96,7 +96,8 @@ class CheckpointManager(BoundaryHook):
         Modeled snapshot bandwidth in bytes/s, charged per rank on
         every save (default 12 GB/s, PCIe 3.0 x16-ish).  ``None``
         disables cost charging (tests that compare against fault-free
-        runs without checkpointing use this).
+        runs without checkpointing use this); any other value must be
+        a finite positive real (0, a bool or NaN raises ``ValueError``).
     """
 
     def __init__(
@@ -107,6 +108,8 @@ class CheckpointManager(BoundaryHook):
     ):
         self.interval = check_count(interval, "interval")
         self.keep = check_count(keep, "keep")
+        if checkpoint_bw is not None:
+            check_positive(checkpoint_bw, "checkpoint_bw")
         self.checkpoint_bw = checkpoint_bw
         self.checkpoints: list[Checkpoint] = []
         self.saves = 0

@@ -50,7 +50,7 @@ from dataclasses import replace
 from typing import Any, Callable, Optional
 
 from ..comm.clocks import VirtualClocks
-from ..comm.grid import Grid2D, squarest_grid
+from ..comm.grid import Grid2D, check_count, squarest_grid
 from ..core.hooks import Boundary, BoundaryHook
 from .checkpoint import Checkpoint
 from .health import HealthMonitor
@@ -132,7 +132,9 @@ class Recovery(BoundaryHook):
         count.
     max_recoveries:
         Resumes plus moves a run may take; past it a failure propagates
-        (resumed in place) or raises :class:`ElasticUnrecoverable`.
+        (resumed in place) or raises :class:`ElasticUnrecoverable`.  It
+        and ``hysteresis`` are integers >= 0: a float or a bool raises
+        ``ValueError``.
     hysteresis:
         Supersteps an arrived spare waits before the autoscaler adopts
         it (a spare arriving at the convergence tail never pays for its
@@ -164,10 +166,8 @@ class Recovery(BoundaryHook):
                 f"unknown recovery policy {policy!r}; choose from "
                 f"{', '.join(POLICIES)} (N >= 0)"
             )
-        if max_recoveries < 0:
-            raise ValueError(f"max_recoveries must be >= 0, got {max_recoveries}")
-        if hysteresis < 0:
-            raise ValueError(f"hysteresis must be >= 0, got {hysteresis}")
+        max_recoveries = check_count(max_recoveries, "max_recoveries", minimum=0)
+        hysteresis = check_count(hysteresis, "hysteresis", minimum=0)
         if name != "autoscale" and (monitor is not None or hysteresis):
             raise ValueError(
                 f"monitor= and hysteresis= need policy 'autoscale', got {policy!r}"

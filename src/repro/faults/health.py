@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..comm.grid import check_count, check_fraction, check_positive
 from ..core.hooks import Boundary, BoundaryHook
 from .plan import FaultEvent
 
@@ -55,7 +56,10 @@ class HealthMonitor(BoundaryHook):
         Keeps the classifier scale-free — big graphs have big deltas.
     chronic_after:
         Consecutive suspect boundaries before a rank is classified
-        chronic (and becomes eligible for demotion).
+        chronic (and becomes eligible for demotion); an integer >= 1.
+
+    A value outside its range, a bool, NaN or an infinite bound raises
+    ``ValueError`` naming the parameter.
     """
 
     def __init__(
@@ -65,22 +69,14 @@ class HealthMonitor(BoundaryHook):
         rel_threshold: float = 4.0,
         chronic_after: int = 3,
     ):
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        if suspect_s <= 0:
-            raise ValueError(f"suspect_s must be > 0, got {suspect_s}")
-        if rel_threshold < 0:
-            raise ValueError(
-                f"rel_threshold must be >= 0, got {rel_threshold}"
-            )
-        if chronic_after < 1:
-            raise ValueError(
-                f"chronic_after must be >= 1, got {chronic_after}"
-            )
+        check_positive(alpha, "alpha")
+        check_fraction(alpha, "alpha")
+        check_positive(suspect_s, "suspect_s")
+        check_positive(rel_threshold, "rel_threshold", zero=True)
         self.alpha = alpha
         self.suspect_s = suspect_s
         self.rel_threshold = rel_threshold
-        self.chronic_after = chronic_after
+        self.chronic_after = check_count(chronic_after, "chronic_after")
         self.n_ranks = 0
         self.scores = np.zeros(0)
         self.streaks = np.zeros(0, dtype=np.int64)

@@ -97,7 +97,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..comm.grid import check_count
+from ..comm.grid import check_count, check_positive
 from ..core.hooks import Boundary, BoundaryHook
 from .injector import RankFailure
 from .plan import FaultEvent
@@ -296,7 +296,9 @@ class IntegrityLedger(BoundaryHook):
         Cost model of one verification: ``latency_s +
         max_rank_window_bytes / hash_bw + digest_bytes /
         exchange_bw`` charged to every rank's ``certify`` lane
-        (group-synchronizing, like all collectives).
+        (group-synchronizing, like all collectives).  ``latency_s`` is a
+        finite real >= 0, the rates finite positive reals; anything
+        else raises ``ValueError`` naming the parameter.
     """
 
     def __init__(
@@ -309,6 +311,9 @@ class IntegrityLedger(BoundaryHook):
     ):
         self.interval = check_count(interval, "interval")
         self.repair_budget = check_count(repair_budget, "repair_budget", minimum=0)
+        check_positive(latency_s, "latency_s", zero=True)
+        check_positive(hash_bw, "hash_bw")
+        check_positive(exchange_bw, "exchange_bw")
         self.latency_s = latency_s
         self.hash_bw = hash_bw
         self.exchange_bw = exchange_bw

@@ -33,8 +33,11 @@ device: queues are rank-major stacked row LIDs, histograms rank-major
 triples with per-rank counts, each AllGatherv one stage call over
 rank-major send data (:func:`allgatherv_groups`, which matching and
 pointer jumping use too), and per-rank charges one vector each — state,
-clocks and counters equal the per-rank formulation bit for bit
-(``tests/patterns/test_complex_fused.py``).
+clocks and counters equal the per-rank formulation bit for bit (the
+golden clocks).  What each owner receives at every stage is checked by
+``tests/patterns/test_complex.py::test_complex_reduce_hands_each_owner_its_chunk``,
+and ``tests/test_mutants.py`` names the contracts that catch each
+routing, ordering and charging mistake.
 """
 
 from __future__ import annotations

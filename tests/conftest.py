@@ -226,3 +226,46 @@ def watch_convergence(engine) -> list[dict]:
     engine.reduce_partials = reduce_partials
     engine.superstep_boundary = superstep_boundary
     return calls
+
+
+def record_stages(monkeypatch) -> list[dict]:
+    """Record every variable-size stage a run issues, blocking or
+    split-phase, as ``{"kind", "groups", "sends", "received"}``:
+    ``sends[r]`` is rank ``r``'s send rows (an AllToAllV's: one part
+    per destination member), ``received`` one buffer per group (an
+    AllGatherv's) or per rank (an AllToAllV's).  What a pattern hands
+    each owner, read at the collective."""
+    from repro.comm.collectives import Communicator
+
+    stages: list[dict] = []
+
+    def split(rows, counts):
+        return np.split(np.array(rows, copy=True), np.cumsum(counts)[:-1])
+
+    def watched(name, kind):
+        issue = getattr(Communicator, name)
+
+        def stage(self, groups, send, counts, *args, **kwargs):
+            out = issue(self, groups, send, counts, *args, **kwargs)
+            result = out[0] if name.startswith("start_") else out
+            counts = np.asarray(counts)
+            if kind == "allgatherv":
+                sends = split(send, counts.ravel())
+                received = [np.array(r, copy=True) for r in result]
+            else:
+                parts = split(send, counts.ravel())
+                k = counts.shape[1]
+                sends = [parts[r * k : r * k + k] for r in range(counts.shape[0])]
+                received = split(*result)
+            stages.append({
+                "kind": kind, "groups": [list(g) for g in groups],
+                "sends": sends, "received": received,
+            })
+            return out
+
+        return stage
+
+    for kind in ("allgatherv", "alltoallv"):
+        for name in (f"{kind}_stage", f"start_{kind}_stage"):
+            monkeypatch.setattr(Communicator, name, watched(name, kind))
+    return stages

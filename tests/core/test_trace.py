@@ -22,13 +22,13 @@ def traced_run():
 class TestTraces:
     def test_one_row_per_iteration(self, traced_run):
         engine, rec, result = traced_run
-        rows = rec.collect(result)
+        rows = rec.collect()
         assert len(rows) == 6
         assert [r.iteration for r in rows] == [1, 2, 3, 4, 5, 6]
 
     def test_deltas_sum_to_totals(self, traced_run):
         engine, rec, result = traced_run
-        rows = rec.collect(result)
+        rows = rec.collect()
         assert sum(r.total_s for r in rows) == pytest.approx(
             result.timings.total, rel=1e-9
         )
@@ -39,7 +39,7 @@ class TestTraces:
     def test_counter_columns_sum_exactly(self, traced_run):
         """Rows reproduce the run's CommCounters totals bit-for-bit."""
         engine, rec, result = traced_run
-        rows = rec.collect(result)
+        rows = rec.collect()
         c = engine.counters
         assert sum(r.bytes for r in rows) == c.total_bytes
         assert sum(r.serial_messages for r in rows) == c.total_serial_messages
@@ -47,7 +47,7 @@ class TestTraces:
 
     def test_per_kind_sums_exactly(self, traced_run):
         engine, rec, result = traced_run
-        rows = rec.collect(result)
+        rows = rec.collect()
         agg: dict[str, dict[str, int]] = {}
         for r in rows:
             for kind, stats in r.by_kind.items():
@@ -59,7 +59,7 @@ class TestTraces:
     def test_rows_own_their_dicts(self, traced_run):
         """No aliasing: each row gets its own per-kind dicts."""
         engine, rec, result = traced_run
-        rows = rec.collect(result)
+        rows = rec.collect()
         assert len({id(r.calls_by_kind) for r in rows}) == len(rows)
         assert len({id(r.by_kind) for r in rows}) == len(rows)
         # every iteration reports its own calls, not just the last row
@@ -67,7 +67,7 @@ class TestTraces:
 
     def test_csv_export(self, traced_run):
         engine, rec, result = traced_run
-        text = TraceRecorder.to_csv(rec.collect(result))
+        text = TraceRecorder.to_csv(rec.collect())
         lines = text.strip().splitlines()
         assert lines[0].startswith("iteration,")
         assert "transfers" in lines[0]
@@ -75,7 +75,7 @@ class TestTraces:
 
     def test_json_export(self, traced_run):
         engine, rec, result = traced_run
-        rows = rec.collect(result)
+        rows = rec.collect()
         doc = json.loads(TraceRecorder.to_json(rows, meta={"algo": "PR"}))
         assert doc["schema"] == TRACE_SCHEMA
         assert doc["meta"]["algo"] == "PR"
@@ -98,8 +98,6 @@ class TestTraces:
         assert len(rows) == 2
         assert rows[1].iteration == 2
         assert sum(r.bytes for r in rows) == engine.counters.total_bytes
-        without_tail = TraceRecorder(engine).collect(include_tail=False)
-        assert len(without_tail) == 1
 
     def test_counterless_clocks_rejected(self):
         engine = Engine(rmat(7, seed=1), 4)

@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.comm.collectives import rank_major
 from repro.core.engine import Engine
 from repro.graph import rmat
 from repro.patterns.packets import packet_swap
 
-from ..conftest import GRIDS
+from ..conftest import GRIDS, record_stages
 
 #: Packet layout: origin vertex, one float payload, dest rank.
 PACKET_DTYPE = np.dtype(
@@ -121,3 +123,57 @@ def test_two_hop_message_accounting():
     swap(engine, packets)
     # one alltoallv per row group + one per column group
     assert engine.counters.by_kind["alltoallv"].calls == 8
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=st.sampled_from(GRIDS), overlap=st.booleans(), seed=st.integers(0, 2**31))
+def test_every_packet_reaches_its_dest_through_one_row_and_one_column_hop(grid, overlap, seed):
+    """Hop 1: each rank sends its row group's ``j``-th member the
+    packets bound for the ``j``-th member of their destination's row
+    group, in its own order.  Hop 2: each rank sends its column
+    group's ``i``-th member the packets it holds for a rank of that
+    member's row group.  So a rank receives exactly the packets bound
+    for it, ordered by the column-group position of the rank that
+    relayed them, then by the row-group position of their sender, then
+    in the sender's order."""
+    rng = np.random.default_rng(seed)
+    engine = Engine(rmat(6, seed=1), grid=grid, overlap=overlap)
+    p = grid.n_ranks
+    row_of, col_of = {}, {}
+    for _, members in engine.row_groups():
+        row_of.update({r: (members, i) for i, r in enumerate(members)})
+    for _, members in engine.col_groups():
+        col_of.update({r: (members, i) for i, r in enumerate(members)})
+    packets = []
+    for r in range(p):
+        n = int(rng.integers(0, 6))
+        packets.append(make_packets(np.full(n, r), rng.random(n), rng.integers(0, p, size=n)))
+    via = {}  # (sender, index) -> the rank of the sender's row group that relays it
+    for r, buf in enumerate(packets):
+        for i, d in enumerate(buf["dest"]):
+            via[r, i] = row_of[r][0][row_of[int(d)][1]]
+            assert via[r, i] in col_of[int(d)][0]
+    with pytest.MonkeyPatch.context() as patch:
+        stages = record_stages(patch)
+        delivered = swap(engine, packets)
+
+    hop1, hop2 = stages
+    assert hop1["groups"] == [m for _, m in engine.row_groups()]
+    assert hop2["groups"] == [m for _, m in engine.col_groups()]
+    for r, buf in enumerate(packets):
+        members, _ = row_of[r]
+        for j, m in enumerate(members):
+            bound = [i for i in range(buf.size) if via[r, i] == m]
+            assert hop1["sends"][r][j].tobytes() == buf[bound].tobytes()
+    for d in range(p):
+        want = sorted(
+            (col_of[via[r, i]][1], row_of[r][1], i, r)
+            for r, buf in enumerate(packets) for i in range(buf.size) if buf["dest"][i] == d
+        )
+        got = delivered[d]
+        assert got.tobytes() == b"".join(packets[r][i : i + 1].tobytes() for *_, i, r in want)
+        relay = col_of[d][0]
+        for k, m in enumerate(relay):  # what the relays sent d
+            assert hop2["sends"][m][col_of[d][1]].tobytes() == b"".join(
+                packets[r][i : i + 1].tobytes() for c, _, i, r in want if c == k
+            )

@@ -530,6 +530,12 @@ def source_lines() -> int:
     return sum(package_lines().values())
 
 
+def suite_lines() -> int:
+    """Lines of Python under ``tests/`` (printed only: a ceiling on
+    test lines would penalise new tests)."""
+    return sum(len(_lines(path)) for path in _python_files(os.path.join(ROOT, "tests")))
+
+
 def test_rank_fan_out_sites_only_go_down():
     sites = fan_out_sites()
     assert sum(sites.values()) <= FAN_OUT_CEILING, sites
@@ -723,3 +729,5 @@ if __name__ == "__main__":
         ceiling = f" (ceiling {FAULTS_LINES_CEILING})" if name == "faults/" else ""
         print(f"{n:6d}  {name}{ceiling}")
     print(f"{source_lines()} lines under src/repro")
+    tests = suite_lines()
+    print(f"{tests} lines under tests/, {tests / source_lines():.2f}x src/repro")

@@ -1,7 +1,8 @@
 """Every count, fraction and bound of a public entry point is checked.
 
 The table below names, for every parameter of every function in
-``repro.algorithms.__all__`` and ``repro.baselines.__all__``, the rule
+``repro.algorithms.__all__`` and ``repro.baselines.__all__`` and of the
+boundary hooks' and the recovery's constructors (``HOOKS``), the rule
 it follows — or why it follows none of them (an id, a seed, a flag).
 The test reads the parameters from ``inspect.signature``, so a new
 parameter without a row fails :func:`test_every_parameter_has_a_rule`
@@ -22,6 +23,7 @@ import pytest
 
 import repro.algorithms as algorithms
 import repro.baselines as baselines
+from repro import faults
 from repro.comm.grid import Grid2D
 from repro.core.engine import Engine
 from repro.graph import rmat
@@ -42,7 +44,9 @@ RULES = {
     "count": lambda v: _integer(v) and v >= 1,  # None too, where it is the default
     "count0": lambda v: _integer(v) and v >= 0,
     "fraction": lambda v: _real(v) and 0 <= v <= 1,
-    "positive": lambda v: _real(v) and v > 0,
+    "positive": lambda v: _real(v) and v > 0,  # None too, where it is the default
+    "real0": lambda v: _real(v) and v >= 0,
+    "unit": lambda v: _real(v) and 0 < v <= 1,
 }
 
 #: A parameter that is no count, fraction or bound, and what it is.
@@ -60,6 +64,20 @@ TABLE = {
     # fractions and positive reals
     "damping": "fraction",
     "tol": "positive",
+    # the boundary hooks and the recovery
+    "interval": "count",
+    "keep": "count",
+    "repair_budget": "count0",
+    "chronic_after": "count",
+    "max_recoveries": "count0",
+    "hysteresis": "count0",
+    "checkpoint_bw": "positive",
+    "hash_bw": "positive",
+    "exchange_bw": "positive",
+    "suspect_s": "positive",
+    "latency_s": "real0",
+    "rel_threshold": "real0",
+    "alpha": "unit",
     # ids and seeds: validate_roots (tests/algorithms/test_root_validation.py)
     "root": (EXEMPT, "a vertex id: validate_roots"),
     "roots": (EXEMPT, "vertex ids: validate_roots"),
@@ -80,6 +98,8 @@ TABLE = {
     "direction": (EXEMPT, "a named choice"),
     "mode": (EXEMPT, "a named choice"),
     "name": (EXEMPT, "a state name"),
+    "policy": (EXEMPT, "a named choice"),
+    "monitor": (EXEMPT, "a HealthMonitor"),
     "what": (EXEMPT, "the name an error message uses"),
 }
 
@@ -104,12 +124,18 @@ REQUIRED = {
 }
 
 
+#: The constructors of the boundary hooks and the recovery.
+HOOKS = ("CheckpointManager", "IntegrityLedger", "HealthMonitor", "Recovery")
+
+
 def _entry_points():
     for module in (algorithms, baselines):
         for name in module.__all__:
             obj = getattr(module, name)
             if inspect.isfunction(obj):
                 yield name, obj
+    for name in HOOKS:
+        yield name, getattr(faults, name)
 
 
 def _parameters():

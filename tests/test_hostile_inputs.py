@@ -8,13 +8,15 @@ the 1 x p, p x 1 and 3 x 5 grids whose groups have one member on one
 axis or windows of unequal length.  Triangle counting needs a square
 grid and runs on the square ones only.
 
-The settings of an engine and its boundary hooks are held to their
-types too: a count that is a float or a bool, an ``overlap`` that is
-not a bool and a ``memory_scale`` that is not a finite positive real
-each raise a ``ValueError`` naming the parameter — before, each was
-coerced (``interval=2.5`` saved at supersteps 5, 10, …;
-``overlap="no"`` ran overlapped; ``memory_scale=0`` turned every
-capacity check off).
+The settings of an engine, its boundary hooks and its recovery are
+held to their types too: a count that is a float or a bool, an
+``overlap`` that is not a bool, and a rate, latency or threshold that
+is not a finite real in its range each raise a ``ValueError`` naming
+the parameter — before, each was coerced or ran (``interval=2.5``
+saved at supersteps 5, 10, …; ``overlap="no"`` ran overlapped;
+``memory_scale=0`` turned every capacity check off;
+``checkpoint_bw=0`` charged no drain; ``hash_bw=0`` divided by zero at
+the first verified boundary).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from repro.algorithms import triangle_count
 from repro.baselines import spmv_bfs, spmv_cc
 from repro.comm.grid import Grid2D
 from repro.core.engine import Engine
-from repro.faults import CheckpointManager, IntegrityLedger
+from repro.faults import CheckpointManager, HealthMonitor, IntegrityLedger, Recovery
 from repro.graph import Graph, rmat
 from repro.reference import serial
 
@@ -83,6 +85,9 @@ def _engine_with(**settings) -> Engine:
 MAKERS = {
     "CheckpointManager": CheckpointManager,
     "IntegrityLedger": IntegrityLedger,
+    "HealthMonitor": HealthMonitor,
+    "Recovery": Recovery,
+    "Autoscale": lambda **kw: Recovery("autoscale", **kw),
     "Engine": _engine_with,
 }
 
@@ -95,6 +100,23 @@ SETTINGS = [
     ("IntegrityLedger", "interval", True),
     ("IntegrityLedger", "interval", 2.5),
     ("IntegrityLedger", "repair_budget", 0.5),
+    ("CheckpointManager", "checkpoint_bw", 0),
+    ("CheckpointManager", "checkpoint_bw", -1),
+    ("CheckpointManager", "checkpoint_bw", np.nan),
+    ("CheckpointManager", "checkpoint_bw", True),
+    ("IntegrityLedger", "hash_bw", 0),
+    ("IntegrityLedger", "exchange_bw", -1),
+    ("IntegrityLedger", "latency_s", -1),
+    ("IntegrityLedger", "latency_s", np.nan),
+    ("HealthMonitor", "chronic_after", 2.5),
+    ("HealthMonitor", "chronic_after", True),
+    ("HealthMonitor", "suspect_s", np.inf),
+    ("HealthMonitor", "rel_threshold", np.nan),
+    ("HealthMonitor", "alpha", True),
+    ("Recovery", "max_recoveries", 2.5),
+    ("Recovery", "max_recoveries", True),
+    ("Recovery", "max_recoveries", np.nan),
+    ("Autoscale", "hysteresis", 1.5),
     ("Engine", "overlap", "no"),
     ("Engine", "overlap", 1),
     ("Engine", "memory_scale", 0),
