@@ -20,7 +20,7 @@ from .components import CC_VARIANTS, connected_components
 from .kcore import core_numbers
 from .labelprop import label_propagation
 from .matching import max_weight_matching
-from .pagerank import compute_global_degrees, pagerank
+from .pagerank import pagerank
 from .pointerjump import pointer_jumping
 from .sssp import sssp
 from .triangles import triangle_count
@@ -40,7 +40,6 @@ __all__ = [
     "core_numbers",
     "label_propagation",
     "max_weight_matching",
-    "compute_global_degrees",
     "pagerank",
     "pointer_jumping",
     "sssp",

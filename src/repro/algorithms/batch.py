@@ -41,7 +41,6 @@ from ..kernels import scatter_reduce_lanes
 from ..patterns.dense import dense_exchange_lanes
 from ..patterns.sparse import sparse_push_lanes
 from .bfs import ALPHA, BETA, bfs, check_count, validate_roots
-from .pagerank import compute_global_degrees
 from .sssp import require_sssp_weights, sssp
 
 __all__ = ["bfs_batch", "sssp_batch"]
@@ -91,42 +90,6 @@ def bfs_batch(engine: Engine, roots, resume: bool = False) -> AlgorithmResult:
         )
     roots_rel = part.perm[roots].astype(np.int64)
 
-    tag = f"bfs_batch(roots={roots.tolist()})"
-    if resume:
-        s = SimpleNamespace(**engine.resume_from_checkpoint(tag))
-        s.frontier = fleet.decode_queue(s.frontier)
-    else:
-        engine.reset_timers()
-        compute_global_degrees(engine)
-        m_total = float(fleet.global_degrees().sum())
-        engine.alloc("parent", np.float64, fill=INF, width=k)
-        engine.alloc("level", np.float64, fill=INF, width=k)
-
-        # Seed every root in its lane, everywhere it is visible.
-        (row_lids, row_lanes), (col_lids, col_lanes) = fleet.cells_of(roots_rel)
-        seeds = np.concatenate([row_lids, col_lids])
-        seed_lanes = np.concatenate([row_lanes, col_lanes])
-        fleet.stacked("parent")[seeds, seed_lanes] = roots[seed_lanes]
-        fleet.stacked("level")[seeds, seed_lanes] = 0.0
-        # every vertex has a row cell, and its replicas agree on the
-        # (integer-valued) global degree
-        root_deg = np.zeros(k)
-        root_deg[row_lanes] = fleet.stacked("deg")[row_lids]
-        s = SimpleNamespace(
-            frontier=_entry_queues(fleet, row_lids, row_lanes),
-            n_visited=np.ones(k, dtype=np.int64),
-            m_frontier=root_deg.copy(),
-            m_frontier_prev=np.zeros(k),
-            m_unvisited=m_total - root_deg,
-            bottom_up=np.zeros(k, dtype=bool),
-            lane_done=np.zeros(k, dtype=bool),
-            depth=0,
-            direction_log=[[] for _ in range(k)],
-        )
-
-    def saved():
-        return {**vars(s), "frontier": fleet.encode_queue(s.frontier)}
-
     # Every cell's original GID as float64 (built once): translating a
     # candidate parent in the edge loops is a single gather instead of
     # two GID-arithmetic passes plus a cast per superstep.  Derived and
@@ -150,11 +113,74 @@ def bfs_batch(engine: Engine, roots, resume: bool = False) -> AlgorithmResult:
     # every rank's row window as a stacked-LID range
     windows = (np.stack([fleet.row_start, fleet.row_stop]) - fleet.row_gid_shift).T.tolist()
 
+    def aliased(led: dict) -> list:
+        """Per rank, its row-group leader's ``(lids, lanes)`` list,
+        shifted to the member's own row offset."""
+        return [
+            (lids + shift, lanes) if shift else (lids, lanes)
+            for (lids, lanes), shift in zip((led[lead] for lead in row_leader), row_shift)
+        ]
+
+    def frontier_at(depth: int) -> list:
+        """The frontier superstep ``depth`` left, entry for entry as the
+        loop builds it: per row group, the row cells with ``level ==
+        depth`` — the push lanes' lane-major, then the pull lanes'
+        (``s.bottom_up``) cell-major.  A checkpoint does not hold it;
+        a resume derives it here."""
+        level = fleet.stacked("level")
+        push, pull = np.flatnonzero(~s.bottom_up), np.flatnonzero(s.bottom_up)
+        led = {}
+        for r in leaders:
+            lo, hi = windows[r]
+            at = level[lo:hi] == depth
+            lane, cell = np.nonzero(at[:, push].T)
+            pcell, plane = np.nonzero(at[:, pull])
+            led[r] = (
+                np.concatenate([cell, pcell]) + (lo - int(fleet.base[r])),
+                np.concatenate([push[lane], pull[plane]]),
+            )
+        return aliased(led)
+
+    tag = f"bfs_batch(roots={roots.tolist()})"
+    if resume:
+        s = SimpleNamespace(**engine.resume_from_checkpoint(tag))
+        frontier = frontier_at(s.depth)
+    else:
+        engine.reset_timers()
+        m_total = float(fleet.global_degrees().sum())
+        engine.alloc("parent", np.float64, fill=INF, width=k)
+        engine.alloc("level", np.float64, fill=INF, width=k)
+
+        # Seed every root in its lane, everywhere it is visible.
+        (row_lids, row_lanes), (col_lids, col_lanes) = fleet.cells_of(roots_rel)
+        seeds = np.concatenate([row_lids, col_lids])
+        seed_lanes = np.concatenate([row_lanes, col_lanes])
+        fleet.stacked("parent")[seeds, seed_lanes] = roots[seed_lanes]
+        fleet.stacked("level")[seeds, seed_lanes] = 0.0
+        # every vertex has a row cell, and its replicas agree on the
+        # (integer-valued) global degree
+        root_deg = np.zeros(k)
+        root_deg[row_lanes] = fleet.cell_degrees()[row_lids]
+        frontier = _entry_queues(fleet, row_lids, row_lanes)
+        s = SimpleNamespace(
+            n_visited=np.ones(k, dtype=np.int64),
+            m_frontier=root_deg.copy(),
+            m_frontier_prev=np.zeros(k),
+            m_unvisited=m_total - root_deg,
+            bottom_up=np.zeros(k, dtype=bool),
+            lane_done=np.zeros(k, dtype=bool),
+            depth=0,
+            direction_log=[[] for _ in range(k)],
+        )
+
+    def saved():
+        return vars(s)
+
     while not s.lane_done.all():
         s.depth += 1
         # per-lane frontier sizes over the row groups' first ranks
         fsize = sum(
-            np.bincount(s.frontier[ranks[0]][1], minlength=k)
+            np.bincount(frontier[ranks[0]][1], minlength=k)
             for _, ranks in engine.row_groups()
         )
         for lane in np.flatnonzero(~s.lane_done):
@@ -182,7 +208,7 @@ def bfs_batch(engine: Engine, roots, resume: bool = False) -> AlgorithmResult:
             # lane's frontier, one fused sparse exchange.
             def top_down(ctx):
                 parent = ctx.get("parent")
-                lids, lanes_f = s.frontier[ctx.rank]
+                lids, lanes_f = frontier[ctx.rank]
                 sel = push_set[lanes_f]
                 rows, rlanes = lids[sel], lanes_f[sel]
                 degs = ctx.local_degrees()[rows - ctx.localmap.row_offset]
@@ -329,10 +355,7 @@ def bfs_batch(engine: Engine, roots, resume: bool = False) -> AlgorithmResult:
                 np.concatenate([al[keep], cell + (lo - int(fleet.base[r]))]),
                 np.concatenate([an[keep], lanes_on[lane]]),
             )
-        new_frontier = [
-            (lids + shift, lanes_f) if shift else (lids, lanes_f)
-            for (lids, lanes_f), shift in zip((led[lead] for lead in row_leader), row_shift)
-        ]
+        frontier = aliased(led)
         # Stamp rank by rank, each temporary one rank's window.  A pure
         # push superstep stamps only the cells its exchange names
         # (changed ghosts, the local update queue and the active owned
@@ -353,11 +376,10 @@ def bfs_batch(engine: Engine, roots, resume: bool = False) -> AlgorithmResult:
         # Per-lane frontier edge counts over the row groups' first
         # ranks: sums of integer-valued degrees far below 2**53, exact
         # in any order, so the switching trajectory is the 1-D one.
-        m_new, deg = np.zeros(k), fleet.stacked("deg")
+        m_new, deg = np.zeros(k), fleet.cell_degrees()
         for _, ranks in engine.row_groups():
-            lids0, lanes0 = new_frontier[ranks[0]]
+            lids0, lanes0 = frontier[ranks[0]]
             m_new += np.bincount(lanes0, weights=deg[lids0 + fleet.base[ranks[0]]], minlength=k)
-        s.frontier = new_frontier
         s.m_frontier_prev[cont] = s.m_frontier[cont]
         s.m_frontier[cont] = m_new[cont]
         s.n_visited[cont] += n_upd[cont]

@@ -35,7 +35,7 @@ def _forward_sigma(engine: Engine, level: np.ndarray, depth_max: int):
     into the operand as zeros, the row mask is applied to the result.
     """
     fleet = engine.fleet
-    sigma, acc = fleet.stacked("sigma"), fleet.stacked("acc")
+    sigma, acc = fleet.stacked("sigma"), engine.scratch("acc")
     pull = fleet.csr()
     full_queue, rows_per_rank = fleet.full_queue()
     for d in range(1, depth_max + 1):
@@ -45,7 +45,7 @@ def _forward_sigma(engine: Engine, level: np.ndarray, depth_max: int):
         )
         from_above = np.where(level == d - 1, sigma, 0.0)
         acc[...] = np.where(at_d, csr_pull(pull, from_above, "sum"), 0.0)
-        dense_pull(engine, "acc", op="sum")
+        dense_pull(engine, acc, op="sum")
         sigma[at_d] = acc[at_d]
         engine.charge_vertices(None, fleet.n_total)
 
@@ -54,7 +54,7 @@ def _backward_delta(engine: Engine, level: np.ndarray, depth_max: int):
     """Dependency accumulation into state ``delta`` (descending levels)."""
     fleet = engine.fleet
     sigma, delta = fleet.stacked("sigma"), fleet.stacked("delta")
-    acc = fleet.stacked("acc")
+    acc = engine.scratch("acc")
     pull = fleet.csr()
     full_queue, rows_per_rank = fleet.full_queue()
     for d in range(depth_max, 0, -1):
@@ -66,7 +66,7 @@ def _backward_delta(engine: Engine, level: np.ndarray, depth_max: int):
             level == d, (1.0 + delta) / np.maximum(sigma, 1.0), 0.0
         )
         acc[...] = np.where(at, csr_pull(pull, from_below, "sum"), 0.0)
-        dense_pull(engine, "acc", op="sum")
+        dense_pull(engine, acc, op="sum")
         delta[at] = sigma[at] * acc[at]
         engine.charge_vertices(None, fleet.n_total)
 
@@ -128,7 +128,7 @@ def betweenness(
         # rank-stacked form.
         reached = fleet.stacked("level")
         level = np.where(np.isfinite(reached), reached, -1).astype(np.int64)
-        for name in ("sigma", "delta", "acc"):
+        for name in ("sigma", "delta"):
             engine.alloc(name, np.float64)
         fleet.stacked("sigma")[level == 0] = 1.0
         engine.charge_vertices(None, fleet.n_total)

@@ -36,7 +36,6 @@ from ..core.result import AlgorithmResult
 from ..kernels import scatter_reduce, unique_bounded
 from ..patterns.dense import dense_pull
 from ..patterns.sparse import sparse_push
-from .pagerank import compute_global_degrees
 
 __all__ = [
     "bfs",
@@ -100,13 +99,13 @@ def bfs(engine: Engine, root: int, resume: bool = False) -> AlgorithmResult:
     # sum of them is exact in any order.
     first = np.zeros(fleet.n_ranks, dtype=bool)
     first[[ranks[0] for _, ranks in engine.row_groups()]] = True
+    degree = fleet.cell_degrees()
 
     if resume:
         s = SimpleNamespace(**engine.resume_from_checkpoint("bfs"))
-        s.frontier = fleet.decode_queue(s.frontier)
+        rows = np.flatnonzero(fleet.row_mask & (fleet.stacked("level") == s.depth))
     else:
         engine.reset_timers()
-        compute_global_degrees(engine)
         engine.alloc("parent", np.float64, fill=INF)
         engine.alloc("level", np.float64, fill=INF)
         global_deg = fleet.global_degrees()
@@ -120,8 +119,8 @@ def bfs(engine: Engine, root: int, resume: bool = False) -> AlgorithmResult:
         fleet.stacked("parent")[seeds] = root
         fleet.stacked("level")[seeds] = 0.0
         root_deg = float(global_deg[root_rel])
+        rows = row_seeds
         s = SimpleNamespace(
-            frontier=row_seeds,
             n_visited=1,
             m_frontier=root_deg,
             m_frontier_prev=0.0,
@@ -133,14 +132,15 @@ def bfs(engine: Engine, root: int, resume: bool = False) -> AlgorithmResult:
         )
 
     def saved():
-        return {**vars(s), "frontier": fleet.encode_queue(s.frontier)}
+        return vars(s)
 
     # Invariant at every superstep boundary: ``parent == inf`` exactly
     # where ``level == inf``.  Each superstep stamps the level of every
     # cell it gave a parent, so "unvisited" is one read of ``level``.
     # The frontier is one rank-major queue of stacked row LIDs,
-    # ascending.
-    rows = s.frontier
+    # ascending: exactly the row cells with ``level == depth`` (but
+    # after the superstep that found nothing, which ends the run), so a
+    # checkpoint does not hold it and a resume derives it.
     counts = fleet.counts(rows)
     while not s.done:
         s.depth += 1
@@ -226,9 +226,8 @@ def bfs(engine: Engine, root: int, resume: bool = False) -> AlgorithmResult:
         if result is not None:
             rows = result.rows
             counts = fleet.counts(rows)
-        s.frontier = rows
         s.m_frontier_prev = s.m_frontier
-        s.m_frontier = float(fleet.stacked("deg")[rows[np.repeat(first, counts)]].sum())
+        s.m_frontier = float(degree[rows[np.repeat(first, counts)]].sum())
         s.n_visited += n_updated
         s.m_unvisited -= s.m_frontier
         s.done = s.n_visited >= n

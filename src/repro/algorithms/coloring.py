@@ -72,7 +72,9 @@ def greedy_coloring(
     engine.scatter_global("prio", prio_global)
 
     engine.alloc("color", np.float64, fill=_UNCOLORED)
-    engine.alloc("maxp", np.float64)
+    # each round's max uncolored-neighbour priority, rebuilt before it
+    # is read: dead at every superstep boundary, so scratch
+    maxp = engine.scratch("maxp")
     engine.charge_vertices(None, fleet.n_total)
     pull = fleet.csr()
     full_queue, rows_per_rank = fleet.full_queue()
@@ -91,8 +93,8 @@ def greedy_coloring(
         uncolored_prio = np.where(
             fleet.stacked("color") < 0, fleet.stacked("prio"), -np.inf
         )
-        fleet.stacked("maxp")[...] = csr_pull(pull, uncolored_prio, "max")
-        dense_pull(engine, "maxp", op="max")
+        maxp[...] = csr_pull(pull, uncolored_prio, "max")
+        dense_pull(engine, maxp, op="max")
 
         # ---- 2. winners pick the smallest absent neighborhood color ---
         # Neighbor-color histograms of the candidate winners, reduced
@@ -100,7 +102,7 @@ def greedy_coloring(
         # was uncolored (-1) and takes a color >= 0, so the changed rows
         # are exactly the newly colored vertices.
         _, n_colored = complex_reduce(
-            engine, "color", _winner_histograms(engine, rows), _smallest_absent
+            engine, "color", _winner_histograms(engine, rows, maxp), _smallest_absent
         )
 
         engine.superstep_boundary("coloring")
@@ -120,15 +122,16 @@ def greedy_coloring(
 
 
 def _winner_histograms(
-    engine: Engine, rows: np.ndarray
+    engine: Engine, rows: np.ndarray, maxp: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every rank's neighbor-color histogram of its winners — the
     uncolored ``rows`` holding the highest uncolored priority around
-    them — as rank-major triples and per-rank counts: each rank's
-    colored-neighbor triples, then a sentinel color ``-1`` for each of
-    its winners without a colored neighbor, so owners see them too."""
+    them (``maxp``) — as rank-major triples and per-rank counts: each
+    rank's colored-neighbor triples, then a sentinel color ``-1`` for
+    each of its winners without a colored neighbor, so owners see them
+    too."""
     fleet = engine.fleet
-    color, prio, maxp = (fleet.stacked(n) for n in ("color", "prio", "maxp"))
+    color, prio = fleet.stacked("color"), fleet.stacked("prio")
     winners = rows[(color[rows] < 0) & (prio[rows] >= maxp[rows])]
     degrees = fleet.row_degrees(winners)
     engine.charge_edges(None, degrees, segments=fleet.counts(winners))

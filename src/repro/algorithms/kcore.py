@@ -29,7 +29,6 @@ from ..patterns.complex import (
 )
 from ..patterns.sparse import propagate_active_pull
 from .bfs import check_count
-from .pagerank import compute_global_degrees
 
 __all__ = ["core_numbers"]
 
@@ -50,12 +49,10 @@ def core_numbers(
     engine.reset_timers()
 
     # Estimates start at the global degrees (the fleet's structural
-    # cache, as in PageRank).
-    compute_global_degrees(engine)
-
+    # table, as in PageRank).
     fleet = engine.fleet
     engine.alloc(_STATE, np.float64)
-    fleet.stacked(_STATE)[...] = fleet.stacked("deg")
+    fleet.stacked(_STATE)[...] = fleet.cell_degrees()
     engine.charge_vertices(None, fleet.n_total)
 
     active = np.flatnonzero(fleet.row_mask)

@@ -11,7 +11,9 @@ Every iteration:
 1. each rank gathers ``pr[u] / deg[u]`` over its local edges into a
    per-owned-vertex accumulator (partial sums — a vertex's full
    neighborhood spans its row group) — ``acc = A (pr / deg)``, one
-   :func:`~repro.kernels.csr_pull` over every rank's block at once;
+   :func:`~repro.kernels.csr_pull` over every rank's block at once,
+   into the engine's ``acc`` scratch (dead at every superstep
+   boundary, so no state);
 2. a dense pull exchange (row-group AllReduce SUM + column-group
    Broadcasts) completes the sums and refreshes ghosts;
 3. dangling mass is folded in (each rank's partial over its column
@@ -21,7 +23,9 @@ Every iteration:
 Vertex degrees are *global* degrees (paper §3.2: the true degree is
 the sum of local degrees across the row group).  They are graph
 structure, so the fleet derives them once, as a set-up step without a
-modeled charge, and every run only copies them into its ``deg`` state.
+modeled charge (:meth:`~repro.core.fleet.Fleet.cell_degrees`), and a
+run reads them where they are: its only states are ``pr`` and, when
+personalized, ``tele``.
 """
 
 from __future__ import annotations
@@ -38,20 +42,7 @@ from ..core.result import AlgorithmResult
 from ..kernels import csr_pull
 from ..patterns.dense import dense_pull
 
-__all__ = ["pagerank", "compute_global_degrees", "dangling_partials"]
-
-
-def compute_global_degrees(
-    engine: Engine, name: str = "deg", weighted: bool = False
-) -> None:
-    """Fill state ``name`` on both windows of every rank with each
-    vertex's true (possibly weighted) degree from the fleet's structural
-    cache (:meth:`~repro.core.fleet.Fleet.global_degrees`): the fill
-    kernel is charged, and no collective is issued."""
-    fleet = engine.fleet
-    engine.alloc(name, np.float64)
-    fleet.fill_windows(fleet.stacked(name), fleet.global_degrees(weighted))
-    engine.charge_vertices(None, fleet.n_total)
+__all__ = ["pagerank", "dangling_partials"]
 
 
 def dangling_partials(fleet: Fleet, dangling: np.ndarray):
@@ -149,9 +140,7 @@ def pagerank(
         if personalization is not None:
             teleport_global = personalization / personalization.sum()
             engine.scatter_global("tele", teleport_global)
-        compute_global_degrees(engine, weighted=weighted)
         engine.alloc("pr", np.float64, fill=1.0 / n)
-        engine.alloc("acc", np.float64)
         s = SimpleNamespace(iterations_run=0, done=False)
 
     # Every step, charges included, is a single pass over the
@@ -159,17 +148,17 @@ def pagerank(
     pull = fleet.csr(weighted=weighted)
     full_queue, rows_per_rank = fleet.full_queue()
     # Static degrees: derived operands built once, `x` / `new` per call.
-    deg = fleet.stacked("deg")
+    deg = fleet.cell_degrees(weighted)
     safe_deg = np.maximum(deg, 1e-300)
     dangling = np.flatnonzero(deg == 0)
     dangling_mass = dangling_partials(fleet, dangling)
     x, new = np.empty(fleet.size), np.empty(fleet.size)
+    acc = engine.scratch("acc")
     if personalization is not None:
         teleport_share = (1.0 - damping) * fleet.stacked("tele")
     while s.iterations_run < iterations and not s.done:
         s.iterations_run += 1
         pr = fleet.stacked("pr")
-        acc = fleet.stacked("acc")
 
         # Dangling mass: each rank's partial over its column window,
         # the tail word of the dense pull's row-group AllReduce below.
@@ -188,7 +177,7 @@ def pagerank(
 
         # Complete the sums along row groups, refresh ghosts; every
         # rank now holds the dangling total.
-        dense_pull(engine, "acc", "sum", partials)
+        dense_pull(engine, acc, "sum", partials)
         dangling_total = float(partials[0, 0])
 
         # Damping update (acc is consistent on every LID).

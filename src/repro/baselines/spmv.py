@@ -25,7 +25,7 @@ import numpy as np
 
 from ..algorithms.bfs import check_count, validate_roots
 from ..algorithms.components import component_answer
-from ..algorithms.pagerank import compute_global_degrees, dangling_partials
+from ..algorithms.pagerank import dangling_partials
 from ..cluster.config import ZEPY, ClusterConfig
 from ..comm.grid import check_fraction
 from ..core.engine import Engine
@@ -90,28 +90,29 @@ def spmv_pagerank(
     n = engine.partition.n_vertices
     fleet = engine.fleet
 
-    compute_global_degrees(engine)
-
     engine.alloc("pr", np.float64, fill=1.0 / n)
-    engine.alloc("acc", np.float64)
+    acc = engine.scratch("acc")
     pull = fleet.csr()
-    # As in the engine's PageRank, the dangling mass rides the dense
-    # pull's row-group AllReduce: no collective of its own.
-    dangling_mass = dangling_partials(fleet, np.flatnonzero(fleet.stacked("deg") == 0))
+    # As in the engine's PageRank, the degree operands are derived once
+    # per call, and the dangling mass rides the dense pull's row-group
+    # AllReduce: no collective of its own.
+    deg = fleet.cell_degrees()
+    divisor, sinks = np.maximum(deg, 1.0), deg == 0
+    dangling_mass = dangling_partials(fleet, np.flatnonzero(sinks))
     # every rank's tuned arithmetic (+/x) SpMV, and its damping update
     spmv_s = engine.costmodel.spmv_time(n_edges=_local_edges(engine), n_vertices=fleet.n_total)
     update_s = engine.costmodel.spmv_time(n_edges=0, n_vertices=fleet.n_total)
 
     for _ in range(iterations):
-        pr, deg, acc = fleet.stacked("pr"), fleet.stacked("deg"), fleet.stacked("acc")
+        pr = fleet.stacked("pr")
         partials = dangling_mass(pr)
 
         # y = A x, every rank's block in one product.
-        x = pr / np.maximum(deg, 1.0)
-        x[deg == 0] = 0.0
+        x = pr / divisor
+        x[sinks] = 0.0
         acc[...] = csr_pull(pull, x, "sum")
         engine.clocks.add_compute_all(spmv_s)
-        dense_pull(engine, "acc", "sum", partials)
+        dense_pull(engine, acc, "sum", partials)
         dangling = float(partials[0, 0])
 
         pr[...] = (1.0 - damping) / n + damping * (acc + dangling / n)
@@ -182,6 +183,9 @@ def spmv_bfs(engine: Engine, root: int) -> AlgorithmResult:
 
     engine.alloc("level", np.float64, fill=np.inf)
     engine.alloc("front", np.float64)
+    # the pushed frontier, rebuilt from zero every level: dead at every
+    # superstep boundary, so scratch
+    nxt = engine.scratch("next")
     # the root's row and column cells, everywhere it is visible
     (row_seeds, _), (col_seeds, _) = fleet.cells_of(np.array([part.perm[root]]))
     seeds = np.concatenate([row_seeds, col_seeds])
@@ -198,12 +202,12 @@ def spmv_bfs(engine: Engine, root: int) -> AlgorithmResult:
         depth += 1
         # next = A x frontier (push across the whole matrix), masked by
         # unvisited; communicated densely.
-        engine.alloc("next", np.float64)
-        level, front, nxt = fleet.stacked("level"), fleet.stacked("front"), fleet.stacked("next")
+        nxt[...] = 0.0
+        level, front = fleet.stacked("level"), fleet.stacked("front")
         engine.clocks.add_compute_all(semiring_s)
         for _, ex in fleet.expand(rows, degrees):
             scatter_reduce(nxt, ex.dst[front[ex.src] > 0], 1.0, "max")
-        dense_push(engine, "next", op="max")
+        dense_push(engine, nxt, op="max")
 
         fresh = (nxt > 0) & ~np.isfinite(level)
         level[fresh] = depth

@@ -194,16 +194,23 @@ class Engine:
         #: table.  The static graph structure is charged
         #: first, as the paper's loader does when moving the CSR to the
         #: GPU; the adjacency at the modeled entry width, not the
-        #: host's (narrower) dtype.
+        #: host's (narrower) dtype.  Every cell's true degree
+        #: (``Fleet.cell_degrees``, and its weighted form on a weighted
+        #: graph) is structure too: its bytes are charged here, and the
+        #: host table is built when first read.
         self.devices = DeviceLedger(grid.n_ranks, cluster.gpu, memory_scale, enforce_memory)
         blocks = self.partition.blocks
+        weighted = self.partition.weights is not None
         structure = {
             "graph.indptr": [blk.indptr.nbytes for blk in blocks],
             "graph.indices": [INDEX_BYTES * blk.n_local_edges for blk in blocks],
+            "graph.degrees": self.fleet.n_total * (16 if weighted else 8),
         }
-        if self.partition.weights is not None:
+        if weighted:
             structure["graph.weights"] = [blk.weights.nbytes for blk in blocks]
         self.devices.charge(structure)
+        #: ``scratch.*`` device labels charged in the current run
+        self._scratch: set[str] = set()
         self.contexts: list[RankContext] = [RankContext(block, self.fleet) for block in blocks]
         self._row_groups = [grid.row_group_ranks(i) for i in range(grid.C)]
         self._col_groups = [grid.col_group_ranks(i) for i in range(grid.R)]
@@ -356,6 +363,20 @@ class Engine:
 
         self.fleet.alloc(name, dtype, fill, width, charge)
         return self.states(name)
+
+    def scratch(self, name: str) -> np.ndarray:
+        """The fleet's ``float64`` scratch buffer ``name``
+        (:meth:`~repro.core.fleet.Fleet.scratch`): a run's temporary
+        that no superstep boundary sees live, such as a dense pull's
+        operand.  It is charged to every rank's device as
+        ``scratch.<name>`` until the run ends (:meth:`reset_timers`),
+        but it is no state: checkpoints, the integrity ledger and
+        memflips never see it."""
+        label = f"scratch.{name}"
+        if label not in self._scratch:
+            self.devices.charge({label: self.fleet.n_total * 8})
+            self._scratch.add(label)
+        return self.fleet.scratch(name)
 
     def states(self, name: str) -> list[np.ndarray]:
         """Every rank's array of state ``name``; a ``KeyError`` names
@@ -711,7 +732,8 @@ class Engine:
 
         This call is where a *run* begins, and the run owns its state:
         every state array is taken off the ranks here and its
-        ``state.*`` device-ledger entry released, so the run sees only
+        ``state.*`` device-ledger entry released (and every
+        ``scratch.*`` entry: :meth:`scratch`), so the run sees only
         what it allocates from now on, and a run's checkpoints,
         integrity checks, memflip targets and modeled hook charges do
         not depend on what ran on this engine before.  The host buffers
@@ -729,6 +751,9 @@ class Engine:
         self.spare_ranks = 0
         for name in self.fleet.hide():
             self.devices.release(f"state.{name}")
+        for label in self._scratch:
+            self.devices.release(label)
+        self._scratch.clear()
         for hook in self._hooks.values():
             hook.on_reset(self)
 

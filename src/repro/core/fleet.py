@@ -27,7 +27,13 @@ over all ranks:
   :func:`~repro.kernels.csr_pull` (a dense pull sweep of every rank is
   one product) — both over the partition's own ``indices``;
 * **exchange plan** — the dense patterns' windows and overlap segments
-  as stacked-LID slices, derived once (:meth:`exchange_plan`).
+  as stacked-LID slices, derived once (:meth:`exchange_plan`);
+* **structure and scratch** — what the graph fixes (every cell's true
+  degree, :meth:`cell_degrees`) is built once and read-only, and a
+  run's temporaries that no superstep boundary sees live (a dense
+  pull's operand, :meth:`scratch`) are kept for the fleet's life:
+  neither is a state, so no checkpoint saves them, no ledger verifies
+  them and no memflip reaches them.
 
 A step may be fused only if its per-rank closure touched nothing but
 its own rank's state and clock lane (the :meth:`Engine.map_ranks
@@ -123,6 +129,8 @@ class Fleet:
         self._block: Optional[RankBlock] = None
         self._degrees: Optional[np.ndarray] = None
         self._global_degrees: dict[bool, np.ndarray] = {}
+        self._cell_degrees: dict[bool, np.ndarray] = {}
+        self._scratch: dict[str, np.ndarray] = {}
         self._csr: dict[bool, PullCSR] = {}
         self._plan: Optional[ExchangePlan] = None
 
@@ -398,6 +406,19 @@ class Fleet:
             self._global_degrees[weighted] = degrees
         return degrees
 
+    def cell_degrees(self, weighted: bool = False) -> np.ndarray:
+        """Every stacked cell's true degree (``weighted``: edge-weight
+        sum) — the :meth:`global_degrees` of its vertex in every rank's
+        row and column window — read-only, built on first use and kept:
+        graph structure, charged to the devices with the CSR."""
+        degrees = self._cell_degrees.get(weighted)
+        if degrees is None:
+            degrees = np.zeros(self.size)
+            self.fill_windows(degrees, self.global_degrees(weighted))
+            degrees.flags.writeable = False
+            self._cell_degrees[weighted] = degrees
+        return degrees
+
     def row_degrees(self, rows: np.ndarray) -> np.ndarray:
         """Local degree of each stacked row LID."""
         return self.local_degrees()[rows]
@@ -477,6 +498,16 @@ class Fleet:
     # ------------------------------------------------------------------
     # dense-exchange geometry and scratch
     # ------------------------------------------------------------------
+    def scratch(self, name: str) -> np.ndarray:
+        """A ``float64`` stacked buffer for temporaries named ``name``,
+        made on first use and kept for the fleet's life, so a later run
+        reuses its pages; its contents are whatever the last writer
+        left.  Not a state (see the module docstring)."""
+        buf = self._scratch.get(name)
+        if buf is None:
+            buf = self._scratch[name] = np.empty(self.size)
+        return buf
+
     def exchange_plan(self) -> ExchangePlan:
         """The dense patterns' :class:`ExchangePlan`, built on first
         use and kept for the fleet's life (an engine rebuilt on another

@@ -74,18 +74,26 @@ def _run(engine: Engine, state: np.ndarray, direction: str, op: str, tail=None, 
         return sums[0] if words.ndim > 1 else float(sums[0, 0])
 
 
-def dense_push(engine: Engine, name: str, op: str = "min", count=None):
-    """Dense push: column-group AllReduce, then row-group Broadcasts."""
-    return _run(engine, engine.fleet.stacked(name), "push", op, count=count)
+def _stacked(engine: Engine, state) -> np.ndarray:
+    """A state's stacked buffer by name; a stacked array (a scratch
+    operand, :meth:`~repro.core.engine.Engine.scratch`) as it is."""
+    return engine.fleet.stacked(state) if isinstance(state, str) else state
+
+
+def dense_push(engine: Engine, name, op: str = "min", count=None):
+    """Dense push: column-group AllReduce, then row-group Broadcasts.
+    ``name`` is a state's name or a stacked scratch array."""
+    return _run(engine, _stacked(engine, name), "push", op, count=count)
 
 
 def dense_pull(
-    engine: Engine, name: str, op: str = "sum", tail: np.ndarray | None = None, count=None
+    engine: Engine, name, op: str = "sum", tail: np.ndarray | None = None, count=None
 ):
     """Dense pull: row-group AllReduce, then column-group Broadcasts;
     ``tail`` (``p x t``, row ``r`` rank ``r``'s words) rides the
-    AllReduce behind each window and is reduced in place."""
-    return _run(engine, engine.fleet.stacked(name), "pull", op, tail, count)
+    AllReduce behind each window and is reduced in place.  ``name`` is
+    a state's name or a stacked scratch array."""
+    return _run(engine, _stacked(engine, name), "pull", op, tail, count)
 
 
 def dense_exchange(engine: Engine, name: str, direction: str, op: str, count=None):

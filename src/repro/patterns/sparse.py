@@ -457,14 +457,20 @@ def sparse_pull(
         engine.stage_nic_sharing("row"), handles,
     )
 
-    changed = _reduce_received(state, row_groups, rbufs, row_shift, op)
+    _reduce_received(state, row_groups, rbufs, row_shift, op)
     engine.charge_vertices(None, sizes)
-    # Updated row vertices: changed by the reduce or by the rank's own
-    # gather; identical on every member of a row group, so each group
-    # contributes its first member's count exactly once.
-    rows = unique_bounded(np.concatenate([changed, q]), fleet.size)
+    # Updated row vertices: every vertex a member of the row group
+    # queued — each member received the group's whole buffer, so the
+    # rows are the same on every member, and each group counts its
+    # vertices once.  Row groups are consecutive ranks: group by group,
+    # member by member is rank-major.
+    rows, n_updated = [_EMPTY_I64], 0
+    for (_, members), rbuf in zip(row_groups, rbufs):
+        uniq_gids = unique_bounded(rbuf["gid"], engine.partition.n_vertices)
+        n_updated += int(uniq_gids.size)
+        rows.append((uniq_gids - row_shift[members, None]).ravel())
+    rows = np.concatenate(rows)
     row_counts = fleet.counts(rows)
-    n_updated = int(row_counts[[members[0] for _, members in row_groups]].sum())
     _wait_all(engine, handles)
 
     # ---- stage 2: refresh ghosts along each column group ------------

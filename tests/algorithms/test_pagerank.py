@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.algorithms import compute_global_degrees, pagerank
+from repro.algorithms import pagerank
 from repro.baselines.spmv import spmv_pagerank
 from repro.comm.grid import Grid2D
 from repro.core.engine import Engine
@@ -78,13 +78,13 @@ class TestDegrees:
         """Paper §3.2: true degree = summed local degrees of the row
         group; verified through the dense pull exchange."""
         engine = Engine(rmat_graph, grid=GRIDS[6])  # 5x3
-        compute_global_degrees(engine)
+        table, base = engine.fleet.cell_degrees(), engine.fleet.base
         expect = engine.partition.to_relabeled_order(
             rmat_graph.degrees().astype(float)
         )
         for ctx in engine:
             lm = ctx.localmap
-            deg = ctx.get("deg")
+            deg = table[base[ctx.rank] : base[ctx.rank + 1]]
             assert np.array_equal(deg[lm.row_slice], expect[lm.row_start : lm.row_stop])
             assert np.array_equal(deg[lm.col_slice], expect[lm.col_start : lm.col_stop])
 
@@ -247,7 +247,8 @@ def edge_list_pagerank(
     n, grid = engine.partition.n_vertices, engine.grid
     if personalization is not None:
         engine.scatter_global("tele", personalization / personalization.sum())
-    compute_global_degrees(engine, weighted=weighted)
+    engine.alloc("deg")
+    engine.fleet.stacked("deg")[...] = engine.fleet.cell_degrees(weighted)
     engine.alloc("pr", np.float64, fill=1.0 / n)
     engine.alloc("acc", np.float64)
     for it in range(1, iterations + 1):
@@ -335,14 +336,13 @@ class TestCsrPullEqualsEdgeListGather:
     def test_weighted_degrees_are_sequential_row_sums(self, rmat_graph):
         graph = rmat_graph.with_random_weights(seed=3)
         engine = Engine(graph, grid=GRIDS[6])
-        # oracle first: compute_global_degrees reduces
+        # oracle first: the degree table reduces
         for ctx, want in zip(engine, engine.alloc("want")):
             ex = ctx.expand(ctx.row_lids())
             np.add.at(want, ex.src, ex.weights)
         dense_pull(engine, "want", op="sum")
-        compute_global_degrees(engine, weighted=True)
-        for ctx in engine:
-            assert ctx.get("deg").tobytes() == ctx.get("want").tobytes()
+        want = engine.fleet.stacked("want")
+        assert engine.fleet.cell_degrees(True).tobytes() == want.tobytes()
 
     def test_no_edge_list_is_cached_by_a_run(self, rmat_graph):
         engine = Engine(rmat_graph.with_random_weights(seed=3), 4)

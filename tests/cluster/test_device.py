@@ -104,5 +104,6 @@ class TestLedgerTable:
         engine = Engine(rmat(7, seed=1), 4)
         for ctx in engine:
             held = ledger_entries(engine.devices, ctx.rank)
-            assert sorted(held) == ["graph.indices", "graph.indptr"]
+            assert sorted(held) == ["graph.degrees", "graph.indices", "graph.indptr"]
             assert held["graph.indptr"] == ctx.block.indptr.nbytes
+            assert held["graph.degrees"] == 8 * ctx.n_total

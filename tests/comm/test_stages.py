@@ -1,20 +1,17 @@
-"""Stage calls against the per-group sequence they replace.
+"""Stage calls against the per-group sequence of the same calls.
 
 A ``*_stage`` call runs one collective in each of a stage's disjoint
-groups.  The oracle below is that stage written as one collective per
-group, the way every pattern issued it before: the group's
-validate/move/count core followed by its own ``VirtualClocks.sync_group``
-(or ``issue_collective`` for split-phase).  The AllGatherv stage takes
-every rank's send data as one rank-major array plus per-rank counts
-and moves all groups' data with one gather; its oracle is the
-per-group core over one buffer per member, as it stood before
-(:func:`allgatherv_core`).  Over random disjoint
+groups.  The first tests hold a stage over many groups to the sequence
+of one-group stages, one per group in group order — what issuing each
+group's collective on its own would do.  Over random disjoint
 partitions of ``p`` ranks (a stage need not cover every rank), random
 clock states and random payloads — empty ones included — the two must
 agree on the data, every clock lane, the counters by kind and the
 split-phase handles; with a fault injector as the communicator's
 guard, also on every recorded fault event and on what a crash leaves
-behind.
+behind.  The AllGatherv stage, which takes every rank's send data as
+one rank-major array plus per-rank counts, is held so on the engine's
+own row and column groups too.
 
 The delivery contracts at the end hold every stage form — the five
 stages and the split-phase ``start_*`` + ``wait`` forms — to an oracle
@@ -105,36 +102,6 @@ def _data(kind: str, payloads) -> list:
     return [b.copy() for bufs in payloads for b in bufs]
 
 
-def allgatherv_core(comm, ranks, send_buffers, nic_sharing):
-    """The oracle's AllGatherv of one group, from one send buffer per
-    member: the core every group ran before the stage took rank-major
-    data — validate, concatenate member by member, count; returns
-    ``(cost, result)``."""
-    comm._check_group(ranks, send_buffers)
-    comm._check_dtypes(ranks, send_buffers)
-    k = len(ranks)
-    arrays = [np.asarray(b) for b in send_buffers]
-    if any(a.size for a in arrays):
-        sizes = [len(a) for a in arrays]
-        result = np.empty((sum(sizes),) + arrays[0].shape[1:], dtype=arrays[0].dtype)
-        lo = 0
-        for a, n in zip(arrays, sizes):
-            if n:
-                result[lo : lo + n] = a
-                lo += n
-    else:
-        result = np.empty(0, dtype=arrays[0].dtype if arrays else np.float64)
-    total = int(sum(a.nbytes for a in arrays))
-    t = comm.costmodel.allgather_time(ranks, total, nic_sharing=nic_sharing)
-    comm.counters.record(
-        "allgatherv",
-        serial_messages=k - 1,
-        transfers=k * (k - 1),
-        nbytes=total * (k - 1) if k > 1 else 0,
-    )
-    return t, result
-
-
 def _stacked(comm, groups, payloads):
     """Per-group member buffers as the stage's rank-major send data and
     per-rank counts; a rank in no group sends nothing."""
@@ -152,34 +119,10 @@ def _stage(comm, kind: str, groups, payloads):
 
 
 def _per_group(comm, kind: str, groups, payloads):
-    """The oracle: one core + ``sync_group`` per group, in group order
-    (the fault protocol first, if the communicator is guarded).  A
-    broadcast is charged by hand: ``CostModel.broadcast_time`` and its
-    counters, the way triangle counting charged its own."""
+    """The oracle: one one-group stage per group, in group order."""
     out = []
     for ranks, payload in zip(groups, payloads):
-        if comm.guard is not None:
-            checked = (
-                [payload.src] if kind == "broadcast"
-                else [c.src for c in payload] if kind == "grouped_broadcast"
-                else payload
-            )
-            comm.guard(comm.clocks, kind, ranks, checked)
-        if kind == "allreduce":
-            t, result = comm._allreduce_core(ranks, payload, "sum", 1)
-        elif kind == "allgatherv":
-            t, result = allgatherv_core(comm, ranks, payload, 1)
-        elif kind == "broadcast":
-            for dest in payload.dests:
-                dest[...] = payload.src
-            k, nbytes = len(ranks), payload.src.nbytes
-            t, result = comm.costmodel.broadcast_time(ranks, nbytes), None
-            comm.counters.record("broadcast", k - 1, k - 1, nbytes * (k - 1))
-        else:
-            t, result = comm._broadcast_core(ranks, payload, "grouped_broadcast", 1)
-        if t is not None:
-            comm.clocks.sync_group(ranks, t)
-            out.append(result)
+        out += _stage(comm, kind, [ranks], [payload]) or []
     return out
 
 
@@ -214,7 +157,7 @@ def test_split_phase_stage_equals_per_group_issue(case):
     payloads = _payloads("allgatherv", groups, seed, width)
     got = staged.start_allgatherv_stage(groups, *_stacked(staged, groups, payloads))[1]
     want = [
-        oracle.start_allgatherv(ranks, bufs)
+        oracle.start_allgatherv_stage([ranks], *_stacked(oracle, [ranks], [bufs]))[1][0]
         for ranks, bufs in zip(groups, _payloads("allgatherv", groups, seed, width))
     ]
     _assert_same(staged, oracle)  # barriered, nothing charged yet
@@ -420,8 +363,8 @@ def test_allreduce_of_parts_is_the_allreduce_of_their_concatenation():
 def test_a_tail_rides_the_grouped_broadcast_stage(case, t, generic):
     """Every member's ``t`` tail words ride its group's grouped
     Broadcasts as one more call, an AllGather of ``k t`` words: each
-    group's rows arrive summed in member order, bit for bit what an
-    AllReduce of them delivers; the group pays the larger of the
+    group's rows arrive summed in member order (words whose sum shows
+    the order); the group pays the larger of the
     Broadcasts and that AllGather (a generic substrate, no group calls:
     their sum; a group with no Broadcast call: the AllGather alone),
     and is counted with the AllGather's transfers and bytes; the guard
@@ -433,7 +376,12 @@ def test_a_tail_rides_the_grouped_broadcast_stage(case, t, generic):
             comm.costmodel = CostModel(AIMOS.gpu, Topology(AIMOS, p), GENERIC_PROFILE)
     pay_a = _payloads("grouped_broadcast", groups, seed, width)
     pay_b = _payloads("grouped_broadcast", groups, seed, width)
-    tail = np.random.default_rng(seed).integers(0, 2**20, size=(p, t)) * 0.5
+    # words whose member-order float sum differs from other orders
+    rng = np.random.default_rng(seed)
+    tail = np.zeros((p, t))
+    for ranks in groups:
+        reveal = np.resize([1e16, -1e16, 1.0, 2.0**-30], len(ranks))
+        tail[ranks] = reveal[:, None] * rng.integers(1, 4, size=(len(ranks), t))
     seen = []
     staged.guard = lambda clocks, kind, ranks, payload: seen.append(payload)
     sums = staged.grouped_broadcast_stage(groups, pay_a, tail=tail)
@@ -453,10 +401,9 @@ def test_a_tail_rides_the_grouped_broadcast_stage(case, t, generic):
             transfers=sum(len(c.dests) for c in calls) + k * (k - 1),
             nbytes=sum(c.src.nbytes * len(c.dests) for c in calls) + k * t * 8 * (k - 1),
         )
-        words = [tail[r].copy() for r in ranks]
-        Communicator(cost, VirtualClocks(p)).allreduce(ranks, words)
-        for r in ranks:
-            assert sums[r].tobytes() == words[0].tobytes()
+        summed = np.add.reduce(np.stack([tail[r] for r in ranks]), axis=0)
+        for r in ranks:  # member order
+            assert sums[r].tobytes() == summed.tobytes()
     for x, y in zip(_data("grouped_broadcast", pay_a), _data("grouped_broadcast", pay_b)):
         assert np.array_equal(x, y)
     _assert_same(staged, oracle)
@@ -530,31 +477,32 @@ def test_stacked_allgatherv_stage_equals_the_per_group_loop(
     grid, axis, structured, split_phase, seed
 ):
     """Results, counters and all seven clock lanes equal the per-group
-    loop over member buffers — blocking, and split-phase after every
-    handle is waited."""
+    loop of one-group stages over the member buffers — blocking, and
+    split-phase after every handle is waited."""
     (staged, oracle), groups = _grid_comms(grid, seed)
     groups = groups[axis]
     bufs = _ragged(grid.n_ranks, seed, structured)
+
+    def one_group(ranks):
+        mine = [b if r in ranks else b[:0] for r, b in enumerate(bufs)]
+        return [ranks], *rank_major(mine)
+
     if split_phase:
         got, handles = staged.start_allgatherv_stage(groups, *rank_major(bufs), nic_sharing=2)
         assert all(h.result is result for h, result in zip(handles, got))
-        want, inflight = [], []
+        want, pending = [], []
         for ranks in groups:
-            t, result = allgatherv_core(oracle, ranks, [bufs[r] for r in ranks], 2)
-            inflight.append(oracle.clocks.issue_collective(ranks, t))
+            (result,), (handle,) = oracle.start_allgatherv_stage(*one_group(ranks), nic_sharing=2)
             want.append(result)
-        for handle, pending in zip(handles, inflight):
-            assert handle.inflight.issued_at == pending.issued_at
-            assert handle.inflight.comm_seconds == pending.comm_seconds
+            pending.append(handle)
+        for handle, other in zip(handles, pending):
+            assert handle.inflight.issued_at == other.inflight.issued_at
+            assert handle.inflight.comm_seconds == other.inflight.comm_seconds
             staged.wait(handle)
-            oracle.clocks.complete_collective(pending)
+            oracle.wait(other)
     else:
         got = staged.allgatherv_stage(groups, *rank_major(bufs), nic_sharing=2)
-        want = []
-        for ranks in groups:
-            t, result = allgatherv_core(oracle, ranks, [bufs[r] for r in ranks], 2)
-            oracle.clocks.sync_group(ranks, t)
-            want.append(result)
+        want = [oracle.allgatherv_stage(*one_group(ranks), nic_sharing=2)[0] for ranks in groups]
     assert len(got) == len(want) == len(groups)
     for x, y in zip(got, want):
         assert x.dtype == y.dtype and x.shape == y.shape
@@ -589,13 +537,15 @@ def test_a_guard_raising_at_group_g_leaves_groups_before_it_moved(fail_at, split
                 staged.wait(handle)
         else:
             staged.allgatherv_stage(groups, *rank_major(bufs))
+    def one_group(ranks):
+        mine = [b if r in ranks else b[:0] for r, b in enumerate(bufs)]
+        return [ranks], *rank_major(mine)
+
     for ranks in groups[:fail_at]:
-        t, _ = allgatherv_core(oracle, ranks, [bufs[r] for r in ranks], 1)
-        oracle.clocks.sync_group(ranks, t)
+        oracle.allgatherv_stage(*one_group(ranks))
     if split_phase:  # every group was issued and counted before the first wait
         for ranks in groups[fail_at:]:
-            t, _ = allgatherv_core(oracle, ranks, [bufs[r] for r in ranks], 1)
-            oracle.clocks.issue_collective(ranks, t)
+            oracle.start_allgatherv_stage(*one_group(ranks))
     _assert_same(staged, oracle)
 
 

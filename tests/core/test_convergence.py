@@ -4,15 +4,15 @@
 global value the loop reads, over whichever layout the cost model
 charges less for: a stage of column-group AllReduces (the windows of
 one column group partition the vertices) or the one all-rank call.
-``Fleet.global_degrees`` is graph structure, built once per fleet and
-copied into a run's ``deg`` state without a collective.
+``Fleet.global_degrees`` is graph structure, built once per fleet
+without a collective, and ``Fleet.cell_degrees`` lays it out on every
+cell of every rank.
 """
 
 import numpy as np
 import pytest
 
 from repro import Engine, algorithms
-from repro.algorithms.pagerank import compute_global_degrees
 from repro.baselines import cc_1d, cc_15d
 from repro.comm.grid import Grid2D
 from repro.graph import Graph, rmat
@@ -73,7 +73,7 @@ class TestHostileInputs:
         engine = Engine(empty, grid=Grid2D(R=2, C=4))
         assert engine.reduce_partials(np.zeros(8))[0] == 0.0
         assert algorithms.connected_components(engine).values.size == 0
-        compute_global_degrees(engine)
+        assert engine.fleet.cell_degrees().size == 0
         assert engine.fleet.global_degrees().size == 0
         assert not engine.counters.by_kind
 
@@ -158,17 +158,17 @@ def test_1d_baselines_are_bit_identical_on_1xp(name):
 @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
 @pytest.mark.parametrize("R,C", [(4, 4), (8, 4), (1, 6)], ids=["4x4", "8x4", "1x6"])
 def test_global_degrees_equal_the_dense_exchange_bit_for_bit(R, C, weighted):
-    """The structural cache holds exactly what a dense pull (SUM) of the
-    local degrees delivers, on every cell of every rank, and filling
-    the run state from it issues no collective."""
+    """The structural table holds exactly what a dense pull (SUM) of the
+    local degrees delivers, on every cell of every rank, and building
+    it issues no collective and charges no modeled time."""
     from repro.kernels import csr_pull
 
     engine = Engine(rmat(10, seed=6).with_random_weights(seed=6), grid=Grid2D(R=R, C=C))
     fleet = engine.fleet
     engine.reset_timers()
-    compute_global_degrees(engine, weighted=weighted)
+    got = fleet.cell_degrees(weighted)
     assert not engine.counters.by_kind
-    got = fleet.stacked("deg").copy()
+    assert engine.clocks.snapshot().total == 0.0
 
     engine.alloc("ref", np.float64)
     fleet.stacked("ref")[...] = (
@@ -179,6 +179,7 @@ def test_global_degrees_equal_the_dense_exchange_bit_for_bit(R, C, weighted):
     dense_pull(engine, "ref", op="sum")
     assert got.tobytes() == fleet.stacked("ref").tobytes()
     assert not fleet.global_degrees(weighted).flags.writeable
+    assert not got.flags.writeable and fleet.cell_degrees(weighted) is got
 
 
 @pytest.mark.parametrize("R,C", SHAPES, ids=[f"{r}x{c}" for r, c in SHAPES])

@@ -563,7 +563,7 @@ class TestArraysStayLiveSlices:
         mgr = CheckpointManager(interval=1)
         engine.attach_checkpoints(mgr)
         algorithms.bfs(engine, root=1)
-        saved = {n: [ctx.get(n).copy() for ctx in engine] for n in ("parent", "level", "deg")}
+        saved = {n: [ctx.get(n).copy() for ctx in engine] for n in ("parent", "level")}
         ckpt = mgr.latest()
         engine.free("level")
         engine.alloc("parent", np.float32)

@@ -721,8 +721,8 @@ class TestSdcCases:
         stacked state again."""
         lm = mk().ctx(1).localmap
         window_bytes = 8 * (lm.n_row + lm.n_col)
-        # windows are hashed in sorted-name order: deg, level, parent
-        spec = FaultSpec("memflip", 2, rank=1, bit=8 * 2 * window_bytes + 13)
+        # windows are hashed in sorted-name order: level, parent
+        spec = FaultSpec("memflip", 2, rank=1, bit=8 * window_bytes + 13)
 
         def runner(engine, resume=False):
             return algorithms.bfs(engine, root=0, resume=resume)
@@ -747,66 +747,27 @@ class TestSdcCases:
         assert engine.counters.summary() == ref_engine.counters.summary()
         assert_state_is_stacked(engine)
 
-    @pytest.mark.parametrize("guarded", [True, False], ids=["ledger", "bare"])
-    def test_flip_in_pagerank_degrees(self, guarded):
-        """PageRank derives its degree operands once per call, so a flip
-        in ``deg`` never reaches the arithmetic: with the ledger on it
-        is caught and repaired like any other window, without one the
-        answer is the fault-free one and the bit stays in the buffer."""
-        lm = mk().ctx(1).localmap
-        window_bytes = 8 * (lm.n_row + lm.n_col)
-        # sorted-name order: acc, deg, pr, row window then column window:
-        # an exponent bit of the first column ghost's degree
-        bit = 8 * (window_bytes + 8 * lm.n_row) + 62
-        spec = FaultSpec("memflip", 2, rank=1, bit=bit)
-
-        def runner(engine, resume=False):
-            return algorithms.pagerank(engine, iterations=6, resume=resume)
-
-        def build():
-            engine = mk()
-            if guarded:
-                engine.attach_integrity(IntegrityLedger())
-                engine.attach_checkpoints(CheckpointManager(interval=1))
-            return engine
-
-        ref_engine = build()
-        ref = runner(ref_engine)
-        engine = build()
-        injector = engine.attach_faults(FaultPlan([spec]))
-        res = drive_elastic(runner, engine)
-        assert [e.kind for e in injector.events].count("memflip") == 1
-        assert res.extra["elastic"]["resumes"] == int(guarded)
-        assert ("integrity" in [e["kind"] for e in engine.fault_events]) == guarded
-        assert res.values.tobytes() == ref.values.tobytes()
-        assert np.array_equal(engine.clocks.clock, ref_engine.clocks.clock)
-        assert engine.counters.summary() == ref_engine.counters.summary()
-        deg, ref_deg = (e.ctx(1).get("deg") for e in (engine, ref_engine))
-        assert np.array_equal(deg, ref_deg) == guarded
-
     @pytest.mark.parametrize(
         "name,guarded,grade",
         [
-            ("deg", True, "repaired"),
             ("tele", True, "repaired"),
-            ("deg", False, "completed"),
             ("tele", False, "diverged"),
         ],
     )
     def test_pagerank_operand_flip_grades(self, name, guarded, grade):
         """Pins how the campaigns' grading classifies a planned memflip
-        into a personalized PageRank's static operands (``run_case``'s
-        rule: different values are ``diverged``, else ``repaired`` after
-        a resume, else ``completed``).  With a ledger both are caught and
-        repaired.  Without one a flip in ``deg`` never reaches the
-        arithmetic (everything derived from it is built once per call),
-        but one in ``tele`` does: the dangling share is spread by
-        ``tele`` every iteration, so the answer is silently wrong."""
+        into a personalized PageRank's static operand ``tele``
+        (``run_case``'s rule: different values are ``diverged``, else
+        ``repaired`` after a resume, else ``completed``).  With a ledger
+        it is caught and repaired.  Without one it reaches the answer:
+        the dangling share is spread by ``tele`` every iteration, so the
+        answer is silently wrong.  The degrees are graph structure, not
+        state (``Fleet.cell_degrees``), so no memflip reaches them."""
         lm = mk().ctx(1).localmap
         window_bytes = 8 * (lm.n_row + lm.n_col)
-        # sorted-name order: acc, deg, pr, tele; an exponent bit of the
-        # first column ghost of the chosen array
-        before = {"deg": 1, "tele": 3}[name]
+        # sorted-name order: pr, tele; an exponent bit of the first
+        # column ghost of the chosen array
+        before = {"pr": 0, "tele": 1}[name]
         bit = 8 * (before * window_bytes + 8 * lm.n_row) + 62
         personalization = np.random.default_rng(5).random(GRAPH.n_vertices)
 

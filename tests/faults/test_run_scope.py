@@ -150,10 +150,10 @@ def test_a_run_begins_with_an_empty_arena_and_released_state_entries():
         assert ledger_entries(engine.devices, ctx.rank) == ledger  # graph structure only
     algorithms.bfs(engine, root=3)
     for ctx in engine.contexts:
-        assert sorted(ctx.arrays) == ["deg", "level", "parent"]
+        assert sorted(ctx.arrays) == ["level", "parent"]
         held = ledger_entries(engine.devices, ctx.rank)
         assert sorted(k for k in held if k.startswith("state.")) == [
-            "state.deg", "state.level", "state.parent",
+            "state.level", "state.parent",
         ]
 
 
@@ -240,7 +240,7 @@ class TestRunArrays:
         algorithms.bfs(engine, root=3)
         ckpt = engine.checkpoints.latest()
         engine.restore(ckpt)
-        assert sorted(ckpt.state) == ["deg", "level", "parent"]
+        assert sorted(ckpt.state) == ["level", "parent"]
         for ctx in engine.contexts:
             assert sorted(ctx.arrays) == sorted(ckpt.state)
 
@@ -318,4 +318,53 @@ def test_memflip_single_is_repaired_on_a_reused_engine():
     assert got.counters == want.counters
     assert _clock_state(engine) == _clock_state(fresh)
     for ctx in engine.contexts:
-        assert sorted(ctx.arrays) == ["deg", "level", "parent"]
+        assert sorted(ctx.arrays) == ["level", "parent"]
+
+
+# ----------------------------------------------------------------------
+# what a run's arena holds
+# ----------------------------------------------------------------------
+def _personalized(e):
+    return algorithms.pagerank(
+        e, iterations=3, personalization=np.arange(e.partition.n_vertices) % 3
+    )
+
+
+#: The arena's names at every superstep boundary of a run: loop state
+#: only.  The degrees are graph structure (``Fleet.cell_degrees``) and
+#: a dense pull's operand is scratch (``Engine.scratch``), so neither is
+#: saved, verified or a memflip target.
+STATE_SETS = {
+    "bfs": (ENTRY_POINTS["bfs"], ["level", "parent"]),
+    "bfs_batch": (ENTRY_POINTS["bfs_batch"], ["level", "parent"]),
+    "pagerank": (ENTRY_POINTS["pagerank"], ["pr"]),
+    "pagerank_weighted": (
+        lambda e: algorithms.pagerank(e, iterations=3, weighted=True), ["pr"]
+    ),
+    "pagerank_personalized": (_personalized, ["pr", "tele"]),
+    "connected_components": (ENTRY_POINTS["connected_components"], ["cc"]),
+    "sssp_batch": (ENTRY_POINTS["sssp_batch"], ["dist"]),
+    "core_numbers": (ENTRY_POINTS["core_numbers"], ["core"]),
+    "greedy_coloring": (ENTRY_POINTS["greedy_coloring"], ["color", "prio"]),
+    "spmv_pagerank": (ENTRY_POINTS["spmv_pagerank"], ["pr"]),
+    "spmv_bfs": (ENTRY_POINTS["spmv_bfs"], ["front", "level"]),
+}
+
+
+@pytest.mark.parametrize("algo", sorted(STATE_SETS))
+def test_the_arena_holds_loop_state_only(algo):
+    from repro.core.hooks import BoundaryHook
+
+    run, want = STATE_SETS[algo]
+    seen = []
+
+    class Names(BoundaryHook):
+        slot, phases = "names", ("verify",)
+
+        def on_phase(self, phase, engine, boundary):
+            seen.append(sorted(engine.fleet.views[0]))
+
+    engine = Engine(GRAPH, 9)
+    engine.attach(Names())
+    run(engine)
+    assert seen and all(names == want for names in seen), seen

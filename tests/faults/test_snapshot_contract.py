@@ -14,6 +14,15 @@ its row-stage assignment) fails it.
 The second resumes the algorithms no fault campaign runs from a
 superstep-2 checkpoint on another grid — a shrink from 4x4 and a grow
 from 2x2 — and asks for the fault-free answer, bit for bit.
+
+The third holds what a checkpoint may leave out.  A BFS frontier is
+exactly the row cells with ``level == depth`` at every boundary but the
+last one after a superstep that found nothing (which ends the run), so
+``bfs`` and ``bfs_batch`` save no frontier and a resume derives it —
+for ``bfs_batch`` per lane, in the order the loop builds it.  Resumed
+in place from each of its checkpoints, a run must then be the
+uninterrupted one bit for bit: answer, levels, every clock mark and
+every counter.
 """
 
 import numpy as np
@@ -130,3 +139,50 @@ def test_resume_on_another_grid_is_bit_identical(algo, move):
     res = run(moved, True)
     assert res.values.dtype == ref.values.dtype
     assert res.values.tobytes() == ref.values.tobytes()
+
+
+#: The BFS entry points whose checkpoints hold no frontier.
+DERIVED_FRONTIER = {
+    "bfs": lambda e, r=False: algorithms.bfs(e, root=3, resume=r),
+    "bfs_batch": lambda e, r=False: bfs_batch(e, ROOTS, resume=r),
+    "bfs_batch_deep_root": lambda e, r=False: bfs_batch(e, [17, 500, 1], resume=r),
+}
+
+
+def _guarded(grid):
+    """An engine that checkpoints every superstep and records the queue
+    degrees of every edge-kernel charge, in the order they are charged
+    (the frontier's order, entry for entry)."""
+    engine = Engine(GRAPH, grid=Grid2D(R=grid[0], C=grid[1]))
+    engine.attach_checkpoints(CheckpointManager(interval=1, keep=100))
+    engine.charged = []
+    charge = engine.charge_edges
+
+    def charge_edges(rank, queue_degrees, *args, **kwargs):
+        engine.charged.append((rank, np.asarray(queue_degrees).tobytes()))
+        return charge(rank, queue_degrees, *args, **kwargs)
+
+    engine.charge_edges = charge_edges
+    return engine
+
+
+@pytest.mark.parametrize("R,C", GRIDS, ids=[f"{R}x{C}" for R, C in GRIDS])
+@pytest.mark.parametrize("algo", sorted(DERIVED_FRONTIER))
+def test_a_resume_at_every_boundary_is_the_uninterrupted_run(algo, R, C):
+    run = DERIVED_FRONTIER[algo]
+    engine = _guarded((R, C))
+    ref = run(engine)
+    saved = list(engine.checkpoints.checkpoints)
+    assert len(saved) == ref.iterations
+    for ckpt in saved:
+        assert "frontier" not in ckpt.algo_state
+        again = _guarded((R, C))
+        again.checkpoints.adopt(ckpt)
+        res = run(again, True)
+        # every queue after the resume point, in the same order
+        assert again.charged == engine.charged[len(engine.charged) - len(again.charged) :]
+        assert res.values.tobytes() == ref.values.tobytes(), ckpt.superstep
+        assert res.extra["levels"].tobytes() == ref.extra["levels"].tobytes()
+        assert res.extra["directions"] == ref.extra["directions"]
+        assert res.timings == ref.timings, ckpt.superstep
+        assert res.counters == ref.counters

@@ -150,7 +150,6 @@ from hypothesis import strategies as st  # noqa: E402
 
 from repro.algorithms import greedy_coloring  # noqa: E402
 from repro.algorithms.coloring import is_proper_coloring  # noqa: E402
-from repro.algorithms.pagerank import compute_global_degrees  # noqa: E402
 from repro.comm.grid import Grid2D  # noqa: E402
 from repro.core.engine import Engine  # noqa: E402
 from repro.core.program import init_vertex_state  # noqa: E402
@@ -228,9 +227,8 @@ class TestComplexReduce:
     @given(g=small_graph(), grid=st.sampled_from(HOSTILE_GRIDS))
     def test_h_index_under_min_converges_to_core_numbers(self, g, grid):
         engine = Engine(g, grid=grid)
-        compute_global_degrees(engine)
         engine.alloc("core")
-        engine.fleet.stacked("core")[...] = engine.fleet.stacked("deg")
+        engine.fleet.stacked("core")[...] = engine.fleet.cell_degrees()
         n_changed = 1
         while n_changed:
             _, n_changed = complex_reduce(

@@ -260,23 +260,46 @@ def hold_push_to_what_each_owner_is_owed(engine, rng, x, op):
     assert result.rows.tolist() == engine.fleet.stack(rows)[0].tolist()
 
 
+def test_sparse_pull_rows_are_the_row_group_s_queue():
+    """A cell one member queues without its kernel changing it is
+    still an updated row of every member of its row group, and counted
+    once: ``SparseResult.rows`` is the same on every rank of a row
+    group."""
+    engine = Engine(rmat(5, seed=1), grid=Grid2D(R=2, C=2))
+    _consistent_init(engine, "s", 3)
+    ctx = engine.ctx(1)
+    lid = ctx.row_slice.start  # queued, but its value is left as it was
+    result = sparse_pull(engine, "s", engine.fleet.stack(
+        [np.array([lid]) if r == 1 else np.empty(0, np.int64) for r in range(4)]
+    )[0])
+    gid = row_gid(ctx.localmap, np.array([lid]))
+    rows = engine.fleet.split(result.rows)
+    for _, members in engine.row_groups():
+        want = gid if 1 in members else np.empty(0, np.int64)
+        for r in members:
+            got = row_gid(engine.ctx(r).localmap, rows[r])
+            assert got.tolist() == want.tolist(), r
+    assert result.n_updated == 1
+
+
 def hold_pull_to_what_each_owner_is_owed(engine, rng, x, op):
     """Row stage: every rank sends ``{GID, value}`` of its queue, in
     queue order, and every member reduces it.  Column stage: every rank
     sends the final value of each updated row vertex in its column
-    range, ascending — a vertex the reduce changed on it or its own
-    kernel wrote — and every member of the column group assigns it.
-    The result is those rows on every rank.  ``engine`` holds ``x`` (GID
-    order) as ``s``, as :func:`_seam_engine` leaves it."""
+    range, ascending — a vertex some member of its row group queued —
+    and every member of the column group assigns it.  The result is
+    those rows on every rank, the same on every member of a row group.
+    ``engine`` holds ``x`` (GID order) as ``s``, as
+    :func:`_seam_engine` leaves it."""
     queues, sent = _kernel_writes(engine, rng, "row", op)
     final = x.copy()
     for ctx, q, gids in zip(engine, queues, sent):
         _UFUNC[op].at(final, gids, ctx.get("s")[q])
-    updated = []
-    for ctx, gids in zip(engine, sent):
-        lm, state = ctx.localmap, ctx.get("s")
-        mine = np.arange(lm.row_start, lm.row_stop)
-        updated.append(np.union1d(mine[final[mine] != state[lm.row_slice]], gids))
+    updated = [None] * engine.n_ranks
+    for _, members in engine.row_groups():
+        group = np.unique(np.concatenate([sent[r] for r in members]))
+        for r in members:
+            updated[r] = group
     before = engine.fleet.stacked("s").copy()
     with pytest.MonkeyPatch.context() as patch:
         stages = record_stages(patch)

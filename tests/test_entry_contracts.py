@@ -97,7 +97,6 @@ TABLE = {
     "use_queue": (EXEMPT, "a flag"),
     "direction": (EXEMPT, "a named choice"),
     "mode": (EXEMPT, "a named choice"),
-    "name": (EXEMPT, "a state name"),
     "policy": (EXEMPT, "a named choice"),
     "monitor": (EXEMPT, "a HealthMonitor"),
     "what": (EXEMPT, "the name an error message uses"),

@@ -209,7 +209,8 @@ MUTANTS = {
     "grouped_broadcast_tail_summed_backwards": Mutant(
         COLLECTIVES + "_broadcast_core",
         (('REDUCE_OPS["sum"](words[members])', 'REDUCE_OPS["sum"](words[members[::-1]])'),),
-        (kill(OWED, form="grouped_broadcast"),),
+        (kill(OWED, form="grouped_broadcast"),
+         kill(STAGES + "test_a_tail_rides_the_grouped_broadcast_stage")),
     ),
     "allgatherv_joins_in_rank_order": Mutant(
         COLLECTIVES + "_gather_plan",
